@@ -199,8 +199,8 @@ pub use lookup::{ResolverMetrics, SecurePoolResolver};
 pub use majority::{majority_vote, meets_threshold, support_counts};
 pub use pool::{AddressPool, PoolEntry};
 pub use serve::{
-    snapshot_samples, AddressFamily, CacheConfig, CacheEntryProbe, CacheLookup, CachedPool,
-    CachingPoolResolver, ConfigError, EntryState, PoolCache, PoolKey, RefreshScheduler,
+    snapshot_samples, AddressFamily, CacheConfig, CacheEntryProbe, CacheHit, CacheLookup,
+    CachedPool, CachingPoolResolver, ConfigError, EntryState, PoolCache, PoolKey, RefreshScheduler,
     ResolvedPool, ServeConfig, ServeMetrics, ServeSession, ServeSnapshot, Singleflight,
     APP_METRIC_HELP, METRIC_CONFIG_EPOCH, METRIC_DROPPED_QUERIES, METRIC_INVARIANT_VIOLATIONS,
     METRIC_SERVE_LATENCY, METRIC_SHARDS, METRIC_SHARD_ACKED_EPOCH, METRIC_TCP_QUERIES,

@@ -11,6 +11,11 @@
 //! a **stale window** after expiry during which an entry is still served
 //! while a refresh regenerates it (stale-while-revalidate).
 //!
+//! Beside each successful report the cache keeps its answer section in
+//! wire form (an [`AnswerTemplate`], built once when the entry is inserted
+//! or installed), and a lookup lends both out instead of cloning either —
+//! see the [module documentation](super) for how the front end serves it.
+//!
 //! The cache is sans-IO like the rest of the crate: it never reads a clock.
 //! Every operation takes `now` explicitly, so it composes with the
 //! simulator's virtual time and with any driver's notion of "now".
@@ -20,7 +25,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
-use sdoh_dns_wire::{Name, Question, RrType, Ttl};
+use sdoh_dns_wire::{AnswerTemplate, Name, Question, RrType, Ttl};
 use sdoh_netsim::SimInstant;
 
 use super::epoch::ConfigError;
@@ -174,7 +179,9 @@ impl CacheConfig {
     }
 }
 
-/// A cached generation outcome handed back by [`PoolCache::get`].
+/// A cached generation outcome: what [`PoolCache::get`] lends out and
+/// what a cache handoff ([`PoolCache::extract_matching`] →
+/// [`PoolCache::install`]) moves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedPool {
     /// The generation outcome: a report, or the error string of a failed
@@ -191,6 +198,39 @@ impl CachedPool {
     /// TTL-decrementing front end serves.
     pub fn remaining(&self, now: SimInstant) -> Ttl {
         Ttl::from_duration(self.expires_at.saturating_duration_since(now))
+    }
+
+    /// Liveness at `now` under the **current** config.
+    fn state(&self, config: &CacheConfig, now: SimInstant) -> EntryState {
+        if now < self.expires_at {
+            EntryState::Fresh
+        } else if self.value.is_ok() && now < self.keep_until(config) {
+            EntryState::Stale
+        } else {
+            EntryState::Dead
+        }
+    }
+
+    /// The instant past which the entry serves no purpose under the
+    /// **current** config: successful generations may still be served
+    /// through the stale window, negative entries die at expiry.
+    ///
+    /// Stale serving is bounded both by the stamped expiry plus the
+    /// current stale window and by the current `ttl + stale_window`
+    /// horizon measured from generation. For a constant config the two
+    /// bounds coincide (entries are stamped `generated_at + ttl`); across
+    /// a config-epoch change the cap guarantees nothing is ever served
+    /// older than the **maximum** of the old and new horizons.
+    fn keep_until(&self, config: &CacheConfig) -> SimInstant {
+        if self.value.is_ok() {
+            let by_stamp = self.expires_at.saturating_add(config.stale_window);
+            let by_horizon = self
+                .generated_at
+                .saturating_add(config.ttl.as_duration() + config.stale_window);
+            by_stamp.min(by_horizon)
+        } else {
+            self.expires_at
+        }
     }
 }
 
@@ -226,20 +266,30 @@ pub struct CacheEntryProbe {
     pub state: EntryState,
 }
 
+/// A usable entry, lent out by [`PoolCache::get`] for the duration of one
+/// serve.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CacheHit<'a> {
+    /// The cached outcome and its stamps.
+    pub pool: &'a CachedPool,
+    /// The pool's answer section in wire form; `None` for a negative entry.
+    pub answer: Option<&'a AnswerTemplate>,
+}
+
 /// Outcome of a cache lookup at a given instant.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CacheLookup {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CacheLookup<'a> {
     /// The entry is within its TTL.
-    Fresh(CachedPool),
+    Fresh(CacheHit<'a>),
     /// The entry is past its TTL but within the stale window: serve it,
     /// then refresh it. Only successful generations go stale; expired
     /// negative entries are misses.
-    Stale(CachedPool),
+    Stale(CacheHit<'a>),
     /// No usable entry.
     Miss,
 }
 
-impl CacheLookup {
+impl CacheLookup<'_> {
     /// Returns `true` for [`CacheLookup::Miss`].
     pub fn is_miss(&self) -> bool {
         matches!(self, CacheLookup::Miss)
@@ -276,35 +326,42 @@ impl CacheMetrics {
     }
 }
 
+/// The pre-encoded answer section serving `report`'s pool to queries of
+/// `family`.
+pub(super) fn answer_template(family: AddressFamily, report: &GenerationReport) -> AnswerTemplate {
+    AnswerTemplate::for_addresses(
+        family.rtype(),
+        report.pool.iter().map(|entry| entry.address),
+    )
+}
+
 #[derive(Debug, Clone)]
 struct Entry {
-    value: Result<GenerationReport, String>,
-    generated_at: SimInstant,
-    expires_at: SimInstant,
+    cached: CachedPool,
+    /// Built from the report when the entry enters the cache; `None` for
+    /// a negative entry.
+    template: Option<AnswerTemplate>,
     /// Monotone access stamp for LRU eviction.
     last_used: u64,
 }
 
 impl Entry {
-    /// The instant past which the entry serves no purpose under the
-    /// **current** config: successful generations may still be served
-    /// through the stale window, negative entries die at expiry.
-    ///
-    /// Stale serving is bounded both by the stamped expiry plus the
-    /// current stale window and by the current `ttl + stale_window`
-    /// horizon measured from generation. For a constant config the two
-    /// bounds coincide (entries are stamped `generated_at + ttl`); across
-    /// a config-epoch change the cap guarantees nothing is ever served
-    /// older than the **maximum** of the old and new horizons.
-    fn keep_until(&self, config: &CacheConfig) -> SimInstant {
-        if self.value.is_ok() {
-            let by_stamp = self.expires_at.saturating_add(config.stale_window);
-            let by_horizon = self
-                .generated_at
-                .saturating_add(config.ttl.as_duration() + config.stale_window);
-            by_stamp.min(by_horizon)
-        } else {
-            self.expires_at
+    fn new(key: &PoolKey, cached: CachedPool, last_used: u64) -> Entry {
+        Entry {
+            template: cached
+                .value
+                .as_ref()
+                .ok()
+                .map(|report| answer_template(key.family, report)),
+            cached,
+            last_used,
+        }
+    }
+
+    fn hit(&self) -> CacheHit<'_> {
+        CacheHit {
+            pool: &self.cached,
+            answer: self.template.as_ref(),
         }
     }
 }
@@ -386,40 +443,38 @@ impl PoolCache {
     /// A fresh entry is a hit; an expired *successful* entry within the
     /// stale window is returned as [`CacheLookup::Stale`] (the caller
     /// serves it and schedules a refresh); anything older — and any expired
-    /// negative entry — is dropped and reported as a miss.
+    /// negative entry — is dropped and reported as a miss. A hit lends the
+    /// entry out; nothing is cloned.
     // sdoh-lint: allow(no-panic, "shard_index is a modulo over shards.len(), always in range")
-    pub fn get(&mut self, key: &PoolKey, now: SimInstant) -> CacheLookup {
+    pub fn get(&mut self, key: &PoolKey, now: SimInstant) -> CacheLookup<'_> {
         self.tick += 1;
-        let tick = self.tick;
-        let config = self.config;
         let shard = self.shard_index(key);
-        let entry = match self.shards[shard].entries.get_mut(key) {
-            Some(entry) => entry,
-            None => {
-                self.metrics.misses += 1;
-                return CacheLookup::Miss;
+        let entries = &mut self.shards[shard].entries;
+        // Judge first and lend second: a borrow that may be handed back to
+        // the caller cannot also cover the removal of a dead entry.
+        let state = entries
+            .get(key)
+            .map(|entry| entry.cached.state(&self.config, now));
+        let entry = match state {
+            Some(EntryState::Fresh | EntryState::Stale) => entries.get_mut(key),
+            Some(EntryState::Dead) => {
+                entries.remove(key);
+                self.metrics.expirations += 1;
+                None
             }
+            None => None,
         };
-        let cached = CachedPool {
-            value: entry.value.clone(),
-            generated_at: entry.generated_at,
-            expires_at: entry.expires_at,
-        };
-        if now < entry.expires_at {
-            entry.last_used = tick;
-            self.metrics.hits += 1;
-            return CacheLookup::Fresh(cached);
-        }
-        let serve_stale = entry.value.is_ok() && now < entry.keep_until(&config);
-        if serve_stale {
-            entry.last_used = tick;
-            self.metrics.stale_hits += 1;
-            CacheLookup::Stale(cached)
-        } else {
-            self.shards[shard].entries.remove(key);
-            self.metrics.expirations += 1;
+        let Some(entry) = entry else {
             self.metrics.misses += 1;
-            CacheLookup::Miss
+            return CacheLookup::Miss;
+        };
+        entry.last_used = self.tick;
+        if state == Some(EntryState::Fresh) {
+            self.metrics.hits += 1;
+            CacheLookup::Fresh(entry.hit())
+        } else {
+            self.metrics.stale_hits += 1;
+            CacheLookup::Stale(entry.hit())
         }
     }
 
@@ -428,11 +483,10 @@ impl PoolCache {
     // sdoh-lint: allow(no-panic, "shard_index is a modulo over shards.len(), always in range")
     pub fn peek(&self, key: &PoolKey) -> Option<CachedPool> {
         let shard = self.shard_index(key);
-        self.shards[shard].entries.get(key).map(|entry| CachedPool {
-            value: entry.value.clone(),
-            generated_at: entry.generated_at,
-            expires_at: entry.expires_at,
-        })
+        self.shards[shard]
+            .entries
+            .get(key)
+            .map(|entry| entry.cached.clone())
     }
 
     /// Probes every entry across all shards at instant `now`, without
@@ -449,21 +503,12 @@ impl PoolCache {
             .shards
             .iter()
             .flat_map(|shard| shard.entries.iter())
-            .map(|(key, entry)| {
-                let state = if now < entry.expires_at {
-                    EntryState::Fresh
-                } else if entry.value.is_ok() && now < entry.keep_until(&config) {
-                    EntryState::Stale
-                } else {
-                    EntryState::Dead
-                };
-                CacheEntryProbe {
-                    key: key.clone(),
-                    negative: entry.value.is_err(),
-                    age: now.saturating_duration_since(entry.generated_at),
-                    remaining: Ttl::from_duration(entry.expires_at.saturating_duration_since(now)),
-                    state,
-                }
+            .map(|(key, entry)| CacheEntryProbe {
+                key: key.clone(),
+                negative: entry.cached.value.is_err(),
+                age: now.saturating_duration_since(entry.cached.generated_at),
+                remaining: entry.cached.remaining(now),
+                state: entry.cached.state(&config, now),
             })
             .collect();
         probes.sort_by_key(|p| p.key.to_string());
@@ -499,15 +544,13 @@ impl PoolCache {
                 self.evict_one(Some(shard_index), now);
             }
         }
-        self.shards[shard_index].entries.insert(
-            key,
-            Entry {
-                value,
-                generated_at: now,
-                expires_at: now.saturating_add(lifetime.as_duration()),
-                last_used: tick,
-            },
-        );
+        let cached = CachedPool {
+            value,
+            generated_at: now,
+            expires_at: now.saturating_add(lifetime.as_duration()),
+        };
+        let entry = Entry::new(&key, cached, tick);
+        self.shards[shard_index].entries.insert(key, entry);
         self.metrics.insertions += 1;
     }
 
@@ -526,7 +569,7 @@ impl PoolCache {
         let mut lru: Option<(u64, usize, PoolKey)> = None;
         'shards: for &shard in &shards {
             for (key, entry) in &self.shards[shard].entries {
-                if now >= entry.keep_until(&config) {
+                if now >= entry.cached.keep_until(&config) {
                     dead = Some((shard, key.clone()));
                     break 'shards;
                 }
@@ -546,7 +589,7 @@ impl PoolCache {
     /// negative TTL and capacity change for every subsequent operation
     /// while each cached entry keeps the expiry it was stamped with at
     /// insert (stale serving of old entries is additionally capped by the
-    /// new `ttl + stale_window` horizon — see `Entry::keep_until`).
+    /// new `ttl + stale_window` horizon — see `CachedPool::keep_until`).
     ///
     /// The shard count is structural (entries were hashed onto shards at
     /// insert), so `config.shards` is overridden with the built value.
@@ -582,14 +625,7 @@ impl PoolCache {
                 .collect();
             for key in keys {
                 if let Some(entry) = shard.entries.remove(&key) {
-                    extracted.push((
-                        key,
-                        CachedPool {
-                            value: entry.value,
-                            generated_at: entry.generated_at,
-                            expires_at: entry.expires_at,
-                        },
-                    ));
+                    extracted.push((key, entry.cached));
                 }
             }
         }
@@ -598,27 +634,21 @@ impl PoolCache {
     }
 
     /// Installs an entry extracted from another cache, **preserving** its
-    /// original generation and expiry stamps — the receiving half of a
-    /// shard-rescale handoff. Returns `false` (dropping the entry) when
-    /// it is already past every serving window at `now`, or when an
-    /// existing entry for the key is at least as fresh — so a key is
-    /// never owned by two entries and a handoff never clobbers a newer
-    /// generation. Capacity bounds are enforced exactly as on insert.
+    /// original generation and expiry stamps (the wire-form answer is
+    /// rebuilt from the report) — the receiving half of a shard-rescale
+    /// handoff. Returns `false` (dropping the entry) when it is already
+    /// past every serving window at `now`, or when an existing entry for
+    /// the key is at least as fresh — so a key is never owned by two
+    /// entries and a handoff never clobbers a newer generation. Capacity bounds are enforced exactly as on insert.
     // sdoh-lint: allow(no-panic, "shard_index is a modulo over shards.len(), always in range")
     pub fn install(&mut self, key: PoolKey, cached: CachedPool, now: SimInstant) -> bool {
         self.tick += 1;
-        let entry = Entry {
-            value: cached.value,
-            generated_at: cached.generated_at,
-            expires_at: cached.expires_at,
-            last_used: self.tick,
-        };
-        if now >= entry.keep_until(&self.config) {
+        if now >= cached.keep_until(&self.config) {
             return false;
         }
         let shard_index = self.shard_index(&key);
         match self.shards[shard_index].entries.get(&key) {
-            Some(existing) if existing.expires_at >= entry.expires_at => return false,
+            Some(existing) if existing.cached.expires_at >= cached.expires_at => return false,
             Some(_) => {}
             None => {
                 if self.len() >= self.capacity {
@@ -628,6 +658,7 @@ impl PoolCache {
                 }
             }
         }
+        let entry = Entry::new(&key, cached, self.tick);
         self.shards[shard_index].entries.insert(key, entry);
         self.metrics.insertions += 1;
         true
@@ -647,7 +678,9 @@ impl PoolCache {
         let mut dropped = 0;
         for shard in &mut self.shards {
             let before = shard.entries.len();
-            shard.entries.retain(|_, e| now < e.keep_until(&config));
+            shard
+                .entries
+                .retain(|_, e| now < e.cached.keep_until(&config));
             dropped += before - shard.entries.len();
         }
         self.metrics.expirations += u64::try_from(dropped).unwrap_or(u64::MAX);
@@ -701,15 +734,16 @@ mod tests {
 
         match cache.get(&key("pool.ntp.org"), at(59)) {
             CacheLookup::Fresh(hit) => {
-                assert_eq!(hit.value.as_ref().unwrap().pool.len(), 1);
-                assert_eq!(hit.remaining(at(59)), Ttl::from_secs(1));
+                assert_eq!(hit.pool.value.as_ref().unwrap().pool.len(), 1);
+                assert_eq!(hit.pool.remaining(at(59)), Ttl::from_secs(1));
+                assert_eq!(hit.answer.unwrap().len(), 1);
             }
             other => panic!("expected fresh, got {other:?}"),
         }
         match cache.get(&key("pool.ntp.org"), at(75)) {
             CacheLookup::Stale(hit) => {
-                assert_eq!(hit.generated_at, at(0));
-                assert_eq!(hit.remaining(at(75)), Ttl::ZERO);
+                assert_eq!(hit.pool.generated_at, at(0));
+                assert_eq!(hit.pool.remaining(at(75)), Ttl::ZERO);
             }
             other => panic!("expected stale, got {other:?}"),
         }
@@ -765,7 +799,10 @@ mod tests {
         let mut cache = PoolCache::new(test_config());
         cache.insert(key("dead.test"), Err("not enough responses".into()), at(0));
         match cache.get(&key("dead.test"), at(4)) {
-            CacheLookup::Fresh(hit) => assert!(hit.value.is_err()),
+            CacheLookup::Fresh(hit) => {
+                assert!(hit.pool.value.is_err());
+                assert!(hit.answer.is_none(), "a failure has no answer section");
+            }
             other => panic!("expected fresh negative, got {other:?}"),
         }
         // One second past the negative TTL: a miss, not a stale serve.

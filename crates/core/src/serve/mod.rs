@@ -27,6 +27,37 @@
 //! `(domain, TTL window)` while every served answer still comes from a real
 //! generation, preserving the paper's benign-fraction guarantee.
 //!
+//! # The hit path
+//!
+//! Re-serving a cached pool is the common case by far, and successive
+//! answers for one key differ only in id, RD bit, the spelling of the
+//! question and the TTL. So the answer is encoded **once per generation,
+//! not once per hit**:
+//!
+//! * *Built when an entry enters the cache* ([`PoolCache::insert`], or
+//!   [`PoolCache::install`] on a shard hand-off): an
+//!   [`AnswerTemplate`](sdoh_dns_wire::AnswerTemplate) — the records of
+//!   the key's address family in wire form, stored beside the report.
+//! * *Patched per hit*: [`PoolCache::get`] lends the entry out (nothing is
+//!   cloned), and the front end's
+//!   [`handle_query_wire`](sdoh_dns_server::QueryHandler::handle_query_wire)
+//!   copies the template into the caller's buffer behind a fresh header
+//!   and the echoed question, stamping the TTL — the remaining lifetime
+//!   for a fresh hit, zero for a stale one. A pool that never reached the
+//!   cache (a miss under a zero TTL) is rendered the same way from a
+//!   template built on the spot, so every pool answer has one renderer.
+//! * *The [`Message`](sdoh_dns_wire::Message) path* (build the response,
+//!   then encode it) remains for everything else: rejections and
+//!   SERVFAILs, whatever the template cannot reproduce byte for byte (a
+//!   query without exactly one question, the root name, a response over
+//!   64 KiB), and callers that want a `Message` — `handle_query`,
+//!   [`CachingPoolResolver::serve_batch`],
+//!   [`CachingPoolResolver::resolve_pool`].
+//!
+//! Both forms run the same lookup, so hits, stale serves, negative hits,
+//! misses, the LRU tick and the refresh queue move identically whichever
+//! one answered.
+//!
 //! [`GenerationReport`]: crate::GenerationReport
 
 mod cache;
@@ -38,8 +69,8 @@ mod session;
 mod singleflight;
 
 pub use cache::{
-    AddressFamily, CacheConfig, CacheEntryProbe, CacheLookup, CacheMetrics, CachedPool, EntryState,
-    PoolCache, PoolKey,
+    AddressFamily, CacheConfig, CacheEntryProbe, CacheHit, CacheLookup, CacheMetrics, CachedPool,
+    EntryState, PoolCache, PoolKey,
 };
 pub use epoch::{ConfigError, ServeConfig};
 pub use refresh::{RefreshScheduler, RefreshTask};

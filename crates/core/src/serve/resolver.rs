@@ -19,14 +19,16 @@
 //! generation — caching changes *when* pools are generated, never *what*
 //! is served.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use sdoh_dns_server::{Exchanger, QueryHandler};
-use sdoh_dns_wire::{Message, Question, Rcode, Ttl};
+use sdoh_dns_wire::{AnswerTemplate, Message, Question, Rcode, Ttl, WireResult};
 
-use super::cache::{CacheConfig, CacheLookup, CacheMetrics, CachedPool, PoolCache, PoolKey};
+use super::cache::{
+    answer_template, AddressFamily, CacheConfig, CacheLookup, CacheMetrics, CachedPool, PoolCache,
+    PoolKey,
+};
 use super::epoch::ServeConfig;
 use super::refresh::RefreshScheduler;
 use super::session::{drive_serve, ServeSession};
@@ -233,6 +235,74 @@ impl ServeSnapshot {
     }
 }
 
+/// What one query is answered with, before it takes the caller's form.
+enum Served<'a> {
+    /// Refused at the protocol level; the response is already built.
+    Rejected(Message),
+    /// A pool, lent by the cache entry (or the generation) it came from.
+    Pool {
+        question: &'a Question,
+        report: &'a GenerationReport,
+        /// The cache entry's pre-encoded answer; `None` straight out of a
+        /// generation.
+        template: Option<&'a AnswerTemplate>,
+        ttl: Ttl,
+    },
+    /// A failed generation, possibly remembered: SERVFAIL.
+    Failure,
+}
+
+impl<'a> Served<'a> {
+    /// A pool fresh out of a generation on the query path.
+    fn generated(question: &'a Question, report: &'a GenerationReport, ttl: Ttl) -> Self {
+        Served::Pool {
+            question,
+            report,
+            template: None,
+            ttl,
+        }
+    }
+
+    /// The answer as a [`Message`].
+    fn message(self, query: &Message) -> Message {
+        match self {
+            Served::Rejected(response) => response,
+            Served::Pool {
+                question,
+                report,
+                ttl,
+                ..
+            } => pool_response(query, question, report, ttl),
+            Served::Failure => Message::error_response(query, Rcode::ServFail),
+        }
+    }
+
+    /// The answer in wire form: a pool is rendered from its pre-encoded
+    /// answer section (built here when the generation never reached the
+    /// cache), and only what the template cannot reproduce byte for byte
+    /// goes through the [`Message`].
+    fn wire(self, query: &Message, out: &mut Vec<u8>) -> WireResult<()> {
+        if let Served::Pool {
+            question,
+            report,
+            template,
+            ttl,
+        } = &self
+        {
+            let rendered = match template {
+                Some(template) => template.render(query, ttl.as_secs(), out),
+                None => AddressFamily::of(question.rtype).is_some_and(|family| {
+                    answer_template(family, report).render(query, ttl.as_secs(), out)
+                }),
+            };
+            if rendered {
+                return Ok(());
+            }
+        }
+        self.message(query).encode_into(out)
+    }
+}
+
 /// A DNS query handler serving secure pools through the caching subsystem.
 ///
 /// See the module documentation for the serving model.
@@ -396,7 +466,6 @@ impl CachingPoolResolver {
         let now = exchanger.now();
         let mut responses: Vec<Option<Message>> = vec![None; queries.len()];
         let mut flights: Singleflight<PoolKey> = Singleflight::new();
-        let mut questions: HashMap<usize, Question> = HashMap::new();
         for (index, query) in queries.iter().enumerate() {
             let question = match self.screen(query) {
                 Ok(question) => question,
@@ -405,27 +474,26 @@ impl CachingPoolResolver {
                     continue;
                 }
             };
-            let key = PoolKey::for_question(&question).expect("screened address question");
-            match self.lookup(&key, &question, query, now) {
-                Some(response) => responses[index] = Some(response),
+            let key = PoolKey::for_question(question).expect("screened address question");
+            match self.lookup(&key, question, now) {
+                Some(served) => responses[index] = Some(served.message(query)),
                 None => {
                     flights.join(key, index);
-                    questions.insert(index, question);
                 }
             }
         }
         self.metrics.coalesced_waiters += flights.coalesced();
         let keys: Vec<PoolKey> = flights.flights().iter().map(|(k, _)| k.clone()).collect();
         let results = self.generate_batch(exchanger, keys, false);
+        let ttl = self.cache.config().ttl;
         for ((_, waiters), (_, result)) in flights.into_flights().iter().zip(&results) {
             for &waiter in waiters {
-                let question = &questions[&waiter];
-                responses[waiter] = Some(match result {
-                    Ok(report) => {
-                        pool_response(&queries[waiter], question, report, self.cache.config().ttl)
-                    }
-                    Err(_) => Message::error_response(&queries[waiter], Rcode::ServFail),
-                });
+                let query = &queries[waiter];
+                let served = match (result, query.question()) {
+                    (Ok(report), Some(question)) => Served::generated(question, report, ttl),
+                    _ => Served::Failure,
+                };
+                responses[waiter] = Some(served.message(query));
             }
         }
         responses
@@ -435,13 +503,10 @@ impl CachingPoolResolver {
     }
 
     /// Validates the protocol-level shape of a query, counting rejections.
-    fn screen(&mut self, query: &Message) -> Result<Question, Message> {
-        let question = match query.question() {
-            Some(q) => q.clone(),
-            None => {
-                self.metrics.rejected += 1;
-                return Err(Message::error_response(query, Rcode::FormErr));
-            }
+    fn screen<'q>(&mut self, query: &'q Message) -> Result<&'q Question, Message> {
+        let Some(question) = query.question() else {
+            self.metrics.rejected += 1;
+            return Err(Message::error_response(query, Rcode::FormErr));
         };
         if !question.rtype.is_address() {
             self.metrics.rejected += 1;
@@ -451,46 +516,72 @@ impl CachingPoolResolver {
         Ok(question)
     }
 
-    /// Answers a query from the cache if possible; `None` means the caller
-    /// must generate (a miss). Stale hits are answered immediately and a
-    /// refresh is queued for `now`.
-    fn lookup(
-        &mut self,
+    /// Serves a query from the cache if possible, lending the entry out;
+    /// `None` means the caller must generate (a miss). A stale hit is
+    /// served at once with a zero TTL — clients may use it now but must
+    /// not cache it onward — and a refresh is queued for `now`.
+    fn lookup<'a>(
+        &'a mut self,
         key: &PoolKey,
-        question: &Question,
-        query: &Message,
+        question: &'a Question,
         now: SimInstant,
-    ) -> Option<Message> {
-        match self.cache.get(key, now) {
+    ) -> Option<Served<'a>> {
+        let (hit, ttl) = match self.cache.get(key, now) {
             CacheLookup::Fresh(hit) => {
-                let response = match &hit.value {
-                    Ok(report) => {
-                        self.metrics.hits += 1;
-                        pool_response(query, question, report, hit.remaining(now))
-                    }
-                    Err(_) => {
-                        self.metrics.negative_hits += 1;
-                        Message::error_response(query, Rcode::ServFail)
-                    }
-                };
-                Some(response)
+                match hit.pool.value {
+                    Ok(_) => self.metrics.hits += 1,
+                    Err(_) => self.metrics.negative_hits += 1,
+                }
+                (hit, hit.pool.remaining(now))
             }
             CacheLookup::Stale(hit) => {
                 self.metrics.stale_serves += 1;
                 self.refresh.schedule(key.clone(), now);
-                let response = match &hit.value {
-                    // Stale answers carry a zero TTL: clients may use them
-                    // now but must not cache them onward.
-                    Ok(report) => pool_response(query, question, report, Ttl::ZERO),
-                    Err(_) => Message::error_response(query, Rcode::ServFail),
-                };
-                Some(response)
+                (hit, Ttl::ZERO)
             }
             CacheLookup::Miss => {
                 self.metrics.misses += 1;
-                None
+                return None;
             }
+        };
+        Some(match &hit.pool.value {
+            Ok(report) => Served::Pool {
+                question,
+                report,
+                template: hit.answer,
+                ttl,
+            },
+            Err(_) => Served::Failure,
+        })
+    }
+
+    /// Answers a query from the cache or, on a miss, by generating on the
+    /// query path; `form` turns what was served into the caller's form (a
+    /// [`Message`] or wire bytes), so both forms share every counter bump.
+    fn serve<R>(
+        &mut self,
+        exchanger: &mut dyn Exchanger,
+        query: &Message,
+        form: impl FnOnce(Served<'_>) -> R,
+    ) -> R {
+        let question = match self.screen(query) {
+            Ok(question) => question,
+            Err(response) => return form(Served::Rejected(response)),
+        };
+        let Some(key) = PoolKey::for_question(question) else {
+            // screen() only passes address-type questions, which always
+            // map to a pool key; answer the theoretical gap gracefully.
+            return form(Served::Failure);
+        };
+        if let Some(served) = self.lookup(&key, question, exchanger.now()) {
+            return form(served);
         }
+        // sdoh-lint: allow(hot-path-purity, "single-key miss: the generation fan-out dwarfs this one-element batch")
+        let results = self.generate_batch(exchanger, vec![key], false);
+        form(match results.first() {
+            Some((_, Ok(report))) => Served::generated(question, report, self.cache.config().ttl),
+            _ => Served::Failure,
+        })
     }
 
     /// Runs one overlapped generation per key, feeding outcomes into the
@@ -633,27 +724,16 @@ impl CachingPoolResolver {
 
 impl QueryHandler for CachingPoolResolver {
     fn handle_query(&mut self, exchanger: &mut dyn Exchanger, query: &Message) -> Message {
-        let question = match self.screen(query) {
-            Ok(question) => question,
-            Err(response) => return response,
-        };
-        let Some(key) = PoolKey::for_question(&question) else {
-            // screen() only passes address-type questions, which always
-            // map to a pool key; answer the theoretical gap gracefully.
-            return Message::error_response(query, Rcode::ServFail);
-        };
-        let now = exchanger.now();
-        if let Some(response) = self.lookup(&key, &question, query, now) {
-            return response;
-        }
-        // sdoh-lint: allow(hot-path-purity, "single-key miss: the generation fan-out dwarfs this one-element batch")
-        let results = self.generate_batch(exchanger, vec![key], false);
-        match results.first() {
-            Some((_, Ok(report))) => {
-                pool_response(query, &question, report, self.cache.config().ttl)
-            }
-            _ => Message::error_response(query, Rcode::ServFail),
-        }
+        self.serve(exchanger, query, |served| served.message(query))
+    }
+
+    fn handle_query_wire(
+        &mut self,
+        exchanger: &mut dyn Exchanger,
+        query: &Message,
+        out: &mut Vec<u8>,
+    ) -> WireResult<()> {
+        self.serve(exchanger, query, |served| served.wire(query, out))
     }
 
     fn handler_name(&self) -> &str {
@@ -1119,6 +1199,303 @@ mod tests {
         assert_eq!(served.answer_addresses().len(), 6);
         assert_eq!(receiver.metrics().generations, 0);
         assert_eq!(receiver.metrics().stale_serves, 1);
+    }
+
+    /// Two identical resolvers on identically seeded simulations: `wire`
+    /// answers through `handle_query_wire`, `message` through
+    /// `handle_query` + `encode` — the path every answer took before the
+    /// pre-encoded one existed.
+    struct Twins {
+        nets: [SimNet; 2],
+        wire: CachingPoolResolver,
+        message: CachingPoolResolver,
+        out: Vec<u8>,
+    }
+
+    impl Twins {
+        fn new(build: impl Fn() -> CachingPoolResolver) -> Self {
+            Twins {
+                nets: [SimNet::new(98), SimNet::new(98)],
+                wire: build(),
+                message: build(),
+                out: Vec::new(),
+            }
+        }
+
+        fn advance(&self, secs: u64) {
+            for net in &self.nets {
+                net.clock().advance(Duration::from_secs(secs));
+            }
+        }
+
+        fn each(&mut self, f: impl Fn(&mut CachingPoolResolver, &mut ClientExchanger)) {
+            let client = SimAddr::v4(10, 0, 0, 1, 40000);
+            f(
+                &mut self.wire,
+                &mut ClientExchanger::new(&self.nets[0], client),
+            );
+            f(
+                &mut self.message,
+                &mut ClientExchanger::new(&self.nets[1], client),
+            );
+        }
+
+        /// Serves `query` on both twins, asserts the two forms and every
+        /// counter agree, and hands back the decoded answer.
+        fn serve(&mut self, query: &Message) -> Message {
+            let client = SimAddr::v4(10, 0, 0, 1, 40000);
+            let mut exchanger = ClientExchanger::new(&self.nets[0], client);
+            self.wire
+                .handle_query_wire(&mut exchanger, query, &mut self.out)
+                .unwrap();
+            let mut exchanger = ClientExchanger::new(&self.nets[1], client);
+            let response = self.message.handle_query(&mut exchanger, query);
+            assert_eq!(self.out, response.encode().unwrap(), "{query}");
+            assert_eq!(self.wire.snapshot(), self.message.snapshot());
+            assert_eq!(
+                self.wire.next_refresh_due(),
+                self.message.next_refresh_due()
+            );
+            response
+        }
+    }
+
+    #[test]
+    fn wire_answers_count_the_ttl_down_and_go_stale_like_messages() {
+        let mut twins = Twins::new(|| resolver(test_config()));
+        let ttls =
+            |response: &Message| -> Vec<u32> { response.answers.iter().map(|r| r.ttl).collect() };
+        let miss = twins.serve(&query(1, "pool.ntp.org"));
+        assert_eq!(ttls(&miss), vec![60; 6], "a miss serves the configured TTL");
+        // Fresh: what is left of the entry's lifetime.
+        twins.advance(25);
+        let aged = twins.serve(&query(2, "Pool.NTP.org"));
+        assert_eq!(ttls(&aged), vec![35; 6]);
+        assert_eq!(
+            aged.question().unwrap().name.to_string(),
+            "Pool.NTP.org.",
+            "the question is echoed as asked"
+        );
+        twins.advance(34);
+        assert_eq!(ttls(&twins.serve(&query(3, "pool.ntp.org"))), vec![1; 6]);
+        assert_eq!(twins.wire.metrics().hits, 2);
+        // Stale: TTL zero, and the refresh is queued.
+        twins.advance(16);
+        let stale = twins.serve(&query(4, "pool.ntp.org"));
+        assert_eq!(ttls(&stale), vec![0; 6]);
+        assert_eq!(twins.wire.metrics().stale_serves, 1);
+        assert_eq!(twins.wire.pending_refreshes(), 1);
+        assert_eq!(twins.wire.metrics().generations, 1);
+        // The pump regenerates; the next answer is fresh again.
+        twins.each(|resolver, exchanger| {
+            assert_eq!(resolver.run_due_refreshes(exchanger), 1);
+        });
+        assert_eq!(ttls(&twins.serve(&query(5, "pool.ntp.org"))), vec![60; 6]);
+        assert_eq!(twins.wire.metrics().hits, 3);
+        assert_eq!(twins.wire.metrics().refreshes, 1);
+        // Past every window: a miss on the query path.
+        twins.advance(200);
+        assert_eq!(ttls(&twins.serve(&query(6, "pool.ntp.org"))), vec![60; 6]);
+        assert_eq!(twins.wire.metrics().misses, 2);
+    }
+
+    #[test]
+    fn wire_answers_to_remembered_failures_are_servfail() {
+        let mut twins = Twins::new(|| {
+            let sources: Vec<Box<dyn AddressSource>> = vec![
+                Box::new(StaticSource::failing("dead1")),
+                Box::new(StaticSource::failing("dead2")),
+            ];
+            let config = PoolConfig::algorithm1().with_min_responses(2);
+            CachingPoolResolver::new(
+                SecurePoolGenerator::new(config, sources).unwrap(),
+                test_config(),
+            )
+        });
+        for id in 1..=3 {
+            let response = twins.serve(&query(id, "dead.ntp.org"));
+            assert_eq!(response.header.rcode, Rcode::ServFail);
+            assert!(!response.header.recursion_available);
+            assert!(response.answers.is_empty());
+        }
+        let metrics = twins.wire.metrics();
+        assert_eq!(metrics.generations, 1, "the failure was remembered");
+        assert_eq!(metrics.negative_hits, 2);
+        assert_eq!(metrics.hits, 0);
+    }
+
+    #[test]
+    fn wire_answers_outside_the_template_take_the_message_path() {
+        let mut twins = Twins::new(|| resolver(test_config()));
+        twins.serve(&query(1, "pool.ntp.org"));
+
+        // EDNS never showed in the response: still the cached pool.
+        let mut edns = query(2, "pool.ntp.org");
+        edns.set_edns(sdoh_dns_wire::Edns::with_payload_size(4096));
+        let response = twins.serve(&edns);
+        assert_eq!(response.answers.len(), 6);
+        assert!(response.additionals.is_empty());
+
+        // Two questions: the first is answered, both are echoed.
+        let mut two = query(3, "pool.ntp.org");
+        two.questions
+            .push(Question::new("other.ntp.org".parse().unwrap(), RrType::A));
+        let response = twins.serve(&two);
+        assert_eq!(response.questions.len(), 2);
+        assert_eq!(response.answers.len(), 6);
+
+        // The root name leaves nothing for owner names to point at.
+        let root = Message::query(4, sdoh_dns_wire::Name::root(), RrType::A);
+        assert_eq!(twins.serve(&root).answers.len(), 6, "a miss");
+        let response = twins.serve(&root);
+        assert_eq!(response.answers.len(), 6, "a hit");
+        assert!(response.answers.iter().all(|r| r.name.is_root()));
+
+        // Rejections never reach the cache.
+        let txt = Message::query(5, "pool.ntp.org".parse().unwrap(), RrType::Txt);
+        assert_eq!(twins.serve(&txt).header.rcode, Rcode::NotImp);
+        assert_eq!(twins.serve(&Message::new()).header.rcode, Rcode::FormErr);
+
+        let metrics = twins.wire.metrics();
+        assert_eq!(metrics.hits, 3);
+        assert_eq!(metrics.misses, 2);
+        assert_eq!(metrics.rejected, 2);
+    }
+
+    #[test]
+    fn wire_answers_follow_a_new_config_epoch() {
+        let mut twins = Twins::new(|| resolver(test_config()));
+        twins.serve(&query(1, "pool.ntp.org"));
+        let next = Arc::new(
+            ServeConfig::initial(test_config())
+                .next(test_config().with_ttl(Ttl::from_secs(300)))
+                .unwrap(),
+        );
+        let now = twins.nets[0].now();
+        twins.each(|resolver, _| resolver.apply_config(next.clone(), now));
+
+        // The cached entry keeps the expiry it was stamped with…
+        twins.advance(10);
+        let kept = twins.serve(&query(2, "pool.ntp.org"));
+        assert!(kept.answers.iter().all(|r| r.ttl == 50));
+        // …and the next generation is served under the new TTL.
+        let fresh = twins.serve(&query(3, "time.ntp.org"));
+        assert!(fresh.answers.iter().all(|r| r.ttl == 300));
+        twins.advance(100);
+        let aged = twins.serve(&query(4, "time.ntp.org"));
+        assert!(aged.answers.iter().all(|r| r.ttl == 200));
+    }
+
+    #[test]
+    fn wire_answers_survive_a_cache_handoff() {
+        let mut donors = Twins::new(|| resolver(test_config()));
+        donors.serve(&query(1, "pool.ntp.org"));
+        donors.advance(20);
+        let now = donors.nets[0].now();
+
+        // Handed to a new owner, the entry answers with its stamps intact.
+        let mut owners = Twins::new(|| resolver(test_config()));
+        owners.advance(20);
+        for (donor, owner) in [
+            (&mut donors.wire, &mut owners.wire),
+            (&mut donors.message, &mut owners.message),
+        ] {
+            for (key, cached) in donor.extract_entries(|_| true) {
+                assert!(owner.install_entry(key, cached, now));
+            }
+        }
+        let served = owners.serve(&query(2, "pool.ntp.org"));
+        assert_eq!(served.answers.len(), 6);
+        assert!(served.answers.iter().all(|r| r.ttl == 40));
+        assert_eq!(owners.wire.metrics().hits, 1);
+        assert_eq!(owners.wire.metrics().generations, 0);
+
+        // Stamped as expired on the way through (what pool-bench does to
+        // make stale entries): a stale serve, TTL zero, refresh queued.
+        owners.each(|resolver, _| {
+            for (key, mut cached) in resolver.extract_entries(|_| true) {
+                cached.expires_at = cached.generated_at;
+                assert!(resolver.install_entry(key, cached, now));
+            }
+        });
+        let stale = owners.serve(&query(3, "pool.ntp.org"));
+        assert_eq!(stale.answer_addresses(), served.answer_addresses());
+        assert!(stale.answers.iter().all(|r| r.ttl == 0));
+        assert_eq!(owners.wire.metrics().stale_serves, 1);
+        assert_eq!(owners.wire.pending_refreshes(), 1);
+    }
+
+    #[test]
+    fn uncached_pools_are_rendered_the_same_way() {
+        // TTL zero: nothing is ever cached, every answer is a generation.
+        let mut twins = Twins::new(|| resolver(test_config().with_ttl(Ttl::ZERO)));
+        for id in 1..=3 {
+            let response = twins.serve(&query(id, "pool.ntp.org"));
+            assert_eq!(response.answers.len(), 6);
+            assert!(response.answers.iter().all(|r| r.ttl == 0));
+        }
+        assert_eq!(twins.wire.metrics().generations, 3);
+        assert_eq!(twins.wire.cache().len(), 0);
+    }
+
+    mod properties {
+        use super::super::{answer_template, pool_response, AddressFamily};
+        use crate::config::CombinationMode;
+        use crate::generator::GenerationReport;
+        use crate::pool::AddressPool;
+        use proptest::prelude::*;
+        use sdoh_dns_wire::{Message, Name, Opcode, RrType, Ttl};
+        use std::net::IpAddr;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// The pre-encoded answer and the `Message` built and encoded
+            /// per query are the same bytes: any pool (either family,
+            /// both, none; up to 96 slots), id, RD bit, opcode, 0x20
+            /// casing of the question and TTL.
+            #[test]
+            fn rendered_answer_equals_the_encoded_message(
+                slots in proptest::collection::vec((0u8..3, any::<[u8; 16]>()), 0..97),
+                header in (any::<u16>(), any::<bool>(), 0u8..16),
+                casing in any::<u64>(),
+                aaaa in any::<bool>(),
+                ttl in any::<u32>(),
+            ) {
+                let mut pool = AddressPool::new();
+                for (kind, bytes) in &slots {
+                    // Two in three slots of the first family, so mixed,
+                    // single-family and empty answers all come up.
+                    let address = if *kind == 0 {
+                        IpAddr::from(*bytes)
+                    } else {
+                        IpAddr::from([bytes[0], bytes[1], bytes[2], bytes[3]])
+                    };
+                    pool.push(address, "r");
+                }
+                let report = GenerationReport {
+                    pool,
+                    mode: CombinationMode::TruncateAndCombine,
+                    sources: Vec::new(),
+                    truncate_lengths: Vec::new(),
+                };
+                let (id, rd, opcode) = header;
+                let rtype = if aaaa { RrType::Aaaa } else { RrType::A };
+                let name: Name = "pool-7.ntpns.example.org".parse().unwrap();
+                let mut query = Message::query(id, name.with_mixed_case(casing), rtype);
+                query.header.recursion_desired = rd;
+                query.header.opcode = Opcode::from(opcode);
+                let question = query.question().unwrap();
+
+                let expected = pool_response(&query, question, &report, Ttl::from_secs(ttl))
+                    .encode()
+                    .unwrap();
+                let family = AddressFamily::of(rtype).unwrap();
+                let mut rendered = vec![0xEE; 7];
+                prop_assert!(answer_template(family, &report).render(&query, ttl, &mut rendered));
+                prop_assert_eq!(rendered, expected);
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The [`QueryHandler`] trait: anything that can turn a DNS query message
 //! into a response message, possibly by querying other servers.
 
-use sdoh_dns_wire::Message;
+use sdoh_dns_wire::{Message, Rcode, WireResult};
 
 use crate::authority::Authority;
 use crate::exchange::Exchanger;
@@ -17,6 +17,23 @@ pub trait QueryHandler {
     /// queries this handler needs to make.
     fn handle_query(&mut self, exchanger: &mut dyn Exchanger, query: &Message) -> Message;
 
+    /// Answers `query` straight in wire form, replacing the contents of
+    /// `out` — what [`serve_do53_payload`](crate::serve_do53_payload) calls.
+    /// A handler that keeps pre-encoded answers overrides this to skip the
+    /// [`Message`]; the bytes must equal `handle_query(..).encode()`.
+    ///
+    /// # Errors
+    ///
+    /// The response's encoding error; `out` is left empty.
+    fn handle_query_wire(
+        &mut self,
+        exchanger: &mut dyn Exchanger,
+        query: &Message,
+        out: &mut Vec<u8>,
+    ) -> WireResult<()> {
+        self.handle_query(exchanger, query).encode_into(out)
+    }
+
     /// Human-readable name used in diagnostics.
     fn handler_name(&self) -> &str {
         "query-handler"
@@ -26,6 +43,15 @@ pub trait QueryHandler {
 impl<H: QueryHandler + ?Sized> QueryHandler for Box<H> {
     fn handle_query(&mut self, exchanger: &mut dyn Exchanger, query: &Message) -> Message {
         (**self).handle_query(exchanger, query)
+    }
+
+    fn handle_query_wire(
+        &mut self,
+        exchanger: &mut dyn Exchanger,
+        query: &Message,
+        out: &mut Vec<u8>,
+    ) -> WireResult<()> {
+        (**self).handle_query_wire(exchanger, query, out)
     }
 
     fn handler_name(&self) -> &str {
@@ -48,7 +74,19 @@ impl<H: QueryHandler> QueryHandler for std::rc::Rc<std::cell::RefCell<H>> {
     fn handle_query(&mut self, exchanger: &mut dyn Exchanger, query: &Message) -> Message {
         match self.try_borrow_mut() {
             Ok(mut handler) => handler.handle_query(exchanger, query),
-            Err(_) => Message::error_response(query, sdoh_dns_wire::Rcode::ServFail),
+            Err(_) => Message::error_response(query, Rcode::ServFail),
+        }
+    }
+
+    fn handle_query_wire(
+        &mut self,
+        exchanger: &mut dyn Exchanger,
+        query: &Message,
+        out: &mut Vec<u8>,
+    ) -> WireResult<()> {
+        match self.try_borrow_mut() {
+            Ok(mut handler) => handler.handle_query_wire(exchanger, query, out),
+            Err(_) => Message::error_response(query, Rcode::ServFail).encode_into(out),
         }
     }
 
@@ -69,6 +107,15 @@ impl<H: QueryHandler> QueryHandler for std::rc::Rc<std::cell::RefCell<H>> {
 impl<H: QueryHandler> QueryHandler for std::sync::Arc<parking_lot::Mutex<H>> {
     fn handle_query(&mut self, exchanger: &mut dyn Exchanger, query: &Message) -> Message {
         self.lock().handle_query(exchanger, query)
+    }
+
+    fn handle_query_wire(
+        &mut self,
+        exchanger: &mut dyn Exchanger,
+        query: &Message,
+        out: &mut Vec<u8>,
+    ) -> WireResult<()> {
+        self.lock().handle_query_wire(exchanger, query, out)
     }
 
     fn handler_name(&self) -> &str {

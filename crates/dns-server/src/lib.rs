@@ -112,7 +112,7 @@ pub use forwarder::ForwardingResolver;
 pub use handler::{FnHandler, QueryHandler};
 pub use poison::{PoisonConfig, PoisonMode, PoisonedResolver};
 pub use recursive::{HardeningConfig, RecursiveConfig, RecursiveResolver};
-pub use service::{serve_do53_payload, Do53Service};
+pub use service::{serve_do53_payload, serve_do53_payload_into, Do53Service};
 pub use stub::StubResolver;
 pub use zone::{Zone, ZoneLookup};
 pub use zonefile::parse_zone;

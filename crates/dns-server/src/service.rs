@@ -9,39 +9,53 @@ use crate::exchange::Exchanger;
 use crate::handler::QueryHandler;
 
 /// Terminates one classic-DNS wire payload against `handler`: decode the
-/// query, answer it (upstream lookups go through `exchanger`), encode the
-/// response. `None` means "send nothing" — a malformed query under
+/// query, answer it in wire form (upstream lookups go through
+/// `exchanger`). `None` means "send nothing" — a malformed query under
 /// `drop_malformed`, or the (theoretical) failure to encode even an error
 /// response; the peer observes a timeout.
 ///
 /// This is the shared core of every Do53 front end: the simulator's
 /// [`Do53Service`] calls it with the simulation `Ctx` as the exchanger, a
-/// real-socket runtime calls it with its own exchanger — mirroring how
-/// the DoH layer splits `serve_payload` from its service adapter.
+/// real-socket runtime calls [`serve_do53_payload_into`] with its own
+/// exchanger and buffer — mirroring how the DoH layer splits
+/// `serve_payload` from its service adapter.
 pub fn serve_do53_payload(
     handler: &mut dyn QueryHandler,
     exchanger: &mut dyn Exchanger,
     payload: &[u8],
     drop_malformed: bool,
 ) -> Option<Vec<u8>> {
-    let query = match Message::decode(payload) {
-        Ok(query) => query,
-        Err(_) if drop_malformed => return None,
-        Err(_) => {
+    let mut out = Vec::with_capacity(512);
+    serve_do53_payload_into(handler, exchanger, payload, drop_malformed, &mut out);
+    (!out.is_empty()).then_some(out)
+}
+
+/// [`serve_do53_payload`] into a caller-owned buffer: `out` is replaced by
+/// the response, or left empty for "send nothing". Returns the decoded
+/// query (`None` when the payload was malformed) for front ends that go on
+/// to reframe the answer, e.g. truncate it for UDP.
+pub fn serve_do53_payload_into(
+    handler: &mut dyn QueryHandler,
+    exchanger: &mut dyn Exchanger,
+    payload: &[u8],
+    drop_malformed: bool,
+    out: &mut Vec<u8>,
+) -> Option<Message> {
+    out.clear();
+    let Ok(query) = Message::decode(payload) else {
+        if !drop_malformed {
             // Best effort FORMERR with an empty question section.
             let mut response = Message::new();
             response.header.response = true;
             response.header.rcode = Rcode::FormErr;
-            return response.encode().ok();
+            let _ = response.encode_into(out);
         }
+        return None;
     };
-    let response = handler.handle_query(exchanger, &query);
-    match response.encode() {
-        Ok(bytes) => Some(bytes),
-        Err(_) => Message::error_response(&query, Rcode::ServFail)
-            .encode()
-            .ok(),
+    if handler.handle_query_wire(exchanger, &query, out).is_err() {
+        let _ = Message::error_response(&query, Rcode::ServFail).encode_into(out);
     }
+    Some(query)
 }
 
 /// A classic DNS service: decodes query bytes, hands the message to a
@@ -173,6 +187,67 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, sdoh_netsim::NetError::Timeout);
+    }
+
+    /// Answers in wire form with bytes no `Message` encodes to.
+    struct Canned;
+
+    impl QueryHandler for Canned {
+        fn handle_query(&mut self, _: &mut dyn Exchanger, query: &Message) -> Message {
+            Message::error_response(query, Rcode::Refused)
+        }
+
+        fn handle_query_wire(
+            &mut self,
+            _: &mut dyn Exchanger,
+            _: &Message,
+            out: &mut Vec<u8>,
+        ) -> sdoh_dns_wire::WireResult<()> {
+            out.clear();
+            out.extend_from_slice(b"canned");
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn payloads_are_answered_through_the_wire_form_of_the_handler() {
+        let net = SimNet::new(10);
+        let mut exchanger =
+            crate::exchange::ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 1000));
+        let query = Message::query(3, "www.example.org".parse().unwrap(), RrType::A);
+        let wire = query.encode().unwrap();
+
+        // A handler's own wire form is what goes out, behind every
+        // forwarding wrapper.
+        let mut boxed: Box<dyn QueryHandler> = Box::new(Canned);
+        let mut locked = std::sync::Arc::new(parking_lot::Mutex::new(Canned));
+        let mut celled = std::rc::Rc::new(std::cell::RefCell::new(Canned));
+        let handlers: [&mut dyn QueryHandler; 4] =
+            [&mut Canned, &mut boxed, &mut locked, &mut celled];
+        for handler in handlers {
+            let reply = serve_do53_payload(handler, &mut exchanger, &wire, false);
+            assert_eq!(reply.as_deref(), Some(&b"canned"[..]));
+        }
+
+        // Without one, it is the message, encoded.
+        let mut authority = service().handler;
+        let mut out = b"left over".to_vec();
+        let decoded =
+            serve_do53_payload_into(&mut authority, &mut exchanger, &wire, false, &mut out);
+        assert_eq!(decoded, Some(query.clone()));
+        assert_eq!(out, authority.answer(&query).encode().unwrap());
+
+        // Malformed payloads have no query to hand back.
+        let decoded =
+            serve_do53_payload_into(&mut authority, &mut exchanger, b"junk", false, &mut out);
+        assert_eq!(decoded, None);
+        assert_eq!(Message::decode(&out).unwrap().header.rcode, Rcode::FormErr);
+        serve_do53_payload_into(&mut authority, &mut exchanger, b"junk", true, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(
+            serve_do53_payload(&mut authority, &mut exchanger, b"junk", true),
+            None
+        );
     }
 
     #[test]

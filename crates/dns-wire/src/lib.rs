@@ -8,6 +8,8 @@
 //!   comparison,
 //! * [`Message`] — full messages with header, question/answer/authority/
 //!   additional sections, name compression and EDNS(0),
+//! * [`AnswerTemplate`] — an address answer section encoded once and
+//!   rendered per query by copying it,
 //! * [`RData`] — typed rdata for A, AAAA, NS, CNAME, PTR, MX, TXT, SOA, SRV
 //!   and OPT records (everything else round-trips as raw bytes),
 //! * [`base64url`] — the unpadded base64url codec required by the DoH GET
@@ -46,6 +48,7 @@ mod question;
 mod rdata;
 mod record;
 mod rrtype;
+mod template;
 mod ttl;
 mod wire;
 
@@ -58,6 +61,7 @@ pub use question::Question;
 pub use rdata::{EdnsOption, Mx, OptRdata, RData, Soa, Srv};
 pub use record::Record;
 pub use rrtype::{RrClass, RrType};
+pub use template::AnswerTemplate;
 pub use ttl::Ttl;
 pub use wire::{WireReader, WireWriter};
 

@@ -135,12 +135,21 @@ impl Message {
 
     /// Recomputes the header section counts from the actual section lengths.
     pub fn normalize_counts(&mut self) {
+        self.header = self.counted_header();
+    }
+
+    /// The header with its section counts taken from the section lengths.
+    fn counted_header(&self) -> Header {
         // Saturating: a section this large cannot encode anyway — encode()
         // rejects messages over 65535 octets.
-        self.header.question_count = u16::try_from(self.questions.len()).unwrap_or(u16::MAX);
-        self.header.answer_count = u16::try_from(self.answers.len()).unwrap_or(u16::MAX);
-        self.header.authority_count = u16::try_from(self.authorities.len()).unwrap_or(u16::MAX);
-        self.header.additional_count = u16::try_from(self.additionals.len()).unwrap_or(u16::MAX);
+        let count = |len: usize| u16::try_from(len).unwrap_or(u16::MAX);
+        Header {
+            question_count: count(self.questions.len()),
+            answer_count: count(self.answers.len()),
+            authority_count: count(self.authorities.len()),
+            additional_count: count(self.additionals.len()),
+            ..self.header
+        }
     }
 
     /// Encodes the message to wire format with name compression.
@@ -149,27 +158,39 @@ impl Message {
     ///
     /// Returns [`WireError::MessageTooLong`] when the encoded message exceeds
     /// 65535 octets, or any underlying encoding error.
-    // sdoh-lint: allow(transitive-hot-path-purity, "wire build allocates the response buffer: one encode per query is the accepted v0 wire contract until E16's buffer-pool rework")
     pub fn encode(&self) -> WireResult<Vec<u8>> {
-        let mut msg = self.clone();
-        msg.normalize_counts();
-        let mut w = WireWriter::new();
-        msg.header.encode(&mut w)?;
-        for q in &msg.questions {
-            q.encode(&mut w)?;
-        }
-        for r in msg
-            .answers
-            .iter()
-            .chain(msg.authorities.iter())
-            .chain(msg.additionals.iter())
-        {
-            r.encode(&mut w)?;
-        }
-        if w.len() > MAX_MESSAGE_SIZE {
-            return Err(WireError::MessageTooLong(w.len()));
-        }
-        Ok(w.finish().to_vec())
+        let mut out = Vec::with_capacity(512);
+        self.encode_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// Encodes the message like [`Message::encode`], but into `out`,
+    /// replacing its contents and reusing its allocation.
+    ///
+    /// # Errors
+    ///
+    /// As [`Message::encode`]; `out` is left empty.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> WireResult<()> {
+        WireWriter::write_into(out, true, |w| {
+            // The section counts come from the section lengths, whatever
+            // `self.header` says.
+            self.counted_header().encode(w)?;
+            for q in &self.questions {
+                q.encode(w)?;
+            }
+            for r in self
+                .answers
+                .iter()
+                .chain(self.authorities.iter())
+                .chain(self.additionals.iter())
+            {
+                r.encode(w)?;
+            }
+            if w.len() > MAX_MESSAGE_SIZE {
+                return Err(WireError::MessageTooLong(w.len()));
+            }
+            Ok(())
+        })
     }
 
     /// Decodes a message from wire format.
@@ -493,6 +514,80 @@ mod tests {
         let decoded = Message::decode(&msg.encode().unwrap()).unwrap();
         assert_eq!(decoded.header.answer_count, 1);
         assert_eq!(decoded.answers.len(), 1);
+    }
+
+    /// A response touching every section, name compression against the
+    /// question and against rdata, stale header counts and mixed case.
+    fn golden_message() -> Message {
+        let query = Message::query(0x1234, "Pool.NTP.org".parse().unwrap(), RrType::A);
+        let mut msg = MessageBuilder::response_to(&query)
+            .recursion_available(true)
+            .answer_address(300, "203.0.113.1".parse().unwrap())
+            .answer(Record::new(
+                "pool.ntp.org".parse().unwrap(),
+                60,
+                crate::rdata::RData::Cname("a.pool.ntp.org".parse().unwrap()),
+            ))
+            .authority(Record::new(
+                "ntp.org".parse().unwrap(),
+                3600,
+                crate::rdata::RData::Ns("ns1.NTP.org".parse().unwrap()),
+            ))
+            .additional(Record::address(
+                "ns1.ntp.org".parse().unwrap(),
+                3600,
+                "2001:db8::53".parse().unwrap(),
+            ))
+            .edns(Edns::with_payload_size(1232))
+            .build();
+        msg.header.answer_count = 9; // encode must not trust the header
+        msg
+    }
+
+    const GOLDEN_WIRE: &str = "\
+        123481800001000200010002\
+        04506f6f6c034e5450036f72670000010001\
+        c00c000100010000012c0004cb007101\
+        c00c000500010000003c00040161c00c\
+        c011000200010000\
+        0e100006036e7331c011\
+        c04a001c000100000e10001020010db8000000000000000000000053\
+        00002904d0000000000000";
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn encode_matches_the_golden_vector() {
+        let golden: String = GOLDEN_WIRE.split_whitespace().collect();
+        assert_eq!(hex(&golden_message().encode().unwrap()), golden);
+    }
+
+    #[test]
+    fn encode_into_reuses_the_buffer_and_clears_it_on_error() {
+        let msg = golden_message();
+        let mut out = Vec::with_capacity(4096);
+        out.extend_from_slice(b"previous contents");
+        let allocation = out.as_ptr();
+        msg.encode_into(&mut out).unwrap();
+        assert_eq!(out, msg.encode().unwrap());
+        assert_eq!(out.as_ptr(), allocation, "no reallocation within capacity");
+        assert_eq!(Message::decode(&out).unwrap().answers.len(), 2);
+
+        let mut huge = Message::new();
+        for i in 0..4096u32 {
+            huge.add_answer(Record::address(
+                "big.example".parse().unwrap(),
+                60,
+                IpAddr::from(i.to_be_bytes()),
+            ));
+        }
+        assert!(matches!(
+            huge.encode_into(&mut out),
+            Err(WireError::MessageTooLong(_))
+        ));
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 
 use crate::error::{WireError, WireResult};
 use crate::name::Name;
@@ -18,7 +18,7 @@ const MAX_POINTER_HOPS: usize = 64;
 /// (RFC 1035 §4.1.4).
 #[derive(Debug, Default)]
 pub struct WireWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
     /// Map from lowercased dotted suffix to the offset of its first occurrence.
     compression: HashMap<String, u16>,
     /// When `false`, names are always written uncompressed (needed e.g. for
@@ -30,7 +30,7 @@ impl WireWriter {
     /// Creates a writer with name compression enabled.
     pub fn new() -> Self {
         WireWriter {
-            buf: BytesMut::with_capacity(512),
+            buf: Vec::with_capacity(512),
             compression: HashMap::new(),
             compress: true,
         }
@@ -42,6 +42,28 @@ impl WireWriter {
             compress: false,
             ..WireWriter::new()
         }
+    }
+
+    /// Runs `write` on a writer over `out`'s allocation, so `out` ends up
+    /// holding what was written in place of its old contents — or nothing
+    /// when `write` fails.
+    pub(crate) fn write_into(
+        out: &mut Vec<u8>,
+        compress: bool,
+        write: impl FnOnce(&mut WireWriter) -> WireResult<()>,
+    ) -> WireResult<()> {
+        out.clear();
+        let mut w = WireWriter {
+            buf: std::mem::take(out),
+            compression: HashMap::new(),
+            compress,
+        };
+        let written = write(&mut w);
+        *out = w.buf;
+        if written.is_err() {
+            out.clear();
+        }
+        written
     }
 
     /// Current length of the encoded output in octets.
@@ -108,30 +130,24 @@ impl WireWriter {
     /// # Errors
     ///
     /// Returns [`WireError::NameTooLong`] if the name exceeds wire limits.
-    // sdoh-lint: allow(no-panic, "i ranges over 0..labels.len(), so both the slice and the index are in bounds")
     pub fn put_name(&mut self, name: &Name) -> WireResult<()> {
         if name.wire_len() > crate::name::MAX_NAME_LEN {
             return Err(WireError::NameTooLong(name.wire_len()));
         }
-        let labels: Vec<&[u8]> = name.labels().collect();
-        for i in 0..labels.len() {
-            let suffix_key = suffix_key(&labels[i..]);
+        for (i, label) in name.labels().enumerate() {
             if self.compress {
+                let suffix_key = suffix_key(name.labels().skip(i));
                 if let Some(&offset) = self.compression.get(&suffix_key) {
                     // Pointers can only address the first 0x3FFF octets.
                     self.buf.put_u16(0xC000 | offset);
                     return Ok(());
                 }
-            }
-            let here = self.buf.len();
-            if self.compress {
-                if let Ok(offset) = u16::try_from(here) {
+                if let Ok(offset) = u16::try_from(self.buf.len()) {
                     if offset <= 0x3FFF {
                         self.compression.insert(suffix_key, offset);
                     }
                 }
             }
-            let label = labels[i];
             // Name labels are 63 octets at most by construction; a longer
             // label cannot round-trip, so refuse it rather than truncate.
             let len = u8::try_from(label.len()).map_err(|_| WireError::NameTooLong(label.len()))?;
@@ -144,7 +160,7 @@ impl WireWriter {
 
     /// Finishes encoding and returns the wire bytes.
     pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+        Bytes::from(self.buf)
     }
 
     /// Returns a copy of the bytes written so far without consuming the writer.
@@ -153,9 +169,9 @@ impl WireWriter {
     }
 }
 
-fn suffix_key(labels: &[&[u8]]) -> String {
+fn suffix_key<'a>(labels: impl Iterator<Item = &'a [u8]>) -> String {
     let mut key = String::new();
-    for (i, l) in labels.iter().enumerate() {
+    for (i, l) in labels.enumerate() {
         if i > 0 {
             key.push('.');
         }

@@ -151,14 +151,16 @@ pub fn graph_config() -> GraphConfig {
         // The shard serving path: the dispatcher that routes wire queries
         // to shards, the per-shard worker loop, the wire-level serve
         // helper, and the resolver entry points they dispatch into
-        // (`handle_query` is reached through `dyn QueryHandler`, which
-        // call resolution deliberately does not follow — so the concrete
-        // implementation is an entry point of its own).
+        // (`handle_query` and `handle_query_wire` are reached through
+        // `dyn QueryHandler`, which call resolution deliberately does not
+        // follow — so the concrete implementations are entry points of
+        // their own).
         purity_entries: vec![
             Entry::free("runtime", "dispatcher_loop"),
             Entry::free("runtime", "worker_loop"),
             Entry::free("runtime", "serve_wire"),
             Entry::method("core", "CachingPoolResolver", "handle_query"),
+            Entry::method("core", "CachingPoolResolver", "handle_query_wire"),
             Entry::method("core", "CachingPoolResolver", "serve_batch"),
         ],
         determinism_crates: DETERMINISM_CRATES.iter().map(|c| c.to_string()).collect(),

@@ -25,9 +25,27 @@
 //! query path, and a stats thread aggregates per-shard
 //! [`ServeSnapshot`]s into a periodic [`RuntimeStats`].
 //!
-//! Responses that exceed the configured UDP payload limit are answered
-//! with an empty TC=1 message; clients retry over the TCP listener bound
-//! to the same port number (RFC 1035 length-prefixed framing).
+//! # The hit path
+//!
+//! A datagram costs the dispatcher one owned copy and one queue hand-off;
+//! the shard's worker decodes it once and answers it through the shared
+//! Do53 core ([`serve_do53_payload_into`](sdoh_dns_server::serve_do53_payload_into)
+//! → [`handle_query_wire`](sdoh_dns_server::QueryHandler::handle_query_wire))
+//! into the **one response buffer the worker keeps**. For a cached pool
+//! that is a copy: the resolver encoded the answer section when the
+//! generation entered its cache (see [`sdoh_core::serve`]), and per hit
+//! only the header, the echoed question and the TTL are written — no
+//! `Message` is built, nothing is cloned, and no allocation depends on the
+//! size of the pool. Misses, SERVFAILs, rejections and the few queries a
+//! template cannot answer byte for byte build and encode a `Message` into
+//! the same buffer; there is no second serve function and no switch.
+//!
+//! A response longer than the configured UDP payload limit — judged on the
+//! rendered length — is replaced by an empty TC=1 message built from the
+//! query the worker already decoded; clients retry over the TCP listener
+//! bound to the same port number (RFC 1035 length-prefixed framing), and
+//! the connection handler takes the buffer's contents with it.
+//!
 //! [`PoolRuntime::shutdown`] stops the socket threads, drains the worker
 //! queues, takes a final snapshot and joins every thread.
 
@@ -75,7 +93,7 @@ const HEALTH_TIMEOUT: Duration = Duration::from_secs(1);
 #[non_exhaustive]
 pub struct RuntimeConfig {
     /// Address to bind the UDP socket (and the TCP listener) on. Port 0
-    /// picks an ephemeral port; read it back from
+    /// picks an ephemeral port free on both sides; read it back from
     /// [`PoolRuntime::udp_addr`].
     pub bind: SocketAddr,
     /// How often the refresh thread ticks the workers to pump due
@@ -504,11 +522,13 @@ impl PoolRuntime {
     ///
     /// # Errors
     ///
-    /// Propagates socket binding/configuration failures. `shards` must be
-    /// non-empty, [`RuntimeConfig::validate`] must pass, and a disabled
-    /// refresh pump ([`RuntimeConfig::refresh_interval`] zero) rejects
-    /// shards configured with a stale window — they would queue
-    /// background refreshes nothing ever runs.
+    /// Propagates socket binding/configuration failures: an explicit
+    /// port taken on either side fails at once, port 0 only after several
+    /// picks all had their TCP side taken. `shards` must be non-empty,
+    /// [`RuntimeConfig::validate`] must pass, and a disabled refresh pump
+    /// ([`RuntimeConfig::refresh_interval`] zero) rejects shards
+    /// configured with a stale window — they would queue background
+    /// refreshes nothing ever runs.
     pub fn start(config: RuntimeConfig, shards: Vec<Shard>) -> std::io::Result<PoolRuntime> {
         // The runtime-level config epoch starts from the first shard's
         // cache knobs (shards are normally built homogeneous); epoch 0.
@@ -535,17 +555,16 @@ impl PoolRuntime {
                 reason: "a stale window is configured but the refresh pump is disabled".into(),
             }));
         }
-        let udp = Arc::new(UdpSocket::bind(config.bind)?);
+        let (udp, tcp) = if config.enable_tcp {
+            let (udp, listener) = bind_front_door(config.bind, || UdpSocket::bind(config.bind))?;
+            listener.set_nonblocking(true)?;
+            (udp, Some(listener))
+        } else {
+            (UdpSocket::bind(config.bind)?, None)
+        };
+        let udp = Arc::new(udp);
         udp.set_read_timeout(Some(config.poll_interval))?;
         let udp_addr = udp.local_addr()?;
-        let tcp = if config.enable_tcp {
-            // Same address, same port number, TCP — the classic Do53 pair.
-            let listener = TcpListener::bind(udp_addr)?;
-            listener.set_nonblocking(true)?;
-            Some(listener)
-        } else {
-            None
-        };
         let tcp_addr = tcp.as_ref().map(|l| l.local_addr()).transpose()?;
 
         let stop = Arc::new(AtomicBool::new(false));
@@ -861,6 +880,43 @@ impl std::fmt::Debug for PoolRuntime {
     }
 }
 
+/// How many ephemeral ports a port-0 start tries before giving up.
+const EPHEMERAL_BIND_ATTEMPTS: usize = 8;
+
+/// Binds the classic Do53 pair: a UDP socket from `pick_udp` and a TCP
+/// listener on the same address and port number.
+///
+/// With port 0 the OS picks the number for the UDP side alone, and the
+/// TCP side of that number may be taken (another listener, or TIME_WAIT
+/// leftovers of an earlier one): the pick is then repeated, a bounded
+/// number of times. An explicit port is the operator's choice and fails
+/// fast.
+fn bind_front_door(
+    bind: SocketAddr,
+    mut pick_udp: impl FnMut() -> std::io::Result<UdpSocket>,
+) -> std::io::Result<(UdpSocket, TcpListener)> {
+    let attempts = if bind.port() == 0 {
+        EPHEMERAL_BIND_ATTEMPTS
+    } else {
+        1
+    };
+    // Rejected picks stay bound until a pair is found, so the OS cannot
+    // hand the same number out again.
+    let mut rejected = Vec::with_capacity(attempts);
+    loop {
+        let udp = pick_udp()?;
+        match TcpListener::bind(udp.local_addr()?) {
+            Ok(listener) => return Ok((udp, listener)),
+            Err(e)
+                if e.kind() == std::io::ErrorKind::AddrInUse && rejected.len() + 1 < attempts =>
+            {
+                rejected.push(udp);
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 /// Runs `tick` every `interval` until `stop`, re-checking the flag every
 /// `poll` so shutdown is prompt.
 fn tick_loop(stop: Arc<AtomicBool>, interval: Duration, poll: Duration, mut tick: impl FnMut()) {
@@ -1172,30 +1228,32 @@ fn worker_loop(
     // handed to the owning shard. It exits when the queue disconnects
     // (every sender dropped), which is what makes rescale zero-drop.
     let mut retired: Option<(Arc<Vec<mpsc::Sender<WorkItem>>>, usize)> = None;
+    // Every response of this worker is rendered into this one buffer.
+    let mut response = Vec::with_capacity(udp_payload_limit);
     while let Ok(item) = rx.recv() {
         match item {
             WorkItem::Query { wire, reply } => {
                 // Histogram recording is two relaxed fetch_adds on this
                 // shard's own cache lines — no lock, no allocation.
                 let started = latency.as_ref().map(|_| Instant::now());
-                let response = serve_wire(&mut resolver, exchanger.as_mut(), &wire);
+                let query = serve_wire(&mut resolver, exchanger.as_mut(), &wire, &mut response);
                 if let (Some(histogram), Some(started)) = (&latency, started) {
                     histogram.record(started.elapsed());
                 }
                 match reply {
                     ReplyPath::Udp(peer) => {
-                        let bytes = if response.len() > udp_payload_limit {
+                        if response.len() > udp_payload_limit {
                             counters.truncated.inc();
-                            truncate_for_udp(&wire)
-                        } else {
-                            response
-                        };
-                        if !bytes.is_empty() {
-                            let _ = socket.send_to(&bytes, peer);
+                            truncate_for_udp(query.as_ref(), &mut response);
+                        }
+                        if !response.is_empty() {
+                            let _ = socket.send_to(&response, peer);
                         }
                     }
                     ReplyPath::Tcp(tx) => {
-                        let _ = tx.send(response);
+                        // The connection handler owns its answer; the next
+                        // render grows the buffer back.
+                        let _ = tx.send(std::mem::take(&mut response));
                     }
                 }
                 if let Some((ring, shards)) = &retired {
@@ -1272,26 +1330,29 @@ fn forward_entries(
 }
 
 /// Terminates one query through the shared Do53 core — identical wire
-/// behaviour to the simulated `Do53Service` by construction. An empty
-/// vector means "send nothing".
+/// behaviour to the simulated `Do53Service` by construction — rendering
+/// the response into `out` (left empty for "send nothing"). Returns the
+/// decoded query, `None` when the datagram was malformed.
 fn serve_wire(
     resolver: &mut CachingPoolResolver,
     exchanger: &mut dyn Exchanger,
     wire: &[u8],
-) -> Vec<u8> {
-    sdoh_dns_server::serve_do53_payload(resolver, exchanger, wire, false).unwrap_or_default()
+    out: &mut Vec<u8>,
+) -> Option<Message> {
+    sdoh_dns_server::serve_do53_payload_into(resolver, exchanger, wire, false, out)
 }
 
-/// Builds the empty TC=1 response for an oversized UDP answer: echo of the
-/// query's id and question with the truncation bit set, no records — the
-/// standard "retry over TCP" signal.
-fn truncate_for_udp(query_wire: &[u8]) -> Vec<u8> {
-    let Ok(query) = Message::decode(query_wire) else {
-        return Vec::new(); // sdoh-lint: allow(hot-path-purity, "an empty Vec::new never allocates")
-    };
-    let mut tc = Message::response_to(&query);
-    tc.header.truncated = true;
-    tc.encode().unwrap_or_default()
+/// Replaces an oversized UDP answer in `out` by the empty TC=1 response:
+/// echo of the query's id and question with the truncation bit set, no
+/// records — the standard "retry over TCP" signal. Nothing is sent for a
+/// query that never decoded.
+fn truncate_for_udp(query: Option<&Message>, out: &mut Vec<u8>) {
+    out.clear();
+    if let Some(query) = query {
+        let mut tc = Message::response_to(query);
+        tc.header.truncated = true;
+        let _ = tc.encode_into(out);
+    }
 }
 
 #[cfg(test)]
@@ -1370,14 +1431,65 @@ mod tests {
     }
 
     #[test]
+    fn port_zero_start_repicks_when_the_tcp_side_is_taken() {
+        let any = SocketAddr::from(([127, 0, 0, 1], 0));
+        // Whoever holds the TCP side of the first pick, holds it for the
+        // whole bind.
+        let mut squatter = None;
+        let mut picks = Vec::new();
+        let (udp, tcp) = bind_front_door(any, || {
+            let udp = UdpSocket::bind(any)?;
+            let picked = udp.local_addr()?;
+            if picks.is_empty() {
+                squatter = Some(TcpListener::bind(picked)?);
+            }
+            picks.push(picked.port());
+            Ok(udp)
+        })
+        .expect("a second pick finds a free pair");
+        assert_eq!(picks.len(), 2, "one rejected pick, one accepted");
+        assert_ne!(picks[0], picks[1]);
+        assert_eq!(udp.local_addr().unwrap().port(), picks[1]);
+        assert_eq!(tcp.local_addr().unwrap(), udp.local_addr().unwrap());
+
+        // An explicit port whose TCP side is taken fails fast, no re-pick.
+        let taken = squatter.as_ref().unwrap().local_addr().unwrap();
+        let mut tries = 0;
+        let err = bind_front_door(taken, || {
+            tries += 1;
+            UdpSocket::bind(taken)
+        })
+        .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse);
+        assert_eq!(tries, 1);
+
+        // Port 0 gives up after a bounded number of picks.
+        let mut squatters = Vec::new();
+        let mut tries = 0;
+        let err = bind_front_door(any, || {
+            tries += 1;
+            let udp = UdpSocket::bind(any)?;
+            squatters.push(TcpListener::bind(udp.local_addr()?)?);
+            Ok(udp)
+        })
+        .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse);
+        assert_eq!(tries, EPHEMERAL_BIND_ATTEMPTS);
+    }
+
+    #[test]
     fn truncation_echoes_question_with_tc() {
-        let wire = query_wire("pool.ntp.org", sdoh_dns_wire::RrType::A);
-        let tc = Message::decode(&truncate_for_udp(&wire)).unwrap();
+        let query = Message::query(7, "pool.ntp.org".parse().unwrap(), sdoh_dns_wire::RrType::A);
+        let mut out = vec![0xEE; 2000];
+        truncate_for_udp(Some(&query), &mut out);
+        let tc = Message::decode(&out).unwrap();
         assert!(tc.header.truncated);
         assert!(tc.header.response);
         assert_eq!(tc.header.id, 7);
         assert!(tc.answers.is_empty());
         assert_eq!(tc.question().unwrap().name.to_string(), "pool.ntp.org.");
-        assert!(truncate_for_udp(b"junk").is_empty());
+        // A datagram that never decoded has no question to echo.
+        truncate_for_udp(None, &mut out);
+        assert!(out.is_empty());
     }
 }

@@ -8,7 +8,7 @@
 //! `--smoke` runs the reduced-scale configuration CI uses; `--out`
 //! writes the measurement as a `BENCH_reconfig.json`-shaped file. The
 //! run *asserts* the claims (zero dropped queries, three observable
-//! epochs, widest blackout within one stats interval) and aborts on any
+//! epochs, widest blackout within the 500 ms budget) and aborts on any
 //! violation.
 
 use std::time::Duration;
@@ -35,7 +35,7 @@ fn main() {
             "E18 blackout window under {} clients with {} ms steady load around each \
              transition ({}); {} queries, {} dropped, final epoch {}. Widest in-flight \
              latency across apply + grow + shrink: {:.0} us against a {:.0} ms \
-             (one stats interval) budget; steady-state p99 {:.0} us.",
+             budget; steady-state p99 {:.0} us.",
             report.clients,
             settle.as_millis(),
             if smoke { "smoke scale" } else { "full scale" },
@@ -43,7 +43,7 @@ fn main() {
             report.dropped_queries,
             report.final_epoch,
             report.widest_blackout_us,
-            report.stats_interval_ms,
+            report.blackout_budget_ms,
             report.baseline_p99_us
         );
         let json = sdoh_bench::reconfig::to_json(&report, &today(), &notes);

@@ -18,9 +18,8 @@
 //!    answered (a drop would surface as a client timeout), and the
 //!    runtime's `sdoh_dropped_queries_total` stays 0.
 //! 2. **Bounded blackout** — the widest blackout window across the
-//!    three transitions stays within one stats interval (500 ms by
-//!    default): reconfiguration never outlasts the runtime's own
-//!    observability cadence.
+//!    three transitions stays within `BLACKOUT_BUDGET` (500 ms): a
+//!    reconfiguration is never an outage a client would notice.
 //! 3. **Observable epochs** — the final `/metrics` scrape reports
 //!    `sdoh_config_epoch` 3 (apply, grow, shrink) with every live
 //!    shard's acked gauge converged.
@@ -59,6 +58,9 @@ const SCRAPE_TIMEOUT: Duration = Duration::from_secs(5);
 /// How long each transition waits for every shard to ack its epoch.
 const ACK_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// The widest latency any in-flight query may see across a transition.
+const BLACKOUT_BUDGET: Duration = Duration::from_millis(500);
+
 /// One timestamped client round trip: start offset from the measurement
 /// origin, and the observed latency.
 #[derive(Debug, Clone, Copy)]
@@ -95,8 +97,8 @@ pub struct ReconfigReport {
     pub dropped_queries: u64,
     /// Config epoch at shutdown (asserted 3: apply, grow, shrink).
     pub final_epoch: u64,
-    /// The runtime's stats interval — the blackout budget — in ms.
-    pub stats_interval_ms: f64,
+    /// `BLACKOUT_BUDGET` in ms.
+    pub blackout_budget_ms: f64,
     /// p99 client latency of the steady state before any transition, in
     /// microseconds.
     pub baseline_p99_us: f64,
@@ -108,7 +110,7 @@ pub struct ReconfigReport {
     pub shrink: TransitionWindow,
     /// Widest blackout across the three transitions, in microseconds.
     pub widest_blackout_us: f64,
-    /// `widest_blackout_us` within one stats interval.
+    /// `widest_blackout_us` within the budget.
     pub within_budget: bool,
 }
 
@@ -116,7 +118,7 @@ pub struct ReconfigReport {
 /// threads, the apply → grow → shrink sequence with `settle` of steady
 /// load around each transition, and the blackout reconstruction.
 /// Panics if a query is dropped, the epoch accounting is off, or the
-/// widest blackout exceeds one stats interval — those are the
+/// widest blackout exceeds `BLACKOUT_BUDGET` — those are the
 /// experiment's claims.
 pub fn measure(clients: usize, settle: Duration, seed: u64) -> ReconfigReport {
     let fleet = LoopbackFleet::build(LoopbackConfig {
@@ -138,7 +140,6 @@ pub fn measure(clients: usize, settle: Duration, seed: u64) -> ReconfigReport {
         .expect("valid configuration");
     let config = RuntimeConfig::default()
         .with_stats_bind(Some("127.0.0.1:0".parse().expect("loopback addr")));
-    let stats_interval = config.stats_interval;
     let runtime = PoolRuntime::start(config, shards).expect("bind loopback");
     let control = runtime.control();
     let stats_addr = runtime.stats_addr().expect("stats listener bound");
@@ -284,10 +285,10 @@ pub fn measure(clients: usize, settle: Duration, seed: u64) -> ReconfigReport {
         .blackout_us
         .max(grow.blackout_us)
         .max(shrink.blackout_us);
-    let budget_us = stats_interval.as_secs_f64() * 1e6;
+    let budget_us = BLACKOUT_BUDGET.as_secs_f64() * 1e6;
     assert!(
         widest_blackout_us <= budget_us,
-        "widest blackout {widest_blackout_us:.0} us exceeds one stats interval ({budget_us:.0} us)"
+        "widest blackout {widest_blackout_us:.0} us exceeds the budget ({budget_us:.0} us)"
     );
 
     ReconfigReport {
@@ -297,7 +298,7 @@ pub fn measure(clients: usize, settle: Duration, seed: u64) -> ReconfigReport {
         queries_sent: rtts.len() as u64,
         dropped_queries: stats.dropped_queries,
         final_epoch: stats.config_epoch,
-        stats_interval_ms: stats_interval.as_secs_f64() * 1e3,
+        blackout_budget_ms: BLACKOUT_BUDGET.as_secs_f64() * 1e3,
         baseline_p99_us,
         apply,
         grow,
@@ -359,7 +360,7 @@ pub fn run(clients: usize, settle: Duration, seed: u64) -> (Table, ReconfigRepor
             "verdict",
         ],
     );
-    let budget_us = report.stats_interval_ms * 1e3;
+    let budget_us = report.blackout_budget_ms * 1e3;
     for (label, t) in [
         ("apply delta (epoch 1)", &report.apply),
         ("grow 4 -> 8 (epoch 2)", &report.grow),
@@ -386,11 +387,11 @@ pub fn run(clients: usize, settle: Duration, seed: u64) -> (Table, ReconfigRepor
     ]);
     table.push_row([
         "widest blackout".to_string(),
-        format!("budget {:.0} ms", report.stats_interval_ms),
+        format!("budget {:.0} ms", report.blackout_budget_ms),
         format!("{:.0} us", report.widest_blackout_us),
         format!("dropped {}", report.dropped_queries),
         if report.within_budget {
-            "within one stats interval".to_string()
+            "within budget".to_string()
         } else {
             "OVER BUDGET".to_string()
         },
@@ -438,8 +439,8 @@ pub fn to_json(report: &ReconfigReport, recorded: &str, notes: &str) -> String {
         report.widest_blackout_us
     ));
     out.push_str(&format!(
-        "    \"budget_ms\": {:.0},\n",
-        report.stats_interval_ms
+        "    \"blackout_budget_ms\": {:.0},\n",
+        report.blackout_budget_ms
     ));
     out.push_str(&format!(
         "    \"within_budget\": {}\n",
@@ -464,7 +465,7 @@ mod tests {
         assert_eq!(report.dropped_queries, 0);
         assert_eq!(report.final_epoch, 3);
         assert!(report.within_budget);
-        assert!(report.widest_blackout_us <= report.stats_interval_ms * 1e3);
+        assert!(report.widest_blackout_us <= report.blackout_budget_ms * 1e3);
         assert!(
             report.apply.queries_in_window
                 + report.grow.queries_in_window

@@ -103,11 +103,12 @@
 //! `sdoh-runtime` crate serves real traffic: it binds an actual UDP
 //! socket, hashes each query's `(domain, address family)` onto one of N
 //! worker threads, and each worker **owns** its `CachingPoolResolver`
-//! shard — per-shard ownership instead of a shared lock — while a
-//! dedicated thread pumps [`CachingPoolResolver::run_due_refreshes`] off
-//! the query path and a stats thread aggregates per-shard
-//! [`ServeSnapshot`]s ([`CachingPoolResolver::snapshot`], one consistent
-//! reading per tick).
+//! shard — per-shard ownership instead of a shared lock. The worker
+//! also wakes itself at [`CachingPoolResolver::next_refresh_due`] to run
+//! [`CachingPoolResolver::run_due_refreshes`] off any client's query
+//! path, and answers on-demand statistics requests with a
+//! [`ServeSnapshot`] ([`CachingPoolResolver::snapshot`], one consistent
+//! reading per request).
 //!
 //! The layer also exposes an **invariant probe surface** for fault
 //! injection: [`PoolCache::probe`] reports every entry's age and

@@ -117,7 +117,7 @@ impl ServeMetrics {
 /// counted in one field but not yet in another — the invariants between the
 /// counters (e.g. `serve.hits == cache.hits` for a resolver that only ever
 /// went through `handle_query`) hold within a snapshot. This is what a
-/// runtime's stats thread should take once per tick instead of reading the
+/// runtime should take once per statistics request instead of reading the
 /// metrics field by field across several calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeSnapshot {
@@ -415,8 +415,8 @@ impl CachingPoolResolver {
     /// Takes one cheap, **consistent** reading of every serving counter:
     /// the serve metrics, the cache metrics, the entry count and the
     /// pending-refresh count, all under a single borrow. See
-    /// [`ServeSnapshot`] for why a stats thread should prefer this over
-    /// field-by-field reads.
+    /// [`ServeSnapshot`] for why a statistics reader should prefer this
+    /// over field-by-field reads.
     pub fn snapshot(&self) -> ServeSnapshot {
         ServeSnapshot {
             serve: self.metrics,
@@ -1436,6 +1436,46 @@ mod tests {
         }
         assert_eq!(twins.wire.metrics().generations, 3);
         assert_eq!(twins.wire.cache().len(), 0);
+    }
+
+    #[test]
+    fn a_pool_too_large_for_any_dns_message_is_answered_servfail() {
+        // 4200 A records are 67 200 bytes of answer section: neither the
+        // template nor the `Message` encoder produces it, as a miss or as
+        // a cached hit, so a front end never holds a response longer than
+        // a 16-bit frame can carry.
+        let block = |tag: u8| -> Vec<IpAddr> {
+            (0..1400u16)
+                .map(|i| IpAddr::from([10, tag, i.to_be_bytes()[0], i.to_be_bytes()[1]]))
+                .collect()
+        };
+        let sources: Vec<Box<dyn AddressSource>> = vec![
+            Box::new(StaticSource::answering("r1", block(1))),
+            Box::new(StaticSource::answering("r2", block(2))),
+            Box::new(StaticSource::answering("r3", block(3))),
+        ];
+        let generator = SecurePoolGenerator::new(PoolConfig::algorithm1(), sources).unwrap();
+        let mut resolver = CachingPoolResolver::new(generator, test_config());
+        let net = SimNet::new(99);
+        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut out = Vec::new();
+        for id in 1..=2 {
+            let wire = query(id, "pool.ntp.org").encode().unwrap();
+            sdoh_dns_server::serve_do53_payload_into(
+                &mut resolver,
+                &mut exchanger,
+                &wire,
+                false,
+                &mut out,
+            );
+            assert!(out.len() <= sdoh_dns_wire::MAX_MESSAGE_SIZE);
+            let response = Message::decode(&out).unwrap();
+            assert_eq!(response.header.id, id);
+            assert_eq!(response.header.rcode, Rcode::ServFail);
+            assert!(response.answers.is_empty());
+        }
+        assert_eq!(resolver.metrics().generations, 1);
+        assert_eq!(resolver.metrics().hits, 1, "the oversized pool is cached");
     }
 
     mod properties {

@@ -67,7 +67,7 @@
 //! ```text
 //! let shard = table.lookup(key); // sdoh-lint: allow(no-panic, "table is built covering every key")
 //!
-//! // sdoh-lint: allow(hot-path-purity, "cold path: snapshot aggregation runs on the stats thread")
+//! // sdoh-lint: allow(hot-path-purity, "cold path: snapshot aggregation runs per scrape, not per query")
 //! fn aggregate(&self) -> Snapshot { ... }
 //! ```
 //!

@@ -37,7 +37,7 @@ use sdoh_core::{
     AddressSource, CacheConfig, CacheEntryProbe, ConfigError, PoolConfig, PoolKey, ServeConfig,
 };
 
-use crate::runtime::{spawn_worker, Shard, WorkItem, WorkerContext};
+use crate::runtime::{ask_shards, spawn_worker, Shard, WorkItem, WorkerContext};
 
 /// Builds one shard's upstream source set, by shard index — how a
 /// [`ConfigDelta`] carries a new resolver set to N workers when
@@ -407,26 +407,11 @@ impl ControlHandle {
     /// cached by two shards at once after a rescale.
     // sdoh-lint: allow(transitive-hot-path-purity, "operator-facing control op: probes shards over the control channel on demand, never on the query path")
     pub fn probe_entries(&self, timeout: Duration) -> Vec<(usize, Vec<CacheEntryProbe>)> {
-        let senders = self.inner.routes.senders();
-        let (tx, rx) = mpsc::channel();
-        let mut requested = 0;
-        for sender in &senders {
-            if sender.send(WorkItem::Probe(tx.clone())).is_ok() {
-                requested += 1;
-            }
-        }
-        drop(tx);
-        let deadline = Instant::now() + timeout;
-        let mut probes = Vec::new();
-        for _ in 0..requested {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(remaining) {
-                Ok(entry) => probes.push(entry),
-                Err(_) => break,
-            }
-        }
-        probes.sort_by_key(|(index, _)| *index);
-        probes
+        ask_shards(&self.inner.routes.senders(), timeout, WorkItem::Probe)
+            .into_iter()
+            .enumerate()
+            .filter_map(|(index, probes)| Some((index, probes?)))
+            .collect()
     }
 
     /// The `/config` document: current epoch, shard count, per-shard acked

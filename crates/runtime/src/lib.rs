@@ -12,11 +12,10 @@
 //!   truncated-answer retries), routes each query by
 //!   `(domain, address family)` hash to one of N worker threads, each of
 //!   which **owns** its [`CachingPoolResolver`](sdoh_core::CachingPoolResolver)
-//!   shard outright (no shared lock on the serving path), pumps background
-//!   refreshes from a
-//!   dedicated thread, aggregates per-shard
-//!   [`ServeSnapshot`](sdoh_core::ServeSnapshot)s into periodic
-//!   [`RuntimeStats`], and shuts down gracefully.
+//!   shard outright (no shared lock on the serving path) and wakes itself
+//!   to run the shard's due background refreshes; aggregates per-shard
+//!   [`ServeSnapshot`](sdoh_core::ServeSnapshot)s into [`RuntimeStats`] on
+//!   demand ([`PoolRuntime::stats`]), and shuts down gracefully.
 //! * [`BackendNet`] — in-process upstream endpoints (full RFC 8484 DoH
 //!   terminators via [`PayloadService`]) reached through `Send`
 //!   [`BackendExchanger`]s, so a complete serving stack runs end-to-end

@@ -10,20 +10,25 @@
 //!              └─────┬──────┘                  └──────┬──────┘
 //!        hash(qname, qtype) ──────────────────────────┘
 //!         ┌──────────┼─────────────┐
-//!   ┌─────▼────┐ ┌───▼──────┐ ┌────▼─────┐     ┌───────────┐
-//!   │ shard 0  │ │ shard 1  │ │ shard N-1│ ◄── │ refresh   │ (Pump tick)
-//!   │ resolver │ │ resolver │ │ resolver │ ◄── │ stats     │ (Snapshot tick)
-//!   └──────────┘ └──────────┘ └──────────┘     └───────────┘
+//!   ┌─────▼────┐ ┌───▼──────┐ ┌────▼─────┐
+//!   │ shard 0  │ │ shard 1  │ │ shard N-1│ ◄── Snapshot / Probe / control
+//!   │ resolver │ │ resolver │ │ resolver │     items, on demand, over the
+//!   │ + timer  │ │ + timer  │ │ + timer  │     same queue as the queries
+//!   └──────────┘ └──────────┘ └──────────┘
 //! ```
 //!
 //! Each worker thread **owns** one [`CachingPoolResolver`] shard and one
 //! `Send` exchanger — there is no lock around the pool cache at all;
 //! queries are routed by `(domain, address family)` hash so every key
 //! always lands on the same shard and singleflight coalescing keeps
-//! working per shard. A dedicated refresh thread ticks the workers to pump
-//! [`run_due_refreshes`](CachingPoolResolver::run_due_refreshes) off the
-//! query path, and a stats thread aggregates per-shard
-//! [`ServeSnapshot`]s into a periodic [`RuntimeStats`].
+//! working per shard. A worker also keeps its own time: it blocks on its
+//! queue while nothing is queued for refresh, and otherwise wakes when the
+//! resolver's [`next_refresh_due`](CachingPoolResolver::next_refresh_due)
+//! plus a short coalescing window has passed, to run
+//! [`run_due_refreshes`](CachingPoolResolver::run_due_refreshes) off any
+//! client's query path (see `worker_loop`). Statistics are taken on
+//! demand: [`PoolRuntime::stats`], `/metrics` and `/healthz` each ask the
+//! shards for a [`ServeSnapshot`] when they are called.
 //!
 //! # The hit path
 //!
@@ -65,7 +70,7 @@ use sdoh_core::{
     ServeConfig, ServeSnapshot,
 };
 use sdoh_dns_server::Exchanger;
-use sdoh_dns_wire::{Message, Rcode};
+use sdoh_dns_wire::Message;
 use sdoh_metrics::{
     render_json, render_prometheus, Counter, Histogram, HttpResponse, Registry, Sample,
     SampleValue, StatsServer,
@@ -82,13 +87,22 @@ const SNAPSHOT_TIMEOUT: Duration = Duration::from_secs(5);
 /// has to answer promptly even when a worker is stuck in a generation.
 const HEALTH_TIMEOUT: Duration = Duration::from_secs(1);
 
+/// Granularity at which the blocking socket loops (UDP `recv_from`, TCP
+/// `accept`) re-check the shutdown flag.
+const POLL_INTERVAL: Duration = Duration::from_millis(5);
+
+/// How long a shard lets queued refreshes collect before it runs them,
+/// counted from the earliest one coming due. The window is what batches
+/// several keys that went stale together into one overlapped
+/// `exchange_all` fan-out instead of one fan-out per stale answer.
+const REFRESH_COALESCE: Duration = Duration::from_millis(50);
+
 /// Configuration of a [`PoolRuntime`].
 ///
 /// Non-exhaustive: build it from [`RuntimeConfig::default`] with the
 /// `with_*` builder methods so future knobs aren't breaking changes.
 /// [`RuntimeConfig::validate`] (also run by [`PoolRuntime::start`])
-/// rejects combinations that would misbehave at runtime instead of
-/// letting them wedge a tick loop.
+/// rejects values that would misbehave at runtime.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct RuntimeConfig {
@@ -96,21 +110,10 @@ pub struct RuntimeConfig {
     /// picks an ephemeral port free on both sides; read it back from
     /// [`PoolRuntime::udp_addr`].
     pub bind: SocketAddr,
-    /// How often the refresh thread ticks the workers to pump due
-    /// background refreshes. `Duration::ZERO` disables the refresh pump
-    /// entirely — then [`PoolRuntime::start`] rejects shards configured
-    /// with a stale window, which would queue refreshes nothing ever runs.
-    pub refresh_interval: Duration,
-    /// How often the stats thread aggregates per-shard snapshots into
-    /// [`PoolRuntime::latest_stats`].
-    pub stats_interval: Duration,
     /// Largest UDP response payload served without truncation. Larger
     /// answers are replaced by an empty TC=1 response so the client
     /// retries over TCP.
     pub udp_payload_limit: usize,
-    /// Granularity at which blocking socket loops re-check the shutdown
-    /// flag.
-    pub poll_interval: Duration,
     /// Whether to bind the TCP fallback listener.
     pub enable_tcp: bool,
     /// Address to bind the HTTP stats listener on (`/metrics`,
@@ -127,10 +130,7 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             bind: SocketAddr::from(([127, 0, 0, 1], 0)),
-            refresh_interval: Duration::from_millis(50),
-            stats_interval: Duration::from_millis(500),
             udp_payload_limit: 1232,
-            poll_interval: Duration::from_millis(5),
             enable_tcp: true,
             stats_bind: None,
             record_latency: true,
@@ -145,27 +145,9 @@ impl RuntimeConfig {
         self
     }
 
-    /// Sets the refresh-pump interval (`Duration::ZERO` disables it).
-    pub fn with_refresh_interval(mut self, interval: Duration) -> Self {
-        self.refresh_interval = interval;
-        self
-    }
-
-    /// Sets the periodic stats-aggregation interval (must be non-zero).
-    pub fn with_stats_interval(mut self, interval: Duration) -> Self {
-        self.stats_interval = interval;
-        self
-    }
-
     /// Sets the UDP truncation threshold (must be non-zero).
     pub fn with_udp_payload_limit(mut self, limit: usize) -> Self {
         self.udp_payload_limit = limit;
-        self
-    }
-
-    /// Sets the shutdown-flag polling granularity (must be non-zero).
-    pub fn with_poll_interval(mut self, interval: Duration) -> Self {
-        self.poll_interval = interval;
         self
     }
 
@@ -187,20 +169,13 @@ impl RuntimeConfig {
         self
     }
 
-    /// Validates the runtime knobs: the stats and poll intervals drive
-    /// tick loops and must be non-zero, and a zero payload limit would
-    /// truncate every answer.
+    /// Validates the runtime knobs: a zero payload limit would truncate
+    /// every answer.
     ///
     /// # Errors
     ///
     /// [`ConfigError::Zero`] naming the offending field.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.stats_interval.is_zero() {
-            return Err(ConfigError::Zero("stats_interval"));
-        }
-        if self.poll_interval.is_zero() {
-            return Err(ConfigError::Zero("poll_interval"));
-        }
         if self.udp_payload_limit == 0 {
             return Err(ConfigError::Zero("udp_payload_limit"));
         }
@@ -290,7 +265,7 @@ impl RuntimeStats {
     /// is `None`). Non-zero means `total` undercounts and `/healthz`
     /// reports the instance unready.
     pub fn unresponsive_shards(&self) -> usize {
-        self.per_shard.iter().filter(|s| s.is_none()).count()
+        count_unresponsive(&self.per_shard)
     }
 
     /// Renders the stats as a JSON document (stable hand-rolled schema:
@@ -404,8 +379,6 @@ impl std::fmt::Display for RuntimeStats {
 pub(crate) enum WorkItem {
     /// Serve one wire-format query and reply along the given path.
     Query { wire: Vec<u8>, reply: ReplyPath },
-    /// Pump due background refreshes (sent by the refresh thread).
-    Pump,
     /// Report a consistent snapshot of this shard's state.
     Snapshot(mpsc::Sender<(usize, ServeSnapshot)>),
     /// Report a probe of every cache entry (control-plane invariant
@@ -510,25 +483,21 @@ pub struct PoolRuntime {
     service_handles: Vec<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
     counters: Arc<FrontCounters>,
-    latest: Arc<Mutex<Option<RuntimeStats>>>,
     clock: crate::clock::RuntimeClock,
     registry: Registry,
     stats_server: Option<StatsServer>,
 }
 
 impl PoolRuntime {
-    /// Binds the sockets and spawns the worker, dispatcher, TCP, refresh
-    /// and stats threads. One worker thread per entry of `shards`.
+    /// Binds the sockets and spawns the worker, dispatcher and TCP
+    /// threads. One worker thread per entry of `shards`.
     ///
     /// # Errors
     ///
     /// Propagates socket binding/configuration failures: an explicit
     /// port taken on either side fails at once, port 0 only after several
-    /// picks all had their TCP side taken. `shards` must be non-empty,
-    /// [`RuntimeConfig::validate`] must pass, and a disabled refresh pump
-    /// ([`RuntimeConfig::refresh_interval`] zero) rejects shards
-    /// configured with a stale window — they would queue background
-    /// refreshes nothing ever runs.
+    /// picks all had their TCP side taken. `shards` must be non-empty and
+    /// [`RuntimeConfig::validate`] must pass.
     pub fn start(config: RuntimeConfig, shards: Vec<Shard>) -> std::io::Result<PoolRuntime> {
         // The runtime-level config epoch starts from the first shard's
         // cache knobs (shards are normally built homogeneous); epoch 0.
@@ -541,20 +510,9 @@ impl PoolRuntime {
                 ))
             }
         };
-        let invalid = |err: ConfigError| {
+        config.validate().map_err(|err| {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, err.to_string())
-        };
-        config.validate().map_err(invalid)?;
-        if config.refresh_interval.is_zero()
-            && shards
-                .iter()
-                .any(|shard| !shard.resolver.cache().config().stale_window.is_zero())
-        {
-            return Err(invalid(ConfigError::Invalid {
-                field: "refresh_interval",
-                reason: "a stale window is configured but the refresh pump is disabled".into(),
-            }));
-        }
+        })?;
         let (udp, tcp) = if config.enable_tcp {
             let (udp, listener) = bind_front_door(config.bind, || UdpSocket::bind(config.bind))?;
             listener.set_nonblocking(true)?;
@@ -563,14 +521,13 @@ impl PoolRuntime {
             (UdpSocket::bind(config.bind)?, None)
         };
         let udp = Arc::new(udp);
-        udp.set_read_timeout(Some(config.poll_interval))?;
+        udp.set_read_timeout(Some(POLL_INTERVAL))?;
         let udp_addr = udp.local_addr()?;
         let tcp_addr = tcp.as_ref().map(|l| l.local_addr()).transpose()?;
 
         let stop = Arc::new(AtomicBool::new(false));
         let registry = Registry::new();
         let counters = Arc::new(FrontCounters::register(&registry));
-        let latest: Arc<Mutex<Option<RuntimeStats>>> = Arc::new(Mutex::new(None));
         let clock = crate::clock::RuntimeClock::new();
 
         let initial = Arc::new(ServeConfig::initial(first_cache_config));
@@ -612,12 +569,7 @@ impl PoolRuntime {
                     let table = routes.table.lock();
                     (table.senders.clone(), table.acked.clone())
                 };
-                let per_shard = take_shard_snapshots(&senders, SNAPSHOT_TIMEOUT);
-                let unresponsive = per_shard.iter().filter(|s| s.is_none()).count();
-                let mut total = ServeSnapshot::default();
-                for snapshot in per_shard.iter().flatten() {
-                    total.absorb(snapshot);
-                }
+                let (per_shard, total) = aggregate_shards(&senders, SNAPSHOT_TIMEOUT);
                 let gauge =
                     |(name, help): (&str, &str), labels: Vec<(String, String)>, v: f64| Sample {
                         name: name.to_string(),
@@ -634,7 +586,7 @@ impl PoolRuntime {
                 samples.push(gauge(
                     sdoh_core::METRIC_UNRESPONSIVE_SHARDS,
                     Vec::new(),
-                    unresponsive as f64,
+                    count_unresponsive(&per_shard) as f64,
                 ));
                 samples.push(gauge(
                     sdoh_core::METRIC_CONFIG_EPOCH,
@@ -673,8 +625,9 @@ impl PoolRuntime {
             None => None,
         };
 
-        // Dispatcher + TCP + refresh + stats: at most four service threads.
-        let mut service_handles = Vec::with_capacity(4);
+        // Dispatcher + TCP: at most two service threads besides the
+        // shard workers (and the optional stats-HTTP listener above).
+        let mut service_handles = Vec::with_capacity(2);
         {
             let socket = Arc::clone(&udp);
             let routes = Arc::clone(&routes);
@@ -690,52 +643,10 @@ impl PoolRuntime {
             let routes = Arc::clone(&routes);
             let stop = Arc::clone(&stop);
             let counters = Arc::clone(&counters);
-            let poll = config.poll_interval;
             service_handles.push(
                 std::thread::Builder::new()
                     .name("sdoh-tcp".into())
-                    .spawn(move || tcp_loop(listener, routes, stop, poll, counters))?,
-            );
-        }
-        if !config.refresh_interval.is_zero() {
-            let routes = Arc::clone(&routes);
-            let stop = Arc::clone(&stop);
-            let interval = config.refresh_interval;
-            let poll = config.poll_interval;
-            service_handles.push(
-                std::thread::Builder::new()
-                    .name("sdoh-refresh".into())
-                    .spawn(move || {
-                        tick_loop(stop, interval, poll, move || {
-                            for sender in &routes.senders() {
-                                let _ = sender.send(WorkItem::Pump);
-                            }
-                        })
-                    })?,
-            );
-        }
-        {
-            let routes = Arc::clone(&routes);
-            let stop = Arc::clone(&stop);
-            let interval = config.stats_interval;
-            let poll = config.poll_interval;
-            let latest = Arc::clone(&latest);
-            let counters = Arc::clone(&counters);
-            let epoch = Arc::clone(&control.inner.epoch);
-            service_handles.push(
-                std::thread::Builder::new()
-                    .name("sdoh-stats".into())
-                    .spawn(move || {
-                        tick_loop(stop, interval, poll, move || {
-                            let stats = take_stats(
-                                &routes,
-                                &counters,
-                                epoch.load(Ordering::Acquire),
-                                clock.now(),
-                            );
-                            *latest.lock() = Some(stats); // sdoh-lint: allow(hot-path-purity, "stats-thread tick, scrape cadence")
-                        })
-                    })?,
+                    .spawn(move || tcp_loop(listener, routes, stop, counters))?,
             );
         }
 
@@ -746,7 +657,6 @@ impl PoolRuntime {
             service_handles,
             stop,
             counters,
-            latest,
             clock,
             registry,
             stats_server,
@@ -790,22 +700,10 @@ impl PoolRuntime {
         self.control.clone()
     }
 
-    /// The most recent **periodic** aggregate cached by the stats thread
-    /// (`None` until the first tick).
-    #[deprecated(
-        note = "use `PoolRuntime::stats` for an on-demand aggregate; the periodic \
-                         cache mainly feeds dashboards that tolerate stats_interval staleness"
-    )]
-    pub fn latest_stats(&self) -> Option<RuntimeStats> {
-        self.latest.lock().clone() // sdoh-lint: allow(hot-path-purity, "operator accessor, never on the query path")
-    }
-
     /// **The** statistics accessor: takes an on-demand aggregate right
     /// now, asking every shard for a [`ServeSnapshot`] and merging them.
     /// Each shard's snapshot is internally consistent; shards are sampled
-    /// at slightly different instants (they answer between queries). For
-    /// the cheaper periodic reading the stats thread already took, see
-    /// the deprecated [`PoolRuntime::latest_stats`].
+    /// at slightly different instants (they answer between queries).
     pub fn stats(&self) -> RuntimeStats {
         take_stats(
             &self.control.inner.routes,
@@ -821,7 +719,7 @@ impl PoolRuntime {
     /// statistics; [`RuntimeStats::config_epoch`] is the final epoch.
     // sdoh-lint: allow(hot-path-purity, "shutdown path: serving has already stopped")
     pub fn shutdown(mut self) -> RuntimeStats {
-        // 1. Stop the socket/tick threads (and the stats listener, so no
+        // 1. Stop the socket threads (and the stats listener, so no
         //    scrape races the drain); no new work enters the queues.
         self.stop.store(true, Ordering::SeqCst);
         if let Some(mut server) = self.stats_server.take() {
@@ -917,50 +815,58 @@ fn bind_front_door(
     }
 }
 
-/// Runs `tick` every `interval` until `stop`, re-checking the flag every
-/// `poll` so shutdown is prompt.
-fn tick_loop(stop: Arc<AtomicBool>, interval: Duration, poll: Duration, mut tick: impl FnMut()) {
-    let mut since_tick = Duration::ZERO;
-    while !stop.load(Ordering::SeqCst) {
-        std::thread::sleep(poll.min(interval));
-        since_tick += poll.min(interval);
-        if since_tick >= interval {
-            since_tick = Duration::ZERO;
-            tick();
-        }
-    }
-}
-
-/// Asks every shard for a snapshot over its work queue. Shards that do
-/// not answer within `timeout` — wedged in a generation, or already shut
-/// down — come back as `None`, never as silently-zero defaults.
-// sdoh-lint: allow(hot-path-purity, "snapshot fan-out buffers; runs at scrape/health cadence")
-fn take_shard_snapshots(
+/// Sends one reply-channel item to every worker and gathers the
+/// `(shard index, T)` replies until `timeout`: one slot per worker, in
+/// shard order. A shard that does not answer in time — wedged in a
+/// generation, or already shut down — comes back as `None`, never as a
+/// silently-zero default.
+// sdoh-lint: allow(hot-path-purity, "fan-out buffers; runs at scrape/health/operator cadence, not per query")
+pub(crate) fn ask_shards<T>(
     workers: &[mpsc::Sender<WorkItem>],
     timeout: Duration,
-) -> Vec<Option<ServeSnapshot>> {
+    request: impl Fn(mpsc::Sender<(usize, T)>) -> WorkItem,
+) -> Vec<Option<T>> {
     let (tx, rx) = mpsc::channel();
     let mut requested = 0;
     for sender in workers {
-        if sender.send(WorkItem::Snapshot(tx.clone())).is_ok() {
+        if sender.send(request(tx.clone())).is_ok() {
             requested += 1;
         }
     }
     drop(tx);
-    let mut per_shard: Vec<Option<ServeSnapshot>> = vec![None; workers.len()];
+    let mut replies: Vec<Option<T>> = workers.iter().map(|_| None).collect();
     let deadline = Instant::now() + timeout;
     for _ in 0..requested {
         let remaining = deadline.saturating_duration_since(Instant::now());
         match rx.recv_timeout(remaining) {
-            Ok((index, snapshot)) => {
-                if let Some(slot) = per_shard.get_mut(index) {
-                    *slot = Some(snapshot);
+            Ok((index, reply)) => {
+                if let Some(slot) = replies.get_mut(index) {
+                    *slot = Some(reply);
                 }
             }
             Err(_) => break,
         }
     }
-    per_shard
+    replies
+}
+
+/// The one statistics aggregation: every shard's [`ServeSnapshot`] (see
+/// [`ask_shards`] for `None`) and the total of the responsive ones.
+fn aggregate_shards(
+    workers: &[mpsc::Sender<WorkItem>],
+    timeout: Duration,
+) -> (Vec<Option<ServeSnapshot>>, ServeSnapshot) {
+    let per_shard = ask_shards(workers, timeout, WorkItem::Snapshot);
+    let mut total = ServeSnapshot::default();
+    for snapshot in per_shard.iter().flatten() {
+        total.absorb(snapshot);
+    }
+    (per_shard, total)
+}
+
+/// Shards that missed the snapshot deadline.
+fn count_unresponsive(per_shard: &[Option<ServeSnapshot>]) -> usize {
+    per_shard.iter().filter(|s| s.is_none()).count()
 }
 
 fn take_stats(
@@ -969,11 +875,7 @@ fn take_stats(
     config_epoch: u64,
     taken_at: SimInstant,
 ) -> RuntimeStats {
-    let per_shard = take_shard_snapshots(&routes.senders(), SNAPSHOT_TIMEOUT);
-    let mut total = ServeSnapshot::default();
-    for snapshot in per_shard.iter().flatten() {
-        total.absorb(snapshot);
-    }
+    let (per_shard, total) = aggregate_shards(&routes.senders(), SNAPSHOT_TIMEOUT);
     RuntimeStats {
         per_shard,
         total,
@@ -993,12 +895,8 @@ fn take_stats(
 /// failures rather than fresh secure generations.
 // sdoh-lint: allow(hot-path-purity, "health probe renders at probe cadence, not per query")
 fn healthz(routes: &RouteState) -> HttpResponse {
-    let per_shard = take_shard_snapshots(&routes.senders(), HEALTH_TIMEOUT);
-    let unresponsive = per_shard.iter().filter(|s| s.is_none()).count();
-    let mut total = ServeSnapshot::default();
-    for snapshot in per_shard.iter().flatten() {
-        total.absorb(snapshot);
-    }
+    let (per_shard, total) = aggregate_shards(&routes.senders(), HEALTH_TIMEOUT);
+    let unresponsive = count_unresponsive(&per_shard);
     let ready = unresponsive == 0;
     let body = format!(
         "{}\nshards {}\nunresponsive_shards {}\ncache_entries {}\npending_refreshes {}\n\
@@ -1123,7 +1021,6 @@ fn tcp_loop(
     listener: TcpListener,
     routes: Arc<RouteState>,
     stop: Arc<AtomicBool>,
-    poll: Duration,
     counters: Arc<FrontCounters>,
 ) {
     while !stop.load(Ordering::SeqCst) {
@@ -1136,7 +1033,7 @@ fn tcp_loop(
                 let _ = serve_tcp_connection(stream, &routes, &counters);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(poll);
+                std::thread::sleep(POLL_INTERVAL);
             }
             Err(_) => break,
         }
@@ -1173,7 +1070,7 @@ fn serve_tcp_connection(
         let delivered = senders.get(shard).is_some_and(|sender| {
             sender
                 .send(WorkItem::Query {
-                    wire: wire.clone(),
+                    wire,
                     reply: ReplyPath::Tcp(tx),
                 })
                 .is_ok()
@@ -1182,32 +1079,29 @@ fn serve_tcp_connection(
             counters.dropped.inc();
             return Ok(());
         }
-        let mut response = match rx.recv_timeout(Duration::from_secs(10)) {
+        let response = match rx.recv_timeout(Duration::from_secs(10)) {
             Ok(bytes) => bytes,
             Err(_) => return Ok(()),
         };
-        if u16::try_from(response.len()).is_err() {
-            // Too big even for the 16-bit TCP frame: a truncated write
-            // would be wire corruption, so answer SERVFAIL instead.
-            response = Message::decode(&wire)
-                .map(|query| {
-                    Message::error_response(&query, Rcode::ServFail)
-                        .encode()
-                        .unwrap_or_default()
-                })
-                .unwrap_or_default();
-            if response.is_empty() {
-                return Ok(());
-            }
-        }
+        // The Do53 core answers SERVFAIL in place of a response over
+        // 65 535 bytes, so this holds; a truncated frame would be corruption.
         let Ok(len) = u16::try_from(response.len()) else {
-            return Ok(()); // A SERVFAIL over 64 KiB cannot happen.
+            return Ok(());
         };
         stream.write_all(&len.to_be_bytes())?;
         stream.write_all(&response)?;
     }
 }
 
+/// One shard's thread: serves its queue in order and alone decides when the
+/// shard's background refreshes run. With nothing queued for refresh it
+/// blocks on the queue — an idle or all-fresh shard makes no timed wake-ups.
+/// Otherwise it waits no longer than [`REFRESH_COALESCE`] past the earliest
+/// deadline, and checks that instant before taking each item: the due batch
+/// runs after the timeout *and* after any item that finishes past it, so a
+/// queue that never runs empty cannot starve the refreshes. A retired shard
+/// hands every entry (and its queued refresh) away after each item, so it
+/// never arms the timer.
 fn worker_loop(
     index: usize,
     shard: Shard,
@@ -1230,7 +1124,25 @@ fn worker_loop(
     let mut retired: Option<(Arc<Vec<mpsc::Sender<WorkItem>>>, usize)> = None;
     // Every response of this worker is rendered into this one buffer.
     let mut response = Vec::with_capacity(udp_payload_limit);
-    while let Ok(item) = rx.recv() {
+    loop {
+        let item = match resolver.next_refresh_due() {
+            None => rx.recv().ok(),
+            Some(due) => {
+                let wait = due
+                    .saturating_add(REFRESH_COALESCE)
+                    .saturating_duration_since(exchanger.now());
+                if wait.is_zero() {
+                    resolver.run_due_refreshes(exchanger.as_mut());
+                    continue;
+                }
+                match rx.recv_timeout(wait) {
+                    Ok(item) => Some(item),
+                    Err(mpsc::RecvTimeoutError::Timeout) => continue,
+                    Err(mpsc::RecvTimeoutError::Disconnected) => None,
+                }
+            }
+        };
+        let Some(item) = item else { break };
         match item {
             WorkItem::Query { wire, reply } => {
                 // Histogram recording is two relaxed fetch_adds on this
@@ -1259,9 +1171,6 @@ fn worker_loop(
                 if let Some((ring, shards)) = &retired {
                     forward_entries(&mut resolver, ring, *shards, None);
                 }
-            }
-            WorkItem::Pump => {
-                resolver.run_due_refreshes(exchanger.as_mut());
             }
             WorkItem::Snapshot(tx) => {
                 let _ = tx.send((index, resolver.snapshot()));
@@ -1430,6 +1339,18 @@ mod tests {
         }
     }
 
+    /// A UDP pick whose TCP side this test holds. Tests run in parallel and
+    /// bind ephemeral ports of their own, so a pick whose TCP side someone
+    /// else took first is skipped, not an error.
+    fn squat(any: SocketAddr) -> std::io::Result<(UdpSocket, TcpListener)> {
+        loop {
+            let udp = UdpSocket::bind(any)?;
+            if let Ok(listener) = TcpListener::bind(udp.local_addr()?) {
+                return Ok((udp, listener));
+            }
+        }
+    }
+
     #[test]
     fn port_zero_start_repicks_when_the_tcp_side_is_taken() {
         let any = SocketAddr::from(([127, 0, 0, 1], 0));
@@ -1438,12 +1359,14 @@ mod tests {
         let mut squatter = None;
         let mut picks = Vec::new();
         let (udp, tcp) = bind_front_door(any, || {
-            let udp = UdpSocket::bind(any)?;
-            let picked = udp.local_addr()?;
-            if picks.is_empty() {
-                squatter = Some(TcpListener::bind(picked)?);
-            }
-            picks.push(picked.port());
+            let udp = if picks.is_empty() {
+                let (udp, listener) = squat(any)?;
+                squatter = Some(listener);
+                udp
+            } else {
+                UdpSocket::bind(any)?
+            };
+            picks.push(udp.local_addr()?.port());
             Ok(udp)
         })
         .expect("a second pick finds a free pair");
@@ -1468,8 +1391,8 @@ mod tests {
         let mut tries = 0;
         let err = bind_front_door(any, || {
             tries += 1;
-            let udp = UdpSocket::bind(any)?;
-            squatters.push(TcpListener::bind(udp.local_addr()?)?);
+            let (udp, listener) = squat(any)?;
+            squatters.push(listener);
             Ok(udp)
         })
         .unwrap_err();

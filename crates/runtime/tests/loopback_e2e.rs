@@ -139,11 +139,11 @@ fn oversized_udp_answers_fall_back_to_tcp() {
 #[test]
 fn background_refresh_runs_off_the_query_path() {
     // Tiny TTL + wide stale window: after the TTL expires, queries are
-    // served stale (TTL 0) immediately while the refresh thread
-    // regenerates in the background.
+    // served stale (TTL 0) immediately while the shard's worker
+    // regenerates in the background, off its own timer (no other traffic
+    // wakes it here).
     let (fleet, shards) = build(Vec::new(), Ttl::from_secs(2), Duration::from_secs(3600));
-    let config = RuntimeConfig::default().with_refresh_interval(Duration::from_millis(20));
-    let runtime = PoolRuntime::start(config, shards).expect("bind loopback");
+    let runtime = PoolRuntime::start(RuntimeConfig::default(), shards).expect("bind loopback");
     let client = RuntimeClient::connect(runtime.udp_addr(), runtime.tcp_addr()).expect("client");
     let domain = fleet.domains[0].clone();
 
@@ -162,7 +162,7 @@ fn background_refresh_runs_off_the_query_path() {
         "stale TTL is zero"
     );
 
-    // Give the refresh thread a few ticks, then expect a fresh hit.
+    // Give the worker a few coalescing windows, then expect a fresh hit.
     std::thread::sleep(Duration::from_millis(300));
     let fresh = client
         .query(&Message::query(3, domain.clone(), RrType::A))
@@ -173,10 +173,75 @@ fn background_refresh_runs_off_the_query_path() {
     assert_eq!(stats.total.serve.stale_serves, 1);
     assert!(
         stats.total.serve.refreshes >= 1,
-        "the refresh thread regenerated in the background: {:?}",
+        "the worker regenerated in the background: {:?}",
         stats.total.serve
     );
     assert_eq!(stats.total.serve.queries, 3);
+}
+
+#[test]
+fn refresh_runs_while_the_shard_queue_never_empties() {
+    // One shard. A stale serve of domain B is followed, in the same burst
+    // of datagrams, by five cold queries and then B again. Each cold query
+    // costs a generation of at least one 20 ms upstream round trip, so the
+    // worker's queue holds the rest of the burst from the stale serve until
+    // it takes "B again" at least 100 ms later: it never finds the queue
+    // empty and never waits out its refresh timer. The refresh came due
+    // 50 ms in; only the check the worker makes between items can have run
+    // it by the time B is served again.
+    const COLD: usize = 5;
+    let fleet = LoopbackFleet::build(LoopbackConfig {
+        pool_domains: 1 + COLD,
+        upstream_latency: Duration::from_millis(20),
+        ..LoopbackConfig::default()
+    });
+    let cache = CacheConfig::default()
+        .with_ttl(Ttl::from_secs(2))
+        .with_stale_window(Duration::from_secs(3600));
+    let shards = fleet
+        .shards(1, PoolConfig::algorithm1(), cache)
+        .expect("valid config");
+    let runtime = PoolRuntime::start(RuntimeConfig::default(), shards).expect("bind loopback");
+    let socket = std::net::UdpSocket::bind("127.0.0.1:0").expect("client socket");
+    socket.connect(runtime.udp_addr()).expect("connect");
+    socket
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let send = |id: u16, domain: usize| {
+        let query = Message::query(id, fleet.domains[domain].clone(), RrType::A);
+        socket.send(&query.encode().unwrap()).expect("send");
+    };
+    let receive = || {
+        let mut buf = [0u8; 4096];
+        let len = socket.recv(&mut buf).expect("every query is answered");
+        Message::decode(&buf[..len]).expect("well-formed answer")
+    };
+
+    send(1, 0);
+    assert!(receive().answers.iter().all(|r| r.ttl >= 1), "B cached");
+    std::thread::sleep(Duration::from_millis(2100)); // past the 2 s TTL
+
+    send(2, 0);
+    (1..=COLD).for_each(|domain| send(10, domain));
+    send(3, 0);
+    // One dispatcher, one shard: answers come back in query order.
+    let stale = receive();
+    assert_eq!(stale.header.id, 2);
+    assert!(stale.answers.iter().all(|r| r.ttl == 0), "B served stale");
+    for _ in 0..COLD {
+        assert_eq!(receive().header.id, 10);
+    }
+    let again = receive();
+    assert_eq!(again.header.id, 3);
+    assert!(
+        again.answers.iter().all(|r| r.ttl >= 1),
+        "B was refreshed while the queue was never empty"
+    );
+
+    let stats = runtime.shutdown();
+    assert_eq!(stats.total.serve.stale_serves, 1);
+    assert_eq!(stats.total.serve.refreshes, 1);
+    assert_eq!(stats.total.serve.generations, 2 + COLD as u64);
 }
 
 #[test]

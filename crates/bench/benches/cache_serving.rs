@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sdoh_core::{CacheConfig, CachingPoolResolver, PoolConfig, SecurePoolResolver};
+use sdoh_core::{CacheConfig, CachingPoolResolver, PoolConfig};
 use sdoh_dns_server::{ClientExchanger, QueryHandler};
 use sdoh_dns_wire::{Message, RrType, Ttl};
 use secure_doh::scenario::{Scenario, ScenarioConfig, CLIENT_ADDR};
@@ -34,8 +34,10 @@ fn query(id: u16, scenario: &Scenario, client: usize) -> Message {
 /// every iteration.
 fn bench_uncached_query(c: &mut Criterion) {
     let scenario = scenario();
-    let mut resolver =
-        SecurePoolResolver::new(scenario.pool_generator(PoolConfig::algorithm1()).unwrap());
+    let mut resolver = CachingPoolResolver::new(
+        scenario.pool_generator(PoolConfig::algorithm1()).unwrap(),
+        CacheConfig::uncached(),
+    );
     let mut id: u16 = 0;
     c.bench_function("serve/uncached_query", |b| {
         b.iter(|| {
@@ -81,13 +83,11 @@ fn bench_coalesced_cold_burst(c: &mut Criterion) {
         let generator = scenario.pool_generator(PoolConfig::algorithm1()).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(clients), &clients, |b, _| {
             b.iter(|| {
-                // Zero TTL: nothing is cached, every burst is cold and every
+                // Nothing is cached, every burst is cold and every
                 // iteration pays exactly DOMAINS coalesced generations.
                 let mut resolver = CachingPoolResolver::new(
                     scenario.pool_generator(PoolConfig::algorithm1()).unwrap(),
-                    CacheConfig::default()
-                        .with_ttl(Ttl::ZERO)
-                        .with_negative_ttl(Ttl::ZERO),
+                    CacheConfig::uncached(),
                 );
                 let queries: Vec<Message> = (0..clients)
                     .map(|i| query(i as u16 + 1, &scenario, i))

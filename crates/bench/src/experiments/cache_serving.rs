@@ -1,16 +1,15 @@
-//! E11 — serving at scale: the pool-serving subsystem (sharded TTL cache,
-//! singleflight, stale-while-revalidate) against the uncached baseline
-//! under a client-population load.
+//! E11 — serving at scale: the pool front end with its cache (TTL cache,
+//! singleflight, stale-while-revalidate) against the same front end
+//! uncached, under a client-population load.
 //!
-//! The uncached [`SecurePoolResolver`] performs one full distributed
-//! generation per client query, so its serving cost grows linearly with
-//! traffic; the [`CachingPoolResolver`] performs at most one generation per
-//! `(domain, TTL window)` regardless of the client count. The table makes
+//! Under [`CacheConfig::uncached`] the [`CachingPoolResolver`] performs one
+//! full distributed generation per client query, so its serving cost grows
+//! linearly with traffic; with a cache it performs at most one generation
+//! per `(domain, TTL window)` regardless of the client count. The table makes
 //! both visible: queries-per-generation stays ~1 for the baseline and grows
 //! with the population for the cached subsystem, while the mean client
 //! latency drops from a full fan-out to a single front-end round trip.
 //!
-//! [`SecurePoolResolver`]: sdoh_core::SecurePoolResolver
 //! [`CachingPoolResolver`]: sdoh_core::CachingPoolResolver
 
 use std::time::Duration;
@@ -89,7 +88,6 @@ pub fn run(client_counts: &[usize], rounds: usize, seed: u64) -> Table {
         scenario.net.reset_metrics();
         let stats = drive_load(&scenario, clients, rounds);
         let metrics = resolver.lock().metrics();
-        let generations = metrics.served + metrics.failures;
         push_row(
             &mut table,
             &RunRow {
@@ -97,7 +95,7 @@ pub fn run(client_counts: &[usize], rounds: usize, seed: u64) -> Table {
                 clients,
                 stats: &stats,
                 queries: metrics.queries,
-                generations,
+                generations: metrics.generations,
                 doh_requests: scenario.net.metrics().secure_requests,
             },
         );

@@ -18,7 +18,8 @@
 //!   controls an equal share of the pool,
 //! * or filter with a **majority vote** ([`CombinationMode::MajorityVote`])
 //!   and expose the result through a standard-compatible DNS front end
-//!   ([`SecurePoolResolver`]),
+//!   ([`CachingPoolResolver`] — the one front end; [`CacheConfig::uncached`]
+//!   makes it run a generation per query),
 //! * handle dual-stack lookups per the paper's footnote 1
 //!   ([`DualStackPolicy`]),
 //! * and check the guarantee — "the pool contains a fraction of at least
@@ -69,25 +70,27 @@
 //! # }
 //! ```
 //!
-//! # Serving at scale: the [`serve`] subsystem
+//! # Serving at scale: the [`serve`] front end
 //!
-//! Generation is expensive by design; serving need not be. The [`serve`]
-//! module adds the layer between client queries and pool generation:
+//! Generation is expensive by design; serving need not be.
+//! [`CachingPoolResolver`] is the paper's "majority DNS resolver" — a
+//! drop-in `QueryHandler` unmodified DNS clients can point at — and it
+//! keeps the layer between client queries and pool generation to itself:
 //!
-//! * a **sharded TTL cache** of generation reports keyed by
-//!   `(domain, address family)`, with LRU eviction and negative caching
-//!   of failures ([`PoolCache`]),
+//! * a **TTL cache** of generation reports keyed by
+//!   `(domain, address family)` ([`PoolKey`]) — one map under an exact LRU
+//!   capacity bound, with negative caching of failures; what is cached and
+//!   for how long is a [`CacheConfig`],
 //! * **singleflight coalescing** so a burst of concurrent misses for one
-//!   domain shares a single fan-out ([`Singleflight`],
-//!   [`CachingPoolResolver::serve_batch`]),
+//!   domain shares a single fan-out ([`CachingPoolResolver::serve_batch`]),
 //! * **stale-while-revalidate** — expired entries are served immediately
 //!   within a stale window while a background refresh regenerates them
-//!   ([`RefreshScheduler`], [`CachingPoolResolver::run_due_refreshes`]),
-//! * [`ServeSession`] — the sans-IO session overlapping the generations of
-//!   a whole serving batch in one fan-out.
+//!   ([`CachingPoolResolver::next_refresh_due`],
+//!   [`CachingPoolResolver::run_due_refreshes`]),
+//! * a sans-IO serve session overlapping the generations of a whole
+//!   serving batch in one fan-out.
 //!
-//! [`CachingPoolResolver`] wraps it all as a drop-in `QueryHandler`:
-//! serving cost falls from one generation **per query** to one generation
+//! Serving cost falls from one generation **per query** to one generation
 //! per `(domain, TTL window)`, while every served answer still comes out
 //! of a real generation — the benign-fraction guarantee is untouched.
 //! In-process consumers can skip the DNS framing entirely through
@@ -103,7 +106,8 @@
 //! `sdoh-runtime` crate serves real traffic: it binds an actual UDP
 //! socket, hashes each query's `(domain, address family)` onto one of N
 //! worker threads, and each worker **owns** its `CachingPoolResolver`
-//! shard — per-shard ownership instead of a shared lock. The worker
+//! shard — per-shard ownership instead of a shared lock, and the only
+//! sharding there is (the cache inside a resolver is one map). The worker
 //! also wakes itself at [`CachingPoolResolver::next_refresh_due`] to run
 //! [`CachingPoolResolver::run_due_refreshes`] off any client's query
 //! path, and answers on-demand statistics requests with a
@@ -111,8 +115,8 @@
 //! reading per request).
 //!
 //! The layer also exposes an **invariant probe surface** for fault
-//! injection: [`PoolCache::probe`] reports every entry's age and
-//! fresh/stale/dead state at an instant, and
+//! injection: [`CachingPoolResolver::probe_entries`] reports every entry's
+//! age and fresh/stale/dead state at an instant, and
 //! [`ServeSnapshot::regressions`] names any cumulative counter that went
 //! backwards between two snapshots. The `sdoh-chaos` crate's seeded chaos
 //! campaigns drive the serve + timesync stack through thousands of fault
@@ -185,7 +189,6 @@ mod config;
 mod error;
 mod generator;
 mod guarantee;
-mod lookup;
 mod majority;
 mod pool;
 pub mod serve;
@@ -196,13 +199,11 @@ pub use config::{CombinationMode, DualStackPolicy, FailurePolicy, PoolConfig};
 pub use error::{PoolError, PoolResult};
 pub use generator::{GenerationReport, SecurePoolGenerator, SourceOutcome};
 pub use guarantee::{attacker_controls_fraction, check_guarantee, GroundTruth, GuaranteeCheck};
-pub use lookup::{ResolverMetrics, SecurePoolResolver};
 pub use majority::{majority_vote, meets_threshold, support_counts};
 pub use pool::{AddressPool, PoolEntry};
 pub use serve::{
-    snapshot_samples, AddressFamily, CacheConfig, CacheEntryProbe, CacheHit, CacheLookup,
-    CachedPool, CachingPoolResolver, ConfigError, EntryState, PoolCache, PoolKey, RefreshScheduler,
-    ResolvedPool, ServeConfig, ServeMetrics, ServeSession, ServeSnapshot, Singleflight,
+    snapshot_samples, AddressFamily, CacheConfig, CacheEntryProbe, CachedPool, CachingPoolResolver,
+    ConfigError, EntryState, PoolKey, ResolvedPool, ServeConfig, ServeMetrics, ServeSnapshot,
     APP_METRIC_HELP, METRIC_CONFIG_EPOCH, METRIC_DROPPED_QUERIES, METRIC_INVARIANT_VIOLATIONS,
     METRIC_SERVE_LATENCY, METRIC_SHARDS, METRIC_SHARD_ACKED_EPOCH, METRIC_TCP_QUERIES,
     METRIC_TIMESYNC_FAILURES, METRIC_TIMESYNC_POOL_REFRESHES, METRIC_TIMESYNC_SYNCS,

@@ -1,15 +1,15 @@
-//! The sharded TTL pool cache.
+//! The TTL pool cache.
 //!
-//! [`PoolCache`] stores [`GenerationReport`]s keyed by
+//! `PoolCache` stores [`GenerationReport`]s keyed by
 //! `(domain, address family)` so that the expensive distributed generation
-//! runs once per TTL window instead of once per client query. The cache is
-//! split into shards selected by key hash — bounding the scan cost of any
-//! single operation and mirroring how a production deployment would shard
-//! to reduce lock contention — with LRU eviction inside each shard,
-//! **negative caching** of generation failures (a failed fan-out is
-//! remembered briefly instead of being retried by every queued client), and
-//! a **stale window** after expiry during which an entry is still served
-//! while a refresh regenerates it (stale-while-revalidate).
+//! runs once per TTL window instead of once per client query. It is one
+//! map under an exact capacity bound with LRU eviction (entries past every
+//! serving window go first), **negative caching** of generation failures
+//! (a failed fan-out is remembered briefly instead of being retried by
+//! every queued client), and a **stale window** after expiry during which
+//! an entry is still served while a refresh regenerates it
+//! (stale-while-revalidate). It is owned by one resolver and takes no
+//! lock: a deployment shards by giving each worker its own resolver.
 //!
 //! Beside each successful report the cache keeps its answer section in
 //! wire form (an [`AnswerTemplate`], built once when the entry is inserted
@@ -20,9 +20,7 @@
 //! Every operation takes `now` explicitly, so it composes with the
 //! simulator's virtual time and with any driver's notion of "now".
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
 use sdoh_dns_wire::{AnswerTemplate, Name, Question, RrType, Ttl};
@@ -92,7 +90,8 @@ impl std::fmt::Display for PoolKey {
     }
 }
 
-/// Configuration of a [`PoolCache`].
+/// The serving knobs of a [`CachingPoolResolver`](super::CachingPoolResolver):
+/// how much it caches and for how long.
 ///
 /// Non-exhaustive so future serving knobs aren't breaking changes: build
 /// it from [`CacheConfig::default`] with the `with_*` methods, and gate
@@ -101,10 +100,9 @@ impl std::fmt::Display for PoolKey {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct CacheConfig {
-    /// Total number of entries the cache may hold across all shards.
+    /// Number of entries the cache may hold — an exact bound, kept by
+    /// evicting the least recently used entry.
     pub capacity: usize,
-    /// Number of shards the key space is hashed over.
-    pub shards: usize,
     /// Lifetime of a successfully generated pool; doubles as the answer TTL
     /// budget the front end serves from.
     pub ttl: Ttl,
@@ -120,7 +118,6 @@ impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
             capacity: 1024,
-            shards: 8,
             ttl: Ttl::from_secs(60),
             stale_window: Duration::from_secs(60),
             negative_ttl: Ttl::from_secs(5),
@@ -129,15 +126,19 @@ impl Default for CacheConfig {
 }
 
 impl CacheConfig {
+    /// The uncached front end: zero TTL, stale window and negative TTL, so
+    /// nothing is ever stored and every query runs its own generation
+    /// (answers carry TTL 0 — usable now, not cacheable onward).
+    pub fn uncached() -> Self {
+        CacheConfig::default()
+            .with_ttl(Ttl::ZERO)
+            .with_stale_window(Duration::ZERO)
+            .with_negative_ttl(Ttl::ZERO)
+    }
+
     /// Sets the capacity, returning `self` for chaining.
     pub fn with_capacity(mut self, capacity: usize) -> Self {
         self.capacity = capacity;
-        self
-    }
-
-    /// Sets the shard count, returning `self` for chaining.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -160,18 +161,15 @@ impl CacheConfig {
     }
 
     /// Rejects configurations that would misbehave at runtime: a cache
-    /// with zero shards or zero capacity cannot hold a single entry.
-    /// ([`PoolCache::new`] historically clamps both to 1; validated
-    /// construction through [`ServeConfig::new`](super::ServeConfig::new)
-    /// errors instead.)
+    /// with zero capacity cannot hold a single entry.
+    /// ([`CachingPoolResolver::new`](super::CachingPoolResolver::new)
+    /// historically clamps it to 1; validated construction through
+    /// [`ServeConfig::new`](super::ServeConfig::new) errors instead.)
     ///
     /// # Errors
     ///
-    /// [`ConfigError::Zero`] naming the first zero field.
+    /// [`ConfigError::Zero`] naming the zero field.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.shards == 0 {
-            return Err(ConfigError::Zero("shards"));
-        }
         if self.capacity == 0 {
             return Err(ConfigError::Zero("capacity"));
         }
@@ -179,9 +177,9 @@ impl CacheConfig {
     }
 }
 
-/// A cached generation outcome: what [`PoolCache::get`] lends out and
-/// what a cache handoff ([`PoolCache::extract_matching`] →
-/// [`PoolCache::install`]) moves.
+/// A cached generation outcome: what a lookup lends out and what a cache
+/// handoff ([`extract_entries`](super::CachingPoolResolver::extract_entries)
+/// → [`install_entry`](super::CachingPoolResolver::install_entry)) moves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedPool {
     /// The generation outcome: a report, or the error string of a failed
@@ -246,7 +244,8 @@ pub enum EntryState {
     Dead,
 }
 
-/// Diagnostic view of one cache entry, produced by [`PoolCache::probe`].
+/// Diagnostic view of one cache entry, produced by
+/// [`CachingPoolResolver::probe_entries`](super::CachingPoolResolver::probe_entries).
 ///
 /// Invariant monitors (e.g. the `sdoh-chaos` campaign runner) use probes to
 /// assert that the cache never serves a pool older than TTL plus the stale
@@ -269,16 +268,16 @@ pub struct CacheEntryProbe {
 /// A usable entry, lent out by [`PoolCache::get`] for the duration of one
 /// serve.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CacheHit<'a> {
+pub(crate) struct CacheHit<'a> {
     /// The cached outcome and its stamps.
-    pub pool: &'a CachedPool,
+    pub(crate) pool: &'a CachedPool,
     /// The pool's answer section in wire form; `None` for a negative entry.
-    pub answer: Option<&'a AnswerTemplate>,
+    pub(crate) answer: Option<&'a AnswerTemplate>,
 }
 
 /// Outcome of a cache lookup at a given instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CacheLookup<'a> {
+pub(crate) enum CacheLookup<'a> {
     /// The entry is within its TTL.
     Fresh(CacheHit<'a>),
     /// The entry is past its TTL but within the stale window: serve it,
@@ -289,14 +288,7 @@ pub enum CacheLookup<'a> {
     Miss,
 }
 
-impl CacheLookup<'_> {
-    /// Returns `true` for [`CacheLookup::Miss`].
-    pub fn is_miss(&self) -> bool {
-        matches!(self, CacheLookup::Miss)
-    }
-}
-
-/// Operational counters of a [`PoolCache`].
+/// Operational counters of a resolver's pool cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheMetrics {
     /// Lookups answered from a fresh entry.
@@ -307,7 +299,7 @@ pub struct CacheMetrics {
     pub misses: u64,
     /// Entries inserted.
     pub insertions: u64,
-    /// Entries evicted to make room (LRU within the shard).
+    /// Entries evicted to make room (dead entries first, then LRU).
     pub evictions: u64,
     /// Entries dropped because they were expired beyond use.
     pub expirations: u64,
@@ -366,76 +358,49 @@ impl Entry {
     }
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    entries: HashMap<PoolKey, Entry>,
-}
-
-/// The sharded, LRU-bounded, TTL- and stale-window-aware pool cache.
+/// The LRU-bounded, TTL- and stale-window-aware pool cache.
 ///
 /// See the module documentation for the design.
 #[derive(Debug)]
-pub struct PoolCache {
+pub(crate) struct PoolCache {
     config: CacheConfig,
-    shards: Vec<Shard>,
-    /// The clamped total bound; never exceeded.
-    capacity: usize,
-    /// Per-shard ceiling bounding the worst-case skew of the key hash.
-    per_shard_capacity: usize,
+    entries: HashMap<PoolKey, Entry>,
     tick: u64,
     metrics: CacheMetrics,
 }
 
 impl PoolCache {
-    /// Creates a cache from a configuration (capacity and shard count are
-    /// clamped to at least 1).
-    // sdoh-lint: allow(hot-path-purity, "construction happens once, before serving starts")
-    pub fn new(config: CacheConfig) -> Self {
-        let shards = config.shards.max(1);
-        let capacity = config.capacity.max(1);
+    /// Creates a cache from a configuration (capacity is clamped to at
+    /// least 1).
+    pub(crate) fn new(config: CacheConfig) -> Self {
         PoolCache {
             config,
-            shards: (0..shards).map(|_| Shard::default()).collect(),
-            capacity,
-            per_shard_capacity: capacity.div_ceil(shards),
+            entries: HashMap::new(),
             tick: 0,
             metrics: CacheMetrics::default(),
         }
     }
 
-    /// The configuration the cache was built with.
-    pub fn config(&self) -> &CacheConfig {
+    /// The configuration the cache currently runs under.
+    pub(crate) fn config(&self) -> &CacheConfig {
         &self.config
     }
 
-    /// Number of entries currently stored across all shards (including
-    /// entries that have expired but not yet been purged).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.entries.len()).sum()
+    /// The entry bound, never exceeded: the configured capacity, clamped to
+    /// at least 1.
+    fn capacity(&self) -> usize {
+        self.config.capacity.max(1)
     }
 
-    /// Returns `true` when no shard holds an entry.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of shards the key space is hashed over.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// Number of entries currently stored (including entries that have
+    /// expired but not yet been dropped).
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
     }
 
     /// Snapshot of the operational counters.
-    pub fn metrics(&self) -> CacheMetrics {
+    pub(crate) fn metrics(&self) -> CacheMetrics {
         self.metrics
-    }
-
-    fn shard_index(&self, key: &PoolKey) -> usize {
-        // DefaultHasher with default keys is deterministic within and
-        // across runs, keeping the simulation reproducible from its seed.
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        // sdoh-lint: allow(no-narrowing-cast, "hash truncation only perturbs shard choice; the modulo keeps the index in range")
-        (hasher.finish() as usize) % self.shards.len()
     }
 
     /// Looks up `key` at virtual time `now`.
@@ -445,20 +410,18 @@ impl PoolCache {
     /// serves it and schedules a refresh); anything older — and any expired
     /// negative entry — is dropped and reported as a miss. A hit lends the
     /// entry out; nothing is cloned.
-    // sdoh-lint: allow(no-panic, "shard_index is a modulo over shards.len(), always in range")
-    pub fn get(&mut self, key: &PoolKey, now: SimInstant) -> CacheLookup<'_> {
+    pub(crate) fn get(&mut self, key: &PoolKey, now: SimInstant) -> CacheLookup<'_> {
         self.tick += 1;
-        let shard = self.shard_index(key);
-        let entries = &mut self.shards[shard].entries;
         // Judge first and lend second: a borrow that may be handed back to
         // the caller cannot also cover the removal of a dead entry.
-        let state = entries
+        let state = self
+            .entries
             .get(key)
             .map(|entry| entry.cached.state(&self.config, now));
         let entry = match state {
-            Some(EntryState::Fresh | EntryState::Stale) => entries.get_mut(key),
+            Some(EntryState::Fresh | EntryState::Stale) => self.entries.get_mut(key),
             Some(EntryState::Dead) => {
-                entries.remove(key);
+                self.entries.remove(key);
                 self.metrics.expirations += 1;
                 None
             }
@@ -478,37 +441,24 @@ impl PoolCache {
         }
     }
 
-    /// Inspects the entry for `key` without touching LRU state or counters
-    /// (diagnostics and tests).
-    // sdoh-lint: allow(no-panic, "shard_index is a modulo over shards.len(), always in range")
-    pub fn peek(&self, key: &PoolKey) -> Option<CachedPool> {
-        let shard = self.shard_index(key);
-        self.shards[shard]
-            .entries
-            .get(key)
-            .map(|entry| entry.cached.clone())
-    }
-
-    /// Probes every entry across all shards at instant `now`, without
-    /// touching LRU state or counters.
+    /// Probes every entry at instant `now`, without touching LRU state or
+    /// counters.
     ///
     /// The result is sorted by key (domain, then family) so that a probe of
-    /// the same cache state is byte-identical across processes — shard maps
-    /// iterate in a process-random order. This is the invariant surface
+    /// the same cache state is byte-identical across processes — the map
+    /// iterates in a process-random order. This is the invariant surface
     /// chaos campaigns monitor after every step.
     // sdoh-lint: allow(hot-path-purity, "probe is the chaos-monitor surface, never the serving path")
-    pub fn probe(&self, now: SimInstant) -> Vec<CacheEntryProbe> {
-        let config = self.config;
+    pub(crate) fn probe(&self, now: SimInstant) -> Vec<CacheEntryProbe> {
         let mut probes: Vec<CacheEntryProbe> = self
-            .shards
+            .entries
             .iter()
-            .flat_map(|shard| shard.entries.iter())
             .map(|(key, entry)| CacheEntryProbe {
                 key: key.clone(),
                 negative: entry.cached.value.is_err(),
                 age: now.saturating_duration_since(entry.cached.generated_at),
                 remaining: entry.cached.remaining(now),
-                state: entry.cached.state(&config, now),
+                state: entry.cached.state(&self.config, now),
             })
             .collect();
         probes.sort_by_key(|p| p.key.to_string());
@@ -518,8 +468,7 @@ impl PoolCache {
     /// Stores a generation outcome for `key` produced at `now`. Successful
     /// generations live for the configured TTL, failures for the negative
     /// TTL; a zero lifetime skips insertion entirely.
-    // sdoh-lint: allow(no-panic, "shard_index is a modulo over shards.len(), always in range")
-    pub fn insert(
+    pub(crate) fn insert(
         &mut self,
         key: PoolKey,
         value: Result<GenerationReport, String>,
@@ -533,54 +482,40 @@ impl PoolCache {
             return;
         }
         self.tick += 1;
-        let tick = self.tick;
-        let shard_index = self.shard_index(&key);
-        if !self.shards[shard_index].entries.contains_key(&key) {
-            // The total bound holds exactly; the per-shard ceiling
-            // additionally bounds the worst-case skew of the key hash.
-            if self.len() >= self.capacity {
-                self.evict_one(None, now);
-            } else if self.shards[shard_index].entries.len() >= self.per_shard_capacity {
-                self.evict_one(Some(shard_index), now);
-            }
-        }
+        self.make_room_for(&key, now);
         let cached = CachedPool {
             value,
             generated_at: now,
             expires_at: now.saturating_add(lifetime.as_duration()),
         };
-        let entry = Entry::new(&key, cached, tick);
-        self.shards[shard_index].entries.insert(key, entry);
+        let entry = Entry::new(&key, cached, self.tick);
+        self.entries.insert(key, entry);
         self.metrics.insertions += 1;
     }
 
-    /// Evicts one entry from `scope` (one shard, or the whole cache),
-    /// preferring an entry already past any use over the least recently
-    /// used one.
-    // sdoh-lint: allow(hot-path-purity, "eviction scans run only when the cache is full; amortized cold")
-    // sdoh-lint: allow(no-panic, "scope and victim shards come from 0..shards.len()")
-    fn evict_one(&mut self, scope: Option<usize>, now: SimInstant) {
-        let config = self.config;
-        let shards: Vec<usize> = match scope {
-            Some(shard) => vec![shard],
-            None => (0..self.shards.len()).collect(),
-        };
-        let mut dead: Option<(usize, PoolKey)> = None;
-        let mut lru: Option<(u64, usize, PoolKey)> = None;
-        'shards: for &shard in &shards {
-            for (key, entry) in &self.shards[shard].entries {
-                if now >= entry.cached.keep_until(&config) {
-                    dead = Some((shard, key.clone()));
-                    break 'shards;
-                }
-                if lru.as_ref().is_none_or(|(t, _, _)| entry.last_used < *t) {
-                    lru = Some((entry.last_used, shard, key.clone()));
-                }
+    /// Keeps the capacity bound across the insertion of `key`: a new key
+    /// arriving at a full cache evicts one entry first.
+    fn make_room_for(&mut self, key: &PoolKey, now: SimInstant) {
+        if !self.entries.contains_key(key) && self.entries.len() >= self.capacity() {
+            self.evict_one(now);
+        }
+    }
+
+    /// Evicts one entry, preferring one already past any use over the
+    /// least recently used one.
+    fn evict_one(&mut self, now: SimInstant) {
+        let mut victim: Option<(u64, &PoolKey)> = None;
+        for (key, entry) in &self.entries {
+            if now >= entry.cached.keep_until(&self.config) {
+                victim = Some((entry.last_used, key));
+                break;
+            }
+            if victim.is_none_or(|(oldest, _)| entry.last_used < oldest) {
+                victim = Some((entry.last_used, key));
             }
         }
-        let victim = dead.or_else(|| lru.map(|(_, shard, key)| (shard, key)));
-        if let Some((shard, key)) = victim {
-            self.shards[shard].entries.remove(&key);
+        if let Some(key) = victim.map(|(_, key)| key.clone()) {
+            self.entries.remove(&key);
             self.metrics.evictions += 1;
         }
     }
@@ -590,18 +525,12 @@ impl PoolCache {
     /// while each cached entry keeps the expiry it was stamped with at
     /// insert (stale serving of old entries is additionally capped by the
     /// new `ttl + stale_window` horizon — see `CachedPool::keep_until`).
-    ///
-    /// The shard count is structural (entries were hashed onto shards at
-    /// insert), so `config.shards` is overridden with the built value.
     /// When the capacity shrank, surplus entries are evicted immediately,
     /// dead entries first.
-    pub fn apply_config(&mut self, mut config: CacheConfig, now: SimInstant) {
-        config.shards = self.shards.len();
-        self.capacity = config.capacity.max(1);
-        self.per_shard_capacity = self.capacity.div_ceil(self.shards.len());
+    pub(crate) fn apply_config(&mut self, config: CacheConfig, now: SimInstant) {
         self.config = config;
-        while self.len() > self.capacity {
-            self.evict_one(None, now);
+        while self.entries.len() > self.capacity() {
+            self.evict_one(now);
         }
     }
 
@@ -611,24 +540,23 @@ impl PoolCache {
     /// handoff is deterministic across processes. Touches neither LRU
     /// state nor the lookup counters.
     // sdoh-lint: allow(hot-path-purity, "rescale handoff runs on the control plane, not per query")
-    pub fn extract_matching(
+    pub(crate) fn extract_matching(
         &mut self,
         mut predicate: impl FnMut(&PoolKey) -> bool,
     ) -> Vec<(PoolKey, CachedPool)> {
-        let mut extracted = Vec::new();
-        for shard in &mut self.shards {
-            let keys: Vec<PoolKey> = shard
-                .entries
-                .keys()
-                .filter(|key| predicate(key))
-                .cloned()
-                .collect();
-            for key in keys {
-                if let Some(entry) = shard.entries.remove(&key) {
-                    extracted.push((key, entry.cached));
-                }
-            }
-        }
+        let keys: Vec<PoolKey> = self
+            .entries
+            .keys()
+            .filter(|key| predicate(key))
+            .cloned()
+            .collect();
+        let mut extracted: Vec<(PoolKey, CachedPool)> = keys
+            .into_iter()
+            .filter_map(|key| {
+                let entry = self.entries.remove(&key)?;
+                Some((key, entry.cached))
+            })
+            .collect();
         extracted.sort_by_key(|(key, _)| key.to_string());
         extracted
     }
@@ -639,59 +567,25 @@ impl PoolCache {
     /// handoff. Returns `false` (dropping the entry) when it is already
     /// past every serving window at `now`, or when an existing entry for
     /// the key is at least as fresh — so a key is never owned by two
-    /// entries and a handoff never clobbers a newer generation. Capacity bounds are enforced exactly as on insert.
-    // sdoh-lint: allow(no-panic, "shard_index is a modulo over shards.len(), always in range")
-    pub fn install(&mut self, key: PoolKey, cached: CachedPool, now: SimInstant) -> bool {
+    /// entries and a handoff never clobbers a newer generation. The
+    /// capacity bound is enforced exactly as on insert.
+    pub(crate) fn install(&mut self, key: PoolKey, cached: CachedPool, now: SimInstant) -> bool {
         self.tick += 1;
         if now >= cached.keep_until(&self.config) {
             return false;
         }
-        let shard_index = self.shard_index(&key);
-        match self.shards[shard_index].entries.get(&key) {
-            Some(existing) if existing.cached.expires_at >= cached.expires_at => return false,
-            Some(_) => {}
-            None => {
-                if self.len() >= self.capacity {
-                    self.evict_one(None, now);
-                } else if self.shards[shard_index].entries.len() >= self.per_shard_capacity {
-                    self.evict_one(Some(shard_index), now);
-                }
-            }
+        let superseded = self
+            .entries
+            .get(&key)
+            .is_some_and(|existing| existing.cached.expires_at >= cached.expires_at);
+        if superseded {
+            return false;
         }
+        self.make_room_for(&key, now);
         let entry = Entry::new(&key, cached, self.tick);
-        self.shards[shard_index].entries.insert(key, entry);
+        self.entries.insert(key, entry);
         self.metrics.insertions += 1;
         true
-    }
-
-    /// Removes the entry for `key`, returning whether one existed.
-    // sdoh-lint: allow(no-panic, "shard_index is a modulo over shards.len(), always in range")
-    pub fn invalidate(&mut self, key: &PoolKey) -> bool {
-        let shard = self.shard_index(key);
-        self.shards[shard].entries.remove(key).is_some()
-    }
-
-    /// Drops every entry that is past its stale window at `now`; returns
-    /// how many were dropped.
-    pub fn purge_expired(&mut self, now: SimInstant) -> usize {
-        let config = self.config;
-        let mut dropped = 0;
-        for shard in &mut self.shards {
-            let before = shard.entries.len();
-            shard
-                .entries
-                .retain(|_, e| now < e.cached.keep_until(&config));
-            dropped += before - shard.entries.len();
-        }
-        self.metrics.expirations += u64::try_from(dropped).unwrap_or(u64::MAX);
-        dropped
-    }
-
-    /// Removes every entry.
-    pub fn clear(&mut self) {
-        for shard in &mut self.shards {
-            shard.entries.clear();
-        }
     }
 }
 
@@ -718,6 +612,14 @@ mod tests {
 
     fn at(secs: u64) -> SimInstant {
         SimInstant::from_nanos(secs * 1_000_000_000)
+    }
+
+    fn is_miss(lookup: CacheLookup<'_>) -> bool {
+        matches!(lookup, CacheLookup::Miss)
+    }
+
+    fn peek(cache: &PoolCache, key: &PoolKey) -> Option<CachedPool> {
+        cache.entries.get(key).map(|entry| entry.cached.clone())
     }
 
     fn test_config() -> CacheConfig {
@@ -747,8 +649,8 @@ mod tests {
             }
             other => panic!("expected stale, got {other:?}"),
         }
-        assert!(cache.get(&key("pool.ntp.org"), at(91)).is_miss());
-        assert!(cache.is_empty(), "expired entry was dropped");
+        assert!(is_miss(cache.get(&key("pool.ntp.org"), at(91))));
+        assert_eq!(cache.len(), 0, "expired entry was dropped");
         let metrics = cache.metrics();
         assert_eq!(metrics.hits, 1);
         assert_eq!(metrics.stale_hits, 1);
@@ -806,7 +708,7 @@ mod tests {
             other => panic!("expected fresh negative, got {other:?}"),
         }
         // One second past the negative TTL: a miss, not a stale serve.
-        assert!(cache.get(&key("dead.test"), at(6)).is_miss());
+        assert!(is_miss(cache.get(&key("dead.test"), at(6))));
     }
 
     #[test]
@@ -815,30 +717,29 @@ mod tests {
         let v4 = PoolKey::new("dual.test".parse().unwrap(), AddressFamily::V4);
         let v6 = PoolKey::new("dual.test".parse().unwrap(), AddressFamily::V6);
         cache.insert(v4.clone(), Ok(report(1)), at(0));
-        assert!(!cache.get(&v4, at(1)).is_miss());
-        assert!(cache.get(&v6, at(1)).is_miss());
+        assert!(!is_miss(cache.get(&v4, at(1))));
+        assert!(is_miss(cache.get(&v6, at(1))));
         assert_eq!(format!("{v4}"), "dual.test./A");
     }
 
     #[test]
     fn lru_eviction_keeps_the_recently_used_entry() {
-        // One shard so the two keys compete for the same capacity.
-        let config = test_config().with_capacity(2).with_shards(1);
+        let config = test_config().with_capacity(2);
         let mut cache = PoolCache::new(config);
         cache.insert(key("a.test"), Ok(report(1)), at(0));
         cache.insert(key("b.test"), Ok(report(2)), at(1));
         // Touch `a` so `b` becomes the LRU victim.
-        assert!(!cache.get(&key("a.test"), at(2)).is_miss());
+        assert!(!is_miss(cache.get(&key("a.test"), at(2))));
         cache.insert(key("c.test"), Ok(report(3)), at(3));
         assert_eq!(cache.len(), 2);
-        assert!(!cache.get(&key("a.test"), at(4)).is_miss());
-        assert!(cache.get(&key("b.test"), at(4)).is_miss());
+        assert!(!is_miss(cache.get(&key("a.test"), at(4))));
+        assert!(is_miss(cache.get(&key("b.test"), at(4))));
         assert_eq!(cache.metrics().evictions, 1);
     }
 
     #[test]
     fn eviction_prefers_dead_entries_over_lru() {
-        let config = test_config().with_capacity(2).with_shards(1);
+        let config = test_config().with_capacity(2);
         let mut cache = PoolCache::new(config);
         // `live` carries the oldest LRU stamp, but `old` (inserted at t=0)
         // is past TTL + stale window by t=120: eviction must pick the dead
@@ -846,9 +747,9 @@ mod tests {
         cache.insert(key("live.test"), Ok(report(2)), at(100));
         cache.insert(key("old.test"), Ok(report(1)), at(0));
         cache.insert(key("new.test"), Ok(report(3)), at(120));
-        assert!(cache.get(&key("old.test"), at(120)).is_miss());
-        assert!(!cache.get(&key("live.test"), at(120)).is_miss());
-        assert!(!cache.get(&key("new.test"), at(120)).is_miss());
+        assert!(is_miss(cache.get(&key("old.test"), at(120))));
+        assert!(!is_miss(cache.get(&key("live.test"), at(120))));
+        assert!(!is_miss(cache.get(&key("new.test"), at(120))));
         assert_eq!(cache.metrics().evictions, 1);
     }
 
@@ -857,87 +758,70 @@ mod tests {
         // A negative entry has no stale window: once past its (short) TTL
         // it is unusable and must be evicted before any live entry, even
         // though the dead-check for positive entries uses TTL + stale.
-        let config = test_config().with_capacity(2).with_shards(1);
+        let config = test_config().with_capacity(2);
         let mut cache = PoolCache::new(config);
         cache.insert(key("dead.test"), Err("boom".into()), at(0)); // unusable after t=5
         cache.insert(key("live.test"), Ok(report(1)), at(6));
         cache.insert(key("new.test"), Ok(report(2)), at(6));
-        assert!(!cache.get(&key("live.test"), at(7)).is_miss());
-        assert!(!cache.get(&key("new.test"), at(7)).is_miss());
-        assert!(cache.get(&key("dead.test"), at(7)).is_miss());
+        assert!(!is_miss(cache.get(&key("live.test"), at(7))));
+        assert!(!is_miss(cache.get(&key("new.test"), at(7))));
+        assert!(is_miss(cache.get(&key("dead.test"), at(7))));
     }
 
     #[test]
-    fn total_capacity_is_an_exact_bound_across_shards() {
-        // div_ceil(10, 8) = 2 per shard would allow up to 16 entries; the
-        // documented total bound must still hold exactly.
-        let config = test_config().with_capacity(10).with_shards(8);
-        let mut cache = PoolCache::new(config);
-        for i in 0..50 {
-            cache.insert(key(&format!("host{i}.test")), Ok(report(1)), at(0));
-            assert!(
-                cache.len() <= 10,
-                "{} entries after insert {i}",
-                cache.len()
+    fn capacity_is_an_exact_global_lru_bound() {
+        let mut cache = PoolCache::new(test_config().with_capacity(16));
+        let host = |i: usize| key(&format!("host{i}.test"));
+        for i in 0..16 {
+            cache.insert(host(i), Ok(report(1)), at(0));
+        }
+        // Known recency: everything but hosts 3, 7, 8 and 12 is touched
+        // after the fill, so exactly those four are least recently used.
+        let cold = [3, 7, 8, 12];
+        for i in (0..16).filter(|i| !cold.contains(i)) {
+            assert!(!is_miss(cache.get(&host(i), at(1))));
+        }
+        for i in 16..20 {
+            cache.insert(host(i), Ok(report(1)), at(2));
+            assert_eq!(cache.len(), 16, "after inserting host{i}");
+        }
+        assert_eq!(cache.metrics().evictions, 4);
+        for i in 0..20 {
+            assert_eq!(
+                peek(&cache, &host(i)).is_none(),
+                cold.contains(&i),
+                "host{i}"
             );
         }
-        assert_eq!(cache.len(), 10);
-        assert_eq!(cache.metrics().evictions, 40);
     }
 
     #[test]
-    fn sharding_distributes_and_len_aggregates() {
-        let config = test_config().with_capacity(64).with_shards(4);
-        let mut cache = PoolCache::new(config);
-        for i in 0..32 {
-            cache.insert(key(&format!("host{i}.test")), Ok(report(1)), at(0));
-        }
-        assert_eq!(cache.len(), 32);
-        assert_eq!(cache.shard_count(), 4);
-        let populated = (0..4)
-            .filter(|&s| !cache.shards[s].entries.is_empty())
-            .count();
-        assert!(populated > 1, "keys spread over more than one shard");
-        assert_eq!(cache.purge_expired(at(1_000)), 32);
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn zero_capacity_and_shards_are_clamped() {
-        let config = test_config().with_capacity(0).with_shards(0);
-        let mut cache = PoolCache::new(config);
+    fn zero_capacity_is_clamped() {
+        let mut cache = PoolCache::new(test_config().with_capacity(0));
         cache.insert(key("a.test"), Ok(report(1)), at(0));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.shard_count(), 1);
-    }
-
-    #[test]
-    fn invalidate_and_clear() {
-        let mut cache = PoolCache::new(test_config());
-        cache.insert(key("a.test"), Ok(report(1)), at(0));
-        assert!(cache.peek(&key("a.test")).is_some());
-        assert!(cache.invalidate(&key("a.test")));
-        assert!(!cache.invalidate(&key("a.test")));
         cache.insert(key("b.test"), Ok(report(2)), at(0));
-        cache.clear();
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn zero_ttl_skips_insertion() {
         let mut cache = PoolCache::new(test_config().with_ttl(Ttl::ZERO));
         cache.insert(key("a.test"), Ok(report(1)), at(0));
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
         let mut cache = PoolCache::new(test_config().with_negative_ttl(Ttl::ZERO));
         cache.insert(key("a.test"), Err("boom".into()), at(0));
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
+        let mut cache = PoolCache::new(CacheConfig::uncached());
+        cache.insert(key("a.test"), Ok(report(1)), at(0));
+        cache.insert(key("b.test"), Err("boom".into()), at(0));
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]
     fn apply_config_retunes_knobs_without_touching_entries() {
         let mut cache = PoolCache::new(test_config());
         cache.insert(key("pool.ntp.org"), Ok(report(1)), at(0));
-        let stamped = cache.peek(&key("pool.ntp.org")).unwrap().expires_at;
+        let stamped = peek(&cache, &key("pool.ntp.org")).unwrap().expires_at;
 
         // New epoch: longer stale window, same TTL. The entry keeps its
         // stamped expiry but the new stale window applies to it at once.
@@ -946,27 +830,22 @@ mod tests {
             at(10),
         );
         assert_eq!(
-            cache.peek(&key("pool.ntp.org")).unwrap().expires_at,
+            peek(&cache, &key("pool.ntp.org")).unwrap().expires_at,
             stamped
         );
         match cache.get(&key("pool.ntp.org"), at(100)) {
             CacheLookup::Stale(_) => {}
             other => panic!("stale under the widened window, got {other:?}"),
         }
-        // Shards are structural: the override never changes the count.
-        cache.apply_config(test_config().with_shards(99), at(10));
-        assert_eq!(cache.shard_count(), 8);
-        assert_eq!(cache.config().shards, 8);
     }
 
     #[test]
     fn apply_config_shrinking_capacity_evicts_immediately() {
-        let config = test_config().with_capacity(8).with_shards(1);
-        let mut cache = PoolCache::new(config);
+        let mut cache = PoolCache::new(test_config().with_capacity(8));
         for i in 0..8 {
             cache.insert(key(&format!("host{i}.test")), Ok(report(1)), at(0));
         }
-        cache.apply_config(test_config().with_capacity(3).with_shards(1), at(1));
+        cache.apply_config(test_config().with_capacity(3), at(1));
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.metrics().evictions, 5);
         // And the new bound holds for subsequent inserts.
@@ -997,7 +876,7 @@ mod tests {
             other => panic!("within the capped window, got {other:?}"),
         }
         assert!(
-            cache.get(&key("pool.ntp.org"), at(122)).is_miss(),
+            is_miss(cache.get(&key("pool.ntp.org"), at(122))),
             "age 122 exceeds the max of the old (60) and new (121) horizons"
         );
     }
@@ -1017,21 +896,21 @@ mod tests {
         for (k, cached) in moved {
             assert!(receiver.install(k, cached, at(20)));
         }
-        let adopted = receiver.peek(&key("a.test")).unwrap();
+        let adopted = peek(&receiver, &key("a.test")).unwrap();
         assert_eq!(adopted.generated_at, at(5));
         assert_eq!(adopted.expires_at, at(65), "expiry stamp preserved");
 
         // Installing a dead entry is refused...
         let all = donor.extract_matching(|_| true);
         assert_eq!(all.len(), 2);
-        assert!(donor.is_empty());
+        assert_eq!(donor.len(), 0);
         let (dead_key, dead) = all
             .iter()
             .find(|(k, _)| k.domain.to_string().starts_with("dead"))
             .cloned()
             .unwrap();
         assert!(!receiver.install(dead_key.clone(), dead, at(20)));
-        assert!(receiver.peek(&dead_key).is_none());
+        assert!(peek(&receiver, &dead_key).is_none());
 
         // ...and so is clobbering an at-least-as-fresh existing entry.
         let stale_twin = CachedPool {
@@ -1040,15 +919,11 @@ mod tests {
             expires_at: at(60),
         };
         assert!(!receiver.install(key("a.test"), stale_twin, at(20)));
-        assert_eq!(receiver.peek(&key("a.test")).unwrap().expires_at, at(65));
+        assert_eq!(peek(&receiver, &key("a.test")).unwrap().expires_at, at(65));
     }
 
     #[test]
     fn validate_rejects_zero_structural_knobs() {
-        assert_eq!(
-            test_config().with_shards(0).validate(),
-            Err(ConfigError::Zero("shards"))
-        );
         assert_eq!(
             test_config().with_capacity(0).validate(),
             Err(ConfigError::Zero("capacity"))

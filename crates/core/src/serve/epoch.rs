@@ -81,7 +81,7 @@ impl ServeConfig {
 
     /// Wraps `cache` as epoch 0 **without** validation — the constructor
     /// behind [`CachingPoolResolver::new`](super::CachingPoolResolver::new),
-    /// which historically clamps zero capacity/shards instead of erroring.
+    /// which historically clamps a zero capacity instead of erroring.
     /// New code should prefer [`ServeConfig::new`].
     pub fn initial(cache: CacheConfig) -> Self {
         ServeConfig { epoch: 0, cache }
@@ -117,8 +117,6 @@ mod tests {
 
     #[test]
     fn validation_gates_construction() {
-        let err = ServeConfig::new(CacheConfig::default().with_shards(0)).unwrap_err();
-        assert_eq!(err, ConfigError::Zero("shards"));
         let err = ServeConfig::new(CacheConfig::default().with_capacity(0)).unwrap_err();
         assert_eq!(err, ConfigError::Zero("capacity"));
         assert!(!err.to_string().is_empty());
@@ -137,7 +135,7 @@ mod tests {
         assert_eq!(second.cache().capacity, 42);
         // The predecessor is untouched (epochs are immutable snapshots).
         assert_eq!(first.cache().capacity, 1024);
-        assert!(first.next(CacheConfig::default().with_shards(0)).is_err());
+        assert!(first.next(CacheConfig::default().with_capacity(0)).is_err());
     }
 
     #[test]

@@ -1,27 +1,31 @@
-//! The pool-serving subsystem: cache, coalescing and background refresh.
+//! The pool front end: one resolver over one cache.
 //!
 //! Secure pool generation is expensive by design — every lookup fans out to
-//! N DoH resolvers and cross-validates the answers — and the plain
-//! [`SecurePoolResolver`](crate::SecurePoolResolver) front end pays that
-//! cost for **every client query**. This module adds the serving layer that
-//! makes the mechanism scale to heavy client traffic:
+//! N DoH resolvers and cross-validates the answers. This module is the
+//! paper's "majority DNS resolver": the standard-compatible front end that
+//! serves those pools to unmodified DNS clients, and the layer that keeps
+//! serving them cheap under heavy client traffic:
 //!
-//! * [`PoolCache`] — a **sharded TTL cache** of [`GenerationReport`]s keyed
-//!   by `(domain, address family)`, with LRU eviction inside capacity
-//!   bounds, negative caching of generation failures and a stale window,
-//! * [`Singleflight`] — **coalescing** so concurrent misses for the same
-//!   key share one in-flight generation instead of each launching its own
-//!   fan-out,
-//! * [`RefreshScheduler`] + the stale window — **stale-while-revalidate**:
-//!   an expired entry is served immediately while a background refresh
-//!   regenerates the pool off the query path,
-//! * [`ServeSession`] — the sans-IO session driving the generations of a
-//!   whole serving batch as one overlapped fan-out (scheduled via
-//!   `poll()`/`WaitUntil`, so it composes with the simulator's virtual
-//!   clock),
-//! * [`CachingPoolResolver`] — the `QueryHandler` front end tying it all
-//!   together, with [`ServeMetrics`] (hits, misses, coalesced waiters,
-//!   stale serves, refreshes, …).
+//! * [`CachingPoolResolver`] — the `QueryHandler` front end, with
+//!   [`ServeMetrics`] (hits, misses, coalesced waiters, stale serves,
+//!   refreshes, …). Everything below is its private machinery; what it
+//!   caches and for how long is a [`CacheConfig`], and
+//!   [`CacheConfig::uncached`] is the generation-per-query front end.
+//! * a **TTL cache** of [`GenerationReport`]s keyed by
+//!   `(domain, address family)` ([`PoolKey`]): one map under an exact
+//!   LRU capacity bound, with negative caching of generation failures and
+//!   a stale window. A deployment shards by giving each worker its own
+//!   resolver, never inside one.
+//! * **singleflight coalescing** — concurrent misses for the same key
+//!   share one in-flight generation instead of each launching its own
+//!   fan-out ([`CachingPoolResolver::serve_batch`]),
+//! * **stale-while-revalidate** — an expired entry within the stale window
+//!   is served immediately while a background refresh regenerates the pool
+//!   off the query path ([`CachingPoolResolver::next_refresh_due`],
+//!   [`CachingPoolResolver::run_due_refreshes`]),
+//! * a sans-IO serve session driving the generations of a whole serving
+//!   batch as one overlapped fan-out (scheduled via `poll()`/`WaitUntil`,
+//!   so it composes with the simulator's virtual clock).
 //!
 //! Serving cost drops from one generation per query to one generation per
 //! `(domain, TTL window)` while every served answer still comes from a real
@@ -34,11 +38,11 @@
 //! question and the TTL. So the answer is encoded **once per generation,
 //! not once per hit**:
 //!
-//! * *Built when an entry enters the cache* ([`PoolCache::insert`], or
-//!   [`PoolCache::install`] on a shard hand-off): an
+//! * *Built when an entry enters the cache* (a generation's insert, or
+//!   [`CachingPoolResolver::install_entry`] on a shard hand-off): an
 //!   [`AnswerTemplate`](sdoh_dns_wire::AnswerTemplate) — the records of
 //!   the key's address family in wire form, stored beside the report.
-//! * *Patched per hit*: [`PoolCache::get`] lends the entry out (nothing is
+//! * *Patched per hit*: the cache lookup lends the entry out (nothing is
 //!   cloned), and the front end's
 //!   [`handle_query_wire`](sdoh_dns_server::QueryHandler::handle_query_wire)
 //!   copies the template into the caller's buffer behind a fresh header
@@ -69,11 +73,9 @@ mod session;
 mod singleflight;
 
 pub use cache::{
-    AddressFamily, CacheConfig, CacheEntryProbe, CacheHit, CacheLookup, CacheMetrics, CachedPool,
-    EntryState, PoolCache, PoolKey,
+    AddressFamily, CacheConfig, CacheEntryProbe, CacheMetrics, CachedPool, EntryState, PoolKey,
 };
 pub use epoch::{ConfigError, ServeConfig};
-pub use refresh::{RefreshScheduler, RefreshTask};
 pub use resolver::{CachingPoolResolver, ResolvedPool, ServeMetrics, ServeSnapshot};
 pub use samples::{
     snapshot_samples, APP_METRIC_HELP, METRIC_CONFIG_EPOCH, METRIC_DROPPED_QUERIES,
@@ -82,8 +84,3 @@ pub use samples::{
     METRIC_TIMESYNC_SYNCS, METRIC_TRUNCATED_RESPONSES, METRIC_UDP_QUERIES,
     METRIC_UNRESPONSIVE_SHARDS, RUNTIME_METRIC_HELP, SERVE_COUNTER_HELP, SERVE_GAUGE_HELP,
 };
-pub use session::{
-    drive_serve, FlightOutcome, ServeAction, ServeEvent, ServeSession, ServeTransactionId,
-    ServeTransmit,
-};
-pub use singleflight::{FlightJoin, Singleflight};

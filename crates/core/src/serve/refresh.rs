@@ -18,30 +18,29 @@ use super::cache::PoolKey;
 
 /// One queued refresh: regenerate `key` at (or after) `due`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RefreshTask {
+pub(crate) struct RefreshTask {
     /// The cache key to regenerate.
-    pub key: PoolKey,
+    pub(crate) key: PoolKey,
     /// The virtual instant from which the refresh may run.
-    pub due: SimInstant,
+    pub(crate) due: SimInstant,
 }
 
 /// The sans-IO refresh queue. See the module documentation.
 #[derive(Debug, Clone, Default)]
-pub struct RefreshScheduler {
+pub(crate) struct RefreshScheduler {
     pending: Vec<RefreshTask>,
-    scheduled_total: u64,
 }
 
 impl RefreshScheduler {
     /// Creates an empty scheduler.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RefreshScheduler::default()
     }
 
     /// Queues a refresh of `key` at `due`. Returns `true` when the key was
     /// newly queued; a key already pending keeps the earlier of the two
     /// deadlines and returns `false`.
-    pub fn schedule(&mut self, key: PoolKey, due: SimInstant) -> bool {
+    pub(crate) fn schedule(&mut self, key: PoolKey, due: SimInstant) -> bool {
         if let Some(task) = self.pending.iter_mut().find(|t| t.key == key) {
             if due < task.due {
                 task.due = due;
@@ -49,19 +48,18 @@ impl RefreshScheduler {
             return false;
         }
         self.pending.push(RefreshTask { key, due });
-        self.scheduled_total += 1;
         true
     }
 
     /// The earliest pending deadline — how long a driver may wait before
     /// pumping refreshes (`None` when the queue is empty).
-    pub fn next_due(&self) -> Option<SimInstant> {
+    pub(crate) fn next_due(&self) -> Option<SimInstant> {
         self.pending.iter().map(|t| t.due).min()
     }
 
     /// Removes and returns every key whose deadline is at or before `now`,
     /// in scheduling order.
-    pub fn take_due(&mut self, now: SimInstant) -> Vec<PoolKey> {
+    pub(crate) fn take_due(&mut self, now: SimInstant) -> Vec<PoolKey> {
         let mut due = Vec::new(); // sdoh-lint: allow(hot-path-purity, "an empty Vec::new never allocates; it only grows when refreshes are due")
         self.pending.retain(|task| {
             if task.due <= now {
@@ -76,25 +74,15 @@ impl RefreshScheduler {
 
     /// Drops a pending refresh for `key`, returning whether one existed
     /// (e.g. after the entry was invalidated).
-    pub fn cancel(&mut self, key: &PoolKey) -> bool {
+    pub(crate) fn cancel(&mut self, key: &PoolKey) -> bool {
         let before = self.pending.len();
         self.pending.retain(|t| t.key != *key);
         before != self.pending.len()
     }
 
     /// Number of refreshes currently queued.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Returns `true` when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Total number of distinct refreshes ever queued.
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
     }
 }
 
@@ -118,7 +106,6 @@ mod tests {
         assert!(!scheduler.schedule(key("a.test"), at(5)));
         assert!(!scheduler.schedule(key("a.test"), at(20)));
         assert_eq!(scheduler.len(), 1);
-        assert_eq!(scheduler.scheduled_total(), 1);
         assert_eq!(scheduler.next_due(), Some(at(5)));
     }
 
@@ -134,7 +121,7 @@ mod tests {
         assert_eq!(scheduler.len(), 1);
         assert_eq!(scheduler.next_due(), Some(at(20)));
         assert_eq!(scheduler.take_due(at(100)), vec![key("b.test")]);
-        assert!(scheduler.is_empty());
+        assert_eq!(scheduler.len(), 0);
         assert_eq!(scheduler.next_due(), None);
     }
 
@@ -144,6 +131,6 @@ mod tests {
         scheduler.schedule(key("a.test"), at(10));
         assert!(scheduler.cancel(&key("a.test")));
         assert!(!scheduler.cancel(&key("a.test")));
-        assert!(scheduler.is_empty());
+        assert_eq!(scheduler.len(), 0);
     }
 }

@@ -1,17 +1,24 @@
-//! The caching DNS front end: [`CachingPoolResolver`].
+//! The DNS front end: [`CachingPoolResolver`].
 //!
-//! [`SecurePoolResolver`](crate::SecurePoolResolver) runs a full
-//! distributed generation for **every** client query, so serving cost
-//! scales linearly with client traffic. `CachingPoolResolver` puts the
-//! serving subsystem in between: queries are answered from the sharded
-//! [`PoolCache`], cold bursts are coalesced so concurrent misses for one
+//! The paper proposes deploying the mechanism "without changing the DNS
+//! infrastructure, offering a standard-compatible DNS-resolver interface".
+//! `CachingPoolResolver` is that interface: it answers ordinary A/AAAA
+//! queries from unmodified stub resolvers by running distributed DoH pool
+//! generation underneath and returning the combined (or majority-filtered)
+//! addresses as a plain DNS response.
+//!
+//! Running a full generation for **every** client query would make serving
+//! cost scale linearly with client traffic, so queries are answered from
+//! the pool cache, cold bursts are coalesced so concurrent misses for one
 //! domain share a single fan-out ([`CachingPoolResolver::serve_batch`]),
 //! and expired entries within the stale window are served immediately while
 //! a background refresh — pumped by the driver via
 //! [`CachingPoolResolver::run_due_refreshes`], scheduled sans-IO through
 //! [`CachingPoolResolver::next_refresh_due`] — regenerates the pool off the
 //! query path. The amortised cost of serving a domain drops from one
-//! generation per query to one generation per TTL window.
+//! generation per query to one generation per TTL window; the
+//! generation-per-query front end is the same resolver under
+//! [`CacheConfig::uncached`].
 //!
 //! Every answer still comes out of a real [`GenerationReport`] produced by
 //! the paper's secure generation procedure, so the benign-fraction
@@ -23,7 +30,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sdoh_dns_server::{Exchanger, QueryHandler};
-use sdoh_dns_wire::{AnswerTemplate, Message, Question, Rcode, Ttl, WireResult};
+use sdoh_dns_wire::{
+    AnswerTemplate, Message, MessageBuilder, Question, Rcode, Record, RrType, Ttl, WireResult,
+};
 
 use super::cache::{
     answer_template, AddressFamily, CacheConfig, CacheLookup, CacheMetrics, CachedPool, PoolCache,
@@ -34,7 +43,6 @@ use super::refresh::RefreshScheduler;
 use super::session::{drive_serve, ServeSession};
 use super::singleflight::Singleflight;
 use crate::generator::{seed_from, GenerationReport, SecurePoolGenerator};
-use crate::lookup::pool_response;
 use crate::session::SessionEvent;
 use sdoh_netsim::SimInstant;
 
@@ -235,6 +243,33 @@ impl ServeSnapshot {
     }
 }
 
+/// Builds the DNS response serving `report`'s pool for `question`,
+/// returning only addresses of the queried family (even when the generator
+/// is configured for dual-stack union) with the given answer TTL.
+fn pool_response(
+    query: &Message,
+    question: &Question,
+    report: &GenerationReport,
+    ttl: Ttl,
+) -> Message {
+    let mut builder = MessageBuilder::response_to(query).recursion_available(true);
+    for entry in report.pool.iter() {
+        let matches_family = match question.rtype {
+            RrType::A => entry.address.is_ipv4(),
+            RrType::Aaaa => entry.address.is_ipv6(),
+            _ => false,
+        };
+        if matches_family {
+            builder = builder.answer(Record::address(
+                question.name.clone(),
+                ttl.as_secs(),
+                entry.address,
+            ));
+        }
+    }
+    builder.build()
+}
+
 /// What one query is answered with, before it takes the caller's form.
 enum Served<'a> {
     /// Refused at the protocol level; the response is already built.
@@ -326,10 +361,11 @@ impl CachingPoolResolver {
         }
     }
 
-    /// Adopts a new config epoch: the cache knobs are retuned at once (see
-    /// [`PoolCache::apply_config`] — entries keep their stamps, stale
-    /// serving stays bounded by the max of the old and new horizons) and
-    /// the epoch becomes this resolver's [`current_epoch`].
+    /// Adopts a new config epoch: the cache knobs are retuned at once
+    /// (entries keep their stamps, stale serving stays bounded by the max
+    /// of the old and new horizons; a shrunken capacity evicts the surplus
+    /// immediately) and the epoch becomes this resolver's
+    /// [`current_epoch`].
     ///
     /// This is the per-shard half of hot reconfiguration: a control plane
     /// validates the new knobs once into an `Arc<ServeConfig>` and hands
@@ -382,21 +418,18 @@ impl CachingPoolResolver {
         moved
     }
 
-    /// Adopts an entry handed off by another shard (see
-    /// [`PoolCache::install`]): stamps are preserved, dead-on-arrival
-    /// entries are dropped, and an existing at-least-as-fresh entry wins.
-    /// Returns whether the entry was installed.
+    /// Adopts an entry handed off by another shard: stamps are preserved
+    /// (the wire-form answer is rebuilt from the report), dead-on-arrival
+    /// entries are dropped, and an existing at-least-as-fresh entry wins —
+    /// so a key is never owned by two entries and a handoff never clobbers
+    /// a newer generation. Returns whether the entry was installed.
     pub fn install_entry(&mut self, key: PoolKey, cached: CachedPool, now: SimInstant) -> bool {
         self.cache.install(key, cached, now)
     }
 
-    /// Access to the pool cache (diagnostics and tests).
-    pub fn cache(&self) -> &PoolCache {
-        &self.cache
-    }
-
-    /// Probes every cache entry at instant `now` (see [`PoolCache::probe`]):
-    /// the per-entry age/liveness surface invariant monitors check.
+    /// Probes every cache entry at instant `now`, sorted by key, without
+    /// touching LRU state or counters: the per-entry age/liveness surface
+    /// invariant monitors check.
     // sdoh-lint: allow(transitive-hot-path-purity, "control-plane probe: runs only for WorkItem::Probe maintenance items, never per query")
     pub fn probe_entries(&self, now: SimInstant) -> Vec<super::cache::CacheEntryProbe> {
         self.cache.probe(now)
@@ -757,8 +790,7 @@ mod tests {
     use super::*;
     use crate::config::PoolConfig;
     use crate::source::{AddressSource, StaticSource};
-    use sdoh_dns_server::ClientExchanger;
-    use sdoh_dns_wire::RrType;
+    use sdoh_dns_server::{ClientExchanger, DnsClient, Do53Service, StubResolver};
     use sdoh_netsim::{SimAddr, SimNet};
     use std::net::IpAddr;
 
@@ -767,15 +799,25 @@ mod tests {
     }
 
     fn resolver(config: CacheConfig) -> CachingPoolResolver {
+        resolver_in_mode(PoolConfig::algorithm1(), config)
+    }
+
+    fn resolver_in_mode(pool: PoolConfig, config: CacheConfig) -> CachingPoolResolver {
         let sources: Vec<Box<dyn AddressSource>> = vec![
             Box::new(StaticSource::answering("r1", vec![ip(1), ip(2)])),
             Box::new(StaticSource::answering("r2", vec![ip(2), ip(3)])),
             Box::new(StaticSource::answering("r3", vec![ip(2), ip(1)])),
         ];
-        CachingPoolResolver::new(
-            SecurePoolGenerator::new(PoolConfig::algorithm1(), sources).unwrap(),
-            config,
-        )
+        CachingPoolResolver::new(SecurePoolGenerator::new(pool, sources).unwrap(), config)
+    }
+
+    fn dead_fleet_resolver(config: CacheConfig) -> CachingPoolResolver {
+        let sources: Vec<Box<dyn AddressSource>> = vec![
+            Box::new(StaticSource::failing("dead1")),
+            Box::new(StaticSource::failing("dead2")),
+        ];
+        let pool = PoolConfig::algorithm1().with_min_responses(2);
+        CachingPoolResolver::new(SecurePoolGenerator::new(pool, sources).unwrap(), config)
     }
 
     fn test_config() -> CacheConfig {
@@ -891,14 +933,7 @@ mod tests {
     fn failures_are_negatively_cached() {
         let net = SimNet::new(84);
         let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
-        let sources: Vec<Box<dyn AddressSource>> = vec![
-            Box::new(StaticSource::failing("dead1")),
-            Box::new(StaticSource::failing("dead2")),
-        ];
-        let generator =
-            SecurePoolGenerator::new(PoolConfig::algorithm1().with_min_responses(2), sources)
-                .unwrap();
-        let mut resolver = CachingPoolResolver::new(generator, test_config());
+        let mut resolver = dead_fleet_resolver(test_config());
 
         let first = resolver.handle_query(&mut exchanger, &query(1, "pool.ntp.org"));
         assert_eq!(first.header.rcode, Rcode::ServFail);
@@ -950,7 +985,7 @@ mod tests {
     }
 
     #[test]
-    fn rejection_paths_match_the_uncached_front_end() {
+    fn protocol_level_rejections_never_reach_the_cache() {
         let net = SimNet::new(86);
         let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
         let mut resolver = resolver(test_config());
@@ -970,6 +1005,69 @@ mod tests {
         assert_eq!(resolver.metrics().queries, 0);
         assert_eq!(resolver.handler_name(), "caching-pool-resolver");
         assert!(format!("{resolver:?}").contains("CachingPoolResolver"));
+    }
+
+    #[test]
+    fn uncached_majority_mode_filters_the_uncorroborated_address() {
+        let net = SimNet::new(71);
+        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut resolver =
+            resolver_in_mode(PoolConfig::majority_resolver(), CacheConfig::uncached());
+        for id in 1..=3 {
+            let response = resolver.handle_query(&mut exchanger, &query(id, "pool.ntp.org"));
+            let addrs = response.answer_addresses();
+            assert!(addrs.contains(&ip(1)), "2/3 resolvers returned .1");
+            assert!(addrs.contains(&ip(2)), "3/3 resolvers returned .2");
+            assert!(!addrs.contains(&ip(3)), "1/3 resolvers returned .3");
+        }
+        let metrics = resolver.metrics();
+        assert_eq!(metrics.queries, 3);
+        assert_eq!(metrics.generations, 3, "one generation per query");
+        assert_eq!(metrics.generation_failures, 0);
+    }
+
+    #[test]
+    fn uncached_front_end_works_behind_a_standard_stub_resolver() {
+        // Backward compatibility: an unmodified stub resolver pointed at the
+        // front end on port 53 just works.
+        let net = SimNet::new(74);
+        let frontend_addr = SimAddr::v4(10, 0, 0, 53, 53);
+        let resolver = Arc::new(parking_lot::Mutex::new(resolver(CacheConfig::uncached())));
+        net.register(frontend_addr, Do53Service::new(Arc::clone(&resolver)));
+
+        let stub = StubResolver::new(frontend_addr);
+        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let domain: sdoh_dns_wire::Name = "pool.ntp.org".parse().unwrap();
+        let addrs = stub.lookup_ipv4(&mut exchanger, &domain).unwrap();
+        assert_eq!(addrs.len(), 6, "3 resolvers x 2 addresses each");
+
+        // The answer TTL is the configured one: zero, usable now and not
+        // cacheable onward, because the front end itself caches nothing.
+        let response = DnsClient::new(frontend_addr)
+            .query(&mut exchanger, &domain, RrType::A)
+            .unwrap();
+        assert!(response.header.recursion_available);
+        assert_eq!(response.answers.len(), 6);
+        assert!(response.answers.iter().all(|r| r.ttl == 0));
+        let metrics = resolver.lock().metrics();
+        assert_eq!(metrics.queries, 2);
+        assert_eq!(metrics.generations, 2, "one generation per query");
+    }
+
+    #[test]
+    fn uncached_dead_fleet_is_servfail_every_time() {
+        let net = SimNet::new(73);
+        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut resolver = dead_fleet_resolver(CacheConfig::uncached());
+        for id in 1..=2 {
+            let response = resolver.handle_query(&mut exchanger, &query(id, "pool.ntp.org"));
+            assert_eq!(response.header.rcode, Rcode::ServFail);
+        }
+        let metrics = resolver.metrics();
+        assert_eq!(metrics.queries, 2);
+        assert_eq!(metrics.generations, 2, "nothing remembered: one per query");
+        assert_eq!(metrics.generation_failures, 2);
+        assert_eq!(metrics.negative_hits, 0);
     }
 
     #[test]
@@ -1019,14 +1117,7 @@ mod tests {
         // follow-up queries fail fast without another fan-out.
         let net = SimNet::new(91);
         let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
-        let sources: Vec<Box<dyn AddressSource>> = vec![
-            Box::new(StaticSource::failing("dead1")),
-            Box::new(StaticSource::failing("dead2")),
-        ];
-        let generator =
-            SecurePoolGenerator::new(PoolConfig::algorithm1().with_min_responses(2), sources)
-                .unwrap();
-        let mut resolver = CachingPoolResolver::new(generator, test_config());
+        let mut resolver = dead_fleet_resolver(test_config());
 
         let queries: Vec<Message> = (1..=5).map(|i| query(i, "dead.ntp.org")).collect();
         let responses = resolver.serve_batch(&mut exchanger, &queries);
@@ -1090,14 +1181,7 @@ mod tests {
         use super::super::AddressFamily;
         let net = SimNet::new(93);
         let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
-        let sources: Vec<Box<dyn AddressSource>> = vec![
-            Box::new(StaticSource::failing("dead1")),
-            Box::new(StaticSource::failing("dead2")),
-        ];
-        let generator =
-            SecurePoolGenerator::new(PoolConfig::algorithm1().with_min_responses(2), sources)
-                .unwrap();
-        let mut resolver = CachingPoolResolver::new(generator, test_config());
+        let mut resolver = dead_fleet_resolver(test_config());
         let err = resolver
             .resolve_pool(
                 &mut exchanger,
@@ -1186,7 +1270,7 @@ mod tests {
 
         let moved = donor.extract_entries(|_| true);
         assert_eq!(moved.len(), 1);
-        assert_eq!(donor.cache().len(), 0);
+        assert_eq!(donor.snapshot().entries, 0);
         assert_eq!(donor.pending_refreshes(), 0, "refresh moved with the key");
 
         let mut receiver = resolver(test_config());
@@ -1301,17 +1385,7 @@ mod tests {
 
     #[test]
     fn wire_answers_to_remembered_failures_are_servfail() {
-        let mut twins = Twins::new(|| {
-            let sources: Vec<Box<dyn AddressSource>> = vec![
-                Box::new(StaticSource::failing("dead1")),
-                Box::new(StaticSource::failing("dead2")),
-            ];
-            let config = PoolConfig::algorithm1().with_min_responses(2);
-            CachingPoolResolver::new(
-                SecurePoolGenerator::new(config, sources).unwrap(),
-                test_config(),
-            )
-        });
+        let mut twins = Twins::new(|| dead_fleet_resolver(test_config()));
         for id in 1..=3 {
             let response = twins.serve(&query(id, "dead.ntp.org"));
             assert_eq!(response.header.rcode, Rcode::ServFail);
@@ -1435,7 +1509,7 @@ mod tests {
             assert!(response.answers.iter().all(|r| r.ttl == 0));
         }
         assert_eq!(twins.wire.metrics().generations, 3);
-        assert_eq!(twins.wire.cache().len(), 0);
+        assert_eq!(twins.wire.snapshot().entries, 0);
     }
 
     #[test]
@@ -1551,6 +1625,6 @@ mod tests {
         // under its own key.
         assert!(v6.answer_addresses().is_empty());
         assert_eq!(resolver.metrics().generations, 2);
-        assert_eq!(resolver.cache().len(), 2);
+        assert_eq!(resolver.snapshot().entries, 2);
     }
 }

@@ -5,7 +5,7 @@
 //! [`Singleflight`](super::Singleflight) plus due background refreshes —
 //! behind one poll loop. Like the underlying session it performs no I/O:
 //! [`ServeSession::poll`] hands out **all transmits of all flights** before
-//! first asking to wait, so a capable driver overlaps not only the N
+//! first asking to wait, so its driver overlaps not only the N
 //! resolver exchanges of one generation but the exchanges of *different
 //! domains' generations* with each other: a cold burst over K domains costs
 //! one slowest-exchange round trip, not K of them.
@@ -27,37 +27,35 @@ use crate::session::{Action, PoolSession, SessionEvent, TransactionId, Transmit}
 /// Identifies one in-flight exchange of a serving session (a flight index
 /// plus the flight's own transaction id, flattened into one handle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ServeTransactionId(usize);
+pub(crate) struct ServeTransactionId(usize);
 
 /// One request a serving driver must put on the wire.
 #[derive(Debug)]
-pub struct ServeTransmit {
+pub(crate) struct ServeTransmit {
     /// Echo this back to [`ServeSession::handle_response`].
-    pub transaction: ServeTransactionId,
-    /// The cache key whose generation this exchange belongs to.
-    pub key: PoolKey,
-    /// Name of the resolver the exchange queries.
-    pub source: String,
+    pub(crate) transaction: ServeTransactionId,
     /// Destination, channel, payload and timeout of the exchange.
-    pub request: ExchangeRequest,
+    pub(crate) request: ExchangeRequest,
 }
 
 /// A per-resolver progress event, tagged with the flight it belongs to.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeEvent {
+pub(crate) struct ServeEvent {
     /// The cache key whose generation progressed.
-    pub key: PoolKey,
+    pub(crate) key: PoolKey,
     /// The underlying session event.
-    pub event: SessionEvent,
+    pub(crate) event: SessionEvent,
 }
 
 /// What a serving driver should do next.
 #[derive(Debug)]
-pub enum ServeAction {
+pub(crate) enum ServeAction {
     /// Send this request.
     Transmit(ServeTransmit),
-    /// Everything is in flight; wait for a response or until this deadline.
-    WaitUntil(SimInstant),
+    /// Everything is in flight; feed the outcomes back through
+    /// [`ServeSession::handle_response`] (each exchange carries its own
+    /// timeout, so an outcome always arrives).
+    Wait,
     /// A resolver of one flight completed; informational.
     Deliver(ServeEvent),
     /// Every flight completed; call [`ServeSession::finish`].
@@ -66,11 +64,11 @@ pub enum ServeAction {
 
 /// Result of one flight after [`ServeSession::finish`].
 #[derive(Debug)]
-pub struct FlightOutcome {
+pub(crate) struct FlightOutcome {
     /// The cache key the flight generated.
-    pub key: PoolKey,
+    pub(crate) key: PoolKey,
     /// The generation outcome.
-    pub result: PoolResult<GenerationReport>,
+    pub(crate) result: PoolResult<GenerationReport>,
 }
 
 struct Flight<'a> {
@@ -81,7 +79,7 @@ struct Flight<'a> {
 /// Sans-IO state machine bundling the generations of a serving batch.
 ///
 /// See the module documentation for the driving protocol.
-pub struct ServeSession<'a> {
+pub(crate) struct ServeSession<'a> {
     flights: Vec<Flight<'a>>,
     /// Flat transaction routing: global id -> (flight, inner id).
     routes: Vec<(usize, TransactionId)>,
@@ -94,7 +92,10 @@ impl<'a> ServeSession<'a> {
     /// # Errors
     ///
     /// Propagates [`PoolError`] from session construction.
-    pub fn new(generator: &'a SecurePoolGenerator, batch: Vec<(PoolKey, u64)>) -> PoolResult<Self> {
+    pub(crate) fn new(
+        generator: &'a SecurePoolGenerator,
+        batch: Vec<(PoolKey, u64)>,
+    ) -> PoolResult<Self> {
         let mut flights = Vec::with_capacity(batch.len());
         for (key, seed) in batch {
             let session = generator.session(&key.domain, seed)?;
@@ -106,23 +107,12 @@ impl<'a> ServeSession<'a> {
         })
     }
 
-    /// Number of flights (distinct keys being generated).
-    pub fn flight_count(&self) -> usize {
-        self.flights.len()
-    }
-
-    /// `true` once every flight completed and delivered its events.
-    pub fn is_done(&self) -> bool {
-        self.flights.iter().all(|f| f.session.is_done())
-    }
-
     /// Advances the state machine; `now` stamps transmit deadlines.
     ///
     /// Transmits of *all* flights are handed out before the first
-    /// [`ServeAction::WaitUntil`], so a driver batching them overlaps the
+    /// [`ServeAction::Wait`], so a driver batching them overlaps the
     /// generations of different keys.
-    pub fn poll(&mut self, now: SimInstant) -> ServeAction {
-        let mut earliest: Option<SimInstant> = None;
+    pub(crate) fn poll(&mut self, now: SimInstant) -> ServeAction {
         let mut waiting = false;
         for (index, flight) in self.flights.iter_mut().enumerate() {
             match flight.session.poll(now) {
@@ -134,31 +124,24 @@ impl<'a> ServeSession<'a> {
                 }
                 Action::Transmit(Transmit {
                     transaction,
-                    source,
                     request,
+                    ..
                 }) => {
                     let global = ServeTransactionId(self.routes.len());
                     self.routes.push((index, transaction));
                     return ServeAction::Transmit(ServeTransmit {
                         transaction: global,
-                        key: flight.key.clone(),
-                        source,
                         request,
                     });
                 }
-                Action::WaitUntil(deadline) => {
-                    waiting = true;
-                    earliest = Some(match earliest {
-                        Some(current) => current.min(deadline),
-                        None => deadline,
-                    });
-                }
+                Action::WaitUntil(_) => waiting = true,
                 Action::Done => {}
             }
         }
-        match (waiting, earliest) {
-            (true, Some(deadline)) => ServeAction::WaitUntil(deadline),
-            _ => ServeAction::Done,
+        if waiting {
+            ServeAction::Wait
+        } else {
+            ServeAction::Done
         }
     }
 
@@ -170,7 +153,7 @@ impl<'a> ServeSession<'a> {
     /// Returns [`PoolError::UnknownTransaction`] when `id` is unknown,
     /// [`PoolError::UnknownFlight`] when its route is stale, and the inner
     /// session's error when the exchange already completed.
-    pub fn handle_response(
+    pub(crate) fn handle_response(
         &mut self,
         id: ServeTransactionId,
         outcome: NetResult<Vec<u8>>,
@@ -194,7 +177,7 @@ impl<'a> ServeSession<'a> {
     /// Returns [`PoolError::Session`] when exchanges are still outstanding
     /// (per-flight generation failures are reported inside the outcomes,
     /// not here).
-    pub fn finish(self) -> PoolResult<Vec<FlightOutcome>> {
+    pub(crate) fn finish(self) -> PoolResult<Vec<FlightOutcome>> {
         let mut outcomes = Vec::with_capacity(self.flights.len());
         for flight in self.flights {
             if !flight.session.is_done() {
@@ -230,7 +213,7 @@ impl std::fmt::Debug for ServeSession<'_> {
 ///
 /// Propagates [`PoolError`] from the session (transport errors are folded
 /// into per-source outcomes, not returned here).
-pub fn drive_serve(
+pub(crate) fn drive_serve(
     session: &mut ServeSession<'_>,
     exchanger: &mut dyn Exchanger,
 ) -> PoolResult<Vec<ServeEvent>> {
@@ -247,7 +230,7 @@ pub fn drive_serve(
                 ids.push(transmit.transaction);
                 requests.push(transmit.request);
             }
-            ServeAction::WaitUntil(_) => {
+            ServeAction::Wait => {
                 if requests.is_empty() {
                     return Err(PoolError::Session(
                         "serve session waits on exchanges this driver never sent".into(),
@@ -292,7 +275,6 @@ mod tests {
         let generator = SecurePoolGenerator::new(PoolConfig::algorithm1(), sources).unwrap();
         let mut session = ServeSession::new(&generator, Vec::new()).unwrap();
         assert!(matches!(session.poll(SimInstant::EPOCH), ServeAction::Done));
-        assert!(session.is_done());
         assert!(session.finish().unwrap().is_empty());
     }
 
@@ -305,7 +287,6 @@ mod tests {
         let generator = SecurePoolGenerator::new(PoolConfig::algorithm1(), sources).unwrap();
         let mut session =
             ServeSession::new(&generator, vec![(key("a.test"), 1), (key("b.test"), 2)]).unwrap();
-        assert_eq!(session.flight_count(), 2);
         let mut exchanger_free_events = 0;
         loop {
             match session.poll(SimInstant::EPOCH) {
@@ -327,7 +308,7 @@ mod tests {
     #[test]
     fn doh_flights_hand_out_all_transmits_before_waiting() {
         // Two domains over three DoH resolvers: all six exchanges must be
-        // offered before the first WaitUntil, so one batch overlaps the two
+        // offered before the first Wait, so one batch overlaps the two
         // generations.
         let net = SimNet::new(41);
         let directory = ResolverDirectory::well_known(41);
@@ -364,14 +345,19 @@ mod tests {
         loop {
             match session.poll(net.now()) {
                 ServeAction::Transmit(t) => transmits.push(t),
-                ServeAction::WaitUntil(_) => break,
+                ServeAction::Wait => break,
                 other => panic!("unexpected action {other:?}"),
             }
         }
         assert_eq!(transmits.len(), 6, "2 flights x 3 resolvers");
         assert_eq!(
-            transmits.iter().filter(|t| t.key == key("a.test")).count(),
-            3
+            session
+                .routes
+                .iter()
+                .filter(|(flight, _)| *flight == 0)
+                .count(),
+            3,
+            "half of them route to the first flight"
         );
 
         // Feed responses back across flights in reverse order; both reports

@@ -18,7 +18,7 @@ use std::hash::Hash;
 
 /// How a waiter joined the registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlightJoin {
+pub(crate) enum FlightJoin {
     /// First waiter for the key: a new flight was opened at this index.
     Leader(usize),
     /// The key already has a flight in progress; the waiter was attached to
@@ -26,18 +26,9 @@ pub enum FlightJoin {
     Coalesced(usize),
 }
 
-impl FlightJoin {
-    /// Index of the flight the waiter ended up on.
-    pub fn flight(self) -> usize {
-        match self {
-            FlightJoin::Leader(index) | FlightJoin::Coalesced(index) => index,
-        }
-    }
-}
-
 /// The coalescing registry: maps keys to flights and flights to waiters.
 #[derive(Debug, Clone)]
-pub struct Singleflight<K, W = usize> {
+pub(crate) struct Singleflight<K, W = usize> {
     flights: Vec<(K, Vec<W>)>,
     index: HashMap<K, usize>,
 }
@@ -53,7 +44,7 @@ impl<K: Hash + Eq + Clone, W> Default for Singleflight<K, W> {
 
 impl<K: Hash + Eq + Clone, W> Singleflight<K, W> {
     /// Creates an empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Singleflight::default()
     }
 
@@ -61,7 +52,7 @@ impl<K: Hash + Eq + Clone, W> Singleflight<K, W> {
     /// the first waiter.
     // sdoh-lint: allow(no-panic, "the index map only stores positions of live flights entries")
     // sdoh-lint: allow(hot-path-purity, "waiter lists grow once per coalesced miss, not per query")
-    pub fn join(&mut self, key: K, waiter: W) -> FlightJoin {
+    pub(crate) fn join(&mut self, key: K, waiter: W) -> FlightJoin {
         match self.index.get(&key) {
             Some(&flight) => {
                 self.flights[flight].1.push(waiter);
@@ -76,19 +67,9 @@ impl<K: Hash + Eq + Clone, W> Singleflight<K, W> {
         }
     }
 
-    /// Number of distinct flights (unique keys).
-    pub fn len(&self) -> usize {
-        self.flights.len()
-    }
-
-    /// Returns `true` when no waiter has joined.
-    pub fn is_empty(&self) -> bool {
-        self.flights.is_empty()
-    }
-
     /// Number of waiters that were coalesced onto an existing flight (the
     /// generations singleflight saved).
-    pub fn coalesced(&self) -> u64 {
+    pub(crate) fn coalesced(&self) -> u64 {
         self.flights
             .iter()
             .map(|(_, waiters)| u64::try_from(waiters.len().saturating_sub(1)).unwrap_or(u64::MAX))
@@ -96,12 +77,12 @@ impl<K: Hash + Eq + Clone, W> Singleflight<K, W> {
     }
 
     /// The flights in creation order: each key with its waiters.
-    pub fn flights(&self) -> &[(K, Vec<W>)] {
+    pub(crate) fn flights(&self) -> &[(K, Vec<W>)] {
         &self.flights
     }
 
     /// Consumes the registry, yielding each key with its waiters.
-    pub fn into_flights(self) -> Vec<(K, Vec<W>)> {
+    pub(crate) fn into_flights(self) -> Vec<(K, Vec<W>)> {
         self.flights
     }
 }
@@ -117,9 +98,9 @@ mod tests {
         assert_eq!(flights.join("b", 1), FlightJoin::Leader(1));
         assert_eq!(flights.join("a", 2), FlightJoin::Coalesced(0));
         assert_eq!(flights.join("a", 3), FlightJoin::Coalesced(0));
-        assert_eq!(flights.len(), 2);
+        assert_eq!(flights.flights().len(), 2);
         assert_eq!(flights.coalesced(), 2);
-        assert_eq!(flights.join("a", 4).flight(), 0);
+        assert_eq!(flights.join("a", 4), FlightJoin::Coalesced(0));
 
         let flights = flights.into_flights();
         assert_eq!(flights[0].0, "a");
@@ -130,8 +111,6 @@ mod tests {
     #[test]
     fn empty_registry() {
         let flights: Singleflight<u32> = Singleflight::new();
-        assert!(flights.is_empty());
-        assert_eq!(flights.len(), 0);
         assert_eq!(flights.coalesced(), 0);
         assert!(flights.flights().is_empty());
     }

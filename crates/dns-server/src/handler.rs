@@ -1,7 +1,7 @@
 //! The [`QueryHandler`] trait: anything that can turn a DNS query message
 //! into a response message, possibly by querying other servers.
 
-use sdoh_dns_wire::{Message, Rcode, WireResult};
+use sdoh_dns_wire::{Message, WireResult};
 
 use crate::authority::Authority;
 use crate::exchange::Exchanger;
@@ -59,51 +59,15 @@ impl<H: QueryHandler + ?Sized> QueryHandler for Box<H> {
     }
 }
 
-/// A shared handler within one thread: lets the same component be
-/// registered as a network service *and* kept on the driver's side of the
-/// simulation. A query arriving while the handler is already borrowed (a
-/// handler transitively querying itself) is answered SERVFAIL rather than
-/// supporting re-entrancy.
-///
-/// Prefer [`Arc<Mutex<H>>`](std::sync::Arc) — the thread-safe shared
-/// handler below — for new code: it works identically inside the
-/// single-threaded simulator and additionally crosses threads, which the
-/// real-socket serving runtime requires. This `Rc` impl remains for
-/// callers that cannot pay for atomics.
-impl<H: QueryHandler> QueryHandler for std::rc::Rc<std::cell::RefCell<H>> {
-    fn handle_query(&mut self, exchanger: &mut dyn Exchanger, query: &Message) -> Message {
-        match self.try_borrow_mut() {
-            Ok(mut handler) => handler.handle_query(exchanger, query),
-            Err(_) => Message::error_response(query, Rcode::ServFail),
-        }
-    }
-
-    fn handle_query_wire(
-        &mut self,
-        exchanger: &mut dyn Exchanger,
-        query: &Message,
-        out: &mut Vec<u8>,
-    ) -> WireResult<()> {
-        match self.try_borrow_mut() {
-            Ok(mut handler) => handler.handle_query_wire(exchanger, query, out),
-            Err(_) => Message::error_response(query, Rcode::ServFail).encode_into(out),
-        }
-    }
-
-    fn handler_name(&self) -> &str {
-        "shared-query-handler"
-    }
-}
-
-/// A **thread-safe** shared handler: the sharing primitive of the
-/// real-socket serving runtime, and a drop-in replacement for the
-/// `Rc<RefCell<_>>` handles the scenario helpers used to return.
+/// The shared handler: lets the same component be registered as a network
+/// service *and* kept on the driver's side of the simulation, and crosses
+/// threads, which the real-socket serving runtime requires.
 ///
 /// Each query locks the handler for the duration of `handle_query`, so a
 /// handler shared between a registered service and a driver (or between a
 /// worker thread and a stats thread) serializes its queries. A handler
-/// transitively querying itself would deadlock where the `Rc` impl answers
-/// SERVFAIL; none of the in-tree handlers re-enter themselves.
+/// transitively querying itself would deadlock; none of the in-tree
+/// handlers re-enter themselves.
 impl<H: QueryHandler> QueryHandler for std::sync::Arc<parking_lot::Mutex<H>> {
     fn handle_query(&mut self, exchanger: &mut dyn Exchanger, query: &Message) -> Message {
         self.lock().handle_query(exchanger, query)

@@ -3,7 +3,7 @@
 //! DNS speaks about record lifetimes in whole seconds carried as a `u32`
 //! on the wire, while the simulator's caches reason in [`Duration`]s of
 //! virtual time. Before [`Ttl`] existed every component picked one of the
-//! two representations ad hoc (`SecurePoolResolver` stored a bare `u32`,
+//! two representations ad hoc (the pool front end stored a bare `u32`,
 //! `DnsCache` a `Duration`), and conversions were scattered and lossy.
 //! [`Ttl`] is the one type both sides share: constructed from either
 //! representation, convertible to either, always saturating instead of

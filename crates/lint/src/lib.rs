@@ -21,7 +21,7 @@
 //! | `hot-path-purity` | `crates/runtime/src/runtime.rs`, `crates/core/src/serve/**` | `.lock()`, `Box::new`, `Vec::new`, `vec!`, `.to_vec()`, `format!`, `.collect()` — the serving path must stay lock-free and allocation-free (PR 3/PR 8) |
 //! | `determinism` | `netsim`, `chaos`, `core`, `dns-server`, `doh`, `ntp` | `Instant::now()`, `SystemTime::now()`, `OsRng`, `thread_rng`, `from_entropy`, `getrandom` — sim-facing crates take time and entropy from seeded handles only, so campaigns stay byte-identical per seed; the wall clock is a `runtime`-only privilege |
 //! | `no-panic` | all library code | `.unwrap()`, `.expect()`, `panic!`, `unreachable!`, `todo!`, `unimplemented!`, `[i]` indexing — library code returns errors; a panic in a shard worker wedges the shard |
-//! | `no-narrowing-cast` | all library code | bare `as` to `u8`/`u16`/`u32`/`u64`/`usize`/`i8`/`i16`/`i32`/`i64`/`isize`/`f32` — the family behind two real bugs: the `as u32` divisor truncation in `ResolverMetrics::average_generation_latency` (fixed in PR 2) and the `attempts as i32` wrap in `SpoofStrategy::success_probability` (fixed in PR 4). `f64`/`u128`/`i128` targets are exempt: nothing in the workspace is wider |
+//! | `no-narrowing-cast` | all library code | bare `as` to `u8`/`u16`/`u32`/`u64`/`usize`/`i8`/`i16`/`i32`/`i64`/`isize`/`f32` — the family behind two real bugs: the `as u32` divisor truncation in the former `ResolverMetrics`' mean generation latency (fixed in PR 2) and the `attempts as i32` wrap in `SpoofStrategy::success_probability` (fixed in PR 4). `f64`/`u128`/`i128` targets are exempt: nothing in the workspace is wider |
 //! | `metrics-vocabulary` | everywhere except the vocabulary itself | `sdoh_*` metric-name string literals that are not in the shared vocabulary tables in `crates/core/src/serve/samples.rs` — so exporters, the registry, experiments and docs cannot drift apart on names |
 //!
 //! # Call-graph rules

@@ -16,7 +16,8 @@
 //! queries keep flowing. Growing publishes the widened route table and
 //! then has the pre-existing workers extract every cache entry the new
 //! hash ring assigns elsewhere and forward it to its new owner
-//! (stamps intact — see [`PoolCache::install`](sdoh_core::PoolCache::install)).
+//! (stamps intact — see
+//! [`CachingPoolResolver::install_entry`](sdoh_core::CachingPoolResolver::install_entry)).
 //! Shrinking publishes the truncated table *first*, so retiring workers
 //! stop receiving new queries, then tells them to hand every entry to its
 //! surviving owner. A retiring worker never just exits: it lingers in
@@ -25,8 +26,6 @@
 //! and terminates only when the last sender to its queue is dropped — so
 //! a rescale drops **zero** queries by construction.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -34,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use sdoh_core::{
-    AddressSource, CacheConfig, CacheEntryProbe, ConfigError, PoolConfig, PoolKey, ServeConfig,
+    AddressSource, CacheConfig, CacheEntryProbe, ConfigError, PoolConfig, ServeConfig,
 };
 
 use crate::runtime::{ask_shards, spawn_worker, Shard, WorkItem, WorkerContext};
@@ -468,22 +467,4 @@ fn await_handoff(done: &mpsc::Receiver<usize>, expected: usize) {
             break;
         }
     }
-}
-
-/// The shard a cache key is routed to: the control-plane mirror of the
-/// dispatcher's wire-level `question_hash` (lowercased labels, each
-/// followed by a dot separator, then the query type code). Workers use it
-/// to decide which entries a new hash ring re-homes; it MUST match the
-/// dispatcher's routing or handed-off entries would land on shards that
-/// never see their queries.
-pub(crate) fn owner_of(key: &PoolKey, shards: usize) -> usize {
-    let mut hasher = DefaultHasher::new();
-    for label in key.domain.labels() {
-        for &byte in label {
-            hasher.write_u8(byte.to_ascii_lowercase());
-        }
-        hasher.write_u8(b'.');
-    }
-    hasher.write_u16(key.family.rtype().code());
-    (hasher.finish() % shards as u64) as usize // sdoh-lint: allow(no-narrowing-cast, "usize to u64 never loses value on supported targets, and the modulo result is below shards")
 }

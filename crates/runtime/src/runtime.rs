@@ -45,9 +45,11 @@
 //! template cannot answer byte for byte build and encode a `Message` into
 //! the same buffer; there is no second serve function and no switch.
 //!
-//! A response longer than the configured UDP payload limit — judged on the
-//! rendered length — is replaced by an empty TC=1 message built from the
-//! query the worker already decoded; clients retry over the TCP listener
+//! A response longer than the client can receive — the payload size its
+//! query's OPT record advertised, 512 bytes without one, and never more
+//! than the configured UDP payload limit; judged on the rendered length —
+//! is replaced by an empty TC=1 message built from the query the worker
+//! already decoded; clients retry over the TCP listener
 //! bound to the same port number (RFC 1035 length-prefixed framing), and
 //! the connection handler takes the buffer's contents with it.
 //!
@@ -77,7 +79,7 @@ use sdoh_metrics::{
 };
 use sdoh_netsim::SimInstant;
 
-use crate::control::{owner_of, ControlHandle, EpochOrder, RouteState, RouteTable};
+use crate::control::{ControlHandle, EpochOrder, RouteState, RouteTable};
 
 /// How long a stats aggregation waits for each shard before marking it
 /// unresponsive (a wedged worker must not wedge the exporter).
@@ -110,9 +112,10 @@ pub struct RuntimeConfig {
     /// picks an ephemeral port free on both sides; read it back from
     /// [`PoolRuntime::udp_addr`].
     pub bind: SocketAddr,
-    /// Largest UDP response payload served without truncation. Larger
-    /// answers are replaced by an empty TC=1 response so the client
-    /// retries over TCP.
+    /// Largest UDP response payload served without truncation, whatever
+    /// the client advertises (a client without an OPT record is served at
+    /// most 512 bytes). Larger answers are replaced by an empty TC=1
+    /// response so the client retries over TCP.
     pub udp_payload_limit: usize,
     /// Whether to bind the TCP fallback listener.
     pub enable_tcp: bool,
@@ -413,8 +416,8 @@ pub(crate) enum WorkItem {
 }
 
 pub(crate) enum ReplyPath {
-    /// Answer with `send_to` on the shared UDP socket; responses above the
-    /// payload limit are truncated to TC=1.
+    /// Answer with `send_to` on the shared UDP socket; responses longer
+    /// than the client can receive are truncated to TC=1.
     Udp(SocketAddr),
     /// Hand the full response back to the TCP connection handler.
     Tcp(mpsc::Sender<Vec<u8>>),
@@ -502,7 +505,7 @@ impl PoolRuntime {
         // The runtime-level config epoch starts from the first shard's
         // cache knobs (shards are normally built homogeneous); epoch 0.
         let first_cache_config = match shards.first() {
-            Some(shard) => *shard.resolver.cache().config(),
+            Some(shard) => *shard.resolver.serve_config().cache(),
             None => {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidInput,
@@ -913,22 +916,35 @@ fn healthz(routes: &RouteState) -> HttpResponse {
     HttpResponse::text(if ready { 200 } else { 503 }, body)
 }
 
+/// Feeds one qname label into a routing hash: its bytes lowercased, then
+/// a `.`.
+fn hash_label(hasher: &mut DefaultHasher, label: &[u8]) {
+    for &byte in label {
+        hasher.write_u8(byte.to_ascii_lowercase());
+    }
+    hasher.write_u8(b'.');
+}
+
+/// Finishes a routing hash with the qtype code and reduces it onto
+/// `shards`.
+fn finish_route(mut hasher: DefaultHasher, qtype: u16, shards: usize) -> usize {
+    hasher.write_u16(qtype);
+    // sdoh-lint: allow(no-narrowing-cast, "hash % shards < shards <= usize::MAX, so both conversions are lossless")
+    (hasher.finish() % shards.max(1) as u64) as usize
+}
+
 /// Routes a wire-format query to its shard: hash of the lowercased qname
 /// labels and the qtype — the runtime-level mirror of the cache's
 /// `(domain, address family)` key, computed without decoding (or
 /// allocating) the full message. Malformed or question-less queries go to
 /// shard 0, which produces the proper error response.
 fn shard_for(wire: &[u8], shards: usize) -> usize {
-    match question_hash(wire) {
-        // sdoh-lint: allow(no-narrowing-cast, "hash % shards < shards <= usize::MAX, so both conversions are lossless")
-        Some(hash) => (hash % shards.max(1) as u64) as usize,
-        None => 0,
-    }
+    question_route(wire, shards).unwrap_or(0)
 }
 
-/// Hashes `(qname lowercase, qtype)` straight from the wire. `None` when
+/// Routes `(qname lowercase, qtype)` straight from the wire. `None` when
 /// there is no parseable first question.
-fn question_hash(wire: &[u8]) -> Option<u64> {
+fn question_route(wire: &[u8], shards: usize) -> Option<usize> {
     if wire.len() < 12 {
         return None;
     }
@@ -948,16 +964,22 @@ fn question_hash(wire: &[u8]) -> Option<u64> {
             // Compression pointers don't appear in well-formed questions.
             return None;
         }
-        let label = wire.get(i + 1..i + 1 + len)?;
-        for &byte in label {
-            hasher.write_u8(byte.to_ascii_lowercase());
-        }
-        hasher.write_u8(b'.');
+        hash_label(&mut hasher, wire.get(i + 1..i + 1 + len)?);
         i += 1 + len;
     }
     let qtype = u16::from_be_bytes([*wire.get(i)?, *wire.get(i + 1)?]);
-    hasher.write_u16(qtype);
-    Some(hasher.finish())
+    Some(finish_route(hasher, qtype, shards))
+}
+
+/// The shard a cache key is routed to — where [`shard_for`] sends the
+/// key's queries. Workers use it to decide which entries a new hash ring
+/// re-homes.
+fn owner_of(key: &PoolKey, shards: usize) -> usize {
+    let mut hasher = DefaultHasher::new();
+    for label in key.domain.labels() {
+        hash_label(&mut hasher, label);
+    }
+    finish_route(hasher, key.family.rtype().code(), shards)
 }
 
 fn dispatcher_loop(
@@ -1124,6 +1146,9 @@ fn worker_loop(
     let mut retired: Option<(Arc<Vec<mpsc::Sender<WorkItem>>>, usize)> = None;
     // Every response of this worker is rendered into this one buffer.
     let mut response = Vec::with_capacity(udp_payload_limit);
+    // An answer this short fits every client; anything longer depends on
+    // what the query advertised.
+    let fits_any_client = udp_payload_limit.min(CLASSIC_UDP_PAYLOAD);
     loop {
         let item = match resolver.next_refresh_due() {
             None => rx.recv().ok(),
@@ -1154,7 +1179,9 @@ fn worker_loop(
                 }
                 match reply {
                     ReplyPath::Udp(peer) => {
-                        if response.len() > udp_payload_limit {
+                        if response.len() > fits_any_client
+                            && response.len() > udp_ceiling(query.as_ref(), udp_payload_limit)
+                        {
                             counters.truncated.inc();
                             truncate_for_udp(query.as_ref(), &mut response);
                         }
@@ -1249,6 +1276,20 @@ fn serve_wire(
     out: &mut Vec<u8>,
 ) -> Option<Message> {
     sdoh_dns_server::serve_do53_payload_into(resolver, exchanger, wire, false, out)
+}
+
+/// The longest datagram a client that said nothing about itself must
+/// accept (RFC 1035 4.2.1).
+const CLASSIC_UDP_PAYLOAD: usize = 512;
+
+/// The longest UDP answer `query`'s sender can receive: the payload size
+/// its OPT record advertises — [`CLASSIC_UDP_PAYLOAD`] without one, and
+/// never less (RFC 6891 6.2.5) — capped by the operator's `limit`.
+fn udp_ceiling(query: Option<&Message>, limit: usize) -> usize {
+    let advertised = query
+        .and_then(Message::edns)
+        .map_or(CLASSIC_UDP_PAYLOAD, |edns| usize::from(edns.payload_size));
+    limit.min(advertised.max(CLASSIC_UDP_PAYLOAD))
 }
 
 /// Replaces an oversized UDP answer in `out` by the empty TC=1 response:

@@ -12,7 +12,7 @@ use std::time::Duration;
 use sdoh_core::{
     check_guarantee, AddressPool, AddressSource, CacheConfig, DohSource, GroundTruth, PoolConfig,
 };
-use sdoh_dns_wire::{Message, Rcode, RrType, Ttl};
+use sdoh_dns_wire::{Edns, Message, Rcode, RrType, Ttl};
 use sdoh_doh::DohMethod;
 use sdoh_metrics::{http_get, parse_prometheus, SampleValue};
 use sdoh_runtime::{
@@ -134,6 +134,79 @@ fn oversized_udp_answers_fall_back_to_tcp() {
         stats.total.serve.generations, 1,
         "TC retry was served from cache, not regenerated"
     );
+}
+
+#[test]
+fn udp_truncation_follows_what_the_client_advertised() {
+    // One domain whose pool is 3 resolvers x `per_resolver` addresses,
+    // served under the default 1232-byte operator limit.
+    let start = |per_resolver: usize| {
+        let fleet = LoopbackFleet::build(LoopbackConfig {
+            pool_domains: 1,
+            addresses_per_domain: per_resolver,
+            ..LoopbackConfig::default()
+        });
+        let shards = fleet
+            .shards(1, PoolConfig::algorithm1(), CacheConfig::default())
+            .expect("valid config");
+        let runtime = PoolRuntime::start(RuntimeConfig::default(), shards).expect("bind loopback");
+        (fleet, runtime)
+    };
+    // One datagram out, one back: what a client that never retries sees.
+    let exchange = |runtime: &PoolRuntime, query: &Message| {
+        let socket = std::net::UdpSocket::bind("127.0.0.1:0").expect("client socket");
+        socket
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        socket
+            .send_to(&query.encode().unwrap(), runtime.udp_addr())
+            .expect("send");
+        let mut buf = [0u8; 4096];
+        let (len, _) = socket.recv_from(&mut buf).expect("answer");
+        (len, Message::decode(&buf[..len]).expect("decodable answer"))
+    };
+    let with_opt = |id: u16, domain: &sdoh_dns_wire::Name, payload: u16| {
+        let mut query = Message::query(id, domain.clone(), RrType::A);
+        query.set_edns(Edns::with_payload_size(payload));
+        query
+    };
+
+    // 39 addresses: a 656-byte answer, between 512 and the operator limit.
+    let (fleet, runtime) = start(13);
+    let domain = &fleet.domains[0];
+    // A pre-EDNS stub may drop anything over 512 bytes: TC=1, no records.
+    let (len, plain) = exchange(&runtime, &Message::query(1, domain.clone(), RrType::A));
+    assert!(
+        plain.header.truncated,
+        "no OPT: 512 is all the client takes"
+    );
+    assert!(plain.answers.is_empty());
+    assert!(len <= 512);
+    // The same query advertising 1232 bytes gets the whole pool.
+    let (len, whole) = exchange(&runtime, &with_opt(2, domain, 1232));
+    assert!(!whole.header.truncated);
+    assert_eq!(whole.answer_addresses().len(), 39);
+    assert!((513..=1232).contains(&len), "{len} bytes");
+    // An advertisement below 512 is read as 512 (RFC 6891 6.2.5).
+    let (_, tiny) = exchange(&runtime, &with_opt(3, domain, 100));
+    assert!(tiny.header.truncated);
+    // The stub that follows TC=1 still gets every address, over TCP.
+    let client = RuntimeClient::connect(runtime.udp_addr(), runtime.tcp_addr()).expect("client");
+    let retried = client
+        .query(&Message::query(4, domain.clone(), RrType::A))
+        .expect("query answered");
+    assert_eq!(retried.answer_addresses().len(), 39);
+    let stats = runtime.shutdown();
+    assert_eq!(stats.truncated_responses, 3, "ids 1, 3 and 4");
+    assert_eq!(stats.tcp_queries, 1);
+
+    // 78 addresses: 1280 bytes, over the operator limit whatever the
+    // client advertises.
+    let (fleet, runtime) = start(26);
+    let (_, capped) = exchange(&runtime, &with_opt(5, &fleet.domains[0], 4096));
+    assert!(capped.header.truncated, "the operator's limit still caps");
+    assert!(capped.answers.is_empty());
+    assert_eq!(runtime.shutdown().truncated_responses, 1);
 }
 
 #[test]

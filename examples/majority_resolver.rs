@@ -1,14 +1,16 @@
 //! The backward-compatible "majority DNS resolver" front end (Section II).
 //!
-//! Runs the majority-vote resolver as an ordinary DNS service on port 53 and
-//! queries it with an unmodified stub resolver, with one of the three
-//! upstream DoH resolvers compromised. The compromised resolver's fabricated
-//! addresses never reach the client because no other resolver corroborates
-//! them.
+//! Runs the front end (`CachingPoolResolver`) in majority-vote mode as an
+//! ordinary DNS service on port 53 and queries it with an unmodified stub
+//! resolver, with one of the three upstream DoH resolvers compromised. The
+//! compromised resolver's fabricated addresses never reach the client
+//! because no other resolver corroborates them. The answer TTL is the
+//! cache TTL: a pool handed out for 300 s is also served from the cache
+//! for 300 s.
 //!
 //! Run with: `cargo run --example majority_resolver`
 
-use secure_doh::core::{PoolConfig, SecurePoolResolver};
+use secure_doh::core::{CacheConfig, CachingPoolResolver, PoolConfig};
 use secure_doh::dns::{ClientExchanger, Do53Service, StubResolver};
 use secure_doh::netsim::SimAddr;
 use secure_doh::scenario::{ResolverCompromise, Scenario, ScenarioConfig, CLIENT_ADDR};
@@ -31,7 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let generator = scenario.pool_generator(PoolConfig::majority_resolver())?;
     scenario.net.register(
         frontend_addr,
-        Do53Service::new(SecurePoolResolver::new(generator).answer_ttl(Ttl::from_secs(300))),
+        Do53Service::new(CachingPoolResolver::new(
+            generator,
+            CacheConfig::default().with_ttl(Ttl::from_secs(300)),
+        )),
     );
 
     println!("== Majority DNS resolver front end ==\n");

@@ -15,7 +15,6 @@ use parking_lot::Mutex;
 
 use sdoh_core::{
     CacheConfig, CachingPoolResolver, GenerationReport, PoolConfig, SecurePoolGenerator,
-    SecurePoolResolver,
 };
 use sdoh_dns_server::{
     Authority, Catalog, ClientExchanger, Do53Service, HardeningConfig, PoisonConfig, PoisonMode,
@@ -610,10 +609,10 @@ impl Scenario {
         .with_targets(vec![ROOT_SERVER, ORG_SERVER, NTPNS_SERVER])
     }
 
-    /// Registers the uncached [`SecurePoolResolver`] front end at
-    /// [`FRONTEND_ADDR`] — the one-generation-per-query baseline the
-    /// serving subsystem is measured against. Returns the shared
-    /// (`Arc<Mutex<_>>`) handle for metrics inspection.
+    /// Registers the front end at [`FRONTEND_ADDR`] under
+    /// [`CacheConfig::uncached`] — the one-generation-per-query baseline
+    /// caching is measured against. Returns the shared (`Arc<Mutex<_>>`)
+    /// handle for metrics inspection.
     ///
     /// # Errors
     ///
@@ -621,13 +620,8 @@ impl Scenario {
     pub fn install_uncached_frontend(
         &self,
         pool: PoolConfig,
-    ) -> PoolResult<Arc<Mutex<SecurePoolResolver>>> {
-        let resolver = Arc::new(Mutex::new(SecurePoolResolver::new(
-            self.pool_generator(pool)?,
-        )));
-        self.net
-            .register(FRONTEND_ADDR, Do53Service::new(Arc::clone(&resolver)));
-        Ok(resolver)
+    ) -> PoolResult<Arc<Mutex<CachingPoolResolver>>> {
+        self.install_caching_frontend(pool, CacheConfig::uncached())
     }
 }
 
@@ -846,7 +840,7 @@ mod tests {
             .lookup_ipv4(&mut exchanger, &scenario.pool_domain)
             .unwrap();
         assert_eq!(baseline, first);
-        assert_eq!(uncached.lock().metrics().served, 1);
+        assert_eq!(uncached.lock().metrics().generations, 1);
         assert_eq!(resolver.lock().metrics().queries, 2, "detached handle");
     }
 

@@ -2,7 +2,7 @@
 //! wire format up to the generated pool, exercised through the simulated
 //! DoH resolvers.
 
-use secure_doh::core::{check_guarantee, PoolConfig, SecurePoolResolver};
+use secure_doh::core::{check_guarantee, CacheConfig, CachingPoolResolver, PoolConfig};
 use secure_doh::dns::{ClientExchanger, DnsClient, Do53Service, StubResolver};
 use secure_doh::netsim::SimAddr;
 use secure_doh::scenario::{
@@ -132,7 +132,7 @@ fn majority_front_end_serves_unmodified_stub_resolvers() {
         .unwrap();
     scenario.net.register(
         frontend,
-        Do53Service::new(SecurePoolResolver::new(generator)),
+        Do53Service::new(CachingPoolResolver::new(generator, CacheConfig::uncached())),
     );
 
     let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);

@@ -5,11 +5,12 @@
 //!
 //! Besides the one-at-a-time [`Exchanger::exchange`], the trait offers
 //! [`Exchanger::exchange_all`]: a batch of independent exchanges that a
-//! capable transport performs **concurrently** (one batch costs the slowest
-//! exchange's virtual latency, not the sum). Both simulator-backed
-//! exchangers — [`ClientExchanger`] for experiment drivers and
-//! [`sdoh_netsim::Ctx`] for code inside a service handler — fan batches out
-//! through [`sdoh_netsim::SimNet::transact_concurrent`]; the default
+//! capable transport performs **overlapped**: the requests depart together
+//! and the batch is waited for once, so it costs the slowest exchange's
+//! latency, not the sum — one wait, never one thread per request. Both
+//! simulator-backed exchangers — [`ClientExchanger`] for experiment drivers
+//! and [`sdoh_netsim::Ctx`] for code inside a service handler — fan batches
+//! out through [`sdoh_netsim::SimNet::transact_concurrent`]; the default
 //! implementation falls back to driving the batch sequentially so that any
 //! custom exchanger keeps working unchanged.
 
@@ -79,10 +80,12 @@ pub trait Exchanger {
     /// Performs a batch of independent exchanges, returning the outcomes in
     /// delivery order.
     ///
-    /// Transports that support in-flight concurrency (the simulator-backed
-    /// exchangers) overlap the exchanges so the batch costs the slowest
-    /// exchange, not the sum; this default implementation preserves the
-    /// one-at-a-time behaviour for exchangers that don't override it.
+    /// Transports that can have several requests in flight overlap them: the
+    /// batch costs the slowest exchange, not the sum. "Overlapped" means **one
+    /// wait per batch** on the caller's thread — the simulator advances its
+    /// clock once, the runtime's loopback transport sleeps one round trip and
+    /// collects each reply in place — never one thread per request. This
+    /// default keeps the one-at-a-time behaviour for exchangers without one.
     fn exchange_all(&mut self, requests: Vec<ExchangeRequest>) -> Vec<ExchangeOutcome> {
         requests
             .into_iter()

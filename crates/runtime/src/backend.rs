@@ -11,10 +11,25 @@
 //! workspace's [`Exchanger`] transport abstraction driven by the host
 //! clock instead of the simulator's virtual one.
 //!
+//! # One wait per batch
+//!
+//! An exchange is two steps: wait the net's round trip, then serve the
+//! request **in place, on the caller's thread**. The requests of a batch
+//! ([`Exchanger::exchange_all`]) depart together, so the batch waits that
+//! round trip *once* and then collects its replies one after the other: a
+//! generation's fan-out over N resolvers, or a refresh batch's over K keys
+//! × N, is data plus one timed wait, never a thread. What that gives up is
+//! overlap *below* a batch — an endpoint that made a latency-bearing
+//! upstream call while serving would have those waits summed across the
+//! batch — and nothing in tree nests one: [`BackendNetBuilder::with_latency`]
+//! has one caller, [`LoopbackFleet`](crate::LoopbackFleet), whose endpoints
+//! answer from an authoritative zone and call nobody.
+//!
 //! Endpoints sit behind one mutex each (never a registry-wide lock), so
 //! two shards only contend when they query the *same* upstream resolver
 //! at the same instant — mirroring how independent sockets to distinct
-//! servers behave.
+//! servers behave. The mutexes are not re-entrant, so an exchanger carries
+//! the chain of endpoints being served above it and refuses to re-enter one.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,13 +45,6 @@ use crate::clock::RuntimeClock;
 
 /// Nested-dispatch ceiling mirroring the simulator's routing-loop guard.
 const MAX_DEPTH: usize = 8;
-
-std::thread_local! {
-    /// Endpoints the current thread is serving right now, outermost first —
-    /// the re-entry detector that keeps a dispatch cycle from deadlocking
-    /// on an endpoint mutex the thread already holds.
-    static IN_FLIGHT: std::cell::RefCell<Vec<SimAddr>> = const { std::cell::RefCell::new(Vec::new()) };
-}
 
 /// An endpoint reachable inside a [`BackendNet`]: takes one request
 /// payload, returns the reply payload (`None` models a dropped request —
@@ -79,9 +87,8 @@ impl<H: QueryHandler + Send> PayloadService for DohServerService<H> {
 
 struct Inner {
     endpoints: HashMap<SimAddr, Mutex<Box<dyn PayloadService>>>,
-    /// Artificial one-way latency added before each dispatch (applied
-    /// outside any endpoint lock, so it delays the caller without
-    /// serializing the endpoint).
+    /// Artificial round trip, waited outside any endpoint lock so it
+    /// delays the caller without serializing the endpoint.
     latency: Duration,
     clock: RuntimeClock,
     ids: AtomicU64,
@@ -100,8 +107,8 @@ impl BackendNetBuilder {
         self
     }
 
-    /// Adds an artificial per-exchange latency, emulating a network round
-    /// trip (the sleep happens before the endpoint lock is taken).
+    /// Adds an artificial latency, emulating a network round trip: waited
+    /// once per exchange or batch, before any endpoint lock is taken.
     pub fn with_latency(mut self, latency: Duration) -> Self {
         self.latency = latency;
         self
@@ -151,58 +158,10 @@ impl BackendNet {
     pub fn exchanger(&self, source: SimAddr) -> BackendExchanger {
         BackendExchanger {
             net: self.clone(),
-            _source: source,
+            chain: [source; MAX_DEPTH],
             depth: 0,
             id_state: self.inner.ids.fetch_add(0x632B_E5AB, Ordering::Relaxed) | 1,
         }
-    }
-
-    fn dispatch(
-        &self,
-        depth: usize,
-        dst: SimAddr,
-        channel: ChannelKind,
-        payload: &[u8],
-    ) -> NetResult<Vec<u8>> {
-        if depth >= MAX_DEPTH {
-            return Err(NetError::TooDeep);
-        }
-        if !self.inner.latency.is_zero() {
-            std::thread::sleep(self.inner.latency);
-        }
-        let endpoint = self
-            .inner
-            .endpoints
-            .get(&dst)
-            .ok_or(NetError::Unreachable(dst))?;
-        // Endpoint mutexes are not re-entrant: a dispatch chain that leads
-        // back to an endpoint this same thread is already serving would
-        // deadlock on its own lock. The thread-local in-flight stack
-        // detects exactly that case (cross-thread contention on a popular
-        // endpoint still blocks normally, as intended).
-        let re_entered = IN_FLIGHT.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            if stack.contains(&dst) {
-                true
-            } else {
-                stack.push(dst);
-                false
-            }
-        });
-        if re_entered {
-            return Err(NetError::TooDeep);
-        }
-        let mut nested = BackendExchanger {
-            net: self.clone(),
-            _source: dst,
-            depth: depth + 1,
-            id_state: self.inner.ids.fetch_add(0x632B_E5AB, Ordering::Relaxed) | 1,
-        };
-        let reply = endpoint.lock().serve(&mut nested, channel, payload);
-        IN_FLIGHT.with(|stack| {
-            stack.borrow_mut().pop();
-        });
-        reply.ok_or(NetError::Timeout)
     }
 }
 
@@ -220,11 +179,52 @@ impl std::fmt::Debug for BackendNet {
 /// refreshes reach the in-process resolver fleet.
 pub struct BackendExchanger {
     net: BackendNet,
-    _source: SimAddr,
+    /// The endpoints being served above this exchanger, outermost first in
+    /// `chain[..depth]` — the re-entry detector that keeps a dispatch cycle
+    /// from deadlocking on an endpoint mutex its own caller holds.
+    chain: [SimAddr; MAX_DEPTH],
     depth: usize,
     /// xorshift state for transaction ids; seeded per exchanger so two
     /// workers never walk the same id sequence.
     id_state: u64,
+}
+
+impl BackendExchanger {
+    /// The network half of an exchange: the round trip, waited once
+    /// however many requests travel together.
+    fn wait_round_trip(&self) {
+        if !self.net.inner.latency.is_zero() {
+            std::thread::sleep(self.net.inner.latency);
+        }
+    }
+
+    /// The endpoint half of an exchange: serves one request in place,
+    /// handing the endpoint a nested exchanger whose chain ends in `dst`.
+    fn deliver(&self, dst: SimAddr, channel: ChannelKind, payload: &[u8]) -> NetResult<Vec<u8>> {
+        let mut chain = self.chain;
+        // No slot left for `dst` is the depth guard.
+        *chain.get_mut(self.depth).ok_or(NetError::TooDeep)? = dst;
+        let endpoint = self
+            .net
+            .inner
+            .endpoints
+            .get(&dst)
+            .ok_or(NetError::Unreachable(dst))?;
+        // A request that leads back to an endpoint this chain is already
+        // serving would deadlock on a lock its own caller holds. (Another
+        // chain contending for the endpoint still blocks, as intended.)
+        if self.chain.iter().take(self.depth).any(|&held| held == dst) {
+            return Err(NetError::TooDeep);
+        }
+        let mut nested = BackendExchanger {
+            net: self.net.clone(),
+            chain,
+            depth: self.depth + 1,
+            id_state: self.net.inner.ids.fetch_add(0x632B_E5AB, Ordering::Relaxed) | 1,
+        };
+        let reply = endpoint.lock().serve(&mut nested, channel, payload);
+        reply.ok_or(NetError::Timeout)
+    }
 }
 
 impl Exchanger for BackendExchanger {
@@ -235,7 +235,8 @@ impl Exchanger for BackendExchanger {
         payload: &[u8],
         _timeout: Duration,
     ) -> NetResult<Vec<u8>> {
-        self.net.dispatch(self.depth, dst, channel, payload)
+        self.wait_round_trip();
+        self.deliver(dst, channel, payload)
     }
 
     fn next_id(&mut self) -> u16 {
@@ -251,61 +252,27 @@ impl Exchanger for BackendExchanger {
         self.net.inner.clock.now()
     }
 
-    /// Performs the batch **concurrently**, one thread per exchange — the
-    /// real-transport counterpart of the simulator's overlapped fan-out:
-    /// a generation over N resolvers costs the slowest upstream round
-    /// trip, not the sum. Outcomes come back in completion order, like the
-    /// simulator's.
+    /// Performs the batch as **one round trip**: the requests depart
+    /// together, the caller waits the net's latency once and collects the
+    /// replies in place — the real-transport counterpart of the simulator's
+    /// overlapped fan-out: a generation over N resolvers costs one upstream
+    /// round trip, not the sum, and no thread. Outcomes come back in
+    /// completion order, like the simulator's. (Latency nested under an
+    /// endpoint would sum; the module doc says why nothing in tree nests.)
     fn exchange_all(&mut self, requests: Vec<ExchangeRequest>) -> Vec<ExchangeOutcome> {
-        if requests.len() <= 1 {
-            // No overlap to win; skip the thread spawn.
-            return requests
-                .into_iter()
-                .enumerate()
-                .map(|(index, request)| ExchangeOutcome {
+        self.wait_round_trip();
+        requests
+            .into_iter()
+            .enumerate()
+            .map(|(index, request)| {
+                let result = self.deliver(request.dst, request.channel, &request.payload);
+                ExchangeOutcome {
                     index,
-                    result: self.exchange(
-                        request.dst,
-                        request.channel,
-                        &request.payload,
-                        request.timeout,
-                    ),
                     completed_at: self.now(),
-                })
-                .collect();
-        }
-        let net = &self.net;
-        let depth = self.depth;
-        // The re-entry detector is thread-local; the batch threads must
-        // inherit this thread's in-flight endpoint stack, or a dispatch
-        // cycle through a batched fan-out would sail past the detector
-        // and deadlock on a mutex this thread already holds.
-        let in_flight: Vec<SimAddr> = IN_FLIGHT.with(|stack| stack.borrow().clone());
-        let mut outcomes = std::thread::scope(|scope| {
-            let handles: Vec<_> = requests
-                .into_iter()
-                .enumerate()
-                .map(|(index, request)| {
-                    let in_flight = in_flight.clone();
-                    scope.spawn(move || {
-                        IN_FLIGHT.with(|stack| *stack.borrow_mut() = in_flight);
-                        let result =
-                            net.dispatch(depth, request.dst, request.channel, &request.payload);
-                        ExchangeOutcome {
-                            index,
-                            completed_at: net.clock().now(),
-                            result,
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("exchange thread panicked")) // sdoh-lint: allow(no-panic, "re-raising a worker thread panic is the only sound response")
-                .collect::<Vec<_>>()
-        });
-        outcomes.sort_by_key(|outcome| outcome.completed_at);
-        outcomes
+                    result,
+                }
+            })
+            .collect()
     }
 }
 
@@ -422,9 +389,9 @@ mod tests {
     #[test]
     fn batched_cycles_error_instead_of_deadlocking() {
         // The fan-out endpoint batches to [echo, itself]: the self-request
-        // runs on a batch thread, which must inherit the caller chain's
-        // in-flight stack and fail with the re-entry error rather than
-        // block on the endpoint mutex the chain already holds.
+        // is served through the nested exchanger, whose chain already ends
+        // in the fan-out endpoint, and must fail with the re-entry error
+        // rather than block on the endpoint mutex the chain already holds.
         let echo = SimAddr::v4(192, 0, 2, 1, 443);
         let fanout = SimAddr::v4(192, 0, 2, 2, 443);
         let net = BackendNet::builder()
@@ -436,6 +403,50 @@ mod tests {
             .exchange(fanout, ChannelKind::Secure, b"hi", Duration::from_secs(1))
             .unwrap();
         assert_eq!(reply, b"hi", "the echo half of the batch still answers");
+    }
+
+    /// Echoes, and records the thread that served it.
+    struct ServedOn(Arc<Mutex<Vec<std::thread::ThreadId>>>);
+    impl PayloadService for ServedOn {
+        fn serve(
+            &mut self,
+            _exchanger: &mut dyn Exchanger,
+            _channel: ChannelKind,
+            payload: &[u8],
+        ) -> Option<Vec<u8>> {
+            self.0.lock().push(std::thread::current().id());
+            Some(payload.to_vec())
+        }
+    }
+
+    #[test]
+    fn a_batch_is_served_on_the_callers_thread_in_request_order() {
+        let served_on = Arc::new(Mutex::new(Vec::new()));
+        let servers: Vec<SimAddr> = (1..=5).map(|i| SimAddr::v4(192, 0, 2, i, 443)).collect();
+        let mut builder = BackendNet::builder().with_latency(Duration::from_millis(1));
+        for &server in &servers {
+            builder = builder.register(server, ServedOn(Arc::clone(&served_on)));
+        }
+        let mut exchanger = builder.build().exchanger(SimAddr::v4(10, 0, 0, 1, 40000));
+        let outcomes = exchanger.exchange_all(
+            servers
+                .iter()
+                .zip(0u8..)
+                .map(|(&dst, i)| {
+                    ExchangeRequest::new(dst, ChannelKind::Secure, vec![i], Duration::ZERO)
+                })
+                .collect(),
+        );
+        assert_eq!(
+            *served_on.lock(),
+            vec![std::thread::current().id(); servers.len()],
+            "every exchange of the batch runs on the caller's thread"
+        );
+        // Completion order is request order, each reply under its index.
+        for (at, outcome) in outcomes.iter().enumerate() {
+            assert_eq!(outcome.index, at);
+            assert_eq!(outcome.result.as_deref(), Ok(&[at as u8][..]));
+        }
     }
 
     #[test]

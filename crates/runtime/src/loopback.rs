@@ -41,8 +41,8 @@ pub struct LoopbackConfig {
     /// Indexes of resolvers that replace every pool answer with attacker
     /// addresses.
     pub compromised: Vec<usize>,
-    /// Artificial per-exchange upstream latency (models the DoH round
-    /// trip a generation pays; zero for raw-throughput runs).
+    /// Artificial upstream latency (models the DoH round trip a generation
+    /// pays once for its whole fan-out; zero for raw-throughput runs).
     pub upstream_latency: Duration,
     /// Seed for the resolver directory keys.
     pub seed: u64,

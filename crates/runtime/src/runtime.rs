@@ -26,9 +26,14 @@
 //! resolver's [`next_refresh_due`](CachingPoolResolver::next_refresh_due)
 //! plus a short coalescing window has passed, to run
 //! [`run_due_refreshes`](CachingPoolResolver::run_due_refreshes) off any
-//! client's query path (see `worker_loop`). Statistics are taken on
-//! demand: [`PoolRuntime::stats`], `/metrics` and `/healthz` each ask the
-//! shards for a [`ServeSnapshot`] when they are called.
+//! client's query path (see `worker_loop`). Upstream exchanges have no
+//! thread either: the fan-out of a generation, or of a whole refresh
+//! batch, is one [`Exchanger::exchange_all`] batch that the loopback
+//! transport ([`BackendExchanger`](crate::BackendExchanger)) waits for once
+//! and collects on the worker's own thread — the diagram is the thread
+//! census, idle or loaded. Statistics are taken on demand:
+//! [`PoolRuntime::stats`], `/metrics` and `/healthz` each ask the shards
+//! for a [`ServeSnapshot`] when they are called.
 //!
 //! # The hit path
 //!
@@ -53,14 +58,18 @@
 //! bound to the same port number (RFC 1035 length-prefixed framing), and
 //! the connection handler takes the buffer's contents with it.
 //!
-//! [`PoolRuntime::shutdown`] stops the socket threads, drains the worker
-//! queues, takes a final snapshot and joins every thread.
+//! Both socket threads block in `recv_from` / `accept` and poll nothing:
+//! a lone client's TCP retry is accepted when it arrives, and an error
+//! from either call is backed off from, never a reason to leave.
+//! [`PoolRuntime::shutdown`] sets the stop flag, wakes each with one
+//! throw-away message (an empty datagram, a connection never served),
+//! drains the worker queues, takes a final snapshot and joins every thread.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::Hasher;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -89,14 +98,14 @@ const SNAPSHOT_TIMEOUT: Duration = Duration::from_secs(5);
 /// has to answer promptly even when a worker is stuck in a generation.
 const HEALTH_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// Granularity at which the blocking socket loops (UDP `recv_from`, TCP
-/// `accept`) re-check the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(5);
+/// How long a socket loop stays away from a socket that just returned an
+/// error, so a persistent one (descriptor exhaustion) cannot spin it.
+const ERROR_BACKOFF: Duration = Duration::from_millis(1);
 
 /// How long a shard lets queued refreshes collect before it runs them,
 /// counted from the earliest one coming due. The window is what batches
-/// several keys that went stale together into one overlapped
-/// `exchange_all` fan-out instead of one fan-out per stale answer.
+/// K keys that went stale together into one `exchange_all` fan-out — K × N
+/// requests, one upstream round trip, no thread — instead of K.
 const REFRESH_COALESCE: Duration = Duration::from_millis(50);
 
 /// Configuration of a [`PoolRuntime`].
@@ -518,13 +527,11 @@ impl PoolRuntime {
         })?;
         let (udp, tcp) = if config.enable_tcp {
             let (udp, listener) = bind_front_door(config.bind, || UdpSocket::bind(config.bind))?;
-            listener.set_nonblocking(true)?;
             (udp, Some(listener))
         } else {
             (UdpSocket::bind(config.bind)?, None)
         };
         let udp = Arc::new(udp);
-        udp.set_read_timeout(Some(POLL_INTERVAL))?;
         let udp_addr = udp.local_addr()?;
         let tcp_addr = tcp.as_ref().map(|l| l.local_addr()).transpose()?;
 
@@ -723,8 +730,14 @@ impl PoolRuntime {
     // sdoh-lint: allow(hot-path-purity, "shutdown path: serving has already stopped")
     pub fn shutdown(mut self) -> RuntimeStats {
         // 1. Stop the socket threads (and the stats listener, so no
-        //    scrape races the drain); no new work enters the queues.
+        //    scrape races the drain); no new work enters the queues. Each
+        //    blocks on its socket and is woken by one throw-away message.
         self.stop.store(true, Ordering::SeqCst);
+        let udp = &self.control.inner.ctx.socket;
+        let _ = udp.send_to(&[], wake_addr(self.udp_addr));
+        if let Some(tcp_addr) = self.tcp_addr {
+            let _ = TcpStream::connect_timeout(&wake_addr(tcp_addr), Duration::from_secs(1));
+        }
         if let Some(mut server) = self.stats_server.take() {
             server.shutdown();
         }
@@ -779,6 +792,17 @@ impl std::fmt::Debug for PoolRuntime {
             .field("epoch", &self.control.current_epoch())
             .finish()
     }
+}
+
+/// Where `shutdown` reaches a socket bound on `bound`: loopback of the same
+/// family when that is the unspecified address.
+fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
+    match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => bound.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => bound.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    bound
 }
 
 /// How many ephemeral ports a port-0 start tries before giving up.
@@ -996,8 +1020,14 @@ fn dispatcher_loop(
     // copy is still served — never dropped.
     let mut senders = routes.senders();
     let mut version = routes.version.load(Ordering::Acquire);
-    while !stop.load(Ordering::SeqCst) {
-        match socket.recv_from(&mut buf) {
+    loop {
+        let received = socket.recv_from(&mut buf);
+        // `shutdown` wakes this blocking receive with an empty datagram:
+        // what arrives once `stop` is set is neither counted nor routed.
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match received {
             Ok((len, peer)) => {
                 counters.udp_received.inc();
                 let current = routes.version.load(Ordering::Acquire);
@@ -1028,13 +1058,8 @@ fn dispatcher_loop(
                     counters.dropped.inc();
                 }
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => break,
+            // An error (a signal, ICMP feedback) is not about the next datagram.
+            Err(_) => std::thread::sleep(ERROR_BACKOFF),
         }
     }
 }
@@ -1045,8 +1070,14 @@ fn tcp_loop(
     stop: Arc<AtomicBool>,
     counters: Arc<FrontCounters>,
 ) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // `shutdown` wakes this blocking accept with a connection of its
+        // own: what is accepted once `stop` is set is not served.
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 // Connections are handled inline: the TCP path only exists
                 // as the fallback for truncated answers, so one connection
@@ -1054,10 +1085,9 @@ fn tcp_loop(
                 // workloads would want an acceptor pool here.
                 let _ = serve_tcp_connection(stream, &routes, &counters);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => break,
+            // An error (a reset in the backlog, a signal) is not about the
+            // next connection: leaving would strand every truncated pool.
+            Err(_) => std::thread::sleep(ERROR_BACKOFF),
         }
     }
 }
@@ -1439,6 +1469,51 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse);
         assert_eq!(tries, EPHEMERAL_BIND_ATTEMPTS);
+    }
+
+    #[test]
+    fn accept_errors_do_not_end_the_tcp_loop() {
+        // A non-blocking listener makes `accept` fail for as long as nobody
+        // connects — a stand-in for the errors a blocking one returns now
+        // and then (a connection aborted in the backlog, a signal).
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (tx, rx) = mpsc::channel();
+        let routes = Arc::new(RouteState::new(RouteTable {
+            senders: vec![tx],
+            acked: Vec::new(),
+        }));
+        let stop = Arc::new(AtomicBool::new(false));
+        let counters = Arc::new(FrontCounters::register(&Registry::new()));
+        let acceptor = {
+            let (stop, counters) = (Arc::clone(&stop), Arc::clone(&counters));
+            std::thread::spawn(move || tcp_loop(listener, routes, stop, counters))
+        };
+        // Several back-offs' worth of failed accepts later a query over the
+        // listener still reaches the shard queue, and its answer the client.
+        std::thread::sleep(ERROR_BACKOFF * 5);
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(&[0, 2, 0xAB, 0xCD]).unwrap();
+        match rx.recv_timeout(Duration::from_secs(5)) {
+            Ok(WorkItem::Query {
+                wire,
+                reply: ReplyPath::Tcp(reply),
+            }) => {
+                assert_eq!(wire, [0xAB, 0xCD]);
+                reply.send(vec![0xEF]).unwrap();
+            }
+            _ => panic!("the query never reached the shard queue"),
+        }
+        let mut framed = [0u8; 3];
+        stream.read_exact(&mut framed).unwrap();
+        assert_eq!(framed, [0, 1, 0xEF]);
+        assert_eq!(counters.tcp_received.get(), 1);
+        // It leaves when told to, woken the way `shutdown` wakes it.
+        drop(stream);
+        stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(addr);
+        acceptor.join().unwrap();
     }
 
     #[test]

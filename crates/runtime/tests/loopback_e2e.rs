@@ -12,6 +12,7 @@ use std::time::Duration;
 use sdoh_core::{
     check_guarantee, AddressPool, AddressSource, CacheConfig, DohSource, GroundTruth, PoolConfig,
 };
+use sdoh_dns_server::Exchanger;
 use sdoh_dns_wire::{Edns, Message, Rcode, RrType, Ttl};
 use sdoh_doh::DohMethod;
 use sdoh_metrics::{http_get, parse_prometheus, SampleValue};
@@ -133,6 +134,154 @@ fn oversized_udp_answers_fall_back_to_tcp() {
     assert_eq!(
         stats.total.serve.generations, 1,
         "TC retry was served from cache, not regenerated"
+    );
+}
+
+#[test]
+fn shutdown_reaches_socket_threads_bound_on_the_unspecified_address() {
+    // Both socket threads block on their sockets; `shutdown` has to wake
+    // them over loopback when the runtime listens on every address — and
+    // what wakes them is not a query.
+    let (fleet, shards) = build(Vec::new(), Ttl::from_secs(60), Duration::from_secs(60));
+    let config = RuntimeConfig::default().with_bind(([0, 0, 0, 0], 0).into());
+    let runtime = PoolRuntime::start(config, shards).expect("bind every address");
+    let port = runtime.udp_addr().port();
+    let client = RuntimeClient::connect(([127, 0, 0, 1], port).into(), None).expect("client");
+    client
+        .query(&Message::query(1, fleet.domains[0].clone(), RrType::A))
+        .expect("query answered");
+    let stats = runtime.shutdown();
+    assert_eq!((stats.udp_queries, stats.tcp_queries), (1, 0));
+}
+
+/// Closes `stream` with a reset instead of a FIN (`SO_LINGER` 0, which std
+/// cannot set): what the server's listener sees from a client that gives
+/// up on a connection it has only just made.
+#[cfg(target_os = "linux")]
+fn close_with_reset(stream: std::net::TcpStream) {
+    use std::os::fd::AsRawFd;
+    extern "C" {
+        fn setsockopt(fd: i32, level: i32, name: i32, value: *const [i32; 2], len: u32) -> i32;
+    }
+    const SOL_SOCKET: i32 = 1;
+    const SO_LINGER: i32 = 13;
+    let linger = [1i32, 0]; // struct linger { l_onoff, l_linger }
+                            // SAFETY: `stream` owns an open socket for the whole call, and `value`
+                            // points to a live `struct linger` (two C ints, 8 bytes) the kernel
+                            // only reads.
+    let status = unsafe { setsockopt(stream.as_raw_fd(), SOL_SOCKET, SO_LINGER, &linger, 8) };
+    assert_eq!(status, 0, "SO_LINGER");
+    drop(stream);
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn a_client_that_resets_its_connection_does_not_end_the_tcp_fallback() {
+    let (fleet, shards) = build(Vec::new(), Ttl::from_secs(60), Duration::from_secs(60));
+    let config = RuntimeConfig::default().with_udp_payload_limit(128);
+    let runtime = PoolRuntime::start(config, shards).expect("bind loopback");
+    let tcp_addr = runtime.tcp_addr().expect("tcp enabled");
+    for _ in 0..3 {
+        close_with_reset(std::net::TcpStream::connect(tcp_addr).expect("connect"));
+    }
+    // Whatever the acceptor made of those, the next truncated answer is
+    // still retried over TCP and served in full.
+    let client = RuntimeClient::connect(runtime.udp_addr(), Some(tcp_addr)).expect("client");
+    let response = client
+        .query(&Message::query(9, fleet.domains[0].clone(), RrType::A))
+        .expect("TCP retry answered");
+    assert_eq!(response.answer_addresses().len(), 24);
+    let stats = runtime.shutdown();
+    assert_eq!(stats.truncated_responses, 1);
+    assert_eq!(stats.tcp_queries, 1, "the resets carried no query");
+}
+
+#[test]
+fn every_answer_of_a_cold_burst_keeps_the_guarantee_in_one_round_trip_each() {
+    // Five resolvers, one compromised, majority vote, a 2 ms upstream
+    // round trip, 32 domains with nothing cached, all asked at once: 32
+    // generations of five exchanges each, on one shard — so a fan-out that
+    // paid its five round trips one by one could not beat the clock below.
+    const DOMAINS: usize = 32;
+    const RESOLVERS: usize = 5;
+    let fleet = LoopbackFleet::build(LoopbackConfig {
+        resolvers: RESOLVERS,
+        pool_domains: DOMAINS,
+        compromised: vec![RESOLVERS - 1],
+        upstream_latency: Duration::from_millis(2),
+        ..LoopbackConfig::default()
+    });
+    let truth = fleet.ground_truth();
+    let shards = fleet
+        .shards(1, PoolConfig::majority_resolver(), CacheConfig::uncached())
+        .expect("valid config");
+    let runtime = PoolRuntime::start(RuntimeConfig::default(), shards).expect("bind loopback");
+    let socket = std::net::UdpSocket::bind("127.0.0.1:0").expect("client socket");
+    socket.connect(runtime.udp_addr()).expect("connect");
+    socket
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let mut exchanger = fleet
+        .backends
+        .exchanger(sdoh_netsim::SimAddr::v4(10, 9, 9, 9, 40000));
+
+    // Judged against the same 160 exchanges made one round trip after the
+    // other in the same run — a slow host stretches both sides — and over a
+    // few rounds, so one scheduling stall cannot fail it. (The sequential
+    // side sends no DoH request, so it waits but does none of the protocol
+    // work: it errs in the burst's disfavour.)
+    let mut rounds = Vec::new();
+    while rounds.len() < 3 {
+        let started = std::time::Instant::now();
+        for (id, domain) in (0u16..).zip(&fleet.domains) {
+            let query = Message::query(id, domain.clone(), RrType::A);
+            socket.send(&query.encode().unwrap()).expect("send");
+        }
+        let mut buf = [0u8; 4096];
+        for _ in 0..DOMAINS {
+            let len = socket.recv(&mut buf).expect("every query is answered");
+            let answer = Message::decode(&buf[..len]).expect("well-formed answer");
+            assert_guarantee(&answer, &truth);
+            let mut served = answer.answer_addresses();
+            served.sort();
+            assert_eq!(
+                served, fleet.benign,
+                "the compromised resolver was outvoted"
+            );
+        }
+        let burst = started.elapsed();
+
+        let started = std::time::Instant::now();
+        for _ in 0..DOMAINS {
+            for info in &fleet.infos {
+                let _ = exchanger.exchange(
+                    info.addr,
+                    sdoh_netsim::ChannelKind::Secure,
+                    b"not a DoH request",
+                    Duration::ZERO,
+                );
+            }
+        }
+        let sequential = started.elapsed();
+        rounds.push((burst, sequential));
+        if burst * 2 < sequential {
+            break;
+        }
+    }
+
+    let stats = runtime.shutdown();
+    let generations = (DOMAINS * rounds.len()) as u64;
+    assert_eq!(stats.total.serve.generations, generations);
+    assert_eq!(
+        stats.total.serve.source_answers,
+        RESOLVERS as u64 * generations
+    );
+    assert_eq!(stats.total.serve.source_failures, 0);
+    let (burst, sequential) = rounds[rounds.len() - 1];
+    assert!(
+        burst * 2 < sequential,
+        "a burst never took under half of its exchanges made one by one; \
+         (burst, sequential) per round: {rounds:?}"
     );
 }
 

@@ -1,12 +1,12 @@
 //! Benchmarks of the pool-serving subsystem: per-query host cost of the
 //! cached front end against the uncached generate-per-query baseline, and
-//! the coalesced batch path.
+//! a cold burst coalesced onto live flights through the stepwise entry.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sdoh_core::{CacheConfig, CachingPoolResolver, PoolConfig};
-use sdoh_dns_server::{ClientExchanger, QueryHandler};
+use sdoh_core::{CacheConfig, CachingPoolResolver, PoolConfig, ServeStep};
+use sdoh_dns_server::{ClientExchanger, Exchanger, QueryHandler};
 use sdoh_dns_wire::{Message, RrType, Ttl};
 use secure_doh::scenario::{Scenario, ScenarioConfig, CLIENT_ADDR};
 
@@ -74,6 +74,60 @@ fn bench_cached_hit(c: &mut Criterion) {
     });
 }
 
+/// Serves `queries` as one burst through the stepwise entry, the way a
+/// shard does: begin them all — a miss joins the flight in the air for its
+/// key or opens one — then send what the flights have to send as one batch,
+/// land the outcomes and answer what was parked. Returns the answers, in the
+/// order they were given.
+fn serve_burst(
+    resolver: &mut CachingPoolResolver,
+    exchanger: &mut dyn Exchanger,
+    queries: &[Message],
+) -> Vec<Vec<u8>> {
+    let mut answers = Vec::with_capacity(queries.len());
+    let mut parked = Vec::new();
+    for query in queries {
+        let mut out = Vec::new();
+        match resolver
+            .begin(exchanger, query, &mut out)
+            .expect("encodable")
+        {
+            None => answers.push(out),
+            Some(flight) => parked.push((flight, query)),
+        }
+    }
+    let (mut tags, mut requests) = (Vec::new(), Vec::new());
+    loop {
+        match resolver.poll(exchanger.now()) {
+            ServeStep::Transmit {
+                flight,
+                transaction,
+                request,
+            } => {
+                tags.push((flight, transaction));
+                requests.push(request);
+            }
+            ServeStep::Landed(landed) => {
+                for (_, query) in parked.iter().filter(|(flight, _)| *flight == landed.flight) {
+                    let mut out = Vec::new();
+                    landed.answer_wire(query, &mut out).expect("encodable");
+                    answers.push(out);
+                }
+            }
+            ServeStep::Wait(_) if requests.is_empty() => return answers,
+            ServeStep::Wait(_) => {
+                for outcome in exchanger.exchange_all(std::mem::take(&mut requests)) {
+                    let (flight, transaction) = tags[outcome.index];
+                    resolver
+                        .land(flight, transaction, outcome.result)
+                        .expect("a tag of this batch");
+                }
+                tags.clear();
+            }
+        }
+    }
+}
+
 /// A cold burst of coalesced queries: N clients, DOMAINS flights.
 fn bench_coalesced_cold_burst(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve/coalesced_cold_burst");
@@ -93,7 +147,7 @@ fn bench_coalesced_cold_burst(c: &mut Criterion) {
                     .map(|i| query(i as u16 + 1, &scenario, i))
                     .collect();
                 let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
-                resolver.serve_batch(&mut exchanger, &queries)
+                serve_burst(&mut resolver, &mut exchanger, &queries)
             })
         });
         let _ = generator;

@@ -30,7 +30,8 @@ pub enum PoolError {
     Session(String),
     /// A driver responded to a transaction id the session does not know.
     UnknownTransaction(usize),
-    /// A serve-batch route pointed at a flight that does not exist.
+    /// A driver landed an outcome for a flight that is not live: it
+    /// already landed, or was never opened.
     UnknownFlight(usize),
     /// A driver responded to a transaction that is not in flight.
     TransactionNotInFlight(usize),
@@ -51,7 +52,7 @@ impl fmt::Display for PoolError {
                 write!(f, "session misuse: unknown transaction {id}")
             }
             PoolError::UnknownFlight(flight) => {
-                write!(f, "session misuse: route to unknown flight {flight}")
+                write!(f, "session misuse: flight {flight} is not live")
             }
             PoolError::TransactionNotInFlight(id) => {
                 write!(f, "session misuse: transaction {id} is not in flight")

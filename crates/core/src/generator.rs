@@ -9,6 +9,8 @@
 //! [`SecurePoolGenerator::generate_sequential`] preserves the historical
 //! one-exchange-at-a-time behaviour for comparisons.
 
+use std::sync::Arc;
+
 use sdoh_dns_server::Exchanger;
 use sdoh_dns_wire::Name;
 use sdoh_doh::{DohMethod, ResolverDirectory};
@@ -82,7 +84,10 @@ impl GenerationReport {
 /// combination policy.
 pub struct SecurePoolGenerator {
     config: PoolConfig,
-    sources: Vec<Box<dyn AddressSource>>,
+    /// Shared with every session planned over it, so a session may outlive
+    /// the call that opened it and [`SecurePoolGenerator::replace_sources`]
+    /// never changes the set under one.
+    sources: Arc<[Box<dyn AddressSource>]>,
 }
 
 impl SecurePoolGenerator {
@@ -97,7 +102,10 @@ impl SecurePoolGenerator {
         if sources.is_empty() {
             return Err(PoolError::NoResolvers);
         }
-        Ok(SecurePoolGenerator { config, sources })
+        Ok(SecurePoolGenerator {
+            config,
+            sources: sources.into(),
+        })
     }
 
     /// Convenience constructor: use the first `n` resolvers of a directory
@@ -128,7 +136,7 @@ impl SecurePoolGenerator {
     /// Replaces the upstream resolver set on a live generator — the
     /// operational response to a compromised or retired resolver. The new
     /// set takes effect from the next generation; in-flight sessions
-    /// (which borrow the old sources) are unaffected.
+    /// (which share the old set and keep it alive) finish over it.
     ///
     /// # Errors
     ///
@@ -138,7 +146,7 @@ impl SecurePoolGenerator {
         if sources.is_empty() {
             return Err(PoolError::NoResolvers);
         }
-        self.sources = sources;
+        self.sources = sources.into();
         Ok(())
     }
 
@@ -168,8 +176,8 @@ impl SecurePoolGenerator {
     ///
     /// Configuration validation errors (the constructor already validated,
     /// so in practice this cannot fail for a constructed generator).
-    pub fn session(&self, domain: &Name, seed: u64) -> PoolResult<PoolSession<'_>> {
-        PoolSession::new(self.config.clone(), &self.sources, domain, seed)
+    pub fn session(&self, domain: &Name, seed: u64) -> PoolResult<PoolSession<'static>> {
+        PoolSession::shared(self.config.clone(), Arc::clone(&self.sources), domain, seed)
     }
 
     /// Runs pool generation for `domain` according to the configured

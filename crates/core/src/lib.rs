@@ -81,14 +81,21 @@
 //!   `(domain, address family)` ([`PoolKey`]) — one map under an exact LRU
 //!   capacity bound, with negative caching of failures; what is cached and
 //!   for how long is a [`CacheConfig`],
-//! * **singleflight coalescing** so a burst of concurrent misses for one
-//!   domain shares a single fan-out ([`CachingPoolResolver::serve_batch`]),
+//! * **singleflight coalescing** — the resolver keeps a registry of its
+//!   live generations, and a miss for a key that has one in flight joins it
+//!   instead of launching a second fan-out,
 //! * **stale-while-revalidate** — expired entries are served immediately
 //!   within a stale window while a background refresh regenerates them
 //!   ([`CachingPoolResolver::next_refresh_due`],
 //!   [`CachingPoolResolver::run_due_refreshes`]),
-//! * a sans-IO serve session overlapping the generations of a whole
-//!   serving batch in one fan-out.
+//! * a **stepwise, sans-IO entry** beside the blocking `QueryHandler` one:
+//!   [`CachingPoolResolver::begin`] answers what the cache can answer and
+//!   parks a miss under a [`FlightId`],
+//!   [`CachingPoolResolver::poll`] hands out what every live flight has to
+//!   send (one batch overlaps the generations of different keys) and says
+//!   which flights landed, [`CachingPoolResolver::land`] takes outcomes
+//!   back in any order. The blocking entry points are these steps driven
+//!   to the landing, so there is one miss path.
 //!
 //! Serving cost falls from one generation **per query** to one generation
 //! per `(domain, TTL window)`, while every served answer still comes out
@@ -101,18 +108,21 @@
 //! application closing the loop over this crate's pools.
 //!
 //! The whole serve layer is `Send` (sources are
-//! [`AddressSource: Send`](AddressSource), state is plainly owned), so a
-//! resolver can be moved into a worker thread outright. That is how the
+//! [`AddressSource: Send + Sync`](AddressSource), state is plainly owned),
+//! so a resolver can be moved into a worker thread outright. That is how the
 //! `sdoh-runtime` crate serves real traffic: it binds an actual UDP
 //! socket, hashes each query's `(domain, address family)` onto one of N
 //! worker threads, and each worker **owns** its `CachingPoolResolver`
 //! shard — per-shard ownership instead of a shared lock, and the only
 //! sharding there is (the cache inside a resolver is one map). The worker
-//! also wakes itself at [`CachingPoolResolver::next_refresh_due`] to run
-//! [`CachingPoolResolver::run_due_refreshes`] off any client's query
-//! path, and answers on-demand statistics requests with a
-//! [`ServeSnapshot`] ([`CachingPoolResolver::snapshot`], one consistent
-//! reading per request).
+//! drives the stepwise entry: a miss is parked while its generation is
+//! upstream and the worker goes on answering hits; it wakes itself when a
+//! round trip ends or at [`CachingPoolResolver::next_refresh_due`] (due
+//! refreshes open flights like any miss,
+//! [`CachingPoolResolver::begin_due_refreshes`]), and answers on-demand
+//! statistics requests with a [`ServeSnapshot`]
+//! ([`CachingPoolResolver::snapshot`], one consistent reading per request,
+//! live generations included).
 //!
 //! The layer also exposes an **invariant probe surface** for fault
 //! injection: [`CachingPoolResolver::probe_entries`] reports every entry's
@@ -203,12 +213,12 @@ pub use majority::{majority_vote, meets_threshold, support_counts};
 pub use pool::{AddressPool, PoolEntry};
 pub use serve::{
     snapshot_samples, AddressFamily, CacheConfig, CacheEntryProbe, CachedPool, CachingPoolResolver,
-    ConfigError, EntryState, PoolKey, ResolvedPool, ServeConfig, ServeMetrics, ServeSnapshot,
-    APP_METRIC_HELP, METRIC_CONFIG_EPOCH, METRIC_DROPPED_QUERIES, METRIC_INVARIANT_VIOLATIONS,
-    METRIC_SERVE_LATENCY, METRIC_SHARDS, METRIC_SHARD_ACKED_EPOCH, METRIC_TCP_QUERIES,
-    METRIC_TIMESYNC_FAILURES, METRIC_TIMESYNC_POOL_REFRESHES, METRIC_TIMESYNC_SYNCS,
-    METRIC_TRUNCATED_RESPONSES, METRIC_UDP_QUERIES, METRIC_UNRESPONSIVE_SHARDS,
-    RUNTIME_METRIC_HELP, SERVE_COUNTER_HELP, SERVE_GAUGE_HELP,
+    ConfigError, EntryState, FlightId, Landed, PoolKey, ResolvedPool, ServeConfig, ServeMetrics,
+    ServeSnapshot, ServeStep, APP_METRIC_HELP, METRIC_CONFIG_EPOCH, METRIC_DROPPED_QUERIES,
+    METRIC_INVARIANT_VIOLATIONS, METRIC_SERVE_LATENCY, METRIC_SHARDS, METRIC_SHARD_ACKED_EPOCH,
+    METRIC_TCP_QUERIES, METRIC_TIMESYNC_FAILURES, METRIC_TIMESYNC_POOL_REFRESHES,
+    METRIC_TIMESYNC_SYNCS, METRIC_TRUNCATED_RESPONSES, METRIC_UDP_QUERIES,
+    METRIC_UNRESPONSIVE_SHARDS, RUNTIME_METRIC_HELP, SERVE_COUNTER_HELP, SERVE_GAUGE_HELP,
 };
 pub use session::{
     drive, drive_sequential, Action, PoolSession, SessionEvent, TransactionId, Transmit,

@@ -8,7 +8,8 @@
 //!
 //! * [`CachingPoolResolver`] — the `QueryHandler` front end, with
 //!   [`ServeMetrics`] (hits, misses, coalesced waiters, stale serves,
-//!   refreshes, …). Everything below is its private machinery; what it
+//!   refreshes, …) and a [`ServeSnapshot`] that also says how many
+//!   generations are in flight. Everything below is its private machinery; what it
 //!   caches and for how long is a [`CacheConfig`], and
 //!   [`CacheConfig::uncached`] is the generation-per-query front end.
 //! * a **TTL cache** of [`GenerationReport`]s keyed by
@@ -16,20 +17,56 @@
 //!   LRU capacity bound, with negative caching of generation failures and
 //!   a stale window. A deployment shards by giving each worker its own
 //!   resolver, never inside one.
-//! * **singleflight coalescing** — concurrent misses for the same key
-//!   share one in-flight generation instead of each launching its own
-//!   fan-out ([`CachingPoolResolver::serve_batch`]),
+//! * **singleflight coalescing** — the resolver keeps a registry of its
+//!   live generations, one per key, and a miss for a key that has one in
+//!   flight joins it instead of launching its own fan-out,
 //! * **stale-while-revalidate** — an expired entry within the stale window
 //!   is served immediately while a background refresh regenerates the pool
 //!   off the query path ([`CachingPoolResolver::next_refresh_due`],
-//!   [`CachingPoolResolver::run_due_refreshes`]),
-//! * a sans-IO serve session driving the generations of a whole serving
-//!   batch as one overlapped fan-out (scheduled via `poll()`/`WaitUntil`,
-//!   so it composes with the simulator's virtual clock).
+//!   [`CachingPoolResolver::run_due_refreshes`]); a refresh is a flight
+//!   like any other, so the stale serves and misses that overlap it neither
+//!   queue nor open a second one,
+//! * a **stepwise, sans-IO entry** ([`CachingPoolResolver::begin`],
+//!   [`CachingPoolResolver::poll`], [`CachingPoolResolver::land`]) that
+//!   makes a generation a piece of data instead of a call: see "The miss
+//!   path" below.
 //!
 //! Serving cost drops from one generation per query to one generation per
 //! `(domain, TTL window)` while every served answer still comes from a real
 //! generation, preserving the paper's benign-fraction guarantee.
+//!
+//! # The miss path
+//!
+//! A miss opens a **flight**: one [`PoolSession`](crate::PoolSession) — the
+//! per-generation sans-IO machine — registered under its key until its last
+//! outcome has landed. `begin` parks the query under the flight's
+//! [`FlightId`] (or under the flight already live for the key); `poll`
+//! walks the live flights in the order they opened, hands out every
+//! transmit of every flight before it first says `Wait` — so a driver that
+//! sends them as one batch overlaps the exchanges of *different domains'
+//! generations*, and a cold burst over K domains costs one round trip, not
+//! K — and reports each flight whose exchanges are all in as [`Landed`]:
+//! counted, cached (a failure negatively), its queued refresh cancelled,
+//! and carrying the report its parked queries are answered from. `land`
+//! feeds one outcome back, in any order.
+//!
+//! There used to be a second sans-IO machine here, a serve-level session
+//! bundling the `PoolSession`s of one call behind a flat transaction-id
+//! table, with its own poll loop and driver. It dissolved into the
+//! registry: a bundle is a unit of *waiting*, and once nothing waits inside
+//! a call — the driver owns the waiting — the only state that outlives a
+//! step is the flights themselves. A transmit is tagged with
+//! `(FlightId, TransactionId)` directly, so there is nothing to flatten;
+//! the per-generation machine stays because a generation's fan-out,
+//! bookkeeping and combination step are exactly what it encapsulates.
+//!
+//! The blocking entry points — `handle_query`, `handle_query_wire`,
+//! [`CachingPoolResolver::run_due_refreshes`],
+//! [`CachingPoolResolver::resolve_pool`] — are `begin` (or
+//! [`CachingPoolResolver::begin_due_refreshes`]) followed by `poll` and
+//! `land` around [`Exchanger::exchange_all`](sdoh_dns_server::Exchanger::exchange_all)
+//! until the flight lands: the simulator drives the very steps a shard
+//! worker drives, and there is one miss path.
 //!
 //! # The hit path
 //!
@@ -55,7 +92,6 @@
 //!   SERVFAILs, whatever the template cannot reproduce byte for byte (a
 //!   query without exactly one question, the root name, a response over
 //!   64 KiB), and callers that want a `Message` — `handle_query`,
-//!   [`CachingPoolResolver::serve_batch`],
 //!   [`CachingPoolResolver::resolve_pool`].
 //!
 //! Both forms run the same lookup, so hits, stale serves, negative hits,
@@ -69,14 +105,15 @@ mod epoch;
 mod refresh;
 mod resolver;
 mod samples;
-mod session;
 mod singleflight;
 
 pub use cache::{
     AddressFamily, CacheConfig, CacheEntryProbe, CacheMetrics, CachedPool, EntryState, PoolKey,
 };
 pub use epoch::{ConfigError, ServeConfig};
-pub use resolver::{CachingPoolResolver, ResolvedPool, ServeMetrics, ServeSnapshot};
+pub use resolver::{
+    CachingPoolResolver, Landed, ResolvedPool, ServeMetrics, ServeSnapshot, ServeStep,
+};
 pub use samples::{
     snapshot_samples, APP_METRIC_HELP, METRIC_CONFIG_EPOCH, METRIC_DROPPED_QUERIES,
     METRIC_INVARIANT_VIOLATIONS, METRIC_SERVE_LATENCY, METRIC_SHARDS, METRIC_SHARD_ACKED_EPOCH,
@@ -84,3 +121,4 @@ pub use samples::{
     METRIC_TIMESYNC_SYNCS, METRIC_TRUNCATED_RESPONSES, METRIC_UDP_QUERIES,
     METRIC_UNRESPONSIVE_SHARDS, RUNTIME_METRIC_HELP, SERVE_COUNTER_HELP, SERVE_GAUGE_HELP,
 };
+pub use singleflight::FlightId;

@@ -9,9 +9,9 @@
 //!
 //! Running a full generation for **every** client query would make serving
 //! cost scale linearly with client traffic, so queries are answered from
-//! the pool cache, cold bursts are coalesced so concurrent misses for one
-//! domain share a single fan-out ([`CachingPoolResolver::serve_batch`]),
-//! and expired entries within the stale window are served immediately while
+//! the pool cache, concurrent misses for one domain join the generation
+//! already in flight for it (the resolver's registry of live flights), and
+//! expired entries within the stale window are served immediately while
 //! a background refresh — pumped by the driver via
 //! [`CachingPoolResolver::run_due_refreshes`], scheduled sans-IO through
 //! [`CachingPoolResolver::next_refresh_due`] — regenerates the pool off the
@@ -19,6 +19,17 @@
 //! generation per query to one generation per TTL window; the
 //! generation-per-query front end is the same resolver under
 //! [`CacheConfig::uncached`].
+//!
+//! A generation is a piece of data the resolver owns, not a call it sits
+//! inside: [`CachingPoolResolver::begin`] answers what the cache can answer
+//! and parks a miss under a [`FlightId`], [`CachingPoolResolver::poll`] says
+//! what must be sent and which flights have landed, and
+//! [`CachingPoolResolver::land`] takes each outcome back — no I/O in any of
+//! them, so the driver decides what happens while exchanges are upstream.
+//! The blocking entry points (`handle_query`, `handle_query_wire`,
+//! `run_due_refreshes`, `resolve_pool`) are those same steps driven through
+//! [`Exchanger::exchange_all`] until the flight lands: there is one miss
+//! path.
 //!
 //! Every answer still comes out of a real [`GenerationReport`] produced by
 //! the paper's secure generation procedure, so the benign-fraction
@@ -29,7 +40,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use sdoh_dns_server::{Exchanger, QueryHandler};
+use sdoh_dns_server::{ExchangeRequest, Exchanger, QueryHandler};
 use sdoh_dns_wire::{
     AnswerTemplate, Message, MessageBuilder, Question, Rcode, Record, RrType, Ttl, WireResult,
 };
@@ -40,11 +51,11 @@ use super::cache::{
 };
 use super::epoch::ServeConfig;
 use super::refresh::RefreshScheduler;
-use super::session::{drive_serve, ServeSession};
-use super::singleflight::Singleflight;
+use super::singleflight::{FlightId, Singleflight};
+use crate::error::{PoolError, PoolResult};
 use crate::generator::{seed_from, GenerationReport, SecurePoolGenerator};
-use crate::session::SessionEvent;
-use sdoh_netsim::SimInstant;
+use crate::session::{Action, PoolSession, SessionEvent, TransactionId};
+use sdoh_netsim::{NetResult, SimInstant};
 
 /// Operational counters of a [`CachingPoolResolver`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -64,8 +75,8 @@ pub struct ServeMetrics {
     /// Queries that found no usable entry and triggered (or joined) a
     /// generation.
     pub misses: u64,
-    /// Misses that attached to another query's in-flight generation instead
-    /// of launching their own (singleflight).
+    /// Misses that attached to a generation already in flight instead of
+    /// launching their own (singleflight) — a subset of `misses`.
     pub coalesced_waiters: u64,
     /// Pool generations actually performed (demand misses + refreshes).
     pub generations: u64,
@@ -78,9 +89,10 @@ pub struct ServeMetrics {
     pub source_answers: u64,
     /// Per-resolver lookups that failed, across all generations.
     pub source_failures: u64,
-    /// Virtual time the most recent generation batch took.
+    /// Virtual time the most recently landed generation took.
     pub last_generation_latency: Duration,
-    /// Total virtual time spent generating pools.
+    /// Total virtual time generations spent in flight (summed per
+    /// generation: flights that overlap each count their own).
     pub total_generation_latency: Duration,
 }
 
@@ -97,7 +109,7 @@ impl ServeMetrics {
     /// Adds `other`'s counters into `self` — aggregating the metrics of
     /// several serving shards into one fleet-wide view. Counters and the
     /// total latency sum; `last_generation_latency` keeps the largest value
-    /// (the slowest shard's most recent batch).
+    /// (the slowest shard's most recent generation).
     pub fn absorb(&mut self, other: &ServeMetrics) {
         self.queries += other.queries;
         self.rejected += other.rejected;
@@ -121,7 +133,7 @@ impl ServeMetrics {
 /// One **consistent** observation of a [`CachingPoolResolver`]'s state,
 /// taken by [`CachingPoolResolver::snapshot`].
 ///
-/// All four readings come from the same `&self` borrow, so no query can be
+/// All five readings come from the same `&self` borrow, so no query can be
 /// counted in one field but not yet in another — the invariants between the
 /// counters (e.g. `serve.hits == cache.hits` for a resolver that only ever
 /// went through `handle_query`) hold within a snapshot. This is what a
@@ -137,6 +149,9 @@ pub struct ServeSnapshot {
     pub entries: usize,
     /// Background refreshes currently queued.
     pub pending_refreshes: usize,
+    /// Generations currently in flight: opened by a miss or a due refresh,
+    /// not landed yet. What a shard that is "slow" is waiting for.
+    pub live_generations: usize,
 }
 
 impl ServeSnapshot {
@@ -147,13 +162,15 @@ impl ServeSnapshot {
         self.cache.absorb(&other.cache);
         self.entries += other.entries;
         self.pending_refreshes += other.pending_refreshes;
+        self.live_generations += other.live_generations;
     }
 
     /// Names of the monotone counters that *decreased* between `earlier`
     /// and `self` — empty for any legal pair of successive snapshots of the
     /// same resolver.
     ///
-    /// `entries` and `pending_refreshes` are gauges and legitimately shrink;
+    /// `entries`, `pending_refreshes` and `live_generations` are gauges and
+    /// legitimately shrink;
     /// `serve.last_generation_latency` is a latest-value reading. Every
     /// other field is a cumulative counter, and a regression means state was
     /// lost or observed inconsistently — the monotonicity invariant chaos
@@ -345,8 +362,81 @@ pub struct CachingPoolResolver {
     generator: SecurePoolGenerator,
     cache: PoolCache,
     refresh: RefreshScheduler,
+    /// The generations in flight, one per key.
+    flights: Singleflight<PoolKey, Flight>,
     metrics: ServeMetrics,
     serve_config: Arc<ServeConfig>,
+}
+
+/// One live generation: the per-generation machine plus what landing it
+/// needs to know.
+struct Flight {
+    session: PoolSession<'static>,
+    started: SimInstant,
+    /// Opened by the refresh scheduler, not by a query.
+    refresh: bool,
+}
+
+/// What [`CachingPoolResolver::poll`] asks of its driver.
+#[derive(Debug)]
+pub enum ServeStep {
+    /// Put `request` on the wire and hand its outcome, under the same
+    /// flight and transaction, to [`CachingPoolResolver::land`].
+    Transmit {
+        /// The flight the exchange belongs to.
+        flight: FlightId,
+        /// The exchange within the flight.
+        transaction: TransactionId,
+        /// Destination, channel, payload and timeout.
+        request: ExchangeRequest,
+    },
+    /// A flight landed: answer every query parked under
+    /// [`Landed::flight`].
+    Landed(Landed),
+    /// Nothing to send and nothing landed: only outcomes still upstream
+    /// move a flight. The instant is the earliest queued refresh — when
+    /// [`CachingPoolResolver::begin_due_refreshes`] next has work.
+    Wait(Option<SimInstant>),
+}
+
+/// A finished generation, as the queries parked on it see it: already in
+/// the cache (or remembered as a failure), and kept here so that they are
+/// answered from **this** report — a zero TTL or an uncached front end has
+/// nothing to look up.
+#[derive(Debug)]
+pub struct Landed {
+    /// The flight that landed, as [`CachingPoolResolver::begin`] named it.
+    pub flight: FlightId,
+    result: Result<GenerationReport, String>,
+    ttl: Ttl,
+}
+
+impl Landed {
+    fn served<'a>(&'a self, query: &'a Message) -> Served<'a> {
+        match (&self.result, query.question()) {
+            (Ok(report), Some(question)) => Served::generated(question, report, self.ttl),
+            _ => Served::Failure,
+        }
+    }
+
+    /// Renders the answer to `query` — one that was parked on this flight —
+    /// into `out`: the pool under the configured TTL, or SERVFAIL for a
+    /// generation that failed.
+    ///
+    /// # Errors
+    ///
+    /// The response's encoding error; `out` is left empty.
+    pub fn answer_wire(&self, query: &Message, out: &mut Vec<u8>) -> WireResult<()> {
+        self.served(query).wire(query, out)
+    }
+}
+
+/// How [`CachingPoolResolver::begin_with`] left a query.
+enum Begun<R> {
+    /// Answered on the spot, in the caller's form.
+    Answered(R),
+    /// A miss: parked on this flight until it lands.
+    Parked(FlightId),
 }
 
 impl CachingPoolResolver {
@@ -356,6 +446,7 @@ impl CachingPoolResolver {
             generator,
             cache: PoolCache::new(config),
             refresh: RefreshScheduler::new(),
+            flights: Singleflight::new(),
             metrics: ServeMetrics::default(),
             serve_config: Arc::new(ServeConfig::initial(config)),
         }
@@ -407,6 +498,10 @@ impl CachingPoolResolver {
     /// serve). The handoff half of a live shard rescale: a retiring shard
     /// extracts the entries it no longer owns and forwards them to their
     /// new owners for [`install_entry`](CachingPoolResolver::install_entry).
+    /// A generation in flight for a moved key is not part of the hand-off:
+    /// it lands here, answers the queries parked on it and caches its pool
+    /// here — so a driver that must not keep the key lands its flights
+    /// first, or extracts again afterwards.
     pub fn extract_entries(
         &mut self,
         predicate: impl FnMut(&PoolKey) -> bool,
@@ -446,8 +541,9 @@ impl CachingPoolResolver {
     }
 
     /// Takes one cheap, **consistent** reading of every serving counter:
-    /// the serve metrics, the cache metrics, the entry count and the
-    /// pending-refresh count, all under a single borrow. See
+    /// the serve metrics, the cache metrics, the entry count, the
+    /// pending-refresh count and the live generations, all under a single
+    /// borrow. See
     /// [`ServeSnapshot`] for why a statistics reader should prefer this
     /// over field-by-field reads.
     pub fn snapshot(&self) -> ServeSnapshot {
@@ -456,6 +552,7 @@ impl CachingPoolResolver {
             cache: self.cache.metrics(),
             entries: self.cache.len(),
             pending_refreshes: self.refresh.len(),
+            live_generations: self.flights.len(),
         }
     }
 
@@ -476,63 +573,127 @@ impl CachingPoolResolver {
     /// generation batch, off any client's query path. Returns how many
     /// refreshes ran.
     pub fn run_due_refreshes(&mut self, exchanger: &mut dyn Exchanger) -> usize {
-        let due = self.refresh.take_due(exchanger.now());
-        if due.is_empty() {
-            return 0;
+        let opened = self.begin_due_refreshes(exchanger);
+        if opened > 0 {
+            self.drive(exchanger, None);
         }
-        let count = due.len();
-        self.generate_batch(exchanger, due, true);
-        count
+        opened
     }
 
-    /// Serves a batch of client queries that arrived together, coalescing
-    /// concurrent misses for the same key onto one generation
-    /// (singleflight) and overlapping the generations of distinct keys in
-    /// one fan-out. Responses come back in query order.
-    // sdoh-lint: allow(hot-path-purity, "per-batch coalescing buffers are the singleflight design; sized by the batch, not per hit")
-    // sdoh-lint: allow(no-panic, "waiter indices come from enumerate() over the same queries slice; screened questions always map to a pool key")
-    pub fn serve_batch(
+    /// First step of serving `query` without blocking: whatever the cache
+    /// can answer — a fresh or stale hit, a remembered failure, a
+    /// protocol-level rejection — is rendered into `out` exactly as
+    /// [`handle_query_wire`](QueryHandler::handle_query_wire) renders it,
+    /// and `None` comes back. A miss joins the generation in flight for its
+    /// key, or opens one, and comes back as the [`FlightId`] to park the
+    /// query under: `out` is untouched, and the answer is
+    /// [`Landed::answer_wire`] once [`poll`](CachingPoolResolver::poll)
+    /// reports the flight landed. Only `exchanger`'s clock and randomness
+    /// are used.
+    ///
+    /// Do not call the blocking entry points while queries are parked: they
+    /// drive every live flight and keep its landing to themselves.
+    ///
+    /// # Errors
+    ///
+    /// The encoding error of an answer given on the spot; `out` is left
+    /// empty.
+    pub fn begin(
         &mut self,
         exchanger: &mut dyn Exchanger,
-        queries: &[Message],
-    ) -> Vec<Message> {
-        let now = exchanger.now();
-        let mut responses: Vec<Option<Message>> = vec![None; queries.len()];
-        let mut flights: Singleflight<PoolKey> = Singleflight::new();
-        for (index, query) in queries.iter().enumerate() {
-            let question = match self.screen(query) {
-                Ok(question) => question,
-                Err(response) => {
-                    responses[index] = Some(response);
-                    continue;
-                }
-            };
-            let key = PoolKey::for_question(question).expect("screened address question");
-            match self.lookup(&key, question, now) {
-                Some(served) => responses[index] = Some(served.message(query)),
-                None => {
-                    flights.join(key, index);
+        query: &Message,
+        out: &mut Vec<u8>,
+    ) -> WireResult<Option<FlightId>> {
+        match self.begin_with(exchanger, query, |served| served.wire(query, out)) {
+            Begun::Answered(rendered) => rendered.map(|()| None),
+            Begun::Parked(flight) => Ok(Some(flight)),
+        }
+    }
+
+    /// The other way a flight opens: one for every queued refresh that is
+    /// due, in scheduling order — a key whose generation is already in
+    /// flight is being refreshed by it. Returns how many flights were
+    /// opened; [`poll`](CachingPoolResolver::poll) hands out their
+    /// transmits with everyone else's. Only `exchanger`'s clock and
+    /// randomness are used.
+    pub fn begin_due_refreshes(&mut self, exchanger: &mut dyn Exchanger) -> usize {
+        let mut opened = 0;
+        for key in self.refresh.take_due(exchanger.now()) {
+            if self.flights.find(&key).is_none() && self.open_flight(exchanger, key, true).is_some()
+            {
+                opened += 1;
+            }
+        }
+        opened
+    }
+
+    /// Second step: advances the live flights, in opening order, to the
+    /// next thing their driver must do — see [`ServeStep`]. Call it until it
+    /// says [`ServeStep::Wait`]: every transmit of every live flight is
+    /// handed out before that, so a driver that sends them as one batch
+    /// overlaps not only the N exchanges of a generation but the
+    /// generations of different keys. `now` stamps transmit deadlines and
+    /// what lands.
+    pub fn poll(&mut self, now: SimInstant) -> ServeStep {
+        let mut done = None;
+        'flights: for (id, flight) in self.flights.iter_mut() {
+            loop {
+                match flight.session.poll(now) {
+                    Action::Deliver(SessionEvent::SourceAnswered { .. }) => {
+                        self.metrics.source_answers += 1;
+                    }
+                    Action::Deliver(SessionEvent::SourceFailed { .. }) => {
+                        self.metrics.source_failures += 1;
+                    }
+                    Action::Transmit(transmit) => {
+                        return ServeStep::Transmit {
+                            flight: id,
+                            transaction: transmit.transaction,
+                            request: transmit.request,
+                        };
+                    }
+                    Action::WaitUntil(_) => continue 'flights,
+                    Action::Done => {
+                        done = Some(id);
+                        break 'flights;
+                    }
                 }
             }
         }
-        self.metrics.coalesced_waiters += flights.coalesced();
-        let keys: Vec<PoolKey> = flights.flights().iter().map(|(k, _)| k.clone()).collect();
-        let results = self.generate_batch(exchanger, keys, false);
-        let ttl = self.cache.config().ttl;
-        for ((_, waiters), (_, result)) in flights.into_flights().iter().zip(&results) {
-            for &waiter in waiters {
-                let query = &queries[waiter];
-                let served = match (result, query.question()) {
-                    (Ok(report), Some(question)) => Served::generated(question, report, ttl),
-                    _ => Served::Failure,
-                };
-                responses[waiter] = Some(served.message(query));
-            }
-        }
-        responses
-            .into_iter()
-            .map(|r| r.expect("every query answered"))
-            .collect()
+        let Some((id, (key, flight))) = done.and_then(|id| Some((id, self.flights.land(id)?)))
+        else {
+            return ServeStep::Wait(self.refresh.next_due());
+        };
+        let result = flight.session.finish().map_err(|e| e.to_string());
+        self.record_generation(key, result.clone(), flight.refresh, flight.started, now);
+        ServeStep::Landed(Landed {
+            flight: id,
+            result,
+            ttl: self.cache.config().ttl,
+        })
+    }
+
+    /// Third step: hands the transport outcome of one transmitted exchange
+    /// back to its flight. Outcomes may arrive in any order, within a
+    /// flight and across flights; the next [`poll`](CachingPoolResolver::poll)
+    /// reports the flights they completed, in opening order.
+    ///
+    /// # Errors
+    ///
+    /// [`PoolError::UnknownFlight`] when `flight` is not live, and the
+    /// session's error when `transaction` is unknown or already completed.
+    /// The flight is left as it was.
+    pub fn land(
+        &mut self,
+        flight: FlightId,
+        transaction: TransactionId,
+        outcome: NetResult<Vec<u8>>,
+    ) -> PoolResult<()> {
+        self.flights
+            .get_mut(flight)
+            .ok_or(PoolError::UnknownFlight(flight.number()))?
+            .session
+            .handle_response(transaction, outcome)
     }
 
     /// Validates the protocol-level shape of a query, counting rejections.
@@ -552,7 +713,8 @@ impl CachingPoolResolver {
     /// Serves a query from the cache if possible, lending the entry out;
     /// `None` means the caller must generate (a miss). A stale hit is
     /// served at once with a zero TTL — clients may use it now but must
-    /// not cache it onward — and a refresh is queued for `now`.
+    /// not cache it onward — and a refresh is queued for `now`, unless the
+    /// key's generation is already in flight.
     fn lookup<'a>(
         &'a mut self,
         key: &PoolKey,
@@ -569,7 +731,9 @@ impl CachingPoolResolver {
             }
             CacheLookup::Stale(hit) => {
                 self.metrics.stale_serves += 1;
-                self.refresh.schedule(key.clone(), now);
+                if self.flights.find(key).is_none() {
+                    self.refresh.schedule(key.clone(), now);
+                }
                 (hit, Ttl::ZERO)
             }
             CacheLookup::Miss => {
@@ -588,107 +752,156 @@ impl CachingPoolResolver {
         })
     }
 
-    /// Answers a query from the cache or, on a miss, by generating on the
-    /// query path; `form` turns what was served into the caller's form (a
-    /// [`Message`] or wire bytes), so both forms share every counter bump.
-    fn serve<R>(
+    /// [`begin`](CachingPoolResolver::begin) in the caller's form: `form`
+    /// turns what was served into a [`Message`] or wire bytes, so both forms
+    /// share every counter bump.
+    fn begin_with<R>(
         &mut self,
         exchanger: &mut dyn Exchanger,
         query: &Message,
         form: impl FnOnce(Served<'_>) -> R,
-    ) -> R {
+    ) -> Begun<R> {
         let question = match self.screen(query) {
             Ok(question) => question,
-            Err(response) => return form(Served::Rejected(response)),
+            Err(response) => return Begun::Answered(form(Served::Rejected(response))),
         };
         let Some(key) = PoolKey::for_question(question) else {
             // screen() only passes address-type questions, which always
             // map to a pool key; answer the theoretical gap gracefully.
-            return form(Served::Failure);
+            return Begun::Answered(form(Served::Failure));
         };
         if let Some(served) = self.lookup(&key, question, exchanger.now()) {
-            return form(served);
+            return Begun::Answered(form(served));
         }
-        // sdoh-lint: allow(hot-path-purity, "single-key miss: the generation fan-out dwarfs this one-element batch")
-        let results = self.generate_batch(exchanger, vec![key], false);
-        form(match results.first() {
-            Some((_, Ok(report))) => Served::generated(question, report, self.cache.config().ttl),
-            _ => Served::Failure,
-        })
+        if let Some(flight) = self.flights.find(&key) {
+            self.metrics.coalesced_waiters += 1;
+            return Begun::Parked(flight);
+        }
+        match self.open_flight(exchanger, key, false) {
+            Some(flight) => Begun::Parked(flight),
+            // The generation failed before its first exchange, and is
+            // remembered like any other failure.
+            None => Begun::Answered(form(Served::Failure)),
+        }
     }
 
-    /// Runs one overlapped generation per key, feeding outcomes into the
-    /// cache (failures become negative entries) and the metrics. Returns
-    /// the per-key outcomes in batch order.
-    // sdoh-lint: allow(hot-path-purity, "generation is the miss path: the source fan-out dwarfs these per-batch buffers")
-    // sdoh-lint: allow(transitive-hot-path-purity, "coalesced miss path: at most one generation per (question, TTL window) enters here and cache hits never do; E16 moves generation onto its own event loop")
-    fn generate_batch(
+    /// Answers a query from the cache or, on a miss, by driving its flight
+    /// to its landing on the query path: the blocking form of the steps.
+    fn serve<R>(
         &mut self,
         exchanger: &mut dyn Exchanger,
-        keys: Vec<PoolKey>,
-        is_refresh: bool,
-    ) -> Vec<(PoolKey, Result<GenerationReport, String>)> {
-        if keys.is_empty() {
-            return Vec::new();
+        query: &Message,
+        mut form: impl FnMut(Served<'_>) -> R,
+    ) -> R {
+        let flight = match self.begin_with(exchanger, query, &mut form) {
+            Begun::Answered(answer) => return answer,
+            Begun::Parked(flight) => flight,
+        };
+        match self.drive(exchanger, Some(flight)) {
+            Some(landed) => form(landed.served(query)),
+            // A driver elsewhere holds the flight's outcomes.
+            None => form(Served::Failure),
         }
-        let batch: Vec<(PoolKey, u64)> = keys
-            .into_iter()
-            .map(|key| {
-                let seed = seed_from(exchanger);
-                (key, seed)
-            })
-            .collect();
+    }
+
+    /// Plans the generation of `key` and registers it as a live flight.
+    /// `None` when the plan itself failed: that is a generation too, landed
+    /// on the spot.
+    // sdoh-lint: allow(transitive-hot-path-purity, "the miss path: one generation per (question, TTL window) is planned here, and its fan-out dwarfs the plan; cache hits never enter")
+    fn open_flight(
+        &mut self,
+        exchanger: &mut dyn Exchanger,
+        key: PoolKey,
+        refresh: bool,
+    ) -> Option<FlightId> {
+        let seed = seed_from(exchanger);
         let started = exchanger.now();
-        let CachingPoolResolver {
-            generator,
-            cache,
-            metrics,
-            refresh,
-            serve_config: _,
-        } = self;
-        let keys: Vec<PoolKey> = batch.iter().map(|(key, _)| key.clone()).collect();
-        let outcome = ServeSession::new(generator, batch).and_then(|mut session| {
-            let events = drive_serve(&mut session, exchanger)?;
-            for event in &events {
-                match event.event {
-                    SessionEvent::SourceAnswered { .. } => metrics.source_answers += 1,
-                    SessionEvent::SourceFailed { .. } => metrics.source_failures += 1,
+        match self.generator.session(&key.domain, seed) {
+            Ok(session) => Some(self.flights.open(
+                key,
+                Flight {
+                    session,
+                    started,
+                    refresh,
+                },
+            )),
+            Err(err) => {
+                self.record_generation(key, Err(err.to_string()), refresh, started, started);
+                None
+            }
+        }
+    }
+
+    /// Books one finished generation: the counters, the cache entry (a
+    /// failure becomes a negative one) and the refresh it makes redundant.
+    fn record_generation(
+        &mut self,
+        key: PoolKey,
+        result: Result<GenerationReport, String>,
+        refresh: bool,
+        started: SimInstant,
+        now: SimInstant,
+    ) {
+        let elapsed = now.saturating_duration_since(started);
+        self.metrics.last_generation_latency = elapsed;
+        self.metrics.total_generation_latency += elapsed;
+        self.metrics.generations += 1;
+        if refresh {
+            self.metrics.refreshes += 1;
+        }
+        if result.is_err() {
+            self.metrics.generation_failures += 1;
+        }
+        // The entry is being regenerated: a refresh still queued for it
+        // (its stale serve happened before this demand-path generation)
+        // would only duplicate the fan-out.
+        self.refresh.cancel(&key);
+        self.cache.insert(key, result, now);
+    }
+
+    /// The blocking driver of the steps: sends what the live flights have to
+    /// send as one [`Exchanger::exchange_all`] batch per wait point, lands
+    /// the outcomes, and returns when `awaited` has landed — or, with
+    /// nothing awaited, when nothing is left to send.
+    // sdoh-lint: allow(hot-path-purity, "an empty Vec::new never allocates; these grow with the fan-out, on the miss path only")
+    // sdoh-lint: allow(transitive-hot-path-purity, "the miss path on the query path: a blocking caller pays its generation here, its fan-out dwarfing these buffers; cache hits never enter")
+    fn drive(
+        &mut self,
+        exchanger: &mut dyn Exchanger,
+        awaited: Option<FlightId>,
+    ) -> Option<Landed> {
+        let mut tags: Vec<(FlightId, TransactionId)> = Vec::new();
+        let mut requests: Vec<ExchangeRequest> = Vec::new();
+        loop {
+            match self.poll(exchanger.now()) {
+                ServeStep::Transmit {
+                    flight,
+                    transaction,
+                    request,
+                } => {
+                    tags.push((flight, transaction));
+                    requests.push(request);
+                }
+                ServeStep::Landed(landed) => {
+                    if Some(landed.flight) == awaited {
+                        return Some(landed);
+                    }
+                }
+                ServeStep::Wait(_) => {
+                    if requests.is_empty() {
+                        return None;
+                    }
+                    for outcome in exchanger.exchange_all(std::mem::take(&mut requests)) {
+                        // The tags are this loop's own, so their flights
+                        // take the outcomes.
+                        if let Some(&(flight, transaction)) = tags.get(outcome.index) {
+                            let _ = self.land(flight, transaction, outcome.result);
+                        }
+                    }
+                    tags.clear();
                 }
             }
-            session.finish()
-        });
-        let now = exchanger.now();
-        let elapsed = now.saturating_duration_since(started);
-        metrics.last_generation_latency = elapsed;
-        metrics.total_generation_latency += elapsed;
-        let results: Vec<(PoolKey, Result<GenerationReport, String>)> = match outcome {
-            Ok(outcomes) => outcomes
-                .into_iter()
-                .map(|o| (o.key, o.result.map_err(|e| e.to_string())))
-                .collect(),
-            // A session-protocol error dooms the whole batch: every key is
-            // negatively cached so queued clients fail fast instead of
-            // re-driving a broken session.
-            Err(err) => keys
-                .into_iter()
-                .map(|key| (key, Err(err.to_string())))
-                .collect(),
-        };
-        for (key, value) in &results {
-            metrics.generations += 1;
-            if is_refresh {
-                metrics.refreshes += 1;
-            }
-            if value.is_err() {
-                metrics.generation_failures += 1;
-            }
-            cache.insert(key.clone(), value.clone(), now);
-            // The entry was just regenerated: a refresh still queued for it
-            // (its stale serve happened before this demand-path generation)
-            // would only duplicate the fan-out.
-            refresh.cancel(key);
         }
-        results
     }
 }
 
@@ -780,6 +993,7 @@ impl std::fmt::Debug for CachingPoolResolver {
             .field("generator", &self.generator)
             .field("cache_entries", &self.cache.len())
             .field("pending_refreshes", &self.refresh.len())
+            .field("live_generations", &self.flights.len())
             .field("metrics", &self.metrics)
             .finish()
     }
@@ -829,6 +1043,97 @@ mod tests {
 
     fn query(id: u16, domain: &str) -> Message {
         Message::query(id, domain.parse().unwrap(), RrType::A)
+    }
+
+    /// In which order a stepwise driver hands a batch's outcomes back.
+    #[derive(Debug, Clone, Copy)]
+    enum Landing {
+        /// As the transport delivered them.
+        Delivery,
+        /// Last delivered first: across flights and within each.
+        Reverse,
+        /// Every second one first, then the rest: interleaves flights.
+        Interleaved,
+    }
+
+    impl Landing {
+        fn order<T>(self, outcomes: Vec<T>) -> Vec<T> {
+            match self {
+                Landing::Delivery => outcomes,
+                Landing::Reverse => outcomes.into_iter().rev().collect(),
+                Landing::Interleaved => {
+                    let (mut odd, mut even) = (Vec::new(), Vec::new());
+                    for (at, outcome) in outcomes.into_iter().enumerate() {
+                        if at % 2 == 1 { &mut odd } else { &mut even }.push(outcome);
+                    }
+                    odd.extend(even);
+                    odd
+                }
+            }
+        }
+    }
+
+    /// A stepwise driver over `exchange_all`: polls until the resolver has
+    /// nothing left to send, putting each wait point's transmits on the
+    /// wire as one batch and landing the outcomes in the given order.
+    /// Returns what landed, in landing order.
+    fn land_everything(
+        resolver: &mut CachingPoolResolver,
+        exchanger: &mut dyn Exchanger,
+        landing: Landing,
+    ) -> Vec<Landed> {
+        let mut landed = Vec::new();
+        let (mut tags, mut requests) = (Vec::new(), Vec::new());
+        loop {
+            match resolver.poll(exchanger.now()) {
+                ServeStep::Transmit {
+                    flight,
+                    transaction,
+                    request,
+                } => {
+                    tags.push((flight, transaction));
+                    requests.push(request);
+                }
+                ServeStep::Landed(flight) => landed.push(flight),
+                ServeStep::Wait(_) if requests.is_empty() => return landed,
+                ServeStep::Wait(_) => {
+                    let outcomes = exchanger.exchange_all(std::mem::take(&mut requests));
+                    for outcome in landing.order(outcomes) {
+                        let (flight, transaction) = tags[outcome.index];
+                        resolver.land(flight, transaction, outcome.result).unwrap();
+                    }
+                    tags.clear();
+                }
+            }
+        }
+    }
+
+    /// Serves `queries` as one burst, the stepwise way: begin them all,
+    /// then land what was parked. Responses come back in query order.
+    fn serve_burst(
+        resolver: &mut CachingPoolResolver,
+        exchanger: &mut dyn Exchanger,
+        queries: &[Message],
+    ) -> Vec<Message> {
+        let mut out = Vec::new();
+        let mut responses: Vec<Option<Message>> = vec![None; queries.len()];
+        let mut parked = Vec::new();
+        for (at, query) in queries.iter().enumerate() {
+            match resolver.begin(exchanger, query, &mut out).unwrap() {
+                None => responses[at] = Some(Message::decode(&out).unwrap()),
+                Some(flight) => parked.push((flight, at)),
+            }
+        }
+        for landed in land_everything(resolver, exchanger, Landing::Delivery) {
+            for &(_, at) in parked.iter().filter(|(flight, _)| *flight == landed.flight) {
+                landed.answer_wire(&queries[at], &mut out).unwrap();
+                responses[at] = Some(Message::decode(&out).unwrap());
+            }
+        }
+        responses
+            .into_iter()
+            .map(|response| response.expect("every query answered"))
+            .collect()
     }
 
     #[test]
@@ -962,9 +1267,12 @@ mod tests {
             query(4, "a.ntp.org"),
             query(5, "b.ntp.org"),
         ];
-        let responses = resolver.serve_batch(&mut exchanger, &queries);
+        let responses = serve_burst(&mut resolver, &mut exchanger, &queries);
         assert_eq!(responses.len(), 5);
         assert!(responses.iter().all(|r| r.answer_addresses().len() == 6));
+        for (query, response) in queries.iter().zip(&responses) {
+            assert!(response.answers_query(query), "each waiter gets its own id");
+        }
         // Same key, same flight, same pool.
         assert_eq!(
             responses[0].answer_addresses(),
@@ -976,8 +1284,8 @@ mod tests {
         assert_eq!(metrics.coalesced_waiters, 3);
         assert_eq!(metrics.misses, 5);
 
-        // A second batch is all cache hits.
-        let responses = resolver.serve_batch(&mut exchanger, &queries);
+        // A second burst is all cache hits.
+        let responses = serve_burst(&mut resolver, &mut exchanger, &queries);
         assert_eq!(responses.len(), 5);
         let metrics = resolver.metrics();
         assert_eq!(metrics.generations, 2);
@@ -999,8 +1307,9 @@ mod tests {
             resolver.handle_query(&mut exchanger, &empty).header.rcode,
             Rcode::FormErr
         );
-        let batch = resolver.serve_batch(&mut exchanger, &[txt]);
-        assert_eq!(batch[0].header.rcode, Rcode::NotImp);
+        let mut out = Vec::new();
+        assert_eq!(resolver.begin(&mut exchanger, &txt, &mut out), Ok(None));
+        assert_eq!(Message::decode(&out).unwrap().header.rcode, Rcode::NotImp);
         assert_eq!(resolver.metrics().rejected, 3);
         assert_eq!(resolver.metrics().queries, 0);
         assert_eq!(resolver.handler_name(), "caching-pool-resolver");
@@ -1080,7 +1389,8 @@ mod tests {
         assert_send::<SecurePoolGenerator>();
         assert_send::<PoolCache>();
         assert_send::<RefreshScheduler>();
-        assert_send::<Singleflight<PoolKey>>();
+        assert_send::<Singleflight<PoolKey, Flight>>();
+        assert_send::<Landed>();
         assert_send::<ServeMetrics>();
         assert_send::<super::super::ServeSnapshot>();
     }
@@ -1120,7 +1430,7 @@ mod tests {
         let mut resolver = dead_fleet_resolver(test_config());
 
         let queries: Vec<Message> = (1..=5).map(|i| query(i, "dead.ntp.org")).collect();
-        let responses = resolver.serve_batch(&mut exchanger, &queries);
+        let responses = serve_burst(&mut resolver, &mut exchanger, &queries);
         assert_eq!(responses.len(), 5);
         for (q, response) in queries.iter().zip(&responses) {
             assert_eq!(response.header.rcode, Rcode::ServFail);
@@ -1552,12 +1862,337 @@ mod tests {
         assert_eq!(resolver.metrics().hits, 1, "the oversized pool is cached");
     }
 
+    /// The domains of a [`doh_world`].
+    const WORLD: [&str; 4] = ["a.test", "b.test", "c.test", "d.test"];
+
+    /// A simulated net with three DoH resolvers over a zone publishing two
+    /// addresses for each of [`WORLD`], `registered` of them reachable, and
+    /// a front end fanning out to all three: real exchanges, with latency
+    /// and randomness drawn from the seeded net.
+    fn doh_world(
+        seed: u64,
+        registered: usize,
+        pool: PoolConfig,
+        cache: CacheConfig,
+    ) -> (SimNet, CachingPoolResolver) {
+        use sdoh_dns_server::{Authority, Catalog, Zone};
+        let net = SimNet::new(seed);
+        let infos = sdoh_doh::ResolverDirectory::well_known(seed).take(3);
+        let mut zone = Zone::new("test".parse().unwrap());
+        for domain in WORLD {
+            for last in 1..=2 {
+                zone.add_address(domain.parse().unwrap(), ip(last));
+            }
+        }
+        let mut catalog = Catalog::new();
+        catalog.add_zone(zone);
+        for info in infos.iter().take(registered) {
+            net.register(
+                info.addr,
+                sdoh_doh::DohServerService::new(info.clone(), Authority::new(catalog.clone())),
+            );
+        }
+        let sources: Vec<Box<dyn AddressSource>> = infos
+            .iter()
+            .map(|info| {
+                Box::new(crate::source::DohSource::new(info.clone())) as Box<dyn AddressSource>
+            })
+            .collect();
+        let generator = SecurePoolGenerator::new(pool, sources).unwrap();
+        (net, CachingPoolResolver::new(generator, cache))
+    }
+
+    fn client(net: &SimNet) -> ClientExchanger<'_> {
+        ClientExchanger::new(net, SimAddr::v4(10, 0, 0, 1, 40000))
+    }
+
+    /// Every transmit the live flights hand out before they wait.
+    fn transmits(
+        resolver: &mut CachingPoolResolver,
+        now: SimInstant,
+    ) -> Vec<(FlightId, TransactionId, ExchangeRequest)> {
+        let mut out = Vec::new();
+        loop {
+            match resolver.poll(now) {
+                ServeStep::Transmit {
+                    flight,
+                    transaction,
+                    request,
+                } => out.push((flight, transaction, request)),
+                ServeStep::Wait(_) => return out,
+                ServeStep::Landed(landed) => panic!("nothing was landed yet: {landed:?}"),
+            }
+        }
+    }
+
+    /// Performs `sent` one exchange at a time, in the order given, landing
+    /// each outcome as it comes back.
+    fn exchange_and_land(
+        resolver: &mut CachingPoolResolver,
+        exchanger: &mut dyn Exchanger,
+        sent: impl IntoIterator<Item = (FlightId, TransactionId, ExchangeRequest)>,
+    ) {
+        for (flight, transaction, request) in sent {
+            let reply = exchanger.exchange(
+                request.dst,
+                request.channel,
+                &request.payload,
+                request.timeout,
+            );
+            resolver.land(flight, transaction, reply).unwrap();
+        }
+    }
+
+    #[test]
+    fn live_flights_hand_out_all_transmits_before_waiting() {
+        // Two cold domains over three DoH resolvers: all six exchanges are
+        // offered before the first Wait, so one batch overlaps the two
+        // generations — and their outcomes may come back in any order.
+        let (net, mut resolver) = doh_world(41, 3, PoolConfig::algorithm1(), test_config());
+        let mut exchanger = client(&net);
+        let mut out = Vec::new();
+        let a = resolver
+            .begin(&mut exchanger, &query(1, "a.test"), &mut out)
+            .unwrap()
+            .expect("a miss");
+        let b = resolver
+            .begin(&mut exchanger, &query(2, "b.test"), &mut out)
+            .unwrap()
+            .expect("a miss");
+        assert!(out.is_empty(), "a parked query is not answered yet");
+        assert_eq!(resolver.snapshot().live_generations, 2);
+
+        let sent = transmits(&mut resolver, net.now());
+        assert_eq!(sent.len(), 6, "2 flights x 3 resolvers");
+        assert_eq!(sent.iter().filter(|(flight, ..)| *flight == a).count(), 3);
+        assert!(matches!(resolver.poll(net.now()), ServeStep::Wait(None)));
+
+        // Last sent, first landed: across the flights and within each.
+        exchange_and_land(&mut resolver, &mut exchanger, sent.into_iter().rev());
+        // They land in the order they opened, whatever order that was.
+        let landed = land_everything(&mut resolver, &mut exchanger, Landing::Delivery);
+        let order: Vec<FlightId> = landed.iter().map(|landed| landed.flight).collect();
+        assert_eq!(order, vec![a, b]);
+        for (landed, query) in landed.iter().zip([query(1, "a.test"), query(2, "b.test")]) {
+            landed.answer_wire(&query, &mut out).unwrap();
+            let answer = Message::decode(&out).unwrap();
+            assert!(answer.answers_query(&query));
+            assert_eq!(answer.answer_addresses().len(), 6);
+        }
+        let metrics = resolver.metrics();
+        assert_eq!((metrics.generations, metrics.source_answers), (2, 6));
+        assert_eq!(resolver.snapshot().live_generations, 0);
+        assert_eq!(resolver.snapshot().entries, 2);
+    }
+
+    #[test]
+    fn a_miss_joins_the_live_flight_and_a_landed_key_opens_a_fresh_one() {
+        // TTL zero: nothing is cached, so only a *live* flight is shared.
+        let (net, mut resolver) = doh_world(
+            42,
+            3,
+            PoolConfig::algorithm1(),
+            test_config().with_ttl(Ttl::ZERO),
+        );
+        let mut exchanger = client(&net);
+        let mut out = Vec::new();
+        let mut begin = |resolver: &mut CachingPoolResolver, id: u16| {
+            resolver
+                .begin(&mut client(&net), &query(id, "a.test"), &mut out)
+                .unwrap()
+                .expect("nothing is ever cached")
+        };
+        let first = begin(&mut resolver, 1);
+        // Joined before anything was sent, and again with it upstream.
+        assert_eq!(begin(&mut resolver, 2), first);
+        let sent = transmits(&mut resolver, net.now());
+        assert_eq!(begin(&mut resolver, 3), first);
+        assert!(
+            transmits(&mut resolver, net.now()).is_empty(),
+            "a join sends nothing"
+        );
+        exchange_and_land(&mut resolver, &mut exchanger, sent);
+        // Still live until polled: the outcomes are in, the landing is not.
+        assert_eq!(begin(&mut resolver, 4), first);
+        let landed = land_everything(&mut resolver, &mut exchanger, Landing::Delivery);
+        assert_eq!(landed.len(), 1);
+        assert_eq!(landed[0].flight, first);
+        let metrics = resolver.metrics();
+        assert_eq!((metrics.misses, metrics.coalesced_waiters), (4, 3));
+        assert_eq!((metrics.generations, metrics.source_answers), (1, 3));
+
+        // Landed: the next miss for the key leads a flight of its own.
+        let second = begin(&mut resolver, 5);
+        assert_ne!(second, first);
+        assert_eq!(resolver.metrics().coalesced_waiters, 3);
+        assert_eq!(
+            land_everything(&mut resolver, &mut exchanger, Landing::Delivery).len(),
+            1
+        );
+        assert_eq!(resolver.metrics().generations, 2);
+    }
+
+    #[test]
+    fn land_refuses_what_it_does_not_know() {
+        let (net, mut resolver) = doh_world(43, 3, PoolConfig::algorithm1(), test_config());
+        let mut exchanger = client(&net);
+        let flight = resolver
+            .begin(&mut exchanger, &query(1, "a.test"), &mut Vec::new())
+            .unwrap()
+            .unwrap();
+        let sent = transmits(&mut resolver, net.now());
+        let (_, transaction, _) = sent[0];
+        let landed = land_everything(&mut resolver, &mut exchanger, Landing::Delivery);
+        assert_eq!(landed.len(), 0, "its transmits were handed out above");
+        // Delivered twice: refused, and the flight is none the worse.
+        resolver.land(flight, transaction, Ok(Vec::new())).unwrap();
+        assert_eq!(
+            resolver.land(flight, transaction, Ok(Vec::new())),
+            Err(PoolError::TransactionNotInFlight(transaction.index()))
+        );
+        for &(flight, transaction, _) in &sent[1..] {
+            resolver.land(flight, transaction, Ok(Vec::new())).unwrap();
+        }
+        let landed = land_everything(&mut resolver, &mut exchanger, Landing::Delivery);
+        assert_eq!(landed.len(), 1, "three undecodable replies: it failed");
+        // Landed flights take nothing more.
+        assert_eq!(
+            resolver.land(flight, transaction, Ok(Vec::new())),
+            Err(PoolError::UnknownFlight(flight.number()))
+        );
+        assert_eq!(resolver.metrics().generation_failures, 1);
+    }
+
+    #[test]
+    fn a_refresh_in_flight_is_not_queued_again_and_a_miss_joins_it() {
+        // Stale window 30 s after a 60 s TTL.
+        let (net, mut resolver) = doh_world(44, 3, PoolConfig::algorithm1(), test_config());
+        let mut exchanger = client(&net);
+        let mut out = Vec::new();
+        resolver.handle_query(&mut exchanger, &query(1, "a.test"));
+        net.clock().advance(Duration::from_secs(70));
+        assert_eq!(
+            resolver.begin(&mut exchanger, &query(2, "a.test"), &mut out),
+            Ok(None)
+        );
+        assert_eq!(resolver.pending_refreshes(), 1, "the stale serve queued it");
+        assert_eq!(resolver.begin_due_refreshes(&mut exchanger), 1);
+        let sent = transmits(&mut resolver, net.now());
+        assert_eq!(sent.len(), 3);
+        assert_eq!(resolver.pending_refreshes(), 0);
+
+        // Stale serves that overlap the refresh do not queue another...
+        assert_eq!(
+            resolver.begin(&mut exchanger, &query(3, "a.test"), &mut out),
+            Ok(None)
+        );
+        assert_eq!(resolver.metrics().stale_serves, 2);
+        assert_eq!(resolver.pending_refreshes(), 0);
+        assert_eq!(resolver.begin_due_refreshes(&mut exchanger), 0);
+        // ...and a query that finds the entry gone past its stale window
+        // joins the refresh instead of opening a second generation.
+        net.clock().advance(Duration::from_secs(25));
+        let joined = resolver
+            .begin(&mut exchanger, &query(4, "a.test"), &mut out)
+            .unwrap()
+            .expect("a miss");
+        assert_eq!(joined, sent[0].0);
+        assert_eq!(resolver.metrics().coalesced_waiters, 1);
+
+        exchange_and_land(&mut resolver, &mut exchanger, sent);
+        let landed = land_everything(&mut resolver, &mut exchanger, Landing::Delivery);
+        assert_eq!(landed.len(), 1);
+        landed[0]
+            .answer_wire(&query(4, "a.test"), &mut out)
+            .unwrap();
+        assert_eq!(Message::decode(&out).unwrap().answer_addresses().len(), 6);
+        let metrics = resolver.metrics();
+        assert_eq!((metrics.generations, metrics.refreshes), (2, 1));
+    }
+
+    #[test]
+    fn extracting_a_key_with_a_live_flight_leaves_the_flight_to_land() {
+        let (net, mut resolver) = doh_world(45, 3, PoolConfig::algorithm1(), test_config());
+        let mut exchanger = client(&net);
+        resolver.handle_query(&mut exchanger, &query(1, "a.test"));
+        net.clock().advance(Duration::from_secs(70));
+        resolver.handle_query(&mut exchanger, &query(2, "a.test"));
+        assert_eq!(resolver.begin_due_refreshes(&mut exchanger), 1);
+        // The entry moves away with its refresh upstream.
+        let moved = resolver.extract_entries(|_| true);
+        assert_eq!(moved.len(), 1);
+        assert_eq!(resolver.snapshot().entries, 0);
+        assert_eq!(resolver.snapshot().live_generations, 1);
+        // The flight lands where it took off, and is what a second
+        // extraction hands on.
+        let landed = land_everything(&mut resolver, &mut exchanger, Landing::Delivery);
+        assert_eq!(landed.len(), 1);
+        assert_eq!(resolver.snapshot().live_generations, 0);
+        assert_eq!(resolver.extract_entries(|_| true).len(), 1);
+    }
+
+    #[test]
+    fn a_source_swap_mid_flight_lands_on_the_old_set() {
+        let (net, mut resolver) = doh_world(46, 3, PoolConfig::algorithm1(), test_config());
+        let mut exchanger = client(&net);
+        let mut out = Vec::new();
+        resolver
+            .begin(&mut exchanger, &query(1, "a.test"), &mut out)
+            .unwrap()
+            .expect("a miss");
+        let one: Vec<Box<dyn AddressSource>> =
+            vec![Box::new(StaticSource::answering("only", vec![ip(9)]))];
+        resolver.generator_mut().replace_sources(one).unwrap();
+        // The flight left over three resolvers and comes back over them.
+        let landed = land_everything(&mut resolver, &mut exchanger, Landing::Reverse);
+        landed[0]
+            .answer_wire(&query(1, "a.test"), &mut out)
+            .unwrap();
+        assert_eq!(Message::decode(&out).unwrap().answer_addresses().len(), 6);
+        assert_eq!(resolver.metrics().source_answers, 3);
+        // The next generation runs over the new set.
+        let next = resolver.handle_query(&mut exchanger, &query(2, "b.test"));
+        assert_eq!(next.answer_addresses(), vec![ip(9)]);
+    }
+
+    #[test]
+    fn a_refresh_batch_still_costs_one_round_trip() {
+        // Four keys stale together: `run_due_refreshes` opens four flights
+        // and their twelve exchanges share one `exchange_all` batch.
+        let (net, mut resolver) = doh_world(47, 3, PoolConfig::algorithm1(), test_config());
+        let mut exchanger = client(&net);
+        let started = net.now();
+        resolver.handle_query(&mut exchanger, &query(1, WORLD[0]));
+        let one_generation = net.now().saturating_duration_since(started);
+        for (id, domain) in (2..).zip(&WORLD[1..]) {
+            resolver.handle_query(&mut exchanger, &query(id, domain));
+        }
+        net.clock().advance(Duration::from_secs(70));
+        for (id, domain) in (10..).zip(WORLD) {
+            resolver.handle_query(&mut exchanger, &query(id, domain));
+        }
+        assert_eq!(resolver.pending_refreshes(), 4);
+        let started = net.now();
+        assert_eq!(resolver.run_due_refreshes(&mut exchanger), 4);
+        let batch = net.now().saturating_duration_since(started);
+        assert!(
+            batch < one_generation * 2,
+            "{batch:?} vs {one_generation:?}"
+        );
+        let metrics = resolver.metrics();
+        assert_eq!((metrics.refreshes, metrics.source_answers), (4, 24));
+        assert_eq!(resolver.run_due_refreshes(&mut exchanger), 0);
+    }
+
     mod properties {
         use super::super::{answer_template, pool_response, AddressFamily};
+        use super::{client, doh_world, land_everything, query, test_config, Landing, WORLD};
         use crate::config::CombinationMode;
+        use crate::config::PoolConfig;
         use crate::generator::GenerationReport;
         use crate::pool::AddressPool;
         use proptest::prelude::*;
+        use sdoh_dns_server::QueryHandler;
         use sdoh_dns_wire::{Message, Name, Opcode, RrType, Ttl};
         use std::net::IpAddr;
 
@@ -1608,6 +2243,84 @@ mod tests {
                 let mut rendered = vec![0xEE; 7];
                 prop_assert!(answer_template(family, &report).render(&query, ttl, &mut rendered));
                 prop_assert_eq!(rendered, expected);
+            }
+
+            /// Stepwise and blocking are one path: the same queries, clock
+            /// advances and refresh pumps through `handle_query_wire` /
+            /// `run_due_refreshes` on one resolver and through begin / poll
+            /// / land on its twin (identically seeded nets, real DoH
+            /// exchanges, a cache small enough to evict) give byte-identical
+            /// answers and equal counters — whatever order the outcomes of a
+            /// batch are landed in, across flights and within them.
+            #[test]
+            fn stepwise_and_blocking_serve_the_same_bytes(
+                ops in proptest::collection::vec((0u8..6, any::<u16>()), 1..40),
+                seed in any::<u64>(),
+                landing in 0u8..3,
+                dead in any::<bool>(),
+            ) {
+                let landing = [Landing::Delivery, Landing::Reverse, Landing::Interleaved]
+                    [usize::from(landing)];
+                // A dead fleet: two of three resolvers unreachable, two
+                // answers required — every generation fails and is
+                // remembered for five seconds.
+                let (registered, pool) = if dead {
+                    (1, PoolConfig::algorithm1().with_min_responses(2))
+                } else {
+                    (3, PoolConfig::algorithm1())
+                };
+                let cache = test_config().with_capacity(3);
+                let (blocking_net, mut blocking) = doh_world(seed, registered, pool.clone(), cache);
+                let (stepwise_net, mut stepwise) = doh_world(seed, registered, pool, cache);
+                let (mut expected, mut out) = (Vec::new(), Vec::new());
+                for (at, (kind, param)) in ops.into_iter().enumerate() {
+                    match kind {
+                        // Queries dominate, like real traffic.
+                        0..=3 => {
+                            let domain = WORLD[usize::from(param) % WORLD.len()];
+                            let query = query(at as u16, domain);
+                            blocking
+                                .handle_query_wire(&mut client(&blocking_net), &query, &mut expected)
+                                .unwrap();
+                            let mut exchanger = client(&stepwise_net);
+                            if let Some(flight) =
+                                stepwise.begin(&mut exchanger, &query, &mut out).unwrap()
+                            {
+                                let landed = land_everything(&mut stepwise, &mut exchanger, landing);
+                                prop_assert_eq!(landed.len(), 1);
+                                prop_assert_eq!(landed[0].flight, flight);
+                                landed[0].answer_wire(&query, &mut out).unwrap();
+                            }
+                            prop_assert_eq!(&out, &expected);
+                        }
+                        4 => {
+                            let secs = std::time::Duration::from_secs(u64::from(param % 45));
+                            blocking_net.clock().advance(secs);
+                            stepwise_net.clock().advance(secs);
+                        }
+                        _ => {
+                            let ran = blocking.run_due_refreshes(&mut client(&blocking_net));
+                            let mut exchanger = client(&stepwise_net);
+                            prop_assert_eq!(stepwise.begin_due_refreshes(&mut exchanger), ran);
+                            let landed = land_everything(&mut stepwise, &mut exchanger, landing);
+                            prop_assert_eq!(landed.len(), ran);
+                        }
+                    }
+                    // Of two dead entries, which one an insertion into the
+                    // full cache evicts follows the map's iteration order —
+                    // and the other is later counted as expired, evicted in
+                    // its turn or silently replaced by its refresh. What is
+                    // cached and what is served never depends on it; how the
+                    // removals split between the two counters does.
+                    let readings = [&stepwise, &blocking].map(|resolver| {
+                        let mut snapshot = resolver.snapshot();
+                        (snapshot.cache.evictions, snapshot.cache.expirations) = (0, 0);
+                        snapshot
+                    });
+                    prop_assert_eq!(readings[0], readings[1]);
+                    prop_assert_eq!(stepwise.next_refresh_due(), blocking.next_refresh_due());
+                    prop_assert_eq!(stepwise_net.now(), blocking_net.now());
+                }
             }
         }
     }

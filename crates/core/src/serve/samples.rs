@@ -197,16 +197,20 @@ pub const SERVE_GAUGE_HELP: &[(&str, &str)] = &[
         "Background refreshes currently queued.",
     ),
     (
+        "sdoh_live_generations",
+        "Pool generations currently in flight (opened by a miss or a due refresh, not landed yet).",
+    ),
+    (
         "sdoh_serve_hit_ratio",
         "Fraction of address queries served without a generation on the query path.",
     ),
     (
         "sdoh_last_generation_seconds",
-        "Virtual time the most recent generation batch took, in seconds.",
+        "Virtual time the most recently landed generation took, in seconds.",
     ),
     (
         "sdoh_generation_seconds_total",
-        "Total virtual time spent generating pools, in seconds.",
+        "Total virtual time generations spent in flight, in seconds.",
     ),
 ];
 
@@ -235,9 +239,10 @@ pub fn snapshot_samples(snapshot: &ServeSnapshot, labels: &[(&str, &str)]) -> Ve
         snapshot.cache.evictions,
         snapshot.cache.expirations,
     ];
-    let gauges: [f64; 5] = [
+    let gauges: [f64; 6] = [
         snapshot.entries as f64,
         snapshot.pending_refreshes as f64,
+        snapshot.live_generations as f64,
         snapshot.serve.hit_ratio(),
         snapshot.serve.last_generation_latency.as_secs_f64(),
         snapshot.serve.total_generation_latency.as_secs_f64(),
@@ -281,6 +286,7 @@ mod tests {
         snapshot.serve.generations = 3;
         snapshot.cache.insertions = 3;
         snapshot.entries = 3;
+        snapshot.live_generations = 2;
         snapshot.serve.total_generation_latency = Duration::from_millis(1500);
 
         let samples = snapshot_samples(&snapshot, &[("shard", "2")]);
@@ -303,6 +309,7 @@ mod tests {
         assert_eq!(by_name("sdoh_serve_hits_total"), SampleValue::Counter(7));
         assert_eq!(by_name("sdoh_generations_total"), SampleValue::Counter(3));
         assert_eq!(by_name("sdoh_cache_entries"), SampleValue::Gauge(3.0));
+        assert_eq!(by_name("sdoh_live_generations"), SampleValue::Gauge(2.0));
         assert_eq!(by_name("sdoh_serve_hit_ratio"), SampleValue::Gauge(0.7));
         assert_eq!(
             by_name("sdoh_generation_seconds_total"),

@@ -1,89 +1,94 @@
-//! Singleflight coalescing: concurrent misses for the same key share one
-//! in-flight generation.
+//! Singleflight: the registry of a resolver's live generations.
 //!
 //! When a burst of client queries for the same domain arrives at a cold (or
 //! just-expired) cache, the naive front end launches one full distributed
 //! fan-out per query — N resolver exchanges each, for work that produces
-//! the identical pool. [`Singleflight`] is the registry that collapses the
-//! burst: the first waiter for a key becomes the **leader** and owns the
-//! flight; every later waiter for the same key is **coalesced** onto the
-//! leader's flight and is answered from its result.
+//! the identical pool. [`Singleflight`] is what collapses the burst: the
+//! first miss for a key **opens** a flight, and every later miss for that
+//! key finds it and **joins** — it is answered from the leader's result
+//! when the flight lands.
 //!
-//! The registry is pure bookkeeping (no I/O, no clock): the serving session
-//! uses it to decide how many [`PoolSession`](crate::PoolSession)s a batch
-//! of queries actually needs.
+//! The registry belongs to the resolver, not to a call: a flight stays in
+//! it from the miss (or due refresh) that opened it until its last outcome
+//! has landed, however many queries are begun in between. It is pure
+//! bookkeeping (no I/O, no clock) and keeps flights in the order they were
+//! opened, which is the order everything that walks them — transmits,
+//! landings, seeds — follows, so a run repeats exactly.
 
-use std::collections::HashMap;
-use std::hash::Hash;
+/// Identifies one live generation of a
+/// [`CachingPoolResolver`](super::CachingPoolResolver): handed out when a
+/// miss is parked, named again when the flight lands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct FlightId(usize);
 
-/// How a waiter joined the registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FlightJoin {
-    /// First waiter for the key: a new flight was opened at this index.
-    Leader(usize),
-    /// The key already has a flight in progress; the waiter was attached to
-    /// the flight at this index.
-    Coalesced(usize),
-}
-
-/// The coalescing registry: maps keys to flights and flights to waiters.
-#[derive(Debug, Clone)]
-pub(crate) struct Singleflight<K, W = usize> {
-    flights: Vec<(K, Vec<W>)>,
-    index: HashMap<K, usize>,
-}
-
-impl<K: Hash + Eq + Clone, W> Default for Singleflight<K, W> {
-    fn default() -> Self {
-        Singleflight {
-            flights: Vec::new(), // sdoh-lint: allow(hot-path-purity, "an empty Vec::new never allocates")
-            index: HashMap::new(),
-        }
+impl FlightId {
+    /// The flight's number: flights are numbered in the order they opened.
+    pub(crate) fn number(self) -> usize {
+        self.0
     }
 }
 
-impl<K: Hash + Eq + Clone, W> Singleflight<K, W> {
+/// The live flights of one resolver, keyed by `K`, each carrying an `F`
+/// (the generation's session and what landing it needs).
+#[derive(Debug)]
+pub(crate) struct Singleflight<K, F> {
+    /// In opening order. Live flights are as many as the shard has
+    /// generations upstream, so a key is found by walking them.
+    live: Vec<(FlightId, K, F)>,
+    opened: usize,
+}
+
+impl<K: PartialEq, F> Singleflight<K, F> {
     /// Creates an empty registry.
     pub(crate) fn new() -> Self {
-        Singleflight::default()
-    }
-
-    /// Attaches `waiter` to the flight for `key`, opening one if this is
-    /// the first waiter.
-    // sdoh-lint: allow(no-panic, "the index map only stores positions of live flights entries")
-    // sdoh-lint: allow(hot-path-purity, "waiter lists grow once per coalesced miss, not per query")
-    pub(crate) fn join(&mut self, key: K, waiter: W) -> FlightJoin {
-        match self.index.get(&key) {
-            Some(&flight) => {
-                self.flights[flight].1.push(waiter);
-                FlightJoin::Coalesced(flight)
-            }
-            None => {
-                let flight = self.flights.len();
-                self.index.insert(key.clone(), flight);
-                self.flights.push((key, vec![waiter]));
-                FlightJoin::Leader(flight)
-            }
+        Singleflight {
+            live: Vec::new(), // sdoh-lint: allow(hot-path-purity, "an empty Vec::new never allocates")
+            opened: 0,
         }
     }
 
-    /// Number of waiters that were coalesced onto an existing flight (the
-    /// generations singleflight saved).
-    pub(crate) fn coalesced(&self) -> u64 {
-        self.flights
+    /// Number of live flights.
+    pub(crate) fn len(&self) -> usize {
+        self.live.len()
+    }
+
+    /// The live flight for `key` — what a miss joins instead of opening a
+    /// second one.
+    pub(crate) fn find(&self, key: &K) -> Option<FlightId> {
+        self.live
             .iter()
-            .map(|(_, waiters)| u64::try_from(waiters.len().saturating_sub(1)).unwrap_or(u64::MAX))
-            .sum()
+            .find_map(|(id, live, _)| (live == key).then_some(*id))
     }
 
-    /// The flights in creation order: each key with its waiters.
-    pub(crate) fn flights(&self) -> &[(K, Vec<W>)] {
-        &self.flights
+    /// Opens a flight for `key`. The caller has checked [`find`]: one key,
+    /// one flight.
+    ///
+    /// [`find`]: Singleflight::find
+    pub(crate) fn open(&mut self, key: K, flight: F) -> FlightId {
+        let id = FlightId(self.opened);
+        self.opened += 1;
+        self.live.push((id, key, flight));
+        id
     }
 
-    /// Consumes the registry, yielding each key with its waiters.
-    pub(crate) fn into_flights(self) -> Vec<(K, Vec<W>)> {
-        self.flights
+    /// The flight `id`, while it is live.
+    pub(crate) fn get_mut(&mut self, id: FlightId) -> Option<&mut F> {
+        self.live
+            .iter_mut()
+            .find_map(|(live, _, flight)| (*live == id).then_some(flight))
+    }
+
+    /// The live flights, in opening order.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (FlightId, &mut F)> {
+        self.live.iter_mut().map(|(id, _, flight)| (*id, flight))
+    }
+
+    /// Takes flight `id` out of the registry: it landed, and the next miss
+    /// for its key opens a fresh one.
+    pub(crate) fn land(&mut self, id: FlightId) -> Option<(K, F)> {
+        let at = self.live.iter().position(|(live, _, _)| *live == id)?;
+        let (_, key, flight) = self.live.remove(at);
+        Some((key, flight))
     }
 }
 
@@ -93,25 +98,48 @@ mod tests {
 
     #[test]
     fn first_waiter_leads_later_waiters_coalesce() {
-        let mut flights: Singleflight<&str> = Singleflight::new();
-        assert_eq!(flights.join("a", 0), FlightJoin::Leader(0));
-        assert_eq!(flights.join("b", 1), FlightJoin::Leader(1));
-        assert_eq!(flights.join("a", 2), FlightJoin::Coalesced(0));
-        assert_eq!(flights.join("a", 3), FlightJoin::Coalesced(0));
-        assert_eq!(flights.flights().len(), 2);
-        assert_eq!(flights.coalesced(), 2);
-        assert_eq!(flights.join("a", 4), FlightJoin::Coalesced(0));
+        let mut flights: Singleflight<&str, Vec<u32>> = Singleflight::new();
+        assert_eq!(flights.find(&"a"), None);
+        let a = flights.open("a", vec![0]);
+        let b = flights.open("b", vec![1]);
+        assert_ne!(a, b);
+        // Later waiters for a live key find the leader's flight.
+        for waiter in 2..5 {
+            assert_eq!(flights.find(&"a"), Some(a));
+            flights.get_mut(a).unwrap().push(waiter);
+        }
+        assert_eq!(flights.len(), 2);
+        let walked: Vec<FlightId> = flights.iter_mut().map(|(id, _)| id).collect();
+        assert_eq!(walked, vec![a, b], "opening order");
 
-        let flights = flights.into_flights();
-        assert_eq!(flights[0].0, "a");
-        assert_eq!(flights[0].1, vec![0, 2, 3, 4]);
-        assert_eq!(flights[1].1, vec![1]);
+        assert_eq!(flights.land(a), Some(("a", vec![0, 2, 3, 4])));
+        assert_eq!(flights.land(b), Some(("b", vec![1])));
+    }
+
+    #[test]
+    fn a_landed_key_opens_a_fresh_flight() {
+        let mut flights: Singleflight<&str, ()> = Singleflight::new();
+        let first = flights.open("a", ());
+        let other = flights.open("b", ());
+        assert!(flights.land(first).is_some());
+        // Landed: no longer joinable, no longer addressable, landed once.
+        assert_eq!(flights.find(&"a"), None);
+        assert!(flights.get_mut(first).is_none());
+        assert_eq!(flights.land(first), None);
+        // The next miss leads a new flight under a new id; the flight that
+        // stayed live throughout keeps its own.
+        let second = flights.open("a", ());
+        assert!(second > other && other > first);
+        assert_eq!(second.number(), 2);
+        assert_eq!(flights.find(&"a"), Some(second));
+        assert_eq!(flights.find(&"b"), Some(other));
     }
 
     #[test]
     fn empty_registry() {
-        let flights: Singleflight<u32> = Singleflight::new();
-        assert_eq!(flights.coalesced(), 0);
-        assert!(flights.flights().is_empty());
+        let mut flights: Singleflight<u32, ()> = Singleflight::new();
+        assert_eq!(flights.len(), 0);
+        assert_eq!(flights.find(&7), None);
+        assert!(flights.iter_mut().next().is_none());
     }
 }

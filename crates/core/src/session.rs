@@ -29,6 +29,7 @@
 
 use std::mem;
 use std::net::IpAddr;
+use std::sync::Arc;
 
 use sdoh_dns_server::{ExchangeRequest, Exchanger};
 use sdoh_dns_wire::{Name, RrType};
@@ -127,12 +128,32 @@ struct Transaction {
     state: TxState,
 }
 
+/// The resolver set a session fans out over: lent by the caller for the
+/// length of one call, or shared with the generator that planned it, so the
+/// session can outlive that call (a serving shard's live generations) and
+/// keeps its set when the generator's is replaced meanwhile.
+enum Sources<'a> {
+    Borrowed(&'a [Box<dyn AddressSource>]),
+    Shared(Arc<[Box<dyn AddressSource>]>),
+}
+
+impl std::ops::Deref for Sources<'_> {
+    type Target = [Box<dyn AddressSource>];
+
+    fn deref(&self) -> &Self::Target {
+        match self {
+            Sources::Borrowed(sources) => sources,
+            Sources::Shared(sources) => sources,
+        }
+    }
+}
+
 /// Sans-IO state machine for one secure pool lookup.
 ///
 /// See the module documentation for the driving protocol.
 pub struct PoolSession<'a> {
     config: PoolConfig,
-    sources: &'a [Box<dyn AddressSource>],
+    sources: Sources<'a>,
     passes: Vec<Vec<RrType>>,
     transactions: Vec<Transaction>,
     events: std::collections::VecDeque<SessionEvent>,
@@ -155,6 +176,26 @@ impl<'a> PoolSession<'a> {
         domain: &Name,
         seed: u64,
     ) -> PoolResult<Self> {
+        Self::plan(config, Sources::Borrowed(sources), domain, seed)
+    }
+
+    /// [`PoolSession::new`] over a shared source set: the session borrows
+    /// nothing and lives as long as its owner keeps it.
+    pub(crate) fn shared(
+        config: PoolConfig,
+        sources: Arc<[Box<dyn AddressSource>]>,
+        domain: &Name,
+        seed: u64,
+    ) -> PoolResult<PoolSession<'static>> {
+        PoolSession::plan(config, Sources::Shared(sources), domain, seed)
+    }
+
+    fn plan(
+        config: PoolConfig,
+        sources: Sources<'a>,
+        domain: &Name,
+        seed: u64,
+    ) -> PoolResult<Self> {
         config.validate()?;
         if sources.is_empty() {
             return Err(PoolError::NoResolvers);
@@ -167,13 +208,7 @@ impl<'a> PoolSession<'a> {
         };
 
         let mut ids = IdStream::new(seed);
-        let mut session = PoolSession {
-            config,
-            sources,
-            passes: passes.clone(),
-            transactions: Vec::new(),
-            events: std::collections::VecDeque::new(),
-        };
+        let mut transactions = Vec::new();
         for (pass, rtypes) in passes.iter().enumerate() {
             for (source_index, source) in sources.iter().enumerate() {
                 for (slot, &rtype) in rtypes.iter().enumerate() {
@@ -183,7 +218,7 @@ impl<'a> PoolSession<'a> {
                         }
                         FetchStart::Immediate(result) => TxState::Completed { result },
                     };
-                    session.transactions.push(Transaction {
+                    transactions.push(Transaction {
                         source: source_index,
                         pass,
                         slot,
@@ -192,12 +227,19 @@ impl<'a> PoolSession<'a> {
                 }
             }
         }
+        let mut session = PoolSession {
+            config,
+            sources,
+            passes,
+            transactions,
+            events: std::collections::VecDeque::new(),
+        };
         // Sources that resolved without I/O (static answers, immediate
         // failures) complete before the first poll — and a slot that failed
         // immediately dooms its queued siblings just like a failed response
         // would, so they are never transmitted.
         for pass in 0..session.passes.len() {
-            for source in 0..sources.len() {
+            for source in 0..session.sources.len() {
                 let already_failed = session.transactions.iter().any(|t| {
                     t.pass == pass
                         && t.source == source

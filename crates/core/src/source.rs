@@ -52,11 +52,13 @@ impl std::error::Error for FetchError {}
 /// DoH source keeps its HTTP/2 connection and expected question in here);
 /// drivers just hand the value back untouched.
 #[derive(Debug)]
-pub struct PendingFetch(Box<dyn Any>);
+pub struct PendingFetch(Box<dyn Any + Send>);
 
 impl PendingFetch {
-    /// Wraps source-private in-flight state.
-    pub fn new<T: Any>(state: T) -> Self {
+    /// Wraps source-private in-flight state. `Send`, like the sources: a
+    /// resolver owns the sessions of its live generations and moves into a
+    /// worker thread whole.
+    pub fn new<T: Any + Send>(state: T) -> Self {
         PendingFetch(Box::new(state))
     }
 
@@ -86,13 +88,14 @@ pub enum FetchStart {
 /// A single source of address lists — one DoH resolver, one plain resolver,
 /// or a test stub.
 ///
-/// Sources are `Send` so a [`SecurePoolGenerator`](crate::SecurePoolGenerator)
-/// (and everything layered on it, up to the serving subsystem) can be moved
-/// into a worker thread of a real-socket runtime. Sources built from plain
-/// configuration data (all the in-tree ones) satisfy the bound for free; a
-/// source sharing state with its test must use `Arc`/atomics instead of
-/// `Rc`/`Cell`.
-pub trait AddressSource: Send {
+/// Sources are `Send + Sync`: a [`SecurePoolGenerator`](crate::SecurePoolGenerator)
+/// (and everything layered on it, up to the serving subsystem) moves into a
+/// worker thread of a real-socket runtime, and shares its source set with
+/// the sessions it has in flight, which outlive the call that opened them.
+/// Sources built from plain configuration data (all the in-tree ones)
+/// satisfy the bounds for free; a source sharing state with its test must
+/// use `Arc`/atomics instead of `Rc`/`Cell`.
+pub trait AddressSource: Send + Sync {
     /// A stable, human-readable identifier (used for provenance in the
     /// generated pool).
     fn source_name(&self) -> String;

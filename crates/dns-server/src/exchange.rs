@@ -13,6 +13,15 @@
 //! out through [`sdoh_netsim::SimNet::transact_concurrent`]; the default
 //! implementation falls back to driving the batch sequentially so that any
 //! custom exchanger keeps working unchanged.
+//!
+//! A batch also comes in two halves, for a caller with something better to
+//! do than wait: [`Exchanger::depart`] sends it and hands back a
+//! [`Departure`] saying when the replies can be collected, and
+//! [`Exchanger::arrive`] collects them. Both default to
+//! [`Exchanger::exchange_all`] — depart performs the whole batch, arrive
+//! hands over what it brought back — so only a transport whose wait is real
+//! time (the runtime's loopback backend) implements them, and every other
+//! exchanger behaves exactly as it does through `exchange_all`.
 
 use std::time::Duration;
 
@@ -26,6 +35,58 @@ pub use sdoh_netsim::ConcurrentRequest as ExchangeRequest;
 /// Outcome of one exchange of a batch, in delivery order — the simulator's
 /// batch-outcome type, re-exported under the exchange vocabulary.
 pub use sdoh_netsim::ConcurrentOutcome as ExchangeOutcome;
+
+/// A batch between its two halves: what [`Exchanger::depart`] hands back
+/// and [`Exchanger::arrive`] consumes.
+#[derive(Debug)]
+pub struct Departure {
+    ready_at: SimInstant,
+    cargo: Cargo,
+}
+
+#[derive(Debug)]
+enum Cargo {
+    /// Sent, not collected yet.
+    Requests(Vec<ExchangeRequest>),
+    /// Already exchanged: the transport does not split its batches.
+    Outcomes(Vec<ExchangeOutcome>),
+}
+
+impl Departure {
+    /// A batch on its way whose replies can be collected from `ready_at`.
+    pub fn in_flight(ready_at: SimInstant, requests: Vec<ExchangeRequest>) -> Self {
+        Departure {
+            ready_at,
+            cargo: Cargo::Requests(requests),
+        }
+    }
+
+    /// A batch that was exchanged on the spot, complete at `at`.
+    pub fn arrived(at: SimInstant, outcomes: Vec<ExchangeOutcome>) -> Self {
+        Departure {
+            ready_at: at,
+            cargo: Cargo::Outcomes(outcomes),
+        }
+    }
+
+    /// The instant from which the replies can be collected with
+    /// [`Exchanger::arrive`].
+    pub fn ready_at(&self) -> SimInstant {
+        self.ready_at
+    }
+
+    /// The outcomes: the ones the batch already carries, or what `collect`
+    /// makes of its requests.
+    pub fn outcomes(
+        self,
+        collect: impl FnOnce(Vec<ExchangeRequest>) -> Vec<ExchangeOutcome>,
+    ) -> Vec<ExchangeOutcome> {
+        match self.cargo {
+            Cargo::Requests(requests) => collect(requests),
+            Cargo::Outcomes(outcomes) => outcomes,
+        }
+    }
+}
 
 /// Anything able to perform a request/response exchange with an endpoint.
 pub trait Exchanger {
@@ -104,6 +165,29 @@ pub trait Exchanger {
                 }
             })
             .collect()
+    }
+
+    /// The send half of a batch: puts `requests` on the wire and returns at
+    /// once with the [`Departure`] to collect them with — for a caller that
+    /// owns its waiting, like a shard that answers cache hits while its
+    /// generations are upstream. The caller waits (or does other work) until
+    /// [`Departure::ready_at`] and then calls [`Exchanger::arrive`].
+    ///
+    /// The default performs the whole batch here, through
+    /// [`Exchanger::exchange_all`], and is ready immediately: the simulator
+    /// waits by advancing its clock inside the exchange, so there is nothing
+    /// to hand back early, and an exchanger that knows nothing of the halves
+    /// keeps its one code path.
+    fn depart(&mut self, requests: Vec<ExchangeRequest>) -> Departure {
+        let outcomes = self.exchange_all(requests);
+        Departure::arrived(self.now(), outcomes)
+    }
+
+    /// The collect half: the outcomes of `departure`, in delivery order.
+    /// It does not wait — the caller let [`Departure::ready_at`] pass, and
+    /// the default has nothing left to wait for anyway.
+    fn arrive(&mut self, departure: Departure) -> Vec<ExchangeOutcome> {
+        departure.outcomes(|requests| self.exchange_all(requests))
     }
 }
 
@@ -305,33 +389,32 @@ mod tests {
         );
     }
 
-    #[test]
-    fn default_exchange_all_is_sequential() {
-        // A minimal custom exchanger exercising the provided method.
-        struct Loopback(u64);
-        impl Exchanger for Loopback {
-            fn exchange(
-                &mut self,
-                _dst: SimAddr,
-                _channel: ChannelKind,
-                payload: &[u8],
-                _timeout: Duration,
-            ) -> NetResult<Vec<u8>> {
-                self.0 += 1;
-                Ok(payload.to_vec())
-            }
-
-            fn next_id(&mut self) -> u16 {
-                7
-            }
-
-            fn now(&self) -> SimInstant {
-                SimInstant::from_nanos(self.0)
-            }
+    /// A minimal custom exchanger: nothing but the required methods, one
+    /// tick of its clock per exchange.
+    struct Loopback(u64);
+    impl Exchanger for Loopback {
+        fn exchange(
+            &mut self,
+            _dst: SimAddr,
+            _channel: ChannelKind,
+            payload: &[u8],
+            _timeout: Duration,
+        ) -> NetResult<Vec<u8>> {
+            self.0 += 1;
+            Ok(payload.to_vec())
         }
 
-        let mut exchanger = Loopback(0);
-        let outcomes = exchanger.exchange_all(vec![
+        fn next_id(&mut self) -> u16 {
+            7
+        }
+
+        fn now(&self) -> SimInstant {
+            SimInstant::from_nanos(self.0)
+        }
+    }
+
+    fn two_requests() -> Vec<ExchangeRequest> {
+        vec![
             ExchangeRequest::new(
                 SimAddr::v4(1, 1, 1, 1, 53),
                 ChannelKind::Plain,
@@ -344,12 +427,45 @@ mod tests {
                 b"b".to_vec(),
                 Duration::from_secs(1),
             ),
-        ]);
+        ]
+    }
+
+    #[test]
+    fn default_exchange_all_is_sequential() {
+        let mut exchanger = Loopback(0);
+        let outcomes = exchanger.exchange_all(two_requests());
         assert_eq!(outcomes.len(), 2);
         assert_eq!(outcomes[0].index, 0);
         assert_eq!(outcomes[1].index, 1);
         assert_eq!(outcomes[1].result.as_deref().unwrap(), b"b");
         // Sequential fallback: the second completion is strictly later.
         assert!(outcomes[1].completed_at > outcomes[0].completed_at);
+    }
+
+    #[test]
+    fn default_halves_compose_to_exchange_all() {
+        let mut whole = Loopback(0);
+        let expected = whole.exchange_all(two_requests());
+
+        // depart does the batch and is ready at once; arrive adds nothing.
+        let mut halves = Loopback(0);
+        let departure = halves.depart(two_requests());
+        assert_eq!(halves.0, 2, "the default depart performed both exchanges");
+        assert_eq!(departure.ready_at(), halves.now());
+        let outcomes = halves.arrive(departure);
+        assert_eq!(halves.0, 2, "nothing was exchanged twice");
+        assert_eq!(outcomes.len(), expected.len());
+        for (got, want) in outcomes.iter().zip(&expected) {
+            assert_eq!(got.index, want.index);
+            assert_eq!(got.completed_at, want.completed_at);
+            assert_eq!(got.result, want.result);
+        }
+
+        // A batch that really is in flight is exchanged when it arrives.
+        let departure = Departure::in_flight(SimInstant::from_nanos(9), two_requests());
+        assert_eq!(departure.ready_at(), SimInstant::from_nanos(9));
+        let outcomes = halves.arrive(departure);
+        assert_eq!(halves.0, 4);
+        assert_eq!(outcomes[1].result.as_deref().unwrap(), b"b");
     }
 }

@@ -107,12 +107,14 @@ pub use cache::{CachedAnswer, Credibility, DnsCache};
 pub use catalog::Catalog;
 pub use client::{DnsClient, PreparedDnsQuery, QueryIdentifiers, DEFAULT_TIMEOUT};
 pub use error::{ResolveError, ResolveResult, ZoneFileError};
-pub use exchange::{ClientExchanger, ExchangeOutcome, ExchangeRequest, Exchanger};
+pub use exchange::{ClientExchanger, Departure, ExchangeOutcome, ExchangeRequest, Exchanger};
 pub use forwarder::ForwardingResolver;
 pub use handler::{FnHandler, QueryHandler};
 pub use poison::{PoisonConfig, PoisonMode, PoisonedResolver};
 pub use recursive::{HardeningConfig, RecursiveConfig, RecursiveResolver};
-pub use service::{serve_do53_payload, serve_do53_payload_into, Do53Service};
+pub use service::{
+    decode_do53_query, finish_do53_answer, serve_do53_payload, serve_do53_payload_into, Do53Service,
+};
 pub use stub::StubResolver;
 pub use zone::{Zone, ZoneLookup};
 pub use zonefile::parse_zone;

@@ -2,7 +2,7 @@
 //! transport-independent wire termination ([`serve_do53_payload`]) plus
 //! the simulated network service built on it ([`Do53Service`]).
 
-use sdoh_dns_wire::{Message, Rcode};
+use sdoh_dns_wire::{Message, Rcode, WireResult};
 use sdoh_netsim::{ChannelKind, Ctx, Service, ServiceResponse, SimAddr};
 
 use crate::exchange::Exchanger;
@@ -34,9 +34,28 @@ pub fn serve_do53_payload(
 /// the response, or left empty for "send nothing". Returns the decoded
 /// query (`None` when the payload was malformed) for front ends that go on
 /// to reframe the answer, e.g. truncate it for UDP.
+///
+/// The two halves around the handler call — [`decode_do53_query`] and
+/// [`finish_do53_answer`] — are public for a front end that cannot answer
+/// in one call (a shard that parks a cache miss and answers it when its
+/// generation lands): it runs the same halves around its own handler steps.
 pub fn serve_do53_payload_into(
     handler: &mut dyn QueryHandler,
     exchanger: &mut dyn Exchanger,
+    payload: &[u8],
+    drop_malformed: bool,
+    out: &mut Vec<u8>,
+) -> Option<Message> {
+    let query = decode_do53_query(payload, drop_malformed, out)?;
+    let rendered = handler.handle_query_wire(exchanger, &query, out);
+    finish_do53_answer(&query, rendered, out);
+    Some(query)
+}
+
+/// The decode half of the Do53 core. `out` is cleared; a payload that does
+/// not decode is answered there — a best-effort FORMERR, or nothing under
+/// `drop_malformed` — and `None` comes back.
+pub fn decode_do53_query(
     payload: &[u8],
     drop_malformed: bool,
     out: &mut Vec<u8>,
@@ -52,10 +71,16 @@ pub fn serve_do53_payload_into(
         }
         return None;
     };
-    if handler.handle_query_wire(exchanger, &query, out).is_err() {
-        let _ = Message::error_response(&query, Rcode::ServFail).encode_into(out);
-    }
     Some(query)
+}
+
+/// The closing half of the Do53 core: `rendered` is what writing the answer
+/// to `query` into `out` came to; one that failed to encode is replaced by
+/// SERVFAIL (and `out` left empty if even that does not encode).
+pub fn finish_do53_answer(query: &Message, rendered: WireResult<()>, out: &mut Vec<u8>) {
+    if rendered.is_err() {
+        let _ = Message::error_response(query, Rcode::ServFail).encode_into(out);
+    }
 }
 
 /// A classic DNS service: decodes query bytes, hands the message to a

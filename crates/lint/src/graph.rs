@@ -7,7 +7,7 @@
 //! Calls are resolved from the per-function [`CallSite`](crate::parser::CallSite)s the parser
 //! extracted, through a name index built over every parsed function:
 //!
-//! * **Qualified paths** (`sdoh_core::serve_batch`, `Message::decode`)
+//! * **Qualified paths** (`sdoh_core::check_guarantee`, `Message::decode`)
 //!   resolve through the crate-alias map and the `(type, method)` index.
 //! * **Bare names** (`question_hash(...)`) resolve inside the caller's
 //!   crate first, then through the file's `use` imports.

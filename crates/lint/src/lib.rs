@@ -37,7 +37,7 @@
 //!
 //! | rule | what it bans |
 //! |------|--------------|
-//! | `transitive-hot-path-purity` | any lock, allocation or panic site *reachable* from the serving entry points (`dispatcher_loop`, `worker_loop`, `serve_wire`, `CachingPoolResolver::{handle_query, handle_query_wire, serve_batch}`); the diagnostic carries the full call chain |
+//! | `transitive-hot-path-purity` | any lock, allocation or panic site *reachable* from the serving entry points (`dispatcher_loop`, `worker_loop`, `CachingPoolResolver::{handle_query, handle_query_wire, begin}`); the diagnostic carries the full call chain |
 //! | `transitive-determinism` | ambient clock/entropy reads reachable from any public function of the sim-facing crates |
 //! | `lock-order` | cycles in the ordered lock-acquisition graph of the control plane — each cycle is reported once, with every conflicting ordering and both witnesses |
 //!

@@ -149,19 +149,18 @@ fn relative_label(root: &Path, path: &Path) -> String {
 pub fn graph_config() -> GraphConfig {
     GraphConfig {
         // The shard serving path: the dispatcher that routes wire queries
-        // to shards, the per-shard worker loop, the wire-level serve
-        // helper, and the resolver entry points they dispatch into
-        // (`handle_query` and `handle_query_wire` are reached through
-        // `dyn QueryHandler`, which call resolution deliberately does not
-        // follow — so the concrete implementations are entry points of
-        // their own).
+        // to shards, the per-shard worker loop, and the resolver entry
+        // points they dispatch into — the blocking pair (`handle_query` and
+        // `handle_query_wire` are reached through `dyn QueryHandler`, which
+        // call resolution deliberately does not follow — so the concrete
+        // implementations are entry points of their own) and `begin`, the
+        // step a shard worker answers every hit through.
         purity_entries: vec![
             Entry::free("runtime", "dispatcher_loop"),
             Entry::free("runtime", "worker_loop"),
-            Entry::free("runtime", "serve_wire"),
             Entry::method("core", "CachingPoolResolver", "handle_query"),
             Entry::method("core", "CachingPoolResolver", "handle_query_wire"),
-            Entry::method("core", "CachingPoolResolver", "serve_batch"),
+            Entry::method("core", "CachingPoolResolver", "begin"),
         ],
         determinism_crates: DETERMINISM_CRATES.iter().map(|c| c.to_string()).collect(),
         lock_crates: vec!["runtime".to_string()],

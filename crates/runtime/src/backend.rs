@@ -11,19 +11,26 @@
 //! workspace's [`Exchanger`] transport abstraction driven by the host
 //! clock instead of the simulator's virtual one.
 //!
-//! # One wait per batch
+//! # Send half, collect half, and who waits
 //!
 //! An exchange is two steps: wait the net's round trip, then serve the
 //! request **in place, on the caller's thread**. The requests of a batch
-//! ([`Exchanger::exchange_all`]) depart together, so the batch waits that
-//! round trip *once* and then collects its replies one after the other: a
-//! generation's fan-out over N resolvers, or a refresh batch's over K keys
-//! × N, is data plus one timed wait, never a thread. What that gives up is
-//! overlap *below* a batch — an endpoint that made a latency-bearing
-//! upstream call while serving would have those waits summed across the
-//! batch — and nothing in tree nests one: [`BackendNetBuilder::with_latency`]
-//! has one caller, [`LoopbackFleet`](crate::LoopbackFleet), whose endpoints
-//! answer from an authoritative zone and call nobody.
+//! depart together, so the batch waits that round trip *once* and then
+//! collects its replies one after the other: a generation's fan-out over N
+//! resolvers is data plus one timed wait, never a thread. The two steps are
+//! the two halves of the [`Exchanger`] contract: [`Exchanger::depart`] keeps
+//! the requests and stamps the instant the round trip will be over,
+//! [`Exchanger::arrive`] serves them. Neither waits. The wait belongs to
+//! the caller: a shard worker takes the earliest `ready_at` of its
+//! departures as the timeout of its queue receive and answers cache hits
+//! in the meantime; [`Exchanger::exchange_all`] — the blocking form, which
+//! nested endpoints and the simulator-shaped callers use — is the same two
+//! halves around one sleep. What that gives up is overlap *below* a batch
+//! — an endpoint that made a latency-bearing upstream call while serving
+//! would have those waits summed across the batch — and nothing in tree
+//! nests one: [`BackendNetBuilder::with_latency`] has one caller,
+//! [`LoopbackFleet`](crate::LoopbackFleet), whose endpoints answer from an
+//! authoritative zone and call nobody.
 //!
 //! Endpoints sit behind one mutex each (never a registry-wide lock), so
 //! two shards only contend when they query the *same* upstream resolver
@@ -37,7 +44,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use sdoh_dns_server::{ExchangeOutcome, ExchangeRequest, Exchanger, QueryHandler};
+use sdoh_dns_server::{Departure, ExchangeOutcome, ExchangeRequest, Exchanger, QueryHandler};
 use sdoh_doh::DohServerService;
 use sdoh_netsim::{ChannelKind, NetError, NetResult, SimAddr, SimInstant};
 
@@ -190,12 +197,19 @@ pub struct BackendExchanger {
 }
 
 impl BackendExchanger {
-    /// The network half of an exchange: the round trip, waited once
-    /// however many requests travel together.
-    fn wait_round_trip(&self) {
-        if !self.net.inner.latency.is_zero() {
-            std::thread::sleep(self.net.inner.latency);
+    /// The network half of an exchange, for a caller with nothing else to
+    /// do: sleeps until `ready_at`, the end of a round trip that began one
+    /// latency earlier — once, however many requests travel together.
+    fn wait_until(&self, ready_at: SimInstant) {
+        let wait = ready_at.saturating_duration_since(self.now());
+        if !wait.is_zero() {
+            std::thread::sleep(wait);
         }
+    }
+
+    /// When a round trip that begins now is over.
+    fn round_trip_end(&self) -> SimInstant {
+        self.now().saturating_add(self.net.inner.latency)
     }
 
     /// The endpoint half of an exchange: serves one request in place,
@@ -235,7 +249,7 @@ impl Exchanger for BackendExchanger {
         payload: &[u8],
         _timeout: Duration,
     ) -> NetResult<Vec<u8>> {
-        self.wait_round_trip();
+        self.wait_until(self.round_trip_end());
         self.deliver(dst, channel, payload)
     }
 
@@ -256,23 +270,40 @@ impl Exchanger for BackendExchanger {
     /// together, the caller waits the net's latency once and collects the
     /// replies in place — the real-transport counterpart of the simulator's
     /// overlapped fan-out: a generation over N resolvers costs one upstream
-    /// round trip, not the sum, and no thread. Outcomes come back in
-    /// completion order, like the simulator's. (Latency nested under an
-    /// endpoint would sum; the module doc says why nothing in tree nests.)
+    /// round trip, not the sum, and no thread. The two halves around one
+    /// sleep; a caller with better things to do than sleep calls the halves.
     fn exchange_all(&mut self, requests: Vec<ExchangeRequest>) -> Vec<ExchangeOutcome> {
-        self.wait_round_trip();
-        requests
-            .into_iter()
-            .enumerate()
-            .map(|(index, request)| {
-                let result = self.deliver(request.dst, request.channel, &request.payload);
-                ExchangeOutcome {
-                    index,
-                    completed_at: self.now(),
-                    result,
-                }
-            })
-            .collect()
+        let departure = self.depart(requests);
+        self.wait_until(departure.ready_at());
+        self.arrive(departure)
+    }
+
+    /// The send half: the requests are on their way and can be collected
+    /// one round trip from now. Returns at once.
+    fn depart(&mut self, requests: Vec<ExchangeRequest>) -> Departure {
+        Departure::in_flight(self.round_trip_end(), requests)
+    }
+
+    /// The collect half: serves each request in place, on this thread, in
+    /// request order (= completion order, like the simulator's outcomes).
+    /// It does not wait: called before [`Departure::ready_at`] it cuts the
+    /// emulated round trip short, nothing worse. (Latency nested under an
+    /// endpoint would sum; the module doc says why nothing in tree nests.)
+    fn arrive(&mut self, departure: Departure) -> Vec<ExchangeOutcome> {
+        departure.outcomes(|requests| {
+            requests
+                .into_iter()
+                .enumerate()
+                .map(|(index, request)| {
+                    let result = self.deliver(request.dst, request.channel, &request.payload);
+                    ExchangeOutcome {
+                        index,
+                        completed_at: self.now(),
+                        result,
+                    }
+                })
+                .collect()
+        })
     }
 }
 
@@ -447,6 +478,87 @@ mod tests {
             assert_eq!(outcome.index, at);
             assert_eq!(outcome.result.as_deref(), Ok(&[at as u8][..]));
         }
+    }
+
+    #[test]
+    fn two_departures_arrive_in_ready_order_each_waited_for_once() {
+        // What a shard worker does with the halves: two batches leave 1 ms
+        // apart over a 20 ms round trip, the caller waits for each `ready_at`
+        // itself, and collecting is serving — in place, on this thread.
+        const LATENCY: Duration = Duration::from_millis(20);
+        let served_on = Arc::new(Mutex::new(Vec::new()));
+        let echo = SimAddr::v4(192, 0, 2, 1, 443);
+        let net = BackendNet::builder()
+            .with_latency(LATENCY)
+            .register(echo, ServedOn(Arc::clone(&served_on)))
+            .build();
+        let mut exchanger = net.exchanger(SimAddr::v4(10, 0, 0, 1, 40000));
+        let request = |dst, tag: u8| {
+            ExchangeRequest::new(dst, ChannelKind::Secure, vec![tag], Duration::ZERO)
+        };
+
+        // Judged by the clock values the halves themselves produce, so a
+        // stalled host can only make the waits shorter, never fail them.
+        let started = std::time::Instant::now();
+        let first = exchanger.depart(vec![request(echo, 1), request(echo, 2)]);
+        let departing = started.elapsed();
+        std::thread::sleep(Duration::from_millis(1));
+        let second = exchanger.depart(vec![request(echo, 3)]);
+        assert!(
+            departing < LATENCY,
+            "departing does not wait: {departing:?}"
+        );
+        assert!(
+            second.ready_at() >= first.ready_at().saturating_add(Duration::from_millis(1)),
+            "each stamped one round trip after it left"
+        );
+        assert!(
+            served_on.lock().is_empty(),
+            "nothing is served before arrive"
+        );
+
+        // The caller's wait, once per departure, in `ready_at` order.
+        let (mut waits, mut replies) = (Vec::new(), Vec::new());
+        for departure in [first, second] {
+            let wait = departure
+                .ready_at()
+                .saturating_duration_since(exchanger.now());
+            std::thread::sleep(wait);
+            waits.push(wait);
+            let arriving = std::time::Instant::now();
+            replies.push(exchanger.arrive(departure));
+            let arriving = arriving.elapsed();
+            assert!(
+                arriving < LATENCY,
+                "arriving does not wait again: {arriving:?}"
+            );
+        }
+        assert!(started.elapsed() >= LATENCY);
+        assert!(
+            waits[1] < LATENCY / 2,
+            "the second round trip overlapped the first: waits {waits:?}"
+        );
+        assert_eq!(replies[0][0].result.as_deref(), Ok(&[1u8][..]));
+        assert_eq!(replies[0][1].result.as_deref(), Ok(&[2u8][..]));
+        assert_eq!(replies[1][0].result.as_deref(), Ok(&[3u8][..]));
+        assert_eq!(
+            *served_on.lock(),
+            vec![std::thread::current().id(); 3],
+            "every request was served on the caller's thread"
+        );
+
+        // The collect half carries the re-entry chain: a cycle is cut there
+        // as it is in a blocking exchange, not deadlocked on.
+        let loopy = SimAddr::v4(192, 0, 2, 2, 443);
+        let net = BackendNet::builder()
+            .register(loopy, Forward(loopy))
+            .build();
+        let mut exchanger = net.exchanger(SimAddr::v4(10, 0, 0, 1, 40000));
+        let departure = exchanger.depart(vec![request(loopy, 9)]);
+        assert_eq!(
+            exchanger.arrive(departure)[0].result,
+            Err(NetError::Timeout)
+        );
     }
 
     #[test]

@@ -42,7 +42,8 @@ pub struct LoopbackConfig {
     /// addresses.
     pub compromised: Vec<usize>,
     /// Artificial upstream latency (models the DoH round trip a generation
-    /// pays once for its whole fan-out; zero for raw-throughput runs).
+    /// pays once for its whole fan-out, while its shard serves on; zero for
+    /// raw-throughput runs).
     pub upstream_latency: Duration,
     /// Seed for the resolver directory keys.
     pub seed: u64,

@@ -22,33 +22,35 @@
 //! queries are routed by `(domain, address family)` hash so every key
 //! always lands on the same shard and singleflight coalescing keeps
 //! working per shard. A worker also keeps its own time: it blocks on its
-//! queue while nothing is queued for refresh, and otherwise wakes when the
-//! resolver's [`next_refresh_due`](CachingPoolResolver::next_refresh_due)
-//! plus a short coalescing window has passed, to run
-//! [`run_due_refreshes`](CachingPoolResolver::run_due_refreshes) off any
-//! client's query path (see `worker_loop`). Upstream exchanges have no
-//! thread either: the fan-out of a generation, or of a whole refresh
-//! batch, is one [`Exchanger::exchange_all`] batch that the loopback
-//! transport ([`BackendExchanger`](crate::BackendExchanger)) waits for once
-//! and collects on the worker's own thread — the diagram is the thread
-//! census, idle or loaded. Statistics are taken on demand:
-//! [`PoolRuntime::stats`], `/metrics` and `/healthz` each ask the shards
-//! for a [`ServeSnapshot`] when they are called.
+//! queue while it has nothing upstream and nothing queued for refresh, and
+//! otherwise wakes when the next round trip ends or the resolver's
+//! [`next_refresh_due`](CachingPoolResolver::next_refresh_due) has come
+//! (see `worker_loop`). Upstream exchanges have no thread either: what the
+//! shard's live generations have to send leaves as one batch through the
+//! send half of the transport ([`Exchanger::depart`]) and is collected on
+//! the worker's own thread when its round trip is over
+//! ([`Exchanger::arrive`]) — the diagram is the thread census, idle or
+//! loaded. Statistics are taken on demand: [`PoolRuntime::stats`],
+//! `/metrics` and `/healthz` each ask the shards for a [`ServeSnapshot`]
+//! when they are called, and a shard answers between the items of its
+//! queue whatever it has upstream.
 //!
 //! # The hit path
 //!
 //! A datagram costs the dispatcher one owned copy and one queue hand-off;
-//! the shard's worker decodes it once and answers it through the shared
-//! Do53 core ([`serve_do53_payload_into`](sdoh_dns_server::serve_do53_payload_into)
-//! → [`handle_query_wire`](sdoh_dns_server::QueryHandler::handle_query_wire))
-//! into the **one response buffer the worker keeps**. For a cached pool
+//! the shard's worker decodes it once and answers it through the two
+//! halves of the shared Do53 core
+//! ([`decode_do53_query`], [`finish_do53_answer`]) around the resolver's
+//! first step ([`begin`](CachingPoolResolver::begin), which renders what
+//! [`handle_query_wire`](sdoh_dns_server::QueryHandler::handle_query_wire)
+//! renders) into the **one response buffer the worker keeps**. For a cached pool
 //! that is a copy: the resolver encoded the answer section when the
 //! generation entered its cache (see [`sdoh_core::serve`]), and per hit
 //! only the header, the echoed question and the TTL are written — no
 //! `Message` is built, nothing is cloned, and no allocation depends on the
-//! size of the pool. Misses, SERVFAILs, rejections and the few queries a
-//! template cannot answer byte for byte build and encode a `Message` into
-//! the same buffer; there is no second serve function and no switch.
+//! size of the pool. SERVFAILs, rejections and the few queries a template
+//! cannot answer byte for byte build and encode a `Message` into the same
+//! buffer; there is no second serve function and no switch.
 //!
 //! A response longer than the client can receive — the payload size its
 //! query's OPT record advertised, 512 bytes without one, and never more
@@ -58,12 +60,55 @@
 //! bound to the same port number (RFC 1035 length-prefixed framing), and
 //! the connection handler takes the buffer's contents with it.
 //!
+//! # The miss path
+//!
+//! A generation is a piece of data the shard owns, not a call its worker
+//! sits inside. The resolver's first step
+//! ([`begin`](CachingPoolResolver::begin)) either answers — everything
+//! above — or opens a **flight** for the key (or finds the one already
+//! live: concurrent misses for a key share it) and hands back its id; the
+//! worker **parks** the decoded query, its reply path and its start time
+//! under that id and goes back to its queue. Hits, other misses, snapshots
+//! and probes are served while the flight is upstream.
+//!
+//! * *One timed decision point.* The worker waits on its queue with
+//!   `recv_timeout(min(earliest round-trip end, next refresh due))`, with
+//!   `recv()` when neither exists, and not at all when something is
+//!   already due.
+//! * *Land before take.* What is due is dealt with **before each item is
+//!   taken**, not only when the wait times out: batches whose round trip
+//!   is over are collected and their outcomes landed, refreshes that came
+//!   due open flights of their own (a refresh is a flight like any other:
+//!   it leaves when it is due, and the stale serves that overlap it do not
+//!   queue it again), every query parked on a flight that landed is
+//!   answered from the landed report — rendered through the closing half
+//!   of the same Do53 core, truncated by what *its* query advertised, one
+//!   latency observation when it leaves — and what the live flights have
+//!   to send departs as one batch. A queue that never runs empty cannot
+//!   starve the flights, and a zero round trip lands in the same turn:
+//!   no second query ever finds such a flight to join.
+//! * *Who waits for landings.* Items that move ownership first land every
+//!   live flight, sleeping out the round trips still upstream: `Rehash`
+//!   and `Retire` (so no key is cached by two shards and a retired shard
+//!   forwards what it generated), a `Reconfigure` that swaps the source
+//!   set or the pool configuration (so nothing generated under the old
+//!   one is cached after the epoch is acked), and `Shutdown` (so every
+//!   parked client is answered and the final statistics count every
+//!   generation). `Snapshot` and `Probe` do not wait.
+//!
+//! A transport that knows nothing of the two halves takes their defaults —
+//! `depart` performs the whole batch, blocking — and the worker degrades
+//! to a shard that sits out each round trip, with everything else
+//! unchanged.
+//!
 //! Both socket threads block in `recv_from` / `accept` and poll nothing:
 //! a lone client's TCP retry is accepted when it arrives, and an error
 //! from either call is backed off from, never a reason to leave.
 //! [`PoolRuntime::shutdown`] sets the stop flag, wakes each with one
-//! throw-away message (an empty datagram, a connection never served),
-//! drains the worker queues, takes a final snapshot and joins every thread.
+//! throw-away message (an empty datagram, a connection never served), and
+//! hands every worker a `Shutdown` item behind whatever its queue still
+//! holds: the worker answers it with its last snapshot once it has landed
+//! what it had upstream, and every thread is joined.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -77,10 +122,10 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use sdoh_core::{
-    snapshot_samples, CacheEntryProbe, CachedPool, CachingPoolResolver, ConfigError, PoolKey,
-    ServeConfig, ServeSnapshot,
+    snapshot_samples, CacheEntryProbe, CachedPool, CachingPoolResolver, ConfigError, FlightId,
+    Landed, PoolKey, ServeConfig, ServeSnapshot, ServeStep, TransactionId,
 };
-use sdoh_dns_server::Exchanger;
+use sdoh_dns_server::{decode_do53_query, finish_do53_answer, Departure, Exchanger};
 use sdoh_dns_wire::Message;
 use sdoh_metrics::{
     render_json, render_prometheus, Counter, Histogram, HttpResponse, Registry, Sample,
@@ -91,22 +136,18 @@ use sdoh_netsim::SimInstant;
 use crate::control::{ControlHandle, EpochOrder, RouteState, RouteTable};
 
 /// How long a stats aggregation waits for each shard before marking it
-/// unresponsive (a wedged worker must not wedge the exporter).
+/// unresponsive (a wedged worker must not wedge the exporter). A shard
+/// answers between the items of its queue whatever it has upstream, so a
+/// miss means a worker that is stuck, never an upstream that is slow.
 const SNAPSHOT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// The shorter deadline `/healthz` probes shards with: a readiness check
-/// has to answer promptly even when a worker is stuck in a generation.
+/// has to answer promptly even when a worker is wedged.
 const HEALTH_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// How long a socket loop stays away from a socket that just returned an
 /// error, so a persistent one (descriptor exhaustion) cannot spin it.
 const ERROR_BACKOFF: Duration = Duration::from_millis(1);
-
-/// How long a shard lets queued refreshes collect before it runs them,
-/// counted from the earliest one coming due. The window is what batches
-/// K keys that went stale together into one `exchange_all` fan-out — K × N
-/// requests, one upstream round trip, no thread — instead of K.
-const REFRESH_COALESCE: Duration = Duration::from_millis(50);
 
 /// Configuration of a [`PoolRuntime`].
 ///
@@ -251,8 +292,10 @@ impl FrontCounters {
 pub struct RuntimeStats {
     /// Snapshot of every shard, in shard order. `None` for shards that did
     /// not answer the snapshot request within the timeout — a wedged
-    /// worker (e.g. stuck in a generation), never silently folded into the
-    /// totals as zeros.
+    /// worker, never a slow upstream (a shard with generations in flight
+    /// answers between them and says how many in
+    /// [`ServeSnapshot::live_generations`]) — never silently folded into
+    /// the totals as zeros.
     pub per_shard: Vec<Option<ServeSnapshot>>,
     /// The fleet-wide aggregate of the *responsive* shards.
     pub total: ServeSnapshot,
@@ -322,7 +365,7 @@ fn snapshot_json(snapshot: &ServeSnapshot) -> String {
         "{{\"queries\": {}, \"hits\": {}, \"stale_serves\": {}, \"negative_hits\": {}, \
          \"misses\": {}, \"coalesced_waiters\": {}, \"generations\": {}, \
          \"generation_failures\": {}, \"refreshes\": {}, \"hit_ratio\": {:.6}, \
-         \"cache_entries\": {}, \"pending_refreshes\": {}}}",
+         \"cache_entries\": {}, \"pending_refreshes\": {}, \"live_generations\": {}}}",
         snapshot.serve.queries,
         snapshot.serve.hits,
         snapshot.serve.stale_serves,
@@ -335,6 +378,7 @@ fn snapshot_json(snapshot: &ServeSnapshot) -> String {
         snapshot.serve.hit_ratio(),
         snapshot.entries,
         snapshot.pending_refreshes,
+        snapshot.live_generations,
     )
 }
 
@@ -356,7 +400,8 @@ impl std::fmt::Display for RuntimeStats {
         writeln!(
             f,
             "  total: queries={} hits={} stale={} neg={} misses={} coalesced={} \
-             generations={} failures={} refreshes={} hit_ratio={:.1}% entries={} pending={}",
+             generations={} failures={} refreshes={} hit_ratio={:.1}% entries={} pending={} \
+             live={}",
             self.total.serve.queries,
             self.total.serve.hits,
             self.total.serve.stale_serves,
@@ -369,6 +414,7 @@ impl std::fmt::Display for RuntimeStats {
             self.total.serve.hit_ratio() * 100.0,
             self.total.entries,
             self.total.pending_refreshes,
+            self.total.live_generations,
         )?;
         for (index, shard) in self.per_shard.iter().enumerate() {
             match shard {
@@ -420,8 +466,8 @@ pub(crate) enum WorkItem {
         shards: usize,
         done: mpsc::Sender<usize>,
     },
-    /// Drain and exit.
-    Shutdown,
+    /// Land what is upstream, report the final snapshot and exit.
+    Shutdown(mpsc::Sender<(usize, ServeSnapshot)>),
 }
 
 pub(crate) enum ReplyPath {
@@ -579,7 +625,8 @@ impl PoolRuntime {
                     let table = routes.table.lock();
                     (table.senders.clone(), table.acked.clone())
                 };
-                let (per_shard, total) = aggregate_shards(&senders, SNAPSHOT_TIMEOUT);
+                let (per_shard, total) =
+                    aggregate_shards(&senders, SNAPSHOT_TIMEOUT, WorkItem::Snapshot);
                 let gauge =
                     |(name, help): (&str, &str), labels: Vec<(String, String)>, v: f64| Sample {
                         name: name.to_string(),
@@ -716,7 +763,8 @@ impl PoolRuntime {
     /// at slightly different instants (they answer between queries).
     pub fn stats(&self) -> RuntimeStats {
         take_stats(
-            &self.control.inner.routes,
+            &self.control.inner.routes.senders(),
+            WorkItem::Snapshot,
             &self.counters,
             self.control.current_epoch(),
             self.clock.now(),
@@ -744,18 +792,10 @@ impl PoolRuntime {
         for handle in self.service_handles {
             let _ = handle.join();
         }
-        // 2. The final snapshot request queues *behind* any remaining
-        //    queries, so the numbers include every accepted query.
-        let stats = take_stats(
-            &self.control.inner.routes,
-            &self.counters,
-            self.control.current_epoch(),
-            self.clock.now(),
-        );
-        // 3. Clear the route table: live shards get a Shutdown item, and
-        //    dropping the runtime's senders disconnects any retired
-        //    workers still lingering from a shrink (their exit signal),
-        //    even while the user holds ControlHandle clones.
+        // 2. Clear the route table: dropping the runtime's senders
+        //    disconnects any retired workers still lingering from a shrink
+        //    (their exit signal), even while the user holds ControlHandle
+        //    clones.
         let table = {
             let mut table = self.control.inner.routes.table.lock();
             std::mem::replace(
@@ -771,9 +811,17 @@ impl PoolRuntime {
             .routes
             .version
             .fetch_add(1, Ordering::Release);
-        for sender in &table.senders {
-            let _ = sender.send(WorkItem::Shutdown);
-        }
+        // 3. Live shards get a Shutdown item. It queues *behind* any
+        //    remaining queries, and a worker answers it with its last
+        //    snapshot after landing what it has upstream, so the numbers
+        //    include every accepted query and every generation it began.
+        let stats = take_stats(
+            &table.senders,
+            WorkItem::Shutdown,
+            &self.counters,
+            self.control.current_epoch(),
+            self.clock.now(),
+        );
         drop(table);
         let handles = std::mem::take(&mut *self.control.inner.worker_handles.lock());
         for handle in handles {
@@ -844,9 +892,8 @@ fn bind_front_door(
 
 /// Sends one reply-channel item to every worker and gathers the
 /// `(shard index, T)` replies until `timeout`: one slot per worker, in
-/// shard order. A shard that does not answer in time — wedged in a
-/// generation, or already shut down — comes back as `None`, never as a
-/// silently-zero default.
+/// shard order. A shard that does not answer in time — wedged, or already
+/// shut down — comes back as `None`, never as a silently-zero default.
 // sdoh-lint: allow(hot-path-purity, "fan-out buffers; runs at scrape/health/operator cadence, not per query")
 pub(crate) fn ask_shards<T>(
     workers: &[mpsc::Sender<WorkItem>],
@@ -882,8 +929,9 @@ pub(crate) fn ask_shards<T>(
 fn aggregate_shards(
     workers: &[mpsc::Sender<WorkItem>],
     timeout: Duration,
+    request: fn(mpsc::Sender<(usize, ServeSnapshot)>) -> WorkItem,
 ) -> (Vec<Option<ServeSnapshot>>, ServeSnapshot) {
-    let per_shard = ask_shards(workers, timeout, WorkItem::Snapshot);
+    let per_shard = ask_shards(workers, timeout, request);
     let mut total = ServeSnapshot::default();
     for snapshot in per_shard.iter().flatten() {
         total.absorb(snapshot);
@@ -897,12 +945,13 @@ fn count_unresponsive(per_shard: &[Option<ServeSnapshot>]) -> usize {
 }
 
 fn take_stats(
-    routes: &RouteState,
+    workers: &[mpsc::Sender<WorkItem>],
+    request: fn(mpsc::Sender<(usize, ServeSnapshot)>) -> WorkItem,
     counters: &FrontCounters,
     config_epoch: u64,
     taken_at: SimInstant,
 ) -> RuntimeStats {
-    let (per_shard, total) = aggregate_shards(&routes.senders(), SNAPSHOT_TIMEOUT);
+    let (per_shard, total) = aggregate_shards(workers, SNAPSHOT_TIMEOUT, request);
     RuntimeStats {
         per_shard,
         total,
@@ -922,17 +971,19 @@ fn take_stats(
 /// failures rather than fresh secure generations.
 // sdoh-lint: allow(hot-path-purity, "health probe renders at probe cadence, not per query")
 fn healthz(routes: &RouteState) -> HttpResponse {
-    let (per_shard, total) = aggregate_shards(&routes.senders(), HEALTH_TIMEOUT);
+    let (per_shard, total) =
+        aggregate_shards(&routes.senders(), HEALTH_TIMEOUT, WorkItem::Snapshot);
     let unresponsive = count_unresponsive(&per_shard);
     let ready = unresponsive == 0;
     let body = format!(
         "{}\nshards {}\nunresponsive_shards {}\ncache_entries {}\npending_refreshes {}\n\
-         generation_failures {}\nnegative_hits {}\nguarantee_degraded {}\n",
+         live_generations {}\ngeneration_failures {}\nnegative_hits {}\nguarantee_degraded {}\n",
         if ready { "ok" } else { "unready" },
         per_shard.len(),
         unresponsive,
         total.entries,
         total.pending_refreshes,
+        total.live_generations,
         total.serve.generation_failures,
         total.serve.negative_hits,
         total.serve.generation_failures > 0,
@@ -1145,15 +1196,241 @@ fn serve_tcp_connection(
     }
 }
 
-/// One shard's thread: serves its queue in order and alone decides when the
-/// shard's background refreshes run. With nothing queued for refresh it
-/// blocks on the queue — an idle or all-fresh shard makes no timed wake-ups.
-/// Otherwise it waits no longer than [`REFRESH_COALESCE`] past the earliest
-/// deadline, and checks that instant before taking each item: the due batch
-/// runs after the timeout *and* after any item that finishes past it, so a
-/// queue that never runs empty cannot starve the refreshes. A retired shard
-/// hands every entry (and its queued refresh) away after each item, so it
-/// never arms the timer.
+/// A query whose generation is upstream: everything answering it takes.
+struct Parked {
+    flight: FlightId,
+    query: Message,
+    reply: ReplyPath,
+    /// When the worker took the query off its queue, if latency is recorded.
+    started: Option<Instant>,
+}
+
+/// One batch upstream: the send half's receipt and, by request index, the
+/// flight and transaction each outcome lands under.
+struct Upstream {
+    departure: Departure,
+    tags: Vec<(FlightId, TransactionId)>,
+}
+
+/// The way out of a shard: the one buffer every response of the worker is
+/// rendered into, and what sending it takes.
+struct Outbox {
+    socket: Arc<UdpSocket>,
+    udp_payload_limit: usize,
+    counters: Arc<FrontCounters>,
+    latency: Option<Histogram>,
+    response: Vec<u8>,
+}
+
+impl Outbox {
+    /// Sends the rendered response along `reply` (nothing, if the buffer is
+    /// empty) and records the query's latency: one observation per query,
+    /// made when its answer leaves — at once for what the cache answered,
+    /// at the landing for a parked miss. `query` is what the datagram
+    /// decoded to; a UDP answer longer than its sender can receive becomes
+    /// the TC=1 response.
+    fn send(&mut self, query: Option<&Message>, reply: &ReplyPath, started: Option<Instant>) {
+        // Histogram recording is two relaxed fetch_adds on this shard's own
+        // cache lines — no lock, no allocation.
+        if let (Some(histogram), Some(started)) = (&self.latency, started) {
+            histogram.record(started.elapsed());
+        }
+        match reply {
+            ReplyPath::Udp(peer) => {
+                // An answer this short fits every client; anything longer
+                // depends on what the query advertised.
+                let fits_any_client = self.udp_payload_limit.min(CLASSIC_UDP_PAYLOAD);
+                if self.response.len() > fits_any_client
+                    && self.response.len() > udp_ceiling(query, self.udp_payload_limit)
+                {
+                    self.counters.truncated.inc();
+                    truncate_for_udp(query, &mut self.response);
+                }
+                if !self.response.is_empty() {
+                    let _ = self.socket.send_to(&self.response, peer);
+                }
+            }
+            ReplyPath::Tcp(tx) => {
+                // The connection handler owns its answer; the next render
+                // grows the buffer back.
+                let _ = tx.send(std::mem::take(&mut self.response));
+            }
+        }
+    }
+}
+
+/// A shard worker's state: the shard, its way out, and the two lists that
+/// make a generation a piece of data — the queries parked on live flights
+/// and the batches upstream.
+struct Worker {
+    index: usize,
+    resolver: CachingPoolResolver,
+    exchanger: Box<dyn Exchanger + Send>,
+    outbox: Outbox,
+    /// In arrival order: the order a flight's waiters are answered in.
+    parked: Vec<Parked>,
+    /// In departure order.
+    upstream: Vec<Upstream>,
+    /// Set when this shard left the hash ring (a shrink retired it): the
+    /// ring to forward entries over and its width. A retired worker keeps
+    /// serving stray queries an in-flight dispatcher raced onto its queue,
+    /// but owns no keys — whatever it serves or generates is immediately
+    /// handed to the owning shard. It exits when the queue disconnects
+    /// (every sender dropped), which is what makes rescale zero-drop.
+    retired: Option<(Arc<Vec<mpsc::Sender<WorkItem>>>, usize)>,
+}
+
+impl Worker {
+    /// Takes one query through the shared Do53 core — identical wire
+    /// behaviour to the simulated `Do53Service` by construction — around the
+    /// resolver's first step: what the cache can answer is answered now, a
+    /// miss is parked under its flight and the worker goes back to its queue.
+    fn serve(&mut self, wire: &[u8], reply: ReplyPath) {
+        let started = self.outbox.latency.as_ref().map(|_| Instant::now());
+        let Some(query) = decode_do53_query(wire, false, &mut self.outbox.response) else {
+            return self.outbox.send(None, &reply, started);
+        };
+        let begun = self
+            .resolver
+            .begin(self.exchanger.as_mut(), &query, &mut self.outbox.response);
+        match begun {
+            Ok(Some(flight)) => self.parked.push(Parked {
+                flight,
+                query,
+                reply,
+                started,
+            }),
+            answered => {
+                finish_do53_answer(&query, answered.map(drop), &mut self.outbox.response);
+                self.outbox.send(Some(&query), &reply, started);
+                self.forward_if_retired();
+            }
+        }
+    }
+
+    /// Everything the shard's flights need done that is due **now**: lands
+    /// the batches whose round trip is over, opens the refreshes that came
+    /// due, answers the queries parked on what landed and sends what the
+    /// live flights have to send — as one batch, so generations of different
+    /// keys share a round trip. It repeats while anything is already due: a
+    /// zero round trip lands in the same turn, before another query can join
+    /// its flight. Returns the next instant anything is due — the earliest
+    /// round trip's end or queued refresh — and `None` when nothing is.
+    // sdoh-lint: allow(hot-path-purity, "an empty Vec::new never allocates; a departure's buffers grow with its fan-out, on the miss path only")
+    // sdoh-lint: allow(transitive-hot-path-purity, "the miss path: entered only with a flight live or a refresh queued, at most one generation per (question, TTL window), whose fan-out dwarfs these buffers; a shard of cache hits returns at the first check")
+    fn pump(&mut self) -> Option<SimInstant> {
+        if self.upstream.is_empty()
+            && self.parked.is_empty()
+            && self.resolver.next_refresh_due().is_none()
+        {
+            return None;
+        }
+        loop {
+            let now = self.exchanger.now();
+            while let Some(due) = self
+                .upstream
+                .iter()
+                .position(|batch| batch.departure.ready_at() <= now)
+            {
+                let Upstream { departure, tags } = self.upstream.remove(due);
+                for outcome in self.exchanger.arrive(departure) {
+                    // The tags are this worker's own, so their flights take
+                    // the outcomes.
+                    if let Some(&(flight, transaction)) = tags.get(outcome.index) {
+                        let _ = self.resolver.land(flight, transaction, outcome.result);
+                    }
+                }
+            }
+            self.resolver.begin_due_refreshes(self.exchanger.as_mut());
+            let now = self.exchanger.now();
+            let (mut tags, mut requests) = (Vec::new(), Vec::new());
+            let next_refresh = loop {
+                match self.resolver.poll(now) {
+                    ServeStep::Transmit {
+                        flight,
+                        transaction,
+                        request,
+                    } => {
+                        tags.push((flight, transaction));
+                        requests.push(request);
+                    }
+                    ServeStep::Landed(landed) => {
+                        self.answer_parked(&landed);
+                        self.forward_if_retired();
+                    }
+                    ServeStep::Wait(next_refresh) => break next_refresh,
+                }
+            };
+            if !requests.is_empty() {
+                let departure = self.exchanger.depart(requests);
+                self.upstream.push(Upstream { departure, tags });
+            }
+            let wake = self.next_arrival().into_iter().chain(next_refresh).min();
+            if wake.is_none_or(|at| at > self.exchanger.now()) {
+                return wake;
+            }
+        }
+    }
+
+    /// Answers every query parked on the flight that `landed`, in arrival
+    /// order, from the landed report — through the closing half of the Do53
+    /// core and the same way out as an answer from the cache.
+    fn answer_parked(&mut self, landed: &Landed) {
+        let outbox = &mut self.outbox;
+        self.parked.retain(|parked| {
+            if parked.flight != landed.flight {
+                return true;
+            }
+            let rendered = landed.answer_wire(&parked.query, &mut outbox.response);
+            finish_do53_answer(&parked.query, rendered, &mut outbox.response);
+            outbox.send(Some(&parked.query), &parked.reply, parked.started);
+            false
+        });
+    }
+
+    /// Lands every live flight and answers everything parked, sleeping out
+    /// the round trips still upstream — what an item that moves ownership
+    /// (of keys, of the source set, of the shard itself) does first, so that
+    /// nothing generated under the old order arrives under the new one. One
+    /// round trip, at operator cadence.
+    fn land_everything(&mut self) {
+        while self.pump().is_some() {
+            let Some(ready_at) = self.next_arrival() else {
+                // Only a refresh queued for later is left: not a flight.
+                return;
+            };
+            std::thread::sleep(ready_at.saturating_duration_since(self.exchanger.now()));
+        }
+    }
+
+    /// When the earliest round trip upstream is over.
+    fn next_arrival(&self) -> Option<SimInstant> {
+        self.upstream
+            .iter()
+            .map(|batch| batch.departure.ready_at())
+            .min()
+    }
+
+    /// A retired shard owns no keys: whatever it just cached goes to the
+    /// shard that does.
+    fn forward_if_retired(&mut self) {
+        if let Some((ring, shards)) = &self.retired {
+            forward_entries(&mut self.resolver, ring, *shards, None);
+        }
+    }
+}
+
+/// One shard's thread: serves its queue in order and alone decides when
+/// anything of the shard's happens. A miss does not hold it: the query is
+/// parked under its flight and the loop goes back to the queue (see "The
+/// miss path" in the module doc). There is one timed decision point. With
+/// nothing upstream and nothing queued for refresh it blocks on the queue —
+/// an idle or all-fresh shard makes no timed wake-ups. Otherwise it waits no
+/// longer than the next instant something is due, and deals with what is
+/// due *before taking each item*: a landing happens after the timeout *and*
+/// after any item that finishes past it, so a queue that never runs empty
+/// cannot starve the flights or the refreshes. It never waits zero: what is
+/// due now is dealt with now.
 fn worker_loop(
     index: usize,
     shard: Shard,
@@ -1163,31 +1440,28 @@ fn worker_loop(
     counters: Arc<FrontCounters>,
     latency: Option<Histogram>,
 ) {
-    let Shard {
-        mut resolver,
-        mut exchanger,
-    } = shard;
-    // Set when this shard left the hash ring (a shrink retired it): the
-    // ring to forward entries over and its width. A retired worker keeps
-    // serving stray queries an in-flight dispatcher raced onto its queue,
-    // but owns no keys — whatever it serves or generates is immediately
-    // handed to the owning shard. It exits when the queue disconnects
-    // (every sender dropped), which is what makes rescale zero-drop.
-    let mut retired: Option<(Arc<Vec<mpsc::Sender<WorkItem>>>, usize)> = None;
-    // Every response of this worker is rendered into this one buffer.
-    let mut response = Vec::with_capacity(udp_payload_limit);
-    // An answer this short fits every client; anything longer depends on
-    // what the query advertised.
-    let fits_any_client = udp_payload_limit.min(CLASSIC_UDP_PAYLOAD);
+    // sdoh-lint: allow(hot-path-purity, "empty Vec::new never allocates; once per worker")
+    let mut worker = Worker {
+        index,
+        resolver: shard.resolver,
+        exchanger: shard.exchanger,
+        outbox: Outbox {
+            socket,
+            udp_payload_limit,
+            counters,
+            latency,
+            response: Vec::with_capacity(udp_payload_limit),
+        },
+        parked: Vec::new(),
+        upstream: Vec::new(),
+        retired: None,
+    };
     loop {
-        let item = match resolver.next_refresh_due() {
+        let item = match worker.pump() {
             None => rx.recv().ok(),
             Some(due) => {
-                let wait = due
-                    .saturating_add(REFRESH_COALESCE)
-                    .saturating_duration_since(exchanger.now());
+                let wait = due.saturating_duration_since(worker.exchanger.now());
                 if wait.is_zero() {
-                    resolver.run_due_refreshes(exchanger.as_mut());
                     continue;
                 }
                 match rx.recv_timeout(wait) {
@@ -1197,55 +1471,38 @@ fn worker_loop(
                 }
             }
         };
+        // Disconnected: every sender is gone, a retired shard's exit signal.
         let Some(item) = item else { break };
         match item {
-            WorkItem::Query { wire, reply } => {
-                // Histogram recording is two relaxed fetch_adds on this
-                // shard's own cache lines — no lock, no allocation.
-                let started = latency.as_ref().map(|_| Instant::now());
-                let query = serve_wire(&mut resolver, exchanger.as_mut(), &wire, &mut response);
-                if let (Some(histogram), Some(started)) = (&latency, started) {
-                    histogram.record(started.elapsed());
-                }
-                match reply {
-                    ReplyPath::Udp(peer) => {
-                        if response.len() > fits_any_client
-                            && response.len() > udp_ceiling(query.as_ref(), udp_payload_limit)
-                        {
-                            counters.truncated.inc();
-                            truncate_for_udp(query.as_ref(), &mut response);
-                        }
-                        if !response.is_empty() {
-                            let _ = socket.send_to(&response, peer);
-                        }
-                    }
-                    ReplyPath::Tcp(tx) => {
-                        // The connection handler owns its answer; the next
-                        // render grows the buffer back.
-                        let _ = tx.send(std::mem::take(&mut response));
-                    }
-                }
-                if let Some((ring, shards)) = &retired {
-                    forward_entries(&mut resolver, ring, *shards, None);
-                }
-            }
+            WorkItem::Query { wire, reply } => worker.serve(&wire, reply),
             WorkItem::Snapshot(tx) => {
-                let _ = tx.send((index, resolver.snapshot()));
+                let _ = tx.send((worker.index, worker.resolver.snapshot()));
             }
             WorkItem::Probe(tx) => {
-                let _ = tx.send((index, resolver.probe_entries(exchanger.now())));
+                let now = worker.exchanger.now();
+                let _ = tx.send((worker.index, worker.resolver.probe_entries(now)));
             }
             WorkItem::Reconfigure { order, ack } => {
+                if order.sources.is_some() || order.pool.is_some() {
+                    // The ack says "nothing this shard caches from now on
+                    // came from the old set": what the old set still has
+                    // upstream lands first.
+                    worker.land_everything();
+                }
                 if let Some(factory) = &order.sources {
                     // An empty per-shard set is rejected by the generator:
                     // the shard keeps its current sources.
-                    let _ = resolver.generator_mut().replace_sources(factory(index));
+                    let _ = worker
+                        .resolver
+                        .generator_mut()
+                        .replace_sources(factory(worker.index));
                 }
                 if let Some(pool) = &order.pool {
                     // Pre-validated by ControlHandle::apply.
-                    let _ = resolver.generator_mut().set_config(pool.clone());
+                    let _ = worker.resolver.generator_mut().set_config(pool.clone());
                 }
-                resolver.apply_config(order.config.clone(), exchanger.now());
+                let now = worker.exchanger.now();
+                worker.resolver.apply_config(order.config.clone(), now);
                 ack.store(order.config.epoch(), Ordering::Release);
             }
             WorkItem::Rehash {
@@ -1253,24 +1510,32 @@ fn worker_loop(
                 shards,
                 done,
             } => {
-                forward_entries(&mut resolver, &table, shards, Some(index));
-                let _ = done.send(index);
+                worker.land_everything();
+                forward_entries(&mut worker.resolver, &table, shards, Some(worker.index));
+                let _ = done.send(worker.index);
             }
             WorkItem::Install { key, cached } => {
-                resolver.install_entry(key, cached, exchanger.now());
+                let now = worker.exchanger.now();
+                worker.resolver.install_entry(key, cached, now);
             }
             WorkItem::Retire {
                 table,
                 shards,
                 done,
             } => {
-                forward_entries(&mut resolver, &table, shards, None);
-                retired = Some((table, shards));
-                let _ = done.send(index);
+                worker.land_everything();
+                forward_entries(&mut worker.resolver, &table, shards, None);
+                worker.retired = Some((table, shards));
+                let _ = done.send(worker.index);
             }
-            WorkItem::Shutdown => break,
+            WorkItem::Shutdown(tx) => {
+                worker.land_everything();
+                let _ = tx.send((worker.index, worker.resolver.snapshot()));
+                return;
+            }
         }
     }
+    worker.land_everything();
 }
 
 /// Extracts every cache entry whose owner under a `shards`-wide ring is
@@ -1293,19 +1558,6 @@ fn forward_entries(
             let _ = sender.send(WorkItem::Install { key, cached });
         }
     }
-}
-
-/// Terminates one query through the shared Do53 core — identical wire
-/// behaviour to the simulated `Do53Service` by construction — rendering
-/// the response into `out` (left empty for "send nothing"). Returns the
-/// decoded query, `None` when the datagram was malformed.
-fn serve_wire(
-    resolver: &mut CachingPoolResolver,
-    exchanger: &mut dyn Exchanger,
-    wire: &[u8],
-    out: &mut Vec<u8>,
-) -> Option<Message> {
-    sdoh_dns_server::serve_do53_payload_into(resolver, exchanger, wire, false, out)
 }
 
 /// The longest datagram a client that said nothing about itself must
@@ -1338,6 +1590,8 @@ fn truncate_for_udp(query: Option<&Message>, out: &mut Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdoh_dns_server::QueryHandler;
+    use sdoh_dns_wire::RrType;
 
     fn query_wire(domain: &str, rtype: sdoh_dns_wire::RrType) -> Vec<u8> {
         Message::query(7, domain.parse().unwrap(), rtype)
@@ -1514,6 +1768,88 @@ mod tests {
         stop.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(addr);
         acceptor.join().unwrap();
+    }
+
+    #[test]
+    fn refresh_runs_while_the_shard_queue_never_empties() {
+        // The worker deals with what is due before it takes each item, not
+        // only when a wait times out. Its queue is filled before it starts
+        // and so is never empty until the last item is taken: a stale serve
+        // of B, whose refresh leaves on a 1 ms round trip, then far more
+        // hits on A than fit into a millisecond, then B again. Only the
+        // check between items can have landed the refresh by then.
+        const HITS: usize = 20_000;
+        let fleet = crate::LoopbackFleet::build(crate::LoopbackConfig {
+            pool_domains: 2,
+            upstream_latency: Duration::from_millis(1),
+            ..crate::LoopbackConfig::default()
+        });
+        let cache = sdoh_core::CacheConfig::default()
+            .with_ttl(sdoh_dns_wire::Ttl::from_secs(60))
+            .with_stale_window(Duration::from_secs(3600));
+        let mut shard = fleet
+            .shards(1, sdoh_core::PoolConfig::algorithm1(), cache)
+            .unwrap()
+            .remove(0);
+        let query =
+            |id: u16, domain: usize| Message::query(id, fleet.domains[domain].clone(), RrType::A);
+        // Both cached; B stamped as expired on the way through a hand-off.
+        for domain in 0..2 {
+            let primed = shard
+                .resolver
+                .handle_query(shard.exchanger.as_mut(), &query(0, domain));
+            assert_eq!(primed.answer_addresses().len(), 24);
+        }
+        let now = shard.exchanger.now();
+        for (key, mut cached) in shard
+            .resolver
+            .extract_entries(|key| key.domain == fleet.domains[1])
+        {
+            cached.expires_at = cached.generated_at;
+            assert!(shard.resolver.install_entry(key, cached, now));
+        }
+
+        let (tx, rx) = mpsc::channel();
+        let (reply, answers) = mpsc::channel();
+        let ask = |id: u16, domain: usize| {
+            tx.send(WorkItem::Query {
+                wire: query(id, domain).encode().unwrap(),
+                reply: ReplyPath::Tcp(reply.clone()),
+            })
+            .unwrap();
+        };
+        ask(1, 1);
+        (0..HITS).for_each(|_| ask(2, 0));
+        ask(3, 1);
+        let (last, snapshot) = mpsc::channel();
+        tx.send(WorkItem::Shutdown(last)).unwrap();
+        worker_loop(
+            0,
+            shard,
+            rx,
+            Arc::new(UdpSocket::bind("127.0.0.1:0").unwrap()),
+            1232,
+            Arc::new(FrontCounters::register(&Registry::new())),
+            None,
+        );
+
+        let answers: Vec<Message> = answers
+            .try_iter()
+            .map(|wire| Message::decode(&wire).unwrap())
+            .collect();
+        assert_eq!(answers.len(), HITS + 2);
+        let (stale, again) = (&answers[0], &answers[HITS + 1]);
+        assert_eq!((stale.header.id, again.header.id), (1, 3));
+        assert!(stale.answers.iter().all(|r| r.ttl == 0), "B served stale");
+        assert!(
+            again.answers.iter().all(|r| r.ttl >= 1),
+            "B was refreshed while the queue was never empty"
+        );
+        let (_, snapshot) = snapshot.try_recv().expect("the last snapshot");
+        assert_eq!(snapshot.serve.stale_serves, 1);
+        assert_eq!(snapshot.serve.refreshes, 1);
+        assert_eq!(snapshot.serve.generations, 3);
+        assert_eq!(snapshot.live_generations, 0);
     }
 
     #[test]

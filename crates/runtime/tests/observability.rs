@@ -76,10 +76,21 @@ fn exported_counters_reconcile_with_client_ground_truth() {
     // Exact reconciliation: every query the client sent is counted, once.
     assert_eq!(counter(&samples, "sdoh_udp_queries_total"), sent);
     assert_eq!(counter(&samples, "sdoh_serve_queries_total"), sent);
-    let hits = counter(&samples, "sdoh_serve_hits_total");
-    let misses = counter(&samples, "sdoh_serve_misses_total");
-    let coalesced = counter(&samples, "sdoh_serve_coalesced_waiters_total");
-    assert_eq!(hits + misses + coalesced, sent, "every query hit or missed");
+    let answered_or_missed: u64 = [
+        "sdoh_serve_hits_total",
+        "sdoh_serve_stale_serves_total",
+        "sdoh_serve_negative_hits_total",
+        "sdoh_serve_misses_total",
+    ]
+    .iter()
+    .map(|name| counter(&samples, name))
+    .sum();
+    assert_eq!(answered_or_missed, sent, "every query hit or missed");
+    assert!(
+        counter(&samples, "sdoh_serve_coalesced_waiters_total")
+            <= counter(&samples, "sdoh_serve_misses_total"),
+        "a coalesced waiter is a miss that joined"
+    );
 
     // The per-shard latency histograms merge to exactly one observation
     // per query, and the merged p99 is a plausible serving latency.

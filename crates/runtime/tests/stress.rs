@@ -125,12 +125,15 @@ fn concurrent_clients_lose_nothing_and_shutdown_is_clean() {
         stats.total.serve.generations as usize, DOMAINS,
         "cold burst coalesced to one generation per domain"
     );
+    let serve = stats.total.serve;
     assert_eq!(
-        stats.total.serve.hits + stats.total.serve.misses + stats.total.serve.coalesced_waiters,
-        // Misses either led or coalesced; hits cover the rest.
-        sent,
-        "every query is a hit or a miss: {:?}",
-        stats.total.serve
+        serve.hits + serve.stale_serves + serve.negative_hits + serve.misses,
+        serve.queries,
+        "every query is a hit of some kind or a miss: {serve:?}"
+    );
+    assert!(
+        serve.coalesced_waiters <= serve.misses,
+        "a coalesced waiter is a miss that joined: {serve:?}"
     );
     for (shard, snapshot) in stats.per_shard.iter().enumerate() {
         let snapshot = snapshot.as_ref().expect("shard answered final snapshot");

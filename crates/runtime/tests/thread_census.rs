@@ -12,8 +12,8 @@ use sdoh_core::{CacheConfig, PoolConfig};
 use sdoh_dns_wire::{Message, RrType, Ttl};
 use sdoh_runtime::{LoopbackConfig, LoopbackFleet, PoolRuntime, RuntimeConfig};
 
-/// Domains cached, left to go stale and served stale again: the refresh
-/// batch of the load phase.
+/// Domains cached, left to go stale and served stale again: the refreshes
+/// of the load phase.
 const STALE: usize = 4;
 /// Domains first asked for during the load phase.
 const COLD: usize = 28;
@@ -63,8 +63,8 @@ fn a_default_runtime_owns_one_thread_per_shard_plus_dispatcher_and_tcp() {
 
     // Under load: every generation fans out to five resolvers over a 2 ms
     // round trip, and none of those exchanges may be a thread. The census
-    // is taken over and over while a burst of cold queries and the refresh
-    // batch of the stale ones are in flight.
+    // is taken over and over while a burst of cold queries and the refreshes
+    // of the stale ones are in flight.
     let socket = std::net::UdpSocket::bind("127.0.0.1:0").expect("client socket");
     socket.connect(runtime.udp_addr()).expect("connect");
     let send = |domain: usize| {
@@ -89,8 +89,8 @@ fn a_default_runtime_owns_one_thread_per_shard_plus_dispatcher_and_tcp() {
         if socket.recv(&mut buf).is_ok() {
             answered += 1;
         }
-        // The stale answers came back at once; their refreshes run as one
-        // batch a coalescing window later, between the cold generations.
+        // The stale answers came back at once; their refreshes left as they
+        // came due and land among the cold generations.
         // (Asked about only now and then: `stats` waits for the shards, and
         // no census is taken meanwhile.)
         let done = answered == STALE + COLD
@@ -100,7 +100,7 @@ fn a_default_runtime_owns_one_thread_per_shard_plus_dispatcher_and_tcp() {
             break done;
         }
     };
-    assert!(refreshed, "{answered} answers, refresh batch never ran");
+    assert!(refreshed, "{answered} answers, the refreshes never ran");
     assert_eq!(
         most - before,
         4,

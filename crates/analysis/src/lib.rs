@@ -13,8 +13,9 @@
 //!   both by direct simulation (the latter building the Algorithm 1 pool
 //!   explicitly each trial).
 //! * [`sweep_resolver_count`] / [`sweep_attack_probability`] regenerate the
-//!   quantitative series reported in `EXPERIMENTS.md`, and [`Table`] renders
-//!   them as markdown or CSV.
+//!   quantitative series `sdoh-exp attack_probability` prints (E3 of the
+//!   experiment index in `sdoh-bench`), and [`Table`] renders them as
+//!   markdown or CSV.
 //!
 //! # Example
 //!

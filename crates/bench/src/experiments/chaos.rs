@@ -96,16 +96,10 @@ pub fn run(seed: u64, steps: u64) -> (Table, ChaosOutcome) {
     )
 }
 
-/// Renders the outcome as a `BENCH_chaos.json` document.
-pub fn to_json(outcome: &ChaosOutcome, recorded: &str, notes: &str) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"benchmark\": \"chaos\",\n");
-    out.push_str(&format!("  \"recorded\": \"{recorded}\",\n"));
-    out.push_str(&format!("  \"notes\": \"{notes}\",\n"));
-    out.push_str(&format!(
-        "  \"deterministic\": {},\n",
-        outcome.deterministic
-    ));
+/// Renders the outcome as the body of a `BENCH_chaos.json` document (the
+/// members after the runner's header); each campaign carries `recorded`.
+pub fn report_body(outcome: &ChaosOutcome, recorded: &str) -> String {
+    let mut out = format!("  \"deterministic\": {},\n", outcome.deterministic);
     out.push_str("  \"campaigns\": [\n");
     for (i, report) in [&outcome.hardened, &outcome.weak].into_iter().enumerate() {
         let body = report.to_json(recorded);
@@ -119,7 +113,7 @@ pub fn to_json(outcome: &ChaosOutcome, recorded: &str, notes: &str) -> String {
             }
         }
     }
-    out.push_str("  ]\n}\n");
+    out.push_str("  ]\n");
     out
 }
 
@@ -148,10 +142,9 @@ mod tests {
     #[test]
     fn json_document_is_balanced_and_labelled() {
         let (_, outcome) = run(5, 40);
-        let json = to_json(&outcome, "test", "notes");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"benchmark\": \"chaos\""));
+        let body = report_body(&outcome, "test");
+        let json = crate::runner::envelope("chaos", "test", "notes", &body);
+        assert!(crate::runner::well_formed(&json), "{json}");
         assert!(json.contains("\"stack\": \"hardened\""));
         assert!(json.contains("\"stack\": \"weak-baseline\""));
     }

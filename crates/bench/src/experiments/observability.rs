@@ -15,18 +15,10 @@
 //!    exact latencies extracts a p99 within one power-of-two bucket of
 //!    the true (sorted) p99.
 //! 3. **Health** — every instance reports `/healthz` 200 while alive.
-//! 4. **Overhead** — the per-query cost of latency recording (the
-//!    `Instant::now()` pair plus the histogram's two relaxed atomic
-//!    adds) measured directly in a tight loop and expressed as a
-//!    fraction of the observed per-query serving time. An A/B warm
-//!    throughput comparison with [`RuntimeConfig::record_latency`] on
-//!    vs off rides along as supplementary data — on a shared host its
-//!    run-to-run noise (several percent either direction) dwarfs the
-//!    sub-microsecond recording cost, which is why the direct
-//!    measurement is the one the ≤3 % claim rests on.
 //!
-//! Counter reconciliation is host-independent and asserted; throughput
-//! numbers are host wall-clock and recorded as-is.
+//! Counter reconciliation is host-independent and asserted; the p99
+//! figures are host wall-clock and recorded as-is. What a latency
+//! recording costs is `pool-bench`'s `metrics.histogram_record_ns` row.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -46,18 +38,6 @@ const UPSTREAM_LATENCY: Duration = Duration::from_millis(1);
 
 /// Scrape timeout for `/metrics` and `/healthz`.
 const SCRAPE_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Interleaved trials per arm of the supplementary A/B throughput
-/// comparison; each arm keeps its best trial.
-const OVERHEAD_TRIALS: usize = 3;
-
-/// The A/B arms run this many times the reconciliation's warm load, so
-/// each trial is long enough to mean something.
-const OVERHEAD_LOAD_FACTOR: usize = 4;
-
-/// Iterations of the tight loop that measures the recording cost
-/// directly.
-const RECORD_COST_ITERATIONS: u32 = 200_000;
 
 /// One instance of the loopback fleet, alive for the measurement.
 struct Instance {
@@ -92,26 +72,11 @@ pub struct FleetReport {
     pub p99_bucket_distance: usize,
     /// Instances whose `/healthz` returned 200 at scrape time.
     pub healthy_instances: usize,
-    /// Directly measured cost of one latency recording (the
-    /// `Instant::now()` pair plus `Histogram::record`), in nanoseconds.
-    pub record_cost_ns: f64,
-    /// The recording cost as a percent of the observed per-query serving
-    /// time (`record_cost_ns * qps / 1e9`): the share of the serving
-    /// path spent on metrics. This is the number behind the ≤3 % claim.
-    pub overhead_percent: f64,
-    /// Warm throughput with latency recording on (q/s, host wall-clock).
-    pub qps_recording_on: f64,
-    /// Warm throughput with latency recording off (q/s, host wall-clock).
-    pub qps_recording_off: f64,
-    /// Supplementary A/B delta `(off - on) / off` as a percent. On a
-    /// shared host this is dominated by run-to-run noise in either
-    /// direction; it is recorded, not asserted.
-    pub ab_delta_percent: f64,
 }
 
 /// Starts one runtime instance with a stats listener on an ephemeral
 /// loopback port.
-fn start_instance(shards: usize, seed: u64, record_latency: bool) -> Instance {
+fn start_instance(shards: usize, seed: u64) -> Instance {
     let fleet = LoopbackFleet::build(LoopbackConfig {
         resolvers: 3,
         pool_domains: DOMAINS,
@@ -130,8 +95,7 @@ fn start_instance(shards: usize, seed: u64, record_latency: bool) -> Instance {
         )
         .expect("valid configuration");
     let config = RuntimeConfig::default()
-        .with_stats_bind(Some("127.0.0.1:0".parse().expect("loopback addr")))
-        .with_record_latency(record_latency);
+        .with_stats_bind(Some("127.0.0.1:0".parse().expect("loopback addr")));
     let runtime = PoolRuntime::start(config, shard_set).expect("bind loopback");
     let domains = fleet.domains.clone();
     Instance {
@@ -151,7 +115,7 @@ fn drive_load(
     queries_per_client: usize,
 ) -> (u64, Vec<Duration>) {
     let udp = instance.runtime.udp_addr();
-    let tcp = instance.runtime.tcp_addr();
+    let tcp = Some(instance.runtime.tcp_addr());
 
     let stub = RuntimeClient::connect(udp, tcp).expect("client socket");
     for (i, domain) in instance.domains.iter().enumerate() {
@@ -185,50 +149,9 @@ fn drive_load(
     (sent, latencies)
 }
 
-/// Warm throughput of a single instance, used for the recording-overhead
-/// comparison. Runs its own fleet so the measured runtime is untouched.
-fn warm_qps(
-    shards: usize,
-    clients: usize,
-    queries_per_client: usize,
-    seed: u64,
-    record_latency: bool,
-) -> f64 {
-    let instance = start_instance(shards, seed, record_latency);
-    let udp = instance.runtime.udp_addr();
-    let tcp = instance.runtime.tcp_addr();
-    let stub = RuntimeClient::connect(udp, tcp).expect("client socket");
-    for (i, domain) in instance.domains.iter().enumerate() {
-        stub.query(&Message::query(i as u16, domain.clone(), RrType::A))
-            .expect("cold query answered");
-    }
-    let started = Instant::now();
-    let workers: Vec<_> = (0..clients)
-        .map(|client| {
-            let domains = instance.domains.clone();
-            std::thread::spawn(move || {
-                let stub = RuntimeClient::connect(udp, tcp).expect("client socket");
-                for i in 0..queries_per_client {
-                    let id = (client * queries_per_client + i) as u16;
-                    let domain = domains[(client + i) % domains.len()].clone();
-                    stub.query(&Message::query(id, domain, RrType::A))
-                        .expect("warm query answered");
-                }
-            })
-        })
-        .collect();
-    for worker in workers {
-        worker.join().expect("client thread");
-    }
-    let elapsed = started.elapsed();
-    instance.runtime.shutdown();
-    (clients * queries_per_client) as f64 / elapsed.as_secs_f64()
-}
-
 /// Runs the full reconciliation: `instances` runtimes under load, one
-/// fleet scrape, exact accounting checks, and the recording-overhead
-/// comparison. Panics if any exported number fails to reconcile — that
-/// is the experiment's claim.
+/// fleet scrape and the exact accounting checks. Panics if any exported
+/// number fails to reconcile — that is the experiment's claim.
 pub fn measure(
     instances: usize,
     shards: usize,
@@ -241,7 +164,7 @@ pub fn measure(
         "E17 is a fleet experiment: need >= 2 instances"
     );
     let fleet: Vec<Instance> = (0..instances)
-        .map(|i| start_instance(shards, seed + i as u64, true))
+        .map(|i| start_instance(shards, seed + i as u64))
         .collect();
     let stats_addrs: Vec<SocketAddr> = fleet
         .iter()
@@ -263,60 +186,7 @@ pub fn measure(
     for instance in fleet {
         instance.runtime.shutdown();
     }
-
-    // Recording overhead, measured directly: the exact hot-path addition
-    // (an `Instant::now()` pair plus `Histogram::record`) in a tight
-    // loop, then expressed as a share of the observed per-query time.
-    let probe = Histogram::new();
-    let cost_started = Instant::now();
-    for _ in 0..RECORD_COST_ITERATIONS {
-        let started = Instant::now();
-        probe.record(started.elapsed());
-    }
-    let record_cost_ns =
-        cost_started.elapsed().as_nanos() as f64 / f64::from(RECORD_COST_ITERATIONS);
-    assert_eq!(probe.count(), u64::from(RECORD_COST_ITERATIONS));
-
-    // Supplementary A/B: warm throughput with recording on vs off,
-    // interleaved best-of-N so one noisy trial cannot decide either arm.
-    let mut qps_recording_on = 0.0f64;
-    let mut qps_recording_off = 0.0f64;
-    for trial in 0..OVERHEAD_TRIALS {
-        let seed = seed + 1000 + trial as u64;
-        // Alternate which arm goes first: on a loaded host the first run
-        // of a pair can be systematically favoured or penalised.
-        for &recording in if trial % 2 == 0 {
-            &[true, false]
-        } else {
-            &[false, true]
-        } {
-            let qps = warm_qps(
-                shards,
-                clients,
-                queries_per_client * OVERHEAD_LOAD_FACTOR,
-                seed,
-                recording,
-            );
-            if recording {
-                qps_recording_on = qps_recording_on.max(qps);
-            } else {
-                qps_recording_off = qps_recording_off.max(qps);
-            }
-        }
-    }
-    // Share of the serving path spent recording, at the observed
-    // per-query rate (exact on a saturated single core; an upper-bound
-    // style estimate elsewhere).
-    let overhead_percent = record_cost_ns * qps_recording_on / 1e9 * 100.0;
-    let ab_delta_percent = (qps_recording_off - qps_recording_on) / qps_recording_off * 100.0;
-    FleetReport {
-        record_cost_ns,
-        overhead_percent,
-        qps_recording_on,
-        qps_recording_off,
-        ab_delta_percent,
-        ..report
-    }
+    report
 }
 
 /// Checks the rollup against the clients' ground truth.
@@ -397,11 +267,6 @@ fn reconcile(
         histogram_p99_us: histogram_p99.as_secs_f64() * 1e6,
         p99_bucket_distance,
         healthy_instances,
-        record_cost_ns: 0.0,
-        overhead_percent: 0.0,
-        qps_recording_on: 0.0,
-        qps_recording_off: 0.0,
-        ab_delta_percent: 0.0,
     }
 }
 
@@ -448,22 +313,6 @@ pub fn run(
         report.healthy_instances.to_string(),
         verdict(report.healthy_instances == report.instances),
     ]);
-    table.push_row([
-        "recording cost".to_string(),
-        format!("{:.0} ns/query", report.record_cost_ns),
-        format!("{:.2}% of serving path", report.overhead_percent),
-        if report.overhead_percent <= 3.0 {
-            "within 3% budget".to_string()
-        } else {
-            "OVER BUDGET".to_string()
-        },
-    ]);
-    table.push_row([
-        "A/B warm q/s (noisy)".to_string(),
-        format!("{:.0} q/s off", report.qps_recording_off),
-        format!("{:.0} q/s on", report.qps_recording_on),
-        format!("{:+.1}%", report.ab_delta_percent),
-    ]);
     (table, report)
 }
 
@@ -471,13 +320,10 @@ fn verdict(ok: bool) -> String {
     if ok { "exact" } else { "MISMATCH" }.to_string()
 }
 
-/// Serializes the report as the repo's `BENCH_*.json` shape.
-pub fn to_json(report: &FleetReport, recorded: &str, notes: &str) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"benchmark\": \"observability\",\n");
-    out.push_str(&format!("  \"recorded\": \"{recorded}\",\n"));
-    out.push_str(&format!("  \"notes\": \"{notes}\",\n"));
-    out.push_str("  \"fleet\": {\n");
+/// Serializes the report as the body of a `BENCH_observability.json`
+/// document (the members after the runner's header).
+pub fn report_body(report: &FleetReport) -> String {
+    let mut out = String::from("  \"fleet\": {\n");
     out.push_str(&format!("    \"instances\": {},\n", report.instances));
     out.push_str(&format!(
         "    \"shards_per_instance\": {},\n",
@@ -511,29 +357,7 @@ pub fn to_json(report: &FleetReport, recorded: &str, notes: &str) -> String {
         "    \"bucket_distance\": {}\n",
         report.p99_bucket_distance
     ));
-    out.push_str("  },\n");
-    out.push_str("  \"recording_overhead\": {\n");
-    out.push_str(&format!(
-        "    \"record_cost_ns\": {:.0},\n",
-        report.record_cost_ns
-    ));
-    out.push_str(&format!(
-        "    \"overhead_percent\": {:.2},\n",
-        report.overhead_percent
-    ));
-    out.push_str(&format!(
-        "    \"qps_recording_on\": {:.0},\n",
-        report.qps_recording_on
-    ));
-    out.push_str(&format!(
-        "    \"qps_recording_off\": {:.0},\n",
-        report.qps_recording_off
-    ));
-    out.push_str(&format!(
-        "    \"ab_delta_percent\": {:.2}\n",
-        report.ab_delta_percent
-    ));
-    out.push_str("  }\n}\n");
+    out.push_str("  }\n");
     out
 }
 
@@ -545,29 +369,13 @@ mod tests {
     fn fleet_counters_reconcile_exactly() {
         // Smoke scale: 2 instances x 2 shards, 3 clients x 15 queries
         // each. measure() itself asserts the reconciliation; the test
-        // checks the report and JSON plumbing on top.
+        // checks the report on top.
         let (table, report) = run(2, 2, 3, 15, 17);
-        assert_eq!(table.rows().len(), 7);
+        assert_eq!(table.rows().len(), 5);
         assert_eq!(report.queries_sent, 2 * (DOMAINS + 3 * 15) as u64);
         assert_eq!(report.fleet_udp_queries, report.queries_sent);
         assert_eq!(report.latency_observations, report.queries_sent);
         assert!(report.p99_bucket_distance <= 1);
         assert_eq!(report.healthy_instances, 2);
-        assert!(report.qps_recording_on > 0.0 && report.qps_recording_off > 0.0);
-        assert!(report.record_cost_ns > 0.0);
-        assert!(
-            report.overhead_percent <= 3.0,
-            "recording is a sub-percent share of the serving path, \
-             got {:.2}% ({:.0} ns/query at {:.0} q/s)",
-            report.overhead_percent,
-            report.record_cost_ns,
-            report.qps_recording_on
-        );
-
-        let json = to_json(&report, "test", "smoke");
-        assert!(json.contains("\"benchmark\": \"observability\""));
-        assert!(json.contains("\"bucket_distance\""));
-        assert!(json.contains("\"record_cost_ns\""));
-        assert!(json.contains("\"overhead_percent\""));
     }
 }

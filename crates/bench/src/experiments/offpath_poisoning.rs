@@ -351,28 +351,11 @@ pub fn run_capture(shift: f64, seed: u64) -> (Table, Vec<CaptureCell>) {
     (table, cells)
 }
 
-/// The forgery budgets of the full experiment.
-pub fn full_attempts() -> Vec<u32> {
-    vec![1, 256, 6_554, 65_536]
-}
-
-/// The reduced sweep the CI smoke run exercises.
-pub fn smoke_attempts() -> Vec<u32> {
-    vec![1, 65_536]
-}
-
-/// Serializes sweep and punchline as the repo's `BENCH_*.json` shape.
-pub fn to_json(
-    sweep: &[PoisonCell],
-    capture: &[CaptureCell],
-    recorded: &str,
-    notes: &str,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"benchmark\": \"offpath_poisoning\",\n");
-    out.push_str(&format!("  \"recorded\": \"{recorded}\",\n"));
-    out.push_str(&format!("  \"notes\": \"{notes}\",\n"));
-    out.push_str("  \"sweep\": [\n");
+/// Serializes sweep and punchline as the body of a
+/// `BENCH_offpath_poisoning.json` document (the members after the runner's
+/// header).
+pub fn report_body(sweep: &[PoisonCell], capture: &[CaptureCell]) -> String {
+    let mut out = String::from("  \"sweep\": [\n");
     for (i, cell) in sweep.iter().enumerate() {
         out.push_str(&format!(
             "    {{\n      \"defenses\": \"{}\",\n      \"attempts\": {},\n      \
@@ -403,7 +386,7 @@ pub fn to_json(
             if i + 1 == capture.len() { "" } else { "," }
         ));
     }
-    out.push_str("  ]\n}\n");
+    out.push_str("  ]\n");
     out
 }
 
@@ -487,8 +470,7 @@ mod tests {
         assert_eq!(table.len(), DefenseLevel::ALL.len());
         let (capture_table, capture) = run_capture(500.0, 960);
         assert_eq!(capture_table.len(), 3);
-        let json = to_json(&sweep, &capture, "test", "smoke");
-        assert!(json.contains("\"benchmark\": \"offpath_poisoning\""));
+        let json = report_body(&sweep, &capture);
         assert!(json.contains("\"defenses\": \"+ bailiwick\""));
         assert!(json.contains("\"pipeline\": \"DoH consensus front end (cached)\""));
     }

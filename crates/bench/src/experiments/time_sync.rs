@@ -322,13 +322,10 @@ pub fn smoke_matrix() -> Vec<AttackCase> {
     }]
 }
 
-/// Serializes the matrix as the repo's `BENCH_*.json` shape.
-pub fn to_json(cells: &[TimeSyncCell], recorded: &str, notes: &str) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"benchmark\": \"time_sync\",\n");
-    out.push_str(&format!("  \"recorded\": \"{recorded}\",\n"));
-    out.push_str(&format!("  \"notes\": \"{notes}\",\n"));
-    out.push_str("  \"matrix\": [\n");
+/// Serializes the matrix as the body of a `BENCH_time_sync.json` document
+/// (the members after the runner's header).
+pub fn report_body(cells: &[TimeSyncCell]) -> String {
+    let mut out = String::from("  \"matrix\": [\n");
     for (i, cell) in cells.iter().enumerate() {
         out.push_str(&format!(
             "    {{\n      \"pool_source\": \"{}\",\n      \"client\": \"{}\",\n      \
@@ -349,7 +346,7 @@ pub fn to_json(cells: &[TimeSyncCell], recorded: &str, notes: &str) -> String {
             if i + 1 == cells.len() { "" } else { "," }
         ));
     }
-    out.push_str("  ]\n}\n");
+    out.push_str("  ]\n");
     out
 }
 
@@ -473,8 +470,7 @@ mod tests {
         let (table, cells) = run(&smoke_matrix(), 500.0, 21);
         assert_eq!(table.rows().len(), 9, "3 sources x 3 clients");
         assert_eq!(cells.len(), 9);
-        let json = to_json(&cells, "test", "smoke");
-        assert!(json.contains("\"benchmark\": \"time_sync\""));
+        let json = report_body(&cells);
         assert!(json.contains("\"pool_source\": \"cached consensus\""));
         assert!(json.contains("clock_error_s"));
     }

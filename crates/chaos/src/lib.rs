@@ -57,7 +57,7 @@
 //! assert_eq!(report.trace_text(), replay.trace_text());
 //! ```
 //!
-//! The `exp_chaos` binary in `sdoh-bench` wraps this into the E15
+//! `sdoh-exp chaos` in `sdoh-bench` wraps this into the E15
 //! experiment (`BENCH_chaos.json`): a hardened and a weak-baseline
 //! campaign over the same schedule, plus a determinism self-check.
 
@@ -72,4 +72,4 @@ pub mod report;
 pub use campaign::{run_campaign, CampaignConfig, StackKind, WorkloadConfig};
 pub use fault::{Fault, FaultEvent, FaultMix, FaultPlan};
 pub use monitor::{InvariantMonitor, Violation, MAX_RECORDED_VIOLATIONS};
-pub use report::{ChaosReport, TraceEvent};
+pub use report::{json_string, ChaosReport, TraceEvent};

@@ -183,8 +183,10 @@ impl ChaosReport {
     }
 }
 
-/// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
+/// Escapes a string as a JSON string literal, quotes included: the one
+/// escaper of the workspace's hand-written report writers (this crate's
+/// and `sdoh-bench`'s report envelope).
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

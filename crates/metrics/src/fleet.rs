@@ -5,7 +5,8 @@
 //! and folds them into one [`FleetRollup`]: counters summed, histograms
 //! merged bucket-wise (gauges are averaged — they are levels, not
 //! totals), plus a per-instance health table. [`scrape_fleet`] is the
-//! network-facing wrapper the `fleet-aggregator` binary and E17 use.
+//! network-facing wrapper the `fleet-aggregator` binary and the
+//! `observability` experiment (E17, `sdoh-exp observability`) use.
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;

@@ -26,7 +26,7 @@ fn invalid(err: impl std::fmt::Display) -> std::io::Error {
 
 impl RuntimeClient {
     /// Creates a client for the runtime at `server` (UDP), with `tcp` as
-    /// the truncation-fallback target — pass
+    /// the truncation-fallback target — pass `Some` of
     /// [`PoolRuntime::tcp_addr`](crate::PoolRuntime::tcp_addr).
     ///
     /// # Errors

@@ -33,8 +33,8 @@
 //! `sdoh_truncated_responses_total`) are registry counters, each shard
 //! worker records per-query serving latency into its own
 //! `sdoh_serve_latency_seconds` histogram (two relaxed atomic adds on the
-//! hot path — disable via [`RuntimeConfig::record_latency`] for overhead
-//! runs), and a scrape-time collector pulls fresh
+//! hot path, always on: `pool-bench`'s `metrics.histogram_record_ns` row
+//! prices one), and a scrape-time collector pulls fresh
 //! [`ServeSnapshot`](sdoh_core::ServeSnapshot)s from the workers and
 //! exports them through the shared vocabulary in
 //! [`sdoh_core::snapshot_samples`].
@@ -131,7 +131,7 @@
 //!     .collect::<Result<Vec<_>, sdoh_core::PoolError>>()?;
 //!
 //! let runtime = PoolRuntime::start(RuntimeConfig::default(), shards)?;
-//! let client = RuntimeClient::connect(runtime.udp_addr(), runtime.tcp_addr())?;
+//! let client = RuntimeClient::connect(runtime.udp_addr(), Some(runtime.tcp_addr()))?;
 //! let response = client.query(&Message::query(1, "pool.ntp.org".parse()?, RrType::A))?;
 //! assert_eq!(response.answer_addresses().len(), 2);
 //!

@@ -149,7 +149,10 @@ const HEALTH_TIMEOUT: Duration = Duration::from_secs(1);
 /// error, so a persistent one (descriptor exhaustion) cannot spin it.
 const ERROR_BACKOFF: Duration = Duration::from_millis(1);
 
-/// Configuration of a [`PoolRuntime`].
+/// Configuration of a [`PoolRuntime`]: where it listens and how much it puts
+/// in a datagram. What the runtime does is not configurable here — the TCP
+/// fallback is always bound (a truncated pool has no other way out) and
+/// every query's latency is recorded.
 ///
 /// Non-exhaustive: build it from [`RuntimeConfig::default`] with the
 /// `with_*` builder methods so future knobs aren't breaking changes.
@@ -167,16 +170,10 @@ pub struct RuntimeConfig {
     /// most 512 bytes). Larger answers are replaced by an empty TC=1
     /// response so the client retries over TCP.
     pub udp_payload_limit: usize,
-    /// Whether to bind the TCP fallback listener.
-    pub enable_tcp: bool,
     /// Address to bind the HTTP stats listener on (`/metrics`,
     /// `/metrics.json`, `/healthz`); `None` disables it. Port 0 picks an
     /// ephemeral port; read it back from [`PoolRuntime::stats_addr`].
     pub stats_bind: Option<SocketAddr>,
-    /// Whether shard workers record per-query serving latency into the
-    /// `sdoh_serve_latency_seconds` histograms. On by default; the E17
-    /// overhead measurement compares warm throughput with this on and off.
-    pub record_latency: bool,
 }
 
 impl Default for RuntimeConfig {
@@ -184,9 +181,7 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             bind: SocketAddr::from(([127, 0, 0, 1], 0)),
             udp_payload_limit: 1232,
-            enable_tcp: true,
             stats_bind: None,
-            record_latency: true,
         }
     }
 }
@@ -204,21 +199,9 @@ impl RuntimeConfig {
         self
     }
 
-    /// Enables or disables the TCP fallback listener.
-    pub fn with_tcp(mut self, enable: bool) -> Self {
-        self.enable_tcp = enable;
-        self
-    }
-
     /// Sets the HTTP stats listener bind address (`None` disables it).
     pub fn with_stats_bind(mut self, bind: Option<SocketAddr>) -> Self {
         self.stats_bind = bind;
-        self
-    }
-
-    /// Enables or disables per-query latency histograms.
-    pub fn with_record_latency(mut self, record: bool) -> Self {
-        self.record_latency = record;
         self
     }
 
@@ -485,7 +468,6 @@ pub(crate) struct WorkerContext {
     socket: Arc<UdpSocket>,
     counters: Arc<FrontCounters>,
     udp_payload_limit: usize,
-    record_latency: bool,
     registry: Registry,
     /// Per-shard latency histograms, cached so a shrink-then-grow cycle
     /// reuses shard `i`'s histogram instead of re-registering it (the
@@ -495,21 +477,16 @@ pub(crate) struct WorkerContext {
 
 impl WorkerContext {
     // sdoh-lint: allow(hot-path-purity, "runs once per shard at spawn/rescale, not per query")
-    fn latency_for(&self, index: usize) -> Option<Histogram> {
-        if !self.record_latency {
-            return None;
-        }
+    fn latency_for(&self, index: usize) -> Histogram {
         let mut cache = self.latency.lock();
-        Some(
-            cache
-                .entry(index)
-                .or_insert_with(|| {
-                    let (name, help) = sdoh_core::METRIC_SERVE_LATENCY;
-                    self.registry
-                        .histogram_with(name, help, &[("shard", &index.to_string())])
-                })
-                .clone(),
-        )
+        cache
+            .entry(index)
+            .or_insert_with(|| {
+                let (name, help) = sdoh_core::METRIC_SERVE_LATENCY;
+                self.registry
+                    .histogram_with(name, help, &[("shard", &index.to_string())])
+            })
+            .clone()
     }
 }
 
@@ -536,7 +513,7 @@ pub(crate) fn spawn_worker(
 /// (detached); always shut down explicitly.
 pub struct PoolRuntime {
     udp_addr: SocketAddr,
-    tcp_addr: Option<SocketAddr>,
+    tcp_addr: SocketAddr,
     control: ControlHandle,
     service_handles: Vec<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
@@ -571,15 +548,10 @@ impl PoolRuntime {
         config.validate().map_err(|err| {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, err.to_string())
         })?;
-        let (udp, tcp) = if config.enable_tcp {
-            let (udp, listener) = bind_front_door(config.bind, || UdpSocket::bind(config.bind))?;
-            (udp, Some(listener))
-        } else {
-            (UdpSocket::bind(config.bind)?, None)
-        };
+        let (udp, tcp) = bind_front_door(config.bind, || UdpSocket::bind(config.bind))?;
         let udp = Arc::new(udp);
         let udp_addr = udp.local_addr()?;
-        let tcp_addr = tcp.as_ref().map(|l| l.local_addr()).transpose()?;
+        let tcp_addr = tcp.local_addr()?;
 
         let stop = Arc::new(AtomicBool::new(false));
         let registry = Registry::new();
@@ -592,7 +564,6 @@ impl PoolRuntime {
             socket: Arc::clone(&udp),
             counters: Arc::clone(&counters),
             udp_payload_limit: config.udp_payload_limit,
-            record_latency: config.record_latency,
             registry: registry.clone(),
             latency: Mutex::new(HashMap::new()),
         };
@@ -682,8 +653,8 @@ impl PoolRuntime {
             None => None,
         };
 
-        // Dispatcher + TCP: at most two service threads besides the
-        // shard workers (and the optional stats-HTTP listener above).
+        // Dispatcher + TCP: two service threads besides the shard
+        // workers (and the optional stats-HTTP listener above).
         let mut service_handles = Vec::with_capacity(2);
         {
             let socket = Arc::clone(&udp);
@@ -696,14 +667,14 @@ impl PoolRuntime {
                     .spawn(move || dispatcher_loop(socket, routes, stop, counters))?,
             );
         }
-        if let Some(listener) = tcp {
+        {
             let routes = Arc::clone(&routes);
             let stop = Arc::clone(&stop);
             let counters = Arc::clone(&counters);
             service_handles.push(
                 std::thread::Builder::new()
                     .name("sdoh-tcp".into())
-                    .spawn(move || tcp_loop(listener, routes, stop, counters))?,
+                    .spawn(move || tcp_loop(tcp, routes, stop, counters))?,
             );
         }
 
@@ -725,8 +696,9 @@ impl PoolRuntime {
         self.udp_addr
     }
 
-    /// The bound TCP fallback address (`None` when TCP is disabled).
-    pub fn tcp_addr(&self) -> Option<SocketAddr> {
+    /// The bound TCP fallback address: the port of
+    /// [`PoolRuntime::udp_addr`], where a client retries a truncated answer.
+    pub fn tcp_addr(&self) -> SocketAddr {
         self.tcp_addr
     }
 
@@ -783,9 +755,7 @@ impl PoolRuntime {
         self.stop.store(true, Ordering::SeqCst);
         let udp = &self.control.inner.ctx.socket;
         let _ = udp.send_to(&[], wake_addr(self.udp_addr));
-        if let Some(tcp_addr) = self.tcp_addr {
-            let _ = TcpStream::connect_timeout(&wake_addr(tcp_addr), Duration::from_secs(1));
-        }
+        let _ = TcpStream::connect_timeout(&wake_addr(self.tcp_addr), Duration::from_secs(1));
         if let Some(mut server) = self.stats_server.take() {
             server.shutdown();
         }
@@ -1201,8 +1171,8 @@ struct Parked {
     flight: FlightId,
     query: Message,
     reply: ReplyPath,
-    /// When the worker took the query off its queue, if latency is recorded.
-    started: Option<Instant>,
+    /// When the worker took the query off its queue.
+    started: Instant,
 }
 
 /// One batch upstream: the send half's receipt and, by request index, the
@@ -1218,7 +1188,7 @@ struct Outbox {
     socket: Arc<UdpSocket>,
     udp_payload_limit: usize,
     counters: Arc<FrontCounters>,
-    latency: Option<Histogram>,
+    latency: Histogram,
     response: Vec<u8>,
 }
 
@@ -1229,12 +1199,10 @@ impl Outbox {
     /// at the landing for a parked miss. `query` is what the datagram
     /// decoded to; a UDP answer longer than its sender can receive becomes
     /// the TC=1 response.
-    fn send(&mut self, query: Option<&Message>, reply: &ReplyPath, started: Option<Instant>) {
+    fn send(&mut self, query: Option<&Message>, reply: &ReplyPath, started: Instant) {
         // Histogram recording is two relaxed fetch_adds on this shard's own
         // cache lines — no lock, no allocation.
-        if let (Some(histogram), Some(started)) = (&self.latency, started) {
-            histogram.record(started.elapsed());
-        }
+        self.latency.record(started.elapsed());
         match reply {
             ReplyPath::Udp(peer) => {
                 // An answer this short fits every client; anything longer
@@ -1286,7 +1254,7 @@ impl Worker {
     /// resolver's first step: what the cache can answer is answered now, a
     /// miss is parked under its flight and the worker goes back to its queue.
     fn serve(&mut self, wire: &[u8], reply: ReplyPath) {
-        let started = self.outbox.latency.as_ref().map(|_| Instant::now());
+        let started = Instant::now();
         let Some(query) = decode_do53_query(wire, false, &mut self.outbox.response) else {
             return self.outbox.send(None, &reply, started);
         };
@@ -1438,7 +1406,7 @@ fn worker_loop(
     socket: Arc<UdpSocket>,
     udp_payload_limit: usize,
     counters: Arc<FrontCounters>,
-    latency: Option<Histogram>,
+    latency: Histogram,
 ) {
     // sdoh-lint: allow(hot-path-purity, "empty Vec::new never allocates; once per worker")
     let mut worker = Worker {
@@ -1830,7 +1798,7 @@ mod tests {
             Arc::new(UdpSocket::bind("127.0.0.1:0").unwrap()),
             1232,
             Arc::new(FrontCounters::register(&Registry::new())),
-            None,
+            Histogram::new(),
         );
 
         let answers: Vec<Message> = answers

@@ -65,7 +65,8 @@ fn udp_clients_get_guaranteed_pools_from_in_process_doh() {
     let truth = fleet.ground_truth();
     let runtime = PoolRuntime::start(RuntimeConfig::default(), shards).expect("bind loopback");
     assert_eq!(runtime.shard_count(), SHARDS);
-    let client = RuntimeClient::connect(runtime.udp_addr(), runtime.tcp_addr()).expect("client");
+    let client =
+        RuntimeClient::connect(runtime.udp_addr(), Some(runtime.tcp_addr())).expect("client");
 
     let mut id: u16 = 0;
     for round in 0..3 {
@@ -112,7 +113,8 @@ fn oversized_udp_answers_fall_back_to_tcp() {
     // A 24-record answer is ~700 bytes; a 128-byte limit forces TC=1.
     let config = RuntimeConfig::default().with_udp_payload_limit(128);
     let runtime = PoolRuntime::start(config, shards).expect("bind loopback");
-    let client = RuntimeClient::connect(runtime.udp_addr(), runtime.tcp_addr()).expect("client");
+    let client =
+        RuntimeClient::connect(runtime.udp_addr(), Some(runtime.tcp_addr())).expect("client");
 
     // The client follows the TC signal transparently: the answer it
     // returns is the full TCP response.
@@ -181,7 +183,7 @@ fn a_client_that_resets_its_connection_does_not_end_the_tcp_fallback() {
     let (fleet, shards) = build(Vec::new(), Ttl::from_secs(60), Duration::from_secs(60));
     let config = RuntimeConfig::default().with_udp_payload_limit(128);
     let runtime = PoolRuntime::start(config, shards).expect("bind loopback");
-    let tcp_addr = runtime.tcp_addr().expect("tcp enabled");
+    let tcp_addr = runtime.tcp_addr();
     for _ in 0..3 {
         close_with_reset(std::net::TcpStream::connect(tcp_addr).expect("connect"));
     }
@@ -337,7 +339,8 @@ fn udp_truncation_follows_what_the_client_advertised() {
     let (_, tiny) = exchange(&runtime, &with_opt(3, domain, 100));
     assert!(tiny.header.truncated);
     // The stub that follows TC=1 still gets every address, over TCP.
-    let client = RuntimeClient::connect(runtime.udp_addr(), runtime.tcp_addr()).expect("client");
+    let client =
+        RuntimeClient::connect(runtime.udp_addr(), Some(runtime.tcp_addr())).expect("client");
     let retried = client
         .query(&Message::query(4, domain.clone(), RrType::A))
         .expect("query answered");
@@ -363,7 +366,8 @@ fn background_refresh_runs_off_the_query_path() {
     // wakes it here).
     let (fleet, shards) = build(Vec::new(), Ttl::from_secs(2), Duration::from_secs(3600));
     let runtime = PoolRuntime::start(RuntimeConfig::default(), shards).expect("bind loopback");
-    let client = RuntimeClient::connect(runtime.udp_addr(), runtime.tcp_addr()).expect("client");
+    let client =
+        RuntimeClient::connect(runtime.udp_addr(), Some(runtime.tcp_addr())).expect("client");
     let domain = fleet.domains[0].clone();
 
     let first = client
@@ -428,7 +432,7 @@ fn reconfiguration_and_rescale_under_load_drop_nothing() {
     let control = runtime.control();
     let stats_addr = runtime.stats_addr().expect("stats listener bound");
     let udp = runtime.udp_addr();
-    let tcp = runtime.tcp_addr();
+    let tcp = Some(runtime.tcp_addr());
 
     // Three loader threads; every query must come back (a drop surfaces
     // as a client timeout) and every answer must hold the guarantee.
@@ -897,7 +901,8 @@ fn clock_syncs_through_the_real_socket_runtime() {
     let (fleet, shards) = build(vec![1], Ttl::from_secs(300), Duration::from_secs(300));
     let truth = fleet.ground_truth();
     let runtime = PoolRuntime::start(RuntimeConfig::default(), shards).expect("bind loopback");
-    let client = RuntimeClient::connect(runtime.udp_addr(), runtime.tcp_addr()).expect("client");
+    let client =
+        RuntimeClient::connect(runtime.udp_addr(), Some(runtime.tcp_addr())).expect("client");
 
     // The DNS leg: a real UDP round trip to the serving runtime.
     let response = client

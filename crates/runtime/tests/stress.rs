@@ -61,7 +61,7 @@ fn concurrent_clients_lose_nothing_and_shutdown_is_clean() {
         .expect("valid config");
     let runtime = PoolRuntime::start(RuntimeConfig::default(), shards).expect("bind loopback");
     let udp = runtime.udp_addr();
-    let tcp = runtime.tcp_addr();
+    let tcp = Some(runtime.tcp_addr());
     let domains = fleet.domains.clone();
 
     let answered = Arc::new(AtomicU64::new(0));
@@ -171,8 +171,8 @@ fn shutdown_with_queued_work_answers_before_exiting() {
         .shards(2, PoolConfig::algorithm1(), CacheConfig::default())
         .expect("valid config");
     let runtime = PoolRuntime::start(RuntimeConfig::default(), shards).expect("bind loopback");
-    let client =
-        RuntimeClient::connect(runtime.udp_addr(), runtime.tcp_addr()).expect("client socket");
+    let client = RuntimeClient::connect(runtime.udp_addr(), Some(runtime.tcp_addr()))
+        .expect("client socket");
 
     let response = client
         .query(&Message::query(1, fleet.domains[0].clone(), RrType::A))

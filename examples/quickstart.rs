@@ -223,7 +223,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         RuntimeConfig::default().with_stats_bind(Some("127.0.0.1:0".parse()?)),
         shards,
     )?;
-    let stub = RuntimeClient::connect(runtime.udp_addr(), runtime.tcp_addr())?;
+    let stub = RuntimeClient::connect(runtime.udp_addr(), Some(runtime.tcp_addr()))?;
     for id in 0..10u16 {
         let response = stub.query(&secure_doh::wire::Message::query(
             id,

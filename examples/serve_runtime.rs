@@ -46,13 +46,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "runtime up: udp {} / tcp {} with {} shard workers\n",
         runtime.udp_addr(),
-        runtime.tcp_addr().expect("tcp enabled"),
+        runtime.tcp_addr(),
         runtime.shard_count()
     );
 
     // Concurrent client threads, each a plain blocking stub resolver.
     let udp = runtime.udp_addr();
-    let tcp = runtime.tcp_addr();
+    let tcp = Some(runtime.tcp_addr());
     let domains = fleet.domains.clone();
     let truth = fleet.ground_truth();
     let started = Instant::now();
@@ -97,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         RuntimeConfig::default().with_udp_payload_limit(128),
         fleet.shards(1, PoolConfig::algorithm1(), CacheConfig::default())?,
     )?;
-    let stub = RuntimeClient::connect(tiny.udp_addr(), tiny.tcp_addr())?
+    let stub = RuntimeClient::connect(tiny.udp_addr(), Some(tiny.tcp_addr()))?
         .with_timeout(Duration::from_secs(5))?;
     let retried = stub.query(&Message::query(9999, domains[0].clone(), RrType::A))?;
     let tiny_stats = tiny.shutdown();

@@ -1,7 +1,5 @@
 //! The attacker model of the paper's Section III.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the security analysis.
 ///
 /// The paper assumes an attacker that compromises each DoH resolver
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// controls at least a fraction `y` of the generated server pool, which
 /// (because Algorithm 1 gives every resolver the same number `K` of slots)
 /// requires compromising at least a fraction `x >= y` of the resolvers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackModel {
     /// Number of DoH resolvers queried (`N`).
     pub resolvers: usize,

@@ -10,14 +10,13 @@ use std::net::{IpAddr, Ipv4Addr};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use sdoh_core::{AddressPool, GroundTruth};
 
 use crate::model::AttackModel;
 
 /// Result of a Monte-Carlo estimation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonteCarloEstimate {
     /// Number of trials performed.
     pub trials: u64,

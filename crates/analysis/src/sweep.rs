@@ -1,14 +1,12 @@
 //! Parameter sweeps that regenerate the quantitative claims of Section III.
 
-use serde::{Deserialize, Serialize};
-
 use crate::analytic::{attack_probability_exact, attack_probability_paper};
 use crate::model::AttackModel;
 use crate::montecarlo::{estimate_resolver_compromise, MonteCarloEstimate};
 use crate::table::{fmt_probability, Table};
 
 /// One point of the attack-probability sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// Number of resolvers.
     pub resolvers: usize,
@@ -32,19 +30,15 @@ pub fn sweep_resolver_count(
 ) -> Vec<SweepPoint> {
     resolver_counts
         .iter()
-        .enumerate()
-        .map(|(i, &n)| {
+        .zip(0u64..)
+        .map(|(&n, i)| {
             let model = AttackModel::new(n, p_attack, required_pool_fraction);
             SweepPoint {
                 resolvers: n,
                 p_attack,
                 paper_bound: attack_probability_paper(&model),
                 exact: attack_probability_exact(&model),
-                simulated: estimate_resolver_compromise(
-                    &model,
-                    trials,
-                    seed.wrapping_add(i as u64), // sdoh-lint: allow(no-narrowing-cast, "usize to u64 never loses value on supported targets")
-                ),
+                simulated: estimate_resolver_compromise(&model, trials, seed.wrapping_add(i)),
             }
         })
         .collect()
@@ -60,19 +54,15 @@ pub fn sweep_attack_probability(
 ) -> Vec<SweepPoint> {
     p_values
         .iter()
-        .enumerate()
-        .map(|(i, &p)| {
+        .zip(0u64..)
+        .map(|(&p, i)| {
             let model = AttackModel::new(resolvers, p, required_pool_fraction);
             SweepPoint {
                 resolvers,
                 p_attack: p,
                 paper_bound: attack_probability_paper(&model),
                 exact: attack_probability_exact(&model),
-                simulated: estimate_resolver_compromise(
-                    &model,
-                    trials,
-                    seed.wrapping_add(i as u64), // sdoh-lint: allow(no-narrowing-cast, "usize to u64 never loses value on supported targets")
-                ),
+                simulated: estimate_resolver_compromise(&model, trials, seed.wrapping_add(i)),
             }
         })
         .collect()

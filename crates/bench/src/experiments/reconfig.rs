@@ -209,7 +209,7 @@ pub fn measure(clients: usize, settle: Duration, seed: u64) -> ReconfigReport {
         .shards(
             SHARDS_PEAK,
             PoolConfig::algorithm1().with_min_responses(2),
-            *control.current_config().cache(),
+            control.current_config(),
         )
         .expect("valid configuration")
         .into_iter()

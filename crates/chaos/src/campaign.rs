@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use sdoh_core::{CacheConfig, CachingPoolResolver, PoolConfig, ServeConfig};
+use sdoh_core::{CacheConfig, CachingPoolResolver, PoolConfig};
 use sdoh_dns_server::{ClientExchanger, HardeningConfig, ResolveError, StubResolver};
 use sdoh_dns_wire::Ttl;
 use sdoh_netsim::LinkConfig;
@@ -172,9 +172,8 @@ pub fn run_campaign(config: &CampaignConfig) -> ChaosReport {
 
     let cache_config = CacheConfig::default();
     // Widened by every Reconfigure fault: a served entry may be as old as
-    // the *maximum* TTL + stale horizon any applied epoch allowed.
+    // the *maximum* TTL + stale horizon any applied config allowed.
     let mut max_cache_age = cache_config.ttl.as_duration() + cache_config.stale_window;
-    let mut serve_config = Arc::new(ServeConfig::new(cache_config).expect("default is valid")); // sdoh-lint: allow(no-panic, "the default cache config is statically valid")
     let frontend: Option<Arc<Mutex<CachingPoolResolver>>> = match config.stack {
         StackKind::Hardened => Some(
             scenario
@@ -243,7 +242,6 @@ pub fn run_campaign(config: &CampaignConfig) -> ChaosReport {
                     current_default: &mut current_default,
                     inflate_addresses: INFLATE_ADDRESSES,
                     frontend: frontend.as_ref(),
-                    serve_config: &mut serve_config,
                     max_cache_age: &mut max_cache_age,
                 },
                 &fault,
@@ -350,20 +348,19 @@ pub fn run_campaign(config: &CampaignConfig) -> ChaosReport {
 
 /// The campaign state a fault may act on: the scenario's simulator
 /// boundaries plus the knobs later faults must observe (the link currently
-/// in force, the serve-config epoch, the widened cache-age horizon).
+/// in force, the widened cache-age horizon).
 struct FaultContext<'a> {
     scenario: &'a Scenario,
     local_clock: &'a mut LocalClock,
     current_default: &'a mut LinkConfig,
     inflate_addresses: usize,
     frontend: Option<&'a Arc<Mutex<CachingPoolResolver>>>,
-    serve_config: &'a mut Arc<ServeConfig>,
     max_cache_age: &'a mut Duration,
 }
 
 /// Applies one fault to the running scenario through the simulator's own
-/// boundaries (links, service registry, adversary slot, clocks, the serve
-/// config epoch).
+/// boundaries (links, service registry, adversary slot, clocks, the front
+/// end's serving knobs).
 fn apply_fault(ctx: &mut FaultContext<'_>, fault: &Fault) {
     let scenario = ctx.scenario;
     match fault {
@@ -448,12 +445,7 @@ fn apply_fault(ctx: &mut FaultContext<'_>, fault: &Fault) {
                 let cache = CacheConfig::default()
                     .with_ttl(Ttl::from_secs(u32::try_from(*ttl_secs).unwrap_or(u32::MAX)))
                     .with_stale_window(Duration::from_secs(*stale_secs));
-                let retuned = ctx.serve_config.next(cache).expect("knobs are valid"); // sdoh-lint: allow(no-panic, "the fault generator only emits knobs inside the validated range")
-                let next = Arc::new(retuned);
-                frontend
-                    .lock()
-                    .apply_config(next.clone(), scenario.net.now());
-                *ctx.serve_config = next;
+                frontend.lock().apply_config(cache, scenario.net.now());
                 *ctx.max_cache_age =
                     (*ctx.max_cache_age).max(cache.ttl.as_duration() + cache.stale_window);
             }

@@ -102,11 +102,10 @@ pub enum Fault {
         /// Signed drift rate in ppm.
         rate_ppm: i64,
     },
-    /// Publish a new serving-config epoch on the caching front end: the
-    /// TTL and stale window change mid-campaign while cached entries stay
-    /// put. The invariant monitor's age bound widens to the maximum
-    /// horizon any applied epoch allowed. A no-op on the weak baseline,
-    /// which has no serving cache to retune.
+    /// Retune the caching front end: the TTL and stale window change
+    /// mid-campaign while cached entries stay put. The invariant monitor's
+    /// age bound widens to the maximum horizon any applied config allowed.
+    /// A no-op on the weak baseline, which has no serving cache to retune.
     Reconfigure {
         /// New pool TTL in seconds.
         ttl_secs: u64,
@@ -206,7 +205,7 @@ pub struct FaultMix {
     pub time_jump: f64,
     /// Start a simulated clock-drift window.
     pub drift: f64,
-    /// One-shot serving-config epoch switch (TTL / stale window).
+    /// One-shot retune of the serving knobs (TTL / stale window).
     pub reconfigure: f64,
 }
 
@@ -317,7 +316,9 @@ impl FaultPlan {
             }
 
             if incident_until.is_none() && resolvers > 0 {
-                let index = incident_rng.range_u64(0, resolvers as u64) as usize; // sdoh-lint: allow(no-narrowing-cast, "usize to u64 never loses value on supported targets, and the draw is below resolvers")
+                // The draw is below `resolvers`, so it converts back.
+                let bound = u64::try_from(resolvers).unwrap_or(u64::MAX);
+                let index = usize::try_from(incident_rng.range_u64(0, bound)).unwrap_or(usize::MAX);
                 let duration = incident_rng.range_u64(5, 41);
                 let incident = if incident_rng.chance(mix.partition) {
                     Some((
@@ -394,7 +395,7 @@ impl FaultPlan {
                 drift_until = Some(end);
             }
             if reconfig_rng.chance(mix.reconfigure) {
-                // One-shot epoch switches; horizons from a 5 s hard TTL to
+                // One-shot retunes; horizons from a 5 s hard TTL to
                 // a 10 s TTL with a two-minute stale tail.
                 let ttl_secs = reconfig_rng.range_u64(5, 121);
                 let stale_secs = reconfig_rng.range_u64(0, 121);

@@ -1,11 +1,9 @@
 //! Configuration for secure pool generation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{PoolError, PoolResult};
 
 /// How the answers from the distributed resolvers are combined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CombinationMode {
     /// Algorithm 1 from the paper: truncate every list to the length of the
     /// shortest list and concatenate the truncated lists. Duplicates are
@@ -22,7 +20,7 @@ pub enum CombinationMode {
 }
 
 /// How addresses of the two families are treated (paper footnote 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DualStackPolicy {
     /// Query A records only.
     #[default]
@@ -37,7 +35,7 @@ pub enum DualStackPolicy {
 }
 
 /// How a resolver that fails (timeout, SERVFAIL) is treated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FailurePolicy {
     /// Skip the resolver: the pool is built from the resolvers that
     /// answered, and `min_responses` guards how few are acceptable.
@@ -50,7 +48,7 @@ pub enum FailurePolicy {
 }
 
 /// Configuration of the secure pool generation procedure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoolConfig {
     /// Assumed fraction of non-attacked resolvers (`x` in the paper, e.g.
     /// 1/2). Used by the guarantee checker and the analysis crate; the

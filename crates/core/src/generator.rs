@@ -14,7 +14,6 @@ use std::sync::Arc;
 use sdoh_dns_server::Exchanger;
 use sdoh_dns_wire::Name;
 use sdoh_doh::{DohMethod, ResolverDirectory};
-use serde::{Deserialize, Serialize};
 
 use crate::config::{CombinationMode, PoolConfig};
 use crate::error::{PoolError, PoolResult};
@@ -23,7 +22,7 @@ use crate::session::{drive, drive_sequential, PoolSession};
 use crate::source::{AddressSource, DohSource};
 
 /// Outcome of querying one resolver during pool generation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SourceOutcome {
     /// The resolver answered with this many addresses (possibly zero).
     Answered(usize),
@@ -39,7 +38,7 @@ impl SourceOutcome {
 }
 
 /// A full record of one pool-generation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenerationReport {
     /// The generated pool.
     pub pool: AddressPool,

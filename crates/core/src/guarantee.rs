@@ -8,12 +8,10 @@
 use std::collections::HashSet;
 use std::net::IpAddr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::pool::AddressPool;
 
 /// Ground truth about which server addresses are attacker-controlled.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GroundTruth {
     malicious: HashSet<IpAddr>,
 }
@@ -56,7 +54,7 @@ impl GroundTruth {
 }
 
 /// The verdict on one generated pool.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GuaranteeCheck {
     /// Fraction of pool slots held by benign servers.
     pub benign_fraction: f64,

@@ -213,8 +213,8 @@ pub use majority::{majority_vote, meets_threshold, support_counts};
 pub use pool::{AddressPool, PoolEntry};
 pub use serve::{
     snapshot_samples, AddressFamily, CacheConfig, CacheEntryProbe, CachedPool, CachingPoolResolver,
-    ConfigError, EntryState, FlightId, Landed, PoolKey, ResolvedPool, ServeConfig, ServeMetrics,
-    ServeSnapshot, ServeStep, APP_METRIC_HELP, METRIC_CONFIG_EPOCH, METRIC_DROPPED_QUERIES,
+    ConfigError, EntryState, FlightId, Landed, PoolKey, ResolvedPool, ServeMetrics, ServeSnapshot,
+    ServeStep, APP_METRIC_HELP, METRIC_CONFIG_EPOCH, METRIC_DROPPED_QUERIES,
     METRIC_INVARIANT_VIOLATIONS, METRIC_SERVE_LATENCY, METRIC_SHARDS, METRIC_SHARD_ACKED_EPOCH,
     METRIC_TCP_QUERIES, METRIC_TIMESYNC_FAILURES, METRIC_TIMESYNC_POOL_REFRESHES,
     METRIC_TIMESYNC_SYNCS, METRIC_TRUNCATED_RESPONSES, METRIC_UDP_QUERIES,

@@ -5,8 +5,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::net::IpAddr;
 
-use serde::{Deserialize, Serialize};
-
 /// One slot in the generated pool.
 ///
 /// Algorithm 1 concatenates the (truncated) per-resolver lists, so the same
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// "handle multiple instances of the same address in the response as
 /// individual servers" (Section IV). Each entry therefore records which
 /// resolver contributed it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolEntry {
     /// The server address.
     pub address: IpAddr,
@@ -23,7 +21,7 @@ pub struct PoolEntry {
 }
 
 /// The combined server address pool.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AddressPool {
     entries: Vec<PoolEntry>,
 }

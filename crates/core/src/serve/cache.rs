@@ -26,7 +26,6 @@ use std::time::Duration;
 use sdoh_dns_wire::{AnswerTemplate, Name, Question, RrType, Ttl};
 use sdoh_netsim::SimInstant;
 
-use super::epoch::ConfigError;
 use crate::generator::GenerationReport;
 
 /// The address family of a cached pool — the second half of the cache key.
@@ -90,13 +89,44 @@ impl std::fmt::Display for PoolKey {
     }
 }
 
+/// A configuration rejected by fallible validation — returned by
+/// [`CacheConfig::validate`] and the runtime-side config validators
+/// instead of panicking or silently misbehaving later.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum ConfigError {
+    /// A knob that must be non-zero was zero (the field is named).
+    Zero(&'static str),
+    /// A cross-field constraint was violated.
+    Invalid {
+        /// The offending field.
+        field: &'static str,
+        /// Why the combination is rejected.
+        reason: String,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::Zero(field) => write!(f, "configuration field `{field}` must not be zero"),
+            ConfigError::Invalid { field, reason } => {
+                write!(f, "invalid configuration field `{field}`: {reason}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 /// The serving knobs of a [`CachingPoolResolver`](super::CachingPoolResolver):
 /// how much it caches and for how long.
 ///
 /// Non-exhaustive so future serving knobs aren't breaking changes: build
 /// it from [`CacheConfig::default`] with the `with_*` methods, and gate
-/// hand-rolled values through [`CacheConfig::validate`] (the epoch
-/// constructor [`ServeConfig::new`](super::ServeConfig::new) does).
+/// operator input through [`CacheConfig::validate`] (a control plane does,
+/// before it hands the knobs to
+/// [`apply_config`](super::CachingPoolResolver::apply_config)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct CacheConfig {
@@ -161,10 +191,9 @@ impl CacheConfig {
     }
 
     /// Rejects configurations that would misbehave at runtime: a cache
-    /// with zero capacity cannot hold a single entry.
-    /// ([`CachingPoolResolver::new`](super::CachingPoolResolver::new)
-    /// historically clamps it to 1; validated construction through
-    /// [`ServeConfig::new`](super::ServeConfig::new) errors instead.)
+    /// with zero capacity cannot hold a single entry. (The cache itself
+    /// clamps it to 1; this is for the caller that would rather tell its
+    /// operator.)
     ///
     /// # Errors
     ///
@@ -929,6 +958,18 @@ mod tests {
             Err(ConfigError::Zero("capacity"))
         );
         assert_eq!(test_config().validate(), Ok(()));
+    }
+
+    #[test]
+    fn invalid_variant_displays_reason() {
+        let err = ConfigError::Invalid {
+            field: "refresh_interval",
+            reason: "stale window configured but the refresh pump is disabled".into(),
+        };
+        assert!(err.to_string().contains("refresh_interval"));
+        assert!(err.to_string().contains("stale window"));
+        let boxed: Box<dyn std::error::Error> = Box::new(err);
+        assert!(boxed.source().is_none());
     }
 
     #[test]

@@ -98,19 +98,34 @@
 //! misses, the LRU tick and the refresh queue move identically whichever
 //! one answered.
 //!
+//! # Retuning a live resolver
+//!
+//! The knobs are read per query, never copied at construction, so
+//! [`CachingPoolResolver::apply_config`] retunes TTLs, stale window,
+//! negative caching and capacity on a resolver that is serving — given a
+//! [`CacheConfig`], nothing else. Entries keep the expiry they were stamped
+//! with at insert, but stale serving is bounded by **both** the stamped
+//! expiry plus the *current* stale window and the current
+//! `ttl + stale_window` horizon measured from generation, so across a
+//! change every served answer's age is capped at the **maximum of the old
+//! and new horizons** — the invariant the chaos campaigns and
+//! `proptest_reconfig` check. Which change came when is not this layer's
+//! business: an *epoch* is a number the control plane that fans the knobs
+//! out counts (`sdoh-runtime`'s `ControlHandle`), and a resolver is told
+//! the knobs, not the number.
+//!
 //! [`GenerationReport`]: crate::GenerationReport
 
 mod cache;
-mod epoch;
 mod refresh;
 mod resolver;
 mod samples;
 mod singleflight;
 
 pub use cache::{
-    AddressFamily, CacheConfig, CacheEntryProbe, CacheMetrics, CachedPool, EntryState, PoolKey,
+    AddressFamily, CacheConfig, CacheEntryProbe, CacheMetrics, CachedPool, ConfigError, EntryState,
+    PoolKey,
 };
-pub use epoch::{ConfigError, ServeConfig};
 pub use resolver::{
     CachingPoolResolver, Landed, ResolvedPool, ServeMetrics, ServeSnapshot, ServeStep,
 };

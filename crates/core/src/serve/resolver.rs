@@ -37,7 +37,6 @@
 //! generation — caching changes *when* pools are generated, never *what*
 //! is served.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use sdoh_dns_server::{ExchangeRequest, Exchanger, QueryHandler};
@@ -49,7 +48,6 @@ use super::cache::{
     answer_template, AddressFamily, CacheConfig, CacheLookup, CacheMetrics, CachedPool, PoolCache,
     PoolKey,
 };
-use super::epoch::ServeConfig;
 use super::refresh::RefreshScheduler;
 use super::singleflight::{FlightId, Singleflight};
 use crate::error::{PoolError, PoolResult};
@@ -365,7 +363,6 @@ pub struct CachingPoolResolver {
     /// The generations in flight, one per key.
     flights: Singleflight<PoolKey, Flight>,
     metrics: ServeMetrics,
-    serve_config: Arc<ServeConfig>,
 }
 
 /// One live generation: the per-generation machine plus what landing it
@@ -448,35 +445,23 @@ impl CachingPoolResolver {
             refresh: RefreshScheduler::new(),
             flights: Singleflight::new(),
             metrics: ServeMetrics::default(),
-            serve_config: Arc::new(ServeConfig::initial(config)),
         }
     }
 
-    /// Adopts a new config epoch: the cache knobs are retuned at once
-    /// (entries keep their stamps, stale serving stays bounded by the max
-    /// of the old and new horizons; a shrunken capacity evicts the surplus
-    /// immediately) and the epoch becomes this resolver's
-    /// [`current_epoch`].
+    /// Retunes the serving knobs at once: entries keep their stamps, stale
+    /// serving stays bounded by the max of the old and new horizons, and a
+    /// shrunken capacity evicts the surplus immediately.
     ///
     /// This is the per-shard half of hot reconfiguration: a control plane
-    /// validates the new knobs once into an `Arc<ServeConfig>` and hands
-    /// the same `Arc` to every shard's resolver through its work queue.
-    ///
-    /// [`current_epoch`]: CachingPoolResolver::current_epoch
-    pub fn apply_config(&mut self, config: Arc<ServeConfig>, now: SimInstant) {
-        self.cache.apply_config(*config.cache(), now);
-        self.serve_config = config;
+    /// validates the new knobs once ([`CacheConfig::validate`]) and hands
+    /// the same value to every shard's resolver through its work queue.
+    pub fn apply_config(&mut self, config: CacheConfig, now: SimInstant) {
+        self.cache.apply_config(config, now);
     }
 
-    /// The epoch number of the config this resolver last adopted (0 until
-    /// the first [`apply_config`](CachingPoolResolver::apply_config)).
-    pub fn current_epoch(&self) -> u64 {
-        self.serve_config.epoch()
-    }
-
-    /// The config epoch this resolver currently serves under.
-    pub fn serve_config(&self) -> &Arc<ServeConfig> {
-        &self.serve_config
+    /// The serving knobs this resolver currently serves under.
+    pub fn cache_config(&self) -> CacheConfig {
+        *self.cache.config()
     }
 
     /// Access to the underlying generator.
@@ -1007,6 +992,7 @@ mod tests {
     use sdoh_dns_server::{ClientExchanger, DnsClient, Do53Service, StubResolver};
     use sdoh_netsim::{SimAddr, SimNet};
     use std::net::IpAddr;
+    use std::sync::Arc;
 
     fn ip(last: u8) -> IpAddr {
         format!("203.0.113.{last}").parse().unwrap()
@@ -1543,23 +1529,16 @@ mod tests {
         let net = SimNet::new(96);
         let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
         let mut resolver = resolver(test_config());
-        assert_eq!(resolver.current_epoch(), 0);
         resolver.handle_query(&mut exchanger, &query(1, "pool.ntp.org"));
 
-        // New epoch: widen the stale window. The already-cached entry is
-        // untouched but the new window applies to it immediately.
-        let next = ServeConfig::initial(test_config())
-            .next(test_config().with_stale_window(Duration::from_secs(300)))
-            .unwrap();
-        resolver.apply_config(Arc::new(next), net.now());
-        assert_eq!(resolver.current_epoch(), 1);
-        assert_eq!(
-            resolver.serve_config().cache().stale_window,
-            Duration::from_secs(300)
-        );
+        // Widen the stale window. The already-cached entry is untouched but
+        // the new window applies to it immediately.
+        let widened = test_config().with_stale_window(Duration::from_secs(300));
+        resolver.apply_config(widened, net.now());
+        assert_eq!(resolver.cache_config(), widened);
 
         // Age 100 was past the old stale horizon (60+30); under the new
-        // epoch it is a stale serve — no generation on the query path.
+        // knobs it is a stale serve — no generation on the query path.
         net.clock().advance(Duration::from_secs(100));
         let stale = resolver.handle_query(&mut exchanger, &query(2, "pool.ntp.org"));
         assert!(stale.answers.iter().all(|r| r.ttl == 0));
@@ -1750,13 +1729,9 @@ mod tests {
     fn wire_answers_follow_a_new_config_epoch() {
         let mut twins = Twins::new(|| resolver(test_config()));
         twins.serve(&query(1, "pool.ntp.org"));
-        let next = Arc::new(
-            ServeConfig::initial(test_config())
-                .next(test_config().with_ttl(Ttl::from_secs(300)))
-                .unwrap(),
-        );
+        let next = test_config().with_ttl(Ttl::from_secs(300));
         let now = twins.nets[0].now();
-        twins.each(|resolver, _| resolver.apply_config(next.clone(), now));
+        twins.each(|resolver, _| resolver.apply_config(next, now));
 
         // The cached entry keeps the expiry it was stamped with…
         twins.advance(10);

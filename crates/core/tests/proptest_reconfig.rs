@@ -1,18 +1,17 @@
-//! Property-based tests on config-epoch transitions: however queries,
-//! background refresh pumps, clock advances and [`ServeConfig`] epoch
-//! switches interleave, the serving layer never exposes an answer older
+//! Property-based tests on live retuning: however queries, background
+//! refresh pumps, clock advances and [`CachingPoolResolver::apply_config`]
+//! calls interleave, the serving layer never exposes an answer older
 //! than the *maximum* of the old and new `TTL + stale window` horizons —
 //! cached entries survive a reconfiguration (no flush), but the served
-//! age stays bounded by the widest horizon any applied epoch allowed.
+//! age stays bounded by the widest horizon any applied config allowed.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 
 use sdoh_core::{
     AddressSource, CacheConfig, CachingPoolResolver, EntryState, PoolConfig, SecurePoolGenerator,
-    ServeConfig, StaticSource,
+    StaticSource,
 };
 use sdoh_dns_server::{ClientExchanger, QueryHandler};
 use sdoh_dns_wire::{Message, Rcode, RrType, Ttl};
@@ -28,7 +27,7 @@ enum Op {
     Pump,
     /// Advance the virtual clock by this many seconds.
     Advance(u16),
-    /// Apply the indexed palette config as the next epoch.
+    /// Retune the resolver to the indexed palette config.
     Apply(u8),
 }
 
@@ -81,7 +80,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Any interleaving of queries, refresh pumps, clock advances and
-    /// epoch switches keeps every servable (non-dead) cache entry's age
+    /// retunes keeps every servable (non-dead) cache entry's age
     /// within the widest `TTL + stale window` horizon seen so far, and
     /// every query is still answered.
     #[test]
@@ -90,7 +89,6 @@ proptest! {
         let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
         let initial = palette(0);
         let mut resolver = build_resolver(initial);
-        let mut config = Arc::new(ServeConfig::new(initial).unwrap());
         let mut widest = horizon(&initial);
         let mut id: u16 = 0;
 
@@ -118,20 +116,19 @@ proptest! {
                 }
                 Op::Apply(index) => {
                     let cache = palette(*index);
-                    config = Arc::new(config.next(cache).unwrap());
-                    resolver.apply_config(config.clone(), net.now());
+                    resolver.apply_config(cache, net.now());
                     widest = widest.max(horizon(&cache));
-                    prop_assert_eq!(resolver.current_epoch(), config.epoch());
+                    prop_assert_eq!(resolver.cache_config(), cache);
                 }
             }
             // The invariant, checked after *every* step: nothing servable
-            // is older than the widest horizon any epoch ever allowed.
+            // is older than the widest horizon any config ever allowed.
             for probe in resolver.probe_entries(net.now()) {
                 if probe.state != EntryState::Dead {
                     prop_assert!(
                         probe.age <= widest,
-                        "{:?} servable at age {:?} > widest horizon {:?} (epoch {})",
-                        probe.key, probe.age, widest, resolver.current_epoch()
+                        "{:?} servable at age {:?} > widest horizon {:?} (under {:?})",
+                        probe.key, probe.age, widest, resolver.cache_config()
                     );
                 }
             }
@@ -153,11 +150,10 @@ proptest! {
         let first = palette(a);
         let second = palette(b);
         let mut resolver = build_resolver(first);
-        let config = Arc::new(ServeConfig::new(first).unwrap());
 
         let query = Message::query(1, DOMAINS[0].parse().unwrap(), RrType::A);
         resolver.handle_query(&mut exchanger, &query);
-        resolver.apply_config(Arc::new(config.next(second).unwrap()), net.now());
+        resolver.apply_config(second, net.now());
         net.clock().advance(Duration::from_secs(age));
 
         let stale_tail =

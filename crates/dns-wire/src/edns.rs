@@ -1,8 +1,6 @@
 //! EDNS(0) support (RFC 6891): the OPT pseudo-record viewed as a typed
 //! structure instead of a raw [`Record`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::name::Name;
 use crate::rdata::{EdnsOption, OptRdata, RData};
 use crate::record::Record;
@@ -16,7 +14,7 @@ pub const DEFAULT_PAYLOAD_SIZE: u16 = 1232;
 /// In an OPT record the CLASS field carries the requestor's maximum UDP
 /// payload size and the TTL field carries the extended rcode, EDNS version
 /// and flags; this type unpacks those fields.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Edns {
     /// Maximum UDP payload size the sender can reassemble.
     pub payload_size: u16,

@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::WireResult;
 use crate::wire::{WireReader, WireWriter};
 
 /// DNS OPCODE values (RFC 1035 §4.1.1, RFC 2136).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Opcode {
     /// A standard query.
     #[default]
@@ -66,7 +64,7 @@ impl fmt::Display for Opcode {
 }
 
 /// DNS response codes (RCODE).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Rcode {
     /// No error condition.
     #[default]
@@ -139,7 +137,7 @@ impl fmt::Display for Rcode {
 }
 
 /// The fixed 12-octet DNS message header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Header {
     /// Query identifier used to match responses to queries.
     pub id: u16,

@@ -4,8 +4,6 @@
 use std::fmt;
 use std::net::IpAddr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::edns::Edns;
 use crate::error::{WireError, WireResult};
 use crate::header::{Header, Opcode, Rcode};
@@ -20,7 +18,7 @@ use crate::wire::{WireReader, WireWriter};
 pub const MAX_MESSAGE_SIZE: usize = 65_535;
 
 /// A complete DNS message.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Message {
     /// Message header. The section counts are recomputed during encoding.
     pub header: Header,

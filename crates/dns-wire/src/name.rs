@@ -8,8 +8,6 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{WireError, WireResult};
 
 /// Maximum length of a single label in octets.
@@ -32,7 +30,7 @@ pub const MAX_NAME_LEN: usize = 255;
 /// assert_eq!(name, "POOL.ntp.ORG".parse().unwrap());
 /// assert_eq!(name.to_string(), "pool.NTP.org.");
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Name {
     labels: Vec<Vec<u8>>,
 }

@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::WireResult;
 use crate::name::Name;
 use crate::rrtype::{RrClass, RrType};
 use crate::wire::{WireReader, WireWriter};
 
 /// A single question: the name, type and class being asked for.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Question {
     /// Domain name being queried.
     pub name: Name,

@@ -6,8 +6,6 @@
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{WireError, WireResult};
 use crate::name::Name;
 use crate::rrtype::RrType;
@@ -24,7 +22,7 @@ pub use soa::Soa;
 pub use srv::Srv;
 
 /// Decoded resource-record data.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RData {
     /// IPv4 address (A record).
     A(Ipv4Addr),

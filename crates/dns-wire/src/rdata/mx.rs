@@ -1,13 +1,11 @@
 //! MX (mail exchange) rdata.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::WireResult;
 use crate::name::Name;
 use crate::wire::{WireReader, WireWriter};
 
 /// MX rdata fields (RFC 1035 §3.3.9).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Mx {
     /// Preference value (lower is preferred).
     pub preference: u16,

@@ -1,12 +1,10 @@
 //! EDNS(0) OPT pseudo-record rdata: a list of options (RFC 6891).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{WireError, WireResult};
 use crate::wire::{WireReader, WireWriter};
 
 /// A single EDNS option (code, value) pair.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EdnsOption {
     /// Option code (e.g. 10 for COOKIE, 8 for client subnet).
     pub code: u16,
@@ -36,7 +34,7 @@ impl EdnsOption {
 }
 
 /// Rdata of an OPT record: a sequence of EDNS options.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct OptRdata {
     /// Options carried in the record.
     pub options: Vec<EdnsOption>,

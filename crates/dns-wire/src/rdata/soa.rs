@@ -1,13 +1,11 @@
 //! SOA (start of authority) rdata.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::WireResult;
 use crate::name::Name;
 use crate::wire::{WireReader, WireWriter};
 
 /// SOA rdata fields (RFC 1035 §3.3.13).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Soa {
     /// Primary name server for the zone.
     pub mname: Name,

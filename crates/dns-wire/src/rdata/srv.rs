@@ -1,13 +1,11 @@
 //! SRV (service locator) rdata.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{WireError, WireResult};
 use crate::name::Name;
 use crate::wire::{WireReader, WireWriter};
 
 /// SRV rdata fields (RFC 2782).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Srv {
     /// Priority of this target (lower is preferred).
     pub priority: u16,

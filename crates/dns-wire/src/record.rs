@@ -3,8 +3,6 @@
 use std::fmt;
 use std::net::IpAddr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{WireError, WireResult};
 use crate::name::Name;
 use crate::rdata::RData;
@@ -12,7 +10,7 @@ use crate::rrtype::{RrClass, RrType};
 use crate::wire::{WireReader, WireWriter};
 
 /// A DNS resource record.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Record {
     /// Owner name of the record.
     pub name: Name,

@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// DNS resource-record type (RFC 1035 §3.2.2 and later assignments).
 ///
 /// Only the types needed by the secure pool generation system and its
 /// substrates are given named variants; everything else round-trips through
 /// [`RrType::Unknown`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RrType {
     /// IPv4 host address.
     A,
@@ -142,9 +140,7 @@ impl RrType {
 }
 
 /// DNS CLASS code points (RFC 1035 §3.2.4).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum RrClass {
     /// The Internet class; effectively the only class in use.
     #[default]

@@ -12,13 +12,9 @@
 use std::fmt;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// A DNS time-to-live: a whole number of seconds as carried in a resource
 /// record, convertible losslessly to the [`Duration`]s the caches use.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ttl(u32);
 
 impl Ttl {

@@ -87,7 +87,7 @@ pub fn encode(headers: &[(String, String)]) -> Vec<u8> {
     for (name, value) in headers {
         if let Some(index) = static_index_exact(name, value) {
             // Indexed header field: 1xxxxxxx
-            encode_integer(&mut out, index as u64, 7, 0x80); // sdoh-lint: allow(no-narrowing-cast, "usize to u64 never loses value on supported targets")
+            encode_integer(&mut out, index, 7, 0x80);
             continue;
         }
         // Literal header field without indexing — new name: 0000 0000
@@ -143,11 +143,11 @@ pub fn decode(mut block: &[u8]) -> Result<Vec<(String, String)>, H2Error> {
     Ok(headers)
 }
 
-fn static_index_exact(name: &str, value: &str) -> Option<usize> {
-    STATIC_TABLE
-        .iter()
-        .position(|(n, v)| *n == name && *v == value)
-        .map(|i| i + 1)
+fn static_index_exact(name: &str, value: &str) -> Option<u64> {
+    (1u64..)
+        .zip(STATIC_TABLE)
+        .find(|(_, (n, v))| *n == name && *v == value)
+        .map(|(index, _)| index)
 }
 
 fn static_entry(index: u64) -> Result<(&'static str, &'static str), H2Error> {
@@ -202,7 +202,8 @@ fn decode_integer(input: &[u8], prefix_bits: u8) -> Result<(u64, &[u8]), H2Error
 }
 
 fn encode_string(out: &mut Vec<u8>, data: &[u8]) {
-    encode_integer(out, data.len() as u64, 7, 0x00); // sdoh-lint: allow(no-narrowing-cast, "usize to u64 never loses value on supported targets")
+    let len = u64::try_from(data.len()).unwrap_or(u64::MAX);
+    encode_integer(out, len, 7, 0x00);
     out.extend_from_slice(data);
 }
 

@@ -73,20 +73,25 @@ fn keystream_word(key: &SecretKey, seq: u64, counter: u64) -> u64 {
 
 fn tag(key: &SecretKey, seq: u64, data: &[u8]) -> u64 {
     let mut acc = keystream_word(key, seq, u64::MAX);
-    for (i, &b) in data.iter().enumerate() {
-        acc = mix(acc ^ (u64::from(b) << (8 * (i % 8))) ^ (i as u64)); // sdoh-lint: allow(no-narrowing-cast, "usize to u64 never loses value on supported targets")
+    for (i, &b) in (0u64..).zip(data) {
+        acc = mix(acc ^ (u64::from(b) << (8 * (i % 8))) ^ i);
     }
     acc
+}
+
+/// Appends `data` XORed with the keystream of `(key, seq)` to `out`: word
+/// `n` of the stream covers bytes `8n..8n + 8`, big end first.
+fn apply_keystream(key: &SecretKey, seq: u64, data: &[u8], out: &mut Vec<u8>) {
+    for (counter, block) in (0u64..).zip(data.chunks(8)) {
+        let word = keystream_word(key, seq, counter).to_be_bytes();
+        out.extend(block.iter().zip(word).map(|(&b, ks_byte)| b ^ ks_byte));
+    }
 }
 
 /// Seals plaintext into a record: `ciphertext || 8-byte tag`.
 pub fn seal(key: &SecretKey, seq: u64, plaintext: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(plaintext.len() + 8);
-    for (i, &b) in plaintext.iter().enumerate() {
-        let word = keystream_word(key, seq, (i / 8) as u64); // sdoh-lint: allow(no-narrowing-cast, "usize to u64 never loses value on supported targets")
-        let ks_byte = word.to_be_bytes()[i % 8]; // sdoh-lint: allow(no-panic, "i % 8 indexes an 8-byte array")
-        out.push(b ^ ks_byte);
-    }
+    apply_keystream(key, seq, plaintext, &mut out);
     let t = tag(key, seq, &out);
     out.extend_from_slice(&t.to_be_bytes());
     out
@@ -116,11 +121,7 @@ pub fn open(key: &SecretKey, seq: u64, record: &[u8]) -> DohResult<Vec<u8>> {
         ));
     }
     let mut out = Vec::with_capacity(ciphertext.len());
-    for (i, &b) in ciphertext.iter().enumerate() {
-        let word = keystream_word(key, seq, (i / 8) as u64); // sdoh-lint: allow(no-narrowing-cast, "usize to u64 never loses value on supported targets")
-        let ks_byte = word.to_be_bytes()[i % 8]; // sdoh-lint: allow(no-panic, "i % 8 indexes an 8-byte array")
-        out.push(b ^ ks_byte);
-    }
+    apply_keystream(key, seq, ciphertext, &mut out);
     Ok(out)
 }
 

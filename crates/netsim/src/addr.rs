@@ -4,13 +4,11 @@ use std::fmt;
 use std::net::{IpAddr, Ipv4Addr};
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// The address of a simulated endpoint: an IP address and a port.
 ///
 /// The simulator reuses real [`IpAddr`] values so that addresses flowing
 /// through DNS answers can be dialed directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SimAddr {
     /// IP address of the node.
     pub ip: IpAddr,

@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Security property of the channel a payload travels over.
 ///
 /// The distinction captures the paper's core assumption: plain DNS (Do53)
 /// answers can be spoofed or modified by off-path and on-path attackers,
 /// while DoH answers travel over authenticated HTTPS channels that such
 /// attackers can at most drop or delay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChannelKind {
     /// Unauthenticated datagram traffic (classic DNS over UDP, NTP).
     ///

@@ -2,13 +2,11 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::SimRng;
 
 /// Configuration of a (directed pair treated as symmetric) link between two
 /// hosts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
     /// Base one-way latency.
     pub latency: Duration,

@@ -342,7 +342,7 @@ impl SimNet {
         {
             let mut state = self.state.borrow_mut();
             state.metrics.requests += 1;
-            state.metrics.bytes_sent += payload.len() as u64; // sdoh-lint: allow(no-narrowing-cast, "usize to u64 never loses value on supported targets")
+            state.metrics.bytes_sent += byte_count(payload);
             match channel {
                 ChannelKind::Plain => state.metrics.plain_requests += 1,
                 ChannelKind::Secure => state.metrics.secure_requests += 1,
@@ -417,7 +417,7 @@ impl SimNet {
                 let mut state = self.state.borrow_mut();
                 state.metrics.responses += 1;
                 state.metrics.forged_responses += 1;
-                state.metrics.bytes_received += forged.len() as u64; // sdoh-lint: allow(no-narrowing-cast, "usize to u64 never loses value on supported targets")
+                state.metrics.bytes_received += byte_count(&forged);
                 return Ok(forged);
             }
         }
@@ -558,7 +558,7 @@ impl SimNet {
 
         let mut state = self.state.borrow_mut();
         state.metrics.responses += 1;
-        state.metrics.bytes_received += delivered.len() as u64; // sdoh-lint: allow(no-narrowing-cast, "usize to u64 never loses value on supported targets")
+        state.metrics.bytes_received += byte_count(&delivered);
         Ok(delivered)
     }
 }
@@ -572,6 +572,11 @@ impl fmt::Debug for SimNet {
             .field("now", &self.clock.now())
             .finish()
     }
+}
+
+/// A payload's length as the traffic counters take it.
+fn byte_count(payload: &[u8]) -> u64 {
+    u64::try_from(payload.len()).unwrap_or(u64::MAX)
 }
 
 fn order(a: IpAddr, b: IpAddr) -> (IpAddr, IpAddr) {

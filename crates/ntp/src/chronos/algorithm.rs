@@ -16,7 +16,6 @@
 use std::net::IpAddr;
 
 use sdoh_netsim::{SimNet, SimRng};
-use serde::{Deserialize, Serialize};
 
 use crate::client::NtpClient;
 use crate::clock::LocalClock;
@@ -25,7 +24,7 @@ use crate::error::{NtpError, NtpResult};
 use super::config::ChronosConfig;
 
 /// How an update round concluded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChronosMode {
     /// A sampled subset agreed and the offset was applied.
     Normal,
@@ -34,7 +33,7 @@ pub enum ChronosMode {
 }
 
 /// The result of one Chronos update.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChronosOutcome {
     /// Offset (seconds) applied to the local clock.
     pub applied_offset: f64,

@@ -1,12 +1,10 @@
 //! Chronos parameters.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{NtpError, NtpResult};
 
 /// Parameters of the Chronos time-sampling algorithm (Deutsch et al.,
 /// NDSS 2018).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChronosConfig {
     /// Number of servers sampled from the pool each round (`m`).
     pub sample_size: usize,

@@ -1,7 +1,5 @@
 //! The 48-octet NTP packet format (RFC 5905 §7.3).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{NtpError, NtpResult};
 use crate::timestamp::NtpTimestamp;
 
@@ -9,7 +7,7 @@ use crate::timestamp::NtpTimestamp;
 pub const PACKET_LEN: usize = 48;
 
 /// NTP association modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NtpMode {
     /// Client request.
     Client,
@@ -49,7 +47,7 @@ impl From<u8> for NtpMode {
 }
 
 /// A parsed NTP packet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NtpPacket {
     /// Leap indicator (0 = no warning, 3 = unsynchronised).
     pub leap_indicator: u8,
@@ -186,7 +184,7 @@ impl NtpPacket {
 }
 
 /// A time sample computed from one request/response exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NtpSample {
     /// Clock offset `theta` in seconds (positive = local clock is behind).
     pub offset: f64,

@@ -3,13 +3,12 @@
 use std::time::Duration;
 
 use sdoh_netsim::{ChannelKind, Ctx, Service, ServiceResponse, SimAddr, SimClock, SimRng};
-use serde::{Deserialize, Serialize};
 
 use crate::packet::{NtpMode, NtpPacket};
 use crate::timestamp::NtpTimestamp;
 
 /// Behaviour of a simulated NTP server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NtpServerConfig {
     /// Constant offset the server adds to true time. Zero for a benign
     /// server; a large value for an attacker trying to shift clients.
@@ -144,7 +143,7 @@ pub fn register_pool(
     malicious_shift: f64,
     seed: u64,
 ) -> usize {
-    for (i, &addr) in addresses.iter().enumerate() {
+    for ((i, &addr), offset) in addresses.iter().enumerate().zip(0u64..) {
         let config = if i < malicious_count {
             NtpServerConfig::malicious(malicious_shift)
         } else {
@@ -152,7 +151,7 @@ pub fn register_pool(
         };
         net.register(
             addr,
-            NtpServerService::new(config, net.clock(), seed.wrapping_add(i as u64)), // sdoh-lint: allow(no-narrowing-cast, "usize to u64 never loses value on supported targets")
+            NtpServerService::new(config, net.clock(), seed.wrapping_add(offset)),
         );
     }
     addresses.len()

@@ -4,7 +4,6 @@ use std::fmt;
 use std::time::Duration;
 
 use sdoh_netsim::SimInstant;
-use serde::{Deserialize, Serialize};
 
 /// Offset applied when mapping the simulation epoch onto the NTP era, so
 /// that simulated timestamps look like plausible modern NTP values.
@@ -12,9 +11,7 @@ const SIM_EPOCH_IN_NTP_SECONDS: u64 = 3_900_000_000;
 
 /// A 64-bit NTP timestamp: 32 bits of seconds since 1900-01-01 and 32 bits
 /// of binary fraction.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NtpTimestamp(pub u64);
 
 impl NtpTimestamp {

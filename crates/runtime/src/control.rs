@@ -2,29 +2,35 @@
 //! shard rescale.
 //!
 //! A running [`PoolRuntime`](crate::PoolRuntime) hands out a cloneable
-//! [`ControlHandle`]. [`ControlHandle::apply`] turns a [`ConfigDelta`]
-//! into the next validated [`ServeConfig`] epoch and fans it to every
-//! shard worker **through the worker's existing work queue** — the same
-//! FIFO its queries arrive on, so the epoch switch happens-after every
-//! query already accepted under the old epoch and no lock is added to the
-//! serving path. Each worker acks the epoch number into its own atomic
-//! slot in its next loop iteration; the `/metrics` gauges
-//! `sdoh_config_epoch` and `sdoh_shard_acked_epoch{shard}` expose the
-//! propagation, and [`ControlHandle::wait_for_epoch`] blocks on it.
+//! [`ControlHandle`]. [`ControlHandle::apply`] validates a [`ConfigDelta`],
+//! numbers it — an **epoch** is a `u64` that only this module counts, one
+//! per accepted operation — and fans it to every shard worker **through
+//! the worker's existing work queue** — the same FIFO its queries arrive
+//! on, so the switch happens-after every query already accepted under the
+//! old epoch and no lock is added to the serving path. Each worker acks the
+//! epoch number into its own atomic slot in its next loop iteration; the
+//! `/metrics` gauges `sdoh_config_epoch` and `sdoh_shard_acked_epoch{shard}`
+//! expose the propagation, and [`ControlHandle::wait_for_epoch`] blocks on
+//! it. The resolvers are handed the knobs, never the number.
 //!
 //! [`ControlHandle::rescale`] changes the number of serving shards while
-//! queries keep flowing. Growing publishes the widened route table and
-//! then has the pre-existing workers extract every cache entry the new
-//! hash ring assigns elsewhere and forward it to its new owner
-//! (stamps intact — see
-//! [`CachingPoolResolver::install_entry`](sdoh_core::CachingPoolResolver::install_entry)).
-//! Shrinking publishes the truncated table *first*, so retiring workers
-//! stop receiving new queries, then tells them to hand every entry to its
-//! surviving owner. A retiring worker never just exits: it lingers in
-//! retired mode, still answering any stray query an in-flight dispatcher
-//! raced onto its queue (immediately forwarding whatever that generated),
-//! and terminates only when the last sender to its queue is dropped — so
-//! a rescale drops **zero** queries by construction.
+//! queries keep flowing, and it is **one path for every pair of widths**:
+//! spawn the workers the new width is missing, put the members of the new
+//! route table on the new epoch (a fresh worker's first item) and publish
+//! it — a shard that leaves stops receiving new queries there and then —
+//! then send every worker of the *old* table the new ring and wait for all
+//! of them. What a worker does with the ring it decides from its own
+//! index: it extracts every cache entry the ring assigns elsewhere and
+//! forwards it to its new owner (stamps intact — see
+//! [`CachingPoolResolver::install_entry`](sdoh_core::CachingPoolResolver::install_entry)),
+//! and if the ring no longer reaches its index it owns nothing and forwards
+//! everything. Survivors of a shrink re-home too: `hash % shards` moves
+//! keys among them whenever the new width does not divide the old one.
+//! A worker that left never just exits: it lingers in retired mode, still
+//! answering any stray query an in-flight dispatcher raced onto its queue
+//! (immediately forwarding whatever that generated), and terminates only
+//! when the last sender to its queue is dropped — so a rescale drops
+//! **zero** queries by construction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -32,9 +38,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use sdoh_core::{
-    AddressSource, CacheConfig, CacheEntryProbe, ConfigError, PoolConfig, ServeConfig,
-};
+use sdoh_core::{AddressSource, CacheConfig, CacheEntryProbe, ConfigError, PoolConfig};
 
 use crate::runtime::{ask_shards, spawn_worker, Shard, WorkItem, WorkerContext};
 
@@ -108,9 +112,11 @@ pub struct EpochReceipt {
     pub shards: usize,
 }
 
-/// The epoch fan-out order a worker receives over its queue.
+/// The epoch fan-out order a worker receives over its queue: the number to
+/// ack and the knobs to serve under from then on.
 pub(crate) struct EpochOrder {
-    pub(crate) config: Arc<ServeConfig>,
+    pub(crate) epoch: u64,
+    pub(crate) cache: CacheConfig,
     pub(crate) pool: Option<PoolConfig>,
     pub(crate) sources: Option<SourceFactory>,
 }
@@ -157,7 +163,8 @@ const RESCALE_TIMEOUT: Duration = Duration::from_secs(10);
 
 pub(crate) struct ControlInner {
     pub(crate) routes: Arc<RouteState>,
-    pub(crate) config: Mutex<Arc<ServeConfig>>,
+    /// The published cache knobs, as of [`ControlInner::epoch`].
+    pub(crate) config: Mutex<CacheConfig>,
     pub(crate) epoch: Arc<AtomicU64>,
     /// Serializes apply/rescale against each other (never against serving).
     op_lock: Mutex<()>,
@@ -178,14 +185,14 @@ pub struct ControlHandle {
 impl ControlHandle {
     pub(crate) fn new(
         routes: Arc<RouteState>,
-        config: Arc<ServeConfig>,
+        config: CacheConfig,
         ctx: WorkerContext,
         worker_handles: Vec<JoinHandle<()>>,
     ) -> ControlHandle {
         ControlHandle {
             inner: Arc::new(ControlInner {
                 routes,
-                epoch: Arc::new(AtomicU64::new(config.epoch())),
+                epoch: Arc::new(AtomicU64::new(0)),
                 config: Mutex::new(config),
                 op_lock: Mutex::new(()),
                 ctx,
@@ -199,9 +206,9 @@ impl ControlHandle {
         self.inner.epoch.load(Ordering::Acquire)
     }
 
-    /// The currently published serving configuration.
-    pub fn current_config(&self) -> Arc<ServeConfig> {
-        self.inner.config.lock().clone()
+    /// The currently published cache knobs.
+    pub fn current_config(&self) -> CacheConfig {
+        *self.inner.config.lock()
     }
 
     /// The epoch each shard last acked, in shard order. A shard whose
@@ -250,45 +257,39 @@ impl ControlHandle {
     /// configuration; nothing is published on error.
     pub fn apply(&self, delta: ConfigDelta) -> Result<EpochReceipt, ConfigError> {
         let _op = self.inner.op_lock.lock();
+        if let Some(cache) = &delta.cache {
+            cache.validate()?;
+        }
         if let Some(pool) = &delta.pool {
             pool.validate().map_err(|err| ConfigError::Invalid {
                 field: "pool",
                 reason: err.to_string(),
             })?;
         }
-        let current = self.current_config();
-        let cache = delta.cache.unwrap_or(*current.cache());
-        let next = Arc::new(current.next(cache)?);
         let order = Arc::new(EpochOrder {
-            config: next.clone(),
+            epoch: self.current_epoch() + 1,
+            cache: delta.cache.unwrap_or_else(|| self.current_config()),
             pool: delta.pool,
             sources: delta.sources,
         });
         let shards = {
             let table = self.inner.routes.table.lock();
-            for (sender, ack) in table.senders.iter().zip(&table.acked) {
-                let _ = sender.send(WorkItem::Reconfigure {
-                    order: order.clone(),
-                    ack: ack.clone(),
-                });
-            }
+            order_epoch(&order, &table.senders, &table.acked);
             table.senders.len()
         };
-        self.publish_config(next.clone());
-        Ok(EpochReceipt {
-            epoch: next.epoch(),
-            shards,
-        })
+        Ok(self.publish_epoch(&order, shards))
     }
 
     /// Changes the number of serving shards to `shards` while queries keep
-    /// flowing, re-routing the hash ring and handing cache entries from
-    /// retiring shards to their new owners with stamps intact. `factory`
-    /// builds each **added** shard (called with its shard index; not
-    /// called at all when shrinking). The rescale publishes a fresh epoch
-    /// (same knobs) so the transition is observable through the epoch
-    /// gauges; it returns once the pre-existing workers have confirmed
-    /// their handoff.
+    /// flowing, re-routing the hash ring and handing every cache entry the
+    /// new ring assigns elsewhere — from shards that leave and among those
+    /// that stay — to its new owner with stamps intact. `factory` builds
+    /// each **added** shard (called with its shard index; not called at
+    /// all when shrinking). The rescale publishes a fresh epoch (same
+    /// knobs) so the transition is observable through the epoch gauges; it
+    /// returns once every worker of the old table has confirmed its
+    /// hand-off, and by then every moved entry is queued at its new owner
+    /// ahead of any later query.
     ///
     /// Serve counters are owned per shard: a retiring shard's cumulative
     /// serve metrics leave the aggregate with it. The front-door counters
@@ -311,92 +312,46 @@ impl ControlHandle {
             ));
         }
         let _op = self.inner.op_lock.lock();
-        let current = self.current_config();
-        let next = Arc::new(current.next(*current.cache()).map_err(|err| {
-            std::io::Error::new(std::io::ErrorKind::InvalidInput, err.to_string())
-        })?);
         let order = Arc::new(EpochOrder {
-            config: next.clone(),
+            epoch: self.current_epoch() + 1,
+            cache: self.current_config(),
             pool: None,
             sources: None,
         });
-
-        let (old_senders, old_acked) = {
+        let (old_senders, mut acked) = {
             let table = self.inner.routes.table.lock();
             (table.senders.clone(), table.acked.clone())
         };
-        let old = old_senders.len();
 
-        if shards >= old {
-            // Grow: spawn the added workers, put everyone on the new epoch,
-            // publish the widened ring, then pull the entries it re-homed.
-            let mut senders = old_senders.clone();
-            let mut acked = old_acked.clone();
-            for index in old..shards {
-                let (tx, rx) = mpsc::channel();
-                let ack = Arc::new(AtomicU64::new(0));
-                let handle = spawn_worker(&self.inner.ctx, index, factory(index), rx)?;
-                self.inner.worker_handles.lock().push(handle);
-                let _ = tx.send(WorkItem::Reconfigure {
-                    order: order.clone(),
-                    ack: ack.clone(),
-                });
-                senders.push(tx);
-                acked.push(ack);
-            }
-            for (sender, ack) in old_senders.iter().zip(&old_acked) {
-                let _ = sender.send(WorkItem::Reconfigure {
-                    order: order.clone(),
-                    ack: ack.clone(),
-                });
-            }
-            let ring = Arc::new(senders.clone());
-            self.inner.routes.publish(RouteTable { senders, acked });
-            let (done_tx, done_rx) = mpsc::channel();
-            for sender in &old_senders {
-                let _ = sender.send(WorkItem::Rehash {
-                    table: ring.clone(),
-                    shards,
-                    done: done_tx.clone(),
-                });
-            }
-            drop(done_tx);
-            await_handoff(&done_rx, old);
-        } else {
-            // Shrink: stop routing to the retirees *first*, then put the
-            // survivors on the new epoch and have the retirees hand every
-            // entry to its surviving owner. The retirees linger to serve
-            // stray in-flight queries and exit on queue disconnect.
-            let survivors = old_senders.get(..shards).unwrap_or(&old_senders).to_vec();
-            let survivor_acked = old_acked.get(..shards).unwrap_or(&old_acked).to_vec();
-            let ring = Arc::new(survivors.clone());
-            self.inner.routes.publish(RouteTable {
-                senders: survivors.clone(),
-                acked: survivor_acked.clone(),
-            });
-            for (sender, ack) in survivors.iter().zip(&survivor_acked) {
-                let _ = sender.send(WorkItem::Reconfigure {
-                    order: order.clone(),
-                    ack: ack.clone(),
-                });
-            }
-            let (done_tx, done_rx) = mpsc::channel();
-            for sender in old_senders.get(shards..).unwrap_or(&[]) {
-                let _ = sender.send(WorkItem::Retire {
-                    table: ring.clone(),
-                    shards,
-                    done: done_tx.clone(),
-                });
-            }
-            drop(done_tx);
-            await_handoff(&done_rx, old - shards);
+        // The new table: the old one cut to the new width, plus a fresh
+        // worker for every index it does not reach.
+        let mut senders = old_senders.clone();
+        senders.truncate(shards);
+        acked.truncate(shards);
+        for index in senders.len()..shards {
+            let (tx, rx) = mpsc::channel();
+            let handle = spawn_worker(&self.inner.ctx, index, factory(index), rx)?;
+            self.inner.worker_handles.lock().push(handle);
+            senders.push(tx);
+            acked.push(Arc::new(AtomicU64::new(0)));
         }
+        let ring = Arc::new(senders.clone());
+        order_epoch(&order, &senders, &acked);
+        self.inner.routes.publish(RouteTable { senders, acked });
 
-        self.publish_config(next.clone());
-        Ok(EpochReceipt {
-            epoch: next.epoch(),
-            shards,
-        })
+        // Every worker that held keys under the old ring re-homes what the
+        // new one moved; which of them stay is theirs to read off the ring.
+        let (done_tx, done_rx) = mpsc::channel();
+        for sender in &old_senders {
+            let _ = sender.send(WorkItem::Rehash {
+                ring: ring.clone(),
+                done: done_tx.clone(),
+            });
+        }
+        drop(done_tx);
+        await_handoff(&done_rx, old_senders.len());
+
+        Ok(self.publish_epoch(&order, shards))
     }
 
     /// Probes every cache entry of every shard (see
@@ -416,8 +371,10 @@ impl ControlHandle {
     /// The `/config` document: current epoch, shard count, per-shard acked
     /// epochs and the published cache knobs, as JSON.
     pub fn config_json(&self) -> String {
-        let config = self.current_config();
-        let cache = *config.cache();
+        let (epoch, cache) = {
+            let config = self.inner.config.lock();
+            (self.current_epoch(), *config)
+        };
         let acked = self.acked_epochs();
         let mut acked_json = String::from("[");
         for (i, epoch) in acked.iter().enumerate() {
@@ -431,7 +388,7 @@ impl ControlHandle {
             "{{\"epoch\": {}, \"shards\": {}, \"acked_epochs\": {}, \"cache\": \
              {{\"capacity\": {}, \"ttl_seconds\": {}, \"stale_window_seconds\": {}, \
              \"negative_ttl_seconds\": {}}}}}",
-            config.epoch(),
+            epoch,
             acked.len(),
             acked_json,
             cache.capacity,
@@ -441,9 +398,17 @@ impl ControlHandle {
         )
     }
 
-    fn publish_config(&self, next: Arc<ServeConfig>) {
-        self.inner.epoch.store(next.epoch(), Ordering::Release);
-        *self.inner.config.lock() = next;
+    /// Records a fanned-out order as the published state.
+    fn publish_epoch(&self, order: &EpochOrder, shards: usize) -> EpochReceipt {
+        // The number moves under the knobs' lock, so `/config` never pairs
+        // one epoch's number with another's knobs.
+        let mut config = self.inner.config.lock();
+        *config = order.cache;
+        self.inner.epoch.store(order.epoch, Ordering::Release);
+        EpochReceipt {
+            epoch: order.epoch,
+            shards,
+        }
     }
 }
 
@@ -453,6 +418,20 @@ impl std::fmt::Debug for ControlHandle {
             .field("epoch", &self.current_epoch())
             .field("shards", &self.shard_count())
             .finish()
+    }
+}
+
+/// Queues `order` at every worker of a table, each with its own ack slot.
+fn order_epoch(
+    order: &Arc<EpochOrder>,
+    senders: &[mpsc::Sender<WorkItem>],
+    acked: &[Arc<AtomicU64>],
+) {
+    for (sender, ack) in senders.iter().zip(acked) {
+        let _ = sender.send(WorkItem::Reconfigure {
+            order: order.clone(),
+            ack: ack.clone(),
+        });
     }
 }
 

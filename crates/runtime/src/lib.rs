@@ -53,19 +53,21 @@
 //! # Hot reconfiguration
 //!
 //! A running [`PoolRuntime`] hands out a cloneable [`ControlHandle`]
-//! ([`PoolRuntime::control`]). Serving configuration lives in immutable,
-//! monotonically numbered **epochs** ([`sdoh_core::ServeConfig`]):
-//! [`ControlHandle::apply`] validates a [`ConfigDelta`] (new TTLs, stale
-//! window, upstream resolver set, pool hardening knobs), publishes the
-//! next epoch and fans it to every shard **through the shard's existing
-//! work queue** — no lock is added to the serving path, and each shard
-//! acks the epoch in its next loop iteration. Cached entries are never
-//! invalidated by an epoch switch; they are re-judged against the new
-//! knobs at lookup time, and a served answer's age is always bounded by
-//! the *maximum* of the old and new `TTL + stale window` horizons.
-//! [`ControlHandle::rescale`] changes the shard count live, handing cache
-//! entries from retiring shards to their new owners while queries keep
-//! flowing.
+//! ([`PoolRuntime::control`]). [`ControlHandle::apply`] validates a
+//! [`ConfigDelta`] (new TTLs, stale window, upstream resolver set, pool
+//! hardening knobs), numbers it — an **epoch** is the control plane's
+//! count of accepted operations, a `u64` nothing below it stores — and
+//! fans it to every shard **through the shard's existing work queue**: no
+//! lock is added to the serving path, each shard's resolver is handed the
+//! knobs ([`CachingPoolResolver::apply_config`](sdoh_core::CachingPoolResolver::apply_config))
+//! and the shard acks the number in its next loop iteration. Cached
+//! entries are never invalidated by an epoch switch; they are re-judged
+//! against the new knobs at lookup time, and a served answer's age is
+//! always bounded by the *maximum* of the old and new `TTL + stale window`
+//! horizons. [`ControlHandle::rescale`] changes the shard count live by
+//! one hand-off path whatever the two widths: every shard of the old ring
+//! forwards the cache entries the new ring assigns elsewhere — the shards
+//! that leave forward everything — while queries keep flowing.
 //!
 //! ```
 //! use std::time::Duration;
@@ -93,7 +95,7 @@
 //!
 //! // Flip the TTL live: epoch 0 -> 1, acked by every shard, no restart.
 //! let control = runtime.control();
-//! let mut cache = *control.current_config().cache();
+//! let mut cache = control.current_config();
 //! cache.ttl = Duration::from_secs(2).into();
 //! let receipt = control.apply(ConfigDelta::new().with_cache(cache))?;
 //! assert_eq!(receipt.epoch, 1);

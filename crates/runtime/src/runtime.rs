@@ -35,6 +35,14 @@
 //! when they are called, and a shard answers between the items of its
 //! queue whatever it has upstream.
 //!
+//! Keys change shards by one hand-off path. A rescale reaches a worker as
+//! one item whatever the two widths — `Rehash`, carrying the new ring —
+//! and the worker reads off its own index what that means: it forwards the
+//! cache entries the ring assigns elsewhere as `Install` items on their
+//! owners' queues, and if the ring no longer reaches its index it forwards
+//! everything and lingers as retired until its queue disconnects (see
+//! [`ControlHandle::rescale`]).
+//!
 //! # The hit path
 //!
 //! A datagram costs the dispatcher one owned copy and one queue hand-off;
@@ -89,7 +97,7 @@
 //!   no second query ever finds such a flight to join.
 //! * *Who waits for landings.* Items that move ownership first land every
 //!   live flight, sleeping out the round trips still upstream: `Rehash`
-//!   and `Retire` (so no key is cached by two shards and a retired shard
+//!   (so no key is cached by two shards and a shard that leaves the ring
 //!   forwards what it generated), a `Reconfigure` that swaps the source
 //!   set or the pool configuration (so nothing generated under the old
 //!   one is cached after the epoch is acked), and `Shutdown` (so every
@@ -123,7 +131,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use sdoh_core::{
     snapshot_samples, CacheEntryProbe, CachedPool, CachingPoolResolver, ConfigError, FlightId,
-    Landed, PoolKey, ServeConfig, ServeSnapshot, ServeStep, TransactionId,
+    Landed, PoolKey, ServeSnapshot, ServeStep, TransactionId,
 };
 use sdoh_dns_server::{decode_do53_query, finish_do53_answer, Departure, Exchanger};
 use sdoh_dns_wire::Message;
@@ -305,64 +313,6 @@ impl RuntimeStats {
     pub fn unresponsive_shards(&self) -> usize {
         count_unresponsive(&self.per_shard)
     }
-
-    /// Renders the stats as a JSON document (stable hand-rolled schema:
-    /// `total`, `per_shard` with `null` for unresponsive shards, and the
-    /// front-door counters).
-    // sdoh-lint: allow(hot-path-purity, "stats rendering runs at scrape cadence, not per query")
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"taken_at_seconds\": {}, \"udp_queries\": {}, \"tcp_queries\": {}, \
-             \"truncated_responses\": {}, \"dropped_queries\": {}, \"config_epoch\": {}, \
-             \"unresponsive_shards\": {}, \"total\": {}, \
-             \"per_shard\": [",
-            self.taken_at.as_nanos() as f64 / 1e9,
-            self.udp_queries,
-            self.tcp_queries,
-            self.truncated_responses,
-            self.dropped_queries,
-            self.config_epoch,
-            self.unresponsive_shards(),
-            snapshot_json(&self.total),
-        ));
-        for (index, shard) in self.per_shard.iter().enumerate() {
-            if index > 0 {
-                out.push_str(", ");
-            }
-            match shard {
-                Some(snapshot) => out.push_str(&snapshot_json(snapshot)),
-                None => out.push_str("null"),
-            }
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// One [`ServeSnapshot`] as a JSON object (helper of
-/// [`RuntimeStats::to_json`]).
-// sdoh-lint: allow(hot-path-purity, "stats rendering runs at scrape cadence, not per query")
-fn snapshot_json(snapshot: &ServeSnapshot) -> String {
-    format!(
-        "{{\"queries\": {}, \"hits\": {}, \"stale_serves\": {}, \"negative_hits\": {}, \
-         \"misses\": {}, \"coalesced_waiters\": {}, \"generations\": {}, \
-         \"generation_failures\": {}, \"refreshes\": {}, \"hit_ratio\": {:.6}, \
-         \"cache_entries\": {}, \"pending_refreshes\": {}, \"live_generations\": {}}}",
-        snapshot.serve.queries,
-        snapshot.serve.hits,
-        snapshot.serve.stale_serves,
-        snapshot.serve.negative_hits,
-        snapshot.serve.misses,
-        snapshot.serve.coalesced_waiters,
-        snapshot.serve.generations,
-        snapshot.serve.generation_failures,
-        snapshot.serve.refreshes,
-        snapshot.serve.hit_ratio(),
-        snapshot.entries,
-        snapshot.pending_refreshes,
-        snapshot.live_generations,
-    )
 }
 
 impl std::fmt::Display for RuntimeStats {
@@ -430,25 +380,18 @@ pub(crate) enum WorkItem {
         order: Arc<EpochOrder>,
         ack: Arc<AtomicU64>,
     },
-    /// The hash ring now spans `shards` shards: extract every entry this
-    /// shard no longer owns and forward it to its new owner over `table`,
-    /// then confirm on `done`.
+    /// The hash ring is now `ring`: extract every entry it assigns to
+    /// another shard, forward each to its owner's queue, then confirm on
+    /// `done`. A worker the ring no longer reaches owns nothing: it forwards
+    /// everything and lingers in retired mode — still answering stray
+    /// queries (and immediately forwarding whatever they generate) — until
+    /// its queue disconnects.
     Rehash {
-        table: Arc<Vec<mpsc::Sender<WorkItem>>>,
-        shards: usize,
+        ring: Arc<Vec<mpsc::Sender<WorkItem>>>,
         done: mpsc::Sender<usize>,
     },
     /// Adopt an entry handed off by another shard (stamps intact).
     Install { key: PoolKey, cached: CachedPool },
-    /// This shard left the hash ring: hand every entry to its owner under
-    /// the `shards`-wide ring, confirm on `done`, then linger in retired
-    /// mode — still answering stray queries (and immediately forwarding
-    /// whatever they generate) — until the queue disconnects.
-    Retire {
-        table: Arc<Vec<mpsc::Sender<WorkItem>>>,
-        shards: usize,
-        done: mpsc::Sender<usize>,
-    },
     /// Land what is upstream, report the final snapshot and exit.
     Shutdown(mpsc::Sender<(usize, ServeSnapshot)>),
 }
@@ -537,7 +480,7 @@ impl PoolRuntime {
         // The runtime-level config epoch starts from the first shard's
         // cache knobs (shards are normally built homogeneous); epoch 0.
         let first_cache_config = match shards.first() {
-            Some(shard) => *shard.resolver.serve_config().cache(),
+            Some(shard) => shard.resolver.cache_config(),
             None => {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidInput,
@@ -557,8 +500,6 @@ impl PoolRuntime {
         let registry = Registry::new();
         let counters = Arc::new(FrontCounters::register(&registry));
         let clock = crate::clock::RuntimeClock::new();
-
-        let initial = Arc::new(ServeConfig::initial(first_cache_config));
 
         let ctx = WorkerContext {
             socket: Arc::clone(&udp),
@@ -580,7 +521,8 @@ impl PoolRuntime {
             acked.push(Arc::new(AtomicU64::new(0)));
         }
         let routes = Arc::new(RouteState::new(RouteTable { senders, acked }));
-        let control = ControlHandle::new(Arc::clone(&routes), initial, ctx, worker_handles);
+        let control =
+            ControlHandle::new(Arc::clone(&routes), first_cache_config, ctx, worker_handles);
 
         // The serve-layer counters live inside the worker threads; a
         // scrape-time collector fetches fresh snapshots over the work
@@ -1240,12 +1182,12 @@ struct Worker {
     /// In departure order.
     upstream: Vec<Upstream>,
     /// Set when this shard left the hash ring (a shrink retired it): the
-    /// ring to forward entries over and its width. A retired worker keeps
-    /// serving stray queries an in-flight dispatcher raced onto its queue,
-    /// but owns no keys — whatever it serves or generates is immediately
-    /// handed to the owning shard. It exits when the queue disconnects
-    /// (every sender dropped), which is what makes rescale zero-drop.
-    retired: Option<(Arc<Vec<mpsc::Sender<WorkItem>>>, usize)>,
+    /// ring to forward entries over. A retired worker keeps serving stray
+    /// queries an in-flight dispatcher raced onto its queue, but owns no
+    /// keys — whatever it serves or generates is immediately handed to the
+    /// owning shard. It exits when the queue disconnects (every sender
+    /// dropped), which is what makes rescale zero-drop.
+    retired: Option<Arc<Vec<mpsc::Sender<WorkItem>>>>,
 }
 
 impl Worker {
@@ -1382,8 +1324,8 @@ impl Worker {
     /// A retired shard owns no keys: whatever it just cached goes to the
     /// shard that does.
     fn forward_if_retired(&mut self) {
-        if let Some((ring, shards)) = &self.retired {
-            forward_entries(&mut self.resolver, ring, *shards, None);
+        if let Some(ring) = &self.retired {
+            forward_entries(&mut self.resolver, ring, None);
         }
     }
 }
@@ -1470,31 +1412,21 @@ fn worker_loop(
                     let _ = worker.resolver.generator_mut().set_config(pool.clone());
                 }
                 let now = worker.exchanger.now();
-                worker.resolver.apply_config(order.config.clone(), now);
-                ack.store(order.config.epoch(), Ordering::Release);
+                worker.resolver.apply_config(order.cache, now);
+                ack.store(order.epoch, Ordering::Release);
             }
-            WorkItem::Rehash {
-                table,
-                shards,
-                done,
-            } => {
+            WorkItem::Rehash { ring, done } => {
                 worker.land_everything();
-                forward_entries(&mut worker.resolver, &table, shards, Some(worker.index));
+                let keep = (worker.index < ring.len()).then_some(worker.index);
+                forward_entries(&mut worker.resolver, &ring, keep);
+                if keep.is_none() {
+                    worker.retired = Some(ring);
+                }
                 let _ = done.send(worker.index);
             }
             WorkItem::Install { key, cached } => {
                 let now = worker.exchanger.now();
                 worker.resolver.install_entry(key, cached, now);
-            }
-            WorkItem::Retire {
-                table,
-                shards,
-                done,
-            } => {
-                worker.land_everything();
-                forward_entries(&mut worker.resolver, &table, shards, None);
-                worker.retired = Some((table, shards));
-                let _ = done.send(worker.index);
             }
             WorkItem::Shutdown(tx) => {
                 worker.land_everything();
@@ -1506,23 +1438,22 @@ fn worker_loop(
     worker.land_everything();
 }
 
-/// Extracts every cache entry whose owner under a `shards`-wide ring is
-/// not `keep` and forwards it — stamps intact — to the owner's queue.
-/// `keep = Some(index)` re-homes after a grow; `None` empties a retiring
-/// shard completely. Extraction happens-before the forward, so no entry
-/// is ever servable from two shards at once; `install` on the receiving
-/// side refuses to clobber an at-least-as-fresh entry, so a racing
-/// regeneration by the new owner wins over the handed-off copy.
+/// Extracts every cache entry whose owner under `ring` is not `keep` and
+/// forwards it — stamps intact — to the owner's queue. `keep = Some(index)`
+/// re-homes what a rescale moved away from a shard that stays; `None`
+/// empties a shard the ring no longer reaches. Extraction happens-before
+/// the forward, so no entry is ever servable from two shards at once;
+/// `install` on the receiving side refuses to clobber an
+/// at-least-as-fresh entry, so a racing regeneration by the new owner wins
+/// over the handed-off copy.
 fn forward_entries(
     resolver: &mut CachingPoolResolver,
     ring: &[mpsc::Sender<WorkItem>],
-    shards: usize,
     keep: Option<usize>,
 ) {
-    let moved = resolver.extract_entries(|key| Some(owner_of(key, shards)) != keep);
+    let moved = resolver.extract_entries(|key| Some(owner_of(key, ring.len())) != keep);
     for (key, cached) in moved {
-        let owner = owner_of(&key, shards);
-        if let Some(sender) = ring.get(owner) {
+        if let Some(sender) = ring.get(owner_of(&key, ring.len())) {
             let _ = sender.send(WorkItem::Install { key, cached });
         }
     }

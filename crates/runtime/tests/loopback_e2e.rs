@@ -12,7 +12,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sdoh_core::{
-    check_guarantee, AddressPool, AddressSource, CacheConfig, DohSource, GroundTruth, PoolConfig,
+    check_guarantee, AddressPool, AddressSource, CacheConfig, ConfigError, DohSource, GroundTruth,
+    PoolConfig,
 };
 use sdoh_dns_wire::{Edns, Message, Rcode, RrType, Ttl};
 use sdoh_doh::DohMethod;
@@ -496,7 +497,7 @@ fn reconfiguration_and_rescale_under_load_drop_nothing() {
         .shards(
             8,
             PoolConfig::algorithm1().with_min_responses(2),
-            *control.current_config().cache(),
+            control.current_config(),
         )
         .expect("valid config")
         .into_iter()
@@ -591,6 +592,146 @@ fn reconfiguration_and_rescale_under_load_drop_nothing() {
         "the control items met live flights: {:?}",
         stats.total.serve
     );
+}
+
+#[test]
+fn every_key_has_one_home_after_any_rescale() {
+    // A quiet runtime: 32 domains cached once under a TTL the test does not
+    // outlive, caches wider than the key set, no upstream latency, no load.
+    // The widths do not divide each other, so `hash % shards` moves keys
+    // among the shards that stay as well as off the ones that leave. After
+    // every rescale each key is cached by exactly one live shard, and that
+    // shard is the one its queries reach: asking everything again is 32
+    // hits and not one generation. Nothing here waits or polls: `rescale`
+    // returns once every worker of the old table confirmed, and by then
+    // each hand-off is queued at its new owner ahead of any later query.
+    const DOMAINS: usize = 32;
+    let fleet = LoopbackFleet::build(LoopbackConfig {
+        pool_domains: DOMAINS,
+        ..LoopbackConfig::default()
+    });
+    let cache = CacheConfig::default()
+        .with_ttl(Ttl::from_secs(600))
+        .with_capacity(64);
+    let shards = |count: usize| {
+        fleet
+            .shards(count, PoolConfig::algorithm1(), cache)
+            .expect("valid config")
+    };
+    let runtime = PoolRuntime::start(RuntimeConfig::default(), shards(3)).expect("bind loopback");
+    let control = runtime.control();
+    let client =
+        RuntimeClient::connect(runtime.udp_addr(), Some(runtime.tcp_addr())).expect("client");
+    let ask_every_domain = || {
+        for (id, domain) in (1u16..).zip(&fleet.domains) {
+            let response = client
+                .query(&Message::query(id, domain.clone(), RrType::A))
+                .expect("query answered");
+            assert_eq!(response.answer_addresses().len(), 24);
+        }
+    };
+    ask_every_domain();
+    assert_eq!(runtime.stats().total.serve.generations, DOMAINS as u64);
+
+    for width in [2, 5, 3] {
+        let mut added: Vec<Option<Shard>> = shards(width).into_iter().map(Some).collect();
+        let receipt = control
+            .rescale(width, |index| added[index].take().expect("fresh shard"))
+            .expect("rescale");
+        assert_eq!(receipt.shards, width);
+
+        let probes = control.probe_entries(Duration::from_secs(5));
+        assert_eq!(probes.len(), width, "every live shard answered the probe");
+        let mut homes: std::collections::HashMap<_, Vec<usize>> = std::collections::HashMap::new();
+        for (shard, entries) in &probes {
+            for probe in entries {
+                homes.entry(probe.key.to_string()).or_default().push(*shard);
+            }
+        }
+        assert_eq!(
+            homes.len(),
+            DOMAINS,
+            "no key was lost on the way to {width}"
+        );
+        homes.retain(|_, shards| shards.len() != 1);
+        assert!(homes.is_empty(), "cached twice at width {width}: {homes:?}");
+
+        // Both readings are of the shards live at this width, so what a
+        // retired shard had counted enters neither.
+        let before = runtime.stats().total.serve;
+        ask_every_domain();
+        let after = runtime.stats().total.serve;
+        assert_eq!(
+            (
+                after.hits - before.hits,
+                after.misses - before.misses,
+                after.generations - before.generations
+            ),
+            (DOMAINS as u64, 0, 0),
+            "(hits, misses, generations) of asking every domain again at width {width}"
+        );
+    }
+    let stats = runtime.shutdown();
+    assert_eq!(stats.dropped_queries, 0);
+    assert_eq!(stats.config_epoch, 3, "one epoch per rescale");
+}
+
+#[test]
+fn a_rejected_delta_publishes_nothing() {
+    // Operator input is validated where it arrives, before anything is
+    // numbered or fanned out: a rejected delta leaves the epoch, every
+    // shard's ack, the published knobs and the `/config` document as they
+    // were, and an accepted one moves the epoch by exactly one.
+    let (_fleet, shards) = build(Vec::new(), Ttl::from_secs(60), Duration::from_secs(60));
+    let config = RuntimeConfig::default()
+        .with_stats_bind(Some(std::net::SocketAddr::from(([127, 0, 0, 1], 0))));
+    let runtime = PoolRuntime::start(config, shards).expect("bind loopback");
+    let control = runtime.control();
+    let stats_addr = runtime.stats_addr().expect("stats listener bound");
+    let published = || {
+        let document = http_get(stats_addr, "/config", Duration::from_secs(5)).expect("/config");
+        (
+            control.current_epoch(),
+            control.acked_epochs(),
+            control.current_config(),
+            document.body,
+        )
+    };
+    let before = published();
+    assert_eq!((before.0, &before.1), (0, &vec![0; SHARDS]));
+
+    let retuned = CacheConfig::default().with_ttl(Ttl::from_secs(5));
+    let no_room = ConfigDelta::new().with_cache(retuned.with_capacity(0));
+    assert_eq!(
+        control.apply(no_room).unwrap_err(),
+        ConfigError::Zero("capacity")
+    );
+    assert_eq!(published(), before);
+
+    // Valid knobs beside an invalid pool configuration go nowhere either.
+    let no_quorum = ConfigDelta::new()
+        .with_cache(retuned)
+        .with_pool(PoolConfig::algorithm1().with_min_responses(0));
+    match control.apply(no_quorum).unwrap_err() {
+        ConfigError::Invalid { field, reason } => {
+            assert_eq!(field, "pool");
+            assert!(reason.contains("min_responses"), "{reason}");
+        }
+        other => panic!("an invalid pool configuration was reported as {other:?}"),
+    }
+    assert_eq!(published(), before);
+
+    let receipt = control
+        .apply(ConfigDelta::new().with_cache(retuned))
+        .expect("valid delta");
+    assert_eq!(receipt.epoch, before.0 + 1);
+    assert!(control.wait_for_epoch(receipt.epoch, Duration::from_secs(10)));
+    let after = published();
+    assert_eq!((after.0, &after.1), (1, &vec![1; SHARDS]));
+    assert_eq!(after.2, retuned);
+    assert!(after.3.contains("\"epoch\": 1"), "{}", after.3);
+    assert!(after.3.contains("\"ttl_seconds\": 5"), "{}", after.3);
+    assert_eq!(runtime.shutdown().config_epoch, 1);
 }
 
 /// One shard over three resolvers, resolver 0 compromised, every upstream
@@ -767,7 +908,6 @@ fn a_shard_with_a_generation_upstream_answers_stats_and_health() {
     if sent.elapsed() < LATENCY {
         assert_eq!(stats.total.live_generations, 1);
         assert_eq!(stats.total.serve.generations, 0, "still upstream");
-        assert!(stats.to_json().contains("\"live_generations\": 1"));
     }
 
     let health = http_get(stats_addr, "/healthz", Duration::from_secs(5)).expect("healthz");

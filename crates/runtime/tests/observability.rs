@@ -162,7 +162,7 @@ fn registry_lints_clean_every_counter_has_help() {
 }
 
 #[test]
-fn runtime_stats_render_as_text_and_json() {
+fn runtime_stats_render_as_text() {
     let (fleet, shards) = build();
     let runtime = PoolRuntime::start(RuntimeConfig::default(), shards).expect("bind loopback");
     let client =
@@ -179,10 +179,4 @@ fn runtime_stats_render_as_text_and_json() {
     assert!(text.contains(&format!("queries={}", stats.total.serve.queries)));
     assert!(text.contains("shard 0:"));
     assert!(!text.contains("unresponsive (snapshot timed out)"));
-
-    let json = stats.to_json();
-    assert!(json.contains(&format!("\"udp_queries\": {}", stats.udp_queries)));
-    assert!(json.contains("\"unresponsive_shards\": 0"));
-    assert!(json.contains("\"per_shard\": ["));
-    assert!(!json.contains("null"), "all shards answered: {json}");
 }

@@ -122,6 +122,12 @@ impl From<Vec<u8>> for BytesMut {
     }
 }
 
+impl From<BytesMut> for Vec<u8> {
+    fn from(b: BytesMut) -> Self {
+        b.0
+    }
+}
+
 /// Big-endian buffer-writing operations.
 pub trait BufMut {
     /// Appends one byte.

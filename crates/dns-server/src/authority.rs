@@ -121,8 +121,8 @@ mod tests {
     use sdoh_dns_wire::{Name, RData, Record};
 
     fn test_authority() -> Authority {
-        let origin: Name = "ntpns.org".parse().unwrap();
-        let text = r#"
+        authority_of(
+            r#"
 $TTL 300
 @      IN SOA ns1 hostmaster 1 7200 900 1209600 300
 @      IN NS  c.ntpns.org.
@@ -134,7 +134,12 @@ alias  IN CNAME pool
 extern IN CNAME www.example.com.
 child  IN NS  ns.child.ntpns.org.
 ns.child IN A 198.51.100.99
-"#;
+"#,
+        )
+    }
+
+    fn authority_of(text: &str) -> Authority {
+        let origin: Name = "ntpns.org".parse().unwrap();
         let zone = parse_zone(&origin, text).unwrap();
         let mut catalog = Catalog::new();
         catalog.add_zone(zone);
@@ -176,6 +181,30 @@ ns.child IN A 198.51.100.99
         let authority = test_authority();
         let query = Message::query(4, "host.child.ntpns.org".parse().unwrap(), RrType::A);
         let response = authority.answer(&query);
+        assert!(response.answers.is_empty());
+        assert!(!response.header.authoritative);
+        assert_eq!(response.authorities.len(), 1);
+        assert_eq!(response.authorities[0].rtype(), RrType::Ns);
+        assert_eq!(response.additionals.len(), 1);
+    }
+
+    #[test]
+    fn a_cut_below_an_empty_non_terminal_returns_a_referral() {
+        // Nothing is stored at `deep`: the walk down from the origin must
+        // step over it to reach the cut at `child.deep`.
+        let authority = authority_of(
+            r#"
+$TTL 300
+@      IN SOA ns1 hostmaster 1 7200 900 1209600 300
+@      IN NS  c.ntpns.org.
+c      IN A   198.51.100.3
+child.deep IN NS ns.child.deep.ntpns.org.
+ns.child.deep IN A 198.51.100.98
+"#,
+        );
+        let query = Message::query(4, "host.child.deep.ntpns.org".parse().unwrap(), RrType::A);
+        let response = authority.answer(&query);
+        assert_eq!(response.header.rcode, Rcode::NoError);
         assert!(response.answers.is_empty());
         assert!(!response.header.authoritative);
         assert_eq!(response.authorities.len(), 1);

@@ -206,7 +206,11 @@ impl Zone {
         let name_labels = name.num_labels();
         for depth in (origin_labels + 1)..name_labels {
             let candidate = name.suffix(depth);
-            let records = self.records.get(&candidate)?;
+            // An owner without records (an empty non-terminal) is not a
+            // cut, and a cut may still lie below it.
+            let Some(records) = self.records.get(&candidate) else {
+                continue;
+            };
             let ns_records: Vec<Record> = records
                 .iter()
                 .filter(|r| r.rtype() == RrType::Ns)

@@ -3,7 +3,27 @@
 //! A [`Name`] is a sequence of labels, stored with the original case but
 //! compared, hashed and compressed case-insensitively as required by
 //! RFC 1035 §2.3.3 and RFC 4343.
+//!
+//! # Representation
+//!
+//! A name owns **one buffer**: its labels the way the wire carries them,
+//! each behind its length octet and leftmost first, without the terminating
+//! zero. `pool.ntp.org` is `4 p o o l 3 n t p 3 o r g`; the root is the
+//! empty buffer. Building or cloning a name is one allocation, the
+//! uncompressed wire form is the buffer plus one zero octet, and a suffix
+//! (a parent, an enclosing zone) is a tail of the buffer.
+//!
+//! **The length-octet invariant.** [`LabelBuf::push`] is the only code that
+//! writes a length octet, and it writes 1..=63. ASCII letters start at 65,
+//! so a length octet is never a letter: case folding leaves it alone, and
+//! two buffers that are equal ignoring ASCII case have equal first octets,
+//! hence first labels of the same length, hence (by induction) the same
+//! label boundaries throughout. That is why equality is one whole-buffer
+//! `eq_ignore_ascii_case`, why the hash is one write of the lowercased
+//! buffer, and why the 0x20 helpers may scan the buffer without telling
+//! length octets from label octets.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
@@ -14,6 +34,11 @@ use crate::error::{WireError, WireResult};
 pub const MAX_LABEL_LEN: usize = 63;
 /// Maximum length of a name on the wire (including length octets and root).
 pub const MAX_NAME_LEN: usize = 255;
+/// Longest buffer of length-prefixed labels: a name's wire form without
+/// its terminating zero.
+const MAX_BUF_LEN: usize = MAX_NAME_LEN - 1;
+/// Most labels a name can hold: one-octet labels filling the buffer.
+const MAX_LABELS: usize = MAX_BUF_LEN / 2;
 
 /// A fully-qualified DNS domain name.
 ///
@@ -32,13 +57,79 @@ pub const MAX_NAME_LEN: usize = 255;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Name {
-    labels: Vec<Vec<u8>>,
+    /// `[len][octets]` per label, leftmost first, no terminating zero (see
+    /// the module documentation).
+    buf: Vec<u8>,
+}
+
+/// Labels being gathered into a [`Name`]: every constructor that takes
+/// labels one at a time (presentation format, raw labels, the wire reader)
+/// pushes them here, so the label and name limits are checked in one place
+/// and the name's buffer is allocated once, at its final size.
+pub(crate) struct LabelBuf {
+    octets: [u8; MAX_BUF_LEN],
+    /// Wire length of the labels pushed so far, terminating zero included.
+    /// It keeps counting past the limit (the octets beyond it are dropped),
+    /// so that [`WireError::NameTooLong`] reports the length of the whole
+    /// name and a later label's own error still comes first.
+    wire_len: usize,
+}
+
+impl LabelBuf {
+    pub(crate) fn new() -> Self {
+        LabelBuf {
+            octets: [0; MAX_BUF_LEN],
+            wire_len: 1,
+        }
+    }
+
+    pub(crate) fn push(&mut self, label: &[u8]) -> WireResult<()> {
+        if label.is_empty() {
+            return Err(WireError::EmptyLabel);
+        }
+        let len = u8::try_from(label.len())
+            .ok()
+            .filter(|&len| usize::from(len) <= MAX_LABEL_LEN)
+            .ok_or(WireError::LabelTooLong(label.len()))?;
+        let start = self.wire_len - 1;
+        self.wire_len += 1 + label.len();
+        if let Some([head, tail @ ..]) = self.octets.get_mut(start..self.wire_len - 1) {
+            *head = len;
+            tail.copy_from_slice(label);
+        }
+        Ok(())
+    }
+
+    pub(crate) fn finish(self) -> WireResult<Name> {
+        // The array is as long as the longest legal buffer, so the range
+        // check is the name-length check.
+        let buf = self
+            .octets
+            .get(..self.wire_len - 1)
+            .ok_or(WireError::NameTooLong(self.wire_len))?;
+        Ok(Name { buf: buf.to_vec() })
+    }
+}
+
+/// Walks a name's buffer label by label; what is left of the buffer is the
+/// name's suffix from the next label on.
+struct Labels<'a>(&'a [u8]);
+
+impl<'a> Iterator for Labels<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (&len, rest) = self.0.split_first()?;
+        let (label, rest) = rest.split_at_checked(usize::from(len))?;
+        self.0 = rest;
+        Some(label)
+    }
 }
 
 impl Name {
     /// The root name (`.`).
     pub fn root() -> Self {
-        Name { labels: Vec::new() }
+        Name { buf: Vec::new() }
     }
 
     /// Parses a name from presentation (dotted ASCII) format.
@@ -53,27 +144,16 @@ impl Name {
             return Ok(Name::root());
         }
         let trimmed = s.strip_suffix('.').unwrap_or(s);
-        let mut labels = Vec::new();
+        let mut labels = LabelBuf::new();
         for raw in trimmed.split('.') {
-            if raw.is_empty() {
-                return Err(WireError::EmptyLabel);
-            }
-            if raw.len() > MAX_LABEL_LEN {
-                return Err(WireError::LabelTooLong(raw.len()));
-            }
+            labels.push(raw.as_bytes())?;
             for ch in raw.chars() {
                 if !ch.is_ascii() || ch.is_ascii_control() || ch == ' ' {
                     return Err(WireError::InvalidLabelCharacter(ch));
                 }
             }
-            labels.push(raw.as_bytes().to_vec());
         }
-        let name = Name { labels };
-        let wire = name.wire_len();
-        if wire > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(wire));
-        }
-        Ok(name)
+        labels.finish()
     }
 
     /// Builds a name from raw label byte strings.
@@ -87,44 +167,66 @@ impl Name {
         I: IntoIterator<Item = L>,
         L: AsRef<[u8]>,
     {
-        let mut labels = Vec::new();
+        let mut labels = LabelBuf::new();
         for l in iter {
-            let l = l.as_ref();
-            if l.is_empty() {
-                return Err(WireError::EmptyLabel);
-            }
-            if l.len() > MAX_LABEL_LEN {
-                return Err(WireError::LabelTooLong(l.len()));
-            }
-            labels.push(l.to_vec());
+            labels.push(l.as_ref())?;
         }
-        let name = Name { labels };
-        let wire = name.wire_len();
-        if wire > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(wire));
-        }
-        Ok(name)
+        labels.finish()
     }
 
     /// Returns `true` if this is the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.buf.is_empty()
     }
 
     /// Number of labels (the root name has zero labels).
     pub fn num_labels(&self) -> usize {
-        self.labels.len()
+        self.labels().count()
     }
 
     /// Iterates over the labels from leftmost (most specific) to rightmost.
     pub fn labels(&self) -> impl Iterator<Item = &[u8]> {
-        self.labels.iter().map(|l| l.as_slice())
+        Labels(&self.buf)
+    }
+
+    /// The name's buffer: each label behind its length octet, without the
+    /// terminating zero — the uncompressed wire form but for that octet.
+    pub(crate) fn as_wire_labels(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// The buffer of the name `skip` labels up: its tail from there on.
+    fn tail(&self, skip: usize) -> &[u8] {
+        let mut labels = Labels(&self.buf);
+        for _ in 0..skip {
+            labels.next();
+        }
+        labels.0
+    }
+
+    /// The labels from rightmost to leftmost. A length-prefixed buffer only
+    /// reads forwards, so one forward pass notes where each label starts
+    /// (an offset fits a `u8`: the buffer holds at most 254 octets).
+    fn labels_from_right(&self) -> impl Iterator<Item = &[u8]> {
+        let mut starts = [0u8; MAX_LABELS];
+        let mut count = 0;
+        let mut at = 0;
+        for label in self.labels() {
+            if let (Some(slot), Ok(start)) = (starts.get_mut(count), u8::try_from(at)) {
+                *slot = start;
+                count += 1;
+            }
+            at += 1 + label.len();
+        }
+        (0..count)
+            .rev()
+            .filter_map(move |i| Labels(self.buf.get(usize::from(*starts.get(i)?)..)?).next())
     }
 
     /// Length of this name in wire format (sum of length octets plus the
     /// terminating zero octet), without compression.
     pub fn wire_len(&self) -> usize {
-        self.labels.iter().map(|l| l.len() + 1).sum::<usize>() + 1
+        self.buf.len() + 1
     }
 
     /// Returns the parent of this name, or `None` for the root.
@@ -137,13 +239,9 @@ impl Name {
     /// assert_eq!(n.parent().unwrap().to_string(), "b.c.");
     /// ```
     pub fn parent(&self) -> Option<Name> {
-        if self.is_root() {
-            None
-        } else {
-            Some(Name {
-                labels: self.labels.get(1..).unwrap_or(&[]).to_vec(),
-            })
-        }
+        (!self.is_root()).then(|| Name {
+            buf: self.tail(1).to_vec(),
+        })
     }
 
     /// Creates a child name by prepending `label` to this name.
@@ -152,52 +250,34 @@ impl Name {
     ///
     /// Returns an error if the label or resulting name is too long.
     pub fn child<L: AsRef<[u8]>>(&self, label: L) -> WireResult<Name> {
-        let label = label.as_ref();
-        if label.is_empty() {
-            return Err(WireError::EmptyLabel);
+        let mut labels = LabelBuf::new();
+        labels.push(label.as_ref())?;
+        for l in self.labels() {
+            labels.push(l)?;
         }
-        if label.len() > MAX_LABEL_LEN {
-            return Err(WireError::LabelTooLong(label.len()));
-        }
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(label.to_vec());
-        labels.extend(self.labels.iter().cloned());
-        let name = Name { labels };
-        let wire = name.wire_len();
-        if wire > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(wire));
-        }
-        Ok(name)
+        labels.finish()
     }
 
     /// Returns `true` when `self` is equal to or a subdomain of `other`.
     ///
     /// The root is an ancestor of every name.
     pub fn is_subdomain_of(&self, other: &Name) -> bool {
-        if other.labels.len() > self.labels.len() {
-            return false;
+        // Drop labels until what is left is as long as `other`; if no label
+        // boundary falls there the lengths differ and the comparison fails.
+        let mut rest = Labels(&self.buf);
+        while rest.0.len() > other.buf.len() {
+            rest.next();
         }
-        let offset = self.labels.len() - other.labels.len();
-        self.labels
-            .get(offset..)
-            .unwrap_or(&[])
-            .iter()
-            .zip(other.labels.iter())
-            .all(|(a, b)| eq_ignore_case(a, b))
+        rest.0.eq_ignore_ascii_case(&other.buf)
     }
 
     /// Returns the name with the given number of trailing labels, e.g. the
     /// enclosing zone cut candidate. `suffix_len` greater than the number of
     /// labels returns a clone of `self`.
     pub fn suffix(&self, suffix_len: usize) -> Name {
-        if suffix_len >= self.labels.len() {
-            return self.clone();
-        }
         Name {
-            labels: self
-                .labels
-                .get(self.labels.len() - suffix_len..)
-                .unwrap_or(&[])
+            buf: self
+                .tail(self.num_labels().saturating_sub(suffix_len))
                 .to_vec(),
         }
     }
@@ -231,108 +311,84 @@ impl Name {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             (z ^ (z >> 31)) & 1 == 1
         };
-        let labels = self
-            .labels
+        // One draw per letter, left to right; a length octet is never a
+        // letter, so it neither draws nor changes.
+        let buf = self
+            .buf
             .iter()
-            .map(|label| {
-                label
-                    .iter()
-                    .map(|&b| {
-                        if b.is_ascii_alphabetic() {
-                            if next_bit() {
-                                b.to_ascii_uppercase()
-                            } else {
-                                b.to_ascii_lowercase()
-                            }
-                        } else {
-                            b
-                        }
-                    })
-                    .collect()
+            .map(|&b| {
+                if !b.is_ascii_alphabetic() {
+                    b
+                } else if next_bit() {
+                    b.to_ascii_uppercase()
+                } else {
+                    b.to_ascii_lowercase()
+                }
             })
             .collect();
-        Name { labels }
+        Name { buf }
     }
 
     /// Case-exact label comparison — the check a 0x20-verifying client
     /// performs on the echoed question, which ordinary [`PartialEq`]
     /// (case-insensitive per RFC 4343) deliberately does not.
     pub fn eq_case_exact(&self, other: &Name) -> bool {
-        self.labels == other.labels
+        self.buf == other.buf
     }
 
     /// Number of ASCII letters in the name: the identifier entropy (in
     /// bits) that 0x20 mixed-case encoding adds to a query, saturating at
     /// 255.
     pub fn case_entropy_bits(&self) -> u8 {
-        let letters = self
-            .labels
-            .iter()
-            .flat_map(|l| l.iter())
-            .filter(|b| b.is_ascii_alphabetic())
-            .count();
-        u8::try_from(letters.min(255)).unwrap_or(u8::MAX)
+        let letters = self.buf.iter().filter(|b| b.is_ascii_alphabetic()).count();
+        u8::try_from(letters).unwrap_or(u8::MAX)
     }
 
     /// Returns `true` when no label contains an uppercase ASCII letter —
     /// the canonical form an off-path forger guesses when it only knows
     /// the name from context.
     pub fn is_canonical_lowercase(&self) -> bool {
-        self.labels
-            .iter()
-            .flat_map(|l| l.iter())
-            .all(|b| !b.is_ascii_uppercase())
+        !self.buf.iter().any(u8::is_ascii_uppercase)
     }
 
     /// Lowercased presentation format without the trailing dot, used as a
     /// canonical map key (e.g. for compression and caching).
     pub fn to_lowercase_string(&self) -> String {
-        let mut out = String::new();
-        for (i, l) in self.labels.iter().enumerate() {
+        let mut out = String::with_capacity(self.buf.len());
+        for (i, l) in self.labels().enumerate() {
             if i > 0 {
                 out.push('.');
             }
             for &b in l {
-                out.push((b as char).to_ascii_lowercase());
+                out.push(char::from(b).to_ascii_lowercase());
             }
         }
         out
     }
 }
 
-fn eq_ignore_case(a: &[u8], b: &[u8]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b.iter())
-            .all(|(x, y)| x.eq_ignore_ascii_case(y))
-}
-
 impl PartialEq for Name {
     fn eq(&self, other: &Self) -> bool {
-        self.labels.len() == other.labels.len()
-            && self
-                .labels
-                .iter()
-                .zip(other.labels.iter())
-                .all(|(a, b)| eq_ignore_case(a, b))
+        self.buf.eq_ignore_ascii_case(&other.buf)
     }
 }
 
 impl Eq for Name {}
 
 impl Hash for Name {
+    /// One write of the lowercased uncompressed wire form (the buffer and
+    /// its terminating zero), so names that are equal hash alike.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        for l in &self.labels {
-            for &b in l {
-                state.write_u8(b.to_ascii_lowercase());
-            }
-            state.write_u8(0);
+        let mut wire = [0u8; MAX_NAME_LEN];
+        for (lowered, b) in wire.iter_mut().zip(&self.buf) {
+            *lowered = b.to_ascii_lowercase();
         }
+        state.write(wire.get(..self.wire_len()).unwrap_or(&wire));
     }
 }
 
 impl PartialOrd for Name {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
@@ -340,20 +396,15 @@ impl PartialOrd for Name {
 impl Ord for Name {
     /// Canonical DNS ordering (RFC 4034 §6.1): compare label sequences from
     /// the rightmost label, case-insensitively.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        let a: Vec<Vec<u8>> = self
-            .labels
-            .iter()
-            .rev()
-            .map(|l| l.to_ascii_lowercase())
-            .collect();
-        let b: Vec<Vec<u8>> = other
-            .labels
-            .iter()
-            .rev()
-            .map(|l| l.to_ascii_lowercase())
-            .collect();
-        a.cmp(&b)
+    fn cmp(&self, other: &Self) -> Ordering {
+        fn lowered(label: &[u8]) -> impl Iterator<Item = u8> + '_ {
+            label.iter().map(u8::to_ascii_lowercase)
+        }
+        self.labels_from_right()
+            .zip(other.labels_from_right())
+            .map(|(a, b)| lowered(a).cmp(lowered(b)))
+            .find(|ord| ord.is_ne())
+            .unwrap_or_else(|| self.num_labels().cmp(&other.num_labels()))
     }
 }
 
@@ -362,12 +413,12 @@ impl fmt::Display for Name {
         if self.is_root() {
             return write!(f, ".");
         }
-        for l in &self.labels {
+        for l in self.labels() {
             for &b in l {
                 if b == b'.' || b == b'\\' {
-                    write!(f, "\\{}", b as char)?;
+                    write!(f, "\\{}", char::from(b))?;
                 } else if b.is_ascii_graphic() {
-                    write!(f, "{}", b as char)?;
+                    write!(f, "{}", char::from(b))?;
                 } else {
                     write!(f, "\\{:03}", b)?;
                 }

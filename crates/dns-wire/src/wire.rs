@@ -1,11 +1,31 @@
 //! Low-level wire readers and writers with RFC 1035 name compression.
-
-use std::collections::HashMap;
+//!
+//! A [`Name`] already holds its labels the way the wire carries them (one
+//! buffer of length-prefixed labels, see [`crate::name`]), so the reader
+//! gathers a name's labels straight into that buffer and the writer copies
+//! them out of it.
+//!
+//! # Compression
+//!
+//! The writer's compression table is the message itself: it keeps only the
+//! list of offsets at which it wrote a label sequence it had not written
+//! before, and finds a suffix by comparing it, ignoring ASCII case, with
+//! the name that starts at each of those offsets (following the pointer the
+//! writer may have ended that name with). A suffix is registered only when
+//! no registered offset matches it, so the list never holds two equal names
+//! and the first registered offset is the only one that can match — the
+//! offset a map keyed by the lowercased name would have kept, which is why
+//! the emitted bytes are what such a map emitted. Comparing octets, length
+//! octets included, cannot confuse the one label `a.b` with the two labels
+//! `a`, `b`, which a dotted-string key does.
 
 use bytes::{BufMut, Bytes};
 
 use crate::error::{WireError, WireResult};
-use crate::name::Name;
+use crate::name::{LabelBuf, Name};
+
+/// Highest offset a compression pointer's 14 bits can address.
+const MAX_POINTER_TARGET: u16 = 0x3FFF;
 
 /// Maximum number of compression pointers followed for a single name before
 /// the decoder gives up and reports a loop.
@@ -19,8 +39,9 @@ const MAX_POINTER_HOPS: usize = 64;
 #[derive(Debug, Default)]
 pub struct WireWriter {
     buf: Vec<u8>,
-    /// Map from lowercased dotted suffix to the offset of its first occurrence.
-    compression: HashMap<String, u16>,
+    /// Offsets at which a label sequence was first written, in the order
+    /// written (see the module documentation).
+    names: Vec<u16>,
     /// When `false`, names are always written uncompressed (needed e.g. for
     /// computing canonical forms).
     compress: bool,
@@ -31,7 +52,7 @@ impl WireWriter {
     pub fn new() -> Self {
         WireWriter {
             buf: Vec::with_capacity(512),
-            compression: HashMap::new(),
+            names: Vec::new(),
             compress: true,
         }
     }
@@ -55,8 +76,9 @@ impl WireWriter {
         out.clear();
         let mut w = WireWriter {
             buf: std::mem::take(out),
-            compression: HashMap::new(),
             compress,
+            // No name written yet: an empty list, which owns no memory.
+            ..WireWriter::default()
         };
         let written = write(&mut w);
         *out = w.buf;
@@ -134,28 +156,65 @@ impl WireWriter {
         if name.wire_len() > crate::name::MAX_NAME_LEN {
             return Err(WireError::NameTooLong(name.wire_len()));
         }
-        for (i, label) in name.labels().enumerate() {
+        // `rest` is the suffix still to write: the name's buffer from the
+        // next length octet on.
+        let mut rest = name.as_wire_labels();
+        while let Some(&len) = rest.first() {
             if self.compress {
-                let suffix_key = suffix_key(name.labels().skip(i));
-                if let Some(&offset) = self.compression.get(&suffix_key) {
-                    // Pointers can only address the first 0x3FFF octets.
+                if let Some(offset) = self.names.iter().find(|&&at| self.wrote_at(at, rest)) {
                     self.buf.put_u16(0xC000 | offset);
                     return Ok(());
                 }
-                if let Ok(offset) = u16::try_from(self.buf.len()) {
-                    if offset <= 0x3FFF {
-                        self.compression.insert(suffix_key, offset);
-                    }
+                if let Some(offset) = u16::try_from(self.buf.len())
+                    .ok()
+                    .filter(|&offset| offset <= MAX_POINTER_TARGET)
+                {
+                    self.names.push(offset);
                 }
             }
-            // Name labels are 63 octets at most by construction; a longer
-            // label cannot round-trip, so refuse it rather than truncate.
-            let len = u8::try_from(label.len()).map_err(|_| WireError::NameTooLong(label.len()))?;
-            self.buf.put_u8(len);
+            let (label, after) = rest.split_at(rest.len().min(1 + usize::from(len)));
             self.buf.put_slice(label);
+            rest = after;
         }
         self.buf.put_u8(0);
         Ok(())
+    }
+
+    /// Whether the name written at `at` is `suffix` (length-prefixed labels,
+    /// no terminating zero), ignoring ASCII case. Pointers only ever lead
+    /// backwards, to an offset registered earlier, so the walk ends.
+    fn wrote_at(&self, at: u16, mut suffix: &[u8]) -> bool {
+        let mut at = usize::from(at);
+        loop {
+            let Some(&len) = self.buf.get(at) else {
+                return false;
+            };
+            if len == 0 {
+                return suffix.is_empty();
+            }
+            if len & 0xC0 == 0xC0 {
+                let Some(&low) = self.buf.get(at + 1) else {
+                    return false;
+                };
+                let target = (usize::from(len & 0x3F) << 8) | usize::from(low);
+                if target >= at {
+                    return false;
+                }
+                at = target;
+                continue;
+            }
+            let end = at + 1 + usize::from(len);
+            let (Some(written), Some((label, after))) =
+                (self.buf.get(at..end), suffix.split_at_checked(end - at))
+            else {
+                return false;
+            };
+            if !written.eq_ignore_ascii_case(label) {
+                return false;
+            }
+            at = end;
+            suffix = after;
+        }
     }
 
     /// Finishes encoding and returns the wire bytes.
@@ -167,19 +226,6 @@ impl WireWriter {
     pub fn as_slice(&self) -> &[u8] {
         &self.buf
     }
-}
-
-fn suffix_key<'a>(labels: impl Iterator<Item = &'a [u8]>) -> String {
-    let mut key = String::new();
-    for (i, l) in labels.enumerate() {
-        if i > 0 {
-            key.push('.');
-        }
-        for &b in l.iter() {
-            key.push((b as char).to_ascii_lowercase());
-        }
-    }
-    key
 }
 
 /// Cursor-based decoder for DNS wire format.
@@ -305,7 +351,7 @@ impl<'a> WireReader<'a> {
     ///
     /// Returns an error for truncated names, invalid pointers or pointer loops.
     pub fn read_name(&mut self) -> WireResult<Name> {
-        let mut labels: Vec<Vec<u8>> = Vec::new();
+        let mut labels = LabelBuf::new();
         let mut hops = 0usize;
         let mut pos = self.pos;
         let mut followed_pointer = false;
@@ -352,7 +398,7 @@ impl<'a> WireReader<'a> {
                     let Some(label) = self.data.get(pos + 1..pos + 1 + l) else {
                         return Err(WireError::UnexpectedEof { expected: "label" });
                     };
-                    labels.push(label.to_vec());
+                    labels.push(label)?;
                     pos += 1 + l;
                     if !followed_pointer {
                         end_pos = pos;
@@ -362,10 +408,7 @@ impl<'a> WireReader<'a> {
         }
 
         self.pos = end_pos;
-        if labels.is_empty() {
-            return Ok(Name::root());
-        }
-        Name::from_labels(labels)
+        labels.finish()
     }
 }
 
@@ -458,6 +501,24 @@ mod tests {
         let first = w.len();
         w.put_name(&a).unwrap();
         assert_eq!(w.len() - first, 2);
+    }
+
+    #[test]
+    fn a_label_holding_a_dot_is_not_compressed_against_two_labels() {
+        let one_label = Name::from_labels([&b"a.b"[..], b"org"]).unwrap();
+        let two_labels: Name = "a.b.org".parse().unwrap();
+        assert_eq!(one_label.to_string(), "a\\.b.org.");
+        let mut w = WireWriter::new();
+        w.put_name(&one_label).unwrap();
+        w.put_name(&two_labels).unwrap();
+        let bytes = w.finish();
+        let mut r = WireReader::new(&bytes);
+        assert_eq!(r.read_name().unwrap(), one_label);
+        let second = r.read_name().unwrap();
+        assert_eq!(second.num_labels(), 3);
+        assert_eq!(second, two_labels);
+        // Only `org` is shared: 1+1 ("a") + 1+1 ("b") + 2 (pointer).
+        assert_eq!(bytes.len(), one_label.wire_len() + 6);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! the default 64 KiB window), CONTINUATION frames are not emitted (header
 //! blocks fit in one frame), and priorities are ignored.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 use bytes::BytesMut;
 
@@ -127,7 +127,7 @@ impl ClientConnection {
 
     /// Drains the bytes queued for transmission to the server.
     pub fn take_output(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.out).to_vec()
+        std::mem::take(&mut self.out).into()
     }
 
     /// Feeds bytes received from the server, returning every response that
@@ -156,7 +156,9 @@ impl ClientConnection {
         frame: Frame,
         completed: &mut Vec<(u32, Response)>,
     ) -> Result<(), H2Error> {
-        match frame {
+        // Only the stream a HEADERS or DATA frame belongs to can have been
+        // completed by it.
+        let touched = match frame {
             Frame::Settings { ack, .. } => {
                 if !ack {
                     self.peer_settings_received = true;
@@ -166,11 +168,13 @@ impl ClientConnection {
                     }
                     .encode(&mut self.out);
                 }
+                None
             }
             Frame::Ping { ack, data } => {
                 if !ack {
                     Frame::Ping { ack: true, data }.encode(&mut self.out);
                 }
+                None
             }
             Frame::Headers {
                 stream_id,
@@ -187,6 +191,7 @@ impl ClientConnection {
                 stream.headers = hpack::decode(&block)?;
                 stream.headers_complete = true;
                 stream.ended = end_stream;
+                Some(stream_id)
             }
             Frame::Data {
                 stream_id,
@@ -196,25 +201,21 @@ impl ClientConnection {
                 let stream = self.streams.entry(stream_id).or_default();
                 stream.body.extend_from_slice(&data);
                 stream.ended = stream.ended || end_stream;
+                Some(stream_id)
             }
-            Frame::WindowUpdate { .. } | Frame::Unknown { .. } => {}
+            Frame::WindowUpdate { .. } | Frame::Unknown { .. } => None,
             Frame::RstStream { stream_id, .. } => {
                 self.streams.remove(&stream_id);
+                None
             }
             Frame::GoAway { error_code, .. } => {
                 self.goaway = Some(error_code);
+                None
             }
-        }
+        };
 
-        let finished: Vec<u32> = self
-            .streams
-            .iter()
-            .filter(|(_, s)| s.headers_complete && s.ended)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in finished {
-            let stream = self.streams.remove(&id).expect("stream present"); // sdoh-lint: allow(no-panic, "id was just collected from the keys of self.streams")
-            completed.push((id, response_from_parts(stream)?));
+        if let Some((id, message)) = touched.and_then(|id| take_finished(&mut self.streams, id)) {
+            completed.push((id, response_from_parts(message)?));
         }
         Ok(())
     }
@@ -317,7 +318,7 @@ impl ServerConnection {
 
     /// Drains the bytes queued for transmission to the client.
     pub fn take_output(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.out).to_vec()
+        std::mem::take(&mut self.out).into()
     }
 
     fn process_frame(
@@ -325,7 +326,9 @@ impl ServerConnection {
         frame: Frame,
         completed: &mut Vec<(u32, Request)>,
     ) -> Result<(), H2Error> {
-        match frame {
+        // Only the stream a HEADERS or DATA frame belongs to can have been
+        // completed by it.
+        let touched = match frame {
             Frame::Settings { ack, .. } => {
                 if !ack {
                     Frame::Settings {
@@ -334,11 +337,13 @@ impl ServerConnection {
                     }
                     .encode(&mut self.out);
                 }
+                None
             }
             Frame::Ping { ack, data } => {
                 if !ack {
                     Frame::Ping { ack: true, data }.encode(&mut self.out);
                 }
+                None
             }
             Frame::Headers {
                 stream_id,
@@ -355,6 +360,7 @@ impl ServerConnection {
                 stream.headers = hpack::decode(&block)?;
                 stream.headers_complete = true;
                 stream.ended = end_stream;
+                Some(stream_id)
             }
             Frame::Data {
                 stream_id,
@@ -364,25 +370,33 @@ impl ServerConnection {
                 let stream = self.streams.entry(stream_id).or_default();
                 stream.body.extend_from_slice(&data);
                 stream.ended = stream.ended || end_stream;
+                Some(stream_id)
             }
-            Frame::WindowUpdate { .. } | Frame::Unknown { .. } => {}
+            Frame::WindowUpdate { .. } | Frame::Unknown { .. } => None,
             Frame::RstStream { stream_id, .. } => {
                 self.streams.remove(&stream_id);
+                None
             }
-            Frame::GoAway { .. } => {}
-        }
+            Frame::GoAway { .. } => None,
+        };
 
-        let finished: Vec<u32> = self
-            .streams
-            .iter()
-            .filter(|(_, s)| s.headers_complete && s.ended)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in finished {
-            let stream = self.streams.remove(&id).expect("stream present"); // sdoh-lint: allow(no-panic, "id was just collected from the keys of self.streams")
-            completed.push((id, request_from_parts(stream)?));
+        if let Some((id, message)) = touched.and_then(|id| take_finished(&mut self.streams, id)) {
+            completed.push((id, request_from_parts(message)?));
         }
         Ok(())
+    }
+}
+
+/// Removes stream `id` and returns its message if the message is complete.
+fn take_finished(
+    streams: &mut HashMap<u32, PartialMessage>,
+    id: u32,
+) -> Option<(u32, PartialMessage)> {
+    match streams.entry(id) {
+        Entry::Occupied(stream) if stream.get().headers_complete && stream.get().ended => {
+            Some(stream.remove_entry())
+        }
+        _ => None,
     }
 }
 

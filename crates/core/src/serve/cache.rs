@@ -477,7 +477,6 @@ impl PoolCache {
     /// the same cache state is byte-identical across processes — the map
     /// iterates in a process-random order. This is the invariant surface
     /// chaos campaigns monitor after every step.
-    // sdoh-lint: allow(hot-path-purity, "probe is the chaos-monitor surface, never the serving path")
     pub(crate) fn probe(&self, now: SimInstant) -> Vec<CacheEntryProbe> {
         let mut probes: Vec<CacheEntryProbe> = self
             .entries
@@ -568,7 +567,7 @@ impl PoolCache {
     /// a shard-rescale cache handoff. Results are sorted by key so a
     /// handoff is deterministic across processes. Touches neither LRU
     /// state nor the lookup counters.
-    // sdoh-lint: allow(hot-path-purity, "rescale handoff runs on the control plane, not per query")
+    // sdoh-lint: allow(transitive-hot-path-purity, "rescale handoff runs on the control plane, not per query")
     pub(crate) fn extract_matching(
         &mut self,
         mut predicate: impl FnMut(&PoolKey) -> bool,

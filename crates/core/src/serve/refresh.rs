@@ -60,7 +60,7 @@ impl RefreshScheduler {
     /// Removes and returns every key whose deadline is at or before `now`,
     /// in scheduling order.
     pub(crate) fn take_due(&mut self, now: SimInstant) -> Vec<PoolKey> {
-        let mut due = Vec::new(); // sdoh-lint: allow(hot-path-purity, "an empty Vec::new never allocates; it only grows when refreshes are due")
+        let mut due = Vec::new();
         self.pending.retain(|task| {
             if task.due <= now {
                 due.push(task.key.clone());

@@ -173,7 +173,6 @@ impl ServeSnapshot {
     /// other field is a cumulative counter, and a regression means state was
     /// lost or observed inconsistently — the monotonicity invariant chaos
     /// campaigns check after every step.
-    // sdoh-lint: allow(hot-path-purity, "monotonicity check is the chaos-monitor surface, never the serving path")
     pub fn regressions(&self, earlier: &ServeSnapshot) -> Vec<&'static str> {
         let pairs: [(&'static str, u64, u64); 18] = [
             ("serve.queries", earlier.serve.queries, self.serve.queries),
@@ -848,7 +847,6 @@ impl CachingPoolResolver {
     /// send as one [`Exchanger::exchange_all`] batch per wait point, lands
     /// the outcomes, and returns when `awaited` has landed — or, with
     /// nothing awaited, when nothing is left to send.
-    // sdoh-lint: allow(hot-path-purity, "an empty Vec::new never allocates; these grow with the fan-out, on the miss path only")
     // sdoh-lint: allow(transitive-hot-path-purity, "the miss path on the query path: a blocking caller pays its generation here, its fan-out dwarfing these buffers; cache hits never enter")
     fn drive(
         &mut self,
@@ -943,7 +941,6 @@ impl CachingPoolResolver {
         let query = Message::query(exchanger.next_id(), domain.clone(), family.rtype());
         let response = self.handle_query(exchanger, &query);
         if response.header.rcode != Rcode::NoError {
-            // sdoh-lint: allow(hot-path-purity, "error formatting happens on the failure path only")
             return Err(crate::PoolError::Generation(format!(
                 "serving front end answered {:?} for {domain}",
                 response.header.rcode
@@ -1242,7 +1239,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_batch_coalesces_concurrent_misses() {
+    fn a_burst_coalesces_concurrent_misses_onto_one_flight_per_key() {
         let net = SimNet::new(85);
         let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
         let mut resolver = resolver(test_config());

@@ -247,7 +247,6 @@ pub fn snapshot_samples(snapshot: &ServeSnapshot, labels: &[(&str, &str)]) -> Ve
         snapshot.serve.last_generation_latency.as_secs_f64(),
         snapshot.serve.total_generation_latency.as_secs_f64(),
     ];
-    // sdoh-lint: allow(hot-path-purity, "sample rendering runs at scrape cadence, not per query")
     let owned_labels: Vec<(String, String)> = labels
         .iter()
         .map(|(k, v)| (k.to_string(), v.to_string()))

@@ -42,7 +42,7 @@ impl<K: PartialEq, F> Singleflight<K, F> {
     /// Creates an empty registry.
     pub(crate) fn new() -> Self {
         Singleflight {
-            live: Vec::new(), // sdoh-lint: allow(hot-path-purity, "an empty Vec::new never allocates")
+            live: Vec::new(),
             opened: 0,
         }
     }

@@ -81,10 +81,12 @@ impl Edns {
             RData::Opt(opt) => opt.options.clone(),
             _ => Vec::new(),
         };
+        // The TTL field of an OPT record: extended RCODE, version, flags.
+        let [extended_rcode, version, _, _] = record.ttl.to_be_bytes();
         Some(Edns {
             payload_size: record.rclass.code(),
-            extended_rcode: (record.ttl >> 24) as u8, // sdoh-lint: allow(no-narrowing-cast, "the 24-bit shift leaves exactly the top byte")
-            version: ((record.ttl >> 16) & 0xFF) as u8, // sdoh-lint: allow(no-narrowing-cast, "masked to 8 bits before the cast")
+            extended_rcode,
+            version,
             dnssec_ok: record.ttl & (1 << 15) != 0,
             options,
         })

@@ -99,7 +99,8 @@ impl Rcode {
 
     /// The low four bits carried in the message header.
     pub fn low_bits(self) -> u8 {
-        (self.code() & 0x0F) as u8 // sdoh-lint: allow(no-narrowing-cast, "masked to the low four bits before the cast")
+        let [_, low] = self.code().to_be_bytes();
+        low & 0x0F
     }
 
     /// Returns `true` when this rcode indicates success.
@@ -236,10 +237,11 @@ impl Header {
     pub fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
         let id = r.read_u16()?;
         let flags = r.read_u16()?;
+        let [high, _] = flags.to_be_bytes();
         let header = Header {
             id,
             response: flags & (1 << 15) != 0,
-            opcode: Opcode::from(((flags >> 11) & 0x0F) as u8), // sdoh-lint: allow(no-narrowing-cast, "masked to four bits before the cast")
+            opcode: Opcode::from((high >> 3) & 0x0F),
             authoritative: flags & (1 << 10) != 0,
             truncated: flags & (1 << 9) != 0,
             recursion_desired: flags & (1 << 8) != 0,

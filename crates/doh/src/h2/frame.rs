@@ -340,7 +340,6 @@ impl Frame {
     }
 }
 
-// sdoh-lint: allow(no-narrowing-cast, "each byte is masked to 8 bits before the cast")
 fn encode_header(
     out: &mut BytesMut,
     length: usize,
@@ -348,9 +347,9 @@ fn encode_header(
     frame_flags: u8,
     stream_id: u32,
 ) {
-    out.put_u8(((length >> 16) & 0xFF) as u8);
-    out.put_u8(((length >> 8) & 0xFF) as u8);
-    out.put_u8((length & 0xFF) as u8);
+    // A frame length is 24 bits: the low three octets.
+    let [.., high, mid, low] = length.to_be_bytes();
+    out.put_slice(&[high, mid, low]);
     out.put_u8(frame_type);
     out.put_u8(frame_flags);
     out.put_u32(stream_id & 0x7FFF_FFFF);

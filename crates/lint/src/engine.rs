@@ -222,6 +222,14 @@ pub(crate) struct Allow {
     pub(crate) used: bool,
 }
 
+impl Allow {
+    /// Whether this is a directive for `rule` scoped over the whole
+    /// function span `[def_line, end_line]`.
+    pub(crate) fn covers_fn(&self, rule: RuleId, def_line: usize, end_line: usize) -> bool {
+        self.rule == rule && self.from_line <= def_line && end_line <= self.to_line
+    }
+}
+
 /// Outcome of trying to read one comment as a directive.
 enum DirectiveParse {
     NotADirective,
@@ -279,22 +287,13 @@ fn parse_directive(comment: &str) -> DirectiveParse {
     }
 }
 
-/// A rule finding before allow directives are applied. `also` lists
-/// additional rule names whose allow directives may suppress this
-/// diagnostic — a transitive diagnostic accepts the allow of its
-/// file-local twin so already-annotated sites need no second directive.
-pub(crate) struct RawDiag {
-    pub(crate) diag: Diagnostic,
-    pub(crate) also: &'static [&'static str],
-}
-
 /// One analyzed file: raw findings, allow directives, and the parsed
 /// items the call-graph rules consume. Produced by [`analyze_source`],
 /// consumed by `finalize`.
 pub struct FileAnalysis {
     pub(crate) file: String,
     /// Findings still subject to allow directives.
-    pub(crate) raw: Vec<RawDiag>,
+    pub(crate) raw: Vec<Diagnostic>,
     /// Findings that bypass allows (`bad-directive`).
     pub(crate) direct: Vec<Diagnostic>,
     pub(crate) allows: Vec<Allow>,
@@ -303,31 +302,19 @@ pub struct FileAnalysis {
 }
 
 impl FileAnalysis {
-    /// Marks (and reports) a *boundary* allow: a directive for one of
-    /// `rule_names` whose scope covers a whole function span
-    /// `[def_line, end_line]`. The graph traversal prunes at such
-    /// functions, so the directive counts as used.
-    pub(crate) fn mark_boundary_allow(
-        &mut self,
-        rule_names: &[&'static str],
-        def_line: usize,
-        end_line: usize,
-    ) -> bool {
-        let mut hit = false;
+    /// Marks a *boundary* allow used: a directive for `rule` whose scope
+    /// covers a whole function span `[def_line, end_line]`. The graph
+    /// traversal prunes at such functions.
+    pub(crate) fn mark_boundary_allow(&mut self, rule: RuleId, def_line: usize, end_line: usize) {
         for allow in &mut self.allows {
-            if rule_names.contains(&allow.rule.name())
-                && allow.from_line <= def_line
-                && end_line <= allow.to_line
-            {
+            if allow.covers_fn(rule, def_line, end_line) {
                 allow.used = true;
-                hit = true;
             }
         }
-        hit
     }
 }
 
-/// Phase 1: lex, parse and run the file-local rules over one source file.
+/// Phase 1: lex, parse and run the per-file rules over one source file.
 /// Allow directives are collected but not yet applied — graph rules may
 /// still add findings to this file (see `finalize`).
 pub fn analyze_source(
@@ -340,70 +327,39 @@ pub fn analyze_source(
     let mut direct: Vec<Diagnostic> = Vec::new();
     let allows = collect_allows(file, source, &view, &mut direct);
 
-    let mut findings: Vec<Diagnostic> = Vec::new();
+    let items = parser::parse_file(file, &view);
+    let mut raw: Vec<Diagnostic> = Vec::new();
     for rule in enabled {
-        rules::run_rule(*rule, file, &view, vocab, &mut findings);
+        rules::run_rule(*rule, file, &view, &items, vocab, &mut raw);
     }
-    let raw = findings
-        .into_iter()
-        .map(|diag| RawDiag { diag, also: &[] })
-        .collect();
 
     FileAnalysis {
         file: file.to_string(),
         raw,
         direct,
         allows,
-        items: parser::parse_file(file, &view),
+        items,
     }
 }
 
-/// Phase 3: apply allow directives, collapse file-local/transitive twins,
-/// report unused allows, and sort. `analyses` carries the per-file raw
-/// findings; graph-rule findings must already be appended to their file's
-/// `raw` list (see `crate::graph`). `audited` is the run's enabled rule
-/// set: an allow for a rule outside it is left alone rather than reported
-/// as `unused-allow`, since a rule that never ran can suppress nothing.
+/// Phase 3: apply allow directives, report unused allows, and sort.
+/// `analyses` carries the per-file raw findings; graph-rule findings must
+/// already be appended to their file's `raw` list (see `crate::graph`).
+/// `audited` is the run's enabled rule set: an allow for a rule outside it
+/// is left alone rather than reported as `unused-allow`, since a rule that
+/// never ran can suppress nothing.
 pub(crate) fn finalize(analyses: Vec<FileAnalysis>, audited: &[RuleId]) -> Vec<Diagnostic> {
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
     for mut analysis in analyses {
         diagnostics.append(&mut analysis.direct);
 
-        // Diagnostic dedup: a line matched by both a file-local rule and
-        // its transitive counterpart collapses to the transitive
-        // diagnostic, which carries the call chain. The twin pairing is
-        // the transitive diagnostic's `also` list.
-        let shadowed: Vec<bool> = analysis
-            .raw
-            .iter()
-            .map(|raw| {
-                raw.also.is_empty()
-                    && analysis
-                        .raw
-                        .iter()
-                        .any(|t| t.also.contains(&raw.diag.rule) && t.diag.line == raw.diag.line)
-            })
-            .collect();
-        let deduped: Vec<RawDiag> = analysis
-            .raw
-            .iter()
-            .zip(&shadowed)
-            .filter(|(_, &s)| !s)
-            .map(|(raw, _)| RawDiag {
-                diag: raw.diag.clone(),
-                also: raw.also,
-            })
-            .collect();
-
-        for raw in deduped {
+        for diag in analysis.raw {
             let suppressed = analysis.allows.iter_mut().find(|a| {
-                (a.rule.name() == raw.diag.rule || raw.also.contains(&a.rule.name()))
-                    && a.from_line <= raw.diag.line
-                    && raw.diag.line <= a.to_line
+                a.rule.name() == diag.rule && a.from_line <= diag.line && diag.line <= a.to_line
             });
             match suppressed {
                 Some(allow) => allow.used = true,
-                None => diagnostics.push(raw.diag),
+                None => diagnostics.push(diag),
             }
         }
 

@@ -36,7 +36,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::engine::{FileAnalysis, RawDiag};
+use crate::engine::FileAnalysis;
 use crate::parser::{crate_alias, Callee, FactKind, FnRecord, LockEvent, ParamType, Receiver};
 use crate::report::Diagnostic;
 use crate::rules::RuleId;
@@ -73,7 +73,8 @@ impl Entry {
 pub struct GraphConfig {
     /// Serving entry points for `transitive-hot-path-purity`.
     pub purity_entries: Vec<Entry>,
-    /// Crates whose public functions seed `transitive-determinism`.
+    /// The sim-facing crates: every non-test function of these is an entry
+    /// of `transitive-determinism`.
     pub determinism_crates: Vec<String>,
     /// Crates whose lock acquisitions feed `lock-order`.
     pub lock_crates: Vec<String>,
@@ -192,13 +193,12 @@ impl Graph {
                 out.push_str(",\n");
             }
             out.push_str(&format!(
-                "    {{\"id\": {}, \"label\": {}, \"file\": {}, \"line\": {}, \"crate\": {}, \"is_pub\": {}, \"in_test\": {}, \"facts\": {}, \"calls\": {}}}",
+                "    {{\"id\": {}, \"label\": {}, \"file\": {}, \"line\": {}, \"crate\": {}, \"in_test\": {}, \"facts\": {}, \"calls\": {}}}",
                 i,
                 crate::report::json_string(&f.label()),
                 crate::report::json_string(&f.file),
                 f.def_line,
                 crate::report::json_string(&f.crate_name),
-                f.is_pub,
                 f.in_test,
                 f.facts.len(),
                 f.calls.len(),
@@ -372,10 +372,10 @@ fn resolve_path(
 /// A diagnostic produced by a graph rule, waiting to be appended to its
 /// file's raw findings, plus the boundary-allow marks the traversal hit.
 pub(crate) struct GraphOutcome {
-    pub(crate) findings: Vec<RawDiag>,
-    /// `(file, rule names, def_line, end_line)` of every pruning boundary
-    /// the traversals used.
-    pub(crate) boundaries: Vec<(String, &'static [&'static str], usize, usize)>,
+    pub(crate) findings: Vec<Diagnostic>,
+    /// `(file, rule, def_line, end_line)` of every pruning boundary the
+    /// traversals used.
+    pub(crate) boundaries: Vec<(String, RuleId, usize, usize)>,
     pub(crate) callgraph_json: Option<String>,
 }
 
@@ -395,7 +395,7 @@ pub(crate) fn run_graph_rules(
             boundaries: Vec::new(),
             callgraph_json: emit_callgraph.then(|| graph.to_json()),
         };
-        if enabled.contains(&RuleId::TransitiveHotPathPurity) {
+        if enabled.contains(&RuleId::TransitivePurity) {
             transitive_purity(&graph, analyses, config, &mut outcome);
         }
         if enabled.contains(&RuleId::TransitiveDeterminism) {
@@ -412,28 +412,28 @@ pub(crate) fn run_graph_rules(
         .enumerate()
         .map(|(i, analysis)| (analysis.file.clone(), i))
         .collect();
-    for raw in outcome.findings {
+    for diag in outcome.findings {
         // Findings on a synthetic file (`<graph-config>`) attach to the
         // first analysis so they survive finalize; no allow can cover
         // them there (directive scopes start at line 1).
-        let ai = by_file.get(&raw.diag.file).copied().unwrap_or(0);
+        let ai = by_file.get(&diag.file).copied().unwrap_or(0);
         if let Some(analysis) = analyses.get_mut(ai) {
-            analysis.raw.push(raw);
+            analysis.raw.push(diag);
         }
     }
-    for (file, rules, def_line, end_line) in outcome.boundaries {
+    for (file, rule, def_line, end_line) in outcome.boundaries {
         if let Some(&ai) = by_file.get(&file) {
             if let Some(analysis) = analyses.get_mut(ai) {
-                analysis.mark_boundary_allow(rules, def_line, end_line);
+                analysis.mark_boundary_allow(rule, def_line, end_line);
             }
         }
     }
     outcome.callgraph_json
 }
 
-/// Check a set of in-memory sources together: file-local rules per file,
-/// then the graph rules over the combined call graph, then allows, dedup
-/// and the deterministic sort. This is the multi-file analogue of
+/// Check a set of in-memory sources together: the per-file rules, then
+/// the graph rules over the combined call graph, then allows and the
+/// deterministic sort. This is the multi-file analogue of
 /// [`crate::check_source`], used by the fixture tests to pin cross-crate
 /// edges and lock cycles without touching the filesystem.
 pub fn check_sources(
@@ -442,26 +442,21 @@ pub fn check_sources(
     vocab: &BTreeSet<String>,
     config: &GraphConfig,
 ) -> Vec<Diagnostic> {
-    let file_local: Vec<RuleId> = enabled
-        .iter()
-        .copied()
-        .filter(|r| !r.is_graph_rule())
-        .collect();
     let mut analyses: Vec<FileAnalysis> = files
         .iter()
-        .map(|(rel, source)| crate::engine::analyze_source(rel, source, &file_local, vocab))
+        .map(|(rel, source)| crate::engine::analyze_source(rel, source, enabled, vocab))
         .collect();
     run_graph_rules(&mut analyses, config, enabled, false);
     crate::engine::finalize(analyses, enabled)
 }
 
-/// Whether a function span is covered by a standalone allow for any of
-/// `rule_names` — the read-only half of the pruning-boundary check.
+/// Whether a function span is covered by a standalone allow for `rule` —
+/// the read-only half of the pruning-boundary check.
 fn has_boundary_allow(
     analyses: &[FileAnalysis],
     file_index: &BTreeMap<String, usize>,
     f: &FnRecord,
-    rule_names: &'static [&'static str],
+    rule: RuleId,
 ) -> bool {
     let Some(&ai) = file_index.get(&f.file) else {
         return false;
@@ -469,13 +464,14 @@ fn has_boundary_allow(
     let Some(analysis) = analyses.get(ai) else {
         return false;
     };
-    analysis.allows.iter().any(|a| {
-        rule_names.contains(&a.rule.name()) && a.from_line <= f.def_line && f.end_line <= a.to_line
-    })
+    analysis
+        .allows
+        .iter()
+        .any(|a| a.covers_fn(rule, f.def_line, f.end_line))
 }
 
 /// Breadth-first reachability from `entries`, pruning at boundary allows
-/// for `rule_names`. Returns `(parent, order)`: `parent[i]` is the BFS
+/// for `rule`. Returns `(parent, order)`: `parent[i]` is the BFS
 /// predecessor (`usize::MAX` for entries and unreached nodes), `order`
 /// lists reached indices in visit order. Boundary hits are recorded in
 /// `outcome` so their directives count as used.
@@ -483,7 +479,7 @@ fn reach(
     graph: &Graph,
     analyses: &[FileAnalysis],
     entries: &[usize],
-    rule_names: &'static [&'static str],
+    rule: RuleId,
     outcome: &mut GraphOutcome,
 ) -> (Vec<usize>, Vec<usize>) {
     let mut parent = vec![usize::MAX; graph.fns.len()];
@@ -495,10 +491,10 @@ fn reach(
         if f.in_test {
             continue;
         }
-        if has_boundary_allow(analyses, &graph.file_index, f, rule_names) {
+        if has_boundary_allow(analyses, &graph.file_index, f, rule) {
             outcome
                 .boundaries
-                .push((f.file.clone(), rule_names, f.def_line, f.end_line));
+                .push((f.file.clone(), rule, f.def_line, f.end_line));
             continue;
         }
         if !seen.get(e).copied().unwrap_or(true) {
@@ -519,10 +515,10 @@ fn reach(
             if f.in_test {
                 continue;
             }
-            if has_boundary_allow(analyses, &graph.file_index, f, rule_names) {
+            if has_boundary_allow(analyses, &graph.file_index, f, rule) {
                 outcome
                     .boundaries
-                    .push((f.file.clone(), rule_names, f.def_line, f.end_line));
+                    .push((f.file.clone(), rule, f.def_line, f.end_line));
                 continue;
             }
             if let Some(flag) = seen.get_mut(j) {
@@ -556,12 +552,10 @@ fn chain(graph: &Graph, parent: &[usize], i: usize) -> String {
     labels.join(" → ")
 }
 
-const PURITY_BOUNDARY: &[&str] = &["transitive-hot-path-purity"];
-const DETERMINISM_BOUNDARY: &[&str] = &["transitive-determinism"];
-const LOCK_ORDER_BOUNDARY: &[&str] = &["lock-order"];
-
-/// `transitive-hot-path-purity`: no lock, allocation or panic site may be
-/// reachable from the serving entry points.
+/// `transitive-hot-path-purity`: no lock or allocation site may be
+/// reachable from the serving entry points. (A panic site is a `no-panic`
+/// finding wherever it sits; reporting it here again would only ask for a
+/// second directive on the same line.)
 fn transitive_purity(
     graph: &Graph,
     analyses: &[FileAnalysis],
@@ -578,53 +572,39 @@ fn transitive_purity(
                 Some(ty) => format!("{}::{}::{}", entry.crate_name, ty, entry.name),
                 None => format!("{}::{}", entry.crate_name, entry.name),
             };
-            outcome.findings.push(RawDiag {
-                diag: Diagnostic {
-                    file: "<graph-config>".to_string(),
-                    line: 0,
-                    col: 0,
-                    rule: "transitive-hot-path-purity",
-                    message: format!(
-                        "serving entry point `{label}` matches no function; \
-                         update the entry list in workspace::graph_config()"
-                    ),
-                },
-                also: &[],
+            outcome.findings.push(Diagnostic {
+                file: "<graph-config>".to_string(),
+                line: 0,
+                col: 0,
+                rule: RuleId::TransitivePurity.name(),
+                message: format!(
+                    "serving entry point `{label}` matches no function; \
+                     update the entry list in workspace::graph_config()"
+                ),
             });
         }
         entries.extend(found);
     }
-    let (parent, order) = reach(graph, analyses, &entries, PURITY_BOUNDARY, outcome);
-    for i in order {
-        let Some(f) = graph.fns.get(i) else { continue };
-        for fact in &f.facts {
-            let (verb, also): (&str, &'static [&'static str]) = match fact.kind {
-                FactKind::Lock => ("locks", &["hot-path-purity"]),
-                FactKind::Alloc => ("allocates", &["hot-path-purity"]),
-                FactKind::Panic => ("can panic", &["no-panic"]),
-                FactKind::Clock | FactKind::Entropy => continue,
-            };
-            outcome.findings.push(RawDiag {
-                diag: Diagnostic {
-                    file: f.file.clone(),
-                    line: fact.line,
-                    col: fact.col,
-                    rule: "transitive-hot-path-purity",
-                    message: format!(
-                        "{} {} and is reachable from a serving entry point; call chain: {}",
-                        fact.what,
-                        verb,
-                        chain(graph, &parent, i)
-                    ),
-                },
-                also,
-            });
-        }
-    }
+    report_reachable(
+        graph,
+        analyses,
+        &entries,
+        RuleId::TransitivePurity,
+        "a serving entry point",
+        |kind| match kind {
+            FactKind::Lock => Some("locks"),
+            FactKind::Alloc => Some("allocates"),
+            _ => None,
+        },
+        outcome,
+    );
 }
 
-/// `transitive-determinism`: no ambient clock or entropy read may be
-/// reachable from the sim-facing crates' public entry points.
+/// `transitive-determinism`: no ambient clock or entropy read in, or
+/// reachable from, any non-test function of the sim-facing crates. Every
+/// function is an entry, not only the `pub` ones: a trait-impl method
+/// carries no `pub`, and a private helper nothing calls yet is still code
+/// a seeded campaign may run tomorrow.
 fn transitive_determinism(
     graph: &Graph,
     analyses: &[FileAnalysis],
@@ -635,34 +615,55 @@ fn transitive_determinism(
         .fns
         .iter()
         .enumerate()
-        .filter(|(_, f)| {
-            f.is_pub && !f.in_test && config.determinism_crates.contains(&f.crate_name)
-        })
+        .filter(|(_, f)| !f.in_test && config.determinism_crates.contains(&f.crate_name))
         .map(|(i, _)| i)
         .collect();
-    let (parent, order) = reach(graph, analyses, &entries, DETERMINISM_BOUNDARY, outcome);
+    report_reachable(
+        graph,
+        analyses,
+        &entries,
+        RuleId::TransitiveDeterminism,
+        "a sim-facing function",
+        |kind| match kind {
+            FactKind::Clock => Some("reads the ambient wall clock"),
+            FactKind::Entropy => Some("draws ambient OS entropy"),
+            _ => None,
+        },
+        outcome,
+    );
+}
+
+/// The shared body of the two reachability rules: every fact `verb_of`
+/// names, in every function reachable from `entries`, is a `rule`
+/// diagnostic at the fact's own site carrying the call chain.
+fn report_reachable(
+    graph: &Graph,
+    analyses: &[FileAnalysis],
+    entries: &[usize],
+    rule: RuleId,
+    origin: &str,
+    verb_of: impl Fn(FactKind) -> Option<&'static str>,
+    outcome: &mut GraphOutcome,
+) {
+    let (parent, order) = reach(graph, analyses, entries, rule, outcome);
     for i in order {
         let Some(f) = graph.fns.get(i) else { continue };
         for fact in &f.facts {
-            let noun = match fact.kind {
-                FactKind::Clock => "reads the ambient wall clock",
-                FactKind::Entropy => "draws ambient OS entropy",
-                _ => continue,
+            let Some(verb) = verb_of(fact.kind) else {
+                continue;
             };
-            outcome.findings.push(RawDiag {
-                diag: Diagnostic {
-                    file: f.file.clone(),
-                    line: fact.line,
-                    col: fact.col,
-                    rule: "transitive-determinism",
-                    message: format!(
-                        "{} {} and is reachable from a sim-facing public entry point; call chain: {}",
-                        fact.what,
-                        noun,
-                        chain(graph, &parent, i)
-                    ),
-                },
-                also: &["determinism"],
+            outcome.findings.push(Diagnostic {
+                file: f.file.clone(),
+                line: fact.line,
+                col: fact.col,
+                rule: rule.name(),
+                message: format!(
+                    "{} {} and is reachable from {}; call chain: {}",
+                    fact.what,
+                    verb,
+                    origin,
+                    chain(graph, &parent, i)
+                ),
             });
         }
     }
@@ -699,13 +700,13 @@ fn lock_order(
     // contribute neither acquisitions nor edges.
     let mut pruned = vec![false; graph.fns.len()];
     for (i, f) in graph.fns.iter().enumerate() {
-        if in_scope(f) && has_boundary_allow(analyses, &graph.file_index, f, LOCK_ORDER_BOUNDARY) {
+        if in_scope(f) && has_boundary_allow(analyses, &graph.file_index, f, RuleId::LockOrder) {
             if let Some(flag) = pruned.get_mut(i) {
                 *flag = true;
             }
             outcome
                 .boundaries
-                .push((f.file.clone(), LOCK_ORDER_BOUNDARY, f.def_line, f.end_line));
+                .push((f.file.clone(), RuleId::LockOrder, f.def_line, f.end_line));
         }
     }
 
@@ -911,24 +912,21 @@ fn lock_order(
             .map(|w| w.description.as_str())
             .collect::<Vec<_>>()
             .join("; ");
-        outcome.findings.push(RawDiag {
-            diag: Diagnostic {
-                file: anchor.file.clone(),
-                line: anchor.line,
-                col: anchor.col,
-                rule: "lock-order",
-                message: format!(
-                    "lock-order cycle among {{{}}} — potential deadlock; conflicting orderings: {}; {}",
-                    names
-                        .iter()
-                        .map(|n| format!("`{n}`"))
-                        .collect::<Vec<_>>()
-                        .join(", "),
-                    ring,
-                    detail
-                ),
-            },
-            also: &[],
+        outcome.findings.push(Diagnostic {
+            file: anchor.file.clone(),
+            line: anchor.line,
+            col: anchor.col,
+            rule: "lock-order",
+            message: format!(
+                "lock-order cycle among {{{}}} — potential deadlock; conflicting orderings: {}; {}",
+                names
+                    .iter()
+                    .map(|n| format!("`{n}`"))
+                    .collect::<Vec<_>>()
+                    .join(", "),
+                ring,
+                detail
+            ),
         });
     }
 }

@@ -7,48 +7,46 @@
 //! `.lock()` or `Instant::now()` in the wrong crate would sail through CI.
 //! This crate is the mechanical enforcement: a zero-dependency binary with
 //! a small hand-written Rust lexer (comments, strings, raw strings,
-//! lifetime-versus-char-literal disambiguation), five token-pattern
-//! rules, and three call-graph rules built on an item-level parser that
-//! extracts per-function facts and resolves calls across crates. It runs
-//! over every workspace `src/` tree in the CI `lint` job. The full
-//! catalogue — motivation, allow scoping and known false-negative limits
-//! per rule — lives in `crates/lint/RULES.md`.
+//! lifetime-versus-char-literal disambiguation), an item-level parser that
+//! is the **one detector** — it attributes every lock, allocation,
+//! panicking construct and ambient clock / entropy read to the function
+//! containing it — and six rules that each own one property. It runs over
+//! every workspace `src/` tree in the CI `lint` job. The full catalogue —
+//! motivation, allow scoping and known false-negative limits per rule —
+//! lives in `crates/lint/RULES.md`.
 //!
-//! # File-local rules
+//! # Per-file rules
 //!
 //! | rule | scope | what it bans |
 //! |------|-------|--------------|
-//! | `hot-path-purity` | `crates/runtime/src/runtime.rs`, `crates/core/src/serve/**` | `.lock()`, `Box::new`, `Vec::new`, `vec!`, `.to_vec()`, `format!`, `.collect()` — the serving path must stay lock-free and allocation-free (PR 3/PR 8) |
-//! | `determinism` | `netsim`, `chaos`, `core`, `dns-server`, `doh`, `ntp` | `Instant::now()`, `SystemTime::now()`, `OsRng`, `thread_rng`, `from_entropy`, `getrandom` — sim-facing crates take time and entropy from seeded handles only, so campaigns stay byte-identical per seed; the wall clock is a `runtime`-only privilege |
-//! | `no-panic` | all library code | `.unwrap()`, `.expect()`, `panic!`, `unreachable!`, `todo!`, `unimplemented!`, `[i]` indexing — library code returns errors; a panic in a shard worker wedges the shard |
+//! | `no-panic` | all library code | `.unwrap()`, `.expect()`, `panic!`, `unreachable!`, `todo!`, `unimplemented!`, `[i]` indexing in any function body (the parser's panic facts) — library code returns errors; a panic in a shard worker wedges the shard |
 //! | `no-narrowing-cast` | all library code | bare `as` to `u8`/`u16`/`u32`/`u64`/`usize`/`i8`/`i16`/`i32`/`i64`/`isize`/`f32` — the family behind two real bugs: the `as u32` divisor truncation in the former `ResolverMetrics`' mean generation latency (fixed in PR 2) and the `attempts as i32` wrap in `SpoofStrategy::success_probability` (fixed in PR 4). `f64`/`u128`/`i128` targets are exempt: nothing in the workspace is wider |
 //! | `metrics-vocabulary` | everywhere except the vocabulary itself | `sdoh_*` metric-name string literals that are not in the shared vocabulary tables in `crates/core/src/serve/samples.rs` — so exporters, the registry, experiments and docs cannot drift apart on names |
 //!
 //! # Call-graph rules
 //!
-//! The three transitive rules share one whole-workspace call graph:
-//! every file is parsed into per-function facts (locks, allocations,
-//! panic sites, clock/entropy reads, lock-acquisition events) and call
-//! sites, resolved through `use` imports, `self`/typed-parameter/
-//! `let`-bound receivers, and a conservative by-name pass scoped to the
-//! caller's crate and imports. Unresolvable calls land in a counted
-//! *unknown bucket*, dumped with `--emit-callgraph` — never silently
-//! dropped.
+//! The three transitive rules share one whole-workspace call graph built
+//! from the same parse: per-function facts and call sites, resolved
+//! through `use` imports, `self`/typed-parameter/`let`-bound receivers,
+//! and a conservative by-name pass scoped to the caller's crate and
+//! imports. Unresolvable calls land in a counted *unknown bucket*, dumped
+//! with `--emit-callgraph` — never silently dropped. Each rule starts at
+//! its *entries* — functions named in [`workspace::graph_config`], the
+//! only scope table there is.
 //!
 //! | rule | what it bans |
 //! |------|--------------|
-//! | `transitive-hot-path-purity` | any lock, allocation or panic site *reachable* from the serving entry points (`dispatcher_loop`, `worker_loop`, `CachingPoolResolver::{handle_query, handle_query_wire, begin}`); the diagnostic carries the full call chain |
-//! | `transitive-determinism` | ambient clock/entropy reads reachable from any public function of the sim-facing crates |
+//! | `transitive-hot-path-purity` | `.lock()`, `Box::new`, `Vec::new`, `vec!`, `.to_vec()`, `format!`, `.collect()` *reachable* from the serving entry points (`dispatcher_loop`, `worker_loop`, `Worker::answer_parked`, `CachingPoolResolver::{handle_query, handle_query_wire, begin, next_refresh_due}`) — the serving path must stay lock-free and allocation-free (PR 3/PR 8); the diagnostic carries the full call chain |
+//! | `transitive-determinism` | `Instant::now()`, `SystemTime::now()`, `OsRng`, `thread_rng`, `from_entropy`, `getrandom` in, or reachable from, any non-test function of `netsim`, `chaos`, `core`, `dns-server`, `doh`, `ntp` — sim-facing crates take time and entropy from seeded handles only, so campaigns stay byte-identical per seed; the wall clock is a `runtime`-only privilege |
 //! | `lock-order` | cycles in the ordered lock-acquisition graph of the control plane — each cycle is reported once, with every conflicting ordering and both witnesses |
 //!
 //! A standalone allow directive for a transitive rule above a function is
 //! a *pruning boundary*: the traversal stops there, so one directive
 //! documents a whole cold-path cone (the coalesced miss path, control
-//! probes, the v0 wire codec). An allow for a file-local twin rule also
-//! covers the transitive finding at the same site, and when both rules
-//! fire on one line only the transitive diagnostic (with the chain) is
-//! reported. A configured entry point that matches no function is itself
-//! a diagnostic, so a rename cannot make a rule vacuously pass.
+//! probes, the v0 wire codec). No construct is reported by two rules, so
+//! no site ever needs two directives. A configured entry point that
+//! matches no function is itself a diagnostic, so a rename cannot make a
+//! rule vacuously pass.
 //!
 //! Test code (`#[cfg(test)]` items, `#[test]`/`#[bench]`/`#[should_panic]`
 //! functions) is exempt from every rule except the directive checks:
@@ -60,15 +58,15 @@
 //!
 //! # The escape hatch
 //!
-//! A violation that is *correct* — a lock on a cold path inside a hot-path
-//! module, an `expect` whose invariant genuinely cannot fail — is
-//! allowlisted in place, with a reason:
+//! A violation that is *correct* — an allocation a serving entry point
+//! reaches only on the control plane, an `expect` whose invariant genuinely
+//! cannot fail — is allowlisted in place, with a reason:
 //!
 //! ```text
 //! let shard = table.lookup(key); // sdoh-lint: allow(no-panic, "table is built covering every key")
 //!
-//! // sdoh-lint: allow(hot-path-purity, "cold path: snapshot aggregation runs per scrape, not per query")
-//! fn aggregate(&self) -> Snapshot { ... }
+//! // sdoh-lint: allow(transitive-hot-path-purity, "rescale handoff runs on the control plane, not per query")
+//! fn extract_matching(&mut self, ...) -> Vec<...> { ... }
 //! ```
 //!
 //! A directive trailing code suppresses that line only; a directive on its

@@ -26,11 +26,10 @@ pub enum FactKind {
     /// A `.lock()` acquisition.
     Lock,
     /// An allocation or formatting site (`Box::new`, `Vec::new`, `vec!`,
-    /// `format!`, `.to_vec()`, `.collect()`) — the same vocabulary the
-    /// file-local `hot-path-purity` rule matches.
+    /// `format!`, `.to_vec()`, `.collect()`).
     Alloc,
     /// A panicking construct (`unwrap`/`expect`/`panic!`/`unreachable!`/
-    /// `todo!`/`unimplemented!`/indexing) — the `no-panic` vocabulary.
+    /// `todo!`/`unimplemented!`/indexing) — what `no-panic` reports.
     Panic,
     /// An ambient wall-clock read (`Instant::now`, `SystemTime::now`).
     Clock,
@@ -131,8 +130,6 @@ pub struct FnRecord {
     pub def_line: usize,
     /// Last line of the body (== `def_line` for bodyless declarations).
     pub end_line: usize,
-    /// Carried any `pub` marker (including `pub(crate)`).
-    pub is_pub: bool,
     /// Defined inside a test item — excluded from every graph rule.
     pub in_test: bool,
     pub facts: Vec<Fact>,
@@ -293,7 +290,6 @@ impl Parser<'_, '_> {
         module_path: &mut Vec<String>,
         self_type: Option<&str>,
     ) {
-        let mut is_pub = false;
         while si < end {
             let text = self.text(si);
             match text {
@@ -301,17 +297,8 @@ impl Parser<'_, '_> {
                     si = self.skip_balanced(si + 1, end);
                     continue;
                 }
-                "pub" => {
-                    is_pub = true;
-                    si += 1;
-                    if self.is(si, '(') {
-                        si = self.skip_balanced(si, end);
-                    }
-                    continue;
-                }
                 "use" => {
                     si = self.parse_use(si + 1, end);
-                    is_pub = false;
                     continue;
                 }
                 "mod" => {
@@ -327,17 +314,14 @@ impl Parser<'_, '_> {
                         i = self.skip_to_semicolon(i, end);
                         si = i;
                     }
-                    is_pub = false;
                     continue;
                 }
                 "impl" | "trait" => {
                     si = self.parse_impl_or_trait(si, end, module_path, text == "trait");
-                    is_pub = false;
                     continue;
                 }
                 "fn" => {
-                    si = self.parse_fn(si, end, module_path, self_type, is_pub);
-                    is_pub = false;
+                    si = self.parse_fn(si, end, module_path, self_type);
                     continue;
                 }
                 "struct" | "enum" | "union" | "static" | "const" | "type" | "extern"
@@ -368,13 +352,9 @@ impl Parser<'_, '_> {
                         }
                     }
                     si = i;
-                    is_pub = false;
                     continue;
                 }
-                _ => {
-                    si += 1;
-                    is_pub = false;
-                }
+                _ => si += 1,
             }
         }
     }
@@ -534,7 +514,6 @@ impl Parser<'_, '_> {
         end: usize,
         module_path: &mut Vec<String>,
         self_type: Option<&str>,
-        is_pub: bool,
     ) -> usize {
         let name = self.text(si + 1).to_string();
         let (def_line, _) = self.view.sig_pos(si);
@@ -562,7 +541,6 @@ impl Parser<'_, '_> {
                         file: self.file.clone(),
                         def_line,
                         end_line: def_line,
-                        is_pub,
                         in_test: self.view.in_test(si),
                         facts: Vec::new(),
                         calls: Vec::new(),
@@ -597,7 +575,6 @@ impl Parser<'_, '_> {
             file: self.file.clone(),
             def_line,
             end_line: end_line.max(def_line),
-            is_pub,
             in_test: self.view.in_test(si),
             facts: Vec::new(),
             calls: Vec::new(),
@@ -727,7 +704,7 @@ impl Parser<'_, '_> {
             // pollute this function's facts.
             if (text == "fn" || text == "impl" || text == "trait") && self.starts_nested_item(i) {
                 let next = if text == "fn" {
-                    self.parse_fn(i, end, module_path, self_type, false)
+                    self.parse_fn(i, end, module_path, self_type)
                 } else {
                     self.parse_impl_or_trait(i, end, module_path, text == "trait")
                 };
@@ -778,12 +755,8 @@ impl Parser<'_, '_> {
                     "lock" => {
                         let lock = self.lock_name(i);
                         let bound = self.lock_is_bound(i);
-                        record.facts.push(Fact {
-                            kind: FactKind::Lock,
-                            what: format!("`{lock}.lock()`"),
-                            line: mline,
-                            col: mcol,
-                        });
+                        let what = format!("`{lock}.lock()`");
+                        record.facts.push(self.fact(FactKind::Lock, what, i + 1));
                         record.lock_events.push(LockEvent::Acquire {
                             lock,
                             bound,
@@ -792,18 +765,14 @@ impl Parser<'_, '_> {
                             col: mcol,
                         });
                     }
-                    "to_vec" | "collect" => record.facts.push(Fact {
-                        kind: FactKind::Alloc,
-                        what: format!("`.{name}()`"),
-                        line: mline,
-                        col: mcol,
-                    }),
-                    "unwrap" | "expect" => record.facts.push(Fact {
-                        kind: FactKind::Panic,
-                        what: format!("`.{name}()`"),
-                        line: mline,
-                        col: mcol,
-                    }),
+                    "to_vec" | "collect" => {
+                        let what = format!("`.{name}()`");
+                        record.facts.push(self.fact(FactKind::Alloc, what, i + 1));
+                    }
+                    "unwrap" | "expect" => {
+                        let what = format!("`.{name}()`");
+                        record.facts.push(self.fact(FactKind::Panic, what, i + 1));
+                    }
                     _ => {
                         let receiver = self.method_receiver(i, &record.params);
                         record.lock_events.push(LockEvent::Call {
@@ -822,70 +791,40 @@ impl Parser<'_, '_> {
             }
             // Macros: the panicking family, the allocating family.
             if self.view.sig_kind(i) == Some(TokenKind::Ident) && self.is(i + 1, '!') {
-                match text {
-                    "panic" | "unreachable" | "todo" | "unimplemented" => {
-                        record.facts.push(Fact {
-                            kind: FactKind::Panic,
-                            what: format!("`{text}!`"),
-                            line,
-                            col,
-                        });
-                    }
-                    "format" | "vec" => record.facts.push(Fact {
-                        kind: FactKind::Alloc,
-                        what: format!("`{text}!`"),
-                        line,
-                        col,
-                    }),
-                    _ => {}
+                let kind = match text {
+                    "panic" | "unreachable" | "todo" | "unimplemented" => Some(FactKind::Panic),
+                    "format" | "vec" => Some(FactKind::Alloc),
+                    _ => None,
+                };
+                if let Some(kind) = kind {
+                    record.facts.push(self.fact(kind, format!("`{text}!`"), i));
                 }
                 i += 2;
                 continue;
             }
             // Path-shaped facts and calls: `Seg::seg(...)` / `foo(...)`.
             if self.view.sig_kind(i) == Some(TokenKind::Ident) && !self.is_path_continuation(i) {
-                let (path, after) = self.read_path(i, end);
-                if let Some(fact) = path_fact(&path) {
-                    let (kind, what) = fact;
-                    record.facts.push(Fact {
-                        kind,
-                        what,
-                        line,
-                        col,
-                    });
-                    i = after;
-                    continue;
+                let (path, at, after) = self.read_path(i, end);
+                let entropy = path
+                    .iter()
+                    .zip(&at)
+                    .find(|(seg, _)| ENTROPY_IDENTS.contains(&seg.as_str()));
+                if let Some((seg, &si)) = entropy {
+                    record
+                        .facts
+                        .push(self.fact(FactKind::Entropy, format!("`{seg}`"), si));
                 }
-                if self.is(after, '(') && path.len() >= 2 && !CALL_KEYWORDS.contains(&text) {
+                if let Some((kind, what)) = path_fact(&path) {
+                    // Reported at the `Instant` of `std::time::Instant::now`.
+                    let head = at.iter().rev().nth(1).copied().unwrap_or(i);
+                    record.facts.push(self.fact(kind, what, head));
+                } else if self.is(after, '(') && !CALL_KEYWORDS.contains(&text) {
                     record.lock_events.push(LockEvent::Call {
                         index: record.calls.len(),
                         depth,
                     });
                     record.calls.push(CallSite {
                         callee: Callee::Path(path),
-                        line,
-                        col,
-                    });
-                    i = after;
-                    continue;
-                }
-                if self.is(after, '(') && path.len() == 1 && !CALL_KEYWORDS.contains(&text) {
-                    record.lock_events.push(LockEvent::Call {
-                        index: record.calls.len(),
-                        depth,
-                    });
-                    record.calls.push(CallSite {
-                        callee: Callee::Path(path),
-                        line,
-                        col,
-                    });
-                    i = after;
-                    continue;
-                }
-                if ENTROPY_IDENTS.contains(&text) {
-                    record.facts.push(Fact {
-                        kind: FactKind::Entropy,
-                        what: format!("`{text}`"),
                         line,
                         col,
                     });
@@ -894,15 +833,22 @@ impl Parser<'_, '_> {
                 continue;
             }
             // Indexing brackets (the `no-panic` family).
-            if self.is(i, '[') && crate::rules::is_indexing_bracket(self.view, i) {
-                record.facts.push(Fact {
-                    kind: FactKind::Panic,
-                    what: "indexing (`[...]`)".to_string(),
-                    line,
-                    col,
-                });
+            if self.is(i, '[') && self.is_indexing_bracket(i) {
+                let what = "indexing (`[...]`)".to_string();
+                record.facts.push(self.fact(FactKind::Panic, what, i));
             }
             i += 1;
+        }
+    }
+
+    /// A fact of `kind` at the position of significant token `si`.
+    fn fact(&self, kind: FactKind, what: String, si: usize) -> Fact {
+        let (line, col) = self.view.sig_pos(si);
+        Fact {
+            kind,
+            what,
+            line,
+            col,
         }
     }
 
@@ -939,7 +885,7 @@ impl Parser<'_, '_> {
         {
             // `let name = Type::constructor(...)` — the last type-shaped
             // (uppercase) segment names the type.
-            let (path, _) = self.read_path(i + 2, end);
+            let (path, _, _) = self.read_path(i + 2, end);
             path.iter()
                 .rev()
                 .find(|seg| seg.chars().next().is_some_and(|c| c.is_ascii_uppercase()))
@@ -989,9 +935,10 @@ impl Parser<'_, '_> {
     }
 
     /// Reads a `a::b::c` path starting at the ident at `si`; returns the
-    /// segments and the index just past the path.
-    fn read_path(&self, si: usize, end: usize) -> (Vec<String>, usize) {
+    /// segments, the token index of each, and the index just past the path.
+    fn read_path(&self, si: usize, end: usize) -> (Vec<String>, Vec<usize>, usize) {
         let mut segments = vec![self.text(si).to_string()];
+        let mut at = vec![si];
         let mut i = si + 1;
         loop {
             // Turbofish in the middle of a path: `Vec::<u8>::new`.
@@ -1000,7 +947,7 @@ impl Parser<'_, '_> {
                 if self.is(after, ':') && self.is(after + 1, ':') {
                     i = after;
                 } else {
-                    return (segments, after);
+                    return (segments, at, after);
                 }
             }
             if self.is(i, ':')
@@ -1008,11 +955,29 @@ impl Parser<'_, '_> {
                 && self.view.sig_kind(i + 2) == Some(TokenKind::Ident)
             {
                 segments.push(self.text(i + 2).to_string());
+                at.push(i + 2);
                 i += 3;
             } else {
-                return (segments, i);
+                return (segments, at, i);
             }
         }
+    }
+
+    /// Heuristic: a `[` is an indexing/slicing expression when the previous
+    /// significant token could end an expression — an identifier (other than
+    /// a keyword), a closing `)`/`]`, or the `?` operator. Attributes
+    /// (`#[...]`), macro brackets (`vec![...]`), array types (`: [u8; 4]`)
+    /// and array literals (`= [1, 2]`) are all preceded by other tokens and
+    /// are skipped.
+    fn is_indexing_bracket(&self, si: usize) -> bool {
+        let Some(prev) = si.checked_sub(1) else {
+            return false;
+        };
+        if self.is(prev, ')') || self.is(prev, ']') || self.is(prev, '?') {
+            return true;
+        }
+        self.view.sig_kind(prev) == Some(TokenKind::Ident)
+            && !NON_INDEX_PRECEDERS.contains(&self.text(prev))
     }
 
     /// The name of the lock acquired by the `.lock()` whose `.` is at
@@ -1092,14 +1057,21 @@ impl Parser<'_, '_> {
     }
 }
 
-/// Identifiers that reach for ambient OS entropy (mirrors the file-local
-/// `determinism` rule).
+/// Identifiers that reach for ambient OS entropy.
 const ENTROPY_IDENTS: [&str; 4] = ["OsRng", "thread_rng", "from_entropy", "getrandom"];
 
-/// Facts expressed as two-segment paths: allocation constructors and
-/// ambient clock reads.
+/// Keyword-ish identifiers that can legitimately precede a `[` that is not
+/// an indexing expression (array types, slice patterns, array literals).
+const NON_INDEX_PRECEDERS: [&str; 22] = [
+    "mut", "ref", "dyn", "in", "as", "return", "break", "continue", "else", "move", "where",
+    "impl", "for", "if", "while", "match", "let", "pub", "const", "static", "fn", "unsafe",
+];
+
+/// Facts a path's last two segments spell, however the path is qualified
+/// (`Instant::now`, `std::time::Instant::now`): allocation constructors
+/// and ambient clock reads.
 fn path_fact(path: &[String]) -> Option<(FactKind, String)> {
-    let [head, tail] = path else {
+    let [.., head, tail] = path else {
         return None;
     };
     match (head.as_str(), tail.as_str()) {

@@ -1,34 +1,37 @@
-//! The five lint rules, as token-pattern matchers over a [`FileView`].
+//! The rule catalogue and the three per-file rules.
 //!
-//! Every matcher works on the significant-token stream (comments and
-//! string contents are invisible), and every rule except the vocabulary
-//! check skips tokens inside test items — panicking, wall clocks and
-//! scratch metric names are all legitimate in tests.
+//! A construct is recognised in exactly one place. Locks, allocations,
+//! panicking constructs and ambient clock / entropy reads are *facts* the
+//! item parser attributes to the function containing them
+//! ([`crate::parser`]): `no-panic` reports every panic fact here, per file,
+//! and the call-graph rules ([`crate::graph`]) report the rest where an
+//! entry point reaches them. `no-narrowing-cast` and `metrics-vocabulary`
+//! match the two constructs no other rule looks at — `as` casts and string
+//! literals — straight off the significant-token stream. Every rule skips
+//! test items: panicking, wall clocks and scratch metric names are all
+//! legitimate in tests.
 
 use std::collections::BTreeSet;
 
 use crate::engine::FileView;
 use crate::lexer::TokenKind;
+use crate::parser::{FactKind, FileItems};
 use crate::report::Diagnostic;
 
 /// Identifier of one lint rule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// No locks or allocations in the configured serving-path modules.
-    HotPathPurity,
-    /// No ambient wall clock or OS entropy in sim-facing crates.
-    Determinism,
     /// No panicking constructs in non-test library code.
     NoPanic,
     /// No bare `as` casts to numeric types that can lose value.
     NoNarrowingCast,
     /// Every `sdoh_*` metric-name literal must be in the shared vocabulary.
     MetricsVocabulary,
-    /// Nothing reachable from the serving entry points may lock, allocate
-    /// or panic (whole-workspace call-graph rule, see [`crate::graph`]).
-    TransitiveHotPathPurity,
-    /// No ambient wall clock or OS entropy reachable from the sim-facing
-    /// crates' public entry points (call-graph rule).
+    /// Nothing reachable from the serving entry points may lock or
+    /// allocate (whole-workspace call-graph rule, see [`crate::graph`]).
+    TransitivePurity,
+    /// No ambient wall clock or OS entropy in, or reachable from, any
+    /// function of the sim-facing crates (call-graph rule).
     TransitiveDeterminism,
     /// The control-plane lock-acquisition graph must be acyclic
     /// (call-graph rule).
@@ -36,45 +39,22 @@ pub enum RuleId {
 }
 
 impl RuleId {
-    pub const ALL: [RuleId; 8] = [
-        RuleId::HotPathPurity,
-        RuleId::Determinism,
+    pub const ALL: [RuleId; 6] = [
         RuleId::NoPanic,
         RuleId::NoNarrowingCast,
         RuleId::MetricsVocabulary,
-        RuleId::TransitiveHotPathPurity,
+        RuleId::TransitivePurity,
         RuleId::TransitiveDeterminism,
         RuleId::LockOrder,
     ];
 
-    /// The rules that run per file over token patterns. The remaining
-    /// rules need the whole-workspace call graph and run once per sweep.
-    pub const FILE_LOCAL: [RuleId; 5] = [
-        RuleId::HotPathPurity,
-        RuleId::Determinism,
-        RuleId::NoPanic,
-        RuleId::NoNarrowingCast,
-        RuleId::MetricsVocabulary,
-    ];
-
-    /// Whether this rule runs on the workspace call graph rather than on
-    /// one file's token stream.
-    pub fn is_graph_rule(self) -> bool {
-        matches!(
-            self,
-            RuleId::TransitiveHotPathPurity | RuleId::TransitiveDeterminism | RuleId::LockOrder
-        )
-    }
-
     /// The kebab-case rule id used in diagnostics and allow directives.
     pub fn name(self) -> &'static str {
         match self {
-            RuleId::HotPathPurity => "hot-path-purity",
-            RuleId::Determinism => "determinism",
             RuleId::NoPanic => "no-panic",
             RuleId::NoNarrowingCast => "no-narrowing-cast",
             RuleId::MetricsVocabulary => "metrics-vocabulary",
-            RuleId::TransitiveHotPathPurity => "transitive-hot-path-purity",
+            RuleId::TransitivePurity => "transitive-hot-path-purity",
             RuleId::TransitiveDeterminism => "transitive-determinism",
             RuleId::LockOrder => "lock-order",
         }
@@ -83,24 +63,18 @@ impl RuleId {
     /// One-line description for `--list-rules`.
     pub fn describe(self) -> &'static str {
         match self {
-            RuleId::HotPathPurity => {
-                "no locks or allocations in the configured serving-path modules (file-local)"
-            }
-            RuleId::Determinism => {
-                "no ambient wall clock or OS entropy in sim-facing crates (file-local)"
-            }
-            RuleId::NoPanic => "no panicking constructs in non-test library code (file-local)",
+            RuleId::NoPanic => "no panicking constructs in non-test library code (per file)",
             RuleId::NoNarrowingCast => {
-                "no bare `as` casts to numeric types that can lose value (file-local)"
+                "no bare `as` casts to numeric types that can lose value (per file)"
             }
             RuleId::MetricsVocabulary => {
-                "every sdoh_* metric-name literal must be in the shared vocabulary (file-local)"
+                "every sdoh_* metric-name literal must be in the shared vocabulary (per file)"
             }
-            RuleId::TransitiveHotPathPurity => {
-                "nothing reachable from the serving entry points may lock, allocate or panic (call graph)"
+            RuleId::TransitivePurity => {
+                "nothing reachable from the serving entry points may lock or allocate (call graph)"
             }
             RuleId::TransitiveDeterminism => {
-                "no wall clock or OS entropy reachable from sim-facing public entry points (call graph)"
+                "no wall clock or OS entropy in, or reachable from, any sim-facing function (call graph)"
             }
             RuleId::LockOrder => {
                 "the control-plane lock-acquisition graph must be acyclic (call graph)"
@@ -118,23 +92,22 @@ pub fn known_rule_names() -> Vec<&'static str> {
     RuleId::ALL.iter().map(|r| r.name()).collect()
 }
 
-/// Run one rule over a file view, appending diagnostics.
+/// Run one per-file rule over a parsed file, appending diagnostics.
 pub fn run_rule(
     rule: RuleId,
     file: &str,
     view: &FileView<'_>,
+    items: &FileItems,
     vocab: &BTreeSet<String>,
     out: &mut Vec<Diagnostic>,
 ) {
     match rule {
-        RuleId::HotPathPurity => hot_path_purity(file, view, out),
-        RuleId::Determinism => determinism(file, view, out),
-        RuleId::NoPanic => no_panic(file, view, out),
+        RuleId::NoPanic => no_panic(file, items, out),
         RuleId::NoNarrowingCast => no_narrowing_cast(file, view, out),
         RuleId::MetricsVocabulary => metrics_vocabulary(file, view, vocab, out),
         // Graph rules run once per sweep over the workspace call graph,
         // not per file — see `crate::graph`.
-        RuleId::TransitiveHotPathPurity | RuleId::TransitiveDeterminism | RuleId::LockOrder => {}
+        RuleId::TransitivePurity | RuleId::TransitiveDeterminism | RuleId::LockOrder => {}
     }
 }
 
@@ -156,125 +129,23 @@ fn push(
     });
 }
 
-/// `.name(` — a method call on some receiver.
-fn is_method_call(view: &FileView<'_>, si: usize, name: &str) -> bool {
-    view.is_punct(si, '.') && view.sig_text(si + 1) == name && view.is_punct(si + 2, '(')
-}
-
-/// `Head::tail` — a two-segment path suffix.
-fn is_path2(view: &FileView<'_>, si: usize, head: &str, tail: &str) -> bool {
-    view.sig_text(si) == head
-        && view.is_punct(si + 1, ':')
-        && view.is_punct(si + 2, ':')
-        && view.sig_text(si + 3) == tail
-}
-
-/// `name!` — a macro invocation.
-fn is_macro(view: &FileView<'_>, si: usize, name: &str) -> bool {
-    view.sig_text(si) == name
-        && view.sig_kind(si) == Some(TokenKind::Ident)
-        && view.is_punct(si + 1, '!')
-}
-
-fn hot_path_purity(file: &str, view: &FileView<'_>, out: &mut Vec<Diagnostic>) {
-    for si in 0..view.sig_len() {
-        if view.in_test(si) {
-            continue;
-        }
-        if is_method_call(view, si, "lock") {
-            push(out, file, RuleId::HotPathPurity, view, si + 1,
-                "`.lock()` on a serving-path module: the hot path must stay lock-free; move the locking off the query path or allowlist a cold-path use".to_string());
-        } else if is_method_call(view, si, "to_vec") {
-            push(out, file, RuleId::HotPathPurity, view, si + 1,
-                "`.to_vec()` allocates on a serving-path module: reuse a buffer or allowlist a cold-path use".to_string());
-        } else if is_method_call(view, si, "collect") {
-            push(out, file, RuleId::HotPathPurity, view, si + 1,
-                "`.collect()` allocates on a serving-path module: reuse a buffer or allowlist a cold-path use".to_string());
-        } else if is_path2(view, si, "Box", "new") {
-            push(out, file, RuleId::HotPathPurity, view, si,
-                "`Box::new` allocates on a serving-path module: preallocate or allowlist a cold-path use".to_string());
-        } else if is_path2(view, si, "Vec", "new") {
-            push(out, file, RuleId::HotPathPurity, view, si,
-                "`Vec::new` allocates on a serving-path module: preallocate or allowlist a cold-path use".to_string());
-        } else if is_macro(view, si, "format") {
-            push(out, file, RuleId::HotPathPurity, view, si,
-                "`format!` allocates on a serving-path module: preformat off the hot path or allowlist a cold-path use".to_string());
-        } else if is_macro(view, si, "vec") {
-            push(out, file, RuleId::HotPathPurity, view, si,
-                "`vec!` allocates on a serving-path module: preallocate or allowlist a cold-path use".to_string());
-        }
+/// `no-panic`: every panicking construct the parser found in a non-test
+/// function body.
+fn no_panic(file: &str, items: &FileItems, out: &mut Vec<Diagnostic>) {
+    // The parser records no fact inside a test item, so none is filtered.
+    let facts = items.functions.iter().flat_map(|f| &f.facts);
+    for fact in facts.filter(|fact| fact.kind == FactKind::Panic) {
+        out.push(Diagnostic {
+            file: file.to_string(),
+            line: fact.line,
+            col: fact.col,
+            rule: RuleId::NoPanic.name(),
+            message: format!(
+                "{} can panic in library code: return an error or use a checked accessor, or allowlist with the invariant that makes the failure impossible",
+                fact.what
+            ),
+        });
     }
-}
-
-/// Identifiers that reach for ambient OS entropy.
-const ENTROPY_IDENTS: [&str; 4] = ["OsRng", "thread_rng", "from_entropy", "getrandom"];
-
-fn determinism(file: &str, view: &FileView<'_>, out: &mut Vec<Diagnostic>) {
-    for si in 0..view.sig_len() {
-        if view.in_test(si) {
-            continue;
-        }
-        if is_path2(view, si, "Instant", "now") || is_path2(view, si, "SystemTime", "now") {
-            push(out, file, RuleId::Determinism, view, si, format!(
-                "`{}::now()` reads the ambient wall clock in a sim-facing crate: inject time through the seeded simulator clock (wall clock is a `runtime`-only privilege)",
-                view.sig_text(si)));
-        } else if view.sig_kind(si) == Some(TokenKind::Ident)
-            && ENTROPY_IDENTS.contains(&view.sig_text(si))
-        {
-            push(out, file, RuleId::Determinism, view, si, format!(
-                "`{}` draws ambient OS entropy in a sim-facing crate: all randomness must flow from the campaign seed",
-                view.sig_text(si)));
-        }
-    }
-}
-
-/// Keyword-ish identifiers that can legitimately precede a `[` that is not
-/// an indexing expression (array types, slice patterns, array literals).
-const NON_INDEX_PRECEDERS: [&str; 22] = [
-    "mut", "ref", "dyn", "in", "as", "return", "break", "continue", "else", "move", "where",
-    "impl", "for", "if", "while", "match", "let", "pub", "const", "static", "fn", "unsafe",
-];
-
-fn no_panic(file: &str, view: &FileView<'_>, out: &mut Vec<Diagnostic>) {
-    for si in 0..view.sig_len() {
-        if view.in_test(si) {
-            continue;
-        }
-        if is_method_call(view, si, "unwrap") {
-            push(out, file, RuleId::NoPanic, view, si + 1,
-                "`.unwrap()` in library code: return a `Result`, or allowlist with the invariant that makes failure impossible".to_string());
-        } else if is_method_call(view, si, "expect") {
-            push(out, file, RuleId::NoPanic, view, si + 1,
-                "`.expect()` in library code: return a `Result`, or allowlist with the invariant that makes failure impossible".to_string());
-        } else if is_macro(view, si, "panic")
-            || is_macro(view, si, "unreachable")
-            || is_macro(view, si, "todo")
-            || is_macro(view, si, "unimplemented")
-        {
-            push(out, file, RuleId::NoPanic, view, si, format!(
-                "`{}!` in library code: return an error, or allowlist with the invariant that makes this unreachable",
-                view.sig_text(si)));
-        } else if view.is_punct(si, '[') && is_indexing_bracket(view, si) {
-            push(out, file, RuleId::NoPanic, view, si,
-                "indexing (`[...]`) can panic in library code: use `.get()`, or allowlist with the bounds invariant".to_string());
-        }
-    }
-}
-
-/// Heuristic: a `[` is an indexing/slicing expression when the previous
-/// significant token could end an expression — an identifier (other than a
-/// keyword), a closing `)`/`]`, or the `?` operator. Attributes (`#[...]`),
-/// macro brackets (`vec![...]`), array types (`: [u8; 4]`) and array
-/// literals (`= [1, 2]`) are all preceded by other tokens and are skipped.
-pub(crate) fn is_indexing_bracket(view: &FileView<'_>, si: usize) -> bool {
-    let Some(prev) = si.checked_sub(1) else {
-        return false;
-    };
-    if view.is_punct(prev, ')') || view.is_punct(prev, ']') || view.is_punct(prev, '?') {
-        return true;
-    }
-    view.sig_kind(prev) == Some(TokenKind::Ident)
-        && !NON_INDEX_PRECEDERS.contains(&view.sig_text(prev))
 }
 
 /// Cast targets that can lose value from some wider or differently-signed

@@ -1,5 +1,8 @@
 //! Workspace walking and rule scoping: which files are scanned, which
-//! rules apply to each, and where the shared metric vocabulary lives.
+//! per-file rules apply to each, where the call-graph rules start
+//! ([`graph_config`] — an *entry* is a function the traversal begins at;
+//! there is no per-rule file table beside it), and where the shared metric
+//! vocabulary lives.
 //!
 //! The scan covers every workspace member's `src/` tree plus the umbrella
 //! crate's `src/`. Exemptions, by design rather than omission:
@@ -15,8 +18,8 @@
 //! - `src/**` (the umbrella crate's scenario layer) — like bench, it is
 //!   attended scaffolding: it wires fixed, self-consistent topologies for
 //!   examples, integration tests and experiments, where a panic on a
-//!   mis-built fixture is the desired failure mode. Determinism and the
-//!   vocabulary rule still apply.
+//!   mis-built fixture is the desired failure mode. The vocabulary rule
+//!   still applies.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -36,11 +39,8 @@ pub const VOCABULARY_PATH: &str = "crates/core/src/serve/samples.rs";
 /// Sim-facing crates where ambient wall clock and OS entropy are banned.
 const DETERMINISM_CRATES: [&str; 6] = ["netsim", "chaos", "core", "dns-server", "doh", "ntp"];
 
-/// Serving-path modules that must stay lock- and allocation-free.
-const HOT_PATH_FILES: [&str; 1] = ["crates/runtime/src/runtime.rs"];
-const HOT_PATH_PREFIXES: [&str; 1] = ["crates/core/src/serve/"];
-
-/// Which rules apply to a workspace-relative path (with `/` separators).
+/// Which per-file rules apply to a workspace-relative path (with `/`
+/// separators).
 pub fn rules_for(rel: &str) -> Vec<RuleId> {
     let mut rules = Vec::new();
     let crate_name = rel
@@ -48,12 +48,6 @@ pub fn rules_for(rel: &str) -> Vec<RuleId> {
         .and_then(|r| r.split('/').next())
         .unwrap_or("");
 
-    if HOT_PATH_FILES.contains(&rel) || HOT_PATH_PREFIXES.iter().any(|p| rel.starts_with(p)) {
-        rules.push(RuleId::HotPathPurity);
-    }
-    if DETERMINISM_CRATES.contains(&crate_name) {
-        rules.push(RuleId::Determinism);
-    }
     // The experiment harness and the umbrella scenario layer may panic
     // and cast freely: both run attended (experiments, examples, fixture
     // builders), and their arithmetic is reporting, not security math.
@@ -154,13 +148,18 @@ pub fn graph_config() -> GraphConfig {
         // `handle_query_wire` are reached through `dyn QueryHandler`, which
         // call resolution deliberately does not follow — so the concrete
         // implementations are entry points of their own) and `begin`, the
-        // step a shard worker answers every hit through.
+        // step a shard worker answers every hit through. The last two sit
+        // behind `Worker::pump`'s pruning boundary and yet run per query:
+        // `pump`'s first check asks `next_refresh_due` before every item,
+        // and `answer_parked` is the way out of every parked miss.
         purity_entries: vec![
             Entry::free("runtime", "dispatcher_loop"),
             Entry::free("runtime", "worker_loop"),
             Entry::method("core", "CachingPoolResolver", "handle_query"),
             Entry::method("core", "CachingPoolResolver", "handle_query_wire"),
             Entry::method("core", "CachingPoolResolver", "begin"),
+            Entry::method("core", "CachingPoolResolver", "next_refresh_due"),
+            Entry::method("runtime", "Worker", "answer_parked"),
         ],
         determinism_crates: DETERMINISM_CRATES.iter().map(|c| c.to_string()).collect(),
         lock_crates: vec!["runtime".to_string()],
@@ -170,7 +169,7 @@ pub fn graph_config() -> GraphConfig {
 /// Options for a workspace lint run.
 #[derive(Debug, Default)]
 pub struct LintOptions {
-    /// Run only these rules (all eight when `None`). The directive
+    /// Run only these rules (all six when `None`). The directive
     /// pseudo-rules (`unused-allow`, `bad-directive`) always run.
     pub rule_filter: Option<Vec<RuleId>>,
     /// Also serialize the call graph (returned in [`Report::callgraph`]).
@@ -185,10 +184,10 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
 /// Lint the whole workspace rooted at `root`.
 ///
 /// Three phases: (1) scan every file on a scoped thread pool, running the
-/// file-local rules and the item parser; (2) build the call graph and run
-/// the transitive rules; (3) apply allow directives, collapse file-local/
-/// transitive twins, and sort by `(file, line, col, rule)` so output is
-/// deterministic regardless of walk order or thread interleaving.
+/// item parser and the per-file rules; (2) build the call graph and run
+/// the transitive rules; (3) apply allow directives and sort by
+/// `(file, line, col, rule)` so output is deterministic regardless of walk
+/// order or thread interleaving.
 pub fn lint_workspace_with(root: &Path, options: &LintOptions) -> Result<Report, String> {
     let vocab_path = root.join(VOCABULARY_PATH);
     let vocab_source = fs::read_to_string(&vocab_path)
@@ -275,7 +274,7 @@ pub fn lint_workspace_with(root: &Path, options: &LintOptions) -> Result<Report,
         options.emit_callgraph,
     );
 
-    // Phase 3: allows, dedup, deterministic sort.
+    // Phase 3: allows, deterministic sort.
     report
         .diagnostics
         .extend(engine::finalize(analyses, &enabled));

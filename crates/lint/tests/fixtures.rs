@@ -91,12 +91,22 @@ fn no_narrowing_cast_fixture_exempts_wide_targets() {
 
 #[test]
 fn hot_path_purity_fixture_flags_locks_and_allocation() {
+    let entries = ["bad_lock", "bad_alloc", "bad_format", "allowed_cold_path"];
+    let config = GraphConfig {
+        purity_entries: entries.map(|name| Entry::free("hot", name)).to_vec(),
+        ..GraphConfig::default()
+    };
+    let diagnostics = lint_graph_fixtures(
+        &[("crates/hot/src/lib.rs", "hot_path_purity.rs")],
+        &RuleId::ALL,
+        &config,
+    );
     assert_eq!(
-        lint_fixture("hot_path_purity.rs"),
+        triples(&diagnostics),
         vec![
-            ("hot-path-purity", 4, 12), // mutex.lock()
-            ("hot-path-purity", 8, 5),  // Vec::new()
-            ("hot-path-purity", 12, 5), // format!
+            ("transitive-hot-path-purity", 5, 12), // mutex.lock()
+            ("transitive-hot-path-purity", 9, 5),  // Vec::new()
+            ("transitive-hot-path-purity", 13, 5), // format!
         ],
         "the standalone allow must cover the whole cold-path function"
     );
@@ -104,9 +114,23 @@ fn hot_path_purity_fixture_flags_locks_and_allocation() {
 
 #[test]
 fn determinism_fixture_flags_ambient_clocks() {
+    let config = GraphConfig {
+        determinism_crates: vec!["dsim".to_string()],
+        ..GraphConfig::default()
+    };
+    let diagnostics = lint_graph_fixtures(
+        &[("crates/dsim/src/lib.rs", "determinism.rs")],
+        &RuleId::ALL,
+        &config,
+    );
     assert_eq!(
-        lint_fixture("determinism.rs"),
-        vec![("determinism", 4, 16), ("determinism", 8, 16)],
+        triples(&diagnostics),
+        vec![
+            // Reported at `Instant` / `SystemTime`, not at the `std` the
+            // fully qualified path starts with.
+            ("transitive-determinism", 4, 16),
+            ("transitive-determinism", 8, 16),
+        ],
         "the allowlisted host-clock boundary must not be flagged"
     );
 }
@@ -140,7 +164,7 @@ fn an_allow_for_a_rule_outside_the_enabled_set_is_not_reported_unused() {
     let diagnostics = check_source(
         "unused_allow.rs",
         &source,
-        &[RuleId::Determinism],
+        &[RuleId::NoNarrowingCast],
         &fixture_vocab(),
     );
     assert_eq!(
@@ -172,13 +196,18 @@ fn transitive_purity_fixture_reports_the_full_call_chain() {
     };
     let diagnostics = lint_graph_fixtures(
         &[("crates/palpha/src/lib.rs", "transitive_purity.rs")],
-        &[RuleId::TransitiveHotPathPurity],
+        &[RuleId::TransitivePurity],
         &config,
     );
     assert_eq!(
         triples(&diagnostics),
-        vec![("transitive-hot-path-purity", 13, 18)], // Vec::new in helper
-        "the allocation two hops down must be reported at its own site"
+        vec![
+            ("transitive-hot-path-purity", 15, 18), // Vec::new in helper
+            ("transitive-hot-path-purity", 20, 37), // std::vec::Vec::new
+            ("transitive-hot-path-purity", 21, 29), // std::boxed::Box::new
+        ],
+        "the allocations two hops down must be reported at their own sites, \
+         fully qualified or not"
     );
     assert!(
         diagnostics[0]
@@ -197,7 +226,7 @@ fn transitive_purity_boundary_allow_prunes_and_counts_as_used() {
     };
     let diagnostics = lint_graph_fixtures(
         &[("crates/palpha/src/lib.rs", "transitive_purity_allowed.rs")],
-        &[RuleId::TransitiveHotPathPurity],
+        &[RuleId::TransitivePurity],
         &config,
     );
     assert_eq!(
@@ -219,7 +248,7 @@ fn cross_crate_edge_resolves_through_the_use_import() {
             ("crates/xalpha/src/lib.rs", "cross_crate_entry.rs"),
             ("crates/xbeta/src/lib.rs", "cross_crate_callee.rs"),
         ],
-        &[RuleId::TransitiveHotPathPurity],
+        &[RuleId::TransitivePurity],
         &config,
     );
     assert_eq!(
@@ -288,18 +317,37 @@ fn transitive_determinism_fixture_flags_the_reachable_clock() {
         ..GraphConfig::default()
     };
     let diagnostics = lint_graph_fixtures(
-        &[("crates/gsim/src/lib.rs", "transitive_determinism.rs")],
+        &[
+            ("crates/gsim/src/lib.rs", "transitive_determinism.rs"),
+            ("crates/ghost/src/lib.rs", "transitive_determinism_host.rs"),
+        ],
         &[RuleId::TransitiveDeterminism],
         &config,
     );
     assert_eq!(
-        triples(&diagnostics),
-        vec![("transitive-determinism", 10, 15)], // Instant::now in stamp
-        "the clock read below the public API must be reported at its site"
+        diagnostics
+            .iter()
+            .map(|d| (d.file.as_str(), d.line, d.col))
+            .collect::<Vec<_>>(),
+        vec![
+            ("crates/ghost/src/lib.rs", 8, 15), // Instant::now in stamp, reached from tick
+            ("crates/gsim/src/lib.rs", 13, 5),  // Instant::now in a private fn
+            ("crates/gsim/src/lib.rs", 20, 20), // std::time::Instant::now in a trait impl
+            ("crates/gsim/src/lib.rs", 25, 6),  // SystemTime::now
+            ("crates/gsim/src/lib.rs", 25, 36), // std::time::SystemTime::now
+            ("crates/gsim/src/lib.rs", 29, 11), // rand::thread_rng()
+            ("crates/gsim/src/lib.rs", 29, 49), // rand::rngs::OsRng
+        ],
+        "every spelling in every sim-facing function is reported at its \
+         site, the host crate's clock only where a sim-facing function \
+         reaches it (`unreached` is not)"
     );
+    assert!(diagnostics
+        .iter()
+        .all(|d| d.rule == "transitive-determinism"));
     assert!(
-        diagnostics[0].message.contains("gsim::tick → gsim::stamp"),
-        "the diagnostic must carry the chain from the public entry, got: {}",
+        diagnostics[0].message.contains("gsim::tick → ghost::stamp"),
+        "the diagnostic must carry the chain from the sim-facing entry, got: {}",
         diagnostics[0].message
     );
 }
@@ -311,42 +359,21 @@ fn transitive_determinism_boundary_allow_covers_the_entry() {
         ..GraphConfig::default()
     };
     let diagnostics = lint_graph_fixtures(
-        &[(
-            "crates/gsim/src/lib.rs",
-            "transitive_determinism_allowed.rs",
-        )],
+        &[
+            (
+                "crates/gsim/src/lib.rs",
+                "transitive_determinism_allowed.rs",
+            ),
+            ("crates/ghost/src/lib.rs", "transitive_determinism_host.rs"),
+        ],
         &[RuleId::TransitiveDeterminism],
         &config,
     );
     assert_eq!(
         triples(&diagnostics),
         vec![],
-        "an allow over the public entry must make the whole cone a \
+        "an allow over the sim-facing entry must make the whole cone a \
          documented host-clock boundary"
-    );
-}
-
-#[test]
-fn file_local_and_transitive_findings_on_one_line_collapse_to_transitive() {
-    let config = GraphConfig {
-        purity_entries: vec![Entry::free("dedup", "serve_loop")],
-        ..GraphConfig::default()
-    };
-    let diagnostics = lint_graph_fixtures(
-        &[("crates/dedup/src/lib.rs", "dedup.rs")],
-        &[RuleId::HotPathPurity, RuleId::TransitiveHotPathPurity],
-        &config,
-    );
-    assert_eq!(
-        triples(&diagnostics),
-        vec![("transitive-hot-path-purity", 10, 18)], // Vec::new in helper
-        "the same-line file-local finding must be shadowed by the \
-         transitive diagnostic, not reported twice"
-    );
-    assert!(
-        diagnostics[0].message.contains("call chain:"),
-        "the surviving diagnostic must be the one with the chain, got: {}",
-        diagnostics[0].message
     );
 }
 
@@ -358,7 +385,7 @@ fn a_configured_entry_matching_no_function_fails_loudly() {
     };
     let diagnostics = check_sources(
         &[("crates/solo/src/lib.rs", "pub fn nothing() {}\n")],
-        &[RuleId::TransitiveHotPathPurity],
+        &[RuleId::TransitivePurity],
         &fixture_vocab(),
         &config,
     );

@@ -1,4 +1,4 @@
-//! Fixture: `determinism` violations and an allowlisted boundary.
+//! Fixture: ambient clocks in a sim-facing crate and an allowlisted boundary.
 
 pub fn bad_wall_clock() -> std::time::Instant {
     std::time::Instant::now()
@@ -8,7 +8,7 @@ pub fn bad_system_time() -> std::time::SystemTime {
     std::time::SystemTime::now()
 }
 
-// sdoh-lint: allow(determinism, "host-clock boundary: seeds the sim clock once at startup")
+// sdoh-lint: allow(transitive-determinism, "host-clock boundary: seeds the sim clock once at startup")
 pub fn allowed_boundary() -> std::time::SystemTime {
     std::time::SystemTime::now()
 }

@@ -1,13 +1,9 @@
-//! Allowed twin: the entry point is a documented host-clock boundary.
+//! Allowed twin: the entry point is a documented host-clock boundary, so
+//! the cone below it (into the host crate) is not entered.
 
-use std::time::Instant;
+use sdoh_ghost::stamp;
 
 // sdoh-lint: allow(transitive-determinism, "host harness boundary: wall-clock telemetry only, never simulation state")
 pub fn tick() -> u64 {
     stamp()
-}
-
-fn stamp() -> u64 {
-    let now = Instant::now();
-    now.elapsed().as_secs()
 }

@@ -1,5 +1,6 @@
 //! Bad twin: an allocation two hops below the serving entry point is a
-//! transitive-hot-path-purity diagnostic with the full call chain.
+//! transitive-hot-path-purity diagnostic with the full call chain — in
+//! whichever spelling the path is written.
 
 pub fn serve_loop() {
     step();
@@ -7,9 +8,16 @@ pub fn serve_loop() {
 
 fn step() {
     helper();
+    qualified();
 }
 
 fn helper() {
     let buffer = Vec::new();
     drop(buffer);
+}
+
+fn qualified() {
+    let buffer: Vec<u8> = std::vec::Vec::new();
+    let boxed = std::boxed::Box::new(buffer);
+    drop(boxed);
 }

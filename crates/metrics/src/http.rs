@@ -1,14 +1,15 @@
 //! A tiny HTTP/1.x stats listener and the matching client helper.
 //!
-//! [`StatsServer`] is deliberately minimal: one accept thread, blocking
-//! handling of one short-lived request per connection, a handler closure
-//! mapping request paths to `(status, content-type, body)`. It exists to
+//! [`StatsServer`] is deliberately minimal: one accept thread that blocks
+//! in `accept` (no timed wake-ups while nobody scrapes), blocking handling
+//! of one short-lived request per connection, a handler closure mapping
+//! request paths to `(status, content-type, body)`. It exists to
 //! serve `/metrics`, `/metrics.json` and `/healthz` from a runtime — not
 //! to be a web framework. [`http_get`] is the matching one-shot client the
 //! fleet aggregator (and the experiments) scrape with.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -70,9 +71,6 @@ impl StatsServer {
     pub fn start(bind: SocketAddr, handler: Handler) -> std::io::Result<StatsServer> {
         let listener = TcpListener::bind(bind)?;
         let addr = listener.local_addr()?;
-        // Nonblocking accept so the loop can observe the stop flag without
-        // needing a wake-up connection.
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let accept_thread = std::thread::Builder::new()
@@ -90,12 +88,15 @@ impl StatsServer {
         self.addr
     }
 
-    /// Stops the accept loop and joins the thread.
+    /// Stops the accept loop — woken out of its blocking `accept` by one
+    /// throw-away connection — and joins the thread.
     pub fn shutdown(&mut self) {
+        let Some(handle) = self.accept_thread.take() else {
+            return;
+        };
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+        let _ = TcpStream::connect_timeout(&wake_addr(self.addr), Duration::from_secs(1));
+        let _ = handle.join();
     }
 }
 
@@ -113,17 +114,34 @@ impl std::fmt::Debug for StatsServer {
     }
 }
 
+/// Where a `shutdown` reaches a socket bound on `bound` to wake the thread
+/// blocked on it: loopback of the same family when that is the unspecified
+/// address.
+pub fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
+    match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => bound.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => bound.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    bound
+}
+
 fn accept_loop(listener: TcpListener, handler: Handler, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // `shutdown` wakes this blocking accept with a connection of its
+        // own: what is accepted once `stop` is set is not served.
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
+            // Stats requests are tiny; handle inline rather than spawning
+            // per connection.
             Ok((stream, _)) => {
-                // Stats requests are tiny; handle inline rather than
-                // spawning per connection.
                 let _ = handle_connection(stream, &handler);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // An error (a reset in the backlog, a signal) is not about the
+            // next connection.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }

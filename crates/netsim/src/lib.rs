@@ -25,7 +25,6 @@ mod addr;
 pub mod adversary;
 mod channel;
 mod link;
-mod load;
 mod metrics;
 mod network;
 mod rng;
@@ -39,7 +38,6 @@ pub use adversary::{
 };
 pub use channel::ChannelKind;
 pub use link::LinkConfig;
-pub use load::{ClientPopulation, LoadDriver, LoadStats};
 pub use metrics::Metrics;
 pub use network::{ConcurrentOutcome, ConcurrentRequest, Ctx, NetError, NetResult, SimNet};
 pub use rng::SimRng;

@@ -122,13 +122,13 @@ impl NtpPacket {
     }
 
     /// Encodes the packet into its 48-octet wire representation.
-    // sdoh-lint: allow(no-narrowing-cast, "two's-complement reinterpretation of the signed poll/precision fields is the NTP wire format")
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(PACKET_LEN);
         out.push((self.leap_indicator & 0x3) << 6 | (self.version & 0x7) << 3 | self.mode.code());
         out.push(self.stratum);
-        out.push(self.poll as u8);
-        out.push(self.precision as u8);
+        // Signed octets, two's complement on the wire.
+        out.extend_from_slice(&self.poll.to_be_bytes());
+        out.extend_from_slice(&self.precision.to_be_bytes());
         out.extend_from_slice(&self.root_delay.to_be_bytes());
         out.extend_from_slice(&self.root_dispersion.to_be_bytes());
         out.extend_from_slice(&self.reference_id.to_be_bytes());
@@ -146,7 +146,6 @@ impl NtpPacket {
     /// Returns [`NtpError::MalformedPacket`] when the input is shorter than
     /// 48 octets.
     // sdoh-lint: allow(no-panic, "every offset is below PACKET_LEN, which is checked on entry")
-    // sdoh-lint: allow(no-narrowing-cast, "two's-complement reinterpretation of the signed poll/precision fields is the NTP wire format")
     pub fn decode(data: &[u8]) -> NtpResult<Self> {
         if data.len() < PACKET_LEN {
             return Err(NtpError::MalformedPacket("packet shorter than 48 octets"));
@@ -170,8 +169,8 @@ impl NtpPacket {
             version: (data[0] >> 3) & 0x7,
             mode: NtpMode::from(data[0]),
             stratum: data[1],
-            poll: data[2] as i8,
-            precision: data[3] as i8,
+            poll: i8::from_be_bytes([data[2]]),
+            precision: i8::from_be_bytes([data[3]]),
             root_delay: u32_at(4),
             root_dispersion: u32_at(8),
             reference_id: u32_at(12),

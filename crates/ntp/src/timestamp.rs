@@ -25,12 +25,14 @@ impl NtpTimestamp {
 
     /// The whole-seconds part.
     pub fn seconds(self) -> u32 {
-        (self.0 >> 32) as u32 // sdoh-lint: allow(no-narrowing-cast, "the 32-bit shift leaves exactly the seconds word")
+        let [a, b, c, d, ..] = self.0.to_be_bytes();
+        u32::from_be_bytes([a, b, c, d])
     }
 
     /// The fractional part.
     pub fn fraction(self) -> u32 {
-        self.0 as u32 // sdoh-lint: allow(no-narrowing-cast, "intentionally truncates to the low fraction word of the fixed-point format")
+        let [.., a, b, c, d] = self.0.to_be_bytes();
+        u32::from_be_bytes([a, b, c, d])
     }
 
     /// Converts simulation time plus a floating-point offset (in seconds)

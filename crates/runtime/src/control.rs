@@ -341,15 +341,13 @@ impl ControlHandle {
 
         // Every worker that held keys under the old ring re-homes what the
         // new one moved; which of them stay is theirs to read off the ring.
-        let (done_tx, done_rx) = mpsc::channel();
-        for sender in &old_senders {
-            let _ = sender.send(WorkItem::Rehash {
-                ring: ring.clone(),
-                done: done_tx.clone(),
-            });
-        }
-        drop(done_tx);
-        await_handoff(&done_rx, old_senders.len());
+        // A confirmation that misses the deadline is not an error — the
+        // hand-off items are already queued FIFO before anything that could
+        // depend on them.
+        ask_shards(&old_senders, RESCALE_TIMEOUT, |done| WorkItem::Rehash {
+            ring: ring.clone(),
+            done,
+        });
 
         Ok(self.publish_epoch(&order, shards))
     }
@@ -432,18 +430,5 @@ fn order_epoch(
             order: order.clone(),
             ack: ack.clone(),
         });
-    }
-}
-
-/// Collects up to `expected` handoff confirmations within the rescale
-/// deadline. Late confirmations are not an error — the handoff items are
-/// already queued FIFO before anything that could depend on them.
-fn await_handoff(done: &mpsc::Receiver<usize>, expected: usize) {
-    let deadline = Instant::now() + RESCALE_TIMEOUT;
-    for _ in 0..expected {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if done.recv_timeout(remaining).is_err() {
-            break;
-        }
     }
 }

@@ -109,9 +109,10 @@
 //! to a shard that sits out each round trip, with everything else
 //! unchanged.
 //!
-//! Both socket threads block in `recv_from` / `accept` and poll nothing:
-//! a lone client's TCP retry is accepted when it arrives, and an error
-//! from either call is backed off from, never a reason to leave.
+//! Both socket threads block in `recv_from` / `accept` and poll nothing —
+//! as does the stats listener, when one is configured, in its own
+//! `accept`: a lone client's TCP retry is accepted when it arrives, and an
+//! error from either call is backed off from, never a reason to leave.
 //! [`PoolRuntime::shutdown`] sets the stop flag, wakes each with one
 //! throw-away message (an empty datagram, a connection never served), and
 //! hands every worker a `Shutdown` item behind whatever its queue still
@@ -122,7 +123,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::Hasher;
 use std::io::{Read, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -135,6 +136,7 @@ use sdoh_core::{
 };
 use sdoh_dns_server::{decode_do53_query, finish_do53_answer, Departure, Exchanger};
 use sdoh_dns_wire::Message;
+use sdoh_metrics::http::wake_addr;
 use sdoh_metrics::{
     render_json, render_prometheus, Counter, Histogram, HttpResponse, Registry, Sample,
     SampleValue, StatsServer,
@@ -388,7 +390,7 @@ pub(crate) enum WorkItem {
     /// its queue disconnects.
     Rehash {
         ring: Arc<Vec<mpsc::Sender<WorkItem>>>,
-        done: mpsc::Sender<usize>,
+        done: mpsc::Sender<(usize, ())>,
     },
     /// Adopt an entry handed off by another shard (stamps intact).
     Install { key: PoolKey, cached: CachedPool },
@@ -419,7 +421,6 @@ pub(crate) struct WorkerContext {
 }
 
 impl WorkerContext {
-    // sdoh-lint: allow(hot-path-purity, "runs once per shard at spawn/rescale, not per query")
     fn latency_for(&self, index: usize) -> Histogram {
         let mut cache = self.latency.lock();
         cache
@@ -435,7 +436,6 @@ impl WorkerContext {
 
 /// Spawns one shard worker thread. `index` is the shard's position in the
 /// route table.
-// sdoh-lint: allow(hot-path-purity, "thread naming happens once at spawn time")
 pub(crate) fn spawn_worker(
     ctx: &WorkerContext,
     index: usize,
@@ -532,7 +532,6 @@ impl PoolRuntime {
         {
             let routes = Arc::clone(&routes);
             let epoch = Arc::clone(&control.inner.epoch);
-            // sdoh-lint: allow(hot-path-purity, "scrape-time collector: runs per /metrics pull, not per query")
             registry.register_collector(Box::new(move || {
                 let (senders, acked) = {
                     let table = routes.table.lock();
@@ -689,7 +688,6 @@ impl PoolRuntime {
     /// take the final aggregate and join every thread — including workers
     /// still lingering in retired mode from a shrink. Returns the final
     /// statistics; [`RuntimeStats::config_epoch`] is the final epoch.
-    // sdoh-lint: allow(hot-path-purity, "shutdown path: serving has already stopped")
     pub fn shutdown(mut self) -> RuntimeStats {
         // 1. Stop the socket threads (and the stats listener, so no
         //    scrape races the drain); no new work enters the queues. Each
@@ -754,17 +752,6 @@ impl std::fmt::Debug for PoolRuntime {
     }
 }
 
-/// Where `shutdown` reaches a socket bound on `bound`: loopback of the same
-/// family when that is the unspecified address.
-fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
-    match bound.ip() {
-        IpAddr::V4(ip) if ip.is_unspecified() => bound.set_ip(Ipv4Addr::LOCALHOST.into()),
-        IpAddr::V6(ip) if ip.is_unspecified() => bound.set_ip(Ipv6Addr::LOCALHOST.into()),
-        _ => {}
-    }
-    bound
-}
-
 /// How many ephemeral ports a port-0 start tries before giving up.
 const EPHEMERAL_BIND_ATTEMPTS: usize = 8;
 
@@ -806,7 +793,6 @@ fn bind_front_door(
 /// `(shard index, T)` replies until `timeout`: one slot per worker, in
 /// shard order. A shard that does not answer in time — wedged, or already
 /// shut down — comes back as `None`, never as a silently-zero default.
-// sdoh-lint: allow(hot-path-purity, "fan-out buffers; runs at scrape/health/operator cadence, not per query")
 pub(crate) fn ask_shards<T>(
     workers: &[mpsc::Sender<WorkItem>],
     timeout: Duration,
@@ -881,7 +867,6 @@ fn take_stats(
 /// reports shard liveness plus the pool-guarantee state — generation
 /// failures mean some queries were answered from negatively-cached
 /// failures rather than fresh secure generations.
-// sdoh-lint: allow(hot-path-purity, "health probe renders at probe cadence, not per query")
 fn healthz(routes: &RouteState) -> HttpResponse {
     let (per_shard, total) =
         aggregate_shards(&routes.senders(), HEALTH_TIMEOUT, WorkItem::Snapshot);
@@ -1004,7 +989,7 @@ fn dispatcher_loop(
                 }
                 // recv_from wrote `len <= buf.len()` bytes; the owned copy
                 // is the queue hand-off, one allocation per datagram.
-                // sdoh-lint: allow(hot-path-purity, "the owned copy is the mpsc hand-off; one alloc per datagram is the design")
+                // sdoh-lint: allow(transitive-hot-path-purity, "the owned copy is the mpsc hand-off; one alloc per datagram is the design")
                 let Some(wire) = buf.get(..len).map(|datagram| datagram.to_vec()) else {
                     continue;
                 };
@@ -1058,7 +1043,6 @@ fn tcp_loop(
 /// Serves RFC 1035 4.2.2 length-prefixed queries until the peer closes
 /// (or a read times out). The (cold) TCP path re-reads the route table per
 /// query, so it always follows the latest published ring.
-// sdoh-lint: allow(hot-path-purity, "the TCP fallback is the cold path by design; see the doc comment")
 fn serve_tcp_connection(
     mut stream: TcpStream,
     routes: &RouteState,
@@ -1226,7 +1210,6 @@ impl Worker {
     /// zero round trip lands in the same turn, before another query can join
     /// its flight. Returns the next instant anything is due — the earliest
     /// round trip's end or queued refresh — and `None` when nothing is.
-    // sdoh-lint: allow(hot-path-purity, "an empty Vec::new never allocates; a departure's buffers grow with its fan-out, on the miss path only")
     // sdoh-lint: allow(transitive-hot-path-purity, "the miss path: entered only with a flight live or a refresh queued, at most one generation per (question, TTL window), whose fan-out dwarfs these buffers; a shard of cache hits returns at the first check")
     fn pump(&mut self) -> Option<SimInstant> {
         if self.upstream.is_empty()
@@ -1350,7 +1333,7 @@ fn worker_loop(
     counters: Arc<FrontCounters>,
     latency: Histogram,
 ) {
-    // sdoh-lint: allow(hot-path-purity, "empty Vec::new never allocates; once per worker")
+    // sdoh-lint: allow(transitive-hot-path-purity, "empty Vec::new never allocates; once per worker")
     let mut worker = Worker {
         index,
         resolver: shard.resolver,
@@ -1422,7 +1405,7 @@ fn worker_loop(
                 if keep.is_none() {
                     worker.retired = Some(ring);
                 }
-                let _ = done.send(worker.index);
+                let _ = done.send((worker.index, ()));
             }
             WorkItem::Install { key, cached } => {
                 let now = worker.exchanger.now();

@@ -7,9 +7,7 @@
 use std::time::Duration;
 
 use secure_doh::core::{check_guarantee, AddressPool, CacheConfig, PoolConfig};
-use secure_doh::netsim::{
-    ChannelKind, ClientPopulation, ConcurrentRequest, LoadDriver, LoadStats, NetResult,
-};
+use secure_doh::netsim::{ChannelKind, ConcurrentRequest, SimAddr};
 use secure_doh::scenario::{ResolverCompromise, Scenario, ScenarioConfig, FRONTEND_ADDR};
 use secure_doh::wire::{Message, Rcode, RrType, Ttl};
 
@@ -39,9 +37,25 @@ fn cache_config() -> CacheConfig {
         .with_stale_window(STALE_WINDOW)
 }
 
-/// Runs `rounds` concurrent rounds of the population (client `i` queries
-/// pool domain `i % DOMAINS`), checking the guarantee of every response,
-/// and returns the load stats.
+/// What one [`run_load`] saw.
+struct LoadStats {
+    requests: usize,
+    responses: usize,
+    failures: usize,
+    total_latency: Duration,
+}
+
+impl LoadStats {
+    fn mean_latency(&self) -> Duration {
+        self.total_latency / self.requests.max(1) as u32
+    }
+}
+
+/// Runs `rounds` concurrent rounds of the population — `CLIENTS` distinct
+/// source addresses departing at one instant, a round costing the slowest
+/// exchange (client `i` queries pool domain `i % DOMAINS`) — checking the
+/// guarantee of every response. `between_rounds(round)` runs after each
+/// round's outcomes, off every client's query path, before the think time.
 fn run_load(
     scenario: &Scenario,
     rounds: usize,
@@ -49,42 +63,63 @@ fn run_load(
     mut between_rounds: impl FnMut(usize),
 ) -> LoadStats {
     let truth = scenario.ground_truth();
-    let domains = scenario.pool_domains.clone();
+    let net = &scenario.net;
+    let mut stats = LoadStats {
+        requests: 0,
+        responses: 0,
+        failures: 0,
+        total_latency: Duration::ZERO,
+    };
     let mut next_id: u16 = 1;
-    let mut make_request = |_round: usize, client: usize, _addr| {
-        let domain = domains[client % DOMAINS].clone();
-        let id = next_id;
-        next_id = next_id.wrapping_add(1);
-        let query = Message::query(id, domain, RrType::A);
-        Some(ConcurrentRequest::new(
-            FRONTEND_ADDR,
-            ChannelKind::Plain,
-            query.encode().expect("encodable query"),
-            QUERY_TIMEOUT,
-        ))
-    };
-    let mut on_response = |_round: usize, client: usize, result: &NetResult<Vec<u8>>| {
-        let bytes = result.as_ref().expect("every query is answered");
-        let response = Message::decode(bytes).expect("well-formed response");
-        assert_eq!(response.header.rcode, Rcode::NoError, "client {client}");
-        let addresses = response.answer_addresses();
-        assert!(!addresses.is_empty(), "client {client} got an empty answer");
-        let mut pool = AddressPool::new();
-        for addr in addresses {
-            pool.push(addr, "served");
+    for round in 0..rounds {
+        let batch: Vec<(SimAddr, ConcurrentRequest)> = (0..CLIENTS)
+            .map(|client| {
+                let query = Message::query(
+                    next_id,
+                    scenario.pool_domains[client % DOMAINS].clone(),
+                    RrType::A,
+                );
+                next_id = next_id.wrapping_add(1);
+                let request = ConcurrentRequest::new(
+                    FRONTEND_ADDR,
+                    ChannelKind::Plain,
+                    query.encode().expect("encodable query"),
+                    QUERY_TIMEOUT,
+                );
+                (SimAddr::v4(100, 64, 0, client as u8 + 1, 40_000), request)
+            })
+            .collect();
+        let departed = net.now();
+        for outcome in net.transact_concurrent_from(batch) {
+            let client = outcome.index;
+            stats.requests += 1;
+            stats.total_latency += outcome.completed_at.saturating_duration_since(departed);
+            match outcome.result {
+                Ok(_) => stats.responses += 1,
+                Err(_) => stats.failures += 1,
+            }
+            let bytes = outcome.result.expect("every query is answered");
+            let response = Message::decode(&bytes).expect("well-formed response");
+            assert_eq!(response.header.rcode, Rcode::NoError, "client {client}");
+            let addresses = response.answer_addresses();
+            assert!(!addresses.is_empty(), "client {client} got an empty answer");
+            let mut pool = AddressPool::new();
+            for addr in addresses {
+                pool.push(addr, "served");
+            }
+            let check = check_guarantee(&pool, &truth, 0.5);
+            assert!(
+                check.holds,
+                "served answer for client {client} violates the benign-fraction \
+                 guarantee: {check:?}"
+            );
         }
-        let check = check_guarantee(&pool, &truth, 0.5);
-        assert!(
-            check.holds,
-            "served answer for client {client} violates the benign-fraction \
-             guarantee: {check:?}"
-        );
-    };
-    LoadDriver::new(&scenario.net, ClientPopulation::spread(CLIENTS))
-        .think_time(think_time)
-        .run_with_hook(rounds, &mut make_request, &mut on_response, |round| {
-            between_rounds(round)
-        })
+        between_rounds(round);
+        if round + 1 < rounds {
+            net.clock().advance(think_time);
+        }
+    }
+    stats
 }
 
 #[test]
@@ -97,7 +132,7 @@ fn caching_resolver_amortises_generation_across_the_population() {
     // Phase A: three rounds inside one TTL window. Only the first query per
     // domain generates; everything else is served from the cache.
     let stats = run_load(&scenario, 3, Duration::from_secs(5), |_| {});
-    assert_eq!(stats.requests as usize, CLIENTS * 3);
+    assert_eq!(stats.requests, CLIENTS * 3);
     assert_eq!(stats.failures, 0);
     {
         let metrics = resolver.lock().metrics();
@@ -214,8 +249,8 @@ fn cached_serving_is_cheaper_on_the_wire_and_faster_for_clients() {
         uncached_stats.mean_latency()
     );
     // Both serve every client.
-    assert_eq!(warm_stats.responses as usize, CLIENTS);
-    assert_eq!(uncached_stats.responses as usize, CLIENTS);
+    assert_eq!(warm_stats.responses, CLIENTS);
+    assert_eq!(uncached_stats.responses, CLIENTS);
     drop(cached);
     drop(uncached);
 }

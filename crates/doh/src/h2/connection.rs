@@ -5,19 +5,36 @@
 //! makes the connections trivially portable onto the synchronous simulated
 //! transport (and onto a real socket, if one ever existed here).
 //!
+//! # Who owns which buffer
+//!
+//! * **Output** belongs to the connection until `take_output` hands it
+//!   over, whole. Frames are written where they go: `send_request` /
+//!   `send_response` put a frame header down, encode the HPACK fields
+//!   behind it and set its length; no header list, header block or frame
+//!   is built on the side. `with_output` starts the connection behind
+//!   octets the caller already wrote (the DoH ends pass their envelope
+//!   header), so one buffer carries a payload from its first octet to the
+//!   record tag.
+//! * **Input** stays the caller's. `receive` walks the frames of the slice
+//!   it is given and copies out only what outlives the call: a message's
+//!   strings and body, and the tail of a frame the slice ended inside,
+//!   which waits in the connection for the next call.
+//!
 //! Simplifications relative to a production stack, all documented: flow
 //! control windows are parsed but never enforced (DoH messages are far below
 //! the default 64 KiB window), CONTINUATION frames are not emitted (header
-//! blocks fit in one frame), and priorities are ignored.
+//! blocks fit in one frame), and stream priorities are parsed and dropped
+//! (PRIORITY frames as well as the priority fields of a HEADERS frame), as
+//! is padding.
 
 use std::collections::hash_map::{Entry, HashMap};
 
-use bytes::BytesMut;
+use bytes::{BufMut, BytesMut};
 
 use crate::http::{Headers, Method, Request, Response, StatusCode};
 
 use super::error::H2Error;
-use super::frame::{Frame, CONNECTION_PREFACE};
+use super::frame::{self, flags, Frame, FrameType, RawFrame, CONNECTION_PREFACE};
 use super::hpack;
 
 /// SETTINGS identifiers this implementation announces.
@@ -28,23 +45,203 @@ mod settings_id {
     pub const INITIAL_WINDOW_SIZE: u16 = 0x4;
 }
 
-#[derive(Debug, Default)]
-struct PartialMessage {
-    headers: Vec<(String, String)>,
+/// The message an end receives: a response at the client, a request at the
+/// server.
+trait Inbound: Sized {
+    /// Builds the message, its body still empty, from a header block.
+    fn from_fields(fields: hpack::Fields<'_>) -> Result<Self, H2Error>;
+
+    /// The message with the body its stream carried.
+    fn with_body(self, body: Vec<u8>) -> Self;
+}
+
+/// What has arrived of the message on one stream.
+#[derive(Debug)]
+struct Partial<M> {
+    head: Option<M>,
     body: Vec<u8>,
-    headers_complete: bool,
     ended: bool,
+}
+
+impl<M> Default for Partial<M> {
+    fn default() -> Self {
+        Partial {
+            head: None,
+            body: Vec::new(),
+            ended: false,
+        }
+    }
+}
+
+/// The state both ends share: the output queue, the received octets not yet
+/// consumed and the streams with a message under way.
+#[derive(Debug)]
+struct Core<M> {
+    out: BytesMut,
+    /// What the peer has to send before its first frame and has not yet:
+    /// the connection preface at the server, nothing at the client.
+    preface: &'static [u8],
+    /// The tail of a frame (or of the preface) that the last `receive`
+    /// ended inside.
+    pending: Vec<u8>,
+    streams: HashMap<u32, Partial<M>>,
+    peer_settings_received: bool,
+    goaway: Option<u32>,
+}
+
+impl<M: Inbound> Core<M> {
+    fn new(out: Vec<u8>, preface: &'static [u8]) -> Self {
+        Core {
+            out: out.into(),
+            preface,
+            pending: Vec::new(),
+            streams: HashMap::new(),
+            peer_settings_received: false,
+            goaway: None,
+        }
+    }
+
+    fn take_output(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.out).into()
+    }
+
+    /// Queues one message: a HEADERS frame holding `fields`, then `body` in
+    /// a DATA frame unless it is empty.
+    fn send<'a>(
+        &mut self,
+        stream_id: u32,
+        fields: impl IntoIterator<Item = (&'a str, &'a str)>,
+        body: &[u8],
+    ) {
+        let end_stream = if body.is_empty() {
+            flags::END_STREAM
+        } else {
+            0
+        };
+        let header_at = self.out.len();
+        frame::put_header(
+            &mut self.out,
+            0,
+            FrameType::Headers,
+            flags::END_HEADERS | end_stream,
+            stream_id,
+        );
+        for (name, value) in fields {
+            hpack::encode_field(&mut self.out, name, value);
+        }
+        frame::close_frame(&mut self.out, header_at);
+        if !body.is_empty() {
+            frame::put_header(
+                &mut self.out,
+                body.len(),
+                FrameType::Data,
+                flags::END_STREAM,
+                stream_id,
+            );
+            self.out.put_slice(body);
+        }
+    }
+
+    fn receive(&mut self, bytes: &[u8]) -> Result<Vec<(u32, M)>, H2Error> {
+        let mut completed = Vec::new();
+        if self.pending.is_empty() {
+            let consumed = self.walk(bytes, &mut completed)?;
+            self.pending
+                .extend_from_slice(bytes.get(consumed..).unwrap_or_default());
+        } else {
+            let mut input = std::mem::take(&mut self.pending);
+            input.extend_from_slice(bytes);
+            let consumed = self.walk(&input, &mut completed)?;
+            input.drain(..consumed);
+            self.pending = input;
+        }
+        Ok(completed)
+    }
+
+    /// Processes the preface and every complete frame at the front of
+    /// `input` and returns how many octets that was.
+    fn walk(&mut self, input: &[u8], completed: &mut Vec<(u32, M)>) -> Result<usize, H2Error> {
+        let mut rest = input;
+        if !self.preface.is_empty() {
+            let Some((preface, frames)) = rest.split_at_checked(self.preface.len()) else {
+                return Ok(0);
+            };
+            if preface != self.preface {
+                return Err(H2Error::UnexpectedPreface);
+            }
+            self.preface = &[];
+            rest = frames;
+        }
+        while let Some((raw, consumed)) = RawFrame::parse(rest)? {
+            rest = rest.get(consumed..).unwrap_or_default();
+            if let Some(id) = self.process_frame(raw)? {
+                if let Some(message) = take_finished(&mut self.streams, id) {
+                    completed.push((id, message));
+                }
+            }
+        }
+        Ok(input.len() - rest.len())
+    }
+
+    /// Applies one frame and names the stream it may have completed: only
+    /// the stream a HEADERS or DATA frame belongs to can have been.
+    fn process_frame(&mut self, raw: RawFrame<'_>) -> Result<Option<u32>, H2Error> {
+        match raw.frame_type {
+            FrameType::Headers => {
+                if !raw.end_headers() {
+                    return Err(H2Error::Protocol(
+                        "continuation frames are not supported".into(),
+                    ));
+                }
+                let head = M::from_fields(hpack::Fields::new(raw.payload))?;
+                let stream = self.streams.entry(raw.stream_id).or_default();
+                stream.head = Some(head);
+                stream.ended = raw.end_stream();
+                return Ok(Some(raw.stream_id));
+            }
+            FrameType::Data => {
+                let stream = self.streams.entry(raw.stream_id).or_default();
+                stream.body.extend_from_slice(raw.payload);
+                stream.ended = stream.ended || raw.end_stream();
+                return Ok(Some(raw.stream_id));
+            }
+            _ => {}
+        }
+        match raw.to_frame()? {
+            Frame::Settings { ack: false, .. } => {
+                self.peer_settings_received = true;
+                frame::put_settings(&mut self.out, flags::ACK, &[]);
+            }
+            Frame::Ping { ack: false, data } => {
+                Frame::Ping { ack: true, data }.encode(&mut self.out)
+            }
+            Frame::RstStream { stream_id, .. } => {
+                self.streams.remove(&stream_id);
+            }
+            Frame::GoAway { error_code, .. } => self.goaway = Some(error_code),
+            _ => {}
+        }
+        Ok(None)
+    }
+}
+
+/// Removes stream `id` and returns its message if the message is complete.
+fn take_finished<M: Inbound>(streams: &mut HashMap<u32, Partial<M>>, id: u32) -> Option<M> {
+    let Entry::Occupied(stream) = streams.entry(id) else {
+        return None;
+    };
+    if !(stream.get().ended && stream.get().head.is_some()) {
+        return None;
+    }
+    let Partial { head, body, .. } = stream.remove();
+    head.map(|head| head.with_body(body))
 }
 
 /// The client half of an HTTP/2 connection.
 #[derive(Debug)]
 pub struct ClientConnection {
     next_stream_id: u32,
-    out: BytesMut,
-    in_buf: Vec<u8>,
-    streams: HashMap<u32, PartialMessage>,
-    peer_settings_received: bool,
-    goaway: Option<u32>,
+    core: Core<Response>,
 }
 
 impl Default for ClientConnection {
@@ -57,77 +254,59 @@ impl ClientConnection {
     /// Creates a client connection; the preface and initial SETTINGS frame
     /// are queued for transmission immediately.
     pub fn new() -> Self {
-        let mut out = BytesMut::new();
-        out.extend_from_slice(CONNECTION_PREFACE);
-        Frame::Settings {
-            ack: false,
-            params: vec![
+        Self::with_output(Vec::new())
+    }
+
+    /// As [`ClientConnection::new`], queueing behind the octets `out`
+    /// already holds: [`ClientConnection::take_output`] returns them first.
+    pub fn with_output(out: Vec<u8>) -> Self {
+        let mut core = Core::new(out, &[]);
+        core.out.put_slice(CONNECTION_PREFACE);
+        frame::put_settings(
+            &mut core.out,
+            0,
+            &[
                 (settings_id::MAX_CONCURRENT_STREAMS, 100),
                 (settings_id::INITIAL_WINDOW_SIZE, 65_535),
             ],
-        }
-        .encode(&mut out);
+        );
         ClientConnection {
             next_stream_id: 1,
-            out,
-            in_buf: Vec::new(),
-            streams: HashMap::new(),
-            peer_settings_received: false,
-            goaway: None,
+            core,
         }
     }
 
     /// Returns `true` once the server's SETTINGS frame has been received.
     pub fn is_established(&self) -> bool {
-        self.peer_settings_received
+        self.core.peer_settings_received
     }
 
     /// Returns the GOAWAY error code if the server closed the connection.
     pub fn goaway(&self) -> Option<u32> {
-        self.goaway
+        self.core.goaway
     }
 
     /// Queues a request and returns the stream id it was assigned.
     pub fn send_request(&mut self, request: &Request) -> u32 {
         let stream_id = self.next_stream_id;
         self.next_stream_id += 2;
-
-        let mut header_list: Vec<(String, String)> = vec![
-            (":method".into(), request.method.as_str().to_string()),
-            (":scheme".into(), request.scheme.clone()),
-            (":authority".into(), request.authority.clone()),
-            (":path".into(), request.path.clone()),
+        let pseudo = [
+            (":method", request.method.as_str()),
+            (":scheme", request.scheme.as_str()),
+            (":authority", request.authority.as_str()),
+            (":path", request.path.as_str()),
         ];
-        header_list.extend(
-            request
-                .headers
-                .iter()
-                .map(|(n, v)| (n.to_string(), v.to_string())),
-        );
-        let block = hpack::encode(&header_list);
-        let has_body = !request.body.is_empty();
-        Frame::Headers {
+        self.core.send(
             stream_id,
-            end_stream: !has_body,
-            end_headers: true,
-            block,
-        }
-        .encode(&mut self.out);
-        if has_body {
-            Frame::Data {
-                stream_id,
-                end_stream: true,
-                data: request.body.clone(),
-            }
-            .encode(&mut self.out);
-        }
-        self.streams.insert(stream_id, PartialMessage::default());
+            pseudo.into_iter().chain(request.headers.iter()),
+            &request.body,
+        );
         stream_id
     }
 
     /// Drains the bytes queued for transmission to the server.
     pub fn take_output(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.out).into()
+        self.core.take_output()
     }
 
     /// Feeds bytes received from the server, returning every response that
@@ -137,97 +316,14 @@ impl ClientConnection {
     ///
     /// Returns framing, HPACK and protocol errors.
     pub fn receive(&mut self, bytes: &[u8]) -> Result<Vec<(u32, Response)>, H2Error> {
-        self.in_buf.extend_from_slice(bytes);
-        let mut completed = Vec::new();
-        loop {
-            match Frame::decode(&self.in_buf)? {
-                None => break,
-                Some((frame, consumed)) => {
-                    self.in_buf.drain(..consumed);
-                    self.process_frame(frame, &mut completed)?;
-                }
-            }
-        }
-        Ok(completed)
-    }
-
-    fn process_frame(
-        &mut self,
-        frame: Frame,
-        completed: &mut Vec<(u32, Response)>,
-    ) -> Result<(), H2Error> {
-        // Only the stream a HEADERS or DATA frame belongs to can have been
-        // completed by it.
-        let touched = match frame {
-            Frame::Settings { ack, .. } => {
-                if !ack {
-                    self.peer_settings_received = true;
-                    Frame::Settings {
-                        ack: true,
-                        params: vec![],
-                    }
-                    .encode(&mut self.out);
-                }
-                None
-            }
-            Frame::Ping { ack, data } => {
-                if !ack {
-                    Frame::Ping { ack: true, data }.encode(&mut self.out);
-                }
-                None
-            }
-            Frame::Headers {
-                stream_id,
-                end_stream,
-                end_headers,
-                block,
-            } => {
-                if !end_headers {
-                    return Err(H2Error::Protocol(
-                        "continuation frames are not supported".into(),
-                    ));
-                }
-                let stream = self.streams.entry(stream_id).or_default();
-                stream.headers = hpack::decode(&block)?;
-                stream.headers_complete = true;
-                stream.ended = end_stream;
-                Some(stream_id)
-            }
-            Frame::Data {
-                stream_id,
-                end_stream,
-                data,
-            } => {
-                let stream = self.streams.entry(stream_id).or_default();
-                stream.body.extend_from_slice(&data);
-                stream.ended = stream.ended || end_stream;
-                Some(stream_id)
-            }
-            Frame::WindowUpdate { .. } | Frame::Unknown { .. } => None,
-            Frame::RstStream { stream_id, .. } => {
-                self.streams.remove(&stream_id);
-                None
-            }
-            Frame::GoAway { error_code, .. } => {
-                self.goaway = Some(error_code);
-                None
-            }
-        };
-
-        if let Some((id, message)) = touched.and_then(|id| take_finished(&mut self.streams, id)) {
-            completed.push((id, response_from_parts(message)?));
-        }
-        Ok(())
+        self.core.receive(bytes)
     }
 }
 
 /// The server half of an HTTP/2 connection.
 #[derive(Debug)]
 pub struct ServerConnection {
-    preface_consumed: bool,
-    out: BytesMut,
-    in_buf: Vec<u8>,
-    streams: HashMap<u32, PartialMessage>,
+    core: Core<Request>,
 }
 
 impl Default for ServerConnection {
@@ -240,18 +336,19 @@ impl ServerConnection {
     /// Creates a server connection; the server's SETTINGS frame is queued
     /// immediately.
     pub fn new() -> Self {
-        let mut out = BytesMut::new();
-        Frame::Settings {
-            ack: false,
-            params: vec![(settings_id::MAX_CONCURRENT_STREAMS, 128)],
-        }
-        .encode(&mut out);
-        ServerConnection {
-            preface_consumed: false,
-            out,
-            in_buf: Vec::new(),
-            streams: HashMap::new(),
-        }
+        Self::with_output(Vec::new())
+    }
+
+    /// As [`ServerConnection::new`], queueing behind the octets `out`
+    /// already holds: [`ServerConnection::take_output`] returns them first.
+    pub fn with_output(out: Vec<u8>) -> Self {
+        let mut core = Core::new(out, CONNECTION_PREFACE);
+        frame::put_settings(
+            &mut core.out,
+            0,
+            &[(settings_id::MAX_CONCURRENT_STREAMS, 128)],
+        );
+        ServerConnection { core }
     }
 
     /// Feeds bytes received from the client, returning every request that
@@ -262,186 +359,85 @@ impl ServerConnection {
     /// Returns [`H2Error::UnexpectedPreface`] when the connection does not
     /// start with the HTTP/2 preface, plus framing and HPACK errors.
     pub fn receive(&mut self, bytes: &[u8]) -> Result<Vec<(u32, Request)>, H2Error> {
-        self.in_buf.extend_from_slice(bytes);
-        if !self.preface_consumed {
-            if self.in_buf.len() < CONNECTION_PREFACE.len() {
-                return Ok(Vec::new());
-            }
-            if self.in_buf.get(..CONNECTION_PREFACE.len()) != Some(CONNECTION_PREFACE) {
-                return Err(H2Error::UnexpectedPreface);
-            }
-            self.in_buf.drain(..CONNECTION_PREFACE.len());
-            self.preface_consumed = true;
-        }
-
-        let mut completed = Vec::new();
-        loop {
-            match Frame::decode(&self.in_buf)? {
-                None => break,
-                Some((frame, consumed)) => {
-                    self.in_buf.drain(..consumed);
-                    self.process_frame(frame, &mut completed)?;
-                }
-            }
-        }
-        Ok(completed)
+        self.core.receive(bytes)
     }
 
     /// Queues a response on the given stream.
     pub fn send_response(&mut self, stream_id: u32, response: &Response) {
-        let mut header_list: Vec<(String, String)> =
-            vec![(":status".into(), response.status.as_u16().to_string())];
-        header_list.extend(
-            response
-                .headers
-                .iter()
-                .map(|(n, v)| (n.to_string(), v.to_string())),
-        );
-        let block = hpack::encode(&header_list);
-        let has_body = !response.body.is_empty();
-        Frame::Headers {
+        let status = response.status.as_u16().to_string();
+        self.core.send(
             stream_id,
-            end_stream: !has_body,
-            end_headers: true,
-            block,
-        }
-        .encode(&mut self.out);
-        if has_body {
-            Frame::Data {
-                stream_id,
-                end_stream: true,
-                data: response.body.clone(),
-            }
-            .encode(&mut self.out);
-        }
+            [(":status", status.as_str())]
+                .into_iter()
+                .chain(response.headers.iter()),
+            &response.body,
+        );
     }
 
     /// Drains the bytes queued for transmission to the client.
     pub fn take_output(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.out).into()
-    }
-
-    fn process_frame(
-        &mut self,
-        frame: Frame,
-        completed: &mut Vec<(u32, Request)>,
-    ) -> Result<(), H2Error> {
-        // Only the stream a HEADERS or DATA frame belongs to can have been
-        // completed by it.
-        let touched = match frame {
-            Frame::Settings { ack, .. } => {
-                if !ack {
-                    Frame::Settings {
-                        ack: true,
-                        params: vec![],
-                    }
-                    .encode(&mut self.out);
-                }
-                None
-            }
-            Frame::Ping { ack, data } => {
-                if !ack {
-                    Frame::Ping { ack: true, data }.encode(&mut self.out);
-                }
-                None
-            }
-            Frame::Headers {
-                stream_id,
-                end_stream,
-                end_headers,
-                block,
-            } => {
-                if !end_headers {
-                    return Err(H2Error::Protocol(
-                        "continuation frames are not supported".into(),
-                    ));
-                }
-                let stream = self.streams.entry(stream_id).or_default();
-                stream.headers = hpack::decode(&block)?;
-                stream.headers_complete = true;
-                stream.ended = end_stream;
-                Some(stream_id)
-            }
-            Frame::Data {
-                stream_id,
-                end_stream,
-                data,
-            } => {
-                let stream = self.streams.entry(stream_id).or_default();
-                stream.body.extend_from_slice(&data);
-                stream.ended = stream.ended || end_stream;
-                Some(stream_id)
-            }
-            Frame::WindowUpdate { .. } | Frame::Unknown { .. } => None,
-            Frame::RstStream { stream_id, .. } => {
-                self.streams.remove(&stream_id);
-                None
-            }
-            Frame::GoAway { .. } => None,
-        };
-
-        if let Some((id, message)) = touched.and_then(|id| take_finished(&mut self.streams, id)) {
-            completed.push((id, request_from_parts(message)?));
-        }
-        Ok(())
+        self.core.take_output()
     }
 }
 
-/// Removes stream `id` and returns its message if the message is complete.
-fn take_finished(
-    streams: &mut HashMap<u32, PartialMessage>,
-    id: u32,
-) -> Option<(u32, PartialMessage)> {
-    match streams.entry(id) {
-        Entry::Occupied(stream) if stream.get().headers_complete && stream.get().ended => {
-            Some(stream.remove_entry())
+impl Inbound for Response {
+    fn from_fields(fields: hpack::Fields<'_>) -> Result<Self, H2Error> {
+        let mut status = None;
+        let mut headers = Headers::new();
+        for field in fields {
+            let (name, value) = field?;
+            if name == ":status" {
+                status = value.parse::<u16>().ok();
+            } else if !name.starts_with(':') {
+                headers.append(name, value);
+            }
         }
-        _ => None,
+        let status = status.ok_or_else(|| H2Error::Protocol("response without :status".into()))?;
+        Ok(Response {
+            status: StatusCode::from(status),
+            headers,
+            body: Vec::new(),
+        })
+    }
+
+    fn with_body(mut self, body: Vec<u8>) -> Self {
+        self.body = body;
+        self
     }
 }
 
-fn response_from_parts(parts: PartialMessage) -> Result<Response, H2Error> {
-    let mut status = None;
-    let mut headers = Headers::new();
-    for (name, value) in &parts.headers {
-        if name == ":status" {
-            status = value.parse::<u16>().ok();
-        } else if !name.starts_with(':') {
-            headers.append(name, value);
+impl Inbound for Request {
+    fn from_fields(fields: hpack::Fields<'_>) -> Result<Self, H2Error> {
+        let mut method = None;
+        let mut path = None;
+        let mut authority = String::new();
+        let mut scheme = None;
+        let mut headers = Headers::new();
+        for field in fields {
+            let (name, value) = field?;
+            match name {
+                ":method" => method = Method::from_token(value),
+                ":path" => path = Some(value.to_string()),
+                ":authority" => authority = value.to_string(),
+                ":scheme" => scheme = Some(value.to_string()),
+                _ if !name.starts_with(':') => headers.append(name, value),
+                _ => {}
+            }
         }
+        Ok(Request {
+            method: method.ok_or_else(|| H2Error::Protocol("request without :method".into()))?,
+            path: path.ok_or_else(|| H2Error::Protocol("request without :path".into()))?,
+            authority,
+            scheme: scheme.unwrap_or_else(|| "https".to_string()),
+            headers,
+            body: Vec::new(),
+        })
     }
-    let status = status.ok_or_else(|| H2Error::Protocol("response without :status".into()))?;
-    Ok(Response {
-        status: StatusCode::from(status),
-        headers,
-        body: parts.body,
-    })
-}
 
-fn request_from_parts(parts: PartialMessage) -> Result<Request, H2Error> {
-    let mut method = None;
-    let mut path = None;
-    let mut authority = String::new();
-    let mut scheme = "https".to_string();
-    let mut headers = Headers::new();
-    for (name, value) in &parts.headers {
-        match name.as_str() {
-            ":method" => method = Method::from_token(value),
-            ":path" => path = Some(value.clone()),
-            ":authority" => authority = value.clone(),
-            ":scheme" => scheme = value.clone(),
-            _ if !name.starts_with(':') => headers.append(name, value),
-            _ => {}
-        }
+    fn with_body(mut self, body: Vec<u8>) -> Self {
+        self.body = body;
+        self
     }
-    Ok(Request {
-        method: method.ok_or_else(|| H2Error::Protocol("request without :method".into()))?,
-        path: path.ok_or_else(|| H2Error::Protocol("request without :path".into()))?,
-        authority,
-        scheme,
-        headers,
-        body: parts.body,
-    })
 }
 
 #[cfg(test)]
@@ -522,6 +518,52 @@ mod tests {
         let bodies: Vec<Vec<u8>> = responses.iter().map(|(_, r)| r.body.clone()).collect();
         assert!(bodies.contains(&b"X".to_vec()));
         assert!(bodies.contains(&b"Y".to_vec()));
+    }
+
+    /// Deployed clients send the priority fields; some pad. Both used to be
+    /// read as header block.
+    #[test]
+    fn padded_and_prioritised_request_is_served() {
+        let mut client = ClientConnection::new();
+        client.send_request(&Request::post(
+            "dns.google",
+            "/dns-query",
+            b"query".to_vec(),
+        ));
+        let plain = client.take_output();
+
+        // The same octets with HEADERS padded and prioritised, DATA padded.
+        let mut dressed = plain[..CONNECTION_PREFACE.len()].to_vec();
+        let mut rest = &plain[CONNECTION_PREFACE.len()..];
+        while let Some((raw, consumed)) = RawFrame::parse(rest).unwrap() {
+            let (lead, trail, extra_flags): (&[u8], &[u8], u8) = match raw.frame_type {
+                FrameType::Headers => (
+                    &[4, 0, 0, 0, 0, 200],
+                    &[0; 4],
+                    flags::PADDED | flags::PRIORITY,
+                ),
+                FrameType::Data => (&[4], &[0; 4], flags::PADDED),
+                _ => (&[], &[], 0),
+            };
+            let mut frame = BytesMut::new();
+            frame::put_header(
+                &mut frame,
+                lead.len() + raw.payload.len() + trail.len(),
+                raw.frame_type,
+                raw.flags | extra_flags,
+                raw.stream_id,
+            );
+            dressed.extend_from_slice(&frame);
+            dressed.extend_from_slice(&[lead, raw.payload, trail].concat());
+            rest = &rest[consumed..];
+        }
+        assert_eq!(dressed.len(), plain.len() + 10 + 5);
+
+        let mut server = ServerConnection::new();
+        let expected = ServerConnection::new().receive(&plain).unwrap();
+        assert_eq!(expected.len(), 1);
+        assert_eq!(expected[0].1.body, b"query");
+        assert_eq!(server.receive(&dressed).unwrap(), expected);
     }
 
     #[test]

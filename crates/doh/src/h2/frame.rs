@@ -70,6 +70,12 @@ pub mod flags {
     pub const ACK: u8 = 0x1;
     /// END_HEADERS flag on HEADERS frames.
     pub const END_HEADERS: u8 = 0x4;
+    /// PADDED flag on DATA and HEADERS frames: a pad-length octet leads the
+    /// payload and that many octets of padding trail it.
+    pub const PADDED: u8 = 0x8;
+    /// PRIORITY flag on HEADERS frames: 5 octets of stream dependency and
+    /// weight precede the header block.
+    pub const PRIORITY: u8 = 0x20;
 }
 
 /// A decoded HTTP/2 frame.
@@ -151,7 +157,7 @@ impl Frame {
                 data,
             } => {
                 let flag = if *end_stream { flags::END_STREAM } else { 0 };
-                encode_header(out, data.len(), FrameType::Data.code(), flag, *stream_id);
+                put_header(out, data.len(), FrameType::Data, flag, *stream_id);
                 out.put_slice(data);
             }
             Frame::Headers {
@@ -167,33 +173,23 @@ impl Frame {
                 if *end_headers {
                     flag |= flags::END_HEADERS;
                 }
-                encode_header(
-                    out,
-                    block.len(),
-                    FrameType::Headers.code(),
-                    flag,
-                    *stream_id,
-                );
+                put_header(out, block.len(), FrameType::Headers, flag, *stream_id);
                 out.put_slice(block);
             }
             Frame::Settings { ack, params } => {
                 let flag = if *ack { flags::ACK } else { 0 };
-                encode_header(out, params.len() * 6, FrameType::Settings.code(), flag, 0);
-                for (id, value) in params {
-                    out.put_u16(*id);
-                    out.put_u32(*value);
-                }
+                put_settings(out, flag, params);
             }
             Frame::Ping { ack, data } => {
                 let flag = if *ack { flags::ACK } else { 0 };
-                encode_header(out, 8, FrameType::Ping.code(), flag, 0);
+                put_header(out, 8, FrameType::Ping, flag, 0);
                 out.put_slice(data);
             }
             Frame::GoAway {
                 last_stream_id,
                 error_code,
             } => {
-                encode_header(out, 8, FrameType::GoAway.code(), 0, 0);
+                put_header(out, 8, FrameType::GoAway, 0, 0);
                 out.put_u32(*last_stream_id & 0x7FFF_FFFF);
                 out.put_u32(*error_code);
             }
@@ -201,14 +197,14 @@ impl Frame {
                 stream_id,
                 increment,
             } => {
-                encode_header(out, 4, FrameType::WindowUpdate.code(), 0, *stream_id);
+                put_header(out, 4, FrameType::WindowUpdate, 0, *stream_id);
                 out.put_u32(*increment & 0x7FFF_FFFF);
             }
             Frame::RstStream {
                 stream_id,
                 error_code,
             } => {
-                encode_header(out, 4, FrameType::RstStream.code(), 0, *stream_id);
+                put_header(out, 4, FrameType::RstStream, 0, *stream_id);
                 out.put_u32(*error_code);
             }
             Frame::Unknown {
@@ -216,7 +212,13 @@ impl Frame {
                 stream_id,
                 payload,
             } => {
-                encode_header(out, payload.len(), *frame_type, 0, *stream_id);
+                put_header(
+                    out,
+                    payload.len(),
+                    FrameType::Unknown(*frame_type),
+                    0,
+                    *stream_id,
+                );
                 out.put_slice(payload);
             }
         }
@@ -224,41 +226,105 @@ impl Frame {
 
     /// Decodes one frame from the front of `input`, returning the frame and
     /// the number of bytes consumed, or `Ok(None)` when more bytes are
-    /// needed.
+    /// needed. Padding and the priority fields of a HEADERS frame are
+    /// dropped: the frame returned carries the body octets or the header
+    /// block only.
     ///
     /// # Errors
     ///
     /// Returns [`H2Error::FrameTooLarge`] for oversized frames and
     /// [`H2Error::Truncated`]/[`H2Error::Protocol`] for malformed ones.
-    // sdoh-lint: allow(no-panic, "every index is guarded by the length checks at the top of its arm")
     pub fn decode(input: &[u8]) -> Result<Option<(Frame, usize)>, H2Error> {
-        if input.len() < 9 {
+        let Some((raw, consumed)) = RawFrame::parse(input)? else {
             return Ok(None);
-        }
-        let length =
-            (usize::from(input[0]) << 16) | (usize::from(input[1]) << 8) | usize::from(input[2]);
+        };
+        Ok(Some((raw.to_frame()?, consumed)))
+    }
+}
+
+/// One frame as it lies in a receive buffer: the header's fields and the
+/// payload borrowed, for DATA and HEADERS already without padding and
+/// priority fields. [`RawFrame::parse`] is the only frame parser; an owned
+/// [`Frame`] is [`RawFrame::to_frame`] of its result.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct RawFrame<'a> {
+    pub(super) frame_type: FrameType,
+    pub(super) flags: u8,
+    pub(super) stream_id: u32,
+    pub(super) payload: &'a [u8],
+}
+
+impl<'a> RawFrame<'a> {
+    /// Parses the frame at the front of `input`; `Ok(None)` asks for more
+    /// octets.
+    pub(super) fn parse(input: &'a [u8]) -> Result<Option<(Self, usize)>, H2Error> {
+        let Some((&[l2, l1, l0, code, flags, s3, s2, s1, s0], rest)) =
+            input.split_first_chunk::<9>()
+        else {
+            return Ok(None);
+        };
+        let length = (usize::from(l2) << 16) | (usize::from(l1) << 8) | usize::from(l0);
         if length > MAX_FRAME_SIZE {
             return Err(H2Error::FrameTooLarge(length));
         }
-        if input.len() < 9 + length {
+        let Some(mut payload) = rest.get(..length) else {
             return Ok(None);
+        };
+        let frame_type = FrameType::from(code);
+        // RFC 7540 §6.1 / §6.2: the pad length comes first and counts octets
+        // at the end, the priority fields follow it.
+        if matches!(frame_type, FrameType::Data | FrameType::Headers) {
+            if flags & flags::PADDED != 0 {
+                let (&pad, padded) = payload
+                    .split_first()
+                    .ok_or_else(|| H2Error::Protocol("padded frame without a pad length".into()))?;
+                let kept = padded.len().checked_sub(usize::from(pad)).ok_or_else(|| {
+                    H2Error::Protocol("padding longer than the frame payload".into())
+                })?;
+                payload = padded.get(..kept).unwrap_or_default();
+            }
+            if frame_type == FrameType::Headers && flags & flags::PRIORITY != 0 {
+                payload = payload.get(5..).ok_or_else(|| {
+                    H2Error::Protocol("headers frame shorter than its priority fields".into())
+                })?;
+            }
         }
-        let frame_type = FrameType::from(input[3]);
-        let frame_flags = input[4];
-        let stream_id = u32::from_be_bytes([input[5], input[6], input[7], input[8]]) & 0x7FFF_FFFF;
-        let payload = &input[9..9 + length];
-        let consumed = 9 + length;
+        let raw = RawFrame {
+            frame_type,
+            flags,
+            stream_id: u32::from_be_bytes([s3, s2, s1, s0]) & 0x7FFF_FFFF,
+            payload,
+        };
+        Ok(Some((raw, 9 + length)))
+    }
 
-        let frame = match frame_type {
+    /// Whether END_STREAM is set (DATA and HEADERS frames).
+    pub(super) fn end_stream(self) -> bool {
+        self.flags & flags::END_STREAM != 0
+    }
+
+    /// Whether END_HEADERS is set (HEADERS frames).
+    pub(super) fn end_headers(self) -> bool {
+        self.flags & flags::END_HEADERS != 0
+    }
+
+    /// Checks the payload against its frame type and copies it out.
+    // sdoh-lint: allow(no-panic, "every index is guarded by the length check at the top of its arm")
+    pub(super) fn to_frame(self) -> Result<Frame, H2Error> {
+        let RawFrame {
+            stream_id, payload, ..
+        } = self;
+        let ack = self.flags & flags::ACK != 0;
+        Ok(match self.frame_type {
             FrameType::Data => Frame::Data {
                 stream_id,
-                end_stream: frame_flags & flags::END_STREAM != 0,
+                end_stream: self.end_stream(),
                 data: payload.to_vec(),
             },
             FrameType::Headers => Frame::Headers {
                 stream_id,
-                end_stream: frame_flags & flags::END_STREAM != 0,
-                end_headers: frame_flags & flags::END_HEADERS != 0,
+                end_stream: self.end_stream(),
+                end_headers: self.end_headers(),
                 block: payload.to_vec(),
             },
             FrameType::Settings => {
@@ -276,21 +342,12 @@ impl Frame {
                         )
                     })
                     .collect();
-                Frame::Settings {
-                    ack: frame_flags & flags::ACK != 0,
-                    params,
-                }
+                Frame::Settings { ack, params }
             }
             FrameType::Ping => {
-                if payload.len() != 8 {
-                    return Err(H2Error::Protocol("ping payload must be 8 octets".into()));
-                }
-                let mut data = [0u8; 8];
-                data.copy_from_slice(payload);
-                Frame::Ping {
-                    ack: frame_flags & flags::ACK != 0,
-                    data,
-                }
+                let data = <[u8; 8]>::try_from(payload)
+                    .map_err(|_| H2Error::Protocol("ping payload must be 8 octets".into()))?;
+                Frame::Ping { ack, data }
             }
             FrameType::GoAway => {
                 if payload.len() < 8 {
@@ -335,24 +392,41 @@ impl Frame {
                 stream_id,
                 payload: payload.to_vec(),
             },
-        };
-        Ok(Some((frame, consumed)))
+        })
     }
 }
 
-fn encode_header(
+/// Appends a 9-octet frame header.
+pub(super) fn put_header(
     out: &mut BytesMut,
     length: usize,
-    frame_type: u8,
+    frame_type: FrameType,
     frame_flags: u8,
     stream_id: u32,
 ) {
     // A frame length is 24 bits: the low three octets.
     let [.., high, mid, low] = length.to_be_bytes();
-    out.put_slice(&[high, mid, low]);
-    out.put_u8(frame_type);
-    out.put_u8(frame_flags);
+    out.put_slice(&[high, mid, low, frame_type.code(), frame_flags]);
     out.put_u32(stream_id & 0x7FFF_FFFF);
+}
+
+/// Appends a SETTINGS frame.
+pub(super) fn put_settings(out: &mut BytesMut, frame_flags: u8, params: &[(u16, u32)]) {
+    put_header(out, params.len() * 6, FrameType::Settings, frame_flags, 0);
+    for &(id, value) in params {
+        out.put_u16(id);
+        out.put_u32(value);
+    }
+}
+
+/// Sets the length of the frame whose header starts at `header_at` to the
+/// octets written behind that header since: a header block is encoded
+/// straight into the output, behind a header put down with length 0.
+pub(super) fn close_frame(out: &mut BytesMut, header_at: usize) {
+    let [.., high, mid, low] = out.len().saturating_sub(header_at + 9).to_be_bytes();
+    if let Some(length) = out.get_mut(header_at..header_at + 3) {
+        length.copy_from_slice(&[high, mid, low]);
+    }
 }
 
 #[cfg(test)]
@@ -452,7 +526,7 @@ mod tests {
     #[test]
     fn malformed_settings_rejected() {
         let mut buf = BytesMut::new();
-        encode_header(&mut buf, 5, FrameType::Settings.code(), 0, 0);
+        put_header(&mut buf, 5, FrameType::Settings, 0, 0);
         buf.put_slice(&[0u8; 5]);
         assert!(matches!(Frame::decode(&buf), Err(H2Error::Protocol(_))));
     }
@@ -460,9 +534,99 @@ mod tests {
     #[test]
     fn malformed_ping_rejected() {
         let mut buf = BytesMut::new();
-        encode_header(&mut buf, 4, FrameType::Ping.code(), 0, 0);
+        put_header(&mut buf, 4, FrameType::Ping, 0, 0);
         buf.put_slice(&[0u8; 4]);
         assert!(Frame::decode(&buf).is_err());
+    }
+
+    fn decode_one(
+        frame_type: FrameType,
+        frame_flags: u8,
+        payload: &[u8],
+    ) -> Result<Frame, H2Error> {
+        let mut buf = BytesMut::new();
+        put_header(&mut buf, payload.len(), frame_type, frame_flags, 1);
+        buf.put_slice(payload);
+        let (frame, consumed) = Frame::decode(&buf)?.expect("the frame is complete");
+        assert_eq!(consumed, buf.len());
+        Ok(frame)
+    }
+
+    /// RFC 7540 §6.1 / §6.2: the pad length leads, the priority fields
+    /// follow it, the padding trails; none of them is header block or body.
+    #[test]
+    fn padding_and_priority_fields_are_stripped() {
+        let block = [0x82, 0x86];
+        let priority = [0x80, 0, 0, 3, 15];
+        let headers = |frame_flags, payload: &[u8]| {
+            decode_one(
+                FrameType::Headers,
+                frame_flags | flags::END_HEADERS,
+                payload,
+            )
+        };
+        let expected = Frame::Headers {
+            stream_id: 1,
+            end_stream: false,
+            end_headers: true,
+            block: block.to_vec(),
+        };
+        assert_eq!(
+            headers(flags::PADDED, &[3, 0x82, 0x86, 0, 0, 0]).unwrap(),
+            expected
+        );
+        assert_eq!(
+            headers(flags::PRIORITY, &[&priority[..], &block].concat()).unwrap(),
+            expected
+        );
+        assert_eq!(
+            headers(
+                flags::PADDED | flags::PRIORITY,
+                &[&[2][..], &priority, &block, &[0, 0]].concat()
+            )
+            .unwrap(),
+            expected
+        );
+
+        let data = |payload: &[u8]| {
+            decode_one(FrameType::Data, flags::PADDED | flags::END_STREAM, payload)
+        };
+        let body = |octets: &[u8]| Frame::Data {
+            stream_id: 1,
+            end_stream: true,
+            data: octets.to_vec(),
+        };
+        assert_eq!(data(&[2, b'd', b'n', b's', 0, 0]).unwrap(), body(b"dns"));
+        // A frame may be padding only: the pad length is the rest of it.
+        assert_eq!(data(&[2, 0, 0]).unwrap(), body(b""));
+    }
+
+    #[test]
+    fn padding_past_the_payload_is_a_protocol_error() {
+        let padded = |frame_type, extra_flags, payload: &[u8]| {
+            decode_one(frame_type, flags::PADDED | extra_flags, payload)
+        };
+        for payload in [&[][..], &[3, 0, 0], &[200, b'x', 0, 0]] {
+            for frame_type in [FrameType::Data, FrameType::Headers] {
+                assert!(
+                    matches!(padded(frame_type, 0, payload), Err(H2Error::Protocol(_))),
+                    "{frame_type:?} {payload:?}"
+                );
+            }
+        }
+        // The padding may not reach into the priority fields either.
+        assert!(matches!(
+            padded(
+                FrameType::Headers,
+                flags::PRIORITY,
+                &[2, 0x80, 0, 0, 3, 15, 0]
+            ),
+            Err(H2Error::Protocol(_))
+        ));
+        assert!(matches!(
+            decode_one(FrameType::Headers, flags::PRIORITY, &[0x80, 0, 0, 3]),
+            Err(H2Error::Protocol(_))
+        ));
     }
 
     #[test]

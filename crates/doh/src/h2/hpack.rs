@@ -14,6 +14,8 @@
 //! production HPACK codec and is sufficient because both peers in the
 //! simulation use this same codec.
 
+use bytes::BufMut;
+
 use super::error::H2Error;
 
 /// The RFC 7541 Appendix A static table (index 1..=61).
@@ -85,17 +87,22 @@ const STATIC_TABLE: &[(&str, &str)] = &[
 pub fn encode(headers: &[(String, String)]) -> Vec<u8> {
     let mut out = Vec::new();
     for (name, value) in headers {
-        if let Some(index) = static_index_exact(name, value) {
-            // Indexed header field: 1xxxxxxx
-            encode_integer(&mut out, index, 7, 0x80);
-            continue;
-        }
-        // Literal header field without indexing — new name: 0000 0000
-        out.push(0x00);
-        encode_string(&mut out, name.as_bytes());
-        encode_string(&mut out, value.as_bytes());
+        encode_field(&mut out, name, value);
     }
     out
+}
+
+/// Appends one header field to the block being written at the end of `out`.
+pub(super) fn encode_field(out: &mut impl BufMut, name: &str, value: &str) {
+    if let Some(index) = static_index_exact(name, value) {
+        // Indexed header field: 1xxxxxxx
+        encode_integer(out, index, 7, 0x80);
+        return;
+    }
+    // Literal header field without indexing — new name: 0000 0000
+    out.put_u8(0x00);
+    encode_string(out, name.as_bytes());
+    encode_string(out, value.as_bytes());
 }
 
 /// Decodes an HPACK header block into a header list.
@@ -104,43 +111,69 @@ pub fn encode(headers: &[(String, String)]) -> Vec<u8> {
 ///
 /// Returns [`H2Error::Hpack`] for Huffman-coded strings, dynamic-table
 /// references, size updates that are not zero, or truncated input.
-pub fn decode(mut block: &[u8]) -> Result<Vec<(String, String)>, H2Error> {
-    let mut headers = Vec::new();
-    while let Some(&first) = block.first() {
-        if first & 0x80 != 0 {
-            // Indexed header field.
-            let (index, rest) = decode_integer(block, 7)?;
-            block = rest;
-            let (name, value) = static_entry(index)?;
-            headers.push((name.to_string(), value.to_string()));
-        } else if first & 0xE0 == 0x20 {
-            // Dynamic table size update; only size 0 is allowed here.
-            let (size, rest) = decode_integer(block, 5)?;
-            if size != 0 {
-                return Err(H2Error::Hpack("dynamic table not supported".into()));
+pub fn decode(block: &[u8]) -> Result<Vec<(String, String)>, H2Error> {
+    Fields::new(block)
+        .map(|field| field.map(|(name, value)| (name.to_string(), value.to_string())))
+        .collect()
+}
+
+/// The fields of a header block in order, each borrowed from the block or
+/// from the static table. The first malformed field is yielded as its error
+/// and ends the walk.
+pub(super) struct Fields<'a> {
+    block: &'a [u8],
+}
+
+impl<'a> Fields<'a> {
+    pub(super) fn new(block: &'a [u8]) -> Self {
+        Fields { block }
+    }
+
+    fn next_field(&mut self) -> Result<Option<(&'a str, &'a str)>, H2Error> {
+        while let Some(&first) = self.block.first() {
+            if first & 0x80 != 0 {
+                // Indexed header field.
+                let (index, rest) = decode_integer(self.block, 7)?;
+                self.block = rest;
+                return static_entry(index).map(Some);
             }
-            block = rest;
-        } else {
+            if first & 0xE0 == 0x20 {
+                // Dynamic table size update; only size 0 is allowed here.
+                let (size, rest) = decode_integer(self.block, 5)?;
+                if size != 0 {
+                    return Err(H2Error::Hpack("dynamic table not supported".into()));
+                }
+                self.block = rest;
+                continue;
+            }
             // Literal header field (with incremental indexing 0x40, without
             // indexing 0x00, never indexed 0x10). All are treated the same
             // because the dynamic table is unused.
             let prefix = if first & 0x40 != 0 { 6 } else { 4 };
-            let (name_index, rest) = decode_integer(block, prefix)?;
-            block = rest;
-            let name = if name_index == 0 {
-                let (name, rest) = decode_string(block)?;
-                block = rest;
-                name
+            let (name_index, rest) = decode_integer(self.block, prefix)?;
+            let (name, rest) = if name_index == 0 {
+                decode_string(rest)?
             } else {
-                let (name, _) = static_entry(name_index)?;
-                name.to_string()
+                (static_entry(name_index)?.0, rest)
             };
-            let (value, rest) = decode_string(block)?;
-            block = rest;
-            headers.push((name, value));
+            let (value, rest) = decode_string(rest)?;
+            self.block = rest;
+            return Ok(Some((name, value)));
         }
+        Ok(None)
     }
-    Ok(headers)
+}
+
+impl<'a> Iterator for Fields<'a> {
+    type Item = Result<(&'a str, &'a str), H2Error>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let field = self.next_field();
+        if field.is_err() {
+            self.block = &[];
+        }
+        field.transpose()
+    }
 }
 
 fn static_index_exact(name: &str, value: &str) -> Option<u64> {
@@ -160,19 +193,19 @@ fn static_entry(index: u64) -> Result<(&'static str, &'static str), H2Error> {
 }
 
 // sdoh-lint: allow(no-narrowing-cast, "each cast operand is reduced below 256 by the prefix mask or the modulo")
-fn encode_integer(out: &mut Vec<u8>, mut value: u64, prefix_bits: u8, pattern: u8) {
+fn encode_integer(out: &mut impl BufMut, mut value: u64, prefix_bits: u8, pattern: u8) {
     let max_prefix = (1u64 << prefix_bits) - 1;
     if value < max_prefix {
-        out.push(pattern | value as u8);
+        out.put_u8(pattern | value as u8);
         return;
     }
-    out.push(pattern | max_prefix as u8);
+    out.put_u8(pattern | max_prefix as u8);
     value -= max_prefix;
     while value >= 128 {
-        out.push((value % 128 + 128) as u8);
+        out.put_u8((value % 128 + 128) as u8);
         value /= 128;
     }
-    out.push(value as u8);
+    out.put_u8(value as u8);
 }
 
 fn decode_integer(input: &[u8], prefix_bits: u8) -> Result<(u64, &[u8]), H2Error> {
@@ -201,13 +234,13 @@ fn decode_integer(input: &[u8], prefix_bits: u8) -> Result<(u64, &[u8]), H2Error
     }
 }
 
-fn encode_string(out: &mut Vec<u8>, data: &[u8]) {
+fn encode_string(out: &mut impl BufMut, data: &[u8]) {
     let len = u64::try_from(data.len()).unwrap_or(u64::MAX);
     encode_integer(out, len, 7, 0x00);
-    out.extend_from_slice(data);
+    out.put_slice(data);
 }
 
-fn decode_string(input: &[u8]) -> Result<(String, &[u8]), H2Error> {
+fn decode_string(input: &[u8]) -> Result<(&str, &[u8]), H2Error> {
     let first = input
         .first()
         .ok_or_else(|| H2Error::Hpack("truncated string".into()))?;
@@ -217,12 +250,12 @@ fn decode_string(input: &[u8]) -> Result<(String, &[u8]), H2Error> {
     let (len, rest) = decode_integer(input, 7)?;
     let len =
         usize::try_from(len).map_err(|_| H2Error::Hpack("string length overflows usize".into()))?;
-    let payload = rest
-        .get(..len)
+    let (payload, rest) = rest
+        .split_at_checked(len)
         .ok_or_else(|| H2Error::Hpack("truncated string payload".into()))?;
-    let text = String::from_utf8(payload.to_vec())
+    let text = std::str::from_utf8(payload)
         .map_err(|_| H2Error::Hpack("header string is not valid utf-8".into()))?;
-    Ok((text, rest.get(len..).unwrap_or(&[])))
+    Ok((text, rest))
 }
 
 #[cfg(test)]

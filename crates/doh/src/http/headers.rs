@@ -41,19 +41,17 @@ impl Headers {
 
     /// The first value for `name`, if any.
     pub fn get(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
         self.fields
             .iter()
-            .find(|(n, _)| n == &name)
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 
     /// All values for `name` in insertion order.
     pub fn get_all(&self, name: &str) -> Vec<&str> {
-        let name = name.to_ascii_lowercase();
         self.fields
             .iter()
-            .filter(|(n, _)| n == &name)
+            .filter(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
             .collect()
     }
@@ -65,9 +63,8 @@ impl Headers {
 
     /// Removes all fields with this name, returning whether any were removed.
     pub fn remove(&mut self, name: &str) -> bool {
-        let name = name.to_ascii_lowercase();
         let before = self.fields.len();
-        self.fields.retain(|(n, _)| n != &name);
+        self.fields.retain(|(n, _)| !n.eq_ignore_ascii_case(name));
         before != self.fields.len()
     }
 

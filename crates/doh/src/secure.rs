@@ -13,12 +13,35 @@
 //!   `sdoh-netsim` grants to [`ChannelKind::Secure`](sdoh_netsim::ChannelKind)
 //!   traffic.
 //!
-//! The cipher is a keyed xorshift keystream with a 64-bit polynomial tag.
+//! The cipher is a keyed splitmix keystream with a 64-bit chained tag.
 //! **It is not cryptographically secure and must never be used outside this
 //! simulation**; it exists so that the full DoH code path (handshake,
 //! record framing, tag verification, key pinning) is exercised end to end.
+//!
+//! # The record
+//!
+//! A record is `ciphertext || tag`, the tag 8 octets, big end first. Key
+//! and sequence number are absorbed once into a stream state; word `n` of
+//! its keystream covers octets `8n..8n + 8` of the record and is XORed
+//! over them where they lie. The tag absorbs the ciphertext **a word per
+//! step**, not an octet per step:
+//!
+//! ```text
+//! acc = word(u64::MAX)
+//! acc = mix(acc ^ w)      for each full big-endian 8-octet word w
+//! acc = mix(acc ^ tail)   the 0..=7 octets left over, zero-padded; always, also when none are left
+//! tag = mix(acc ^ len)    the ciphertext's length in octets
+//! ```
+//!
+//! `mix` is a bijection, so the tag is bound to the key and the sequence
+//! number (the start value), to every octet at its position (one changed
+//! word changes every later `acc`) and to the record's length (`"ab"` and
+//! `"ab\0"` share a tail word and still differ). The keystream octets are
+//! the ones this module always produced — `word(n)` is computed from the
+//! same constants in the same order, only the key is no longer re-absorbed
+//! for every word — so a ciphertext sealed before the tag changed differs
+//! from one sealed now in its last 8 octets only.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::error::{DohError, DohResult};
@@ -61,40 +84,74 @@ fn mix(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn keystream_word(key: &SecretKey, seq: u64, counter: u64) -> u64 {
-    let mut state = seq ^ 0xA5A5_A5A5_5A5A_5A5A;
-    for chunk in key.0.chunks(8) {
-        let mut word = [0u8; 8];
-        word.copy_from_slice(chunk);
-        state = mix(state ^ u64::from_be_bytes(word));
-    }
-    mix(state ^ counter.wrapping_mul(0xD6E8_FEB8_6659_FD93))
-}
+/// The keystream of one `(key, seq)`: the key is absorbed here, once, and
+/// every word is one `mix` away.
+#[derive(Clone, Copy)]
+struct Stream(u64);
 
-fn tag(key: &SecretKey, seq: u64, data: &[u8]) -> u64 {
-    let mut acc = keystream_word(key, seq, u64::MAX);
-    for (i, &b) in (0u64..).zip(data) {
-        acc = mix(acc ^ (u64::from(b) << (8 * (i % 8))) ^ i);
+impl Stream {
+    fn new(key: &SecretKey, seq: u64) -> Self {
+        let (words, _) = key.0.as_chunks::<8>();
+        let state = words
+            .iter()
+            .fold(seq ^ 0xA5A5_A5A5_5A5A_5A5A, |state, word| {
+                mix(state ^ u64::from_be_bytes(*word))
+            });
+        Stream(state)
     }
-    acc
-}
 
-/// Appends `data` XORed with the keystream of `(key, seq)` to `out`: word
-/// `n` of the stream covers bytes `8n..8n + 8`, big end first.
-fn apply_keystream(key: &SecretKey, seq: u64, data: &[u8], out: &mut Vec<u8>) {
-    for (counter, block) in (0u64..).zip(data.chunks(8)) {
-        let word = keystream_word(key, seq, counter).to_be_bytes();
-        out.extend(block.iter().zip(word).map(|(&b, ks_byte)| b ^ ks_byte));
+    fn word(self, n: u64) -> u64 {
+        mix(self.0 ^ n.wrapping_mul(0xD6E8_FEB8_6659_FD93))
+    }
+
+    /// XORs the keystream over `data` in place, 8 octets at a time. The
+    /// operation is its own inverse.
+    fn apply(self, data: &mut [u8]) {
+        let (words, tail) = data.as_chunks_mut::<8>();
+        let mut n = 0u64;
+        for word in words {
+            *word = (u64::from_be_bytes(*word) ^ self.word(n)).to_be_bytes();
+            n += 1;
+        }
+        for (octet, key_octet) in tail.iter_mut().zip(self.word(n).to_be_bytes()) {
+            *octet ^= key_octet;
+        }
+    }
+
+    /// The tag of `ciphertext`; the module doc spells out the chain.
+    fn tag(self, ciphertext: &[u8]) -> u64 {
+        let (words, tail) = ciphertext.as_chunks::<8>();
+        let mut acc = self.word(u64::MAX);
+        for word in words {
+            acc = mix(acc ^ u64::from_be_bytes(*word));
+        }
+        let mut last = [0u8; 8];
+        for (padded, &octet) in last.iter_mut().zip(tail) {
+            *padded = octet;
+        }
+        acc = mix(acc ^ u64::from_be_bytes(last));
+        mix(acc ^ u64::try_from(ciphertext.len()).unwrap_or(u64::MAX))
     }
 }
 
 /// Seals plaintext into a record: `ciphertext || 8-byte tag`.
 pub fn seal(key: &SecretKey, seq: u64, plaintext: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(plaintext.len() + 8);
-    apply_keystream(key, seq, plaintext, &mut out);
-    let t = tag(key, seq, &out);
-    out.extend_from_slice(&t.to_be_bytes());
-    out
+    let mut record = Vec::with_capacity(plaintext.len() + 8);
+    record.extend_from_slice(plaintext);
+    seal_in_place(key, seq, &mut record, 0);
+    record
+}
+
+/// Seals the octets of `buf` from offset `from` on where they lie and
+/// appends the tag, so that `buf[from..]` is the record [`seal`] would
+/// have built from them. What precedes `from` (an envelope header) is left
+/// alone; a `from` past the end seals the empty plaintext.
+pub fn seal_in_place(key: &SecretKey, seq: u64, buf: &mut Vec<u8>, from: usize) {
+    let stream = Stream::new(key, seq);
+    let plaintext = buf.get_mut(from..).unwrap_or_default();
+    stream.apply(plaintext);
+    let tag = stream.tag(plaintext);
+    buf.extend_from_slice(&tag.to_be_bytes());
 }
 
 /// Opens a sealed record, verifying its tag.
@@ -104,25 +161,20 @@ pub fn seal(key: &SecretKey, seq: u64, plaintext: &[u8]) -> Vec<u8> {
 /// Returns [`DohError::ChannelAuthentication`] when the record is too short
 /// or its tag does not verify (wrong key, tampering, wrong sequence number).
 pub fn open(key: &SecretKey, seq: u64, record: &[u8]) -> DohResult<Vec<u8>> {
-    if record.len() < 8 {
+    let Some((ciphertext, presented)) = record.split_last_chunk::<8>() else {
         return Err(DohError::ChannelAuthentication(
             "record shorter than its tag".into(),
         ));
-    }
-    let (ciphertext, tag_bytes) = record.split_at(record.len() - 8);
-    let expected = tag(key, seq, ciphertext);
-    let presented = u64::from_be_bytes(
-        <[u8; 8]>::try_from(tag_bytes)
-            .map_err(|_| DohError::ChannelAuthentication("record tag truncated".into()))?,
-    );
-    if expected != presented {
+    };
+    let stream = Stream::new(key, seq);
+    if stream.tag(ciphertext) != u64::from_be_bytes(*presented) {
         return Err(DohError::ChannelAuthentication(
             "record tag verification failed".into(),
         ));
     }
-    let mut out = Vec::with_capacity(ciphertext.len());
-    apply_keystream(key, seq, ciphertext, &mut out);
-    Ok(out)
+    let mut plaintext = ciphertext.to_vec();
+    stream.apply(&mut plaintext);
+    Ok(plaintext)
 }
 
 /// Sequence number used for client-to-server records.
@@ -132,6 +184,11 @@ pub const SEQ_SERVER: u64 = 1;
 
 /// A secure envelope: the server name the client thinks it is talking to
 /// ("SNI" + certificate pinning in one) plus one sealed record.
+///
+/// This is the owned form. The two ends of an exchange never build one:
+/// they write the header with [`SecureEnvelope::begin`], seal the record
+/// behind it in the same buffer and read a received payload through
+/// [`SecureEnvelope::split`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SecureEnvelope {
     /// The server identity the record is keyed to.
@@ -141,15 +198,46 @@ pub struct SecureEnvelope {
 }
 
 impl SecureEnvelope {
+    /// Starts a payload for `server_name`: a buffer holding the envelope's
+    /// header (the version octet, the name's length, the name) with room
+    /// for an exchange over UDP-sized DNS messages, HTTP/2 framing and
+    /// record tag included, so a typical payload is allocated once and a
+    /// larger one grows. The record follows the header.
+    pub fn begin(server_name: &str) -> Vec<u8> {
+        let mut out = Vec::with_capacity(512);
+        // Resolver names are bounded far below 64 KiB by the directory: the
+        // length is the low two octets.
+        let [.., hi, lo] = server_name.len().to_be_bytes();
+        out.extend_from_slice(&[0x01, hi, lo]);
+        out.extend_from_slice(server_name.as_bytes());
+        out
+    }
+
+    /// Splits an encoded envelope into the server name and the sealed
+    /// record, both borrowed from `data`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DohError::Protocol`] for truncated or unknown-version
+    /// envelopes.
+    pub fn split(data: &[u8]) -> DohResult<(&str, &[u8])> {
+        let Some((&[version, hi, lo], rest)) = data.split_first_chunk::<3>() else {
+            return Err(DohError::Protocol("secure envelope too short".into()));
+        };
+        if version != 0x01 {
+            return Err(DohError::Protocol("unknown secure envelope version".into()));
+        }
+        let (name, record) = rest
+            .split_at_checked(usize::from(u16::from_be_bytes([hi, lo])))
+            .ok_or_else(|| DohError::Protocol("secure envelope name truncated".into()))?;
+        let name = std::str::from_utf8(name)
+            .map_err(|_| DohError::Protocol("server name is not utf-8".into()))?;
+        Ok((name, record))
+    }
+
     /// Serialises the envelope for transmission.
     pub fn encode(&self) -> Vec<u8> {
-        let name = self.server_name.as_bytes();
-        let mut out = Vec::with_capacity(3 + name.len() + self.record.len());
-        out.push(0x01); // version
-                        // Resolver names are bounded far below 64 KiB by the directory; a
-                        // longer name would already violate the provisioning invariant.
-        out.extend_from_slice(&(name.len() as u16).to_be_bytes()); // sdoh-lint: allow(no-narrowing-cast, "resolver names are bounded far below 64 KiB by the directory")
-        out.extend_from_slice(name);
+        let mut out = Self::begin(&self.server_name);
         out.extend_from_slice(&self.record);
         out
     }
@@ -158,58 +246,13 @@ impl SecureEnvelope {
     ///
     /// # Errors
     ///
-    /// Returns [`DohError::Protocol`] for truncated or unknown-version
-    /// envelopes.
+    /// As [`SecureEnvelope::split`].
     pub fn decode(data: &[u8]) -> DohResult<Self> {
-        let Some(&[version, hi, lo]) = data.get(..3) else {
-            return Err(DohError::Protocol("secure envelope too short".into()));
-        };
-        if version != 0x01 {
-            return Err(DohError::Protocol("unknown secure envelope version".into()));
-        }
-        let name_len = usize::from(u16::from_be_bytes([hi, lo]));
-        let name_bytes = data
-            .get(3..3 + name_len)
-            .ok_or_else(|| DohError::Protocol("secure envelope name truncated".into()))?;
-        let server_name = String::from_utf8(name_bytes.to_vec())
-            .map_err(|_| DohError::Protocol("server name is not utf-8".into()))?;
+        let (server_name, record) = Self::split(data)?;
         Ok(SecureEnvelope {
-            server_name,
-            record: data.get(3 + name_len..).unwrap_or(&[]).to_vec(),
+            server_name: server_name.to_string(),
+            record: record.to_vec(),
         })
-    }
-}
-
-/// A pinned-key store: resolver name to channel key.
-#[derive(Debug, Clone, Default)]
-pub struct KeyStore {
-    keys: HashMap<String, SecretKey>,
-}
-
-impl KeyStore {
-    /// Creates an empty key store.
-    pub fn new() -> Self {
-        KeyStore::default()
-    }
-
-    /// Pins `key` for `server_name`.
-    pub fn pin(&mut self, server_name: &str, key: SecretKey) {
-        self.keys.insert(server_name.to_string(), key);
-    }
-
-    /// The pinned key for `server_name`, if any.
-    pub fn key_for(&self, server_name: &str) -> Option<&SecretKey> {
-        self.keys.get(server_name)
-    }
-
-    /// Number of pinned keys.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Returns `true` when no keys are pinned.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
     }
 }
 
@@ -260,6 +303,88 @@ mod tests {
         assert_eq!(open(&key, SEQ_CLIENT, &record).unwrap(), Vec::<u8>::new());
     }
 
+    /// Captured at the commit before the tag absorbed a word per step:
+    /// the keystream did not move, so the ciphertext octets are the ones
+    /// the per-octet implementation produced.
+    #[test]
+    fn ciphertext_matches_the_golden_vector() {
+        let key = SecretKey::derive(42, "dns.google");
+        let record = seal(
+            &key,
+            SEQ_CLIENT,
+            b"PRI * HTTP/2.0 over a forty-octet record",
+        );
+        let golden: [u8; 40] = [
+            0xf4, 0x94, 0x1e, 0x26, 0xb2, 0x79, 0x26, 0xad, 0x95, 0xf5, 0x13, 0xa4, 0x4f, 0x8e,
+            0x9d, 0xdb, 0x25, 0x7b, 0x8c, 0xeb, 0xb5, 0xd3, 0x36, 0x4b, 0xaa, 0x6e, 0x37, 0xf7,
+            0xaa, 0x98, 0x54, 0xb0, 0xa3, 0x4b, 0x3b, 0xcf, 0x9b, 0xf7, 0x84, 0x1f,
+        ];
+        assert_eq!(record.len(), 48);
+        assert_eq!(record[..40], golden);
+    }
+
+    /// Every plaintext length around the word boundaries: the record opens,
+    /// and no record one bit, one octet or one parameter away from it does.
+    #[test]
+    fn every_neighbour_of_a_record_is_rejected() {
+        let key = SecretKey::derive(42, "dns.google");
+        let other = SecretKey::derive(43, "dns.google");
+        let text: Vec<u8> = (1..=33).collect();
+        for len in 0..=text.len() {
+            let plaintext = &text[..len];
+            let record = seal(&key, SEQ_CLIENT, plaintext);
+            assert_eq!(record.len(), len + 8);
+            assert_eq!(open(&key, SEQ_CLIENT, &record).unwrap(), plaintext);
+            assert!(open(&key, SEQ_SERVER, &record).is_err(), "sequence, {len}");
+            assert!(open(&other, SEQ_CLIENT, &record).is_err(), "key, {len}");
+
+            for bit in 0..record.len() * 8 {
+                let mut flipped = record.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert!(
+                    open(&key, SEQ_CLIENT, &flipped).is_err(),
+                    "bit {bit} of {len}"
+                );
+            }
+            for kept in 0..record.len() {
+                assert!(
+                    open(&key, SEQ_CLIENT, &record[..kept]).is_err(),
+                    "{kept} of {len}"
+                );
+                let mut shortened = record.clone();
+                shortened.remove(kept);
+                assert!(
+                    open(&key, SEQ_CLIENT, &shortened).is_err(),
+                    "without {kept} of {len}"
+                );
+            }
+            // One more octet anywhere before the tag, `len` appending it.
+            for at in 0..=len {
+                for octet in [0x00, 0x01, 0xFF] {
+                    let mut extended = record.clone();
+                    extended.insert(at, octet);
+                    assert!(
+                        open(&key, SEQ_CLIENT, &extended).is_err(),
+                        "{octet:#04x} at {at} of {len}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sealing_in_place_builds_the_same_record_behind_a_prefix() {
+        let key = SecretKey::derive(7, "dns.quad9.net");
+        for len in [0, 1, 8, 21] {
+            let plaintext = vec![0xA7; len];
+            let mut buf = b"header".to_vec();
+            buf.extend_from_slice(&plaintext);
+            seal_in_place(&key, SEQ_SERVER, &mut buf, 6);
+            assert_eq!(&buf[..6], b"header");
+            assert_eq!(buf[6..], seal(&key, SEQ_SERVER, &plaintext));
+        }
+    }
+
     #[test]
     fn key_derivation_is_deterministic_and_label_sensitive() {
         assert_eq!(
@@ -291,17 +416,6 @@ mod tests {
         assert!(SecureEnvelope::decode(&[]).is_err());
         assert!(SecureEnvelope::decode(&[0x02, 0, 0]).is_err());
         assert!(SecureEnvelope::decode(&[0x01, 0, 10, b'a']).is_err());
-    }
-
-    #[test]
-    fn keystore_pins_and_looks_up() {
-        let mut store = KeyStore::new();
-        assert!(store.is_empty());
-        store.pin("dns.google", SecretKey::derive(1, "dns.google"));
-        store.pin("dns.quad9.net", SecretKey::derive(1, "dns.quad9.net"));
-        assert_eq!(store.len(), 2);
-        assert!(store.key_for("dns.google").is_some());
-        assert!(store.key_for("unknown.example").is_none());
     }
 
     #[test]

@@ -83,27 +83,33 @@ impl<H: QueryHandler> DohServerService<H> {
     }
 
     fn process(&mut self, exchanger: &mut dyn Exchanger, payload: &[u8]) -> DohResult<Vec<u8>> {
-        let envelope = SecureEnvelope::decode(payload)?;
-        if envelope.server_name != self.identity.name {
+        let (server_name, record) = SecureEnvelope::split(payload)?;
+        if server_name != self.identity.name {
             return Err(crate::error::DohError::ChannelAuthentication(format!(
-                "client addressed {} but this endpoint is {}",
-                envelope.server_name, self.identity.name
+                "client addressed {server_name} but this endpoint is {}",
+                self.identity.name
             )));
         }
-        let client_h2 = secure::open(&self.identity.key, secure::SEQ_CLIENT, &envelope.record)?;
+        let client_h2 = secure::open(&self.identity.key, secure::SEQ_CLIENT, record)?;
 
-        let mut connection = ServerConnection::new();
+        // The reply is one buffer from the envelope header to the record
+        // tag, as the request was (`DohClient::begin_query`).
+        let reply = SecureEnvelope::begin(&self.identity.name);
+        let record_at = reply.len();
+        let mut connection = ServerConnection::with_output(reply);
         let requests = connection.receive(&client_h2)?;
         for (stream_id, request) in requests {
             let response = self.handle_http(exchanger, &request);
             connection.send_response(stream_id, &response);
         }
-        let server_h2 = connection.take_output();
-        let reply = SecureEnvelope {
-            server_name: self.identity.name.clone(),
-            record: secure::seal(&self.identity.key, secure::SEQ_SERVER, &server_h2),
-        };
-        Ok(reply.encode())
+        let mut reply = connection.take_output();
+        secure::seal_in_place(
+            &self.identity.key,
+            secure::SEQ_SERVER,
+            &mut reply,
+            record_at,
+        );
+        Ok(reply)
     }
 
     fn handle_http(&mut self, exchanger: &mut dyn Exchanger, request: &Request) -> Response {

@@ -1,12 +1,16 @@
 //! Heap allocations of one DoH exchange, counted — no timing involved.
 //!
-//! A lookup is mostly DNS names being decoded, cloned, compared and encoded
-//! again, so the allocation count of one exchange is the regression guard
-//! for the name representation: a `Name` is one buffer, decoding one is one
-//! allocation and compressing one is none. The counts are exact and repeat
-//! on every run (161 per exchange, 11 per decode and 1 per clone when this
-//! was written); the budgets leave room for unrelated changes, not for a
-//! name turning back into a vector of vectors (312, 74 and 4).
+//! A lookup is DNS names being decoded, cloned, compared and encoded again,
+//! inside an exchange that frames, seals, opens and parses a payload at each
+//! end, so the allocation count of one exchange is the regression guard for
+//! both: a `Name` is one buffer (decoding one is one allocation, compressing
+//! one is none), and a payload is one buffer from its envelope header to its
+//! record tag, with no header list, header block or frame built beside it.
+//! The counts are exact and repeat on every run (81 per exchange, 11 per
+//! decode and 1 per clone when this was written; the test prints them); the
+//! budgets leave room for unrelated changes, not for a name turning back
+//! into a vector of vectors (312, 74 and 4) nor for the exchange copying
+//! its octets from buffer to buffer again (161 with names already flat).
 //!
 //! This file is its own test binary with one `#[test]`, so no other test's
 //! thread allocates while it counts.
@@ -92,14 +96,16 @@ fn one_exchange_stays_within_its_allocation_budget() {
     let mut server = DohServerService::new(resolver.clone(), Authority::new(catalog));
     let client = DohClient::new(resolver);
 
-    let (exchange, response) = allocations_of(|| {
+    let (exchange, (response, octets)) = allocations_of(|| {
         let (transmit, prepared) = client.begin_query(0, &pool, RrType::A).unwrap();
         let reply = server
             .serve_payload(&mut NoUpstream, transmit.channel, &transmit.payload)
             .unwrap();
-        client.finish_query(prepared, &reply).unwrap()
+        let octets = (transmit.payload.len(), reply.len());
+        (client.finish_query(prepared, &reply).unwrap(), octets)
     });
     assert_eq!(response.answer_addresses().len(), 8);
+    assert_eq!(octets, (200, 310), "octets on the wire, request and reply");
 
     let wire = response.encode().unwrap();
     let (decode, decoded) = allocations_of(|| Message::decode(&wire).unwrap());
@@ -108,8 +114,9 @@ fn one_exchange_stays_within_its_allocation_budget() {
     let (clone, cloned) = allocations_of(|| pool.clone());
     assert_eq!(cloned, pool);
 
+    println!("allocations: exchange {exchange}, decode {decode}, clone {clone}");
     assert!(
-        exchange <= 200,
+        exchange <= 100,
         "one GET exchange allocated {exchange} times"
     );
     assert!(

@@ -3,20 +3,36 @@
 use std::collections::BTreeMap;
 use std::net::IpAddr;
 
+/// Every address of `lists` with the number of lists that contain it
+/// (presence per list, not multiplicity within a list), in ascending address
+/// order: one vector, sorted, folded in place.
+fn sorted_support<L: AsRef<[IpAddr]>>(lists: &[L]) -> Vec<(IpAddr, usize)> {
+    let slots = lists.iter().map(|list| list.as_ref().len()).sum();
+    let mut seen: Vec<(IpAddr, usize)> = Vec::with_capacity(slots);
+    for (index, list) in lists.iter().enumerate() {
+        seen.extend(list.as_ref().iter().map(|&addr| (addr, index)));
+    }
+    // Sorted by (address, list), a duplicate within a list sits next to its
+    // twin and an address's lists are one run.
+    seen.sort_unstable();
+    seen.dedup();
+    for (_, count) in &mut seen {
+        *count = 1;
+    }
+    seen.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += 1;
+        }
+        same
+    });
+    seen
+}
+
 /// Counts, for every address, how many of the given answer lists contain it
 /// (presence per list, not multiplicity within a list).
 pub fn support_counts(lists: &[Vec<IpAddr>]) -> BTreeMap<IpAddr, usize> {
-    let mut counts: BTreeMap<IpAddr, usize> = BTreeMap::new();
-    for list in lists {
-        let mut seen = Vec::new();
-        for &addr in list {
-            if !seen.contains(&addr) {
-                seen.push(addr);
-                *counts.entry(addr).or_insert(0) += 1;
-            }
-        }
-    }
-    counts
+    sorted_support(lists).into_iter().collect()
 }
 
 /// Returns the addresses supported by strictly more than `threshold` of the
@@ -30,15 +46,20 @@ pub fn support_counts(lists: &[Vec<IpAddr>]) -> BTreeMap<IpAddr, usize> {
 /// (see [`meets_threshold`]): thresholds written as rationals — `2.0 / 3.0`,
 /// `0.7` — behave as the rational they denote for every `total`, instead of
 /// picking up an off-by-one where floating-point rounding lands the product
-/// on the wrong side of an integer.
-pub fn majority_vote(lists: &[Vec<IpAddr>], total: usize, threshold: f64) -> Vec<(IpAddr, usize)> {
+/// on the wrong side of an integer. The threshold is classified once per
+/// vote; each address is then one integer comparison.
+pub fn majority_vote<L: AsRef<[IpAddr]>>(
+    lists: &[L],
+    total: usize,
+    threshold: f64,
+) -> Vec<(IpAddr, usize)> {
     if total == 0 {
         return Vec::new();
     }
-    support_counts(lists)
-        .into_iter()
-        .filter(|(_, support)| meets_threshold(*support, total, threshold))
-        .collect()
+    let cutoff = Cutoff::new(total, threshold);
+    let mut winners = sorted_support(lists);
+    winners.retain(|&(_, support)| cutoff.admits(support));
+    winners
 }
 
 /// Decides `support > threshold * total` exactly.
@@ -54,20 +75,76 @@ pub fn majority_vote(lists: &[Vec<IpAddr>], total: usize, threshold: f64) -> Vec
 /// * otherwise the `f64` value itself is used exactly: every finite float
 ///   is the dyadic rational `m·2^e`, so `support > m·2^e·total` reduces to
 ///   an integer comparison after shifting.
+///
+/// Either way the right-hand side depends on `threshold` and `total` only,
+/// so it is worked out once (the private `Cutoff`) and a vote over many
+/// addresses applies it to each; this function is that rule applied to one.
 pub fn meets_threshold(support: usize, total: usize, threshold: f64) -> bool {
-    if threshold.is_nan() {
-        return false;
+    Cutoff::new(total, threshold).admits(support)
+}
+
+/// What `support > threshold * total` comes to for one `threshold` and one
+/// `total`: an integer support must exceed a real bound exactly when it
+/// exceeds the bound's floor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cutoff {
+    /// NaN or +∞, or a product beyond any support: nothing passes.
+    Never,
+    /// A negative threshold: everything passes, a support of zero included.
+    Always,
+    /// `support > floor(threshold * total)`.
+    Above(u128),
+}
+
+impl Cutoff {
+    fn new(total: usize, threshold: f64) -> Self {
+        if threshold.is_nan() {
+            return Cutoff::Never;
+        }
+        if threshold < 0.0 {
+            return Cutoff::Always;
+        }
+        if !threshold.is_finite() {
+            return Cutoff::Never;
+        }
+        let total = total as u128;
+        if let Some((num, den)) = small_rational(threshold) {
+            // support * den > num * total, and den >= 1.
+            return Cutoff::Above(u128::from(num).saturating_mul(total) / u128::from(den));
+        }
+        // The f64 itself, exactly: mantissa * 2^exponent. The product below
+        // cannot overflow: mantissa < 2^53 and total < 2^64.
+        let bits = threshold.to_bits();
+        let biased = u32::try_from((bits >> 52) & 0x7ff).unwrap_or(0);
+        let fraction = bits & ((1u64 << 52) - 1);
+        let (mantissa, exponent) = match biased {
+            0 => (fraction, -1074),
+            _ => (fraction | (1 << 52), i64::from(biased) - 1075),
+        };
+        let scaled = u128::from(mantissa) * total;
+        let shift = u32::try_from(exponent.unsigned_abs()).unwrap_or(u32::MAX);
+        if exponent >= 0 {
+            // support > scaled << shift; past 2^128 no support gets there.
+            if scaled == 0 {
+                Cutoff::Above(0)
+            } else if shift > scaled.leading_zeros() {
+                Cutoff::Never
+            } else {
+                Cutoff::Above(scaled << shift)
+            }
+        } else {
+            // support << shift > scaled.
+            Cutoff::Above(scaled.checked_shr(shift).unwrap_or(0))
+        }
     }
-    if !threshold.is_finite() {
-        return threshold < 0.0;
+
+    fn admits(self, support: usize) -> bool {
+        match self {
+            Cutoff::Never => false,
+            Cutoff::Always => true,
+            Cutoff::Above(bound) => support as u128 > bound,
+        }
     }
-    if threshold < 0.0 {
-        return true;
-    }
-    if let Some((num, den)) = small_rational(threshold) {
-        return (support as u128) * u128::from(den) > u128::from(num).saturating_mul(total as u128);
-    }
-    exceeds_dyadic(support, total, threshold)
 }
 
 /// Best small-denominator rational approximation of `t` (continued
@@ -103,45 +180,6 @@ fn small_rational(t: f64) -> Option<(u64, u64)> {
         x = 1.0 / frac;
     }
     None
-}
-
-/// Exact `support > t * total` for a finite non-negative `t`, decomposing
-/// `t` into its dyadic mantissa/exponent form.
-fn exceeds_dyadic(support: usize, total: usize, t: f64) -> bool {
-    let bits = t.to_bits();
-    let biased = ((bits >> 52) & 0x7ff) as i64; // sdoh-lint: allow(no-narrowing-cast, "masked to the 11 exponent bits before the cast")
-    let frac = bits & ((1u64 << 52) - 1);
-    let (mantissa, exponent) = if biased == 0 {
-        (frac, -1074i64)
-    } else {
-        (frac | (1 << 52), biased - 1075)
-    };
-    // Compare support against mantissa * 2^exponent * total. The product
-    // below cannot overflow: mantissa < 2^53 and total < 2^64.
-    let lhs = support as u128;
-    let rhs = u128::from(mantissa) * (total as u128);
-    if exponent >= 0 {
-        // support > rhs << exponent.
-        if rhs == 0 {
-            return lhs > 0;
-        }
-        let exp_u32 = exponent as u32; // sdoh-lint: allow(no-narrowing-cast, "only consulted when 0 <= exponent < 128")
-        if exponent >= 128 || exp_u32 > rhs.leading_zeros() {
-            return false; // the product is at least 2^128, beyond any support
-        }
-        lhs > (rhs << exponent)
-    } else {
-        // support << -exponent > rhs.
-        if lhs == 0 {
-            return false;
-        }
-        let shift = -exponent;
-        let shift_u32 = shift as u32; // sdoh-lint: allow(no-narrowing-cast, "only consulted when 0 < shift < 128")
-        if shift >= 128 || shift_u32 > lhs.leading_zeros() {
-            return true; // the shifted support is at least 2^128 > rhs < 2^118
-        }
-        (lhs << shift) > rhs
-    }
 }
 
 #[cfg(test)]
@@ -202,8 +240,8 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        assert!(majority_vote(&[], 0, 0.5).is_empty());
-        assert!(majority_vote(&[vec![]], 1, 0.5).is_empty());
+        assert!(majority_vote::<Vec<IpAddr>>(&[], 0, 0.5).is_empty());
+        assert!(majority_vote(&[Vec::new()], 1, 0.5).is_empty());
         assert!(support_counts(&[]).is_empty());
     }
 
@@ -252,5 +290,138 @@ mod tests {
         let weird = 0.123_456_789_012_345_67_f64;
         assert!(meets_threshold(2, 10, weird));
         assert!(!meets_threshold(1, 10, weird));
+    }
+
+    /// `meets_threshold` as it stood before the threshold was classified
+    /// once per vote: the reference the cutoff is held against.
+    fn reference_meets_threshold(support: usize, total: usize, threshold: f64) -> bool {
+        if threshold.is_nan() {
+            return false;
+        }
+        if !threshold.is_finite() {
+            return threshold < 0.0;
+        }
+        if threshold < 0.0 {
+            return true;
+        }
+        if let Some((num, den)) = small_rational(threshold) {
+            return (support as u128) * u128::from(den)
+                > u128::from(num).saturating_mul(total as u128);
+        }
+        reference_exceeds_dyadic(support, total, threshold)
+    }
+
+    fn reference_exceeds_dyadic(support: usize, total: usize, t: f64) -> bool {
+        let bits = t.to_bits();
+        let biased = ((bits >> 52) & 0x7ff) as i64;
+        let frac = bits & ((1u64 << 52) - 1);
+        let (mantissa, exponent) = if biased == 0 {
+            (frac, -1074i64)
+        } else {
+            (frac | (1 << 52), biased - 1075)
+        };
+        let lhs = support as u128;
+        let rhs = u128::from(mantissa) * (total as u128);
+        if exponent >= 0 {
+            if rhs == 0 {
+                return lhs > 0;
+            }
+            if exponent >= 128 || exponent as u32 > rhs.leading_zeros() {
+                return false;
+            }
+            lhs > (rhs << exponent)
+        } else {
+            if lhs == 0 {
+                return false;
+            }
+            let shift = -exponent;
+            if shift >= 128 || shift as u32 > lhs.leading_zeros() {
+                return true;
+            }
+            (lhs << shift) > rhs
+        }
+    }
+
+    #[test]
+    fn the_cutoff_agrees_with_the_per_address_rule_it_replaced() {
+        let mut thresholds = vec![
+            0.5,
+            2.0 / 3.0,
+            0.7,
+            1.0,
+            0.0,
+            -0.0,
+            -0.25,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1),
+            f64::MAX,
+            1e300,
+            0.123_456_789_012_345_67,
+        ];
+        // Random finite floats of every magnitude: splitmix64 bit patterns.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        while thresholds.len() < 600 {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            let drawn = f64::from_bits(z ^ (z >> 31));
+            if drawn.is_finite() {
+                thresholds.push(drawn);
+                // The same bits squeezed into [0, 2): where votes live.
+                thresholds.push((z >> 11) as f64 / (1u64 << 52) as f64);
+            }
+        }
+        for &threshold in &thresholds {
+            for total in 0..=64usize {
+                let cutoff = Cutoff::new(total, threshold);
+                for support in 0..=total + 1 {
+                    let expected = reference_meets_threshold(support, total, threshold);
+                    assert_eq!(
+                        cutoff.admits(support),
+                        expected,
+                        "{support} of {total} at {threshold:e}"
+                    );
+                    assert_eq!(meets_threshold(support, total, threshold), expected);
+                }
+            }
+        }
+        // Totals and supports near the top of the range, where the shifts
+        // saturate.
+        for &threshold in &thresholds {
+            for total in [usize::MAX, usize::MAX / 3, 1 << 40] {
+                for support in [0, 1, total / 2, total / 3 * 2, total - 1, total] {
+                    assert_eq!(
+                        meets_threshold(support, total, threshold),
+                        reference_meets_threshold(support, total, threshold),
+                        "{support} of {total} at {threshold:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn support_is_counted_in_ascending_address_order() {
+        let v6: IpAddr = "2001:db8::1".parse().unwrap();
+        let lists = vec![
+            vec![v6, ip(9), ip(9), ip(2)],
+            vec![],
+            vec![ip(2), v6],
+            vec![ip(9)],
+        ];
+        assert_eq!(
+            sorted_support(&lists),
+            vec![(ip(2), 2), (ip(9), 2), (v6, 2)],
+            "v4 before v6, each by octets"
+        );
+        assert_eq!(
+            sorted_support(&lists),
+            support_counts(&lists).into_iter().collect::<Vec<_>>()
+        );
     }
 }

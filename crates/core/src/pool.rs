@@ -1,9 +1,17 @@
 //! The address pool produced by secure pool generation, with per-address
 //! provenance.
+//!
+//! Provenance is shared, not copied: a generation names each contributing
+//! resolver (or, under the majority vote, each distinct support count) once
+//! and every slot it fills points at that one string. A pool of N resolvers
+//! times k addresses costs N names, and cloning a pool — which the cache
+//! does with every report it keeps — bumps reference counts instead of
+//! copying N·k strings.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::net::IpAddr;
+use std::sync::Arc;
 
 /// One slot in the generated pool.
 ///
@@ -16,8 +24,9 @@ use std::net::IpAddr;
 pub struct PoolEntry {
     /// The server address.
     pub address: IpAddr,
-    /// Name of the resolver whose answer contributed this slot.
-    pub source: String,
+    /// Name of the resolver whose answer contributed this slot, shared by
+    /// every slot that resolver filled.
+    pub source: Arc<str>,
 }
 
 /// The combined server address pool.
@@ -37,8 +46,9 @@ impl AddressPool {
         AddressPool { entries }
     }
 
-    /// Appends an entry.
-    pub fn push(&mut self, address: IpAddr, source: impl Into<String>) {
+    /// Appends an entry. Pass a clone of one `Arc<str>` to share a name
+    /// between slots; a `&str` or `String` becomes a name of its own.
+    pub fn push(&mut self, address: IpAddr, source: impl Into<Arc<str>>) {
         self.entries.push(PoolEntry {
             address,
             source: source.into(),
@@ -88,7 +98,7 @@ impl AddressPool {
 
     /// Number of slots contributed by the named resolver.
     pub fn slots_from(&self, source: &str) -> usize {
-        self.entries.iter().filter(|e| e.source == source).count()
+        self.entries.iter().filter(|e| &*e.source == source).count()
     }
 
     /// The fraction of slots whose address satisfies `is_benign`.

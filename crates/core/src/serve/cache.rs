@@ -493,21 +493,35 @@ impl PoolCache {
         probes
     }
 
-    /// Stores a generation outcome for `key` produced at `now`. Successful
+    /// How long an outcome generated now would be kept: successful
     /// generations live for the configured TTL, failures for the negative
-    /// TTL; a zero lifetime skips insertion entirely.
+    /// TTL.
+    fn lifetime_of(&self, value: &Result<GenerationReport, String>) -> Ttl {
+        match value {
+            Ok(_) => self.config.ttl,
+            Err(_) => self.config.negative_ttl,
+        }
+    }
+
+    /// Whether [`insert`](PoolCache::insert) would store `value`: a zero
+    /// lifetime keeps nothing, so a caller holding the only copy need not
+    /// make a second one to offer it.
+    pub(crate) fn keeps(&self, value: &Result<GenerationReport, String>) -> bool {
+        !self.lifetime_of(value).is_zero()
+    }
+
+    /// Stores a generation outcome for `key` produced at `now` and lends
+    /// the stored entry back, as a lookup would; a zero lifetime (see
+    /// [`keeps`](PoolCache::keeps)) stores nothing and returns `None`.
     pub(crate) fn insert(
         &mut self,
         key: PoolKey,
         value: Result<GenerationReport, String>,
         now: SimInstant,
-    ) {
-        let lifetime = match value {
-            Ok(_) => self.config.ttl,
-            Err(_) => self.config.negative_ttl,
-        };
+    ) -> Option<CacheHit<'_>> {
+        let lifetime = self.lifetime_of(&value);
         if lifetime.is_zero() {
-            return;
+            return None;
         }
         self.tick += 1;
         self.make_room_for(&key, now);
@@ -517,8 +531,9 @@ impl PoolCache {
             expires_at: now.saturating_add(lifetime.as_duration()),
         };
         let entry = Entry::new(&key, cached, self.tick);
-        self.entries.insert(key, entry);
         self.metrics.insertions += 1;
+        let stored = self.entries.entry(key).insert_entry(entry).into_mut();
+        Some(stored.hit())
     }
 
     /// Keeps the capacity bound across the insertion of `key`: a new key

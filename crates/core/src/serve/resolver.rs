@@ -45,8 +45,7 @@ use sdoh_dns_wire::{
 };
 
 use super::cache::{
-    answer_template, AddressFamily, CacheConfig, CacheLookup, CacheMetrics, CachedPool, PoolCache,
-    PoolKey,
+    answer_template, CacheConfig, CacheLookup, CacheMetrics, CachedPool, PoolCache, PoolKey,
 };
 use super::refresh::RefreshScheduler;
 use super::singleflight::{FlightId, Singleflight};
@@ -288,30 +287,19 @@ fn pool_response(
 enum Served<'a> {
     /// Refused at the protocol level; the response is already built.
     Rejected(Message),
-    /// A pool, lent by the cache entry (or the generation) it came from.
+    /// A pool, lent by the cache entry (or the landed generation) it came
+    /// from together with its pre-encoded answer.
     Pool {
         question: &'a Question,
         report: &'a GenerationReport,
-        /// The cache entry's pre-encoded answer; `None` straight out of a
-        /// generation.
-        template: Option<&'a AnswerTemplate>,
+        template: &'a AnswerTemplate,
         ttl: Ttl,
     },
     /// A failed generation, possibly remembered: SERVFAIL.
     Failure,
 }
 
-impl<'a> Served<'a> {
-    /// A pool fresh out of a generation on the query path.
-    fn generated(question: &'a Question, report: &'a GenerationReport, ttl: Ttl) -> Self {
-        Served::Pool {
-            question,
-            report,
-            template: None,
-            ttl,
-        }
-    }
-
+impl Served<'_> {
     /// The answer as a [`Message`].
     fn message(self, query: &Message) -> Message {
         match self {
@@ -327,24 +315,11 @@ impl<'a> Served<'a> {
     }
 
     /// The answer in wire form: a pool is rendered from its pre-encoded
-    /// answer section (built here when the generation never reached the
-    /// cache), and only what the template cannot reproduce byte for byte
-    /// goes through the [`Message`].
+    /// answer section, and only what the template cannot reproduce byte for
+    /// byte goes through the [`Message`].
     fn wire(self, query: &Message, out: &mut Vec<u8>) -> WireResult<()> {
-        if let Served::Pool {
-            question,
-            report,
-            template,
-            ttl,
-        } = &self
-        {
-            let rendered = match template {
-                Some(template) => template.render(query, ttl.as_secs(), out),
-                None => AddressFamily::of(question.rtype).is_some_and(|family| {
-                    answer_template(family, report).render(query, ttl.as_secs(), out)
-                }),
-            };
-            if rendered {
+        if let Served::Pool { template, ttl, .. } = &self {
+            if template.render(query, ttl.as_secs(), out) {
                 return Ok(());
             }
         }
@@ -404,13 +379,21 @@ pub struct Landed {
     /// The flight that landed, as [`CachingPoolResolver::begin`] named it.
     pub flight: FlightId,
     result: Result<GenerationReport, String>,
+    /// A pool's answer section, pre-encoded for the family the flight's key
+    /// asks for — once, however many queries were parked.
+    template: Option<AnswerTemplate>,
     ttl: Ttl,
 }
 
 impl Landed {
     fn served<'a>(&'a self, query: &'a Message) -> Served<'a> {
-        match (&self.result, query.question()) {
-            (Ok(report), Some(question)) => Served::generated(question, report, self.ttl),
+        match (&self.result, &self.template, query.question()) {
+            (Ok(report), Some(template), Some(question)) => Served::Pool {
+                question,
+                report,
+                template,
+                ttl: self.ttl,
+            },
             _ => Served::Failure,
         }
     }
@@ -649,10 +632,11 @@ impl CachingPoolResolver {
             return ServeStep::Wait(self.refresh.next_due());
         };
         let result = flight.session.finish().map_err(|e| e.to_string());
-        self.record_generation(key, result.clone(), flight.refresh, flight.started, now);
+        let template = self.record_generation(key, &result, flight.refresh, flight.started, now);
         ServeStep::Landed(Landed {
             flight: id,
             result,
+            template,
             ttl: self.cache.config().ttl,
         })
     }
@@ -725,14 +709,14 @@ impl CachingPoolResolver {
                 return None;
             }
         };
-        Some(match &hit.pool.value {
-            Ok(report) => Served::Pool {
+        Some(match (&hit.pool.value, hit.answer) {
+            (Ok(report), Some(template)) => Served::Pool {
                 question,
                 report,
-                template: hit.answer,
+                template,
                 ttl,
             },
-            Err(_) => Served::Failure,
+            _ => Served::Failure,
         })
     }
 
@@ -810,7 +794,7 @@ impl CachingPoolResolver {
                 },
             )),
             Err(err) => {
-                self.record_generation(key, Err(err.to_string()), refresh, started, started);
+                self.record_generation(key, &Err(err.to_string()), refresh, started, started);
                 None
             }
         }
@@ -818,14 +802,17 @@ impl CachingPoolResolver {
 
     /// Books one finished generation: the counters, the cache entry (a
     /// failure becomes a negative one) and the refresh it makes redundant.
+    /// The result is copied only for a cache that keeps it. Returns a
+    /// pool's answer section in wire form, encoded once per landing: the
+    /// cache entry's when there is one, built here otherwise.
     fn record_generation(
         &mut self,
         key: PoolKey,
-        result: Result<GenerationReport, String>,
+        result: &Result<GenerationReport, String>,
         refresh: bool,
         started: SimInstant,
         now: SimInstant,
-    ) {
+    ) -> Option<AnswerTemplate> {
         let elapsed = now.saturating_duration_since(started);
         self.metrics.last_generation_latency = elapsed;
         self.metrics.total_generation_latency += elapsed;
@@ -840,7 +827,13 @@ impl CachingPoolResolver {
         // (its stale serve happened before this demand-path generation)
         // would only duplicate the fan-out.
         self.refresh.cancel(&key);
-        self.cache.insert(key, result, now);
+        if self.cache.keeps(result) {
+            let stored = self.cache.insert(key, result.clone(), now)?;
+            stored.answer.cloned()
+        } else {
+            let report = result.as_ref().ok()?;
+            Some(answer_template(key.family, report))
+        }
     }
 
     /// The blocking driver of the steps: sends what the live flights have to
@@ -2157,12 +2150,13 @@ mod tests {
     }
 
     mod properties {
-        use super::super::{answer_template, pool_response, AddressFamily};
+        use super::super::{answer_template, pool_response};
         use super::{client, doh_world, land_everything, query, test_config, Landing, WORLD};
         use crate::config::CombinationMode;
         use crate::config::PoolConfig;
         use crate::generator::GenerationReport;
         use crate::pool::AddressPool;
+        use crate::serve::AddressFamily;
         use proptest::prelude::*;
         use sdoh_dns_server::QueryHandler;
         use sdoh_dns_wire::{Message, Name, Opcode, RrType, Ttl};

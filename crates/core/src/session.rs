@@ -22,11 +22,25 @@
 //! interleaving, because answers are always assembled in configuration
 //! order (a property the core test-suite checks over random permutations).
 //!
+//! # Who owns a name
+//!
+//! A resolver's name belongs to its [`AddressSource`]; the session never
+//! copies one while it runs. A [`Transmit`] and a [`SessionEvent`] identify
+//! their source by its **index** in configuration order — the position of
+//! the source in the slice the session was planned over, the same position
+//! its row has in [`GenerationReport::sources`] — and whoever wants to print
+//! it asks [`PoolSession::source_name`]. Only what outlives the session is
+//! copied, once, in [`PoolSession::finish`]: the report's `(name, outcome)`
+//! rows, and one shared provenance string per contributing source for the
+//! pool's slots (see [`crate::pool`]).
+//!
 //! Two ready-made drivers cover the common cases:
 //! [`drive`] overlaps the exchanges through
 //! [`Exchanger::exchange_all`] and [`drive_sequential`] performs them one at
 //! a time (the pre-session behaviour, kept for comparison benchmarks).
 
+use std::borrow::Cow;
+use std::collections::VecDeque;
 use std::mem;
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -39,7 +53,7 @@ use crate::config::{CombinationMode, DualStackPolicy, FailurePolicy, PoolConfig}
 use crate::error::{PoolError, PoolResult};
 use crate::generator::{GenerationReport, SourceOutcome};
 use crate::majority::majority_vote;
-use crate::pool::AddressPool;
+use crate::pool::{AddressPool, PoolEntry};
 use crate::source::{AddressSource, FetchError, FetchStart, PendingFetch};
 
 /// Identifies one in-flight exchange of a session.
@@ -59,8 +73,9 @@ pub struct Transmit {
     /// Which transaction this request belongs to; echo it back to
     /// [`PoolSession::handle_response`] together with the outcome.
     pub transaction: TransactionId,
-    /// Name of the source the exchange queries (for logging/metrics).
-    pub source: String,
+    /// Index, in configuration order, of the source the exchange queries;
+    /// [`PoolSession::source_name`] names it.
+    pub source: usize,
     /// Destination, channel, payload and timeout of the exchange.
     pub request: ExchangeRequest,
 }
@@ -70,8 +85,9 @@ pub struct Transmit {
 pub enum SessionEvent {
     /// A resolver produced a usable answer list.
     SourceAnswered {
-        /// Resolver name.
-        source: String,
+        /// Index of the resolver in configuration order;
+        /// [`PoolSession::source_name`] names it.
+        source: usize,
         /// Which query pass completed (0 except for
         /// [`DualStackPolicy::PerFamily`], where 1 is the AAAA pass).
         pass: usize,
@@ -80,8 +96,8 @@ pub enum SessionEvent {
     },
     /// A resolver failed.
     SourceFailed {
-        /// Resolver name.
-        source: String,
+        /// Index of the resolver in configuration order.
+        source: usize,
         /// Which query pass failed.
         pass: usize,
         /// Why.
@@ -124,7 +140,6 @@ enum TxState {
 struct Transaction {
     source: usize,
     pass: usize,
-    slot: usize,
     state: TxState,
 }
 
@@ -154,9 +169,11 @@ impl std::ops::Deref for Sources<'_> {
 pub struct PoolSession<'a> {
     config: PoolConfig,
     sources: Sources<'a>,
-    passes: Vec<Vec<RrType>>,
+    /// The record types each query pass asks every source for.
+    passes: &'static [&'static [RrType]],
+    /// One per (pass, source, slot), in that order.
     transactions: Vec<Transaction>,
-    events: std::collections::VecDeque<SessionEvent>,
+    events: VecDeque<SessionEvent>,
 }
 
 impl<'a> PoolSession<'a> {
@@ -200,18 +217,19 @@ impl<'a> PoolSession<'a> {
         if sources.is_empty() {
             return Err(PoolError::NoResolvers);
         }
-        let passes: Vec<Vec<RrType>> = match config.dual_stack {
-            DualStackPolicy::Ipv4Only => vec![vec![RrType::A]],
-            DualStackPolicy::Ipv6Only => vec![vec![RrType::Aaaa]],
-            DualStackPolicy::Union => vec![vec![RrType::A, RrType::Aaaa]],
-            DualStackPolicy::PerFamily => vec![vec![RrType::A], vec![RrType::Aaaa]],
+        let passes: &'static [&'static [RrType]] = match config.dual_stack {
+            DualStackPolicy::Ipv4Only => &[&[RrType::A]],
+            DualStackPolicy::Ipv6Only => &[&[RrType::Aaaa]],
+            DualStackPolicy::Union => &[&[RrType::A, RrType::Aaaa]],
+            DualStackPolicy::PerFamily => &[&[RrType::A], &[RrType::Aaaa]],
         };
+        let slots: usize = passes.iter().map(|rtypes| rtypes.len()).sum();
 
         let mut ids = IdStream::new(seed);
-        let mut transactions = Vec::new();
+        let mut transactions = Vec::with_capacity(slots * sources.len());
         for (pass, rtypes) in passes.iter().enumerate() {
             for (source_index, source) in sources.iter().enumerate() {
-                for (slot, &rtype) in rtypes.iter().enumerate() {
+                for &rtype in rtypes.iter() {
                     let state = match source.start_fetch(domain, rtype, ids.next_id()) {
                         FetchStart::Transmit { request, pending } => {
                             TxState::Queued { request, pending }
@@ -221,7 +239,6 @@ impl<'a> PoolSession<'a> {
                     transactions.push(Transaction {
                         source: source_index,
                         pass,
-                        slot,
                         state,
                     });
                 }
@@ -229,10 +246,10 @@ impl<'a> PoolSession<'a> {
         }
         let mut session = PoolSession {
             config,
+            events: VecDeque::with_capacity(passes.len() * sources.len()),
             sources,
             passes,
             transactions,
-            events: std::collections::VecDeque::new(),
         };
         // Sources that resolved without I/O (static answers, immediate
         // failures) complete before the first poll — and a slot that failed
@@ -254,6 +271,15 @@ impl<'a> PoolSession<'a> {
         Ok(session)
     }
 
+    /// The name of the source at `index` in configuration order — what a
+    /// [`Transmit`] and a [`SessionEvent`] carry; empty for an index the
+    /// session never handed out.
+    pub fn source_name(&self, index: usize) -> &str {
+        self.sources
+            .get(index)
+            .map_or("", |source| source.source_name())
+    }
+
     /// Number of exchanges still awaiting a response.
     pub fn in_flight(&self) -> usize {
         self.transactions
@@ -263,7 +289,7 @@ impl<'a> PoolSession<'a> {
     }
 
     /// Number of exchanges not yet handed to the driver.
-    pub fn queued(&self) -> usize {
+    fn queued(&self) -> usize {
         self.transactions
             .iter()
             .filter(|t| matches!(t.state, TxState::Queued { .. }))
@@ -286,18 +312,20 @@ impl<'a> PoolSession<'a> {
             return Action::Deliver(event);
         }
         for (index, tx) in self.transactions.iter_mut().enumerate() {
-            if matches!(tx.state, TxState::Queued { .. }) {
-                let state = mem::replace(&mut tx.state, TxState::Poisoned);
-                let TxState::Queued { request, pending } = state else {
-                    unreachable!("state checked above"); // sdoh-lint: allow(no-panic, "the matches! guard two lines up makes this arm impossible")
-                };
-                let deadline = now.saturating_add(request.timeout);
-                tx.state = TxState::InFlight { pending, deadline };
-                return Action::Transmit(Transmit {
-                    transaction: TransactionId(index),
-                    source: self.sources[tx.source].source_name(), // sdoh-lint: allow(no-panic, "tx.source is an index into self.sources by construction")
-                    request,
-                });
+            if !matches!(tx.state, TxState::Queued { .. }) {
+                continue;
+            }
+            match mem::replace(&mut tx.state, TxState::Poisoned) {
+                TxState::Queued { request, pending } => {
+                    let deadline = now.saturating_add(request.timeout);
+                    tx.state = TxState::InFlight { pending, deadline };
+                    return Action::Transmit(Transmit {
+                        transaction: TransactionId(index),
+                        source: tx.source,
+                        request,
+                    });
+                }
+                other => tx.state = other,
             }
         }
         let earliest_deadline = self
@@ -331,14 +359,18 @@ impl<'a> PoolSession<'a> {
             .transactions
             .get_mut(id.0)
             .ok_or(PoolError::UnknownTransaction(id.0))?;
-        if !matches!(tx.state, TxState::InFlight { .. }) {
-            return Err(PoolError::TransactionNotInFlight(id.0));
-        }
-        let state = mem::replace(&mut tx.state, TxState::Poisoned);
-        let TxState::InFlight { pending, .. } = state else {
-            unreachable!("state checked above"); // sdoh-lint: allow(no-panic, "the matches! guard above makes this arm impossible")
+        let source = self
+            .sources
+            .get(tx.source)
+            .ok_or_else(|| PoolError::Session("transaction of an unknown source".into()))?;
+        let pending = match mem::replace(&mut tx.state, TxState::Poisoned) {
+            TxState::InFlight { pending, .. } => pending,
+            other => {
+                tx.state = other;
+                return Err(PoolError::TransactionNotInFlight(id.0));
+            }
         };
-        let result = self.sources[tx.source].handle_response(pending, outcome); // sdoh-lint: allow(no-panic, "tx.source is an index into self.sources by construction")
+        let result = source.handle_response(pending, outcome);
         let failed = result.is_err();
         tx.state = TxState::Completed { result };
         let (pass, source) = (tx.pass, tx.source);
@@ -368,53 +400,57 @@ impl<'a> PoolSession<'a> {
         }
     }
 
+    /// The slots of `(pass, source)`, in slot order — the order they were
+    /// planned in.
+    fn slots(&self, pass: usize, source: usize) -> impl Iterator<Item = &TxState> {
+        self.transactions
+            .iter()
+            .filter(move |tx| tx.pass == pass && tx.source == source)
+            .map(|tx| &tx.state)
+    }
+
+    /// What `source` answered in `pass`, once every slot holds a result:
+    /// its lists in slot order — lent when one slot holds all of it, joined
+    /// for the two slots of a [`DualStackPolicy::Union`] pass — or the error
+    /// of the lowest failing slot, mirroring the sequential
+    /// fetch-A-then-AAAA behaviour where the first failure aborted. `None`
+    /// while a slot is still open.
+    fn answer_of(&self, pass: usize, source: usize) -> Option<Result<Answer<'_>, &FetchError>> {
+        let mut list: Cow<'_, [IpAddr]> = Cow::Borrowed(&[]);
+        let mut failure = None;
+        for state in self.slots(pass, source) {
+            match state {
+                TxState::Completed { result: Ok(more) } if list.is_empty() => {
+                    list = Cow::Borrowed(more);
+                }
+                TxState::Completed { result: Ok(more) } => list.to_mut().extend_from_slice(more),
+                TxState::Completed { result: Err(err) } => failure = failure.or(Some(err)),
+                _ => return None,
+            }
+        }
+        Some(match failure {
+            None => Ok(Answer { source, list }),
+            Some(err) => Err(err),
+        })
+    }
+
     /// Queues the per-source completion event once every slot of
     /// `(pass, source)` holds a result.
     fn emit_if_complete(&mut self, pass: usize, source: usize) {
-        let (Some(pass_slots), Some(source_ref)) =
-            (self.passes.get(pass), self.sources.get(source))
-        else {
-            return;
+        let event = match self.answer_of(pass, source) {
+            None => return,
+            Some(Ok(answer)) => SessionEvent::SourceAnswered {
+                source,
+                pass,
+                addresses: answer.list.len(),
+            },
+            Some(Err(err)) => SessionEvent::SourceFailed {
+                source,
+                pass,
+                error: err.to_string(),
+            },
         };
-        let mut slots: Vec<Option<&Result<Vec<IpAddr>, FetchError>>> = vec![None; pass_slots.len()];
-        for tx in &self.transactions {
-            if tx.pass == pass && tx.source == source {
-                match &tx.state {
-                    TxState::Completed { result } => {
-                        if let Some(slot) = slots.get_mut(tx.slot) {
-                            *slot = Some(result);
-                        }
-                    }
-                    _ => return,
-                }
-            }
-        }
-        let name = source_ref.source_name();
-        // The lowest failing slot decides, mirroring the sequential
-        // fetch-A-then-AAAA behaviour where the first failure aborted.
-        let mut addresses = 0usize;
-        let mut failure: Option<String> = None;
-        for slot in slots.into_iter().flatten() {
-            match slot {
-                Ok(list) => addresses += list.len(),
-                Err(err) => {
-                    failure = Some(err.to_string());
-                    break;
-                }
-            }
-        }
-        self.events.push_back(match failure {
-            None => SessionEvent::SourceAnswered {
-                source: name,
-                pass,
-                addresses,
-            },
-            Some(error) => SessionEvent::SourceFailed {
-                source: name,
-                pass,
-                error,
-            },
-        });
+        self.events.push_back(event);
     }
 
     /// Combines the per-resolver answers into the final report.
@@ -435,32 +471,27 @@ impl<'a> PoolSession<'a> {
             ));
         }
 
-        let mut pass_reports: Vec<GenerationReport> = Vec::new();
-        for (pass, rtypes) in self.passes.iter().enumerate() {
-            pass_reports.push(self.combine_pass(pass, rtypes)?);
-        }
-
         // PerFamily: each family truncated and combined on its own, pools
         // concatenated. Per-source outcomes are merged across the passes —
         // a resolver counts as failed if any family lookup failed, and as
         // answering the total address count otherwise — so front-end
         // metrics see real outcomes, not just the A pass's. (A single-pass
         // session simply skips the merge loop.)
-        let mut reports = pass_reports.into_iter();
-        let Some(mut merged) = reports.next() else {
+        let mut passes = self.passes.iter().enumerate();
+        let Some((first, rtypes)) = passes.next() else {
             return Err(PoolError::Session("session has no passes".into()));
         };
-        for other in reports {
+        let mut merged = self.combine_pass(first, rtypes)?;
+        for (pass, rtypes) in passes {
+            let other = self.combine_pass(pass, rtypes)?;
             merged.pool.extend_from(&other.pool);
             merged.truncate_lengths.extend(other.truncate_lengths);
             for ((_, outcome), (_, other_outcome)) in merged.sources.iter_mut().zip(other.sources) {
-                *outcome = match (outcome.clone(), other_outcome) {
-                    (SourceOutcome::Answered(a), SourceOutcome::Answered(b)) => {
-                        SourceOutcome::Answered(a + b)
-                    }
-                    (failed @ SourceOutcome::Failed(_), _) => failed,
-                    (_, failed) => failed,
-                };
+                match (&mut *outcome, other_outcome) {
+                    (SourceOutcome::Answered(a), SourceOutcome::Answered(b)) => *a += b,
+                    (SourceOutcome::Failed(_), _) => {}
+                    (answered, failed) => *answered = failed,
+                }
             }
         }
         Ok(merged)
@@ -469,44 +500,27 @@ impl<'a> PoolSession<'a> {
     /// Runs the combination step for one pass, assembling answers in
     /// configuration order regardless of response arrival order.
     fn combine_pass(&self, pass: usize, rtypes: &[RrType]) -> PoolResult<GenerationReport> {
-        let mut outcomes: Vec<(String, SourceOutcome)> = Vec::new();
-        let mut answers: Vec<(String, Vec<IpAddr>)> = Vec::new();
+        let mut outcomes: Vec<(String, SourceOutcome)> = Vec::with_capacity(self.sources.len());
+        let mut answers: Vec<Answer<'_>> = Vec::with_capacity(self.sources.len());
 
-        for (source_index, source) in self.sources.iter().enumerate() {
-            let name = source.source_name();
-            let mut combined: Vec<IpAddr> = Vec::new();
-            let mut failure: Option<String> = None;
-            let mut slots: Vec<(usize, &Result<Vec<IpAddr>, FetchError>)> = self
-                .transactions
-                .iter()
-                .filter(|t| t.pass == pass && t.source == source_index)
-                .filter_map(|t| match &t.state {
-                    TxState::Completed { result } => Some((t.slot, result)),
-                    // finish() verified completion before combine_pass runs.
-                    _ => None,
-                })
-                .collect();
-            slots.sort_by_key(|(slot, _)| *slot);
-            for (_, result) in slots {
-                match result {
-                    Ok(addresses) => combined.extend(addresses.iter().copied()),
-                    Err(err) => {
-                        failure = Some(err.to_string());
-                        break;
-                    }
+        for (source, named) in self.sources.iter().enumerate() {
+            let name = named.source_name().to_string();
+            match self.answer_of(pass, source) {
+                Some(Ok(answer)) => {
+                    outcomes.push((name, SourceOutcome::Answered(answer.list.len())));
+                    answers.push(answer);
                 }
-            }
-            match failure {
-                None => {
-                    outcomes.push((name.clone(), SourceOutcome::Answered(combined.len())));
-                    answers.push((name, combined));
-                }
-                Some(err) => {
-                    outcomes.push((name.clone(), SourceOutcome::Failed(err)));
+                Some(Err(err)) => {
+                    outcomes.push((name, SourceOutcome::Failed(err.to_string())));
                     if self.config.failure_policy == FailurePolicy::TreatAsEmpty {
-                        answers.push((name, Vec::new()));
+                        answers.push(Answer {
+                            source,
+                            list: Cow::Borrowed(&[]),
+                        });
                     }
                 }
+                // finish() verified completion before combine_pass runs.
+                None => {}
             }
         }
 
@@ -522,41 +536,54 @@ impl<'a> PoolSession<'a> {
             });
         }
 
-        let type_label = rtypes
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join("+");
+        let type_label = || {
+            let labels: Vec<String> = rtypes.iter().map(|t| t.to_string()).collect();
+            labels.join("+")
+        };
+        // Every slot a source fills points at the one copy of its name.
+        let concatenated = |take: usize| {
+            let mut entries =
+                Vec::with_capacity(answers.iter().map(|a| a.list.len().min(take)).sum());
+            for answer in answers.iter().filter(|a| take.min(a.list.len()) > 0) {
+                let name: Arc<str> = self.source_name(answer.source).into();
+                entries.extend(answer.list.iter().take(take).map(|&address| PoolEntry {
+                    address,
+                    source: Arc::clone(&name),
+                }));
+            }
+            AddressPool::from_entries(entries)
+        };
 
         let (pool, truncate_lengths) = match self.config.mode {
             CombinationMode::TruncateAndCombine => {
-                let truncate = answers.iter().map(|(_, l)| l.len()).min().unwrap_or(0);
-                let mut pool = AddressPool::new();
-                for (name, list) in &answers {
-                    for &addr in list.iter().take(truncate) {
-                        pool.push(addr, name.clone());
-                    }
-                }
-                (pool, vec![(type_label, truncate)])
+                let truncate = answers.iter().map(|a| a.list.len()).min().unwrap_or(0);
+                (concatenated(truncate), vec![(type_label(), truncate)])
             }
             CombinationMode::CombineWithoutTruncation => {
-                let mut pool = AddressPool::new();
-                for (name, list) in &answers {
-                    for &addr in list {
-                        pool.push(addr, name.clone());
-                    }
-                }
-                let max = answers.iter().map(|(_, l)| l.len()).max().unwrap_or(0);
-                (pool, vec![(type_label, max)])
+                let max = answers.iter().map(|a| a.list.len()).max().unwrap_or(0);
+                (concatenated(max), vec![(type_label(), max)])
             }
             CombinationMode::MajorityVote => {
-                let lists: Vec<Vec<IpAddr>> = answers.iter().map(|(_, l)| l.clone()).collect();
-                let winners = majority_vote(&lists, usable, self.config.majority_threshold);
-                let mut pool = AddressPool::new();
-                for (addr, support) in winners {
-                    pool.push(addr, format!("majority({support}/{usable})"));
-                }
-                (pool, Vec::new())
+                let winners = majority_vote(&answers, usable, self.config.majority_threshold);
+                // One label per distinct support count, shared by its winners.
+                let mut labels: Vec<(usize, Arc<str>)> = Vec::new();
+                let entries = winners
+                    .into_iter()
+                    .map(|(address, support)| {
+                        let known = labels.iter().find(|(count, _)| *count == support);
+                        let source = match known {
+                            Some((_, label)) => Arc::clone(label),
+                            None => {
+                                let label: Arc<str> =
+                                    format!("majority({support}/{usable})").into();
+                                labels.push((support, Arc::clone(&label)));
+                                label
+                            }
+                        };
+                        PoolEntry { address, source }
+                    })
+                    .collect();
+                (AddressPool::from_entries(entries), Vec::new())
             }
         };
 
@@ -566,6 +593,20 @@ impl<'a> PoolSession<'a> {
             sources: outcomes,
             truncate_lengths,
         })
+    }
+}
+
+/// One usable answer going into the combination: the list a source produced
+/// in one pass, lent by the session wherever a single slot holds it.
+struct Answer<'a> {
+    /// The source, by its index in configuration order.
+    source: usize,
+    list: Cow<'a, [IpAddr]>,
+}
+
+impl AsRef<[IpAddr]> for Answer<'_> {
+    fn as_ref(&self) -> &[IpAddr] {
+        &self.list
     }
 }
 
@@ -805,8 +846,8 @@ mod tests {
         /// Answers A queries but fails AAAA — a resolver with broken v6.
         struct V4Only;
         impl AddressSource for V4Only {
-            fn source_name(&self) -> String {
-                "v4-only".into()
+            fn source_name(&self) -> &str {
+                "v4-only"
             }
 
             fn start_fetch(&self, _domain: &Name, rtype: RrType, _id: u16) -> FetchStart {

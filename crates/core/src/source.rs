@@ -97,8 +97,8 @@ pub enum FetchStart {
 /// use `Arc`/atomics instead of `Rc`/`Cell`.
 pub trait AddressSource: Send + Sync {
     /// A stable, human-readable identifier (used for provenance in the
-    /// generated pool).
-    fn source_name(&self) -> String;
+    /// generated pool). The source owns it; a session lends it out.
+    fn source_name(&self) -> &str;
 
     /// Sans-IO first half of one lookup: describes the exchange needed to
     /// resolve the address records of `rtype` for `domain`. `id` is the
@@ -182,8 +182,8 @@ fn doh_error(e: sdoh_doh::DohError) -> FetchError {
 }
 
 impl AddressSource for DohSource {
-    fn source_name(&self) -> String {
-        self.name.clone()
+    fn source_name(&self) -> &str {
+        &self.name
     }
 
     fn start_fetch(&self, domain: &Name, rtype: RrType, id: u16) -> FetchStart {
@@ -247,8 +247,8 @@ fn dns_error(e: sdoh_dns_server::ResolveError) -> FetchError {
 }
 
 impl AddressSource for PlainDnsSource {
-    fn source_name(&self) -> String {
-        self.name.clone()
+    fn source_name(&self) -> &str {
+        &self.name
     }
 
     fn start_fetch(&self, domain: &Name, rtype: RrType, id: u16) -> FetchStart {
@@ -312,8 +312,8 @@ impl StaticSource {
 }
 
 impl AddressSource for StaticSource {
-    fn source_name(&self) -> String {
-        self.name.clone()
+    fn source_name(&self) -> &str {
+        &self.name
     }
 
     fn start_fetch(&self, _domain: &Name, rtype: RrType, _id: u16) -> FetchStart {

@@ -1,0 +1,268 @@
+//! Heap allocations of one generation, counted — no timing involved.
+//!
+//! A generation that does no I/O is bookkeeping: which source answered
+//! what, which addresses win, whose name each pool slot carries. It should
+//! allocate what it keeps — the report's rows, one provenance string per
+//! contributor, the pool — and nothing on the way there. Three counts hold
+//! that, all exact and repeating on every run (the test prints them):
+//!
+//! * a majority `generate` over five sources with ready answers (21 when
+//!   this was written, 83 while every name, list and label was copied per
+//!   use);
+//! * one uncached `handle_query_wire` over five in-process DoH terminators,
+//!   one of them poisoned, under the majority vote — the `cold_gen` query of
+//!   the benchmark — with the answer verified (525 before names were lent
+//!   and header fields shared a buffer);
+//! * answering the queries parked on one landed flight: each costs the
+//!   same as the first, because the landing encoded the pool's answer
+//!   section once and every waiter renders from it (at the parent each
+//!   waiter encoded its own).
+//!
+//! This file is its own test binary with one `#[test]`, so no other test's
+//! thread allocates while it counts.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::net::IpAddr;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
+
+use sdoh_core::{
+    AddressSource, CacheConfig, CachingPoolResolver, DohSource, PoolConfig, SecurePoolGenerator,
+    ServeStep, StaticSource,
+};
+use sdoh_dns_server::{
+    Authority, Catalog, Exchanger, PoisonConfig, PoisonMode, PoisonedResolver, QueryHandler, Zone,
+};
+use sdoh_dns_wire::{Message, Name, RrType, Ttl};
+use sdoh_doh::{DohMethod, DohServerService, ResolverDirectory};
+use sdoh_netsim::{ChannelKind, NetError, NetResult, SimAddr, SimInstant};
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+/// The system allocator, counting every block it hands out or moves.
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a statistic and publishes nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` is passed through as given.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with this
+        // `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `dealloc`, and `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations_of<T>(work: impl FnOnce() -> T) -> (usize, T) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = work();
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+}
+
+fn benign(host: u8) -> IpAddr {
+    IpAddr::from([203, 0, 113, host])
+}
+
+fn attacker(host: u8) -> IpAddr {
+    IpAddr::from([198, 18, 0, host])
+}
+
+/// Five DoH terminators in one process, reached by address: the fleet of
+/// the benchmark's `cold_gen` without sockets or threads.
+struct Fleet {
+    endpoints: Vec<(SimAddr, DohServerService<Box<dyn QueryHandler + Send>>)>,
+}
+
+impl Exchanger for Fleet {
+    fn exchange(
+        &mut self,
+        dst: SimAddr,
+        channel: ChannelKind,
+        payload: &[u8],
+        _: Duration,
+    ) -> NetResult<Vec<u8>> {
+        // An authority answers from its zone: nothing goes further upstream.
+        let mut upstream = Fleet {
+            endpoints: Vec::new(),
+        };
+        let (_, service) = self
+            .endpoints
+            .iter_mut()
+            .find(|(addr, _)| *addr == dst)
+            .ok_or(NetError::Unreachable(dst))?;
+        service
+            .serve_payload(&mut upstream, channel, payload)
+            .ok_or(NetError::Timeout)
+    }
+
+    fn next_id(&mut self) -> u16 {
+        7
+    }
+
+    fn now(&self) -> SimInstant {
+        SimInstant::EPOCH
+    }
+}
+
+/// The fleet, with resolver 4 answering the attacker's addresses, and the
+/// sources that reach it.
+fn doh_fleet(pool: &Name) -> (Fleet, Vec<Box<dyn AddressSource>>) {
+    let mut zone = Zone::new("ntpns.org".parse().unwrap());
+    for host in 1..=8 {
+        zone.add_address(pool.clone(), benign(host));
+    }
+    let mut catalog = Catalog::new();
+    catalog.add_zone(zone);
+
+    let mut endpoints = Vec::new();
+    let mut sources: Vec<Box<dyn AddressSource>> = Vec::new();
+    for (index, info) in ResolverDirectory::well_known(1)
+        .take(5)
+        .into_iter()
+        .enumerate()
+    {
+        let authority = Authority::new(catalog.clone());
+        let handler: Box<dyn QueryHandler + Send> = if index == 4 {
+            Box::new(PoisonedResolver::new(
+                authority,
+                PoisonConfig::new(
+                    pool.clone(),
+                    PoisonMode::ReplaceAddresses((1..=8).map(attacker).collect()),
+                ),
+            ))
+        } else {
+            Box::new(authority)
+        };
+        endpoints.push((info.addr, DohServerService::new(info.clone(), handler)));
+        sources.push(Box::new(DohSource::new(info).method(DohMethod::Get)));
+    }
+    (Fleet { endpoints }, sources)
+}
+
+fn static_sources() -> Vec<Box<dyn AddressSource>> {
+    (0..5)
+        .map(|index| {
+            let list = if index == 4 {
+                (1..=8).map(attacker).collect()
+            } else {
+                (1..=8).map(benign).collect()
+            };
+            Box::new(StaticSource::answering(format!("static-{index}"), list))
+                as Box<dyn AddressSource>
+        })
+        .collect()
+}
+
+#[test]
+fn a_generation_stays_within_its_allocation_budgets() {
+    let pool: Name = "pool.ntpns.org".parse().unwrap();
+    let expected: Vec<IpAddr> = (1..=8).map(benign).collect();
+    let mut nowhere = Fleet {
+        endpoints: Vec::new(),
+    };
+
+    // (a) Session, vote and report over five ready answer lists.
+    let generator =
+        SecurePoolGenerator::new(PoolConfig::majority_resolver(), static_sources()).unwrap();
+    let (generation, report) = allocations_of(|| generator.generate(&mut nowhere, &pool).unwrap());
+    assert_eq!(report.pool.addresses(), expected);
+    assert_eq!(report.answered(), 5);
+
+    // (b) The benchmark's cold query: nothing cached, five exchanges, vote.
+    let (mut fleet, sources) = doh_fleet(&pool);
+    let mut resolver = CachingPoolResolver::new(
+        SecurePoolGenerator::new(PoolConfig::majority_resolver(), sources).unwrap(),
+        CacheConfig::uncached(),
+    );
+    let query = Message::query(77, pool.clone(), RrType::A);
+    let mut out = Vec::with_capacity(512);
+    resolver
+        .handle_query_wire(&mut fleet, &query, &mut out)
+        .unwrap();
+    out.clear();
+    let (uncached, ()) = allocations_of(|| {
+        resolver
+            .handle_query_wire(&mut fleet, &query, &mut out)
+            .unwrap()
+    });
+    let answer = Message::decode(&out).unwrap();
+    assert!(answer.answers_query(&query));
+    assert_eq!(
+        answer.answer_addresses(),
+        expected,
+        "the attacker is outvoted"
+    );
+    assert_eq!(resolver.metrics().generations, 2);
+    assert_eq!(resolver.metrics().source_answers, 10);
+
+    // (c) One flight, four waiters: whether or not the cache keeps the
+    // pool, the landing encodes its answer section once.
+    let mut per_waiter = Vec::new();
+    for cache in [
+        CacheConfig::uncached(),
+        CacheConfig::default().with_ttl(Ttl::from_secs(60)),
+    ] {
+        let generator =
+            SecurePoolGenerator::new(PoolConfig::majority_resolver(), static_sources()).unwrap();
+        let mut resolver = CachingPoolResolver::new(generator, cache);
+        let waiters: Vec<Message> = (1..=4)
+            .map(|id| Message::query(id, pool.clone(), RrType::A))
+            .collect();
+        let flights: Vec<_> = waiters
+            .iter()
+            .map(|query| resolver.begin(&mut nowhere, query, &mut out).unwrap())
+            .collect();
+        assert!(flights[0].is_some() && flights.iter().all(|flight| *flight == flights[0]));
+        assert_eq!(resolver.metrics().coalesced_waiters, 3);
+        let ServeStep::Landed(landed) = resolver.poll(SimInstant::EPOCH) else {
+            panic!("ready answers land on the first poll");
+        };
+        let counts: Vec<usize> = waiters
+            .iter()
+            .map(|query| {
+                out.clear();
+                let (count, ()) = allocations_of(|| landed.answer_wire(query, &mut out).unwrap());
+                let answer = Message::decode(&out).unwrap();
+                assert!(answer.answers_query(query));
+                assert_eq!(answer.answer_addresses(), expected);
+                count
+            })
+            .collect();
+        assert!(
+            counts.iter().all(|count| *count == counts[0]),
+            "every waiter costs what the first did: {counts:?}"
+        );
+        per_waiter.push(counts[0]);
+    }
+
+    println!(
+        "allocations: static majority generation {generation}, uncached query {uncached}, \
+         per parked waiter {per_waiter:?} (uncached, cached)"
+    );
+    assert!(
+        generation <= 30,
+        "a five-source majority generation allocated {generation} times"
+    );
+    assert!(
+        uncached <= 360,
+        "one uncached query allocated {uncached} times"
+    );
+    assert!(
+        per_waiter.iter().all(|count| *count == 0),
+        "rendering a parked waiter's answer allocated: {per_waiter:?}"
+    );
+}

@@ -1,13 +1,14 @@
 //! Property-based tests on the invariants of Algorithm 1, the majority vote
 //! and the pool/guarantee types.
 
-use std::net::{IpAddr, Ipv4Addr};
+use std::collections::BTreeMap;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 use proptest::prelude::*;
 
 use sdoh_core::{
-    check_guarantee, majority_vote, support_counts, AddressPool, AddressSource, CombinationMode,
-    GroundTruth, PoolConfig, SecurePoolGenerator, StaticSource,
+    check_guarantee, majority_vote, meets_threshold, support_counts, AddressPool, AddressSource,
+    CombinationMode, GroundTruth, PoolConfig, SecurePoolGenerator, StaticSource,
 };
 use sdoh_dns_server::ClientExchanger;
 use sdoh_netsim::{SimAddr, SimNet};
@@ -171,6 +172,77 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(winners, expected, "threshold {}/{}", num, den);
+    }
+
+    /// The vote over one sorted vector is the vote it replaced: presence per
+    /// list counted in a map, each address asked of `meets_threshold` — same
+    /// winners, same supports, same (ascending) order — for lists with
+    /// duplicates, both families, empty lists and none at all, and for
+    /// thresholds that are rationals, degenerate or arbitrary bit patterns.
+    #[test]
+    fn majority_vote_is_support_counts_filtered_by_meets_threshold(
+        lists in proptest::collection::vec(
+            proptest::collection::vec((any::<bool>(), 1u8..12), 0..10), 0..10),
+        named in 0usize..12,
+        bits in any::<u64>(),
+        slack in 0usize..3,
+    ) {
+        let lists: Vec<Vec<IpAddr>> = lists
+            .into_iter()
+            .map(|list| {
+                list.into_iter()
+                    .map(|(v6, host)| match v6 {
+                        true => IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, host.into())),
+                        false => benign(host),
+                    })
+                    .collect()
+            })
+            .collect();
+        let thresholds = [
+            0.5,
+            2.0 / 3.0,
+            0.7,
+            1.0,
+            0.0,
+            -0.25,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 8.0,
+            (bits >> 11) as f64 / (1u64 << 53) as f64,
+        ];
+        let threshold = thresholds.get(named).copied().unwrap_or(f64::from_bits(bits));
+        // `total` is usually the number of lists and sometimes more (sources
+        // that failed count towards it).
+        let total = lists.len() + slack;
+
+        // Presence per list, counted the way `support_counts` used to.
+        let mut reference: BTreeMap<IpAddr, usize> = BTreeMap::new();
+        for list in &lists {
+            let mut seen = Vec::new();
+            for &addr in list {
+                if !seen.contains(&addr) {
+                    seen.push(addr);
+                    *reference.entry(addr).or_insert(0) += 1;
+                }
+            }
+        }
+        prop_assert_eq!(&support_counts(&lists), &reference);
+
+        let expected: Vec<(IpAddr, usize)> = match total {
+            0 => Vec::new(),
+            _ => reference
+                .into_iter()
+                .filter(|(_, support)| meets_threshold(*support, total, threshold))
+                .collect(),
+        };
+        prop_assert_eq!(
+            majority_vote(&lists, total, threshold),
+            expected,
+            "threshold {:e} of {}",
+            threshold,
+            total
+        );
     }
 
     /// Splitting a pool by family loses no entries and unions back to the

@@ -60,8 +60,8 @@ struct EpochSource {
 }
 
 impl AddressSource for EpochSource {
-    fn source_name(&self) -> String {
-        "epoch".into()
+    fn source_name(&self) -> &str {
+        "epoch"
     }
 
     fn start_fetch(&self, _domain: &Name, _rtype: RrType, _id: u16) -> FetchStart {

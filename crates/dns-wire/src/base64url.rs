@@ -16,10 +16,28 @@ const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwx
 /// assert_eq!(base64url::encode(b"fo"), "Zm8");
 /// assert_eq!(base64url::encode(b"foo"), "Zm9v");
 /// ```
+pub fn encode(input: &[u8]) -> String {
+    let mut out = String::new();
+    encode_into(input, &mut out);
+    out
+}
+
+/// Appends the unpadded base64url encoding of `input` to `out` — for text
+/// that continues a buffer already being written, like the `?dns=`
+/// parameter of a DoH GET path.
+///
+/// # Examples
+///
+/// ```
+/// use sdoh_dns_wire::base64url;
+/// let mut path = String::from("/dns-query?dns=");
+/// base64url::encode_into(b"fo", &mut path);
+/// assert_eq!(path, "/dns-query?dns=Zm8");
+/// ```
 // sdoh-lint: allow(no-panic, "every alphabet index is masked to 6 bits and ALPHABET has 64 entries")
 // sdoh-lint: allow(no-narrowing-cast, "every cast value is masked to 6 bits first")
-pub fn encode(input: &[u8]) -> String {
-    let mut out = String::with_capacity(input.len().div_ceil(3) * 4);
+pub fn encode_into(input: &[u8], out: &mut String) {
+    out.reserve(input.len().div_ceil(3) * 4);
     for chunk in input.chunks(3) {
         let b0 = u32::from(chunk.first().copied().unwrap_or(0));
         let b1 = u32::from(chunk.get(1).copied().unwrap_or(0));
@@ -34,7 +52,6 @@ pub fn encode(input: &[u8]) -> String {
             out.push(ALPHABET[triple as usize & 0x3F] as char);
         }
     }
-    out
 }
 
 fn decode_char(c: u8) -> Option<u32> {

@@ -231,12 +231,17 @@ impl DohClient {
     fn build_request(&self, query_wire: &[u8]) -> Request {
         match self.method {
             DohMethod::Get => {
-                let encoded = base64url::encode(query_wire);
-                Request::get(
-                    self.resolver.name.clone(),
-                    format!("{DOH_PATH}?dns={encoded}"),
-                )
-                .with_header("accept", DNS_MESSAGE_CONTENT_TYPE)
+                // Reserved once, for the prefix and four characters per
+                // three octets; the encoding is appended where it goes.
+                const PARAMETER: &str = "?dns=";
+                let mut path = String::with_capacity(
+                    DOH_PATH.len() + PARAMETER.len() + query_wire.len().div_ceil(3) * 4,
+                );
+                path.push_str(DOH_PATH);
+                path.push_str(PARAMETER);
+                base64url::encode_into(query_wire, &mut path);
+                Request::get(self.resolver.name.clone(), path)
+                    .with_header("accept", DNS_MESSAGE_CONTENT_TYPE)
             }
             DohMethod::Post => Request::post(
                 self.resolver.name.clone(),

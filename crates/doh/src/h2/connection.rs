@@ -19,6 +19,15 @@
 //!   it is given and copies out only what outlives the call: a message's
 //!   strings and body, and the tail of a frame the slice ended inside,
 //!   which waits in the connection for the next call.
+//! * **A message's header fields** are one buffer of the message's own
+//!   ([`Headers`]: every name and value back to back, plus their end
+//!   offsets): a decoded block is appended to it field by field, straight
+//!   from the block's octets or the static table, and `send` walks it
+//!   straight into the output. `:status` is its digits on the stack and
+//!   `:scheme` is borrowed when it is `https` — neither is a `String` on
+//!   its way from one buffer to the other.
+//! * **Streams** with a message under way sit in a vector, looked up by
+//!   scanning: a DoH connection carries one, and a handful at most.
 //!
 //! Simplifications relative to a production stack, all documented: flow
 //! control windows are parsed but never enforced (DoH messages are far below
@@ -27,7 +36,8 @@
 //! (PRIORITY frames as well as the priority fields of a HEADERS frame), as
 //! is padding.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::borrow::Cow;
+use std::io::Write as _;
 
 use bytes::{BufMut, BytesMut};
 
@@ -84,7 +94,8 @@ struct Core<M> {
     /// The tail of a frame (or of the preface) that the last `receive`
     /// ended inside.
     pending: Vec<u8>,
-    streams: HashMap<u32, Partial<M>>,
+    /// The streams with a message under way, by id, in arrival order.
+    streams: Vec<(u32, Partial<M>)>,
     peer_settings_received: bool,
     goaway: Option<u32>,
 }
@@ -95,7 +106,7 @@ impl<M: Inbound> Core<M> {
             out: out.into(),
             preface,
             pending: Vec::new(),
-            streams: HashMap::new(),
+            streams: Vec::new(),
             peer_settings_received: false,
             goaway: None,
         }
@@ -175,12 +186,37 @@ impl<M: Inbound> Core<M> {
         while let Some((raw, consumed)) = RawFrame::parse(rest)? {
             rest = rest.get(consumed..).unwrap_or_default();
             if let Some(id) = self.process_frame(raw)? {
-                if let Some(message) = take_finished(&mut self.streams, id) {
+                if let Some(message) = self.take_finished(id) {
                     completed.push((id, message));
                 }
             }
         }
         Ok(input.len() - rest.len())
+    }
+
+    /// What has arrived on stream `id`, which is opened if this is its first
+    /// frame. (`None` is never seen: a vector just pushed to has a last
+    /// element.)
+    fn stream(&mut self, id: u32) -> Option<&mut Partial<M>> {
+        let stream = match self.streams.iter().position(|(open, _)| *open == id) {
+            Some(at) => self.streams.get_mut(at),
+            None => {
+                self.streams.push((id, Partial::default()));
+                self.streams.last_mut()
+            }
+        };
+        stream.map(|(_, partial)| partial)
+    }
+
+    /// Removes stream `id` and returns its message if the message is
+    /// complete.
+    fn take_finished(&mut self, id: u32) -> Option<M> {
+        let at = self
+            .streams
+            .iter()
+            .position(|(open, stream)| *open == id && stream.ended && stream.head.is_some())?;
+        let (_, Partial { head, body, .. }) = self.streams.remove(at);
+        head.map(|head| head.with_body(body))
     }
 
     /// Applies one frame and names the stream it may have completed: only
@@ -194,15 +230,17 @@ impl<M: Inbound> Core<M> {
                     ));
                 }
                 let head = M::from_fields(hpack::Fields::new(raw.payload))?;
-                let stream = self.streams.entry(raw.stream_id).or_default();
-                stream.head = Some(head);
-                stream.ended = raw.end_stream();
+                if let Some(stream) = self.stream(raw.stream_id) {
+                    stream.head = Some(head);
+                    stream.ended = raw.end_stream();
+                }
                 return Ok(Some(raw.stream_id));
             }
             FrameType::Data => {
-                let stream = self.streams.entry(raw.stream_id).or_default();
-                stream.body.extend_from_slice(raw.payload);
-                stream.ended = stream.ended || raw.end_stream();
+                if let Some(stream) = self.stream(raw.stream_id) {
+                    stream.body.extend_from_slice(raw.payload);
+                    stream.ended = stream.ended || raw.end_stream();
+                }
                 return Ok(Some(raw.stream_id));
             }
             _ => {}
@@ -216,25 +254,13 @@ impl<M: Inbound> Core<M> {
                 Frame::Ping { ack: true, data }.encode(&mut self.out)
             }
             Frame::RstStream { stream_id, .. } => {
-                self.streams.remove(&stream_id);
+                self.streams.retain(|(id, _)| *id != stream_id);
             }
             Frame::GoAway { error_code, .. } => self.goaway = Some(error_code),
             _ => {}
         }
         Ok(None)
     }
-}
-
-/// Removes stream `id` and returns its message if the message is complete.
-fn take_finished<M: Inbound>(streams: &mut HashMap<u32, Partial<M>>, id: u32) -> Option<M> {
-    let Entry::Occupied(stream) = streams.entry(id) else {
-        return None;
-    };
-    if !(stream.get().ended && stream.get().head.is_some()) {
-        return None;
-    }
-    let Partial { head, body, .. } = stream.remove();
-    head.map(|head| head.with_body(body))
 }
 
 /// The client half of an HTTP/2 connection.
@@ -292,7 +318,7 @@ impl ClientConnection {
         self.next_stream_id += 2;
         let pseudo = [
             (":method", request.method.as_str()),
-            (":scheme", request.scheme.as_str()),
+            (":scheme", request.scheme.as_ref()),
             (":authority", request.authority.as_str()),
             (":path", request.path.as_str()),
         ];
@@ -364,10 +390,19 @@ impl ServerConnection {
 
     /// Queues a response on the given stream.
     pub fn send_response(&mut self, stream_id: u32, response: &Response) {
-        let status = response.status.as_u16().to_string();
+        // The code's digits (three for any real status, five at most for a
+        // u16), written on the stack.
+        let mut digits = [0u8; 5];
+        let mut unwritten = digits.as_mut_slice();
+        let _ = write!(unwritten, "{}", response.status.as_u16());
+        let unwritten = unwritten.len();
+        let status = digits
+            .get(..digits.len() - unwritten)
+            .and_then(|digits| std::str::from_utf8(digits).ok())
+            .unwrap_or_default();
         self.core.send(
             stream_id,
-            [(":status", status.as_str())]
+            [(":status", status)]
                 .into_iter()
                 .chain(response.headers.iter()),
             &response.body,
@@ -419,7 +454,12 @@ impl Inbound for Request {
                 ":method" => method = Method::from_token(value),
                 ":path" => path = Some(value.to_string()),
                 ":authority" => authority = value.to_string(),
-                ":scheme" => scheme = Some(value.to_string()),
+                ":scheme" => {
+                    scheme = Some(match value {
+                        "https" => Cow::Borrowed("https"),
+                        other => Cow::Owned(other.to_string()),
+                    })
+                }
                 _ if !name.starts_with(':') => headers.append(name, value),
                 _ => {}
             }
@@ -428,7 +468,7 @@ impl Inbound for Request {
             method: method.ok_or_else(|| H2Error::Protocol("request without :method".into()))?,
             path: path.ok_or_else(|| H2Error::Protocol("request without :path".into()))?,
             authority,
-            scheme: scheme.unwrap_or_else(|| "https".to_string()),
+            scheme: scheme.unwrap_or(Cow::Borrowed("https")),
             headers,
             body: Vec::new(),
         })

@@ -406,8 +406,18 @@ pub(super) fn put_header(
 ) {
     // A frame length is 24 bits: the low three octets.
     let [.., high, mid, low] = length.to_be_bytes();
-    out.put_slice(&[high, mid, low, frame_type.code(), frame_flags]);
-    out.put_u32(stream_id & 0x7FFF_FFFF);
+    let [s0, s1, s2, s3] = (stream_id & 0x7FFF_FFFF).to_be_bytes();
+    out.put_slice(&[
+        high,
+        mid,
+        low,
+        frame_type.code(),
+        frame_flags,
+        s0,
+        s1,
+        s2,
+        s3,
+    ]);
 }
 
 /// Appends a SETTINGS frame.

@@ -176,7 +176,37 @@ impl<'a> Iterator for Fields<'a> {
     }
 }
 
+/// The index of the static entry that is exactly `(name, value)`. A field
+/// with a value — every field but an empty one — can only be one of the 14
+/// entries that have one, so those are a `match`; the table is walked for
+/// an empty value alone. (`tests::the_match_is_the_table` holds the two
+/// together.)
 fn static_index_exact(name: &str, value: &str) -> Option<u64> {
+    if value.is_empty() {
+        return static_index_scan(name, value);
+    }
+    let index = match (name, value) {
+        (":method", "GET") => 2,
+        (":method", "POST") => 3,
+        (":path", "/") => 4,
+        (":path", "/index.html") => 5,
+        (":scheme", "http") => 6,
+        (":scheme", "https") => 7,
+        (":status", "200") => 8,
+        (":status", "204") => 9,
+        (":status", "206") => 10,
+        (":status", "304") => 11,
+        (":status", "400") => 12,
+        (":status", "404") => 13,
+        (":status", "500") => 14,
+        ("accept-encoding", "gzip, deflate") => 16,
+        _ => return None,
+    };
+    Some(index)
+}
+
+/// [`static_index_exact`] by walking [`STATIC_TABLE`].
+fn static_index_scan(name: &str, value: &str) -> Option<u64> {
     (1u64..)
         .zip(STATIC_TABLE)
         .find(|(_, (n, v))| *n == name && *v == value)
@@ -364,5 +394,56 @@ mod tests {
         // Non-zero size update is rejected.
         let block = [0x3F, 0xE1, 0x1F];
         assert!(decode(&block).is_err());
+    }
+
+    #[test]
+    fn the_match_is_the_table() {
+        // Every entry is found where the table has it first...
+        for (name, value) in STATIC_TABLE {
+            assert_eq!(
+                static_index_exact(name, value),
+                static_index_scan(name, value),
+                "({name:?}, {value:?})"
+            );
+            assert!(static_index_exact(name, value).is_some());
+        }
+        assert_eq!(
+            STATIC_TABLE.iter().filter(|(_, v)| !v.is_empty()).count(),
+            14,
+            "the entries the match spells out"
+        );
+        // ... and nothing else is found at all: every name against every
+        // value of the table, and a few that are close.
+        for (name, _) in STATIC_TABLE {
+            for (_, value) in STATIC_TABLE {
+                assert_eq!(
+                    static_index_exact(name, value),
+                    static_index_scan(name, value),
+                    "({name:?}, {value:?})"
+                );
+            }
+        }
+        for (name, value) in [
+            (":method", "get"),
+            (":method", "GET "),
+            (":status", "201"),
+            (":status", "20"),
+            ("accept", ""),
+            (":authority", ""),
+            (":authority", "dns.google"),
+            ("accept-encoding", "gzip"),
+            ("Accept", ""),
+            ("", ""),
+            ("", "GET"),
+        ] {
+            assert_eq!(
+                static_index_exact(name, value),
+                static_index_scan(name, value),
+                "({name:?}, {value:?})"
+            );
+        }
+        assert_eq!(static_index_exact("accept", ""), Some(19));
+        assert_eq!(static_index_exact(":authority", ""), Some(1));
+        assert_eq!(static_index_exact(":status", "201"), None);
     }
 }

@@ -7,6 +7,7 @@ mod status;
 pub use headers::Headers;
 pub use status::StatusCode;
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// HTTP request methods used by DoH.
@@ -52,8 +53,9 @@ pub struct Request {
     pub path: String,
     /// Server authority (`:authority` pseudo-header), e.g. `dns.google`.
     pub authority: String,
-    /// URI scheme (`:scheme` pseudo-header); always `https` for DoH.
-    pub scheme: String,
+    /// URI scheme (`:scheme` pseudo-header); always `https` for DoH, which
+    /// is borrowed, not allocated.
+    pub scheme: Cow<'static, str>,
     /// Header fields.
     pub headers: Headers,
     /// Request body (empty for GET).
@@ -67,7 +69,7 @@ impl Request {
             method: Method::Get,
             path: path.into(),
             authority: authority.into(),
-            scheme: "https".to_string(),
+            scheme: Cow::Borrowed("https"),
             headers: Headers::new(),
             body: Vec::new(),
         }
@@ -79,7 +81,7 @@ impl Request {
             method: Method::Post,
             path: path.into(),
             authority: authority.into(),
-            scheme: "https".to_string(),
+            scheme: Cow::Borrowed("https"),
             headers: Headers::new(),
             body,
         }
@@ -134,9 +136,7 @@ impl Response {
     pub fn ok(content_type: &str, body: Vec<u8>) -> Self {
         let mut response = Response::new(StatusCode::OK);
         response.headers.set("content-type", content_type);
-        response
-            .headers
-            .set("content-length", &body.len().to_string());
+        response.headers.set_display("content-length", body.len());
         response.body = body;
         response
     }

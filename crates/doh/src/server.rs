@@ -149,8 +149,11 @@ impl<H: QueryHandler> DohServerService<H> {
                     .map(|r| r.ttl)
                     .min()
                     .unwrap_or(0);
-                Response::ok(DNS_MESSAGE_CONTENT_TYPE, bytes)
-                    .with_header("cache-control", &format!("max-age={min_ttl}"))
+                let mut response = Response::ok(DNS_MESSAGE_CONTENT_TYPE, bytes);
+                response
+                    .headers
+                    .set_display("cache-control", format_args!("max-age={min_ttl}"));
+                response
             }
             Err(_) => Response::new(StatusCode::INTERNAL_SERVER_ERROR),
         }

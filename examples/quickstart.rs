@@ -92,7 +92,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = loop {
         match session.poll(exchanger.now()) {
             Action::Transmit(transmit) => {
-                println!("  -> query {} over DoH", transmit.source);
+                println!(
+                    "  -> query {} over DoH",
+                    session.source_name(transmit.source)
+                );
                 ids.push(transmit.transaction);
                 requests.push(transmit.request);
             }
@@ -108,9 +111,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             Action::Deliver(SessionEvent::SourceAnswered {
                 source, addresses, ..
-            }) => println!("  <- {source} answered with {addresses} addresses"),
+            }) => println!(
+                "  <- {} answered with {addresses} addresses",
+                session.source_name(source)
+            ),
             Action::Deliver(SessionEvent::SourceFailed { source, error, .. }) => {
-                println!("  <- {source} failed: {error}")
+                println!("  <- {} failed: {error}", session.source_name(source))
             }
             Action::Done => break session.finish()?,
         }

@@ -78,9 +78,12 @@
 //! keeps the layer between client queries and pool generation to itself:
 //!
 //! * a **TTL cache** of generation reports keyed by
-//!   `(domain, address family)` ([`PoolKey`]) — one map under an exact LRU
-//!   capacity bound, with negative caching of failures; what is cached and
-//!   for how long is a [`CacheConfig`],
+//!   `(domain, address family)` ([`PoolKey`]) — one map under an exact
+//!   capacity bound, with negative caching of failures; a full cache
+//!   evicts a dead entry, else a pool nobody asked for again, else the
+//!   least recently used, so once-asked names evict one another and not
+//!   the pools being served; what is cached and for how long is a
+//!   [`CacheConfig`],
 //! * **singleflight coalescing** — the resolver keeps a registry of its
 //!   live generations, and a miss for a key that has one in flight joins it
 //!   instead of launching a second fan-out,

@@ -3,8 +3,8 @@
 //! `PoolCache` stores [`GenerationReport`]s keyed by
 //! `(domain, address family)` so that the expensive distributed generation
 //! runs once per TTL window instead of once per client query. It is one
-//! map under an exact capacity bound with LRU eviction (entries past every
-//! serving window go first), **negative caching** of generation failures
+//! map under an exact capacity bound (see "Eviction" below), with
+//! **negative caching** of generation failures
 //! (a failed fan-out is remembered briefly instead of being retried by
 //! every queued client), and a **stale window** after expiry during which
 //! an entry is still served while a refresh regenerates it
@@ -19,6 +19,23 @@
 //! The cache is sans-IO like the rest of the crate: it never reads a clock.
 //! Every operation takes `now` explicitly, so it composes with the
 //! simulator's virtual time and with any driver's notion of "now".
+//!
+//! # Eviction
+//!
+//! A new key arriving at a full cache evicts the minimum of
+//! `(alive, re-asked, last used)`: an entry past every serving window
+//! first, then a pool nobody has asked for again since it entered the
+//! cache, then the least recently used. A miss costs N upstream exchanges,
+//! and most names are asked for once: under recency alone every such name
+//! pushes out a pool that was being asked for, so a Zipf tail — or anybody
+//! scanning `capacity` cold names — flushes the hot set. One bit per entry
+//! ([`CachedPool::reasked`]) makes the newcomers evict one another
+//! instead. It is set by a lookup that hits and by nothing else, belongs
+//! to the pool rather than the generation (a refresh inherits it, a shard
+//! hand-off carries it), and needs no ageing of its own: an entry nobody
+//! asks for within `ttl + stale_window` is dead, and dead entries go
+//! first. Every rank is distinct, so which entry goes is a function of the
+//! cache's history alone — never of the map's iteration order.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -131,7 +148,9 @@ impl std::error::Error for ConfigError {}
 #[non_exhaustive]
 pub struct CacheConfig {
     /// Number of entries the cache may hold — an exact bound, kept by
-    /// evicting the least recently used entry.
+    /// evicting a dead entry, else one never asked for again, else the
+    /// least recently used (a once-asked name must not cost a hot pool its
+    /// place; see [`CachedPool::reasked`]).
     pub capacity: usize,
     /// Lifetime of a successfully generated pool; doubles as the answer TTL
     /// budget the front end serves from.
@@ -218,6 +237,10 @@ pub struct CachedPool {
     pub generated_at: SimInstant,
     /// When the entry stops being fresh.
     pub expires_at: SimInstant,
+    /// Whether the pool has been asked for again since it entered the
+    /// cache: set by a lookup that hits, inherited by a regeneration,
+    /// carried by a hand-off. Eviction takes entries without it first.
+    pub reasked: bool,
 }
 
 impl CachedPool {
@@ -328,8 +351,14 @@ pub struct CacheMetrics {
     pub misses: u64,
     /// Entries inserted.
     pub insertions: u64,
-    /// Entries evicted to make room (dead entries first, then LRU).
+    /// Entries evicted to make room: dead entries first, then pools never
+    /// asked for again, then the least recently used — so the tail of
+    /// once-asked names evicts itself, not the pools being served.
     pub evictions: u64,
+    /// The subset of `evictions` that took a still-servable pool somebody
+    /// had asked for again: zero while the cache only absorbs a tail or a
+    /// scan, moving once the working set exceeds `capacity`.
+    pub reasked_evictions: u64,
     /// Entries dropped because they were expired beyond use.
     pub expirations: u64,
 }
@@ -343,6 +372,7 @@ impl CacheMetrics {
         self.misses += other.misses;
         self.insertions += other.insertions;
         self.evictions += other.evictions;
+        self.reasked_evictions += other.reasked_evictions;
         self.expirations += other.expirations;
     }
 }
@@ -362,7 +392,7 @@ struct Entry {
     /// Built from the report when the entry enters the cache; `None` for
     /// a negative entry.
     template: Option<AnswerTemplate>,
-    /// Monotone access stamp for LRU eviction.
+    /// Monotone access stamp: the recency half of the eviction rank.
     last_used: u64,
 }
 
@@ -387,7 +417,7 @@ impl Entry {
     }
 }
 
-/// The LRU-bounded, TTL- and stale-window-aware pool cache.
+/// The capacity-bounded, TTL- and stale-window-aware pool cache.
 ///
 /// See the module documentation for the design.
 #[derive(Debug)]
@@ -461,6 +491,7 @@ impl PoolCache {
             return CacheLookup::Miss;
         };
         entry.last_used = self.tick;
+        entry.cached.reasked = true;
         if state == Some(EntryState::Fresh) {
             self.metrics.hits += 1;
             CacheLookup::Fresh(entry.hit())
@@ -470,8 +501,8 @@ impl PoolCache {
         }
     }
 
-    /// Probes every entry at instant `now`, without touching LRU state or
-    /// counters.
+    /// Probes every entry at instant `now`, without touching eviction
+    /// state or counters.
     ///
     /// The result is sorted by key (domain, then family) so that a probe of
     /// the same cache state is byte-identical across processes — the map
@@ -513,6 +544,9 @@ impl PoolCache {
     /// Stores a generation outcome for `key` produced at `now` and lends
     /// the stored entry back, as a lookup would; a zero lifetime (see
     /// [`keeps`](PoolCache::keeps)) stores nothing and returns `None`.
+    /// A regeneration inherits the resident entry's re-asked bit: cleared,
+    /// the next landing miss would evict the pool in the instant after its
+    /// own refresh.
     pub(crate) fn insert(
         &mut self,
         key: PoolKey,
@@ -529,11 +563,21 @@ impl PoolCache {
             value,
             generated_at: now,
             expires_at: now.saturating_add(lifetime.as_duration()),
+            reasked: self.reasked(&key),
         };
         let entry = Entry::new(&key, cached, self.tick);
         self.metrics.insertions += 1;
         let stored = self.entries.entry(key).insert_entry(entry).into_mut();
         Some(stored.hit())
+    }
+
+    /// Whether the entry `key` holds now has been asked for again: what its
+    /// replacement inherits — the bit belongs to the pool, not to the
+    /// generation. `false` for a key the cache does not hold.
+    fn reasked(&self, key: &PoolKey) -> bool {
+        self.entries
+            .get(key)
+            .is_some_and(|resident| resident.cached.reasked)
     }
 
     /// Keeps the capacity bound across the insertion of `key`: a new key
@@ -544,22 +588,24 @@ impl PoolCache {
         }
     }
 
-    /// Evicts one entry, preferring one already past any use over the
-    /// least recently used one.
+    /// Evicts the entry of least rank `(alive, re-asked, last used)`: one
+    /// past any use first, then one nobody came back for, then the least
+    /// recently used. Stamps are unique, so the minimum is — whatever order
+    /// the map yields its entries in.
     fn evict_one(&mut self, now: SimInstant) {
-        let mut victim: Option<(u64, &PoolKey)> = None;
-        for (key, entry) in &self.entries {
-            if now >= entry.cached.keep_until(&self.config) {
-                victim = Some((entry.last_used, key));
-                break;
-            }
-            if victim.is_none_or(|(oldest, _)| entry.last_used < oldest) {
-                victim = Some((entry.last_used, key));
-            }
-        }
-        if let Some(key) = victim.map(|(_, key)| key.clone()) {
+        let victim = self
+            .entries
+            .iter()
+            .map(|(key, entry)| {
+                let alive = now < entry.cached.keep_until(&self.config);
+                ((alive, entry.cached.reasked, entry.last_used), key)
+            })
+            .min_by_key(|(rank, _)| *rank);
+        if let Some(((alive, reasked, _), key)) = victim {
+            let key = key.clone();
             self.entries.remove(&key);
             self.metrics.evictions += 1;
+            self.metrics.reasked_evictions += u64::from(alive && reasked);
         }
     }
 
@@ -578,10 +624,10 @@ impl PoolCache {
     }
 
     /// Removes and returns every entry whose key matches `predicate`,
-    /// with its generation/expiry stamps intact — the extraction half of
-    /// a shard-rescale cache handoff. Results are sorted by key so a
-    /// handoff is deterministic across processes. Touches neither LRU
-    /// state nor the lookup counters.
+    /// with its generation/expiry stamps and re-asked bit intact — the
+    /// extraction half of a shard-rescale cache handoff. Results are
+    /// sorted by key so a handoff is deterministic across processes.
+    /// Touches neither eviction state nor the lookup counters.
     // sdoh-lint: allow(transitive-hot-path-purity, "rescale handoff runs on the control plane, not per query")
     pub(crate) fn extract_matching(
         &mut self,
@@ -605,14 +651,21 @@ impl PoolCache {
     }
 
     /// Installs an entry extracted from another cache, **preserving** its
-    /// original generation and expiry stamps (the wire-form answer is
-    /// rebuilt from the report) — the receiving half of a shard-rescale
-    /// handoff. Returns `false` (dropping the entry) when it is already
-    /// past every serving window at `now`, or when an existing entry for
-    /// the key is at least as fresh — so a key is never owned by two
-    /// entries and a handoff never clobbers a newer generation. The
-    /// capacity bound is enforced exactly as on insert.
-    pub(crate) fn install(&mut self, key: PoolKey, cached: CachedPool, now: SimInstant) -> bool {
+    /// original generation and expiry stamps and its re-asked bit (the
+    /// wire-form answer is rebuilt from the report) — the receiving half
+    /// of a shard-rescale handoff: a rescale installs a burst into full
+    /// shards, and arrivals without the bit would evict one another
+    /// instead of the residents' cold tail. Returns `false` (dropping the
+    /// entry) when it is already past every serving window at `now`, or
+    /// when an existing entry for the key is at least as fresh — so a key
+    /// is never owned by two entries and a handoff never clobbers a newer
+    /// generation. The capacity bound is enforced exactly as on insert.
+    pub(crate) fn install(
+        &mut self,
+        key: PoolKey,
+        mut cached: CachedPool,
+        now: SimInstant,
+    ) -> bool {
         self.tick += 1;
         if now >= cached.keep_until(&self.config) {
             return false;
@@ -624,6 +677,7 @@ impl PoolCache {
         if superseded {
             return false;
         }
+        cached.reasked |= self.reasked(&key);
         self.make_room_for(&key, now);
         let entry = Entry::new(&key, cached, self.tick);
         self.entries.insert(key, entry);
@@ -735,7 +789,7 @@ mod tests {
         let probes = cache.probe(at(200));
         assert!(probes.iter().all(|p| p.state == EntryState::Dead));
 
-        // Probing touches neither LRU state nor counters.
+        // Probing touches neither eviction state nor counters.
         assert_eq!(cache.metrics(), before);
     }
 
@@ -834,6 +888,142 @@ mod tests {
                 peek(&cache, &host(i)).is_none(),
                 cold.contains(&i),
                 "host{i}"
+            );
+        }
+    }
+
+    fn reasked(cache: &PoolCache, key: &PoolKey) -> bool {
+        peek(cache, key).is_some_and(|cached| cached.reasked)
+    }
+
+    #[test]
+    fn a_reasked_entry_outlives_more_recent_newcomers() {
+        let mut cache = PoolCache::new(test_config().with_capacity(2));
+        cache.insert(key("hot.test"), Ok(report(1)), at(0));
+        assert!(!is_miss(cache.get(&key("hot.test"), at(1))));
+        // Every newcomer is more recent than `hot`, and none was asked for
+        // again: they evict one another.
+        for i in 0..8 {
+            cache.insert(key(&format!("cold{i}.test")), Ok(report(2)), at(2));
+            assert!(peek(&cache, &key("hot.test")).is_some(), "after cold{i}");
+        }
+        let metrics = cache.metrics();
+        assert_eq!((metrics.evictions, metrics.reasked_evictions), (7, 0));
+
+        // Once the survivor is re-asked too, the working set exceeds the
+        // capacity: recency decides among equals, and the counter says so.
+        assert!(!is_miss(cache.get(&key("cold7.test"), at(3))));
+        cache.insert(key("third.test"), Ok(report(3)), at(4));
+        assert!(peek(&cache, &key("hot.test")).is_none());
+        let metrics = cache.metrics();
+        assert_eq!((metrics.evictions, metrics.reasked_evictions), (8, 1));
+    }
+
+    #[test]
+    fn only_a_hit_sets_the_reasked_bit() {
+        let mut cache = PoolCache::new(test_config());
+        cache.insert(key("a.test"), Ok(report(1)), at(0));
+        cache.probe(at(1));
+        assert!(is_miss(cache.get(&key("other.test"), at(1))));
+        assert!(!reasked(&cache, &key("a.test")), "insert, probe, a miss");
+        // A second generation of a pool nobody asked for is still that.
+        cache.insert(key("a.test"), Ok(report(2)), at(2));
+        assert!(!reasked(&cache, &key("a.test")), "insert over insert");
+
+        assert!(!is_miss(cache.get(&key("a.test"), at(3))));
+        assert!(reasked(&cache, &key("a.test")), "a fresh hit");
+        cache.insert(key("b.test"), Ok(report(1)), at(0));
+        assert!(matches!(
+            cache.get(&key("b.test"), at(70)),
+            CacheLookup::Stale(_)
+        ));
+        assert!(reasked(&cache, &key("b.test")), "a stale hit");
+    }
+
+    #[test]
+    fn a_regeneration_inherits_the_reasked_bit() {
+        let mut cache = PoolCache::new(test_config().with_capacity(2));
+        cache.insert(key("hot.test"), Ok(report(1)), at(0));
+        assert!(!is_miss(cache.get(&key("hot.test"), at(1))));
+        cache.insert(key("cold.test"), Ok(report(2)), at(2));
+        // The refresh of `hot` lands; the bit is the pool's, not the
+        // generation's, so the next landing miss takes `cold`.
+        cache.insert(key("hot.test"), Ok(report(3)), at(70));
+        assert!(reasked(&cache, &key("hot.test")));
+        cache.insert(key("new.test"), Ok(report(4)), at(71));
+        assert_eq!(peek(&cache, &key("hot.test")).unwrap().generated_at, at(70));
+        assert!(peek(&cache, &key("cold.test")).is_none());
+    }
+
+    #[test]
+    fn a_handoff_carries_the_reasked_bit() {
+        let mut donor = PoolCache::new(test_config());
+        donor.insert(key("hot.test"), Ok(report(1)), at(0));
+        donor.insert(key("cold.test"), Ok(report(2)), at(0));
+        assert!(!is_miss(donor.get(&key("hot.test"), at(1))));
+
+        // A full receiver: its own re-asked entry and its own filler.
+        let mut receiver = PoolCache::new(test_config().with_capacity(2));
+        receiver.insert(key("resident.test"), Ok(report(3)), at(0));
+        receiver.insert(key("filler.test"), Ok(report(4)), at(0));
+        assert!(!is_miss(receiver.get(&key("resident.test"), at(1))));
+        for (k, cached) in donor.extract_matching(|_| true) {
+            assert!(receiver.install(k, cached, at(2)));
+        }
+        // `cold` arrived first (sorted by key) and took the filler's place;
+        // `hot` then took `cold`'s — never the resident's.
+        assert!(reasked(&receiver, &key("hot.test")));
+        assert!(reasked(&receiver, &key("resident.test")));
+        assert_eq!(receiver.len(), 2);
+        assert_eq!(receiver.metrics().reasked_evictions, 0);
+
+        // Installing over a less fresh resident keeps the resident's bit.
+        let newer = CachedPool {
+            value: Ok(report(5)),
+            generated_at: at(10),
+            expires_at: at(70),
+            reasked: false,
+        };
+        assert!(receiver.install(key("resident.test"), newer, at(11)));
+        assert!(reasked(&receiver, &key("resident.test")));
+    }
+
+    #[test]
+    fn shrinking_to_one_keeps_the_reasked_entry() {
+        let mut cache = PoolCache::new(test_config().with_capacity(8));
+        for i in 0..8 {
+            cache.insert(key(&format!("host{i}.test")), Ok(report(1)), at(0));
+        }
+        assert!(!is_miss(cache.get(&key("host2.test"), at(1))));
+        // The most recent entry is not the one somebody came back for.
+        cache.insert(key("host7.test"), Ok(report(2)), at(2));
+        cache.apply_config(test_config().with_capacity(1), at(3));
+        assert_eq!(cache.len(), 1);
+        assert!(peek(&cache, &key("host2.test")).is_some());
+        assert_eq!(cache.metrics().reasked_evictions, 0);
+    }
+
+    #[test]
+    fn eviction_is_a_function_of_history_not_of_map_order() {
+        // Two dead entries in a full map: each `HashMap` is seeded apart,
+        // so a rule that took the first dead entry the iterator yields
+        // would split these 32 caches between `dead0` and `dead1`.
+        for round in 0..32 {
+            let mut cache = PoolCache::new(test_config().with_capacity(4));
+            cache.insert(key("dead0.test"), Ok(report(1)), at(0));
+            cache.insert(key("dead1.test"), Ok(report(2)), at(1));
+            cache.insert(key("live0.test"), Ok(report(3)), at(100));
+            cache.insert(key("live1.test"), Ok(report(4)), at(101));
+            cache.insert(key("new.test"), Ok(report(5)), at(120));
+            let left: Vec<String> = cache
+                .probe(at(120))
+                .iter()
+                .map(|probe| probe.key.domain.to_string())
+                .collect();
+            assert_eq!(
+                left,
+                ["dead1.test.", "live0.test.", "live1.test.", "new.test."],
+                "round {round}: the dead entry of oldest rank goes"
             );
         }
     }
@@ -960,6 +1150,7 @@ mod tests {
             value: Ok(report(9)),
             generated_at: at(0),
             expires_at: at(60),
+            reasked: false,
         };
         assert!(!receiver.install(key("a.test"), stale_twin, at(20)));
         assert_eq!(peek(&receiver, &key("a.test")).unwrap().expires_at, at(65));

@@ -14,9 +14,13 @@
 //!   [`CacheConfig::uncached`] is the generation-per-query front end.
 //! * a **TTL cache** of [`GenerationReport`]s keyed by
 //!   `(domain, address family)` ([`PoolKey`]): one map under an exact
-//!   LRU capacity bound, with negative caching of generation failures and
-//!   a stale window. A deployment shards by giving each worker its own
-//!   resolver, never inside one.
+//!   capacity bound, with negative caching of generation failures and a
+//!   stale window. A full cache evicts a dead entry, else a pool nobody
+//!   has asked for again since it entered ([`CachedPool::reasked`]), else
+//!   the least recently used: a miss costs N upstream exchanges, so a
+//!   once-asked name must not push out a pool that is being asked for. A
+//!   deployment shards by giving each worker its own resolver, never
+//!   inside one.
 //! * **singleflight coalescing** — the resolver keeps a registry of its
 //!   live generations, one per key, and a miss for a key that has one in
 //!   flight joins it instead of launching its own fan-out,
@@ -95,8 +99,8 @@
 //!   [`CachingPoolResolver::resolve_pool`].
 //!
 //! Both forms run the same lookup, so hits, stale serves, negative hits,
-//! misses, the LRU tick and the refresh queue move identically whichever
-//! one answered.
+//! misses, the eviction rank (recency and the re-asked bit) and the refresh
+//! queue move identically whichever one answered.
 //!
 //! # Retuning a live resolver
 //!

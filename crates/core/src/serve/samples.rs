@@ -78,7 +78,14 @@ pub const SERVE_COUNTER_HELP: &[(&str, &str)] = &[
     ("sdoh_cache_insertions_total", "Cache entries inserted."),
     (
         "sdoh_cache_evictions_total",
-        "Cache entries evicted to make room (LRU within the shard).",
+        "Cache entries evicted to make room: dead entries first, then pools never asked for \
+         again, then the least recently used.",
+    ),
+    (
+        "sdoh_cache_reasked_evictions_total",
+        "Evictions that took a servable pool somebody had asked for again. Evictions without \
+         these are a tail or a scan of once-asked names being absorbed; with them the working \
+         set exceeds the capacity.",
     ),
     (
         "sdoh_cache_expirations_total",
@@ -219,7 +226,7 @@ pub const SERVE_GAUGE_HELP: &[(&str, &str)] = &[
 /// shard). Counter values come straight from the snapshot's cumulative
 /// fields, so successive scrapes of a live resolver are monotone.
 pub fn snapshot_samples(snapshot: &ServeSnapshot, labels: &[(&str, &str)]) -> Vec<Sample> {
-    let counters: [u64; 18] = [
+    let counters: [u64; 19] = [
         snapshot.serve.queries,
         snapshot.serve.rejected,
         snapshot.serve.hits,
@@ -237,6 +244,7 @@ pub fn snapshot_samples(snapshot: &ServeSnapshot, labels: &[(&str, &str)]) -> Ve
         snapshot.cache.misses,
         snapshot.cache.insertions,
         snapshot.cache.evictions,
+        snapshot.cache.reasked_evictions,
         snapshot.cache.expirations,
     ];
     let gauges: [f64; 6] = [

@@ -1422,13 +1422,14 @@ fn worker_loop(
 }
 
 /// Extracts every cache entry whose owner under `ring` is not `keep` and
-/// forwards it — stamps intact — to the owner's queue. `keep = Some(index)`
-/// re-homes what a rescale moved away from a shard that stays; `None`
-/// empties a shard the ring no longer reaches. Extraction happens-before
-/// the forward, so no entry is ever servable from two shards at once;
-/// `install` on the receiving side refuses to clobber an
-/// at-least-as-fresh entry, so a racing regeneration by the new owner wins
-/// over the handed-off copy.
+/// forwards it — stamps and re-asked bit intact, so a hot pool keeps its
+/// eviction rank in the full shard it lands in — to the owner's queue.
+/// `keep = Some(index)` re-homes what a rescale moved away from a shard
+/// that stays; `None` empties a shard the ring no longer reaches.
+/// Extraction happens-before the forward, so no entry is ever servable
+/// from two shards at once; `install` on the receiving side refuses to
+/// clobber an at-least-as-fresh entry, so a racing regeneration by the new
+/// owner wins over the handed-off copy.
 fn forward_entries(
     resolver: &mut CachingPoolResolver,
     ring: &[mpsc::Sender<WorkItem>],

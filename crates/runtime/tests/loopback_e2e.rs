@@ -677,6 +677,80 @@ fn every_key_has_one_home_after_any_rescale() {
 }
 
 #[test]
+fn a_hot_set_keeps_its_rank_across_a_rescale() {
+    // Caches far smaller than the key set. A hot set is asked twice, then
+    // each width sees a scan of names asked once — more than its shards
+    // hold — before the hot set is asked again. An entry's re-asked bit
+    // travels with it through `Rehash` -> `Install`: a hot pool a rescale
+    // moved outranks its new shard's once-asked entries like the hot pools
+    // already there, so the scan evicts only itself and every hot name is
+    // answered from the cache at every width. (Handed over without the
+    // bit, the moved pools would be the oldest once-asked entries of their
+    // new shard and the first the scan evicts.)
+    const HOT: usize = 8;
+    const SCAN: usize = 32;
+    let fleet = LoopbackFleet::build(LoopbackConfig {
+        pool_domains: HOT + 3 * SCAN,
+        compromised: vec![2],
+        ..LoopbackConfig::default()
+    });
+    let truth = fleet.ground_truth();
+    let cache = CacheConfig::default()
+        .with_ttl(Ttl::from_secs(600))
+        .with_capacity(HOT);
+    let shards = |count: usize| {
+        fleet
+            .shards(count, PoolConfig::algorithm1(), cache)
+            .expect("valid config")
+    };
+    let runtime = PoolRuntime::start(RuntimeConfig::default(), shards(2)).expect("bind loopback");
+    let control = runtime.control();
+    let client =
+        RuntimeClient::connect(runtime.udp_addr(), Some(runtime.tcp_addr())).expect("client");
+    let ask = |domains: &[sdoh_dns_wire::Name]| {
+        for (id, domain) in (1u16..).zip(domains) {
+            let response = client
+                .query(&Message::query(id, domain.clone(), RrType::A))
+                .expect("query answered");
+            assert_guarantee(&response, &truth);
+        }
+    };
+    let (hot, scans) = fleet.domains.split_at(HOT);
+    ask(hot);
+    ask(hot);
+
+    for (scan, rescale_to) in scans.chunks(SCAN).zip([Some(3), Some(2), None]) {
+        ask(scan);
+        let before = runtime.stats().total;
+        assert_eq!(
+            before.entries,
+            runtime.shard_count() * HOT,
+            "every shard is full"
+        );
+        ask(hot);
+        let after = runtime.stats().total;
+        assert_eq!(
+            (
+                after.serve.hits - before.serve.hits,
+                after.serve.generations - before.serve.generations
+            ),
+            (HOT as u64, 0),
+            "(hits, generations) of the hot set at width {}",
+            runtime.shard_count()
+        );
+        if let Some(width) = rescale_to {
+            let mut added: Vec<Option<Shard>> = shards(width).into_iter().map(Some).collect();
+            control
+                .rescale(width, |index| added[index].take().expect("fresh shard"))
+                .expect("rescale");
+        }
+    }
+    let stats = runtime.shutdown();
+    assert_eq!(stats.total.cache.reasked_evictions, 0);
+    assert_eq!(stats.dropped_queries, 0);
+}
+
+#[test]
 fn a_rejected_delta_publishes_nothing() {
     // Operator input is validated where it arrives, before anything is
     // numbered or fanned out: a rejected delta leaves the epoch, every

@@ -192,29 +192,34 @@ impl AddressSource for DohSource {
             // simulator's batch-request type, so the transmit passes through.
             Ok((transmit, prepared)) => FetchStart::Transmit {
                 request: transmit,
-                pending: PendingFetch::new((prepared, rtype)),
+                pending: PendingFetch::new(prepared),
             },
             Err(e) => FetchStart::Immediate(Err(doh_error(e))),
         }
     }
 
+    /// The reply's checks are `DohClient::finish_with`'s; the addresses of
+    /// the asked type are then read where they lie in the answer.
     fn handle_response(
         &self,
         pending: PendingFetch,
         outcome: NetResult<Vec<u8>>,
     ) -> Result<Vec<IpAddr>, FetchError> {
-        let (prepared, rtype) = pending
-            .downcast::<(sdoh_doh::PreparedDohQuery, RrType)>()
+        let prepared = pending
+            .downcast::<sdoh_doh::PreparedDohQuery>()
             .ok_or_else(|| FetchError::Protocol("mismatched pending fetch state".into()))?;
-        let reply = outcome.map_err(|e| FetchError::Transport(e.to_string()))?;
-        let response = self
+        let rtype = prepared.question().rtype;
+        let mut reply = outcome.map_err(|e| FetchError::Transport(e.to_string()))?;
+        let (rcode, addresses) = self
             .client
-            .finish_query(prepared, &reply)
+            .finish_with(prepared, &mut reply, |answer| {
+                (answer.header().rcode, answer.addresses(rtype))
+            })
             .map_err(doh_error)?;
-        if response.header.rcode != Rcode::NoError && response.header.rcode != Rcode::NxDomain {
-            return Err(FetchError::ErrorResponse(response.header.rcode.to_string()));
+        if rcode != Rcode::NoError && rcode != Rcode::NxDomain {
+            return Err(FetchError::ErrorResponse(rcode.to_string()));
         }
-        Ok(sdoh_dns_wire::addresses_of_type(&response, rtype))
+        Ok(addresses)
     }
 }
 
@@ -342,7 +347,8 @@ impl AddressSource for StaticSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdoh_dns_server::{Authority, Catalog, ClientExchanger, Do53Service, Zone};
+    use sdoh_dns_server::{Authority, Catalog, ClientExchanger, Do53Service, FnHandler, Zone};
+    use sdoh_dns_wire::Message;
     use sdoh_doh::{DohServerService, ResolverDirectory};
     use sdoh_netsim::SimNet;
 
@@ -386,6 +392,45 @@ mod tests {
             )
             .unwrap();
         assert_eq!(v6.len(), 1);
+    }
+
+    /// A resolver reflecting the request — QR clear, no answer, the question
+    /// echoed — has not answered. Taken for an empty answer, it truncated
+    /// Algorithm 1's whole pool to nothing, where a failed source is
+    /// skipped.
+    #[test]
+    fn a_reflected_query_is_a_failed_source_not_an_empty_answer() {
+        let net = SimNet::new(65);
+        let mut sources: Vec<Box<dyn AddressSource>> = Vec::new();
+        for (index, info) in ResolverDirectory::well_known(65)
+            .take(3)
+            .into_iter()
+            .enumerate()
+        {
+            if index == 1 {
+                let mirror = FnHandler::new("mirror", |_: &mut dyn Exchanger, query: &Message| {
+                    query.clone()
+                });
+                net.register(info.addr, DohServerService::new(info.clone(), mirror));
+            } else {
+                let authority = Authority::new(pool_zone_catalog());
+                net.register(info.addr, DohServerService::new(info.clone(), authority));
+            }
+            sources.push(Box::new(DohSource::new(info)));
+        }
+        let generator =
+            crate::SecurePoolGenerator::new(crate::PoolConfig::algorithm1(), sources).unwrap();
+        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 50000));
+        let report = generator
+            .generate(&mut exchanger, &"pool.ntp.org".parse().unwrap())
+            .unwrap();
+        assert!(
+            matches!(report.sources[1].1, crate::SourceOutcome::Failed(_)),
+            "{:?}",
+            report.sources
+        );
+        assert_eq!(report.answered(), 2);
+        assert_eq!(report.pool.len(), 6, "three addresses from each answer");
     }
 
     #[test]

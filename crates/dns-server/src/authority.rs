@@ -1,14 +1,102 @@
 //! The authoritative name-server engine: answers queries from a [`Catalog`]
 //! of zones (the `c/d/e.ntpns.org` servers of the paper's Figure 1).
+//!
+//! # One walk, two ends
+//!
+//! A query is answered by one walk through the catalog and the zone:
+//! opcode, question, enclosing zone, then lookups along any CNAME chain.
+//! The walk keeps what it found lent from the zone and the query, and the
+//! response is written from that: [`Authority::answer_into`] writes the
+//! records where they lie into wire form, [`Authority::answer`] copies
+//! them into a [`Message`]. Both go through the one message encoder
+//! ([`encode_sections`]), so the wire form is `answer(..).encode()` byte
+//! for byte, without a record, question or name copied on the way.
 
-use sdoh_dns_wire::{Message, MessageBuilder, Opcode, Rcode, RrType};
+use sdoh_dns_wire::{
+    encode_sections, Header, Message, Name, Opcode, Rcode, Record, RrType, WireResult,
+};
 
 use crate::catalog::Catalog;
-use crate::zone::ZoneLookup;
+use crate::zone::{Delegation, Zone, ZoneLookup};
 
 /// Maximum number of CNAME links followed inside a single zone while
 /// building an answer.
 const MAX_CNAME_CHAIN: usize = 8;
+
+/// What one walk found for a query.
+struct Found<'a> {
+    /// The zone answering; `None` for an error response.
+    zone: Option<&'a Zone>,
+    rcode: Rcode,
+    /// The CNAME records followed, in order.
+    chain: [Option<&'a Record>; MAX_CNAME_CHAIN + 1],
+    /// The lookup the walk ended on and the name it looked up; `None` when
+    /// a chain was left for a resolver to chase (its target outside the
+    /// zone, or the chain too long).
+    end: Option<(&'a Name, ZoneLookup<'a>)>,
+}
+
+impl<'a> Found<'a> {
+    fn error(rcode: Rcode) -> Self {
+        Found {
+            zone: None,
+            rcode,
+            chain: [None; MAX_CNAME_CHAIN + 1],
+            end: None,
+        }
+    }
+
+    fn delegation(&self) -> Option<Delegation<'a>> {
+        match self.end {
+            Some((_, ZoneLookup::Delegation(cut))) => Some(cut),
+            _ => None,
+        }
+    }
+
+    /// The response header: a referral is not authoritative, nor is an
+    /// error.
+    fn header(&self, query: &Message) -> Header {
+        Header {
+            authoritative: self.zone.is_some() && self.delegation().is_none(),
+            rcode: self.rcode,
+            ..Header::response_to(&query.header)
+        }
+    }
+
+    /// Each answer record with the owner it is written under: the chain's
+    /// and an exact match's their own, a wildcard's the name looked up.
+    fn answers(&self) -> impl Iterator<Item = (&'a Name, &'a Record)> {
+        let (owner, records) = match self.end {
+            Some((_, ZoneLookup::Answer(records))) => (None, Some(records)),
+            Some((name, ZoneLookup::Wildcard(records))) => (Some(name), Some(records)),
+            _ => (None, None),
+        };
+        let chain = self.chain.into_iter().flatten().map(|r| (&r.name, r));
+        let records = records
+            .into_iter()
+            .flat_map(|records| records.iter())
+            .map(move |r| (owner.unwrap_or(&r.name), r));
+        chain.chain(records)
+    }
+
+    /// A referral's NS records, or the zone's SOA when the name or the type
+    /// is missing.
+    fn authorities(&self) -> impl Iterator<Item = &'a Record> {
+        let soa = match self.end {
+            Some((_, ZoneLookup::NoRecords | ZoneLookup::NxDomain)) => {
+                self.zone.and_then(Zone::soa)
+            }
+            _ => None,
+        };
+        let cut = self.delegation();
+        cut.into_iter().flat_map(Delegation::ns_records).chain(soa)
+    }
+
+    /// A referral's glue.
+    fn additionals(&self) -> impl Iterator<Item = &'a Record> {
+        self.delegation().into_iter().flat_map(Delegation::glue)
+    }
+}
 
 /// An authoritative DNS server over a catalog of zones.
 #[derive(Debug, Clone, Default)]
@@ -38,71 +126,92 @@ impl Authority {
     /// REFUSED, missing names get NXDOMAIN with the zone SOA attached, and
     /// names below a zone cut get a referral.
     pub fn answer(&self, query: &Message) -> Message {
+        let found = self.walk(query);
+        let mut response = Message {
+            header: found.header(query),
+            questions: query.questions.clone(),
+            answers: found
+                .answers()
+                .map(|(owner, r)| Record {
+                    name: owner.clone(),
+                    rclass: r.rclass,
+                    ttl: r.ttl,
+                    rdata: r.rdata.clone(),
+                })
+                .collect(),
+            authorities: found.authorities().cloned().collect(),
+            additionals: found.additionals().cloned().collect(),
+        };
+        response.normalize_counts();
+        response
+    }
+
+    /// [`Authority::answer`] in wire form, into `out` (replacing its
+    /// contents): the same bytes as `answer(query).encode()`, written from
+    /// the zone's records where they lie.
+    ///
+    /// # Errors
+    ///
+    /// The encoding error `answer(query).encode()` would return; `out` is
+    /// left empty.
+    pub fn answer_into(&self, query: &Message, out: &mut Vec<u8>) -> WireResult<()> {
+        let found = self.walk(query);
+        encode_sections(
+            found.header(query),
+            &query.questions,
+            found.answers(),
+            found.authorities(),
+            found.additionals(),
+            out,
+        )
+    }
+
+    /// The one walk (see the module documentation): opcode, question and
+    /// zone, then one lookup per name along the CNAME chain.
+    fn walk<'a>(&'a self, query: &'a Message) -> Found<'a> {
         if query.header.opcode != Opcode::Query {
-            return Message::error_response(query, Rcode::NotImp);
+            return Found::error(Rcode::NotImp);
         }
-        let question = match query.question() {
-            Some(q) => q.clone(),
-            None => return Message::error_response(query, Rcode::FormErr),
+        let Some(question) = query.question() else {
+            return Found::error(Rcode::FormErr);
+        };
+        let Some(zone) = self.catalog.find(&question.name) else {
+            return Found::error(Rcode::Refused);
         };
 
-        let zone = match self.catalog.find(&question.name) {
-            Some(z) => z,
-            None => return Message::error_response(query, Rcode::Refused),
-        };
-
-        let mut builder = MessageBuilder::response_to(query).authoritative(true);
-        let mut current_name = question.name.clone();
-        let mut chain = 0usize;
-
-        loop {
-            match zone.lookup(&current_name, question.rtype) {
-                ZoneLookup::Answer(records) => {
-                    for r in records {
-                        builder = builder.answer(r);
-                    }
-                    return builder.build();
-                }
+        let mut chain = [None; MAX_CNAME_CHAIN + 1];
+        let mut end = None;
+        let mut name = &question.name;
+        for link in &mut chain {
+            match zone.lookup(name, question.rtype) {
                 ZoneLookup::Cname(cname) => {
-                    let target = cname
-                        .rdata
-                        .target_name()
-                        .cloned()
-                        .unwrap_or_else(|| current_name.clone());
-                    builder = builder.answer(cname);
-                    chain += 1;
-                    if chain > MAX_CNAME_CHAIN || !zone.contains(&target) {
-                        // Target is outside this zone (or the chain is too
-                        // long): return what we have; a resolver will chase it.
-                        return builder.build();
+                    *link = Some(cname);
+                    let target = cname.rdata.target_name().unwrap_or(name);
+                    if !zone.contains(target) {
+                        // A resolver will chase it.
+                        break;
                     }
-                    current_name = target;
+                    name = target;
                 }
-                ZoneLookup::Delegation { ns_records, glue } => {
-                    let mut msg = MessageBuilder::response_to(query).authoritative(false);
-                    for ns in ns_records {
-                        msg = msg.authority(ns);
-                    }
-                    for g in glue {
-                        msg = msg.additional(g);
-                    }
-                    return msg.build();
-                }
-                ZoneLookup::NoRecords => {
-                    if let Some(soa) = zone.soa() {
-                        builder = builder.authority(soa.clone());
-                    }
-                    return builder.build();
-                }
-                ZoneLookup::NxDomain => {
-                    builder = builder.rcode(Rcode::NxDomain);
-                    if let Some(soa) = zone.soa() {
-                        builder = builder.authority(soa.clone());
-                    }
-                    return builder.build();
+                lookup => {
+                    end = Some((name, lookup));
+                    break;
                 }
             }
         }
+        let mut found = Found {
+            zone: Some(zone),
+            rcode: Rcode::NoError,
+            chain,
+            end,
+        };
+        match found.end {
+            // A referral answers for the cut, not for the aliases.
+            Some((_, ZoneLookup::Delegation(_))) => found.chain = [None; MAX_CNAME_CHAIN + 1],
+            Some((_, ZoneLookup::NxDomain)) => found.rcode = Rcode::NxDomain,
+            _ => {}
+        }
+        found
     }
 
     /// Convenience check used by tests and experiments: how many addresses

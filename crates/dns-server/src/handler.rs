@@ -18,8 +18,10 @@ pub trait QueryHandler {
     fn handle_query(&mut self, exchanger: &mut dyn Exchanger, query: &Message) -> Message;
 
     /// Answers `query` straight in wire form, replacing the contents of
-    /// `out` — what [`serve_do53_payload`](crate::serve_do53_payload) calls.
-    /// A handler that keeps pre-encoded answers overrides this to skip the
+    /// `out` — what [`serve_do53_payload`](crate::serve_do53_payload) calls,
+    /// and `sdoh-doh`'s `DohServerService` for every DoH request. A handler
+    /// that can write its answer without building it (pre-encoded answers,
+    /// an [`Authority`] writing from its zone) overrides this to skip the
     /// [`Message`]; the bytes must equal `handle_query(..).encode()`.
     ///
     /// # Errors
@@ -90,6 +92,15 @@ impl<H: QueryHandler> QueryHandler for std::sync::Arc<parking_lot::Mutex<H>> {
 impl QueryHandler for Authority {
     fn handle_query(&mut self, _exchanger: &mut dyn Exchanger, query: &Message) -> Message {
         self.answer(query)
+    }
+
+    fn handle_query_wire(
+        &mut self,
+        _exchanger: &mut dyn Exchanger,
+        query: &Message,
+        out: &mut Vec<u8>,
+    ) -> WireResult<()> {
+        self.answer_into(query, out)
     }
 
     fn handler_name(&self) -> &str {

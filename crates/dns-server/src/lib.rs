@@ -116,5 +116,5 @@ pub use service::{
     decode_do53_query, finish_do53_answer, serve_do53_payload, serve_do53_payload_into, Do53Service,
 };
 pub use stub::StubResolver;
-pub use zone::{Zone, ZoneLookup};
+pub use zone::{Delegation, RecordSet, Zone, ZoneLookup};
 pub use zonefile::parse_zone;

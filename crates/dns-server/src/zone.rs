@@ -5,26 +5,76 @@ use std::net::IpAddr;
 
 use sdoh_dns_wire::{Name, RData, Record, RrType, Soa};
 
-/// Outcome of looking a name and type up in a zone.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ZoneLookup {
-    /// Matching records exist; they are returned in zone order.
-    Answer(Vec<Record>),
+/// Outcome of looking a name and type up in a zone, lent from the zone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ZoneLookup<'z> {
+    /// Records of the type exist at the name.
+    Answer(RecordSet<'z>),
+    /// A wildcard holds records of the type (RFC 1034 §4.3.3): they answer
+    /// under the name looked up, which a response writes as their owner.
+    Wildcard(RecordSet<'z>),
     /// The name exists and is an alias; the CNAME record is returned and the
     /// caller should chase the target.
-    Cname(Record),
-    /// The name falls below a zone cut; the NS records of the delegation and
-    /// any in-zone glue addresses are returned.
-    Delegation {
-        /// NS records describing the child zone's servers.
-        ns_records: Vec<Record>,
-        /// A/AAAA glue records for those servers, when present in this zone.
-        glue: Vec<Record>,
-    },
+    Cname(&'z Record),
+    /// The name falls below a zone cut.
+    Delegation(Delegation<'z>),
     /// The name exists but has no records of the requested type.
     NoRecords,
     /// The name does not exist in this zone.
     NxDomain,
+}
+
+/// The records of one owner that answer a type — every one of them for
+/// ANY — in zone order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordSet<'z> {
+    owned: &'z [Record],
+    rtype: RrType,
+}
+
+impl<'z> RecordSet<'z> {
+    /// The records, in zone order.
+    pub fn iter(self) -> impl Iterator<Item = &'z Record> {
+        let rtype = self.rtype;
+        self.owned
+            .iter()
+            .filter(move |r| rtype == RrType::Any || r.rtype() == rtype)
+    }
+
+    /// Returns `true` when no record answers.
+    pub fn is_empty(self) -> bool {
+        self.iter().next().is_none()
+    }
+}
+
+/// A zone cut: the NS records of the delegation and the zone's glue for
+/// them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Delegation<'z> {
+    zone: &'z Zone,
+    ns_records: RecordSet<'z>,
+}
+
+impl<'z> Delegation<'z> {
+    /// NS records describing the child zone's servers.
+    pub fn ns_records(self) -> impl Iterator<Item = &'z Record> {
+        self.ns_records.iter()
+    }
+
+    /// A/AAAA glue records for those servers, when present in this zone.
+    pub fn glue(self) -> impl Iterator<Item = &'z Record> {
+        self.ns_records()
+            .filter_map(|ns| match &ns.rdata {
+                RData::Ns(target) => Some(target),
+                _ => None,
+            })
+            .flat_map(move |target| {
+                self.zone
+                    .records_at(target)
+                    .iter()
+                    .filter(|r| r.rtype().is_address())
+            })
+    }
 }
 
 /// An authoritative zone: an origin name, an SOA and a set of records.
@@ -43,7 +93,7 @@ pub enum ZoneLookup {
 /// ));
 /// assert_eq!(zone.records().count(), 2); // SOA + A
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Zone {
     origin: Name,
     /// Records grouped by owner name for efficient lookup.
@@ -153,29 +203,28 @@ impl Zone {
     /// Looks up `name`/`rtype` following RFC 1034 §4.3.2 semantics within a
     /// single zone: exact match, CNAME, delegation, wildcard, NODATA or
     /// NXDOMAIN.
-    pub fn lookup(&self, name: &Name, rtype: RrType) -> ZoneLookup {
+    pub fn lookup(&self, name: &Name, rtype: RrType) -> ZoneLookup<'_> {
         if !self.contains(name) {
             return ZoneLookup::NxDomain;
         }
 
         // Check for a zone cut strictly between the origin and the name.
         if let Some(delegation) = self.find_delegation(name) {
-            return delegation;
+            return ZoneLookup::Delegation(delegation);
         }
 
         if let Some(records) = self.records.get(name) {
             // Exact owner-name match.
-            let matching: Vec<Record> = records
-                .iter()
-                .filter(|r| rtype == RrType::Any || r.rtype() == rtype)
-                .cloned()
-                .collect();
+            let matching = RecordSet {
+                owned: records,
+                rtype,
+            };
             if !matching.is_empty() {
                 return ZoneLookup::Answer(matching);
             }
             if rtype != RrType::Cname {
                 if let Some(cname) = records.iter().find(|r| r.rtype() == RrType::Cname) {
-                    return ZoneLookup::Cname(cname.clone());
+                    return ZoneLookup::Cname(cname);
                 }
             }
             return ZoneLookup::NoRecords;
@@ -199,7 +248,7 @@ impl Zone {
         ZoneLookup::NxDomain
     }
 
-    fn find_delegation(&self, name: &Name) -> Option<ZoneLookup> {
+    fn find_delegation(&self, name: &Name) -> Option<Delegation<'_>> {
         // Walk from just below the origin down towards the name, looking for
         // NS record sets at intermediate owners (zone cuts).
         let origin_labels = self.origin.num_labels();
@@ -211,34 +260,21 @@ impl Zone {
             let Some(records) = self.records.get(&candidate) else {
                 continue;
             };
-            let ns_records: Vec<Record> = records
-                .iter()
-                .filter(|r| r.rtype() == RrType::Ns)
-                .cloned()
-                .collect();
+            let ns_records = RecordSet {
+                owned: records,
+                rtype: RrType::Ns,
+            };
             if !ns_records.is_empty() {
-                let glue = self.glue_for(&ns_records);
-                return Some(ZoneLookup::Delegation { ns_records, glue });
+                return Some(Delegation {
+                    zone: self,
+                    ns_records,
+                });
             }
         }
         None
     }
 
-    fn glue_for(&self, ns_records: &[Record]) -> Vec<Record> {
-        let mut glue = Vec::new();
-        for ns in ns_records {
-            if let RData::Ns(target) = &ns.rdata {
-                for r in self.records_at(target) {
-                    if r.rtype().is_address() {
-                        glue.push(r.clone());
-                    }
-                }
-            }
-        }
-        glue
-    }
-
-    fn wildcard_lookup(&self, name: &Name, rtype: RrType) -> Option<ZoneLookup> {
+    fn wildcard_lookup(&self, name: &Name, rtype: RrType) -> Option<ZoneLookup<'_>> {
         let mut ancestor = name.parent()?;
         loop {
             if !ancestor.is_subdomain_of(&self.origin) {
@@ -246,17 +282,12 @@ impl Zone {
             }
             let wildcard = ancestor.child("*").ok()?;
             if let Some(records) = self.records.get(&wildcard) {
-                let matching: Vec<Record> = records
-                    .iter()
-                    .filter(|r| rtype == RrType::Any || r.rtype() == rtype)
-                    .map(|r| {
-                        let mut synthesized = r.clone();
-                        synthesized.name = name.clone();
-                        synthesized
-                    })
-                    .collect();
+                let matching = RecordSet {
+                    owned: records,
+                    rtype,
+                };
                 if !matching.is_empty() {
-                    return Some(ZoneLookup::Answer(matching));
+                    return Some(ZoneLookup::Wildcard(matching));
                 }
                 return Some(ZoneLookup::NoRecords);
             }
@@ -313,6 +344,7 @@ mod tests {
         let zone = pool_zone();
         match zone.lookup(&"a.pool.ntpns.org".parse().unwrap(), RrType::A) {
             ZoneLookup::Answer(records) => {
+                let records: Vec<&Record> = records.iter().collect();
                 assert_eq!(records.len(), 1);
                 assert_eq!(records[0].ip_addr().unwrap().to_string(), "203.0.113.1");
             }
@@ -329,7 +361,7 @@ mod tests {
             RData::Txt(vec![b"x".to_vec()]),
         ));
         match zone.lookup(&"a.pool.ntpns.org".parse().unwrap(), RrType::Any) {
-            ZoneLookup::Answer(records) => assert_eq!(records.len(), 2),
+            ZoneLookup::Answer(records) => assert_eq!(records.iter().count(), 2),
             other => panic!("expected answer, got {other:?}"),
         }
     }
@@ -376,7 +408,7 @@ mod tests {
         }
         // Asking for the CNAME itself returns it as the answer.
         match zone.lookup(&"alias.ntpns.org".parse().unwrap(), RrType::Cname) {
-            ZoneLookup::Answer(records) => assert_eq!(records.len(), 1),
+            ZoneLookup::Answer(records) => assert_eq!(records.iter().count(), 1),
             other => panic!("expected answer, got {other:?}"),
         }
     }
@@ -385,8 +417,9 @@ mod tests {
     fn delegation_below_zone_cut() {
         let zone = pool_zone();
         match zone.lookup(&"host.child.ntpns.org".parse().unwrap(), RrType::A) {
-            ZoneLookup::Delegation { ns_records, glue } => {
-                assert_eq!(ns_records.len(), 1);
+            ZoneLookup::Delegation(cut) => {
+                assert_eq!(cut.ns_records().count(), 1);
+                let glue: Vec<&Record> = cut.glue().collect();
                 assert_eq!(glue.len(), 1);
                 assert_eq!(glue[0].ip_addr().unwrap().to_string(), "198.51.100.53");
             }
@@ -398,8 +431,11 @@ mod tests {
     fn wildcard_synthesis() {
         let zone = pool_zone();
         match zone.lookup(&"anything.wild.ntpns.org".parse().unwrap(), RrType::A) {
-            ZoneLookup::Answer(records) => {
-                assert_eq!(records[0].name, "anything.wild.ntpns.org".parse().unwrap());
+            ZoneLookup::Wildcard(records) => {
+                // Lent as stored: the response writes the name asked as owner.
+                let records: Vec<&Record> = records.iter().collect();
+                assert_eq!(records.len(), 1);
+                assert_eq!(records[0].name, "*.wild.ntpns.org".parse().unwrap());
                 assert_eq!(records[0].ip_addr().unwrap().to_string(), "192.0.2.99");
             }
             other => panic!("expected wildcard answer, got {other:?}"),

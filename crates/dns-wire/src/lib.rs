@@ -8,6 +8,8 @@
 //!   comparison,
 //! * [`Message`] — full messages with header, question/answer/authority/
 //!   additional sections, name compression and EDNS(0),
+//! * [`MessageView`] — a message validated where it lies and read without
+//!   copying it; [`Message::decode`] is this view plus the owned copy,
 //! * [`AnswerTemplate`] — an address answer section encoded once and
 //!   rendered per query by copying it,
 //! * [`RData`] — typed rdata for A, AAAA, NS, CNAME, PTR, MX, TXT, SOA, SRV
@@ -18,7 +20,7 @@
 //! # Quick example
 //!
 //! ```
-//! use sdoh_dns_wire::{Message, MessageBuilder, RrType};
+//! use sdoh_dns_wire::{Message, MessageBuilder, MessageView, RrType};
 //!
 //! # fn main() -> Result<(), sdoh_dns_wire::WireError> {
 //! let query = Message::query(0x1234, "pool.ntp.org".parse()?, RrType::A);
@@ -31,6 +33,13 @@
 //!     .answer_address(300, "203.0.113.1".parse().unwrap())
 //!     .build();
 //! assert_eq!(response.answer_addresses().len(), 1);
+//!
+//! // Who only reads the answer reads it where it lies: one validating
+//! // walk, and the addresses come straight out of the packet.
+//! let wire = response.encode()?;
+//! let answer = MessageView::parse(&wire)?;
+//! assert!(answer.question_is(decoded.question().unwrap()));
+//! assert_eq!(answer.addresses(RrType::A), response.answer_addresses());
 //! # Ok(())
 //! # }
 //! ```
@@ -50,19 +59,21 @@ mod record;
 mod rrtype;
 mod template;
 mod ttl;
+mod view;
 mod wire;
 
 pub use edns::{Edns, DEFAULT_PAYLOAD_SIZE};
 pub use error::{WireError, WireResult};
 pub use header::{Header, Opcode, Rcode};
-pub use message::{addresses_of_type, Message, MessageBuilder, MAX_MESSAGE_SIZE};
+pub use message::{addresses_of_type, encode_sections, Message, MessageBuilder, MAX_MESSAGE_SIZE};
 pub use name::{Name, MAX_LABEL_LEN, MAX_NAME_LEN};
 pub use question::Question;
 pub use rdata::{EdnsOption, Mx, OptRdata, RData, Soa, Srv};
-pub use record::Record;
+pub use record::{Record, RecordView};
 pub use rrtype::{RrClass, RrType};
 pub use template::AnswerTemplate;
 pub use ttl::Ttl;
+pub use view::{MessageView, RecordViews};
 pub use wire::{WireReader, WireWriter};
 
 #[cfg(test)]

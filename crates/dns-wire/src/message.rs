@@ -12,7 +12,8 @@ use crate::question::Question;
 
 use crate::record::Record;
 use crate::rrtype::RrType;
-use crate::wire::{WireReader, WireWriter};
+use crate::view::MessageView;
+use crate::wire::WireWriter;
 
 /// Maximum size of a DNS message in octets (TCP / DoH limit).
 pub const MAX_MESSAGE_SIZE: usize = 65_535;
@@ -169,64 +170,26 @@ impl Message {
     ///
     /// As [`Message::encode`]; `out` is left empty.
     pub fn encode_into(&self, out: &mut Vec<u8>) -> WireResult<()> {
-        WireWriter::write_into(out, true, |w| {
-            // The section counts come from the section lengths, whatever
-            // `self.header` says.
-            self.counted_header().encode(w)?;
-            for q in &self.questions {
-                q.encode(w)?;
-            }
-            for r in self
-                .answers
-                .iter()
-                .chain(self.authorities.iter())
-                .chain(self.additionals.iter())
-            {
-                r.encode(w)?;
-            }
-            if w.len() > MAX_MESSAGE_SIZE {
-                return Err(WireError::MessageTooLong(w.len()));
-            }
-            Ok(())
-        })
+        encode_sections(
+            self.header,
+            &self.questions,
+            self.answers.iter().map(|r| (&r.name, r)),
+            &self.authorities,
+            &self.additionals,
+            out,
+        )
     }
 
-    /// Decodes a message from wire format.
+    /// Decodes a message from wire format: the [`MessageView`] walk over the
+    /// packet, with the owned copy made on the way.
     ///
     /// # Errors
     ///
     /// Returns an error for truncated or malformed messages. Trailing bytes
     /// after the declared sections are rejected.
-    // sdoh-lint: allow(transitive-hot-path-purity, "wire parse allocates per-section Vecs: one decode per query is the accepted v0 wire contract until E16's buffer-pool rework")
+    // sdoh-lint: allow(transitive-hot-path-purity, "the owned copy allocates a name per record and a Vec per section; the front door's decode_do53_query is the one owned decode left per query, upstream answers are read through MessageView")
     pub fn decode(data: &[u8]) -> WireResult<Self> {
-        let mut r = WireReader::new(data);
-        let header = Header::decode(&mut r)?;
-        let mut questions = Vec::with_capacity(usize::from(header.question_count));
-        for _ in 0..header.question_count {
-            questions.push(Question::decode(&mut r)?);
-        }
-        let mut answers = Vec::with_capacity(usize::from(header.answer_count));
-        for _ in 0..header.answer_count {
-            answers.push(Record::decode(&mut r)?);
-        }
-        let mut authorities = Vec::with_capacity(usize::from(header.authority_count));
-        for _ in 0..header.authority_count {
-            authorities.push(Record::decode(&mut r)?);
-        }
-        let mut additionals = Vec::with_capacity(usize::from(header.additional_count));
-        for _ in 0..header.additional_count {
-            additionals.push(Record::decode(&mut r)?);
-        }
-        if !r.is_at_end() {
-            return Err(WireError::TrailingBytes(r.remaining()));
-        }
-        Ok(Message {
-            header,
-            questions,
-            answers,
-            authorities,
-            additionals,
-        })
+        MessageView::walk::<true>(data).map(|(_, message)| message)
     }
 
     /// Builds a minimal error response (e.g. SERVFAIL, REFUSED) to a query.
@@ -372,6 +335,64 @@ impl MessageBuilder {
         self.message.normalize_counts();
         self.message
     }
+}
+
+/// Encodes a message whose sections are lent rather than owned, into `out`
+/// (replacing its contents, reusing its allocation): `header`, then
+/// `questions`, then each answer record under the owner name paired with
+/// it — its own, or the name asked for when a wildcard answers — then the
+/// authority and additional records. The header's section counts are the
+/// numbers written, whatever `header` says. [`Message::encode_into`] is
+/// this with its own sections, so a responder writing from borrowed
+/// records produces the bytes building the [`Message`] would.
+///
+/// # Errors
+///
+/// As [`Message::encode_into`]; `out` is left empty.
+pub fn encode_sections<'r>(
+    header: Header,
+    questions: &[Question],
+    answers: impl IntoIterator<Item = (&'r Name, &'r Record)>,
+    authorities: impl IntoIterator<Item = &'r Record>,
+    additionals: impl IntoIterator<Item = &'r Record>,
+    out: &mut Vec<u8>,
+) -> WireResult<()> {
+    /// Writes each record under its owner and counts them.
+    fn put_records<'r>(
+        w: &mut WireWriter,
+        records: impl IntoIterator<Item = (&'r Name, &'r Record)>,
+    ) -> WireResult<usize> {
+        let mut count = 0;
+        for (owner, r) in records {
+            r.encode_as(owner, w)?;
+            count += 1;
+        }
+        Ok(count)
+    }
+
+    let own_name = |r: &'r Record| (&r.name, r);
+    WireWriter::write_into(out, true, |w| {
+        header.encode(w)?;
+        for q in questions {
+            q.encode(w)?;
+        }
+        // Written in this order: an array expression evaluates left to right.
+        let counts = [
+            questions.len(),
+            put_records(w, answers)?,
+            put_records(w, authorities.into_iter().map(own_name))?,
+            put_records(w, additionals.into_iter().map(own_name))?,
+        ];
+        if w.len() > MAX_MESSAGE_SIZE {
+            return Err(WireError::MessageTooLong(w.len()));
+        }
+        // The four counts close the header, from offset 4 on; a section
+        // this large cannot have fitted the size check above.
+        for (at, count) in (4..).step_by(2).zip(counts) {
+            w.patch_u16(at, u16::try_from(count).unwrap_or(u16::MAX));
+        }
+        Ok(())
+    })
 }
 
 /// Convenience helper: extracts address rdata of the requested family from a

@@ -76,6 +76,7 @@ pub(crate) struct LabelBuf {
 }
 
 impl LabelBuf {
+    #[inline]
     pub(crate) fn new() -> Self {
         LabelBuf {
             octets: [0; MAX_BUF_LEN],
@@ -100,6 +101,18 @@ impl LabelBuf {
         Ok(())
     }
 
+    /// Appends a label as the wire carries it, length octet first; the
+    /// wire reader hands over only labels of 1..=63 octets.
+    #[inline]
+    pub(crate) fn push_wire(&mut self, label: &[u8]) {
+        let start = self.wire_len - 1;
+        self.wire_len += label.len();
+        if let Some(slot) = self.octets.get_mut(start..self.wire_len - 1) {
+            slot.copy_from_slice(label);
+        }
+    }
+
+    #[inline]
     pub(crate) fn finish(self) -> WireResult<Name> {
         // The array is as long as the longest legal buffer, so the range
         // check is the name-length check.

@@ -52,8 +52,14 @@ impl Question {
     ///
     /// Returns an error when the input is truncated or the name malformed.
     pub fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
+        Self::read::<true>(r)
+    }
+
+    /// [`Question::decode`], keeping the name only when `KEEP` (see
+    /// [`MessageView`](crate::MessageView)).
+    pub(crate) fn read<const KEEP: bool>(r: &mut WireReader<'_>) -> WireResult<Self> {
         Ok(Question {
-            name: r.read_name()?,
+            name: r.name::<KEEP>()?,
             rtype: RrType::from(r.read_u16()?),
             rclass: RrClass::from(r.read_u16()?),
         })

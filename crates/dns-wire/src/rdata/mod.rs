@@ -145,13 +145,20 @@ impl RData {
         }
     }
 
-    /// Decodes rdata of the given type from exactly `len` octets.
+    /// Decodes rdata of the given type from exactly `len` octets: kept when
+    /// `KEEP`, otherwise checked just as strictly and let go — names read
+    /// as the root, strings, options and raw octets not copied — so a
+    /// message is validated by this one decoder without allocating.
     ///
     /// # Errors
     ///
     /// Returns an error when the declared length does not match the content
     /// or the content is malformed.
-    pub fn decode(r: &mut WireReader<'_>, rtype: RrType, len: usize) -> WireResult<Self> {
+    pub(crate) fn read<const KEEP: bool>(
+        r: &mut WireReader<'_>,
+        rtype: RrType,
+        len: usize,
+    ) -> WireResult<Self> {
         let start = r.position();
         let rdata = match rtype {
             RrType::A => {
@@ -168,25 +175,32 @@ impl RData {
                 octets.copy_from_slice(bytes);
                 RData::Aaaa(Ipv6Addr::from(octets))
             }
-            RrType::Ns => RData::Ns(r.read_name()?),
-            RrType::Cname => RData::Cname(r.read_name()?),
-            RrType::Ptr => RData::Ptr(r.read_name()?),
-            RrType::Mx => RData::Mx(Mx::decode(r)?),
+            RrType::Ns => RData::Ns(r.name::<KEEP>()?),
+            RrType::Cname => RData::Cname(r.name::<KEEP>()?),
+            RrType::Ptr => RData::Ptr(r.name::<KEEP>()?),
+            RrType::Mx => RData::Mx(Mx::read::<KEEP>(r)?),
             RrType::Txt => {
                 let end = start + len;
                 let mut strings = Vec::new();
                 while r.position() < end {
-                    strings.push(r.read_character_string()?);
+                    let string_len = usize::from(r.read_u8()?);
+                    let string = r.read_bytes(string_len)?;
+                    if KEEP {
+                        strings.push(string.to_vec());
+                    }
                 }
                 RData::Txt(strings)
             }
-            RrType::Soa => RData::Soa(Soa::decode(r)?),
-            RrType::Srv => RData::Srv(Srv::decode(r)?),
-            RrType::Opt => RData::Opt(OptRdata::decode(r, len)?),
-            other => RData::Unknown {
-                rtype: other.code(),
-                data: r.read_bytes(len)?.to_vec(),
-            },
+            RrType::Soa => RData::Soa(Soa::read::<KEEP>(r)?),
+            RrType::Srv => RData::Srv(Srv::read::<KEEP>(r)?),
+            RrType::Opt => RData::Opt(OptRdata::read::<KEEP>(r, len)?),
+            other => {
+                let data = r.read_bytes(len)?;
+                RData::Unknown {
+                    rtype: other.code(),
+                    data: if KEEP { data.to_vec() } else { Vec::new() },
+                }
+            }
         };
         let consumed = r.position() - start;
         if consumed != len {
@@ -258,7 +272,12 @@ mod tests {
         rdata.encode(&mut w).unwrap();
         let bytes = w.finish();
         let mut r = WireReader::new(&bytes);
-        RData::decode(&mut r, rdata.rtype(), bytes.len()).unwrap()
+        let decoded = RData::read::<true>(&mut r, rdata.rtype(), bytes.len()).unwrap();
+        // What is checked does not depend on what is kept.
+        let mut skip = WireReader::new(&bytes);
+        RData::read::<false>(&mut skip, rdata.rtype(), bytes.len()).unwrap();
+        assert_eq!(skip.position(), r.position());
+        decoded
     }
 
     #[test]
@@ -348,7 +367,7 @@ mod tests {
         // Declare 5 bytes for an A record (needs exactly 4 consumed).
         let bytes = [192, 0, 2, 1, 99];
         let mut r = WireReader::new(&bytes);
-        let result = RData::decode(&mut r, RrType::A, 5);
+        let result = RData::read::<true>(&mut r, RrType::A, 5);
         assert!(matches!(
             result,
             Err(WireError::RdataLengthMismatch {
@@ -362,6 +381,6 @@ mod tests {
     fn a_record_too_short_fails() {
         let bytes = [192, 0, 2];
         let mut r = WireReader::new(&bytes);
-        assert!(RData::decode(&mut r, RrType::A, 3).is_err());
+        assert!(RData::read::<true>(&mut r, RrType::A, 3).is_err());
     }
 }

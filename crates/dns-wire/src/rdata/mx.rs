@@ -28,15 +28,16 @@ impl Mx {
         w.put_name(&self.exchange)
     }
 
-    /// Decodes MX rdata.
+    /// Decodes MX rdata, keeping the exchange name when `KEEP` (see
+    /// [`RData`](super::RData)'s reader).
     ///
     /// # Errors
     ///
     /// Returns an error when the rdata is truncated.
-    pub fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
+    pub(crate) fn read<const KEEP: bool>(r: &mut WireReader<'_>) -> WireResult<Self> {
         Ok(Mx {
             preference: r.read_u16()?,
-            exchange: r.read_name()?,
+            exchange: r.name::<KEEP>()?,
         })
     }
 }
@@ -52,6 +53,6 @@ mod tests {
         mx.encode(&mut w).unwrap();
         let bytes = w.finish();
         let mut r = WireReader::new(&bytes);
-        assert_eq!(Mx::decode(&mut r).unwrap(), mx);
+        assert_eq!(Mx::read::<true>(&mut r).unwrap(), mx);
     }
 }

@@ -63,12 +63,13 @@ impl OptRdata {
         Ok(())
     }
 
-    /// Decodes options from exactly `len` octets.
+    /// Decodes options from exactly `len` octets, keeping them when `KEEP`
+    /// (see [`RData`](super::RData)'s reader).
     ///
     /// # Errors
     ///
     /// Returns an error when an option overruns the declared rdata length.
-    pub fn decode(r: &mut WireReader<'_>, len: usize) -> WireResult<Self> {
+    pub(crate) fn read<const KEEP: bool>(r: &mut WireReader<'_>, len: usize) -> WireResult<Self> {
         let end = r.position() + len;
         let mut options = Vec::new();
         while r.position() < end {
@@ -80,8 +81,13 @@ impl OptRdata {
             if r.position() + olen > end {
                 return Err(WireError::InvalidOpt("option value overruns rdata"));
             }
-            let value = r.read_bytes(olen)?.to_vec();
-            options.push(EdnsOption { code, value });
+            let value = r.read_bytes(olen)?;
+            if KEEP {
+                options.push(EdnsOption {
+                    code,
+                    value: value.to_vec(),
+                });
+            }
         }
         Ok(OptRdata { options })
     }
@@ -98,7 +104,7 @@ mod tests {
         opt.encode(&mut w).unwrap();
         let bytes = w.finish();
         let mut r = WireReader::new(&bytes);
-        assert_eq!(OptRdata::decode(&mut r, bytes.len()).unwrap(), opt);
+        assert_eq!(OptRdata::read::<true>(&mut r, bytes.len()).unwrap(), opt);
     }
 
     #[test]
@@ -113,7 +119,7 @@ mod tests {
         opt.encode(&mut w).unwrap();
         let bytes = w.finish();
         let mut r = WireReader::new(&bytes);
-        let decoded = OptRdata::decode(&mut r, bytes.len()).unwrap();
+        let decoded = OptRdata::read::<true>(&mut r, bytes.len()).unwrap();
         assert_eq!(decoded, opt);
         assert_eq!(decoded.options[1].value.len(), 16);
     }
@@ -122,7 +128,7 @@ mod tests {
     fn truncated_option_rejected() {
         let bytes = [0u8, 10, 0]; // 3 bytes: not even a full option header
         let mut r = WireReader::new(&bytes);
-        assert!(OptRdata::decode(&mut r, 3).is_err());
+        assert!(OptRdata::read::<true>(&mut r, 3).is_err());
     }
 
     #[test]
@@ -130,6 +136,6 @@ mod tests {
         // code=0, len=10 but only 2 bytes of value inside declared rdata
         let bytes = [0u8, 0, 0, 10, 1, 2];
         let mut r = WireReader::new(&bytes);
-        assert!(OptRdata::decode(&mut r, 6).is_err());
+        assert!(OptRdata::read::<true>(&mut r, 6).is_err());
     }
 }

@@ -49,15 +49,16 @@ impl Soa {
         Ok(())
     }
 
-    /// Decodes SOA rdata.
+    /// Decodes SOA rdata, keeping the two names when `KEEP` (see
+    /// [`RData`](super::RData)'s reader).
     ///
     /// # Errors
     ///
     /// Returns an error when the rdata is truncated.
-    pub fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
+    pub(crate) fn read<const KEEP: bool>(r: &mut WireReader<'_>) -> WireResult<Self> {
         Ok(Soa {
-            mname: r.read_name()?,
-            rname: r.read_name()?,
+            mname: r.name::<KEEP>()?,
+            rname: r.name::<KEEP>()?,
             serial: r.read_u32()?,
             refresh: r.read_u32()?,
             retry: r.read_u32()?,
@@ -82,13 +83,13 @@ mod tests {
         soa.encode(&mut w).unwrap();
         let bytes = w.finish();
         let mut r = WireReader::new(&bytes);
-        assert_eq!(Soa::decode(&mut r).unwrap(), soa);
+        assert_eq!(Soa::read::<true>(&mut r).unwrap(), soa);
     }
 
     #[test]
     fn truncated_fails() {
         let mut r = WireReader::new(&[0, 0]);
-        assert!(Soa::decode(&mut r).is_err());
+        assert!(Soa::read::<true>(&mut r).is_err());
     }
 
     #[test]

@@ -44,17 +44,18 @@ impl Srv {
         Ok(())
     }
 
-    /// Decodes SRV rdata.
+    /// Decodes SRV rdata, keeping the target name when `KEEP` (see
+    /// [`RData`](super::RData)'s reader).
     ///
     /// # Errors
     ///
     /// Returns an error when the rdata is truncated.
-    pub fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
+    pub(crate) fn read<const KEEP: bool>(r: &mut WireReader<'_>) -> WireResult<Self> {
         Ok(Srv {
             priority: r.read_u16()?,
             weight: r.read_u16()?,
             port: r.read_u16()?,
-            target: r.read_name()?,
+            target: r.name::<KEEP>()?,
         })
     }
 }
@@ -70,7 +71,7 @@ mod tests {
         srv.encode(&mut w).unwrap();
         let bytes = w.finish();
         let mut r = WireReader::new(&bytes);
-        assert_eq!(Srv::decode(&mut r).unwrap(), srv);
+        assert_eq!(Srv::read::<true>(&mut r).unwrap(), srv);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use bytes::{BufMut, Bytes};
 
 use crate::error::{WireError, WireResult};
-use crate::name::{LabelBuf, Name};
+use crate::name::{LabelBuf, Name, MAX_NAME_LEN};
 
 /// Highest offset a compression pointer's 14 bits can address.
 const MAX_POINTER_TARGET: u16 = 0x3FFF;
@@ -153,7 +153,7 @@ impl WireWriter {
     ///
     /// Returns [`WireError::NameTooLong`] if the name exceeds wire limits.
     pub fn put_name(&mut self, name: &Name) -> WireResult<()> {
-        if name.wire_len() > crate::name::MAX_NAME_LEN {
+        if name.wire_len() > MAX_NAME_LEN {
             return Err(WireError::NameTooLong(name.wire_len()));
         }
         // `rest` is the suffix still to write: the name's buffer from the
@@ -244,17 +244,25 @@ impl<'a> WireReader<'a> {
         WireReader { data, pos: 0 }
     }
 
+    /// A reader over `data` with the cursor at `pos`.
+    pub(crate) fn at(data: &'a [u8], pos: usize) -> Self {
+        WireReader { data, pos }
+    }
+
     /// Current cursor position.
+    #[inline]
     pub fn position(&self) -> usize {
         self.pos
     }
 
     /// Number of bytes remaining after the cursor.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.data.len().saturating_sub(self.pos)
     }
 
     /// Returns `true` when the cursor has reached the end of the input.
+    #[inline]
     pub fn is_at_end(&self) -> bool {
         self.remaining() == 0
     }
@@ -277,6 +285,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// Returns [`WireError::UnexpectedEof`] when the input is exhausted.
+    #[inline]
     pub fn read_u8(&mut self) -> WireResult<u8> {
         let v = *self
             .data
@@ -291,6 +300,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// Returns [`WireError::UnexpectedEof`] when fewer than two octets remain.
+    #[inline]
     pub fn read_u16(&mut self) -> WireResult<u16> {
         let bytes = self
             .data
@@ -306,6 +316,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// Returns [`WireError::UnexpectedEof`] when fewer than four octets remain.
+    #[inline]
     pub fn read_u32(&mut self) -> WireResult<u32> {
         let bytes = self
             .data
@@ -321,6 +332,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// Returns [`WireError::UnexpectedEof`] when fewer than `len` octets remain.
+    #[inline]
     pub fn read_bytes(&mut self, len: usize) -> WireResult<&'a [u8]> {
         let end = self
             .pos
@@ -334,28 +346,44 @@ impl<'a> WireReader<'a> {
         Ok(out)
     }
 
-    /// Reads a character-string (length octet followed by data).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::UnexpectedEof`] if the declared length overruns
-    /// the input.
-    pub fn read_character_string(&mut self) -> WireResult<Vec<u8>> {
-        let len = usize::from(self.read_u8()?);
-        Ok(self.read_bytes(len)?.to_vec())
-    }
-
     /// Reads a (possibly compressed) domain name.
     ///
     /// # Errors
     ///
     /// Returns an error for truncated names, invalid pointers or pointer loops.
+    #[inline]
     pub fn read_name(&mut self) -> WireResult<Name> {
         let mut labels = LabelBuf::new();
+        self.walk_name(&mut labels)?;
+        labels.finish()
+    }
+
+    /// The name at the cursor: read into a [`Name`] when `KEEP`, otherwise
+    /// checked as [`WireReader::read_name`] checks it and stepped over, the
+    /// root standing in for it (which allocates nothing).
+    #[inline]
+    pub(crate) fn name<const KEEP: bool>(&mut self) -> WireResult<Name> {
+        if KEEP {
+            self.read_name()
+        } else {
+            self.walk_name(&mut ()).map(|()| Name::root())
+        }
+    }
+
+    /// The one loop over a (possibly compressed) name: hands each label to
+    /// `labels` and leaves the cursor after the name. Reading, skipping,
+    /// stepping over and comparing a name are this loop with a different
+    /// [`LabelSink`], each its own monomorphised copy; the caller's label
+    /// buffer stays in the caller's frame.
+    #[inline]
+    pub(crate) fn walk_name<S: LabelSink>(&mut self, labels: &mut S) -> WireResult<()> {
         let mut hops = 0usize;
         let mut pos = self.pos;
         let mut followed_pointer = false;
         let mut end_pos = self.pos;
+        // As `LabelBuf` counts it: the terminating zero plus every label
+        // and its length octet, past the limit too.
+        let mut wire_len = 1;
 
         loop {
             let Some(&len) = self.data.get(pos) else {
@@ -380,6 +408,9 @@ impl<'a> WireReader<'a> {
                         end_pos = pos + 2;
                         followed_pointer = true;
                     }
+                    if !S::FOLLOWS_POINTERS {
+                        break;
+                    }
                     if target >= pos {
                         return Err(WireError::BadCompressionPointer(target));
                     }
@@ -394,12 +425,13 @@ impl<'a> WireReader<'a> {
                     return Err(WireError::InvalidOpt("unsupported label type"));
                 }
                 l => {
-                    let l = usize::from(l);
-                    let Some(label) = self.data.get(pos + 1..pos + 1 + l) else {
+                    let end = pos + 1 + usize::from(l);
+                    let Some(label) = self.data.get(pos..end) else {
                         return Err(WireError::UnexpectedEof { expected: "label" });
                     };
-                    labels.push(label)?;
-                    pos += 1 + l;
+                    labels.label(label);
+                    wire_len += label.len();
+                    pos = end;
                     if !followed_pointer {
                         end_pos = pos;
                     }
@@ -408,7 +440,80 @@ impl<'a> WireReader<'a> {
         }
 
         self.pos = end_pos;
-        labels.finish()
+        if wire_len > MAX_NAME_LEN {
+            return Err(WireError::NameTooLong(wire_len));
+        }
+        Ok(())
+    }
+}
+
+/// Where [`WireReader::walk_name`] puts the labels it reads.
+pub(crate) trait LabelSink {
+    /// Whether the walk follows compression pointers, checking every label
+    /// they lead to. Only a step over a name already checked (or written by
+    /// this end) stops at its first pointer.
+    const FOLLOWS_POINTERS: bool = true;
+
+    /// Takes the next label, leftmost first, as the wire carries it: its
+    /// length octet (1..=63) and that many octets.
+    fn label(&mut self, label: &[u8]);
+}
+
+/// An owned name: the labels gathered into a [`Name`]'s buffer.
+impl LabelSink for LabelBuf {
+    #[inline]
+    fn label(&mut self, label: &[u8]) {
+        self.push_wire(label);
+    }
+}
+
+/// A skip: the labels go nowhere.
+impl LabelSink for () {
+    #[inline]
+    fn label(&mut self, _: &[u8]) {}
+}
+
+/// A step over a name already checked: where it ends is all that is
+/// wanted, and that is the first pointer or the terminating zero.
+pub(crate) struct Step;
+
+impl LabelSink for Step {
+    const FOLLOWS_POINTERS: bool = false;
+
+    #[inline]
+    fn label(&mut self, _: &[u8]) {}
+}
+
+/// A comparison: the labels read are held against a [`Name`]'s, ignoring
+/// ASCII case, as `Name: PartialEq` compares.
+pub(crate) struct SameName<'n> {
+    /// What of the name's buffer the labels so far have not matched;
+    /// `None` once one differed.
+    rest: Option<&'n [u8]>,
+}
+
+impl<'n> SameName<'n> {
+    pub(crate) fn new(name: &'n Name) -> Self {
+        SameName {
+            rest: Some(name.as_wire_labels()),
+        }
+    }
+
+    /// Whether the labels read were exactly the name's.
+    pub(crate) fn matched(&self) -> bool {
+        self.rest.is_some_and(<[u8]>::is_empty)
+    }
+}
+
+impl LabelSink for SameName<'_> {
+    /// A length octet is never a letter (see [`crate::name`]), so one
+    /// case-blind comparison covers it and the label.
+    #[inline]
+    fn label(&mut self, label: &[u8]) {
+        self.rest = self.rest.and_then(|rest| {
+            let (theirs, after) = rest.split_at_checked(label.len())?;
+            theirs.eq_ignore_ascii_case(label).then_some(after)
+        });
     }
 }
 
@@ -560,7 +665,8 @@ mod tests {
         assert!(w.put_character_string(&[0u8; 256]).is_err());
         let bytes = w.finish();
         let mut r = WireReader::new(&bytes);
-        assert_eq!(r.read_character_string().unwrap(), b"hello world");
+        assert_eq!(r.read_u8().unwrap(), 11);
+        assert_eq!(r.read_bytes(11).unwrap(), b"hello world");
     }
 
     #[test]

@@ -1,12 +1,20 @@
 //! Property-based tests: arbitrary DNS messages survive an encode/decode
 //! round trip, and the decoder never panics on arbitrary input.
+//!
+//! `view_oracle_agrees_with_decode` holds [`MessageView`] against
+//! [`Message::decode`] and against the decoder `Message::decode` was before
+//! the view — each section read in turn with the public readers — over the
+//! round-trip corpus, seeded mutations of it and hand-built hostile
+//! packets, and prints how many inputs it checked.
 
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 use sdoh_dns_wire::{
-    base64url, Header, Message, Name, Opcode, Question, RData, Rcode, Record, RrType, Soa,
+    addresses_of_type, base64url, Edns, EdnsOption, Header, Message, MessageView, Mx, Name, Opcode,
+    Question, RData, Rcode, Record, RrType, Soa, Srv, WireError, WireReader,
 };
 
 fn arb_label() -> impl Strategy<Value = String> {
@@ -143,4 +151,300 @@ proptest! {
             .count();
         prop_assert_eq!(msg.answer_addresses().len(), expected);
     }
+}
+
+/// What `Message::decode` did before the view: each section read in turn,
+/// then the trailing-octet check.
+fn sequential_decode(data: &[u8]) -> Result<Message, WireError> {
+    let mut r = WireReader::new(data);
+    let header = Header::decode(&mut r)?;
+    let mut message = Message {
+        header,
+        ..Message::default()
+    };
+    for _ in 0..header.question_count {
+        message.questions.push(Question::decode(&mut r)?);
+    }
+    for (count, section) in [
+        (header.answer_count, &mut message.answers),
+        (header.authority_count, &mut message.authorities),
+        (header.additional_count, &mut message.additionals),
+    ] {
+        for _ in 0..count {
+            section.push(Record::decode(&mut r)?);
+        }
+    }
+    if !r.is_at_end() {
+        return Err(WireError::TrailingBytes(r.remaining()));
+    }
+    Ok(message)
+}
+
+/// A header with the given section counts, then `body`.
+fn packet(counts: [u16; 4], body: &[u8]) -> Vec<u8> {
+    let mut out = vec![0x12, 0x34, 0x81, 0x80];
+    for count in counts {
+        out.extend_from_slice(&count.to_be_bytes());
+    }
+    out.extend_from_slice(body);
+    out
+}
+
+/// A name of `wire_len` octets on the wire: 63-octet labels, a shorter last
+/// one making up the rest, and the terminating zero.
+fn long_name(wire_len: usize) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut left = wire_len - 1;
+    while left > 0 {
+        let label = left.min(64) - 1;
+        out.push(label as u8);
+        out.extend(std::iter::repeat_n(b'a', label));
+        left -= label + 1;
+    }
+    out.push(0);
+    out
+}
+
+/// Hostile packets the corpus would take long to stumble on.
+fn hostile_packets() -> Vec<Vec<u8>> {
+    let a_record = |rdlength: u16, rdata: &[u8]| {
+        let mut body = vec![0xC0, 0x0C, 0, 1, 0, 1, 0, 0, 0, 60];
+        body.extend_from_slice(&rdlength.to_be_bytes());
+        body.extend_from_slice(rdata);
+        body
+    };
+    let question = [1, b'q', 0, 0, 1, 0, 1];
+    let with_question =
+        |counts: [u16; 4], records: &[u8]| packet(counts, &[&question[..], records].concat());
+    let mut packets = vec![
+        Vec::new(),
+        vec![0; 11],
+        packet([0; 4], &[]),
+        // A pointer back to the label before it: a loop.
+        packet([1, 0, 0, 0], &[1, b'a', 0xC0, 12, 0, 1, 0, 1]),
+        // A pointer to itself and one forward.
+        packet([1, 0, 0, 0], &[0xC0, 12, 0, 1, 0, 1]),
+        packet([1, 0, 0, 0], &[0xC0, 20, 0, 1, 0, 1, 0, 0]),
+        // A pointer cut short, and a label type this decoder rejects.
+        packet([1, 0, 0, 0], &[1, b'a', 0xC0]),
+        packet([1, 0, 0, 0], &[0x41, b'a', 0, 0, 1, 0, 1]),
+        // Names of 255 (the most) and 256 octets.
+        packet([1, 0, 0, 0], &[long_name(255), vec![0, 1, 0, 1]].concat()),
+        packet([1, 0, 0, 0], &[long_name(256), vec![0, 1, 0, 1]].concat()),
+        // 256 octets only once a pointer is followed.
+        packet(
+            [2, 0, 0, 0],
+            &[
+                long_name(250),
+                vec![
+                    0, 1, 0, 1, 2, b'x', b'y', 3, b'z', b'z', b'z', 0xC0, 12, 0, 1, 0, 1,
+                ],
+            ]
+            .concat(),
+        ),
+        // Address rdata a little short or long, with and without octets
+        // after it.
+        with_question([1, 1, 0, 0], &a_record(4, &[192, 0, 2, 1])),
+        with_question([1, 1, 0, 0], &a_record(3, &[192, 0, 2])),
+        with_question(
+            [1, 2, 0, 0],
+            &[a_record(3, &[192, 0, 2]), a_record(4, &[1, 2, 3, 4])].concat(),
+        ),
+        with_question([1, 1, 0, 0], &a_record(5, &[192, 0, 2, 1, 9])),
+        with_question([1, 1, 0, 0], &a_record(9, &[192, 0, 2, 1])),
+        // Octets after the last section; sections the counts overstate.
+        with_question(
+            [1, 1, 0, 0],
+            &[a_record(4, &[192, 0, 2, 1]), vec![0]].concat(),
+        ),
+        with_question([1, 3, 0, 0], &a_record(4, &[192, 0, 2, 1])),
+        // A TXT string running past its RDLENGTH, an OPT option cut short.
+        with_question(
+            [1, 1, 0, 0],
+            &[0xC0, 0x0C, 0, 16, 0, 1, 0, 0, 0, 60, 0, 3, 5, b'a', b'b'],
+        ),
+        with_question(
+            [1, 0, 0, 1],
+            &[0, 0, 41, 4, 0xD0, 0, 0, 0, 0, 0, 3, 0, 10, 0],
+        ),
+    ];
+    // Records of every decoded type, compressed against each other.
+    let query = Message::query(9, "mail.example".parse().unwrap(), RrType::Mx);
+    let mut typed = Message::response_to(&query);
+    typed
+        .add_answer(Record::new(
+            "mail.example".parse().unwrap(),
+            60,
+            RData::Mx(Mx::new(10, "mx.mail.example".parse().unwrap())),
+        ))
+        .add_answer(Record::new(
+            "_dns._udp.example".parse().unwrap(),
+            60,
+            RData::Srv(Srv::new(1, 2, 53, "ns.example".parse().unwrap())),
+        ))
+        .add_answer(Record::address(
+            "ns.example".parse().unwrap(),
+            60,
+            "2001:db8::53".parse().unwrap(),
+        ));
+    typed.set_edns(Edns {
+        options: vec![
+            EdnsOption::padding(6),
+            EdnsOption::new(EdnsOption::COOKIE, vec![7; 8]),
+        ],
+        ..Edns::with_payload_size(1232)
+    });
+    packets.push(typed.encode().unwrap());
+    packets
+}
+
+/// One seeded mutation of a well-formed message: a bit, an octet, a length
+/// field, a pointer field, a cut, octets appended or a stretch repeated.
+fn mutate(wire: &[u8], rng: &mut TestRng) -> Vec<u8> {
+    let mut out = wire.to_vec();
+    let pick = |rng: &mut TestRng, len: usize| rng.below(len as u64) as usize;
+    match rng.below(7) {
+        0 => {
+            let bit = pick(rng, out.len() * 8);
+            out[bit / 8] ^= 1 << (bit % 8);
+        }
+        1 => {
+            let at = pick(rng, out.len());
+            out[at] = rng.next_u64() as u8;
+        }
+        2 => {
+            // A section count or an RDLENGTH, moved a little or anywhere.
+            let view = MessageView::parse(wire).unwrap();
+            let mut fields: Vec<usize> = vec![4, 6, 8, 10];
+            fields.extend(
+                view.answers()
+                    .chain(view.authorities())
+                    .chain(view.additionals())
+                    .map(|record| record.rdata.as_ptr() as usize - wire.as_ptr() as usize - 2),
+            );
+            let at = fields[pick(rng, fields.len())];
+            let value = u16::from_be_bytes([out[at], out[at + 1]]);
+            let moved = match rng.below(3) {
+                0 => value.wrapping_add(1),
+                1 => value.wrapping_sub(1),
+                _ => rng.next_u64() as u16,
+            };
+            out[at..at + 2].copy_from_slice(&moved.to_be_bytes());
+        }
+        3 => {
+            // A compression pointer aimed anywhere, or one planted.
+            let pointers: Vec<usize> = (12..out.len().saturating_sub(1))
+                .filter(|&at| out[at] & 0xC0 == 0xC0)
+                .collect();
+            let at = if pointers.is_empty() {
+                12 + pick(rng, out.len().saturating_sub(13).max(1))
+            } else {
+                pointers[pick(rng, pointers.len())]
+            };
+            let target = pick(rng, out.len() + 4) as u16;
+            let field = (0xC000 | target).to_be_bytes();
+            for (offset, octet) in field.into_iter().enumerate() {
+                match out.get_mut(at + offset) {
+                    Some(slot) => *slot = octet,
+                    None => out.push(octet),
+                }
+            }
+        }
+        4 => out.truncate(pick(rng, out.len())),
+        5 => {
+            for _ in 0..=rng.below(3) {
+                out.push(rng.next_u64() as u8);
+            }
+        }
+        _ => {
+            let from = pick(rng, out.len());
+            let to = from + pick(rng, (out.len() - from).min(16) + 1);
+            let stretch = out[from..to].to_vec();
+            out.splice(to..to, stretch);
+        }
+    }
+    out
+}
+
+#[test]
+fn view_oracle_agrees_with_decode() {
+    let rtypes = [
+        RrType::A,
+        RrType::Aaaa,
+        RrType::Ns,
+        RrType::Cname,
+        RrType::Mx,
+        RrType::Txt,
+        RrType::Srv,
+        RrType::Opt,
+        RrType::Any,
+        RrType::Unknown(4242),
+    ];
+    let mut rng = TestRng::deterministic("view_oracle_agrees_with_decode");
+    let mut inputs = hostile_packets();
+    for _ in 0..600 {
+        let wire = arb_message().new_value(&mut rng).encode().unwrap();
+        for _ in 0..8 {
+            inputs.push(mutate(&wire, &mut rng));
+        }
+        inputs.push(wire);
+    }
+
+    let mut accepted = 0;
+    for input in &inputs {
+        let reference = sequential_decode(input);
+        let decoded = Message::decode(input);
+        let view = MessageView::parse(input);
+        assert_eq!(decoded, reference, "{input:02x?}");
+        match (&view, &decoded) {
+            (Err(rejected), Err(error)) => assert_eq!(rejected, error, "{input:02x?}"),
+            (Ok(view), Ok(message)) => {
+                accepted += 1;
+                assert_eq!(view.to_message().as_ref(), Ok(message));
+                assert_eq!(view.header(), &message.header);
+                // Stepping over what was validated finds the same records.
+                let located = MessageView::locate(input).unwrap();
+                let records = |view: MessageView<'_>| {
+                    let records = view.answers().chain(view.authorities());
+                    records.chain(view.additionals()).count()
+                };
+                assert_eq!(
+                    located.answers().collect::<Vec<_>>(),
+                    view.answers().collect::<Vec<_>>()
+                );
+                assert_eq!(records(located), records(*view));
+                if let Some(question) = message.question() {
+                    assert!(view.question_is(question));
+                    let mut other = question.clone();
+                    other.rtype = RrType::Unknown(4243);
+                    assert!(!view.question_is(&other));
+                }
+                for rtype in rtypes {
+                    assert_eq!(view.addresses(rtype), addresses_of_type(message, rtype));
+                }
+                for (lent, owned) in [
+                    (view.answers(), &message.answers),
+                    (view.authorities(), &message.authorities),
+                    (view.additionals(), &message.additionals),
+                ] {
+                    let lent: Vec<_> = lent
+                        .map(|r| (r.rtype, r.rclass, r.ttl, r.ip_addr()))
+                        .collect();
+                    let owned: Vec<_> = owned
+                        .iter()
+                        .map(|r| (r.rtype(), r.rclass, r.ttl, r.ip_addr()))
+                        .collect();
+                    assert_eq!(lent, owned, "{input:02x?}");
+                }
+            }
+            _ => panic!("view {view:?} but decode {decoded:?} on {input:02x?}"),
+        }
+    }
+    println!(
+        "view oracle: {} inputs ({accepted} accepted, {} rejected), view, decode and the \
+         sequential reference agree on every one",
+        inputs.len(),
+        inputs.len() - accepted
+    );
+    assert!(accepted > inputs.len() / 10 && accepted < inputs.len());
 }

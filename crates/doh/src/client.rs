@@ -3,7 +3,9 @@
 use std::time::Duration;
 
 use sdoh_dns_server::Exchanger;
-use sdoh_dns_wire::{base64url, Message, Name, RrType};
+use sdoh_dns_wire::{
+    base64url, encode_sections, Header, Message, MessageView, Name, Opcode, Question, RrType,
+};
 use sdoh_netsim::ChannelKind;
 
 use crate::directory::ResolverInfo;
@@ -89,13 +91,13 @@ impl DohClient {
             DohMethod::Post => exchanger.next_id(),
         };
         let (transmit, prepared) = self.begin_query(id, name, rtype)?;
-        let reply = exchanger.exchange(
+        let mut reply = exchanger.exchange(
             transmit.dst,
             transmit.channel,
             &transmit.payload,
             transmit.timeout,
         )?;
-        self.finish_query(prepared, &reply)
+        self.finish_query(prepared, &mut reply)
     }
 
     /// Sans-IO first half of a query: builds everything that must go on the
@@ -123,9 +125,19 @@ impl DohClient {
             DohMethod::Get => 0,
             DohMethod::Post => id,
         };
-        let dns_query = Message::query(id, name.clone(), rtype);
-        let query_wire = dns_query.encode()?;
-        let request = self.build_request(&query_wire);
+        // The octets `Message::query(id, name, rtype).encode()` writes,
+        // without the message: the question is kept to check the echo.
+        let question = Question::new(name.clone(), rtype);
+        let mut query_wire = Vec::with_capacity(512);
+        encode_sections(
+            Header::query(id),
+            std::slice::from_ref(&question),
+            [],
+            [],
+            [],
+            &mut query_wire,
+        )?;
+        let request = self.build_request(query_wire);
 
         // One buffer from the envelope header to the record tag: the
         // connection queues its frames behind the header and the record is
@@ -151,39 +163,65 @@ impl DohClient {
             PreparedDohQuery {
                 connection,
                 stream_id,
-                query: dns_query,
+                id,
+                question,
             },
         ))
     }
 
-    /// Sans-IO second half of a query: decodes, authenticates and validates
+    /// Sans-IO second half of a query: authenticates, decodes and validates
     /// the reply bytes produced by the exchange described by the matching
-    /// [`DohTransmit`].
+    /// [`DohTransmit`], and returns the DNS response — the checks of
+    /// [`DohClient::finish_with`], then the owned copy.
     ///
     /// # Errors
     ///
     /// Same error surface as [`DohClient::query`], minus the transport
     /// errors (the driver owns those).
-    pub fn finish_query(
+    pub fn finish_query(&self, prepared: PreparedDohQuery, reply: &mut [u8]) -> DohResult<Message> {
+        Ok(self.finish_with(prepared, reply, |answer| answer.to_message())??)
+    }
+
+    /// The one validation chain of a reply, with `read` as its ending:
+    /// `reply` is opened where it lies (it holds plaintext afterwards), the
+    /// envelope must name this resolver, the HTTP/2 response on the request
+    /// stream must be a 200 of type `application/dns-message`, its body one
+    /// well-formed DNS message, and that message a response to the query —
+    /// QR set, the query's opcode and id (0 under GET) and its question
+    /// echoed. `read` then sees the message where it lies:
+    /// [`DohClient::finish_query`] copies it, an address source takes the
+    /// addresses it asked for.
+    ///
+    /// # Errors
+    ///
+    /// As [`DohClient::finish_query`].
+    pub fn finish_with<T>(
         &self,
         prepared: PreparedDohQuery,
-        reply_bytes: &[u8],
-    ) -> DohResult<Message> {
+        reply: &mut [u8],
+        read: impl FnOnce(&MessageView<'_>) -> T,
+    ) -> DohResult<T> {
         let PreparedDohQuery {
             mut connection,
             stream_id,
-            query,
+            id,
+            question,
         } = prepared;
 
-        let (server_name, record) = SecureEnvelope::split(reply_bytes)?;
+        let (server_name, record) = SecureEnvelope::split(reply)?;
         if server_name != self.resolver.name {
             return Err(DohError::ChannelAuthentication(format!(
                 "expected {} but the channel authenticated as {server_name}",
                 self.resolver.name
             )));
         }
-        let server_h2 = secure::open(&self.resolver.key, secure::SEQ_SERVER, record)?;
-        let responses = connection.receive(&server_h2)?;
+        let record_at = reply.len() - record.len();
+        let server_h2 = secure::open_in_place(
+            &self.resolver.key,
+            secure::SEQ_SERVER,
+            reply.get_mut(record_at..).unwrap_or_default(),
+        )?;
+        let responses = connection.receive(server_h2)?;
         let response = responses
             .into_iter()
             .find(|(sid, _)| *sid == stream_id)
@@ -201,17 +239,21 @@ impl DohClient {
                 )))
             }
         }
-        let dns_response = Message::decode(&response.body)?;
-        // The DoH server must echo the question; ids may legitimately be 0.
-        match (dns_response.question(), query.question()) {
-            (Some(a), Some(b)) if a == b => {}
-            _ => {
-                return Err(DohError::Protocol(
-                    "response question does not match query".into(),
-                ))
-            }
+        let answer = MessageView::parse(&response.body)?;
+        // What a plain DNS client checks too (`Message::answers_query`): a
+        // reflected query is not an answer, however well it echoes.
+        let header = answer.header();
+        if !header.response || header.opcode != Opcode::Query || header.id != id {
+            return Err(DohError::Protocol(
+                "the reply is not a response to the query".into(),
+            ));
         }
-        Ok(dns_response)
+        if !answer.question_is(&question) {
+            return Err(DohError::Protocol(
+                "response question does not match query".into(),
+            ));
+        }
+        Ok(read(&answer))
     }
 
     /// Queries A records and returns the addresses in answer order, the raw
@@ -228,7 +270,7 @@ impl DohClient {
         Ok(self.query(exchanger, name, RrType::A)?.answer_addresses())
     }
 
-    fn build_request(&self, query_wire: &[u8]) -> Request {
+    fn build_request(&self, query_wire: Vec<u8>) -> Request {
         match self.method {
             DohMethod::Get => {
                 // Reserved once, for the prefix and four characters per
@@ -239,17 +281,15 @@ impl DohClient {
                 );
                 path.push_str(DOH_PATH);
                 path.push_str(PARAMETER);
-                base64url::encode_into(query_wire, &mut path);
+                base64url::encode_into(&query_wire, &mut path);
                 Request::get(self.resolver.name.clone(), path)
                     .with_header("accept", DNS_MESSAGE_CONTENT_TYPE)
             }
-            DohMethod::Post => Request::post(
-                self.resolver.name.clone(),
-                DOH_PATH.to_string(),
-                query_wire.to_vec(),
-            )
-            .with_header("accept", DNS_MESSAGE_CONTENT_TYPE)
-            .with_header("content-type", DNS_MESSAGE_CONTENT_TYPE),
+            DohMethod::Post => {
+                Request::post(self.resolver.name.clone(), DOH_PATH.to_string(), query_wire)
+                    .with_header("accept", DNS_MESSAGE_CONTENT_TYPE)
+                    .with_header("content-type", DNS_MESSAGE_CONTENT_TYPE)
+            }
         }
     }
 }
@@ -263,18 +303,20 @@ pub use sdoh_netsim::ConcurrentRequest as DohTransmit;
 
 /// In-flight state of one DoH query between [`DohClient::begin_query`] and
 /// [`DohClient::finish_query`]: the HTTP/2 client connection, the stream the
-/// request went out on, and the query to validate the response against.
+/// request went out on, and the id and question to validate the response
+/// against.
 #[derive(Debug)]
 pub struct PreparedDohQuery {
     connection: ClientConnection,
     stream_id: u32,
-    query: Message,
+    id: u16,
+    question: Question,
 }
 
 impl PreparedDohQuery {
-    /// The DNS query this prepared exchange will resolve.
-    pub fn query(&self) -> &Message {
-        &self.query
+    /// The question this prepared exchange will resolve.
+    pub fn question(&self) -> &Question {
+        &self.question
     }
 }
 

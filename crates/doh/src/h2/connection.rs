@@ -29,9 +29,10 @@
 //! * **Streams** with a message under way sit in a vector, looked up by
 //!   scanning: a DoH connection carries one, and a handful at most.
 //!
-//! Simplifications relative to a production stack, all documented: flow
-//! control windows are parsed but never enforced (DoH messages are far below
-//! the default 64 KiB window), CONTINUATION frames are not emitted (header
+//! Simplifications relative to a production stack, all documented: the
+//! peer's SETTINGS are checked and acknowledged but not applied, so flow
+//! control windows are never enforced (DoH messages are far below the
+//! default 64 KiB window), CONTINUATION frames are not emitted (header
 //! blocks fit in one frame), and stream priorities are parsed and dropped
 //! (PRIORITY frames as well as the priority fields of a HEADERS frame), as
 //! is padding.
@@ -97,6 +98,9 @@ struct Core<M> {
     /// The streams with a message under way, by id, in arrival order.
     streams: Vec<(u32, Partial<M>)>,
     peer_settings_received: bool,
+    /// The peer's SETTINGS still wants its acknowledgement: written ahead of
+    /// the next frame this end queues, or when the output is taken.
+    settings_ack_owed: bool,
     goaway: Option<u32>,
 }
 
@@ -108,12 +112,24 @@ impl<M: Inbound> Core<M> {
             pending: Vec::new(),
             streams: Vec::new(),
             peer_settings_received: false,
+            settings_ack_owed: false,
             goaway: None,
         }
     }
 
+    /// The output queue, an owed SETTINGS acknowledgement written first.
+    /// On the wire the ack is where it always was, before the next frame;
+    /// an end that queues nothing more (a client holding its response)
+    /// writes none.
+    fn output(&mut self) -> &mut BytesMut {
+        if std::mem::take(&mut self.settings_ack_owed) {
+            frame::put_settings(&mut self.out, flags::ACK, &[]);
+        }
+        &mut self.out
+    }
+
     fn take_output(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.out).into()
+        std::mem::take(self.output()).into()
     }
 
     /// Queues one message: a HEADERS frame holding `fields`, then `body` in
@@ -129,27 +145,28 @@ impl<M: Inbound> Core<M> {
         } else {
             0
         };
-        let header_at = self.out.len();
+        let out = self.output();
+        let header_at = out.len();
         frame::put_header(
-            &mut self.out,
+            out,
             0,
             FrameType::Headers,
             flags::END_HEADERS | end_stream,
             stream_id,
         );
         for (name, value) in fields {
-            hpack::encode_field(&mut self.out, name, value);
+            hpack::encode_field(out, name, value);
         }
-        frame::close_frame(&mut self.out, header_at);
+        frame::close_frame(out, header_at);
         if !body.is_empty() {
             frame::put_header(
-                &mut self.out,
+                out,
                 body.len(),
                 FrameType::Data,
                 flags::END_STREAM,
                 stream_id,
             );
-            self.out.put_slice(body);
+            out.put_slice(body);
         }
     }
 
@@ -243,15 +260,20 @@ impl<M: Inbound> Core<M> {
                 }
                 return Ok(Some(raw.stream_id));
             }
+            // The peer's parameters are not applied (see the module doc),
+            // so they are not copied out either; `parse` checked the shape.
+            FrameType::Settings => {
+                if raw.flags & flags::ACK == 0 {
+                    self.peer_settings_received = true;
+                    self.settings_ack_owed = true;
+                }
+                return Ok(None);
+            }
             _ => {}
         }
         match raw.to_frame()? {
-            Frame::Settings { ack: false, .. } => {
-                self.peer_settings_received = true;
-                frame::put_settings(&mut self.out, flags::ACK, &[]);
-            }
             Frame::Ping { ack: false, data } => {
-                Frame::Ping { ack: true, data }.encode(&mut self.out)
+                Frame::Ping { ack: true, data }.encode(self.output())
             }
             Frame::RstStream { stream_id, .. } => {
                 self.streams.retain(|(id, _)| *id != stream_id);
@@ -661,6 +683,40 @@ mod tests {
             }
             other => panic!("expected ping ack, got {other:?}"),
         }
+    }
+
+    /// Every frame of an output, decoded.
+    fn frames(mut bytes: &[u8]) -> Vec<Frame> {
+        let mut frames = Vec::new();
+        while let Some((frame, consumed)) = Frame::decode(bytes).unwrap() {
+            frames.push(frame);
+            bytes = &bytes[consumed..];
+        }
+        frames
+    }
+
+    #[test]
+    fn a_settings_ack_goes_out_once_ahead_of_the_next_frame() {
+        let ack = Frame::Settings {
+            ack: true,
+            params: vec![],
+        };
+        let mut client = ClientConnection::new();
+        let mut server = ServerConnection::new();
+        client.send_request(&Request::get("dns.google", "/dns-query?dns=Q"));
+        let requests = server.receive(&client.take_output()).unwrap();
+        server.send_response(requests[0].0, &Response::ok("text/plain", b"a".to_vec()));
+        let reply = frames(&server.take_output());
+        assert!(matches!(reply[0], Frame::Settings { ack: false, .. }));
+        assert_eq!(reply[1], ack, "acknowledged before the response");
+        assert!(matches!(reply[2], Frame::Headers { .. }));
+        assert_eq!(reply.iter().filter(|frame| **frame == ack).count(), 1);
+
+        // The client owes one too, and writes it only if it writes again.
+        let mut server = ServerConnection::new();
+        client.receive(&server.take_output()).unwrap();
+        assert_eq!(frames(&client.take_output()), [ack]);
+        assert!(client.take_output().is_empty());
     }
 
     #[test]

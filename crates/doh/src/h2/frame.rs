@@ -271,6 +271,11 @@ impl<'a> RawFrame<'a> {
             return Ok(None);
         };
         let frame_type = FrameType::from(code);
+        if frame_type == FrameType::Settings && !length.is_multiple_of(6) {
+            return Err(H2Error::Protocol(
+                "settings length not a multiple of 6".into(),
+            ));
+        }
         // RFC 7540 §6.1 / §6.2: the pad length comes first and counts octets
         // at the end, the priority fields follow it.
         if matches!(frame_type, FrameType::Data | FrameType::Headers) {
@@ -328,11 +333,7 @@ impl<'a> RawFrame<'a> {
                 block: payload.to_vec(),
             },
             FrameType::Settings => {
-                if !payload.len().is_multiple_of(6) {
-                    return Err(H2Error::Protocol(
-                        "settings length not a multiple of 6".into(),
-                    ));
-                }
+                // `parse` checked the length: whole parameters only.
                 let params = payload
                     .chunks_exact(6)
                     .map(|chunk| {

@@ -161,7 +161,20 @@ pub fn seal_in_place(key: &SecretKey, seq: u64, buf: &mut Vec<u8>, from: usize) 
 /// Returns [`DohError::ChannelAuthentication`] when the record is too short
 /// or its tag does not verify (wrong key, tampering, wrong sequence number).
 pub fn open(key: &SecretKey, seq: u64, record: &[u8]) -> DohResult<Vec<u8>> {
-    let Some((ciphertext, presented)) = record.split_last_chunk::<8>() else {
+    let mut plaintext = record.to_vec();
+    let len = open_in_place(key, seq, &mut plaintext)?.len();
+    plaintext.truncate(len);
+    Ok(plaintext)
+}
+
+/// [`open`] where the record lies: the tag is verified, the ciphertext is
+/// deciphered in place and returned, the tag left behind it.
+///
+/// # Errors
+///
+/// As [`open`]; the record is then left as it was.
+pub fn open_in_place<'r>(key: &SecretKey, seq: u64, record: &'r mut [u8]) -> DohResult<&'r [u8]> {
+    let Some((ciphertext, presented)) = record.split_last_chunk_mut::<8>() else {
         return Err(DohError::ChannelAuthentication(
             "record shorter than its tag".into(),
         ));
@@ -172,9 +185,8 @@ pub fn open(key: &SecretKey, seq: u64, record: &[u8]) -> DohResult<Vec<u8>> {
             "record tag verification failed".into(),
         ));
     }
-    let mut plaintext = ciphertext.to_vec();
-    stream.apply(&mut plaintext);
-    Ok(plaintext)
+    stream.apply(ciphertext);
+    Ok(ciphertext)
 }
 
 /// Sequence number used for client-to-server records.

@@ -9,7 +9,7 @@
 //! provides.
 
 use sdoh_dns_server::{Exchanger, QueryHandler};
-use sdoh_dns_wire::{base64url, Message};
+use sdoh_dns_wire::{base64url, Message, MessageView};
 use sdoh_netsim::{ChannelKind, Ctx, Service, ServiceResponse, SimAddr};
 
 use crate::client::{DNS_MESSAGE_CONTENT_TYPE, DOH_PATH};
@@ -28,6 +28,8 @@ pub struct DohServerService<H> {
     identity: ResolverInfo,
     handler: H,
     queries_served: u64,
+    /// The last client record opened, its plaintext in place.
+    opened: Vec<u8>,
 }
 
 impl<H: QueryHandler> DohServerService<H> {
@@ -38,6 +40,7 @@ impl<H: QueryHandler> DohServerService<H> {
             identity,
             handler,
             queries_served: 0,
+            opened: Vec::new(),
         }
     }
 
@@ -90,14 +93,19 @@ impl<H: QueryHandler> DohServerService<H> {
                 self.identity.name
             )));
         }
-        let client_h2 = secure::open(&self.identity.key, secure::SEQ_CLIENT, record)?;
+        // The payload is the transport's, so the record is deciphered in a
+        // buffer of the service's, reused from one payload to the next.
+        self.opened.clear();
+        self.opened.extend_from_slice(record);
+        let client_h2 =
+            secure::open_in_place(&self.identity.key, secure::SEQ_CLIENT, &mut self.opened)?;
 
         // The reply is one buffer from the envelope header to the record
         // tag, as the request was (`DohClient::begin_query`).
         let reply = SecureEnvelope::begin(&self.identity.name);
         let record_at = reply.len();
         let mut connection = ServerConnection::with_output(reply);
-        let requests = connection.receive(&client_h2)?;
+        let requests = connection.receive(client_h2)?;
         for (stream_id, request) in requests {
             let response = self.handle_http(exchanger, &request);
             connection.send_response(stream_id, &response);
@@ -140,23 +148,25 @@ impl<H: QueryHandler> DohServerService<H> {
             Err(_) => return Response::new(StatusCode::BAD_REQUEST),
         };
         self.queries_served += 1;
-        let dns_response = self.handler.handle_query(exchanger, &query);
-        match dns_response.encode() {
-            Ok(bytes) => {
-                let min_ttl = dns_response
-                    .answers
-                    .iter()
-                    .map(|r| r.ttl)
-                    .min()
-                    .unwrap_or(0);
-                let mut response = Response::ok(DNS_MESSAGE_CONTENT_TYPE, bytes);
-                response
-                    .headers
-                    .set_display("cache-control", format_args!("max-age={min_ttl}"));
-                response
-            }
-            Err(_) => Response::new(StatusCode::INTERNAL_SERVER_ERROR),
+        let mut answer = Vec::with_capacity(512);
+        if self
+            .handler
+            .handle_query_wire(exchanger, &query, &mut answer)
+            .is_err()
+        {
+            return Response::new(StatusCode::INTERNAL_SERVER_ERROR);
         }
+        // The answer records' least TTL, read where the handler wrote them
+        // (0 for an answer without any, or octets too short to hold them).
+        let min_ttl = MessageView::locate(&answer)
+            .ok()
+            .and_then(|written| written.answers().map(|record| record.ttl).min())
+            .unwrap_or(0);
+        let mut response = Response::ok(DNS_MESSAGE_CONTENT_TYPE, answer);
+        response
+            .headers
+            .set_display("cache-control", format_args!("max-age={min_ttl}"));
+        response
     }
 }
 

@@ -8,25 +8,33 @@
 //! header to its record tag, with no header list, header block or frame
 //! built beside it, and a message's header fields are one buffer with no
 //! `String` per name, value, status, length or path segment on the way in.
-//! The counts are exact and repeat on every run (60 per exchange — 9 to
-//! begin the query, 32 to serve it, 19 to finish it — 11 per decode and 1
-//! per clone when this was written; the test prints them). The exchange
-//! budget leaves room for a few unrelated allocations, not for the header
-//! map going back to two strings a field (81), the exchange copying its
-//! octets from buffer to buffer (161) or a name turning back into a vector
-//! of vectors (312, 74 and 4). What is left of the 60 is `Message::decode`'s
-//! name per record at each end (8 + 1 + 1), the authority cloning the 8
-//! records it answers with (16 in all) and the buffers themselves.
+//!
+//! The exchange counted is an address source's: `begin_query`, the
+//! terminator's `serve_payload` and `finish_with` reading the addresses
+//! where they lie in the answer. The counts are exact and repeat on every
+//! run (the test prints them; when this was written: 28 per exchange — 8
+//! to begin the query, 14 to serve it, 6 to finish it — 1 to read the
+//! 8 addresses out of an answer, 11 for the owned copy `finish_query`'s
+//! callers get, 1 per name clone). What is left is the buffers themselves:
+//! the question kept for the echo check, the query's wire form and path,
+//! the HTTP messages' strings and header buffers, the query's owned decode
+//! at the terminator (its handler takes a `Message`) and its answer. The
+//! exchange budget leaves room for a few unrelated allocations, not for the
+//! answer being decoded into a `Message` again (39), the authority cloning
+//! the records it answers with (60), the header map going back to two
+//! strings a field (81), the exchange copying its octets from buffer to
+//! buffer (161) or a name turning back into a vector of vectors (312).
 //!
 //! This file is its own test binary with one `#[test]`, so no other test's
 //! thread allocates while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::net::IpAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use sdoh_dns_server::{Authority, Catalog, Exchanger, Zone};
-use sdoh_dns_wire::{Message, Name, RrType};
+use sdoh_dns_wire::{Message, MessageView, Name, RrType};
 use sdoh_doh::{DohClient, DohServerService, ResolverInfo};
 use sdoh_netsim::{ChannelKind, NetError, NetResult, SimAddr, SimInstant};
 
@@ -101,21 +109,41 @@ fn one_exchange_stays_within_its_allocation_budget() {
     let resolver = ResolverInfo::new("dns.example", SimAddr::v4(192, 0, 2, 1, 443), 7);
     let mut server = DohServerService::new(resolver.clone(), Authority::new(catalog));
     let client = DohClient::new(resolver);
+    let expected: Vec<IpAddr> = (1..=8)
+        .map(|host| IpAddr::from([203, 0, 113, host]))
+        .collect();
 
+    // The exchange `finish_query`'s callers make: the service keeps the
+    // buffer it opens records in from this one on.
+    let (transmit, prepared) = client.begin_query(0, &pool, RrType::A).unwrap();
+    let mut reply = server
+        .serve_payload(&mut NoUpstream, transmit.channel, &transmit.payload)
+        .unwrap();
+    let octets = (transmit.payload.len(), reply.len());
+    let response = client.finish_query(prepared, &mut reply).unwrap();
+    assert_eq!(response.answer_addresses(), expected);
+    assert_eq!(octets, (200, 310), "octets on the wire, request and reply");
+
+    // The exchange an address source makes, counted.
     let (begin, (transmit, prepared)) =
         allocations_of(|| client.begin_query(0, &pool, RrType::A).unwrap());
-    let (serve, reply) = allocations_of(|| {
+    let (serve, mut reply) = allocations_of(|| {
         server
             .serve_payload(&mut NoUpstream, transmit.channel, &transmit.payload)
             .unwrap()
     });
-    let octets = (transmit.payload.len(), reply.len());
-    let (finish, response) = allocations_of(|| client.finish_query(prepared, &reply).unwrap());
+    let (finish, addresses) = allocations_of(|| {
+        client
+            .finish_with(prepared, &mut reply, |answer| answer.addresses(RrType::A))
+            .unwrap()
+    });
     let exchange = begin + serve + finish;
-    assert_eq!(response.answer_addresses().len(), 8);
-    assert_eq!(octets, (200, 310), "octets on the wire, request and reply");
+    assert_eq!(addresses, expected);
 
     let wire = response.encode().unwrap();
+    let (read, addresses) =
+        allocations_of(|| MessageView::parse(&wire).unwrap().addresses(RrType::A));
+    assert_eq!(addresses, expected);
     let (decode, decoded) = allocations_of(|| Message::decode(&wire).unwrap());
     assert_eq!(decoded, response);
 
@@ -124,11 +152,15 @@ fn one_exchange_stays_within_its_allocation_budget() {
 
     println!(
         "allocations: exchange {exchange} (begin_query {begin} + serve_payload {serve} + \
-         finish_query {finish}), decode {decode}, clone {clone}"
+         finish_with {finish}), answer read {read}, owned decode {decode}, clone {clone}"
     );
     assert!(
-        exchange <= 64,
+        exchange <= 35,
         "one GET exchange allocated {exchange} times"
+    );
+    assert!(
+        read <= 2,
+        "reading the 8 addresses of the answer allocated {read} times"
     );
     assert!(
         decode <= 24,

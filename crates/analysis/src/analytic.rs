@@ -1,5 +1,10 @@
-//! Closed-form expressions from the paper's Section III, plus the exact
-//! binomial tail they bound.
+//! Closed-form expressions from the paper's Section III, the exact
+//! binomial tail they bound, and that tail summed over the pools the serving
+//! code builds.
+
+use std::net::{IpAddr, Ipv4Addr};
+
+use sdoh_core::{attacker_controls_fraction, combine, GroundTruth, PoolConfig};
 
 use crate::model::AttackModel;
 
@@ -32,6 +37,44 @@ pub fn attack_probability_exact(model: &AttackModel) -> f64 {
     }
     let p = model.p_attack.clamp(0.0, 1.0);
     (m..=n).map(|k| binomial_pmf(n, k, p)).sum::<f64>().min(1.0)
+}
+
+/// [`attack_probability_exact`] reached through the serving code: for every
+/// number `c` of compromised resolvers, `sdoh_core::combine` builds the pool
+/// of `c` lists of `K` attacker addresses and `N - c` lists of `K` benign
+/// ones, and the pool weighs `binomial_pmf(N, c, p)` when the attacker holds
+/// at least `y` of it (`sdoh_core::attacker_controls_fraction`). For every
+/// `y` in `(0, 1]` the two are equal; outside it they part (`y <= 0` counts
+/// an untouched pool as held, and `N = 0` builds no pool at all).
+pub fn attack_probability_pools(model: &AttackModel) -> f64 {
+    let n = model.resolvers;
+    let list = |first: Ipv4Addr| -> Vec<IpAddr> {
+        (u32::from(first)..)
+            .take(model.addresses_per_resolver.max(1))
+            .map(|address| Ipv4Addr::from(address).into())
+            .collect()
+    };
+    let (attacker, benign) = (
+        list(Ipv4Addr::new(198, 18, 0, 0)),
+        list(Ipv4Addr::new(203, 0, 113, 0)),
+    );
+    let truth = GroundTruth::with_malicious(attacker.iter().copied());
+    let held = |c: usize| {
+        let answers: Vec<(&str, Option<&Vec<IpAddr>>)> = (0..n)
+            .map(|r| match r < c {
+                true => ("compromised", Some(&attacker)),
+                false => ("benign", Some(&benign)),
+            })
+            .collect();
+        combine(&PoolConfig::algorithm1(), &answers).is_ok_and(|(pool, _)| {
+            attacker_controls_fraction(&pool, &truth, model.required_pool_fraction)
+        })
+    };
+    (0..=n)
+        .filter(|&c| held(c))
+        .map(|c| binomial_pmf(n, c, model.p_attack))
+        .sum::<f64>()
+        .min(1.0)
 }
 
 /// Probability mass of exactly `k` successes out of `n` trials with success

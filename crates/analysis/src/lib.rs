@@ -1,6 +1,6 @@
 //! Security analysis for distributed DoH pool generation (Section III of
-//! the paper), with closed-form expressions, an exact binomial model and
-//! Monte-Carlo validation.
+//! the paper): closed-form expressions, the exact binomial model, and the
+//! same probability summed over the pools the serving code builds.
 //!
 //! * [`AttackModel`] captures the paper's attacker: each of `N` resolvers is
 //!   compromised independently with probability `p_attack`, and the attack
@@ -9,9 +9,12 @@
 //!   `x ≥ y` (Section III-a).
 //! * [`attack_probability_paper`] is the paper's `p_attack^M` expression;
 //!   [`attack_probability_exact`] is the exact binomial tail it bounds.
-//! * [`estimate_resolver_compromise`] and [`estimate_pool_capture`] validate
-//!   both by direct simulation (the latter building the Algorithm 1 pool
-//!   explicitly each trial).
+//! * [`attack_probability_pools`] reaches the tail from the other side: it
+//!   builds the pool of every compromised count with `sdoh_core::combine`,
+//!   the function the serving session combines answers with, asks whether
+//!   the attacker holds its goal fraction of it, and weights it by its
+//!   binomial probability. It equals the exact tail for every goal `y` in
+//!   `(0, 1]`, which is Section III-a's argument checked against the code.
 //! * [`sweep_resolver_count`] / [`sweep_attack_probability`] regenerate the
 //!   quantitative series `sdoh-exp attack_probability` prints (E3 of the
 //!   experiment index in `sdoh-bench`), and [`Table`] renders them as
@@ -34,15 +37,13 @@
 
 mod analytic;
 mod model;
-mod montecarlo;
 mod sweep;
 mod table;
 
 pub use analytic::{
-    attack_probability_exact, attack_probability_paper, binomial_pmf, ln_choose,
-    required_resolver_fraction, resolvers_for_security_gain,
+    attack_probability_exact, attack_probability_paper, attack_probability_pools, binomial_pmf,
+    ln_choose, required_resolver_fraction, resolvers_for_security_gain,
 };
 pub use model::AttackModel;
-pub use montecarlo::{estimate_pool_capture, estimate_resolver_compromise, MonteCarloEstimate};
 pub use sweep::{sweep_attack_probability, sweep_resolver_count, sweep_table, SweepPoint};
 pub use table::{fmt_percent, fmt_probability, Table};

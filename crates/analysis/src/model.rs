@@ -1,5 +1,7 @@
 //! The attacker model of the paper's Section III.
 
+use sdoh_core::reaches_fraction;
+
 /// Parameters of the security analysis.
 ///
 /// The paper assumes an attacker that compromises each DoH resolver
@@ -18,8 +20,9 @@ pub struct AttackModel {
     /// application (`y`, e.g. 1/2 for Chronos).
     pub required_pool_fraction: f64,
     /// Number of addresses each resolver contributes after truncation
-    /// (`K`); it cancels out of the analysis but matters for the
-    /// Monte-Carlo pool construction.
+    /// (`K`); it cancels out of the analysis, and is the length of every
+    /// list [`attack_probability_pools`](crate::attack_probability_pools)
+    /// combines.
     pub addresses_per_resolver: usize,
 }
 
@@ -51,13 +54,11 @@ impl AttackModel {
     }
 
     /// The minimum number of resolvers the attacker must compromise,
-    /// `M = ceil(x * N)` with a floor of one.
+    /// `M = ceil(x * N)` with a floor of one, compared exactly
+    /// ([`reaches_fraction`]): seven of 25 resolvers make `x = 0.28`.
     pub fn min_compromised_resolvers(&self) -> usize {
-        if self.resolvers == 0 {
-            return 0;
-        }
-        let m = (self.required_resolver_fraction() * self.resolvers as f64).ceil() as usize; // sdoh-lint: allow(no-narrowing-cast, "float-to-int as-casts saturate and map NaN to zero")
-        m.clamp(1, self.resolvers)
+        let (n, x) = (self.resolvers, self.required_resolver_fraction());
+        (1..n).find(|&m| reaches_fraction(m, n, x)).unwrap_or(n)
     }
 }
 
@@ -89,5 +90,13 @@ mod tests {
         assert_eq!(AttackModel::new(0, 0.1, 0.5).min_compromised_resolvers(), 0);
         assert_eq!(AttackModel::new(3, 0.1, 0.0).min_compromised_resolvers(), 1);
         assert_eq!(AttackModel::new(3, 0.1, 1.0).min_compromised_resolvers(), 3);
+        assert_eq!(AttackModel::new(3, 0.1, 1.5).min_compromised_resolvers(), 3);
+    }
+
+    #[test]
+    fn minimum_is_exact_where_the_float_product_overshoots() {
+        // 0.28 * 25 = 7.000000000000001 in f64, whose ceiling is 8.
+        let m = |n, y| AttackModel::new(n, 0.1, y).min_compromised_resolvers();
+        assert_eq!((m(25, 0.28), m(10, 0.1), m(31, 2.0 / 3.0)), (7, 1, 21));
     }
 }

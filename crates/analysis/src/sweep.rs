@@ -1,8 +1,9 @@
 //! Parameter sweeps that regenerate the quantitative claims of Section III.
 
-use crate::analytic::{attack_probability_exact, attack_probability_paper};
+use crate::analytic::{
+    attack_probability_exact, attack_probability_paper, attack_probability_pools,
+};
 use crate::model::AttackModel;
-use crate::montecarlo::{estimate_resolver_compromise, MonteCarloEstimate};
 use crate::table::{fmt_probability, Table};
 
 /// One point of the attack-probability sweep.
@@ -12,12 +13,28 @@ pub struct SweepPoint {
     pub resolvers: usize,
     /// Per-resolver attack probability.
     pub p_attack: f64,
+    /// `M = ceil(x N)`, the fewest resolvers the attacker must compromise.
+    pub min_compromised: usize,
     /// The paper's `p^M` bound.
     pub paper_bound: f64,
     /// Exact binomial-tail probability.
     pub exact: f64,
-    /// Monte-Carlo estimate.
-    pub simulated: MonteCarloEstimate,
+    /// The same probability summed over the pools Algorithm 1 builds
+    /// ([`attack_probability_pools`]).
+    pub pools: f64,
+}
+
+impl SweepPoint {
+    fn of(model: &AttackModel) -> Self {
+        SweepPoint {
+            resolvers: model.resolvers,
+            p_attack: model.p_attack,
+            min_compromised: model.min_compromised_resolvers(),
+            paper_bound: attack_probability_paper(model),
+            exact: attack_probability_exact(model),
+            pools: attack_probability_pools(model),
+        }
+    }
 }
 
 /// Sweeps the number of resolvers for a fixed `p_attack` and goal fraction.
@@ -25,22 +42,10 @@ pub fn sweep_resolver_count(
     resolver_counts: &[usize],
     p_attack: f64,
     required_pool_fraction: f64,
-    trials: u64,
-    seed: u64,
 ) -> Vec<SweepPoint> {
     resolver_counts
         .iter()
-        .zip(0u64..)
-        .map(|(&n, i)| {
-            let model = AttackModel::new(n, p_attack, required_pool_fraction);
-            SweepPoint {
-                resolvers: n,
-                p_attack,
-                paper_bound: attack_probability_paper(&model),
-                exact: attack_probability_exact(&model),
-                simulated: estimate_resolver_compromise(&model, trials, seed.wrapping_add(i)),
-            }
-        })
+        .map(|&n| SweepPoint::of(&AttackModel::new(n, p_attack, required_pool_fraction)))
         .collect()
 }
 
@@ -49,27 +54,15 @@ pub fn sweep_attack_probability(
     resolvers: usize,
     p_values: &[f64],
     required_pool_fraction: f64,
-    trials: u64,
-    seed: u64,
 ) -> Vec<SweepPoint> {
     p_values
         .iter()
-        .zip(0u64..)
-        .map(|(&p, i)| {
-            let model = AttackModel::new(resolvers, p, required_pool_fraction);
-            SweepPoint {
-                resolvers,
-                p_attack: p,
-                paper_bound: attack_probability_paper(&model),
-                exact: attack_probability_exact(&model),
-                simulated: estimate_resolver_compromise(&model, trials, seed.wrapping_add(i)),
-            }
-        })
+        .map(|&p| SweepPoint::of(&AttackModel::new(resolvers, p, required_pool_fraction)))
         .collect()
 }
 
 /// Renders sweep points as a table comparing the bound, the exact value and
-/// the simulation.
+/// the sum over Algorithm 1's pools.
 pub fn sweep_table(title: &str, points: &[SweepPoint]) -> Table {
     let mut table = Table::new(
         title,
@@ -79,25 +72,17 @@ pub fn sweep_table(title: &str, points: &[SweepPoint]) -> Table {
             "M=ceil(xN)",
             "paper p^M",
             "exact tail",
-            "monte-carlo",
+            "Algorithm 1 pools",
         ],
     );
     for point in points {
-        let model = AttackModel::new(point.resolvers, point.p_attack, 0.5);
-        // M depends only on N and the fraction used during the sweep, but we
-        // recompute it from the stored fields for display purposes.
-        let m = if point.paper_bound > 0.0 && point.p_attack > 0.0 && point.p_attack < 1.0 {
-            (point.paper_bound.ln() / point.p_attack.ln()).round() as usize // sdoh-lint: allow(no-narrowing-cast, "float-to-int as-casts saturate and map NaN to zero")
-        } else {
-            model.min_compromised_resolvers()
-        };
         table.push_row([
             point.resolvers.to_string(),
             format!("{:.3}", point.p_attack),
-            m.to_string(),
+            point.min_compromised.to_string(),
             fmt_probability(point.paper_bound),
             fmt_probability(point.exact),
-            fmt_probability(point.simulated.probability),
+            fmt_probability(point.pools),
         ]);
     }
     table
@@ -109,7 +94,7 @@ mod tests {
 
     #[test]
     fn resolver_sweep_is_monotonically_safer() {
-        let points = sweep_resolver_count(&[3, 5, 9, 15], 0.2, 0.5, 4_000, 1);
+        let points = sweep_resolver_count(&[3, 5, 9, 15], 0.2, 0.5);
         assert_eq!(points.len(), 4);
         for pair in points.windows(2) {
             assert!(
@@ -117,15 +102,15 @@ mod tests {
                 "more resolvers must not increase the attack probability"
             );
         }
-        // Simulation agrees with the exact value everywhere.
+        // The pools the serving code builds agree with the exact value.
         for point in &points {
-            assert!(point.simulated.consistent_with(point.exact, 0.02));
+            assert!((point.pools - point.exact).abs() <= 1e-12);
         }
     }
 
     #[test]
     fn probability_sweep_is_monotone_in_p() {
-        let points = sweep_attack_probability(5, &[0.05, 0.1, 0.3, 0.6, 0.9], 0.5, 2_000, 2);
+        let points = sweep_attack_probability(5, &[0.05, 0.1, 0.3, 0.6, 0.9], 0.5);
         for pair in points.windows(2) {
             assert!(pair[1].exact >= pair[0].exact);
             assert!(pair[1].paper_bound >= pair[0].paper_bound);
@@ -134,12 +119,23 @@ mod tests {
 
     #[test]
     fn table_rendering_includes_all_points() {
-        let points = sweep_resolver_count(&[3, 7], 0.1, 0.5, 500, 3);
+        let points = sweep_resolver_count(&[3, 7], 0.1, 0.5);
         let table = sweep_table("E3", &points);
         assert_eq!(table.len(), 2);
         let md = table.to_markdown();
         assert!(md.contains("E3"));
         assert!(md.contains("| 3 |"));
         assert!(md.contains("| 7 |"));
+    }
+
+    #[test]
+    fn the_table_prints_the_m_of_the_swept_goal() {
+        // p = 0 and p = 1 leave no bound to recover M from; M is ceil(2/3 * 5)
+        // = 4 for the goal swept, not the 3 of a goal of one half.
+        let points = sweep_attack_probability(5, &[0.0, 1.0], 2.0 / 3.0);
+        let table = sweep_table("E3", &points);
+        for row in table.rows() {
+            assert_eq!(row[2], "4", "{row:?}");
+        }
     }
 }

@@ -3,7 +3,8 @@
 use proptest::prelude::*;
 
 use sdoh_analysis::{
-    attack_probability_exact, attack_probability_paper, binomial_pmf, AttackModel,
+    attack_probability_exact, attack_probability_paper, attack_probability_pools, binomial_pmf,
+    AttackModel,
 };
 
 proptest! {
@@ -65,6 +66,20 @@ proptest! {
         prop_assert!(harder <= easier + 1e-9);
     }
 
+    /// Summed over the pools Algorithm 1 builds, the attack probability is
+    /// the exact tail, for every goal in (0, 1].
+    #[test]
+    fn algorithm1_pools_give_the_exact_tail(
+        n in 1usize..40,
+        b in 1u32..100,
+        a in 1u32..100,
+        p in 0.0f64..1.0,
+    ) {
+        let model = AttackModel::new(n, p, f64::from(a.min(b)) / f64::from(b));
+        let (pools, exact) = (attack_probability_pools(&model), attack_probability_exact(&model));
+        prop_assert!((pools - exact).abs() <= 1e-12, "{:?}: {} vs {}", model, pools, exact);
+    }
+
     /// The binomial pmf is non-negative and sums to one.
     #[test]
     fn binomial_pmf_is_a_distribution(n in 0usize..40, p in 0.0f64..1.0) {
@@ -87,7 +102,45 @@ proptest! {
         // (except when m = 1 and any single compromise suffices).
         prop_assert!(m as f64 / n as f64 >= y - 1e-9 || m == n);
         if m > 1 {
-            prop_assert!(((m - 1) as f64) < y * n as f64 + 1e-9);
+            prop_assert!(((m - 1) as f64 / n as f64) < y, "m {} of {} at {}", m, n, y);
         }
     }
+}
+
+/// The goals where a float product and the rational part ways, every
+/// small-denominator goal for up to 16 resolvers, and the edges of `p`: the
+/// pools Algorithm 1 builds give the exact tail on each.
+#[test]
+fn algorithm1_pools_give_the_exact_tail_on_a_grid() {
+    let mut cases = vec![
+        (25, 0.28),
+        (10, 0.1),
+        (100, 0.29),
+        (57, 0.07),
+        (31, 2.0 / 3.0),
+    ];
+    for n in 1..=16usize {
+        for b in 1..=8u32 {
+            cases.extend((1..=b).map(|a| (n, f64::from(a) / f64::from(b))));
+        }
+    }
+    for (n, y) in cases {
+        for p in [0.0, 0.01, 0.2, 0.5, 0.9, 1.0] {
+            let model = AttackModel::new(n, p, y);
+            let (pools, exact) = (
+                attack_probability_pools(&model),
+                attack_probability_exact(&model),
+            );
+            assert!(
+                (pools - exact).abs() <= 1e-12,
+                "{model:?}: {pools} vs {exact}"
+            );
+        }
+    }
+    // Outside (0, 1] the two views part, as documented.
+    assert!((attack_probability_pools(&AttackModel::new(5, 0.2, 0.0)) - 1.0).abs() < 1e-12);
+    assert_eq!(
+        attack_probability_pools(&AttackModel::new(0, 0.2, 0.5)),
+        0.0
+    );
 }

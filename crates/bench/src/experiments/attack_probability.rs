@@ -2,22 +2,28 @@
 //! `p_attack^M`, exponentially small in the number of resolvers.
 
 use sdoh_analysis::{
-    resolvers_for_security_gain, sweep_attack_probability, sweep_resolver_count, sweep_table, Table,
+    resolvers_for_security_gain, sweep_attack_probability, sweep_resolver_count, sweep_table,
+    SweepPoint, Table,
 };
+
+/// The goal fraction both sweeps use: a malicious two-thirds majority.
+const GOAL: f64 = 2.0 / 3.0;
+
+/// E3a: attack probability against the number of resolvers.
+fn by_resolver_count() -> Vec<SweepPoint> {
+    sweep_resolver_count(&[1, 3, 5, 7, 9, 15, 31], 0.2, GOAL)
+}
+
+/// E3b: attack probability against `p_attack`, over three resolvers.
+fn by_attack_probability() -> Vec<SweepPoint> {
+    sweep_attack_probability(3, &[0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9], GOAL)
+}
 
 /// Regenerates the attack-probability series: sweep over the number of
 /// resolvers and over `p_attack`, comparing the paper's bound, the exact
-/// binomial tail and a Monte-Carlo simulation.
-pub fn run(trials: u64, seed: u64) -> Vec<Table> {
-    let by_n = sweep_resolver_count(&[1, 3, 5, 7, 9, 15, 31], 0.2, 2.0 / 3.0, trials, seed);
-    let by_p = sweep_attack_probability(
-        3,
-        &[0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9],
-        2.0 / 3.0,
-        trials,
-        seed + 1,
-    );
-
+/// binomial tail and the same tail summed over the pools the serving code
+/// builds (Algorithm 1 through `sdoh_core::combine`). Nothing is sampled.
+pub fn run() -> Vec<Table> {
     let mut gain = Table::new(
         "E3c: resolvers needed per factor-1000 security gain (\"key size\" analogy)",
         &["p_attack", "extra resolvers for 10^-3"],
@@ -32,11 +38,11 @@ pub fn run(trials: u64, seed: u64) -> Vec<Table> {
     vec![
         sweep_table(
             "E3a: attack probability vs. number of resolvers (p_attack = 0.2, x = 2/3)",
-            &by_n,
+            &by_resolver_count(),
         ),
         sweep_table(
             "E3b: attack probability vs. p_attack (N = 3, x = 2/3; paper: p^2)",
-            &by_p,
+            &by_attack_probability(),
         ),
         gain,
     ]
@@ -48,10 +54,17 @@ mod tests {
 
     #[test]
     fn produces_three_tables_with_expected_shapes() {
-        let tables = run(2_000, 3);
+        let tables = run();
         assert_eq!(tables.len(), 3);
         assert_eq!(tables[0].len(), 7);
         assert_eq!(tables[1].len(), 8);
         assert_eq!(tables[2].len(), 5);
+    }
+
+    #[test]
+    fn every_row_sums_the_exact_tail_over_algorithm1_pools() {
+        for point in by_resolver_count().iter().chain(&by_attack_probability()) {
+            assert!((point.pools - point.exact).abs() <= 1e-12, "{point:?}");
+        }
     }
 }

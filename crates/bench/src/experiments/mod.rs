@@ -86,7 +86,7 @@ const fn exp(
 pub static EXPERIMENTS: &[Experiment] = &[
     exp("E1", "fig1", Some(42), false, e1),
     exp("E2", "required_fraction", None, false, e2),
-    exp("E3", "attack_probability", Some(7), false, e3),
+    exp("E3", "attack_probability", None, false, e3),
     exp("E4", "offpath", Some(11), false, e4),
     exp("E5", "chronos_timeshift", Some(5), false, e5),
     exp("E6", "truncation", Some(3), false, e6),
@@ -129,8 +129,8 @@ fn e2(_: &Run) -> Outcome {
     tables([required_fraction::run(&[3, 5, 7, 15], 4, 0.5)])
 }
 
-fn e3(run: &Run) -> Outcome {
-    tables(attack_probability::run(20_000, run.seed))
+fn e3(_: &Run) -> Outcome {
+    tables(attack_probability::run())
 }
 
 fn e4(run: &Run) -> Outcome {

@@ -62,21 +62,6 @@ impl GenerationReport {
     pub fn failed(&self) -> usize {
         self.sources.len() - self.answered()
     }
-
-    /// Returns the pool, or [`PoolError::EmptyPool`] when generation
-    /// produced no usable addresses (e.g. the empty-answer DoS of
-    /// footnote 2).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PoolError::EmptyPool`] when the pool has no entries.
-    pub fn require_non_empty(&self) -> PoolResult<&AddressPool> {
-        if self.pool.is_empty() {
-            Err(PoolError::EmptyPool)
-        } else {
-            Ok(&self.pool)
-        }
-    }
 }
 
 /// The secure pool generator: a set of distributed DoH resolvers plus a
@@ -327,7 +312,6 @@ mod tests {
         ];
         let report = run(PoolConfig::algorithm1(), sources).unwrap();
         assert!(report.pool.is_empty());
-        assert_eq!(report.require_non_empty(), Err(PoolError::EmptyPool));
         assert_eq!(report.truncate_lengths, vec![("A".to_string(), 0)]);
     }
 

@@ -8,6 +8,7 @@
 use std::collections::HashSet;
 use std::net::IpAddr;
 
+use crate::majority::reaches_fraction;
 use crate::pool::AddressPool;
 
 /// Ground truth about which server addresses are attacker-controlled.
@@ -87,13 +88,15 @@ pub fn check_guarantee(pool: &AddressPool, truth: &GroundTruth, required: f64) -
 }
 
 /// Convenience: does the attacker control at least `y` of the pool? This is
-/// the attacker's goal in the paper's Section III-a analysis.
+/// the attacker's goal in the paper's Section III-a analysis. The slots are
+/// counted and compared with `y` exactly ([`reaches_fraction`]), so one
+/// attacker slot of ten is a tenth of the pool.
 pub fn attacker_controls_fraction(pool: &AddressPool, truth: &GroundTruth, y: f64) -> bool {
-    if pool.is_empty() {
-        return false;
-    }
-    let malicious = 1.0 - pool.benign_fraction(|addr| !truth.is_malicious(addr));
-    malicious >= y
+    let held = pool
+        .iter()
+        .filter(|e| truth.is_malicious(e.address))
+        .count();
+    !pool.is_empty() && reaches_fraction(held, pool.len(), y)
 }
 
 #[cfg(test)]
@@ -163,6 +166,15 @@ mod tests {
         truth.extend_malicious([evil(2), evil(3), evil(1)]);
         assert_eq!(truth.malicious_count(), 3, "extension deduplicates");
         assert!(truth.is_malicious(evil(3)));
+    }
+
+    #[test]
+    fn one_slot_of_ten_is_a_tenth_of_the_pool() {
+        // 1 - 0.9 is 0.09999999999999998 in f64: the pool-level view used to
+        // miss a goal the resolver-level view (1 of 10 resolvers) reaches.
+        let (p, truth) = pool(9, 1);
+        assert!(attacker_controls_fraction(&p, &truth, 0.1));
+        assert!(!attacker_controls_fraction(&p, &truth, 0.11));
     }
 
     #[test]

@@ -20,6 +20,11 @@
 //!   and expose the result through a standard-compatible DNS front end
 //!   ([`CachingPoolResolver`] — the one front end; [`CacheConfig::uncached`]
 //!   makes it run a generation per query),
+//! * do either in **one pure function**, [`combine`]: the one place
+//!   Algorithm 1 lives. The session serves through it, the small-scope test
+//!   (`tests/small_scope.rs`) checks the guarantee on every case of a
+//!   bounded scope through it, and `sdoh-analysis` computes the paper's
+//!   Section III probabilities from the pools it builds,
 //! * handle dual-stack lookups per the paper's footnote 1
 //!   ([`DualStackPolicy`]),
 //! * and check the guarantee — "the pool contains a fraction of at least
@@ -198,6 +203,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod combine;
 mod config;
 mod error;
 mod generator;
@@ -208,11 +214,12 @@ pub mod serve;
 mod session;
 mod source;
 
+pub use combine::combine;
 pub use config::{CombinationMode, DualStackPolicy, FailurePolicy, PoolConfig};
 pub use error::{PoolError, PoolResult};
 pub use generator::{GenerationReport, SecurePoolGenerator, SourceOutcome};
 pub use guarantee::{attacker_controls_fraction, check_guarantee, GroundTruth, GuaranteeCheck};
-pub use majority::{majority_vote, meets_threshold, support_counts};
+pub use majority::{majority_vote, meets_threshold, reaches_fraction};
 pub use pool::{AddressPool, PoolEntry};
 pub use serve::{
     snapshot_samples, AddressFamily, CacheConfig, CacheEntryProbe, CachedPool, CachingPoolResolver,

@@ -1,16 +1,20 @@
-//! Majority voting over per-resolver address lists (paper Section II).
+//! Majority voting over per-resolver address lists (paper Section II), and
+//! the one place a count is compared with a fraction: the vote's cutoff
+//! ([`meets_threshold`], `>`), the attacker's goal and `M = ceil(x N)`
+//! ([`reaches_fraction`], `>=`). One exact classification serves all three,
+//! so the pool-level and resolver-level views of Section III cannot round
+//! apart.
 
-use std::collections::BTreeMap;
 use std::net::IpAddr;
 
 /// Every address of `lists` with the number of lists that contain it
 /// (presence per list, not multiplicity within a list), in ascending address
 /// order: one vector, sorted, folded in place.
-fn sorted_support<L: AsRef<[IpAddr]>>(lists: &[L]) -> Vec<(IpAddr, usize)> {
-    let slots = lists.iter().map(|list| list.as_ref().len()).sum();
+fn sorted_support<'a>(lists: impl Iterator<Item = &'a [IpAddr]> + Clone) -> Vec<(IpAddr, usize)> {
+    let slots = lists.clone().map(<[IpAddr]>::len).sum();
     let mut seen: Vec<(IpAddr, usize)> = Vec::with_capacity(slots);
-    for (index, list) in lists.iter().enumerate() {
-        seen.extend(list.as_ref().iter().map(|&addr| (addr, index)));
+    for (index, list) in lists.enumerate() {
+        seen.extend(list.iter().map(|&addr| (addr, index)));
     }
     // Sorted by (address, list), a duplicate within a list sits next to its
     // twin and an address's lists are one run.
@@ -29,12 +33,6 @@ fn sorted_support<L: AsRef<[IpAddr]>>(lists: &[L]) -> Vec<(IpAddr, usize)> {
     seen
 }
 
-/// Counts, for every address, how many of the given answer lists contain it
-/// (presence per list, not multiplicity within a list).
-pub fn support_counts(lists: &[Vec<IpAddr>]) -> BTreeMap<IpAddr, usize> {
-    sorted_support(lists).into_iter().collect()
-}
-
 /// Returns the addresses supported by strictly more than `threshold` of the
 /// `total` resolvers, in ascending address order with their support counts.
 ///
@@ -50,6 +48,16 @@ pub fn support_counts(lists: &[Vec<IpAddr>]) -> BTreeMap<IpAddr, usize> {
 /// vote; each address is then one integer comparison.
 pub fn majority_vote<L: AsRef<[IpAddr]>>(
     lists: &[L],
+    total: usize,
+    threshold: f64,
+) -> Vec<(IpAddr, usize)> {
+    vote(lists.iter().map(AsRef::as_ref), total, threshold)
+}
+
+/// [`majority_vote`] over lists lent one by one, so a caller holding them
+/// beside other data does not gather them into a slice first.
+pub(crate) fn vote<'a>(
+    lists: impl Iterator<Item = &'a [IpAddr]> + Clone,
     total: usize,
     threshold: f64,
 ) -> Vec<(IpAddr, usize)> {
@@ -83,17 +91,29 @@ pub fn meets_threshold(support: usize, total: usize, threshold: f64) -> bool {
     Cutoff::new(total, threshold).admits(support)
 }
 
-/// What `support > threshold * total` comes to for one `threshold` and one
-/// `total`: an integer support must exceed a real bound exactly when it
-/// exceeds the bound's floor.
+/// Decides `count >= fraction * total` exactly, by the classification
+/// [`meets_threshold`] uses: the attacker's goal of holding at least a
+/// fraction `y` of a pool, and `M = ceil(x N)`, the fewest of `N` resolvers
+/// that make a fraction `x`. One compromised slot of ten reaches `0.1`, and
+/// seven resolvers of 25 reach `0.28`, although in `f64` `1 - 0.9 < 0.1` and
+/// `0.28 * 25 > 7`.
+pub fn reaches_fraction(count: usize, total: usize, fraction: f64) -> bool {
+    Cutoff::new(total, fraction).reaches(count)
+}
+
+/// What `threshold * total` comes to for one `threshold` and one `total`,
+/// as far as integer counts can tell: its floor, and whether that is all of
+/// it. A count exceeds the product exactly when it exceeds the floor, and
+/// reaches it when it exceeds the floor or equals a product with no
+/// fractional part.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Cutoff {
-    /// NaN or +∞, or a product beyond any support: nothing passes.
+    /// NaN or +∞, or a product beyond any count: nothing passes.
     Never,
-    /// A negative threshold: everything passes, a support of zero included.
+    /// A negative threshold: everything passes, a count of zero included.
     Always,
-    /// `support > floor(threshold * total)`.
-    Above(u128),
+    /// `floor(threshold * total)`, and whether the product is an integer.
+    Product { floor: u128, whole: bool },
 }
 
 impl Cutoff {
@@ -109,8 +129,10 @@ impl Cutoff {
         }
         let total = total as u128;
         if let Some((num, den)) = small_rational(threshold) {
-            // support * den > num * total, and den >= 1.
-            return Cutoff::Above(u128::from(num).saturating_mul(total) / u128::from(den));
+            // num * total / den, and den >= 1.
+            let (product, den) = (u128::from(num).saturating_mul(total), u128::from(den));
+            let (floor, whole) = (product / den, product % den == 0);
+            return Cutoff::Product { floor, whole };
         }
         // The f64 itself, exactly: mantissa * 2^exponent. The product below
         // cannot overflow: mantissa < 2^53 and total < 2^64.
@@ -123,26 +145,38 @@ impl Cutoff {
         };
         let scaled = u128::from(mantissa) * total;
         let shift = u32::try_from(exponent.unsigned_abs()).unwrap_or(u32::MAX);
-        if exponent >= 0 {
-            // support > scaled << shift; past 2^128 no support gets there.
-            if scaled == 0 {
-                Cutoff::Above(0)
-            } else if shift > scaled.leading_zeros() {
-                Cutoff::Never
-            } else {
-                Cutoff::Above(scaled << shift)
+        let (floor, whole) = if exponent >= 0 {
+            // scaled << shift, a whole number; past 2^128 no count gets there.
+            if scaled != 0 && shift > scaled.leading_zeros() {
+                return Cutoff::Never;
             }
+            (scaled.checked_shl(shift).unwrap_or(0), true)
         } else {
-            // support << shift > scaled.
-            Cutoff::Above(scaled.checked_shr(shift).unwrap_or(0))
-        }
+            // scaled >> shift, whole when no set bit is shifted out.
+            let floor = scaled.checked_shr(shift).unwrap_or(0);
+            (floor, floor.checked_shl(shift).unwrap_or(0) == scaled)
+        };
+        Cutoff::Product { floor, whole }
     }
 
-    fn admits(self, support: usize) -> bool {
+    /// `count > threshold * total`.
+    fn admits(self, count: usize) -> bool {
         match self {
             Cutoff::Never => false,
             Cutoff::Always => true,
-            Cutoff::Above(bound) => support as u128 > bound,
+            Cutoff::Product { floor, .. } => count as u128 > floor,
+        }
+    }
+
+    /// `count >= threshold * total`.
+    fn reaches(self, count: usize) -> bool {
+        match self {
+            Cutoff::Never => false,
+            Cutoff::Always => true,
+            Cutoff::Product { floor, whole } => {
+                let count = count as u128;
+                count > floor || (whole && count == floor)
+            }
         }
     }
 }
@@ -184,10 +218,17 @@ fn small_rational(t: f64) -> Option<(u64, u64)> {
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Ordering;
+
     use super::*;
 
     fn ip(last: u8) -> IpAddr {
         format!("203.0.113.{last}").parse().unwrap()
+    }
+
+    /// How many of `lists` contain each address, in ascending order.
+    fn support_counts(lists: &[Vec<IpAddr>]) -> Vec<(IpAddr, usize)> {
+        sorted_support(lists.iter().map(Vec::as_slice))
     }
 
     #[test]
@@ -197,10 +238,11 @@ mod tests {
             vec![ip(1), ip(3)],
             vec![ip(2), ip(1)],
         ];
-        let counts = support_counts(&lists);
-        assert_eq!(counts[&ip(1)], 3, "duplicates within a list count once");
-        assert_eq!(counts[&ip(2)], 2);
-        assert_eq!(counts[&ip(3)], 1);
+        assert_eq!(
+            support_counts(&lists),
+            vec![(ip(1), 3), (ip(2), 2), (ip(3), 1)],
+            "duplicates within a list count once"
+        );
     }
 
     #[test]
@@ -292,26 +334,27 @@ mod tests {
         assert!(!meets_threshold(1, 10, weird));
     }
 
-    /// `meets_threshold` as it stood before the threshold was classified
-    /// once per vote: the reference the cutoff is held against.
-    fn reference_meets_threshold(support: usize, total: usize, threshold: f64) -> bool {
+    /// `support` against `threshold * total`, compared exactly the way
+    /// `meets_threshold` did before the threshold was classified once per
+    /// vote: the reference the cutoff is held against. `None` for NaN.
+    fn reference_cmp(support: usize, total: usize, threshold: f64) -> Option<Ordering> {
         if threshold.is_nan() {
-            return false;
-        }
-        if !threshold.is_finite() {
-            return threshold < 0.0;
+            return None;
         }
         if threshold < 0.0 {
-            return true;
+            return Some(Ordering::Greater);
+        }
+        if !threshold.is_finite() {
+            return Some(Ordering::Less);
         }
         if let Some((num, den)) = small_rational(threshold) {
-            return (support as u128) * u128::from(den)
-                > u128::from(num).saturating_mul(total as u128);
+            let lhs = (support as u128) * u128::from(den);
+            return Some(lhs.cmp(&u128::from(num).saturating_mul(total as u128)));
         }
-        reference_exceeds_dyadic(support, total, threshold)
+        Some(reference_cmp_dyadic(support, total, threshold))
     }
 
-    fn reference_exceeds_dyadic(support: usize, total: usize, t: f64) -> bool {
+    fn reference_cmp_dyadic(support: usize, total: usize, t: f64) -> Ordering {
         let bits = t.to_bits();
         let biased = ((bits >> 52) & 0x7ff) as i64;
         let frac = bits & ((1u64 << 52) - 1);
@@ -324,22 +367,30 @@ mod tests {
         let rhs = u128::from(mantissa) * (total as u128);
         if exponent >= 0 {
             if rhs == 0 {
-                return lhs > 0;
+                return lhs.cmp(&0);
             }
             if exponent >= 128 || exponent as u32 > rhs.leading_zeros() {
-                return false;
+                return Ordering::Less;
             }
-            lhs > (rhs << exponent)
+            lhs.cmp(&(rhs << exponent))
         } else {
             if lhs == 0 {
-                return false;
+                return 0.cmp(&rhs);
             }
             let shift = -exponent;
             if shift >= 128 || shift as u32 > lhs.leading_zeros() {
-                return true;
+                return Ordering::Greater;
             }
-            (lhs << shift) > rhs
+            (lhs << shift).cmp(&rhs)
         }
+    }
+
+    fn reference_meets_threshold(support: usize, total: usize, threshold: f64) -> bool {
+        reference_cmp(support, total, threshold) == Some(Ordering::Greater)
+    }
+
+    fn reference_reaches_fraction(count: usize, total: usize, fraction: f64) -> bool {
+        reference_cmp(count, total, fraction).is_some_and(Ordering::is_ge)
     }
 
     #[test]
@@ -387,6 +438,9 @@ mod tests {
                         "{support} of {total} at {threshold:e}"
                     );
                     assert_eq!(meets_threshold(support, total, threshold), expected);
+                    let reached = reference_reaches_fraction(support, total, threshold);
+                    assert_eq!(cutoff.reaches(support), reached, "{support} of {total}");
+                    assert_eq!(reaches_fraction(support, total, threshold), reached);
                 }
             }
         }
@@ -398,6 +452,11 @@ mod tests {
                     assert_eq!(
                         meets_threshold(support, total, threshold),
                         reference_meets_threshold(support, total, threshold),
+                        "{support} of {total} at {threshold:e}"
+                    );
+                    assert_eq!(
+                        reaches_fraction(support, total, threshold),
+                        reference_reaches_fraction(support, total, threshold),
                         "{support} of {total} at {threshold:e}"
                     );
                 }
@@ -415,13 +474,9 @@ mod tests {
             vec![ip(9)],
         ];
         assert_eq!(
-            sorted_support(&lists),
+            support_counts(&lists),
             vec![(ip(2), 2), (ip(9), 2), (v6, 2)],
             "v4 before v6, each by octets"
-        );
-        assert_eq!(
-            sorted_support(&lists),
-            support_counts(&lists).into_iter().collect::<Vec<_>>()
         );
     }
 }

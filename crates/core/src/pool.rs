@@ -42,7 +42,7 @@ impl AddressPool {
     }
 
     /// Creates a pool from entries.
-    pub fn from_entries(entries: Vec<PoolEntry>) -> Self {
+    pub(crate) fn from_entries(entries: Vec<PoolEntry>) -> Self {
         AddressPool { entries }
     }
 

@@ -140,7 +140,7 @@ impl ServeMetrics {
 pub struct ServeSnapshot {
     /// The serving counters ([`CachingPoolResolver::metrics`]).
     pub serve: ServeMetrics,
-    /// The cache-level counters ([`CachingPoolResolver::cache_metrics`]).
+    /// The cache-level counters.
     pub cache: CacheMetrics,
     /// Entries currently cached (including not-yet-purged expired ones).
     pub entries: usize,
@@ -507,11 +507,6 @@ impl CachingPoolResolver {
     /// Snapshot of the serving counters.
     pub fn metrics(&self) -> ServeMetrics {
         self.metrics
-    }
-
-    /// Snapshot of the cache-level counters.
-    pub fn cache_metrics(&self) -> CacheMetrics {
-        self.cache.metrics()
     }
 
     /// Takes one cheap, **consistent** reading of every serving counter:
@@ -1387,7 +1382,7 @@ mod tests {
         resolver.handle_query(&mut exchanger, &query(2, "pool.ntp.org"));
         let snapshot = resolver.snapshot();
         assert_eq!(snapshot.serve, resolver.metrics());
-        assert_eq!(snapshot.cache, resolver.cache_metrics());
+        assert_eq!(snapshot.cache, resolver.cache.metrics());
         assert_eq!(snapshot.entries, 1);
         assert_eq!(snapshot.pending_refreshes, 0);
         // Within one snapshot the cross-counter invariants hold exactly.

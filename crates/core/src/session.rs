@@ -49,11 +49,10 @@ use sdoh_dns_server::{ExchangeRequest, Exchanger};
 use sdoh_dns_wire::{Name, RrType};
 use sdoh_netsim::{NetResult, SimInstant};
 
-use crate::config::{CombinationMode, DualStackPolicy, FailurePolicy, PoolConfig};
+use crate::combine::combine;
+use crate::config::{DualStackPolicy, PoolConfig};
 use crate::error::{PoolError, PoolResult};
 use crate::generator::{GenerationReport, SourceOutcome};
-use crate::majority::majority_vote;
-use crate::pool::{AddressPool, PoolEntry};
 use crate::source::{AddressSource, FetchError, FetchStart, PendingFetch};
 
 /// Identifies one in-flight exchange of a session.
@@ -415,7 +414,11 @@ impl<'a> PoolSession<'a> {
     /// of the lowest failing slot, mirroring the sequential
     /// fetch-A-then-AAAA behaviour where the first failure aborted. `None`
     /// while a slot is still open.
-    fn answer_of(&self, pass: usize, source: usize) -> Option<Result<Answer<'_>, &FetchError>> {
+    fn answer_of(
+        &self,
+        pass: usize,
+        source: usize,
+    ) -> Option<Result<Cow<'_, [IpAddr]>, &FetchError>> {
         let mut list: Cow<'_, [IpAddr]> = Cow::Borrowed(&[]);
         let mut failure = None;
         for state in self.slots(pass, source) {
@@ -429,7 +432,7 @@ impl<'a> PoolSession<'a> {
             }
         }
         Some(match failure {
-            None => Ok(Answer { source, list }),
+            None => Ok(list),
             Some(err) => Err(err),
         })
     }
@@ -439,10 +442,10 @@ impl<'a> PoolSession<'a> {
     fn emit_if_complete(&mut self, pass: usize, source: usize) {
         let event = match self.answer_of(pass, source) {
             None => return,
-            Some(Ok(answer)) => SessionEvent::SourceAnswered {
+            Some(Ok(list)) => SessionEvent::SourceAnswered {
                 source,
                 pass,
-                addresses: answer.list.len(),
+                addresses: list.len(),
             },
             Some(Err(err)) => SessionEvent::SourceFailed {
                 source,
@@ -497,116 +500,41 @@ impl<'a> PoolSession<'a> {
         Ok(merged)
     }
 
-    /// Runs the combination step for one pass, assembling answers in
-    /// configuration order regardless of response arrival order.
+    /// Runs the combination step for one pass: collects each source's
+    /// outcome row and answer list in configuration order, regardless of
+    /// response arrival order, and hands the lists to [`combine`].
     fn combine_pass(&self, pass: usize, rtypes: &[RrType]) -> PoolResult<GenerationReport> {
         let mut outcomes: Vec<(String, SourceOutcome)> = Vec::with_capacity(self.sources.len());
-        let mut answers: Vec<Answer<'_>> = Vec::with_capacity(self.sources.len());
-
+        let mut answers: Vec<(&str, Option<Cow<'_, [IpAddr]>>)> =
+            Vec::with_capacity(self.sources.len());
         for (source, named) in self.sources.iter().enumerate() {
-            let name = named.source_name().to_string();
-            match self.answer_of(pass, source) {
-                Some(Ok(answer)) => {
-                    outcomes.push((name, SourceOutcome::Answered(answer.list.len())));
-                    answers.push(answer);
-                }
-                Some(Err(err)) => {
-                    outcomes.push((name, SourceOutcome::Failed(err.to_string())));
-                    if self.config.failure_policy == FailurePolicy::TreatAsEmpty {
-                        answers.push(Answer {
-                            source,
-                            list: Cow::Borrowed(&[]),
-                        });
-                    }
-                }
-                // finish() verified completion before combine_pass runs.
-                None => {}
-            }
+            let name = named.source_name();
+            // finish() verified completion before combine_pass runs.
+            let Some(answer) = self.answer_of(pass, source) else {
+                continue;
+            };
+            let (outcome, list) = match answer {
+                Ok(list) => (SourceOutcome::Answered(list.len()), Some(list)),
+                Err(err) => (SourceOutcome::Failed(err.to_string()), None),
+            };
+            outcomes.push((name.to_string(), outcome));
+            answers.push((name, list));
         }
 
-        let usable = answers.len();
-        if usable < self.config.min_responses {
-            // The gate counts usable answer lists (under TreatAsEmpty a
-            // failed resolver still contributes an empty list, as it always
-            // has), but the error reports the number of resolvers that
-            // *actually* answered, so callers' metrics see the truth.
-            return Err(PoolError::NotEnoughResponses {
-                answered: outcomes.iter().filter(|(_, o)| o.is_answered()).count(),
-                required: self.config.min_responses,
-            });
-        }
-
-        let type_label = || {
-            let labels: Vec<String> = rtypes.iter().map(|t| t.to_string()).collect();
-            labels.join("+")
-        };
-        // Every slot a source fills points at the one copy of its name.
-        let concatenated = |take: usize| {
-            let mut entries =
-                Vec::with_capacity(answers.iter().map(|a| a.list.len().min(take)).sum());
-            for answer in answers.iter().filter(|a| take.min(a.list.len()) > 0) {
-                let name: Arc<str> = self.source_name(answer.source).into();
-                entries.extend(answer.list.iter().take(take).map(|&address| PoolEntry {
-                    address,
-                    source: Arc::clone(&name),
-                }));
-            }
-            AddressPool::from_entries(entries)
-        };
-
-        let (pool, truncate_lengths) = match self.config.mode {
-            CombinationMode::TruncateAndCombine => {
-                let truncate = answers.iter().map(|a| a.list.len()).min().unwrap_or(0);
-                (concatenated(truncate), vec![(type_label(), truncate)])
-            }
-            CombinationMode::CombineWithoutTruncation => {
-                let max = answers.iter().map(|a| a.list.len()).max().unwrap_or(0);
-                (concatenated(max), vec![(type_label(), max)])
-            }
-            CombinationMode::MajorityVote => {
-                let winners = majority_vote(&answers, usable, self.config.majority_threshold);
-                // One label per distinct support count, shared by its winners.
-                let mut labels: Vec<(usize, Arc<str>)> = Vec::new();
-                let entries = winners
-                    .into_iter()
-                    .map(|(address, support)| {
-                        let known = labels.iter().find(|(count, _)| *count == support);
-                        let source = match known {
-                            Some((_, label)) => Arc::clone(label),
-                            None => {
-                                let label: Arc<str> =
-                                    format!("majority({support}/{usable})").into();
-                                labels.push((support, Arc::clone(&label)));
-                                label
-                            }
-                        };
-                        PoolEntry { address, source }
-                    })
-                    .collect();
-                (AddressPool::from_entries(entries), Vec::new())
-            }
-        };
-
+        let (pool, cut) = combine(&self.config, &answers)?;
+        let truncate_lengths = cut
+            .map(|cut| {
+                let labels: Vec<String> = rtypes.iter().map(|t| t.to_string()).collect();
+                (labels.join("+"), cut)
+            })
+            .into_iter()
+            .collect();
         Ok(GenerationReport {
             pool,
             mode: self.config.mode,
             sources: outcomes,
             truncate_lengths,
         })
-    }
-}
-
-/// One usable answer going into the combination: the list a source produced
-/// in one pass, lent by the session wherever a single slot holds it.
-struct Answer<'a> {
-    /// The source, by its index in configuration order.
-    source: usize,
-    list: Cow<'a, [IpAddr]>,
-}
-
-impl AsRef<[IpAddr]> for Answer<'_> {
-    fn as_ref(&self) -> &[IpAddr] {
-        &self.list
     }
 }
 

@@ -13,7 +13,7 @@
 //! | [`doh`] | HTTP/2, secure channel, RFC 8484 DoH client and server |
 //! | [`ntp`] | NTP packets, simulated time servers, Chronos |
 //! | [`core`] | secure pool generation (Algorithm 1, majority mode) |
-//! | [`analysis`] | Section III security analysis and Monte-Carlo sweeps |
+//! | [`analysis`] | Section III security analysis, exact over the pools Algorithm 1 builds |
 //! | [`runtime`] | threaded real-socket Do53 serving runtime |
 //! | [`metrics`] | Prometheus-style registry, exporters, fleet rollups |
 //! | [`scenario`] | ready-made Figure 1 scenarios wiring all of the above |

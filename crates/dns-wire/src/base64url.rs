@@ -1,6 +1,8 @@
 //! Unpadded base64url encoding (RFC 4648 §5), as required for the DoH GET
 //! `?dns=` query parameter (RFC 8484 §4.1).
 
+use bytes::BufMut;
+
 use crate::error::{WireError, WireResult};
 
 const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_";
@@ -17,40 +19,53 @@ const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwx
 /// assert_eq!(base64url::encode(b"foo"), "Zm9v");
 /// ```
 pub fn encode(input: &[u8]) -> String {
-    let mut out = String::new();
+    let mut out = Vec::with_capacity(encoded_len(input.len()));
     encode_into(input, &mut out);
-    out
+    // Every octet written is one of the alphabet's.
+    String::from_utf8(out).unwrap_or_default()
 }
 
-/// Appends the unpadded base64url encoding of `input` to `out` — for text
-/// that continues a buffer already being written, like the `?dns=`
-/// parameter of a DoH GET path.
+/// How many characters the unpadded encoding of `len` octets takes: four
+/// per three octets, and two or three for the one or two left over.
+pub fn encoded_len(len: usize) -> usize {
+    let tail = match len % 3 {
+        0 => 0,
+        1 => 2,
+        _ => 3,
+    };
+    len / 3 * 4 + tail
+}
+
+/// Appends the unpadded base64url encoding of `input` to `out`, exactly
+/// [`encoded_len`] octets — for text that continues a buffer already being
+/// written, like the `?dns=` parameter of a DoH GET path written straight
+/// into its HTTP/2 header block.
 ///
 /// # Examples
 ///
 /// ```
 /// use sdoh_dns_wire::base64url;
-/// let mut path = String::from("/dns-query?dns=");
+/// let mut path = b"/dns-query?dns=".to_vec();
 /// base64url::encode_into(b"fo", &mut path);
-/// assert_eq!(path, "/dns-query?dns=Zm8");
+/// assert_eq!(path, b"/dns-query?dns=Zm8");
+/// assert_eq!(base64url::encoded_len(2), 3);
 /// ```
 // sdoh-lint: allow(no-panic, "every alphabet index is masked to 6 bits and ALPHABET has 64 entries")
 // sdoh-lint: allow(no-narrowing-cast, "every cast value is masked to 6 bits first")
-pub fn encode_into(input: &[u8], out: &mut String) {
-    out.reserve(input.len().div_ceil(3) * 4);
+pub fn encode_into(input: &[u8], out: &mut impl BufMut) {
     for chunk in input.chunks(3) {
         let b0 = u32::from(chunk.first().copied().unwrap_or(0));
         let b1 = u32::from(chunk.get(1).copied().unwrap_or(0));
         let b2 = u32::from(chunk.get(2).copied().unwrap_or(0));
         let triple = (b0 << 16) | (b1 << 8) | b2;
-        out.push(ALPHABET[(triple >> 18) as usize & 0x3F] as char);
-        out.push(ALPHABET[(triple >> 12) as usize & 0x3F] as char);
-        if chunk.len() > 1 {
-            out.push(ALPHABET[(triple >> 6) as usize & 0x3F] as char);
-        }
-        if chunk.len() > 2 {
-            out.push(ALPHABET[triple as usize & 0x3F] as char);
-        }
+        let quad = [
+            ALPHABET[(triple >> 18) as usize & 0x3F],
+            ALPHABET[(triple >> 12) as usize & 0x3F],
+            ALPHABET[(triple >> 6) as usize & 0x3F],
+            ALPHABET[triple as usize & 0x3F],
+        ];
+        // One character per six bits of the chunk, rounded up.
+        out.put_slice(quad.get(..=chunk.len()).unwrap_or_default());
     }
 }
 
@@ -75,9 +90,21 @@ fn decode_char(c: u8) -> Option<u32> {
 /// Returns [`WireError::InvalidBase64`] for characters outside the base64url
 /// alphabet or for an impossible input length (a single trailing character).
 pub fn decode(input: &str) -> WireResult<Vec<u8>> {
-    let trimmed = input.trim_end_matches('=');
-    let bytes = trimmed.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len() / 4 * 3 + 3);
+    let mut out = Vec::with_capacity(input.len() / 4 * 3 + 3);
+    decode_into(input, &mut out)?;
+    Ok(out)
+}
+
+/// [`decode`] into `out`, replacing its contents and reusing its
+/// allocation: a DoH terminator decodes every GET's `dns=` parameter into
+/// the one buffer it keeps.
+///
+/// # Errors
+///
+/// As [`decode`]; `out` then holds what was decoded before the error.
+pub fn decode_into(input: &str, out: &mut Vec<u8>) -> WireResult<()> {
+    out.clear();
+    let bytes = input.trim_end_matches('=').as_bytes();
     for (ci, chunk) in bytes.chunks(4).enumerate() {
         let i = ci * 4;
         if chunk.len() == 1 {
@@ -98,7 +125,7 @@ pub fn decode(input: &str) -> WireResult<Vec<u8>> {
             out.push(o2);
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -149,6 +176,19 @@ mod tests {
     fn decode_rejects_impossible_length() {
         assert!(decode("A").is_err());
         assert!(decode("AAAAA").is_err());
+    }
+
+    #[test]
+    fn every_length_encodes_to_its_encoded_len_and_decodes_into_a_kept_buffer() {
+        let data: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37)).collect();
+        let mut kept = Vec::new();
+        for len in 0..=data.len() {
+            let text = encode(&data[..len]);
+            assert_eq!(text.len(), encoded_len(len), "{len}");
+            decode_into(&text, &mut kept).unwrap();
+            assert_eq!(kept, &data[..len]);
+        }
+        assert!(decode_into("Zm+v", &mut kept).is_err());
     }
 
     #[test]

@@ -69,17 +69,24 @@ impl Record {
     /// As [`Record::encode`].
     pub fn encode_as(&self, owner: &Name, w: &mut WireWriter) -> WireResult<()> {
         w.put_name(owner)?;
-        w.put_u16(self.rtype().code());
-        w.put_u16(self.rclass.code());
-        w.put_u32(self.ttl);
-        let len_offset = w.len();
-        w.put_u16(0); // placeholder for RDLENGTH
+        // TYPE, CLASS, TTL and RDLENGTH go down in one write: an A record's
+        // whole tail, the pool's record, with its RDLENGTH known; any other
+        // record's with a placeholder its rdata's length is patched into.
+        let [t0, t1] = self.rtype().code().to_be_bytes();
+        let [c0, c1] = self.rclass.code().to_be_bytes();
+        let [l0, l1, l2, l3] = self.ttl.to_be_bytes();
+        if let RData::A(a) = &self.rdata {
+            let [r0, r1, r2, r3] = a.octets();
+            w.put_slice(&[t0, t1, c0, c1, l0, l1, l2, l3, 0, 4, r0, r1, r2, r3]);
+            return Ok(());
+        }
+        w.put_slice(&[t0, t1, c0, c1, l0, l1, l2, l3, 0, 0]);
         let rdata_start = w.len();
         self.rdata.encode(w)?;
         let rdata_len = w.len() - rdata_start;
         let encoded_len =
             u16::try_from(rdata_len).map_err(|_| WireError::RdataTooLong(rdata_len))?;
-        w.patch_u16(len_offset, encoded_len);
+        w.patch_u16(rdata_start - 2, encoded_len);
         Ok(())
     }
 

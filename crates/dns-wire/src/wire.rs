@@ -17,7 +17,10 @@
 //! offset a map keyed by the lowercased name would have kept, which is why
 //! the emitted bytes are what such a map emitted. Comparing octets, length
 //! octets included, cannot confuse the one label `a.b` with the two labels
-//! `a`, `b`, which a dotted-string key does.
+//! `a`, `b`, which a dotted-string key does. The last name written out in
+//! full is also remembered by offset: the same octets again — every owner
+//! in an answer that repeats the question's name — become a pointer to it
+//! without the search, which could have found that offset and no other.
 
 use bytes::{BufMut, Bytes};
 
@@ -42,6 +45,10 @@ pub struct WireWriter {
     /// Offsets at which a label sequence was first written, in the order
     /// written (see the module documentation).
     names: Vec<u16>,
+    /// The last name written out whole, without a pointer, from a registered
+    /// offset: where its labels start and how many octets they take. The
+    /// same octets again are a pointer to it, found without the search.
+    whole: Option<(u16, usize)>,
     /// When `false`, names are always written uncompressed (needed e.g. for
     /// computing canonical forms).
     compress: bool,
@@ -53,6 +60,7 @@ impl WireWriter {
         WireWriter {
             buf: Vec::with_capacity(512),
             names: Vec::new(),
+            whole: None,
             compress: true,
         }
     }
@@ -159,6 +167,16 @@ impl WireWriter {
         // `rest` is the suffix still to write: the name's buffer from the
         // next length octet on.
         let mut rest = name.as_wire_labels();
+        // The shortcut of the module doc: that offset is registered and no
+        // other registered name equals it.
+        if let Some((at, len)) = self.whole {
+            let from = usize::from(at);
+            if self.buf.get(from..from + len) == Some(rest) {
+                self.buf.put_u16(0xC000 | at);
+                return Ok(());
+            }
+        }
+        let (start, labels_len) = (self.buf.len(), rest.len());
         while let Some(&len) = rest.first() {
             if self.compress {
                 if let Some(offset) = self.names.iter().find(|&&at| self.wrote_at(at, rest)) {
@@ -177,6 +195,14 @@ impl WireWriter {
             rest = after;
         }
         self.buf.put_u8(0);
+        if self.compress && labels_len > 0 {
+            if let Some(at) = u16::try_from(start)
+                .ok()
+                .filter(|&at| at <= MAX_POINTER_TARGET)
+            {
+                self.whole = Some((at, labels_len));
+            }
+        }
         Ok(())
     }
 

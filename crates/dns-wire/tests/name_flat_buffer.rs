@@ -271,14 +271,19 @@ proptest! {
     fn put_name_emits_what_the_string_keyed_map_emitted(
         suffixes in proptest::collection::vec(proptest::collection::vec(arb_plain_label(), 0..4), 1..4),
         sequence in proptest::collection::vec(
-            (0usize..4, proptest::collection::vec(arb_plain_label(), 0..3), proptest::collection::vec(any::<u8>(), 0..12)),
+            (
+                0usize..4,
+                proptest::collection::vec(arb_plain_label(), 0..3),
+                proptest::collection::vec(any::<u8>(), 0..12),
+                0usize..3,
+            ),
             1..12,
         ),
     ) {
         let mut writer = WireWriter::new();
         let mut reference = RefWriter::default();
         let mut written = Vec::new();
-        for (pick, prefix, filler) in &sequence {
+        for (pick, prefix, filler, times) in &sequence {
             // Bytes between names (a record's fixed fields, its rdata) move
             // the offsets and may themselves look like labels or pointers.
             writer.put_slice(filler);
@@ -289,9 +294,15 @@ proptest! {
                 .cloned()
                 .collect();
             let Some((name, ref_name)) = build(&labels) else { continue };
-            written.push((writer.len(), name.clone()));
-            writer.put_name(&name).unwrap();
-            reference.put_name(&ref_name);
+            // The same name again, octet for octet, as every record of an
+            // answer repeats the question's name: the writer's shortcut.
+            for _ in 0..=*times {
+                written.push((writer.len(), name.clone()));
+                writer.put_name(&name).unwrap();
+                reference.put_name(&ref_name);
+                writer.put_slice(&filler[..filler.len().min(2)]);
+                reference.buf.extend_from_slice(&filler[..filler.len().min(2)]);
+            }
         }
         let bytes = writer.finish();
         prop_assert_eq!(&bytes[..], &reference.buf[..]);

@@ -12,6 +12,11 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
+mod common {
+    pub mod mutate;
+}
+use common::mutate::{self, pick};
+
 use sdoh_dns_wire::{
     addresses_of_type, base64url, Edns, EdnsOption, Header, Message, MessageView, Mx, Name, Opcode,
     Question, RData, Rcode, Record, RrType, Soa, Srv, WireError, WireReader,
@@ -302,18 +307,11 @@ fn hostile_packets() -> Vec<Vec<u8>> {
 /// field, a pointer field, a cut, octets appended or a stretch repeated.
 fn mutate(wire: &[u8], rng: &mut TestRng) -> Vec<u8> {
     let mut out = wire.to_vec();
-    let pick = |rng: &mut TestRng, len: usize| rng.below(len as u64) as usize;
     match rng.below(7) {
-        0 => {
-            let bit = pick(rng, out.len() * 8);
-            out[bit / 8] ^= 1 << (bit % 8);
-        }
-        1 => {
-            let at = pick(rng, out.len());
-            out[at] = rng.next_u64() as u8;
-        }
+        0 => mutate::flip_bit(&mut out, rng),
+        1 => mutate::replace_octet(&mut out, rng),
         2 => {
-            // A section count or an RDLENGTH, moved a little or anywhere.
+            // A section count or an RDLENGTH.
             let view = MessageView::parse(wire).unwrap();
             let mut fields: Vec<usize> = vec![4, 6, 8, 10];
             fields.extend(
@@ -323,13 +321,7 @@ fn mutate(wire: &[u8], rng: &mut TestRng) -> Vec<u8> {
                     .map(|record| record.rdata.as_ptr() as usize - wire.as_ptr() as usize - 2),
             );
             let at = fields[pick(rng, fields.len())];
-            let value = u16::from_be_bytes([out[at], out[at + 1]]);
-            let moved = match rng.below(3) {
-                0 => value.wrapping_add(1),
-                1 => value.wrapping_sub(1),
-                _ => rng.next_u64() as u16,
-            };
-            out[at..at + 2].copy_from_slice(&moved.to_be_bytes());
+            mutate::move_field(&mut out, at, 2, rng);
         }
         3 => {
             // A compression pointer aimed anywhere, or one planted.
@@ -350,18 +342,9 @@ fn mutate(wire: &[u8], rng: &mut TestRng) -> Vec<u8> {
                 }
             }
         }
-        4 => out.truncate(pick(rng, out.len())),
-        5 => {
-            for _ in 0..=rng.below(3) {
-                out.push(rng.next_u64() as u8);
-            }
-        }
-        _ => {
-            let from = pick(rng, out.len());
-            let to = from + pick(rng, (out.len() - from).min(16) + 1);
-            let stretch = out[from..to].to_vec();
-            out.splice(to..to, stretch);
-        }
+        4 => mutate::cut(&mut out, rng),
+        5 => mutate::append(&mut out, rng),
+        _ => mutate::repeat(&mut out, rng),
     }
     out
 }

@@ -5,48 +5,78 @@
 //! makes the connections trivially portable onto the synchronous simulated
 //! transport (and onto a real socket, if one ever existed here).
 //!
+//! # One walk
+//!
+//! Received octets are read by one walker, `Walk::next_part`. It checks the
+//! preface, parses each frame where it lies, applies the connection's own
+//! frames (SETTINGS, PING, GOAWAY) and the stream rules of RFC 7540 §5.1,
+//! and hands out what belongs to a message as a [`Part`] borrowed from the
+//! input: a head's header block, a body's octets, a reset. The stream rules
+//! are connection errors (`PROTOCOL_ERROR`, §5.1, §5.1.1, §6.1, §6.2):
+//!
+//! * nothing arrives on stream 0;
+//! * a HEADERS frame opens a stream only where the peer may open one — at a
+//!   server, a client's odd identifier above every one it opened before; a
+//!   server opens none at a client, which takes heads only on the streams
+//!   it opened;
+//! * DATA arrives only on a stream whose head did, and a second HEADERS
+//!   frame on such a stream is its trailers, which must end it (their fields
+//!   are checked and dropped).
+//!
+//! The owned `receive` of both ends is that walk plus a copy into a
+//! [`Request`] / [`Response`]; the DoH ends read the parts where they lie.
+//! A head's pseudo-header fields are read by one reader per kind
+//! ([`RequestHead`], [`ResponseHead`]), whichever of the two asks.
+//!
 //! # Who owns which buffer
 //!
 //! * **Output** belongs to the connection until `take_output` hands it
-//!   over, whole. Frames are written where they go: `send_request` /
-//!   `send_response` put a frame header down, encode the HPACK fields
-//!   behind it and set its length; no header list, header block or frame
-//!   is built on the side. `with_output` starts the connection behind
-//!   octets the caller already wrote (the DoH ends pass their envelope
-//!   header), so one buffer carries a payload from its first octet to the
-//!   record tag.
-//! * **Input** stays the caller's. `receive` walks the frames of the slice
-//!   it is given and copies out only what outlives the call: a message's
-//!   strings and body, and the tail of a frame the slice ended inside,
-//!   which waits in the connection for the next call.
-//! * **A message's header fields** are one buffer of the message's own
-//!   ([`Headers`]: every name and value back to back, plus their end
-//!   offsets): a decoded block is appended to it field by field, straight
-//!   from the block's octets or the static table, and `send` walks it
-//!   straight into the output. `:status` is its digits on the stack and
-//!   `:scheme` is borrowed when it is `https` — neither is a `String` on
-//!   its way from one buffer to the other.
-//! * **Streams** with a message under way sit in a vector, looked up by
-//!   scanning: a DoH connection carries one, and a handful at most.
+//!   over, whole. Frames are written where they go: a message is an
+//!   [`Outgoing`] — its HEADERS frame header put down first, each field
+//!   HPACK-encoded behind it as it is given (a `&str`, digits formatted on
+//!   the stack, or octets a closure writes, like a DoH GET's base64url
+//!   query), then the frame closed and the body's DATA frame written behind
+//!   it. `send_request` / `send_response` feed one from a `Request` /
+//!   `Response`; the DoH ends feed theirs from the resolver name, the query
+//!   and the answer, and build no HTTP object. `with_output` starts the
+//!   connection behind octets the caller already wrote (the DoH ends pass
+//!   their envelope header), so one buffer carries a payload from its first
+//!   octet to the record tag.
+//! * **Input** stays the caller's. The walk lends each part from the slice
+//!   it is given: a DoH end reads the fields and the body where they lie in
+//!   the opened record (a body that arrives in two DATA frames or more is
+//!   the one thing copied, see [`Body`]). The owned `receive` copies out
+//!   what outlives the call: a message's strings and body, and the tail of a
+//!   frame the slice ended inside, which waits in the connection for the
+//!   next call.
+//! * **A received message's header fields** are one buffer of the
+//!   message's own ([`Headers`]: every name and value back to back, plus
+//!   their end offsets), appended to field by field straight from the
+//!   block's octets or the static table.
+//! * **Streams** a message is arriving on sit in a vector, looked up by
+//!   scanning: a DoH connection carries one, and a handful at most. A GET
+//!   arriving at a server, one HEADERS frame that ends its stream, never
+//!   enters it.
 //!
 //! Simplifications relative to a production stack, all documented: the
 //! peer's SETTINGS are checked and acknowledged but not applied, so flow
 //! control windows are never enforced (DoH messages are far below the
 //! default 64 KiB window), CONTINUATION frames are not emitted (header
-//! blocks fit in one frame), and stream priorities are parsed and dropped
-//! (PRIORITY frames as well as the priority fields of a HEADERS frame), as
-//! is padding.
+//! blocks fit in one frame) and not accepted, and stream priorities are
+//! parsed and dropped (PRIORITY frames as well as the priority fields of a
+//! HEADERS frame), as is padding.
 
 use std::borrow::Cow;
+use std::fmt;
 use std::io::Write as _;
 
 use bytes::{BufMut, BytesMut};
 
-use crate::http::{Headers, Method, Request, Response, StatusCode};
+use crate::http::{self, Headers, Method, Request, Response, StatusCode};
 
 use super::error::H2Error;
 use super::frame::{self, flags, Frame, FrameType, RawFrame, CONNECTION_PREFACE};
-use super::hpack;
+use super::hpack::{self, Fields};
 
 /// SETTINGS identifiers this implementation announces.
 mod settings_id {
@@ -56,47 +86,275 @@ mod settings_id {
     pub const INITIAL_WINDOW_SIZE: u16 = 0x4;
 }
 
-/// The message an end receives: a response at the client, a request at the
-/// server.
-trait Inbound: Sized {
-    /// Builds the message, its body still empty, from a header block.
-    fn from_fields(fields: hpack::Fields<'_>) -> Result<Self, H2Error>;
-
-    /// The message with the body its stream carried.
-    fn with_body(self, body: Vec<u8>) -> Self;
+/// What of a message one frame carries, borrowed from the octets walked.
+#[derive(Debug, Clone, Copy)]
+enum Part<'a> {
+    /// A HEADERS frame opening the message: its header block, and whether
+    /// it ends the stream (no body follows).
+    Head {
+        stream_id: u32,
+        fields: Fields<'a>,
+        end_stream: bool,
+    },
+    /// Body octets from a DATA frame, and whether they end the stream.
+    /// Trailers end a body too: as octets none, `end_stream` set.
+    Body {
+        stream_id: u32,
+        octets: &'a [u8],
+        end_stream: bool,
+    },
+    /// The peer reset the stream: its message will not complete.
+    Reset { stream_id: u32 },
 }
 
-/// What has arrived of the message on one stream.
-#[derive(Debug)]
-struct Partial<M> {
-    head: Option<M>,
-    body: Vec<u8>,
-    ended: bool,
-}
+/// A message's body as its DATA frames arrive: lent while it is one
+/// frame's payload, copied once a second frame adds to it (the one copy
+/// the lent reads make).
+#[derive(Debug, Default)]
+pub(crate) struct Body<'a>(Cow<'a, [u8]>);
 
-impl<M> Default for Partial<M> {
-    fn default() -> Self {
-        Partial {
-            head: None,
-            body: Vec::new(),
-            ended: false,
+impl<'a> Body<'a> {
+    pub(crate) fn push(&mut self, octets: &'a [u8]) {
+        if self.0.is_empty() {
+            self.0 = Cow::Borrowed(octets);
+        } else if !octets.is_empty() {
+            self.0.to_mut().extend_from_slice(octets);
         }
+    }
+
+    pub(crate) fn octets(&self) -> &[u8] {
+        &self.0
     }
 }
 
-/// The state both ends share: the output queue, the received octets not yet
-/// consumed and the streams with a message under way.
+/// A request's head where it lies: its pseudo-header fields read out of
+/// the block, the block kept for its regular fields.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RequestHead<'a> {
+    pub(crate) method: Method,
+    /// Path and query string.
+    pub(crate) path: &'a str,
+    /// `""` when the request names none.
+    pub(crate) authority: &'a str,
+    pub(crate) scheme: Option<&'a str>,
+    fields: Fields<'a>,
+}
+
+impl<'a> RequestHead<'a> {
+    /// Walks the block once, every field checked. A request must carry
+    /// `:method` (one this implementation knows) and `:path`; of a repeated
+    /// pseudo-header field the last counts.
+    pub(crate) fn read(fields: Fields<'a>) -> Result<Self, H2Error> {
+        Self::read_with(fields, |_, _| {})
+    }
+
+    /// [`RequestHead::read`], handing each regular field to `regular` on
+    /// the way: the owned copy's one walk.
+    fn read_with(
+        fields: Fields<'a>,
+        mut regular: impl FnMut(&'a str, &'a str),
+    ) -> Result<Self, H2Error> {
+        let (mut method, mut path, mut authority, mut scheme) = (None, None, "", None);
+        for field in fields {
+            match field? {
+                (":method", value) => method = Method::from_token(value),
+                (":path", value) => path = Some(value),
+                (":authority", value) => authority = value,
+                (":scheme", value) => scheme = Some(value),
+                (name, value) if !name.starts_with(':') => regular(name, value),
+                _ => {}
+            }
+        }
+        Ok(RequestHead {
+            method: method.ok_or_else(|| H2Error::Protocol("request without :method".into()))?,
+            path: path.ok_or_else(|| H2Error::Protocol("request without :path".into()))?,
+            authority,
+            scheme,
+            fields,
+        })
+    }
+
+    /// The regular (not pseudo-header) fields, in order: what the owned copy
+    /// keeps, for the h2 oracle to compare.
+    #[cfg(test)]
+    pub(crate) fn headers(&self) -> impl Iterator<Item = (&'a str, &'a str)> {
+        regular(self.fields)
+    }
+
+    /// The first regular field called `name` (names compare ignoring case).
+    pub(crate) fn header(&self, name: &str) -> Option<&'a str> {
+        header(self.fields, name)
+    }
+
+    /// The path before any `?`.
+    pub(crate) fn path_without_query(&self) -> &'a str {
+        http::path_without_query(self.path)
+    }
+
+    /// A URI query parameter, by name.
+    pub(crate) fn query_param(&self, name: &str) -> Option<&'a str> {
+        http::query_param(self.path, name)
+    }
+}
+
+/// A response's head where it lies: its status read out of the block, the
+/// block kept for its regular fields.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ResponseHead<'a> {
+    pub(crate) status: StatusCode,
+    fields: Fields<'a>,
+}
+
+impl<'a> ResponseHead<'a> {
+    /// Walks the block once, every field checked. A response must carry a
+    /// numeric `:status`; of a repeated one the last counts.
+    pub(crate) fn read(fields: Fields<'a>) -> Result<Self, H2Error> {
+        Self::read_with(fields, |_, _| {})
+    }
+
+    /// [`ResponseHead::read`], handing each regular field to `regular` on
+    /// the way: the owned copy's one walk.
+    fn read_with(
+        fields: Fields<'a>,
+        mut regular: impl FnMut(&'a str, &'a str),
+    ) -> Result<Self, H2Error> {
+        let mut status = None;
+        for field in fields {
+            match field? {
+                (":status", value) => status = value.parse::<u16>().ok(),
+                (name, value) if !name.starts_with(':') => regular(name, value),
+                _ => {}
+            }
+        }
+        let status = status.ok_or_else(|| H2Error::Protocol("response without :status".into()))?;
+        Ok(ResponseHead {
+            status: StatusCode::from(status),
+            fields,
+        })
+    }
+
+    /// The regular (not pseudo-header) fields, in order: what the owned copy
+    /// keeps, for the h2 oracle to compare.
+    #[cfg(test)]
+    pub(crate) fn headers(&self) -> impl Iterator<Item = (&'a str, &'a str)> {
+        regular(self.fields)
+    }
+
+    /// The first regular field called `name` (names compare ignoring case).
+    pub(crate) fn header(&self, name: &str) -> Option<&'a str> {
+        header(self.fields, name)
+    }
+}
+
+/// The regular (not pseudo-header) fields of a block a head has read, so
+/// none of them is an error any more.
+fn regular<'a>(fields: Fields<'a>) -> impl Iterator<Item = (&'a str, &'a str)> {
+    fields
+        .filter_map(Result::ok)
+        .filter(|(name, _)| !name.starts_with(':'))
+}
+
+fn header<'a>(fields: Fields<'a>, name: &str) -> Option<&'a str> {
+    regular(fields)
+        .find(|(field, _)| field.eq_ignore_ascii_case(name))
+        .map(|(_, value)| value)
+}
+
+/// A message being written where it goes (see the module doc): its HEADERS
+/// frame takes the fields given until [`Outgoing::body`] closes it.
+#[must_use = "a message is written only once `body` closes its HEADERS frame"]
+pub(crate) struct Outgoing<'o> {
+    out: &'o mut BytesMut,
+    header_at: usize,
+    stream_id: u32,
+}
+
+impl<'o> Outgoing<'o> {
+    fn new(out: &'o mut BytesMut, stream_id: u32) -> Self {
+        let header_at = out.len();
+        frame::put_header(out, 0, FrameType::Headers, flags::END_HEADERS, stream_id);
+        Outgoing {
+            out,
+            header_at,
+            stream_id,
+        }
+    }
+
+    pub(crate) fn field(&mut self, name: &str, value: &str) -> &mut Self {
+        hpack::encode_field(self.out, name, value);
+        self
+    }
+
+    /// A short value (a status, a length, `max-age=` and a TTL) formatted
+    /// on the stack; one longer than 32 octets is cut there.
+    pub(crate) fn field_fmt(&mut self, name: &str, value: fmt::Arguments<'_>) -> &mut Self {
+        let mut text = [0u8; 32];
+        let mut unwritten = text.as_mut_slice();
+        let _ = unwritten.write_fmt(value);
+        let written = 32 - unwritten.len();
+        let value = text
+            .get(..written)
+            .and_then(|text| std::str::from_utf8(text).ok())
+            .unwrap_or_default();
+        self.field(name, value)
+    }
+
+    /// A literal field whose value is the `len` octets `value` appends to
+    /// the output, and one no static entry holds.
+    pub(crate) fn field_with(
+        &mut self,
+        name: &str,
+        len: usize,
+        value: impl FnOnce(&mut BytesMut),
+    ) -> &mut Self {
+        hpack::encode_literal_with(self.out, name, len, value);
+        self
+    }
+
+    /// Closes the HEADERS frame — ending the stream if `body` is empty — and
+    /// writes a non-empty `body` behind it in a DATA frame that does.
+    pub(crate) fn body(self, body: &[u8]) {
+        if body.is_empty() {
+            frame::close_frame(self.out, self.header_at, flags::END_STREAM);
+            return;
+        }
+        frame::close_frame(self.out, self.header_at, 0);
+        frame::put_header(
+            self.out,
+            body.len(),
+            FrameType::Data,
+            flags::END_STREAM,
+            self.stream_id,
+        );
+        self.out.put_slice(body);
+    }
+}
+
+/// Where a stream's message is, for the frames that may still arrive on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arriving {
+    /// This end opened the stream: the peer's head is due.
+    Head,
+    /// The head arrived: DATA frames (or trailers) follow.
+    Body,
+}
+
+/// The state the walk of received octets keeps, and the output queue.
 #[derive(Debug)]
-struct Core<M> {
+struct Walk {
     out: BytesMut,
     /// What the peer has to send before its first frame and has not yet:
     /// the connection preface at the server, nothing at the client.
     preface: &'static [u8],
-    /// The tail of a frame (or of the preface) that the last `receive`
-    /// ended inside.
+    /// The tail of a frame (or of the preface) that the last owned
+    /// `receive` ended inside.
     pending: Vec<u8>,
-    /// The streams with a message under way, by id, in arrival order.
-    streams: Vec<(u32, Partial<M>)>,
+    /// The streams a message is arriving on, by id, in the order opened.
+    streams: Vec<(u32, Arriving)>,
+    /// Whether the peer opens streams (a client does, at a server) and the
+    /// last one it opened.
+    peer_opens: bool,
+    last_opened: u32,
     peer_settings_received: bool,
     /// The peer's SETTINGS still wants its acknowledgement: written ahead of
     /// the next frame this end queues, or when the output is taken.
@@ -104,13 +362,15 @@ struct Core<M> {
     goaway: Option<u32>,
 }
 
-impl<M: Inbound> Core<M> {
-    fn new(out: Vec<u8>, preface: &'static [u8]) -> Self {
-        Core {
+impl Walk {
+    fn new(out: Vec<u8>, preface: &'static [u8], peer_opens: bool) -> Self {
+        Walk {
             out: out.into(),
             preface,
             pending: Vec::new(),
             streams: Vec::new(),
+            peer_opens,
+            last_opened: 0,
             peer_settings_received: false,
             settings_ack_owed: false,
             goaway: None,
@@ -132,113 +392,36 @@ impl<M: Inbound> Core<M> {
         std::mem::take(self.output()).into()
     }
 
-    /// Queues one message: a HEADERS frame holding `fields`, then `body` in
-    /// a DATA frame unless it is empty.
-    fn send<'a>(
-        &mut self,
-        stream_id: u32,
-        fields: impl IntoIterator<Item = (&'a str, &'a str)>,
-        body: &[u8],
-    ) {
-        let end_stream = if body.is_empty() {
-            flags::END_STREAM
-        } else {
-            0
-        };
-        let out = self.output();
-        let header_at = out.len();
-        frame::put_header(
-            out,
-            0,
-            FrameType::Headers,
-            flags::END_HEADERS | end_stream,
-            stream_id,
-        );
-        for (name, value) in fields {
-            hpack::encode_field(out, name, value);
-        }
-        frame::close_frame(out, header_at);
-        if !body.is_empty() {
-            frame::put_header(
-                out,
-                body.len(),
-                FrameType::Data,
-                flags::END_STREAM,
-                stream_id,
-            );
-            out.put_slice(body);
-        }
-    }
-
-    fn receive(&mut self, bytes: &[u8]) -> Result<Vec<(u32, M)>, H2Error> {
-        let mut completed = Vec::new();
-        if self.pending.is_empty() {
-            let consumed = self.walk(bytes, &mut completed)?;
-            self.pending
-                .extend_from_slice(bytes.get(consumed..).unwrap_or_default());
-        } else {
-            let mut input = std::mem::take(&mut self.pending);
-            input.extend_from_slice(bytes);
-            let consumed = self.walk(&input, &mut completed)?;
-            input.drain(..consumed);
-            self.pending = input;
-        }
-        Ok(completed)
-    }
-
-    /// Processes the preface and every complete frame at the front of
-    /// `input` and returns how many octets that was.
-    fn walk(&mut self, input: &[u8], completed: &mut Vec<(u32, M)>) -> Result<usize, H2Error> {
-        let mut rest = input;
+    /// The next part of a message in `input`, every connection frame before
+    /// it applied; `input` is left behind what was walked. `Ok(None)`: no
+    /// complete frame is left (nor, at a server that has not seen it yet, a
+    /// complete preface).
+    fn next_part<'a>(&mut self, input: &mut &'a [u8]) -> Result<Option<Part<'a>>, H2Error> {
         if !self.preface.is_empty() {
-            let Some((preface, frames)) = rest.split_at_checked(self.preface.len()) else {
-                return Ok(0);
+            let whole: &'a [u8] = input;
+            let Some((preface, frames)) = whole.split_at_checked(self.preface.len()) else {
+                return Ok(None);
             };
             if preface != self.preface {
                 return Err(H2Error::UnexpectedPreface);
             }
             self.preface = &[];
-            rest = frames;
+            *input = frames;
         }
-        while let Some((raw, consumed)) = RawFrame::parse(rest)? {
-            rest = rest.get(consumed..).unwrap_or_default();
-            if let Some(id) = self.process_frame(raw)? {
-                if let Some(message) = self.take_finished(id) {
-                    completed.push((id, message));
-                }
+        while let Some((raw, consumed)) = RawFrame::parse(input)? {
+            let rest: &'a [u8] = input;
+            *input = rest.get(consumed..).unwrap_or_default();
+            if let Some(part) = self.apply(raw)? {
+                return Ok(Some(part));
             }
         }
-        Ok(input.len() - rest.len())
+        Ok(None)
     }
 
-    /// What has arrived on stream `id`, which is opened if this is its first
-    /// frame. (`None` is never seen: a vector just pushed to has a last
-    /// element.)
-    fn stream(&mut self, id: u32) -> Option<&mut Partial<M>> {
-        let stream = match self.streams.iter().position(|(open, _)| *open == id) {
-            Some(at) => self.streams.get_mut(at),
-            None => {
-                self.streams.push((id, Partial::default()));
-                self.streams.last_mut()
-            }
-        };
-        stream.map(|(_, partial)| partial)
-    }
-
-    /// Removes stream `id` and returns its message if the message is
-    /// complete.
-    fn take_finished(&mut self, id: u32) -> Option<M> {
-        let at = self
-            .streams
-            .iter()
-            .position(|(open, stream)| *open == id && stream.ended && stream.head.is_some())?;
-        let (_, Partial { head, body, .. }) = self.streams.remove(at);
-        head.map(|head| head.with_body(body))
-    }
-
-    /// Applies one frame and names the stream it may have completed: only
-    /// the stream a HEADERS or DATA frame belongs to can have been.
-    fn process_frame(&mut self, raw: RawFrame<'_>) -> Result<Option<u32>, H2Error> {
+    /// Applies one frame; what it carries of a message is returned.
+    fn apply<'a>(&mut self, raw: RawFrame<'a>) -> Result<Option<Part<'a>>, H2Error> {
+        let stream_id = raw.stream_id;
+        let end_stream = raw.end_stream();
         match raw.frame_type {
             FrameType::Headers => {
                 if !raw.end_headers() {
@@ -246,19 +429,30 @@ impl<M: Inbound> Core<M> {
                         "continuation frames are not supported".into(),
                     ));
                 }
-                let head = M::from_fields(hpack::Fields::new(raw.payload))?;
-                if let Some(stream) = self.stream(raw.stream_id) {
-                    stream.head = Some(head);
-                    stream.ended = raw.end_stream();
+                let fields = Fields::new(raw.payload);
+                if self.headers_arrive(stream_id, end_stream)? {
+                    return Ok(Some(Part::Head {
+                        stream_id,
+                        fields,
+                        end_stream,
+                    }));
                 }
-                return Ok(Some(raw.stream_id));
+                for field in fields {
+                    field?;
+                }
+                return Ok(Some(Part::Body {
+                    stream_id,
+                    octets: &[],
+                    end_stream,
+                }));
             }
             FrameType::Data => {
-                if let Some(stream) = self.stream(raw.stream_id) {
-                    stream.body.extend_from_slice(raw.payload);
-                    stream.ended = stream.ended || raw.end_stream();
-                }
-                return Ok(Some(raw.stream_id));
+                self.data_arrives(stream_id, end_stream)?;
+                return Ok(Some(Part::Body {
+                    stream_id,
+                    octets: raw.payload,
+                    end_stream,
+                }));
             }
             // The peer's parameters are not applied (see the module doc),
             // so they are not copied out either; `parse` checked the shape.
@@ -277,11 +471,142 @@ impl<M: Inbound> Core<M> {
             }
             Frame::RstStream { stream_id, .. } => {
                 self.streams.retain(|(id, _)| *id != stream_id);
+                return Ok(Some(Part::Reset { stream_id }));
             }
             Frame::GoAway { error_code, .. } => self.goaway = Some(error_code),
             _ => {}
         }
         Ok(None)
+    }
+
+    /// The stream rules (module doc) for a HEADERS frame on `id`: whether it
+    /// is a message's head, or the trailers of one whose body is arriving.
+    fn headers_arrive(&mut self, id: u32, end_stream: bool) -> Result<bool, H2Error> {
+        let Some(at) = self.streams.iter().position(|(open, _)| *open == id) else {
+            if !self.peer_opens || id.is_multiple_of(2) || id <= self.last_opened {
+                return Err(H2Error::Protocol(format!(
+                    "headers on stream {id}, which the peer may not open"
+                )));
+            }
+            self.last_opened = id;
+            if !end_stream {
+                self.streams.push((id, Arriving::Body));
+            }
+            return Ok(true);
+        };
+        let head = self
+            .streams
+            .get(at)
+            .is_some_and(|(_, arriving)| *arriving == Arriving::Head);
+        if end_stream {
+            self.streams.remove(at);
+        } else if !head {
+            return Err(H2Error::Protocol(format!(
+                "headers on stream {id} in the middle of its body"
+            )));
+        } else if let Some((_, arriving)) = self.streams.get_mut(at) {
+            *arriving = Arriving::Body;
+        }
+        Ok(head)
+    }
+
+    /// The stream rules (module doc) for a DATA frame on `id`.
+    fn data_arrives(&mut self, id: u32, end_stream: bool) -> Result<(), H2Error> {
+        let at = self
+            .streams
+            .iter()
+            .position(|&(open, arriving)| open == id && arriving == Arriving::Body)
+            .ok_or_else(|| {
+                H2Error::Protocol(format!("data on stream {id}, where no head has arrived"))
+            })?;
+        if end_stream {
+            self.streams.remove(at);
+        }
+        Ok(())
+    }
+}
+
+/// The message an end receives as its own copy: a response at the client,
+/// a request at the server.
+trait Inbound: Sized {
+    /// Copies the message, its body still empty, out of a head's block.
+    fn from_fields(fields: Fields<'_>) -> Result<Self, H2Error>;
+
+    /// The body, for the octets of its DATA frames to be appended to.
+    fn body(&mut self) -> &mut Vec<u8>;
+}
+
+/// The owned messages whose bodies are still arriving, by stream.
+#[derive(Debug)]
+struct Inbox<M> {
+    partials: Vec<(u32, M)>,
+}
+
+impl<M: Inbound> Inbox<M> {
+    fn new() -> Self {
+        Inbox {
+            partials: Vec::new(),
+        }
+    }
+
+    /// The owned receive: the walk of `bytes` (behind the tail the last call
+    /// left), each part copied into its message. Returns the messages
+    /// completed, in the order they completed.
+    fn receive(&mut self, walk: &mut Walk, bytes: &[u8]) -> Result<Vec<(u32, M)>, H2Error> {
+        let mut completed = Vec::new();
+        if walk.pending.is_empty() {
+            let rest = self.absorb(walk, bytes, &mut completed)?;
+            walk.pending.extend_from_slice(rest);
+        } else {
+            let mut input = std::mem::take(&mut walk.pending);
+            input.extend_from_slice(bytes);
+            let rest = self.absorb(walk, &input, &mut completed)?.len();
+            input.drain(..input.len() - rest);
+            walk.pending = input;
+        }
+        Ok(completed)
+    }
+
+    /// Walks `input` and returns the tail no complete frame was left in.
+    fn absorb<'a>(
+        &mut self,
+        walk: &mut Walk,
+        mut input: &'a [u8],
+        completed: &mut Vec<(u32, M)>,
+    ) -> Result<&'a [u8], H2Error> {
+        while let Some(part) = walk.next_part(&mut input)? {
+            match part {
+                Part::Head {
+                    stream_id,
+                    fields,
+                    end_stream,
+                } => {
+                    let message = M::from_fields(fields)?;
+                    if end_stream {
+                        completed.push((stream_id, message));
+                    } else {
+                        self.partials.push((stream_id, message));
+                    }
+                }
+                Part::Body {
+                    stream_id,
+                    octets,
+                    end_stream,
+                } => {
+                    let Some(at) = self.partials.iter().position(|(id, _)| *id == stream_id) else {
+                        continue;
+                    };
+                    if let Some((_, message)) = self.partials.get_mut(at) {
+                        message.body().extend_from_slice(octets);
+                    }
+                    if end_stream {
+                        completed.push(self.partials.remove(at));
+                    }
+                }
+                Part::Reset { stream_id } => self.partials.retain(|(id, _)| *id != stream_id),
+            }
+        }
+        Ok(input)
     }
 }
 
@@ -289,7 +614,8 @@ impl<M: Inbound> Core<M> {
 #[derive(Debug)]
 pub struct ClientConnection {
     next_stream_id: u32,
-    core: Core<Response>,
+    walk: Walk,
+    inbox: Inbox<Response>,
 }
 
 impl Default for ClientConnection {
@@ -308,10 +634,10 @@ impl ClientConnection {
     /// As [`ClientConnection::new`], queueing behind the octets `out`
     /// already holds: [`ClientConnection::take_output`] returns them first.
     pub fn with_output(out: Vec<u8>) -> Self {
-        let mut core = Core::new(out, &[]);
-        core.out.put_slice(CONNECTION_PREFACE);
+        let mut walk = Walk::new(out, &[], false);
+        walk.out.put_slice(CONNECTION_PREFACE);
         frame::put_settings(
-            &mut core.out,
+            &mut walk.out,
             0,
             &[
                 (settings_id::MAX_CONCURRENT_STREAMS, 100),
@@ -320,41 +646,48 @@ impl ClientConnection {
         );
         ClientConnection {
             next_stream_id: 1,
-            core,
+            walk,
+            inbox: Inbox::new(),
         }
     }
 
     /// Returns `true` once the server's SETTINGS frame has been received.
     pub fn is_established(&self) -> bool {
-        self.core.peer_settings_received
+        self.walk.peer_settings_received
     }
 
     /// Returns the GOAWAY error code if the server closed the connection.
     pub fn goaway(&self) -> Option<u32> {
-        self.core.goaway
+        self.walk.goaway
     }
 
     /// Queues a request and returns the stream id it was assigned.
     pub fn send_request(&mut self, request: &Request) -> u32 {
+        let (stream_id, mut message) = self.open_stream();
+        message
+            .field(":method", request.method.as_str())
+            .field(":scheme", &request.scheme)
+            .field(":authority", &request.authority)
+            .field(":path", &request.path);
+        for (name, value) in request.headers.iter() {
+            message.field(name, value);
+        }
+        message.body(&request.body);
+        stream_id
+    }
+
+    /// Opens the next stream and starts the request on it: the caller gives
+    /// its fields and closes it with its body.
+    pub(crate) fn open_stream(&mut self) -> (u32, Outgoing<'_>) {
         let stream_id = self.next_stream_id;
         self.next_stream_id += 2;
-        let pseudo = [
-            (":method", request.method.as_str()),
-            (":scheme", request.scheme.as_ref()),
-            (":authority", request.authority.as_str()),
-            (":path", request.path.as_str()),
-        ];
-        self.core.send(
-            stream_id,
-            pseudo.into_iter().chain(request.headers.iter()),
-            &request.body,
-        );
-        stream_id
+        self.walk.streams.push((stream_id, Arriving::Head));
+        (stream_id, Outgoing::new(self.walk.output(), stream_id))
     }
 
     /// Drains the bytes queued for transmission to the server.
     pub fn take_output(&mut self) -> Vec<u8> {
-        self.core.take_output()
+        self.walk.take_output()
     }
 
     /// Feeds bytes received from the server, returning every response that
@@ -364,14 +697,58 @@ impl ClientConnection {
     ///
     /// Returns framing, HPACK and protocol errors.
     pub fn receive(&mut self, bytes: &[u8]) -> Result<Vec<(u32, Response)>, H2Error> {
-        self.core.receive(bytes)
+        self.inbox.receive(&mut self.walk, bytes)
+    }
+
+    /// The response on `stream_id` among the frames of `input`, received
+    /// whole (an opened record), read where it lies: its head and its body,
+    /// or `None` if it did not complete. Every frame is walked, as
+    /// `receive` would.
+    ///
+    /// # Errors
+    ///
+    /// As [`ClientConnection::receive`].
+    pub(crate) fn response<'a>(
+        &mut self,
+        mut input: &'a [u8],
+        stream_id: u32,
+    ) -> Result<Option<(ResponseHead<'a>, Body<'a>)>, H2Error> {
+        let (mut head, mut body, mut ended) = (None, Body::default(), false);
+        while let Some(part) = self.walk.next_part(&mut input)? {
+            match part {
+                // Every head is read, as `receive` reads it.
+                Part::Head {
+                    stream_id: on,
+                    fields,
+                    end_stream,
+                } => {
+                    let read = ResponseHead::read(fields)?;
+                    if on == stream_id {
+                        head = Some(read);
+                        ended = end_stream;
+                    }
+                }
+                Part::Body {
+                    stream_id: on,
+                    octets,
+                    end_stream,
+                } if on == stream_id => {
+                    body.push(octets);
+                    ended = end_stream;
+                }
+                // A reset stream never ends.
+                _ => {}
+            }
+        }
+        Ok(head.filter(|_| ended).map(|head| (head, body)))
     }
 }
 
 /// The server half of an HTTP/2 connection.
 #[derive(Debug)]
 pub struct ServerConnection {
-    core: Core<Request>,
+    walk: Walk,
+    inbox: Inbox<Request>,
 }
 
 impl Default for ServerConnection {
@@ -390,13 +767,16 @@ impl ServerConnection {
     /// As [`ServerConnection::new`], queueing behind the octets `out`
     /// already holds: [`ServerConnection::take_output`] returns them first.
     pub fn with_output(out: Vec<u8>) -> Self {
-        let mut core = Core::new(out, CONNECTION_PREFACE);
+        let mut walk = Walk::new(out, CONNECTION_PREFACE, true);
         frame::put_settings(
-            &mut core.out,
+            &mut walk.out,
             0,
             &[(settings_id::MAX_CONCURRENT_STREAMS, 128)],
         );
-        ServerConnection { core }
+        ServerConnection {
+            walk,
+            inbox: Inbox::new(),
+        }
     }
 
     /// Feeds bytes received from the client, returning every request that
@@ -405,100 +785,121 @@ impl ServerConnection {
     /// # Errors
     ///
     /// Returns [`H2Error::UnexpectedPreface`] when the connection does not
-    /// start with the HTTP/2 preface, plus framing and HPACK errors.
+    /// start with the HTTP/2 preface, [`H2Error::Protocol`] for a frame on a
+    /// stream it may not arrive on, plus framing and HPACK errors.
     pub fn receive(&mut self, bytes: &[u8]) -> Result<Vec<(u32, Request)>, H2Error> {
-        self.core.receive(bytes)
+        self.inbox.receive(&mut self.walk, bytes)
+    }
+
+    /// Walks the frames of `input`, received whole (an opened record), and
+    /// hands each request to `answer` as it completes — in the order
+    /// `receive` would return them — read where it lies: its stream, its
+    /// head and its body, with this connection to answer on.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServerConnection::receive`]; the requests completed before the
+    /// error have been answered.
+    pub(crate) fn serve<'a>(
+        &mut self,
+        mut input: &'a [u8],
+        mut answer: impl FnMut(&mut Self, u32, &RequestHead<'a>, &[u8]),
+    ) -> Result<(), H2Error> {
+        // Requests whose bodies are still arriving; a GET never waits here.
+        let mut arriving: Vec<(u32, RequestHead<'a>, Body<'a>)> = Vec::new();
+        while let Some(part) = self.walk.next_part(&mut input)? {
+            match part {
+                Part::Head {
+                    stream_id,
+                    fields,
+                    end_stream,
+                } => {
+                    let head = RequestHead::read(fields)?;
+                    if end_stream {
+                        answer(self, stream_id, &head, &[]);
+                    } else {
+                        arriving.push((stream_id, head, Body::default()));
+                    }
+                }
+                Part::Body {
+                    stream_id,
+                    octets,
+                    end_stream,
+                } => {
+                    let Some(at) = arriving.iter().position(|(id, ..)| *id == stream_id) else {
+                        continue;
+                    };
+                    if let Some((_, _, body)) = arriving.get_mut(at) {
+                        body.push(octets);
+                    }
+                    if end_stream {
+                        let (stream_id, head, body) = arriving.remove(at);
+                        answer(self, stream_id, &head, body.octets());
+                    }
+                }
+                Part::Reset { stream_id } => arriving.retain(|(id, ..)| *id != stream_id),
+            }
+        }
+        Ok(())
     }
 
     /// Queues a response on the given stream.
     pub fn send_response(&mut self, stream_id: u32, response: &Response) {
-        // The code's digits (three for any real status, five at most for a
-        // u16), written on the stack.
-        let mut digits = [0u8; 5];
-        let mut unwritten = digits.as_mut_slice();
-        let _ = write!(unwritten, "{}", response.status.as_u16());
-        let unwritten = unwritten.len();
-        let status = digits
-            .get(..digits.len() - unwritten)
-            .and_then(|digits| std::str::from_utf8(digits).ok())
-            .unwrap_or_default();
-        self.core.send(
-            stream_id,
-            [(":status", status)]
-                .into_iter()
-                .chain(response.headers.iter()),
-            &response.body,
-        );
+        let mut message = self.respond(stream_id);
+        message.field_fmt(":status", format_args!("{}", response.status.as_u16()));
+        for (name, value) in response.headers.iter() {
+            message.field(name, value);
+        }
+        message.body(&response.body);
+    }
+
+    /// Starts the response on `stream_id`: the caller gives its fields,
+    /// `:status` first, and closes it with its body.
+    pub(crate) fn respond(&mut self, stream_id: u32) -> Outgoing<'_> {
+        Outgoing::new(self.walk.output(), stream_id)
     }
 
     /// Drains the bytes queued for transmission to the client.
     pub fn take_output(&mut self) -> Vec<u8> {
-        self.core.take_output()
+        self.walk.take_output()
     }
 }
 
 impl Inbound for Response {
-    fn from_fields(fields: hpack::Fields<'_>) -> Result<Self, H2Error> {
-        let mut status = None;
+    fn from_fields(fields: Fields<'_>) -> Result<Self, H2Error> {
         let mut headers = Headers::new();
-        for field in fields {
-            let (name, value) = field?;
-            if name == ":status" {
-                status = value.parse::<u16>().ok();
-            } else if !name.starts_with(':') {
-                headers.append(name, value);
-            }
-        }
-        let status = status.ok_or_else(|| H2Error::Protocol("response without :status".into()))?;
+        let head = ResponseHead::read_with(fields, |name, value| headers.append(name, value))?;
         Ok(Response {
-            status: StatusCode::from(status),
+            status: head.status,
             headers,
             body: Vec::new(),
         })
     }
 
-    fn with_body(mut self, body: Vec<u8>) -> Self {
-        self.body = body;
-        self
+    fn body(&mut self) -> &mut Vec<u8> {
+        &mut self.body
     }
 }
 
 impl Inbound for Request {
-    fn from_fields(fields: hpack::Fields<'_>) -> Result<Self, H2Error> {
-        let mut method = None;
-        let mut path = None;
-        let mut authority = String::new();
-        let mut scheme = None;
+    fn from_fields(fields: Fields<'_>) -> Result<Self, H2Error> {
         let mut headers = Headers::new();
-        for field in fields {
-            let (name, value) = field?;
-            match name {
-                ":method" => method = Method::from_token(value),
-                ":path" => path = Some(value.to_string()),
-                ":authority" => authority = value.to_string(),
-                ":scheme" => {
-                    scheme = Some(match value {
-                        "https" => Cow::Borrowed("https"),
-                        other => Cow::Owned(other.to_string()),
-                    })
-                }
-                _ if !name.starts_with(':') => headers.append(name, value),
-                _ => {}
-            }
-        }
+        let head = RequestHead::read_with(fields, |name, value| headers.append(name, value))?;
         Ok(Request {
-            method: method.ok_or_else(|| H2Error::Protocol("request without :method".into()))?,
-            path: path.ok_or_else(|| H2Error::Protocol("request without :path".into()))?,
-            authority,
-            scheme: scheme.unwrap_or(Cow::Borrowed("https")),
+            method: head.method,
+            path: head.path.to_string(),
+            authority: head.authority.to_string(),
+            scheme: match head.scheme {
+                None | Some("https") => Cow::Borrowed("https"),
+                Some(other) => Cow::Owned(other.to_string()),
+            },
             headers,
             body: Vec::new(),
         })
     }
 
-    fn with_body(mut self, body: Vec<u8>) -> Self {
-        self.body = body;
-        self
+    fn body(&mut self) -> &mut Vec<u8> {
+        &mut self.body
     }
 }
 
@@ -730,5 +1131,128 @@ mod tests {
         .encode(&mut goaway);
         client.receive(&goaway).unwrap();
         assert_eq!(client.goaway(), Some(2));
+    }
+
+    /// A client's octets: the preface, then `frames`.
+    fn from_a_client(frames: &[Frame]) -> Vec<u8> {
+        let mut out = BytesMut::new();
+        out.put_slice(CONNECTION_PREFACE);
+        for frame in frames {
+            frame.encode(&mut out);
+        }
+        out.into()
+    }
+
+    /// The HEADERS frame of a request on `stream_id`.
+    fn request_head(stream_id: u32, end_stream: bool) -> Frame {
+        let method = if end_stream { "GET" } else { "POST" };
+        Frame::Headers {
+            stream_id,
+            end_stream,
+            end_headers: true,
+            block: hpack::encode(&[
+                (":method".into(), method.into()),
+                (":path".into(), "/dns-query?dns=AAAB".into()),
+            ]),
+        }
+    }
+
+    fn data(stream_id: u32, end_stream: bool) -> Frame {
+        Frame::Data {
+            stream_id,
+            end_stream,
+            data: b"body".to_vec(),
+        }
+    }
+
+    fn served(frames: &[Frame]) -> Result<Vec<(u32, Request)>, H2Error> {
+        ServerConnection::new().receive(&from_a_client(frames))
+    }
+
+    /// RFC 7540 §5.1.1, §6.2: stream 0 is the connection's own. A request
+    /// on it used to be served.
+    #[test]
+    fn headers_on_stream_0_are_a_connection_error() {
+        let received = served(&[request_head(0, true)]);
+        assert!(
+            matches!(received, Err(H2Error::Protocol(_))),
+            "{received:?}"
+        );
+        assert_eq!(served(&[request_head(1, true)]).unwrap().len(), 1);
+    }
+
+    /// §5.1.1: a client opens odd-numbered streams only. A request on
+    /// stream 2 used to be served.
+    #[test]
+    fn headers_on_an_even_stream_are_a_connection_error() {
+        let received = served(&[request_head(2, true)]);
+        assert!(
+            matches!(received, Err(H2Error::Protocol(_))),
+            "{received:?}"
+        );
+    }
+
+    /// §5.1, §6.1: DATA on an idle stream is a connection error. It used to
+    /// wait there and become the body of the request the stream's HEADERS
+    /// opened afterwards.
+    #[test]
+    fn data_before_headers_on_an_idle_stream_is_a_connection_error() {
+        let received = served(&[data(1, false), request_head(1, true)]);
+        assert!(
+            matches!(received, Err(H2Error::Protocol(_))),
+            "{received:?}"
+        );
+    }
+
+    /// The other stream rules: a client's stream identifiers grow, nothing
+    /// follows the end of a stream or a reset, trailers end their stream,
+    /// and a client takes responses only on the streams it opened.
+    #[test]
+    fn a_frame_on_a_stream_it_may_not_reach_is_a_connection_error() {
+        for frames in [
+            vec![request_head(3, true), request_head(1, true)],
+            vec![request_head(1, true), request_head(1, true)],
+            vec![request_head(1, true), data(1, true)],
+            vec![request_head(1, false), request_head(1, false)],
+            vec![
+                request_head(1, false),
+                Frame::RstStream {
+                    stream_id: 1,
+                    error_code: 0x8,
+                },
+                data(1, true),
+            ],
+        ] {
+            let received = served(&frames);
+            assert!(
+                matches!(received, Err(H2Error::Protocol(_))),
+                "{frames:?}: {received:?}"
+            );
+        }
+        // Trailers that end the stream end the request, body kept.
+        let received = served(&[
+            request_head(1, false),
+            data(1, false),
+            request_head(1, true),
+        ])
+        .unwrap();
+        assert_eq!(received.len(), 1);
+        assert_eq!(received[0].1.body, b"body");
+
+        let respond_on = |stream_id| {
+            let mut server = ServerConnection::new();
+            server.send_response(stream_id, &Response::ok("text/plain", b"a".to_vec()));
+            server.take_output()
+        };
+        let mut client = ClientConnection::new();
+        client.send_request(&Request::get("dns.google", "/dns-query?dns=Q"));
+        let received = client.receive(&respond_on(3));
+        assert!(
+            matches!(received, Err(H2Error::Protocol(_))),
+            "{received:?}"
+        );
+        let mut client = ClientConnection::new();
+        client.send_request(&Request::get("dns.google", "/dns-query?dns=Q"));
+        assert_eq!(client.receive(&respond_on(1)).unwrap().len(), 1);
     }
 }

@@ -430,13 +430,16 @@ pub(super) fn put_settings(out: &mut BytesMut, frame_flags: u8, params: &[(u16, 
     }
 }
 
-/// Sets the length of the frame whose header starts at `header_at` to the
-/// octets written behind that header since: a header block is encoded
-/// straight into the output, behind a header put down with length 0.
-pub(super) fn close_frame(out: &mut BytesMut, header_at: usize) {
+/// Closes the frame whose header starts at `header_at`: its length becomes
+/// the octets written behind that header since (a header block is encoded
+/// straight into the output, behind a header put down with length 0), and
+/// `more_flags` join its flags (END_STREAM, once it is known that no body
+/// follows).
+pub(super) fn close_frame(out: &mut BytesMut, header_at: usize, more_flags: u8) {
     let [.., high, mid, low] = out.len().saturating_sub(header_at + 9).to_be_bytes();
-    if let Some(length) = out.get_mut(header_at..header_at + 3) {
-        length.copy_from_slice(&[high, mid, low]);
+    if let Some([l2, l1, l0, _, frame_flags]) = out.get_mut(header_at..header_at + 5) {
+        [*l2, *l1, *l0] = [high, mid, low];
+        *frame_flags |= more_flags;
     }
 }
 

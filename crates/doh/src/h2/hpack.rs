@@ -99,10 +99,26 @@ pub(super) fn encode_field(out: &mut impl BufMut, name: &str, value: &str) {
         encode_integer(out, index, 7, 0x80);
         return;
     }
+    encode_literal_with(out, name, value.len(), |out| {
+        out.put_slice(value.as_bytes())
+    });
+}
+
+/// Appends a literal field without indexing whose value is the `len`
+/// octets `value` appends: a value written where it goes rather than
+/// handed over as a `&str`. The caller's value is one no static entry
+/// holds, or [`encode_field`] would have indexed it.
+pub(super) fn encode_literal_with<B: BufMut>(
+    out: &mut B,
+    name: &str,
+    len: usize,
+    value: impl FnOnce(&mut B),
+) {
     // Literal header field without indexing — new name: 0000 0000
     out.put_u8(0x00);
     encode_string(out, name.as_bytes());
-    encode_string(out, value.as_bytes());
+    encode_integer(out, u64::try_from(len).unwrap_or(u64::MAX), 7, 0x00);
+    value(out);
 }
 
 /// Decodes an HPACK header block into a header list.
@@ -120,12 +136,13 @@ pub fn decode(block: &[u8]) -> Result<Vec<(String, String)>, H2Error> {
 /// The fields of a header block in order, each borrowed from the block or
 /// from the static table. The first malformed field is yielded as its error
 /// and ends the walk.
-pub(super) struct Fields<'a> {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fields<'a> {
     block: &'a [u8],
 }
 
 impl<'a> Fields<'a> {
-    pub(super) fn new(block: &'a [u8]) -> Self {
+    pub(crate) fn new(block: &'a [u8]) -> Self {
         Fields { block }
     }
 

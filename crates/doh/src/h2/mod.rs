@@ -5,7 +5,10 @@ mod connection;
 mod error;
 mod frame;
 pub mod hpack;
+#[cfg(test)]
+mod oracle;
 
+pub(crate) use connection::RequestHead;
 pub use connection::{ClientConnection, ServerConnection};
 pub use error::{error_code, H2Error};
 pub use frame::{flags, Frame, FrameType, CONNECTION_PREFACE, MAX_FRAME_SIZE};

@@ -95,20 +95,30 @@ impl Request {
 
     /// The path portion before any `?`.
     pub fn path_without_query(&self) -> &str {
-        self.path.split('?').next().unwrap_or(&self.path)
+        path_without_query(&self.path)
     }
 
     /// Looks up a URI query parameter by name.
     pub fn query_param(&self, name: &str) -> Option<&str> {
-        let query = self.path.split_once('?')?.1;
-        for pair in query.split('&') {
-            let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-            if k == name {
-                return Some(v);
-            }
-        }
-        None
+        query_param(&self.path, name)
     }
+}
+
+/// The portion of a `:path` before any `?`.
+pub(crate) fn path_without_query(path: &str) -> &str {
+    path.split('?').next().unwrap_or(path)
+}
+
+/// A URI query parameter of a `:path`, by name.
+pub(crate) fn query_param<'p>(path: &'p str, name: &str) -> Option<&'p str> {
+    let query = path.split_once('?')?.1;
+    for pair in query.split('&') {
+        let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
+        if k == name {
+            return Some(v);
+        }
+    }
+    None
 }
 
 /// An HTTP response.

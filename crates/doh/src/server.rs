@@ -15,8 +15,8 @@ use sdoh_netsim::{ChannelKind, Ctx, Service, ServiceResponse, SimAddr};
 use crate::client::{DNS_MESSAGE_CONTENT_TYPE, DOH_PATH};
 use crate::directory::ResolverInfo;
 use crate::error::DohResult;
-use crate::h2::ServerConnection;
-use crate::http::{Method, Request, Response, StatusCode};
+use crate::h2::{RequestHead, ServerConnection};
+use crate::http::{Method, StatusCode};
 use crate::secure::{self, SecureEnvelope};
 
 /// A DoH endpoint: terminates the secure channel and HTTP/2, validates the
@@ -28,8 +28,12 @@ pub struct DohServerService<H> {
     identity: ResolverInfo,
     handler: H,
     queries_served: u64,
-    /// The last client record opened, its plaintext in place.
+    /// Buffers kept from one payload to the next: the last client record
+    /// opened (its plaintext in place), the last GET's query decoded out of
+    /// its `dns=` parameter, and the last answer the handler wrote.
     opened: Vec<u8>,
+    query: Vec<u8>,
+    answer: Vec<u8>,
 }
 
 impl<H: QueryHandler> DohServerService<H> {
@@ -41,6 +45,8 @@ impl<H: QueryHandler> DohServerService<H> {
             handler,
             queries_served: 0,
             opened: Vec::new(),
+            query: Vec::new(),
+            answer: Vec::new(),
         }
     }
 
@@ -82,10 +88,21 @@ impl<H: QueryHandler> DohServerService<H> {
         if channel != ChannelKind::Secure {
             return None;
         }
-        self.process(exchanger, payload).ok()
+        let mut opened = std::mem::take(&mut self.opened);
+        let reply = self.process(exchanger, payload, &mut opened).ok();
+        self.opened = opened;
+        reply
     }
 
-    fn process(&mut self, exchanger: &mut dyn Exchanger, payload: &[u8]) -> DohResult<Vec<u8>> {
+    /// [`DohServerService::serve_payload`] on the secure channel; the
+    /// record is opened in `opened`, a buffer of the service's lent for the
+    /// call.
+    fn process(
+        &mut self,
+        exchanger: &mut dyn Exchanger,
+        payload: &[u8],
+        opened: &mut Vec<u8>,
+    ) -> DohResult<Vec<u8>> {
         let (server_name, record) = SecureEnvelope::split(payload)?;
         if server_name != self.identity.name {
             return Err(crate::error::DohError::ChannelAuthentication(format!(
@@ -95,21 +112,20 @@ impl<H: QueryHandler> DohServerService<H> {
         }
         // The payload is the transport's, so the record is deciphered in a
         // buffer of the service's, reused from one payload to the next.
-        self.opened.clear();
-        self.opened.extend_from_slice(record);
-        let client_h2 =
-            secure::open_in_place(&self.identity.key, secure::SEQ_CLIENT, &mut self.opened)?;
+        opened.clear();
+        opened.extend_from_slice(record);
+        let client_h2 = secure::open_in_place(&self.identity.key, secure::SEQ_CLIENT, opened)?;
 
         // The reply is one buffer from the envelope header to the record
-        // tag, as the request was (`DohClient::begin_query`).
+        // tag, as the request was (`DohClient::begin_query`); each request
+        // is read where it lies in the opened record and answered straight
+        // into it.
         let reply = SecureEnvelope::begin(&self.identity.name);
         let record_at = reply.len();
         let mut connection = ServerConnection::with_output(reply);
-        let requests = connection.receive(client_h2)?;
-        for (stream_id, request) in requests {
-            let response = self.handle_http(exchanger, &request);
-            connection.send_response(stream_id, &response);
-        }
+        connection.serve(client_h2, |connection, stream_id, head, body| {
+            self.respond(exchanger, connection, stream_id, head, body);
+        })?;
         let mut reply = connection.take_output();
         secure::seal_in_place(
             &self.identity.key,
@@ -120,53 +136,74 @@ impl<H: QueryHandler> DohServerService<H> {
         Ok(reply)
     }
 
-    fn handle_http(&mut self, exchanger: &mut dyn Exchanger, request: &Request) -> Response {
-        if request.path_without_query() != DOH_PATH {
-            return Response::new(StatusCode::NOT_FOUND);
-        }
-        let query_wire: Vec<u8> = match request.method {
-            Method::Get => match request.query_param("dns") {
-                Some(encoded) => match base64url::decode(encoded) {
-                    Ok(bytes) => bytes,
-                    Err(_) => return Response::new(StatusCode::BAD_REQUEST),
-                },
-                None => return Response::new(StatusCode::BAD_REQUEST),
-            },
-            Method::Post => {
-                match request.headers.get("content-type") {
-                    Some(ct) if ct.eq_ignore_ascii_case(DNS_MESSAGE_CONTENT_TYPE) => {}
-                    _ => return Response::new(StatusCode::UNSUPPORTED_MEDIA_TYPE),
-                }
-                request.body.clone()
+    /// Writes the response to one request on `stream_id`: a 200 carrying
+    /// the DNS answer with its `content-type`, `content-length` and
+    /// `cache-control: max-age=` the answer's least TTL, or the status that
+    /// refuses the request, bodiless.
+    fn respond(
+        &mut self,
+        exchanger: &mut dyn Exchanger,
+        connection: &mut ServerConnection,
+        stream_id: u32,
+        head: &RequestHead<'_>,
+        body: &[u8],
+    ) {
+        let answered = self.answer_query(exchanger, head, body);
+        let mut response = connection.respond(stream_id);
+        match answered {
+            Ok(min_ttl) => {
+                response
+                    .field(":status", "200")
+                    .field("content-type", DNS_MESSAGE_CONTENT_TYPE)
+                    .field_fmt("content-length", format_args!("{}", self.answer.len()))
+                    .field_fmt("cache-control", format_args!("max-age={min_ttl}"));
+                response.body(&self.answer);
             }
+            Err(status) => {
+                response.field_fmt(":status", format_args!("{}", status.as_u16()));
+                response.body(&[]);
+            }
+        }
+    }
+
+    /// The DNS answer to one RFC 8484 request, written into the service's
+    /// answer buffer, and its answer records' least TTL (0 for an answer
+    /// without any); or the status that refuses the request.
+    fn answer_query(
+        &mut self,
+        exchanger: &mut dyn Exchanger,
+        head: &RequestHead<'_>,
+        body: &[u8],
+    ) -> Result<u32, StatusCode> {
+        if head.path_without_query() != DOH_PATH {
+            return Err(StatusCode::NOT_FOUND);
+        }
+        let query_wire = match head.method {
+            Method::Get => {
+                let encoded = head.query_param("dns").ok_or(StatusCode::BAD_REQUEST)?;
+                base64url::decode_into(encoded, &mut self.query)
+                    .map_err(|_| StatusCode::BAD_REQUEST)?;
+                self.query.as_slice()
+            }
+            Method::Post => match head.header("content-type") {
+                Some(ct) if ct.eq_ignore_ascii_case(DNS_MESSAGE_CONTENT_TYPE) => body,
+                _ => return Err(StatusCode::UNSUPPORTED_MEDIA_TYPE),
+            },
         };
         if query_wire.len() > sdoh_dns_wire::MAX_MESSAGE_SIZE {
-            return Response::new(StatusCode::PAYLOAD_TOO_LARGE);
+            return Err(StatusCode::PAYLOAD_TOO_LARGE);
         }
-        let query = match Message::decode(&query_wire) {
-            Ok(message) => message,
-            Err(_) => return Response::new(StatusCode::BAD_REQUEST),
-        };
+        let query = Message::decode(query_wire).map_err(|_| StatusCode::BAD_REQUEST)?;
         self.queries_served += 1;
-        let mut answer = Vec::with_capacity(512);
-        if self
-            .handler
-            .handle_query_wire(exchanger, &query, &mut answer)
-            .is_err()
-        {
-            return Response::new(StatusCode::INTERNAL_SERVER_ERROR);
-        }
-        // The answer records' least TTL, read where the handler wrote them
-        // (0 for an answer without any, or octets too short to hold them).
-        let min_ttl = MessageView::locate(&answer)
+        self.handler
+            .handle_query_wire(exchanger, &query, &mut self.answer)
+            .map_err(|_| StatusCode::INTERNAL_SERVER_ERROR)?;
+        // Read where the handler wrote them (octets too short to hold the
+        // records read as none).
+        Ok(MessageView::locate(&self.answer)
             .ok()
             .and_then(|written| written.answers().map(|record| record.ttl).min())
-            .unwrap_or(0);
-        let mut response = Response::ok(DNS_MESSAGE_CONTENT_TYPE, answer);
-        response
-            .headers
-            .set_display("cache-control", format_args!("max-age={min_ttl}"));
-        response
+            .unwrap_or(0))
     }
 }
 
@@ -194,6 +231,8 @@ mod tests {
     use super::*;
     use crate::client::{DohClient, DohMethod};
     use crate::directory::ResolverDirectory;
+    use crate::h2::{hpack, Frame, CONNECTION_PREFACE};
+    use bytes::BytesMut;
     use sdoh_dns_server::{Authority, Catalog, ClientExchanger, Zone};
     use sdoh_dns_wire::RrType;
     use sdoh_netsim::SimNet;
@@ -279,5 +318,73 @@ mod tests {
             .add_zone(Zone::new("added.test".parse().unwrap()));
         assert_eq!(service.handler().catalog().len(), 2);
         assert_eq!(Service::name(&service), "doh-server");
+    }
+
+    /// What a fresh service answers to a record carrying `frames` behind
+    /// the preface, sealed as its clients seal them, and how many queries it
+    /// served doing so.
+    fn serve_frames(frames: &[Frame]) -> (Option<Vec<u8>>, u64) {
+        let net = SimNet::new(22);
+        let info = ResolverDirectory::well_known(22).resolvers()[0].clone();
+        let mut service = DohServerService::new(info.clone(), authority());
+        let mut h2 = BytesMut::new();
+        h2.extend_from_slice(CONNECTION_PREFACE);
+        for frame in frames {
+            frame.encode(&mut h2);
+        }
+        let mut payload = SecureEnvelope::begin(&info.name);
+        let record_at = payload.len();
+        payload.extend_from_slice(&h2);
+        secure::seal_in_place(&info.key, secure::SEQ_CLIENT, &mut payload, record_at);
+        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 7, 50000));
+        let reply = service.serve_payload(&mut exchanger, ChannelKind::Secure, &payload);
+        (reply, service.queries_served())
+    }
+
+    /// An RFC 8484 GET for `www.example.org` in a HEADERS frame.
+    fn doh_get(stream_id: u32) -> Frame {
+        let query = Message::query(0, "www.example.org".parse().unwrap(), RrType::A);
+        let path = format!(
+            "{DOH_PATH}?dns={}",
+            base64url::encode(&query.encode().unwrap())
+        );
+        let fields = [(":method", "GET"), (":scheme", "https"), (":path", &path)];
+        Frame::Headers {
+            stream_id,
+            end_stream: true,
+            end_headers: true,
+            block: hpack::encode(&fields.map(|(name, value)| (name.into(), value.into()))),
+        }
+    }
+
+    #[test]
+    fn a_get_on_stream_1_is_answered() {
+        let (reply, served) = serve_frames(&[doh_get(1)]);
+        assert!(reply.is_some());
+        assert_eq!(served, 1);
+    }
+
+    /// RFC 7540 §5.1.1, §6.2: it used to be answered.
+    #[test]
+    fn a_get_on_stream_0_is_not_answered() {
+        assert_eq!(serve_frames(&[doh_get(0)]), (None, 0));
+    }
+
+    /// §5.1.1: a client's streams are odd. It used to be answered.
+    #[test]
+    fn a_get_on_stream_2_is_not_answered() {
+        assert_eq!(serve_frames(&[doh_get(2)]), (None, 0));
+    }
+
+    /// §5.1, §6.1: DATA on an idle stream is a connection error. It used to
+    /// be answered, the DATA taken for the GET's body.
+    #[test]
+    fn a_get_behind_data_on_its_idle_stream_is_not_answered() {
+        let data = Frame::Data {
+            stream_id: 1,
+            end_stream: false,
+            data: b"smuggled".to_vec(),
+        };
+        assert_eq!(serve_frames(&[data, doh_get(1)]), (None, 0));
     }
 }

@@ -6,24 +6,28 @@
 //! all three: a `Name` is one buffer (decoding one is one allocation,
 //! compressing one is none), a payload is one buffer from its envelope
 //! header to its record tag, with no header list, header block or frame
-//! built beside it, and a message's header fields are one buffer with no
-//! `String` per name, value, status, length or path segment on the way in.
+//! built beside it, and neither end builds an HTTP message: the client
+//! writes its HEADERS block from the resolver name and the query, the
+//! terminator and the client read the frames and fields where they lie in
+//! the opened record, and the terminator decodes the query and writes the
+//! answer into buffers it keeps.
 //!
 //! The exchange counted is an address source's: `begin_query`, the
 //! terminator's `serve_payload` and `finish_with` reading the addresses
 //! where they lie in the answer. The counts are exact and repeat on every
-//! run (the test prints them; when this was written: 28 per exchange — 8
-//! to begin the query, 14 to serve it, 6 to finish it — 1 to read the
-//! 8 addresses out of an answer, 11 for the owned copy `finish_query`'s
+//! run (the test prints them; when this was written: 10 per exchange — 5
+//! to begin the query, 4 to serve it, 1 to finish it — 1 to read the 8
+//! addresses out of an answer, 11 for the owned copy `finish_query`'s
 //! callers get, 1 per name clone). What is left is the buffers themselves:
-//! the question kept for the echo check, the query's wire form and path,
-//! the HTTP messages' strings and header buffers, the query's owned decode
-//! at the terminator (its handler takes a `Message`) and its answer. The
-//! exchange budget leaves room for a few unrelated allocations, not for the
-//! answer being decoded into a `Message` again (39), the authority cloning
-//! the records it answers with (60), the header map going back to two
-//! strings a field (81), the exchange copying its octets from buffer to
-//! buffer (161) or a name turning back into a vector of vectors (312).
+//! the question kept for the echo check, the query's wire form, the
+//! payloads, the client's stream list, the compression offsets of the
+//! query and of the answer, the query's owned decode at the terminator (its
+//! handler takes a `Message`) and the addresses read. The exchange budget
+//! is its count: one allocation more fails the test — 28 while both ends
+//! built and copied HTTP messages, 60 while the answer was decoded into a
+//! `Message` again and the authority cloned the records it answers with,
+//! 161 while the exchange copied its octets from buffer to buffer, 312
+//! while a name was a vector of vectors.
 //!
 //! This file is its own test binary with one `#[test]`, so no other test's
 //! thread allocates while it counts.
@@ -155,7 +159,7 @@ fn one_exchange_stays_within_its_allocation_budget() {
          finish_with {finish}), answer read {read}, owned decode {decode}, clone {clone}"
     );
     assert!(
-        exchange <= 35,
+        exchange <= 10,
         "one GET exchange allocated {exchange} times"
     );
     assert!(

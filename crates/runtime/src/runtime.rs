@@ -1044,12 +1044,24 @@ fn tcp_loop(
 /// (or a read times out). The (cold) TCP path re-reads the route table per
 /// query, so it always follows the latest published ring.
 fn serve_tcp_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     routes: &RouteState,
     counters: &FrontCounters,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     stream.set_nodelay(true)?;
+    serve_framed(stream, routes, counters)
+}
+
+/// The loop of [`serve_tcp_connection`] over any byte stream. An answer
+/// leaves behind its length in one write: with `TCP_NODELAY` set, each
+/// write is a segment of its own.
+fn serve_framed(
+    mut stream: impl Read + Write,
+    routes: &RouteState,
+    counters: &FrontCounters,
+) -> std::io::Result<()> {
+    let mut framed = Vec::new();
     loop {
         let mut len_buf = [0u8; 2];
         if stream.read_exact(&mut len_buf).is_err() {
@@ -1087,8 +1099,10 @@ fn serve_tcp_connection(
         let Ok(len) = u16::try_from(response.len()) else {
             return Ok(());
         };
-        stream.write_all(&len.to_be_bytes())?;
-        stream.write_all(&response)?;
+        framed.clear();
+        framed.extend_from_slice(&len.to_be_bytes());
+        framed.extend_from_slice(&response);
+        stream.write_all(&framed)?;
     }
 }
 
@@ -1651,6 +1665,67 @@ mod tests {
         stop.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(addr);
         acceptor.join().unwrap();
+    }
+
+    /// A stream that reads from a script and keeps every write apart.
+    struct Recorded {
+        script: std::io::Cursor<Vec<u8>>,
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Read for Recorded {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.script.read(buf)
+        }
+    }
+
+    impl Write for Recorded {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_tcp_answer_leaves_in_one_write() {
+        let (tx, rx) = mpsc::channel();
+        let routes = RouteState::new(RouteTable {
+            senders: vec![tx],
+            acked: Vec::new(),
+        });
+        let counters = FrontCounters::register(&Registry::new());
+        // Two queries, then the peer closes.
+        let mut stream = Recorded {
+            script: std::io::Cursor::new(vec![0, 2, 0xAB, 0xCD, 0, 1, 0x01]),
+            writes: Vec::new(),
+        };
+        let shard = std::thread::spawn(move || {
+            for answer in [vec![0xEF; 3], vec![0x11; 300]] {
+                let Ok(WorkItem::Query {
+                    reply: ReplyPath::Tcp(reply),
+                    ..
+                }) = rx.recv()
+                else {
+                    panic!("a TCP query reaches the shard queue");
+                };
+                reply.send(answer).unwrap();
+            }
+        });
+        serve_framed(&mut stream, &routes, &counters).unwrap();
+        shard.join().unwrap();
+        assert_eq!(
+            stream.writes,
+            [
+                [&[0, 3][..], &[0xEF; 3]].concat(),
+                [&[1, 44][..], &[0x11; 300]].concat(),
+            ],
+            "each answer one write, its length in front"
+        );
+        assert_eq!(counters.tcp_received.get(), 2);
     }
 
     #[test]

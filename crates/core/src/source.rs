@@ -198,8 +198,9 @@ impl AddressSource for DohSource {
         }
     }
 
-    /// The reply's checks are `DohClient::finish_with`'s; the addresses of
-    /// the asked type are then read where they lie in the answer.
+    /// The reply's checks and the addresses of the asked type are
+    /// `DohClient::finish_addresses`': read where they lie in the answer, on
+    /// the walk that validates it.
     fn handle_response(
         &self,
         pending: PendingFetch,
@@ -208,13 +209,10 @@ impl AddressSource for DohSource {
         let prepared = pending
             .downcast::<sdoh_doh::PreparedDohQuery>()
             .ok_or_else(|| FetchError::Protocol("mismatched pending fetch state".into()))?;
-        let rtype = prepared.question().rtype;
         let mut reply = outcome.map_err(|e| FetchError::Transport(e.to_string()))?;
         let (rcode, addresses) = self
             .client
-            .finish_with(prepared, &mut reply, |answer| {
-                (answer.header().rcode, answer.addresses(rtype))
-            })
+            .finish_addresses(prepared, &mut reply)
             .map_err(doh_error)?;
         if rcode != Rcode::NoError && rcode != Rcode::NxDomain {
             return Err(FetchError::ErrorResponse(rcode.to_string()));

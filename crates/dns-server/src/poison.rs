@@ -11,10 +11,20 @@
 //!   list),
 //! * **empty answers** — returning nothing at all, the residual DoS vector
 //!   the paper acknowledges in footnote 2.
+//!
+//! A replacement answer is the same records for every query of the target,
+//! so the wrapper writes it from an [`AnswerTemplate`] built once, when it
+//! is constructed: a query of the family the address list holds is answered
+//! by copying the template behind the echoed question, byte for byte what
+//! building the [`Message`] and encoding it writes. Every other case — a
+//! list of both families or of the other one, the other poisoning modes, a
+//! query the template cannot render — builds the `Message`.
 
 use std::net::IpAddr;
 
-use sdoh_dns_wire::{Message, MessageBuilder, Name, Rcode, Record};
+use sdoh_dns_wire::{
+    AnswerTemplate, Message, MessageBuilder, Name, Rcode, Record, RrType, WireResult,
+};
 
 use crate::exchange::Exchanger;
 use crate::handler::QueryHandler;
@@ -67,17 +77,43 @@ impl PoisonConfig {
 pub struct PoisonedResolver<H> {
     inner: H,
     config: PoisonConfig,
+    /// The replacement answer pre-encoded, and the query type it answers:
+    /// set when the mode replaces addresses with a list of one family.
+    template: Option<(RrType, AnswerTemplate)>,
     poisoned_queries: u64,
 }
 
 impl<H: QueryHandler> PoisonedResolver<H> {
     /// Wraps `inner` with the poisoning behaviour in `config`.
     pub fn new(inner: H, config: PoisonConfig) -> Self {
+        let template = match &config.mode {
+            PoisonMode::ReplaceAddresses(addresses) => [RrType::A, RrType::Aaaa]
+                .into_iter()
+                .find(|&rtype| {
+                    addresses
+                        .iter()
+                        .all(|address| address.is_ipv4() == (rtype == RrType::A))
+                })
+                .map(|rtype| {
+                    let template = AnswerTemplate::for_addresses(rtype, addresses.iter().copied());
+                    (rtype, template)
+                }),
+            _ => None,
+        };
         PoisonedResolver {
             inner,
             config,
+            template,
             poisoned_queries: 0,
         }
+    }
+
+    /// Whether `query` is for the target: its first question's name is
+    /// the target or below it.
+    fn applies(&self, query: &Message) -> bool {
+        query
+            .question()
+            .is_some_and(|q| self.config.applies_to(&q.name))
     }
 
     /// Number of queries answered with poisoned data so far.
@@ -123,11 +159,7 @@ impl<H: QueryHandler> PoisonedResolver<H> {
 
 impl<H: QueryHandler> QueryHandler for PoisonedResolver<H> {
     fn handle_query(&mut self, exchanger: &mut dyn Exchanger, query: &Message) -> Message {
-        let applies = query
-            .question()
-            .map(|q| self.config.applies_to(&q.name))
-            .unwrap_or(false);
-        if !applies {
+        if !self.applies(query) {
             return self.inner.handle_query(exchanger, query);
         }
         self.poisoned_queries += 1;
@@ -146,6 +178,29 @@ impl<H: QueryHandler> QueryHandler for PoisonedResolver<H> {
             }
             _ => self.poison_response(query),
         }
+    }
+
+    /// A query off the target goes to the inner handler's wire path; a
+    /// replacement of the template's family is rendered from it; anything
+    /// else is the owned answer, encoded.
+    fn handle_query_wire(
+        &mut self,
+        exchanger: &mut dyn Exchanger,
+        query: &Message,
+        out: &mut Vec<u8>,
+    ) -> WireResult<()> {
+        if !self.applies(query) {
+            return self.inner.handle_query_wire(exchanger, query, out);
+        }
+        let rendered = self.template.as_ref().is_some_and(|(rtype, template)| {
+            query.question().is_some_and(|q| q.rtype == *rtype)
+                && template.render(query, self.config.ttl, out)
+        });
+        if rendered {
+            self.poisoned_queries += 1;
+            return Ok(());
+        }
+        self.handle_query(exchanger, query).encode_into(out)
     }
 
     fn handler_name(&self) -> &str {

@@ -4,9 +4,11 @@
 //! `Authority::handle_query_wire` writes the response from zone records
 //! where they lie; it must be `handle_query(..).encode()` byte for byte, for
 //! every outcome of a zone lookup and behind every wrapper a deployment puts
-//! around an authority. The test prints how many (query, handler) pairs it
-//! compared.
+//! around an authority. The same holds for a poisoned resolver, whose
+//! replacement answers are rendered from a template, in every mode. Each
+//! test prints how many pairs it compared.
 
+use std::net::IpAddr;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -259,5 +261,126 @@ fn the_wire_answer_is_the_encoded_answer_for_every_outcome() {
          encoded owned answer, and the authority's equal to the reference builder's",
         queries.len(),
         handlers.len()
+    );
+}
+
+/// The poisoned resolver's wire answer against its owned answer: every
+/// `PoisonMode`, address lists of either family, of both and of none, A,
+/// AAAA and TXT questions, names at, below, beside and outside the target,
+/// and the query shapes a template cannot render. The resolver answering on
+/// the wire path and the one answering owned count the same poisoned
+/// queries, query by query.
+#[test]
+fn the_poisoned_wire_answer_is_the_encoded_answer_in_every_mode() {
+    let catalog = catalog();
+    let net = SimNet::new(1);
+    let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 1000));
+    let v4 = |host: u8| IpAddr::from([198, 18, 0, host]);
+    let v6 = |host: u16| IpAddr::from([0x2001, 0xdb8, 0, 0, 0, 0, 0x66, host]);
+    let lists: Vec<Vec<IpAddr>> = vec![
+        Vec::new(),
+        vec![v4(1)],
+        (1..=8).map(v4).collect(),
+        vec![v6(1), v6(2)],
+        vec![v4(1), v6(1), v4(2)],
+        vec![v6(3), v4(3)],
+    ];
+    let mut modes = vec![
+        PoisonMode::EmptyAnswer,
+        PoisonMode::NxDomain,
+        PoisonMode::ServFail,
+    ];
+    for list in &lists {
+        modes.push(PoisonMode::ReplaceAddresses(list.clone()));
+        modes.push(PoisonMode::InflateWith(list.clone()));
+    }
+
+    let target: Name = "pool.ntpns.org".parse().unwrap();
+    let ask = |name: &str, rtype| Message::query(0x0D0E, name.parse().unwrap(), rtype);
+    let mut queries = Vec::new();
+    for name in [
+        "pool.ntpns.org",
+        "PoOl.NtPnS.oRg",
+        "deeper.pool.ntpns.org",
+        "alias.ntpns.org",
+        "ntpns.org",
+        "www.example.com",
+    ] {
+        for rtype in [RrType::A, RrType::Aaaa, RrType::Txt] {
+            queries.push(ask(name, rtype));
+        }
+    }
+    let mut notimp = ask("pool.ntpns.org", RrType::A);
+    notimp.header.opcode = Opcode::Update;
+    let mut formerr = ask("pool.ntpns.org", RrType::A);
+    formerr.questions.clear();
+    let mut two = ask("pool.ntpns.org", RrType::A);
+    two.questions
+        .push(Question::new("alias.ntpns.org".parse().unwrap(), RrType::A));
+    let mut plain = ask("pool.ntpns.org", RrType::Aaaa);
+    plain.header.recursion_desired = false;
+    plain.header.checking_disabled = true;
+    let mut edns = ask("pool.ntpns.org", RrType::A);
+    edns.set_edns(Edns::with_payload_size(1232));
+    queries.extend([
+        notimp,
+        formerr,
+        two,
+        plain,
+        edns,
+        Message::query(3, Name::root(), RrType::A),
+    ]);
+
+    let mut compared = 0;
+    let mut wire = Vec::new();
+    for mode in &modes {
+        for ttl in [300, 0] {
+            // Alone, and stacked over a wrapper poisoning another name, as a
+            // compromised resolver of a fleet poisons each pool domain.
+            let poisoned = |inner: Box<dyn QueryHandler>| {
+                let mut config = PoisonConfig::new(target.clone(), mode.clone());
+                config.ttl = ttl;
+                PoisonedResolver::new(inner, config)
+            };
+            let stacked = || {
+                let other = PoisonConfig::new(
+                    "alias.ntpns.org".parse().unwrap(),
+                    PoisonMode::ReplaceAddresses(vec![v4(200)]),
+                );
+                Box::new(PoisonedResolver::new(
+                    Authority::new(catalog.clone()),
+                    other,
+                ))
+            };
+            for (mut on_wire, mut owned) in [
+                (
+                    poisoned(Box::new(Authority::new(catalog.clone()))),
+                    poisoned(Box::new(Authority::new(catalog.clone()))),
+                ),
+                (poisoned(stacked()), poisoned(stacked())),
+            ] {
+                for query in &queries {
+                    on_wire
+                        .handle_query_wire(&mut exchanger, query, &mut wire)
+                        .unwrap();
+                    let encoded = owned.handle_query(&mut exchanger, query).encode().unwrap();
+                    assert_eq!(wire, encoded, "{mode:?} ttl {ttl}: {:?}", query.questions);
+                    assert_eq!(
+                        on_wire.poisoned_queries(),
+                        owned.poisoned_queries(),
+                        "{mode:?}: {:?}",
+                        query.questions
+                    );
+                    compared += 1;
+                }
+                assert!(owned.poisoned_queries() > 0, "{mode:?}");
+            }
+        }
+    }
+    println!(
+        "poisoned answer oracle: {} modes x 2 TTLs x 2 stackings x {} queries = {compared} wire \
+         answers equal to the encoded owned answer, poisoned queries counted alike",
+        modes.len(),
+        queries.len()
     );
 }

@@ -20,12 +20,11 @@
 //! # Quick example
 //!
 //! ```
-//! use sdoh_dns_wire::{Message, MessageBuilder, MessageView, RrType};
+//! use sdoh_dns_wire::{Message, MessageBuilder, MessageView, QueryWire, RrType};
 //!
 //! # fn main() -> Result<(), sdoh_dns_wire::WireError> {
-//! let query = Message::query(0x1234, "pool.ntp.org".parse()?, RrType::A);
-//! let wire = query.encode()?;
-//! let decoded = Message::decode(&wire)?;
+//! let query = QueryWire::new(0x1234, &"pool.ntp.org".parse()?, RrType::A)?;
+//! let decoded = Message::decode(query.as_bytes())?;
 //! assert_eq!(decoded.question().unwrap().name, "pool.ntp.org".parse()?);
 //!
 //! let response = MessageBuilder::response_to(&decoded)
@@ -35,11 +34,12 @@
 //! assert_eq!(response.answer_addresses().len(), 1);
 //!
 //! // Who only reads the answer reads it where it lies: one validating
-//! // walk, and the addresses come straight out of the packet.
+//! // walk, the addresses collected from the packet on the way.
 //! let wire = response.encode()?;
-//! let answer = MessageView::parse(&wire)?;
-//! assert!(answer.question_is(decoded.question().unwrap()));
-//! assert_eq!(answer.addresses(RrType::A), response.answer_addresses());
+//! let mut addresses = Vec::new();
+//! let answer = MessageView::parse_addresses(&wire, RrType::A, &mut addresses)?;
+//! assert!(answer.echoes(&query));
+//! assert_eq!(addresses, response.answer_addresses());
 //! # Ok(())
 //! # }
 //! ```
@@ -67,7 +67,7 @@ pub use error::{WireError, WireResult};
 pub use header::{Header, Opcode, Rcode};
 pub use message::{addresses_of_type, encode_sections, Message, MessageBuilder, MAX_MESSAGE_SIZE};
 pub use name::{Name, MAX_LABEL_LEN, MAX_NAME_LEN};
-pub use question::Question;
+pub use question::{QueryWire, Question};
 pub use rdata::{EdnsOption, Mx, OptRdata, RData, Soa, Srv};
 pub use record::{Record, RecordView};
 pub use rrtype::{RrClass, RrType};

@@ -116,12 +116,19 @@ impl Record {
 
     /// `read::<false>` without building the record it then drops: what the
     /// validating walk of a [`MessageView`](crate::MessageView) does per
-    /// record.
-    pub(crate) fn skip(r: &mut WireReader<'_>) -> WireResult<()> {
+    /// record. The record checked is lent back where it lies.
+    pub(crate) fn skip<'a>(r: &mut WireReader<'a>) -> WireResult<RecordView<'a>> {
         r.name::<false>()?;
         let fixed = Fixed::read(r)?;
+        // `Fixed::read` checked that the rdata is there.
+        let rdata = r.clone().read_bytes(fixed.rdlength)?;
         RData::read::<false>(r, fixed.rtype, fixed.rdlength)?;
-        Ok(())
+        Ok(RecordView {
+            rtype: fixed.rtype,
+            rclass: fixed.rclass,
+            ttl: fixed.ttl,
+            rdata,
+        })
     }
 }
 

@@ -19,30 +19,35 @@
 //! keeps nothing allocates nothing; a copy that keeps everything cannot
 //! disagree with the view about what is valid. Once a packet is valid, its
 //! records are read by stepping: a name ends at its first pointer, and
-//! rdata is RDLENGTH octets. [`MessageView::locate`] steps the same way
-//! over octets this end wrote itself, where a full check would be wasted.
+//! rdata is RDLENGTH octets. [`MessageView::least_answer_ttl`] steps the
+//! same way over octets this end wrote itself, where a full check would be
+//! wasted, and only as far as the answer section.
+//!
+//! A reader that wants the answer records reads them on the walk that
+//! validates them: [`MessageView::parse_addresses`] collects the addresses
+//! of one type as the walk passes them, rather than walking the answer
+//! section a second time.
 
 use std::net::IpAddr;
 
 use crate::error::{WireError, WireResult};
 use crate::header::Header;
 use crate::message::Message;
-use crate::question::Question;
+use crate::question::{QueryWire, Question};
 use crate::record::{Record, RecordView};
-use crate::rrtype::{RrClass, RrType};
+use crate::rrtype::RrType;
 use crate::wire::{SameName, Step, WireReader};
 
 /// Octets of the fixed header; the question section starts behind it.
 const HEADER_LEN: usize = 12;
 
-/// A DNS message borrowed from its packet: validated by
-/// [`MessageView::parse`], or located by [`MessageView::locate`] in octets
-/// this end wrote.
+/// A DNS message borrowed from its packet, validated by
+/// [`MessageView::parse`].
 ///
 /// # Examples
 ///
 /// ```
-/// use sdoh_dns_wire::{Message, MessageBuilder, MessageView, Question, RrType};
+/// use sdoh_dns_wire::{Message, MessageBuilder, MessageView, QueryWire, RrType};
 ///
 /// # fn main() -> Result<(), sdoh_dns_wire::WireError> {
 /// let query = Message::query(7, "pool.ntp.org".parse()?, RrType::A);
@@ -52,11 +57,13 @@ const HEADER_LEN: usize = 12;
 ///     .build()
 ///     .encode()?;
 ///
-/// let answer = MessageView::parse(&wire)?;
+/// let mut addresses = Vec::new();
+/// let answer = MessageView::parse_addresses(&wire, RrType::A, &mut addresses)?;
 /// assert!(answer.header().response);
-/// assert!(answer.question_is(&Question::a("POOL.ntp.org".parse()?)));
-/// assert_eq!(answer.addresses(RrType::A), ["203.0.113.1".parse::<std::net::IpAddr>().unwrap()]);
+/// assert!(answer.echoes(&QueryWire::new(7, &"POOL.ntp.org".parse()?, RrType::A)?));
+/// assert_eq!(addresses, ["203.0.113.1".parse::<std::net::IpAddr>().unwrap()]);
 /// assert_eq!(answer.answers().map(|record| record.ttl).min(), Some(300));
+/// assert_eq!(MessageView::least_answer_ttl(&wire), Some(300));
 /// assert_eq!(answer.to_message()?, Message::decode(&wire)?);
 /// # Ok(())
 /// # }
@@ -77,52 +84,58 @@ impl<'a> MessageView<'a> {
     /// Exactly the errors of [`Message::decode`]: truncated or malformed
     /// input, and octets after the declared sections.
     pub fn parse(packet: &'a [u8]) -> WireResult<Self> {
-        Self::walk::<false>(packet).map(|(view, _)| view)
+        Self::walk::<false>(packet, &mut ()).map(|(view, _)| view)
     }
 
-    /// A view over octets this end wrote itself — a handler's answer —
-    /// whose sections are located, not validated: the header is read, and
-    /// each name is stepped over to its first pointer and each record's
-    /// rdata by its RDLENGTH, as a validated view's records are read. For
-    /// a well-formed message that is exact, at a fraction of the cost of
-    /// [`MessageView::parse`]; for anything else what is read may be
-    /// garbage, but nothing panics.
+    /// [`MessageView::parse`], appending on the same walk the addresses of
+    /// the answer records of type `rtype` to `addresses`, in answer order —
+    /// what [`addresses_of_type`](crate::addresses_of_type) reads from the
+    /// decoded message — without stepping over the answer section again.
     ///
     /// # Errors
     ///
-    /// Octets that end before the sections the header declares.
-    pub fn locate(packet: &'a [u8]) -> WireResult<Self> {
+    /// As [`MessageView::parse`]; what was appended before the error is
+    /// the caller's to drop.
+    pub fn parse_addresses(
+        packet: &'a [u8],
+        rtype: RrType,
+        addresses: &mut Vec<IpAddr>,
+    ) -> WireResult<Self> {
+        Self::walk::<false>(packet, &mut Addresses { rtype, addresses }).map(|(view, _)| view)
+    }
+
+    /// The least TTL of the answer records in octets this end wrote itself
+    /// (a handler's answer), read in one step over the header, the question
+    /// and the answer section: names stepped over to their first pointer,
+    /// rdata by its RDLENGTH, as a validated view's records are read, and
+    /// nothing behind the answer section touched. For a well-formed message
+    /// that is exact; for anything else what is read may be garbage, but
+    /// nothing panics. `None` when no answer record is read.
+    pub fn least_answer_ttl(packet: &[u8]) -> Option<u32> {
         let mut r = WireReader::new(packet);
-        let header = Header::decode(&mut r)?;
+        let header = Header::decode(&mut r).ok()?;
         for _ in 0..header.question_count {
-            r.walk_name(&mut Step)?;
-            r.read_bytes(4)?;
+            r.walk_name(&mut Step).ok()?;
+            r.read_bytes(4).ok()?;
         }
-        let mut step = |count: u16| -> WireResult<usize> {
-            let start = r.position();
-            for _ in 0..count {
-                RecordView::read(&mut r)?;
-            }
-            Ok(start)
-        };
-        let sections = [
-            step(header.answer_count)?,
-            step(header.authority_count)?,
-            step(header.additional_count)?,
-        ];
-        Ok(MessageView {
-            packet,
-            header,
-            sections,
-        })
+        RecordViews {
+            reader: r,
+            left: header.answer_count,
+        }
+        .map(|record| record.ttl)
+        .min()
     }
 
     /// The one walk over a packet: every check [`MessageView::parse`]
     /// promises, the section offsets noted, and with `KEEP` the owned copy
     /// made on the way — [`Message::decode`] is this walk, so a decode is
-    /// one pass. Without `KEEP` the message comes back empty and nothing is
-    /// allocated.
-    pub(crate) fn walk<const KEEP: bool>(packet: &'a [u8]) -> WireResult<(Self, Message)> {
+    /// one pass. Without `KEEP` the message comes back empty, nothing is
+    /// allocated, and each answer record is handed to `answers` as it is
+    /// validated.
+    pub(crate) fn walk<const KEEP: bool>(
+        packet: &'a [u8],
+        answers: &mut impl AnswerSink<'a>,
+    ) -> WireResult<(Self, Message)> {
         let mut r = WireReader::new(packet);
         let header = Header::decode(&mut r)?;
         let mut message = Message {
@@ -139,9 +152,19 @@ impl<'a> MessageView<'a> {
             }
         }
         let sections = [
-            records::<KEEP>(&mut r, header.answer_count, &mut message.answers)?,
-            records::<KEEP>(&mut r, header.authority_count, &mut message.authorities)?,
-            records::<KEEP>(&mut r, header.additional_count, &mut message.additionals)?,
+            records::<KEEP>(&mut r, header.answer_count, &mut message.answers, answers)?,
+            records::<KEEP>(
+                &mut r,
+                header.authority_count,
+                &mut message.authorities,
+                &mut (),
+            )?,
+            records::<KEEP>(
+                &mut r,
+                header.additional_count,
+                &mut message.additionals,
+                &mut (),
+            )?,
         ];
         if !r.is_at_end() {
             return Err(WireError::TrailingBytes(r.remaining()));
@@ -159,19 +182,25 @@ impl<'a> MessageView<'a> {
         &self.header
     }
 
-    /// Whether the first question is `question`: its name ignoring ASCII
-    /// case, its type and its class, as `Question: PartialEq` compares.
-    /// `false` when there is no question.
-    pub fn question_is(&self, question: &Question) -> bool {
+    /// Whether the first question is the one `query` asks: its name
+    /// ignoring ASCII case, its type and its class, as `Question:
+    /// PartialEq` compares — what a client that kept its query's octets
+    /// checks an answer's echo with. `false` when there is no question.
+    pub fn echoes(&self, query: &QueryWire) -> bool {
+        let Some((labels, [0, type_hi, type_lo, class_hi, class_lo])) =
+            query.question().split_last_chunk::<5>()
+        else {
+            return false;
+        };
         if self.header.question_count == 0 {
             return false;
         }
         let mut r = WireReader::at(self.packet, HEADER_LEN);
-        let mut name = SameName::new(&question.name);
+        let mut name = SameName::new(labels);
         r.walk_name(&mut name).is_ok()
             && name.matched()
-            && r.read_u16().map(RrType::from) == Ok(question.rtype)
-            && r.read_u16().map(RrClass::from) == Ok(question.rclass)
+            && r.read_u16() == Ok(u16::from_be_bytes([*type_hi, *type_lo]))
+            && r.read_u16() == Ok(u16::from_be_bytes([*class_hi, *class_lo]))
     }
 
     /// The answer section's records, in order.
@@ -200,19 +229,6 @@ impl<'a> MessageView<'a> {
         }
     }
 
-    /// The addresses of the answer records of type `rtype`, in answer
-    /// order — what [`addresses_of_type`](crate::addresses_of_type) reads
-    /// from the decoded message.
-    pub fn addresses(&self, rtype: RrType) -> Vec<IpAddr> {
-        let mut addresses = Vec::with_capacity(usize::from(self.header.answer_count));
-        addresses.extend(
-            self.answers()
-                .filter(|record| record.rtype == rtype)
-                .filter_map(|record| record.ip_addr()),
-        );
-        addresses
-    }
-
     /// The owned copy: every section decoded into a [`Message`], by the
     /// walk that validated the packet, this time keeping what it reads.
     ///
@@ -221,16 +237,18 @@ impl<'a> MessageView<'a> {
     /// None in practice — the packet was validated by the same readers —
     /// but a reader's error is passed on rather than assumed away.
     pub fn to_message(&self) -> WireResult<Message> {
-        Self::walk::<true>(self.packet).map(|(_, message)| message)
+        Self::walk::<true>(self.packet, &mut ()).map(|(_, message)| message)
     }
 }
 
-/// Walks the `count` records of one section into `kept` (when `KEEP`) and
-/// returns where the section starts.
-fn records<const KEEP: bool>(
-    r: &mut WireReader<'_>,
+/// Walks the `count` records of one section into `kept` (when `KEEP`), or
+/// hands each to `seen` as it is validated, and returns where the section
+/// starts.
+fn records<'a, const KEEP: bool>(
+    r: &mut WireReader<'a>,
     count: u16,
     kept: &mut Vec<Record>,
+    seen: &mut impl AnswerSink<'a>,
 ) -> WireResult<usize> {
     let start = r.position();
     if KEEP {
@@ -239,11 +257,49 @@ fn records<const KEEP: bool>(
             kept.push(Record::read::<true>(r)?);
         }
     } else {
+        seen.announce(count, r.remaining());
         for _ in 0..count {
-            Record::skip(r)?;
+            seen.record(Record::skip(r)?);
         }
     }
     Ok(start)
+}
+
+/// What the validating walk hands a section's records to: told how many
+/// the header announces and how many octets are left to hold them, then
+/// given each record once it is checked.
+pub(crate) trait AnswerSink<'a> {
+    fn announce(&mut self, _count: u16, _octets: usize) {}
+
+    fn record(&mut self, _record: RecordView<'a>) {}
+}
+
+/// Records go nowhere.
+impl AnswerSink<'_> for () {}
+
+/// The addresses of one type, appended as their records pass.
+struct Addresses<'v> {
+    rtype: RrType,
+    addresses: &'v mut Vec<IpAddr>,
+}
+
+/// The smallest address record: a root owner, type, class, TTL, RDLENGTH
+/// and four octets of rdata.
+const MIN_ADDRESS_RECORD: usize = 1 + 10 + 4;
+
+impl<'a> AnswerSink<'a> for Addresses<'_> {
+    /// Room for every record the section announces, but never for more
+    /// than the octets left could hold: the count is not yet validated.
+    fn announce(&mut self, count: u16, octets: usize) {
+        let room = usize::from(count).min(octets / MIN_ADDRESS_RECORD);
+        self.addresses.reserve(room);
+    }
+
+    fn record(&mut self, record: RecordView<'a>) {
+        if record.rtype == self.rtype {
+            self.addresses.extend(record.ip_addr());
+        }
+    }
 }
 
 /// The records of one section of a [`MessageView`].

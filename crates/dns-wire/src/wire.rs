@@ -510,8 +510,8 @@ impl LabelSink for Step {
     fn label(&mut self, _: &[u8]) {}
 }
 
-/// A comparison: the labels read are held against a [`Name`]'s, ignoring
-/// ASCII case, as `Name: PartialEq` compares.
+/// A comparison: the labels read are held against a name's, ignoring ASCII
+/// case, as `Name: PartialEq` compares.
 pub(crate) struct SameName<'n> {
     /// What of the name's buffer the labels so far have not matched;
     /// `None` once one differed.
@@ -519,10 +519,10 @@ pub(crate) struct SameName<'n> {
 }
 
 impl<'n> SameName<'n> {
-    pub(crate) fn new(name: &'n Name) -> Self {
-        SameName {
-            rest: Some(name.as_wire_labels()),
-        }
+    /// Against a name's length-prefixed labels, without the terminating
+    /// zero, as a [`Name`] holds them.
+    pub(crate) fn new(labels: &'n [u8]) -> Self {
+        SameName { rest: Some(labels) }
     }
 
     /// Whether the labels read were exactly the name's.

@@ -5,7 +5,9 @@
 //! [`Message::decode`] and against the decoder `Message::decode` was before
 //! the view — each section read in turn with the public readers — over the
 //! round-trip corpus, seeded mutations of it and hand-built hostile
-//! packets, and prints how many inputs it checked.
+//! packets — the walk that collects addresses as it validates, the one-step
+//! least TTL and the echo check against a query's own octets included —
+//! and prints how many inputs it checked.
 
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -19,7 +21,7 @@ use common::mutate::{self, pick};
 
 use sdoh_dns_wire::{
     addresses_of_type, base64url, Edns, EdnsOption, Header, Message, MessageView, Mx, Name, Opcode,
-    Question, RData, Rcode, Record, RrType, Soa, Srv, WireError, WireReader,
+    QueryWire, Question, RData, Rcode, Record, RrClass, RrType, Soa, Srv, WireError, WireReader,
 };
 
 fn arb_label() -> impl Strategy<Value = String> {
@@ -379,6 +381,19 @@ fn view_oracle_agrees_with_decode() {
         let decoded = Message::decode(input);
         let view = MessageView::parse(input);
         assert_eq!(decoded, reference, "{input:02x?}");
+        // The walk that collects addresses as it validates accepts and
+        // rejects what the plain walk does, and collects what decode holds.
+        for rtype in rtypes {
+            let mut addresses = Vec::new();
+            let collected = MessageView::parse_addresses(input, rtype, &mut addresses);
+            match (&collected, &decoded) {
+                (Ok(_), Ok(message)) => {
+                    assert_eq!(addresses, addresses_of_type(message, rtype), "{input:02x?}");
+                }
+                (Err(rejected), Err(error)) => assert_eq!(rejected, error, "{input:02x?}"),
+                _ => panic!("collecting {collected:?} but decode {decoded:?} on {input:02x?}"),
+            }
+        }
         match (&view, &decoded) {
             (Err(rejected), Err(error)) => assert_eq!(rejected, error, "{input:02x?}"),
             (Ok(view), Ok(message)) => {
@@ -386,24 +401,23 @@ fn view_oracle_agrees_with_decode() {
                 assert_eq!(view.to_message().as_ref(), Ok(message));
                 assert_eq!(view.header(), &message.header);
                 // Stepping over what was validated finds the same records.
-                let located = MessageView::locate(input).unwrap();
-                let records = |view: MessageView<'_>| {
-                    let records = view.answers().chain(view.authorities());
-                    records.chain(view.additionals()).count()
-                };
                 assert_eq!(
-                    located.answers().collect::<Vec<_>>(),
-                    view.answers().collect::<Vec<_>>()
+                    MessageView::least_answer_ttl(input),
+                    message.answers.iter().map(|record| record.ttl).min()
                 );
-                assert_eq!(records(located), records(*view));
+                let records = view.answers().chain(view.authorities());
+                assert_eq!(
+                    records.chain(view.additionals()).count(),
+                    message.answers.len() + message.authorities.len() + message.additionals.len()
+                );
+                // A client's own query octets, held against the echo: the
+                // first question's, and one asking another type.
                 if let Some(question) = message.question() {
-                    assert!(view.question_is(question));
-                    let mut other = question.clone();
-                    other.rtype = RrType::Unknown(4243);
-                    assert!(!view.question_is(&other));
-                }
-                for rtype in rtypes {
-                    assert_eq!(view.addresses(rtype), addresses_of_type(message, rtype));
+                    let query = QueryWire::new(7, &question.name, question.rtype).unwrap();
+                    let same = question.rclass == RrClass::In;
+                    assert_eq!(view.echoes(&query), same, "{input:02x?}");
+                    let other = QueryWire::new(7, &question.name, RrType::Unknown(4243)).unwrap();
+                    assert!(!view.echoes(&other), "{input:02x?}");
                 }
                 for (lent, owned) in [
                     (view.answers(), &message.answers),

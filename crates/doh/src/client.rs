@@ -1,12 +1,11 @@
 //! The DNS-over-HTTPS client (RFC 8484).
 
+use std::net::IpAddr;
 use std::time::Duration;
 
 use bytes::BufMut;
 use sdoh_dns_server::Exchanger;
-use sdoh_dns_wire::{
-    base64url, encode_sections, Header, Message, MessageView, Name, Opcode, Question, RrType,
-};
+use sdoh_dns_wire::{base64url, Message, MessageView, Name, Opcode, QueryWire, Rcode, RrType};
 use sdoh_netsim::ChannelKind;
 
 use crate::directory::ResolverInfo;
@@ -35,7 +34,7 @@ pub enum DohMethod {
 /// Each query opens a fresh HTTP/2 connection over the secure channel, which
 /// keeps the client stateless and the failure model per-query. Measured on
 /// one core of a 2-vCPU host (release build), an address source's exchange
-/// with an in-process terminator over an 8-address zone takes ~3.2 us, of
+/// with an in-process terminator over an 8-address zone takes ~2.9 us, of
 /// which the two connection constructors are ~0.06 us; the preface and
 /// SETTINGS frames are 69 of the ~480 octets it seals (186 out, 296 back
 /// for `dns.example`). A connection kept per resolver would save little
@@ -130,17 +129,8 @@ impl DohClient {
             DohMethod::Post => id,
         };
         // The octets `Message::query(id, name, rtype).encode()` writes,
-        // without the message: the question is kept to check the echo.
-        let question = Question::new(name.clone(), rtype);
-        let mut query_wire = Vec::with_capacity(512);
-        encode_sections(
-            Header::query(id),
-            std::slice::from_ref(&question),
-            [],
-            [],
-            [],
-            &mut query_wire,
-        )?;
+        // held inline: sent, and kept to check the answer's echo against.
+        let query = QueryWire::new(id, name, rtype)?;
         // One buffer from the envelope header to the record tag: the
         // connection queues its frames behind the header, the request's
         // fields written straight from the resolver name and the query, and
@@ -162,13 +152,13 @@ impl DohClient {
                 // The path's text is written into the header block where it
                 // goes, the query's base64url behind its prefix.
                 const PARAMETER: &str = "?dns=";
-                let len =
-                    DOH_PATH.len() + PARAMETER.len() + base64url::encoded_len(query_wire.len());
+                let octets = query.as_bytes();
+                let len = DOH_PATH.len() + PARAMETER.len() + base64url::encoded_len(octets.len());
                 request
                     .field_with(":path", len, |out| {
                         out.put_slice(DOH_PATH.as_bytes());
                         out.put_slice(PARAMETER.as_bytes());
-                        base64url::encode_into(&query_wire, out);
+                        base64url::encode_into(octets, out);
                     })
                     .field("accept", DNS_MESSAGE_CONTENT_TYPE);
                 request.body(&[]);
@@ -178,7 +168,7 @@ impl DohClient {
                     .field(":path", DOH_PATH)
                     .field("accept", DNS_MESSAGE_CONTENT_TYPE)
                     .field("content-type", DNS_MESSAGE_CONTENT_TYPE);
-                request.body(&query_wire);
+                request.body(query.as_bytes());
             }
         }
         let mut payload = connection.take_output();
@@ -199,7 +189,7 @@ impl DohClient {
                 connection,
                 stream_id,
                 id,
-                question,
+                query,
             },
         ))
     }
@@ -207,40 +197,58 @@ impl DohClient {
     /// Sans-IO second half of a query: authenticates, decodes and validates
     /// the reply bytes produced by the exchange described by the matching
     /// [`DohTransmit`], and returns the DNS response — the checks of
-    /// [`DohClient::finish_with`], then the owned copy.
+    /// [`DohClient::finish_addresses`], then the owned copy.
     ///
     /// # Errors
     ///
     /// Same error surface as [`DohClient::query`], minus the transport
     /// errors (the driver owns those).
     pub fn finish_query(&self, prepared: PreparedDohQuery, reply: &mut [u8]) -> DohResult<Message> {
-        Ok(self.finish_with(prepared, reply, |answer| answer.to_message())??)
+        Ok(self.finish_with(prepared, reply, None, |answer| answer.to_message())??)
     }
 
-    /// The one validation chain of a reply, with `read` as its ending:
-    /// `reply` is opened where it lies (it holds plaintext afterwards), the
-    /// envelope must name this resolver, the HTTP/2 response on the request
-    /// stream must be a 200 of type `application/dns-message`, its body one
-    /// well-formed DNS message, and that message a response to the query —
-    /// QR set, the query's opcode and id (0 under GET) and its question
-    /// echoed. `read` then sees the message where it lies:
-    /// [`DohClient::finish_query`] copies it, an address source takes the
-    /// addresses it asked for.
+    /// The second half of an address source's query: the reply's checks,
+    /// and the response code and the addresses of the type asked for, in
+    /// answer order, read where they lie on the walk that validates the
+    /// answer. `reply` is opened where it lies (it holds plaintext
+    /// afterwards).
     ///
     /// # Errors
     ///
     /// As [`DohClient::finish_query`].
-    pub fn finish_with<T>(
+    pub fn finish_addresses(
         &self,
         prepared: PreparedDohQuery,
         reply: &mut [u8],
+    ) -> DohResult<(Rcode, Vec<IpAddr>)> {
+        let mut addresses = Vec::new();
+        let rcode = self.finish_with(prepared, reply, Some(&mut addresses), |answer| {
+            answer.header().rcode
+        })?;
+        Ok((rcode, addresses))
+    }
+
+    /// The one validation chain of a reply, with `read` as its ending:
+    /// `reply` is opened where it lies, the envelope must name this
+    /// resolver, the HTTP/2 response on the request stream must be a 200 of
+    /// type `application/dns-message` whose `content-length`, if it gives
+    /// one, is its body's, that body one well-formed DNS message — its
+    /// addresses of the asked type collected into `addresses` on the walk
+    /// that validates it — and that message a response to the query — QR
+    /// set, the query's opcode and id (0 under GET) and its question
+    /// echoed. `read` then sees the message where it lies.
+    fn finish_with<T>(
+        &self,
+        prepared: PreparedDohQuery,
+        reply: &mut [u8],
+        addresses: Option<&mut Vec<IpAddr>>,
         read: impl FnOnce(&MessageView<'_>) -> T,
     ) -> DohResult<T> {
         let PreparedDohQuery {
             mut connection,
             stream_id,
             id,
-            question,
+            query,
         } = prepared;
 
         let (server_name, record) = SecureEnvelope::split(reply)?;
@@ -263,7 +271,7 @@ impl DohClient {
         if !head.status.is_success() {
             return Err(DohError::HttpStatus(head.status.as_u16()));
         }
-        match head.header("content-type") {
+        match head.content_type {
             Some(ct) if ct.eq_ignore_ascii_case(DNS_MESSAGE_CONTENT_TYPE) => {}
             other => {
                 return Err(DohError::Protocol(format!(
@@ -271,7 +279,12 @@ impl DohClient {
                 )))
             }
         }
-        let answer = MessageView::parse(body.octets())?;
+        let answer = match addresses {
+            Some(addresses) => {
+                MessageView::parse_addresses(body.octets(), query.rtype(), addresses)?
+            }
+            None => MessageView::parse(body.octets())?,
+        };
         // What a plain DNS client checks too (`Message::answers_query`): a
         // reflected query is not an answer, however well it echoes.
         let header = answer.header();
@@ -280,7 +293,7 @@ impl DohClient {
                 "the reply is not a response to the query".into(),
             ));
         }
-        if !answer.question_is(&question) {
+        if !answer.echoes(&query) {
             return Err(DohError::Protocol(
                 "response question does not match query".into(),
             ));
@@ -311,22 +324,15 @@ impl DohClient {
 pub use sdoh_netsim::ConcurrentRequest as DohTransmit;
 
 /// In-flight state of one DoH query between [`DohClient::begin_query`] and
-/// [`DohClient::finish_query`]: the HTTP/2 client connection, the stream the
-/// request went out on, and the id and question to validate the response
-/// against.
+/// [`DohClient::finish_query`] (or [`DohClient::finish_addresses`]): the
+/// HTTP/2 client connection, the stream the request went out on, and the
+/// id and the query's octets to validate the response against.
 #[derive(Debug)]
 pub struct PreparedDohQuery {
     connection: ClientConnection,
     stream_id: u32,
     id: u16,
-    question: Question,
-}
-
-impl PreparedDohQuery {
-    /// The question this prepared exchange will resolve.
-    pub fn question(&self) -> &Question {
-        &self.question
-    }
+    query: QueryWire,
 }
 
 #[cfg(test)]
@@ -430,6 +436,42 @@ mod tests {
             .query(&mut exchanger, &"pool.ntp.org".parse().unwrap(), RrType::A)
             .unwrap_err();
         assert!(matches!(err, DohError::Network(_)));
+    }
+
+    /// RFC 7540 §8.1.2.6: a sealed 200 whose `content-length` is not its
+    /// body's length is malformed, and the exchange fails. It used to be
+    /// taken as the answer.
+    #[test]
+    fn a_reply_that_lies_about_its_length_fails_the_exchange() {
+        use crate::h2::ServerConnection;
+        use crate::http::Response;
+
+        let info = ResolverDirectory::well_known(11).resolvers()[0].clone();
+        let client = DohClient::new(info.clone());
+        let name: Name = "pool.ntp.org".parse().unwrap();
+        let answer = pool_authority()
+            .answer(&Message::query(0, name.clone(), RrType::A))
+            .encode()
+            .unwrap();
+        let reply = |length: usize| {
+            let mut connection = ServerConnection::with_output(SecureEnvelope::begin(&info.name));
+            let response = Response::ok(DNS_MESSAGE_CONTENT_TYPE, answer.to_vec())
+                .with_header("content-length", &length.to_string());
+            connection.send_response(1, &response);
+            let mut reply = connection.take_output();
+            let record_at = SecureEnvelope::begin(&info.name).len();
+            secure::seal_in_place(&info.key, secure::SEQ_SERVER, &mut reply, record_at);
+            reply
+        };
+        let finish = |length: usize| {
+            let (_, prepared) = client.begin_query(0, &name, RrType::A).unwrap();
+            client.finish_query(prepared, &mut reply(length))
+        };
+        assert_eq!(finish(answer.len()).unwrap().answer_addresses().len(), 4);
+        for length in [answer.len() + 1, answer.len() - 1, 0] {
+            let err = finish(length).unwrap_err();
+            assert!(matches!(err, DohError::Http2(_)), "{length}: {err:?}");
+        }
     }
 
     #[test]

@@ -11,8 +11,13 @@
 //! preface, parses each frame where it lies, applies the connection's own
 //! frames (SETTINGS, PING, GOAWAY) and the stream rules of RFC 7540 §5.1,
 //! and hands out what belongs to a message as a [`Part`] borrowed from the
-//! input: a head's header block, a body's octets, a reset. The stream rules
-//! are connection errors (`PROTOCOL_ERROR`, §5.1, §5.1.1, §6.1, §6.2):
+//! input: a head, a body's octets, a reset. A head is read by the walk, in
+//! one pass over its block, into whatever the caller reads heads as (the
+//! [`Head`] it asks for): its pseudo-header fields and the regular fields an
+//! end needs (`content-type`, `content-length`) in the lent
+//! [`RequestHead`] / [`ResponseHead`], every field in the owned copy. The
+//! stream rules are connection errors (`PROTOCOL_ERROR`, §5.1, §5.1.1,
+//! §6.1, §6.2, §8.1.2.6):
 //!
 //! * nothing arrives on stream 0;
 //! * a HEADERS frame opens a stream only where the peer may open one — at a
@@ -21,12 +26,12 @@
 //!   it opened;
 //! * DATA arrives only on a stream whose head did, and a second HEADERS
 //!   frame on such a stream is its trailers, which must end it (their fields
-//!   are checked and dropped).
+//!   are checked and dropped);
+//! * a head's `content-length` is digits, one value however often it is
+//!   given, and the sum of the stream's DATA payloads.
 //!
 //! The owned `receive` of both ends is that walk plus a copy into a
 //! [`Request`] / [`Response`]; the DoH ends read the parts where they lie.
-//! A head's pseudo-header fields are read by one reader per kind
-//! ([`RequestHead`], [`ResponseHead`]), whichever of the two asks.
 //!
 //! # Who owns which buffer
 //!
@@ -72,7 +77,7 @@ use std::io::Write as _;
 
 use bytes::{BufMut, BytesMut};
 
-use crate::http::{self, Headers, Method, Request, Response, StatusCode};
+use crate::http::{Headers, Method, Request, Response, StatusCode};
 
 use super::error::H2Error;
 use super::frame::{self, flags, Frame, FrameType, RawFrame, CONNECTION_PREFACE};
@@ -87,13 +92,13 @@ mod settings_id {
 }
 
 /// What of a message one frame carries, borrowed from the octets walked.
-#[derive(Debug, Clone, Copy)]
-enum Part<'a> {
-    /// A HEADERS frame opening the message: its header block, and whether
-    /// it ends the stream (no body follows).
+#[derive(Debug)]
+enum Part<'a, H> {
+    /// A HEADERS frame opening the message: its head, read out of the
+    /// header block, and whether it ends the stream (no body follows).
     Head {
         stream_id: u32,
-        fields: Fields<'a>,
+        head: H,
         end_stream: bool,
     },
     /// Body octets from a DATA frame, and whether they end the stream.
@@ -105,6 +110,17 @@ enum Part<'a> {
     },
     /// The peer reset the stream: its message will not complete.
     Reset { stream_id: u32 },
+}
+
+/// A message's head as an end takes it out of its header block: lent where
+/// it lies ([`RequestHead`], [`ResponseHead`]) or copied into the owned
+/// [`Request`] / [`Response`] `receive` returns. The walk reads each head
+/// through this, once, so the body length the head declares is known to
+/// the stream rules whichever end reads it.
+trait Head<'a>: Sized {
+    /// Reads the head in one walk of its block, every field checked, and
+    /// the body length its `content-length` declares.
+    fn read(fields: Fields<'a>) -> Result<(Self, Option<u64>), H2Error>;
 }
 
 /// A message's body as its DATA frames arrive: lent while it is one
@@ -127,8 +143,38 @@ impl<'a> Body<'a> {
     }
 }
 
-/// A request's head where it lies: its pseudo-header fields read out of
-/// the block, the block kept for its regular fields.
+/// The regular fields a head reads on its one walk, besides handing each
+/// to the owned copy: `content-type` (the first one counts) and
+/// `content-length`.
+#[derive(Default)]
+struct Declared<'a> {
+    content_type: Option<&'a str>,
+    content_length: Option<u64>,
+}
+
+impl<'a> Declared<'a> {
+    /// Notes a regular field. A `content-length` must be digits, and one
+    /// that repeats must repeat its value (RFC 7230 §3.3.2): either way
+    /// the message's length would be in doubt.
+    fn note(&mut self, name: &str, value: &'a str) -> Result<(), H2Error> {
+        if name.eq_ignore_ascii_case("content-type") {
+            self.content_type = self.content_type.or(Some(value));
+        } else if name.eq_ignore_ascii_case("content-length") {
+            let length = value
+                .bytes()
+                .all(|octet| octet.is_ascii_digit())
+                .then(|| value.parse::<u64>().ok())
+                .flatten()
+                .filter(|length| self.content_length.is_none_or(|first| first == *length))
+                .ok_or_else(|| H2Error::Protocol(format!("malformed content-length {value:?}")))?;
+            self.content_length = Some(length);
+        }
+        Ok(())
+    }
+}
+
+/// A request's head where it lies: its pseudo-header fields and the regular
+/// fields the DoH terminator reads, out of one walk of the block.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RequestHead<'a> {
     pub(crate) method: Method,
@@ -137,41 +183,46 @@ pub(crate) struct RequestHead<'a> {
     /// `""` when the request names none.
     pub(crate) authority: &'a str,
     pub(crate) scheme: Option<&'a str>,
+    /// The first `content-type` field's value.
+    pub(crate) content_type: Option<&'a str>,
+    #[cfg(test)]
     fields: Fields<'a>,
 }
 
 impl<'a> RequestHead<'a> {
-    /// Walks the block once, every field checked. A request must carry
-    /// `:method` (one this implementation knows) and `:path`; of a repeated
-    /// pseudo-header field the last counts.
-    pub(crate) fn read(fields: Fields<'a>) -> Result<Self, H2Error> {
-        Self::read_with(fields, |_, _| {})
-    }
-
-    /// [`RequestHead::read`], handing each regular field to `regular` on
-    /// the way: the owned copy's one walk.
+    /// Walks the block once, every field checked, handing each regular
+    /// field to `regular` on the way (the owned copy keeps them). A request
+    /// must carry `:method` (one this implementation knows) and `:path`; of
+    /// a repeated pseudo-header field the last counts.
     fn read_with(
         fields: Fields<'a>,
         mut regular: impl FnMut(&'a str, &'a str),
-    ) -> Result<Self, H2Error> {
+    ) -> Result<(Self, Option<u64>), H2Error> {
         let (mut method, mut path, mut authority, mut scheme) = (None, None, "", None);
+        let mut declared = Declared::default();
         for field in fields {
             match field? {
                 (":method", value) => method = Method::from_token(value),
                 (":path", value) => path = Some(value),
                 (":authority", value) => authority = value,
                 (":scheme", value) => scheme = Some(value),
-                (name, value) if !name.starts_with(':') => regular(name, value),
+                (name, value) if !name.starts_with(':') => {
+                    declared.note(name, value)?;
+                    regular(name, value);
+                }
                 _ => {}
             }
         }
-        Ok(RequestHead {
+        let head = RequestHead {
             method: method.ok_or_else(|| H2Error::Protocol("request without :method".into()))?,
             path: path.ok_or_else(|| H2Error::Protocol("request without :path".into()))?,
             authority,
             scheme,
+            content_type: declared.content_type,
+            #[cfg(test)]
             fields,
-        })
+        };
+        Ok((head, declared.content_length))
     }
 
     /// The regular (not pseudo-header) fields, in order: what the owned copy
@@ -180,57 +231,53 @@ impl<'a> RequestHead<'a> {
     pub(crate) fn headers(&self) -> impl Iterator<Item = (&'a str, &'a str)> {
         regular(self.fields)
     }
+}
 
-    /// The first regular field called `name` (names compare ignoring case).
-    pub(crate) fn header(&self, name: &str) -> Option<&'a str> {
-        header(self.fields, name)
-    }
-
-    /// The path before any `?`.
-    pub(crate) fn path_without_query(&self) -> &'a str {
-        http::path_without_query(self.path)
-    }
-
-    /// A URI query parameter, by name.
-    pub(crate) fn query_param(&self, name: &str) -> Option<&'a str> {
-        http::query_param(self.path, name)
+impl<'a> Head<'a> for RequestHead<'a> {
+    fn read(fields: Fields<'a>) -> Result<(Self, Option<u64>), H2Error> {
+        Self::read_with(fields, |_, _| {})
     }
 }
 
-/// A response's head where it lies: its status read out of the block, the
-/// block kept for its regular fields.
+/// A response's head where it lies: its status and the regular fields the
+/// DoH client reads, out of one walk of the block.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ResponseHead<'a> {
     pub(crate) status: StatusCode,
+    /// The first `content-type` field's value.
+    pub(crate) content_type: Option<&'a str>,
+    #[cfg(test)]
     fields: Fields<'a>,
 }
 
 impl<'a> ResponseHead<'a> {
-    /// Walks the block once, every field checked. A response must carry a
-    /// numeric `:status`; of a repeated one the last counts.
-    pub(crate) fn read(fields: Fields<'a>) -> Result<Self, H2Error> {
-        Self::read_with(fields, |_, _| {})
-    }
-
-    /// [`ResponseHead::read`], handing each regular field to `regular` on
-    /// the way: the owned copy's one walk.
+    /// Walks the block once, every field checked, handing each regular
+    /// field to `regular` on the way (the owned copy keeps them). A response
+    /// must carry a numeric `:status`; of a repeated one the last counts.
     fn read_with(
         fields: Fields<'a>,
         mut regular: impl FnMut(&'a str, &'a str),
-    ) -> Result<Self, H2Error> {
+    ) -> Result<(Self, Option<u64>), H2Error> {
         let mut status = None;
+        let mut declared = Declared::default();
         for field in fields {
             match field? {
                 (":status", value) => status = value.parse::<u16>().ok(),
-                (name, value) if !name.starts_with(':') => regular(name, value),
+                (name, value) if !name.starts_with(':') => {
+                    declared.note(name, value)?;
+                    regular(name, value);
+                }
                 _ => {}
             }
         }
         let status = status.ok_or_else(|| H2Error::Protocol("response without :status".into()))?;
-        Ok(ResponseHead {
+        let head = ResponseHead {
             status: StatusCode::from(status),
+            content_type: declared.content_type,
+            #[cfg(test)]
             fields,
-        })
+        };
+        Ok((head, declared.content_length))
     }
 
     /// The regular (not pseudo-header) fields, in order: what the owned copy
@@ -239,25 +286,21 @@ impl<'a> ResponseHead<'a> {
     pub(crate) fn headers(&self) -> impl Iterator<Item = (&'a str, &'a str)> {
         regular(self.fields)
     }
+}
 
-    /// The first regular field called `name` (names compare ignoring case).
-    pub(crate) fn header(&self, name: &str) -> Option<&'a str> {
-        header(self.fields, name)
+impl<'a> Head<'a> for ResponseHead<'a> {
+    fn read(fields: Fields<'a>) -> Result<(Self, Option<u64>), H2Error> {
+        Self::read_with(fields, |_, _| {})
     }
 }
 
 /// The regular (not pseudo-header) fields of a block a head has read, so
 /// none of them is an error any more.
+#[cfg(test)]
 fn regular<'a>(fields: Fields<'a>) -> impl Iterator<Item = (&'a str, &'a str)> {
     fields
         .filter_map(Result::ok)
         .filter(|(name, _)| !name.starts_with(':'))
-}
-
-fn header<'a>(fields: Fields<'a>, name: &str) -> Option<&'a str> {
-    regular(fields)
-        .find(|(field, _)| field.eq_ignore_ascii_case(name))
-        .map(|(_, value)| value)
 }
 
 /// A message being written where it goes (see the module doc): its HEADERS
@@ -335,8 +378,9 @@ impl<'o> Outgoing<'o> {
 enum Arriving {
     /// This end opened the stream: the peer's head is due.
     Head,
-    /// The head arrived: DATA frames (or trailers) follow.
-    Body,
+    /// The head arrived: DATA frames (or trailers) follow, as many octets
+    /// as are left of what its `content-length` declared, if it did.
+    Body { left: Option<u64> },
 }
 
 /// The state the walk of received octets keeps, and the output queue.
@@ -393,10 +437,13 @@ impl Walk {
     }
 
     /// The next part of a message in `input`, every connection frame before
-    /// it applied; `input` is left behind what was walked. `Ok(None)`: no
-    /// complete frame is left (nor, at a server that has not seen it yet, a
-    /// complete preface).
-    fn next_part<'a>(&mut self, input: &mut &'a [u8]) -> Result<Option<Part<'a>>, H2Error> {
+    /// it applied and every head read as an `H`; `input` is left behind what
+    /// was walked. `Ok(None)`: no complete frame is left (nor, at a server
+    /// that has not seen it yet, a complete preface).
+    fn next_part<'a, H: Head<'a>>(
+        &mut self,
+        input: &mut &'a [u8],
+    ) -> Result<Option<Part<'a, H>>, H2Error> {
         if !self.preface.is_empty() {
             let whole: &'a [u8] = input;
             let Some((preface, frames)) = whole.split_at_checked(self.preface.len()) else {
@@ -419,7 +466,10 @@ impl Walk {
     }
 
     /// Applies one frame; what it carries of a message is returned.
-    fn apply<'a>(&mut self, raw: RawFrame<'a>) -> Result<Option<Part<'a>>, H2Error> {
+    fn apply<'a, H: Head<'a>>(
+        &mut self,
+        raw: RawFrame<'a>,
+    ) -> Result<Option<Part<'a, H>>, H2Error> {
         let stream_id = raw.stream_id;
         let end_stream = raw.end_stream();
         match raw.frame_type {
@@ -429,25 +479,10 @@ impl Walk {
                         "continuation frames are not supported".into(),
                     ));
                 }
-                let fields = Fields::new(raw.payload);
-                if self.headers_arrive(stream_id, end_stream)? {
-                    return Ok(Some(Part::Head {
-                        stream_id,
-                        fields,
-                        end_stream,
-                    }));
-                }
-                for field in fields {
-                    field?;
-                }
-                return Ok(Some(Part::Body {
-                    stream_id,
-                    octets: &[],
-                    end_stream,
-                }));
+                return self.headers_arrive(stream_id, Fields::new(raw.payload), end_stream);
             }
             FrameType::Data => {
-                self.data_arrives(stream_id, end_stream)?;
+                self.data_arrives(stream_id, raw.payload.len(), end_stream)?;
                 return Ok(Some(Part::Body {
                     stream_id,
                     octets: raw.payload,
@@ -479,59 +514,110 @@ impl Walk {
         Ok(None)
     }
 
-    /// The stream rules (module doc) for a HEADERS frame on `id`: whether it
-    /// is a message's head, or the trailers of one whose body is arriving.
-    fn headers_arrive(&mut self, id: u32, end_stream: bool) -> Result<bool, H2Error> {
-        let Some(at) = self.streams.iter().position(|(open, _)| *open == id) else {
-            if !self.peer_opens || id.is_multiple_of(2) || id <= self.last_opened {
-                return Err(H2Error::Protocol(format!(
-                    "headers on stream {id}, which the peer may not open"
-                )));
-            }
-            self.last_opened = id;
-            if !end_stream {
-                self.streams.push((id, Arriving::Body));
-            }
-            return Ok(true);
-        };
-        let head = self
+    /// The stream rules (module doc) for a HEADERS frame on `id`: a
+    /// message's head, read, or the trailers of one whose body is arriving,
+    /// checked and dropped.
+    fn headers_arrive<'a, H: Head<'a>>(
+        &mut self,
+        id: u32,
+        fields: Fields<'a>,
+        end_stream: bool,
+    ) -> Result<Option<Part<'a, H>>, H2Error> {
+        let arriving = self
             .streams
-            .get(at)
-            .is_some_and(|(_, arriving)| *arriving == Arriving::Head);
-        if end_stream {
-            self.streams.remove(at);
-        } else if !head {
-            return Err(H2Error::Protocol(format!(
+            .iter()
+            .find(|(open, _)| *open == id)
+            .map(|&(_, arriving)| arriving);
+        match arriving {
+            None if !self.peer_opens || id.is_multiple_of(2) || id <= self.last_opened => {
+                Err(H2Error::Protocol(format!(
+                    "headers on stream {id}, which the peer may not open"
+                )))
+            }
+            Some(Arriving::Body { .. }) if !end_stream => Err(H2Error::Protocol(format!(
                 "headers on stream {id} in the middle of its body"
-            )));
-        } else if let Some((_, arriving)) = self.streams.get_mut(at) {
-            *arriving = Arriving::Body;
+            ))),
+            Some(Arriving::Body { left }) => {
+                for field in fields {
+                    field?;
+                }
+                self.streams.retain(|(open, _)| *open != id);
+                body_ends(id, left)?;
+                Ok(Some(Part::Body {
+                    stream_id: id,
+                    octets: &[],
+                    end_stream,
+                }))
+            }
+            // A stream the peer opens, or one this end opened.
+            opened => {
+                if opened.is_none() {
+                    self.last_opened = id;
+                }
+                let (head, declared) = H::read(fields)?;
+                self.streams.retain(|(open, _)| *open != id);
+                if end_stream {
+                    body_ends(id, declared)?;
+                } else {
+                    self.streams.push((id, Arriving::Body { left: declared }));
+                }
+                Ok(Some(Part::Head {
+                    stream_id: id,
+                    head,
+                    end_stream,
+                }))
+            }
         }
-        Ok(head)
     }
 
-    /// The stream rules (module doc) for a DATA frame on `id`.
-    fn data_arrives(&mut self, id: u32, end_stream: bool) -> Result<(), H2Error> {
+    /// The stream rules (module doc) for a DATA frame of `len` octets on
+    /// `id`.
+    fn data_arrives(&mut self, id: u32, len: usize, end_stream: bool) -> Result<(), H2Error> {
         let at = self
             .streams
             .iter()
-            .position(|&(open, arriving)| open == id && arriving == Arriving::Body)
+            .position(|&(open, arriving)| open == id && arriving != Arriving::Head)
             .ok_or_else(|| {
                 H2Error::Protocol(format!("data on stream {id}, where no head has arrived"))
             })?;
+        if let Some((_, Arriving::Body { left: Some(left) })) = self.streams.get_mut(at) {
+            *left = u64::try_from(len)
+                .ok()
+                .and_then(|len| left.checked_sub(len))
+                .ok_or_else(|| overrun(id))?;
+        }
         if end_stream {
-            self.streams.remove(at);
+            let (_, arriving) = self.streams.remove(at);
+            if let Arriving::Body { left } = arriving {
+                body_ends(id, left)?;
+            }
         }
         Ok(())
     }
 }
 
-/// The message an end receives as its own copy: a response at the client,
-/// a request at the server.
-trait Inbound: Sized {
-    /// Copies the message, its body still empty, out of a head's block.
-    fn from_fields(fields: Fields<'_>) -> Result<Self, H2Error>;
+/// RFC 7540 §8.1.2.6: a message whose `content-length` differs from the sum
+/// of its DATA payloads is malformed. The walk treats it as it treats the
+/// other stream rules, as a connection error: a DoH connection carries one
+/// exchange, so the two come to the same.
+fn overrun(id: u32) -> H2Error {
+    H2Error::Protocol(format!(
+        "stream {id}: the DATA differ from the content-length"
+    ))
+}
 
+/// A stream's body ended with `left` octets of its declared length unsent,
+/// if it declared one.
+fn body_ends(id: u32, left: Option<u64>) -> Result<(), H2Error> {
+    match left {
+        Some(left) if left != 0 => Err(overrun(id)),
+        _ => Ok(()),
+    }
+}
+
+/// The message an end receives as its own copy: a response at the client,
+/// a request at the server. Its head is read by [`Head`].
+trait Inbound {
     /// The body, for the octets of its DATA frames to be appended to.
     fn body(&mut self) -> &mut Vec<u8>;
 }
@@ -542,7 +628,7 @@ struct Inbox<M> {
     partials: Vec<(u32, M)>,
 }
 
-impl<M: Inbound> Inbox<M> {
+impl<M: Inbound + for<'a> Head<'a>> Inbox<M> {
     fn new() -> Self {
         Inbox {
             partials: Vec::new(),
@@ -574,18 +660,17 @@ impl<M: Inbound> Inbox<M> {
         mut input: &'a [u8],
         completed: &mut Vec<(u32, M)>,
     ) -> Result<&'a [u8], H2Error> {
-        while let Some(part) = walk.next_part(&mut input)? {
+        while let Some(part) = walk.next_part::<M>(&mut input)? {
             match part {
                 Part::Head {
                     stream_id,
-                    fields,
+                    head,
                     end_stream,
                 } => {
-                    let message = M::from_fields(fields)?;
                     if end_stream {
-                        completed.push((stream_id, message));
+                        completed.push((stream_id, head));
                     } else {
-                        self.partials.push((stream_id, message));
+                        self.partials.push((stream_id, head));
                     }
                 }
                 Part::Body {
@@ -714,19 +799,16 @@ impl ClientConnection {
         stream_id: u32,
     ) -> Result<Option<(ResponseHead<'a>, Body<'a>)>, H2Error> {
         let (mut head, mut body, mut ended) = (None, Body::default(), false);
-        while let Some(part) = self.walk.next_part(&mut input)? {
+        while let Some(part) = self.walk.next_part::<ResponseHead<'a>>(&mut input)? {
             match part {
-                // Every head is read, as `receive` reads it.
+                // Every head is read by the walk, as `receive` reads it.
                 Part::Head {
                     stream_id: on,
-                    fields,
+                    head: read,
                     end_stream,
-                } => {
-                    let read = ResponseHead::read(fields)?;
-                    if on == stream_id {
-                        head = Some(read);
-                        ended = end_stream;
-                    }
+                } if on == stream_id => {
+                    head = Some(read);
+                    ended = end_stream;
                 }
                 Part::Body {
                     stream_id: on,
@@ -807,14 +889,13 @@ impl ServerConnection {
     ) -> Result<(), H2Error> {
         // Requests whose bodies are still arriving; a GET never waits here.
         let mut arriving: Vec<(u32, RequestHead<'a>, Body<'a>)> = Vec::new();
-        while let Some(part) = self.walk.next_part(&mut input)? {
+        while let Some(part) = self.walk.next_part::<RequestHead<'a>>(&mut input)? {
             match part {
                 Part::Head {
                     stream_id,
-                    fields,
+                    head,
                     end_stream,
                 } => {
-                    let head = RequestHead::read(fields)?;
                     if end_stream {
                         answer(self, stream_id, &head, &[]);
                     } else {
@@ -865,27 +946,32 @@ impl ServerConnection {
     }
 }
 
-impl Inbound for Response {
-    fn from_fields(fields: Fields<'_>) -> Result<Self, H2Error> {
+impl<'a> Head<'a> for Response {
+    fn read(fields: Fields<'a>) -> Result<(Self, Option<u64>), H2Error> {
         let mut headers = Headers::new();
-        let head = ResponseHead::read_with(fields, |name, value| headers.append(name, value))?;
-        Ok(Response {
+        let (head, declared) =
+            ResponseHead::read_with(fields, |name, value| headers.append(name, value))?;
+        let response = Response {
             status: head.status,
             headers,
             body: Vec::new(),
-        })
+        };
+        Ok((response, declared))
     }
+}
 
+impl Inbound for Response {
     fn body(&mut self) -> &mut Vec<u8> {
         &mut self.body
     }
 }
 
-impl Inbound for Request {
-    fn from_fields(fields: Fields<'_>) -> Result<Self, H2Error> {
+impl<'a> Head<'a> for Request {
+    fn read(fields: Fields<'a>) -> Result<(Self, Option<u64>), H2Error> {
         let mut headers = Headers::new();
-        let head = RequestHead::read_with(fields, |name, value| headers.append(name, value))?;
-        Ok(Request {
+        let (head, declared) =
+            RequestHead::read_with(fields, |name, value| headers.append(name, value))?;
+        let request = Request {
             method: head.method,
             path: head.path.to_string(),
             authority: head.authority.to_string(),
@@ -895,9 +981,12 @@ impl Inbound for Request {
             },
             headers,
             body: Vec::new(),
-        })
+        };
+        Ok((request, declared))
     }
+}
 
+impl Inbound for Request {
     fn body(&mut self) -> &mut Vec<u8> {
         &mut self.body
     }
@@ -1254,5 +1343,85 @@ mod tests {
         let mut client = ClientConnection::new();
         client.send_request(&Request::get("dns.google", "/dns-query?dns=Q"));
         assert_eq!(client.receive(&respond_on(1)).unwrap().len(), 1);
+    }
+
+    /// RFC 7540 §8.1.2.6: a message whose `content-length` is not the sum of
+    /// its DATA payloads is malformed — at both ends, owned and lent alike.
+    /// Both used to be taken as they came.
+    #[test]
+    fn a_content_length_that_is_not_the_body_is_a_connection_error() {
+        let post = |length: &str, data: &[Frame]| {
+            let head = Frame::Headers {
+                stream_id: 1,
+                end_stream: false,
+                end_headers: true,
+                block: hpack::encode(&[
+                    (":method".into(), "POST".into()),
+                    (":path".into(), "/dns-query".into()),
+                    ("content-length".into(), length.into()),
+                ]),
+            };
+            let frames: Vec<Frame> = std::iter::once(head).chain(data.iter().cloned()).collect();
+            let input = from_a_client(&frames);
+            let owned = ServerConnection::new().receive(&input);
+            let mut lent = 0;
+            let walked = ServerConnection::new().serve(&input, |_, _, _, _| lent += 1);
+            assert_eq!(owned.as_ref().err(), walked.as_ref().err(), "{length}");
+            owned.map(|requests| {
+                assert_eq!(requests.len(), lent);
+                requests.len()
+            })
+        };
+        // "body": four octets, in one frame or two.
+        let split = [
+            Frame::Data {
+                stream_id: 1,
+                end_stream: false,
+                data: b"bo".to_vec(),
+            },
+            Frame::Data {
+                stream_id: 1,
+                end_stream: true,
+                data: b"dy".to_vec(),
+            },
+        ];
+        assert_eq!(post("4", &[data(1, true)]), Ok(1));
+        assert_eq!(post("4", &split), Ok(1));
+        for (length, frames) in [
+            ("5", vec![data(1, true)]),
+            ("3", vec![data(1, true)]),
+            ("3", split.to_vec()),
+            ("0", vec![data(1, true)]),
+            ("4x", vec![data(1, true)]),
+            ("", vec![data(1, true)]),
+            ("5", vec![data(1, false), request_head(1, true)]),
+        ] {
+            let received = post(length, &frames);
+            assert!(
+                matches!(received, Err(H2Error::Protocol(_))),
+                "{length}: {received:?}"
+            );
+        }
+
+        // A response of three octets that says four, or two.
+        let respond = |length: &str| {
+            let mut server = ServerConnection::new();
+            let response =
+                Response::ok("text/plain", b"abc".to_vec()).with_header("content-length", length);
+            server.send_response(1, &response);
+            server.take_output()
+        };
+        for (length, accepted) in [("3", true), ("4", false), ("2", false)] {
+            let reply = respond(length);
+            let mut client = ClientConnection::new();
+            client.send_request(&Request::get("dns.google", "/dns-query?dns=Q"));
+            let owned = client.receive(&reply);
+            let mut client = ClientConnection::new();
+            client.send_request(&Request::get("dns.google", "/dns-query?dns=Q"));
+            let lent = client.response(&reply, 1);
+            assert_eq!(owned.is_ok(), accepted, "{length}: {owned:?}");
+            assert_eq!(lent.is_ok(), accepted, "{length}");
+            assert_eq!(owned.err(), lent.err());
+        }
     }
 }

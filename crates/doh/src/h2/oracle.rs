@@ -6,8 +6,10 @@
 //! octet, length-field and stream-field mutations of them, and the owned
 //! receive fed the same octets in pieces — and the octets each DoH end
 //! writes held against what `send_request` / `send_response` write for the
-//! same message. Run with `--nocapture`, each half prints how many cases it
-//! checked.
+//! same message. Messages carry a `content-length` that is their body's,
+//! one that is not, or none, so the two walks are held together on RFC 7540
+//! §8.1.2.6's rule too. Run with `--nocapture`, each half prints how many
+//! cases it checked.
 
 #[cfg(test)]
 #[path = "../../../dns-wire/tests/common/mutate.rs"]
@@ -122,8 +124,14 @@ mod tests {
                 format!("/dns-query?dns={}", text("[A-Za-z0-9_-]{0,40}", rng)),
             )
         } else {
-            Request::post(authority, "/dns-query", octets(300, rng))
-                .with_header("content-type", DNS_MESSAGE_CONTENT_TYPE)
+            let body = octets(300, rng);
+            let length = content_length(body.len(), rng);
+            let request = Request::post(authority, "/dns-query", body)
+                .with_header("content-type", DNS_MESSAGE_CONTENT_TYPE);
+            match length {
+                Some(length) => request.with_header("content-length", &length),
+                None => request,
+            }
         };
         for (name, value) in extra_fields(rng) {
             request = request.with_header(&name, &value);
@@ -131,10 +139,25 @@ mod tests {
         request
     }
 
+    /// A `content-length` for a body of `len` octets, or none: mostly the
+    /// truth, sometimes one off either way or not a number.
+    fn content_length(len: usize, rng: &mut TestRng) -> Option<String> {
+        match rng.below(8) {
+            0 | 1 => None,
+            2 => Some((len + 1).to_string()),
+            3 => Some(len.saturating_sub(1).to_string()),
+            4 => Some(format!("{len}x")),
+            _ => Some(len.to_string()),
+        }
+    }
+
     fn arb_response(rng: &mut TestRng) -> Response {
         let status = [200, 204, 301, 404, 418, 500][pick(rng, 6)];
         let mut response = Response::new(StatusCode(status));
         response.body = octets(300, rng);
+        if let Some(length) = content_length(response.body.len(), rng) {
+            response = response.with_header("content-length", &length);
+        }
         for (name, value) in extra_fields(rng) {
             response = response.with_header(&name, &value);
         }

@@ -111,7 +111,11 @@ pub(crate) fn path_without_query(path: &str) -> &str {
 
 /// A URI query parameter of a `:path`, by name.
 pub(crate) fn query_param<'p>(path: &'p str, name: &str) -> Option<&'p str> {
-    let query = path.split_once('?')?.1;
+    param(path.split_once('?')?.1, name)
+}
+
+/// A parameter of a URI query string (what follows the `?`), by name.
+pub(crate) fn param<'q>(query: &'q str, name: &str) -> Option<&'q str> {
     for pair in query.split('&') {
         let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
         if k == name {

@@ -41,6 +41,14 @@
 //! same constants in the same order, only the key is no longer re-absorbed
 //! for every word — so a ciphertext sealed before the tag changed differs
 //! from one sealed now in its last 8 octets only.
+//!
+//! Sealing and opening are **one pass** over the octets: each word is
+//! XORed and chained into the tag in the same step (sealing chains the word
+//! it wrote, opening the word it read), so the record is walked once, not
+//! once to cipher and once to tag. Opening therefore deciphers before it
+//! knows whether the tag holds; a record whose tag fails is put back as it
+//! was given by applying the keystream again, so a failed
+//! [`open_in_place`] leaves its buffer byte for byte untouched.
 
 use std::fmt;
 
@@ -118,19 +126,35 @@ impl Stream {
         }
     }
 
-    /// The tag of `ciphertext`; the module doc spells out the chain.
-    fn tag(self, ciphertext: &[u8]) -> u64 {
-        let (words, tail) = ciphertext.as_chunks::<8>();
+    /// The one pass over a record's octets: the keystream XORed over
+    /// `data` and, in the same step, the ciphertext chained into the tag —
+    /// the word written when sealing (`SEAL`), the word read when opening.
+    /// Returns the tag of the ciphertext; the module doc spells out the
+    /// chain.
+    fn pass<const SEAL: bool>(self, data: &mut [u8]) -> u64 {
+        let len = u64::try_from(data.len()).unwrap_or(u64::MAX);
+        let (words, tail) = data.as_chunks_mut::<8>();
         let mut acc = self.word(u64::MAX);
+        let mut n = 0u64;
         for word in words {
-            acc = mix(acc ^ u64::from_be_bytes(*word));
+            let read = u64::from_be_bytes(*word);
+            let written = read ^ self.word(n);
+            *word = written.to_be_bytes();
+            acc = mix(acc ^ if SEAL { written } else { read });
+            n += 1;
         }
         let mut last = [0u8; 8];
-        for (padded, &octet) in last.iter_mut().zip(tail) {
-            *padded = octet;
+        for ((octet, key_octet), cipher) in tail
+            .iter_mut()
+            .zip(self.word(n).to_be_bytes())
+            .zip(&mut last)
+        {
+            let read = *octet;
+            *octet ^= key_octet;
+            *cipher = if SEAL { *octet } else { read };
         }
         acc = mix(acc ^ u64::from_be_bytes(last));
-        mix(acc ^ u64::try_from(ciphertext.len()).unwrap_or(u64::MAX))
+        mix(acc ^ len)
     }
 }
 
@@ -147,10 +171,8 @@ pub fn seal(key: &SecretKey, seq: u64, plaintext: &[u8]) -> Vec<u8> {
 /// have built from them. What precedes `from` (an envelope header) is left
 /// alone; a `from` past the end seals the empty plaintext.
 pub fn seal_in_place(key: &SecretKey, seq: u64, buf: &mut Vec<u8>, from: usize) {
-    let stream = Stream::new(key, seq);
     let plaintext = buf.get_mut(from..).unwrap_or_default();
-    stream.apply(plaintext);
-    let tag = stream.tag(plaintext);
+    let tag = Stream::new(key, seq).pass::<true>(plaintext);
     buf.extend_from_slice(&tag.to_be_bytes());
 }
 
@@ -167,12 +189,14 @@ pub fn open(key: &SecretKey, seq: u64, record: &[u8]) -> DohResult<Vec<u8>> {
     Ok(plaintext)
 }
 
-/// [`open`] where the record lies: the tag is verified, the ciphertext is
-/// deciphered in place and returned, the tag left behind it.
+/// [`open`] where the record lies: the ciphertext is deciphered in place
+/// while its tag is computed, in one pass, and returned, the tag left
+/// behind it.
 ///
 /// # Errors
 ///
-/// As [`open`]; the record is then left as it was.
+/// As [`open`]; the record is then put back as it was given (the module
+/// doc, "The record").
 pub fn open_in_place<'r>(key: &SecretKey, seq: u64, record: &'r mut [u8]) -> DohResult<&'r [u8]> {
     let Some((ciphertext, presented)) = record.split_last_chunk_mut::<8>() else {
         return Err(DohError::ChannelAuthentication(
@@ -180,12 +204,12 @@ pub fn open_in_place<'r>(key: &SecretKey, seq: u64, record: &'r mut [u8]) -> Doh
         ));
     };
     let stream = Stream::new(key, seq);
-    if stream.tag(ciphertext) != u64::from_be_bytes(*presented) {
+    if stream.pass::<false>(ciphertext) != u64::from_be_bytes(*presented) {
+        stream.apply(ciphertext);
         return Err(DohError::ChannelAuthentication(
             "record tag verification failed".into(),
         ));
     }
-    stream.apply(ciphertext);
     Ok(ciphertext)
 }
 
@@ -380,6 +404,82 @@ mod tests {
                         "{octet:#04x} at {at} of {len}"
                     );
                 }
+            }
+        }
+    }
+
+    /// The record as it was built before sealing and opening became one
+    /// pass: the keystream XORed over the plaintext, then the tag chained
+    /// over the ciphertext in a second walk.
+    fn two_pass_seal(key: &SecretKey, seq: u64, plaintext: &[u8]) -> Vec<u8> {
+        let stream = Stream::new(key, seq);
+        let mut record = plaintext.to_vec();
+        stream.apply(&mut record);
+        let (words, tail) = record.as_chunks::<8>();
+        let mut acc = stream.word(u64::MAX);
+        for word in words {
+            acc = mix(acc ^ u64::from_be_bytes(*word));
+        }
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        acc = mix(acc ^ u64::from_be_bytes(last));
+        let tag = mix(acc ^ u64::try_from(record.len()).unwrap());
+        record.extend_from_slice(&tag.to_be_bytes());
+        record
+    }
+
+    /// `open_in_place` on a copy of `record`: the plaintext it returns, or
+    /// `None` once it has checked that the failed open left the buffer as
+    /// it was given.
+    fn open_copy(key: &SecretKey, seq: u64, record: &[u8]) -> Option<Vec<u8>> {
+        let mut buf = record.to_vec();
+        match open_in_place(key, seq, &mut buf) {
+            Ok(plaintext) => Some(plaintext.to_vec()),
+            Err(_) => {
+                assert_eq!(buf, record, "a failed open restores its buffer");
+                None
+            }
+        }
+    }
+
+    /// Plaintext lengths 0-40: the one-pass record is the two-pass one
+    /// octet for octet, tag included, and it opens to the plaintext. Every
+    /// record one bit, one cut or one parameter away fails to open and is
+    /// left as given.
+    #[test]
+    fn the_one_pass_record_is_the_two_pass_record() {
+        let key = SecretKey::derive(42, "dns.google");
+        let other = SecretKey::derive(43, "dns.google");
+        let text: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
+        for len in 0..=text.len() {
+            let plaintext = &text[..len];
+            let record = seal(&key, SEQ_SERVER, plaintext);
+            assert_eq!(record, two_pass_seal(&key, SEQ_SERVER, plaintext), "{len}");
+            assert_eq!(
+                open_copy(&key, SEQ_SERVER, &record).as_deref(),
+                Some(plaintext)
+            );
+            assert_eq!(
+                open_copy(&key, SEQ_CLIENT, &record),
+                None,
+                "sequence, {len}"
+            );
+            assert_eq!(open_copy(&other, SEQ_SERVER, &record), None, "key, {len}");
+            for bit in 0..record.len() * 8 {
+                let mut flipped = record.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_eq!(
+                    open_copy(&key, SEQ_SERVER, &flipped),
+                    None,
+                    "bit {bit} of {len}"
+                );
+            }
+            for kept in 0..record.len() {
+                assert_eq!(
+                    open_copy(&key, SEQ_SERVER, &record[..kept]),
+                    None,
+                    "{kept} of {len}"
+                );
             }
         }
     }

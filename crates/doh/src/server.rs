@@ -16,7 +16,7 @@ use crate::client::{DNS_MESSAGE_CONTENT_TYPE, DOH_PATH};
 use crate::directory::ResolverInfo;
 use crate::error::DohResult;
 use crate::h2::{RequestHead, ServerConnection};
-use crate::http::{Method, StatusCode};
+use crate::http::{self, Method, StatusCode};
 use crate::secure::{self, SecureEnvelope};
 
 /// A DoH endpoint: terminates the secure channel and HTTP/2, validates the
@@ -175,17 +175,19 @@ impl<H: QueryHandler> DohServerService<H> {
         head: &RequestHead<'_>,
         body: &[u8],
     ) -> Result<u32, StatusCode> {
-        if head.path_without_query() != DOH_PATH {
+        // The path and its query string apart, in one scan.
+        let (path, parameters) = head.path.split_once('?').unwrap_or((head.path, ""));
+        if path != DOH_PATH {
             return Err(StatusCode::NOT_FOUND);
         }
         let query_wire = match head.method {
             Method::Get => {
-                let encoded = head.query_param("dns").ok_or(StatusCode::BAD_REQUEST)?;
+                let encoded = http::param(parameters, "dns").ok_or(StatusCode::BAD_REQUEST)?;
                 base64url::decode_into(encoded, &mut self.query)
                     .map_err(|_| StatusCode::BAD_REQUEST)?;
                 self.query.as_slice()
             }
-            Method::Post => match head.header("content-type") {
+            Method::Post => match head.content_type {
                 Some(ct) if ct.eq_ignore_ascii_case(DNS_MESSAGE_CONTENT_TYPE) => body,
                 _ => return Err(StatusCode::UNSUPPORTED_MEDIA_TYPE),
             },
@@ -198,12 +200,9 @@ impl<H: QueryHandler> DohServerService<H> {
         self.handler
             .handle_query_wire(exchanger, &query, &mut self.answer)
             .map_err(|_| StatusCode::INTERNAL_SERVER_ERROR)?;
-        // Read where the handler wrote them (octets too short to hold the
-        // records read as none).
-        Ok(MessageView::locate(&self.answer)
-            .ok()
-            .and_then(|written| written.answers().map(|record| record.ttl).min())
-            .unwrap_or(0))
+        // Read where the handler wrote them, in one step up to the end of
+        // the answer section.
+        Ok(MessageView::least_answer_ttl(&self.answer).unwrap_or(0))
     }
 }
 
@@ -386,5 +385,41 @@ mod tests {
             data: b"smuggled".to_vec(),
         };
         assert_eq!(serve_frames(&[data, doh_get(1)]), (None, 0));
+    }
+
+    /// RFC 7540 §8.1.2.6: a POST whose `content-length` is not its body's
+    /// length is malformed. It used to be answered.
+    #[test]
+    fn a_post_whose_body_is_not_its_content_length_is_not_answered() {
+        let query = Message::query(9, "www.example.org".parse().unwrap(), RrType::A)
+            .encode()
+            .unwrap();
+        let post = |length: usize| {
+            let length = length.to_string();
+            let fields = [
+                (":method", "POST"),
+                (":scheme", "https"),
+                (":path", DOH_PATH),
+                ("content-type", DNS_MESSAGE_CONTENT_TYPE),
+                ("content-length", &length),
+            ];
+            let head = Frame::Headers {
+                stream_id: 1,
+                end_stream: false,
+                end_headers: true,
+                block: hpack::encode(&fields.map(|(name, value)| (name.into(), value.into()))),
+            };
+            let body = Frame::Data {
+                stream_id: 1,
+                end_stream: true,
+                data: query.to_vec(),
+            };
+            serve_frames(&[head, body])
+        };
+        let (reply, served) = post(query.len());
+        assert!(reply.is_some());
+        assert_eq!(served, 1);
+        assert_eq!(post(query.len() + 1), (None, 0));
+        assert_eq!(post(query.len() - 1), (None, 0));
     }
 }

@@ -145,6 +145,7 @@ impl RouteState {
     }
 
     /// A snapshot of the current senders.
+    // sdoh-lint: allow(transitive-hot-path-purity, "a socket thread reaches this only through RouteCopy, once per published rescale (the version moved), never per query")
     pub(crate) fn senders(&self) -> Vec<mpsc::Sender<WorkItem>> {
         self.table.lock().senders.clone()
     }
@@ -153,6 +154,38 @@ impl RouteState {
     pub(crate) fn publish(&self, table: RouteTable) {
         *self.table.lock() = table;
         self.version.fetch_add(1, Ordering::Release);
+    }
+}
+
+/// A socket thread's copy of the senders: the table is read under its lock
+/// only when the version moved since the copy was taken, so a query costs
+/// one atomic load, never a lock or a clone.
+pub(crate) struct RouteCopy<'r> {
+    routes: &'r RouteState,
+    version: u64,
+    senders: Vec<mpsc::Sender<WorkItem>>,
+}
+
+impl<'r> RouteCopy<'r> {
+    pub(crate) fn new(routes: &'r RouteState) -> Self {
+        // The version first: a table published between the two reads is
+        // then reloaded once more, never missed.
+        let version = routes.version.load(Ordering::Acquire);
+        RouteCopy {
+            routes,
+            version,
+            senders: routes.senders(),
+        }
+    }
+
+    /// The senders of the latest published table.
+    pub(crate) fn current(&mut self) -> &[mpsc::Sender<WorkItem>] {
+        let version = self.routes.version.load(Ordering::Acquire);
+        if version != self.version {
+            self.senders = self.routes.senders();
+            self.version = version;
+        }
+        &self.senders
     }
 }
 

@@ -143,7 +143,7 @@ use sdoh_metrics::{
 };
 use sdoh_netsim::SimInstant;
 
-use crate::control::{ControlHandle, EpochOrder, RouteState, RouteTable};
+use crate::control::{ControlHandle, EpochOrder, RouteCopy, RouteState, RouteTable};
 
 /// How long a stats aggregation waits for each shard before marking it
 /// unresponsive (a wedged worker must not wedge the exporter). A shard
@@ -961,13 +961,12 @@ fn dispatcher_loop(
     counters: Arc<FrontCounters>,
 ) {
     let mut buf = [0u8; 4096];
-    // The hot path works on a local copy of the senders; one relaxed
-    // version check per packet detects a published rescale and reloads
-    // under the (cold) table lock. Retiring workers linger until every
-    // sender is dropped, so even a packet routed through a stale local
-    // copy is still served — never dropped.
-    let mut senders = routes.senders();
-    let mut version = routes.version.load(Ordering::Acquire);
+    // The hot path works on a local copy of the senders; one version check
+    // per packet detects a published rescale and reloads under the (cold)
+    // table lock. Retiring workers linger until every sender is dropped,
+    // so even a packet routed through a stale local copy is still served —
+    // never dropped.
+    let mut routes = RouteCopy::new(&routes);
     loop {
         let received = socket.recv_from(&mut buf);
         // `shutdown` wakes this blocking receive with an empty datagram:
@@ -978,11 +977,7 @@ fn dispatcher_loop(
         match received {
             Ok((len, peer)) => {
                 counters.udp_received.inc();
-                let current = routes.version.load(Ordering::Acquire);
-                if current != version {
-                    senders = routes.senders();
-                    version = current;
-                }
+                let senders = routes.current();
                 if senders.is_empty() {
                     counters.dropped.inc();
                     continue;
@@ -1018,6 +1013,7 @@ fn tcp_loop(
     stop: Arc<AtomicBool>,
     counters: Arc<FrontCounters>,
 ) {
+    let mut routes = RouteCopy::new(&routes);
     loop {
         let accepted = listener.accept();
         // `shutdown` wakes this blocking accept with a connection of its
@@ -1031,7 +1027,7 @@ fn tcp_loop(
                 // as the fallback for truncated answers, so one connection
                 // at a time keeps the thread budget fixed. Heavy TCP
                 // workloads would want an acceptor pool here.
-                let _ = serve_tcp_connection(stream, &routes, &counters);
+                let _ = serve_tcp_connection(stream, &mut routes, &counters);
             }
             // An error (a reset in the backlog, a signal) is not about the
             // next connection: leaving would strand every truncated pool.
@@ -1041,11 +1037,12 @@ fn tcp_loop(
 }
 
 /// Serves RFC 1035 4.2.2 length-prefixed queries until the peer closes
-/// (or a read times out). The (cold) TCP path re-reads the route table per
-/// query, so it always follows the latest published ring.
+/// (or a read times out). Queries follow the latest published ring through
+/// the version-checked copy of the senders the TCP thread keeps, as the
+/// dispatcher does.
 fn serve_tcp_connection(
     stream: TcpStream,
-    routes: &RouteState,
+    routes: &mut RouteCopy<'_>,
     counters: &FrontCounters,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
@@ -1056,11 +1053,20 @@ fn serve_tcp_connection(
 /// The loop of [`serve_tcp_connection`] over any byte stream. An answer
 /// leaves behind its length in one write: with `TCP_NODELAY` set, each
 /// write is a segment of its own.
+///
+/// Answers come back over one channel per connection, and one query is out
+/// at a time. A timed-out query ends the connection and drops the channel
+/// with it, so an answer that comes late can never be read as the next
+/// query's. A shard answers every query it takes — a retired one still
+/// answers strays, and `shutdown` stops this thread before the shards — so
+/// a query a shard dropped unanswered would wait out the timeout rather
+/// than fail at once, the one thing a channel per query would do better.
 fn serve_framed(
     mut stream: impl Read + Write,
-    routes: &RouteState,
+    routes: &mut RouteCopy<'_>,
     counters: &FrontCounters,
 ) -> std::io::Result<()> {
+    let (tx, rx) = mpsc::channel();
     let mut framed = Vec::new();
     loop {
         let mut len_buf = [0u8; 2];
@@ -1071,18 +1077,17 @@ fn serve_framed(
         let mut wire = vec![0u8; len];
         stream.read_exact(&mut wire)?;
         counters.tcp_received.inc();
-        let senders = routes.senders();
+        let senders = routes.current();
         if senders.is_empty() {
             counters.dropped.inc();
             return Ok(());
         }
         let shard = shard_for(&wire, senders.len());
-        let (tx, rx) = mpsc::channel();
         let delivered = senders.get(shard).is_some_and(|sender| {
             sender
                 .send(WorkItem::Query {
                     wire,
-                    reply: ReplyPath::Tcp(tx),
+                    reply: ReplyPath::Tcp(tx.clone()),
                 })
                 .is_ok()
         });
@@ -1715,7 +1720,7 @@ mod tests {
                 reply.send(answer).unwrap();
             }
         });
-        serve_framed(&mut stream, &routes, &counters).unwrap();
+        serve_framed(&mut stream, &mut RouteCopy::new(&routes), &counters).unwrap();
         shard.join().unwrap();
         assert_eq!(
             stream.writes,
@@ -1724,6 +1729,58 @@ mod tests {
                 [&[1, 44][..], &[0x11; 300]].concat(),
             ],
             "each answer one write, its length in front"
+        );
+        assert_eq!(counters.tcp_received.get(), 2);
+    }
+
+    /// Two queries written back to back on one connection: each gets its
+    /// own answer, in the order asked, and a table published between them
+    /// routes the second — the TCP thread's copy of the senders follows
+    /// the version.
+    #[test]
+    fn pipelined_tcp_queries_get_their_own_answers_in_order() {
+        let (first, first_queue) = mpsc::channel();
+        let (second, second_queue) = mpsc::channel();
+        let routes = Arc::new(RouteState::new(RouteTable {
+            senders: vec![first],
+            acked: Vec::new(),
+        }));
+        let counters = FrontCounters::register(&Registry::new());
+        let mut stream = Recorded {
+            script: std::io::Cursor::new(vec![0, 2, 0xAB, 0xCD, 0, 3, 1, 2, 3]),
+            writes: Vec::new(),
+        };
+        // Each answer is its query reversed; the first is answered only
+        // once the rescale is published.
+        let answer = |queue: &mpsc::Receiver<WorkItem>| {
+            let Ok(WorkItem::Query {
+                wire,
+                reply: ReplyPath::Tcp(reply),
+            }) = queue.recv()
+            else {
+                panic!("a TCP query reaches the shard queue");
+            };
+            (wire.iter().rev().copied().collect::<Vec<u8>>(), reply)
+        };
+        let shards = {
+            let routes = Arc::clone(&routes);
+            std::thread::spawn(move || {
+                let (reversed, reply) = answer(&first_queue);
+                routes.publish(RouteTable {
+                    senders: vec![second],
+                    acked: Vec::new(),
+                });
+                reply.send(reversed).unwrap();
+                let (reversed, reply) = answer(&second_queue);
+                reply.send(reversed).unwrap();
+            })
+        };
+        serve_framed(&mut stream, &mut RouteCopy::new(&routes), &counters).unwrap();
+        shards.join().unwrap();
+        assert_eq!(
+            stream.writes,
+            [vec![0, 2, 0xCD, 0xAB], vec![0, 3, 3, 2, 1]],
+            "each query's own answer, in order"
         );
         assert_eq!(counters.tcp_received.get(), 2);
     }

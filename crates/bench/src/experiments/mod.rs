@@ -10,17 +10,14 @@ pub mod dualstack;
 pub mod empty_answer;
 pub mod fig1;
 pub mod majority;
-pub mod observability;
 pub mod offpath;
 pub mod offpath_poisoning;
 pub mod overhead;
-pub mod reconfig;
 pub mod required_fraction;
 pub mod time_sync;
 pub mod truncation;
 
 use std::net::IpAddr;
-use std::time::Duration;
 
 use sdoh_analysis::Table;
 use sdoh_netsim::{OffPathSpoofer, SimAddr, SpoofStrategy};
@@ -44,8 +41,9 @@ pub struct Outcome {
     /// `notes` and the body (the members after the runner's header) of the
     /// report `--out` writes, if the experiment writes one.
     pub report: Option<(String, String)>,
-    /// Findings that fail the run (exit 1), one stderr message each. Claims
-    /// an experiment asserts while measuring (E17, E18) panic instead.
+    /// Findings that fail the run (exit 1), one stderr message each, each
+    /// ending in the command that reproduces it (E15 is the one experiment
+    /// that reports any).
     pub failures: Vec<String>,
 }
 
@@ -80,9 +78,12 @@ const fn exp(
     }
 }
 
-/// The experiment index, in id order. E1-E10 have one scale. E11 and E12
+/// The experiment index, in id order: every experiment runs on the seeded
+/// simulator, in simulated time. E1-E10 have one scale. E11 and E12
 /// measured serving cost, which is `pool-bench`'s (`benchmark/`); E16 never
-/// was an experiment.
+/// was an experiment. E17 and E18 measured the threaded runtime in host
+/// time; `sdoh-runtime`'s `observability` and `loopback_e2e` tests assert
+/// their claims.
 pub static EXPERIMENTS: &[Experiment] = &[
     exp("E1", "fig1", Some(42), false, e1),
     exp("E2", "required_fraction", None, false, e2),
@@ -97,8 +98,6 @@ pub static EXPERIMENTS: &[Experiment] = &[
     exp("E13", "time_sync", Some(13), true, e13),
     exp("E14", "offpath_poisoning", Some(14), true, e14),
     exp("E15", "chaos", Some(42), true, e15),
-    exp("E17", "observability", Some(17), true, e17),
-    exp("E18", "reconfig", Some(18), true, e18),
 ];
 
 /// How a report's notes say where to get the file again.
@@ -110,14 +109,6 @@ fn tables(tables: impl IntoIterator<Item = Table>) -> Outcome {
     Outcome {
         tables: tables.into_iter().collect(),
         ..Outcome::default()
-    }
-}
-
-fn scale_label(run: &Run) -> &'static str {
-    if run.smoke {
-        "smoke scale"
-    } else {
-        "full scale"
     }
 }
 
@@ -275,61 +266,6 @@ fn e15(run: &Run) -> Outcome {
         tables: vec![table],
         report: Some((notes, chaos::report_body(&outcome, run.recorded))),
         failures,
-    }
-}
-
-fn e17(run: &Run) -> Outcome {
-    let (instances, shards, clients, queries_per_client) = if run.smoke {
-        (2, 2, 3, 25)
-    } else {
-        (3, 4, 6, 200)
-    };
-    let (table, report) =
-        observability::run(instances, shards, clients, queries_per_client, run.seed);
-    let notes = format!(
-        "E17 fleet of {} instances x {} shards under {} clients x {} queries each ({}); \
-         counters reconcile exactly with client sends, p99 within {} bucket(s) of the \
-         exact value. The p99 figures are host wall-clock numbers from the recording \
-         machine.",
-        instances,
-        shards,
-        clients,
-        queries_per_client,
-        scale_label(run),
-        report.p99_bucket_distance
-    );
-    Outcome {
-        report: Some((notes, observability::report_body(&report))),
-        ..tables([table])
-    }
-}
-
-fn e18(run: &Run) -> Outcome {
-    let (clients, settle) = if run.smoke {
-        (3, Duration::from_millis(250))
-    } else {
-        (6, Duration::from_millis(600))
-    };
-    let (table, report) = reconfig::run(clients, settle, run.seed);
-    let notes = format!(
-        "E18 blackout window under {} clients with {} ms steady load around each \
-         transition ({}); {} queries, {} dropped, final epoch {}. Widest in-flight \
-         latency across apply + grow + shrink: {:.0} us against a {:.0} ms \
-         budget; steady-state p99 {:.0} us. Latencies are host wall-clock numbers from \
-         the recording machine.",
-        report.clients,
-        settle.as_millis(),
-        scale_label(run),
-        report.queries_sent,
-        report.dropped_queries,
-        report.final_epoch,
-        report.widest_blackout_us,
-        report.blackout_budget_ms,
-        report.baseline_p99_us
-    );
-    Outcome {
-        report: Some((notes, reconfig::report_body(&report))),
-        ..tables([table])
     }
 }
 

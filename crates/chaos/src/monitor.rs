@@ -97,7 +97,7 @@ impl InvariantMonitor {
     /// Registers the monitor's breach counter into `registry`: every
     /// recorded violation also bumps `sdoh_invariant_violations_total`, so
     /// a chaos campaign's safety breaches surface on the same `/metrics`
-    /// endpoint (and fleet rollups) as the serving counters.
+    /// endpoint as the serving counters.
     pub fn register_metrics(&mut self, registry: &sdoh_metrics::Registry) {
         let (name, help) = sdoh_core::METRIC_INVARIANT_VIOLATIONS;
         self.violations_counter = Some(registry.counter(name, help));

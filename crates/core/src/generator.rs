@@ -13,13 +13,12 @@ use std::sync::Arc;
 
 use sdoh_dns_server::Exchanger;
 use sdoh_dns_wire::Name;
-use sdoh_doh::{DohMethod, ResolverDirectory};
 
 use crate::config::{CombinationMode, PoolConfig};
 use crate::error::{PoolError, PoolResult};
 use crate::pool::AddressPool;
 use crate::session::{drive, drive_sequential, PoolSession};
-use crate::source::{AddressSource, DohSource};
+use crate::source::AddressSource;
 
 /// Outcome of querying one resolver during pool generation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,26 +91,6 @@ impl SecurePoolGenerator {
         })
     }
 
-    /// Convenience constructor: use the first `n` resolvers of a directory
-    /// over DoH with the given method.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SecurePoolGenerator::new`].
-    pub fn from_directory(
-        config: PoolConfig,
-        directory: &ResolverDirectory,
-        n: usize,
-        method: DohMethod,
-    ) -> PoolResult<Self> {
-        let sources: Vec<Box<dyn AddressSource>> = directory
-            .take(n)
-            .into_iter()
-            .map(|info| Box::new(DohSource::new(info).method(method)) as Box<dyn AddressSource>)
-            .collect();
-        SecurePoolGenerator::new(config, sources)
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &PoolConfig {
         &self.config
@@ -145,11 +124,6 @@ impl SecurePoolGenerator {
         config.validate()?;
         self.config = config;
         Ok(())
-    }
-
-    /// Number of configured resolvers (`N` in the paper's analysis).
-    pub fn resolver_count(&self) -> usize {
-        self.sources.len()
     }
 
     /// Plans one lookup of `domain` as a sans-IO [`PoolSession`] without
@@ -451,7 +425,8 @@ mod tests {
             generator.replace_sources(vec![]),
             Err(PoolError::NoResolvers)
         ));
-        assert_eq!(generator.resolver_count(), 2);
+        let kept = generator.generate(&mut exchanger, &domain).unwrap();
+        assert_eq!(kept.sources, before.sources);
         assert!(generator
             .set_config(PoolConfig::algorithm1().with_benign_fraction(2.0))
             .is_err());
@@ -468,7 +443,6 @@ mod tests {
         generator
             .set_config(PoolConfig::algorithm1().with_min_responses(2))
             .unwrap();
-        assert_eq!(generator.resolver_count(), 3);
         let after = generator.generate(&mut exchanger, &domain).unwrap();
         assert_eq!(after.sources.len(), 3);
         assert_eq!(after.sources[0].0, "new1");
@@ -477,16 +451,18 @@ mod tests {
 
     #[test]
     fn from_directory_builds_doh_sources() {
-        let directory = sdoh_doh::ResolverDirectory::well_known(5);
-        let generator = SecurePoolGenerator::from_directory(
-            PoolConfig::algorithm1(),
-            &directory,
-            3,
-            DohMethod::Get,
-        )
-        .unwrap();
-        assert_eq!(generator.resolver_count(), 3);
-        assert!(format!("{generator:?}").contains("resolvers"));
+        // A directory's first resolvers as DoH sources, the way the
+        // scenario and the loopback fleet build theirs.
+        let sources: Vec<Box<dyn AddressSource>> = sdoh_doh::ResolverDirectory::well_known(5)
+            .take(3)
+            .into_iter()
+            .map(|info| {
+                Box::new(crate::source::DohSource::new(info).method(sdoh_doh::DohMethod::Get))
+                    as Box<dyn AddressSource>
+            })
+            .collect();
+        let generator = SecurePoolGenerator::new(PoolConfig::algorithm1(), sources).unwrap();
+        assert!(format!("{generator:?}").contains("resolvers: 3"));
         assert_eq!(generator.config().min_responses, 1);
     }
 }

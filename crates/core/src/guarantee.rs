@@ -18,21 +18,11 @@ pub struct GroundTruth {
 }
 
 impl GroundTruth {
-    /// Creates ground truth with no malicious addresses.
-    pub fn all_benign() -> Self {
-        GroundTruth::default()
-    }
-
     /// Creates ground truth from a set of attacker-controlled addresses.
     pub fn with_malicious<I: IntoIterator<Item = IpAddr>>(addresses: I) -> Self {
         GroundTruth {
             malicious: addresses.into_iter().collect(),
         }
-    }
-
-    /// Marks an address as attacker-controlled.
-    pub fn mark_malicious(&mut self, address: IpAddr) {
-        self.malicious.insert(address);
     }
 
     /// Marks every address in `addresses` as attacker-controlled —
@@ -144,7 +134,7 @@ mod tests {
 
     #[test]
     fn empty_pool_never_satisfies_the_guarantee() {
-        let truth = GroundTruth::all_benign();
+        let truth = GroundTruth::default();
         let check = check_guarantee(&AddressPool::new(), &truth, 0.5);
         assert!(!check.holds);
         assert_eq!(check.pool_size, 0);
@@ -157,9 +147,9 @@ mod tests {
 
     #[test]
     fn ground_truth_bookkeeping() {
-        let mut truth = GroundTruth::all_benign();
+        let mut truth = GroundTruth::default();
         assert_eq!(truth.malicious_count(), 0);
-        truth.mark_malicious(evil(1));
+        truth.extend_malicious([evil(1)]);
         assert!(truth.is_malicious(evil(1)));
         assert!(!truth.is_malicious(ip(1)));
         assert_eq!(truth.malicious_count(), 1);

@@ -8,7 +8,6 @@
 //! does with every report it keeps — bumps reference counts instead of
 //! copying N·k strings.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -85,15 +84,6 @@ impl AddressPool {
             }
         }
         seen
-    }
-
-    /// How many slots each distinct address occupies.
-    pub fn multiplicity(&self) -> BTreeMap<IpAddr, usize> {
-        let mut counts = BTreeMap::new();
-        for entry in &self.entries {
-            *counts.entry(entry.address).or_insert(0) += 1;
-        }
-        counts
     }
 
     /// Number of slots contributed by the named resolver.
@@ -190,10 +180,11 @@ mod tests {
 
     #[test]
     fn multiplicity_counts_slots_per_address() {
-        let pool = sample_pool();
-        let counts = pool.multiplicity();
-        assert_eq!(counts[&ip(1)], 3);
-        assert_eq!(counts[&ip(2)], 1);
+        // Each instance of an address is a server of its own (Section IV).
+        let addresses = sample_pool().addresses();
+        let slots = |address| addresses.iter().filter(|&&a| a == address).count();
+        assert_eq!(slots(ip(1)), 3);
+        assert_eq!(slots(ip(2)), 1);
     }
 
     #[test]

@@ -36,8 +36,20 @@ use crate::rules::{string_literal_inner, RuleId};
 /// Path of the vocabulary module, relative to the workspace root.
 pub const VOCABULARY_PATH: &str = "crates/core/src/serve/samples.rs";
 
-/// Sim-facing crates where ambient wall clock and OS entropy are banned.
-const DETERMINISM_CRATES: [&str; 6] = ["netsim", "chaos", "core", "dns-server", "doh", "ntp"];
+/// Sim-facing crates where ambient wall clock and OS entropy are banned:
+/// the simulated stack, and the experiments and analysis that run on it
+/// (`secure-doh` is the umbrella crate's scenario layer).
+const DETERMINISM_CRATES: [&str; 9] = [
+    "netsim",
+    "chaos",
+    "core",
+    "dns-server",
+    "doh",
+    "ntp",
+    "bench",
+    "analysis",
+    "secure-doh",
+];
 
 /// Which per-file rules apply to a workspace-relative path (with `/`
 /// separators).

@@ -5,9 +5,9 @@
 //!   series with `_sum`/`_count`, label escaping);
 //! * [`render_json`] — the same scrape as a JSON document for programmatic
 //!   consumers;
-//! * [`parse_prometheus`] — the inverse of [`render_prometheus`], used by
-//!   the fleet aggregator to consume other instances' `/metrics` output
-//!   and re-assemble histogram snapshots for merging.
+//! * [`parse_prometheus`] — the inverse of [`render_prometheus`]: a
+//!   scraper reads a `/metrics` body back into samples and re-assembles
+//!   the histogram snapshots for merging.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -165,8 +165,8 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses a Prometheus text exposition back into [`Sample`]s — the fleet
-/// aggregator's input path. Counter/gauge kinds come from the `# TYPE`
+/// Parses a Prometheus text exposition back into [`Sample`]s — what a
+/// scrape of `/metrics` is read with. Counter/gauge kinds come from the `# TYPE`
 /// headers; `_bucket`/`_sum`/`_count` series of a histogram family are
 /// re-assembled into [`HistogramSnapshot`]s (the bucket layout is this
 /// crate's own, so `le` bounds map back onto bucket indexes exactly).

@@ -136,9 +136,8 @@ impl HistogramSnapshot {
     }
 
     /// Adds `other`'s buckets into `self` — merging shard histograms into
-    /// an instance histogram, or instance histograms into a fleet one.
-    /// Associative and commutative, so merge order never changes totals or
-    /// extracted percentiles.
+    /// an instance histogram. Associative and commutative, so merge order
+    /// never changes totals or extracted percentiles.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
             *mine += *theirs;
@@ -248,6 +247,64 @@ mod tests {
         let (p50, p99, p999) = snapshot.percentiles().unwrap();
         assert!(p50 <= p99 && p99 <= p999);
         assert_eq!(HistogramSnapshot::default().quantile(0.99), None);
+
+        // Seeded multisets: every quantile is the bound of the bucket that
+        // holds the exact rank-ceil(q·n) value of the sorted observations,
+        // read from one histogram and from shards merged into one.
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let bound_of = |value: Duration| {
+            bucket_bound(bucket_index(value))
+                .unwrap_or(Duration::from_micros(bound_micros(FINITE_BUCKETS)))
+        };
+        for case in 0..200 {
+            let n = 1 + (next() % 2_000) as usize;
+            // Log-uniform over 0 µs .. past the finite range, with every
+            // fourth value on a bucket bound or one past it.
+            let mut values: Vec<Duration> = (0..n)
+                .map(|_| {
+                    let scale = (next() % (FINITE_BUCKETS as u64 + 2)) as u32;
+                    let micros = match next() % 4 {
+                        0 => (1u64 << scale) + next() % 2,
+                        _ => next() % (1u64 << scale).max(1),
+                    };
+                    Duration::from_micros(micros) + Duration::from_nanos(next() % 1_000)
+                })
+                .collect();
+            let whole = Histogram::new();
+            let shards = [Histogram::new(), Histogram::new(), Histogram::new()];
+            for (i, &value) in values.iter().enumerate() {
+                whole.record(value);
+                shards[i % shards.len()].record(value);
+            }
+            let mut merged = HistogramSnapshot::default();
+            for shard in &shards {
+                merged.merge(&shard.snapshot());
+            }
+            values.sort();
+            for per_mille in [500, 990, 999, 1_000] {
+                let rank = (per_mille * n).div_ceil(1_000);
+                let expected = bound_of(values[rank - 1]);
+                let q = per_mille as f64 / 1_000.0;
+                assert_eq!(
+                    whole.snapshot().quantile(q),
+                    Some(expected),
+                    "case {case}, n {n}, q {q}"
+                );
+                assert_eq!(
+                    merged.quantile(q),
+                    Some(expected),
+                    "merged: case {case}, n {n}, q {q}"
+                );
+            }
+        }
     }
 
     #[test]

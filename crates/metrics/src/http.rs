@@ -6,7 +6,7 @@
 //! request paths to `(status, content-type, body)`. It exists to
 //! serve `/metrics`, `/metrics.json` and `/healthz` from a runtime — not
 //! to be a web framework. [`http_get`] is the matching one-shot client the
-//! fleet aggregator (and the experiments) scrape with.
+//! runtime's tests and the quickstart example scrape with.
 
 use std::io::{Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -204,8 +204,8 @@ pub struct HttpBody {
     pub body: String,
 }
 
-/// One-shot HTTP GET against a stats listener. Used by the fleet
-/// aggregator and the experiments to scrape `/metrics` endpoints.
+/// One-shot HTTP GET against a stats listener: how the runtime's tests and
+/// the quickstart example scrape `/metrics` and `/healthz`.
 pub fn http_get(addr: SocketAddr, path: &str, timeout: Duration) -> std::io::Result<HttpBody> {
     let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
     stream.set_read_timeout(Some(timeout))?;

@@ -1,4 +1,4 @@
-//! # sdoh-metrics — the fleet observability plane
+//! # sdoh-metrics — the runtime's observability plane
 //!
 //! A lock-light metrics layer for the secure-DoH runtime: recording sites
 //! hold atomic handles ([`Counter`], [`Gauge`], [`Histogram`]) and never
@@ -10,14 +10,11 @@
 //! On top of the registry sit:
 //!
 //! * the exporters — [`render_prometheus`] (text exposition) and
-//!   [`render_json`], plus [`parse_prometheus`] for consuming other
-//!   instances' output;
+//!   [`render_json`], plus [`parse_prometheus`] for reading an exposition
+//!   back into samples;
 //! * a tiny HTTP stats listener ([`StatsServer`]) serving `/metrics`,
 //!   `/metrics.json` and `/healthz` from a runtime, with [`http_get`] as
-//!   the matching scrape client;
-//! * fleet rollups ([`scrape_fleet`] / [`aggregate`]): counters summed,
-//!   histograms bucket-merged, gauges averaged across N instances, with a
-//!   per-instance health table.
+//!   the matching scrape client.
 //!
 //! ```
 //! use sdoh_metrics::{Registry, render_prometheus};
@@ -39,17 +36,13 @@
 #![deny(missing_docs)]
 
 pub mod export;
-pub mod fleet;
 pub mod histogram;
 pub mod http;
 pub mod metric;
 pub mod registry;
 
 pub use export::{parse_prometheus, render_json, render_prometheus, ParseError};
-pub use fleet::{aggregate, scrape_fleet, FleetRollup, InstanceHealth, InstanceScrape};
-pub use histogram::{
-    bucket_bound, bucket_index, Histogram, HistogramSnapshot, BUCKETS, FINITE_BUCKETS,
-};
+pub use histogram::{bucket_bound, Histogram, HistogramSnapshot, BUCKETS, FINITE_BUCKETS};
 pub use http::{http_get, Handler, HttpBody, HttpResponse, StatsServer};
 pub use metric::{Counter, Gauge};
 pub use registry::{

@@ -51,8 +51,8 @@ pub enum SampleValue {
 }
 
 /// One scraped time series: a metric name, its metadata, one label set and
-/// the current value. The unit both exporters render and the fleet
-/// aggregator consumes.
+/// the current value. The unit both exporters render and
+/// [`parse_prometheus`](crate::parse_prometheus) reads back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// Metric family name (`snake_case`, e.g. `sdoh_queries_total`).

@@ -155,11 +155,6 @@ impl BackendNet {
         self.inner.clock
     }
 
-    /// Number of registered endpoints.
-    pub fn endpoint_count(&self) -> usize {
-        self.inner.endpoints.len()
-    }
-
     /// Creates an exchanger sending from `source` — one per worker thread;
     /// the exchanger is `Send` and owns no endpoint state.
     pub fn exchanger(&self, source: SimAddr) -> BackendExchanger {
@@ -351,7 +346,6 @@ mod tests {
     fn dispatch_reaches_endpoints_and_reports_unreachable() {
         let echo_addr = SimAddr::v4(192, 0, 2, 1, 443);
         let net = BackendNet::builder().register(echo_addr, Echo).build();
-        assert_eq!(net.endpoint_count(), 1);
         let mut exchanger = net.exchanger(SimAddr::v4(10, 0, 0, 1, 40000));
         let reply = exchanger
             .exchange(

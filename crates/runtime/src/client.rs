@@ -1,13 +1,13 @@
 //! A minimal real-socket DNS client for querying a [`PoolRuntime`]:
 //! UDP first, TCP retry on truncation — what a standards-following stub
-//! resolver does. Used by the end-to-end tests, the stress test, the
-//! throughput experiment and the example binaries.
+//! resolver does. Used by the end-to-end tests, the stress test and the
+//! example binaries.
 //!
 //! [`PoolRuntime`]: crate::PoolRuntime
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, UdpSocket};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sdoh_dns_wire::Message;
 
@@ -21,7 +21,14 @@ pub struct RuntimeClient {
 }
 
 fn invalid(err: impl std::fmt::Display) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, err.to_string())
+    std::io::Error::new(ErrorKind::InvalidData, err.to_string())
+}
+
+fn timed_out() -> std::io::Error {
+    std::io::Error::new(
+        ErrorKind::TimedOut,
+        "no matching response within the timeout",
+    )
 }
 
 impl RuntimeClient {
@@ -65,24 +72,34 @@ impl RuntimeClient {
     /// Performs one query: UDP, then a TCP retry if the response came back
     /// truncated (TC=1) and a TCP target is configured. Responses whose id
     /// doesn't match the query are discarded (late arrivals from earlier
-    /// timed-out queries), not returned.
+    /// timed-out queries), not returned, and do not extend the timeout.
     ///
     /// # Errors
     ///
-    /// I/O errors, timeouts, and undecodable responses.
+    /// I/O errors, undecodable responses, and [`ErrorKind::TimedOut`] when
+    /// no matching UDP response arrives within the timeout.
     pub fn query(&self, query: &Message) -> std::io::Result<Message> {
         let wire = query.encode().map_err(invalid)?;
         self.socket.send_to(&wire, self.server)?;
         let mut buf = [0u8; 4096];
-        let start = std::time::Instant::now();
+        let deadline = Instant::now() + self.timeout;
         loop {
-            if start.elapsed() > self.timeout {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "no matching response within the timeout",
-                ));
+            // Each wait gets only the time left, so a stream of datagrams
+            // that answer nothing cannot stretch the timeout.
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(timed_out());
             }
-            let (len, peer) = self.socket.recv_from(&mut buf)?;
+            self.socket.set_read_timeout(Some(left))?;
+            let (len, peer) = match self.socket.recv_from(&mut buf) {
+                Ok(received) => received,
+                // An expired read timeout reads `WouldBlock` on Unix and
+                // `TimedOut` on Windows.
+                Err(err) if matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return Err(timed_out())
+                }
+                Err(err) => return Err(err),
+            };
             if peer != self.server {
                 continue;
             }
@@ -117,7 +134,7 @@ impl RuntimeClient {
     /// responses.
     pub fn query_tcp(&self, query: &Message) -> std::io::Result<Message> {
         let tcp = self.tcp_server.ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::Unsupported, "no TCP target configured")
+            std::io::Error::new(ErrorKind::Unsupported, "no TCP target configured")
         })?;
         let wire = query.encode().map_err(invalid)?;
         self.query_tcp_at(tcp, query, &wire)
@@ -145,5 +162,43 @@ impl RuntimeClient {
             return Err(invalid("TCP response does not answer the query"));
         }
         Ok(response)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sdoh_dns_wire::RrType;
+
+    #[test]
+    fn a_datagram_that_answers_nothing_does_not_extend_the_timeout() {
+        // The peer sends one datagram that does not answer the query (the
+        // query itself, its id flipped) 250 ms into a 300 ms timeout, then
+        // nothing. The query must give up at the timeout, as `TimedOut`,
+        // not wait a full timeout again after the stray datagram.
+        let timeout = Duration::from_millis(300);
+        let server = UdpSocket::bind("127.0.0.1:0").expect("server socket");
+        let server_addr = server.local_addr().expect("server address");
+        let peer = std::thread::spawn(move || {
+            let mut buf = [0u8; 512];
+            let (len, client) = server.recv_from(&mut buf).expect("the query arrives");
+            std::thread::sleep(Duration::from_millis(250));
+            let stray = buf.get_mut(..len).expect("received within the buffer");
+            stray[0] ^= 0xFF;
+            server.send_to(stray, client).expect("stray datagram sent");
+        });
+        let client = RuntimeClient::connect(server_addr, None)
+            .and_then(|client| client.with_timeout(timeout))
+            .expect("client socket");
+        let query = Message::query(7, "pool.example".parse().expect("name"), RrType::A);
+        let start = Instant::now();
+        let err = client.query(&query).expect_err("nobody answers the query");
+        let elapsed = start.elapsed();
+        peer.join().expect("peer thread");
+        assert_eq!(err.kind(), ErrorKind::TimedOut, "{err}");
+        assert!(
+            elapsed < timeout * 3 / 2,
+            "gave up after {elapsed:?} on a {timeout:?} timeout"
+        );
     }
 }

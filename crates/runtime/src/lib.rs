@@ -44,11 +44,9 @@
 //! JSON flavour, and `/healthz` is the readiness probe — 200 while every
 //! shard answers its snapshot within the health deadline, 503 with an
 //! `unresponsive_shards` count otherwise, plus the pool-guarantee state
-//! (generation failures / negative serves). Point the workspace's
-//! `fleet-aggregator` binary (or [`sdoh_metrics::scrape_fleet`]) at
-//! several instances' listeners for fleet-wide rollups. Shards that miss
-//! a snapshot deadline surface as `None` entries in
-//! [`RuntimeStats::per_shard`] and are never silently counted as zeros.
+//! (generation failures / negative serves). Shards that miss a snapshot
+//! deadline surface as `None` entries in [`RuntimeStats::per_shard`] and
+//! are never silently counted as zeros.
 //!
 //! # Hot reconfiguration
 //!

@@ -404,14 +404,45 @@ fn background_refresh_runs_off_the_query_path() {
     assert_eq!(stats.total.serve.queries, 3);
 }
 
+/// The longest a client may wait for any answer while the control plane
+/// applies a delta or rescales: a reconfiguration is never an outage a
+/// client would notice.
+const BLACKOUT_BUDGET: Duration = Duration::from_millis(500);
+
+/// Scrapes `/metrics` and asserts the published epoch and one acked-epoch
+/// gauge per live shard, every one at `epoch`.
+fn assert_epoch_gauges(stats_addr: std::net::SocketAddr, epoch: u64, shards: usize) {
+    let scrape = http_get(stats_addr, "/metrics", Duration::from_secs(5)).expect("scrape");
+    let samples = parse_prometheus(&scrape.body).expect("parseable exposition");
+    let gauge = |name: &str| -> Vec<f64> {
+        samples
+            .iter()
+            .filter(|s| s.name == name)
+            .map(|s| match s.value {
+                SampleValue::Gauge(v) => v,
+                ref other => panic!("{name} is not a gauge: {other:?}"),
+            })
+            .collect()
+    };
+    let expected = epoch as f64;
+    assert_eq!(gauge("sdoh_config_epoch"), vec![expected]);
+    let acked = gauge("sdoh_shard_acked_epoch");
+    assert_eq!(acked.len(), shards, "one acked gauge per live shard");
+    assert!(
+        acked.iter().all(|&acked_epoch| acked_epoch == expected),
+        "every shard acked epoch {expected}: {acked:?}"
+    );
+}
+
 #[test]
 fn reconfiguration_and_rescale_under_load_drop_nothing() {
     // The control-plane e2e: while real UDP clients hammer the runtime,
     // apply a full config delta (TTL + stale window, pool hardening, a
     // smaller upstream resolver set) and rescale 4 -> 8 -> 4 shards. Not
-    // one query may be dropped, every answer must satisfy the x = 1/2
-    // guarantee, the epoch transitions must be visible through the
-    // /metrics gauges, and afterwards no cache key may live on two shards.
+    // one query may be dropped or wait out the blackout budget, every
+    // answer must satisfy the x = 1/2 guarantee, the epoch transitions must
+    // be visible through the /metrics gauges after the grow and after the
+    // shrink, and afterwards no cache key may live on two shards.
     //
     // Every control item meets live flights: an exchange takes 3 ms, and 32
     // domains asked for in turn over caches of four entries a shard never
@@ -435,8 +466,10 @@ fn reconfiguration_and_rescale_under_load_drop_nothing() {
     let udp = runtime.udp_addr();
     let tcp = Some(runtime.tcp_addr());
 
-    // Three loader threads; every query must come back (a drop surfaces
-    // as a client timeout) and every answer must hold the guarantee.
+    // Three loader threads; every query must come back within the
+    // blackout budget (a drop, or a transition that stalls a query past
+    // it, surfaces as a client timeout) and every answer must hold the
+    // guarantee.
     let stop = Arc::new(AtomicBool::new(false));
     let loaders: Vec<std::thread::JoinHandle<u64>> = (0..3)
         .map(|thread| {
@@ -444,7 +477,9 @@ fn reconfiguration_and_rescale_under_load_drop_nothing() {
             let truth = truth.clone();
             let domains = fleet.domains.clone();
             std::thread::spawn(move || {
-                let client = RuntimeClient::connect(udp, tcp).expect("client");
+                let client = RuntimeClient::connect(udp, tcp)
+                    .and_then(|client| client.with_timeout(BLACKOUT_BUDGET))
+                    .expect("client");
                 let mut id: u16 = (thread as u16) * 16384;
                 let mut sent = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -513,26 +548,7 @@ fn reconfiguration_and_rescale_under_load_drop_nothing() {
 
     // The epoch transition is observable through the /metrics gauges:
     // the published epoch and all eight per-shard acked-epoch gauges.
-    let scrape = http_get(stats_addr, "/metrics", Duration::from_secs(5)).expect("scrape");
-    let samples = parse_prometheus(&scrape.body).expect("parseable exposition");
-    let gauge = |name: &str| -> Vec<f64> {
-        samples
-            .iter()
-            .filter(|s| s.name == name)
-            .map(|s| match s.value {
-                SampleValue::Gauge(v) => v,
-                ref other => panic!("{name} is not a gauge: {other:?}"),
-            })
-            .collect()
-    };
-    let expected = receipt.epoch as f64;
-    assert_eq!(gauge("sdoh_config_epoch"), vec![expected]);
-    let acked = gauge("sdoh_shard_acked_epoch");
-    assert_eq!(acked.len(), 8, "one acked gauge per live shard");
-    assert!(
-        acked.iter().all(|&epoch| epoch == expected),
-        "every shard acked epoch {expected}: {acked:?}"
-    );
+    assert_epoch_gauges(stats_addr, receipt.epoch, 8);
     let config_doc = http_get(stats_addr, "/config", Duration::from_secs(5)).expect("/config");
     assert_eq!(config_doc.status, 200);
     assert!(config_doc
@@ -549,6 +565,8 @@ fn reconfiguration_and_rescale_under_load_drop_nothing() {
     assert_eq!(control.shard_count(), 4);
     assert!(control.wait_for_epoch(receipt.epoch, Duration::from_secs(10)));
     std::thread::sleep(Duration::from_millis(150));
+    assert_eq!(receipt.epoch, 3, "apply, grow, shrink: three epochs");
+    assert_epoch_gauges(stats_addr, receipt.epoch, 4);
 
     // No cache key is owned by two shards at once after the rescales.
     let probes = control.probe_entries(Duration::from_secs(5));

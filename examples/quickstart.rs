@@ -263,26 +263,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Step 8.5: the observability plane. The runtime exported everything
-    // it just did on its stats listener — scrape it the way a fleet
-    // aggregator (or Prometheus) would and read the counters and the
-    // serving-latency percentiles back out of the text exposition.
-    use secure_doh::metrics::scrape_fleet;
+    // it just did on its stats listener — scrape it the way Prometheus
+    // would and read the counters and the serving-latency percentiles
+    // back out of the text exposition (one histogram per shard, merged).
+    use secure_doh::metrics::{http_get, parse_prometheus, HistogramSnapshot, SampleValue};
     let stats_addr = runtime.stats_addr().expect("stats listener bound");
-    let rollup = scrape_fleet(&[stats_addr], std::time::Duration::from_secs(2));
-    let served = rollup
-        .counter_total("sdoh_serve_queries_total")
-        .expect("runtime exports sdoh_serve_queries_total");
-    let latency = rollup
-        .histogram_merged("sdoh_serve_latency_seconds")
-        .expect("runtime exports serve-latency histograms");
+    let scrape_timeout = std::time::Duration::from_secs(2);
+    let scrape = http_get(stats_addr, "/metrics", scrape_timeout)?;
+    let mut served = 0;
+    let mut latency = HistogramSnapshot::default();
+    for sample in parse_prometheus(&scrape.body)? {
+        match (sample.name.as_str(), &sample.value) {
+            ("sdoh_serve_queries_total", SampleValue::Counter(count)) => served += count,
+            ("sdoh_serve_latency_seconds", SampleValue::Histogram(shard)) => latency.merge(shard),
+            _ => {}
+        }
+    }
     let (p50, p99, _) = latency.percentiles().expect("non-empty histogram");
+    let health = http_get(stats_addr, "/healthz", scrape_timeout)?;
     println!(
         "\nobservability: /metrics reports {} queries served, \
          p50 <= {:?}, p99 <= {:?}; /healthz {}",
         served,
         p50,
         p99,
-        if rollup.health[0].healthy == Some(true) {
+        if health.status == 200 {
             "ready"
         } else {
             "unready"

@@ -3,7 +3,7 @@
 //!
 //! Re-exports every workspace crate under one roof and provides the shared
 //! [`scenario`] module used by the examples, the integration tests and the
-//! experiment binaries.
+//! experiment runner.
 //!
 //! | module | contents |
 //! |---|---|
@@ -15,7 +15,7 @@
 //! | [`core`] | secure pool generation (Algorithm 1, majority mode) |
 //! | [`analysis`] | Section III security analysis, exact over the pools Algorithm 1 builds |
 //! | [`runtime`] | threaded real-socket Do53 serving runtime |
-//! | [`metrics`] | Prometheus-style registry, exporters, fleet rollups |
+//! | [`metrics`] | Prometheus-style registry, exporters, stats listener |
 //! | [`scenario`] | ready-made Figure 1 scenarios wiring all of the above |
 
 #![warn(missing_docs)]

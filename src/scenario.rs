@@ -5,7 +5,7 @@
 //! records), a fleet of public DoH resolvers each running a real recursive
 //! resolver (optionally compromised), a plain "ISP" resolver for the
 //! baseline, and the NTP servers the pool points at (optionally malicious).
-//! Examples, integration tests and the experiment binaries all build on it.
+//! Examples, integration tests and the experiment runner all build on it.
 
 use std::net::IpAddr;
 use std::sync::Arc;

@@ -33,6 +33,16 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
+
+    /// Acquires the lock if nobody holds it (the caller included), ignoring
+    /// poisoning; `None` instead of waiting.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        match self.0.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(std::sync::TryLockError::WouldBlock) => None,
+        }
+    }
 }
 
 impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
@@ -85,6 +95,15 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 42);
         assert_eq!(m.into_inner(), 42);
+    }
+
+    #[test]
+    fn try_lock_fails_while_held() {
+        let m = Mutex::new(1);
+        let held = m.lock();
+        assert!(m.try_lock().is_none());
+        drop(held);
+        assert_eq!(m.try_lock().map(|guard| *guard), Some(1));
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! [`Sample`]s.
 //!
 //! This module is the single source of truth for the metric names and help
-//! strings of every serving counter — the runtime's `/metrics` endpoint,
-//! the fleet aggregator and the experiments all speak this vocabulary, so
-//! a counter renamed here renames everywhere (and the CI help-string lint
-//! checks this table, not scattered call sites).
+//! strings of every serving counter — the runtime's `/metrics` endpoint
+//! and the experiments both speak this vocabulary, so a counter renamed
+//! here renames everywhere (and the CI help-string lint checks this table,
+//! not scattered call sites).
 
 use sdoh_metrics::{Sample, SampleValue};
 
@@ -125,8 +125,8 @@ pub const METRIC_DROPPED_QUERIES: (&str, &str) = (
 /// Hot path: per-query serving latency histogram, labelled by shard.
 pub const METRIC_SERVE_LATENCY: (&str, &str) = (
     "sdoh_serve_latency_seconds",
-    "Wall-clock latency of serving one query on the shard worker, \
-     from dequeue to response bytes ready.",
+    "Wall-clock latency of serving one query on its shard, from the moment \
+     the shard takes it (in place, or off its worker's queue) to its response leaving.",
 );
 /// Control plane: serving shards of this instance.
 pub const METRIC_SHARDS: (&str, &str) = (
@@ -182,6 +182,17 @@ pub const RUNTIME_METRIC_HELP: &[(&str, &str)] = &[
     METRIC_UNRESPONSIVE_SHARDS,
     METRIC_CONFIG_EPOCH,
     METRIC_SHARD_ACKED_EPOCH,
+    (
+        "sdoh_queries_handed_off_total",
+        "Queries a socket thread queued to their shard's worker because the shard \
+         was busy or had items queued (the rest are answered by the thread that \
+         read them).",
+    ),
+    (
+        "sdoh_shard_queue_depth",
+        "Items queued to this shard's worker and not yet taken (handed-off \
+         queries, control items, wake-ups).",
+    ),
 ];
 
 /// `(name, help)` rows of the application-layer metrics: the secure time

@@ -14,7 +14,7 @@ const PLANT: &str = "let _ = format!(\"x\");";
 
 /// `(file, the text that ends in the function's opening brace)` — each
 /// needle must match its file exactly once.
-const PER_QUERY: [(&str, &str); 14] = [
+const PER_QUERY: [(&str, &str); 15] = [
     (
         "crates/runtime/src/runtime.rs",
         "fn send(&mut self, query: Option<&Message>, reply: &ReplyPath, started: Instant) {",
@@ -25,7 +25,11 @@ const PER_QUERY: [(&str, &str); 14] = [
     ),
     (
         "crates/runtime/src/runtime.rs",
-        "fn answer_parked(&mut self, landed: &Landed) {",
+        "    counters: &FrontCounters,\n) -> bool {", // serve_or_hand_off
+    ),
+    (
+        "crates/runtime/src/runtime.rs",
+        "fn answer_parked(&mut self, landed: &Landed) -> bool {",
     ),
     (
         "crates/runtime/src/runtime.rs",

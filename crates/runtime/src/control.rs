@@ -5,42 +5,51 @@
 //! [`ControlHandle`]. [`ControlHandle::apply`] validates a [`ConfigDelta`],
 //! numbers it — an **epoch** is a `u64` that only this module counts, one
 //! per accepted operation — and fans it to every shard worker **through
-//! the worker's existing work queue** — the same FIFO its queries arrive
-//! on, so the switch happens-after every query already accepted under the
-//! old epoch and no lock is added to the serving path. Each worker acks the
-//! epoch number into its own atomic slot in its next loop iteration; the
-//! `/metrics` gauges `sdoh_config_epoch` and `sdoh_shard_acked_epoch{shard}`
-//! expose the propagation, and [`ControlHandle::wait_for_epoch`] blocks on
-//! it. The resolvers are handed the knobs, never the number.
+//! the worker's existing work queue** — the same FIFO a query joins when
+//! its shard is busy. A socket thread serves a query in place only when
+//! nothing is queued to the shard, a count it reads under the shard's lock
+//! and that falls only there, as the worker takes an item: no query
+//! overtakes a queued epoch, so the switch happens-after every query
+//! already accepted under the old epoch and before every query accepted
+//! once it is queued. Each worker acks the epoch number into its own
+//! atomic slot as it takes the item; the `/metrics` gauges
+//! `sdoh_config_epoch` and `sdoh_shard_acked_epoch{shard}` expose the
+//! propagation, and [`ControlHandle::wait_for_epoch`] blocks on it. The
+//! resolvers are handed the knobs, never the number.
 //!
 //! [`ControlHandle::rescale`] changes the number of serving shards while
 //! queries keep flowing, and it is **one path for every pair of widths**:
 //! spawn the workers the new width is missing, put the members of the new
-//! route table on the new epoch (a fresh worker's first item) and publish
-//! it — a shard that leaves stops receiving new queries there and then —
-//! then send every worker of the *old* table the new ring and wait for all
-//! of them. What a worker does with the ring it decides from its own
+//! route table on the new epoch (a fresh worker's first item), queue the
+//! new ring at every worker of the *old* table, publish the new table — a
+//! shard that leaves stops receiving new queries there and then — and wait
+//! for every worker of the old table to confirm. The ring is queued first
+//! so that a worker takes it before any query routed under the new table.
+//! What a worker does with the ring it decides from its own
 //! index: it extracts every cache entry the ring assigns elsewhere and
 //! forwards it to its new owner (stamps intact — see
 //! [`CachingPoolResolver::install_entry`](sdoh_core::CachingPoolResolver::install_entry)),
 //! and if the ring no longer reaches its index it owns nothing and forwards
 //! everything. Survivors of a shrink re-home too: `hash % shards` moves
 //! keys among them whenever the new width does not divide the old one.
-//! A worker that left never just exits: it lingers in retired mode, still
-//! answering any stray query an in-flight dispatcher raced onto its queue
-//! (immediately forwarding whatever that generated), and terminates only
-//! when the last sender to its queue is dropped — so a rescale drops
-//! **zero** queries by construction.
+//! Every worker keeps the last ring it was handed, and a query a socket
+//! thread routed under an older table can still reach it: whatever such a
+//! query caches for a key the ring assigns elsewhere goes to its owner the
+//! same way, so no key is cached by two shards. A worker that left never
+//! just exits: it lingers in retired mode, still answering any stray query
+//! routed under the old table (immediately forwarding whatever that
+//! generated), and terminates only when the last sender to its queue is
+//! dropped — so a rescale drops **zero** queries by construction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use sdoh_core::{AddressSource, CacheConfig, CacheEntryProbe, ConfigError, PoolConfig};
 
-use crate::runtime::{ask_shards, spawn_worker, Shard, WorkItem, WorkerContext};
+use crate::runtime::{ask, ask_shards, spawn_worker, Shard, ShardTx, WorkItem, WorkerContext};
 
 /// Builds one shard's upstream source set, by shard index — how a
 /// [`ConfigDelta`] carries a new resolver set to N workers when
@@ -121,16 +130,16 @@ pub(crate) struct EpochOrder {
     pub(crate) sources: Option<SourceFactory>,
 }
 
-/// The live routing table: one sender plus one acked-epoch slot per shard,
-/// in shard order.
+/// The live routing table: one shard handle (its queue and its cell) plus
+/// one acked-epoch slot per shard, in shard order.
 pub(crate) struct RouteTable {
-    pub(crate) senders: Vec<mpsc::Sender<WorkItem>>,
+    pub(crate) senders: Vec<ShardTx>,
     pub(crate) acked: Vec<Arc<AtomicU64>>,
 }
 
-/// Shared routing state. The dispatcher keeps a local copy of the senders
-/// and re-reads the table only when the version counter moved — the hot
-/// path costs one relaxed atomic load per packet, never a lock.
+/// Shared routing state. The dispatcher keeps a local copy of the shard
+/// handles and re-reads the table only when the version counter moved —
+/// routing costs one atomic load per packet, never the table's lock.
 pub(crate) struct RouteState {
     pub(crate) version: AtomicU64,
     pub(crate) table: Mutex<RouteTable>,
@@ -144,9 +153,9 @@ impl RouteState {
         }
     }
 
-    /// A snapshot of the current senders.
+    /// A snapshot of the current shard handles.
     // sdoh-lint: allow(transitive-hot-path-purity, "a socket thread reaches this only through RouteCopy, once per published rescale (the version moved), never per query")
-    pub(crate) fn senders(&self) -> Vec<mpsc::Sender<WorkItem>> {
+    pub(crate) fn senders(&self) -> Vec<ShardTx> {
         self.table.lock().senders.clone()
     }
 
@@ -157,13 +166,13 @@ impl RouteState {
     }
 }
 
-/// A socket thread's copy of the senders: the table is read under its lock
-/// only when the version moved since the copy was taken, so a query costs
-/// one atomic load, never a lock or a clone.
+/// A socket thread's copy of the shard handles: the table is read under
+/// its lock only when the version moved since the copy was taken, so a
+/// query costs one atomic load, never that lock or a clone.
 pub(crate) struct RouteCopy<'r> {
     routes: &'r RouteState,
     version: u64,
-    senders: Vec<mpsc::Sender<WorkItem>>,
+    senders: Vec<ShardTx>,
 }
 
 impl<'r> RouteCopy<'r> {
@@ -178,8 +187,8 @@ impl<'r> RouteCopy<'r> {
         }
     }
 
-    /// The senders of the latest published table.
-    pub(crate) fn current(&mut self) -> &[mpsc::Sender<WorkItem>] {
+    /// The shard handles of the latest published table.
+    pub(crate) fn current(&mut self) -> &[ShardTx] {
         let version = self.routes.version.load(Ordering::Acquire);
         if version != self.version {
             self.senders = self.routes.senders();
@@ -362,25 +371,29 @@ impl ControlHandle {
         senders.truncate(shards);
         acked.truncate(shards);
         for index in senders.len()..shards {
-            let (tx, rx) = mpsc::channel();
-            let handle = spawn_worker(&self.inner.ctx, index, factory(index), rx)?;
+            let (shard, handle) = spawn_worker(&self.inner.ctx, index, factory(index))?;
             self.inner.worker_handles.lock().push(handle);
-            senders.push(tx);
+            senders.push(shard);
             acked.push(Arc::new(AtomicU64::new(0)));
         }
         let ring = Arc::new(senders.clone());
         order_epoch(&order, &senders, &acked);
-        self.inner.routes.publish(RouteTable { senders, acked });
 
         // Every worker that held keys under the old ring re-homes what the
         // new one moved; which of them stay is theirs to read off the ring.
-        // A confirmation that misses the deadline is not an error — the
-        // hand-off items are already queued FIFO before anything that could
-        // depend on them.
-        ask_shards(&old_senders, RESCALE_TIMEOUT, |done| WorkItem::Rehash {
+        // The ring is queued before the table is published, so a query
+        // routed under the new table reaches a worker of the old one only
+        // after it took the ring — in place, nothing is queued; handed off,
+        // the query queues behind it — and a worker never judges a key by a
+        // ring older than its query's. A confirmation that misses the
+        // deadline is not an error — the hand-off items are already queued
+        // FIFO before anything that could depend on them.
+        let rehashed = ask(&old_senders, |done| WorkItem::Rehash {
             ring: ring.clone(),
             done,
         });
+        self.inner.routes.publish(RouteTable { senders, acked });
+        rehashed.gather(RESCALE_TIMEOUT);
 
         Ok(self.publish_epoch(&order, shards))
     }
@@ -453,13 +466,9 @@ impl std::fmt::Debug for ControlHandle {
 }
 
 /// Queues `order` at every worker of a table, each with its own ack slot.
-fn order_epoch(
-    order: &Arc<EpochOrder>,
-    senders: &[mpsc::Sender<WorkItem>],
-    acked: &[Arc<AtomicU64>],
-) {
-    for (sender, ack) in senders.iter().zip(acked) {
-        let _ = sender.send(WorkItem::Reconfigure {
+fn order_epoch(order: &Arc<EpochOrder>, senders: &[ShardTx], acked: &[Arc<AtomicU64>]) {
+    for (shard, ack) in senders.iter().zip(acked) {
+        shard.send(WorkItem::Reconfigure {
             order: order.clone(),
             ack: ack.clone(),
         });

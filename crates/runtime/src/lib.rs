@@ -9,11 +9,15 @@
 //! a multi-threaded Do53 front end over `std::net` sockets.
 //!
 //! * [`PoolRuntime`] — binds a UDP socket (plus a TCP listener for
-//!   truncated-answer retries), routes each query by
-//!   `(domain, address family)` hash to one of N worker threads, each of
-//!   which **owns** its [`CachingPoolResolver`](sdoh_core::CachingPoolResolver)
-//!   shard outright (no shared lock on the serving path) and wakes itself
-//!   to run the shard's due background refreshes; aggregates per-shard
+//!   truncated-answer retries) and routes each query by
+//!   `(domain, address family)` hash to one of N shards. Each shard's
+//!   [`CachingPoolResolver`](sdoh_core::CachingPoolResolver) sits behind a
+//!   lock of its own, shared with no other shard: the socket thread that
+//!   read a query serves it in place when that lock is free and nothing is
+//!   queued to the shard, and otherwise hands it to the shard's worker
+//!   thread — no query ever waits on a lock. The worker also sends the
+//!   shard's generations and wakes itself to run its due background
+//!   refreshes. The runtime aggregates per-shard
 //!   [`ServeSnapshot`](sdoh_core::ServeSnapshot)s into [`RuntimeStats`] on
 //!   demand ([`PoolRuntime::stats`]), and shuts down gracefully.
 //! * [`BackendNet`] — in-process upstream endpoints (full RFC 8484 DoH
@@ -30,14 +34,16 @@
 //! Every [`PoolRuntime`] owns an [`sdoh_metrics::Registry`]
 //! ([`PoolRuntime::registry`]): the front-door socket counters
 //! (`sdoh_udp_queries_total`, `sdoh_tcp_queries_total`,
-//! `sdoh_truncated_responses_total`) are registry counters, each shard
-//! worker records per-query serving latency into its own
+//! `sdoh_truncated_responses_total`, and `sdoh_queries_handed_off_total`
+//! for the queries a busy shard was handed on its queue) are registry
+//! counters, each shard records per-query serving latency into its own
 //! `sdoh_serve_latency_seconds` histogram (two relaxed atomic adds on the
 //! hot path, always on: `pool-bench`'s `metrics.histogram_record_ns` row
 //! prices one), and a scrape-time collector pulls fresh
 //! [`ServeSnapshot`](sdoh_core::ServeSnapshot)s from the workers and
 //! exports them through the shared vocabulary in
-//! [`sdoh_core::snapshot_samples`].
+//! [`sdoh_core::snapshot_samples`], beside each shard's
+//! `sdoh_shard_queue_depth` as the scrape reads it.
 //!
 //! Set [`RuntimeConfig::stats_bind`] to bind the HTTP stats listener:
 //! `/metrics` serves the Prometheus text exposition, `/metrics.json` the
@@ -55,10 +61,11 @@
 //! [`ConfigDelta`] (new TTLs, stale window, upstream resolver set, pool
 //! hardening knobs), numbers it — an **epoch** is the control plane's
 //! count of accepted operations, a `u64` nothing below it stores — and
-//! fans it to every shard **through the shard's existing work queue**: no
-//! lock is added to the serving path, each shard's resolver is handed the
-//! knobs ([`CachingPoolResolver::apply_config`](sdoh_core::CachingPoolResolver::apply_config))
-//! and the shard acks the number in its next loop iteration. Cached
+//! fans it to every shard **through the shard's existing work queue**,
+//! which no query served in place overtakes: each shard's resolver is
+//! handed the knobs
+//! ([`CachingPoolResolver::apply_config`](sdoh_core::CachingPoolResolver::apply_config))
+//! and the shard acks the number as its worker takes the item. Cached
 //! entries are never invalidated by an epoch switch; they are re-judged
 //! against the new knobs at lookup time, and a served answer's age is
 //! always bounded by the *maximum* of the old and new `TTL + stale window`

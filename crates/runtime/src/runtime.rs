@@ -9,26 +9,27 @@
 //!              │ dispatcher │                  │ tcp acceptor│
 //!              └─────┬──────┘                  └──────┬──────┘
 //!        hash(qname, qtype) ──────────────────────────┘
-//!         ┌──────────┼─────────────┐
-//!   ┌─────▼────┐ ┌───▼──────┐ ┌────▼─────┐
+//!         ┌──────────┼─────────────┐   idle shard: served in place, under its lock
+//!   ┌─────▼────┐ ┌───▼──────┐ ┌────▼─────┐ busy shard: a copy on its worker's queue
 //!   │ shard 0  │ │ shard 1  │ │ shard N-1│ ◄── Snapshot / Probe / control
 //!   │ resolver │ │ resolver │ │ resolver │     items, on demand, over the
-//!   │ + timer  │ │ + timer  │ │ + timer  │     same queue as the queries
+//!   │ + worker │ │ + worker │ │ + worker │     same queue as handed-off queries
 //!   └──────────┘ └──────────┘ └──────────┘
 //! ```
 //!
-//! Each worker thread **owns** one [`CachingPoolResolver`] shard and one
-//! `Send` exchanger — there is no lock around the pool cache at all;
-//! queries are routed by `(domain, address family)` hash so every key
-//! always lands on the same shard and singleflight coalescing keeps
-//! working per shard. A worker also keeps its own time: it blocks on its
-//! queue while it has nothing upstream and nothing queued for refresh, and
-//! otherwise wakes when the next round trip ends or the resolver's
-//! [`next_refresh_due`](CachingPoolResolver::next_refresh_due) has come
-//! (see `worker_loop`). Upstream exchanges have no thread either: what the
-//! shard's live generations have to send leaves as one batch through the
-//! send half of the transport ([`Exchanger::depart`]) and is collected on
-//! the worker's own thread when its round trip is over
+//! Each shard is one [`CachingPoolResolver`] and one `Send` exchanger in a
+//! cell behind a lock of its own, plus a worker thread. No lock is shared
+//! between shards; queries are routed by `(domain, address family)` hash
+//! so every key always lands on the same shard and singleflight coalescing
+//! keeps working per shard. The worker holds its shard's lock for one item
+//! of its queue at a time, and keeps the shard's time: it blocks on its
+//! queue while the shard has nothing upstream and nothing queued for
+//! refresh, and otherwise wakes when the next round trip ends or the
+//! resolver's [`next_refresh_due`](CachingPoolResolver::next_refresh_due)
+//! has come (see `worker_loop`). Upstream exchanges have no thread either:
+//! what the shard's live generations have to send leaves as one batch
+//! through the send half of the transport ([`Exchanger::depart`]) and is
+//! collected on the worker's own thread when its round trip is over
 //! ([`Exchanger::arrive`]) — the diagram is the thread census, idle or
 //! loaded. Statistics are taken on demand: [`PoolRuntime::stats`],
 //! `/metrics` and `/healthz` each ask the shards for a [`ServeSnapshot`]
@@ -41,17 +42,27 @@
 //! cache entries the ring assigns elsewhere as `Install` items on their
 //! owners' queues, and if the ring no longer reaches its index it forwards
 //! everything and lingers as retired until its queue disconnects (see
-//! [`ControlHandle::rescale`]).
+//! [`ControlHandle::rescale`]). The shard keeps the last ring it was
+//! handed: an entry it caches later for a key that ring assigns elsewhere —
+//! generated for a query routed under an older table — goes to its owner
+//! the same way.
 //!
 //! # The hit path
 //!
-//! A datagram costs the dispatcher one owned copy and one queue hand-off;
-//! the shard's worker decodes it once and answers it through the two
+//! The thread that read a query answers it. A socket thread that finds the
+//! owning shard idle — its lock free and nothing queued to it — serves the
+//! query from its receive buffer under that lock: no copy, no queue, no
+//! wake-up. A shard that is busy (its worker is taking an item, landing
+//! flights, or sleeping out the round trips before a rehash) or has anything
+//! queued is handed an owned copy on its worker's queue, behind everything
+//! already there, so no query overtakes a queued control item; a socket
+//! thread never waits for a shard. Either way the query goes through the
+//! shard's one serve function: decoded once and answered through the two
 //! halves of the shared Do53 core
 //! ([`decode_do53_query`], [`finish_do53_answer`]) around the resolver's
 //! first step ([`begin`](CachingPoolResolver::begin), which renders what
 //! [`handle_query_wire`](sdoh_dns_server::QueryHandler::handle_query_wire)
-//! renders) into the **one response buffer the worker keeps**. For a cached pool
+//! renders) into the **one response buffer the shard keeps**. For a cached pool
 //! that is a copy: the resolver encoded the answer section when the
 //! generation entered its cache (see [`sdoh_core::serve`]), and per hit
 //! only the header, the echoed question and the TTL are written — no
@@ -63,8 +74,8 @@
 //! A response longer than the client can receive — the payload size its
 //! query's OPT record advertised, 512 bytes without one, and never more
 //! than the configured UDP payload limit; judged on the rendered length —
-//! is replaced by an empty TC=1 message built from the query the worker
-//! already decoded; clients retry over the TCP listener
+//! is replaced by an empty TC=1 message built from the query already
+//! decoded; clients retry over the TCP listener
 //! bound to the same port number (RFC 1035 length-prefixed framing), and
 //! the connection handler takes the buffer's contents with it.
 //!
@@ -75,17 +86,22 @@
 //! ([`begin`](CachingPoolResolver::begin)) either answers — everything
 //! above — or opens a **flight** for the key (or finds the one already
 //! live: concurrent misses for a key share it) and hands back its id; the
-//! worker **parks** the decoded query, its reply path and its start time
-//! under that id and goes back to its queue. Hits, other misses, snapshots
-//! and probes are served while the flight is upstream.
+//! serving thread **parks** the decoded query, its reply path and its
+//! start time under that id and lets go of the shard. Hits, other misses,
+//! snapshots and probes are served while the flight is upstream. A miss
+//! served in place only parks: when the serve parked a query or moved the
+//! next refresh, the socket thread queues one `Wake` item, and the worker
+//! sends what the flight has to send. Generations run on shard threads
+//! only.
 //!
 //! * *One timed decision point.* The worker waits on its queue with
 //!   `recv_timeout(min(earliest round-trip end, next refresh due))`, with
 //!   `recv()` when neither exists, and not at all when something is
 //!   already due.
-//! * *Land before take.* What is due is dealt with **before each item is
-//!   taken**, not only when the wait times out: batches whose round trip
-//!   is over are collected and their outcomes landed, refreshes that came
+//! * *Land before take.* What is due is dealt with **after each item the
+//!   worker takes, before it waits for the next** (under the same hold of
+//!   the shard's lock), not only when the wait times out: batches whose
+//!   round trip is over are collected and their outcomes landed, refreshes that came
 //!   due open flights of their own (a refresh is a flight like any other:
 //!   it leaves when it is due, and the stale serves that overlap it do not
 //!   queue it again), every query parked on a flight that landed is
@@ -124,12 +140,13 @@ use std::collections::HashMap;
 use std::hash::Hasher;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use sdoh_core::{
     snapshot_samples, CacheEntryProbe, CachedPool, CachingPoolResolver, ConfigError, FlightId,
     Landed, PoolKey, ServeSnapshot, ServeStep, TransactionId,
@@ -266,6 +283,8 @@ pub(crate) struct FrontCounters {
     tcp_received: Counter,
     truncated: Counter,
     dropped: Counter,
+    /// Queries queued to a busy shard's worker rather than served in place.
+    handed_off: Counter,
 }
 
 impl FrontCounters {
@@ -276,8 +295,42 @@ impl FrontCounters {
             tcp_received: counter(sdoh_core::METRIC_TCP_QUERIES),
             truncated: counter(sdoh_core::METRIC_TRUNCATED_RESPONSES),
             dropped: counter(sdoh_core::METRIC_DROPPED_QUERIES),
+            handed_off: counter(vocabulary_row("sdoh_queries_handed_off_total")),
         }
     }
+}
+
+/// The shared vocabulary's `(name, help)` row for one of the runtime's
+/// metrics that has no constant of its own (an unknown name gets no help,
+/// which the registry's lint reports).
+fn vocabulary_row(name: &'static str) -> (&'static str, &'static str) {
+    let help = sdoh_core::RUNTIME_METRIC_HELP
+        .iter()
+        .find(|(row, _)| *row == name)
+        .map_or("", |(_, help)| *help);
+    (name, help)
+}
+
+/// A gauge sample.
+fn gauge((name, help): (&str, &str), labels: Vec<(String, String)>, value: f64) -> Sample {
+    Sample {
+        name: name.to_string(),
+        help: help.to_string(),
+        labels,
+        value: SampleValue::Gauge(value),
+    }
+}
+
+/// `sdoh_shard_queue_depth{shard}`: what each shard of a table has queued
+/// and its worker has not yet taken, read at the call.
+fn queue_depth_gauges(shards: &[ShardTx]) -> impl Iterator<Item = Sample> + '_ {
+    shards.iter().enumerate().map(|(index, shard)| {
+        gauge(
+            vocabulary_row("sdoh_shard_queue_depth"),
+            vec![("shard".to_string(), index.to_string())],
+            shard.cell.queued.load(Ordering::Acquire) as f64,
+        )
+    })
 }
 
 /// One aggregated statistics observation of a running [`PoolRuntime`].
@@ -370,8 +423,13 @@ impl std::fmt::Display for RuntimeStats {
 }
 
 pub(crate) enum WorkItem {
-    /// Serve one wire-format query and reply along the given path.
+    /// Serve one wire-format query and reply along the given path: a query
+    /// a socket thread found the shard busy for.
     Query { wire: Vec<u8>, reply: ReplyPath },
+    /// Nothing to take: a query served in place left the shard something
+    /// to send or a refresh due, which the pump after every item deals
+    /// with.
+    Wake,
     /// Report a consistent snapshot of this shard's state.
     Snapshot(mpsc::Sender<(usize, ServeSnapshot)>),
     /// Report a probe of every cache entry (control-plane invariant
@@ -384,12 +442,13 @@ pub(crate) enum WorkItem {
     },
     /// The hash ring is now `ring`: extract every entry it assigns to
     /// another shard, forward each to its owner's queue, then confirm on
-    /// `done`. A worker the ring no longer reaches owns nothing: it forwards
-    /// everything and lingers in retired mode — still answering stray
-    /// queries (and immediately forwarding whatever they generate) — until
-    /// its queue disconnects.
+    /// `done`. The worker keeps the ring, and hands on whatever it caches
+    /// later that the ring assigns elsewhere. A worker the ring no longer
+    /// reaches owns nothing: it forwards everything and lingers in retired
+    /// mode — still answering stray queries (and immediately forwarding
+    /// whatever they generate) — until its queue disconnects.
     Rehash {
-        ring: Arc<Vec<mpsc::Sender<WorkItem>>>,
+        ring: Arc<Vec<ShardTx>>,
         done: mpsc::Sender<(usize, ())>,
     },
     /// Adopt an entry handed off by another shard (stamps intact).
@@ -434,21 +493,75 @@ impl WorkerContext {
     }
 }
 
-/// Spawns one shard worker thread. `index` is the shard's position in the
-/// route table.
+/// Puts one shard in its cell and spawns its worker thread. `index` is the
+/// shard's position in the route table.
 pub(crate) fn spawn_worker(
     ctx: &WorkerContext,
     index: usize,
     shard: Shard,
-    rx: mpsc::Receiver<WorkItem>,
-) -> std::io::Result<JoinHandle<()>> {
-    let socket = Arc::clone(&ctx.socket);
-    let counters = Arc::clone(&ctx.counters);
-    let limit = ctx.udp_payload_limit;
-    let latency = ctx.latency_for(index);
-    std::thread::Builder::new()
+) -> std::io::Result<(ShardTx, JoinHandle<()>)> {
+    let outbox = Outbox {
+        socket: Arc::clone(&ctx.socket),
+        udp_payload_limit: ctx.udp_payload_limit,
+        counters: Arc::clone(&ctx.counters),
+        latency: ctx.latency_for(index),
+        response: Vec::with_capacity(ctx.udp_payload_limit),
+    };
+    let (shard, rx) = ShardTx::open(Worker::new(index, shard, outbox));
+    let cell = Arc::clone(&shard.cell);
+    let handle = std::thread::Builder::new()
         .name(format!("sdoh-shard-{index}"))
-        .spawn(move || worker_loop(index, shard, rx, socket, limit, counters, latency))
+        .spawn(move || worker_loop(&cell, rx))?;
+    Ok((shard, handle))
+}
+
+/// One shard's state behind its one lock, and the count of what is queued
+/// to its worker.
+pub(crate) struct ShardCell {
+    worker: Mutex<Worker>,
+    /// Items sent to the worker's queue and not yet taken. It rises in
+    /// [`ShardTx::send`] before the item is sent, and falls only under the
+    /// lock, as the worker takes an item: read under the lock, zero means
+    /// no queued item is overtaken by serving in place. The lock orders
+    /// that read after every fall (each made under an earlier hold), and
+    /// an `Acquire` read that happens after a rise (`AcqRel`) sees it.
+    queued: AtomicUsize,
+}
+
+impl ShardCell {
+    /// The worker thread's hold on its shard: one item, and the pump after
+    /// it, at a time.
+    // sdoh-lint: allow(transitive-hot-path-purity, "the shard's own lock: its worker holds it for one item at a time, and a socket thread only ever try_locks it, so no query waits on it")
+    fn lock(&self) -> MutexGuard<'_, Worker> {
+        self.worker.lock()
+    }
+}
+
+/// A route table's handle on one shard: its worker's queue and its cell.
+#[derive(Clone)]
+pub(crate) struct ShardTx {
+    tx: mpsc::Sender<WorkItem>,
+    cell: Arc<ShardCell>,
+}
+
+impl ShardTx {
+    /// Puts `worker` in a cell of its own: the handle, and the queue its
+    /// thread takes from.
+    fn open(worker: Worker) -> (ShardTx, mpsc::Receiver<WorkItem>) {
+        let (tx, rx) = mpsc::channel();
+        let cell = Arc::new(ShardCell {
+            worker: Mutex::new(worker),
+            queued: AtomicUsize::new(0),
+        });
+        (ShardTx { tx, cell }, rx)
+    }
+
+    /// Queues `item` behind everything already queued to the shard, counted
+    /// until its worker takes it. `false` once the worker is gone.
+    pub(crate) fn send(&self, item: WorkItem) -> bool {
+        self.cell.queued.fetch_add(1, Ordering::AcqRel);
+        self.tx.send(item).is_ok()
+    }
 }
 
 /// The running threaded front end. Dropping it without calling
@@ -514,8 +627,8 @@ impl PoolRuntime {
         let mut acked = Vec::with_capacity(shard_count);
         let mut worker_handles = Vec::with_capacity(shard_count);
         for (index, shard) in shards.into_iter().enumerate() {
-            let (tx, rx) = mpsc::channel::<WorkItem>();
-            worker_handles.push(spawn_worker(&ctx, index, shard, rx)?);
+            let (tx, handle) = spawn_worker(&ctx, index, shard)?;
+            worker_handles.push(handle);
             senders.push(tx);
             // Workers implicitly serve under epoch 0 from construction.
             acked.push(Arc::new(AtomicU64::new(0)));
@@ -524,11 +637,11 @@ impl PoolRuntime {
         let control =
             ControlHandle::new(Arc::clone(&routes), first_cache_config, ctx, worker_handles);
 
-        // The serve-layer counters live inside the worker threads; a
-        // scrape-time collector fetches fresh snapshots over the work
-        // queues (reading the *live* route table, so rescales are
-        // reflected) and renders them through the shared serve vocabulary,
-        // plus the control-plane epoch gauges.
+        // The serve-layer counters live inside the shards; a scrape-time
+        // collector fetches fresh snapshots over the work queues (reading
+        // the *live* route table, so rescales are reflected) and renders
+        // them through the shared serve vocabulary, plus the control-plane
+        // epoch gauges and each shard's queue depth.
         {
             let routes = Arc::clone(&routes);
             let epoch = Arc::clone(&control.inner.epoch);
@@ -537,15 +650,10 @@ impl PoolRuntime {
                     let table = routes.table.lock();
                     (table.senders.clone(), table.acked.clone())
                 };
+                // Read before the snapshot requests join the queues.
+                let depths: Vec<Sample> = queue_depth_gauges(&senders).collect();
                 let (per_shard, total) =
                     aggregate_shards(&senders, SNAPSHOT_TIMEOUT, WorkItem::Snapshot);
-                let gauge =
-                    |(name, help): (&str, &str), labels: Vec<(String, String)>, v: f64| Sample {
-                        name: name.to_string(),
-                        help: help.to_string(),
-                        labels,
-                        value: SampleValue::Gauge(v),
-                    };
                 let mut samples = snapshot_samples(&total, &[]);
                 samples.push(gauge(
                     sdoh_core::METRIC_SHARDS,
@@ -569,6 +677,7 @@ impl PoolRuntime {
                         slot.load(Ordering::Acquire) as f64,
                     ));
                 }
+                samples.extend(depths);
                 samples
             }));
         }
@@ -794,38 +903,62 @@ fn bind_front_door(
 /// shard order. A shard that does not answer in time — wedged, or already
 /// shut down — comes back as `None`, never as a silently-zero default.
 pub(crate) fn ask_shards<T>(
-    workers: &[mpsc::Sender<WorkItem>],
+    workers: &[ShardTx],
     timeout: Duration,
     request: impl Fn(mpsc::Sender<(usize, T)>) -> WorkItem,
 ) -> Vec<Option<T>> {
-    let (tx, rx) = mpsc::channel();
-    let mut requested = 0;
-    for sender in workers {
-        if sender.send(request(tx.clone())).is_ok() {
-            requested += 1;
-        }
+    ask(workers, request).gather(timeout)
+}
+
+/// [`ask_shards`] in two halves: the request is queued at every worker
+/// now, and its replies are gathered by [`Asked::gather`].
+pub(crate) fn ask<T>(
+    workers: &[ShardTx],
+    request: impl Fn(mpsc::Sender<(usize, T)>) -> WorkItem,
+) -> Asked<T> {
+    let (tx, replies) = mpsc::channel();
+    let requested = workers
+        .iter()
+        .filter(|shard| shard.send(request(tx.clone())))
+        .count();
+    Asked {
+        replies,
+        requested,
+        workers: workers.len(),
     }
-    drop(tx);
-    let mut replies: Vec<Option<T>> = workers.iter().map(|_| None).collect();
-    let deadline = Instant::now() + timeout;
-    for _ in 0..requested {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        match rx.recv_timeout(remaining) {
-            Ok((index, reply)) => {
-                if let Some(slot) = replies.get_mut(index) {
-                    *slot = Some(reply);
+}
+
+/// The replies a request queued by [`ask`] is owed.
+pub(crate) struct Asked<T> {
+    replies: mpsc::Receiver<(usize, T)>,
+    requested: usize,
+    workers: usize,
+}
+
+impl<T> Asked<T> {
+    /// The replies that came in before `timeout`, one slot per worker.
+    pub(crate) fn gather(self, timeout: Duration) -> Vec<Option<T>> {
+        let mut replies: Vec<Option<T>> = (0..self.workers).map(|_| None).collect();
+        let deadline = Instant::now() + timeout;
+        for _ in 0..self.requested {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            match self.replies.recv_timeout(remaining) {
+                Ok((index, reply)) => {
+                    if let Some(slot) = replies.get_mut(index) {
+                        *slot = Some(reply);
+                    }
                 }
+                Err(_) => break,
             }
-            Err(_) => break,
         }
+        replies
     }
-    replies
 }
 
 /// The one statistics aggregation: every shard's [`ServeSnapshot`] (see
 /// [`ask_shards`] for `None`) and the total of the responsive ones.
 fn aggregate_shards(
-    workers: &[mpsc::Sender<WorkItem>],
+    workers: &[ShardTx],
     timeout: Duration,
     request: fn(mpsc::Sender<(usize, ServeSnapshot)>) -> WorkItem,
 ) -> (Vec<Option<ServeSnapshot>>, ServeSnapshot) {
@@ -843,7 +976,7 @@ fn count_unresponsive(per_shard: &[Option<ServeSnapshot>]) -> usize {
 }
 
 fn take_stats(
-    workers: &[mpsc::Sender<WorkItem>],
+    workers: &[ShardTx],
     request: fn(mpsc::Sender<(usize, ServeSnapshot)>) -> WorkItem,
     counters: &FrontCounters,
     config_epoch: u64,
@@ -961,11 +1094,11 @@ fn dispatcher_loop(
     counters: Arc<FrontCounters>,
 ) {
     let mut buf = [0u8; 4096];
-    // The hot path works on a local copy of the senders; one version check
-    // per packet detects a published rescale and reloads under the (cold)
-    // table lock. Retiring workers linger until every sender is dropped,
-    // so even a packet routed through a stale local copy is still served —
-    // never dropped.
+    // The hot path works on a local copy of the route table; one version
+    // check per packet detects a published rescale and reloads under the
+    // (cold) table lock. Retiring workers linger until every sender is
+    // dropped, so even a packet routed through a stale local copy is still
+    // served — never dropped.
     let mut routes = RouteCopy::new(&routes);
     loop {
         let received = socket.recv_from(&mut buf);
@@ -977,26 +1110,16 @@ fn dispatcher_loop(
         match received {
             Ok((len, peer)) => {
                 counters.udp_received.inc();
-                let senders = routes.current();
-                if senders.is_empty() {
-                    counters.dropped.inc();
-                    continue;
-                }
-                // recv_from wrote `len <= buf.len()` bytes; the owned copy
-                // is the queue hand-off, one allocation per datagram.
-                // sdoh-lint: allow(transitive-hot-path-purity, "the owned copy is the mpsc hand-off; one alloc per datagram is the design")
-                let Some(wire) = buf.get(..len).map(|datagram| datagram.to_vec()) else {
+                // recv_from wrote `len <= buf.len()` bytes.
+                let Some(wire) = buf.get(..len) else {
                     continue;
                 };
-                let shard = shard_for(&wire, senders.len());
-                let delivered = senders.get(shard).is_some_and(|sender| {
-                    sender
-                        .send(WorkItem::Query {
-                            wire,
-                            reply: ReplyPath::Udp(peer),
-                        })
-                        .is_ok()
-                });
+                let shards = routes.current();
+                let delivered = shards
+                    .get(shard_for(wire, shards.len()))
+                    .is_some_and(|shard| {
+                        serve_or_hand_off(shard, wire, ReplyPath::Udp(peer), &counters)
+                    });
                 if !delivered {
                     counters.dropped.inc();
                 }
@@ -1005,6 +1128,45 @@ fn dispatcher_loop(
             Err(_) => std::thread::sleep(ERROR_BACKOFF),
         }
     }
+}
+
+/// Answers one query a socket thread read, through the owning shard's one
+/// serve function ([`Worker::serve`]). When the shard is idle — its lock
+/// free and nothing queued to it — the calling thread serves the query in
+/// place, from the buffer it was read into: no copy, no queue, no wake-up.
+/// Otherwise the shard's worker is handed an owned copy on its queue,
+/// behind everything queued there. A socket thread never waits for a
+/// shard, and no query overtakes an item queued before it.
+///
+/// A miss served in place only parks: if the serve parked a query or moved
+/// the next refresh, the worker is woken to do the rest on its own thread.
+/// `false` when the shard's worker is gone.
+fn serve_or_hand_off(
+    shard: &ShardTx,
+    wire: &[u8],
+    reply: ReplyPath,
+    counters: &FrontCounters,
+) -> bool {
+    let cell = &shard.cell;
+    if cell.queued.load(Ordering::Acquire) == 0 {
+        if let Some(mut guard) = cell.worker.try_lock() {
+            // Read again under the lock, where it only falls.
+            if cell.queued.load(Ordering::Acquire) == 0 {
+                let worker: &mut Worker = &mut guard;
+                let parked = worker.parked.len();
+                let refresh = worker.resolver.next_refresh_due();
+                worker.serve(wire, reply);
+                let wake =
+                    worker.parked.len() > parked || worker.resolver.next_refresh_due() != refresh;
+                drop(guard);
+                return !wake || shard.send(WorkItem::Wake);
+            }
+        }
+    }
+    counters.handed_off.inc();
+    // sdoh-lint: allow(transitive-hot-path-purity, "the busy fallback: the owned copy is the queue hand-off, one alloc per query a busy shard is handed")
+    let wire = wire.to_vec();
+    shard.send(WorkItem::Query { wire, reply })
 }
 
 fn tcp_loop(
@@ -1038,8 +1200,8 @@ fn tcp_loop(
 
 /// Serves RFC 1035 4.2.2 length-prefixed queries until the peer closes
 /// (or a read times out). Queries follow the latest published ring through
-/// the version-checked copy of the senders the TCP thread keeps, as the
-/// dispatcher does.
+/// the version-checked copy of the route table the TCP thread keeps, and
+/// are served in place or handed off as the dispatcher's are.
 fn serve_tcp_connection(
     stream: TcpStream,
     routes: &mut RouteCopy<'_>,
@@ -1050,14 +1212,16 @@ fn serve_tcp_connection(
     serve_framed(stream, routes, counters)
 }
 
-/// The loop of [`serve_tcp_connection`] over any byte stream. An answer
-/// leaves behind its length in one write: with `TCP_NODELAY` set, each
-/// write is a segment of its own.
+/// The loop of [`serve_tcp_connection`] over any byte stream. Query frames
+/// are read into one buffer per connection, and an answer leaves behind its
+/// length in one write: with `TCP_NODELAY` set, each write is a segment of
+/// its own.
 ///
-/// Answers come back over one channel per connection, and one query is out
-/// at a time. A timed-out query ends the connection and drops the channel
-/// with it, so an answer that comes late can never be read as the next
-/// query's. A shard answers every query it takes — a retired one still
+/// Answers come back over one channel per connection — one served in place
+/// is already there when [`serve_or_hand_off`] returns — and one query is
+/// out at a time. A timed-out query ends the connection and drops the
+/// channel with it, so an answer that comes late can never be read as the
+/// next query's. A shard answers every query it takes — a retired one still
 /// answers strays, and `shutdown` stops this thread before the shards — so
 /// a query a shard dropped unanswered would wait out the timeout rather
 /// than fail at once, the one thing a channel per query would do better.
@@ -1067,30 +1231,21 @@ fn serve_framed(
     counters: &FrontCounters,
 ) -> std::io::Result<()> {
     let (tx, rx) = mpsc::channel();
-    let mut framed = Vec::new();
+    let (mut wire, mut framed) = (Vec::new(), Vec::new());
     loop {
         let mut len_buf = [0u8; 2];
         if stream.read_exact(&mut len_buf).is_err() {
             return Ok(()); // EOF or idle: connection done.
         }
-        let len = usize::from(u16::from_be_bytes(len_buf));
-        let mut wire = vec![0u8; len];
+        wire.resize(usize::from(u16::from_be_bytes(len_buf)), 0);
         stream.read_exact(&mut wire)?;
         counters.tcp_received.inc();
-        let senders = routes.current();
-        if senders.is_empty() {
-            counters.dropped.inc();
-            return Ok(());
-        }
-        let shard = shard_for(&wire, senders.len());
-        let delivered = senders.get(shard).is_some_and(|sender| {
-            sender
-                .send(WorkItem::Query {
-                    wire,
-                    reply: ReplyPath::Tcp(tx.clone()),
-                })
-                .is_ok()
-        });
+        let shards = routes.current();
+        let delivered = shards
+            .get(shard_for(&wire, shards.len()))
+            .is_some_and(|shard| {
+                serve_or_hand_off(shard, &wire, ReplyPath::Tcp(tx.clone()), counters)
+            });
         if !delivered {
             counters.dropped.inc();
             return Ok(());
@@ -1116,8 +1271,11 @@ struct Parked {
     flight: FlightId,
     query: Message,
     reply: ReplyPath,
-    /// When the worker took the query off its queue.
+    /// When the shard took the query: in place, or off its queue.
     started: Instant,
+    /// Whether the shard's ring assigns the query's key to another shard:
+    /// what the flight caches is handed on when it lands.
+    foreign: bool,
 }
 
 /// One batch upstream: the send half's receipt and, by request index, the
@@ -1127,7 +1285,7 @@ struct Upstream {
     tags: Vec<(FlightId, TransactionId)>,
 }
 
-/// The way out of a shard: the one buffer every response of the worker is
+/// The way out of a shard: the one buffer every response of the shard is
 /// rendered into, and what sending it takes.
 struct Outbox {
     socket: Arc<UdpSocket>,
@@ -1172,9 +1330,10 @@ impl Outbox {
     }
 }
 
-/// A shard worker's state: the shard, its way out, and the two lists that
-/// make a generation a piece of data — the queries parked on live flights
-/// and the batches upstream.
+/// A shard's state: the resolver, its way out, and the two lists that make
+/// a generation a piece of data — the queries parked on live flights and
+/// the batches upstream. It lives in the shard's [`ShardCell`]: whoever
+/// holds the cell's lock serves through it.
 struct Worker {
     index: usize,
     resolver: CachingPoolResolver,
@@ -1184,25 +1343,41 @@ struct Worker {
     parked: Vec<Parked>,
     /// In departure order.
     upstream: Vec<Upstream>,
-    /// Set when this shard left the hash ring (a shrink retired it): the
-    /// ring to forward entries over. A retired worker keeps serving stray
-    /// queries an in-flight dispatcher raced onto its queue, but owns no
-    /// keys — whatever it serves or generates is immediately handed to the
-    /// owning shard. It exits when the queue disconnects (every sender
-    /// dropped), which is what makes rescale zero-drop.
-    retired: Option<Arc<Vec<mpsc::Sender<WorkItem>>>>,
+    /// The last ring a `Rehash` handed this shard; `None` while it serves
+    /// the table it was started in, which routes it only keys it owns. A
+    /// query routed under an older table can still reach the shard: what
+    /// such a query caches for a key the ring assigns elsewhere is handed
+    /// to its owner at once. A shard the ring no longer reaches is retired
+    /// and owns no keys: it keeps serving stray queries, and exits when its
+    /// queue disconnects (every sender dropped), which is what makes
+    /// rescale zero-drop.
+    ring: Option<Arc<Vec<ShardTx>>>,
 }
 
 impl Worker {
+    fn new(index: usize, shard: Shard, outbox: Outbox) -> Worker {
+        Worker {
+            index,
+            resolver: shard.resolver,
+            exchanger: shard.exchanger,
+            outbox,
+            parked: Vec::new(),
+            upstream: Vec::new(),
+            ring: None,
+        }
+    }
+
     /// Takes one query through the shared Do53 core — identical wire
     /// behaviour to the simulated `Do53Service` by construction — around the
     /// resolver's first step: what the cache can answer is answered now, a
-    /// miss is parked under its flight and the worker goes back to its queue.
+    /// miss is parked under its flight for the shard's worker to send. The
+    /// one serve function, whichever thread holds the shard.
     fn serve(&mut self, wire: &[u8], reply: ReplyPath) {
         let started = Instant::now();
         let Some(query) = decode_do53_query(wire, false, &mut self.outbox.response) else {
             return self.outbox.send(None, &reply, started);
         };
+        let foreign = self.routes_elsewhere(wire);
         let begun = self
             .resolver
             .begin(self.exchanger.as_mut(), &query, &mut self.outbox.response);
@@ -1212,13 +1387,26 @@ impl Worker {
                 query,
                 reply,
                 started,
+                foreign,
             }),
             answered => {
                 finish_do53_answer(&query, answered.map(drop), &mut self.outbox.response);
                 self.outbox.send(Some(&query), &reply, started);
-                self.forward_if_retired();
+                // A generation that failed before its first exchange is
+                // cached on the spot.
+                if foreign {
+                    self.hand_off_foreign();
+                }
             }
         }
+    }
+
+    /// Whether the shard's ring assigns `wire`'s question to another shard.
+    /// Free until the first rescale: no ring, no hash.
+    fn routes_elsewhere(&self, wire: &[u8]) -> bool {
+        self.ring.as_ref().is_some_and(|ring| {
+            question_route(wire, ring.len()).is_some_and(|owner| owner != self.index)
+        })
     }
 
     /// Everything the shard's flights need done that is due **now**: lands
@@ -1267,8 +1455,9 @@ impl Worker {
                         requests.push(request);
                     }
                     ServeStep::Landed(landed) => {
-                        self.answer_parked(&landed);
-                        self.forward_if_retired();
+                        if self.answer_parked(&landed) {
+                            self.hand_off_foreign();
+                        }
                     }
                     ServeStep::Wait(next_refresh) => break next_refresh,
                 }
@@ -1286,9 +1475,11 @@ impl Worker {
 
     /// Answers every query parked on the flight that `landed`, in arrival
     /// order, from the landed report — through the closing half of the Do53
-    /// core and the same way out as an answer from the cache.
-    fn answer_parked(&mut self, landed: &Landed) {
+    /// core and the same way out as an answer from the cache. Returns
+    /// whether the flight's key is one the shard's ring assigns elsewhere.
+    fn answer_parked(&mut self, landed: &Landed) -> bool {
         let outbox = &mut self.outbox;
+        let mut foreign = false;
         self.parked.retain(|parked| {
             if parked.flight != landed.flight {
                 return true;
@@ -1296,8 +1487,10 @@ impl Worker {
             let rendered = landed.answer_wire(&parked.query, &mut outbox.response);
             finish_do53_answer(&parked.query, rendered, &mut outbox.response);
             outbox.send(Some(&parked.query), &parked.reply, parked.started);
+            foreign |= parked.foreign;
             false
         });
+        foreign
     }
 
     /// Lands every live flight and answers everything parked, sleeping out
@@ -1323,141 +1516,133 @@ impl Worker {
             .min()
     }
 
-    /// A retired shard owns no keys: whatever it just cached goes to the
-    /// shard that does.
-    fn forward_if_retired(&mut self) {
-        if let Some(ring) = &self.retired {
-            forward_entries(&mut self.resolver, ring, None);
+    /// Hands every entry the shard's ring assigns elsewhere to its owner:
+    /// what a query routed under an older table just cached.
+    fn hand_off_foreign(&mut self) {
+        if let Some(ring) = &self.ring {
+            forward_entries(&mut self.resolver, ring, self.index);
         }
     }
-}
 
-/// One shard's thread: serves its queue in order and alone decides when
-/// anything of the shard's happens. A miss does not hold it: the query is
-/// parked under its flight and the loop goes back to the queue (see "The
-/// miss path" in the module doc). There is one timed decision point. With
-/// nothing upstream and nothing queued for refresh it blocks on the queue —
-/// an idle or all-fresh shard makes no timed wake-ups. Otherwise it waits no
-/// longer than the next instant something is due, and deals with what is
-/// due *before taking each item*: a landing happens after the timeout *and*
-/// after any item that finishes past it, so a queue that never runs empty
-/// cannot starve the flights or the refreshes. It never waits zero: what is
-/// due now is dealt with now.
-fn worker_loop(
-    index: usize,
-    shard: Shard,
-    rx: mpsc::Receiver<WorkItem>,
-    socket: Arc<UdpSocket>,
-    udp_payload_limit: usize,
-    counters: Arc<FrontCounters>,
-    latency: Histogram,
-) {
-    // sdoh-lint: allow(transitive-hot-path-purity, "empty Vec::new never allocates; once per worker")
-    let mut worker = Worker {
-        index,
-        resolver: shard.resolver,
-        exchanger: shard.exchanger,
-        outbox: Outbox {
-            socket,
-            udp_payload_limit,
-            counters,
-            latency,
-            response: Vec::with_capacity(udp_payload_limit),
-        },
-        parked: Vec::new(),
-        upstream: Vec::new(),
-        retired: None,
-    };
-    loop {
-        let item = match worker.pump() {
-            None => rx.recv().ok(),
-            Some(due) => {
-                let wait = due.saturating_duration_since(worker.exchanger.now());
-                if wait.is_zero() {
-                    continue;
-                }
-                match rx.recv_timeout(wait) {
-                    Ok(item) => Some(item),
-                    Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => None,
-                }
-            }
-        };
-        // Disconnected: every sender is gone, a retired shard's exit signal.
-        let Some(item) = item else { break };
+    /// Takes one item off the shard's queue. `Break` once the shard has
+    /// shut down.
+    fn handle(&mut self, item: WorkItem) -> ControlFlow<()> {
         match item {
-            WorkItem::Query { wire, reply } => worker.serve(&wire, reply),
+            WorkItem::Query { wire, reply } => self.serve(&wire, reply),
+            WorkItem::Wake => {}
             WorkItem::Snapshot(tx) => {
-                let _ = tx.send((worker.index, worker.resolver.snapshot()));
+                let _ = tx.send((self.index, self.resolver.snapshot()));
             }
             WorkItem::Probe(tx) => {
-                let now = worker.exchanger.now();
-                let _ = tx.send((worker.index, worker.resolver.probe_entries(now)));
+                let now = self.exchanger.now();
+                let _ = tx.send((self.index, self.resolver.probe_entries(now)));
             }
             WorkItem::Reconfigure { order, ack } => {
                 if order.sources.is_some() || order.pool.is_some() {
                     // The ack says "nothing this shard caches from now on
                     // came from the old set": what the old set still has
                     // upstream lands first.
-                    worker.land_everything();
+                    self.land_everything();
                 }
                 if let Some(factory) = &order.sources {
                     // An empty per-shard set is rejected by the generator:
                     // the shard keeps its current sources.
-                    let _ = worker
+                    let _ = self
                         .resolver
                         .generator_mut()
-                        .replace_sources(factory(worker.index));
+                        .replace_sources(factory(self.index));
                 }
                 if let Some(pool) = &order.pool {
                     // Pre-validated by ControlHandle::apply.
-                    let _ = worker.resolver.generator_mut().set_config(pool.clone());
+                    let _ = self.resolver.generator_mut().set_config(pool.clone());
                 }
-                let now = worker.exchanger.now();
-                worker.resolver.apply_config(order.cache, now);
+                let now = self.exchanger.now();
+                self.resolver.apply_config(order.cache, now);
                 ack.store(order.epoch, Ordering::Release);
             }
             WorkItem::Rehash { ring, done } => {
-                worker.land_everything();
-                let keep = (worker.index < ring.len()).then_some(worker.index);
-                forward_entries(&mut worker.resolver, &ring, keep);
-                if keep.is_none() {
-                    worker.retired = Some(ring);
-                }
-                let _ = done.send((worker.index, ()));
+                self.land_everything();
+                forward_entries(&mut self.resolver, &ring, self.index);
+                self.ring = Some(ring);
+                let _ = done.send((self.index, ()));
             }
             WorkItem::Install { key, cached } => {
-                let now = worker.exchanger.now();
-                worker.resolver.install_entry(key, cached, now);
+                let now = self.exchanger.now();
+                self.resolver.install_entry(key, cached, now);
             }
             WorkItem::Shutdown(tx) => {
-                worker.land_everything();
-                let _ = tx.send((worker.index, worker.resolver.snapshot()));
-                return;
+                self.land_everything();
+                let _ = tx.send((self.index, self.resolver.snapshot()));
+                return ControlFlow::Break(());
             }
         }
+        ControlFlow::Continue(())
     }
-    worker.land_everything();
 }
 
-/// Extracts every cache entry whose owner under `ring` is not `keep` and
-/// forwards it — stamps and re-asked bit intact, so a hot pool keeps its
-/// eviction rank in the full shard it lands in — to the owner's queue.
-/// `keep = Some(index)` re-homes what a rescale moved away from a shard
-/// that stays; `None` empties a shard the ring no longer reaches.
+/// One shard's thread: takes its queue in order and alone decides when
+/// anything of the shard's flights happens. A miss does not hold it: the
+/// query is parked under its flight and the shard is free again (see "The
+/// miss path" in the module doc). It holds the shard's lock once per item:
+/// it takes the item, deals with what is due, and computes its next wait.
+/// There is one timed decision point. With nothing upstream and nothing
+/// queued for refresh it blocks on the queue — an idle or all-fresh shard
+/// makes no timed wake-ups. Otherwise it waits no longer than the next
+/// instant something is due, and deals with what is due *after every item*:
+/// a landing happens after the timeout *and* after any item that finishes
+/// past it, so a queue that never runs empty cannot starve the flights or
+/// the refreshes.
+fn worker_loop(cell: &ShardCell, rx: mpsc::Receiver<WorkItem>) {
+    let mut wait = None;
+    loop {
+        // `None`: disconnected — every sender is gone, a retired shard's
+        // exit signal. `Some(None)`: the wait timed out.
+        let taken = match wait {
+            None => rx.recv().ok().map(Some),
+            Some(wait) => match rx.recv_timeout(wait) {
+                Ok(item) => Some(Some(item)),
+                Err(mpsc::RecvTimeoutError::Timeout) => Some(None),
+                Err(mpsc::RecvTimeoutError::Disconnected) => None,
+            },
+        };
+        let mut guard = ShardCell::lock(cell);
+        let worker: &mut Worker = &mut guard;
+        let flow = match taken {
+            Some(Some(item)) => {
+                cell.queued.fetch_sub(1, Ordering::AcqRel);
+                worker.handle(item)
+            }
+            Some(None) => ControlFlow::Continue(()),
+            None => {
+                worker.land_everything();
+                ControlFlow::Break(())
+            }
+        };
+        if flow.is_break() {
+            // The ring holds this shard's own handle: kept, the cells of a
+            // ring would keep each other alive.
+            worker.ring = None;
+            return;
+        }
+        wait = worker
+            .pump()
+            .map(|due| due.saturating_duration_since(worker.exchanger.now()));
+    }
+}
+
+/// Extracts every cache entry whose owner under `ring` is not shard `keep`
+/// and forwards it — stamps and re-asked bit intact, so a hot pool keeps
+/// its eviction rank in the full shard it lands in — to the owner's queue.
+/// A shard the ring no longer reaches forwards everything.
 /// Extraction happens-before the forward, so no entry is ever servable
 /// from two shards at once; `install` on the receiving side refuses to
 /// clobber an at-least-as-fresh entry, so a racing regeneration by the new
 /// owner wins over the handed-off copy.
-fn forward_entries(
-    resolver: &mut CachingPoolResolver,
-    ring: &[mpsc::Sender<WorkItem>],
-    keep: Option<usize>,
-) {
-    let moved = resolver.extract_entries(|key| Some(owner_of(key, ring.len())) != keep);
+fn forward_entries(resolver: &mut CachingPoolResolver, ring: &[ShardTx], keep: usize) {
+    let moved = resolver.extract_entries(|key| owner_of(key, ring.len()) != keep);
     for (key, cached) in moved {
-        if let Some(sender) = ring.get(owner_of(&key, ring.len())) {
-            let _ = sender.send(WorkItem::Install { key, cached });
+        if let Some(owner) = ring.get(owner_of(&key, ring.len())) {
+            owner.send(WorkItem::Install { key, cached });
         }
     }
 }
@@ -1492,8 +1677,11 @@ fn truncate_for_udp(query: Option<&Message>, out: &mut Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::EpochOrder;
+    use crate::{LoopbackConfig, LoopbackFleet};
+    use sdoh_core::{CacheConfig, PoolConfig};
     use sdoh_dns_server::QueryHandler;
-    use sdoh_dns_wire::RrType;
+    use sdoh_dns_wire::{Name, RrType, Ttl};
 
     fn query_wire(domain: &str, rtype: sdoh_dns_wire::RrType) -> Vec<u8> {
         Message::query(7, domain.parse().unwrap(), rtype)
@@ -1627,6 +1815,71 @@ mod tests {
         assert_eq!(tries, EPHEMERAL_BIND_ATTEMPTS);
     }
 
+    /// `n` shards of `fleet`, each in its cell behind a queue nobody takes
+    /// from yet. UDP answers would leave through a socket nobody reads; the
+    /// tests ask over the TCP reply path.
+    fn open_shards(
+        fleet: &LoopbackFleet,
+        n: usize,
+        cache: CacheConfig,
+    ) -> Vec<(ShardTx, mpsc::Receiver<WorkItem>)> {
+        let socket = Arc::new(UdpSocket::bind("127.0.0.1:0").unwrap());
+        let counters = Arc::new(FrontCounters::register(&Registry::new()));
+        let shards = fleet.shards(n, PoolConfig::algorithm1(), cache).unwrap();
+        shards
+            .into_iter()
+            .enumerate()
+            .map(|(index, shard)| {
+                let outbox = Outbox {
+                    socket: Arc::clone(&socket),
+                    udp_payload_limit: 1232,
+                    counters: Arc::clone(&counters),
+                    latency: Histogram::new(),
+                    response: Vec::new(),
+                };
+                ShardTx::open(Worker::new(index, shard, outbox))
+            })
+            .collect()
+    }
+
+    /// One shard of a default fleet, for tests that play its worker.
+    fn one_shard() -> (ShardTx, mpsc::Receiver<WorkItem>) {
+        let fleet = LoopbackFleet::build(LoopbackConfig::default());
+        open_shards(&fleet, 1, CacheConfig::default()).remove(0)
+    }
+
+    fn a_query(id: u16, domain: &Name) -> Vec<u8> {
+        Message::query(id, domain.clone(), RrType::A)
+            .encode()
+            .unwrap()
+    }
+
+    /// What the scrape would export as the shard's `sdoh_shard_queue_depth`.
+    fn queue_depth(shard: &ShardTx) -> SampleValue {
+        let gauges: Vec<Sample> = queue_depth_gauges(std::slice::from_ref(shard)).collect();
+        assert_eq!(gauges.len(), 1);
+        assert_eq!(gauges[0].name, "sdoh_shard_queue_depth");
+        gauges[0].value.clone()
+    }
+
+    /// Runs `shard`'s worker on a thread of its own until it is told to
+    /// shut down; the join hands back its last snapshot.
+    fn run_worker(
+        shard: &ShardTx,
+        rx: mpsc::Receiver<WorkItem>,
+    ) -> impl FnOnce() -> ServeSnapshot + '_ {
+        let worker = {
+            let cell = Arc::clone(&shard.cell);
+            std::thread::spawn(move || worker_loop(&cell, rx))
+        };
+        move || {
+            let (last, snapshot) = mpsc::channel();
+            assert!(shard.send(WorkItem::Shutdown(last)));
+            worker.join().unwrap();
+            snapshot.recv().unwrap().1
+        }
+    }
+
     #[test]
     fn accept_errors_do_not_end_the_tcp_loop() {
         // A non-blocking listener makes `accept` fail for as long as nobody
@@ -1635,9 +1888,12 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
         let addr = listener.local_addr().unwrap();
-        let (tx, rx) = mpsc::channel();
+        let (shard, rx) = one_shard();
+        // The test plays the shard's worker: it holds the shard, so the
+        // query is handed to the queue it reads.
+        let _busy = ShardCell::lock(&shard.cell);
         let routes = Arc::new(RouteState::new(RouteTable {
-            senders: vec![tx],
+            senders: vec![shard.clone()],
             acked: Vec::new(),
         }));
         let stop = Arc::new(AtomicBool::new(false));
@@ -1697,9 +1953,12 @@ mod tests {
 
     #[test]
     fn a_tcp_answer_leaves_in_one_write() {
-        let (tx, rx) = mpsc::channel();
+        let (shard, rx) = one_shard();
+        // Held by this thread, the shard is busy for `serve_framed` too: the
+        // queries go to the queue the thread below plays the worker on.
+        let _busy = ShardCell::lock(&shard.cell);
         let routes = RouteState::new(RouteTable {
-            senders: vec![tx],
+            senders: vec![shard.clone()],
             acked: Vec::new(),
         });
         let counters = FrontCounters::register(&Registry::new());
@@ -1708,7 +1967,7 @@ mod tests {
             script: std::io::Cursor::new(vec![0, 2, 0xAB, 0xCD, 0, 1, 0x01]),
             writes: Vec::new(),
         };
-        let shard = std::thread::spawn(move || {
+        let worker = std::thread::spawn(move || {
             for answer in [vec![0xEF; 3], vec![0x11; 300]] {
                 let Ok(WorkItem::Query {
                     reply: ReplyPath::Tcp(reply),
@@ -1721,7 +1980,7 @@ mod tests {
             }
         });
         serve_framed(&mut stream, &mut RouteCopy::new(&routes), &counters).unwrap();
-        shard.join().unwrap();
+        worker.join().unwrap();
         assert_eq!(
             stream.writes,
             [
@@ -1731,18 +1990,24 @@ mod tests {
             "each answer one write, its length in front"
         );
         assert_eq!(counters.tcp_received.get(), 2);
+        assert_eq!(counters.handed_off.get(), 2);
     }
 
     /// Two queries written back to back on one connection: each gets its
     /// own answer, in the order asked, and a table published between them
-    /// routes the second — the TCP thread's copy of the senders follows
-    /// the version.
+    /// routes the second — the TCP thread's copy of the table follows the
+    /// version.
     #[test]
     fn pipelined_tcp_queries_get_their_own_answers_in_order() {
-        let (first, first_queue) = mpsc::channel();
-        let (second, second_queue) = mpsc::channel();
+        let fleet = LoopbackFleet::build(LoopbackConfig::default());
+        let mut shards = open_shards(&fleet, 2, CacheConfig::default());
+        let (second, second_queue) = shards.pop().unwrap();
+        let (first, first_queue) = shards.pop().unwrap();
+        // Both held by this thread: the queries go to the queues the thread
+        // below plays the workers on.
+        let _busy = (ShardCell::lock(&first.cell), ShardCell::lock(&second.cell));
         let routes = Arc::new(RouteState::new(RouteTable {
-            senders: vec![first],
+            senders: vec![first.clone()],
             acked: Vec::new(),
         }));
         let counters = FrontCounters::register(&Registry::new());
@@ -1762,8 +2027,9 @@ mod tests {
             };
             (wire.iter().rev().copied().collect::<Vec<u8>>(), reply)
         };
-        let shards = {
+        let workers = {
             let routes = Arc::clone(&routes);
+            let second = second.clone();
             std::thread::spawn(move || {
                 let (reversed, reply) = answer(&first_queue);
                 routes.publish(RouteTable {
@@ -1776,7 +2042,7 @@ mod tests {
             })
         };
         serve_framed(&mut stream, &mut RouteCopy::new(&routes), &counters).unwrap();
-        shards.join().unwrap();
+        workers.join().unwrap();
         assert_eq!(
             stream.writes,
             [vec![0, 2, 0xCD, 0xAB], vec![0, 3, 3, 2, 1]],
@@ -1786,67 +2052,284 @@ mod tests {
     }
 
     #[test]
+    fn a_query_to_a_busy_shard_is_handed_off_and_answered_once_it_is_free() {
+        let fleet = LoopbackFleet::build(LoopbackConfig::default());
+        let (shard, rx) = open_shards(&fleet, 1, CacheConfig::default()).remove(0);
+        let stop = run_worker(&shard, rx);
+        let counters = FrontCounters::register(&Registry::new());
+        let (reply, answers) = mpsc::channel();
+        let ask = |id: u16| {
+            let wire = a_query(id, &fleet.domains[0]);
+            serve_or_hand_off(&shard, &wire, ReplyPath::Tcp(reply.clone()), &counters)
+        };
+
+        // The test holds the shard: the query is handed to the worker's
+        // queue, and nobody can serve it yet.
+        let busy = ShardCell::lock(&shard.cell);
+        assert!(ask(1));
+        assert_eq!(counters.handed_off.get(), 1);
+        assert_eq!(queue_depth(&shard), SampleValue::Gauge(1.0));
+        assert!(
+            answers.try_recv().is_err(),
+            "served while the shard was busy"
+        );
+        drop(busy);
+        let first = Message::decode(&answers.recv().unwrap()).unwrap();
+        assert_eq!(first.header.id, 1);
+        assert_eq!(first.answer_addresses().len(), 24);
+        // Once the worker has let go of the shard it took the query under,
+        // nothing is queued and the shard is idle: the next query (a hit
+        // now) is answered before `serve_or_hand_off` returns.
+        drop(ShardCell::lock(&shard.cell));
+        assert_eq!(queue_depth(&shard), SampleValue::Gauge(0.0));
+        assert!(ask(2));
+        let second = Message::decode(&answers.try_recv().unwrap()).unwrap();
+        assert_eq!(second.header.id, 2);
+        assert_eq!(counters.handed_off.get(), 1, "the fallback path only");
+
+        let snapshot = stop();
+        assert_eq!((snapshot.serve.queries, snapshot.serve.hits), (2, 1));
+        assert_eq!(snapshot.serve.generations, 1);
+    }
+
+    #[test]
+    fn a_queued_reconfigure_is_not_overtaken() {
+        let fleet = LoopbackFleet::build(LoopbackConfig::default());
+        let (shard, rx) = open_shards(&fleet, 1, CacheConfig::default()).remove(0);
+        let counters = FrontCounters::register(&Registry::new());
+        let (reply, answers) = mpsc::channel();
+        // Nobody runs the worker yet: the new TTL stays queued.
+        let ack = Arc::new(AtomicU64::new(0));
+        let order = EpochOrder {
+            epoch: 1,
+            cache: CacheConfig::default().with_ttl(Ttl::from_secs(7)),
+            pool: None,
+            sources: None,
+        };
+        assert!(shard.send(WorkItem::Reconfigure {
+            order: Arc::new(order),
+            ack: Arc::clone(&ack),
+        }));
+        // The shard's lock is free, but something is queued: the query
+        // queues behind it instead of starting in place.
+        let wire = a_query(1, &fleet.domains[0]);
+        assert!(serve_or_hand_off(
+            &shard,
+            &wire,
+            ReplyPath::Tcp(reply),
+            &counters
+        ));
+        assert_eq!(counters.handed_off.get(), 1);
+        assert_eq!(queue_depth(&shard), SampleValue::Gauge(2.0));
+        assert!(
+            ShardCell::lock(&shard.cell).parked.is_empty(),
+            "the query started in place"
+        );
+
+        let (last, _) = mpsc::channel();
+        assert!(shard.send(WorkItem::Shutdown(last)));
+        worker_loop(&shard.cell, rx);
+        assert_eq!(ack.load(Ordering::Acquire), 1);
+        let answer = Message::decode(&answers.try_recv().unwrap()).unwrap();
+        assert_eq!(answer.answer_addresses().len(), 24);
+        assert!(
+            answer.answers.iter().all(|record| record.ttl == 7),
+            "served under the new TTL"
+        );
+    }
+
+    #[test]
+    fn misses_and_refreshes_met_in_place_are_finished_by_the_worker() {
+        let fleet = LoopbackFleet::build(LoopbackConfig {
+            pool_domains: 2,
+            upstream_latency: Duration::from_millis(1),
+            ..LoopbackConfig::default()
+        });
+        let cache = CacheConfig::default()
+            .with_ttl(Ttl::from_secs(60))
+            .with_stale_window(Duration::from_secs(3600));
+        let mut shards = open_shards(&fleet, 2, cache);
+        let (stale_shard, stale_rx) = shards.pop().unwrap();
+        let (miss_shard, miss_rx) = shards.pop().unwrap();
+        let (cold_domain, stale_domain) = (&fleet.domains[0], &fleet.domains[1]);
+        // One shard has the stale domain cached, stamped as expired on the
+        // way through a hand-off: its next query is a stale hit.
+        {
+            let mut guard = ShardCell::lock(&stale_shard.cell);
+            let worker: &mut Worker = &mut guard;
+            let query = Message::query(0, stale_domain.clone(), RrType::A);
+            let primed = worker
+                .resolver
+                .handle_query(worker.exchanger.as_mut(), &query);
+            assert_eq!(primed.answer_addresses().len(), 24);
+            let now = worker.exchanger.now();
+            for (key, mut cached) in worker.resolver.extract_entries(|_| true) {
+                cached.expires_at = cached.generated_at;
+                assert!(worker.resolver.install_entry(key, cached, now));
+            }
+        }
+        let counters = FrontCounters::register(&Registry::new());
+        let (reply, answers) = mpsc::channel();
+
+        // Neither worker runs yet, so both shards are idle. The miss parks
+        // in place and leaves one `Wake` queued for its worker.
+        let wire = a_query(1, cold_domain);
+        let tcp = ReplyPath::Tcp(reply.clone());
+        assert!(serve_or_hand_off(&miss_shard, &wire, tcp, &counters));
+        assert_eq!(ShardCell::lock(&miss_shard.cell).parked.len(), 1);
+        assert_eq!(queue_depth(&miss_shard), SampleValue::Gauge(1.0));
+        assert!(
+            answers.try_recv().is_err(),
+            "a miss is answered when it lands"
+        );
+        // The stale hit is answered before `serve_or_hand_off` returns, and
+        // its refresh leaves a `Wake` too.
+        let wire = a_query(2, stale_domain);
+        let tcp = ReplyPath::Tcp(reply);
+        assert!(serve_or_hand_off(&stale_shard, &wire, tcp, &counters));
+        let stale = Message::decode(&answers.try_recv().unwrap()).unwrap();
+        assert_eq!(stale.header.id, 2);
+        assert!(stale.answers.iter().all(|record| record.ttl == 0));
+        assert_eq!(queue_depth(&stale_shard), SampleValue::Gauge(1.0));
+        assert_eq!(counters.handed_off.get(), 0, "both served in place");
+
+        // Woken, the workers send the generation and the refresh; the miss
+        // is answered when its generation lands, and `Shutdown` lands what
+        // is still upstream first.
+        let stop_miss = run_worker(&miss_shard, miss_rx);
+        let stop_stale = run_worker(&stale_shard, stale_rx);
+        let miss = Message::decode(&answers.recv().unwrap()).unwrap();
+        assert_eq!(miss.header.id, 1);
+        assert_eq!(miss.answer_addresses().len(), 24);
+        let snapshot = stop_miss();
+        assert_eq!((snapshot.serve.misses, snapshot.serve.generations), (1, 1));
+        let snapshot = stop_stale();
+        assert_eq!(snapshot.serve.stale_serves, 1);
+        assert_eq!(snapshot.serve.refreshes, 1);
+        assert_eq!(snapshot.serve.generations, 2);
+        assert_eq!(snapshot.live_generations, 0);
+    }
+
+    #[test]
+    fn a_key_generated_after_a_rehash_moved_it_is_handed_to_its_owner() {
+        let fleet = LoopbackFleet::build(LoopbackConfig {
+            pool_domains: 8,
+            ..LoopbackConfig::default()
+        });
+        // A key the 2-wide ring gives shard 1.
+        let moved = fleet
+            .domains
+            .iter()
+            .find(|domain| {
+                let key = PoolKey {
+                    domain: (*domain).clone(),
+                    family: sdoh_core::AddressFamily::V4,
+                };
+                owner_of(&key, 2) == 1
+            })
+            .expect("some domain moves to shard 1");
+        let mut shards = open_shards(&fleet, 2, CacheConfig::default());
+        let (s1, installs) = shards.pop().unwrap();
+        let (s0, rx) = shards.pop().unwrap();
+        // Shard 0 serving alone, with the key cached.
+        {
+            let mut guard = ShardCell::lock(&s0.cell);
+            let worker: &mut Worker = &mut guard;
+            let query = Message::query(0, moved.clone(), RrType::A);
+            let primed = worker
+                .resolver
+                .handle_query(worker.exchanger.as_mut(), &query);
+            assert_eq!(primed.answer_addresses().len(), 24);
+        }
+        // The grow to two reaches shard 0; then a query for the key routed
+        // under the 1-wide table: it misses and generates the key again.
+        let (done, _) = mpsc::channel();
+        let (reply, answers) = mpsc::channel();
+        let (probe, probes) = mpsc::channel();
+        let (last, _) = mpsc::channel();
+        let ring = Arc::new(vec![s0.clone(), s1.clone()]);
+        assert!(s0.send(WorkItem::Rehash { ring, done }));
+        assert!(s0.send(WorkItem::Query {
+            wire: a_query(1, moved),
+            reply: ReplyPath::Tcp(reply),
+        }));
+        assert!(s0.send(WorkItem::Probe(probe)));
+        assert!(s0.send(WorkItem::Shutdown(last)));
+        worker_loop(&s0.cell, rx);
+
+        let answer = Message::decode(&answers.try_recv().unwrap()).unwrap();
+        assert_eq!(answer.answer_addresses().len(), 24);
+        let (_, entries) = probes.try_recv().unwrap();
+        assert!(
+            entries.iter().all(|entry| &entry.key.domain != moved),
+            "shard 0 kept a key the ring gives shard 1"
+        );
+        let handed: Vec<Name> = installs
+            .try_iter()
+            .filter_map(|item| match item {
+                WorkItem::Install { key, .. } => Some(key.domain),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            handed,
+            [moved.clone(), moved.clone()],
+            "at the rehash, and again once generated"
+        );
+    }
+
+    #[test]
     fn refresh_runs_while_the_shard_queue_never_empties() {
-        // The worker deals with what is due before it takes each item, not
+        // The worker deals with what is due after each item it takes, not
         // only when a wait times out. Its queue is filled before it starts
         // and so is never empty until the last item is taken: a stale serve
         // of B, whose refresh leaves on a 1 ms round trip, then far more
         // hits on A than fit into a millisecond, then B again. Only the
         // check between items can have landed the refresh by then.
         const HITS: usize = 20_000;
-        let fleet = crate::LoopbackFleet::build(crate::LoopbackConfig {
+        let fleet = LoopbackFleet::build(LoopbackConfig {
             pool_domains: 2,
             upstream_latency: Duration::from_millis(1),
-            ..crate::LoopbackConfig::default()
+            ..LoopbackConfig::default()
         });
-        let cache = sdoh_core::CacheConfig::default()
-            .with_ttl(sdoh_dns_wire::Ttl::from_secs(60))
+        let cache = CacheConfig::default()
+            .with_ttl(Ttl::from_secs(60))
             .with_stale_window(Duration::from_secs(3600));
-        let mut shard = fleet
-            .shards(1, sdoh_core::PoolConfig::algorithm1(), cache)
-            .unwrap()
-            .remove(0);
-        let query =
-            |id: u16, domain: usize| Message::query(id, fleet.domains[domain].clone(), RrType::A);
+        let (shard, rx) = open_shards(&fleet, 1, cache).remove(0);
         // Both cached; B stamped as expired on the way through a hand-off.
-        for domain in 0..2 {
-            let primed = shard
-                .resolver
-                .handle_query(shard.exchanger.as_mut(), &query(0, domain));
-            assert_eq!(primed.answer_addresses().len(), 24);
-        }
-        let now = shard.exchanger.now();
-        for (key, mut cached) in shard
-            .resolver
-            .extract_entries(|key| key.domain == fleet.domains[1])
         {
-            cached.expires_at = cached.generated_at;
-            assert!(shard.resolver.install_entry(key, cached, now));
+            let mut guard = ShardCell::lock(&shard.cell);
+            let worker: &mut Worker = &mut guard;
+            for domain in &fleet.domains {
+                let query = Message::query(0, domain.clone(), RrType::A);
+                let primed = worker
+                    .resolver
+                    .handle_query(worker.exchanger.as_mut(), &query);
+                assert_eq!(primed.answer_addresses().len(), 24);
+            }
+            let now = worker.exchanger.now();
+            for (key, mut cached) in worker
+                .resolver
+                .extract_entries(|key| key.domain == fleet.domains[1])
+            {
+                cached.expires_at = cached.generated_at;
+                assert!(worker.resolver.install_entry(key, cached, now));
+            }
         }
 
-        let (tx, rx) = mpsc::channel();
         let (reply, answers) = mpsc::channel();
         let ask = |id: u16, domain: usize| {
-            tx.send(WorkItem::Query {
-                wire: query(id, domain).encode().unwrap(),
+            assert!(shard.send(WorkItem::Query {
+                wire: a_query(id, &fleet.domains[domain]),
                 reply: ReplyPath::Tcp(reply.clone()),
-            })
-            .unwrap();
+            }));
         };
         ask(1, 1);
         (0..HITS).for_each(|_| ask(2, 0));
         ask(3, 1);
         let (last, snapshot) = mpsc::channel();
-        tx.send(WorkItem::Shutdown(last)).unwrap();
-        worker_loop(
-            0,
-            shard,
-            rx,
-            Arc::new(UdpSocket::bind("127.0.0.1:0").unwrap()),
-            1232,
-            Arc::new(FrontCounters::register(&Registry::new())),
-            Histogram::new(),
-        );
+        assert!(shard.send(WorkItem::Shutdown(last)));
+        worker_loop(&shard.cell, rx);
 
         let answers: Vec<Message> = answers
             .try_iter()

@@ -150,6 +150,17 @@ fn registry_lints_clean_every_counter_has_help() {
     assert!(samples.iter().any(|s| s.name == "sdoh_udp_queries_total"));
     assert!(samples.iter().any(|s| s.name == "sdoh_serve_queries_total"));
     assert!(samples.iter().any(|s| s.name == "sdoh_unresponsive_shards"));
+    assert!(samples
+        .iter()
+        .any(|s| s.name == "sdoh_queries_handed_off_total"));
+    assert_eq!(
+        samples
+            .iter()
+            .filter(|s| s.name == "sdoh_shard_queue_depth")
+            .count(),
+        SHARDS,
+        "one queue-depth gauge per shard"
+    );
     assert!(
         samples
             .iter()

@@ -191,7 +191,12 @@ pub const RUNTIME_METRIC_HELP: &[(&str, &str)] = &[
     (
         "sdoh_shard_queue_depth",
         "Items queued to this shard's worker and not yet taken (handed-off \
-         queries, control items, wake-ups).",
+         queries and control items; wake-ups are not counted).",
+    ),
+    (
+        "sdoh_shard_wakes_total",
+        "Wake-ups a socket thread queued to a shard's worker because serving \
+         a query in place left something due before the worker's alarm.",
     ),
 ];
 

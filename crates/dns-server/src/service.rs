@@ -2,7 +2,7 @@
 //! transport-independent wire termination ([`serve_do53_payload`]) plus
 //! the simulated network service built on it ([`Do53Service`]).
 
-use sdoh_dns_wire::{Message, Rcode, WireResult};
+use sdoh_dns_wire::{Header, Message, Rcode, WireReader, WireResult};
 use sdoh_netsim::{ChannelKind, Ctx, Service, ServiceResponse, SimAddr};
 
 use crate::exchange::Exchanger;
@@ -54,7 +54,9 @@ pub fn serve_do53_payload_into(
 
 /// The decode half of the Do53 core. `out` is cleared; a payload that does
 /// not decode is answered there — a best-effort FORMERR, or nothing under
-/// `drop_malformed` — and `None` comes back.
+/// `drop_malformed` — and `None` comes back. The FORMERR carries the id,
+/// opcode and RD bit of the payload's header when all 12 octets of it
+/// arrived (RFC 1035 4.1.1), so the client that sent it can match it.
 pub fn decode_do53_query(
     payload: &[u8],
     drop_malformed: bool,
@@ -65,6 +67,9 @@ pub fn decode_do53_query(
         if !drop_malformed {
             // Best effort FORMERR with an empty question section.
             let mut response = Message::new();
+            if let Ok(header) = Header::decode(&mut WireReader::new(payload)) {
+                response.header = Header::response_to(&header);
+            }
             response.header.response = true;
             response.header.rcode = Rcode::FormErr;
             let _ = response.encode_into(out);
@@ -195,6 +200,31 @@ mod tests {
             .unwrap();
         let response = Message::decode(&reply).unwrap();
         assert_eq!(response.header.rcode, Rcode::FormErr);
+    }
+
+    #[test]
+    fn a_formerr_echoes_the_header_that_arrived() {
+        // A query whose question is cut short: id 0xBEEF, RD set, one
+        // question announced, three octets of it sent.
+        let mut cut = Message::query(0xBEEF, "www.example.org".parse().unwrap(), RrType::A)
+            .encode()
+            .unwrap();
+        cut.truncate(15);
+        let mut out = Vec::new();
+        assert!(decode_do53_query(&cut, false, &mut out).is_none());
+        let formerr = Message::decode(&out).unwrap();
+        assert_eq!(formerr.header.rcode, Rcode::FormErr);
+        assert!(formerr.header.response);
+        assert_eq!(formerr.header.id, 0xBEEF, "the stub matches it by id");
+        assert!(formerr.header.recursion_desired);
+        assert!(formerr.questions.is_empty());
+        // Under 12 octets there is no header to echo.
+        assert!(decode_do53_query(&cut[..11], false, &mut out).is_none());
+        let formerr = Message::decode(&out).unwrap();
+        assert_eq!(
+            (formerr.header.id, formerr.header.rcode),
+            (0, Rcode::FormErr)
+        );
     }
 
     #[test]

@@ -165,7 +165,8 @@ pub fn graph_config() -> GraphConfig {
         // and `begin`, the step every hit is answered through. The last two
         // sit behind `Worker::pump`'s pruning boundary and yet run per
         // query: `pump`'s first check asks `next_refresh_due` after every
-        // item, and `answer_parked` is the way out of every parked miss.
+        // item and every query served in place, and `answer_parked` is the
+        // way out of every parked miss.
         purity_entries: vec![
             Entry::free("runtime", "dispatcher_loop"),
             Entry::free("runtime", "worker_loop"),

@@ -14,7 +14,7 @@ const PLANT: &str = "let _ = format!(\"x\");";
 
 /// `(file, the text that ends in the function's opening brace)` — each
 /// needle must match its file exactly once.
-const PER_QUERY: [(&str, &str); 15] = [
+const PER_QUERY: [(&str, &str); 16] = [
     (
         "crates/runtime/src/runtime.rs",
         "fn send(&mut self, query: Option<&Message>, reply: &ReplyPath, started: Instant) {",
@@ -26,6 +26,10 @@ const PER_QUERY: [(&str, &str); 15] = [
     (
         "crates/runtime/src/runtime.rs",
         "    counters: &FrontCounters,\n) -> bool {", // serve_or_hand_off
+    ),
+    (
+        "crates/runtime/src/runtime.rs",
+        "fn pump_in_place(&mut self) -> bool {",
     ),
     (
         "crates/runtime/src/runtime.rs",

@@ -15,9 +15,10 @@
 //!   lock of its own, shared with no other shard: the socket thread that
 //!   read a query serves it in place when that lock is free and nothing is
 //!   queued to the shard, and otherwise hands it to the shard's worker
-//!   thread — no query ever waits on a lock. The worker also sends the
-//!   shard's generations and wakes itself to run its due background
-//!   refreshes. The runtime aggregates per-shard
+//!   thread — no query ever waits on a lock. Whichever thread holds the
+//!   shard sends and lands what its generations and background refreshes
+//!   have due, and the worker wakes itself on the shard's alarm for what
+//!   nobody else met. The runtime aggregates per-shard
 //!   [`ServeSnapshot`](sdoh_core::ServeSnapshot)s into [`RuntimeStats`] on
 //!   demand ([`PoolRuntime::stats`]), and shuts down gracefully.
 //! * [`BackendNet`] — in-process upstream endpoints (full RFC 8484 DoH
@@ -34,8 +35,10 @@
 //! Every [`PoolRuntime`] owns an [`sdoh_metrics::Registry`]
 //! ([`PoolRuntime::registry`]): the front-door socket counters
 //! (`sdoh_udp_queries_total`, `sdoh_tcp_queries_total`,
-//! `sdoh_truncated_responses_total`, and `sdoh_queries_handed_off_total`
-//! for the queries a busy shard was handed on its queue) are registry
+//! `sdoh_truncated_responses_total`, `sdoh_queries_handed_off_total`
+//! for the queries a busy shard was handed on its queue, and
+//! `sdoh_shard_wakes_total` for the wake-ups a socket thread queued when
+//! it left a shard something due before its worker's alarm) are registry
 //! counters, each shard records per-query serving latency into its own
 //! `sdoh_serve_latency_seconds` histogram (two relaxed atomic adds on the
 //! hot path, always on: `pool-bench`'s `metrics.histogram_record_ns` row

@@ -22,15 +22,15 @@
 //! between shards; queries are routed by `(domain, address family)` hash
 //! so every key always lands on the same shard and singleflight coalescing
 //! keeps working per shard. The worker holds its shard's lock for one item
-//! of its queue at a time, and keeps the shard's time: it blocks on its
+//! of its queue at a time, and keeps the shard's alarm: it blocks on its
 //! queue while the shard has nothing upstream and nothing queued for
 //! refresh, and otherwise wakes when the next round trip ends or the
 //! resolver's [`next_refresh_due`](CachingPoolResolver::next_refresh_due)
 //! has come (see `worker_loop`). Upstream exchanges have no thread either:
 //! what the shard's live generations have to send leaves as one batch
 //! through the send half of the transport ([`Exchanger::depart`]) and is
-//! collected on the worker's own thread when its round trip is over
-//! ([`Exchanger::arrive`]) — the diagram is the thread census, idle or
+//! collected by whichever thread holds the shard when its round trip is
+//! over ([`Exchanger::arrive`]) — the diagram is the thread census, idle or
 //! loaded. Statistics are taken on demand: [`PoolRuntime::stats`],
 //! `/metrics` and `/healthz` each ask the shards for a [`ServeSnapshot`]
 //! when they are called, and a shard answers between the items of its
@@ -88,16 +88,25 @@
 //! live: concurrent misses for a key share it) and hands back its id; the
 //! serving thread **parks** the decoded query, its reply path and its
 //! start time under that id and lets go of the shard. Hits, other misses,
-//! snapshots and probes are served while the flight is upstream. A miss
-//! served in place only parks: when the serve parked a query or moved the
-//! next refresh, the socket thread queues one `Wake` item, and the worker
-//! sends what the flight has to send. Generations run on shard threads
-//! only.
+//! snapshots and probes are served while the flight is upstream.
 //!
-//! * *One timed decision point.* The worker waits on its queue with
-//!   `recv_timeout(min(earliest round-trip end, next refresh due))`, with
-//!   `recv()` when neither exists, and not at all when something is
-//!   already due.
+//! Whoever holds the shard does what is due. A socket thread that served a
+//! query in place pumps the shard under the same hold of its lock, as the
+//! worker does after each item: a zero round trip departs, lands and is
+//! answered before the lock is let go, and with a real round trip the
+//! socket thread sends the batch and the landing falls to whoever holds the
+//! shard when it comes due.
+//!
+//! * *The alarm.* The shard keeps the instant its worker will next wake on
+//!   its own: the worker waits on its queue with `recv_timeout` until the
+//!   earliest round-trip end or refresh due that its last pump returned,
+//!   with `recv()` when there is none (no alarm), and not at all when
+//!   something is already due. A socket thread whose pump returns an
+//!   instant earlier than the alarm — or any instant, when there is none —
+//!   moves the alarm there and queues one `Wake`; anything later the worker
+//!   meets on its own, so a second miss in the same round trip queues
+//!   nothing. Two drivers, one serve and one pump, each honouring the wake
+//!   the pump returns.
 //! * *Land before take.* What is due is dealt with **after each item the
 //!   worker takes, before it waits for the next** (under the same hold of
 //!   the shard's lock), not only when the wait times out: batches whose
@@ -121,9 +130,9 @@
 //!   generation). `Snapshot` and `Probe` do not wait.
 //!
 //! A transport that knows nothing of the two halves takes their defaults —
-//! `depart` performs the whole batch, blocking — and the worker degrades
-//! to a shard that sits out each round trip, with everything else
-//! unchanged.
+//! `depart` performs the whole batch, blocking — and whichever thread pumps
+//! the shard sits out each round trip, a socket thread serving in place
+//! included: such a transport serves, but it is no way to serve fast.
 //!
 //! Both socket threads block in `recv_from` / `accept` and poll nothing —
 //! as does the stats listener, when one is configured, in its own
@@ -285,6 +294,9 @@ pub(crate) struct FrontCounters {
     dropped: Counter,
     /// Queries queued to a busy shard's worker rather than served in place.
     handed_off: Counter,
+    /// `Wake` items a socket thread queued: its pump moved the shard's
+    /// alarm earlier.
+    wakes: Counter,
 }
 
 impl FrontCounters {
@@ -296,6 +308,7 @@ impl FrontCounters {
             truncated: counter(sdoh_core::METRIC_TRUNCATED_RESPONSES),
             dropped: counter(sdoh_core::METRIC_DROPPED_QUERIES),
             handed_off: counter(vocabulary_row("sdoh_queries_handed_off_total")),
+            wakes: counter(vocabulary_row("sdoh_shard_wakes_total")),
         }
     }
 }
@@ -426,9 +439,10 @@ pub(crate) enum WorkItem {
     /// Serve one wire-format query and reply along the given path: a query
     /// a socket thread found the shard busy for.
     Query { wire: Vec<u8>, reply: ReplyPath },
-    /// Nothing to take: a query served in place left the shard something
-    /// to send or a refresh due, which the pump after every item deals
-    /// with.
+    /// Nothing to take: a socket thread's pump left the shard something
+    /// due before the alarm its worker sleeps towards (or blocks without),
+    /// and the pump after every item sets the new one. Not counted in
+    /// [`ShardCell::queued`] (see [`ShardTx::wake`]).
     Wake,
     /// Report a consistent snapshot of this shard's state.
     Snapshot(mpsc::Sender<(usize, ServeSnapshot)>),
@@ -519,7 +533,8 @@ pub(crate) fn spawn_worker(
 /// to its worker.
 pub(crate) struct ShardCell {
     worker: Mutex<Worker>,
-    /// Items sent to the worker's queue and not yet taken. It rises in
+    /// Items sent to the worker's queue and not yet taken, `Wake`s aside
+    /// (no item is ordered behind one). It rises in
     /// [`ShardTx::send`] before the item is sent, and falls only under the
     /// lock, as the worker takes an item: read under the lock, zero means
     /// no queued item is overtaken by serving in place. The lock orders
@@ -561,6 +576,13 @@ impl ShardTx {
     pub(crate) fn send(&self, item: WorkItem) -> bool {
         self.cell.queued.fetch_add(1, Ordering::AcqRel);
         self.tx.send(item).is_ok()
+    }
+
+    /// Queues a `Wake`, uncounted: a query served in place may overtake it,
+    /// since the pump it asks for is one that query's server has just run.
+    /// `false` once the worker is gone.
+    fn wake(&self) -> bool {
+        self.tx.send(WorkItem::Wake).is_ok()
     }
 }
 
@@ -1138,9 +1160,11 @@ fn dispatcher_loop(
 /// behind everything queued there. A socket thread never waits for a
 /// shard, and no query overtakes an item queued before it.
 ///
-/// A miss served in place only parks: if the serve parked a query or moved
-/// the next refresh, the worker is woken to do the rest on its own thread.
-/// `false` when the shard's worker is gone.
+/// Serving in place, the thread then does what is due under the same hold
+/// of the lock ([`Worker::pump_in_place`]): a zero round trip is answered
+/// before this returns, a real one departs. The worker is woken — counted
+/// in `sdoh_shard_wakes_total` — only when that leaves something due before
+/// its alarm. `false` when the shard's worker is gone.
 fn serve_or_hand_off(
     shard: &ShardTx,
     wire: &[u8],
@@ -1153,13 +1177,14 @@ fn serve_or_hand_off(
             // Read again under the lock, where it only falls.
             if cell.queued.load(Ordering::Acquire) == 0 {
                 let worker: &mut Worker = &mut guard;
-                let parked = worker.parked.len();
-                let refresh = worker.resolver.next_refresh_due();
                 worker.serve(wire, reply);
-                let wake =
-                    worker.parked.len() > parked || worker.resolver.next_refresh_due() != refresh;
+                let wake = worker.pump_in_place();
                 drop(guard);
-                return !wake || shard.send(WorkItem::Wake);
+                if !wake {
+                    return true;
+                }
+                counters.wakes.inc();
+                return shard.wake();
             }
         }
     }
@@ -1352,6 +1377,10 @@ struct Worker {
     /// queue disconnects (every sender dropped), which is what makes
     /// rescale zero-drop.
     ring: Option<Arc<Vec<ShardTx>>>,
+    /// When the worker thread next wakes on its own: what its last pump
+    /// returned, or an earlier instant a socket thread's pump moved it to
+    /// (and queued a `Wake` for). `None`: it blocks on its queue.
+    alarm: Option<SimInstant>,
 }
 
 impl Worker {
@@ -1364,14 +1393,15 @@ impl Worker {
             parked: Vec::new(),
             upstream: Vec::new(),
             ring: None,
+            alarm: None,
         }
     }
 
     /// Takes one query through the shared Do53 core — identical wire
     /// behaviour to the simulated `Do53Service` by construction — around the
     /// resolver's first step: what the cache can answer is answered now, a
-    /// miss is parked under its flight for the shard's worker to send. The
-    /// one serve function, whichever thread holds the shard.
+    /// miss is parked under its flight for the pump that follows to send.
+    /// The one serve function, whichever thread holds the shard.
     fn serve(&mut self, wire: &[u8], reply: ReplyPath) {
         let started = Instant::now();
         let Some(query) = decode_do53_query(wire, false, &mut self.outbox.response) else {
@@ -1417,7 +1447,7 @@ impl Worker {
     /// zero round trip lands in the same turn, before another query can join
     /// its flight. Returns the next instant anything is due — the earliest
     /// round trip's end or queued refresh — and `None` when nothing is.
-    // sdoh-lint: allow(transitive-hot-path-purity, "the miss path: entered only with a flight live or a refresh queued, at most one generation per (question, TTL window), whose fan-out dwarfs these buffers; a shard of cache hits returns at the first check")
+    // sdoh-lint: allow(transitive-hot-path-purity, "the miss path, pumped by worker_loop after every item and by serve_or_hand_off after every query served in place: past the first check only with a flight live or a refresh queued, at most one generation per (question, TTL window), whose fan-out dwarfs these buffers; a shard of cache hits returns at the first check")
     fn pump(&mut self) -> Option<SimInstant> {
         if self.upstream.is_empty()
             && self.parked.is_empty()
@@ -1491,6 +1521,19 @@ impl Worker {
             false
         });
         foreign
+    }
+
+    /// [`pump`](Worker::pump) for a thread other than the worker's. `true`
+    /// when what is left is due before the alarm — or anything is, with no
+    /// alarm set — which then moves there: the worker must be woken to
+    /// meet it. Anything later it meets on its own.
+    fn pump_in_place(&mut self) -> bool {
+        let due = self.pump();
+        let earlier = due.is_some_and(|due| self.alarm.is_none_or(|alarm| due < alarm));
+        if earlier {
+            self.alarm = due;
+        }
+        earlier
     }
 
     /// Lands every live flight and answers everything parked, sleeping out
@@ -1580,18 +1623,19 @@ impl Worker {
     }
 }
 
-/// One shard's thread: takes its queue in order and alone decides when
-/// anything of the shard's flights happens. A miss does not hold it: the
-/// query is parked under its flight and the shard is free again (see "The
-/// miss path" in the module doc). It holds the shard's lock once per item:
-/// it takes the item, deals with what is due, and computes its next wait.
-/// There is one timed decision point. With nothing upstream and nothing
-/// queued for refresh it blocks on the queue — an idle or all-fresh shard
-/// makes no timed wake-ups. Otherwise it waits no longer than the next
-/// instant something is due, and deals with what is due *after every item*:
-/// a landing happens after the timeout *and* after any item that finishes
-/// past it, so a queue that never runs empty cannot starve the flights or
-/// the refreshes.
+/// One shard's thread: takes its queue in order and keeps the shard's
+/// alarm. A miss does not hold it: the query is parked under its flight and
+/// the shard is free again, and a socket thread that serves in place does
+/// what is due itself (see "The miss path" in the module doc). It holds the
+/// shard's lock once per item: it takes the item, deals with what is due,
+/// and sets the alarm to the next instant anything is. With nothing
+/// upstream and nothing queued for refresh there is no alarm and it blocks
+/// on the queue — an idle or all-fresh shard makes no timed wake-ups.
+/// Otherwise it waits no longer than the alarm, or until a socket thread
+/// queues a `Wake` because it moved the alarm earlier, and deals with what
+/// is due *after every item*: a landing happens after the timeout *and*
+/// after any item that finishes past it, so a queue that never runs empty
+/// cannot starve the flights or the refreshes.
 fn worker_loop(cell: &ShardCell, rx: mpsc::Receiver<WorkItem>) {
     let mut wait = None;
     loop {
@@ -1609,7 +1653,9 @@ fn worker_loop(cell: &ShardCell, rx: mpsc::Receiver<WorkItem>) {
         let worker: &mut Worker = &mut guard;
         let flow = match taken {
             Some(Some(item)) => {
-                cell.queued.fetch_sub(1, Ordering::AcqRel);
+                if !matches!(item, WorkItem::Wake) {
+                    cell.queued.fetch_sub(1, Ordering::AcqRel);
+                }
                 worker.handle(item)
             }
             Some(None) => ControlFlow::Continue(()),
@@ -1624,8 +1670,9 @@ fn worker_loop(cell: &ShardCell, rx: mpsc::Receiver<WorkItem>) {
             worker.ring = None;
             return;
         }
+        worker.alarm = worker.pump();
         wait = worker
-            .pump()
+            .alarm
             .map(|due| due.saturating_duration_since(worker.exchanger.now()));
     }
 }
@@ -1680,8 +1727,9 @@ mod tests {
     use crate::control::EpochOrder;
     use crate::{LoopbackConfig, LoopbackFleet};
     use sdoh_core::{CacheConfig, PoolConfig};
-    use sdoh_dns_server::QueryHandler;
-    use sdoh_dns_wire::{Name, RrType, Ttl};
+    use sdoh_dns_server::{ExchangeOutcome, ExchangeRequest, QueryHandler};
+    use sdoh_dns_wire::{Name, Rcode, RrType, Ttl};
+    use sdoh_netsim::{ChannelKind, NetResult, SimAddr};
 
     fn query_wire(domain: &str, rtype: sdoh_dns_wire::RrType) -> Vec<u8> {
         Message::query(7, domain.parse().unwrap(), rtype)
@@ -1823,9 +1871,76 @@ mod tests {
         n: usize,
         cache: CacheConfig,
     ) -> Vec<(ShardTx, mpsc::Receiver<WorkItem>)> {
+        open(fleet.shards(n, PoolConfig::algorithm1(), cache).unwrap())
+    }
+
+    /// [`open_shards`] on a clock the test moves: each round trip takes
+    /// `rtt` of `clock`, so nothing upstream lands before the test says
+    /// the round trip is over.
+    fn stepped_shards(
+        fleet: &LoopbackFleet,
+        n: usize,
+        cache: CacheConfig,
+        clock: &sdoh_netsim::SimClock,
+        rtt: Duration,
+    ) -> Vec<(ShardTx, mpsc::Receiver<WorkItem>)> {
+        let shards = fleet.shards(n, PoolConfig::algorithm1(), cache).unwrap();
+        open(
+            shards
+                .into_iter()
+                .map(|shard| {
+                    let stepped = Stepped {
+                        inner: shard.exchanger,
+                        clock: clock.clone(),
+                        rtt,
+                    };
+                    Shard::new(shard.resolver, Box::new(stepped))
+                })
+                .collect(),
+        )
+    }
+
+    /// A shard's way upstream whose time is a [`sdoh_netsim::SimClock`]:
+    /// the fleet's exchanger, with its batches ready one `rtt` of that clock
+    /// after they depart.
+    struct Stepped {
+        inner: Box<dyn Exchanger + Send>,
+        clock: sdoh_netsim::SimClock,
+        rtt: Duration,
+    }
+
+    impl Exchanger for Stepped {
+        fn exchange(
+            &mut self,
+            dst: SimAddr,
+            channel: ChannelKind,
+            payload: &[u8],
+            timeout: Duration,
+        ) -> NetResult<Vec<u8>> {
+            self.inner.exchange(dst, channel, payload, timeout)
+        }
+
+        fn next_id(&mut self) -> u16 {
+            self.inner.next_id()
+        }
+
+        fn now(&self) -> SimInstant {
+            self.clock.now()
+        }
+
+        fn depart(&mut self, requests: Vec<ExchangeRequest>) -> Departure {
+            Departure::in_flight(self.clock.now().saturating_add(self.rtt), requests)
+        }
+
+        fn arrive(&mut self, departure: Departure) -> Vec<ExchangeOutcome> {
+            self.inner.arrive(departure)
+        }
+    }
+
+    /// [`open_shards`] over shards already built.
+    fn open(shards: Vec<Shard>) -> Vec<(ShardTx, mpsc::Receiver<WorkItem>)> {
         let socket = Arc::new(UdpSocket::bind("127.0.0.1:0").unwrap());
         let counters = Arc::new(FrontCounters::register(&Registry::new()));
-        let shards = fleet.shards(n, PoolConfig::algorithm1(), cache).unwrap();
         shards
             .into_iter()
             .enumerate()
@@ -2139,16 +2254,152 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_rtt_miss_served_in_place_is_answered_before_the_call_returns() {
+        let fleet = LoopbackFleet::build(LoopbackConfig::default());
+        let (shard, rx) = open_shards(&fleet, 1, CacheConfig::default()).remove(0);
+        let counters = FrontCounters::register(&Registry::new());
+        let (reply, answers) = mpsc::channel();
+        let wire = a_query(1, &fleet.domains[0]);
+        assert!(serve_or_hand_off(
+            &shard,
+            &wire,
+            ReplyPath::Tcp(reply),
+            &counters
+        ));
+        // Departed, landed and answered under one hold of the lock.
+        let answer = Message::decode(&answers.try_recv().unwrap()).unwrap();
+        assert_eq!(answer.header.id, 1);
+        assert_eq!(answer.answer_addresses().len(), 24);
+        assert_eq!(queue_depth(&shard), SampleValue::Gauge(0.0));
+        assert_eq!((counters.wakes.get(), counters.handed_off.get()), (0, 0));
+        assert!(rx.try_recv().is_err(), "nothing queued for the worker");
+        let worker = ShardCell::lock(&shard.cell);
+        assert!(worker.parked.is_empty() && worker.upstream.is_empty());
+        assert_eq!(worker.alarm, None);
+        let snapshot = worker.resolver.snapshot();
+        assert_eq!((snapshot.serve.misses, snapshot.serve.generations), (1, 1));
+    }
+
+    #[test]
+    fn a_miss_upstream_wakes_the_worker_once_and_a_second_miss_not_at_all() {
+        const RTT: Duration = Duration::from_millis(1);
+        let fleet = LoopbackFleet::build(LoopbackConfig::default());
+        let clock = sdoh_netsim::SimClock::new();
+        let (shard, rx) = stepped_shards(&fleet, 1, CacheConfig::default(), &clock, RTT).remove(0);
+        let counters = FrontCounters::register(&Registry::new());
+        let (reply, answers) = mpsc::channel();
+        let ask = |id: u16, domain: &Name| {
+            let tcp = ReplyPath::Tcp(reply.clone());
+            assert!(serve_or_hand_off(
+                &shard,
+                &a_query(id, domain),
+                tcp,
+                &counters
+            ));
+        };
+
+        // The socket thread sends the batch; its round trip ends after the
+        // alarm of a worker that blocks on its queue: one `Wake`.
+        ask(1, &fleet.domains[0]);
+        assert_eq!(counters.wakes.get(), 1);
+        {
+            let worker = ShardCell::lock(&shard.cell);
+            assert_eq!((worker.parked.len(), worker.upstream.len()), (1, 1));
+            assert_eq!(worker.alarm, Some(clock.now().saturating_add(RTT)));
+        }
+        // A second key, before the worker has run: served in place past the
+        // queued `Wake`, and due no earlier than the alarm, so no second.
+        ask(2, &fleet.domains[1]);
+        assert_eq!(counters.wakes.get(), 1);
+        assert_eq!(counters.handed_off.get(), 0);
+        assert_eq!(queue_depth(&shard), SampleValue::Gauge(0.0));
+        {
+            let worker = ShardCell::lock(&shard.cell);
+            assert_eq!((worker.parked.len(), worker.upstream.len()), (2, 2));
+        }
+        assert!(
+            answers.try_recv().is_err(),
+            "a miss is answered when it lands"
+        );
+
+        // The worker runs; once the round trip is over, it lands both.
+        let stop = run_worker(&shard, rx);
+        clock.advance(RTT);
+        let mut ids: Vec<u16> = (0..2)
+            .map(|_| {
+                let answer = Message::decode(&answers.recv().unwrap()).unwrap();
+                assert_eq!(answer.answer_addresses().len(), 24);
+                answer.header.id
+            })
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [1, 2]);
+        let snapshot = stop();
+        assert_eq!((snapshot.serve.misses, snapshot.serve.generations), (2, 2));
+        assert_eq!(counters.wakes.get(), 1);
+    }
+
+    #[test]
+    fn a_round_trip_that_is_over_is_landed_by_the_next_hit_served_in_place() {
+        const RTT: Duration = Duration::from_millis(1);
+        let fleet = LoopbackFleet::build(LoopbackConfig::default());
+        let clock = sdoh_netsim::SimClock::new();
+        let (shard, _rx) = stepped_shards(&fleet, 1, CacheConfig::default(), &clock, RTT).remove(0);
+        let (cold, warm) = (&fleet.domains[0], &fleet.domains[1]);
+        {
+            let mut guard = ShardCell::lock(&shard.cell);
+            let worker: &mut Worker = &mut guard;
+            let query = Message::query(0, warm.clone(), RrType::A);
+            let primed = worker
+                .resolver
+                .handle_query(worker.exchanger.as_mut(), &query);
+            assert_eq!(primed.answer_addresses().len(), 24);
+        }
+        let counters = FrontCounters::register(&Registry::new());
+        let (reply, answers) = mpsc::channel();
+        let ask = |id: u16, domain: &Name| {
+            let tcp = ReplyPath::Tcp(reply.clone());
+            assert!(serve_or_hand_off(
+                &shard,
+                &a_query(id, domain),
+                tcp,
+                &counters
+            ));
+        };
+
+        // Nobody runs the worker: the miss waits upstream.
+        ask(1, cold);
+        assert!(answers.try_recv().is_err());
+        clock.advance(RTT);
+        // The next query served in place is a hit, and whoever holds the
+        // shard does what is due: the miss is answered behind it, before
+        // the call returns.
+        ask(2, warm);
+        let ids: Vec<u16> = answers
+            .try_iter()
+            .map(|wire| Message::decode(&wire).unwrap().header.id)
+            .collect();
+        assert_eq!(ids, [2, 1]);
+        assert_eq!(counters.wakes.get(), 1, "the miss's own, and no more");
+        assert_eq!(counters.handed_off.get(), 0);
+        let worker = ShardCell::lock(&shard.cell);
+        assert!(worker.parked.is_empty() && worker.upstream.is_empty());
+        let snapshot = worker.resolver.snapshot();
+        assert_eq!((snapshot.serve.hits, snapshot.serve.generations), (1, 2));
+    }
+
+    #[test]
     fn misses_and_refreshes_met_in_place_are_finished_by_the_worker() {
+        const RTT: Duration = Duration::from_millis(1);
         let fleet = LoopbackFleet::build(LoopbackConfig {
             pool_domains: 2,
-            upstream_latency: Duration::from_millis(1),
             ..LoopbackConfig::default()
         });
         let cache = CacheConfig::default()
             .with_ttl(Ttl::from_secs(60))
             .with_stale_window(Duration::from_secs(3600));
-        let mut shards = open_shards(&fleet, 2, cache);
+        let clock = sdoh_netsim::SimClock::new();
+        let mut shards = stepped_shards(&fleet, 2, cache, &clock, RTT);
         let (stale_shard, stale_rx) = shards.pop().unwrap();
         let (miss_shard, miss_rx) = shards.pop().unwrap();
         let (cold_domain, stale_domain) = (&fleet.domains[0], &fleet.domains[1]);
@@ -2168,36 +2419,43 @@ mod tests {
                 assert!(worker.resolver.install_entry(key, cached, now));
             }
         }
+        clock.advance(RTT);
         let counters = FrontCounters::register(&Registry::new());
         let (reply, answers) = mpsc::channel();
 
         // Neither worker runs yet, so both shards are idle. The miss parks
-        // in place and leaves one `Wake` queued for its worker.
+        // in place, its batch leaves from the socket thread, and its worker,
+        // blocked on its queue, is woken once.
         let wire = a_query(1, cold_domain);
         let tcp = ReplyPath::Tcp(reply.clone());
         assert!(serve_or_hand_off(&miss_shard, &wire, tcp, &counters));
-        assert_eq!(ShardCell::lock(&miss_shard.cell).parked.len(), 1);
-        assert_eq!(queue_depth(&miss_shard), SampleValue::Gauge(1.0));
+        {
+            let worker = ShardCell::lock(&miss_shard.cell);
+            assert_eq!((worker.parked.len(), worker.upstream.len()), (1, 1));
+        }
+        assert_eq!(counters.wakes.get(), 1);
         assert!(
             answers.try_recv().is_err(),
             "a miss is answered when it lands"
         );
         // The stale hit is answered before `serve_or_hand_off` returns, and
-        // its refresh leaves a `Wake` too.
+        // its refresh departs the same way: a second wake, for a second
+        // worker.
         let wire = a_query(2, stale_domain);
         let tcp = ReplyPath::Tcp(reply);
         assert!(serve_or_hand_off(&stale_shard, &wire, tcp, &counters));
         let stale = Message::decode(&answers.try_recv().unwrap()).unwrap();
         assert_eq!(stale.header.id, 2);
         assert!(stale.answers.iter().all(|record| record.ttl == 0));
-        assert_eq!(queue_depth(&stale_shard), SampleValue::Gauge(1.0));
+        assert_eq!(ShardCell::lock(&stale_shard.cell).upstream.len(), 1);
+        assert_eq!(counters.wakes.get(), 2);
         assert_eq!(counters.handed_off.get(), 0, "both served in place");
 
-        // Woken, the workers send the generation and the refresh; the miss
-        // is answered when its generation lands, and `Shutdown` lands what
-        // is still upstream first.
+        // Woken, the workers land the generation and the refresh once their
+        // round trip is over; the miss is answered from its landing.
         let stop_miss = run_worker(&miss_shard, miss_rx);
         let stop_stale = run_worker(&stale_shard, stale_rx);
+        clock.advance(RTT);
         let miss = Message::decode(&answers.recv().unwrap()).unwrap();
         assert_eq!(miss.header.id, 1);
         assert_eq!(miss.answer_addresses().len(), 24);
@@ -2208,6 +2466,26 @@ mod tests {
         assert_eq!(snapshot.serve.refreshes, 1);
         assert_eq!(snapshot.serve.generations, 2);
         assert_eq!(snapshot.live_generations, 0);
+    }
+
+    #[test]
+    fn a_malformed_query_is_answered_with_its_own_id() {
+        let (shard, _rx) = one_shard();
+        let counters = FrontCounters::register(&Registry::new());
+        let (reply, answers) = mpsc::channel();
+        // Id 0xBEEF, RD set, one question announced and cut short.
+        let mut wire = a_query(0xBEEF, &"pool.ntpns.org".parse().unwrap());
+        wire.truncate(15);
+        assert!(serve_or_hand_off(
+            &shard,
+            &wire,
+            ReplyPath::Tcp(reply),
+            &counters
+        ));
+        let formerr = Message::decode(&answers.try_recv().unwrap()).unwrap();
+        assert_eq!(formerr.header.rcode, Rcode::FormErr);
+        assert_eq!(formerr.header.id, 0xBEEF, "the stub matches it by id");
+        assert!(formerr.header.recursion_desired);
     }
 
     #[test]

@@ -153,6 +153,7 @@ fn registry_lints_clean_every_counter_has_help() {
     assert!(samples
         .iter()
         .any(|s| s.name == "sdoh_queries_handed_off_total"));
+    assert!(samples.iter().any(|s| s.name == "sdoh_shard_wakes_total"));
     assert_eq!(
         samples
             .iter()

@@ -20,11 +20,6 @@ impl Table {
         }
     }
 
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -135,7 +130,6 @@ mod tests {
             "0.001".to_string(),
         ]);
         assert_eq!(table.len(), 2);
-        assert_eq!(table.title(), "Attack probability");
 
         let md = table.to_markdown();
         assert!(md.contains("### Attack probability"));

@@ -132,14 +132,6 @@ impl CampaignConfig {
         }
     }
 
-    /// The same campaign against the weak baseline.
-    pub fn weak_baseline(seed: u64, steps: u64) -> Self {
-        CampaignConfig {
-            stack: StackKind::WeakBaseline,
-            ..CampaignConfig::hardened(seed, steps)
-        }
-    }
-
     /// Pins a persistent off-path spoofer racing every plain pool-zone
     /// query from step 0 for the whole campaign.
     pub fn with_persistent_spoofer(mut self, attempts: u32) -> Self {
@@ -504,7 +496,10 @@ mod tests {
         // The weak baseline has no serving cache: the fault is applied
         // (and counted) but changes nothing, and the campaign still runs
         // to completion deterministically.
-        let mut config = CampaignConfig::weak_baseline(22, 80);
+        let mut config = CampaignConfig {
+            stack: StackKind::WeakBaseline,
+            ..CampaignConfig::hardened(22, 80)
+        };
         config.fault_mix = FaultMix::calm();
         config.fault_mix.reconfigure = 0.2;
         let first = run_campaign(&config);
@@ -524,7 +519,11 @@ mod tests {
 
     #[test]
     fn persistent_spoofer_is_pinned_at_step_zero() {
-        let config = CampaignConfig::weak_baseline(9, 10).with_persistent_spoofer(64);
+        let config = CampaignConfig {
+            stack: StackKind::WeakBaseline,
+            ..CampaignConfig::hardened(9, 10)
+        }
+        .with_persistent_spoofer(64);
         assert_eq!(
             config.pinned_faults,
             vec![FaultEvent {

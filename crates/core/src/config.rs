@@ -50,10 +50,6 @@ pub enum FailurePolicy {
 /// Configuration of the secure pool generation procedure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolConfig {
-    /// Assumed fraction of non-attacked resolvers (`x` in the paper, e.g.
-    /// 1/2). Used by the guarantee checker and the analysis crate; the
-    /// algorithm itself does not need it.
-    pub assumed_benign_fraction: f64,
     /// How per-resolver answers are combined.
     pub mode: CombinationMode,
     /// Dual-stack handling.
@@ -71,7 +67,6 @@ pub struct PoolConfig {
 impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
-            assumed_benign_fraction: 0.5,
             mode: CombinationMode::TruncateAndCombine,
             dual_stack: DualStackPolicy::Ipv4Only,
             failure_policy: FailurePolicy::Skip,
@@ -95,12 +90,6 @@ impl PoolConfig {
         }
     }
 
-    /// Sets the assumed benign fraction `x`, returning `self` for chaining.
-    pub fn with_benign_fraction(mut self, x: f64) -> Self {
-        self.assumed_benign_fraction = x;
-        self
-    }
-
     /// Sets the combination mode, returning `self` for chaining.
     pub fn with_mode(mut self, mode: CombinationMode) -> Self {
         self.mode = mode;
@@ -113,29 +102,12 @@ impl PoolConfig {
         self
     }
 
-    /// Sets the failure policy, returning `self` for chaining.
-    pub fn with_failure_policy(mut self, policy: FailurePolicy) -> Self {
-        self.failure_policy = policy;
-        self
-    }
-
-    /// Sets the minimum number of usable responses, returning `self`.
-    pub fn with_min_responses(mut self, min: usize) -> Self {
-        self.min_responses = min;
-        self
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
     ///
     /// Returns [`PoolError::InvalidConfig`] for out-of-range fractions.
     pub fn validate(&self) -> PoolResult<()> {
-        if !(0.0..=1.0).contains(&self.assumed_benign_fraction) {
-            return Err(PoolError::InvalidConfig(
-                "assumed_benign_fraction must be within [0, 1]".into(),
-            ));
-        }
         if !(0.0..1.0).contains(&self.majority_threshold) {
             return Err(PoolError::InvalidConfig(
                 "majority_threshold must be within [0, 1)".into(),
@@ -158,7 +130,6 @@ mod tests {
     fn defaults_match_the_paper() {
         let config = PoolConfig::algorithm1();
         assert_eq!(config.mode, CombinationMode::TruncateAndCombine);
-        assert!((config.assumed_benign_fraction - 0.5).abs() < 1e-12);
         config.validate().unwrap();
     }
 
@@ -172,28 +143,20 @@ mod tests {
     #[test]
     fn builder_chain() {
         let config = PoolConfig::default()
-            .with_benign_fraction(2.0 / 3.0)
             .with_mode(CombinationMode::CombineWithoutTruncation)
-            .with_dual_stack(DualStackPolicy::Union)
-            .with_failure_policy(FailurePolicy::TreatAsEmpty)
-            .with_min_responses(3);
+            .with_dual_stack(DualStackPolicy::Union);
         assert_eq!(config.mode, CombinationMode::CombineWithoutTruncation);
         assert_eq!(config.dual_stack, DualStackPolicy::Union);
-        assert_eq!(config.failure_policy, FailurePolicy::TreatAsEmpty);
-        assert_eq!(config.min_responses, 3);
         config.validate().unwrap();
     }
 
     #[test]
     fn invalid_configs_rejected() {
-        assert!(PoolConfig::default()
-            .with_benign_fraction(1.5)
-            .validate()
-            .is_err());
-        assert!(PoolConfig::default()
-            .with_min_responses(0)
-            .validate()
-            .is_err());
+        let config = PoolConfig {
+            min_responses: 0,
+            ..PoolConfig::default()
+        };
+        assert!(config.validate().is_err());
         let config = PoolConfig {
             majority_threshold: 1.0,
             ..PoolConfig::default()

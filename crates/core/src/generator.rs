@@ -31,7 +31,7 @@ pub enum SourceOutcome {
 
 impl SourceOutcome {
     /// Returns `true` for the `Answered` variant.
-    pub fn is_answered(&self) -> bool {
+    pub(crate) fn is_answered(&self) -> bool {
         matches!(self, SourceOutcome::Answered(_))
     }
 }
@@ -306,7 +306,10 @@ mod tests {
 
         // TreatAsEmpty: the failure truncates the pool to zero.
         let report = run(
-            PoolConfig::algorithm1().with_failure_policy(FailurePolicy::TreatAsEmpty),
+            PoolConfig {
+                failure_policy: FailurePolicy::TreatAsEmpty,
+                ..PoolConfig::algorithm1()
+            },
             make(),
         )
         .unwrap();
@@ -320,7 +323,14 @@ mod tests {
             boxed(StaticSource::failing("r2")),
             boxed(StaticSource::failing("r3")),
         ];
-        let err = run(PoolConfig::algorithm1().with_min_responses(2), sources).unwrap_err();
+        let err = run(
+            PoolConfig {
+                min_responses: 2,
+                ..PoolConfig::algorithm1()
+            },
+            sources,
+        )
+        .unwrap_err();
         assert_eq!(
             err,
             PoolError::NotEnoughResponses {
@@ -396,7 +406,10 @@ mod tests {
             SecurePoolGenerator::new(PoolConfig::algorithm1(), vec![]),
             Err(PoolError::NoResolvers)
         ));
-        let bad_config = PoolConfig::algorithm1().with_benign_fraction(2.0);
+        let bad_config = PoolConfig {
+            majority_threshold: 2.0,
+            ..PoolConfig::algorithm1()
+        };
         assert!(SecurePoolGenerator::new(
             bad_config,
             vec![boxed(StaticSource::answering("r", vec![ip(1)]))]
@@ -428,7 +441,10 @@ mod tests {
         let kept = generator.generate(&mut exchanger, &domain).unwrap();
         assert_eq!(kept.sources, before.sources);
         assert!(generator
-            .set_config(PoolConfig::algorithm1().with_benign_fraction(2.0))
+            .set_config(PoolConfig {
+                majority_threshold: 2.0,
+                ..PoolConfig::algorithm1()
+            })
             .is_err());
         assert_eq!(generator.config().min_responses, 1);
 
@@ -441,7 +457,10 @@ mod tests {
             ])
             .unwrap();
         generator
-            .set_config(PoolConfig::algorithm1().with_min_responses(2))
+            .set_config(PoolConfig {
+                min_responses: 2,
+                ..PoolConfig::algorithm1()
+            })
             .unwrap();
         let after = generator.generate(&mut exchanger, &domain).unwrap();
         assert_eq!(after.sources.len(), 3);

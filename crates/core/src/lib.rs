@@ -233,6 +233,4 @@ pub use serve::{
 pub use session::{
     drive, drive_sequential, Action, PoolSession, SessionEvent, TransactionId, Transmit,
 };
-pub use source::{
-    AddressSource, DohSource, FetchError, FetchStart, PendingFetch, PlainDnsSource, StaticSource,
-};
+pub use source::{AddressSource, DohSource, FetchError, FetchStart, PendingFetch, StaticSource};

@@ -117,7 +117,7 @@ impl AddressPool {
     }
 
     /// Concatenates two pools.
-    pub fn extend_from(&mut self, other: &AddressPool) {
+    pub(crate) fn extend_from(&mut self, other: &AddressPool) {
         self.entries.extend(other.entries.iter().cloned());
     }
 }

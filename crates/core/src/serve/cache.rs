@@ -95,7 +95,7 @@ impl PoolKey {
     }
 
     /// The key a DNS question maps to; `None` for non-address questions.
-    pub fn for_question(question: &Question) -> Option<Self> {
+    pub(crate) fn for_question(question: &Question) -> Option<Self> {
         AddressFamily::of(question.rtype).map(|family| PoolKey::new(question.name.clone(), family))
     }
 }

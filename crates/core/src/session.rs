@@ -59,13 +59,6 @@ use crate::source::{AddressSource, FetchError, FetchStart, PendingFetch};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TransactionId(usize);
 
-impl TransactionId {
-    /// Position of the transaction in the session's fan-out plan.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 /// One request the driver must put on the wire.
 #[derive(Debug)]
 pub struct Transmit {
@@ -293,15 +286,6 @@ impl<'a> PoolSession<'a> {
             .iter()
             .filter(|t| matches!(t.state, TxState::Queued { .. }))
             .count()
-    }
-
-    /// `true` once every exchange completed and every event was delivered.
-    pub fn is_done(&self) -> bool {
-        self.events.is_empty()
-            && self
-                .transactions
-                .iter()
-                .all(|t| matches!(t.state, TxState::Completed { .. }))
     }
 
     /// Advances the state machine; `now` is the driver's current (virtual)
@@ -691,7 +675,6 @@ mod tests {
             }
         }
         assert_eq!(events, 2);
-        assert!(session.is_done());
         let report = session.finish().unwrap();
         assert_eq!(report.pool.len(), 4);
     }

@@ -17,10 +17,10 @@
 use std::any::Any;
 use std::net::IpAddr;
 
-use sdoh_dns_server::{DnsClient, ExchangeRequest, Exchanger};
+use sdoh_dns_server::{ExchangeRequest, Exchanger};
 use sdoh_dns_wire::{Name, Rcode, RrType};
 use sdoh_doh::{DohClient, DohMethod, ResolverInfo};
-use sdoh_netsim::{NetResult, SimAddr};
+use sdoh_netsim::NetResult;
 
 /// Why one resolver failed to produce an address list.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -221,66 +221,6 @@ impl AddressSource for DohSource {
     }
 }
 
-/// An [`AddressSource`] backed by a classic plain-DNS resolver: the
-/// baseline configuration the paper's attacks defeat.
-#[derive(Debug, Clone)]
-pub struct PlainDnsSource {
-    client: DnsClient,
-    name: String,
-}
-
-impl PlainDnsSource {
-    /// Creates a plain-DNS source querying `resolver`.
-    pub fn new(name: impl Into<String>, resolver: SimAddr) -> Self {
-        PlainDnsSource {
-            client: DnsClient::new(resolver),
-            name: name.into(),
-        }
-    }
-}
-
-fn dns_error(e: sdoh_dns_server::ResolveError) -> FetchError {
-    match e {
-        sdoh_dns_server::ResolveError::Network(err) => FetchError::Transport(err.to_string()),
-        sdoh_dns_server::ResolveError::ErrorResponse(rcode) => {
-            FetchError::ErrorResponse(rcode.to_string())
-        }
-        other => FetchError::Protocol(other.to_string()),
-    }
-}
-
-impl AddressSource for PlainDnsSource {
-    fn source_name(&self) -> &str {
-        &self.name
-    }
-
-    fn start_fetch(&self, domain: &Name, rtype: RrType, id: u16) -> FetchStart {
-        match self.client.begin_query(id, domain, rtype) {
-            Ok((request, prepared)) => FetchStart::Transmit {
-                request,
-                pending: PendingFetch::new((prepared, rtype)),
-            },
-            Err(e) => FetchStart::Immediate(Err(dns_error(e))),
-        }
-    }
-
-    fn handle_response(
-        &self,
-        pending: PendingFetch,
-        outcome: NetResult<Vec<u8>>,
-    ) -> Result<Vec<IpAddr>, FetchError> {
-        let (prepared, rtype) = pending
-            .downcast::<(sdoh_dns_server::PreparedDnsQuery, RrType)>()
-            .ok_or_else(|| FetchError::Protocol("mismatched pending fetch state".into()))?;
-        let reply = outcome.map_err(|e| FetchError::Transport(e.to_string()))?;
-        let response = self
-            .client
-            .finish_query(prepared, &reply)
-            .map_err(dns_error)?;
-        Ok(sdoh_dns_wire::addresses_of_type(&response, rtype))
-    }
-}
-
 /// A source with a fixed answer, used in unit tests and analytical
 /// experiments where the DNS/DoH transport is not the variable under study.
 #[derive(Debug, Clone)]
@@ -345,10 +285,10 @@ impl AddressSource for StaticSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdoh_dns_server::{Authority, Catalog, ClientExchanger, Do53Service, FnHandler, Zone};
+    use sdoh_dns_server::{Authority, Catalog, ClientExchanger, FnHandler, Zone};
     use sdoh_dns_wire::Message;
     use sdoh_doh::{DohServerService, ResolverDirectory};
-    use sdoh_netsim::SimNet;
+    use sdoh_netsim::{SimAddr, SimNet};
 
     fn pool_zone_catalog() -> Catalog {
         let mut zone = Zone::new("ntp.org".parse().unwrap());
@@ -442,23 +382,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, FetchError::Transport(_)));
         assert!(!err.to_string().is_empty());
-    }
-
-    #[test]
-    fn plain_source_fetches_addresses() {
-        let net = SimNet::new(63);
-        let resolver_addr = SimAddr::v4(10, 0, 0, 53, 53);
-        net.register(
-            resolver_addr,
-            Do53Service::new(Authority::new(pool_zone_catalog())),
-        );
-        let source = PlainDnsSource::new("isp-resolver", resolver_addr);
-        assert_eq!(source.source_name(), "isp-resolver");
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
-        let addrs = source
-            .fetch(&mut exchanger, &"pool.ntp.org".parse().unwrap(), RrType::A)
-            .unwrap();
-        assert_eq!(addrs.len(), 3);
     }
 
     #[test]

@@ -12,9 +12,7 @@
 //! ([`encode_sections`]), so the wire form is `answer(..).encode()` byte
 //! for byte, without a record, question or name copied on the way.
 
-use sdoh_dns_wire::{
-    encode_sections, Header, Message, Name, Opcode, Rcode, Record, RrType, WireResult,
-};
+use sdoh_dns_wire::{encode_sections, Header, Message, Name, Opcode, Rcode, Record, WireResult};
 
 use crate::catalog::Catalog;
 use crate::zone::{Delegation, Zone, ZoneLookup};
@@ -213,43 +211,42 @@ impl Authority {
         }
         found
     }
-
-    /// Convenience check used by tests and experiments: how many addresses
-    /// the authority would return for an A query on `name`.
-    pub fn address_count(&self, name: &sdoh_dns_wire::Name) -> usize {
-        let query = Message::query(0, name.clone(), RrType::A);
-        self.answer(&query).answer_addresses().len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::zone::Zone;
-    use crate::zonefile::parse_zone;
-    use sdoh_dns_wire::{Name, RData, Record};
+    use sdoh_dns_wire::{Name, RData, Record, RrType};
 
-    fn test_authority() -> Authority {
-        authority_of(
-            r#"
-$TTL 300
-@      IN SOA ns1 hostmaster 1 7200 900 1209600 300
-@      IN NS  c.ntpns.org.
-c      IN A   198.51.100.3
-pool   IN A   203.0.113.1
-pool   IN A   203.0.113.2
-pool   IN A   203.0.113.3
-alias  IN CNAME pool
-extern IN CNAME www.example.com.
-child  IN NS  ns.child.ntpns.org.
-ns.child IN A 198.51.100.99
-"#,
-        )
+    fn name(n: &str) -> Name {
+        n.parse().unwrap()
     }
 
-    fn authority_of(text: &str) -> Authority {
-        let origin: Name = "ntpns.org".parse().unwrap();
-        let zone = parse_zone(&origin, text).unwrap();
+    fn a(ip: &str) -> RData {
+        RData::A(ip.parse().unwrap())
+    }
+
+    fn test_authority() -> Authority {
+        authority_of(vec![
+            ("ntpns.org", RData::Ns(name("c.ntpns.org"))),
+            ("c.ntpns.org", a("198.51.100.3")),
+            ("pool.ntpns.org", a("203.0.113.1")),
+            ("pool.ntpns.org", a("203.0.113.2")),
+            ("pool.ntpns.org", a("203.0.113.3")),
+            ("alias.ntpns.org", RData::Cname(name("pool.ntpns.org"))),
+            ("extern.ntpns.org", RData::Cname(name("www.example.com"))),
+            ("child.ntpns.org", RData::Ns(name("ns.child.ntpns.org"))),
+            ("ns.child.ntpns.org", a("198.51.100.99")),
+        ])
+    }
+
+    /// The `ntpns.org` zone (its SOA is `Zone::new`'s) holding `records`.
+    fn authority_of(records: Vec<(&str, RData)>) -> Authority {
+        let mut zone = Zone::new(name("ntpns.org"));
+        for (owner, rdata) in records {
+            assert!(zone.add_record(Record::new(name(owner), 300, rdata)));
+        }
         let mut catalog = Catalog::new();
         catalog.add_zone(zone);
         Authority::new(catalog)
@@ -301,16 +298,15 @@ ns.child IN A 198.51.100.99
     fn a_cut_below_an_empty_non_terminal_returns_a_referral() {
         // Nothing is stored at `deep`: the walk down from the origin must
         // step over it to reach the cut at `child.deep`.
-        let authority = authority_of(
-            r#"
-$TTL 300
-@      IN SOA ns1 hostmaster 1 7200 900 1209600 300
-@      IN NS  c.ntpns.org.
-c      IN A   198.51.100.3
-child.deep IN NS ns.child.deep.ntpns.org.
-ns.child.deep IN A 198.51.100.98
-"#,
-        );
+        let authority = authority_of(vec![
+            ("ntpns.org", RData::Ns(name("c.ntpns.org"))),
+            ("c.ntpns.org", a("198.51.100.3")),
+            (
+                "child.deep.ntpns.org",
+                RData::Ns(name("ns.child.deep.ntpns.org")),
+            ),
+            ("ns.child.deep.ntpns.org", a("198.51.100.98")),
+        ]);
         let query = Message::query(4, "host.child.deep.ntpns.org".parse().unwrap(), RrType::A);
         let response = authority.answer(&query);
         assert_eq!(response.header.rcode, Rcode::NoError);
@@ -362,19 +358,6 @@ ns.child.deep IN A 198.51.100.98
         let authority = test_authority();
         let query = Message::new();
         assert_eq!(authority.answer(&query).header.rcode, Rcode::FormErr);
-    }
-
-    #[test]
-    fn address_count_helper() {
-        let authority = test_authority();
-        assert_eq!(
-            authority.address_count(&"pool.ntpns.org".parse().unwrap()),
-            3
-        );
-        assert_eq!(
-            authority.address_count(&"missing.ntpns.org".parse().unwrap()),
-            0
-        );
     }
 
     #[test]

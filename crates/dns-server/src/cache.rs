@@ -46,13 +46,6 @@ pub struct CachedAnswer {
     pub rcode: Rcode,
 }
 
-impl CachedAnswer {
-    /// Returns `true` when this entry represents NXDOMAIN or NODATA.
-    pub fn is_negative(&self) -> bool {
-        self.records.is_empty() || self.rcode != Rcode::NoError
-    }
-}
-
 #[derive(Debug, Clone)]
 struct Entry {
     answer: CachedAnswer,
@@ -68,8 +61,6 @@ pub struct DnsCache {
     capacity: usize,
     /// TTL used for negative entries when the response carries no SOA.
     negative_ttl: Ttl,
-    hits: u64,
-    misses: u64,
 }
 
 impl DnsCache {
@@ -80,8 +71,6 @@ impl DnsCache {
             entries: HashMap::new(),
             capacity: capacity.max(1),
             negative_ttl: Ttl::from_secs(60),
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -95,39 +84,22 @@ impl DnsCache {
         self.entries.is_empty()
     }
 
-    /// Cache hits observed so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses observed so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Looks up a fresh entry for `(name, rtype)`.
     pub fn get(&mut self, name: &Name, rtype: RrType) -> Option<CachedAnswer> {
         let now = self.clock.now();
         let key = (name.clone(), rtype);
         match self.entries.get(&key) {
-            Some(entry) if entry.expires_at > now => {
-                self.hits += 1;
-                Some(entry.answer.clone())
-            }
+            Some(entry) if entry.expires_at > now => Some(entry.answer.clone()),
             Some(_) => {
                 self.entries.remove(&key);
-                self.misses += 1;
                 None
             }
-            None => {
-                self.misses += 1;
-                None
-            }
+            None => None,
         }
     }
 
     /// Looks up the credibility of the live entry for `(name, rtype)`
-    /// without touching the hit/miss counters.
+    /// without expiring it.
     pub fn credibility_of(&self, name: &Name, rtype: RrType) -> Option<Credibility> {
         let now = self.clock.now();
         self.entries
@@ -230,14 +202,6 @@ impl DnsCache {
         self.entries.clear();
     }
 
-    /// Removes expired entries and returns how many were dropped.
-    pub fn purge_expired(&mut self) -> usize {
-        let now = self.clock.now();
-        let before = self.entries.len();
-        self.entries.retain(|_, e| e.expires_at > now);
-        before - self.entries.len()
-    }
-
     fn evict_one(&mut self) {
         // Evict the entry closest to expiry (cheap approximation of LRU that
         // does not need per-access bookkeeping).
@@ -284,9 +248,7 @@ mod tests {
         );
         let hit = cache.get(&name, RrType::A).unwrap();
         assert_eq!(hit.records.len(), 3);
-        assert!(!hit.is_negative());
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 0);
+        assert_eq!(hit.rcode, Rcode::NoError);
     }
 
     #[test]
@@ -304,7 +266,6 @@ mod tests {
         assert!(cache.get(&name, RrType::A).is_some());
         clock.advance(Duration::from_secs(2));
         assert!(cache.get(&name, RrType::A).is_none());
-        assert_eq!(cache.misses(), 1);
     }
 
     #[test]
@@ -314,7 +275,7 @@ mod tests {
         let name: Name = "missing.ntp.org".parse().unwrap();
         let query = Message::query(2, name.clone(), RrType::A);
         let mut response = Message::error_response(&query, Rcode::NxDomain);
-        response.add_authority(Record::new(
+        response.authorities.push(Record::new(
             "ntp.org".parse().unwrap(),
             30,
             RData::Soa(sdoh_dns_wire::Soa::new(
@@ -330,7 +291,7 @@ mod tests {
             Credibility::AuthoritativeAnswer,
         );
         let hit = cache.get(&name, RrType::A).unwrap();
-        assert!(hit.is_negative());
+        assert!(hit.records.is_empty());
         assert_eq!(hit.rcode, Rcode::NxDomain);
         // SOA record TTL (30s) bounds the negative TTL (SOA minimum is 300).
         clock.advance(Duration::from_secs(31));
@@ -381,9 +342,6 @@ mod tests {
                 Credibility::Answer,
             );
         }
-        clock.advance(Duration::from_secs(15));
-        let purged = cache.purge_expired();
-        assert_eq!(purged, 1);
         cache.clear();
         assert!(cache.is_empty());
     }

@@ -228,24 +228,6 @@ impl DnsClient {
             other => Err(ResolveError::ErrorResponse(other)),
         }
     }
-
-    /// The query timeout in use.
-    pub fn timeout_value(&self) -> Duration {
-        self.timeout
-    }
-
-    /// Sends an A query and returns the addresses in the answer section.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DnsClient::query`].
-    pub fn query_addresses(
-        &self,
-        exchanger: &mut dyn Exchanger,
-        name: &Name,
-    ) -> ResolveResult<Vec<std::net::IpAddr>> {
-        Ok(self.query(exchanger, name, RrType::A)?.answer_addresses())
-    }
 }
 
 /// In-flight state of one plain-DNS query between [`DnsClient::begin_query`]
@@ -297,11 +279,6 @@ mod tests {
             .query(&mut exchanger, &"pool.ntp.org".parse().unwrap(), RrType::A)
             .unwrap();
         assert_eq!(response.answer_addresses().len(), 4);
-
-        let addrs = client
-            .query_addresses(&mut exchanger, &"pool.ntp.org".parse().unwrap())
-            .unwrap();
-        assert_eq!(addrs.len(), 4);
     }
 
     #[test]

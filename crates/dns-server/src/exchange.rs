@@ -204,11 +204,6 @@ impl<'a> ClientExchanger<'a> {
     pub fn new(net: &'a SimNet, source: SimAddr) -> Self {
         ClientExchanger { net, source }
     }
-
-    /// The configured source address.
-    pub fn source(&self) -> SimAddr {
-        self.source
-    }
 }
 
 impl Exchanger for ClientExchanger<'_> {
@@ -304,7 +299,6 @@ mod tests {
             }),
         );
         let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
-        assert_eq!(exchanger.source().port, 40000);
         let reply = exchanger
             .exchange(server, ChannelKind::Plain, b"ping", Duration::from_secs(1))
             .unwrap();

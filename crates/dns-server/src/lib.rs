@@ -8,8 +8,8 @@
 //!   zone-file parser ([`parse_zone`]) — the `c/d/e.ntpns.org` name servers,
 //! * an iterative [`RecursiveResolver`] with a TTL-respecting [`DnsCache`] —
 //!   the engine behind each public DoH resolver,
-//! * a [`ForwardingResolver`] and a [`StubResolver`] — the plain-DNS
-//!   baseline the paper improves on,
+//! * a [`StubResolver`] — the plain-DNS baseline the paper improves on: a
+//!   client asking one (recursive) resolver over unprotected Do53,
 //! * compromised-resolver behaviours ([`PoisonedResolver`], [`PoisonMode`])
 //!   used by the attack experiments,
 //! * adapters ([`Do53Service`], [`QueryHandler`], [`Exchanger`]) that plug
@@ -93,7 +93,6 @@ mod catalog;
 mod client;
 mod error;
 mod exchange;
-mod forwarder;
 mod handler;
 mod poison;
 mod recursive;
@@ -108,7 +107,6 @@ pub use catalog::Catalog;
 pub use client::{DnsClient, PreparedDnsQuery, QueryIdentifiers, DEFAULT_TIMEOUT};
 pub use error::{ResolveError, ResolveResult, ZoneFileError};
 pub use exchange::{ClientExchanger, Departure, ExchangeOutcome, ExchangeRequest, Exchanger};
-pub use forwarder::ForwardingResolver;
 pub use handler::{FnHandler, QueryHandler};
 pub use poison::{PoisonConfig, PoisonMode, PoisonedResolver};
 pub use recursive::{HardeningConfig, RecursiveConfig, RecursiveResolver};

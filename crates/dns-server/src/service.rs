@@ -93,34 +93,17 @@ pub fn finish_do53_answer(query: &Message, rendered: WireResult<()>, out: &mut V
 #[derive(Debug)]
 pub struct Do53Service<H> {
     handler: H,
-    /// When `true` the service drops malformed queries instead of answering
-    /// FORMERR (some real servers behave this way).
-    drop_malformed: bool,
 }
 
 impl<H: QueryHandler> Do53Service<H> {
     /// Creates a DNS service around the given handler.
     pub fn new(handler: H) -> Self {
-        Do53Service {
-            handler,
-            drop_malformed: false,
-        }
-    }
-
-    /// Configures the service to silently drop malformed queries.
-    pub fn dropping_malformed(mut self) -> Self {
-        self.drop_malformed = true;
-        self
+        Do53Service { handler }
     }
 
     /// Access to the wrapped handler.
     pub fn handler(&self) -> &H {
         &self.handler
-    }
-
-    /// Mutable access to the wrapped handler.
-    pub fn handler_mut(&mut self) -> &mut H {
-        &mut self.handler
     }
 }
 
@@ -132,7 +115,7 @@ impl<H: QueryHandler> Service for Do53Service<H> {
         _channel: ChannelKind,
         payload: &[u8],
     ) -> ServiceResponse {
-        match serve_do53_payload(&mut self.handler, ctx, payload, self.drop_malformed) {
+        match serve_do53_payload(&mut self.handler, ctx, payload, false) {
             Some(bytes) => ServiceResponse::Reply(bytes),
             None => ServiceResponse::NoReply,
         }
@@ -227,23 +210,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn malformed_query_dropped_when_configured() {
-        let net = SimNet::new(9);
-        let addr = SimAddr::v4(198, 51, 100, 53, 53);
-        net.register(addr, service().dropping_malformed());
-        let err = net
-            .transact(
-                SimAddr::v4(10, 0, 0, 1, 40000),
-                addr,
-                ChannelKind::Plain,
-                b"garbage",
-                Duration::from_secs(1),
-            )
-            .unwrap_err();
-        assert_eq!(err, sdoh_netsim::NetError::Timeout);
-    }
-
     /// Answers in wire form with bytes no `Message` encodes to.
     struct Canned;
 
@@ -305,12 +271,7 @@ mod tests {
 
     #[test]
     fn handler_accessors() {
-        let mut svc = service();
-        assert_eq!(svc.handler().catalog().len(), 1);
-        svc.handler_mut()
-            .catalog_mut()
-            .add_zone(Zone::new("new.test".parse().unwrap()));
-        assert_eq!(svc.handler().catalog().len(), 2);
+        let svc = service();
         assert_eq!(Service::name(&svc), "do53");
     }
 }

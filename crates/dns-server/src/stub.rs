@@ -59,29 +59,7 @@ impl StubResolver {
         exchanger: &mut dyn Exchanger,
         name: &Name,
     ) -> ResolveResult<Vec<IpAddr>> {
-        self.lookup(exchanger, name, RrType::A)
-    }
-
-    /// Looks up IPv6 addresses for `name`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`StubResolver::lookup_ipv4`].
-    pub fn lookup_ipv6(
-        &self,
-        exchanger: &mut dyn Exchanger,
-        name: &Name,
-    ) -> ResolveResult<Vec<IpAddr>> {
-        self.lookup(exchanger, name, RrType::Aaaa)
-    }
-
-    fn lookup(
-        &self,
-        exchanger: &mut dyn Exchanger,
-        name: &Name,
-        rtype: RrType,
-    ) -> ResolveResult<Vec<IpAddr>> {
-        let response = self.client.query(exchanger, name, rtype)?;
+        let response = self.client.query(exchanger, name, RrType::A)?;
         if response.header.rcode == Rcode::NxDomain {
             return Err(ResolveError::ErrorResponse(Rcode::NxDomain));
         }
@@ -130,11 +108,6 @@ mod tests {
             .unwrap();
         assert_eq!(v4.len(), 3);
         assert!(v4.iter().all(|a| a.is_ipv4()));
-        let v6 = stub
-            .lookup_ipv6(&mut exchanger, &"pool.ntp.org".parse().unwrap())
-            .unwrap();
-        assert_eq!(v6.len(), 1);
-        assert!(v6[0].is_ipv6());
     }
 
     #[test]

@@ -91,15 +91,17 @@ impl<'z> Delegation<'z> {
 ///     300,
 ///     RData::A("203.0.113.1".parse().unwrap()),
 /// ));
-/// assert_eq!(zone.records().count(), 2); // SOA + A
+/// assert_eq!(zone.len(), 2); // SOA + A
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Zone {
     origin: Name,
     /// Records grouped by owner name for efficient lookup.
     records: BTreeMap<Name, Vec<Record>>,
-    default_ttl: u32,
 }
+
+/// TTL of the records [`Zone::add_address`] adds.
+const ADDRESS_TTL: u32 = 300;
 
 impl Zone {
     /// Creates a zone with a synthetic SOA record at the origin.
@@ -117,11 +119,7 @@ impl Zone {
         );
         let mut records = BTreeMap::new();
         records.insert(origin.clone(), vec![soa]);
-        Zone {
-            origin,
-            records,
-            default_ttl: 300,
-        }
+        Zone { origin, records }
     }
 
     /// Creates a zone without the synthetic SOA (used by the zone-file
@@ -130,23 +128,12 @@ impl Zone {
         Zone {
             origin,
             records: BTreeMap::new(),
-            default_ttl: 300,
         }
     }
 
     /// The zone origin (apex name).
     pub fn origin(&self) -> &Name {
         &self.origin
-    }
-
-    /// Default TTL applied by convenience record constructors.
-    pub fn default_ttl(&self) -> u32 {
-        self.default_ttl
-    }
-
-    /// Sets the default TTL used by [`Zone::add_address`].
-    pub fn set_default_ttl(&mut self, ttl: u32) {
-        self.default_ttl = ttl;
     }
 
     /// Returns `true` when `name` is at or below the zone origin.
@@ -167,15 +154,9 @@ impl Zone {
         true
     }
 
-    /// Convenience: adds an A or AAAA record with the default TTL.
+    /// Convenience: adds an A or AAAA record with a 300 s TTL.
     pub fn add_address(&mut self, name: Name, addr: IpAddr) -> bool {
-        let ttl = self.default_ttl;
-        self.add_record(Record::address(name, ttl, addr))
-    }
-
-    /// Iterates over every record in the zone.
-    pub fn records(&self) -> impl Iterator<Item = &Record> {
-        self.records.values().flatten()
+        self.add_record(Record::address(name, ADDRESS_TTL, addr))
     }
 
     /// Number of records in the zone.
@@ -458,10 +439,8 @@ mod tests {
     #[test]
     fn default_ttl_is_applied() {
         let mut zone = Zone::new("x.org".parse().unwrap());
-        zone.set_default_ttl(42);
         zone.add_address("h.x.org".parse().unwrap(), "192.0.2.1".parse().unwrap());
         let records = zone.records_at(&"h.x.org".parse().unwrap());
-        assert_eq!(records[0].ttl, 42);
-        assert_eq!(zone.default_ttl(), 42);
+        assert_eq!(records[0].ttl, 300);
     }
 }

@@ -334,14 +334,14 @@ fn install_cname_chain_hierarchy(net: &SimNet) {
     catalog.add_zone(example);
     net.register(HONEST_NS, Do53Service::new(Authority::new(catalog)));
 
-    let text = r#"
-$TTL 300
-@   IN SOA ns hostmaster 1 7200 900 1209600 300
-@   IN NS  ns.other.
-ns  IN A   192.0.2.54
-www IN A   192.0.2.90
-"#;
-    let zone = sdoh_dns_server::parse_zone(&"other".parse().unwrap(), text).unwrap();
+    let mut zone = Zone::new("other".parse().unwrap());
+    for (owner, rdata) in [
+        ("other", RData::Ns("ns.other".parse().unwrap())),
+        ("ns.other", RData::A("192.0.2.54".parse().unwrap())),
+        ("www.other", RData::A("192.0.2.90".parse().unwrap())),
+    ] {
+        zone.add_record(Record::new(owner.parse().unwrap(), 300, rdata));
+    }
     let mut catalog = Catalog::new();
     catalog.add_zone(zone);
     net.register(other_ns, Do53Service::new(Authority::new(catalog)));

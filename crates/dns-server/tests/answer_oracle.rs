@@ -13,10 +13,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use sdoh_dns_server::{
-    parse_zone, Authority, Catalog, ClientExchanger, PoisonConfig, PoisonMode, PoisonedResolver,
-    QueryHandler, ZoneLookup,
+    Authority, Catalog, ClientExchanger, PoisonConfig, PoisonMode, PoisonedResolver, QueryHandler,
+    Zone, ZoneLookup,
 };
-use sdoh_dns_wire::{Edns, Message, MessageBuilder, Name, Opcode, Question, Rcode, RrType};
+use sdoh_dns_wire::{
+    Edns, Message, MessageBuilder, Name, Opcode, Question, RData, Rcode, Record, RrType,
+};
 use sdoh_netsim::{SimAddr, SimNet};
 
 /// Longest CNAME chain the authority follows, as it documents.
@@ -24,36 +26,45 @@ const MAX_CNAME_CHAIN: usize = 8;
 
 fn catalog() -> Catalog {
     let origin: Name = "ntpns.org".parse().unwrap();
-    let zone = parse_zone(
-        &origin,
-        r#"
-$TTL 300
-@        IN SOA ns1 hostmaster 1 7200 900 1209600 300
-@        IN NS  c.ntpns.org.
-c        IN A   198.51.100.3
-pool     IN A   203.0.113.1
-pool     IN A   203.0.113.2
-pool     IN A   203.0.113.3
-pool     IN TXT "pool of three"
-Mixed    IN A   203.0.113.9
-alias    IN CNAME pool
-alias2   IN CNAME alias
-extern   IN CNAME www.example.com.
-loop1    IN CNAME loop2
-loop2    IN CNAME loop1
-*.wild   IN A   192.0.2.99
-*.wild   IN A   192.0.2.98
-walias   IN CNAME x.wild
-child    IN NS  ns.child.ntpns.org.
-child    IN NS  ns2.elsewhere.example.
-ns.child IN A   198.51.100.99
-ns.child IN AAAA 2001:db8::99
-calias   IN CNAME host.child
-x.deep   IN A   198.51.100.7
-poisoned IN A   203.0.113.50
-"#,
-    )
-    .unwrap();
+    let name = |n: &str| -> Name { n.parse().unwrap() };
+    let at = |owner: &str| -> Name {
+        match owner {
+            "@" => origin.clone(),
+            _ => name(&format!("{owner}.ntpns.org")),
+        }
+    };
+    let a = |ip: &str| RData::A(ip.parse().unwrap());
+    let cname = |target: &str| RData::Cname(name(target));
+    let mut zone = Zone::new(origin.clone());
+    for (owner, rdata) in [
+        ("@", RData::Ns(name("c.ntpns.org"))),
+        ("c", a("198.51.100.3")),
+        ("pool", a("203.0.113.1")),
+        ("pool", a("203.0.113.2")),
+        ("pool", a("203.0.113.3")),
+        (
+            "pool",
+            RData::Txt(vec![b"pool".to_vec(), b"of".to_vec(), b"three".to_vec()]),
+        ),
+        ("Mixed", a("203.0.113.9")),
+        ("alias", cname("pool.ntpns.org")),
+        ("alias2", cname("alias.ntpns.org")),
+        ("extern", cname("www.example.com")),
+        ("loop1", cname("loop2.ntpns.org")),
+        ("loop2", cname("loop1.ntpns.org")),
+        ("*.wild", a("192.0.2.99")),
+        ("*.wild", a("192.0.2.98")),
+        ("walias", cname("x.wild.ntpns.org")),
+        ("child", RData::Ns(name("ns.child.ntpns.org"))),
+        ("child", RData::Ns(name("ns2.elsewhere.example"))),
+        ("ns.child", a("198.51.100.99")),
+        ("ns.child", RData::Aaaa("2001:db8::99".parse().unwrap())),
+        ("calias", cname("host.child.ntpns.org")),
+        ("x.deep", a("198.51.100.7")),
+        ("poisoned", a("203.0.113.50")),
+    ] {
+        assert!(zone.add_record(Record::new(at(owner), 300, rdata)));
+    }
     let mut catalog = Catalog::new();
     catalog.add_zone(zone);
     catalog

@@ -6,7 +6,7 @@ use std::net::IpAddr;
 
 use crate::edns::Edns;
 use crate::error::{WireError, WireResult};
-use crate::header::{Header, Opcode, Rcode};
+use crate::header::{Header, Rcode};
 use crate::name::Name;
 use crate::question::Question;
 
@@ -117,18 +117,6 @@ impl Message {
     /// Adds an answer record, returning `&mut self` for chaining.
     pub fn add_answer(&mut self, record: Record) -> &mut Self {
         self.answers.push(record);
-        self
-    }
-
-    /// Adds an authority record, returning `&mut self` for chaining.
-    pub fn add_authority(&mut self, record: Record) -> &mut Self {
-        self.authorities.push(record);
-        self
-    }
-
-    /// Adds an additional record, returning `&mut self` for chaining.
-    pub fn add_additional(&mut self, record: Record) -> &mut Self {
-        self.additionals.push(record);
         self
     }
 
@@ -286,12 +274,6 @@ impl MessageBuilder {
     /// Sets the response code.
     pub fn rcode(mut self, rcode: Rcode) -> Self {
         self.message.header.rcode = rcode;
-        self
-    }
-
-    /// Sets the opcode.
-    pub fn opcode(mut self, opcode: Opcode) -> Self {
-        self.message.header.opcode = opcode;
         self
     }
 
@@ -632,7 +614,6 @@ mod tests {
     fn builder_full_coverage() {
         let query = Message::query(11, "b.example".parse().unwrap(), RrType::A);
         let msg = MessageBuilder::response_to(&query)
-            .opcode(Opcode::Query)
             .rcode(Rcode::NoError)
             .recursion_available(true)
             .answer(Record::address(

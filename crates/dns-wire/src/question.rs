@@ -34,16 +34,6 @@ impl Question {
         }
     }
 
-    /// Convenience constructor for an A (IPv4 address) question.
-    pub fn a(name: Name) -> Self {
-        Question::new(name, RrType::A)
-    }
-
-    /// Convenience constructor for an AAAA (IPv6 address) question.
-    pub fn aaaa(name: Name) -> Self {
-        Question::new(name, RrType::Aaaa)
-    }
-
     /// Encodes the question into the writer.
     pub fn encode(&self, w: &mut WireWriter) -> WireResult<()> {
         w.put_name(&self.name)?;
@@ -156,7 +146,7 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        let q = Question::a("pool.ntp.org".parse().unwrap());
+        let q = Question::new("pool.ntp.org".parse().unwrap(), RrType::A);
         let mut w = WireWriter::new();
         q.encode(&mut w).unwrap();
         let bytes = w.finish();
@@ -167,8 +157,8 @@ mod tests {
 
     #[test]
     fn constructors_set_class_in() {
-        let a = Question::a("x.example".parse().unwrap());
-        let aaaa = Question::aaaa("x.example".parse().unwrap());
+        let a = Question::new("x.example".parse().unwrap(), RrType::A);
+        let aaaa = Question::new("x.example".parse().unwrap(), RrType::Aaaa);
         assert_eq!(a.rclass, RrClass::In);
         assert_eq!(a.rtype, RrType::A);
         assert_eq!(aaaa.rtype, RrType::Aaaa);

@@ -60,11 +60,6 @@ impl RrType {
     pub fn is_address(self) -> bool {
         matches!(self, RrType::A | RrType::Aaaa)
     }
-
-    /// Returns `true` for meta / pseudo types that never appear in zone data.
-    pub fn is_meta(self) -> bool {
-        matches!(self, RrType::Opt | RrType::Any)
-    }
 }
 
 impl From<u16> for RrType {
@@ -250,9 +245,6 @@ mod tests {
         assert!(RrType::A.is_address());
         assert!(RrType::Aaaa.is_address());
         assert!(!RrType::Ns.is_address());
-        assert!(RrType::Opt.is_meta());
-        assert!(RrType::Any.is_meta());
-        assert!(!RrType::A.is_meta());
     }
 
     #[test]

@@ -68,11 +68,6 @@ impl DohClient {
         self
     }
 
-    /// The resolver this client queries.
-    pub fn resolver(&self) -> &ResolverInfo {
-        &self.resolver
-    }
-
     /// Performs one DoH query and returns the decoded DNS response.
     ///
     /// This is the blocking convenience wrapper over the sans-IO halves
@@ -300,20 +295,6 @@ impl DohClient {
         }
         Ok(read(&answer))
     }
-
-    /// Queries A records and returns the addresses in answer order, the raw
-    /// material for Algorithm 1.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DohClient::query`].
-    pub fn query_addresses(
-        &self,
-        exchanger: &mut dyn Exchanger,
-        name: &Name,
-    ) -> DohResult<Vec<std::net::IpAddr>> {
-        Ok(self.query(exchanger, name, RrType::A)?.answer_addresses())
-    }
 }
 
 /// Everything a driver must put on the wire for one DoH query — the
@@ -385,10 +366,10 @@ mod tests {
         let (net, info) = setup();
         let client = DohClient::new(info).method(DohMethod::Post);
         let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 50000));
-        let addrs = client
-            .query_addresses(&mut exchanger, &"pool.ntp.org".parse().unwrap())
+        let response = client
+            .query(&mut exchanger, &"pool.ntp.org".parse().unwrap(), RrType::A)
             .unwrap();
-        assert_eq!(addrs.len(), 4);
+        assert_eq!(response.answer_addresses().len(), 4);
     }
 
     #[test]
@@ -481,7 +462,7 @@ mod tests {
         let client = DohClient::new(info.clone())
             .method(DohMethod::Post)
             .timeout(Duration::from_secs(9));
-        assert_eq!(client.resolver().name, info.name);
+        assert_eq!(client.resolver.name, info.name);
         assert_eq!(client.method, DohMethod::Post);
         assert_eq!(client.timeout, Duration::from_secs(9));
     }

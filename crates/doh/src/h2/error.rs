@@ -49,14 +49,8 @@ impl Error for H2Error {}
 
 /// HTTP/2 error codes (RFC 7540 §7) used in RST_STREAM and GOAWAY frames.
 pub mod error_code {
-    /// Graceful shutdown.
-    pub const NO_ERROR: u32 = 0x0;
     /// Protocol error detected.
     pub const PROTOCOL_ERROR: u32 = 0x1;
-    /// Implementation fault.
-    pub const INTERNAL_ERROR: u32 = 0x2;
-    /// Stream not processed.
-    pub const REFUSED_STREAM: u32 = 0x7;
 }
 
 #[cfg(test)]

@@ -13,16 +13,12 @@ impl StatusCode {
     pub const BAD_REQUEST: StatusCode = StatusCode(400);
     /// 404 Not Found.
     pub const NOT_FOUND: StatusCode = StatusCode(404);
-    /// 405 Method Not Allowed.
-    pub const METHOD_NOT_ALLOWED: StatusCode = StatusCode(405);
     /// 413 Payload Too Large.
     pub const PAYLOAD_TOO_LARGE: StatusCode = StatusCode(413);
     /// 415 Unsupported Media Type.
     pub const UNSUPPORTED_MEDIA_TYPE: StatusCode = StatusCode(415);
     /// 500 Internal Server Error.
     pub const INTERNAL_SERVER_ERROR: StatusCode = StatusCode(500);
-    /// 501 Not Implemented.
-    pub const NOT_IMPLEMENTED: StatusCode = StatusCode(501);
 
     /// The numeric code.
     pub fn as_u16(self) -> u16 {

@@ -37,7 +37,10 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::engine::FileAnalysis;
-use crate::parser::{crate_alias, Callee, FactKind, FnRecord, LockEvent, ParamType, Receiver};
+use crate::inventory::Inventory;
+use crate::parser::{
+    crate_alias, crate_of, Callee, FactKind, FnRecord, LockEvent, ParamType, Receiver,
+};
 use crate::report::Diagnostic;
 use crate::rules::RuleId;
 
@@ -82,52 +85,98 @@ pub struct GraphConfig {
 
 /// The built call graph: every parsed function plus resolved edges.
 pub(crate) struct Graph {
-    fns: Vec<FnRecord>,
+    pub(crate) fns: Vec<FnRecord>,
+    /// `fns[..sources]` come from the scanned `src/` trees; the rest from
+    /// the inventory's root files (examples, integration tests, the
+    /// benchmark), marked `in_test` so no rule ever enters them.
+    pub(crate) sources: usize,
     /// Adjacency: resolved callee indices per function.
-    edges: Vec<Vec<usize>>,
+    pub(crate) edges: Vec<Vec<usize>>,
     /// Resolved targets per call site: `call_targets[f][c]` lists the
     /// candidates of the `c`-th call in function `f` (empty = unknown).
-    call_targets: Vec<Vec<Vec<usize>>>,
+    pub(crate) call_targets: Vec<Vec<Vec<usize>>>,
+    /// Functions each function names without calling (fn pointers).
+    pub(crate) refs: Vec<Vec<usize>>,
+    /// Functions named in `static` / `const` initializers, with whether
+    /// the item is test code.
+    pub(crate) static_refs: Vec<(usize, bool)>,
     /// Calls that resolved to no workspace function.
-    unknown_calls: usize,
+    pub(crate) unknown_calls: usize,
     /// file → index into the analyses slice.
     file_index: BTreeMap<String, usize>,
 }
 
+/// The name indices call resolution looks functions up in. All BTreeMaps
+/// so iteration, and therefore every diagnostic, is deterministic.
+#[derive(Default)]
+struct Names<'a> {
+    free: BTreeMap<(&'a str, &'a str), Vec<usize>>,
+    typed: BTreeMap<(&'a str, &'a str), Vec<usize>>,
+    methods_by_name: BTreeMap<&'a str, Vec<usize>>,
+    types_by_crate: BTreeMap<&'a str, BTreeSet<&'a str>>,
+    /// `use X as Y` renames of types anywhere in the workspace: `Y` → `X`,
+    /// so `Y::new(..)` resolves like `X::new(..)`.
+    type_aliases: BTreeMap<&'a str, &'a str>,
+}
+
 impl Graph {
-    pub(crate) fn build(analyses: &[FileAnalysis]) -> Graph {
+    /// Builds the graph over `analyses` (the scanned sources) and `roots`
+    /// (files parsed only to root the inventory).
+    pub(crate) fn build(analyses: &[FileAnalysis], roots: &[FileAnalysis]) -> Graph {
         let mut fns: Vec<FnRecord> = Vec::new();
         let mut file_index: BTreeMap<String, usize> = BTreeMap::new();
-        let mut imports: BTreeMap<&str, BTreeMap<&str, &[String]>> = BTreeMap::new();
         for (ai, analysis) in analyses.iter().enumerate() {
             file_index.insert(analysis.file.clone(), ai);
+            fns.extend(analysis.items.functions.iter().cloned());
+        }
+        let sources = fns.len();
+        for analysis in roots {
+            fns.extend(analysis.items.functions.iter().map(|f| FnRecord {
+                in_test: true,
+                ..f.clone()
+            }));
+        }
+        let all = || analyses.iter().chain(roots);
+        let mut imports: BTreeMap<&str, BTreeMap<&str, &[String]>> = BTreeMap::new();
+        let mut type_aliases: BTreeMap<&str, &str> = BTreeMap::new();
+        for analysis in all() {
             let per_file = imports.entry(analysis.file.as_str()).or_default();
             for import in &analysis.items.imports {
                 per_file.insert(import.name.as_str(), &import.path);
+                match import.path.last() {
+                    Some(last) if *last != import.name && is_type_like(&import.name) => {
+                        type_aliases.insert(import.name.as_str(), last.as_str());
+                    }
+                    _ => {}
+                }
             }
-            fns.extend(analysis.items.functions.iter().cloned());
         }
 
-        // Name indices. All BTreeMaps so iteration, and therefore every
-        // diagnostic, is deterministic.
-        let mut free: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
-        let mut typed: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
-        let mut methods_by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        let mut types_by_crate: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        let mut names = Names {
+            type_aliases,
+            ..Names::default()
+        };
         for (i, f) in fns.iter().enumerate() {
             match &f.self_type {
                 Some(ty) => {
-                    typed
+                    names
+                        .typed
                         .entry((ty.as_str(), f.name.as_str()))
                         .or_default()
                         .push(i);
-                    methods_by_name.entry(f.name.as_str()).or_default().push(i);
-                    types_by_crate
+                    names
+                        .methods_by_name
+                        .entry(f.name.as_str())
+                        .or_default()
+                        .push(i);
+                    names
+                        .types_by_crate
                         .entry(f.crate_name.as_str())
                         .or_default()
                         .insert(ty.as_str());
                 }
-                None => free
+                None => names
+                    .free
                     .entry((f.crate_name.as_str(), f.name.as_str()))
                     .or_default()
                     .push(i),
@@ -136,21 +185,14 @@ impl Graph {
 
         let mut edges: Vec<Vec<usize>> = Vec::with_capacity(fns.len());
         let mut call_targets: Vec<Vec<Vec<usize>>> = Vec::with_capacity(fns.len());
+        let mut refs: Vec<Vec<usize>> = Vec::with_capacity(fns.len());
         let mut unknown_calls = 0usize;
         for f in &fns {
             let file_imports = imports.get(f.file.as_str());
             let mut adj: BTreeSet<usize> = BTreeSet::new();
             let mut per_call: Vec<Vec<usize>> = Vec::with_capacity(f.calls.len());
             for call in &f.calls {
-                let targets = resolve(
-                    f,
-                    &call.callee,
-                    file_imports,
-                    &free,
-                    &typed,
-                    &methods_by_name,
-                    &types_by_crate,
-                );
+                let targets = resolve(f, &call.callee, file_imports, &names);
                 if targets.is_empty() {
                     unknown_calls += 1;
                 }
@@ -159,12 +201,36 @@ impl Graph {
             }
             edges.push(adj.into_iter().collect());
             call_targets.push(per_call);
+            let scope = Scope::of(f);
+            let named: BTreeSet<usize> = f
+                .refs
+                .iter()
+                .flat_map(|path| resolve_path(scope, path, file_imports, &names, 0))
+                .collect();
+            refs.push(named.into_iter().collect());
+        }
+        let mut static_refs: Vec<(usize, bool)> = Vec::new();
+        for analysis in all() {
+            let file_imports = imports.get(analysis.file.as_str());
+            let crate_name = crate_of(&analysis.file);
+            let scope = Scope {
+                crate_name: &crate_name,
+                self_type: None,
+            };
+            for (path, in_test) in &analysis.items.static_refs {
+                for target in resolve_path(scope, path, file_imports, &names, 0) {
+                    static_refs.push((target, *in_test));
+                }
+            }
         }
 
         Graph {
             fns,
+            sources,
             edges,
             call_targets,
+            refs,
+            static_refs,
             unknown_calls,
             file_index,
         }
@@ -185,8 +251,8 @@ impl Graph {
     }
 
     /// Serializes the graph as JSON for the CI artifact: nodes, resolved
-    /// edges and the unknown-call count.
-    pub(crate) fn to_json(&self) -> String {
+    /// edges, the unknown-call count and the inventory's two lists.
+    pub(crate) fn to_json(&self, inventory: &Inventory) -> String {
         let mut out = String::from("{\n  \"nodes\": [\n");
         for (i, f) in self.fns.iter().enumerate() {
             if i > 0 {
@@ -216,10 +282,49 @@ impl Graph {
             }
         }
         out.push_str(&format!(
-            "\n  ],\n  \"unknown_calls\": {}\n}}\n",
+            "\n  ],\n  \"unknown_calls\": {},\n",
             self.unknown_calls
         ));
+        for (key, list) in [
+            ("unreached", &inventory.unreached),
+            ("test_only", &inventory.test_only),
+        ] {
+            out.push_str(&format!("  \"{key}\": ["));
+            for (n, item) in list.iter().enumerate() {
+                out.push_str(if n == 0 { "\n" } else { ",\n" });
+                out.push_str(&format!(
+                    "    {{\"label\": {}, \"file\": {}, \"line\": {}}}",
+                    crate::report::json_string(&item.label),
+                    crate::report::json_string(&item.file),
+                    item.line
+                ));
+            }
+            out.push_str(if list.is_empty() { "]" } else { "\n  ]" });
+            out.push_str(if key == "unreached" { ",\n" } else { "\n}\n" });
+        }
         out
+    }
+}
+
+/// Whether a path segment names a type (or a trait): it starts uppercase.
+pub(crate) fn is_type_like(segment: &str) -> bool {
+    segment.chars().next().is_some_and(char::is_uppercase)
+}
+
+/// Where a path is resolved from: the crate it is written in and the impl
+/// type `Self` stands for there.
+#[derive(Clone, Copy)]
+struct Scope<'a> {
+    crate_name: &'a str,
+    self_type: Option<&'a str>,
+}
+
+impl Scope<'_> {
+    fn of(f: &FnRecord) -> Scope<'_> {
+        Scope {
+            crate_name: &f.crate_name,
+            self_type: f.self_type.as_deref(),
+        }
     }
 }
 
@@ -229,10 +334,7 @@ fn resolve(
     caller: &FnRecord,
     callee: &Callee,
     file_imports: Option<&BTreeMap<&str, &[String]>>,
-    free: &BTreeMap<(&str, &str), Vec<usize>>,
-    typed: &BTreeMap<(&str, &str), Vec<usize>>,
-    methods_by_name: &BTreeMap<&str, Vec<usize>>,
-    types_by_crate: &BTreeMap<&str, BTreeSet<&str>>,
+    names: &Names<'_>,
 ) -> Vec<usize> {
     match callee {
         Callee::Method { name, receiver } => match receiver {
@@ -240,7 +342,11 @@ fn resolve(
                 let Some(ty) = caller.self_type.as_deref() else {
                     return Vec::new();
                 };
-                typed.get(&(ty, name.as_str())).cloned().unwrap_or_default()
+                names
+                    .typed
+                    .get(&(ty, name.as_str()))
+                    .cloned()
+                    .unwrap_or_default()
             }
             Receiver::Param(param) => {
                 let ty = caller
@@ -249,7 +355,8 @@ fn resolve(
                     .find(|(p, _)| p == param)
                     .map(|(_, t)| t);
                 match ty {
-                    Some(ParamType::Named(t)) => typed
+                    Some(ParamType::Named(t)) => names
+                        .typed
                         .get(&(t.as_str(), name.as_str()))
                         .cloned()
                         .unwrap_or_default(),
@@ -261,24 +368,26 @@ fn resolve(
                 // in scope of the caller — defined in its crate or
                 // imported by name in its file.
                 let empty = BTreeSet::new();
-                let local_types = types_by_crate
+                let local_types = names
+                    .types_by_crate
                     .get(caller.crate_name.as_str())
                     .unwrap_or(&empty);
-                methods_by_name
+                names
+                    .methods_by_name
                     .get(name.as_str())
                     .map(|candidates| {
                         candidates
                             .iter()
                             .copied()
                             .filter(|&i| {
-                                candidate_in_scope(i, local_types, file_imports, typed, name)
+                                candidate_in_scope(i, local_types, file_imports, &names.typed, name)
                             })
                             .collect()
                     })
                     .unwrap_or_default()
             }
         },
-        Callee::Path(segments) => resolve_path(caller, segments, file_imports, free, typed, 0),
+        Callee::Path(segments) => resolve_path(Scope::of(caller), segments, file_imports, names, 0),
     }
 }
 
@@ -309,11 +418,10 @@ fn candidate_in_scope(
 /// Resolves a path call (`a::b::c(...)`), expanding through one level of
 /// `use` imports. `depth` guards against pathological alias loops.
 fn resolve_path(
-    caller: &FnRecord,
+    scope: Scope<'_>,
     segments: &[String],
     file_imports: Option<&BTreeMap<&str, &[String]>>,
-    free: &BTreeMap<(&str, &str), Vec<usize>>,
-    typed: &BTreeMap<(&str, &str), Vec<usize>>,
+    names: &Names<'_>,
     depth: usize,
 ) -> Vec<usize> {
     if depth > 2 {
@@ -324,37 +432,43 @@ fn resolve_path(
     };
     if segments.len() == 1 {
         // Bare call: same crate first, then expand a matching import.
-        if let Some(hits) = free.get(&(caller.crate_name.as_str(), name.as_str())) {
+        if let Some(hits) = names.free.get(&(scope.crate_name, name.as_str())) {
             return hits.clone();
         }
         if let Some(path) = file_imports.and_then(|im| im.get(name.as_str())) {
             if path.len() > 1 {
-                return resolve_path(caller, path, file_imports, free, typed, depth + 1);
+                return resolve_path(scope, path, file_imports, names, depth + 1);
             }
         }
         return Vec::new();
     }
     // Qualified: `Type::method` when the second-to-last segment is
-    // type-like, otherwise `module::function` rooted at a crate alias.
+    // type-like (`Self` is the caller's impl type, a renamed import the
+    // type it renames), otherwise `module::function` rooted at a crate
+    // alias.
     let qualifier = segments
         .get(segments.len().saturating_sub(2))
         .map(String::as_str)
         .unwrap_or("");
-    if qualifier
-        .chars()
-        .next()
-        .map(char::is_uppercase)
-        .unwrap_or(false)
-    {
-        let candidates = typed
-            .get(&(qualifier, name.as_str()))
+    if is_type_like(qualifier) {
+        let ty = match qualifier {
+            "Self" => scope.self_type.unwrap_or(qualifier),
+            _ => names
+                .type_aliases
+                .get(qualifier)
+                .copied()
+                .unwrap_or(qualifier),
+        };
+        return names
+            .typed
+            .get(&(ty, name.as_str()))
             .cloned()
             .unwrap_or_default();
-        return candidates;
     }
     let root = segments.first().map(String::as_str).unwrap_or("");
-    if let Some(crate_key) = crate_alias(root, &caller.crate_name) {
-        return free
+    if let Some(crate_key) = crate_alias(root, scope.crate_name) {
+        return names
+            .free
             .get(&(crate_key.as_str(), name.as_str()))
             .cloned()
             .unwrap_or_default();
@@ -364,7 +478,7 @@ fn resolve_path(
     if let Some(path) = file_imports.and_then(|im| im.get(root)) {
         let mut expanded: Vec<String> = path.to_vec();
         expanded.extend(segments.iter().skip(1).cloned());
-        return resolve_path(caller, &expanded, file_imports, free, typed, depth + 1);
+        return resolve_path(scope, &expanded, file_imports, names, depth + 1);
     }
     Vec::new()
 }
@@ -381,19 +495,22 @@ pub(crate) struct GraphOutcome {
 
 /// Runs the enabled graph rules over the analyzed workspace, appending
 /// findings into each file's raw list and marking boundary allows used.
-/// Returns the call-graph JSON dump when requested.
+/// `roots` are the files parsed only to root the inventory. Returns the
+/// inventory, and the call-graph JSON dump when requested.
 pub(crate) fn run_graph_rules(
     analyses: &mut [FileAnalysis],
+    roots: &[FileAnalysis],
     config: &GraphConfig,
     enabled: &[RuleId],
     emit_callgraph: bool,
-) -> Option<String> {
-    let outcome = {
-        let graph = Graph::build(analyses);
+) -> (Inventory, Option<String>) {
+    let (inventory, outcome) = {
+        let graph = Graph::build(analyses, roots);
+        let inventory = crate::inventory::take(&graph);
         let mut outcome = GraphOutcome {
             findings: Vec::new(),
             boundaries: Vec::new(),
-            callgraph_json: emit_callgraph.then(|| graph.to_json()),
+            callgraph_json: emit_callgraph.then(|| graph.to_json(&inventory)),
         };
         if enabled.contains(&RuleId::TransitivePurity) {
             transitive_purity(&graph, analyses, config, &mut outcome);
@@ -404,7 +521,7 @@ pub(crate) fn run_graph_rules(
         if enabled.contains(&RuleId::LockOrder) {
             lock_order(&graph, analyses, config, &mut outcome);
         }
-        outcome
+        (inventory, outcome)
     };
 
     let by_file: BTreeMap<String, usize> = analyses
@@ -428,7 +545,7 @@ pub(crate) fn run_graph_rules(
             }
         }
     }
-    outcome.callgraph_json
+    (inventory, outcome.callgraph_json)
 }
 
 /// Check a set of in-memory sources together: the per-file rules, then
@@ -446,8 +563,20 @@ pub fn check_sources(
         .iter()
         .map(|(rel, source)| crate::engine::analyze_source(rel, source, enabled, vocab))
         .collect();
-    run_graph_rules(&mut analyses, config, enabled, false);
+    run_graph_rules(&mut analyses, &[], config, enabled, false);
     crate::engine::finalize(analyses, enabled)
+}
+
+/// Takes the inventory of a set of in-memory sources: each file's path
+/// decides whether it is scanned or only roots the traversal
+/// (`examples/`, `tests/`, `crates/*/tests/`, `benchmark/src/`). The
+/// fixture tests pin each root and each exclusion with it.
+pub fn inventory_of(files: &[(&str, &str)]) -> Inventory {
+    let (roots, sources): (Vec<FileAnalysis>, Vec<FileAnalysis>) = files
+        .iter()
+        .map(|(rel, source)| crate::engine::analyze_source(rel, source, &[], &BTreeSet::new()))
+        .partition(|analysis| crate::inventory::root_file_kind(&analysis.file).is_some());
+    crate::inventory::take(&Graph::build(&sources, &roots))
 }
 
 /// Whether a function span is covered by a standalone allow for `rule` —

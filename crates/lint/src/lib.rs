@@ -40,6 +40,11 @@
 //! | `transitive-determinism` | `Instant::now()`, `SystemTime::now()`, `OsRng`, `thread_rng`, `from_entropy`, `getrandom` in, or reachable from, any non-test function of `netsim`, `chaos`, `core`, `dns-server`, `doh`, `ntp`, `bench`, `analysis` and the umbrella `secure-doh` — sim-facing crates take time and entropy from seeded handles only, so campaigns and experiment reports stay byte-identical per seed; the wall clock is a `runtime`-only privilege |
 //! | `lock-order` | cycles in the ordered lock-acquisition graph of the control plane — each cycle is reported once, with every conflicting ordering and both witnesses |
 //!
+//! The same graph yields the [`inventory`]: every non-test function no
+//! root (a `main`, an example, the benchmark, the `EXPERIMENTS` table)
+//! reaches, and every one only tests reach. It is a list to act on, not a
+//! rule, and never changes the exit code.
+//!
 //! A standalone allow directive for a transitive rule above a function is
 //! a *pruning boundary*: the traversal stops there, so one directive
 //! documents a whole cold-path cone (the coalesced miss path, control
@@ -83,7 +88,7 @@
 //! cargo run -p sdoh-lint -- --out lint.json       # human output + JSON report file
 //! cargo run -p sdoh-lint -- --rule lock-order     # one rule only (repeatable)
 //! cargo run -p sdoh-lint -- --list-rules          # the rule catalogue
-//! cargo run -p sdoh-lint -- --emit-callgraph g.json  # dump the resolved call graph
+//! cargo run -p sdoh-lint -- --emit-callgraph g.json  # dump the call graph and the inventory
 //! ```
 //!
 //! Exit codes: `0` clean, `1` diagnostics found, `2` internal error.
@@ -100,6 +105,7 @@
 
 pub mod engine;
 pub mod graph;
+pub mod inventory;
 pub mod lexer;
 pub mod parser;
 pub mod report;
@@ -107,10 +113,11 @@ pub mod rules;
 pub mod workspace;
 
 pub use engine::{analyze_source, check_source};
-pub use graph::{check_sources, Entry, GraphConfig};
+pub use graph::{check_sources, inventory_of, Entry, GraphConfig};
+pub use inventory::{Inventory, Listed};
 pub use report::{render_human, render_json, Diagnostic, Report};
 pub use rules::RuleId;
 pub use workspace::{
-    find_workspace_root, graph_config, lint_workspace, lint_workspace_with, rules_for,
-    vocabulary_from_source, LintOptions,
+    find_workspace_root, graph_config, lint_workspace_with, rules_for, vocabulary_from_source,
+    LintOptions,
 };

@@ -25,7 +25,7 @@ const USAGE: &str = "usage: sdoh-lint [--root <dir>] [--format human|json] [--ou
   --format human|json     report format on stdout (default: human)\n\
   --out <file>            additionally write the JSON report to <file>\n\
   --rule <name>           run only this rule (repeatable; default: all rules)\n\
-  --emit-callgraph <file> write the workspace call graph as JSON to <file>\n\
+  --emit-callgraph <file> write the workspace call graph and the inventory as JSON to <file>\n\
   --list-rules            print the rule catalogue and exit\n\
 \n\
 exit codes: 0 clean, 1 diagnostics found, 2 internal error";

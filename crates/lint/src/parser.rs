@@ -130,10 +130,19 @@ pub struct FnRecord {
     pub def_line: usize,
     /// Last line of the body (== `def_line` for bodyless declarations).
     pub end_line: usize,
-    /// Defined inside a test item — excluded from every graph rule.
+    /// Defined inside a test item — excluded from every graph rule. A
+    /// test function records its calls and references (the inventory's
+    /// test roots reach through them) but no facts.
     pub in_test: bool,
+    /// A method of `impl Trait for Type` or of a `trait` body: called
+    /// through dynamic dispatch where the graph cannot see, so the
+    /// inventory roots it.
+    pub trait_method: bool,
     pub facts: Vec<Fact>,
     pub calls: Vec<CallSite>,
+    /// Paths the body names without calling them (`.map(parse_line)`,
+    /// `run: e1`): function pointers, for the inventory only.
+    pub refs: Vec<Vec<String>>,
     pub lock_events: Vec<LockEvent>,
     /// Parameter name → declared type, for receiver resolution.
     pub params: Vec<(String, ParamType)>,
@@ -161,6 +170,9 @@ pub struct Import {
 pub struct FileItems {
     pub functions: Vec<FnRecord>,
     pub imports: Vec<Import>,
+    /// Paths named in `static` / `const` initializers (a fn-pointer table
+    /// such as `EXPERIMENTS`), with whether the item is test code.
+    pub static_refs: Vec<(Vec<String>, bool)>,
 }
 
 /// The workspace crate key of a workspace-relative path: the directory
@@ -194,6 +206,7 @@ pub fn parse_file(rel: &str, view: &FileView<'_>) -> FileItems {
         file: rel.to_string(),
         crate_name: crate_of(rel),
         items: &mut items,
+        trait_method: false,
     };
     let len = parser.view.sig_len();
     parser.parse_items(0, len, &mut Vec::new(), None);
@@ -205,6 +218,8 @@ struct Parser<'a, 'v> {
     file: String,
     crate_name: String,
     items: &'a mut FileItems,
+    /// Inside an `impl Trait for Type` or `trait` body.
+    trait_method: bool,
 }
 
 impl Parser<'_, '_> {
@@ -326,6 +341,12 @@ impl Parser<'_, '_> {
                 }
                 "struct" | "enum" | "union" | "static" | "const" | "type" | "extern"
                 | "macro_rules" => {
+                    if (text == "static" || text == "const") && !self.is_fn_keyword(si + 1) {
+                        let stop = self.skip_to_semicolon(si + 1, end);
+                        self.record_static_refs(si + 1, stop);
+                        si = stop;
+                        continue;
+                    }
                     // Skip to the end of the item: its brace body or `;`.
                     let mut i = si + 1;
                     while i < end {
@@ -490,6 +511,7 @@ impl Parser<'_, '_> {
             return i;
         }
         let close = self.skip_balanced(i, end);
+        let trait_methods = is_trait || after_for.is_some();
         // `impl Trait for Type` → Type; `impl Type` → Type; for traits the
         // trait name itself scopes the default methods.
         let self_type = if is_trait {
@@ -497,12 +519,14 @@ impl Parser<'_, '_> {
         } else {
             after_for.or(last_ident)
         };
+        let outer = std::mem::replace(&mut self.trait_method, trait_methods);
         self.parse_items(
             i + 1,
             close.saturating_sub(1),
             module_path,
             self_type.as_deref(),
         );
+        self.trait_method = outer;
         close
     }
 
@@ -542,8 +566,10 @@ impl Parser<'_, '_> {
                         def_line,
                         end_line: def_line,
                         in_test: self.view.in_test(si),
+                        trait_method: self.trait_method,
                         facts: Vec::new(),
                         calls: Vec::new(),
+                        refs: Vec::new(),
                         lock_events: Vec::new(),
                         params,
                     });
@@ -576,8 +602,10 @@ impl Parser<'_, '_> {
             def_line,
             end_line: end_line.max(def_line),
             in_test: self.view.in_test(si),
+            trait_method: self.trait_method,
             facts: Vec::new(),
             calls: Vec::new(),
+            refs: Vec::new(),
             lock_events: Vec::new(),
             params,
         };
@@ -720,7 +748,9 @@ impl Parser<'_, '_> {
                 i += 1; // the initializer still gets scanned for facts/calls
                 continue;
             }
-            if self.view.in_test(i) {
+            // A test region inside a non-test body is not this function's
+            // code; a test function's own body is, for its calls only.
+            if self.view.in_test(i) && !record.in_test {
                 i += 1;
                 continue;
             }
@@ -744,10 +774,17 @@ impl Parser<'_, '_> {
                 _ => {}
             }
             let (line, col) = self.view.sig_pos(i);
-            // Method calls and method-shaped facts: `.name(`.
+            // Method calls and method-shaped facts: `.name(`, or with a
+            // turbofish, `.name::<T>(`.
+            let turbofish = self.is(i + 2, ':') && self.is(i + 3, ':') && self.is(i + 4, '<');
+            let open = if turbofish {
+                self.skip_generics(i + 4, end)
+            } else {
+                i + 2
+            };
             if self.is(i, '.')
                 && self.view.sig_kind(i + 1) == Some(TokenKind::Ident)
-                && self.is(i + 2, '(')
+                && self.is(open, '(')
             {
                 let name = self.text(i + 1).to_string();
                 let (mline, mcol) = self.view.sig_pos(i + 1);
@@ -756,7 +793,7 @@ impl Parser<'_, '_> {
                         let lock = self.lock_name(i);
                         let bound = self.lock_is_bound(i);
                         let what = format!("`{lock}.lock()`");
-                        record.facts.push(self.fact(FactKind::Lock, what, i + 1));
+                        push_fact(record, self.fact(FactKind::Lock, what, i + 1));
                         record.lock_events.push(LockEvent::Acquire {
                             lock,
                             bound,
@@ -767,11 +804,11 @@ impl Parser<'_, '_> {
                     }
                     "to_vec" | "collect" => {
                         let what = format!("`.{name}()`");
-                        record.facts.push(self.fact(FactKind::Alloc, what, i + 1));
+                        push_fact(record, self.fact(FactKind::Alloc, what, i + 1));
                     }
                     "unwrap" | "expect" => {
                         let what = format!("`.{name}()`");
-                        record.facts.push(self.fact(FactKind::Panic, what, i + 1));
+                        push_fact(record, self.fact(FactKind::Panic, what, i + 1));
                     }
                     _ => {
                         let receiver = self.method_receiver(i, &record.params);
@@ -786,7 +823,7 @@ impl Parser<'_, '_> {
                         });
                     }
                 }
-                i += 2; // continue at the `(`
+                i = open; // continue at the `(`
                 continue;
             }
             // Macros: the panicking family, the allocating family.
@@ -797,7 +834,7 @@ impl Parser<'_, '_> {
                     _ => None,
                 };
                 if let Some(kind) = kind {
-                    record.facts.push(self.fact(kind, format!("`{text}!`"), i));
+                    push_fact(record, self.fact(kind, format!("`{text}!`"), i));
                 }
                 i += 2;
                 continue;
@@ -810,14 +847,12 @@ impl Parser<'_, '_> {
                     .zip(&at)
                     .find(|(seg, _)| ENTROPY_IDENTS.contains(&seg.as_str()));
                 if let Some((seg, &si)) = entropy {
-                    record
-                        .facts
-                        .push(self.fact(FactKind::Entropy, format!("`{seg}`"), si));
+                    push_fact(record, self.fact(FactKind::Entropy, format!("`{seg}`"), si));
                 }
                 if let Some((kind, what)) = path_fact(&path) {
                     // Reported at the `Instant` of `std::time::Instant::now`.
                     let head = at.iter().rev().nth(1).copied().unwrap_or(i);
-                    record.facts.push(self.fact(kind, what, head));
+                    push_fact(record, self.fact(kind, what, head));
                 } else if self.is(after, '(') && !CALL_KEYWORDS.contains(&text) {
                     record.lock_events.push(LockEvent::Call {
                         index: record.calls.len(),
@@ -828,6 +863,8 @@ impl Parser<'_, '_> {
                         line,
                         col,
                     });
+                } else if self.names_a_value(&path, after) {
+                    record.refs.push(path);
                 }
                 i = after;
                 continue;
@@ -835,9 +872,42 @@ impl Parser<'_, '_> {
             // Indexing brackets (the `no-panic` family).
             if self.is(i, '[') && self.is_indexing_bracket(i) {
                 let what = "indexing (`[...]`)".to_string();
-                record.facts.push(self.fact(FactKind::Panic, what, i));
+                push_fact(record, self.fact(FactKind::Panic, what, i));
             }
             i += 1;
+        }
+    }
+
+    /// Whether a path that is not called (`after` is the token past it)
+    /// may name a function as a value: lowercase last segment, and not a
+    /// macro, a field label or a pattern binding's type ascription.
+    fn names_a_value(&self, path: &[String], after: usize) -> bool {
+        let lowercase = path
+            .last()
+            .and_then(|seg| seg.chars().next())
+            .is_some_and(|c| c.is_ascii_lowercase() || c == '_');
+        lowercase && !self.is(after, '!') && !self.is(after, ':')
+    }
+
+    /// Whether the token at `si` starts a function header after `const`
+    /// (`const fn`, `const unsafe fn`).
+    fn is_fn_keyword(&self, si: usize) -> bool {
+        matches!(self.text(si), "fn" | "unsafe" | "async" | "extern")
+    }
+
+    /// Records every path named in a `static` / `const` item's tokens
+    /// `[si, end)`: a table of fn pointers roots what it names.
+    fn record_static_refs(&mut self, si: usize, end: usize) {
+        let in_test = self.view.in_test(si);
+        let mut i = si;
+        while i < end {
+            if self.view.sig_kind(i) == Some(TokenKind::Ident) && !self.is_path_continuation(i) {
+                let (path, _, after) = self.read_path(i, end);
+                self.items.static_refs.push((path, in_test));
+                i = after.max(i + 1);
+            } else {
+                i += 1;
+            }
         }
     }
 
@@ -1054,6 +1124,14 @@ impl Parser<'_, '_> {
             return Receiver::Param(name.to_string());
         }
         Receiver::Other
+    }
+}
+
+/// Records a fact unless `record` is test code: tests are exempt from
+/// every rule, and their calls are kept only for the inventory.
+fn push_fact(record: &mut FnRecord, fact: Fact) {
+    if !record.in_test {
+        record.facts.push(fact);
     }
 }
 

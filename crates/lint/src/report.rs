@@ -2,6 +2,8 @@
 //! and a machine-readable JSON report (hand-rolled — this crate has zero
 //! dependencies).
 
+use crate::inventory::Inventory;
+
 /// One finding: where, which rule, and what to do about it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -25,6 +27,9 @@ pub struct Report {
     /// The serialized call graph, when the run asked for it
     /// (`--emit-callgraph`). Not part of the JSON diagnostics report.
     pub callgraph: Option<String>,
+    /// The inventory of a workspace run: what no root, or only tests,
+    /// reach. It never affects the exit code.
+    pub inventory: Option<Inventory>,
 }
 
 impl Report {
@@ -48,6 +53,14 @@ pub fn render_human(report: &Report) -> String {
         report.diagnostics.len(),
         report.files_scanned
     ));
+    if let Some(inventory) = &report.inventory {
+        out.push_str(&format!(
+            "sdoh-lint: inventory: {} unreached, {} test-only function(s); {} unknown call(s)\n",
+            inventory.unreached.len(),
+            inventory.test_only.len(),
+            inventory.unknown_calls
+        ));
+    }
     out
 }
 
@@ -124,6 +137,10 @@ mod tests {
             }],
             files_scanned: 1,
             callgraph: None,
+            inventory: Some(Inventory {
+                unknown_calls: 9,
+                ..Inventory::default()
+            }),
         };
         let json = render_json(&report);
         assert!(json.contains("\"files_scanned\": 1"));
@@ -131,5 +148,8 @@ mod tests {
         assert!(json.contains("\"rule\": \"no-panic\""));
         let human = render_human(&report);
         assert!(human.contains("x.rs:3:7: no-panic: don't"));
+        assert!(
+            human.contains("inventory: 0 unreached, 0 test-only function(s); 9 unknown call(s)")
+        );
     }
 }

@@ -136,6 +136,30 @@ fn scan_roots(root: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(roots)
 }
 
+/// The files parsed only to root the inventory (see
+/// [`crate::inventory`]): examples, the umbrella's and every member's
+/// integration tests, and the benchmark's sources. The lint fixtures are
+/// sources other tests read, not code, and are left out.
+fn inventory_root_files(root: &Path) -> Result<Vec<PathBuf>, String> {
+    let mut dirs = vec![
+        root.join("examples"),
+        root.join("tests"),
+        root.join("benchmark/src"),
+    ];
+    for member in scan_roots(root)? {
+        if let Some(dir) = member.parent() {
+            dirs.push(dir.join("tests"));
+            dirs.push(dir.join("examples"));
+        }
+    }
+    let mut files = Vec::new();
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        collect_rs_files(dir, &mut files)?;
+    }
+    files.retain(|f| !f.components().any(|c| c.as_os_str() == "fixtures"));
+    Ok(files)
+}
+
 /// Workspace-relative path with forward slashes.
 fn relative_label(root: &Path, path: &Path) -> String {
     let rel = path.strip_prefix(root).unwrap_or(path);
@@ -187,13 +211,9 @@ pub struct LintOptions {
     /// Run only these rules (all six when `None`). The directive
     /// pseudo-rules (`unused-allow`, `bad-directive`) always run.
     pub rule_filter: Option<Vec<RuleId>>,
-    /// Also serialize the call graph (returned in [`Report::callgraph`]).
+    /// Also serialize the call graph and the inventory (returned in
+    /// [`Report::callgraph`]).
     pub emit_callgraph: bool,
-}
-
-/// Lint the whole workspace rooted at `root` with all rules enabled.
-pub fn lint_workspace(root: &Path) -> Result<Report, String> {
-    lint_workspace_with(root, &LintOptions::default())
 }
 
 /// Lint the whole workspace rooted at `root`.
@@ -281,13 +301,24 @@ pub fn lint_workspace_with(root: &Path, options: &LintOptions) -> Result<Report,
         }
     }
 
-    // Phase 2: the whole-workspace call-graph rules.
-    report.callgraph = graph::run_graph_rules(
+    // Phase 2: the whole-workspace call-graph rules and the inventory,
+    // whose root files are parsed here and checked by no rule.
+    let mut roots: Vec<FileAnalysis> = Vec::new();
+    for path in inventory_root_files(root)? {
+        let rel = relative_label(root, &path);
+        let source = fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        roots.push(engine::analyze_source(&rel, &source, &[], &vocab));
+    }
+    let (inventory, callgraph) = graph::run_graph_rules(
         &mut analyses,
+        &roots,
         &graph_config(),
         &enabled,
         options.emit_callgraph,
     );
+    report.inventory = Some(inventory);
+    report.callgraph = callgraph;
 
     // Phase 3: allows, deterministic sort.
     report

@@ -8,8 +8,8 @@ use std::path::{Path, PathBuf};
 
 use sdoh_lint::rules::RuleId;
 use sdoh_lint::{
-    check_source, check_sources, find_workspace_root, rules_for, vocabulary_from_source,
-    Diagnostic, Entry, GraphConfig,
+    check_source, check_sources, find_workspace_root, inventory_of, rules_for,
+    vocabulary_from_source, Diagnostic, Entry, GraphConfig, Inventory, Listed,
 };
 
 fn fixture_dir() -> PathBuf {
@@ -400,6 +400,90 @@ fn a_configured_entry_matching_no_function_fails_loudly() {
         "the failure must name the stale entry, got: {}",
         diagnostics[0].message
     );
+}
+
+/// Takes the inventory of fixtures laid out as a synthetic workspace (see
+/// [`lint_graph_fixtures`]).
+fn inventory_fixtures(files: &[(&str, &str)]) -> Inventory {
+    let sources: Vec<(String, String)> = files
+        .iter()
+        .map(|(rel, name)| {
+            let path = fixture_dir().join(name);
+            let source = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("cannot read fixture {}: {e}", path.display()));
+            (rel.to_string(), source)
+        })
+        .collect();
+    let refs: Vec<(&str, &str)> = sources
+        .iter()
+        .map(|(rel, source)| (rel.as_str(), source.as_str()))
+        .collect();
+    inventory_of(&refs)
+}
+
+/// The labels of both lists, `(unreached, test_only)`.
+fn listed(inventory: &Inventory) -> (Vec<&str>, Vec<&str>) {
+    fn labels(list: &[Listed]) -> Vec<&str> {
+        list.iter().map(|l| l.label.as_str()).collect()
+    }
+    (labels(&inventory.unreached), labels(&inventory.test_only))
+}
+
+#[test]
+fn inventory_lists_a_pub_fn_nothing_calls_as_unreached() {
+    let inventory = inventory_fixtures(&[("crates/inv/src/lib.rs", "inventory_unreached.rs")]);
+    assert_eq!(listed(&inventory), (vec!["inv::orphan"], vec![]));
+    assert_eq!(inventory.unreached[0].line, 9);
+}
+
+#[test]
+fn inventory_lists_a_fn_only_a_test_calls_as_test_only() {
+    let inventory = inventory_fixtures(&[("crates/inv/src/lib.rs", "inventory_test_only.rs")]);
+    assert_eq!(
+        listed(&inventory),
+        (vec![], vec!["inv::checked_only_by_tests"])
+    );
+}
+
+#[test]
+fn inventory_reaches_through_a_dyn_call_by_name() {
+    let inventory = inventory_fixtures(&[("crates/inv/src/lib.rs", "inventory_dyn.rs")]);
+    assert_eq!(
+        listed(&inventory),
+        (vec![], vec![]),
+        "`Disk::flush` is one of the methods `store.flush()` may reach"
+    );
+    assert!(
+        inventory.unknown_calls >= 1,
+        "the dyn call is in the unknown bucket"
+    );
+}
+
+#[test]
+fn inventory_never_lists_a_trait_impl_method() {
+    let inventory = inventory_fixtures(&[("crates/inv/src/lib.rs", "inventory_trait_impl.rs")]);
+    assert_eq!(
+        listed(&inventory),
+        (vec![], vec![]),
+        "`Drop::drop` is a root, and so is what it calls"
+    );
+}
+
+#[test]
+fn inventory_roots_every_name_the_benchmark_uses() {
+    let inventory = inventory_fixtures(&[
+        ("crates/inv/src/lib.rs", "inventory_benchmark_lib.rs"),
+        ("benchmark/src/layers.rs", "inventory_benchmark_root.rs"),
+    ]);
+    assert_eq!(listed(&inventory), (vec![], vec![]));
+    let alone = inventory_fixtures(&[("crates/inv/src/lib.rs", "inventory_benchmark_lib.rs")]);
+    assert_eq!(listed(&alone), (vec!["inv::probe"], vec![]));
+}
+
+#[test]
+fn inventory_roots_a_fn_pointer_in_a_static_table() {
+    let inventory = inventory_fixtures(&[("crates/inv/src/lib.rs", "inventory_fn_pointer.rs")]);
+    assert_eq!(listed(&inventory), (vec![], vec![]));
 }
 
 #[test]

@@ -124,17 +124,6 @@ impl HistogramSnapshot {
         self.buckets.iter().sum()
     }
 
-    /// Observations that fell beyond the largest finite bound.
-    pub fn overflow(&self) -> u64 {
-        self.buckets.last().copied().unwrap_or(0)
-    }
-
-    /// Mean recorded latency (`None` when empty).
-    pub fn mean(&self) -> Option<Duration> {
-        let count = self.count();
-        (count > 0).then(|| Duration::from_nanos(self.sum_nanos / count))
-    }
-
     /// Adds `other`'s buckets into `self` — merging shard histograms into
     /// an instance histogram. Associative and commutative, so merge order
     /// never changes totals or extracted percentiles.
@@ -220,12 +209,9 @@ mod tests {
         let snapshot = histogram.snapshot();
         assert_eq!(snapshot.count(), 3);
         assert_eq!(histogram.count(), 3);
-        assert_eq!(snapshot.overflow(), 1);
+        assert_eq!(snapshot.buckets.last(), Some(&1), "one overflow");
         assert_eq!(snapshot.buckets[bucket_index(Duration::from_micros(3))], 1);
-        assert_eq!(
-            snapshot.mean().unwrap(),
-            Duration::from_nanos((3_000 + 900_000 + 120_000_000_000) / 3)
-        );
+        assert_eq!(snapshot.sum_nanos, 3_000 + 900_000 + 120_000_000_000);
     }
 
     #[test]
@@ -338,8 +324,8 @@ mod tests {
 
         // Totals, overflow and extracted percentiles survive the merge.
         assert_eq!(left.count(), 6);
-        assert_eq!(left.overflow(), 1);
-        assert_eq!(left.mean(), reversed.mean());
+        assert_eq!(left.buckets.last(), Some(&1), "one overflow");
+        assert_eq!(left.sum_nanos, reversed.sum_nanos);
         assert_eq!(left.quantile(0.50).unwrap(), Duration::from_micros(16));
         assert_eq!(
             left.quantile(1.0).unwrap(),

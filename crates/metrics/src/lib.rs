@@ -22,7 +22,7 @@
 //!
 //! let registry = Registry::new();
 //! let queries = registry.counter("queries_total", "Queries served.");
-//! let latency = registry.histogram("serve_latency_seconds", "Per-query latency.");
+//! let latency = registry.histogram_with("serve_latency_seconds", "Per-query latency.", &[]);
 //! queries.inc();
 //! latency.record(Duration::from_micros(120));
 //!

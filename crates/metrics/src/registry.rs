@@ -5,7 +5,6 @@
 //! touched only at registration and scrape time (*lock-light*): the hot
 //! path never sees it.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use crate::histogram::{Histogram, HistogramSnapshot};
@@ -180,11 +179,6 @@ impl Registry {
         gauge
     }
 
-    /// Registers a histogram without labels.
-    pub fn histogram(&self, name: &str, help: &str) -> Histogram {
-        self.histogram_with(name, help, &[])
-    }
-
     /// Registers a labelled histogram and returns the recording handle.
     pub fn histogram_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
         let histogram = Histogram::new();
@@ -268,14 +262,6 @@ impl Registry {
         missing.dedup();
         missing
     }
-
-    /// Help strings by family name from one scrape (diagnostics, tests).
-    pub fn help_index(&self) -> BTreeMap<String, String> {
-        self.gather()
-            .into_iter()
-            .map(|sample| (sample.name, sample.help))
-            .collect()
-    }
 }
 
 impl std::fmt::Debug for Registry {
@@ -308,7 +294,7 @@ mod tests {
         let registry = Registry::new();
         let queries = registry.counter("queries_total", "Queries served.");
         let depth = registry.gauge("queue_depth", "Work items queued.");
-        let latency = registry.histogram("latency_seconds", "Serve latency.");
+        let latency = registry.histogram_with("latency_seconds", "Serve latency.", &[]);
         queries.add(3);
         depth.set(2.0);
         latency.record(Duration::from_micros(100));
@@ -320,7 +306,6 @@ mod tests {
         assert_eq!(samples[1].value, SampleValue::Counter(3));
         assert_eq!(samples[2].value, SampleValue::Gauge(2.0));
         assert!(registry.lint().is_empty());
-        assert_eq!(registry.help_index()["queries_total"], "Queries served.");
     }
 
     #[test]

@@ -69,15 +69,6 @@ pub struct BirthdayStats {
 }
 
 impl BirthdayStats {
-    /// The empirical win rate over all races (0 when none were run).
-    pub fn win_rate(&self) -> f64 {
-        if self.raced == 0 {
-            0.0
-        } else {
-            self.wins as f64 / self.raced as f64
-        }
-    }
-
     /// The lowest entropy (in bits) any race was run at — the weakest
     /// moment the victim exposed.
     pub fn min_entropy_bits(&self) -> Option<u8> {
@@ -129,11 +120,6 @@ impl BirthdaySpoofer {
     /// adversary has been moved into the network.
     pub fn stats_handle(&self) -> Rc<RefCell<BirthdayStats>> {
         Rc::clone(&self.stats)
-    }
-
-    /// Forged packets raced per observed request.
-    pub fn attempts(&self) -> u32 {
-        self.attempts
     }
 
     fn is_target(&self, dst: SimAddr) -> bool {
@@ -277,7 +263,6 @@ mod tests {
         assert_eq!(stats.entropy_histogram.get(&32), Some(&1));
         assert_eq!(stats.entropy_histogram.get(&0), Some(&3));
         assert_eq!(stats.min_entropy_bits(), Some(0));
-        assert_eq!(stats.win_rate(), 0.75);
     }
 
     #[test]

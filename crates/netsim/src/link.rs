@@ -220,7 +220,7 @@ mod tests {
             assert!(cfg.sample_reorder(&mut a).is_none());
         }
         // `a` drew nothing, so it still agrees with the untouched `b`.
-        assert_eq!(a.gen_u64(), b.gen_u64());
+        assert_eq!(a.gen_u16(), b.gen_u16());
     }
 
     #[test]

@@ -180,11 +180,6 @@ impl SimNet {
         self.state.borrow_mut().services.remove(&addr).is_some()
     }
 
-    /// Returns `true` when a service is registered at `addr`.
-    pub fn is_registered(&self, addr: SimAddr) -> bool {
-        self.state.borrow().services.contains_key(&addr)
-    }
-
     /// Attaches an adversary observing all traffic (replacing any previous one).
     pub fn set_adversary<A: Adversary + 'static>(&self, adversary: A) {
         self.state.borrow_mut().adversary = Some(Box::new(adversary));
@@ -929,9 +924,8 @@ mod tests {
     fn register_unregister_lifecycle() {
         let net = SimNet::new(12);
         let addr = SimAddr::v4(192, 0, 2, 30, 53);
-        assert!(!net.is_registered(addr));
+        assert!(!net.unregister(addr));
         net.register(addr, StaticService::replying(b"ok".to_vec()));
-        assert!(net.is_registered(addr));
         assert!(net.unregister(addr));
         assert!(!net.unregister(addr));
     }

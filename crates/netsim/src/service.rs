@@ -13,16 +13,6 @@ pub enum ServiceResponse {
     NoReply,
 }
 
-impl ServiceResponse {
-    /// Returns the reply payload, if any.
-    pub fn into_reply(self) -> Option<Vec<u8>> {
-        match self {
-            ServiceResponse::Reply(bytes) => Some(bytes),
-            ServiceResponse::NoReply => None,
-        }
-    }
-}
-
 impl From<Vec<u8>> for ServiceResponse {
     fn from(bytes: Vec<u8>) -> Self {
         ServiceResponse::Reply(bytes)
@@ -152,8 +142,7 @@ mod tests {
     #[test]
     fn service_response_conversions() {
         let r: ServiceResponse = vec![1, 2, 3].into();
-        assert_eq!(r.into_reply(), Some(vec![1, 2, 3]));
-        assert_eq!(ServiceResponse::NoReply.into_reply(), None);
+        assert!(matches!(r, ServiceResponse::Reply(bytes) if bytes == [1, 2, 3]));
     }
 
     #[test]

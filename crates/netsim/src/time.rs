@@ -142,11 +142,6 @@ impl SimClock {
         self.state.lock().drift_rate = rate;
     }
 
-    /// The currently injected drift rate.
-    pub fn drift(&self) -> f64 {
-        self.state.lock().drift_rate
-    }
-
     /// Elapsed virtual time since `start`.
     pub fn elapsed_since(&self, start: SimInstant) -> Duration {
         self.now().saturating_duration_since(start)
@@ -238,7 +233,6 @@ mod tests {
     fn drift_scales_advanced_intervals() {
         let clock = SimClock::new();
         clock.set_drift(0.5);
-        assert_eq!(clock.drift(), 0.5);
         clock.advance(Duration::from_secs(10));
         assert_eq!(clock.now().as_secs_f64(), 15.0, "runs 50% fast");
 

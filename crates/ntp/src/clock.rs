@@ -15,7 +15,6 @@ use crate::timestamp::NtpTimestamp;
 pub struct LocalClock {
     sim: SimClock,
     offset_seconds: f64,
-    adjustments: u64,
 }
 
 impl LocalClock {
@@ -25,18 +24,12 @@ impl LocalClock {
         LocalClock {
             sim,
             offset_seconds: initial_offset_seconds,
-            adjustments: 0,
         }
     }
 
     /// The current local reading as an NTP timestamp.
     pub fn now(&self) -> NtpTimestamp {
         NtpTimestamp::from_sim_time(self.sim.now(), self.offset_seconds)
-    }
-
-    /// The current reading of true (simulation) time as an NTP timestamp.
-    pub fn true_now(&self) -> NtpTimestamp {
-        NtpTimestamp::from_sim_time(self.sim.now(), 0.0)
     }
 
     /// The clock's offset from true time in seconds (positive = fast).
@@ -48,12 +41,6 @@ impl LocalClock {
     /// the measured offset).
     pub fn adjust(&mut self, delta: f64) {
         self.offset_seconds += delta;
-        self.adjustments += 1;
-    }
-
-    /// Number of adjustments applied so far.
-    pub fn adjustments(&self) -> u64 {
-        self.adjustments
     }
 }
 
@@ -79,7 +66,6 @@ mod tests {
         let exact = LocalClock::new(sim, 0.0);
         assert!((fast.now().diff_seconds(exact.now()) - 2.5).abs() < 1e-6);
         assert_eq!(fast.offset_from_true(), 2.5);
-        assert!((fast.true_now().diff_seconds(exact.now())).abs() < 1e-9);
     }
 
     #[test]
@@ -90,6 +76,5 @@ mod tests {
         assert!(clock.offset_from_true().abs() < 1e-9);
         clock.adjust(0.25);
         assert!((clock.offset_from_true() - 0.25).abs() < 1e-9);
-        assert_eq!(clock.adjustments(), 2);
     }
 }

@@ -195,11 +195,6 @@ impl ConsensusFrontEnd {
     pub fn new(resolver: Arc<Mutex<CachingPoolResolver>>) -> Self {
         ConsensusFrontEnd { resolver }
     }
-
-    /// The shared resolver handle (metrics inspection, refresh pumping).
-    pub fn resolver(&self) -> Arc<Mutex<CachingPoolResolver>> {
-        Arc::clone(&self.resolver)
-    }
 }
 
 impl NtpPoolSource for ConsensusFrontEnd {
@@ -291,17 +286,6 @@ impl SecureTimeClient {
     /// sync).
     pub fn pool(&self) -> &[IpAddr] {
         &self.pool
-    }
-
-    /// The domain the pool is obtained for.
-    pub fn domain(&self) -> &Name {
-        &self.domain
-    }
-
-    /// When the current pool's TTL window ends (`None` before the first
-    /// fetch).
-    pub fn pool_expires_at(&self) -> Option<SimInstant> {
-        self.pool_expires
     }
 
     /// How many times the pool has been (re-)pulled from the source.
@@ -540,7 +524,7 @@ mod tests {
         assert!(stale.pool_refreshed);
         // A zero-TTL pool expires at its fetch instant (the subsequent
         // Chronos exchanges have since advanced virtual time past it).
-        assert!(client.pool_expires_at().unwrap() <= net.now());
+        assert!(client.pool_expires.unwrap() <= net.now());
         assert_eq!(frontend.lock().metrics().stale_serves, 1);
         let again = client.sync(&net, &mut exchanger, &mut clock).unwrap();
         assert!(again.pool_refreshed, "zero TTL means no reuse window");

@@ -126,20 +126,6 @@ impl RuntimeClient {
         }
     }
 
-    /// Performs one query directly over TCP (RFC 1035 length-prefixed).
-    ///
-    /// # Errors
-    ///
-    /// I/O errors, timeouts, a missing TCP target, and undecodable
-    /// responses.
-    pub fn query_tcp(&self, query: &Message) -> std::io::Result<Message> {
-        let tcp = self.tcp_server.ok_or_else(|| {
-            std::io::Error::new(ErrorKind::Unsupported, "no TCP target configured")
-        })?;
-        let wire = query.encode().map_err(invalid)?;
-        self.query_tcp_at(tcp, query, &wire)
-    }
-
     fn query_tcp_at(
         &self,
         tcp: SocketAddr,

@@ -414,7 +414,7 @@ impl ControlHandle {
 
     /// The `/config` document: current epoch, shard count, per-shard acked
     /// epochs and the published cache knobs, as JSON.
-    pub fn config_json(&self) -> String {
+    pub(crate) fn config_json(&self) -> String {
         let (epoch, cache) = {
             let config = self.inner.config.lock();
             (self.current_epoch(), *config)

@@ -126,15 +126,9 @@ fn oversized_udp_answers_fall_back_to_tcp() {
     assert_eq!(response.answer_addresses().len(), 24);
     assert_guarantee(&response, &truth);
 
-    // Direct TCP works too and serves from the now-warm cache.
-    let tcp_response = client
-        .query_tcp(&Message::query(10, fleet.domains[0].clone(), RrType::A))
-        .expect("tcp query answered");
-    assert_eq!(tcp_response.answer_addresses().len(), 24);
-
     let stats = runtime.shutdown();
     assert!(stats.truncated_responses >= 1, "the TC path was exercised");
-    assert!(stats.tcp_queries >= 2, "retry + direct tcp");
+    assert!(stats.tcp_queries >= 1, "the TC retry went over TCP");
     assert_eq!(
         stats.total.serve.generations, 1,
         "TC retry was served from cache, not regenerated"
@@ -508,7 +502,10 @@ fn reconfiguration_and_rescale_under_load_drop_nothing() {
                 .with_ttl(Ttl::from_secs(2))
                 .with_stale_window(Duration::from_secs(10)),
         )
-        .with_pool(PoolConfig::algorithm1().with_min_responses(2))
+        .with_pool(PoolConfig {
+            min_responses: 2,
+            ..PoolConfig::algorithm1()
+        })
         .with_sources(Arc::new(move |_shard| {
             honest
                 .iter()
@@ -531,7 +528,10 @@ fn reconfiguration_and_rescale_under_load_drop_nothing() {
     let mut spare: Vec<Option<Shard>> = fleet
         .shards(
             8,
-            PoolConfig::algorithm1().with_min_responses(2),
+            PoolConfig {
+                min_responses: 2,
+                ..PoolConfig::algorithm1()
+            },
             control.current_config(),
         )
         .expect("valid config")
@@ -803,7 +803,10 @@ fn a_rejected_delta_publishes_nothing() {
     // Valid knobs beside an invalid pool configuration go nowhere either.
     let no_quorum = ConfigDelta::new()
         .with_cache(retuned)
-        .with_pool(PoolConfig::algorithm1().with_min_responses(0));
+        .with_pool(PoolConfig {
+            min_responses: 0,
+            ..PoolConfig::algorithm1()
+        });
     match control.apply(no_quorum).unwrap_err() {
         ConfigError::Invalid { field, reason } => {
             assert_eq!(field, "pool");

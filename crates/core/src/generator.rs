@@ -134,8 +134,8 @@ impl SecurePoolGenerator {
     ///
     /// Configuration validation errors (the constructor already validated,
     /// so in practice this cannot fail for a constructed generator).
-    pub fn session(&self, domain: &Name, seed: u64) -> PoolResult<PoolSession<'static>> {
-        PoolSession::shared(self.config.clone(), Arc::clone(&self.sources), domain, seed)
+    pub fn session(&self, domain: &Name, seed: u64) -> PoolResult<PoolSession> {
+        PoolSession::plan(self.config.clone(), Arc::clone(&self.sources), domain, seed)
     }
 
     /// Runs pool generation for `domain` according to the configured

@@ -175,7 +175,7 @@
 //! # Example: driving a session by hand
 //!
 //! ```
-//! use sdoh_core::{Action, AddressSource, PoolConfig, PoolSession, StaticSource};
+//! use sdoh_core::{Action, AddressSource, PoolConfig, SecurePoolGenerator, StaticSource};
 //! use sdoh_netsim::SimInstant;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -183,8 +183,8 @@
 //!     Box::new(StaticSource::answering("r1", vec!["203.0.113.1".parse()?])),
 //!     Box::new(StaticSource::answering("r2", vec!["203.0.113.2".parse()?])),
 //! ];
-//! let mut session =
-//!     PoolSession::new(PoolConfig::algorithm1(), &sources, &"pool.ntp.org".parse()?, 7)?;
+//! let generator = SecurePoolGenerator::new(PoolConfig::algorithm1(), sources)?;
+//! let mut session = generator.session(&"pool.ntp.org".parse()?, 7)?;
 //! // Static sources resolve without I/O: the session only delivers events
 //! // and completes. A DoH source would yield Action::Transmit here, one
 //! // per resolver, before asking the driver to wait.

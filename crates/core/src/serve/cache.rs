@@ -225,9 +225,10 @@ impl CacheConfig {
     }
 }
 
-/// A cached generation outcome: what a lookup lends out and what a cache
-/// handoff ([`extract_entries`](super::CachingPoolResolver::extract_entries)
-/// → [`install_entry`](super::CachingPoolResolver::install_entry)) moves.
+/// A cached generation outcome: what a lookup lends out, and what
+/// [`extract_entries`](super::CachingPoolResolver::extract_entries) hands
+/// out and [`install_entry`](super::CachingPoolResolver::install_entry)
+/// takes back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedPool {
     /// The generation outcome: a report, or the error string of a failed
@@ -624,11 +625,11 @@ impl PoolCache {
     }
 
     /// Removes and returns every entry whose key matches `predicate`,
-    /// with its generation/expiry stamps and re-asked bit intact — the
-    /// extraction half of a shard-rescale cache handoff. Results are
-    /// sorted by key so a handoff is deterministic across processes.
-    /// Touches neither eviction state nor the lookup counters.
-    // sdoh-lint: allow(transitive-hot-path-purity, "rescale handoff runs on the control plane, not per query")
+    /// with its generation/expiry stamps and re-asked bit intact — what
+    /// [`CachingPoolResolver::extract_entries`](super::CachingPoolResolver::extract_entries)
+    /// hands out. Results are sorted by key so an extraction is
+    /// deterministic across processes. Touches neither eviction state nor
+    /// the lookup counters.
     pub(crate) fn extract_matching(
         &mut self,
         mut predicate: impl FnMut(&PoolKey) -> bool,
@@ -650,15 +651,15 @@ impl PoolCache {
         extracted
     }
 
-    /// Installs an entry extracted from another cache, **preserving** its
-    /// original generation and expiry stamps and its re-asked bit (the
-    /// wire-form answer is rebuilt from the report) — the receiving half
-    /// of a shard-rescale handoff: a rescale installs a burst into full
-    /// shards, and arrivals without the bit would evict one another
-    /// instead of the residents' cold tail. Returns `false` (dropping the
+    /// Installs an extracted entry, **preserving** its original generation
+    /// and expiry stamps and its re-asked bit (the wire-form answer is
+    /// rebuilt from the report) — what
+    /// [`CachingPoolResolver::install_entry`](super::CachingPoolResolver::install_entry)
+    /// does: an entry installed into a full cache without its bit would be
+    /// the first the next scan evicts. Returns `false` (dropping the
     /// entry) when it is already past every serving window at `now`, or
     /// when an existing entry for the key is at least as fresh — so a key
-    /// is never owned by two entries and a handoff never clobbers a newer
+    /// is never owned by two entries and an install never clobbers a newer
     /// generation. The capacity bound is enforced exactly as on insert.
     pub(crate) fn install(
         &mut self,

@@ -80,7 +80,7 @@
 //! not once per hit**:
 //!
 //! * *Built when an entry enters the cache* (a generation's insert, or
-//!   [`CachingPoolResolver::install_entry`] on a shard hand-off): an
+//!   [`CachingPoolResolver::install_entry`]): an
 //!   [`AnswerTemplate`](sdoh_dns_wire::AnswerTemplate) — the records of
 //!   the key's address family in wire form, stored beside the report.
 //! * *Patched per hit*: the cache lookup lends the entry out (nothing is

@@ -347,7 +347,7 @@ pub struct CachingPoolResolver {
 /// One live generation: the per-generation machine plus what landing it
 /// needs to know.
 struct Flight {
-    session: PoolSession<'static>,
+    session: PoolSession,
     started: SimInstant,
     /// Opened by the refresh scheduler, not by a query.
     refresh: bool,
@@ -461,14 +461,14 @@ impl CachingPoolResolver {
 
     /// Removes and returns every cache entry whose key matches `predicate`,
     /// with generation/expiry stamps and re-asked bit intact, cancelling
-    /// any queued refresh for a moved key (its new owner will re-queue one
-    /// on its own stale serve). The handoff half of a live shard rescale: a retiring shard
-    /// extracts the entries it no longer owns and forwards them to their
-    /// new owners for [`install_entry`](CachingPoolResolver::install_entry).
-    /// A generation in flight for a moved key is not part of the hand-off:
-    /// it lands here, answers the queries parked on it and caches its pool
-    /// here — so a driver that must not keep the key lands its flights
-    /// first, or extracts again afterwards.
+    /// any queued refresh for an extracted key (the cache that installs it
+    /// re-queues one on its own stale serve). Its callers are the
+    /// benchmark's serve-layer timings and tests, which stamp an entry
+    /// stale and hand it back through
+    /// [`install_entry`](CachingPoolResolver::install_entry). A generation
+    /// in flight for an extracted key is not part of the extraction: it
+    /// lands here, answers the queries parked on it and caches its pool
+    /// here.
     pub fn extract_entries(
         &mut self,
         predicate: impl FnMut(&PoolKey) -> bool,
@@ -480,12 +480,14 @@ impl CachingPoolResolver {
         moved
     }
 
-    /// Adopts an entry handed off by another shard: stamps and re-asked
-    /// bit are preserved (the wire-form answer is rebuilt from the
-    /// report, and a hot pool stays ranked above the receiver's once-asked
-    /// entries), dead-on-arrival entries are dropped, and an existing
+    /// Adopts an entry [`extract_entries`](CachingPoolResolver::extract_entries)
+    /// handed out, from this cache or another: stamps and re-asked bit are
+    /// preserved (the wire-form answer is rebuilt from the report, and a
+    /// hot pool stays ranked above the receiver's once-asked entries),
+    /// dead-on-arrival entries are dropped, and an existing
     /// at-least-as-fresh entry wins — so a key is never owned by two
-    /// entries and a handoff never clobbers a newer generation. Returns
+    /// entries and an install never clobbers a newer generation. Its
+    /// callers are the benchmark's serve-layer timings and tests. Returns
     /// whether the entry was installed.
     pub fn install_entry(&mut self, key: PoolKey, cached: CachedPool, now: SimInstant) -> bool {
         self.cache.install(key, cached, now)
@@ -494,7 +496,6 @@ impl CachingPoolResolver {
     /// Probes every cache entry at instant `now`, sorted by key, without
     /// touching eviction state or counters: the per-entry age/liveness
     /// surface invariant monitors check.
-    // sdoh-lint: allow(transitive-hot-path-purity, "control-plane probe: runs only for WorkItem::Probe maintenance items, never per query")
     pub fn probe_entries(&self, now: SimInstant) -> Vec<super::cache::CacheEntryProbe> {
         self.cache.probe(now)
     }

@@ -120,7 +120,7 @@ pub const METRIC_TRUNCATED_RESPONSES: (&str, &str) = (
 pub const METRIC_DROPPED_QUERIES: (&str, &str) = (
     "sdoh_dropped_queries_total",
     "Accepted queries that could not be handed to a shard worker \
-     (zero during normal operation, including rescales).",
+     (zero during normal operation, reconfigurations included).",
 );
 /// Hot path: per-query serving latency histogram, labelled by shard.
 pub const METRIC_SERVE_LATENCY: (&str, &str) = (

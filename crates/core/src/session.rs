@@ -27,7 +27,7 @@
 //! A resolver's name belongs to its [`AddressSource`]; the session never
 //! copies one while it runs. A [`Transmit`] and a [`SessionEvent`] identify
 //! their source by its **index** in configuration order — the position of
-//! the source in the slice the session was planned over, the same position
+//! the source in the set the session was planned over, the same position
 //! its row has in [`GenerationReport::sources`] — and whoever wants to print
 //! it asks [`PoolSession::source_name`]. Only what outlives the session is
 //! copied, once, in [`PoolSession::finish`]: the report's `(name, outcome)`
@@ -135,32 +135,17 @@ struct Transaction {
     state: TxState,
 }
 
-/// The resolver set a session fans out over: lent by the caller for the
-/// length of one call, or shared with the generator that planned it, so the
-/// session can outlive that call (a serving shard's live generations) and
-/// keeps its set when the generator's is replaced meanwhile.
-enum Sources<'a> {
-    Borrowed(&'a [Box<dyn AddressSource>]),
-    Shared(Arc<[Box<dyn AddressSource>]>),
-}
-
-impl std::ops::Deref for Sources<'_> {
-    type Target = [Box<dyn AddressSource>];
-
-    fn deref(&self) -> &Self::Target {
-        match self {
-            Sources::Borrowed(sources) => sources,
-            Sources::Shared(sources) => sources,
-        }
-    }
-}
-
-/// Sans-IO state machine for one secure pool lookup.
+/// Sans-IO state machine for one secure pool lookup, planned by
+/// [`SecurePoolGenerator::session`](crate::SecurePoolGenerator::session).
 ///
 /// See the module documentation for the driving protocol.
-pub struct PoolSession<'a> {
+pub struct PoolSession {
     config: PoolConfig,
-    sources: Sources<'a>,
+    /// The resolver set the session fans out over, shared with the
+    /// generator that planned it: the session can outlive the call that
+    /// opened it (a serving shard's live generations) and keeps its set
+    /// when the generator's is replaced meanwhile.
+    sources: Arc<[Box<dyn AddressSource>]>,
     /// The record types each query pass asks every source for.
     passes: &'static [&'static [RrType]],
     /// One per (pass, source, slot), in that order.
@@ -168,7 +153,7 @@ pub struct PoolSession<'a> {
     events: VecDeque<SessionEvent>,
 }
 
-impl<'a> PoolSession<'a> {
+impl PoolSession {
     /// Plans the fan-out for `domain` over `sources` according to `config`.
     ///
     /// `seed` feeds the deterministic stream of DNS transaction ids handed
@@ -179,29 +164,9 @@ impl<'a> PoolSession<'a> {
     ///
     /// Returns [`PoolError::NoResolvers`] for an empty source list and
     /// configuration validation errors.
-    pub fn new(
-        config: PoolConfig,
-        sources: &'a [Box<dyn AddressSource>],
-        domain: &Name,
-        seed: u64,
-    ) -> PoolResult<Self> {
-        Self::plan(config, Sources::Borrowed(sources), domain, seed)
-    }
-
-    /// [`PoolSession::new`] over a shared source set: the session borrows
-    /// nothing and lives as long as its owner keeps it.
-    pub(crate) fn shared(
+    pub(crate) fn plan(
         config: PoolConfig,
         sources: Arc<[Box<dyn AddressSource>]>,
-        domain: &Name,
-        seed: u64,
-    ) -> PoolResult<PoolSession<'static>> {
-        PoolSession::plan(config, Sources::Shared(sources), domain, seed)
-    }
-
-    fn plan(
-        config: PoolConfig,
-        sources: Sources<'a>,
         domain: &Name,
         seed: u64,
     ) -> PoolResult<Self> {
@@ -522,7 +487,7 @@ impl<'a> PoolSession<'a> {
     }
 }
 
-impl std::fmt::Debug for PoolSession<'_> {
+impl std::fmt::Debug for PoolSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PoolSession")
             .field("sources", &self.sources.len())
@@ -565,7 +530,7 @@ impl IdStream {
 /// Propagates [`PoolError`] from the session (transport errors are folded
 /// into per-source outcomes, not returned here).
 pub fn drive(
-    session: &mut PoolSession<'_>,
+    session: &mut PoolSession,
     exchanger: &mut dyn Exchanger,
 ) -> PoolResult<Vec<SessionEvent>> {
     let mut events: Vec<SessionEvent> = Vec::new();
@@ -611,7 +576,7 @@ pub fn drive(
 ///
 /// Propagates [`PoolError`] from the session.
 pub fn drive_sequential(
-    session: &mut PoolSession<'_>,
+    session: &mut PoolSession,
     exchanger: &mut dyn Exchanger,
 ) -> PoolResult<Vec<SessionEvent>> {
     let mut events: Vec<SessionEvent> = Vec::new();
@@ -650,6 +615,19 @@ mod tests {
         format!("203.0.113.{last}").parse().unwrap()
     }
 
+    /// A session planned the one way there is: by a generator.
+    fn plan(
+        config: PoolConfig,
+        sources: Vec<Box<dyn AddressSource>>,
+        domain: &Name,
+        seed: u64,
+    ) -> PoolSession {
+        crate::SecurePoolGenerator::new(config, sources)
+            .unwrap()
+            .session(domain, seed)
+            .unwrap()
+    }
+
     fn static_sources() -> Vec<Box<dyn AddressSource>> {
         vec![
             Box::new(StaticSource::answering("r1", vec![ip(1), ip(2)])),
@@ -661,7 +639,7 @@ mod tests {
     fn immediate_sources_complete_without_transmits() {
         let sources = static_sources();
         let domain: Name = "pool.ntp.org".parse().unwrap();
-        let mut session = PoolSession::new(PoolConfig::algorithm1(), &sources, &domain, 1).unwrap();
+        let mut session = plan(PoolConfig::algorithm1(), sources, &domain, 1);
         // Two Deliver events, then Done; never a Transmit.
         let mut events = 0;
         loop {
@@ -707,7 +685,7 @@ mod tests {
             })
             .collect();
         let domain: Name = "pool.ntp.org".parse().unwrap();
-        let mut session = PoolSession::new(PoolConfig::algorithm1(), &sources, &domain, 7).unwrap();
+        let mut session = plan(PoolConfig::algorithm1(), sources, &domain, 7);
 
         // The session must hand out all three transmits before first asking
         // to wait — that is what makes driver-side overlap possible.
@@ -788,7 +766,7 @@ mod tests {
         ];
         let domain: Name = "pool.ntp.org".parse().unwrap();
         let config = PoolConfig::algorithm1().with_dual_stack(DualStackPolicy::PerFamily);
-        let mut session = PoolSession::new(config, &sources, &domain, 3).unwrap();
+        let mut session = plan(config, sources, &domain, 3);
         while let Action::Deliver(_) = session.poll(SimInstant::EPOCH) {}
         let report = session.finish().unwrap();
 
@@ -804,7 +782,7 @@ mod tests {
     fn misuse_is_reported_not_panicking() {
         let sources = static_sources();
         let domain: Name = "pool.ntp.org".parse().unwrap();
-        let mut session = PoolSession::new(PoolConfig::algorithm1(), &sources, &domain, 1).unwrap();
+        let mut session = plan(PoolConfig::algorithm1(), sources, &domain, 1);
         let err = session
             .handle_response(TransactionId(99), Ok(Vec::new()))
             .unwrap_err();
@@ -828,7 +806,7 @@ mod tests {
             })
             .collect();
         let domain: Name = "pool.ntp.org".parse().unwrap();
-        let mut session = PoolSession::new(PoolConfig::algorithm1(), &sources, &domain, 5).unwrap();
+        let mut session = plan(PoolConfig::algorithm1(), sources, &domain, 5);
         let Action::Transmit(_) = session.poll(net.now()) else {
             panic!("expected a transmit");
         };

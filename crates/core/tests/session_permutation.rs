@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use sdoh_core::{
-    Action, AddressSource, DohSource, DualStackPolicy, PoolConfig, PoolSession, SecurePoolGenerator,
+    Action, AddressSource, DohSource, DualStackPolicy, PoolConfig, SecurePoolGenerator,
 };
 use sdoh_dns_server::{Authority, Catalog, ClientExchanger, Zone};
 use sdoh_doh::{DohMethod, DohServerService, ResolverDirectory, ResolverInfo};
@@ -71,9 +71,9 @@ fn run_permuted(
     session_seed: u64,
     perm_seed: u64,
 ) -> sdoh_core::PoolResult<sdoh_core::GenerationReport> {
-    let sources = sources_for(infos);
     let domain = "pool.ntpns.org".parse().unwrap();
-    let mut session = PoolSession::new(config, &sources, &domain, session_seed)?;
+    let mut session =
+        SecurePoolGenerator::new(config, sources_for(infos))?.session(&domain, session_seed)?;
 
     let mut transmits = Vec::new();
     loop {

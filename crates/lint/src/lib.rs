@@ -70,8 +70,8 @@
 //! ```text
 //! let shard = table.lookup(key); // sdoh-lint: allow(no-panic, "table is built covering every key")
 //!
-//! // sdoh-lint: allow(transitive-hot-path-purity, "rescale handoff runs on the control plane, not per query")
-//! fn extract_matching(&mut self, ...) -> Vec<...> { ... }
+//! // sdoh-lint: allow(transitive-hot-path-purity, "the miss path: at most one generation per question and TTL window")
+//! fn pump(&mut self) -> Option<SimInstant> { ... }
 //! ```
 //!
 //! A directive trailing code suppresses that line only; a directive on its

@@ -16,7 +16,7 @@ impl State {
         drop((b, c));
     }
 
-    // sdoh-lint: allow(lock-order, "rescale-only path: runs with the shard table quiesced, never concurrently with first/second")
+    // sdoh-lint: allow(lock-order, "startup-only path: runs before any serving thread exists, never concurrently with first/second")
     pub fn third(&self) {
         let c = self.gamma.lock();
         let a = self.alpha.lock();

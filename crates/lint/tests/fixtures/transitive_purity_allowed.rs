@@ -9,7 +9,7 @@ fn step() {
     helper();
 }
 
-// sdoh-lint: allow(transitive-hot-path-purity, "cold path: scratch buffer built once per rescale, never per query")
+// sdoh-lint: allow(transitive-hot-path-purity, "cold path: scratch buffer built once per reconfiguration, never per query")
 fn helper() {
     let buffer = Vec::new();
     drop(buffer);

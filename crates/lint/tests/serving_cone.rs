@@ -33,7 +33,7 @@ const PER_QUERY: [(&str, &str); 16] = [
     ),
     (
         "crates/runtime/src/runtime.rs",
-        "fn answer_parked(&mut self, landed: &Landed) -> bool {",
+        "fn answer_parked(&mut self, landed: &Landed) {",
     ),
     (
         "crates/runtime/src/runtime.rs",

@@ -63,7 +63,7 @@
 //! ([`PoolRuntime::control`]). [`ControlHandle::apply`] validates a
 //! [`ConfigDelta`] (new TTLs, stale window, upstream resolver set, pool
 //! hardening knobs), numbers it — an **epoch** is the control plane's
-//! count of accepted operations, a `u64` nothing below it stores — and
+//! count of accepted deltas, a `u64` nothing below it stores — and
 //! fans it to every shard **through the shard's existing work queue**,
 //! which no query served in place overtakes: each shard's resolver is
 //! handed the knobs
@@ -72,10 +72,9 @@
 //! entries are never invalidated by an epoch switch; they are re-judged
 //! against the new knobs at lookup time, and a served answer's age is
 //! always bounded by the *maximum* of the old and new `TTL + stale window`
-//! horizons. [`ControlHandle::rescale`] changes the shard count live by
-//! one hand-off path whatever the two widths: every shard of the old ring
-//! forwards the cache entries the new ring assigns elsewhere — the shards
-//! that leave forward everything — while queries keep flowing.
+//! horizons. The shard set itself is fixed: a runtime serves exactly the
+//! shards handed to [`PoolRuntime::start`], so every key is cached by the
+//! one shard its queries are routed to for the life of the runtime.
 //!
 //! ```
 //! use std::time::Duration;

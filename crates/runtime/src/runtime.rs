@@ -11,7 +11,7 @@
 //!        hash(qname, qtype) ──────────────────────────┘
 //!         ┌──────────┼─────────────┐   idle shard: served in place, under its lock
 //!   ┌─────▼────┐ ┌───▼──────┐ ┌────▼─────┐ busy shard: a copy on its worker's queue
-//!   │ shard 0  │ │ shard 1  │ │ shard N-1│ ◄── Snapshot / Probe / control
+//!   │ shard 0  │ │ shard 1  │ │ shard N-1│ ◄── Snapshot / Reconfigure
 //!   │ resolver │ │ resolver │ │ resolver │     items, on demand, over the
 //!   │ + worker │ │ + worker │ │ + worker │     same queue as handed-off queries
 //!   └──────────┘ └──────────┘ └──────────┘
@@ -19,14 +19,17 @@
 //!
 //! Each shard is one [`CachingPoolResolver`] and one `Send` exchanger in a
 //! cell behind a lock of its own, plus a worker thread. No lock is shared
-//! between shards; queries are routed by `(domain, address family)` hash
-//! so every key always lands on the same shard and singleflight coalescing
-//! keeps working per shard. The worker holds its shard's lock for one item
-//! of its queue at a time, and keeps the shard's alarm: it blocks on its
-//! queue while the shard has nothing upstream and nothing queued for
-//! refresh, and otherwise wakes when the next round trip ends or the
-//! resolver's [`next_refresh_due`](CachingPoolResolver::next_refresh_due)
-//! has come (see `worker_loop`). Upstream exchanges have no thread either:
+//! between shards. The shard set is the one [`PoolRuntime::start`] was
+//! handed, for the life of the runtime, and queries are routed by
+//! `(domain, address family)` hash over it: every key always lands on the
+//! same shard, which is the only one ever to cache it, and singleflight
+//! coalescing keeps working per shard. The worker holds its shard's lock
+//! for one item of its queue at a time, and keeps the shard's alarm: it
+//! blocks on its queue while the shard has nothing upstream and nothing
+//! queued for refresh, and otherwise wakes when the next round trip ends
+//! or the resolver's
+//! [`next_refresh_due`](CachingPoolResolver::next_refresh_due) has come
+//! (see `worker_loop`). Upstream exchanges have no thread either:
 //! what the shard's live generations have to send leaves as one batch
 //! through the send half of the transport ([`Exchanger::depart`]) and is
 //! collected by whichever thread holds the shard when its round trip is
@@ -36,29 +39,18 @@
 //! when they are called, and a shard answers between the items of its
 //! queue whatever it has upstream.
 //!
-//! Keys change shards by one hand-off path. A rescale reaches a worker as
-//! one item whatever the two widths — `Rehash`, carrying the new ring —
-//! and the worker reads off its own index what that means: it forwards the
-//! cache entries the ring assigns elsewhere as `Install` items on their
-//! owners' queues, and if the ring no longer reaches its index it forwards
-//! everything and lingers as retired until its queue disconnects (see
-//! [`ControlHandle::rescale`]). The shard keeps the last ring it was
-//! handed: an entry it caches later for a key that ring assigns elsewhere —
-//! generated for a query routed under an older table — goes to its owner
-//! the same way.
-//!
 //! # The hit path
 //!
 //! The thread that read a query answers it. A socket thread that finds the
 //! owning shard idle — its lock free and nothing queued to it — serves the
 //! query from its receive buffer under that lock: no copy, no queue, no
 //! wake-up. A shard that is busy (its worker is taking an item, landing
-//! flights, or sleeping out the round trips before a rehash) or has anything
-//! queued is handed an owned copy on its worker's queue, behind everything
-//! already there, so no query overtakes a queued control item; a socket
-//! thread never waits for a shard. Either way the query goes through the
-//! shard's one serve function: decoded once and answered through the two
-//! halves of the shared Do53 core
+//! flights, or sleeping out the round trips before a source swap) or has
+//! anything queued is handed an owned copy on its worker's queue, behind
+//! everything already there, so no query overtakes a queued control item;
+//! a socket thread never waits for a shard. Either way the query goes
+//! through the shard's one serve function: decoded once and answered
+//! through the two halves of the shared Do53 core
 //! ([`decode_do53_query`], [`finish_do53_answer`]) around the resolver's
 //! first step ([`begin`](CachingPoolResolver::begin), which renders what
 //! [`handle_query_wire`](sdoh_dns_server::QueryHandler::handle_query_wire)
@@ -88,7 +80,7 @@
 //! live: concurrent misses for a key share it) and hands back its id; the
 //! serving thread **parks** the decoded query, its reply path and its
 //! start time under that id and lets go of the shard. Hits, other misses,
-//! snapshots and probes are served while the flight is upstream.
+//! and snapshots are served while the flight is upstream.
 //!
 //! Whoever holds the shard does what is due. A socket thread that served a
 //! query in place pumps the shard under the same hold of its lock, as the
@@ -120,14 +112,12 @@
 //!   to send departs as one batch. A queue that never runs empty cannot
 //!   starve the flights, and a zero round trip lands in the same turn:
 //!   no second query ever finds such a flight to join.
-//! * *Who waits for landings.* Items that move ownership first land every
-//!   live flight, sleeping out the round trips still upstream: `Rehash`
-//!   (so no key is cached by two shards and a shard that leaves the ring
-//!   forwards what it generated), a `Reconfigure` that swaps the source
-//!   set or the pool configuration (so nothing generated under the old
-//!   one is cached after the epoch is acked), and `Shutdown` (so every
-//!   parked client is answered and the final statistics count every
-//!   generation). `Snapshot` and `Probe` do not wait.
+//! * *Who waits for landings.* Two items first land every live flight,
+//!   sleeping out the round trips still upstream: a `Reconfigure` that
+//!   swaps the source set or the pool configuration (so nothing generated
+//!   under the old one is cached after the epoch is acked), and `Shutdown`
+//!   (so every parked client is answered and the final statistics count
+//!   every generation). `Snapshot` does not wait.
 //!
 //! A transport that knows nothing of the two halves takes their defaults —
 //! `depart` performs the whole batch, blocking — and whichever thread pumps
@@ -145,7 +135,6 @@
 //! what it had upstream, and every thread is joined.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::Hasher;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
@@ -157,8 +146,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, MutexGuard};
 use sdoh_core::{
-    snapshot_samples, CacheEntryProbe, CachedPool, CachingPoolResolver, ConfigError, FlightId,
-    Landed, PoolKey, ServeSnapshot, ServeStep, TransactionId,
+    snapshot_samples, CachingPoolResolver, ConfigError, FlightId, Landed, ServeSnapshot, ServeStep,
+    TransactionId,
 };
 use sdoh_dns_server::{decode_do53_query, finish_do53_answer, Departure, Exchanger};
 use sdoh_dns_wire::Message;
@@ -169,7 +158,7 @@ use sdoh_metrics::{
 };
 use sdoh_netsim::SimInstant;
 
-use crate::control::{ControlHandle, EpochOrder, RouteCopy, RouteState, RouteTable};
+use crate::control::{ControlHandle, EpochOrder};
 
 /// How long a stats aggregation waits for each shard before marking it
 /// unresponsive (a wedged worker must not wedge the exporter). A shard
@@ -334,8 +323,8 @@ fn gauge((name, help): (&str, &str), labels: Vec<(String, String)>, value: f64) 
     }
 }
 
-/// `sdoh_shard_queue_depth{shard}`: what each shard of a table has queued
-/// and its worker has not yet taken, read at the call.
+/// `sdoh_shard_queue_depth{shard}`: what each shard has queued and its
+/// worker has not yet taken, read at the call.
 fn queue_depth_gauges(shards: &[ShardTx]) -> impl Iterator<Item = Sample> + '_ {
     shards.iter().enumerate().map(|(index, shard)| {
         gauge(
@@ -366,7 +355,7 @@ pub struct RuntimeStats {
     /// limit.
     pub truncated_responses: u64,
     /// Accepted queries that could not be handed to a shard worker — zero
-    /// during normal operation, including live rescales.
+    /// during normal operation, reconfigurations included.
     pub dropped_queries: u64,
     /// The config epoch published when the snapshot was taken.
     pub config_epoch: u64,
@@ -446,27 +435,11 @@ pub(crate) enum WorkItem {
     Wake,
     /// Report a consistent snapshot of this shard's state.
     Snapshot(mpsc::Sender<(usize, ServeSnapshot)>),
-    /// Report a probe of every cache entry (control-plane invariant
-    /// checks).
-    Probe(mpsc::Sender<(usize, Vec<CacheEntryProbe>)>),
     /// Adopt a new config epoch and ack its number into the slot.
     Reconfigure {
         order: Arc<EpochOrder>,
         ack: Arc<AtomicU64>,
     },
-    /// The hash ring is now `ring`: extract every entry it assigns to
-    /// another shard, forward each to its owner's queue, then confirm on
-    /// `done`. The worker keeps the ring, and hands on whatever it caches
-    /// later that the ring assigns elsewhere. A worker the ring no longer
-    /// reaches owns nothing: it forwards everything and lingers in retired
-    /// mode — still answering stray queries (and immediately forwarding
-    /// whatever they generate) — until its queue disconnects.
-    Rehash {
-        ring: Arc<Vec<ShardTx>>,
-        done: mpsc::Sender<(usize, ())>,
-    },
-    /// Adopt an entry handed off by another shard (stamps intact).
-    Install { key: PoolKey, cached: CachedPool },
     /// Land what is upstream, report the final snapshot and exit.
     Shutdown(mpsc::Sender<(usize, ServeSnapshot)>),
 }
@@ -477,56 +450,6 @@ pub(crate) enum ReplyPath {
     Udp(SocketAddr),
     /// Hand the full response back to the TCP connection handler.
     Tcp(mpsc::Sender<Vec<u8>>),
-}
-
-/// Everything a worker thread needs besides its shard: shared by
-/// [`PoolRuntime::start`] and [`ControlHandle::rescale`] (which spawns
-/// additional workers on a live runtime).
-pub(crate) struct WorkerContext {
-    socket: Arc<UdpSocket>,
-    counters: Arc<FrontCounters>,
-    udp_payload_limit: usize,
-    registry: Registry,
-    /// Per-shard latency histograms, cached so a shrink-then-grow cycle
-    /// reuses shard `i`'s histogram instead of re-registering it (the
-    /// registry rejects duplicate registrations).
-    latency: Mutex<HashMap<usize, Histogram>>,
-}
-
-impl WorkerContext {
-    fn latency_for(&self, index: usize) -> Histogram {
-        let mut cache = self.latency.lock();
-        cache
-            .entry(index)
-            .or_insert_with(|| {
-                let (name, help) = sdoh_core::METRIC_SERVE_LATENCY;
-                self.registry
-                    .histogram_with(name, help, &[("shard", &index.to_string())])
-            })
-            .clone()
-    }
-}
-
-/// Puts one shard in its cell and spawns its worker thread. `index` is the
-/// shard's position in the route table.
-pub(crate) fn spawn_worker(
-    ctx: &WorkerContext,
-    index: usize,
-    shard: Shard,
-) -> std::io::Result<(ShardTx, JoinHandle<()>)> {
-    let outbox = Outbox {
-        socket: Arc::clone(&ctx.socket),
-        udp_payload_limit: ctx.udp_payload_limit,
-        counters: Arc::clone(&ctx.counters),
-        latency: ctx.latency_for(index),
-        response: Vec::with_capacity(ctx.udp_payload_limit),
-    };
-    let (shard, rx) = ShardTx::open(Worker::new(index, shard, outbox));
-    let cell = Arc::clone(&shard.cell);
-    let handle = std::thread::Builder::new()
-        .name(format!("sdoh-shard-{index}"))
-        .spawn(move || worker_loop(&cell, rx))?;
-    Ok((shard, handle))
 }
 
 /// One shard's state behind its one lock, and the count of what is queued
@@ -552,7 +475,7 @@ impl ShardCell {
     }
 }
 
-/// A route table's handle on one shard: its worker's queue and its cell.
+/// The runtime's handle on one shard: its worker's queue and its cell.
 #[derive(Clone)]
 pub(crate) struct ShardTx {
     tx: mpsc::Sender<WorkItem>,
@@ -590,10 +513,12 @@ impl ShardTx {
 /// [`PoolRuntime::shutdown`] aborts the process threads ungracefully
 /// (detached); always shut down explicitly.
 pub struct PoolRuntime {
+    udp: Arc<UdpSocket>,
     udp_addr: SocketAddr,
     tcp_addr: SocketAddr,
     control: ControlHandle,
     service_handles: Vec<JoinHandle<()>>,
+    worker_handles: Vec<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
     counters: Arc<FrontCounters>,
     clock: crate::clock::RuntimeClock,
@@ -603,7 +528,8 @@ pub struct PoolRuntime {
 
 impl PoolRuntime {
     /// Binds the sockets and spawns the worker, dispatcher and TCP
-    /// threads. One worker thread per entry of `shards`.
+    /// threads. One worker thread per entry of `shards`: the runtime serves
+    /// exactly these shards until it shuts down.
     ///
     /// # Errors
     ///
@@ -636,51 +562,46 @@ impl PoolRuntime {
         let counters = Arc::new(FrontCounters::register(&registry));
         let clock = crate::clock::RuntimeClock::new();
 
-        let ctx = WorkerContext {
-            socket: Arc::clone(&udp),
-            counters: Arc::clone(&counters),
-            udp_payload_limit: config.udp_payload_limit,
-            registry: registry.clone(),
-            latency: Mutex::new(HashMap::new()),
-        };
-
-        let shard_count = shards.len();
-        let mut senders = Vec::with_capacity(shard_count);
-        let mut acked = Vec::with_capacity(shard_count);
-        let mut worker_handles = Vec::with_capacity(shard_count);
+        // Each shard in its cell, with a worker thread of its own.
+        let mut senders = Vec::with_capacity(shards.len());
+        let mut worker_handles = Vec::with_capacity(shards.len());
         for (index, shard) in shards.into_iter().enumerate() {
-            let (tx, handle) = spawn_worker(&ctx, index, shard)?;
-            worker_handles.push(handle);
+            let (name, help) = sdoh_core::METRIC_SERVE_LATENCY;
+            let outbox = Outbox {
+                socket: Arc::clone(&udp),
+                udp_payload_limit: config.udp_payload_limit,
+                counters: Arc::clone(&counters),
+                latency: registry.histogram_with(name, help, &[("shard", &index.to_string())]),
+                response: Vec::with_capacity(config.udp_payload_limit),
+            };
+            let (tx, rx) = ShardTx::open(Worker::new(index, shard, outbox));
+            let cell = Arc::clone(&tx.cell);
+            worker_handles.push(
+                std::thread::Builder::new()
+                    .name(format!("sdoh-shard-{index}"))
+                    .spawn(move || worker_loop(&cell, rx))?,
+            );
             senders.push(tx);
-            // Workers implicitly serve under epoch 0 from construction.
-            acked.push(Arc::new(AtomicU64::new(0)));
         }
-        let routes = Arc::new(RouteState::new(RouteTable { senders, acked }));
-        let control =
-            ControlHandle::new(Arc::clone(&routes), first_cache_config, ctx, worker_handles);
+        let control = ControlHandle::new(senders, first_cache_config);
 
         // The serve-layer counters live inside the shards; a scrape-time
-        // collector fetches fresh snapshots over the work queues (reading
-        // the *live* route table, so rescales are reflected) and renders
-        // them through the shared serve vocabulary, plus the control-plane
-        // epoch gauges and each shard's queue depth.
+        // collector fetches fresh snapshots over the work queues and
+        // renders them through the shared serve vocabulary, plus the
+        // control-plane epoch gauges and each shard's queue depth.
         {
-            let routes = Arc::clone(&routes);
-            let epoch = Arc::clone(&control.inner.epoch);
+            let control = control.clone();
             registry.register_collector(Box::new(move || {
-                let (senders, acked) = {
-                    let table = routes.table.lock();
-                    (table.senders.clone(), table.acked.clone())
-                };
+                let shards = control.shards();
                 // Read before the snapshot requests join the queues.
-                let depths: Vec<Sample> = queue_depth_gauges(&senders).collect();
+                let depths: Vec<Sample> = queue_depth_gauges(shards).collect();
                 let (per_shard, total) =
-                    aggregate_shards(&senders, SNAPSHOT_TIMEOUT, WorkItem::Snapshot);
+                    aggregate_shards(shards, SNAPSHOT_TIMEOUT, WorkItem::Snapshot);
                 let mut samples = snapshot_samples(&total, &[]);
                 samples.push(gauge(
                     sdoh_core::METRIC_SHARDS,
                     Vec::new(),
-                    senders.len() as f64,
+                    shards.len() as f64,
                 ));
                 samples.push(gauge(
                     sdoh_core::METRIC_UNRESPONSIVE_SHARDS,
@@ -690,13 +611,13 @@ impl PoolRuntime {
                 samples.push(gauge(
                     sdoh_core::METRIC_CONFIG_EPOCH,
                     Vec::new(),
-                    epoch.load(Ordering::Acquire) as f64,
+                    control.current_epoch() as f64,
                 ));
-                for (index, slot) in acked.iter().enumerate() {
+                for (index, acked) in control.acked_epochs().into_iter().enumerate() {
                     samples.push(gauge(
                         sdoh_core::METRIC_SHARD_ACKED_EPOCH,
                         vec![("shard".to_string(), index.to_string())],
-                        slot.load(Ordering::Acquire) as f64,
+                        acked as f64,
                     ));
                 }
                 samples.extend(depths);
@@ -707,7 +628,6 @@ impl PoolRuntime {
         let stats_server = match config.stats_bind {
             Some(bind) => {
                 let scrape_registry = registry.clone();
-                let scrape_routes = Arc::clone(&routes);
                 let scrape_control = control.clone();
                 let handler: sdoh_metrics::Handler = Arc::new(move |path| match path {
                     "/metrics" => {
@@ -717,7 +637,7 @@ impl PoolRuntime {
                         HttpResponse::ok_json(render_json(&scrape_registry.gather()))
                     }
                     "/config" => HttpResponse::ok_json(scrape_control.config_json()),
-                    "/healthz" => healthz(&scrape_routes),
+                    "/healthz" => healthz(scrape_control.shards()),
                     _ => HttpResponse::text(404, "not found\n"),
                 });
                 Some(StatsServer::start(bind, handler)?)
@@ -726,35 +646,38 @@ impl PoolRuntime {
         };
 
         // Dispatcher + TCP: two service threads besides the shard
-        // workers (and the optional stats-HTTP listener above).
+        // workers (and the optional stats-HTTP listener above), each with
+        // its own copy of the shard handles.
         let mut service_handles = Vec::with_capacity(2);
         {
             let socket = Arc::clone(&udp);
-            let routes = Arc::clone(&routes);
+            let shards = control.shards().to_vec();
             let stop = Arc::clone(&stop);
             let counters = Arc::clone(&counters);
             service_handles.push(
                 std::thread::Builder::new()
                     .name("sdoh-dispatch".into())
-                    .spawn(move || dispatcher_loop(socket, routes, stop, counters))?,
+                    .spawn(move || dispatcher_loop(socket, shards, stop, counters))?,
             );
         }
         {
-            let routes = Arc::clone(&routes);
+            let shards = control.shards().to_vec();
             let stop = Arc::clone(&stop);
             let counters = Arc::clone(&counters);
             service_handles.push(
                 std::thread::Builder::new()
                     .name("sdoh-tcp".into())
-                    .spawn(move || tcp_loop(tcp, routes, stop, counters))?,
+                    .spawn(move || tcp_loop(tcp, shards, stop, counters))?,
             );
         }
 
         Ok(PoolRuntime {
+            udp,
             udp_addr,
             tcp_addr,
             control,
             service_handles,
+            worker_handles,
             stop,
             counters,
             clock,
@@ -788,14 +711,14 @@ impl PoolRuntime {
         &self.registry
     }
 
-    /// Number of serving shards (worker threads) currently routed to.
+    /// Number of serving shards (worker threads): the shards the runtime
+    /// was started with.
     pub fn shard_count(&self) -> usize {
-        self.control.shard_count()
+        self.control.shards().len()
     }
 
     /// The control plane of this runtime: hot reconfiguration
-    /// ([`ControlHandle::apply`]) and live shard rescale
-    /// ([`ControlHandle::rescale`]). Cloneable; hold it on an operator
+    /// ([`ControlHandle::apply`]). Cloneable; hold it on an operator
     /// thread while the runtime serves.
     pub fn control(&self) -> ControlHandle {
         self.control.clone()
@@ -807,7 +730,7 @@ impl PoolRuntime {
     /// at slightly different instants (they answer between queries).
     pub fn stats(&self) -> RuntimeStats {
         take_stats(
-            &self.control.inner.routes.senders(),
+            self.control.shards(),
             WorkItem::Snapshot,
             &self.counters,
             self.control.current_epoch(),
@@ -816,16 +739,14 @@ impl PoolRuntime {
     }
 
     /// Graceful shutdown: stop accepting traffic, drain the worker queues,
-    /// take the final aggregate and join every thread — including workers
-    /// still lingering in retired mode from a shrink. Returns the final
+    /// take the final aggregate and join every thread. Returns the final
     /// statistics; [`RuntimeStats::config_epoch`] is the final epoch.
     pub fn shutdown(mut self) -> RuntimeStats {
         // 1. Stop the socket threads (and the stats listener, so no
         //    scrape races the drain); no new work enters the queues. Each
         //    blocks on its socket and is woken by one throw-away message.
         self.stop.store(true, Ordering::SeqCst);
-        let udp = &self.control.inner.ctx.socket;
-        let _ = udp.send_to(&[], wake_addr(self.udp_addr));
+        let _ = self.udp.send_to(&[], wake_addr(self.udp_addr));
         let _ = TcpStream::connect_timeout(&wake_addr(self.tcp_addr), Duration::from_secs(1));
         if let Some(mut server) = self.stats_server.take() {
             server.shutdown();
@@ -833,39 +754,18 @@ impl PoolRuntime {
         for handle in self.service_handles {
             let _ = handle.join();
         }
-        // 2. Clear the route table: dropping the runtime's senders
-        //    disconnects any retired workers still lingering from a shrink
-        //    (their exit signal), even while the user holds ControlHandle
-        //    clones.
-        let table = {
-            let mut table = self.control.inner.routes.table.lock();
-            std::mem::replace(
-                &mut *table,
-                RouteTable {
-                    senders: Vec::new(),
-                    acked: Vec::new(),
-                },
-            )
-        };
-        self.control
-            .inner
-            .routes
-            .version
-            .fetch_add(1, Ordering::Release);
-        // 3. Live shards get a Shutdown item. It queues *behind* any
+        // 2. Every shard gets a Shutdown item. It queues *behind* any
         //    remaining queries, and a worker answers it with its last
         //    snapshot after landing what it has upstream, so the numbers
         //    include every accepted query and every generation it began.
         let stats = take_stats(
-            &table.senders,
+            self.control.shards(),
             WorkItem::Shutdown,
             &self.counters,
             self.control.current_epoch(),
             self.clock.now(),
         );
-        drop(table);
-        let handles = std::mem::take(&mut *self.control.inner.worker_handles.lock());
-        for handle in handles {
+        for handle in self.worker_handles {
             let _ = handle.join();
         }
         stats
@@ -924,57 +824,30 @@ fn bind_front_door(
 /// `(shard index, T)` replies until `timeout`: one slot per worker, in
 /// shard order. A shard that does not answer in time — wedged, or already
 /// shut down — comes back as `None`, never as a silently-zero default.
-pub(crate) fn ask_shards<T>(
+fn ask_shards<T>(
     workers: &[ShardTx],
     timeout: Duration,
     request: impl Fn(mpsc::Sender<(usize, T)>) -> WorkItem,
 ) -> Vec<Option<T>> {
-    ask(workers, request).gather(timeout)
-}
-
-/// [`ask_shards`] in two halves: the request is queued at every worker
-/// now, and its replies are gathered by [`Asked::gather`].
-pub(crate) fn ask<T>(
-    workers: &[ShardTx],
-    request: impl Fn(mpsc::Sender<(usize, T)>) -> WorkItem,
-) -> Asked<T> {
     let (tx, replies) = mpsc::channel();
     let requested = workers
         .iter()
         .filter(|shard| shard.send(request(tx.clone())))
         .count();
-    Asked {
-        replies,
-        requested,
-        workers: workers.len(),
-    }
-}
-
-/// The replies a request queued by [`ask`] is owed.
-pub(crate) struct Asked<T> {
-    replies: mpsc::Receiver<(usize, T)>,
-    requested: usize,
-    workers: usize,
-}
-
-impl<T> Asked<T> {
-    /// The replies that came in before `timeout`, one slot per worker.
-    pub(crate) fn gather(self, timeout: Duration) -> Vec<Option<T>> {
-        let mut replies: Vec<Option<T>> = (0..self.workers).map(|_| None).collect();
-        let deadline = Instant::now() + timeout;
-        for _ in 0..self.requested {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match self.replies.recv_timeout(remaining) {
-                Ok((index, reply)) => {
-                    if let Some(slot) = replies.get_mut(index) {
-                        *slot = Some(reply);
-                    }
+    let mut gathered: Vec<Option<T>> = (0..workers.len()).map(|_| None).collect();
+    let deadline = Instant::now() + timeout;
+    for _ in 0..requested {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        match replies.recv_timeout(remaining) {
+            Ok((index, reply)) => {
+                if let Some(slot) = gathered.get_mut(index) {
+                    *slot = Some(reply);
                 }
-                Err(_) => break,
             }
+            Err(_) => break,
         }
-        replies
     }
+    gathered
 }
 
 /// The one statistics aggregation: every shard's [`ServeSnapshot`] (see
@@ -1022,9 +895,8 @@ fn take_stats(
 /// reports shard liveness plus the pool-guarantee state — generation
 /// failures mean some queries were answered from negatively-cached
 /// failures rather than fresh secure generations.
-fn healthz(routes: &RouteState) -> HttpResponse {
-    let (per_shard, total) =
-        aggregate_shards(&routes.senders(), HEALTH_TIMEOUT, WorkItem::Snapshot);
+fn healthz(shards: &[ShardTx]) -> HttpResponse {
+    let (per_shard, total) = aggregate_shards(shards, HEALTH_TIMEOUT, WorkItem::Snapshot);
     let unresponsive = count_unresponsive(&per_shard);
     let ready = unresponsive == 0;
     let body = format!(
@@ -1041,23 +913,6 @@ fn healthz(routes: &RouteState) -> HttpResponse {
         total.serve.generation_failures > 0,
     );
     HttpResponse::text(if ready { 200 } else { 503 }, body)
-}
-
-/// Feeds one qname label into a routing hash: its bytes lowercased, then
-/// a `.`.
-fn hash_label(hasher: &mut DefaultHasher, label: &[u8]) {
-    for &byte in label {
-        hasher.write_u8(byte.to_ascii_lowercase());
-    }
-    hasher.write_u8(b'.');
-}
-
-/// Finishes a routing hash with the qtype code and reduces it onto
-/// `shards`.
-fn finish_route(mut hasher: DefaultHasher, qtype: u16, shards: usize) -> usize {
-    hasher.write_u16(qtype);
-    // sdoh-lint: allow(no-narrowing-cast, "hash % shards < shards <= usize::MAX, so both conversions are lossless")
-    (hasher.finish() % shards.max(1) as u64) as usize
 }
 
 /// Routes a wire-format query to its shard: hash of the lowercased qname
@@ -1091,37 +946,24 @@ fn question_route(wire: &[u8], shards: usize) -> Option<usize> {
             // Compression pointers don't appear in well-formed questions.
             return None;
         }
-        hash_label(&mut hasher, wire.get(i + 1..i + 1 + len)?);
+        for &byte in wire.get(i + 1..i + 1 + len)? {
+            hasher.write_u8(byte.to_ascii_lowercase());
+        }
+        hasher.write_u8(b'.');
         i += 1 + len;
     }
-    let qtype = u16::from_be_bytes([*wire.get(i)?, *wire.get(i + 1)?]);
-    Some(finish_route(hasher, qtype, shards))
-}
-
-/// The shard a cache key is routed to — where [`shard_for`] sends the
-/// key's queries. Workers use it to decide which entries a new hash ring
-/// re-homes.
-fn owner_of(key: &PoolKey, shards: usize) -> usize {
-    let mut hasher = DefaultHasher::new();
-    for label in key.domain.labels() {
-        hash_label(&mut hasher, label);
-    }
-    finish_route(hasher, key.family.rtype().code(), shards)
+    hasher.write_u16(u16::from_be_bytes([*wire.get(i)?, *wire.get(i + 1)?]));
+    // sdoh-lint: allow(no-narrowing-cast, "hash % shards < shards <= usize::MAX, so both conversions are lossless")
+    Some((hasher.finish() % shards.max(1) as u64) as usize)
 }
 
 fn dispatcher_loop(
     socket: Arc<UdpSocket>,
-    routes: Arc<RouteState>,
+    shards: Vec<ShardTx>,
     stop: Arc<AtomicBool>,
     counters: Arc<FrontCounters>,
 ) {
     let mut buf = [0u8; 4096];
-    // The hot path works on a local copy of the route table; one version
-    // check per packet detects a published rescale and reloads under the
-    // (cold) table lock. Retiring workers linger until every sender is
-    // dropped, so even a packet routed through a stale local copy is still
-    // served — never dropped.
-    let mut routes = RouteCopy::new(&routes);
     loop {
         let received = socket.recv_from(&mut buf);
         // `shutdown` wakes this blocking receive with an empty datagram:
@@ -1136,7 +978,6 @@ fn dispatcher_loop(
                 let Some(wire) = buf.get(..len) else {
                     continue;
                 };
-                let shards = routes.current();
                 let delivered = shards
                     .get(shard_for(wire, shards.len()))
                     .is_some_and(|shard| {
@@ -1196,11 +1037,10 @@ fn serve_or_hand_off(
 
 fn tcp_loop(
     listener: TcpListener,
-    routes: Arc<RouteState>,
+    shards: Vec<ShardTx>,
     stop: Arc<AtomicBool>,
     counters: Arc<FrontCounters>,
 ) {
-    let mut routes = RouteCopy::new(&routes);
     loop {
         let accepted = listener.accept();
         // `shutdown` wakes this blocking accept with a connection of its
@@ -1214,7 +1054,7 @@ fn tcp_loop(
                 // as the fallback for truncated answers, so one connection
                 // at a time keeps the thread budget fixed. Heavy TCP
                 // workloads would want an acceptor pool here.
-                let _ = serve_tcp_connection(stream, &mut routes, &counters);
+                let _ = serve_tcp_connection(stream, &shards, &counters);
             }
             // An error (a reset in the backlog, a signal) is not about the
             // next connection: leaving would strand every truncated pool.
@@ -1224,17 +1064,16 @@ fn tcp_loop(
 }
 
 /// Serves RFC 1035 4.2.2 length-prefixed queries until the peer closes
-/// (or a read times out). Queries follow the latest published ring through
-/// the version-checked copy of the route table the TCP thread keeps, and
-/// are served in place or handed off as the dispatcher's are.
+/// (or a read times out). Queries are routed over the same shards as the
+/// dispatcher's, and served in place or handed off as its are.
 fn serve_tcp_connection(
     stream: TcpStream,
-    routes: &mut RouteCopy<'_>,
+    shards: &[ShardTx],
     counters: &FrontCounters,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     stream.set_nodelay(true)?;
-    serve_framed(stream, routes, counters)
+    serve_framed(stream, shards, counters)
 }
 
 /// The loop of [`serve_tcp_connection`] over any byte stream. Query frames
@@ -1246,13 +1085,13 @@ fn serve_tcp_connection(
 /// is already there when [`serve_or_hand_off`] returns — and one query is
 /// out at a time. A timed-out query ends the connection and drops the
 /// channel with it, so an answer that comes late can never be read as the
-/// next query's. A shard answers every query it takes — a retired one still
-/// answers strays, and `shutdown` stops this thread before the shards — so
-/// a query a shard dropped unanswered would wait out the timeout rather
-/// than fail at once, the one thing a channel per query would do better.
+/// next query's. A shard answers every query it takes — and `shutdown`
+/// stops this thread before the shards — so a query a shard dropped
+/// unanswered would wait out the timeout rather than fail at once, the one
+/// thing a channel per query would do better.
 fn serve_framed(
     mut stream: impl Read + Write,
-    routes: &mut RouteCopy<'_>,
+    shards: &[ShardTx],
     counters: &FrontCounters,
 ) -> std::io::Result<()> {
     let (tx, rx) = mpsc::channel();
@@ -1265,7 +1104,6 @@ fn serve_framed(
         wire.resize(usize::from(u16::from_be_bytes(len_buf)), 0);
         stream.read_exact(&mut wire)?;
         counters.tcp_received.inc();
-        let shards = routes.current();
         let delivered = shards
             .get(shard_for(&wire, shards.len()))
             .is_some_and(|shard| {
@@ -1298,9 +1136,6 @@ struct Parked {
     reply: ReplyPath,
     /// When the shard took the query: in place, or off its queue.
     started: Instant,
-    /// Whether the shard's ring assigns the query's key to another shard:
-    /// what the flight caches is handed on when it lands.
-    foreign: bool,
 }
 
 /// One batch upstream: the send half's receipt and, by request index, the
@@ -1368,15 +1203,6 @@ struct Worker {
     parked: Vec<Parked>,
     /// In departure order.
     upstream: Vec<Upstream>,
-    /// The last ring a `Rehash` handed this shard; `None` while it serves
-    /// the table it was started in, which routes it only keys it owns. A
-    /// query routed under an older table can still reach the shard: what
-    /// such a query caches for a key the ring assigns elsewhere is handed
-    /// to its owner at once. A shard the ring no longer reaches is retired
-    /// and owns no keys: it keeps serving stray queries, and exits when its
-    /// queue disconnects (every sender dropped), which is what makes
-    /// rescale zero-drop.
-    ring: Option<Arc<Vec<ShardTx>>>,
     /// When the worker thread next wakes on its own: what its last pump
     /// returned, or an earlier instant a socket thread's pump moved it to
     /// (and queued a `Wake` for). `None`: it blocks on its queue.
@@ -1392,7 +1218,6 @@ impl Worker {
             outbox,
             parked: Vec::new(),
             upstream: Vec::new(),
-            ring: None,
             alarm: None,
         }
     }
@@ -1407,7 +1232,6 @@ impl Worker {
         let Some(query) = decode_do53_query(wire, false, &mut self.outbox.response) else {
             return self.outbox.send(None, &reply, started);
         };
-        let foreign = self.routes_elsewhere(wire);
         let begun = self
             .resolver
             .begin(self.exchanger.as_mut(), &query, &mut self.outbox.response);
@@ -1417,26 +1241,12 @@ impl Worker {
                 query,
                 reply,
                 started,
-                foreign,
             }),
             answered => {
                 finish_do53_answer(&query, answered.map(drop), &mut self.outbox.response);
                 self.outbox.send(Some(&query), &reply, started);
-                // A generation that failed before its first exchange is
-                // cached on the spot.
-                if foreign {
-                    self.hand_off_foreign();
-                }
             }
         }
-    }
-
-    /// Whether the shard's ring assigns `wire`'s question to another shard.
-    /// Free until the first rescale: no ring, no hash.
-    fn routes_elsewhere(&self, wire: &[u8]) -> bool {
-        self.ring.as_ref().is_some_and(|ring| {
-            question_route(wire, ring.len()).is_some_and(|owner| owner != self.index)
-        })
     }
 
     /// Everything the shard's flights need done that is due **now**: lands
@@ -1484,11 +1294,7 @@ impl Worker {
                         tags.push((flight, transaction));
                         requests.push(request);
                     }
-                    ServeStep::Landed(landed) => {
-                        if self.answer_parked(&landed) {
-                            self.hand_off_foreign();
-                        }
-                    }
+                    ServeStep::Landed(landed) => self.answer_parked(&landed),
                     ServeStep::Wait(next_refresh) => break next_refresh,
                 }
             };
@@ -1505,11 +1311,9 @@ impl Worker {
 
     /// Answers every query parked on the flight that `landed`, in arrival
     /// order, from the landed report — through the closing half of the Do53
-    /// core and the same way out as an answer from the cache. Returns
-    /// whether the flight's key is one the shard's ring assigns elsewhere.
-    fn answer_parked(&mut self, landed: &Landed) -> bool {
+    /// core and the same way out as an answer from the cache.
+    fn answer_parked(&mut self, landed: &Landed) {
         let outbox = &mut self.outbox;
-        let mut foreign = false;
         self.parked.retain(|parked| {
             if parked.flight != landed.flight {
                 return true;
@@ -1517,10 +1321,8 @@ impl Worker {
             let rendered = landed.answer_wire(&parked.query, &mut outbox.response);
             finish_do53_answer(&parked.query, rendered, &mut outbox.response);
             outbox.send(Some(&parked.query), &parked.reply, parked.started);
-            foreign |= parked.foreign;
             false
         });
-        foreign
     }
 
     /// [`pump`](Worker::pump) for a thread other than the worker's. `true`
@@ -1537,10 +1339,10 @@ impl Worker {
     }
 
     /// Lands every live flight and answers everything parked, sleeping out
-    /// the round trips still upstream — what an item that moves ownership
-    /// (of keys, of the source set, of the shard itself) does first, so that
-    /// nothing generated under the old order arrives under the new one. One
-    /// round trip, at operator cadence.
+    /// the round trips still upstream — what an item that ends an order (a
+    /// source set or pool configuration swapped, the shard shut down) does
+    /// first, so that nothing generated under the old order arrives under
+    /// the new one. One round trip, at operator cadence.
     fn land_everything(&mut self) {
         while self.pump().is_some() {
             let Some(ready_at) = self.next_arrival() else {
@@ -1559,14 +1361,6 @@ impl Worker {
             .min()
     }
 
-    /// Hands every entry the shard's ring assigns elsewhere to its owner:
-    /// what a query routed under an older table just cached.
-    fn hand_off_foreign(&mut self) {
-        if let Some(ring) = &self.ring {
-            forward_entries(&mut self.resolver, ring, self.index);
-        }
-    }
-
     /// Takes one item off the shard's queue. `Break` once the shard has
     /// shut down.
     fn handle(&mut self, item: WorkItem) -> ControlFlow<()> {
@@ -1575,10 +1369,6 @@ impl Worker {
             WorkItem::Wake => {}
             WorkItem::Snapshot(tx) => {
                 let _ = tx.send((self.index, self.resolver.snapshot()));
-            }
-            WorkItem::Probe(tx) => {
-                let now = self.exchanger.now();
-                let _ = tx.send((self.index, self.resolver.probe_entries(now)));
             }
             WorkItem::Reconfigure { order, ack } => {
                 if order.sources.is_some() || order.pool.is_some() {
@@ -1602,16 +1392,6 @@ impl Worker {
                 let now = self.exchanger.now();
                 self.resolver.apply_config(order.cache, now);
                 ack.store(order.epoch, Ordering::Release);
-            }
-            WorkItem::Rehash { ring, done } => {
-                self.land_everything();
-                forward_entries(&mut self.resolver, &ring, self.index);
-                self.ring = Some(ring);
-                let _ = done.send((self.index, ()));
-            }
-            WorkItem::Install { key, cached } => {
-                let now = self.exchanger.now();
-                self.resolver.install_entry(key, cached, now);
             }
             WorkItem::Shutdown(tx) => {
                 self.land_everything();
@@ -1639,8 +1419,8 @@ impl Worker {
 fn worker_loop(cell: &ShardCell, rx: mpsc::Receiver<WorkItem>) {
     let mut wait = None;
     loop {
-        // `None`: disconnected — every sender is gone, a retired shard's
-        // exit signal. `Some(None)`: the wait timed out.
+        // `None`: disconnected — every sender is gone. `Some(None)`: the
+        // wait timed out.
         let taken = match wait {
             None => rx.recv().ok().map(Some),
             Some(wait) => match rx.recv_timeout(wait) {
@@ -1665,32 +1445,12 @@ fn worker_loop(cell: &ShardCell, rx: mpsc::Receiver<WorkItem>) {
             }
         };
         if flow.is_break() {
-            // The ring holds this shard's own handle: kept, the cells of a
-            // ring would keep each other alive.
-            worker.ring = None;
             return;
         }
         worker.alarm = worker.pump();
         wait = worker
             .alarm
             .map(|due| due.saturating_duration_since(worker.exchanger.now()));
-    }
-}
-
-/// Extracts every cache entry whose owner under `ring` is not shard `keep`
-/// and forwards it — stamps and re-asked bit intact, so a hot pool keeps
-/// its eviction rank in the full shard it lands in — to the owner's queue.
-/// A shard the ring no longer reaches forwards everything.
-/// Extraction happens-before the forward, so no entry is ever servable
-/// from two shards at once; `install` on the receiving side refuses to
-/// clobber an at-least-as-fresh entry, so a racing regeneration by the new
-/// owner wins over the handed-off copy.
-fn forward_entries(resolver: &mut CachingPoolResolver, ring: &[ShardTx], keep: usize) {
-    let moved = resolver.extract_entries(|key| owner_of(key, ring.len()) != keep);
-    for (key, cached) in moved {
-        if let Some(owner) = ring.get(owner_of(&key, ring.len())) {
-            owner.send(WorkItem::Install { key, cached });
-        }
     }
 }
 
@@ -1773,33 +1533,6 @@ mod tests {
             "64 domains hit {} shards",
             hit.len()
         );
-    }
-
-    #[test]
-    fn owner_of_mirrors_wire_level_sharding() {
-        // The control plane's key-level hash must agree with the
-        // dispatcher's wire-level hash for every key, or a rescale would
-        // hand entries to shards that never see their queries.
-        for i in 0..64 {
-            let domain = format!("pool{i}.NTPNS.org");
-            for (rtype, family) in [
-                (sdoh_dns_wire::RrType::A, sdoh_core::AddressFamily::V4),
-                (sdoh_dns_wire::RrType::Aaaa, sdoh_core::AddressFamily::V6),
-            ] {
-                let key = PoolKey {
-                    domain: domain.parse().unwrap(),
-                    family,
-                };
-                let wire = query_wire(&domain, rtype);
-                for shards in 1..=9 {
-                    assert_eq!(
-                        owner_of(&key, shards),
-                        shard_for(&wire, shards),
-                        "{domain} {family:?} diverged at {shards} shards"
-                    );
-                }
-            }
-        }
     }
 
     /// A UDP pick whose TCP side this test holds. Tests run in parallel and
@@ -2007,15 +1740,12 @@ mod tests {
         // The test plays the shard's worker: it holds the shard, so the
         // query is handed to the queue it reads.
         let _busy = ShardCell::lock(&shard.cell);
-        let routes = Arc::new(RouteState::new(RouteTable {
-            senders: vec![shard.clone()],
-            acked: Vec::new(),
-        }));
+        let shards = vec![shard.clone()];
         let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(FrontCounters::register(&Registry::new()));
         let acceptor = {
             let (stop, counters) = (Arc::clone(&stop), Arc::clone(&counters));
-            std::thread::spawn(move || tcp_loop(listener, routes, stop, counters))
+            std::thread::spawn(move || tcp_loop(listener, shards, stop, counters))
         };
         // Several back-offs' worth of failed accepts later a query over the
         // listener still reaches the shard queue, and its answer the client.
@@ -2072,10 +1802,6 @@ mod tests {
         // Held by this thread, the shard is busy for `serve_framed` too: the
         // queries go to the queue the thread below plays the worker on.
         let _busy = ShardCell::lock(&shard.cell);
-        let routes = RouteState::new(RouteTable {
-            senders: vec![shard.clone()],
-            acked: Vec::new(),
-        });
         let counters = FrontCounters::register(&Registry::new());
         // Two queries, then the peer closes.
         let mut stream = Recorded {
@@ -2094,7 +1820,7 @@ mod tests {
                 reply.send(answer).unwrap();
             }
         });
-        serve_framed(&mut stream, &mut RouteCopy::new(&routes), &counters).unwrap();
+        serve_framed(&mut stream, std::slice::from_ref(&shard), &counters).unwrap();
         worker.join().unwrap();
         assert_eq!(
             stream.writes,
@@ -2108,59 +1834,62 @@ mod tests {
         assert_eq!(counters.handed_off.get(), 2);
     }
 
-    /// Two queries written back to back on one connection: each gets its
-    /// own answer, in the order asked, and a table published between them
-    /// routes the second — the TCP thread's copy of the table follows the
-    /// version.
+    /// Two queries written back to back on one connection, for keys of two
+    /// different shards: each gets its own answer, in the order asked, and
+    /// the second is read only once the first is answered.
     #[test]
     fn pipelined_tcp_queries_get_their_own_answers_in_order() {
-        let fleet = LoopbackFleet::build(LoopbackConfig::default());
+        let fleet = LoopbackFleet::build(LoopbackConfig {
+            pool_domains: 8,
+            ..LoopbackConfig::default()
+        });
         let mut shards = open_shards(&fleet, 2, CacheConfig::default());
         let (second, second_queue) = shards.pop().unwrap();
         let (first, first_queue) = shards.pop().unwrap();
-        // Both held by this thread: the queries go to the queues the thread
-        // below plays the workers on.
+        // Both held by this thread: each query goes to the queue a thread
+        // below plays its shard's worker on.
         let _busy = (ShardCell::lock(&first.cell), ShardCell::lock(&second.cell));
-        let routes = Arc::new(RouteState::new(RouteTable {
-            senders: vec![first.clone()],
-            acked: Vec::new(),
-        }));
-        let counters = FrontCounters::register(&Registry::new());
-        let mut stream = Recorded {
-            script: std::io::Cursor::new(vec![0, 2, 0xAB, 0xCD, 0, 3, 1, 2, 3]),
-            writes: Vec::new(),
-        };
-        // Each answer is its query reversed; the first is answered only
-        // once the rescale is published.
-        let answer = |queue: &mpsc::Receiver<WorkItem>| {
-            let Ok(WorkItem::Query {
-                wire,
-                reply: ReplyPath::Tcp(reply),
-            }) = queue.recv()
-            else {
-                panic!("a TCP query reaches the shard queue");
-            };
-            (wire.iter().rev().copied().collect::<Vec<u8>>(), reply)
-        };
-        let workers = {
-            let routes = Arc::clone(&routes);
-            let second = second.clone();
+        // Each answer is its query reversed.
+        let worker = |queue: mpsc::Receiver<WorkItem>| {
             std::thread::spawn(move || {
-                let (reversed, reply) = answer(&first_queue);
-                routes.publish(RouteTable {
-                    senders: vec![second],
-                    acked: Vec::new(),
-                });
-                reply.send(reversed).unwrap();
-                let (reversed, reply) = answer(&second_queue);
-                reply.send(reversed).unwrap();
+                let Ok(WorkItem::Query {
+                    wire,
+                    reply: ReplyPath::Tcp(reply),
+                }) = queue.recv()
+                else {
+                    panic!("a TCP query reaches the shard queue");
+                };
+                reply.send(wire.iter().rev().copied().collect()).unwrap();
             })
         };
-        serve_framed(&mut stream, &mut RouteCopy::new(&routes), &counters).unwrap();
-        workers.join().unwrap();
+        let workers = [worker(first_queue), worker(second_queue)];
+        let query = |index: usize, id: u16| {
+            let domain = fleet
+                .domains
+                .iter()
+                .find(|domain| shard_for(&a_query(id, domain), 2) == index)
+                .expect("some domain routes to each shard");
+            a_query(id, domain)
+        };
+        // The first asked goes to the second shard, the second to the first.
+        let asked = [query(1, 1), query(0, 2)];
+        let counters = FrontCounters::register(&Registry::new());
+        let framed = |wire: &[u8]| {
+            let len = u16::try_from(wire.len()).unwrap().to_be_bytes();
+            [&len[..], wire].concat()
+        };
+        let mut stream = Recorded {
+            script: std::io::Cursor::new([framed(&asked[0]), framed(&asked[1])].concat()),
+            writes: Vec::new(),
+        };
+        serve_framed(&mut stream, &[first.clone(), second.clone()], &counters).unwrap();
+        for worker in workers {
+            worker.join().unwrap();
+        }
+        let reversed = |wire: &[u8]| framed(&wire.iter().rev().copied().collect::<Vec<u8>>());
         assert_eq!(
             stream.writes,
-            [vec![0, 2, 0xCD, 0xAB], vec![0, 3, 3, 2, 1]],
+            [reversed(&asked[0]), reversed(&asked[1])],
             "each query's own answer, in order"
         );
         assert_eq!(counters.tcp_received.get(), 2);
@@ -2404,7 +2133,7 @@ mod tests {
         let (miss_shard, miss_rx) = shards.pop().unwrap();
         let (cold_domain, stale_domain) = (&fleet.domains[0], &fleet.domains[1]);
         // One shard has the stale domain cached, stamped as expired on the
-        // way through a hand-off: its next query is a stale hit.
+        // way out of its cache and back in: its next query is a stale hit.
         {
             let mut guard = ShardCell::lock(&stale_shard.cell);
             let worker: &mut Worker = &mut guard;
@@ -2489,74 +2218,6 @@ mod tests {
     }
 
     #[test]
-    fn a_key_generated_after_a_rehash_moved_it_is_handed_to_its_owner() {
-        let fleet = LoopbackFleet::build(LoopbackConfig {
-            pool_domains: 8,
-            ..LoopbackConfig::default()
-        });
-        // A key the 2-wide ring gives shard 1.
-        let moved = fleet
-            .domains
-            .iter()
-            .find(|domain| {
-                let key = PoolKey {
-                    domain: (*domain).clone(),
-                    family: sdoh_core::AddressFamily::V4,
-                };
-                owner_of(&key, 2) == 1
-            })
-            .expect("some domain moves to shard 1");
-        let mut shards = open_shards(&fleet, 2, CacheConfig::default());
-        let (s1, installs) = shards.pop().unwrap();
-        let (s0, rx) = shards.pop().unwrap();
-        // Shard 0 serving alone, with the key cached.
-        {
-            let mut guard = ShardCell::lock(&s0.cell);
-            let worker: &mut Worker = &mut guard;
-            let query = Message::query(0, moved.clone(), RrType::A);
-            let primed = worker
-                .resolver
-                .handle_query(worker.exchanger.as_mut(), &query);
-            assert_eq!(primed.answer_addresses().len(), 24);
-        }
-        // The grow to two reaches shard 0; then a query for the key routed
-        // under the 1-wide table: it misses and generates the key again.
-        let (done, _) = mpsc::channel();
-        let (reply, answers) = mpsc::channel();
-        let (probe, probes) = mpsc::channel();
-        let (last, _) = mpsc::channel();
-        let ring = Arc::new(vec![s0.clone(), s1.clone()]);
-        assert!(s0.send(WorkItem::Rehash { ring, done }));
-        assert!(s0.send(WorkItem::Query {
-            wire: a_query(1, moved),
-            reply: ReplyPath::Tcp(reply),
-        }));
-        assert!(s0.send(WorkItem::Probe(probe)));
-        assert!(s0.send(WorkItem::Shutdown(last)));
-        worker_loop(&s0.cell, rx);
-
-        let answer = Message::decode(&answers.try_recv().unwrap()).unwrap();
-        assert_eq!(answer.answer_addresses().len(), 24);
-        let (_, entries) = probes.try_recv().unwrap();
-        assert!(
-            entries.iter().all(|entry| &entry.key.domain != moved),
-            "shard 0 kept a key the ring gives shard 1"
-        );
-        let handed: Vec<Name> = installs
-            .try_iter()
-            .filter_map(|item| match item {
-                WorkItem::Install { key, .. } => Some(key.domain),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            handed,
-            [moved.clone(), moved.clone()],
-            "at the rehash, and again once generated"
-        );
-    }
-
-    #[test]
     fn refresh_runs_while_the_shard_queue_never_empties() {
         // The worker deals with what is due after each item it takes, not
         // only when a wait times out. Its queue is filled before it starts
@@ -2574,7 +2235,7 @@ mod tests {
             .with_ttl(Ttl::from_secs(60))
             .with_stale_window(Duration::from_secs(3600));
         let (shard, rx) = open_shards(&fleet, 1, cache).remove(0);
-        // Both cached; B stamped as expired on the way through a hand-off.
+        // Both cached; B stamped as expired on the way out and back in.
         {
             let mut guard = ShardCell::lock(&shard.cell);
             let worker: &mut Worker = &mut guard;

@@ -5,7 +5,7 @@
 //! the TCP fallback for truncated answers, the off-query-path background
 //! refresh, and what a generation that does not hold its shard is for: hits
 //! answered while a miss is upstream, misses sharing a flight or a round
-//! trip, statistics, shutdown and rescale with flights live.
+//! trip, statistics, shutdown and reconfiguration with flights live.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -399,12 +399,12 @@ fn background_refresh_runs_off_the_query_path() {
 }
 
 /// The longest a client may wait for any answer while the control plane
-/// applies a delta or rescales: a reconfiguration is never an outage a
-/// client would notice.
+/// applies a delta: a reconfiguration is never an outage a client would
+/// notice.
 const BLACKOUT_BUDGET: Duration = Duration::from_millis(500);
 
 /// Scrapes `/metrics` and asserts the published epoch and one acked-epoch
-/// gauge per live shard, every one at `epoch`.
+/// gauge per shard, every one at `epoch`.
 fn assert_epoch_gauges(stats_addr: std::net::SocketAddr, epoch: u64, shards: usize) {
     let scrape = http_get(stats_addr, "/metrics", Duration::from_secs(5)).expect("scrape");
     let samples = parse_prometheus(&scrape.body).expect("parseable exposition");
@@ -421,7 +421,7 @@ fn assert_epoch_gauges(stats_addr: std::net::SocketAddr, epoch: u64, shards: usi
     let expected = epoch as f64;
     assert_eq!(gauge("sdoh_config_epoch"), vec![expected]);
     let acked = gauge("sdoh_shard_acked_epoch");
-    assert_eq!(acked.len(), shards, "one acked gauge per live shard");
+    assert_eq!(acked.len(), shards, "one acked gauge per shard");
     assert!(
         acked.iter().all(|&acked_epoch| acked_epoch == expected),
         "every shard acked epoch {expected}: {acked:?}"
@@ -429,14 +429,13 @@ fn assert_epoch_gauges(stats_addr: std::net::SocketAddr, epoch: u64, shards: usi
 }
 
 #[test]
-fn reconfiguration_and_rescale_under_load_drop_nothing() {
+fn reconfiguration_under_load_drops_nothing() {
     // The control-plane e2e: while real UDP clients hammer the runtime,
     // apply a full config delta (TTL + stale window, pool hardening, a
-    // smaller upstream resolver set) and rescale 4 -> 8 -> 4 shards. Not
-    // one query may be dropped or wait out the blackout budget, every
-    // answer must satisfy the x = 1/2 guarantee, the epoch transitions must
-    // be visible through the /metrics gauges after the grow and after the
-    // shrink, and afterwards no cache key may live on two shards.
+    // smaller upstream resolver set). Not one query may be dropped or wait
+    // out the blackout budget, every answer must satisfy the x = 1/2
+    // guarantee, and the epoch transition must be visible through the
+    // /metrics gauges and the /config document.
     //
     // Every control item meets live flights: an exchange takes 3 ms, and 32
     // domains asked for in turn over caches of four entries a shard never
@@ -523,64 +522,18 @@ fn reconfiguration_and_rescale_under_load_drop_nothing() {
         "shards acked the new epoch while serving: {:?}",
         control.acked_epochs()
     );
-
-    // Grow 4 -> 8 mid-load: pre-built shards take indices 4..8.
-    let mut spare: Vec<Option<Shard>> = fleet
-        .shards(
-            8,
-            PoolConfig {
-                min_responses: 2,
-                ..PoolConfig::algorithm1()
-            },
-            control.current_config(),
-        )
-        .expect("valid config")
-        .into_iter()
-        .map(Some)
-        .collect();
-    let receipt = control
-        .rescale(8, |index| spare[index].take().expect("fresh shard"))
-        .expect("grow rescale");
-    assert_eq!(receipt.shards, 8);
-    assert_eq!(control.shard_count(), 8);
-    assert!(control.wait_for_epoch(receipt.epoch, Duration::from_secs(10)));
+    // The loaders keep asking under the new epoch.
     std::thread::sleep(Duration::from_millis(150));
 
     // The epoch transition is observable through the /metrics gauges:
-    // the published epoch and all eight per-shard acked-epoch gauges.
-    assert_epoch_gauges(stats_addr, receipt.epoch, 8);
+    // the published epoch and every per-shard acked-epoch gauge.
+    assert_epoch_gauges(stats_addr, receipt.epoch, SHARDS);
     let config_doc = http_get(stats_addr, "/config", Duration::from_secs(5)).expect("/config");
     assert_eq!(config_doc.status, 200);
     assert!(config_doc
         .body
         .contains(&format!("\"epoch\": {}", receipt.epoch)));
-    assert!(config_doc.body.contains("\"shards\": 8"));
-
-    // Shrink back 8 -> 4 mid-load: retirees hand entries to survivors and
-    // linger for stray in-flight queries.
-    let receipt = control
-        .rescale(4, |_| unreachable!("shrinking builds no shards"))
-        .expect("shrink rescale");
-    assert_eq!(receipt.shards, 4);
-    assert_eq!(control.shard_count(), 4);
-    assert!(control.wait_for_epoch(receipt.epoch, Duration::from_secs(10)));
-    std::thread::sleep(Duration::from_millis(150));
-    assert_eq!(receipt.epoch, 3, "apply, grow, shrink: three epochs");
-    assert_epoch_gauges(stats_addr, receipt.epoch, 4);
-
-    // No cache key is owned by two shards at once after the rescales.
-    let probes = control.probe_entries(Duration::from_secs(5));
-    assert_eq!(probes.len(), 4, "every live shard answered the probe");
-    let mut seen = std::collections::HashSet::new();
-    for (shard, entries) in &probes {
-        for probe in entries {
-            assert!(
-                seen.insert(probe.key.clone()),
-                "{} cached by shard {shard} and another shard at once",
-                probe.key
-            );
-        }
-    }
+    assert!(config_doc.body.contains(&format!("\"shards\": {SHARDS}")));
 
     stop.store(true, Ordering::Relaxed);
     let sent: u64 = loaders.into_iter().map(|h| h.join().expect("loader")).sum();
@@ -589,183 +542,22 @@ fn reconfiguration_and_rescale_under_load_drop_nothing() {
     let stats = runtime.shutdown();
     assert_eq!(
         stats.dropped_queries, 0,
-        "zero dropped queries across apply + grow + shrink"
+        "zero dropped queries across apply"
     );
-    assert_eq!(stats.config_epoch, 3, "apply, grow, shrink: three epochs");
+    assert_eq!(stats.config_epoch, 1);
     assert_eq!(
         stats.udp_queries, sent,
         "the front door counted every query"
     );
-    // Serve counters are owned per shard: the queries shards 4..7 served
-    // between the grow and the shrink retired with their workers, so the
-    // aggregate covers the four survivors only.
-    assert!(
-        stats.total.serve.queries <= sent,
-        "surviving shards served {} of {sent}",
-        stats.total.serve.queries
+    assert_eq!(
+        stats.total.serve.queries, sent,
+        "the shards served every query"
     );
-    assert!(stats.total.serve.queries > 0);
     assert!(
         stats.total.serve.misses * 2 > stats.total.serve.queries,
         "the control items met live flights: {:?}",
         stats.total.serve
     );
-}
-
-#[test]
-fn every_key_has_one_home_after_any_rescale() {
-    // A quiet runtime: 32 domains cached once under a TTL the test does not
-    // outlive, caches wider than the key set, no upstream latency, no load.
-    // The widths do not divide each other, so `hash % shards` moves keys
-    // among the shards that stay as well as off the ones that leave. After
-    // every rescale each key is cached by exactly one live shard, and that
-    // shard is the one its queries reach: asking everything again is 32
-    // hits and not one generation. Nothing here waits or polls: `rescale`
-    // returns once every worker of the old table confirmed, and by then
-    // each hand-off is queued at its new owner ahead of any later query.
-    const DOMAINS: usize = 32;
-    let fleet = LoopbackFleet::build(LoopbackConfig {
-        pool_domains: DOMAINS,
-        ..LoopbackConfig::default()
-    });
-    let cache = CacheConfig::default()
-        .with_ttl(Ttl::from_secs(600))
-        .with_capacity(64);
-    let shards = |count: usize| {
-        fleet
-            .shards(count, PoolConfig::algorithm1(), cache)
-            .expect("valid config")
-    };
-    let runtime = PoolRuntime::start(RuntimeConfig::default(), shards(3)).expect("bind loopback");
-    let control = runtime.control();
-    let client =
-        RuntimeClient::connect(runtime.udp_addr(), Some(runtime.tcp_addr())).expect("client");
-    let ask_every_domain = || {
-        for (id, domain) in (1u16..).zip(&fleet.domains) {
-            let response = client
-                .query(&Message::query(id, domain.clone(), RrType::A))
-                .expect("query answered");
-            assert_eq!(response.answer_addresses().len(), 24);
-        }
-    };
-    ask_every_domain();
-    assert_eq!(runtime.stats().total.serve.generations, DOMAINS as u64);
-
-    for width in [2, 5, 3] {
-        let mut added: Vec<Option<Shard>> = shards(width).into_iter().map(Some).collect();
-        let receipt = control
-            .rescale(width, |index| added[index].take().expect("fresh shard"))
-            .expect("rescale");
-        assert_eq!(receipt.shards, width);
-
-        let probes = control.probe_entries(Duration::from_secs(5));
-        assert_eq!(probes.len(), width, "every live shard answered the probe");
-        let mut homes: std::collections::HashMap<_, Vec<usize>> = std::collections::HashMap::new();
-        for (shard, entries) in &probes {
-            for probe in entries {
-                homes.entry(probe.key.to_string()).or_default().push(*shard);
-            }
-        }
-        assert_eq!(
-            homes.len(),
-            DOMAINS,
-            "no key was lost on the way to {width}"
-        );
-        homes.retain(|_, shards| shards.len() != 1);
-        assert!(homes.is_empty(), "cached twice at width {width}: {homes:?}");
-
-        // Both readings are of the shards live at this width, so what a
-        // retired shard had counted enters neither.
-        let before = runtime.stats().total.serve;
-        ask_every_domain();
-        let after = runtime.stats().total.serve;
-        assert_eq!(
-            (
-                after.hits - before.hits,
-                after.misses - before.misses,
-                after.generations - before.generations
-            ),
-            (DOMAINS as u64, 0, 0),
-            "(hits, misses, generations) of asking every domain again at width {width}"
-        );
-    }
-    let stats = runtime.shutdown();
-    assert_eq!(stats.dropped_queries, 0);
-    assert_eq!(stats.config_epoch, 3, "one epoch per rescale");
-}
-
-#[test]
-fn a_hot_set_keeps_its_rank_across_a_rescale() {
-    // Caches far smaller than the key set. A hot set is asked twice, then
-    // each width sees a scan of names asked once — more than its shards
-    // hold — before the hot set is asked again. An entry's re-asked bit
-    // travels with it through `Rehash` -> `Install`: a hot pool a rescale
-    // moved outranks its new shard's once-asked entries like the hot pools
-    // already there, so the scan evicts only itself and every hot name is
-    // answered from the cache at every width. (Handed over without the
-    // bit, the moved pools would be the oldest once-asked entries of their
-    // new shard and the first the scan evicts.)
-    const HOT: usize = 8;
-    const SCAN: usize = 32;
-    let fleet = LoopbackFleet::build(LoopbackConfig {
-        pool_domains: HOT + 3 * SCAN,
-        compromised: vec![2],
-        ..LoopbackConfig::default()
-    });
-    let truth = fleet.ground_truth();
-    let cache = CacheConfig::default()
-        .with_ttl(Ttl::from_secs(600))
-        .with_capacity(HOT);
-    let shards = |count: usize| {
-        fleet
-            .shards(count, PoolConfig::algorithm1(), cache)
-            .expect("valid config")
-    };
-    let runtime = PoolRuntime::start(RuntimeConfig::default(), shards(2)).expect("bind loopback");
-    let control = runtime.control();
-    let client =
-        RuntimeClient::connect(runtime.udp_addr(), Some(runtime.tcp_addr())).expect("client");
-    let ask = |domains: &[sdoh_dns_wire::Name]| {
-        for (id, domain) in (1u16..).zip(domains) {
-            let response = client
-                .query(&Message::query(id, domain.clone(), RrType::A))
-                .expect("query answered");
-            assert_guarantee(&response, &truth);
-        }
-    };
-    let (hot, scans) = fleet.domains.split_at(HOT);
-    ask(hot);
-    ask(hot);
-
-    for (scan, rescale_to) in scans.chunks(SCAN).zip([Some(3), Some(2), None]) {
-        ask(scan);
-        let before = runtime.stats().total;
-        assert_eq!(
-            before.entries,
-            runtime.shard_count() * HOT,
-            "every shard is full"
-        );
-        ask(hot);
-        let after = runtime.stats().total;
-        assert_eq!(
-            (
-                after.serve.hits - before.serve.hits,
-                after.serve.generations - before.serve.generations
-            ),
-            (HOT as u64, 0),
-            "(hits, generations) of the hot set at width {}",
-            runtime.shard_count()
-        );
-        if let Some(width) = rescale_to {
-            let mut added: Vec<Option<Shard>> = shards(width).into_iter().map(Some).collect();
-            control
-                .rescale(width, |index| added[index].take().expect("fresh shard"))
-                .expect("rescale");
-        }
-    }
-    let stats = runtime.shutdown();
-    assert_eq!(stats.total.cache.reasked_evictions, 0);
-    assert_eq!(stats.dropped_queries, 0);
 }
 
 #[test]

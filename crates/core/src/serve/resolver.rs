@@ -951,8 +951,9 @@ impl QueryHandler for CachingPoolResolver {
         exchanger: &mut dyn Exchanger,
         query: &Message,
         out: &mut Vec<u8>,
-    ) -> WireResult<()> {
+    ) -> WireResult<Option<u32>> {
         self.serve(exchanger, query, |served| served.wire(query, out))
+            .map(|()| None)
     }
 
     fn handler_name(&self) -> &str {

@@ -11,8 +11,34 @@
 //! them into a [`Message`]. Both go through the one message encoder
 //! ([`encode_sections`]), so the wire form is `answer(..).encode()` byte
 //! for byte, without a record, question or name copied on the way.
+//!
+//! # The answer index
+//!
+//! Most queries an authority of the paper's pool zone sees ask for the
+//! addresses of a pool name, and the walk would end on the same records
+//! for each. So [`Authority::new`] walks each of them once: every owner
+//! whose A or AAAA lookup is an exact-match answer of IN records sharing
+//! one TTL, in the zone that [`Catalog::find`] picks for it, gets that
+//! answer pre-encoded as an authoritative [`AnswerTemplate`] with its TTL.
+//! [`Authority::answer_into`] renders a standard query with one question
+//! for an indexed owner and type from it, with the query's id, RD bit and
+//! question spelling — byte for byte what the walk writes, since the walk
+//! would have reached the same records — and reports the TTL, so a DoH
+//! terminator need not read its `max-age` back from the answer. Every other
+//! query (CNAME chains, referrals, wildcards, NXDOMAIN, NODATA, an RRset of
+//! mixed TTLs) takes the walk.
+//!
+//! An authority cannot be changed once built, so its index cannot go
+//! stale; catalog and index sit behind one [`Arc`], and a clone shares
+//! them (a fleet of terminators serving one zone holds it once).
 
-use sdoh_dns_wire::{encode_sections, Header, Message, Name, Opcode, Rcode, Record, WireResult};
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use sdoh_dns_wire::{
+    encode_sections, AnswerTemplate, Header, Message, Name, Opcode, Rcode, Record, RrClass, RrType,
+    WireResult,
+};
 
 use crate::catalog::Catalog;
 use crate::zone::{Delegation, Zone, ZoneLookup};
@@ -96,26 +122,75 @@ impl<'a> Found<'a> {
     }
 }
 
-/// An authoritative DNS server over a catalog of zones.
+/// An authoritative DNS server over a catalog of zones: immutable, and
+/// cheap to clone (clones share the catalog and its answer index).
 #[derive(Debug, Clone, Default)]
 pub struct Authority {
+    served: Arc<Served>,
+}
+
+/// What an authority serves from: the catalog, and the answer index built
+/// from it (see the module documentation).
+#[derive(Debug, Default)]
+struct Served {
     catalog: Catalog,
+    /// The pre-encoded A and AAAA answers of each indexed owner, in that
+    /// order.
+    index: HashMap<Name, [Option<Indexed>; 2]>,
+}
+
+/// One indexed address RRset: its answer pre-encoded, and its records' TTL.
+#[derive(Debug)]
+struct Indexed {
+    template: AnswerTemplate,
+    ttl: u32,
+}
+
+impl Indexed {
+    /// `zone`'s answer to `owner`/`rtype`, when it is an exact match of IN
+    /// address records sharing one TTL.
+    fn of(zone: &Zone, owner: &Name, rtype: RrType) -> Option<Indexed> {
+        let ZoneLookup::Answer(records) = zone.lookup(owner, rtype) else {
+            return None;
+        };
+        let ttl = records.iter().next()?.ttl;
+        let uniform = records
+            .iter()
+            .all(|r| r.rclass == RrClass::In && r.ttl == ttl);
+        uniform.then(|| Indexed {
+            template: AnswerTemplate::for_addresses(
+                rtype,
+                records.iter().filter_map(Record::ip_addr),
+            )
+            .authoritative(),
+            ttl,
+        })
+    }
 }
 
 impl Authority {
-    /// Creates an authority serving the given catalog.
+    /// Creates an authority serving the given catalog, and indexes its
+    /// address answers (see the module documentation).
     pub fn new(catalog: Catalog) -> Self {
-        Authority { catalog }
-    }
-
-    /// Read access to the underlying catalog.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
-    /// Mutable access to the underlying catalog.
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
-        &mut self.catalog
+        let mut index = HashMap::new();
+        for zone in catalog.zones() {
+            for owner in zone.owners() {
+                // A nested zone answers for its own names.
+                if catalog
+                    .find(owner)
+                    .is_some_and(|found| found.origin() == zone.origin())
+                {
+                    let answers =
+                        [RrType::A, RrType::Aaaa].map(|rtype| Indexed::of(zone, owner, rtype));
+                    if answers.iter().any(Option::is_some) {
+                        index.insert(owner.clone(), answers);
+                    }
+                }
+            }
+        }
+        Authority {
+            served: Arc::new(Served { catalog, index }),
+        }
     }
 
     /// Produces an authoritative response for `query`.
@@ -145,14 +220,21 @@ impl Authority {
     }
 
     /// [`Authority::answer`] in wire form, into `out` (replacing its
-    /// contents): the same bytes as `answer(query).encode()`, written from
-    /// the zone's records where they lie.
+    /// contents): the same bytes as `answer(query).encode()`, rendered from
+    /// the answer index or written from the zone's records where they lie.
+    /// Returns the answer records' TTL when the index answered, `None`
+    /// when the walk did.
     ///
     /// # Errors
     ///
     /// The encoding error `answer(query).encode()` would return; `out` is
     /// left empty.
-    pub fn answer_into(&self, query: &Message, out: &mut Vec<u8>) -> WireResult<()> {
+    pub fn answer_into(&self, query: &Message, out: &mut Vec<u8>) -> WireResult<Option<u32>> {
+        if let Some(indexed) = self.indexed(query) {
+            if indexed.template.render(query, indexed.ttl, out) {
+                return Ok(Some(indexed.ttl));
+            }
+        }
         let found = self.walk(query);
         encode_sections(
             found.header(query),
@@ -162,6 +244,24 @@ impl Authority {
             found.additionals(),
             out,
         )
+        .map(|()| None)
+    }
+
+    /// The indexed answer to `query`: a standard query with one question,
+    /// for the address RRset of an indexed owner.
+    fn indexed(&self, query: &Message) -> Option<&Indexed> {
+        let [question] = query.questions.as_slice() else {
+            return None;
+        };
+        if query.header.opcode != Opcode::Query {
+            return None;
+        }
+        let slot = match question.rtype {
+            RrType::A => 0,
+            RrType::Aaaa => 1,
+            _ => return None,
+        };
+        self.served.index.get(&question.name)?.get(slot)?.as_ref()
     }
 
     /// The one walk (see the module documentation): opcode, question and
@@ -173,7 +273,7 @@ impl Authority {
         let Some(question) = query.question() else {
             return Found::error(Rcode::FormErr);
         };
-        let Some(zone) = self.catalog.find(&question.name) else {
+        let Some(zone) = self.served.catalog.find(&question.name) else {
             return Found::error(Rcode::Refused);
         };
 
@@ -358,19 +458,6 @@ mod tests {
         let authority = test_authority();
         let query = Message::new();
         assert_eq!(authority.answer(&query).header.rcode, Rcode::FormErr);
-    }
-
-    #[test]
-    fn catalog_accessors() {
-        let mut authority = test_authority();
-        assert_eq!(authority.catalog().len(), 1);
-        authority
-            .catalog_mut()
-            .add_zone(Zone::new("other.test".parse().unwrap()));
-        assert_eq!(authority.catalog().len(), 2);
-        // New zone is served too.
-        let query = Message::query(9, "other.test".parse().unwrap(), RrType::Soa);
-        assert_eq!(authority.answer(&query).header.rcode, Rcode::NoError);
     }
 
     #[test]

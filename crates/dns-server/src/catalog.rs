@@ -33,6 +33,11 @@ impl Catalog {
         self.zones.is_empty()
     }
 
+    /// The zones, in the order they were added.
+    pub(crate) fn zones(&self) -> impl Iterator<Item = &Zone> {
+        self.zones.iter()
+    }
+
     /// Finds the zone whose origin is the longest suffix of `name`.
     pub fn find(&self, name: &Name) -> Option<&Zone> {
         self.zones

@@ -24,6 +24,12 @@ pub trait QueryHandler {
     /// an [`Authority`] writing from its zone) overrides this to skip the
     /// [`Message`]; the bytes must equal `handle_query(..).encode()`.
     ///
+    /// Returns the least TTL of the answer's answer records when the
+    /// handler knows it without reading `out` back — a pre-encoded answer
+    /// with one TTL for all its records — and `None` when it does not; a
+    /// caller wanting the TTL then reads it from `out`. A wrapper that
+    /// forwards the query passes the inner handler's value through.
+    ///
     /// # Errors
     ///
     /// The response's encoding error; `out` is left empty.
@@ -32,8 +38,10 @@ pub trait QueryHandler {
         exchanger: &mut dyn Exchanger,
         query: &Message,
         out: &mut Vec<u8>,
-    ) -> WireResult<()> {
-        self.handle_query(exchanger, query).encode_into(out)
+    ) -> WireResult<Option<u32>> {
+        self.handle_query(exchanger, query)
+            .encode_into(out)
+            .map(|()| None)
     }
 
     /// Human-readable name used in diagnostics.
@@ -52,7 +60,7 @@ impl<H: QueryHandler + ?Sized> QueryHandler for Box<H> {
         exchanger: &mut dyn Exchanger,
         query: &Message,
         out: &mut Vec<u8>,
-    ) -> WireResult<()> {
+    ) -> WireResult<Option<u32>> {
         (**self).handle_query_wire(exchanger, query, out)
     }
 
@@ -80,7 +88,7 @@ impl<H: QueryHandler> QueryHandler for std::sync::Arc<parking_lot::Mutex<H>> {
         exchanger: &mut dyn Exchanger,
         query: &Message,
         out: &mut Vec<u8>,
-    ) -> WireResult<()> {
+    ) -> WireResult<Option<u32>> {
         self.lock().handle_query_wire(exchanger, query, out)
     }
 
@@ -99,7 +107,7 @@ impl QueryHandler for Authority {
         _exchanger: &mut dyn Exchanger,
         query: &Message,
         out: &mut Vec<u8>,
-    ) -> WireResult<()> {
+    ) -> WireResult<Option<u32>> {
         self.answer_into(query, out)
     }
 

@@ -175,27 +175,30 @@ impl<H: QueryHandler> QueryHandler for PoisonedResolver<H> {
         }
     }
 
-    /// A query off the target goes to the inner handler's wire path; a
-    /// replacement of the template's family is rendered from it; anything
-    /// else is the owned answer, encoded.
+    /// A query off the target goes to the inner handler's wire path, and
+    /// its TTL comes back with it; a replacement of the template's family
+    /// is rendered from it, with the configured TTL when it holds a record;
+    /// anything else is the owned answer, encoded.
     fn handle_query_wire(
         &mut self,
         exchanger: &mut dyn Exchanger,
         query: &Message,
         out: &mut Vec<u8>,
-    ) -> WireResult<()> {
+    ) -> WireResult<Option<u32>> {
         if !self.applies(query) {
             return self.inner.handle_query_wire(exchanger, query, out);
         }
-        let rendered = self.template.as_ref().is_some_and(|(rtype, template)| {
-            query.question().is_some_and(|q| q.rtype == *rtype)
+        if let Some((rtype, template)) = &self.template {
+            if query.question().is_some_and(|q| q.rtype == *rtype)
                 && template.render(query, self.config.ttl, out)
-        });
-        if rendered {
-            self.poisoned_queries += 1;
-            return Ok(());
+            {
+                self.poisoned_queries += 1;
+                return Ok((!template.is_empty()).then_some(self.config.ttl));
+            }
         }
-        self.handle_query(exchanger, query).encode_into(out)
+        self.handle_query(exchanger, query)
+            .encode_into(out)
+            .map(|()| None)
     }
 
     fn handler_name(&self) -> &str {

@@ -47,7 +47,7 @@ pub fn serve_do53_payload_into(
     out: &mut Vec<u8>,
 ) -> Option<Message> {
     let query = decode_do53_query(payload, drop_malformed, out)?;
-    let rendered = handler.handle_query_wire(exchanger, &query, out);
+    let rendered = handler.handle_query_wire(exchanger, &query, out).map(drop);
     finish_do53_answer(&query, rendered, out);
     Some(query)
 }
@@ -223,10 +223,10 @@ mod tests {
             _: &mut dyn Exchanger,
             _: &Message,
             out: &mut Vec<u8>,
-        ) -> sdoh_dns_wire::WireResult<()> {
+        ) -> sdoh_dns_wire::WireResult<Option<u32>> {
             out.clear();
             out.extend_from_slice(b"canned");
-            Ok(())
+            Ok(None)
         }
     }
 

@@ -181,6 +181,11 @@ impl Zone {
         self.records.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
+    /// Every owner name holding records, in canonical order.
+    pub(crate) fn owners(&self) -> impl Iterator<Item = &Name> {
+        self.records.keys()
+    }
+
     /// Looks up `name`/`rtype` following RFC 1034 §4.3.2 semantics within a
     /// single zone: exact match, CNAME, delegation, wildcard, NODATA or
     /// NXDOMAIN.

@@ -5,7 +5,9 @@
 //! where they lie; it must be `handle_query(..).encode()` byte for byte, for
 //! every outcome of a zone lookup and behind every wrapper a deployment puts
 //! around an authority. The same holds for a poisoned resolver, whose
-//! replacement answers are rendered from a template, in every mode. Each
+//! replacement answers are rendered from a template, in every mode, and for
+//! the authority's answer index, which must render exactly the queries the
+//! walk would answer with an indexed RRset and refuse every other. Each
 //! test prints how many pairs it compared.
 
 use std::net::IpAddr;
@@ -17,7 +19,8 @@ use sdoh_dns_server::{
     Zone, ZoneLookup,
 };
 use sdoh_dns_wire::{
-    Edns, Message, MessageBuilder, Name, Opcode, Question, RData, Rcode, Record, RrType,
+    Edns, Message, MessageBuilder, MessageView, Name, Opcode, Question, RData, Rcode, Record,
+    RrClass, RrType,
 };
 use sdoh_netsim::{SimAddr, SimNet};
 
@@ -393,5 +396,250 @@ fn the_poisoned_wire_answer_is_the_encoded_answer_in_every_mode() {
          answers equal to the encoded owned answer, poisoned queries counted alike",
         modes.len(),
         queries.len()
+    );
+}
+
+/// A catalog built to tempt the answer index: a child zone holding an
+/// owner its parent also holds, address records occluded by a zone cut, a
+/// name that exists only through a wildcard, RRsets whose TTLs or classes
+/// differ, owners of one family and of both.
+fn index_catalog() -> Catalog {
+    let name = |n: &str| -> Name { n.parse().unwrap() };
+    let record = |owner: &str, ttl, rdata| Record::new(name(owner), ttl, rdata);
+    let a = |ip: &str| RData::A(ip.parse().unwrap());
+    let aaaa = |ip: &str| RData::Aaaa(ip.parse().unwrap());
+    let mut parent = Zone::new(name("ntpns.org"));
+    let mut chaos = record("classes.ntpns.org", 300, a("192.0.2.41"));
+    chaos.rclass = RrClass::Ch;
+    for record in [
+        record("pool.ntpns.org", 300, a("203.0.113.1")),
+        record("pool.ntpns.org", 300, a("203.0.113.2")),
+        record("pool.ntpns.org", 300, a("203.0.113.3")),
+        record("dual.ntpns.org", 60, a("203.0.113.4")),
+        record("dual.ntpns.org", 120, aaaa("2001:db8::4")),
+        record("v6only.ntpns.org", 30, aaaa("2001:db8::6")),
+        record("ttls.ntpns.org", 300, a("192.0.2.31")),
+        record("ttls.ntpns.org", 60, a("192.0.2.32")),
+        record("classes.ntpns.org", 300, a("192.0.2.40")),
+        chaos,
+        // Shadowed by the child zone below, which answers for it.
+        record("www.sub.ntpns.org", 300, a("192.0.2.50")),
+        record("sub.ntpns.org", 300, a("192.0.2.51")),
+        // A cut, with an address record below it: a referral answers.
+        record("cut.ntpns.org", 300, RData::Ns(name("ns.cut.ntpns.org"))),
+        record("ns.cut.ntpns.org", 300, a("198.51.100.53")),
+        record("host.cut.ntpns.org", 300, a("192.0.2.60")),
+        record("*.wild.ntpns.org", 300, a("192.0.2.70")),
+        record("alias.ntpns.org", 300, RData::Cname(name("pool.ntpns.org"))),
+    ] {
+        assert!(parent.add_record(record));
+    }
+    let mut child = Zone::new(name("sub.ntpns.org"));
+    for record in [
+        record("www.sub.ntpns.org", 600, a("198.51.100.80")),
+        record("www.sub.ntpns.org", 600, a("198.51.100.81")),
+    ] {
+        assert!(child.add_record(record));
+    }
+    [parent, child].into_iter().collect()
+}
+
+/// The authority's wire answer through its answer index against the walk:
+/// each case is a query and whether the index must answer it. An indexed
+/// answer reports its TTL, which is the least TTL of the answer's records;
+/// a refused one reports none and is written by the walk. Either way the
+/// bytes are `handle_query(..).encode()`'s, behind every wrapper, and each
+/// wrapper passes the TTL through.
+#[test]
+fn the_answer_index_answers_only_what_the_walk_answers_alike() {
+    let catalog = index_catalog();
+    let net = SimNet::new(1);
+    let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 1000));
+    let ask = |name: &str, rtype| Message::query(0x1DE5, name.parse().unwrap(), rtype);
+    let with = |name: &str, rtype, change: fn(&mut Message)| {
+        let mut query = ask(name, rtype);
+        change(&mut query);
+        query
+    };
+    let cases = [
+        ("exact match", ask("pool.ntpns.org", RrType::A), true),
+        ("mixed-case qname", ask("PoOl.NtPnS.oRg", RrType::A), true),
+        (
+            "dual-stack owner, A",
+            ask("dual.ntpns.org", RrType::A),
+            true,
+        ),
+        (
+            "dual-stack owner, AAAA",
+            ask("dual.ntpns.org", RrType::Aaaa),
+            true,
+        ),
+        (
+            "AAAA-only owner",
+            ask("v6only.ntpns.org", RrType::Aaaa),
+            true,
+        ),
+        (
+            "AAAA-only owner asked for A (NODATA)",
+            ask("v6only.ntpns.org", RrType::A),
+            false,
+        ),
+        (
+            "child zone over a parent owner",
+            ask("www.sub.ntpns.org", RrType::A),
+            true,
+        ),
+        (
+            "child zone apex over a parent owner",
+            ask("sub.ntpns.org", RrType::A),
+            false,
+        ),
+        (
+            "address records below a cut",
+            ask("host.cut.ntpns.org", RrType::A),
+            false,
+        ),
+        (
+            "glue below a cut",
+            ask("ns.cut.ntpns.org", RrType::A),
+            false,
+        ),
+        (
+            "name only a wildcard holds",
+            ask("x.wild.ntpns.org", RrType::A),
+            false,
+        ),
+        (
+            "RRset whose TTLs differ",
+            ask("ttls.ntpns.org", RrType::A),
+            false,
+        ),
+        (
+            "RRset with a record outside IN",
+            ask("classes.ntpns.org", RrType::A),
+            false,
+        ),
+        ("CNAME chain", ask("alias.ntpns.org", RrType::A), false),
+        ("NXDOMAIN", ask("missing.ntpns.org", RrType::A), false),
+        (
+            "TXT at an indexed owner",
+            ask("pool.ntpns.org", RrType::Txt),
+            false,
+        ),
+        (
+            "ANY at an indexed owner",
+            ask("pool.ntpns.org", RrType::Any),
+            false,
+        ),
+        (
+            "opcode STATUS",
+            with("pool.ntpns.org", RrType::A, |q| {
+                q.header.opcode = Opcode::Status
+            }),
+            false,
+        ),
+        (
+            "opcode UPDATE",
+            with("pool.ntpns.org", RrType::A, |q| {
+                q.header.opcode = Opcode::Update
+            }),
+            false,
+        ),
+        (
+            "two questions",
+            with("pool.ntpns.org", RrType::A, |q| {
+                q.questions
+                    .push(Question::new("dual.ntpns.org".parse().unwrap(), RrType::A));
+            }),
+            false,
+        ),
+        (
+            "no question",
+            with("pool.ntpns.org", RrType::A, |q| q.questions.clear()),
+            false,
+        ),
+        (
+            "OPT record in the query",
+            with("pool.ntpns.org", RrType::A, |q| {
+                q.set_edns(Edns::with_payload_size(1232));
+            }),
+            true,
+        ),
+        (
+            "RD clear, CD and AD set",
+            with("pool.ntpns.org", RrType::A, |q| {
+                q.header.recursion_desired = false;
+                q.header.checking_disabled = true;
+                q.header.authentic_data = true;
+            }),
+            true,
+        ),
+        (
+            "question class CH",
+            with("pool.ntpns.org", RrType::A, |q| {
+                q.questions[0].rclass = RrClass::Ch;
+            }),
+            true,
+        ),
+    ];
+
+    let poisoned = || {
+        PoisonedResolver::new(
+            Authority::new(catalog.clone()),
+            PoisonConfig::new(
+                "elsewhere.ntpns.org".parse().unwrap(),
+                PoisonMode::ReplaceAddresses(vec!["198.18.0.1".parse().unwrap()]),
+            ),
+        )
+    };
+    let authority = Authority::new(catalog.clone());
+    let mut handlers: Vec<(&str, Box<dyn QueryHandler>)> = vec![
+        ("authority", Box::new(authority.clone())),
+        (
+            "shared authority",
+            Box::new(Arc::new(Mutex::new(authority.clone()))),
+        ),
+        ("poisoned resolver, off its target", Box::new(poisoned())),
+        (
+            "boxed poisoned resolver",
+            Box::new(Box::new(poisoned()) as Box<dyn QueryHandler>),
+        ),
+    ];
+
+    let mut compared = 0;
+    let mut indexed = 0;
+    let mut wire = Vec::new();
+    for (case, query, from_index) in &cases {
+        assert_eq!(
+            authority.answer(query),
+            reference_answer(&catalog, query),
+            "{case}"
+        );
+        for (handler_name, handler) in &mut handlers {
+            let ttl = handler
+                .handle_query_wire(&mut exchanger, query, &mut wire)
+                .unwrap();
+            let encoded = handler
+                .handle_query(&mut exchanger, query)
+                .encode()
+                .unwrap();
+            assert_eq!(wire, encoded, "{case} through the {handler_name}");
+            assert_eq!(
+                ttl.is_some(),
+                *from_index,
+                "{case} through the {handler_name}: answered from the index"
+            );
+            if let Some(ttl) = ttl {
+                assert_eq!(Some(ttl), MessageView::least_answer_ttl(&wire), "{case}");
+                indexed += 1;
+            }
+            compared += 1;
+        }
+    }
+    println!(
+        "answer index oracle: {} queries x {} handlers = {compared} wire answers equal to the \
+         encoded owned answer, {indexed} of them rendered from the index with its TTL",
+        cases.len(),
+        handlers.len()
     );
 }

@@ -9,6 +9,11 @@
 //! question at offset 12 — and [`AnswerTemplate::render`] writes header,
 //! echoed question and the TTL-patched records into a caller's buffer,
 //! byte for byte what building the [`Message`] and encoding it produces.
+//!
+//! The header is a resolver's (RA set) or, for a template made
+//! [`authoritative`](AnswerTemplate::authoritative), an authoritative
+//! server's (AA set, RA clear): an authority answering an address RRset of
+//! its zone is the other server that sends the same records to everyone.
 
 use std::net::IpAddr;
 
@@ -53,6 +58,9 @@ pub struct AnswerTemplate {
     records: Vec<u8>,
     /// Length of one record; the same for all because they share a family.
     stride: usize,
+    /// The header's flags: AA set and RA clear when `true`, RA set and AA
+    /// clear otherwise.
+    authoritative: bool,
 }
 
 /// Appends one IN-class record owned by the question name, TTL zeroed.
@@ -84,7 +92,21 @@ impl AnswerTemplate {
         }
         // A mixed pool reserved room for the family that was skipped.
         records.shrink_to_fit();
-        AnswerTemplate { records, stride }
+        AnswerTemplate {
+            records,
+            stride,
+            authoritative: false,
+        }
+    }
+
+    /// The same records answered as an authoritative server answers them:
+    /// AA set, RA clear.
+    #[must_use]
+    pub fn authoritative(self) -> Self {
+        AnswerTemplate {
+            authoritative: true,
+            ..self
+        }
     }
 
     /// Number of answer records.
@@ -99,8 +121,9 @@ impl AnswerTemplate {
 
     /// Writes the NOERROR response to `query` into `out` (replacing its
     /// contents, reusing its allocation): the header of
-    /// [`Header::response_to`] with RA set, the question echoed as asked,
-    /// and every record with `ttl`.
+    /// [`Header::response_to`] with RA set (AA instead for an
+    /// [`authoritative`](AnswerTemplate::authoritative) template), the
+    /// question echoed as asked, and every record with `ttl`.
     ///
     /// Returns `false`, leaving `out` empty, for what the template cannot
     /// reproduce byte for byte — a query without exactly one question, the
@@ -125,7 +148,8 @@ impl AnswerTemplate {
         }
         out.reserve(total);
         let header = Header {
-            recursion_available: true,
+            authoritative: self.authoritative,
+            recursion_available: !self.authoritative,
             question_count: 1,
             answer_count,
             ..Header::response_to(&query.header)
@@ -200,6 +224,23 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn an_authoritative_template_renders_the_authority_header() {
+        let family = [v4(1), v4(2)];
+        let template = AnswerTemplate::for_addresses(RrType::A, family).authoritative();
+        let mut query = Message::query(0x0AA0, "Pool.NTP.org".parse().unwrap(), RrType::A);
+        let mut out = Vec::new();
+        for rd in [true, false] {
+            query.header.recursion_desired = rd;
+            let mut builder = MessageBuilder::response_to(&query).authoritative(true);
+            for address in family {
+                builder = builder.answer_address(300, address);
+            }
+            assert!(template.render(&query, 300, &mut out));
+            assert_eq!(out, builder.build().encode().unwrap(), "rd={rd}");
         }
     }
 

@@ -38,7 +38,8 @@ pub enum DohMethod {
 /// which the two connection constructors are ~0.06 us; the preface and
 /// SETTINGS frames are 69 of the ~480 octets it seals (186 out, 296 back
 /// for `dns.example`). A connection kept per resolver would save little
-/// (ROADMAP item 6 has the figures).
+/// (ROADMAP's Deferred entry "a persistent connection per resolver" has
+/// the figures).
 #[derive(Debug, Clone)]
 pub struct DohClient {
     resolver: ResolverInfo,

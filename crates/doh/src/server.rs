@@ -192,12 +192,15 @@ impl<H: QueryHandler> DohServerService<H> {
         }
         let query = Message::decode(query_wire).map_err(|_| StatusCode::BAD_REQUEST)?;
         self.queries_served += 1;
-        self.handler
+        let ttl = self
+            .handler
             .handle_query_wire(exchanger, &query, &mut self.answer)
             .map_err(|_| StatusCode::INTERNAL_SERVER_ERROR)?;
-        // Read where the handler wrote them, in one step up to the end of
-        // the answer section.
-        Ok(MessageView::least_answer_ttl(&self.answer).unwrap_or(0))
+        // A TTL the handler does not report is read where it wrote the
+        // records, in one step up to the end of the answer section.
+        Ok(ttl
+            .or_else(|| MessageView::least_answer_ttl(&self.answer))
+            .unwrap_or(0))
     }
 }
 
@@ -225,10 +228,13 @@ mod tests {
     use super::*;
     use crate::client::{DohClient, DohMethod};
     use crate::directory::ResolverDirectory;
-    use crate::h2::{hpack, Frame, CONNECTION_PREFACE};
+    use crate::h2::{hpack, ClientConnection, Frame, CONNECTION_PREFACE};
+    use crate::http::Request;
     use bytes::BytesMut;
-    use sdoh_dns_server::{Authority, Catalog, ClientExchanger, Zone};
-    use sdoh_dns_wire::RrType;
+    use sdoh_dns_server::{
+        Authority, Catalog, ClientExchanger, PoisonConfig, PoisonMode, PoisonedResolver, Zone,
+    };
+    use sdoh_dns_wire::{Name, RData, Record, RrType};
     use sdoh_netsim::SimNet;
     use std::time::Duration;
 
@@ -410,5 +416,87 @@ mod tests {
         assert_eq!(served, 1);
         assert_eq!(post(query.len() + 1), (None, 0));
         assert_eq!(post(query.len() - 1), (None, 0));
+    }
+
+    /// The `cache-control` value and the body of `service`'s answer to a
+    /// GET for `name`/`rtype`, read through the owned h2 client.
+    fn max_age_and_body(
+        service: &mut DohServerService<Box<dyn QueryHandler>>,
+        info: &ResolverInfo,
+        name: &str,
+        rtype: RrType,
+    ) -> (String, Vec<u8>) {
+        let query = Message::query(0, name.parse().unwrap(), rtype)
+            .encode()
+            .unwrap();
+        let path = format!("{DOH_PATH}?dns={}", base64url::encode(&query));
+        let mut client = ClientConnection::new();
+        client.send_request(&Request::get(info.name.clone(), path));
+        let mut payload = SecureEnvelope::begin(&info.name);
+        let record_at = payload.len();
+        payload.extend_from_slice(&client.take_output());
+        secure::seal_in_place(&info.key, secure::SEQ_CLIENT, &mut payload, record_at);
+        let net = SimNet::new(23);
+        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 7, 50000));
+        let reply = service
+            .serve_payload(&mut exchanger, ChannelKind::Secure, &payload)
+            .unwrap();
+        let (_, record) = SecureEnvelope::split(&reply).unwrap();
+        let answered = secure::open(&info.key, secure::SEQ_SERVER, record).unwrap();
+        let (_, response) = client.receive(&answered).unwrap().pop().unwrap();
+        let max_age = response.headers.get("cache-control").unwrap().to_string();
+        (max_age, response.body)
+    }
+
+    /// `max-age` is the least TTL of the answer's records, or 0 without
+    /// any, whoever wrote the answer: the authority's answer index, a
+    /// poisoned resolver's template, or the authority's zone walk.
+    #[test]
+    fn max_age_is_the_least_answer_ttl_for_every_kind_of_answer() {
+        let name = |n: &str| -> Name { n.parse().unwrap() };
+        let a = |ip: &str| RData::A(ip.parse().unwrap());
+        let mut zone = Zone::new(name("ntpns.org"));
+        for record in [
+            Record::new(name("pool.ntpns.org"), 90, a("203.0.113.1")),
+            Record::new(name("pool.ntpns.org"), 90, a("203.0.113.2")),
+            Record::new(
+                name("alias.ntpns.org"),
+                600,
+                RData::Cname(name("pool.ntpns.org")),
+            ),
+            Record::new(name("ttls.ntpns.org"), 300, a("192.0.2.1")),
+            Record::new(name("ttls.ntpns.org"), 60, a("192.0.2.2")),
+        ] {
+            assert!(zone.add_record(record));
+        }
+        let mut catalog = Catalog::new();
+        catalog.add_zone(zone);
+        let authority = Authority::new(catalog);
+        let mut config = PoisonConfig::new(
+            name("pool.ntpns.org"),
+            PoisonMode::ReplaceAddresses(vec!["198.18.0.1".parse().unwrap()]),
+        );
+        config.ttl = 45;
+        let info = ResolverDirectory::well_known(23).resolvers()[0].clone();
+        let handlers: [Box<dyn QueryHandler>; 2] = [
+            Box::new(authority.clone()),
+            Box::new(PoisonedResolver::new(authority, config)),
+        ];
+        let cases = [
+            // (handler, name, what writes the answer, its max-age)
+            (0, "pool.ntpns.org", "the answer index", 90),
+            (1, "pool.ntpns.org", "the poisoned template", 45),
+            (0, "alias.ntpns.org", "the walk, a CNAME chain", 90),
+            (0, "ttls.ntpns.org", "the walk, TTLs that differ", 60),
+            (0, "missing.ntpns.org", "the walk, NXDOMAIN", 0),
+            (1, "missing.ntpns.org", "the walk behind the wrapper", 0),
+        ];
+        let mut services = handlers.map(|handler| DohServerService::new(info.clone(), handler));
+        for (handler, name, writer, expected) in cases {
+            let (max_age, body) = max_age_and_body(&mut services[handler], &info, name, RrType::A);
+            let least = MessageView::least_answer_ttl(&body).unwrap_or(0);
+            assert_eq!(max_age, format!("max-age={least}"), "{name} from {writer}");
+            assert_eq!(least, expected, "{name} from {writer}");
+        }
     }
 }

@@ -106,15 +106,17 @@ impl LoopbackFleet {
         }
         let mut catalog = Catalog::new();
         catalog.add_zone(zone);
+        // One zone and one answer index for the whole fleet: every
+        // terminator serves a clone.
+        let authority = Authority::new(catalog);
 
         let directory = ResolverDirectory::well_known(config.seed);
         let infos = directory.take(config.resolvers);
         let mut builder = BackendNet::builder().with_latency(config.upstream_latency);
         for (index, info) in infos.iter().enumerate() {
-            let authority = Authority::new(catalog.clone());
             if config.compromised.contains(&index) {
                 // A compromised resolver poisons every pool domain.
-                let mut handler: CompromisedAuthority = Box::new(authority);
+                let mut handler: CompromisedAuthority = Box::new(authority.clone());
                 for domain in &domains {
                     handler = Box::new(PoisonedResolver::new(
                         handler,
@@ -126,8 +128,10 @@ impl LoopbackFleet {
                 }
                 builder = builder.register(info.addr, DohServerService::new(info.clone(), handler));
             } else {
-                builder =
-                    builder.register(info.addr, DohServerService::new(info.clone(), authority));
+                builder = builder.register(
+                    info.addr,
+                    DohServerService::new(info.clone(), authority.clone()),
+                );
             }
         }
 

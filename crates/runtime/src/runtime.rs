@@ -1052,8 +1052,10 @@ fn tcp_loop(
             Ok((stream, _peer)) => {
                 // Connections are handled inline: the TCP path only exists
                 // as the fallback for truncated answers, so one connection
-                // at a time keeps the thread budget fixed. Heavy TCP
-                // workloads would want an acceptor pool here.
+                // at a time keeps the thread budget fixed. A silent client
+                // holds the next one back until its read times out; what
+                // removes that is non-blocking connections polled by this
+                // one thread, not a thread per connection (ROADMAP item 3b).
                 let _ = serve_tcp_connection(stream, &shards, &counters);
             }
             // An error (a reset in the backlog, a signal) is not about the

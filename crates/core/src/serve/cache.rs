@@ -37,10 +37,12 @@
 //! first. Every rank is distinct, so which entry goes is a function of the
 //! cache's history alone — never of the map's iteration order.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
-use sdoh_dns_wire::{AnswerTemplate, Name, Question, RrType, Ttl};
+use sdoh_dns_wire::{AnswerTemplate, Name, NameRef, QuestionRef, RrType, Ttl};
 use sdoh_netsim::SimInstant;
 
 use crate::generator::GenerationReport;
@@ -93,10 +95,80 @@ impl PoolKey {
     pub fn new(domain: Name, family: AddressFamily) -> Self {
         PoolKey { domain, family }
     }
+}
 
+/// A cache key as a query lends it: the name asked for, where it lies in
+/// the query, and the family. A lookup, a flight search and a stale serve
+/// find the [`PoolKey`] it stands for by it (`PoolKey: Borrow<dyn
+/// LentKey>`), so serving a query copies no name; only a miss makes the
+/// owned key, for the flight it opens.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QueryKey<'q> {
+    domain: NameRef<'q>,
+    family: AddressFamily,
+}
+
+impl<'q> QueryKey<'q> {
     /// The key a DNS question maps to; `None` for non-address questions.
-    pub(crate) fn for_question(question: &Question) -> Option<Self> {
-        AddressFamily::of(question.rtype).map(|family| PoolKey::new(question.name.clone(), family))
+    pub(crate) fn for_question(question: QuestionRef<'q>) -> Option<Self> {
+        AddressFamily::of(question.rtype).map(|family| QueryKey {
+            domain: question.name,
+            family,
+        })
+    }
+}
+
+/// What a pool key is compared and hashed by, whoever holds it — a
+/// [`PoolKey`], or a [`QueryKey`] lending a query's name — exactly as
+/// `PoolKey` derives them: the name, then the family.
+pub(crate) trait LentKey {
+    fn domain(&self) -> NameRef<'_>;
+    fn family(&self) -> AddressFamily;
+
+    /// The owned key: the name copied once.
+    fn to_key(&self) -> PoolKey {
+        PoolKey::new(self.domain().to_name(), self.family())
+    }
+}
+
+impl LentKey for PoolKey {
+    fn domain(&self) -> NameRef<'_> {
+        self.domain.as_name_ref()
+    }
+
+    fn family(&self) -> AddressFamily {
+        self.family
+    }
+}
+
+impl LentKey for QueryKey<'_> {
+    fn domain(&self) -> NameRef<'_> {
+        self.domain
+    }
+
+    fn family(&self) -> AddressFamily {
+        self.family
+    }
+}
+
+impl PartialEq for dyn LentKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.domain() == other.domain() && self.family() == other.family()
+    }
+}
+
+impl Eq for dyn LentKey + '_ {}
+
+impl Hash for dyn LentKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.domain().hash(state);
+        self.family().hash(state);
+    }
+}
+
+impl<'a> Borrow<dyn LentKey + 'a> for PoolKey {
+    fn borrow(&self) -> &(dyn LentKey + 'a) {
+        self
     }
 }
 
@@ -334,9 +406,10 @@ pub(crate) enum CacheLookup<'a> {
     /// The entry is within its TTL.
     Fresh(CacheHit<'a>),
     /// The entry is past its TTL but within the stale window: serve it,
-    /// then refresh it. Only successful generations go stale; expired
-    /// negative entries are misses.
-    Stale(CacheHit<'a>),
+    /// then refresh it under its key, as the cache holds it. Only
+    /// successful generations go stale; expired negative entries are
+    /// misses.
+    Stale(CacheHit<'a>, &'a PoolKey),
     /// No usable entry.
     Miss,
 }
@@ -469,17 +542,22 @@ impl PoolCache {
     /// stale window is returned as [`CacheLookup::Stale`] (the caller
     /// serves it and schedules a refresh); anything older — and any expired
     /// negative entry — is dropped and reported as a miss. A hit lends the
-    /// entry out; nothing is cloned.
-    pub(crate) fn get(&mut self, key: &PoolKey, now: SimInstant) -> CacheLookup<'_> {
+    /// entry out (a stale one its key too); nothing is cloned, and a key
+    /// lent by a query finds it as its owned key would.
+    pub(crate) fn get(&mut self, key: &(dyn LentKey + '_), now: SimInstant) -> CacheLookup<'_> {
         self.tick += 1;
-        // Judge first and lend second: a borrow that may be handed back to
-        // the caller cannot also cover the removal of a dead entry.
-        let state = self
-            .entries
-            .get(key)
-            .map(|entry| entry.cached.state(&self.config, now));
-        let entry = match state {
-            Some(EntryState::Fresh | EntryState::Stale) => self.entries.get_mut(key),
+        // Judge and stamp first, lend second: a borrow that may be handed
+        // back to the caller cannot also cover the removal of a dead entry.
+        let state = self.entries.get_mut(key).map(|entry| {
+            let state = entry.cached.state(&self.config, now);
+            if state != EntryState::Dead {
+                entry.last_used = self.tick;
+                entry.cached.reasked = true;
+            }
+            state
+        });
+        let hit = match state {
+            Some(EntryState::Fresh | EntryState::Stale) => self.entries.get_key_value(key),
             Some(EntryState::Dead) => {
                 self.entries.remove(key);
                 self.metrics.expirations += 1;
@@ -487,18 +565,16 @@ impl PoolCache {
             }
             None => None,
         };
-        let Some(entry) = entry else {
+        let Some((key, entry)) = hit else {
             self.metrics.misses += 1;
             return CacheLookup::Miss;
         };
-        entry.last_used = self.tick;
-        entry.cached.reasked = true;
         if state == Some(EntryState::Fresh) {
             self.metrics.hits += 1;
             CacheLookup::Fresh(entry.hit())
         } else {
             self.metrics.stale_hits += 1;
-            CacheLookup::Stale(entry.hit())
+            CacheLookup::Stale(entry.hit(), key)
         }
     }
 
@@ -692,6 +768,7 @@ mod tests {
     use super::*;
     use crate::config::CombinationMode;
     use crate::pool::AddressPool;
+    use sdoh_dns_wire::Question;
 
     fn key(domain: &str) -> PoolKey {
         PoolKey::new(domain.parse().unwrap(), AddressFamily::V4)
@@ -741,7 +818,7 @@ mod tests {
             other => panic!("expected fresh, got {other:?}"),
         }
         match cache.get(&key("pool.ntp.org"), at(75)) {
-            CacheLookup::Stale(hit) => {
+            CacheLookup::Stale(hit, _) => {
                 assert_eq!(hit.pool.generated_at, at(0));
                 assert_eq!(hit.pool.remaining(at(75)), Ttl::ZERO);
             }
@@ -936,7 +1013,7 @@ mod tests {
         cache.insert(key("b.test"), Ok(report(1)), at(0));
         assert!(matches!(
             cache.get(&key("b.test"), at(70)),
-            CacheLookup::Stale(_)
+            CacheLookup::Stale(..)
         ));
         assert!(reasked(&cache, &key("b.test")), "a stale hit");
     }
@@ -1068,7 +1145,7 @@ mod tests {
             stamped
         );
         match cache.get(&key("pool.ntp.org"), at(100)) {
-            CacheLookup::Stale(_) => {}
+            CacheLookup::Stale(..) => {}
             other => panic!("stale under the widened window, got {other:?}"),
         }
     }
@@ -1106,7 +1183,7 @@ mod tests {
             other => panic!("still fresh by its stamp, got {other:?}"),
         }
         match cache.get(&key("pool.ntp.org"), at(100)) {
-            CacheLookup::Stale(_) => {}
+            CacheLookup::Stale(..) => {}
             other => panic!("within the capped window, got {other:?}"),
         }
         assert!(
@@ -1180,13 +1257,40 @@ mod tests {
 
     #[test]
     fn for_question_maps_address_types_only() {
-        let q = Question::new("pool.ntp.org".parse().unwrap(), RrType::A);
-        assert_eq!(PoolKey::for_question(&q).unwrap().family, AddressFamily::V4);
-        let q = Question::new("pool.ntp.org".parse().unwrap(), RrType::Aaaa);
-        assert_eq!(PoolKey::for_question(&q).unwrap().family, AddressFamily::V6);
-        let q = Question::new("pool.ntp.org".parse().unwrap(), RrType::Txt);
-        assert!(PoolKey::for_question(&q).is_none());
+        let key = |rtype| {
+            let question = Question::new("pool.ntp.org".parse().unwrap(), rtype);
+            QueryKey::for_question(question.as_question_ref()).map(|key| key.family)
+        };
+        assert_eq!(key(RrType::A), Some(AddressFamily::V4));
+        assert_eq!(key(RrType::Aaaa), Some(AddressFamily::V6));
+        assert_eq!(key(RrType::Txt), None);
         assert_eq!(AddressFamily::V4.rtype(), RrType::A);
         assert_eq!(AddressFamily::V6.rtype(), RrType::Aaaa);
+    }
+
+    #[test]
+    fn a_lent_key_finds_the_entry_of_its_owned_key() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |key: &dyn LentKey| {
+            let mut hasher = DefaultHasher::new();
+            key.hash(&mut hasher);
+            hasher.finish()
+        };
+        let owned = key("Pool.NTP.org");
+        let asked = Question::new("pOOL.ntp.ORG".parse().unwrap(), RrType::A);
+        let lent = QueryKey::for_question(asked.as_question_ref()).unwrap();
+        let mut derived = DefaultHasher::new();
+        owned.hash(&mut derived);
+        assert_eq!(hash(&lent), derived.finish(), "the derived hash");
+        assert_eq!(hash(&lent), hash(&owned));
+        assert!(&lent as &dyn LentKey == &owned as &dyn LentKey);
+        assert_eq!(lent.to_key(), owned);
+
+        let mut cache = PoolCache::new(CacheConfig::default());
+        cache.insert(owned, Ok(report(1)), at(0));
+        assert!(!is_miss(cache.get(&lent, at(1))));
+        let aaaa = Question::new("pool.ntp.org".parse().unwrap(), RrType::Aaaa);
+        let other = QueryKey::for_question(aaaa.as_question_ref()).unwrap();
+        assert!(is_miss(cache.get(&other, at(1))));
     }
 }

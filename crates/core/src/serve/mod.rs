@@ -83,19 +83,24 @@
 //!   [`CachingPoolResolver::install_entry`]): an
 //!   [`AnswerTemplate`](sdoh_dns_wire::AnswerTemplate) — the records of
 //!   the key's address family in wire form, stored beside the report.
-//! * *Patched per hit*: the cache lookup lends the entry out (nothing is
-//!   cloned), and the front end's
+//! * *Patched per hit*: the query is read where it lies
+//!   ([`QueryView`](sdoh_dns_wire::QueryView)), the cache is probed with
+//!   the name it lends, the lookup lends the entry out (nothing is cloned),
+//!   and the front end's
 //!   [`handle_query_wire`](sdoh_dns_server::QueryHandler::handle_query_wire)
 //!   copies the template into the caller's buffer behind a fresh header
 //!   and the echoed question, stamping the TTL — the remaining lifetime
-//!   for a fresh hit, zero for a stale one. A pool that never reached the
-//!   cache (a miss under a zero TTL) is rendered the same way from a
-//!   template built on the spot, so every pool answer has one renderer.
-//! * *The [`Message`](sdoh_dns_wire::Message) path* (build the response,
-//!   then encode it) remains for everything else: rejections and
-//!   SERVFAILs, whatever the template cannot reproduce byte for byte (a
-//!   query without exactly one question, the root name, a response over
-//!   64 KiB), and callers that want a `Message` — `handle_query`,
+//!   for a fresh hit, zero for a stale one. A hit allocates nothing. A pool
+//!   that never reached the cache (a miss under a zero TTL) is rendered the
+//!   same way from a template built on the spot, so every pool answer has
+//!   one renderer.
+//! * *Written from the view* is everything else on the wire path:
+//!   rejections and SERVFAILs, and whatever the template cannot reproduce
+//!   byte for byte (a query without exactly one question, the root name, a
+//!   response over 64 KiB), through
+//!   [`QueryView::write_response`](sdoh_dns_wire::QueryView::write_response).
+//!   The [`Message`](sdoh_dns_wire::Message) path (build the response, then
+//!   encode it) is for callers that want a `Message` — `handle_query`,
 //!   [`CachingPoolResolver::resolve_pool`].
 //!
 //! Both forms run the same lookup, so hits, stale serves, negative hits,

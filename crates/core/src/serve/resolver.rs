@@ -41,11 +41,13 @@ use std::time::Duration;
 
 use sdoh_dns_server::{ExchangeRequest, Exchanger, QueryHandler};
 use sdoh_dns_wire::{
-    AnswerTemplate, Message, MessageBuilder, Question, Rcode, Record, RrType, Ttl, WireResult,
+    AnswerTemplate, Header, Message, MessageBuilder, QueryView, Question, QuestionRef, Rcode,
+    Record, RrType, Ttl, WireResult,
 };
 
 use super::cache::{
-    answer_template, CacheConfig, CacheLookup, CacheMetrics, CachedPool, PoolCache, PoolKey,
+    answer_template, CacheConfig, CacheLookup, CacheMetrics, CachedPool, LentKey, PoolCache,
+    PoolKey, QueryKey,
 };
 use super::refresh::RefreshScheduler;
 use super::singleflight::{FlightId, Singleflight};
@@ -261,27 +263,34 @@ impl ServeSnapshot {
     }
 }
 
-/// Builds the DNS response serving `report`'s pool for `question`,
-/// returning only addresses of the queried family (even when the generator
-/// is configured for dual-stack union) with the given answer TTL.
-fn pool_response(
-    query: &Message,
-    question: &Question,
+/// The addresses of `report`'s pool a query of `rtype` is answered with:
+/// only those of the queried family (even when the generator is configured
+/// for dual-stack union), in pool order.
+fn pool_addresses(
     report: &GenerationReport,
-    ttl: Ttl,
-) -> Message {
-    let mut builder = MessageBuilder::response_to(query).recursion_available(true);
-    for entry in report.pool.iter() {
-        let matches_family = match question.rtype {
-            RrType::A => entry.address.is_ipv4(),
-            RrType::Aaaa => entry.address.is_ipv6(),
+    rtype: RrType,
+) -> impl Iterator<Item = std::net::IpAddr> + '_ {
+    report
+        .pool
+        .iter()
+        .map(|entry| entry.address)
+        .filter(move |address| match rtype {
+            RrType::A => address.is_ipv4(),
+            RrType::Aaaa => address.is_ipv6(),
             _ => false,
-        };
-        if matches_family {
+        })
+}
+
+/// Builds the DNS response serving `report`'s pool for `query`'s question
+/// with the given answer TTL.
+fn pool_response(query: &Message, report: &GenerationReport, ttl: Ttl) -> Message {
+    let mut builder = MessageBuilder::response_to(query).recursion_available(true);
+    if let Some(question) = query.question() {
+        for address in pool_addresses(report, question.rtype) {
             builder = builder.answer(Record::address(
                 question.name.clone(),
                 ttl.as_secs(),
-                entry.address,
+                address,
             ));
         }
     }
@@ -290,12 +299,11 @@ fn pool_response(
 
 /// What one query is answered with, before it takes the caller's form.
 enum Served<'a> {
-    /// Refused at the protocol level; the response is already built.
-    Rejected(Message),
+    /// Refused at the protocol level, with this response code.
+    Rejected(Rcode),
     /// A pool, lent by the cache entry (or the landed generation) it came
     /// from together with its pre-encoded answer.
     Pool {
-        question: &'a Question,
         report: &'a GenerationReport,
         template: &'a AnswerTemplate,
         ttl: Ttl,
@@ -308,27 +316,41 @@ impl Served<'_> {
     /// The answer as a [`Message`].
     fn message(self, query: &Message) -> Message {
         match self {
-            Served::Rejected(response) => response,
-            Served::Pool {
-                question,
-                report,
-                ttl,
-                ..
-            } => pool_response(query, question, report, ttl),
+            Served::Rejected(rcode) => Message::error_response(query, rcode),
+            Served::Pool { report, ttl, .. } => pool_response(query, report, ttl),
             Served::Failure => Message::error_response(query, Rcode::ServFail),
         }
     }
 
-    /// The answer in wire form: a pool is rendered from its pre-encoded
-    /// answer section, and only what the template cannot reproduce byte for
-    /// byte goes through the [`Message`].
-    fn wire(self, query: &Message, out: &mut Vec<u8>) -> WireResult<()> {
-        if let Served::Pool { template, ttl, .. } = &self {
-            if template.render(query, ttl.as_secs(), out) {
-                return Ok(());
+    /// The answer in wire form, written from the query where it lies: a
+    /// pool is rendered from its pre-encoded answer section, and what the
+    /// template cannot reproduce byte for byte — an error, a query of
+    /// several questions or of the root — is written by the view
+    /// ([`QueryView::write_response`]). Either way the bytes are
+    /// [`Served::message`]'s, encoded, and no `Message` is built.
+    fn wire(self, query: &QueryView<'_>, out: &mut Vec<u8>) -> WireResult<()> {
+        let response = Header::response_to(query.header());
+        let rcode = match self {
+            Served::Pool {
+                report,
+                template,
+                ttl,
+            } => {
+                if template.render(query, ttl.as_secs(), out) {
+                    return Ok(());
+                }
+                let rtype = query.question().map_or(RrType::A, |q| q.rtype);
+                let answered = Header {
+                    recursion_available: true,
+                    ..response
+                };
+                let addresses = pool_addresses(report, rtype);
+                return query.write_response(answered, ttl.as_secs(), addresses, out);
             }
-        }
-        self.message(query).encode_into(out)
+            Served::Rejected(rcode) => rcode,
+            Served::Failure => Rcode::ServFail,
+        };
+        query.write_response(Header { rcode, ..response }, 0, [], out)
     }
 }
 
@@ -391,10 +413,12 @@ pub struct Landed {
 }
 
 impl Landed {
-    fn served<'a>(&'a self, query: &'a Message) -> Served<'a> {
-        match (&self.result, &self.template, query.question()) {
-            (Ok(report), Some(template), Some(question)) => Served::Pool {
-                question,
+    /// What a query parked on this flight is answered with: the pool, or
+    /// SERVFAIL for a generation that failed (or a query without a
+    /// question, which never parks).
+    fn served(&self, asked: bool) -> Served<'_> {
+        match (&self.result, &self.template, asked) {
+            (Ok(report), Some(template), true) => Served::Pool {
                 report,
                 template,
                 ttl: self.ttl,
@@ -403,15 +427,15 @@ impl Landed {
         }
     }
 
-    /// Renders the answer to `query` — one that was parked on this flight —
-    /// into `out`: the pool under the configured TTL, or SERVFAIL for a
-    /// generation that failed.
+    /// Renders the answer to `query` — one that was parked on this flight,
+    /// read where its octets lie — into `out`: the pool under the
+    /// configured TTL, or SERVFAIL for a generation that failed.
     ///
     /// # Errors
     ///
     /// The response's encoding error; `out` is left empty.
-    pub fn answer_wire(&self, query: &Message, out: &mut Vec<u8>) -> WireResult<()> {
-        self.served(query).wire(query, out)
+    pub fn answer_wire(&self, query: &QueryView<'_>, out: &mut Vec<u8>) -> WireResult<()> {
+        self.served(query.question().is_some()).wire(query, out)
     }
 }
 
@@ -556,6 +580,10 @@ impl CachingPoolResolver {
     /// reports the flight landed. Only `exchanger`'s clock and randomness
     /// are used.
     ///
+    /// The query is lent, read where its octets lie: a hit copies no name
+    /// and builds no message, and only a miss that opens a flight makes an
+    /// owned copy of the name, for the key it stores.
+    ///
     /// Do not call the blocking entry points while queries are parked: they
     /// drive every live flight and keep its landing to themselves.
     ///
@@ -566,10 +594,12 @@ impl CachingPoolResolver {
     pub fn begin(
         &mut self,
         exchanger: &mut dyn Exchanger,
-        query: &Message,
+        query: &QueryView<'_>,
         out: &mut Vec<u8>,
     ) -> WireResult<Option<FlightId>> {
-        match self.begin_with(exchanger, query, |served| served.wire(query, out)) {
+        match self.begin_with(exchanger, query.question(), |served| {
+            served.wire(query, out)
+        }) {
             Begun::Answered(rendered) => rendered.map(|()| None),
             Begun::Parked(flight) => Ok(Some(flight)),
         }
@@ -584,7 +614,8 @@ impl CachingPoolResolver {
     pub fn begin_due_refreshes(&mut self, exchanger: &mut dyn Exchanger) -> usize {
         let mut opened = 0;
         for key in self.refresh.take_due(exchanger.now()) {
-            if self.flights.find(&key).is_none() && self.open_flight(exchanger, key, true).is_some()
+            if self.flights.find(&key).is_none()
+                && self.open_flight(exchanger, &key, true).is_some()
             {
                 opened += 1;
             }
@@ -662,15 +693,16 @@ impl CachingPoolResolver {
             .handle_response(transaction, outcome)
     }
 
-    /// Validates the protocol-level shape of a query, counting rejections.
-    fn screen<'q>(&mut self, query: &'q Message) -> Result<&'q Question, Message> {
-        let Some(question) = query.question() else {
+    /// Validates the protocol-level shape of a query — its first question,
+    /// as `asked` lends it — counting rejections.
+    fn screen<'q>(&mut self, asked: Option<QuestionRef<'q>>) -> Result<QuestionRef<'q>, Rcode> {
+        let Some(question) = asked else {
             self.metrics.rejected += 1;
-            return Err(Message::error_response(query, Rcode::FormErr));
+            return Err(Rcode::FormErr);
         };
         if !question.rtype.is_address() {
             self.metrics.rejected += 1;
-            return Err(Message::error_response(query, Rcode::NotImp));
+            return Err(Rcode::NotImp);
         }
         self.metrics.queries += 1;
         Ok(question)
@@ -679,14 +711,9 @@ impl CachingPoolResolver {
     /// Serves a query from the cache if possible, lending the entry out;
     /// `None` means the caller must generate (a miss). A stale hit is
     /// served at once with a zero TTL — clients may use it now but must
-    /// not cache it onward — and a refresh is queued for `now`, unless the
-    /// key's generation is already in flight.
-    fn lookup<'a>(
-        &'a mut self,
-        key: &PoolKey,
-        question: &'a Question,
-        now: SimInstant,
-    ) -> Option<Served<'a>> {
+    /// not cache it onward — and a refresh is queued for `now` under the
+    /// entry's key, unless the key's generation is already in flight.
+    fn lookup(&mut self, key: &QueryKey<'_>, now: SimInstant) -> Option<Served<'_>> {
         let (hit, ttl) = match self.cache.get(key, now) {
             CacheLookup::Fresh(hit) => {
                 match hit.pool.value {
@@ -695,10 +722,10 @@ impl CachingPoolResolver {
                 }
                 (hit, hit.pool.remaining(now))
             }
-            CacheLookup::Stale(hit) => {
+            CacheLookup::Stale(hit, stored) => {
                 self.metrics.stale_serves += 1;
-                if self.flights.find(key).is_none() {
-                    self.refresh.schedule(key.clone(), now);
+                if self.flights.find(stored).is_none() {
+                    self.refresh.schedule(stored.clone(), now);
                 }
                 (hit, Ttl::ZERO)
             }
@@ -709,7 +736,6 @@ impl CachingPoolResolver {
         };
         Some(match (&hit.pool.value, hit.answer) {
             (Ok(report), Some(template)) => Served::Pool {
-                question,
                 report,
                 template,
                 ttl,
@@ -720,30 +746,31 @@ impl CachingPoolResolver {
 
     /// [`begin`](CachingPoolResolver::begin) in the caller's form: `form`
     /// turns what was served into a [`Message`] or wire bytes, so both forms
-    /// share every counter bump.
+    /// share every counter bump. `asked` is the query's first question,
+    /// lent.
     fn begin_with<R>(
         &mut self,
         exchanger: &mut dyn Exchanger,
-        query: &Message,
+        asked: Option<QuestionRef<'_>>,
         form: impl FnOnce(Served<'_>) -> R,
     ) -> Begun<R> {
-        let question = match self.screen(query) {
+        let question = match self.screen(asked) {
             Ok(question) => question,
-            Err(response) => return Begun::Answered(form(Served::Rejected(response))),
+            Err(rcode) => return Begun::Answered(form(Served::Rejected(rcode))),
         };
-        let Some(key) = PoolKey::for_question(question) else {
+        let Some(key) = QueryKey::for_question(question) else {
             // screen() only passes address-type questions, which always
             // map to a pool key; answer the theoretical gap gracefully.
             return Begun::Answered(form(Served::Failure));
         };
-        if let Some(served) = self.lookup(&key, question, exchanger.now()) {
+        if let Some(served) = self.lookup(&key, exchanger.now()) {
             return Begun::Answered(form(served));
         }
-        if let Some(flight) = self.flights.find(&key) {
+        if let Some(flight) = self.flights.find(&key as &dyn LentKey) {
             self.metrics.coalesced_waiters += 1;
             return Begun::Parked(flight);
         }
-        match self.open_flight(exchanger, key, false) {
+        match self.open_flight(exchanger, &key, false) {
             Some(flight) => Begun::Parked(flight),
             // The generation failed before its first exchange, and is
             // remembered like any other failure.
@@ -756,15 +783,15 @@ impl CachingPoolResolver {
     fn serve<R>(
         &mut self,
         exchanger: &mut dyn Exchanger,
-        query: &Message,
+        asked: Option<QuestionRef<'_>>,
         mut form: impl FnMut(Served<'_>) -> R,
     ) -> R {
-        let flight = match self.begin_with(exchanger, query, &mut form) {
+        let flight = match self.begin_with(exchanger, asked, &mut form) {
             Begun::Answered(answer) => return answer,
             Begun::Parked(flight) => flight,
         };
         match self.drive(exchanger, Some(flight)) {
-            Some(landed) => form(landed.served(query)),
+            Some(landed) => form(landed.served(asked.is_some())),
             // A driver elsewhere holds the flight's outcomes.
             None => form(Served::Failure),
         }
@@ -777,9 +804,12 @@ impl CachingPoolResolver {
     fn open_flight(
         &mut self,
         exchanger: &mut dyn Exchanger,
-        key: PoolKey,
+        key: &dyn LentKey,
         refresh: bool,
     ) -> Option<FlightId> {
+        // The one copy of the name a miss makes: the key the flight and
+        // the cache entry it lands in store.
+        let key = key.to_key();
         let seed = seed_from(exchanger);
         let started = exchanger.now();
         match self.generator.session(&key.domain, seed) {
@@ -943,17 +973,20 @@ impl CachingPoolResolver {
 
 impl QueryHandler for CachingPoolResolver {
     fn handle_query(&mut self, exchanger: &mut dyn Exchanger, query: &Message) -> Message {
-        self.serve(exchanger, query, |served| served.message(query))
+        let asked = query.question().map(Question::as_question_ref);
+        self.serve(exchanger, asked, |served| served.message(query))
     }
 
     fn handle_query_wire(
         &mut self,
         exchanger: &mut dyn Exchanger,
-        query: &Message,
+        query: &QueryView<'_>,
         out: &mut Vec<u8>,
     ) -> WireResult<Option<u32>> {
-        self.serve(exchanger, query, |served| served.wire(query, out))
-            .map(|()| None)
+        self.serve(exchanger, query.question(), |served| {
+            served.wire(query, out)
+        })
+        .map(|()| None)
     }
 
     fn handler_name(&self) -> &str {
@@ -1017,6 +1050,20 @@ mod tests {
             .with_ttl(Ttl::from_secs(60))
             .with_stale_window(Duration::from_secs(30))
             .with_negative_ttl(Ttl::from_secs(5))
+    }
+
+    /// An owned query's octets, for the steps that read a query where it
+    /// lies.
+    struct Lent(Vec<u8>);
+
+    impl Lent {
+        fn view(&self) -> QueryView<'_> {
+            QueryView::parse(&self.0).unwrap()
+        }
+    }
+
+    fn lent(query: &Message) -> Lent {
+        Lent(query.encode().unwrap())
     }
 
     fn query(id: u16, domain: &str) -> Message {
@@ -1097,14 +1144,19 @@ mod tests {
         let mut responses: Vec<Option<Message>> = vec![None; queries.len()];
         let mut parked = Vec::new();
         for (at, query) in queries.iter().enumerate() {
-            match resolver.begin(exchanger, query, &mut out).unwrap() {
+            match resolver
+                .begin(exchanger, &lent(query).view(), &mut out)
+                .unwrap()
+            {
                 None => responses[at] = Some(Message::decode(&out).unwrap()),
                 Some(flight) => parked.push((flight, at)),
             }
         }
         for landed in land_everything(resolver, exchanger, Landing::Delivery) {
             for &(_, at) in parked.iter().filter(|(flight, _)| *flight == landed.flight) {
-                landed.answer_wire(&queries[at], &mut out).unwrap();
+                landed
+                    .answer_wire(&lent(&queries[at]).view(), &mut out)
+                    .unwrap();
                 responses[at] = Some(Message::decode(&out).unwrap());
             }
         }
@@ -1286,7 +1338,10 @@ mod tests {
             Rcode::FormErr
         );
         let mut out = Vec::new();
-        assert_eq!(resolver.begin(&mut exchanger, &txt, &mut out), Ok(None));
+        assert_eq!(
+            resolver.begin(&mut exchanger, &lent(&txt).view(), &mut out),
+            Ok(None)
+        );
         assert_eq!(Message::decode(&out).unwrap().header.rcode, Rcode::NotImp);
         assert_eq!(resolver.metrics().rejected, 3);
         assert_eq!(resolver.metrics().queries, 0);
@@ -1611,7 +1666,7 @@ mod tests {
             let client = SimAddr::v4(10, 0, 0, 1, 40000);
             let mut exchanger = ClientExchanger::new(&self.nets[0], client);
             self.wire
-                .handle_query_wire(&mut exchanger, query, &mut self.out)
+                .handle_query_wire(&mut exchanger, &lent(query).view(), &mut self.out)
                 .unwrap();
             let mut exchanger = ClientExchanger::new(&self.nets[1], client);
             let response = self.message.handle_query(&mut exchanger, query);
@@ -1919,11 +1974,11 @@ mod tests {
         let mut exchanger = client(&net);
         let mut out = Vec::new();
         let a = resolver
-            .begin(&mut exchanger, &query(1, "a.test"), &mut out)
+            .begin(&mut exchanger, &lent(&query(1, "a.test")).view(), &mut out)
             .unwrap()
             .expect("a miss");
         let b = resolver
-            .begin(&mut exchanger, &query(2, "b.test"), &mut out)
+            .begin(&mut exchanger, &lent(&query(2, "b.test")).view(), &mut out)
             .unwrap()
             .expect("a miss");
         assert!(out.is_empty(), "a parked query is not answered yet");
@@ -1941,7 +1996,7 @@ mod tests {
         let order: Vec<FlightId> = landed.iter().map(|landed| landed.flight).collect();
         assert_eq!(order, vec![a, b]);
         for (landed, query) in landed.iter().zip([query(1, "a.test"), query(2, "b.test")]) {
-            landed.answer_wire(&query, &mut out).unwrap();
+            landed.answer_wire(&lent(&query).view(), &mut out).unwrap();
             let answer = Message::decode(&out).unwrap();
             assert!(answer.answers_query(&query));
             assert_eq!(answer.answer_addresses().len(), 6);
@@ -1965,7 +2020,11 @@ mod tests {
         let mut out = Vec::new();
         let mut begin = |resolver: &mut CachingPoolResolver, id: u16| {
             resolver
-                .begin(&mut client(&net), &query(id, "a.test"), &mut out)
+                .begin(
+                    &mut client(&net),
+                    &lent(&query(id, "a.test")).view(),
+                    &mut out,
+                )
                 .unwrap()
                 .expect("nothing is ever cached")
         };
@@ -2004,7 +2063,11 @@ mod tests {
         let (net, mut resolver) = doh_world(43, 3, PoolConfig::algorithm1(), test_config());
         let mut exchanger = client(&net);
         let flight = resolver
-            .begin(&mut exchanger, &query(1, "a.test"), &mut Vec::new())
+            .begin(
+                &mut exchanger,
+                &lent(&query(1, "a.test")).view(),
+                &mut Vec::new(),
+            )
             .unwrap()
             .unwrap();
         let sent = transmits(&mut resolver, net.now());
@@ -2039,7 +2102,7 @@ mod tests {
         resolver.handle_query(&mut exchanger, &query(1, "a.test"));
         net.clock().advance(Duration::from_secs(70));
         assert_eq!(
-            resolver.begin(&mut exchanger, &query(2, "a.test"), &mut out),
+            resolver.begin(&mut exchanger, &lent(&query(2, "a.test")).view(), &mut out),
             Ok(None)
         );
         assert_eq!(resolver.pending_refreshes(), 1, "the stale serve queued it");
@@ -2050,7 +2113,7 @@ mod tests {
 
         // Stale serves that overlap the refresh do not queue another...
         assert_eq!(
-            resolver.begin(&mut exchanger, &query(3, "a.test"), &mut out),
+            resolver.begin(&mut exchanger, &lent(&query(3, "a.test")).view(), &mut out),
             Ok(None)
         );
         assert_eq!(resolver.metrics().stale_serves, 2);
@@ -2060,7 +2123,7 @@ mod tests {
         // joins the refresh instead of opening a second generation.
         net.clock().advance(Duration::from_secs(25));
         let joined = resolver
-            .begin(&mut exchanger, &query(4, "a.test"), &mut out)
+            .begin(&mut exchanger, &lent(&query(4, "a.test")).view(), &mut out)
             .unwrap()
             .expect("a miss");
         assert_eq!(joined, sent[0].0);
@@ -2070,7 +2133,7 @@ mod tests {
         let landed = land_everything(&mut resolver, &mut exchanger, Landing::Delivery);
         assert_eq!(landed.len(), 1);
         landed[0]
-            .answer_wire(&query(4, "a.test"), &mut out)
+            .answer_wire(&lent(&query(4, "a.test")).view(), &mut out)
             .unwrap();
         assert_eq!(Message::decode(&out).unwrap().answer_addresses().len(), 6);
         let metrics = resolver.metrics();
@@ -2104,7 +2167,7 @@ mod tests {
         let mut exchanger = client(&net);
         let mut out = Vec::new();
         resolver
-            .begin(&mut exchanger, &query(1, "a.test"), &mut out)
+            .begin(&mut exchanger, &lent(&query(1, "a.test")).view(), &mut out)
             .unwrap()
             .expect("a miss");
         let one: Vec<Box<dyn AddressSource>> =
@@ -2113,7 +2176,7 @@ mod tests {
         // The flight left over three resolvers and comes back over them.
         let landed = land_everything(&mut resolver, &mut exchanger, Landing::Reverse);
         landed[0]
-            .answer_wire(&query(1, "a.test"), &mut out)
+            .answer_wire(&lent(&query(1, "a.test")).view(), &mut out)
             .unwrap();
         assert_eq!(Message::decode(&out).unwrap().answer_addresses().len(), 6);
         assert_eq!(resolver.metrics().source_answers, 3);
@@ -2152,8 +2215,8 @@ mod tests {
     }
 
     mod properties {
-        use super::super::{answer_template, pool_response};
-        use super::{client, doh_world, land_everything, query, test_config, Landing, WORLD};
+        use super::super::{answer_template, pool_addresses, pool_response};
+        use super::{client, doh_world, land_everything, lent, query, test_config, Landing, WORLD};
         use crate::config::CombinationMode;
         use crate::config::PoolConfig;
         use crate::generator::GenerationReport;
@@ -2161,7 +2224,7 @@ mod tests {
         use crate::serve::AddressFamily;
         use proptest::prelude::*;
         use sdoh_dns_server::QueryHandler;
-        use sdoh_dns_wire::{Message, Name, Opcode, RrType, Ttl};
+        use sdoh_dns_wire::{Header, Message, Name, Opcode, RrType, Ttl};
         use std::net::IpAddr;
 
         proptest! {
@@ -2202,14 +2265,21 @@ mod tests {
                 let mut query = Message::query(id, name.with_mixed_case(casing), rtype);
                 query.header.recursion_desired = rd;
                 query.header.opcode = Opcode::from(opcode);
-                let question = query.question().unwrap();
-
-                let expected = pool_response(&query, question, &report, Ttl::from_secs(ttl))
+                let expected = pool_response(&query, &report, Ttl::from_secs(ttl))
                     .encode()
                     .unwrap();
                 let family = AddressFamily::of(rtype).unwrap();
+                let lent = lent(&query);
                 let mut rendered = vec![0xEE; 7];
-                prop_assert!(answer_template(family, &report).render(&query, ttl, &mut rendered));
+                prop_assert!(answer_template(family, &report).render(&lent.view(), ttl, &mut rendered));
+                prop_assert_eq!(&rendered, &expected);
+                // What the view writes when no template fits is the same.
+                let answered = Header {
+                    recursion_available: true,
+                    ..Header::response_to(&query.header)
+                };
+                let addresses = pool_addresses(&report, rtype);
+                lent.view().write_response(answered, ttl, addresses, &mut rendered).unwrap();
                 prop_assert_eq!(rendered, expected);
             }
 
@@ -2251,16 +2321,16 @@ mod tests {
                             let domain = WORLD[usize::from(param) % WORLD.len()];
                             let query = query(at as u16, domain);
                             blocking
-                                .handle_query_wire(&mut client(&blocking_net), &query, &mut expected)
+                                .handle_query_wire(&mut client(&blocking_net), &lent(&query).view(), &mut expected)
                                 .unwrap();
                             let mut exchanger = client(&stepwise_net);
                             if let Some(flight) =
-                                stepwise.begin(&mut exchanger, &query, &mut out).unwrap()
+                                stepwise.begin(&mut exchanger, &lent(&query).view(), &mut out).unwrap()
                             {
                                 let landed = land_everything(&mut stepwise, &mut exchanger, landing);
                                 prop_assert_eq!(landed.len(), 1);
                                 prop_assert_eq!(landed[0].flight, flight);
-                                landed[0].answer_wire(&query, &mut out).unwrap();
+                                landed[0].answer_wire(&lent(&query).view(), &mut out).unwrap();
                             }
                             prop_assert_eq!(&out, &expected);
                         }

@@ -15,6 +15,8 @@
 //! opened, which is the order everything that walks them — transmits,
 //! landings, seeds — follows, so a run repeats exactly.
 
+use std::borrow::Borrow;
+
 /// Identifies one live generation of a
 /// [`CachingPoolResolver`](super::CachingPoolResolver): handed out when a
 /// miss is parked, named again when the flight lands.
@@ -53,11 +55,14 @@ impl<K: PartialEq, F> Singleflight<K, F> {
     }
 
     /// The live flight for `key` — what a miss joins instead of opening a
-    /// second one.
-    pub(crate) fn find(&self, key: &K) -> Option<FlightId> {
+    /// second one. The key may be lent in any form `K` borrows as.
+    pub(crate) fn find<Q: PartialEq + ?Sized>(&self, key: &Q) -> Option<FlightId>
+    where
+        K: Borrow<Q>,
+    {
         self.live
             .iter()
-            .find_map(|(id, live, _)| (live == key).then_some(*id))
+            .find_map(|(id, live, _)| (live.borrow() == key).then_some(*id))
     }
 
     /// Opens a flight for `key`. The caller has checked [`find`]: one key,

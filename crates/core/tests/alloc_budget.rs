@@ -3,30 +3,40 @@
 //! A generation that does no I/O is bookkeeping: which source answered
 //! what, which addresses win, whose name each pool slot carries. It should
 //! allocate what it keeps — the report's rows, one provenance string per
-//! contributor, the pool — and nothing on the way there. Three counts hold
+//! contributor, the pool — and nothing on the way there. Four counts hold
 //! that, all exact and repeating on every run (the test prints them):
 //!
 //! * a majority `generate` over five sources with ready answers (21 when
 //!   this was written, 83 while every name, list and label was copied per
 //!   use);
-//! * one uncached `handle_query_wire` over five in-process DoH terminators,
-//!   one of them poisoned, under the majority vote — the `cold_gen` query of
-//!   the benchmark — with the answer verified (56 when this was written, and
-//!   its budget: five exchanges of about 6 each, every answer rendered from
-//!   a template — the poisoned one's, or the honest authority's answer
-//!   index — the rest the generation's own bookkeeping and the rendered
-//!   answer; 60 while each honest authority walked its zone and compressed
-//!   the answer against an offset list of its own, 89 while the poisoned
-//!   resolver built and encoded a `Message` and the client kept its
-//!   question, query and compression offsets on the heap, 179 while both
-//!   ends of an exchange built and copied HTTP messages, 333 while each
-//!   source decoded its answer into an owned `Message` and each authority
-//!   cloned the records it answered with, 525 before names were lent and
-//!   header fields shared a buffer);
+//! * one uncached query over five in-process DoH terminators, one of them
+//!   poisoned, under the majority vote — the `cold_gen` query of the
+//!   benchmark, read where it lies and answered by `handle_query_wire` —
+//!   with the answer verified (41 when this was written, and its budget:
+//!   five exchanges of 3 each — the two payloads and the addresses read —
+//!   every answer rendered from a template — the poisoned one's, or the
+//!   honest authority's answer index — from the query where it lies, one
+//!   copy of the name for the key the miss stores, the rest the
+//!   generation's own bookkeeping and the rendered answer; 56 while each
+//!   terminator decoded its query into an owned `Message` and each client
+//!   kept its stream list on the heap, 60 while each honest authority
+//!   walked its zone and compressed the answer against an offset list of
+//!   its own, 89 while the poisoned resolver built and encoded a `Message`
+//!   and the client kept its question, query and compression offsets on
+//!   the heap, 179 while both ends of an exchange built and copied HTTP
+//!   messages, 333 while each source decoded its answer into an owned
+//!   `Message` and each authority cloned the records it answered with, 525
+//!   before names were lent and header fields shared a buffer);
 //! * answering the queries parked on one landed flight: each costs the
 //!   same as the first, because the landing encoded the pool's answer
 //!   section once and every waiter renders from it (at the parent each
-//!   waiter encoded its own).
+//!   waiter encoded its own);
+//! * a cached hit as the front door serves it — the query read where it
+//!   lies, then `begin` into a warm buffer — allocates nothing (3 while
+//!   the front door decoded an owned `Message`, a name and a question
+//!   vector, and the cache key cloned the name). It also catches a heap
+//!   clone `sdoh-lint`'s purity rule cannot see: the rule does not know
+//!   that `Name::clone` allocates.
 //!
 //! This file is its own test binary with one `#[test]`, so no other test's
 //! thread allocates while it counts.
@@ -43,7 +53,7 @@ use sdoh_core::{
 use sdoh_dns_server::{
     Authority, Catalog, Exchanger, PoisonConfig, PoisonMode, PoisonedResolver, QueryHandler, Zone,
 };
-use sdoh_dns_wire::{Message, Name, RrType, Ttl};
+use sdoh_dns_wire::{Message, Name, QueryView, RrType, Ttl};
 use sdoh_doh::{DohMethod, DohServerService, ResolverDirectory};
 use sdoh_netsim::{ChannelKind, NetError, NetResult, SimAddr, SimInstant};
 
@@ -201,14 +211,17 @@ fn a_generation_stays_within_its_allocation_budgets() {
         CacheConfig::uncached(),
     );
     let query = Message::query(77, pool.clone(), RrType::A);
+    let wire = query.encode().unwrap();
     let mut out = Vec::with_capacity(512);
+    let lent = QueryView::parse(&wire).unwrap();
     resolver
-        .handle_query_wire(&mut fleet, &query, &mut out)
+        .handle_query_wire(&mut fleet, &lent, &mut out)
         .unwrap();
     out.clear();
     let (uncached, _) = allocations_of(|| {
+        let lent = QueryView::parse(&wire).unwrap();
         resolver
-            .handle_query_wire(&mut fleet, &query, &mut out)
+            .handle_query_wire(&mut fleet, &lent, &mut out)
             .unwrap()
     });
     let answer = Message::decode(&out).unwrap();
@@ -234,9 +247,13 @@ fn a_generation_stays_within_its_allocation_budgets() {
         let waiters: Vec<Message> = (1..=4)
             .map(|id| Message::query(id, pool.clone(), RrType::A))
             .collect();
-        let flights: Vec<_> = waiters
+        let octets: Vec<Vec<u8>> = waiters.iter().map(|q| q.encode().unwrap()).collect();
+        let flights: Vec<_> = octets
             .iter()
-            .map(|query| resolver.begin(&mut nowhere, query, &mut out).unwrap())
+            .map(|wire| {
+                let query = QueryView::parse(wire).unwrap();
+                resolver.begin(&mut nowhere, &query, &mut out).unwrap()
+            })
             .collect();
         assert!(flights[0].is_some() && flights.iter().all(|flight| *flight == flights[0]));
         assert_eq!(resolver.metrics().coalesced_waiters, 3);
@@ -245,9 +262,11 @@ fn a_generation_stays_within_its_allocation_budgets() {
         };
         let counts: Vec<usize> = waiters
             .iter()
-            .map(|query| {
+            .zip(&octets)
+            .map(|(query, wire)| {
                 out.clear();
-                let (count, ()) = allocations_of(|| landed.answer_wire(query, &mut out).unwrap());
+                let lent = QueryView::parse(wire).unwrap();
+                let (count, ()) = allocations_of(|| landed.answer_wire(&lent, &mut out).unwrap());
                 let answer = Message::decode(&out).unwrap();
                 assert!(answer.answers_query(query));
                 assert_eq!(answer.answer_addresses(), expected);
@@ -261,18 +280,48 @@ fn a_generation_stays_within_its_allocation_budgets() {
         per_waiter.push(counts[0]);
     }
 
+    // (d) A cached hit, as the front door serves it: the query read where
+    // it lies, and the resolver's first step into a warm buffer.
+    let generator =
+        SecurePoolGenerator::new(PoolConfig::majority_resolver(), static_sources()).unwrap();
+    let mut resolver = CachingPoolResolver::new(generator, CacheConfig::default());
+    let first = Message::query(1, pool.clone(), RrType::A).encode().unwrap();
+    let miss = resolver
+        .begin(&mut nowhere, &QueryView::parse(&first).unwrap(), &mut out)
+        .unwrap();
+    assert!(miss.is_some(), "a cold cache misses");
+    assert!(matches!(
+        resolver.poll(SimInstant::EPOCH),
+        ServeStep::Landed(_)
+    ));
+    // Asked in another spelling: the lent name finds the entry all the same.
+    let hit_wire = Message::query(2, "POOL.ntpns.ORG".parse().unwrap(), RrType::A)
+        .encode()
+        .unwrap();
+    out.clear();
+    let (hit, begun) = allocations_of(|| {
+        let query = QueryView::parse(&hit_wire).unwrap();
+        resolver.begin(&mut nowhere, &query, &mut out).unwrap()
+    });
+    assert_eq!(begun, None, "answered from the cache");
+    assert_eq!(resolver.metrics().hits, 1);
+    let answer = Message::decode(&out).unwrap();
+    assert!(answer.answers_query(&Message::decode(&hit_wire).unwrap()));
+    assert_eq!(answer.answer_addresses(), expected);
+
     println!(
         "allocations: static majority generation {generation}, uncached query {uncached}, \
-         per parked waiter {per_waiter:?} (uncached, cached)"
+         per parked waiter {per_waiter:?} (uncached, cached), cached hit {hit}"
     );
     assert!(
         generation <= 30,
         "a five-source majority generation allocated {generation} times"
     );
     assert!(
-        uncached <= 56,
+        uncached <= 41,
         "one uncached query allocated {uncached} times"
     );
+    assert_eq!(hit, 0, "a cached hit allocated {hit} times");
     assert!(
         per_waiter.iter().all(|count| *count == 0),
         "rendering a parked waiter's answer allocated: {per_waiter:?}"

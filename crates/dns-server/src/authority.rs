@@ -10,7 +10,8 @@
 //! records where they lie into wire form, [`Authority::answer`] copies
 //! them into a [`Message`]. Both go through the one message encoder
 //! ([`encode_sections`]), so the wire form is `answer(..).encode()` byte
-//! for byte, without a record, question or name copied on the way.
+//! for byte, without a record copied on the way. The walk reads the
+//! decoded query; only the index below reads a query where it lies.
 //!
 //! # The answer index
 //!
@@ -22,8 +23,10 @@
 //! answer pre-encoded as an authoritative [`AnswerTemplate`] with its TTL.
 //! [`Authority::answer_into`] renders a standard query with one question
 //! for an indexed owner and type from it, with the query's id, RD bit and
-//! question spelling — byte for byte what the walk writes, since the walk
-//! would have reached the same records — and reports the TTL, so a DoH
+//! question spelling — the query read where it lies, and the index probed
+//! with the name it lends, so nothing is copied or decoded — byte for byte
+//! what the walk writes, since the walk would have reached the same
+//! records — and reports the TTL, so a DoH
 //! terminator need not read its `max-age` back from the answer. Every other
 //! query (CNAME chains, referrals, wildcards, NXDOMAIN, NODATA, an RRset of
 //! mixed TTLs) takes the walk.
@@ -36,8 +39,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use sdoh_dns_wire::{
-    encode_sections, AnswerTemplate, Header, Message, Name, Opcode, Rcode, Record, RrClass, RrType,
-    WireResult,
+    encode_sections, AnswerTemplate, Header, Message, Name, Opcode, QueryView, Rcode, Record,
+    RrClass, RrType, WireResult,
 };
 
 use crate::catalog::Catalog;
@@ -220,24 +223,26 @@ impl Authority {
     }
 
     /// [`Authority::answer`] in wire form, into `out` (replacing its
-    /// contents): the same bytes as `answer(query).encode()`, rendered from
-    /// the answer index or written from the zone's records where they lie.
-    /// Returns the answer records' TTL when the index answered, `None`
-    /// when the walk did.
+    /// contents): the same bytes as `answer(query).encode()` for the
+    /// decoded query. An indexed answer is rendered from the query where it
+    /// lies; any other takes the walk over the decoded query, writing the
+    /// zone's records where they lie. Returns the answer records' TTL when
+    /// the index answered, `None` when the walk did.
     ///
     /// # Errors
     ///
     /// The encoding error `answer(query).encode()` would return; `out` is
     /// left empty.
-    pub fn answer_into(&self, query: &Message, out: &mut Vec<u8>) -> WireResult<Option<u32>> {
+    pub fn answer_into(&self, query: &QueryView<'_>, out: &mut Vec<u8>) -> WireResult<Option<u32>> {
         if let Some(indexed) = self.indexed(query) {
             if indexed.template.render(query, indexed.ttl, out) {
                 return Ok(Some(indexed.ttl));
             }
         }
-        let found = self.walk(query);
+        let query = query.to_message()?;
+        let found = self.walk(&query);
         encode_sections(
-            found.header(query),
+            found.header(&query),
             &query.questions,
             found.answers(),
             found.authorities(),
@@ -248,20 +253,24 @@ impl Authority {
     }
 
     /// The indexed answer to `query`: a standard query with one question,
-    /// for the address RRset of an indexed owner.
-    fn indexed(&self, query: &Message) -> Option<&Indexed> {
-        let [question] = query.questions.as_slice() else {
-            return None;
-        };
-        if query.header.opcode != Opcode::Query {
+    /// for the address RRset of an indexed owner — found by the name as
+    /// the query lends it.
+    fn indexed(&self, query: &QueryView<'_>) -> Option<&Indexed> {
+        let header = query.header();
+        if header.question_count != 1 || header.opcode != Opcode::Query {
             return None;
         }
+        let question = query.question()?;
         let slot = match question.rtype {
             RrType::A => 0,
             RrType::Aaaa => 1,
             _ => return None,
         };
-        self.served.index.get(&question.name)?.get(slot)?.as_ref()
+        self.served
+            .index
+            .get(question.name.as_key())?
+            .get(slot)?
+            .as_ref()
     }
 
     /// The one walk (see the module documentation): opcode, question and

@@ -1,7 +1,7 @@
 //! The [`QueryHandler`] trait: anything that can turn a DNS query message
 //! into a response message, possibly by querying other servers.
 
-use sdoh_dns_wire::{Message, WireResult};
+use sdoh_dns_wire::{Message, QueryView, WireResult};
 
 use crate::authority::Authority;
 use crate::exchange::Exchanger;
@@ -19,10 +19,14 @@ pub trait QueryHandler {
 
     /// Answers `query` straight in wire form, replacing the contents of
     /// `out` — what [`serve_do53_payload`](crate::serve_do53_payload) calls,
-    /// and `sdoh-doh`'s `DohServerService` for every DoH request. A handler
-    /// that can write its answer without building it (pre-encoded answers,
-    /// an [`Authority`] writing from its zone) overrides this to skip the
-    /// [`Message`]; the bytes must equal `handle_query(..).encode()`.
+    /// and `sdoh-doh`'s `DohServerService` for every DoH request. The query
+    /// is lent: read where it lies in the octets it arrived in
+    /// ([`QueryView`]), never decoded into a [`Message`] on the way here. A
+    /// handler that can write its answer from the view (pre-encoded answers,
+    /// an [`Authority`] answering from its index) overrides this; the
+    /// default decodes the owned copy for [`handle_query`] and encodes what
+    /// it returns, for a handler with no wire path. Either way the bytes
+    /// must equal `handle_query(&query.to_message()?)` encoded.
     ///
     /// Returns the least TTL of the answer's answer records when the
     /// handler knows it without reading `out` back — a pre-encoded answer
@@ -33,13 +37,16 @@ pub trait QueryHandler {
     /// # Errors
     ///
     /// The response's encoding error; `out` is left empty.
+    ///
+    /// [`handle_query`]: QueryHandler::handle_query
     fn handle_query_wire(
         &mut self,
         exchanger: &mut dyn Exchanger,
-        query: &Message,
+        query: &QueryView<'_>,
         out: &mut Vec<u8>,
     ) -> WireResult<Option<u32>> {
-        self.handle_query(exchanger, query)
+        let query = query.to_message()?;
+        self.handle_query(exchanger, &query)
             .encode_into(out)
             .map(|()| None)
     }
@@ -58,7 +65,7 @@ impl<H: QueryHandler + ?Sized> QueryHandler for Box<H> {
     fn handle_query_wire(
         &mut self,
         exchanger: &mut dyn Exchanger,
-        query: &Message,
+        query: &QueryView<'_>,
         out: &mut Vec<u8>,
     ) -> WireResult<Option<u32>> {
         (**self).handle_query_wire(exchanger, query, out)
@@ -86,7 +93,7 @@ impl<H: QueryHandler> QueryHandler for std::sync::Arc<parking_lot::Mutex<H>> {
     fn handle_query_wire(
         &mut self,
         exchanger: &mut dyn Exchanger,
-        query: &Message,
+        query: &QueryView<'_>,
         out: &mut Vec<u8>,
     ) -> WireResult<Option<u32>> {
         self.lock().handle_query_wire(exchanger, query, out)
@@ -105,7 +112,7 @@ impl QueryHandler for Authority {
     fn handle_query_wire(
         &mut self,
         _exchanger: &mut dyn Exchanger,
-        query: &Message,
+        query: &QueryView<'_>,
         out: &mut Vec<u8>,
     ) -> WireResult<Option<u32>> {
         self.answer_into(query, out)

@@ -12,18 +12,29 @@
 //! * **empty answers** — returning nothing at all, the residual DoS vector
 //!   the paper acknowledges in footnote 2.
 //!
-//! A replacement answer is the same records for every query of the target,
+//! A compromised resolver poisons a **set** of target names: a query is
+//! poisoned once when its name, or one of its ancestors, is a target —
+//! checked with one set lookup per label of the name as the query lends it
+//! — however many names the attacker targets. (A stack of wrappers with
+//! one target each answers the same when no target lies below another; the
+//! set walks no stack.)
+//!
+//! A replacement answer is the same records for every query of a target,
 //! so the wrapper writes it from an [`AnswerTemplate`] built once, when it
 //! is constructed: a query of the family the address list holds is answered
-//! by copying the template behind the echoed question, byte for byte what
-//! building the [`Message`] and encoding it writes. Every other case — a
-//! list of both families or of the other one, the other poisoning modes, a
-//! query the template cannot render — builds the `Message`.
+//! by copying the template behind the echoed question. Every other
+//! fabricated answer — a list of both families or of the other one, an
+//! empty answer, NXDOMAIN, SERVFAIL — is written from the query where it
+//! lies ([`QueryView::write_response`]); only answer inflation, which
+//! appends to the honest answer, builds the [`Message`]. Each is byte for
+//! byte what building the `Message` and encoding it writes.
 
+use std::collections::HashSet;
 use std::net::IpAddr;
 
 use sdoh_dns_wire::{
-    AnswerTemplate, Message, MessageBuilder, Name, Rcode, Record, RrType, WireResult,
+    AnswerTemplate, Header, Message, MessageBuilder, Name, NameRef, QueryView, Rcode, Record,
+    RrType, WireResult,
 };
 
 use crate::exchange::Exchanger;
@@ -48,8 +59,8 @@ pub enum PoisonMode {
 /// Configuration of a poisoning resolver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoisonConfig {
-    /// Queries for this name (or its subdomains) are poisoned.
-    pub target: Name,
+    /// Queries for these names (or their subdomains) are poisoned.
+    pub targets: HashSet<Name>,
     /// The poisoning behaviour.
     pub mode: PoisonMode,
     /// TTL used for fabricated records.
@@ -59,8 +70,14 @@ pub struct PoisonConfig {
 impl PoisonConfig {
     /// Creates a configuration poisoning `target` with `mode`.
     pub fn new(target: Name, mode: PoisonMode) -> Self {
+        PoisonConfig::for_targets([target], mode)
+    }
+
+    /// Creates a configuration poisoning every name of `targets` with
+    /// `mode` — one resolver compromised for a whole pool.
+    pub fn for_targets(targets: impl IntoIterator<Item = Name>, mode: PoisonMode) -> Self {
         PoisonConfig {
-            target,
+            targets: targets.into_iter().collect(),
             mode,
             ttl: 300,
         }
@@ -68,11 +85,18 @@ impl PoisonConfig {
 
     /// Returns `true` when a query for `name` should be poisoned.
     pub fn applies_to(&self, name: &Name) -> bool {
-        name.is_subdomain_of(&self.target)
+        self.covers(name.as_name_ref())
+    }
+
+    /// Whether `name` or one of its ancestors is a target: one lookup per
+    /// label, and one for the root.
+    fn covers(&self, name: NameRef<'_>) -> bool {
+        std::iter::successors(Some(name), |name| name.parent())
+            .any(|name| self.targets.contains(name.as_key()))
     }
 }
 
-/// A resolver wrapper that answers honestly except for the target domain.
+/// A resolver wrapper that answers honestly except for the target domains.
 #[derive(Debug)]
 pub struct PoisonedResolver<H> {
     inner: H,
@@ -108,8 +132,8 @@ impl<H: QueryHandler> PoisonedResolver<H> {
         }
     }
 
-    /// Whether `query` is for the target: its first question's name is
-    /// the target or below it.
+    /// Whether `query` is for a target: its first question's name is a
+    /// target or below one.
     fn applies(&self, query: &Message) -> bool {
         query
             .question()
@@ -175,29 +199,49 @@ impl<H: QueryHandler> QueryHandler for PoisonedResolver<H> {
         }
     }
 
-    /// A query off the target goes to the inner handler's wire path, and
+    /// A query off the targets goes to the inner handler's wire path, and
     /// its TTL comes back with it; a replacement of the template's family
     /// is rendered from it, with the configured TTL when it holds a record;
-    /// anything else is the owned answer, encoded.
+    /// any other fabricated answer but an inflated one is written from the
+    /// query where it lies, and an inflated one is the owned answer,
+    /// encoded.
     fn handle_query_wire(
         &mut self,
         exchanger: &mut dyn Exchanger,
-        query: &Message,
+        query: &QueryView<'_>,
         out: &mut Vec<u8>,
     ) -> WireResult<Option<u32>> {
-        if !self.applies(query) {
+        let Some(question) = query.question().filter(|q| self.config.covers(q.name)) else {
             return self.inner.handle_query_wire(exchanger, query, out);
+        };
+        if let PoisonMode::InflateWith(_) = self.config.mode {
+            let query = query.to_message()?;
+            return self
+                .handle_query(exchanger, &query)
+                .encode_into(out)
+                .map(|()| None);
         }
+        self.poisoned_queries += 1;
+        let ttl = self.config.ttl;
         if let Some((rtype, template)) = &self.template {
-            if query.question().is_some_and(|q| q.rtype == *rtype)
-                && template.render(query, self.config.ttl, out)
-            {
-                self.poisoned_queries += 1;
-                return Ok((!template.is_empty()).then_some(self.config.ttl));
+            if question.rtype == *rtype && template.render(query, ttl, out) {
+                return Ok((!template.is_empty()).then_some(ttl));
             }
         }
-        self.handle_query(exchanger, query)
-            .encode_into(out)
+        let (rcode, addresses): (Rcode, &[IpAddr]) = match &self.config.mode {
+            PoisonMode::ReplaceAddresses(addresses) => (Rcode::NoError, addresses),
+            PoisonMode::NxDomain => (Rcode::NxDomain, &[]),
+            PoisonMode::ServFail => (Rcode::ServFail, &[]),
+            PoisonMode::EmptyAnswer | PoisonMode::InflateWith(_) => (Rcode::NoError, &[]),
+        };
+        // A fabricated answer claims recursion; an error response does not.
+        let header = Header {
+            rcode,
+            recursion_available: rcode == Rcode::NoError,
+            ..Header::response_to(query.header())
+        };
+        query
+            .write_response(header, ttl, addresses.iter().copied(), out)
             .map(|()| None)
     }
 

@@ -2,7 +2,7 @@
 //! transport-independent wire termination ([`serve_do53_payload`]) plus
 //! the simulated network service built on it ([`Do53Service`]).
 
-use sdoh_dns_wire::{Header, Message, Rcode, WireReader, WireResult};
+use sdoh_dns_wire::{Header, Message, QueryView, Rcode, WireReader, WireResult};
 use sdoh_netsim::{ChannelKind, Ctx, Service, ServiceResponse, SimAddr};
 
 use crate::exchange::Exchanger;
@@ -31,39 +31,41 @@ pub fn serve_do53_payload(
 }
 
 /// [`serve_do53_payload`] into a caller-owned buffer: `out` is replaced by
-/// the response, or left empty for "send nothing". Returns the decoded
-/// query (`None` when the payload was malformed) for front ends that go on
-/// to reframe the answer, e.g. truncate it for UDP.
+/// the response, or left empty for "send nothing". Returns the query read
+/// where it lies in `payload` (`None` when the payload was malformed) for
+/// front ends that go on to reframe the answer, e.g. truncate it for UDP.
 ///
 /// The two halves around the handler call — [`decode_do53_query`] and
 /// [`finish_do53_answer`] — are public for a front end that cannot answer
 /// in one call (a shard that parks a cache miss and answers it when its
 /// generation lands): it runs the same halves around its own handler steps.
-pub fn serve_do53_payload_into(
+pub fn serve_do53_payload_into<'p>(
     handler: &mut dyn QueryHandler,
     exchanger: &mut dyn Exchanger,
-    payload: &[u8],
+    payload: &'p [u8],
     drop_malformed: bool,
     out: &mut Vec<u8>,
-) -> Option<Message> {
+) -> Option<QueryView<'p>> {
     let query = decode_do53_query(payload, drop_malformed, out)?;
     let rendered = handler.handle_query_wire(exchanger, &query, out).map(drop);
     finish_do53_answer(&query, rendered, out);
     Some(query)
 }
 
-/// The decode half of the Do53 core. `out` is cleared; a payload that does
-/// not decode is answered there — a best-effort FORMERR, or nothing under
-/// `drop_malformed` — and `None` comes back. The FORMERR carries the id,
-/// opcode and RD bit of the payload's header when all 12 octets of it
-/// arrived (RFC 1035 4.1.1), so the client that sent it can match it.
-pub fn decode_do53_query(
-    payload: &[u8],
+/// The decode half of the Do53 core: the query is read where it lies in
+/// `payload` ([`QueryView`]), nothing copied out of it. `out` is cleared; a
+/// payload that does not decode is answered there — a best-effort FORMERR,
+/// or nothing under `drop_malformed` — and `None` comes back. The FORMERR
+/// carries the id, opcode and RD bit of the payload's header when all 12
+/// octets of it arrived (RFC 1035 4.1.1), so the client that sent it can
+/// match it.
+pub fn decode_do53_query<'p>(
+    payload: &'p [u8],
     drop_malformed: bool,
     out: &mut Vec<u8>,
-) -> Option<Message> {
+) -> Option<QueryView<'p>> {
     out.clear();
-    let Ok(query) = Message::decode(payload) else {
+    let Ok(query) = QueryView::parse(payload) else {
         if !drop_malformed {
             // Best effort FORMERR with an empty question section.
             let mut response = Message::new();
@@ -81,10 +83,15 @@ pub fn decode_do53_query(
 
 /// The closing half of the Do53 core: `rendered` is what writing the answer
 /// to `query` into `out` came to; one that failed to encode is replaced by
-/// SERVFAIL (and `out` left empty if even that does not encode).
-pub fn finish_do53_answer(query: &Message, rendered: WireResult<()>, out: &mut Vec<u8>) {
+/// SERVFAIL, written from the query where it lies (and `out` left empty if
+/// even that does not encode).
+pub fn finish_do53_answer(query: &QueryView<'_>, rendered: WireResult<()>, out: &mut Vec<u8>) {
     if rendered.is_err() {
-        let _ = Message::error_response(query, Rcode::ServFail).encode_into(out);
+        let servfail = Header {
+            rcode: Rcode::ServFail,
+            ..Header::response_to(query.header())
+        };
+        let _ = query.write_response(servfail, 0, [], out);
     }
 }
 
@@ -221,7 +228,7 @@ mod tests {
         fn handle_query_wire(
             &mut self,
             _: &mut dyn Exchanger,
-            _: &Message,
+            _: &QueryView<'_>,
             out: &mut Vec<u8>,
         ) -> sdoh_dns_wire::WireResult<Option<u32>> {
             out.clear();
@@ -253,13 +260,16 @@ mod tests {
         let mut out = b"left over".to_vec();
         let decoded =
             serve_do53_payload_into(&mut authority, &mut exchanger, &wire, false, &mut out);
-        assert_eq!(decoded, Some(query.clone()));
+        assert_eq!(
+            decoded.map(|lent| lent.to_message()),
+            Some(Ok(query.clone()))
+        );
         assert_eq!(out, authority.answer(&query).encode().unwrap());
 
         // Malformed payloads have no query to hand back.
         let decoded =
             serve_do53_payload_into(&mut authority, &mut exchanger, b"junk", false, &mut out);
-        assert_eq!(decoded, None);
+        assert!(decoded.is_none());
         assert_eq!(Message::decode(&out).unwrap().header.rcode, Rcode::FormErr);
         serve_do53_payload_into(&mut authority, &mut exchanger, b"junk", true, &mut out);
         assert!(out.is_empty());

@@ -7,8 +7,11 @@
 //! around an authority. The same holds for a poisoned resolver, whose
 //! replacement answers are rendered from a template, in every mode, and for
 //! the authority's answer index, which must render exactly the queries the
-//! walk would answer with an indexed RRset and refuse every other. Each
-//! test prints how many pairs it compared.
+//! walk would answer with an indexed RRset and refuse every other. A
+//! compromised resolver poisons a set of targets with one wrapper, and
+//! that answers byte for byte — and counts — what a stack of one wrapper
+//! per target did. The wire path reads each query where it lies in its
+//! encoding (`QueryView`). Each test prints how many pairs it compared.
 
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -19,13 +22,26 @@ use sdoh_dns_server::{
     Zone, ZoneLookup,
 };
 use sdoh_dns_wire::{
-    Edns, Message, MessageBuilder, MessageView, Name, Opcode, Question, RData, Rcode, Record,
-    RrClass, RrType,
+    Edns, Message, MessageBuilder, MessageView, Name, Opcode, QueryView, Question, RData, Rcode,
+    Record, RrClass, RrType,
 };
 use sdoh_netsim::{SimAddr, SimNet};
 
 /// Longest CNAME chain the authority follows, as it documents.
 const MAX_CNAME_CHAIN: usize = 8;
+
+/// `handler`'s wire answer to `query`, read where it lies in its encoding
+/// as a front door reads it, into `out`; the TTL it reports.
+fn wire_answer(
+    handler: &mut dyn QueryHandler,
+    exchanger: &mut ClientExchanger,
+    query: &Message,
+    out: &mut Vec<u8>,
+) -> Option<u32> {
+    let octets = query.encode().unwrap();
+    let lent = QueryView::parse(&octets).unwrap();
+    handler.handle_query_wire(exchanger, &lent, out).unwrap()
+}
 
 fn catalog() -> Catalog {
     let origin: Name = "ntpns.org".parse().unwrap();
@@ -242,13 +258,14 @@ fn the_wire_answer_is_the_encoded_answer_for_every_outcome() {
     for (case, query) in &queries {
         let reference = reference_answer(&catalog, query);
         assert_eq!(authority.answer(query), reference, "{case}");
-        authority.answer_into(query, &mut wire).unwrap();
+        let octets = query.encode().unwrap();
+        authority
+            .answer_into(&QueryView::parse(&octets).unwrap(), &mut wire)
+            .unwrap();
         assert_eq!(wire, reference.encode().unwrap(), "{case}");
 
         for (handler_name, handler) in &mut handlers {
-            handler
-                .handle_query_wire(&mut exchanger, query, &mut wire)
-                .unwrap();
+            wire_answer(handler.as_mut(), &mut exchanger, query, &mut wire);
             let encoded = handler
                 .handle_query(&mut exchanger, query)
                 .encode()
@@ -374,9 +391,7 @@ fn the_poisoned_wire_answer_is_the_encoded_answer_in_every_mode() {
                 (poisoned(stacked()), poisoned(stacked())),
             ] {
                 for query in &queries {
-                    on_wire
-                        .handle_query_wire(&mut exchanger, query, &mut wire)
-                        .unwrap();
+                    wire_answer(&mut on_wire, &mut exchanger, query, &mut wire);
                     let encoded = owned.handle_query(&mut exchanger, query).encode().unwrap();
                     assert_eq!(wire, encoded, "{mode:?} ttl {ttl}: {:?}", query.questions);
                     assert_eq!(
@@ -616,9 +631,7 @@ fn the_answer_index_answers_only_what_the_walk_answers_alike() {
             "{case}"
         );
         for (handler_name, handler) in &mut handlers {
-            let ttl = handler
-                .handle_query_wire(&mut exchanger, query, &mut wire)
-                .unwrap();
+            let ttl = wire_answer(handler.as_mut(), &mut exchanger, query, &mut wire);
             let encoded = handler
                 .handle_query(&mut exchanger, query)
                 .encode()
@@ -641,5 +654,112 @@ fn the_answer_index_answers_only_what_the_walk_answers_alike() {
          encoded owned answer, {indexed} of them rendered from the index with its TTL",
         cases.len(),
         handlers.len()
+    );
+}
+
+/// One layer of a stack of poisoning wrappers, shared so that its count
+/// can be read.
+type Layer = Arc<Mutex<PoisonedResolver<Box<dyn QueryHandler + Send>>>>;
+
+/// One wrapper over a set of targets against the stack of one wrapper per
+/// target it replaced, for targets none of which lies below another (as a
+/// fleet's pool domains): every `PoisonMode` — a replacement of one family,
+/// of the other and of both, inflation, an empty answer, NXDOMAIN and
+/// SERVFAIL — asked for each target, a subdomain of one, a sibling that is
+/// none, the apex, a target spelled in mixed case, and the family a list
+/// does not hold. Both forms answer through `handle_query` and the wire
+/// path alike, byte for byte, and count the same poisoned queries: the
+/// stack's layers summed.
+#[test]
+fn one_wrapper_over_a_target_set_answers_what_a_stack_of_wrappers_did() {
+    let catalog = catalog();
+    let net = SimNet::new(1);
+    let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 1000));
+    let v4 = |host: u8| IpAddr::from([198, 18, 0, host]);
+    let v6 = |host: u16| IpAddr::from([0x2001, 0xdb8, 0, 0, 0, 0, 0x66, host]);
+    let modes = [
+        PoisonMode::ReplaceAddresses((1..=4).map(v4).collect()),
+        PoisonMode::ReplaceAddresses(vec![v6(1), v6(2)]),
+        PoisonMode::ReplaceAddresses(vec![v4(1), v6(1), v4(2)]),
+        PoisonMode::InflateWith(vec![v4(9), v6(9)]),
+        PoisonMode::EmptyAnswer,
+        PoisonMode::NxDomain,
+        PoisonMode::ServFail,
+    ];
+    let targets: Vec<Name> = ["pool.ntpns.org", "poisoned.ntpns.org", "c.ntpns.org"]
+        .iter()
+        .map(|name| name.parse().unwrap())
+        .collect();
+    let mut queries = Vec::new();
+    for name in [
+        "pool.ntpns.org",
+        "poisoned.ntpns.org",
+        "c.ntpns.org",
+        "deeper.pool.ntpns.org",
+        "PoIsOnEd.NtPnS.oRg",
+        "alias.ntpns.org",
+        "x.deep.ntpns.org",
+        "ntpns.org",
+        "www.example.com",
+    ] {
+        for rtype in [RrType::A, RrType::Aaaa] {
+            queries.push(Message::query(0x5E7, name.parse().unwrap(), rtype));
+        }
+    }
+
+    let mut compared = 0;
+    let mut answer = Vec::new();
+    let mut stacked_answer = Vec::new();
+    for mode in &modes {
+        let mut set = PoisonedResolver::new(
+            Authority::new(catalog.clone()),
+            PoisonConfig::for_targets(targets.iter().cloned(), mode.clone()),
+        );
+        // The stack, each layer shared so that its count can be read.
+        let mut layers: Vec<Layer> = Vec::new();
+        let mut stack: Box<dyn QueryHandler + Send> = Box::new(Authority::new(catalog.clone()));
+        for target in &targets {
+            let layer = Arc::new(Mutex::new(PoisonedResolver::new(
+                stack,
+                PoisonConfig::new(target.clone(), mode.clone()),
+            )));
+            layers.push(Arc::clone(&layer));
+            stack = Box::new(layer);
+        }
+        let stacked_count = |layers: &[Layer]| {
+            layers
+                .iter()
+                .map(|layer| layer.lock().poisoned_queries())
+                .sum::<u64>()
+        };
+        for query in &queries {
+            let owned = set.handle_query(&mut exchanger, query).encode().unwrap();
+            let stacked = stack.handle_query(&mut exchanger, query).encode().unwrap();
+            assert_eq!(owned, stacked, "{mode:?}: {:?}", query.questions);
+            let ttl = wire_answer(&mut set, &mut exchanger, query, &mut answer);
+            let stacked_ttl =
+                wire_answer(stack.as_mut(), &mut exchanger, query, &mut stacked_answer);
+            assert_eq!(answer, owned, "{mode:?} on the wire: {:?}", query.questions);
+            assert_eq!(stacked_answer, owned, "{mode:?}: {:?}", query.questions);
+            assert_eq!(ttl, stacked_ttl, "{mode:?}: {:?}", query.questions);
+            assert_eq!(
+                set.poisoned_queries(),
+                stacked_count(&layers),
+                "{mode:?}: {:?}",
+                query.questions
+            );
+            compared += 1;
+        }
+        // Each target, its subdomain and its mixed-case spelling, in both
+        // families, on both paths.
+        assert_eq!(set.poisoned_queries(), 2 * 2 * 5, "{mode:?}");
+    }
+    println!(
+        "poisoning by set: {} modes x {} queries = {compared} cases, one wrapper over {} targets \
+         equal to the stack of {} wrappers on both paths, poisoned queries counted alike",
+        modes.len(),
+        queries.len(),
+        targets.len(),
+        targets.len()
     );
 }

@@ -10,6 +10,9 @@
 //!   additional sections, name compression and EDNS(0),
 //! * [`MessageView`] — a message validated where it lies and read without
 //!   copying it; [`Message::decode`] is this view plus the owned copy,
+//! * [`QueryView`] — a query read where it lies: what a server reads of
+//!   it (header, question, EDNS payload size) lent from its octets, and
+//!   its responses written from them,
 //! * [`AnswerTemplate`] — an address answer section encoded once and
 //!   rendered per query by copying it,
 //! * [`RData`] — typed rdata for A, AAAA, NS, CNAME, PTR, MX, TXT, SOA, SRV
@@ -53,6 +56,7 @@ mod error;
 mod header;
 mod message;
 mod name;
+mod query;
 mod question;
 mod rdata;
 mod record;
@@ -66,7 +70,8 @@ pub use edns::{Edns, DEFAULT_PAYLOAD_SIZE};
 pub use error::{WireError, WireResult};
 pub use header::{Header, Opcode, Rcode};
 pub use message::{addresses_of_type, encode_sections, Message, MessageBuilder, MAX_MESSAGE_SIZE};
-pub use name::{Name, MAX_LABEL_LEN, MAX_NAME_LEN};
+pub use name::{Name, NameKey, NameRef, MAX_LABEL_LEN, MAX_NAME_LEN};
+pub use query::{QueryView, QuestionRef};
 pub use question::{QueryWire, Question};
 pub use rdata::{EdnsOption, Mx, OptRdata, RData, Soa, Srv};
 pub use record::{Record, RecordView};

@@ -175,7 +175,6 @@ impl Message {
     ///
     /// Returns an error for truncated or malformed messages. Trailing bytes
     /// after the declared sections are rejected.
-    // sdoh-lint: allow(transitive-hot-path-purity, "the owned copy allocates a name per record and a Vec per section; the front door's decode_do53_query is the one owned decode left per query, upstream answers are read through MessageView")
     pub fn decode(data: &[u8]) -> WireResult<Self> {
         MessageView::walk::<true>(data, &mut ()).map(|(_, message)| message)
     }

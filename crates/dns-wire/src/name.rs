@@ -22,7 +22,17 @@
 //! `eq_ignore_ascii_case`, why the hash is one write of the lowercased
 //! buffer, and why the 0x20 helpers may scan the buffer without telling
 //! length octets from label octets.
+//!
+//! # Lent names
+//!
+//! A query carries its question's name the way a [`Name`] holds it, so a
+//! reader of the query need not copy it into one: [`NameRef`] is a name's
+//! labels lent from wherever they lie. A `Name`-keyed map is probed with
+//! one through `Name: Borrow<dyn NameKey>` — the same equality and the
+//! same hash, computed from the same octets — so a lookup by the name a
+//! query asks for builds no `Name`.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -66,6 +76,7 @@ pub struct Name {
 /// labels one at a time (presentation format, raw labels, the wire reader)
 /// pushes them here, so the label and name limits are checked in one place
 /// and the name's buffer is allocated once, at its final size.
+#[derive(Debug, Clone)]
 pub(crate) struct LabelBuf {
     octets: [u8; MAX_BUF_LEN],
     /// Wire length of the labels pushed so far, terminating zero included.
@@ -110,6 +121,12 @@ impl LabelBuf {
         if let Some(slot) = self.octets.get_mut(start..self.wire_len - 1) {
             slot.copy_from_slice(label);
         }
+    }
+
+    /// The labels pushed so far, as a [`Name`] holds them; empty once they
+    /// are over the name limit (the wire reader has refused them by then).
+    pub(crate) fn labels(&self) -> &[u8] {
+        self.octets.get(..self.wire_len - 1).unwrap_or_default()
     }
 
     #[inline]
@@ -206,6 +223,11 @@ impl Name {
     /// terminating zero — the uncompressed wire form but for that octet.
     pub(crate) fn as_wire_labels(&self) -> &[u8] {
         &self.buf
+    }
+
+    /// The name lent out, as a query's question lends its own.
+    pub fn as_name_ref(&self) -> NameRef<'_> {
+        NameRef { labels: &self.buf }
     }
 
     /// The buffer of the name `skip` labels up: its tail from there on.
@@ -389,14 +411,144 @@ impl PartialEq for Name {
 impl Eq for Name {}
 
 impl Hash for Name {
-    /// One write of the lowercased uncompressed wire form (the buffer and
-    /// its terminating zero), so names that are equal hash alike.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        let mut wire = [0u8; MAX_NAME_LEN];
-        for (lowered, b) in wire.iter_mut().zip(&self.buf) {
-            *lowered = b.to_ascii_lowercase();
+        hash_labels(&self.buf, state);
+    }
+}
+
+/// One write of the lowercased uncompressed wire form (the labels and the
+/// terminating zero), so names that are equal hash alike — whether a
+/// [`Name`] or a [`NameRef`] holds them.
+fn hash_labels<H: Hasher>(labels: &[u8], state: &mut H) {
+    let mut wire = [0u8; MAX_NAME_LEN];
+    for (lowered, b) in wire.iter_mut().zip(labels) {
+        *lowered = b.to_ascii_lowercase();
+    }
+    state.write(wire.get(..labels.len() + 1).unwrap_or(&wire));
+}
+
+/// A name lent from where its labels lie — a query's question, a
+/// [`Name`]'s buffer — as the wire carries them: each label behind its
+/// length octet, leftmost first, without the terminating zero. It compares
+/// and hashes as the [`Name`] with the same labels does, and a `Name`-keyed
+/// map finds that name's entry by it ([`NameRef::as_key`]).
+///
+/// # Examples
+///
+/// ```
+/// use std::collections::HashMap;
+/// use sdoh_dns_wire::{Name, NameRef, RrType, QueryView, QueryWire};
+///
+/// # fn main() -> Result<(), sdoh_dns_wire::WireError> {
+/// let pool: Name = "pool.ntp.org".parse()?;
+/// let index = HashMap::from([(pool.clone(), 8)]);
+///
+/// let wire = QueryWire::new(7, &"POOL.ntp.org".parse()?, RrType::A)?;
+/// let query = QueryView::parse(wire.as_bytes())?;
+/// let asked: NameRef<'_> = query.question().unwrap().name;
+/// assert_eq!(asked, pool.as_name_ref());
+/// assert_eq!(index.get(asked.as_key()), Some(&8));
+/// assert_eq!(asked.parent().unwrap().to_name(), "ntp.org".parse::<Name>()?);
+/// assert_eq!(asked.to_name(), pool);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct NameRef<'a> {
+    labels: &'a [u8],
+}
+
+impl<'a> NameRef<'a> {
+    /// Lends `labels`, which the caller has checked are a name's: labels
+    /// of 1..=63 octets behind their length octets, within the name limit.
+    pub(crate) fn new(labels: &'a [u8]) -> Self {
+        NameRef { labels }
+    }
+
+    /// Returns `true` if this is the root name.
+    pub fn is_root(self) -> bool {
+        self.labels.is_empty()
+    }
+
+    /// Length of the name in wire format, without compression.
+    pub fn wire_len(self) -> usize {
+        self.labels.len() + 1
+    }
+
+    /// The name one label up, or `None` for the root.
+    pub fn parent(self) -> Option<NameRef<'a>> {
+        let mut labels = Labels(self.labels);
+        labels.next()?;
+        Some(NameRef { labels: labels.0 })
+    }
+
+    /// The owned copy: one allocation.
+    pub fn to_name(self) -> Name {
+        Name {
+            buf: self.labels.to_vec(),
         }
-        state.write(wire.get(..self.wire_len()).unwrap_or(&wire));
+    }
+
+    /// The key a `Name`-keyed map or set is probed with, through
+    /// `Name: Borrow<dyn NameKey>`.
+    pub fn as_key(&self) -> &(dyn NameKey + 'a) {
+        self
+    }
+}
+
+impl PartialEq for NameRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.labels.eq_ignore_ascii_case(other.labels)
+    }
+}
+
+impl Eq for NameRef<'_> {}
+
+impl Hash for NameRef<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        hash_labels(self.labels, state);
+    }
+}
+
+/// What a `Name`-keyed map is probed with: the labels of a name, whoever
+/// holds them, compared ignoring ASCII case and hashed exactly as [`Name`]
+/// compares and hashes — so `Name: Borrow<dyn NameKey>` keeps the
+/// contract of [`Borrow`].
+pub trait NameKey {
+    /// The name's labels, each behind its length octet, without the
+    /// terminating zero.
+    fn key_labels(&self) -> &[u8];
+}
+
+impl NameKey for Name {
+    fn key_labels(&self) -> &[u8] {
+        &self.buf
+    }
+}
+
+impl NameKey for NameRef<'_> {
+    fn key_labels(&self) -> &[u8] {
+        self.labels
+    }
+}
+
+impl PartialEq for dyn NameKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key_labels().eq_ignore_ascii_case(other.key_labels())
+    }
+}
+
+impl Eq for dyn NameKey + '_ {}
+
+impl Hash for dyn NameKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        hash_labels(self.key_labels(), state);
+    }
+}
+
+impl<'a> Borrow<dyn NameKey + 'a> for Name {
+    fn borrow(&self) -> &(dyn NameKey + 'a) {
+        self
     }
 }
 

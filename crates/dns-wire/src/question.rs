@@ -4,6 +4,7 @@ use std::fmt;
 
 use crate::error::{WireError, WireResult};
 use crate::name::{Name, MAX_NAME_LEN};
+use crate::query::QuestionRef;
 use crate::rrtype::{RrClass, RrType};
 use crate::wire::{WireReader, WireWriter};
 
@@ -31,6 +32,16 @@ impl Question {
             name,
             rtype,
             rclass: RrClass::In,
+        }
+    }
+
+    /// The question lent, as a query read where it lies lends its own
+    /// ([`QueryView::question`](crate::QueryView::question)).
+    pub fn as_question_ref(&self) -> QuestionRef<'_> {
+        QuestionRef {
+            name: self.name.as_name_ref(),
+            rtype: self.rtype,
+            rclass: self.rclass,
         }
     }
 

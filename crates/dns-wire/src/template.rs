@@ -8,7 +8,10 @@
 //! TTL | RDLEN | RDATA]`, every owner name a compression pointer to the
 //! question at offset 12 — and [`AnswerTemplate::render`] writes header,
 //! echoed question and the TTL-patched records into a caller's buffer,
-//! byte for byte what building the [`Message`] and encoding it produces.
+//! byte for byte what building the [`Message`](crate::Message) and
+//! encoding it produces.
+//! The query is read where it lies ([`QueryView`]): rendering an answer
+//! copies no name and builds no message.
 //!
 //! The header is a resolver's (RA set) or, for a template made
 //! [`authoritative`](AnswerTemplate::authoritative), an authoritative
@@ -18,8 +21,9 @@
 use std::net::IpAddr;
 
 use crate::header::Header;
-use crate::message::{Message, MAX_MESSAGE_SIZE};
-use crate::name::MAX_NAME_LEN;
+use crate::message::MAX_MESSAGE_SIZE;
+use crate::name::{NameKey, MAX_NAME_LEN};
+use crate::query::QueryView;
 use crate::rrtype::{RrClass, RrType};
 use crate::wire::WireWriter;
 
@@ -37,15 +41,16 @@ const FIXED_RECORD_LEN: usize = 12;
 /// # Examples
 ///
 /// ```
-/// use sdoh_dns_wire::{AnswerTemplate, Message, MessageBuilder, RrType};
+/// use sdoh_dns_wire::{AnswerTemplate, Message, MessageBuilder, QueryView, RrType};
 ///
 /// let addresses = ["203.0.113.1".parse().unwrap(), "2001:db8::1".parse().unwrap()];
 /// let template = AnswerTemplate::for_addresses(RrType::A, addresses);
 /// assert_eq!(template.len(), 1, "only the queried family is kept");
 ///
 /// let query = Message::query(7, "pool.ntp.org".parse().unwrap(), RrType::A);
+/// let query_wire = query.encode().unwrap();
 /// let mut wire = Vec::new();
-/// assert!(template.render(&query, 60, &mut wire));
+/// assert!(template.render(&QueryView::parse(&query_wire).unwrap(), 60, &mut wire));
 /// let built = MessageBuilder::response_to(&query)
 ///     .recursion_available(true)
 ///     .answer_address(60, addresses[0])
@@ -128,12 +133,15 @@ impl AnswerTemplate {
     /// Returns `false`, leaving `out` empty, for what the template cannot
     /// reproduce byte for byte — a query without exactly one question, the
     /// root name (nothing for the owner pointers to compress against) or a
-    /// response over [`MAX_MESSAGE_SIZE`] — so the caller builds the
-    /// [`Message`] instead.
+    /// response over [`MAX_MESSAGE_SIZE`] — so the caller writes the answer
+    /// another way ([`QueryView::write_response`]).
     #[must_use]
-    pub fn render(&self, query: &Message, ttl: u32, out: &mut Vec<u8>) -> bool {
+    pub fn render(&self, query: &QueryView<'_>, ttl: u32, out: &mut Vec<u8>) -> bool {
         out.clear();
-        let [question] = query.questions.as_slice() else {
+        let Some(question) = query
+            .question()
+            .filter(|_| query.header().question_count == 1)
+        else {
             return false;
         };
         let name_len = question.name.wire_len();
@@ -152,13 +160,15 @@ impl AnswerTemplate {
             recursion_available: !self.authoritative,
             question_count: 1,
             answer_count,
-            ..Header::response_to(&query.header)
+            ..Header::response_to(query.header())
         };
         // The question name is the first name of the message, so writing it
         // uncompressed is exactly what the compressing encoder does.
         let written = WireWriter::write_into(out, false, |w| {
             header.encode(w)?;
-            question.encode(w)?;
+            w.put_labels(question.name.key_labels())?;
+            w.put_u16(question.rtype.code());
+            w.put_u16(question.rclass.code());
             w.put_slice(&self.records);
             Ok(())
         });
@@ -182,7 +192,7 @@ impl AnswerTemplate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::MessageBuilder;
+    use crate::message::{Message, MessageBuilder};
     use crate::name::Name;
     use crate::question::Question;
 
@@ -192,6 +202,12 @@ mod tests {
 
     fn v6(last: u16) -> IpAddr {
         IpAddr::from([0x2001, 0xdb8, 0, 0, 0, 0, 0, last])
+    }
+
+    /// Renders `template` for `query`, read where it lies in its encoding.
+    fn render(template: &AnswerTemplate, query: &Message, ttl: u32, out: &mut Vec<u8>) -> bool {
+        let wire = query.encode().unwrap();
+        template.render(&QueryView::parse(&wire).unwrap(), ttl, out)
     }
 
     fn built(query: &Message, ttl: u32, addresses: &[IpAddr]) -> Vec<u8> {
@@ -216,7 +232,7 @@ mod tests {
             for rd in [true, false] {
                 query.header.recursion_desired = rd;
                 for ttl in [0, 1, 60, u32::MAX] {
-                    assert!(template.render(&query, ttl, &mut out));
+                    assert!(render(&template, &query, ttl, &mut out));
                     assert_eq!(
                         out,
                         built(&query, ttl, &family),
@@ -239,7 +255,7 @@ mod tests {
             for address in family {
                 builder = builder.answer_address(300, address);
             }
-            assert!(template.render(&query, 300, &mut out));
+            assert!(render(&template, &query, 300, &mut out));
             assert_eq!(out, builder.build().encode().unwrap(), "rd={rd}");
         }
     }
@@ -250,7 +266,7 @@ mod tests {
         assert!(template.is_empty());
         let query = Message::query(1, "v4only.test".parse().unwrap(), RrType::Aaaa);
         let mut out = Vec::new();
-        assert!(template.render(&query, 30, &mut out));
+        assert!(render(&template, &query, 30, &mut out));
         assert_eq!(out, built(&query, 30, &[]));
         assert!(AnswerTemplate::for_addresses(RrType::Txt, [v4(1), v6(1)]).is_empty());
     }
@@ -265,7 +281,7 @@ mod tests {
         query.header.checking_disabled = true;
         query.set_edns(crate::edns::Edns::with_payload_size(4096));
         let mut out = Vec::new();
-        assert!(template.render(&query, 5, &mut out));
+        assert!(render(&template, &query, 5, &mut out));
         assert_eq!(out, built(&query, 5, &[v4(1)]));
     }
 
@@ -276,16 +292,16 @@ mod tests {
 
         let mut none = Message::query(1, "a.test".parse().unwrap(), RrType::A);
         none.questions.clear();
-        assert!(!template.render(&none, 60, &mut out));
+        assert!(!render(&template, &none, 60, &mut out));
         assert!(out.is_empty());
 
         let mut two = Message::query(1, "a.test".parse().unwrap(), RrType::A);
         two.questions
             .push(Question::new("b.test".parse().unwrap(), RrType::A));
-        assert!(!template.render(&two, 60, &mut out));
+        assert!(!render(&template, &two, 60, &mut out));
 
         let root = Message::query(1, Name::root(), RrType::A);
-        assert!(!template.render(&root, 60, &mut out));
+        assert!(!render(&template, &root, 60, &mut out));
     }
 
     #[test]
@@ -297,7 +313,7 @@ mod tests {
         let template = AnswerTemplate::for_addresses(RrType::A, addresses.iter().copied());
         let query = Message::query(1, "big.test".parse().unwrap(), RrType::A);
         let mut out = Vec::new();
-        assert!(!template.render(&query, 60, &mut out));
+        assert!(!render(&template, &query, 60, &mut out));
         let mut builder = MessageBuilder::response_to(&query);
         for &address in &addresses {
             builder = builder.answer_address(60, address);
@@ -308,7 +324,7 @@ mod tests {
         let fits = (MAX_MESSAGE_SIZE - 12 - "big.test".len() - 2 - 4) / 16;
         let template =
             AnswerTemplate::for_addresses(RrType::A, addresses.iter().copied().take(fits));
-        assert!(template.render(&query, 60, &mut out));
+        assert!(render(&template, &query, 60, &mut out));
         assert_eq!(out, built(&query, 60, &addresses[..fits]));
     }
 }

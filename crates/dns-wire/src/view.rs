@@ -132,6 +132,7 @@ impl<'a> MessageView<'a> {
     /// one pass. Without `KEEP` the message comes back empty, nothing is
     /// allocated, and each answer record is handed to `answers` as it is
     /// validated.
+    // sdoh-lint: allow(transitive-hot-path-purity, "with KEEP this is Message::decode's owned copy, a name per record and a vector per section; without KEEP (MessageView::parse, QueryView::parse: every query the serving path reads) it allocates nothing, which the rule cannot tell apart because it does not evaluate KEEP, and core/tests/alloc_budget.rs can: a cached hit read at the front door allocates 0 times")
     pub(crate) fn walk<const KEEP: bool>(
         packet: &'a [u8],
         answers: &mut impl AnswerSink<'a>,
@@ -180,6 +181,11 @@ impl<'a> MessageView<'a> {
     /// The message header, section counts as the packet declares them.
     pub fn header(&self) -> &Header {
         &self.header
+    }
+
+    /// The packet the view was parsed from.
+    pub(crate) fn packet(&self) -> &'a [u8] {
+        self.packet
     }
 
     /// Whether the first question is the one `query` asks: its name

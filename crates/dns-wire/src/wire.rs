@@ -161,12 +161,20 @@ impl WireWriter {
     ///
     /// Returns [`WireError::NameTooLong`] if the name exceeds wire limits.
     pub fn put_name(&mut self, name: &Name) -> WireResult<()> {
-        if name.wire_len() > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(name.wire_len()));
+        self.put_labels(name.as_wire_labels())
+    }
+
+    /// [`WireWriter::put_name`] for a name's labels wherever they lie (a
+    /// name lent from a query, or gathered from one): each label behind its
+    /// length octet, without the terminating zero, as a [`Name`] holds
+    /// them.
+    pub(crate) fn put_labels(&mut self, labels: &[u8]) -> WireResult<()> {
+        if labels.len() + 1 > MAX_NAME_LEN {
+            return Err(WireError::NameTooLong(labels.len() + 1));
         }
         // `rest` is the suffix still to write: the name's buffer from the
         // next length octet on.
-        let mut rest = name.as_wire_labels();
+        let mut rest = labels;
         // The shortcut of the module doc: that offset is registered and no
         // other registered name equals it.
         if let Some((at, len)) = self.whole {

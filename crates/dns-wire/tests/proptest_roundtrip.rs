@@ -7,7 +7,11 @@
 //! round-trip corpus, seeded mutations of it and hand-built hostile
 //! packets — the walk that collects addresses as it validates, the one-step
 //! least TTL and the echo check against a query's own octets included —
-//! and prints how many inputs it checked.
+//! and [`QueryView`], the query a server reads where it lies, against the
+//! same decode: what it lends (header, first question spelled as asked,
+//! EDNS payload size) and every response written from it (an error, an
+//! address answer, a template's render) byte for byte what the decoded
+//! message builds and encodes. It prints how many inputs it checked.
 
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -20,8 +24,9 @@ mod common {
 use common::mutate::{self, pick};
 
 use sdoh_dns_wire::{
-    addresses_of_type, base64url, Edns, EdnsOption, Header, Message, MessageView, Mx, Name, Opcode,
-    QueryWire, Question, RData, Rcode, Record, RrClass, RrType, Soa, Srv, WireError, WireReader,
+    addresses_of_type, base64url, AnswerTemplate, Edns, EdnsOption, Header, Message,
+    MessageBuilder, MessageView, Mx, Name, Opcode, QueryView, QueryWire, Question, RData, Rcode,
+    Record, RrClass, RrType, Soa, Srv, WireError, WireReader,
 };
 
 fn arb_label() -> impl Strategy<Value = String> {
@@ -394,6 +399,11 @@ fn view_oracle_agrees_with_decode() {
                 _ => panic!("collecting {collected:?} but decode {decoded:?} on {input:02x?}"),
             }
         }
+        match (&QueryView::parse(input), &decoded) {
+            (Err(rejected), Err(error)) => assert_eq!(rejected, error, "{input:02x?}"),
+            (Ok(query), Ok(message)) => query_view_agrees(query, message, input),
+            (query, _) => panic!("query view {query:?} but decode {decoded:?} on {input:02x?}"),
+        }
         match (&view, &decoded) {
             (Err(rejected), Err(error)) => assert_eq!(rejected, error, "{input:02x?}"),
             (Ok(view), Ok(message)) => {
@@ -438,10 +448,94 @@ fn view_oracle_agrees_with_decode() {
         }
     }
     println!(
-        "view oracle: {} inputs ({accepted} accepted, {} rejected), view, decode and the \
-         sequential reference agree on every one",
+        "view oracle: {} inputs ({accepted} accepted, {} rejected), view, query view, decode \
+         and the sequential reference agree on every one",
         inputs.len(),
         inputs.len() - accepted
     );
     assert!(accepted > inputs.len() / 10 && accepted < inputs.len());
+}
+
+/// What a server reads from `query` is what it reads from the decoded
+/// `message`, and what it writes from the view is what it builds from the
+/// message and encodes.
+fn query_view_agrees(query: &QueryView<'_>, message: &Message, input: &[u8]) {
+    assert_eq!(query.header(), &message.header, "{input:02x?}");
+    match (query.question(), message.question()) {
+        (Some(lent), Some(owned)) => {
+            assert!(
+                lent.name.to_name().eq_case_exact(&owned.name),
+                "{input:02x?}"
+            );
+            assert_eq!((lent.rtype, lent.rclass), (owned.rtype, owned.rclass));
+        }
+        (None, None) => {}
+        (lent, owned) => panic!("question {lent:?} but decoded {owned:?} on {input:02x?}"),
+    }
+    let advertised = message.edns().map(|edns| edns.payload_size);
+    assert_eq!(query.payload_size(), advertised, "{input:02x?}");
+
+    let mut out = vec![0xEE];
+    let mut written = |header: Header, addresses: &[std::net::IpAddr]| {
+        query
+            .write_response(header, 60, addresses.iter().copied(), &mut out)
+            .map(|()| out.clone())
+    };
+    for rcode in [Rcode::ServFail, Rcode::FormErr, Rcode::NotImp] {
+        let header = Header {
+            rcode,
+            ..Header::response_to(query.header())
+        };
+        let owned = Message::error_response(message, rcode).encode();
+        assert_eq!(written(header, &[]), owned, "{rcode} on {input:02x?}");
+    }
+    let truncated = Header {
+        truncated: true,
+        ..Header::response_to(query.header())
+    };
+    let mut tc = Message::response_to(message);
+    tc.header.truncated = true;
+    assert_eq!(written(truncated, &[]), tc.encode(), "{input:02x?}");
+
+    let addresses = [
+        std::net::IpAddr::from([203, 0, 113, 1]),
+        std::net::IpAddr::from([0x2001, 0xdb8, 0, 0, 0, 0, 0, 1]),
+        std::net::IpAddr::from([203, 0, 113, 2]),
+    ];
+    let answered = Header {
+        recursion_available: true,
+        ..Header::response_to(query.header())
+    };
+    let mut builder = MessageBuilder::response_to(message).recursion_available(true);
+    for address in addresses {
+        builder = builder.answer_address(60, address);
+    }
+    let built = builder.build();
+    assert_eq!(
+        written(answered, &addresses),
+        built.encode(),
+        "{input:02x?}"
+    );
+
+    // A template renders what it can reproduce, and that is the answer of
+    // its family built and encoded.
+    for rtype in [RrType::A, RrType::Aaaa] {
+        let template = AnswerTemplate::for_addresses(rtype, addresses);
+        let mut rendered = Vec::new();
+        if template.render(query, 60, &mut rendered) {
+            let mut builder = MessageBuilder::response_to(message).recursion_available(true);
+            for address in addresses {
+                if address.is_ipv4() == (rtype == RrType::A) {
+                    builder = builder.answer_address(60, address);
+                }
+            }
+            assert_eq!(Ok(rendered), builder.build().encode(), "{input:02x?}");
+        } else {
+            assert!(rendered.is_empty());
+            assert!(
+                message.questions.len() != 1 || message.questions[0].name.is_root(),
+                "a one-question query the template refused: {input:02x?}"
+            );
+        }
+    }
 }

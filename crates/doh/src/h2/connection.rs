@@ -383,6 +383,43 @@ enum Arriving {
     Body { left: Option<u64> },
 }
 
+/// The streams a message is arriving on, by id. A DoH connection carries
+/// one exchange, so the first stream is kept inline and only a connection
+/// with more than one open at a time spills to the heap: opening a
+/// client's stream allocates nothing. Ids are unique, so the order they
+/// are kept in does not matter.
+#[derive(Debug, Default)]
+struct Streams {
+    one: Option<(u32, Arriving)>,
+    more: Vec<(u32, Arriving)>,
+}
+
+impl Streams {
+    fn get_mut(&mut self, id: u32) -> Option<&mut Arriving> {
+        self.one
+            .iter_mut()
+            .chain(self.more.iter_mut())
+            .find_map(|(open, arriving)| (*open == id).then_some(arriving))
+    }
+
+    /// Opens `id`, which is not open.
+    fn insert(&mut self, id: u32, arriving: Arriving) {
+        if self.one.is_none() {
+            self.one = Some((id, arriving));
+        } else {
+            self.more.push((id, arriving));
+        }
+    }
+
+    fn remove(&mut self, id: u32) -> Option<Arriving> {
+        if let Some((_, arriving)) = self.one.take_if(|(open, _)| *open == id) {
+            return Some(arriving);
+        }
+        let at = self.more.iter().position(|(open, _)| *open == id)?;
+        Some(self.more.swap_remove(at).1)
+    }
+}
+
 /// The state the walk of received octets keeps, and the output queue.
 #[derive(Debug)]
 struct Walk {
@@ -393,8 +430,8 @@ struct Walk {
     /// The tail of a frame (or of the preface) that the last owned
     /// `receive` ended inside.
     pending: Vec<u8>,
-    /// The streams a message is arriving on, by id, in the order opened.
-    streams: Vec<(u32, Arriving)>,
+    /// The streams a message is arriving on.
+    streams: Streams,
     /// Whether the peer opens streams (a client does, at a server) and the
     /// last one it opened.
     peer_opens: bool,
@@ -412,7 +449,7 @@ impl Walk {
             out: out.into(),
             preface,
             pending: Vec::new(),
-            streams: Vec::new(),
+            streams: Streams::default(),
             peer_opens,
             last_opened: 0,
             peer_settings_received: false,
@@ -505,7 +542,7 @@ impl Walk {
                 Frame::Ping { ack: true, data }.encode(self.output())
             }
             Frame::RstStream { stream_id, .. } => {
-                self.streams.retain(|(id, _)| *id != stream_id);
+                self.streams.remove(stream_id);
                 return Ok(Some(Part::Reset { stream_id }));
             }
             Frame::GoAway { error_code, .. } => self.goaway = Some(error_code),
@@ -523,11 +560,7 @@ impl Walk {
         fields: Fields<'a>,
         end_stream: bool,
     ) -> Result<Option<Part<'a, H>>, H2Error> {
-        let arriving = self
-            .streams
-            .iter()
-            .find(|(open, _)| *open == id)
-            .map(|&(_, arriving)| arriving);
+        let arriving = self.streams.get_mut(id).copied();
         match arriving {
             None if !self.peer_opens || id.is_multiple_of(2) || id <= self.last_opened => {
                 Err(H2Error::Protocol(format!(
@@ -541,7 +574,7 @@ impl Walk {
                 for field in fields {
                     field?;
                 }
-                self.streams.retain(|(open, _)| *open != id);
+                self.streams.remove(id);
                 body_ends(id, left)?;
                 Ok(Some(Part::Body {
                     stream_id: id,
@@ -555,11 +588,11 @@ impl Walk {
                     self.last_opened = id;
                 }
                 let (head, declared) = H::read(fields)?;
-                self.streams.retain(|(open, _)| *open != id);
+                self.streams.remove(id);
                 if end_stream {
                     body_ends(id, declared)?;
                 } else {
-                    self.streams.push((id, Arriving::Body { left: declared }));
+                    self.streams.insert(id, Arriving::Body { left: declared });
                 }
                 Ok(Some(Part::Head {
                     stream_id: id,
@@ -573,22 +606,21 @@ impl Walk {
     /// The stream rules (module doc) for a DATA frame of `len` octets on
     /// `id`.
     fn data_arrives(&mut self, id: u32, len: usize, end_stream: bool) -> Result<(), H2Error> {
-        let at = self
+        let arriving = self
             .streams
-            .iter()
-            .position(|&(open, arriving)| open == id && arriving != Arriving::Head)
+            .get_mut(id)
+            .filter(|arriving| **arriving != Arriving::Head)
             .ok_or_else(|| {
                 H2Error::Protocol(format!("data on stream {id}, where no head has arrived"))
             })?;
-        if let Some((_, Arriving::Body { left: Some(left) })) = self.streams.get_mut(at) {
+        if let Arriving::Body { left: Some(left) } = arriving {
             *left = u64::try_from(len)
                 .ok()
                 .and_then(|len| left.checked_sub(len))
                 .ok_or_else(|| overrun(id))?;
         }
         if end_stream {
-            let (_, arriving) = self.streams.remove(at);
-            if let Arriving::Body { left } = arriving {
+            if let Some(Arriving::Body { left }) = self.streams.remove(id) {
                 body_ends(id, left)?;
             }
         }
@@ -766,7 +798,7 @@ impl ClientConnection {
     pub(crate) fn open_stream(&mut self) -> (u32, Outgoing<'_>) {
         let stream_id = self.next_stream_id;
         self.next_stream_id += 2;
-        self.walk.streams.push((stream_id, Arriving::Head));
+        self.walk.streams.insert(stream_id, Arriving::Head);
         (stream_id, Outgoing::new(self.walk.output(), stream_id))
     }
 

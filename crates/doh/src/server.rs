@@ -7,9 +7,13 @@
 //! simulator's `Ctx`) **or** serve as an in-process backend of the
 //! real-socket runtime, where the exchanger is whatever the runtime
 //! provides.
+//!
+//! The query is read where it lies — in the buffer a GET's `dns=`
+//! parameter is decoded into, or in the POST body — and lent to the
+//! handler ([`QueryView`]): no `Message` is built for it.
 
 use sdoh_dns_server::{Exchanger, QueryHandler};
-use sdoh_dns_wire::{base64url, Message, MessageView};
+use sdoh_dns_wire::{base64url, MessageView, QueryView};
 use sdoh_netsim::{ChannelKind, Ctx, Service, ServiceResponse, SimAddr};
 
 use crate::client::{DNS_MESSAGE_CONTENT_TYPE, DOH_PATH};
@@ -190,7 +194,7 @@ impl<H: QueryHandler> DohServerService<H> {
         if query_wire.len() > sdoh_dns_wire::MAX_MESSAGE_SIZE {
             return Err(StatusCode::PAYLOAD_TOO_LARGE);
         }
-        let query = Message::decode(query_wire).map_err(|_| StatusCode::BAD_REQUEST)?;
+        let query = QueryView::parse(query_wire).map_err(|_| StatusCode::BAD_REQUEST)?;
         self.queries_served += 1;
         let ttl = self
             .handler
@@ -234,7 +238,7 @@ mod tests {
     use sdoh_dns_server::{
         Authority, Catalog, ClientExchanger, PoisonConfig, PoisonMode, PoisonedResolver, Zone,
     };
-    use sdoh_dns_wire::{Name, RData, Record, RrType};
+    use sdoh_dns_wire::{Message, Name, RData, Record, RrType};
     use sdoh_netsim::SimNet;
     use std::time::Duration;
 

@@ -16,22 +16,25 @@
 //! terminator's `serve_payload` and `finish_addresses` reading the
 //! addresses where they lie in the answer, on the walk that validates it.
 //! The counts are exact and repeat on every run (the test prints them; when
-//! this was written: 6 per exchange — 2 to begin the query, 3 to serve it,
+//! this was written: 3 per exchange — 1 to begin the query, 1 to serve it,
 //! 1 to finish it — 1 to read the 8 addresses out of an answer, 11 for the
 //! owned copy `finish_query`'s callers get, 1 per name clone). What is left
-//! is the buffers themselves: the payloads, the client's stream list, the
-//! query's owned decode at the terminator (its handler takes a `Message`)
-//! and the addresses read; the query's octets, kept for the echo check, sit
-//! inline in the prepared query, and the authority renders the answer from
-//! its index, compressing nothing. The exchange budget is its count: one
-//! allocation more fails the test — 7 while the authority walked its zone
-//! and compressed the answer's owner names against an offset list built per
-//! answer, 10 while the client kept the question, the query's wire form and
-//! its compression offsets on the heap, 28 while both ends built and copied
-//! HTTP messages, 60 while the answer was decoded into a `Message` again
-//! and the authority cloned the records it answers with, 161 while the
-//! exchange copied its octets from buffer to buffer, 312 while a name was a
-//! vector of vectors.
+//! is the buffers themselves: the two payloads and the addresses read. The
+//! terminator reads the query where it lies in the buffer it decoded the
+//! `dns=` parameter into, and the client's one stream sits inline in its
+//! connection; the query's octets, kept for the echo check, sit inline in
+//! the prepared query, and the authority renders the answer from its
+//! index, compressing nothing. The exchange budget is its count: one
+//! allocation more fails the test — 6 while the terminator decoded each
+//! query into an owned `Message` and the client kept its stream list on
+//! the heap, 7 while the authority walked its zone and compressed the
+//! answer's owner names against an offset list built per answer, 10 while
+//! the client kept the question, the query's wire form and its compression
+//! offsets on the heap, 28 while both ends built and copied HTTP messages,
+//! 60 while the answer was decoded into a `Message` again and the
+//! authority cloned the records it answers with, 161 while the exchange
+//! copied its octets from buffer to buffer, 312 while a name was a vector
+//! of vectors.
 //!
 //! This file is its own test binary with one `#[test]`, so no other test's
 //! thread allocates while it counts.
@@ -162,7 +165,7 @@ fn one_exchange_stays_within_its_allocation_budget() {
         "allocations: exchange {exchange} (begin_query {begin} + serve_payload {serve} + \
          finish_addresses {finish}), answer read {read}, owned decode {decode}, clone {clone}"
     );
-    assert!(exchange <= 6, "one GET exchange allocated {exchange} times");
+    assert!(exchange <= 3, "one GET exchange allocated {exchange} times");
     assert!(
         read <= 2,
         "reading the 8 addresses of the answer allocated {read} times"

@@ -17,7 +17,7 @@ const PLANT: &str = "let _ = format!(\"x\");";
 const PER_QUERY: [(&str, &str); 16] = [
     (
         "crates/runtime/src/runtime.rs",
-        "fn send(&mut self, query: Option<&Message>, reply: &ReplyPath, started: Instant) {",
+        "fn send(&mut self, query: Option<&QueryView<'_>>, reply: &ReplyPath, started: Instant) {",
     ),
     (
         "crates/runtime/src/runtime.rs",
@@ -37,11 +37,11 @@ const PER_QUERY: [(&str, &str); 16] = [
     ),
     (
         "crates/runtime/src/runtime.rs",
-        "fn udp_ceiling(query: Option<&Message>, limit: usize) -> usize {",
+        "fn udp_ceiling(query: Option<&QueryView<'_>>, limit: usize) -> usize {",
     ),
     (
         "crates/runtime/src/runtime.rs",
-        "fn truncate_for_udp(query: Option<&Message>, out: &mut Vec<u8>) {",
+        "fn truncate_for_udp(query: Option<&QueryView<'_>>, out: &mut Vec<u8>) {",
     ),
     (
         "crates/runtime/src/runtime.rs",
@@ -49,11 +49,11 @@ const PER_QUERY: [(&str, &str); 16] = [
     ),
     (
         "crates/core/src/serve/resolver.rs",
-        "fn screen<'q>(&mut self, query: &'q Message) -> Result<&'q Question, Message> {",
+        "fn screen<'q>(&mut self, asked: Option<QuestionRef<'q>>) -> Result<QuestionRef<'q>, Rcode> {",
     ),
     (
         "crates/core/src/serve/resolver.rs",
-        ") -> Option<Served<'a>> {", // CachingPoolResolver::lookup
+        "fn lookup(&mut self, key: &QueryKey<'_>, now: SimInstant) -> Option<Served<'_>> {"
     ),
     (
         "crates/core/src/serve/resolver.rs",
@@ -61,11 +61,11 @@ const PER_QUERY: [(&str, &str); 16] = [
     ),
     (
         "crates/core/src/serve/resolver.rs",
-        "fn wire(self, query: &Message, out: &mut Vec<u8>) -> WireResult<()> {", // Served::wire
+        "fn wire(self, query: &QueryView<'_>, out: &mut Vec<u8>) -> WireResult<()> {", // Served::wire
     ),
     (
         "crates/core/src/serve/resolver.rs",
-        "pub fn answer_wire(&self, query: &Message, out: &mut Vec<u8>) -> WireResult<()> {",
+        "pub fn answer_wire(&self, query: &QueryView<'_>, out: &mut Vec<u8>) -> WireResult<()> {",
     ),
     (
         "crates/core/src/serve/refresh.rs",
@@ -73,11 +73,11 @@ const PER_QUERY: [(&str, &str); 16] = [
     ),
     (
         "crates/dns-server/src/service.rs",
-        "pub fn finish_do53_answer(query: &Message, rendered: WireResult<()>, out: &mut Vec<u8>) {",
+        "pub fn finish_do53_answer(query: &QueryView<'_>, rendered: WireResult<()>, out: &mut Vec<u8>) {",
     ),
     (
         "crates/dns-wire/src/template.rs",
-        "pub fn render(&self, query: &Message, ttl: u32, out: &mut Vec<u8>) -> bool {",
+        "pub fn render(&self, query: &QueryView<'_>, ttl: u32, out: &mut Vec<u8>) -> bool {",
     ),
 ];
 

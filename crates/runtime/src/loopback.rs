@@ -16,9 +16,7 @@ use sdoh_core::{
     AddressSource, CacheConfig, CachingPoolResolver, DohSource, GroundTruth, PoolConfig,
     PoolResult, SecurePoolGenerator,
 };
-use sdoh_dns_server::{
-    Authority, Catalog, PoisonConfig, PoisonMode, PoisonedResolver, QueryHandler, Zone,
-};
+use sdoh_dns_server::{Authority, Catalog, PoisonConfig, PoisonMode, PoisonedResolver, Zone};
 use sdoh_dns_wire::Name;
 use sdoh_doh::{DohMethod, DohServerService, ResolverDirectory, ResolverInfo};
 use sdoh_netsim::SimAddr;
@@ -115,17 +113,16 @@ impl LoopbackFleet {
         let mut builder = BackendNet::builder().with_latency(config.upstream_latency);
         for (index, info) in infos.iter().enumerate() {
             if config.compromised.contains(&index) {
-                // A compromised resolver poisons every pool domain.
-                let mut handler: CompromisedAuthority = Box::new(authority.clone());
-                for domain in &domains {
-                    handler = Box::new(PoisonedResolver::new(
-                        handler,
-                        PoisonConfig::new(
-                            domain.clone(),
-                            PoisonMode::ReplaceAddresses(attacker.clone()),
-                        ),
-                    ));
-                }
+                // A compromised resolver poisons every pool domain: one
+                // wrapper over the set of them, one lookup per label of a
+                // query's name however many domains the pool has.
+                let handler = PoisonedResolver::new(
+                    authority.clone(),
+                    PoisonConfig::for_targets(
+                        domains.iter().cloned(),
+                        PoisonMode::ReplaceAddresses(attacker.clone()),
+                    ),
+                );
                 builder = builder.register(info.addr, DohServerService::new(info.clone(), handler));
             } else {
                 builder = builder.register(
@@ -199,8 +196,3 @@ impl std::fmt::Debug for LoopbackFleet {
             .finish()
     }
 }
-
-/// A stack of poisoning wrappers around an authoritative answerer; boxed
-/// because each poisoned domain adds one layer. `Send` end to end so the
-/// terminator can serve as an in-process backend.
-type CompromisedAuthority = Box<dyn QueryHandler + Send>;

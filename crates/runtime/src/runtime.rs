@@ -49,27 +49,31 @@
 //! anything queued is handed an owned copy on its worker's queue, behind
 //! everything already there, so no query overtakes a queued control item;
 //! a socket thread never waits for a shard. Either way the query goes
-//! through the shard's one serve function: decoded once and answered
-//! through the two halves of the shared Do53 core
-//! ([`decode_do53_query`], [`finish_do53_answer`]) around the resolver's
-//! first step ([`begin`](CachingPoolResolver::begin), which renders what
+//! through the shard's one serve function: read where it lies — validated
+//! once, its header, question and EDNS payload size lent from its octets
+//! ([`QueryView`]) — and answered through the two halves of the shared
+//! Do53 core ([`decode_do53_query`], [`finish_do53_answer`]) around the
+//! resolver's first step ([`begin`](CachingPoolResolver::begin), which
+//! renders what
 //! [`handle_query_wire`](sdoh_dns_server::QueryHandler::handle_query_wire)
-//! renders) into the **one response buffer the shard keeps**. For a cached pool
-//! that is a copy: the resolver encoded the answer section when the
-//! generation entered its cache (see [`sdoh_core::serve`]), and per hit
-//! only the header, the echoed question and the TTL are written — no
-//! `Message` is built, nothing is cloned, and no allocation depends on the
-//! size of the pool. SERVFAILs, rejections and the few queries a template
-//! cannot answer byte for byte build and encode a `Message` into the same
-//! buffer; there is no second serve function and no switch.
+//! renders) into the **one response buffer the shard keeps**. For a cached
+//! pool that is a copy: the resolver encoded the answer section when the
+//! generation entered its cache (see [`sdoh_core::serve`]), the cache is
+//! probed with the name the query lends, and per hit only the header, the
+//! echoed question and the TTL are written — no `Message` is built, no name
+//! is copied, and a hit allocates nothing (`core/tests/alloc_budget.rs`
+//! counts it). SERVFAILs, rejections and the few queries a template cannot
+//! answer byte for byte are written from the query where it lies too
+//! ([`QueryView::write_response`]) into the same buffer; there is no second
+//! serve function and no switch.
 //!
 //! A response longer than the client can receive — the payload size its
 //! query's OPT record advertised, 512 bytes without one, and never more
 //! than the configured UDP payload limit; judged on the rendered length —
-//! is replaced by an empty TC=1 message built from the query already
-//! decoded; clients retry over the TCP listener
-//! bound to the same port number (RFC 1035 length-prefixed framing), and
-//! the connection handler takes the buffer's contents with it.
+//! is replaced by an empty TC=1 message written from the query; clients
+//! retry over the TCP listener bound to the same port number (RFC 1035
+//! length-prefixed framing), and the connection handler takes the
+//! buffer's contents with it.
 //!
 //! # The miss path
 //!
@@ -78,9 +82,11 @@
 //! ([`begin`](CachingPoolResolver::begin)) either answers — everything
 //! above — or opens a **flight** for the key (or finds the one already
 //! live: concurrent misses for a key share it) and hands back its id; the
-//! serving thread **parks** the decoded query, its reply path and its
-//! start time under that id and lets go of the shard. Hits, other misses,
-//! and snapshots are served while the flight is upstream.
+//! serving thread **parks** the query's octets — in one buffer the shard
+//! keeps, so a miss allocates nothing once it has grown — its reply path
+//! and its start time under that id and lets go of the shard. Hits, other
+//! misses, and snapshots are served while the flight is upstream; a parked
+//! query is read where it lies again when its flight lands.
 //!
 //! Whoever holds the shard does what is due. A socket thread that served a
 //! query in place pumps the shard under the same hold of its lock, as the
@@ -138,7 +144,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::Hasher;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -150,7 +156,7 @@ use sdoh_core::{
     TransactionId,
 };
 use sdoh_dns_server::{decode_do53_query, finish_do53_answer, Departure, Exchanger};
-use sdoh_dns_wire::Message;
+use sdoh_dns_wire::{Header, QueryView, MAX_NAME_LEN};
 use sdoh_metrics::http::wake_addr;
 use sdoh_metrics::{
     render_json, render_prometheus, Counter, Histogram, HttpResponse, Registry, Sample,
@@ -934,7 +940,10 @@ fn question_route(wire: &[u8], shards: usize) -> Option<usize> {
     if qdcount == 0 {
         return None;
     }
-    let mut hasher = DefaultHasher::new();
+    // The name's labels lowercased, each followed by a dot, gathered where
+    // the hasher takes them in one write.
+    let mut dotted = [0u8; MAX_NAME_LEN];
+    let mut filled = 0;
     let mut i = 12usize;
     loop {
         let len = usize::from(*wire.get(i)?);
@@ -946,15 +955,20 @@ fn question_route(wire: &[u8], shards: usize) -> Option<usize> {
             // Compression pointers don't appear in well-formed questions.
             return None;
         }
-        for &byte in wire.get(i + 1..i + 1 + len)? {
-            hasher.write_u8(byte.to_ascii_lowercase());
+        let label = wire.get(i + 1..i + 1 + len)?;
+        let slot = dotted.get_mut(filled..filled + len + 1)?;
+        for (lowered, byte) in slot.iter_mut().zip(label) {
+            *lowered = byte.to_ascii_lowercase();
         }
-        hasher.write_u8(b'.');
+        *slot.last_mut()? = b'.';
+        filled += len + 1;
         i += 1 + len;
     }
+    let mut hasher = DefaultHasher::new();
+    hasher.write(dotted.get(..filled)?);
     hasher.write_u16(u16::from_be_bytes([*wire.get(i)?, *wire.get(i + 1)?]));
-    // sdoh-lint: allow(no-narrowing-cast, "hash % shards < shards <= usize::MAX, so both conversions are lossless")
-    Some((hasher.finish() % shards.max(1) as u64) as usize)
+    let shards = u64::try_from(shards.max(1)).ok()?;
+    usize::try_from(hasher.finish() % shards).ok()
 }
 
 fn dispatcher_loop(
@@ -1132,9 +1146,12 @@ fn serve_framed(
 }
 
 /// A query whose generation is upstream: everything answering it takes.
+/// Its octets sit in the shard's buffer of parked octets, and are read
+/// where they lie again when the flight lands.
 struct Parked {
     flight: FlightId,
-    query: Message,
+    /// Where the query's octets are in the shard's parked octets.
+    octets: Range<usize>,
     reply: ReplyPath,
     /// When the shard took the query: in place, or off its queue.
     started: Instant,
@@ -1161,10 +1178,10 @@ impl Outbox {
     /// Sends the rendered response along `reply` (nothing, if the buffer is
     /// empty) and records the query's latency: one observation per query,
     /// made when its answer leaves — at once for what the cache answered,
-    /// at the landing for a parked miss. `query` is what the datagram
-    /// decoded to; a UDP answer longer than its sender can receive becomes
-    /// the TC=1 response.
-    fn send(&mut self, query: Option<&Message>, reply: &ReplyPath, started: Instant) {
+    /// at the landing for a parked miss. `query` is the datagram read
+    /// where it lies; a UDP answer longer than its sender can receive
+    /// becomes the TC=1 response.
+    fn send(&mut self, query: Option<&QueryView<'_>>, reply: &ReplyPath, started: Instant) {
         // Histogram recording is two relaxed fetch_adds on this shard's own
         // cache lines — no lock, no allocation.
         self.latency.record(started.elapsed());
@@ -1203,6 +1220,9 @@ struct Worker {
     outbox: Outbox,
     /// In arrival order: the order a flight's waiters are answered in.
     parked: Vec<Parked>,
+    /// The octets of the parked queries, in the same order: one buffer the
+    /// shard keeps, so parking a miss allocates nothing once it has grown.
+    parked_octets: Vec<u8>,
     /// In departure order.
     upstream: Vec<Upstream>,
     /// When the worker thread next wakes on its own: what its last pump
@@ -1219,6 +1239,7 @@ impl Worker {
             exchanger: shard.exchanger,
             outbox,
             parked: Vec::new(),
+            parked_octets: Vec::new(),
             upstream: Vec::new(),
             alarm: None,
         }
@@ -1226,9 +1247,11 @@ impl Worker {
 
     /// Takes one query through the shared Do53 core — identical wire
     /// behaviour to the simulated `Do53Service` by construction — around the
-    /// resolver's first step: what the cache can answer is answered now, a
-    /// miss is parked under its flight for the pump that follows to send.
-    /// The one serve function, whichever thread holds the shard.
+    /// resolver's first step, reading it where it lies in `wire`: what the
+    /// cache can answer is answered now, a miss is parked under its flight
+    /// for the pump that follows to send, its octets copied into the
+    /// shard's parked octets. The one serve function, whichever thread
+    /// holds the shard.
     fn serve(&mut self, wire: &[u8], reply: ReplyPath) {
         let started = Instant::now();
         let Some(query) = decode_do53_query(wire, false, &mut self.outbox.response) else {
@@ -1238,12 +1261,16 @@ impl Worker {
             .resolver
             .begin(self.exchanger.as_mut(), &query, &mut self.outbox.response);
         match begun {
-            Ok(Some(flight)) => self.parked.push(Parked {
-                flight,
-                query,
-                reply,
-                started,
-            }),
+            Ok(Some(flight)) => {
+                let at = self.parked_octets.len();
+                self.parked_octets.extend_from_slice(wire);
+                self.parked.push(Parked {
+                    flight,
+                    octets: at..self.parked_octets.len(),
+                    reply,
+                    started,
+                });
+            }
             answered => {
                 finish_do53_answer(&query, answered.map(drop), &mut self.outbox.response);
                 self.outbox.send(Some(&query), &reply, started);
@@ -1312,19 +1339,34 @@ impl Worker {
     }
 
     /// Answers every query parked on the flight that `landed`, in arrival
-    /// order, from the landed report — through the closing half of the Do53
-    /// core and the same way out as an answer from the cache.
+    /// order, from the landed report — each read where it lies in the
+    /// parked octets, through the closing half of the Do53 core and the
+    /// same way out as an answer from the cache — then closes the gaps the
+    /// answered queries left in the parked octets.
     fn answer_parked(&mut self, landed: &Landed) {
         let outbox = &mut self.outbox;
+        let octets = &self.parked_octets;
         self.parked.retain(|parked| {
             if parked.flight != landed.flight {
                 return true;
             }
-            let rendered = landed.answer_wire(&parked.query, &mut outbox.response);
-            finish_do53_answer(&parked.query, rendered, &mut outbox.response);
-            outbox.send(Some(&parked.query), &parked.reply, parked.started);
+            // The octets parsed when the query was parked.
+            let wire = octets.get(parked.octets.clone()).unwrap_or_default();
+            if let Ok(query) = QueryView::parse(wire) {
+                let rendered = landed.answer_wire(&query, &mut outbox.response);
+                finish_do53_answer(&query, rendered, &mut outbox.response);
+                outbox.send(Some(&query), &parked.reply, parked.started);
+            }
             false
         });
+        let mut kept = 0;
+        for parked in &mut self.parked {
+            let len = parked.octets.len();
+            self.parked_octets.copy_within(parked.octets.clone(), kept);
+            parked.octets = kept..kept + len;
+            kept += len;
+        }
+        self.parked_octets.truncate(kept);
     }
 
     /// [`pump`](Worker::pump) for a thread other than the worker's. `true`
@@ -1463,23 +1505,25 @@ const CLASSIC_UDP_PAYLOAD: usize = 512;
 /// The longest UDP answer `query`'s sender can receive: the payload size
 /// its OPT record advertises — [`CLASSIC_UDP_PAYLOAD`] without one, and
 /// never less (RFC 6891 6.2.5) — capped by the operator's `limit`.
-fn udp_ceiling(query: Option<&Message>, limit: usize) -> usize {
+fn udp_ceiling(query: Option<&QueryView<'_>>, limit: usize) -> usize {
     let advertised = query
-        .and_then(Message::edns)
-        .map_or(CLASSIC_UDP_PAYLOAD, |edns| usize::from(edns.payload_size));
+        .and_then(QueryView::payload_size)
+        .map_or(CLASSIC_UDP_PAYLOAD, usize::from);
     limit.min(advertised.max(CLASSIC_UDP_PAYLOAD))
 }
 
 /// Replaces an oversized UDP answer in `out` by the empty TC=1 response:
 /// echo of the query's id and question with the truncation bit set, no
-/// records — the standard "retry over TCP" signal. Nothing is sent for a
-/// query that never decoded.
-fn truncate_for_udp(query: Option<&Message>, out: &mut Vec<u8>) {
+/// records — the standard "retry over TCP" signal, written from the query
+/// where it lies. Nothing is sent for a query that never decoded.
+fn truncate_for_udp(query: Option<&QueryView<'_>>, out: &mut Vec<u8>) {
     out.clear();
     if let Some(query) = query {
-        let mut tc = Message::response_to(query);
-        tc.header.truncated = true;
-        let _ = tc.encode_into(out);
+        let truncated = Header {
+            truncated: true,
+            ..Header::response_to(query.header())
+        };
+        let _ = query.write_response(truncated, 0, [], out);
     }
 }
 
@@ -1490,7 +1534,7 @@ mod tests {
     use crate::{LoopbackConfig, LoopbackFleet};
     use sdoh_core::{CacheConfig, PoolConfig};
     use sdoh_dns_server::{ExchangeOutcome, ExchangeRequest, QueryHandler};
-    use sdoh_dns_wire::{Name, Rcode, RrType, Ttl};
+    use sdoh_dns_wire::{Message, Name, Rcode, RrType, Ttl};
     use sdoh_netsim::{ChannelKind, NetResult, SimAddr};
 
     fn query_wire(domain: &str, rtype: sdoh_dns_wire::RrType) -> Vec<u8> {
@@ -1517,6 +1561,22 @@ mod tests {
         // Malformed input routes to shard 0 instead of panicking.
         assert_eq!(shard_for(b"", 8), 0);
         assert_eq!(shard_for(&[0u8; 12], 8), 0);
+        // One write of the gathered name hashes as a write per octet did.
+        for (name, rtype) in [("pool.ntp.org", RrType::A), ("A.b-C.example", RrType::Aaaa)] {
+            let mut hasher = DefaultHasher::new();
+            for label in name.split('.') {
+                for byte in label.bytes() {
+                    hasher.write_u8(byte.to_ascii_lowercase());
+                }
+                hasher.write_u8(b'.');
+            }
+            hasher.write_u16(rtype.code());
+            let wire = query_wire(name, rtype);
+            for shards in 1..=16u64 {
+                let expected = usize::try_from(hasher.finish() % shards).unwrap();
+                assert_eq!(shard_for(&wire, shards as usize), expected, "{name}");
+            }
+        }
     }
 
     #[test]
@@ -2071,6 +2131,65 @@ mod tests {
     }
 
     #[test]
+    fn queries_parked_on_flights_that_land_apart_keep_their_own_octets() {
+        const RTT: Duration = Duration::from_millis(2);
+        let fleet = LoopbackFleet::build(LoopbackConfig::default());
+        let clock = sdoh_netsim::SimClock::new();
+        let (shard, _rx) = stepped_shards(&fleet, 1, CacheConfig::default(), &clock, RTT).remove(0);
+        let counters = FrontCounters::register(&Registry::new());
+        let (reply, answers) = mpsc::channel();
+        let (first, second) = (&fleet.domains[0], &fleet.domains[1]);
+        let shouted: Name = second.to_string().to_uppercase().parse().unwrap();
+        let asked = [
+            a_query(1, first),
+            a_query(2, second),
+            a_query(3, first),
+            a_query(4, &shouted),
+        ];
+        // Two flights, departing half a round trip apart, each with two
+        // queries parked on it in arrival order 1, 2, 3, 4.
+        for (at, wire) in asked.iter().enumerate() {
+            if at == 1 {
+                clock.advance(RTT / 2);
+            }
+            let tcp = ReplyPath::Tcp(reply.clone());
+            assert!(serve_or_hand_off(&shard, wire, tcp, &counters));
+        }
+        let parked_len = |worker: &Worker| (worker.parked.len(), worker.parked_octets.len());
+        assert_eq!(
+            parked_len(&ShardCell::lock(&shard.cell)),
+            (4, asked.iter().map(Vec::len).sum())
+        );
+
+        // The first flight lands: its queries are answered, and the second
+        // flight's octets close up behind them.
+        clock.advance(RTT / 2);
+        ShardCell::lock(&shard.cell).pump();
+        assert_eq!(
+            parked_len(&ShardCell::lock(&shard.cell)),
+            (2, asked[1].len() + asked[3].len())
+        );
+        clock.advance(RTT / 2);
+        ShardCell::lock(&shard.cell).pump();
+        assert_eq!(parked_len(&ShardCell::lock(&shard.cell)), (0, 0));
+
+        // Each answer echoes its own query, spelling included.
+        let answered: Vec<Message> = answers
+            .try_iter()
+            .map(|wire| Message::decode(&wire).unwrap())
+            .collect();
+        let ids: Vec<u16> = answered.iter().map(|answer| answer.header.id).collect();
+        assert_eq!(ids, [1, 3, 2, 4]);
+        for answer in &answered {
+            let query = Message::decode(&asked[usize::from(answer.header.id) - 1]).unwrap();
+            assert!(answer.answers_query(&query));
+            let (echoed, sent) = (answer.question().unwrap(), query.question().unwrap());
+            assert!(echoed.name.eq_case_exact(&sent.name));
+            assert_eq!(answer.answer_addresses().len(), 24);
+        }
+    }
+
+    #[test]
     fn a_round_trip_that_is_over_is_landed_by_the_next_hit_served_in_place() {
         const RTT: Duration = Duration::from_millis(1);
         let fleet = LoopbackFleet::build(LoopbackConfig::default());
@@ -2293,7 +2412,8 @@ mod tests {
 
     #[test]
     fn truncation_echoes_question_with_tc() {
-        let query = Message::query(7, "pool.ntp.org".parse().unwrap(), sdoh_dns_wire::RrType::A);
+        let wire = query_wire("pool.ntp.org", RrType::A);
+        let query = QueryView::parse(&wire).unwrap();
         let mut out = vec![0xEE; 2000];
         truncate_for_udp(Some(&query), &mut out);
         let tc = Message::decode(&out).unwrap();

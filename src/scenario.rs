@@ -300,10 +300,10 @@ impl Scenario {
     /// (Re-)installs the DoH resolver at `index` of the fleet, replacing
     /// whatever is registered at its address: a fresh honest recursive
     /// resolver when `compromise` is `None`, otherwise one wrapped in a
-    /// poisoning layer per pool domain. Build time uses this to stand the
-    /// fleet up; chaos campaigns use it to churn, compromise and restore
-    /// resolvers mid-run (a reinstalled resolver starts with a cold cache,
-    /// like a replacement instance would).
+    /// poisoning layer over the set of pool domains. Build time uses this
+    /// to stand the fleet up; chaos campaigns use it to churn, compromise
+    /// and restore resolvers mid-run (a reinstalled resolver starts with a
+    /// cold cache, like a replacement instance would).
     ///
     /// # Panics
     ///
@@ -320,38 +320,29 @@ impl Scenario {
         let handler: Box<dyn QueryHandler> = match compromise {
             None => Box::new(recursive),
             Some(behaviour) => {
-                // One poisoning wrapper per pool domain, so a
+                // One poisoning wrapper over the set of pool domains, so a
                 // compromised resolver misbehaves for every domain a
                 // serving workload spreads its queries over.
-                let mut handler: Box<dyn QueryHandler> = Box::new(recursive);
-                for domain in &self.pool_domains {
-                    let mode = match behaviour {
-                        ResolverCompromise::ReplaceWithAttackerAddresses(count) => {
-                            PoisonMode::ReplaceAddresses(
-                                self.attacker_ntp
-                                    .iter()
-                                    .take((*count).max(1))
-                                    .copied()
-                                    .collect(),
-                            )
-                        }
-                        ResolverCompromise::InflateWithAttackerAddresses(count) => {
-                            PoisonMode::InflateWith(
-                                self.attacker_ntp
-                                    .iter()
-                                    .take((*count).max(1))
-                                    .copied()
-                                    .collect(),
-                            )
-                        }
-                        ResolverCompromise::EmptyAnswer => PoisonMode::EmptyAnswer,
-                    };
-                    handler = Box::new(PoisonedResolver::new(
-                        handler,
-                        PoisonConfig::new(domain.clone(), mode),
-                    ));
-                }
-                handler
+                let attacker = |count: usize| {
+                    self.attacker_ntp
+                        .iter()
+                        .take(count.max(1))
+                        .copied()
+                        .collect()
+                };
+                let mode = match behaviour {
+                    ResolverCompromise::ReplaceWithAttackerAddresses(count) => {
+                        PoisonMode::ReplaceAddresses(attacker(*count))
+                    }
+                    ResolverCompromise::InflateWithAttackerAddresses(count) => {
+                        PoisonMode::InflateWith(attacker(*count))
+                    }
+                    ResolverCompromise::EmptyAnswer => PoisonMode::EmptyAnswer,
+                };
+                Box::new(PoisonedResolver::new(
+                    recursive,
+                    PoisonConfig::for_targets(self.pool_domains.iter().cloned(), mode),
+                ))
             }
         };
         self.net

@@ -116,10 +116,10 @@ pub const METRIC_TRUNCATED_RESPONSES: (&str, &str) = (
     "sdoh_truncated_responses_total",
     "UDP responses truncated to TC=1 because they exceeded the payload limit.",
 );
-/// Front door: accepted queries that could not reach a shard worker.
+/// Front door: accepted queries that found no shard to serve them.
 pub const METRIC_DROPPED_QUERIES: (&str, &str) = (
     "sdoh_dropped_queries_total",
-    "Accepted queries that could not be handed to a shard worker \
+    "Accepted queries that found no shard to serve them \
      (zero during normal operation, reconfigurations included).",
 );
 /// Hot path: per-query serving latency histogram, labelled by shard.
@@ -183,20 +183,9 @@ pub const RUNTIME_METRIC_HELP: &[(&str, &str)] = &[
     METRIC_CONFIG_EPOCH,
     METRIC_SHARD_ACKED_EPOCH,
     (
-        "sdoh_queries_handed_off_total",
-        "Queries a socket thread queued to their shard's worker because the shard \
-         was busy or had items queued (the rest are answered by the thread that \
-         read them).",
-    ),
-    (
-        "sdoh_shard_queue_depth",
-        "Items queued to this shard's worker and not yet taken (handed-off \
-         queries and control items; wake-ups are not counted).",
-    ),
-    (
         "sdoh_shard_wakes_total",
-        "Wake-ups a socket thread queued to a shard's worker because serving \
-         a query in place left something due before the worker's alarm.",
+        "Times a socket thread moved the shard timer earlier: serving a query \
+         left its shard something due before the shard's alarm.",
     ),
 ];
 

@@ -19,7 +19,7 @@
 //!
 //! | rule | scope | what it bans |
 //! |------|-------|--------------|
-//! | `no-panic` | all library code | `.unwrap()`, `.expect()`, `panic!`, `unreachable!`, `todo!`, `unimplemented!`, `[i]` indexing in any function body (the parser's panic facts) — library code returns errors; a panic in a shard worker wedges the shard |
+//! | `no-panic` | all library code | `.unwrap()`, `.expect()`, `panic!`, `unreachable!`, `todo!`, `unimplemented!`, `[i]` indexing in any function body (the parser's panic facts) — library code returns errors; a panic on a socket thread or the timer ends that thread for good |
 //! | `no-narrowing-cast` | all library code | bare `as` to `u8`/`u16`/`u32`/`u64`/`usize`/`i8`/`i16`/`i32`/`i64`/`isize`/`f32` — the family behind two real bugs: the `as u32` divisor truncation in the former `ResolverMetrics`' mean generation latency (fixed in PR 2) and the `attempts as i32` wrap in `SpoofStrategy::success_probability` (fixed in PR 4). `f64`/`u128`/`i128` targets are exempt: nothing in the workspace is wider |
 //! | `metrics-vocabulary` | everywhere except the vocabulary itself | `sdoh_*` metric-name string literals that are not in the shared vocabulary tables in `crates/core/src/serve/samples.rs` — so exporters, the registry, experiments and docs cannot drift apart on names |
 //!
@@ -36,7 +36,7 @@
 //!
 //! | rule | what it bans |
 //! |------|--------------|
-//! | `transitive-hot-path-purity` | `.lock()`, `Box::new`, `Vec::new`, `vec!`, `.to_vec()`, `format!`, `.collect()` *reachable* from the serving entry points (`dispatcher_loop`, `worker_loop`, `Worker::answer_parked`, `CachingPoolResolver::{handle_query, handle_query_wire, begin, next_refresh_due}`) — the serving path must stay lock-free and allocation-free (PR 3/PR 8); the diagnostic carries the full call chain |
+//! | `transitive-hot-path-purity` | `.lock()`, `Box::new`, `Vec::new`, `vec!`, `.to_vec()`, `format!`, `.collect()` *reachable* from the serving entry points (`dispatcher_loop`, `timer_loop`, `Worker::answer_parked`, `CachingPoolResolver::{handle_query, handle_query_wire, begin, next_refresh_due}`) — the serving path must stay lock-free and allocation-free; the diagnostic carries the full call chain |
 //! | `transitive-determinism` | `Instant::now()`, `SystemTime::now()`, `OsRng`, `thread_rng`, `from_entropy`, `getrandom` in, or reachable from, any non-test function of `netsim`, `chaos`, `core`, `dns-server`, `doh`, `ntp`, `bench`, `analysis` and the umbrella `secure-doh` — sim-facing crates take time and entropy from seeded handles only, so campaigns and experiment reports stay byte-identical per seed; the wall clock is a `runtime`-only privilege |
 //! | `lock-order` | cycles in the ordered lock-acquisition graph of the control plane — each cycle is reported once, with every conflicting ordering and both witnesses |
 //!

@@ -179,21 +179,20 @@ fn relative_label(root: &Path, path: &Path) -> String {
 pub fn graph_config() -> GraphConfig {
     GraphConfig {
         // The shard serving path: the dispatcher that serves wire queries
-        // in place on their shard or hands them to its queue (the TCP
-        // thread does the same through the same function, so it needs no
-        // entry of its own), the per-shard worker loop, and the resolver
-        // entry points they dispatch into — the blocking pair
-        // (`handle_query` and `handle_query_wire` are reached through `dyn
-        // QueryHandler`, which call resolution deliberately does not follow
-        // — so the concrete implementations are entry points of their own)
-        // and `begin`, the step every hit is answered through. The last two
-        // sit behind `Worker::pump`'s pruning boundary and yet run per
-        // query: `pump`'s first check asks `next_refresh_due` after every
-        // item and every query served in place, and `answer_parked` is the
-        // way out of every parked miss.
+        // on their shard (the TCP thread does the same through the same
+        // function, so it needs no entry of its own), the timer that lands
+        // the round trips no socket thread meets, and the resolver entry
+        // points they dispatch into — the blocking pair (`handle_query` and
+        // `handle_query_wire` are reached through `dyn QueryHandler`, which
+        // call resolution deliberately does not follow — so the concrete
+        // implementations are entry points of their own) and `begin`, the
+        // step every hit is answered through. The last two sit behind
+        // `Worker::pump`'s pruning boundary and yet run per query: `pump`'s
+        // first check asks `next_refresh_due` after every query served, and
+        // `answer_parked` is the way out of every parked miss.
         purity_entries: vec![
             Entry::free("runtime", "dispatcher_loop"),
-            Entry::free("runtime", "worker_loop"),
+            Entry::free("runtime", "timer_loop"),
             Entry::method("core", "CachingPoolResolver", "handle_query"),
             Entry::method("core", "CachingPoolResolver", "handle_query_wire"),
             Entry::method("core", "CachingPoolResolver", "begin"),

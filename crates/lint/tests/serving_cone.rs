@@ -21,15 +21,15 @@ const PER_QUERY: [(&str, &str); 16] = [
     ),
     (
         "crates/runtime/src/runtime.rs",
-        "fn serve(&mut self, wire: &[u8], reply: ReplyPath) {",
+        "fn serve(&mut self, wire: &[u8], reply: ReplyPath, started: Instant) {",
     ),
     (
         "crates/runtime/src/runtime.rs",
-        "    counters: &FrontCounters,\n) -> bool {", // serve_or_hand_off
+        "fn serve_query(shards: &ShardSet, wire: &[u8], reply: ReplyPath, counters: &FrontCounters) -> bool {",
     ),
     (
         "crates/runtime/src/runtime.rs",
-        "fn pump_in_place(&mut self) -> bool {",
+        "fn pump_and_arm(&mut self, timer: &Timer) -> bool {",
     ),
     (
         "crates/runtime/src/runtime.rs",

@@ -45,7 +45,7 @@ pub fn bucket_bound(index: usize) -> Option<Duration> {
 /// A shareable latency histogram handle.
 ///
 /// Clones share the same underlying buckets (the handle is an `Arc`), so a
-/// shard worker can own one clone and bump it lock-free while an exporter
+/// shard can own one clone and bump it lock-free while an exporter
 /// holds another clone and snapshots it. All operations use relaxed
 /// atomics: totals are exact once the writers quiesce, and during live
 /// recording a snapshot may lag individual bumps by a few observations —

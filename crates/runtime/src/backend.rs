@@ -6,8 +6,8 @@
 //! end-to-end tests, the throughput experiment, the example binary — keeps
 //! the full protocol stack (secure envelope, HTTP/2, RFC 8484, DNS wire)
 //! but terminates it in-process: a [`BackendNet`] maps resolver addresses
-//! to [`PayloadService`] endpoints, and each worker thread reaches them
-//! through a [`BackendExchanger`], a `Send` implementation of the
+//! to [`PayloadService`] endpoints, and each shard reaches them through
+//! a [`BackendExchanger`], a `Send` implementation of the
 //! workspace's [`Exchanger`] transport abstraction driven by the host
 //! clock instead of the simulator's virtual one.
 //!
@@ -21,9 +21,8 @@
 //! the two halves of the [`Exchanger`] contract: [`Exchanger::depart`] keeps
 //! the requests and stamps the instant the round trip will be over,
 //! [`Exchanger::arrive`] serves them. Neither waits. The wait belongs to
-//! the caller: a shard worker takes the earliest `ready_at` of its
-//! departures as the timeout of its queue receive and answers cache hits
-//! in the meantime; [`Exchanger::exchange_all`] — the blocking form, which
+//! the caller: a shard arms the runtime's timer with the earliest
+//! `ready_at` of its departures and answers cache hits in the meantime; [`Exchanger::exchange_all`] — the blocking form, which
 //! nested endpoints and the simulator-shaped callers use — is the same two
 //! halves around one sleep. What that gives up is overlap *below* a batch
 //! — an endpoint that made a latency-bearing upstream call while serving
@@ -155,7 +154,7 @@ impl BackendNet {
         self.inner.clock
     }
 
-    /// Creates an exchanger sending from `source` — one per worker thread;
+    /// Creates an exchanger sending from `source` — one per shard;
     /// the exchanger is `Send` and owns no endpoint state.
     pub fn exchanger(&self, source: SimAddr) -> BackendExchanger {
         BackendExchanger {
@@ -176,8 +175,8 @@ impl std::fmt::Debug for BackendNet {
     }
 }
 
-/// A `Send` [`Exchanger`] over a [`BackendNet`]: what a runtime worker
-/// thread hands to its `CachingPoolResolver` so generations and background
+/// A `Send` [`Exchanger`] over a [`BackendNet`]: what a runtime shard
+/// hands to its `CachingPoolResolver` so generations and background
 /// refreshes reach the in-process resolver fleet.
 pub struct BackendExchanger {
     net: BackendNet,
@@ -187,7 +186,7 @@ pub struct BackendExchanger {
     chain: [SimAddr; MAX_DEPTH],
     depth: usize,
     /// xorshift state for transaction ids; seeded per exchanger so two
-    /// workers never walk the same id sequence.
+    /// shards never walk the same id sequence.
     id_state: u64,
 }
 
@@ -476,7 +475,7 @@ mod tests {
 
     #[test]
     fn two_departures_arrive_in_ready_order_each_waited_for_once() {
-        // What a shard worker does with the halves: two batches leave 1 ms
+        // What a shard's pumps do with the halves: two batches leave 1 ms
         // apart over a 20 ms round trip, the caller waits for each `ready_at`
         // itself, and collecting is serving — in place, on this thread.
         const LATENCY: Duration = Duration::from_millis(20);

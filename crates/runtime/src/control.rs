@@ -1,25 +1,19 @@
 //! The runtime control plane: [`ControlHandle`] and [`ConfigDelta`].
 //!
-//! A running [`PoolRuntime`](crate::PoolRuntime) hands out a cloneable
-//! [`ControlHandle`]. [`ControlHandle::apply`] validates a [`ConfigDelta`],
-//! numbers it — an **epoch** is a `u64` that only this module counts, one
-//! per accepted delta — and fans it to every shard worker **through the
-//! worker's existing work queue** — the same FIFO a query joins when its
-//! shard is busy. A socket thread serves a query in place only when
-//! nothing is queued to the shard, a count it reads under the shard's lock
-//! and that falls only there, as the worker takes an item: no query
-//! overtakes a queued epoch, so the switch happens-after every query
-//! already accepted under the old epoch and before every query accepted
-//! once it is queued. Each worker acks the epoch number into its own
-//! atomic slot as it takes the item; the `/metrics` gauges
-//! `sdoh_config_epoch` and `sdoh_shard_acked_epoch{shard}` expose the
-//! propagation, and [`ControlHandle::wait_for_epoch`] blocks on it. The
-//! resolvers are handed the knobs, never the number.
-//!
-//! The shard set is fixed at [`PoolRuntime::start`](crate::PoolRuntime::start):
-//! an epoch changes what the shards serve under, never how many there are
-//! or which keys each one owns, so every key keeps the one shard its
-//! queries are routed to for the life of the runtime.
+//! [`ControlHandle::apply`] validates a [`ConfigDelta`], numbers it — an
+//! **epoch** is a `u64` only this module counts, one per accepted delta —
+//! and hands it to every shard in turn **under the shard's own lock**, the
+//! one its queries are served under. An order that changes only the cache
+//! knobs is adopted and acked there and then. One that swaps the source set
+//! or the pool configuration while flights are upstream waits on the shard
+//! until they have landed, so nothing the old set generated is cached after
+//! the ack, and the queries that reach the shard meanwhile are parked
+//! behind it. Either way a query read after `apply` returns is served under
+//! the new epoch, and no lock is held across a round trip. Each shard acks
+//! into its own atomic slot (the `sdoh_shard_acked_epoch{shard}` gauges,
+//! [`ControlHandle::wait_for_epoch`]); the resolvers are handed the knobs,
+//! never the number. The shard set is fixed at
+//! [`PoolRuntime::start`](crate::PoolRuntime::start).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,11 +22,11 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use sdoh_core::{AddressSource, CacheConfig, ConfigError, PoolConfig};
 
-use crate::runtime::{ShardTx, WorkItem};
+use crate::runtime::ShardSet;
 
 /// Builds one shard's upstream source set, by shard index — how a
-/// [`ConfigDelta`] carries a new resolver set to N workers when
-/// [`AddressSource`]s are not cloneable (each worker needs its own
+/// [`ConfigDelta`] carries a new resolver set to N shards when
+/// [`AddressSource`]s are not cloneable (each shard needs its own
 /// exchanger-bound instances).
 pub type SourceFactory = Arc<dyn Fn(usize) -> Vec<Box<dyn AddressSource>> + Send + Sync>;
 
@@ -87,10 +81,8 @@ impl std::fmt::Debug for ConfigDelta {
 }
 
 /// Receipt of an accepted control operation: the epoch the fleet is
-/// converging to and the shard count it was fanned out to. Workers ack
-/// asynchronously — observe propagation via
-/// [`ControlHandle::acked_epochs`] / [`ControlHandle::wait_for_epoch`] or
-/// the `sdoh_shard_acked_epoch` gauges.
+/// converging to and the shard count it was handed to. Observe the acks via
+/// [`ControlHandle::acked_epochs`] / [`ControlHandle::wait_for_epoch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct EpochReceipt {
@@ -100,8 +92,8 @@ pub struct EpochReceipt {
     pub shards: usize,
 }
 
-/// The epoch fan-out order a worker receives over its queue: the number to
-/// ack and the knobs to serve under from then on.
+/// The epoch order a shard is handed under its lock: the number to ack and
+/// the knobs to serve under from then on.
 pub(crate) struct EpochOrder {
     pub(crate) epoch: u64,
     pub(crate) cache: CacheConfig,
@@ -110,8 +102,8 @@ pub(crate) struct EpochOrder {
 }
 
 pub(crate) struct ControlInner {
-    /// The runtime's shards, in shard order, as it was started with them.
-    shards: Vec<ShardTx>,
+    /// The runtime's shards, as it was started with them.
+    shards: Arc<ShardSet>,
     /// The epoch each shard last acked, in shard order.
     acked: Vec<Arc<AtomicU64>>,
     /// The published cache knobs, as of `epoch`. [`ControlHandle::apply`]
@@ -132,9 +124,12 @@ pub struct ControlHandle {
 }
 
 impl ControlHandle {
-    pub(crate) fn new(shards: Vec<ShardTx>, config: CacheConfig) -> ControlHandle {
-        // Workers serve under epoch 0 from construction.
-        let acked = shards.iter().map(|_| Arc::new(AtomicU64::new(0))).collect();
+    /// `acked` holds one slot per shard, the one its shard acks into.
+    pub(crate) fn new(
+        shards: Arc<ShardSet>,
+        acked: Vec<Arc<AtomicU64>>,
+        config: CacheConfig,
+    ) -> ControlHandle {
         ControlHandle {
             inner: Arc::new(ControlInner {
                 shards,
@@ -145,8 +140,8 @@ impl ControlHandle {
         }
     }
 
-    /// The runtime's shards, in shard order.
-    pub(crate) fn shards(&self) -> &[ShardTx] {
+    /// The runtime's shards.
+    pub(crate) fn shards(&self) -> &ShardSet {
         &self.inner.shards
     }
 
@@ -161,8 +156,8 @@ impl ControlHandle {
     }
 
     /// The epoch each shard last acked, in shard order. A shard whose
-    /// entry lags [`ControlHandle::current_epoch`] has not yet processed
-    /// the fan-out item in its queue.
+    /// entry lags [`ControlHandle::current_epoch`] is still landing the
+    /// flights an order waits for.
     pub fn acked_epochs(&self) -> Vec<u64> {
         self.inner
             .acked
@@ -186,10 +181,11 @@ impl ControlHandle {
         }
     }
 
-    /// Publishes the next config epoch carrying `delta` and fans it to
-    /// every shard through its work queue. Returns immediately with the
-    /// receipt; workers adopt the epoch in their next loop iteration
-    /// (observe via [`ControlHandle::wait_for_epoch`]).
+    /// Publishes the next config epoch carrying `delta` and hands it to
+    /// every shard under its lock. Returns with the receipt once every
+    /// shard holds the order: every query read from then on is served under
+    /// it. A shard adopts a source or pool swap once the flights it has
+    /// upstream have landed (observe via [`ControlHandle::wait_for_epoch`]).
     ///
     /// # Errors
     ///
@@ -212,12 +208,7 @@ impl ControlHandle {
             pool: delta.pool,
             sources: delta.sources,
         });
-        for (shard, ack) in self.inner.shards.iter().zip(&self.inner.acked) {
-            shard.send(WorkItem::Reconfigure {
-                order: order.clone(),
-                ack: ack.clone(),
-            });
-        }
+        self.inner.shards.reconfigure(&order);
         *config = order.cache;
         self.inner.epoch.store(order.epoch, Ordering::Release);
         Ok(EpochReceipt {
@@ -233,22 +224,15 @@ impl ControlHandle {
             let config = self.inner.config.lock();
             (self.current_epoch(), *config)
         };
+        // A list of numbers prints as its JSON array.
         let acked = self.acked_epochs();
-        let mut acked_json = String::from("[");
-        for (i, epoch) in acked.iter().enumerate() {
-            if i > 0 {
-                acked_json.push_str(", ");
-            }
-            acked_json.push_str(&epoch.to_string());
-        }
-        acked_json.push(']');
         format!(
-            "{{\"epoch\": {}, \"shards\": {}, \"acked_epochs\": {}, \"cache\": \
+            "{{\"epoch\": {}, \"shards\": {}, \"acked_epochs\": {:?}, \"cache\": \
              {{\"capacity\": {}, \"ttl_seconds\": {}, \"stale_window_seconds\": {}, \
              \"negative_ttl_seconds\": {}}}}}",
             epoch,
             acked.len(),
-            acked_json,
+            acked,
             cache.capacity,
             cache.ttl.as_duration().as_secs_f64(),
             cache.stale_window.as_secs_f64(),

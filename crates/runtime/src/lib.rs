@@ -10,17 +10,12 @@
 //!
 //! * [`PoolRuntime`] — binds a UDP socket (plus a TCP listener for
 //!   truncated-answer retries) and routes each query by
-//!   `(domain, address family)` hash to one of N shards. Each shard's
-//!   [`CachingPoolResolver`](sdoh_core::CachingPoolResolver) sits behind a
-//!   lock of its own, shared with no other shard: the socket thread that
-//!   read a query serves it in place when that lock is free and nothing is
-//!   queued to the shard, and otherwise hands it to the shard's worker
-//!   thread — no query ever waits on a lock. Whichever thread holds the
-//!   shard sends and lands what its generations and background refreshes
-//!   have due, and the worker wakes itself on the shard's alarm for what
-//!   nobody else met. The runtime aggregates per-shard
-//!   [`ServeSnapshot`](sdoh_core::ServeSnapshot)s into [`RuntimeStats`] on
-//!   demand ([`PoolRuntime::stats`]), and shuts down gracefully.
+//!   `(domain, address family)` hash to one of N shards, each a
+//!   [`CachingPoolResolver`](sdoh_core::CachingPoolResolver) behind a lock
+//!   of its own: the socket thread that read a query serves it under that
+//!   lock, and one timer thread for all shards lands the round trips no
+//!   socket thread meets. Statistics ([`RuntimeStats`]) are read on demand
+//!   ([`PoolRuntime::stats`]), and shutdown is graceful.
 //! * [`BackendNet`] — in-process upstream endpoints (full RFC 8484 DoH
 //!   terminators via [`PayloadService`]) reached through `Send`
 //!   [`BackendExchanger`]s, so a complete serving stack runs end-to-end
@@ -33,25 +28,19 @@
 //! # Observability
 //!
 //! Every [`PoolRuntime`] owns an [`sdoh_metrics::Registry`]
-//! ([`PoolRuntime::registry`]): the front-door socket counters
-//! (`sdoh_udp_queries_total`, `sdoh_tcp_queries_total`,
-//! `sdoh_truncated_responses_total`, `sdoh_queries_handed_off_total`
-//! for the queries a busy shard was handed on its queue, and
-//! `sdoh_shard_wakes_total` for the wake-ups a socket thread queued when
-//! it left a shard something due before its worker's alarm) are registry
-//! counters, each shard records per-query serving latency into its own
-//! `sdoh_serve_latency_seconds` histogram (two relaxed atomic adds on the
-//! hot path, always on: `pool-bench`'s `metrics.histogram_record_ns` row
-//! prices one), and a scrape-time collector pulls fresh
-//! [`ServeSnapshot`](sdoh_core::ServeSnapshot)s from the workers and
-//! exports them through the shared vocabulary in
-//! [`sdoh_core::snapshot_samples`], beside each shard's
-//! `sdoh_shard_queue_depth` as the scrape reads it.
+//! ([`PoolRuntime::registry`]): the front-door counters
+//! (`sdoh_{udp,tcp}_queries_total`, `sdoh_truncated_responses_total`,
+//! `sdoh_dropped_queries_total` for queries that found no shard, and
+//! `sdoh_shard_wakes_total` for the times a socket thread moved the shard
+//! timer earlier), one `sdoh_serve_latency_seconds` histogram per shard
+//! (two relaxed atomic adds per query), and a scrape-time collector that
+//! reads each shard's [`ServeSnapshot`](sdoh_core::ServeSnapshot) under its
+//! lock and exports it through [`sdoh_core::snapshot_samples`].
 //!
 //! Set [`RuntimeConfig::stats_bind`] to bind the HTTP stats listener:
 //! `/metrics` serves the Prometheus text exposition, `/metrics.json` the
 //! JSON flavour, and `/healthz` is the readiness probe — 200 while every
-//! shard answers its snapshot within the health deadline, 503 with an
+//! shard's snapshot is read within the health deadline, 503 with an
 //! `unresponsive_shards` count otherwise, plus the pool-guarantee state
 //! (generation failures / negative serves). Shards that miss a snapshot
 //! deadline surface as `None` entries in [`RuntimeStats::per_shard`] and
@@ -64,17 +53,17 @@
 //! [`ConfigDelta`] (new TTLs, stale window, upstream resolver set, pool
 //! hardening knobs), numbers it — an **epoch** is the control plane's
 //! count of accepted deltas, a `u64` nothing below it stores — and
-//! fans it to every shard **through the shard's existing work queue**,
-//! which no query served in place overtakes: each shard's resolver is
-//! handed the knobs
+//! hands it to every shard **under the shard's own lock**, so a query read
+//! after `apply` returns is served under the new epoch. Each shard's
+//! resolver is handed the knobs
 //! ([`CachingPoolResolver::apply_config`](sdoh_core::CachingPoolResolver::apply_config))
-//! and the shard acks the number as its worker takes the item. Cached
-//! entries are never invalidated by an epoch switch; they are re-judged
-//! against the new knobs at lookup time, and a served answer's age is
-//! always bounded by the *maximum* of the old and new `TTL + stale window`
-//! horizons. The shard set itself is fixed: a runtime serves exactly the
-//! shards handed to [`PoolRuntime::start`], so every key is cached by the
-//! one shard its queries are routed to for the life of the runtime.
+//! and the shard acks the number as it adopts them — at once, or for a
+//! source or pool swap once its flights upstream have landed, with the
+//! queries that arrive meanwhile parked behind the order. Cached entries
+//! are re-judged against the new knobs at lookup time, never invalidated:
+//! a served answer's age stays within the larger of the two epochs'
+//! `TTL + stale window`.
+//! The shard set itself is fixed at [`PoolRuntime::start`].
 //!
 //! ```
 //! use std::time::Duration;

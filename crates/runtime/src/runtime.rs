@@ -1,153 +1,85 @@
 //! The threaded real-socket serving runtime: [`PoolRuntime`].
 //!
-//! # Architecture
-//!
 //! ```text
 //!               UDP datagrams                TCP (truncated retries)
-//!                    │                                │
 //!              ┌─────▼──────┐                  ┌──────▼──────┐
 //!              │ dispatcher │                  │ tcp acceptor│
 //!              └─────┬──────┘                  └──────┬──────┘
 //!        hash(qname, qtype) ──────────────────────────┘
-//!         ┌──────────┼─────────────┐   idle shard: served in place, under its lock
-//!   ┌─────▼────┐ ┌───▼──────┐ ┌────▼─────┐ busy shard: a copy on its worker's queue
-//!   │ shard 0  │ │ shard 1  │ │ shard N-1│ ◄── Snapshot / Reconfigure
-//!   │ resolver │ │ resolver │ │ resolver │     items, on demand, over the
-//!   │ + worker │ │ + worker │ │ + worker │     same queue as handed-off queries
-//!   └──────────┘ └──────────┘ └──────────┘
+//!   ┌─────▼────┐ ┌───▼──────┐ ┌────▼─────┐  the reading thread takes the
+//!   │ shard 0  │ │ shard 1  │ │ shard N-1│  shard's lock, serves, pumps;
+//!   │ resolver │ │ resolver │ │ resolver │  control plane and statistics
+//!   └─────▲────┘ └────▲─────┘ └────▲─────┘  take the same lock
+//!         └───── timer: lands what no socket thread meets
 //! ```
 //!
-//! Each shard is one [`CachingPoolResolver`] and one `Send` exchanger in a
-//! cell behind a lock of its own, plus a worker thread. No lock is shared
-//! between shards. The shard set is the one [`PoolRuntime::start`] was
-//! handed, for the life of the runtime, and queries are routed by
-//! `(domain, address family)` hash over it: every key always lands on the
-//! same shard, which is the only one ever to cache it, and singleflight
-//! coalescing keeps working per shard. The worker holds its shard's lock
-//! for one item of its queue at a time, and keeps the shard's alarm: it
-//! blocks on its queue while the shard has nothing upstream and nothing
-//! queued for refresh, and otherwise wakes when the next round trip ends
-//! or the resolver's
-//! [`next_refresh_due`](CachingPoolResolver::next_refresh_due) has come
-//! (see `worker_loop`). Upstream exchanges have no thread either:
-//! what the shard's live generations have to send leaves as one batch
-//! through the send half of the transport ([`Exchanger::depart`]) and is
-//! collected by whichever thread holds the shard when its round trip is
-//! over ([`Exchanger::arrive`]) — the diagram is the thread census, idle or
-//! loaded. Statistics are taken on demand: [`PoolRuntime::stats`],
-//! `/metrics` and `/healthz` each ask the shards for a [`ServeSnapshot`]
-//! when they are called, and a shard answers between the items of its
-//! queue whatever it has upstream.
+//! A shard is one [`CachingPoolResolver`] and one `Send` exchanger behind a
+//! lock of its own — data, not a thread. Queries are routed by `(domain,
+//! address family)` hash over the shards [`PoolRuntime::start`] was handed,
+//! so every key is cached by one shard for the life of the runtime and
+//! singleflight works per shard. The shard count partitions the cache; the
+//! runtime's threads are the two that read sockets and one timer for all
+//! shards (plus the stats listener, when configured), idle or loaded.
 //!
 //! # The hit path
 //!
-//! The thread that read a query answers it. A socket thread that finds the
-//! owning shard idle — its lock free and nothing queued to it — serves the
-//! query from its receive buffer under that lock: no copy, no queue, no
-//! wake-up. A shard that is busy (its worker is taking an item, landing
-//! flights, or sleeping out the round trips before a source swap) or has
-//! anything queued is handed an owned copy on its worker's queue, behind
-//! everything already there, so no query overtakes a queued control item;
-//! a socket thread never waits for a shard. Either way the query goes
-//! through the shard's one serve function: read where it lies — validated
-//! once, its header, question and EDNS payload size lent from its octets
-//! ([`QueryView`]) — and answered through the two halves of the shared
-//! Do53 core ([`decode_do53_query`], [`finish_do53_answer`]) around the
-//! resolver's first step ([`begin`](CachingPoolResolver::begin), which
-//! renders what
-//! [`handle_query_wire`](sdoh_dns_server::QueryHandler::handle_query_wire)
-//! renders) into the **one response buffer the shard keeps**. For a cached
-//! pool that is a copy: the resolver encoded the answer section when the
-//! generation entered its cache (see [`sdoh_core::serve`]), the cache is
-//! probed with the name the query lends, and per hit only the header, the
-//! echoed question and the TTL are written — no `Message` is built, no name
-//! is copied, and a hit allocates nothing (`core/tests/alloc_budget.rs`
-//! counts it). SERVFAILs, rejections and the few queries a template cannot
-//! answer byte for byte are written from the query where it lies too
-//! ([`QueryView::write_response`]) into the same buffer; there is no second
-//! serve function and no switch.
-//!
-//! A response longer than the client can receive — the payload size its
-//! query's OPT record advertised, 512 bytes without one, and never more
-//! than the configured UDP payload limit; judged on the rendered length —
-//! is replaced by an empty TC=1 message written from the query; clients
-//! retry over the TCP listener bound to the same port number (RFC 1035
-//! length-prefixed framing), and the connection handler takes the
-//! buffer's contents with it.
+//! The thread that read a query takes the owning shard's lock — waiting
+//! for it, if another thread holds it for its own serve and pump — and
+//! answers from its receive buffer through the shard's one serve function:
+//! the query read where it lies ([`QueryView`]), the two halves of the
+//! shared Do53 core ([`decode_do53_query`], [`finish_do53_answer`]) around
+//! the resolver's first step ([`begin`](CachingPoolResolver::begin)),
+//! rendered into the one response buffer the shard keeps. A cached pool's
+//! answer section was encoded when it entered the cache, so a hit writes a
+//! header, the echoed question and a TTL, and allocates nothing
+//! (`core/tests/alloc_budget.rs`). A UDP answer longer than its client can
+//! receive (its OPT payload size, 512 without one, capped by the configured
+//! limit) is replaced by an empty TC=1 response, and the client retries
+//! over the TCP listener on the same port.
 //!
 //! # The miss path
 //!
-//! A generation is a piece of data the shard owns, not a call its worker
-//! sits inside. The resolver's first step
-//! ([`begin`](CachingPoolResolver::begin)) either answers — everything
-//! above — or opens a **flight** for the key (or finds the one already
-//! live: concurrent misses for a key share it) and hands back its id; the
-//! serving thread **parks** the query's octets — in one buffer the shard
-//! keeps, so a miss allocates nothing once it has grown — its reply path
-//! and its start time under that id and lets go of the shard. Hits, other
-//! misses, and snapshots are served while the flight is upstream; a parked
-//! query is read where it lies again when its flight lands.
+//! A generation is data the shard owns. `begin` either answers or opens a
+//! **flight** for the key (or joins the live one) and the serving thread
+//! **parks** the query's octets under it, in one buffer the shard keeps,
+//! and lets go of the shard. Whoever holds the shard then **pumps** it:
+//! batches whose round trip is over are collected ([`Exchanger::arrive`])
+//! and landed, due refreshes open flights of their own, every query parked
+//! on a landed flight is answered, and what the live flights have to send
+//! departs as one batch ([`Exchanger::depart`]). A zero round trip lands
+//! before the lock is let go; a stream of queries that never pauses cannot
+//! starve the flights, since every serve is followed by a pump.
 //!
-//! Whoever holds the shard does what is due. A socket thread that served a
-//! query in place pumps the shard under the same hold of its lock, as the
-//! worker does after each item: a zero round trip departs, lands and is
-//! answered before the lock is let go, and with a real round trip the
-//! socket thread sends the batch and the landing falls to whoever holds the
-//! shard when it comes due.
+//! * *The timer.* A shard's alarm is the instant its last pump returned.
+//!   One timer thread waits (`park_timeout`, a futex) until the earliest
+//!   alarm over all shards, held in one atomic on the wall clock, and pumps
+//!   each shard whose alarm is due. A socket thread whose pump moves its
+//!   shard's alarm earlier moves the timer down and unparks it; anything
+//!   later the timer meets on its own. Alarms are converted to the wall
+//!   clock under the shard's lock from the shard's own exchanger clock, so
+//!   a shard on a simulated clock keeps working.
+//! * *Who waits for landings.* Nobody, under a lock, while the socket
+//!   threads run. A control order that swaps the source set or the pool
+//!   configuration while flights are upstream waits on the shard: queries
+//!   that arrive meanwhile park behind it with no flight, and the first
+//!   pump that finds nothing upstream adopts and acks the order and serves
+//!   them in arrival order, so nothing the old set generated is cached
+//!   after the ack. Only [`PoolRuntime::shutdown`] sleeps out the last
+//!   round trips, once the socket threads and the timer are joined.
 //!
-//! * *The alarm.* The shard keeps the instant its worker will next wake on
-//!   its own: the worker waits on its queue with `recv_timeout` until the
-//!   earliest round-trip end or refresh due that its last pump returned,
-//!   with `recv()` when there is none (no alarm), and not at all when
-//!   something is already due. A socket thread whose pump returns an
-//!   instant earlier than the alarm — or any instant, when there is none —
-//!   moves the alarm there and queues one `Wake`; anything later the worker
-//!   meets on its own, so a second miss in the same round trip queues
-//!   nothing. Two drivers, one serve and one pump, each honouring the wake
-//!   the pump returns.
-//! * *Land before take.* What is due is dealt with **after each item the
-//!   worker takes, before it waits for the next** (under the same hold of
-//!   the shard's lock), not only when the wait times out: batches whose
-//!   round trip is over are collected and their outcomes landed, refreshes that came
-//!   due open flights of their own (a refresh is a flight like any other:
-//!   it leaves when it is due, and the stale serves that overlap it do not
-//!   queue it again), every query parked on a flight that landed is
-//!   answered from the landed report — rendered through the closing half
-//!   of the same Do53 core, truncated by what *its* query advertised, one
-//!   latency observation when it leaves — and what the live flights have
-//!   to send departs as one batch. A queue that never runs empty cannot
-//!   starve the flights, and a zero round trip lands in the same turn:
-//!   no second query ever finds such a flight to join.
-//! * *Who waits for landings.* Two items first land every live flight,
-//!   sleeping out the round trips still upstream: a `Reconfigure` that
-//!   swaps the source set or the pool configuration (so nothing generated
-//!   under the old one is cached after the epoch is acked), and `Shutdown`
-//!   (so every parked client is answered and the final statistics count
-//!   every generation). `Snapshot` does not wait.
-//!
-//! A transport that knows nothing of the two halves takes their defaults —
-//! `depart` performs the whole batch, blocking — and whichever thread pumps
-//! the shard sits out each round trip, a socket thread serving in place
-//! included: such a transport serves, but it is no way to serve fast.
-//!
-//! Both socket threads block in `recv_from` / `accept` and poll nothing —
-//! as does the stats listener, when one is configured, in its own
-//! `accept`: a lone client's TCP retry is accepted when it arrives, and an
-//! error from either call is backed off from, never a reason to leave.
-//! [`PoolRuntime::shutdown`] sets the stop flag, wakes each with one
-//! throw-away message (an empty datagram, a connection never served), and
-//! hands every worker a `Shutdown` item behind whatever its queue still
-//! holds: the worker answers it with its last snapshot once it has landed
-//! what it had upstream, and every thread is joined.
+//! A transport without the two halves takes their blocking defaults, and
+//! whichever thread pumps sits out each round trip. The socket threads
+//! block in `recv_from` / `accept` and back off from errors; `shutdown`
+//! wakes each with one throw-away message.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::Hasher;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
-use std::ops::{ControlFlow, Range};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, OnceLock};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, MutexGuard};
@@ -166,19 +98,29 @@ use sdoh_netsim::SimInstant;
 
 use crate::control::{ControlHandle, EpochOrder};
 
-/// How long a stats aggregation waits for each shard before marking it
-/// unresponsive (a wedged worker must not wedge the exporter). A shard
-/// answers between the items of its queue whatever it has upstream, so a
-/// miss means a worker that is stuck, never an upstream that is slow.
+/// How long a stats aggregation waits for each shard's lock before marking
+/// the shard unresponsive (a wedged shard must not wedge the exporter). A
+/// shard's lock is held for one serve and one pump at a time, so a miss
+/// means a transport whose `depart` blocks, never an upstream that is slow.
 const SNAPSHOT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// The shorter deadline `/healthz` probes shards with: a readiness check
-/// has to answer promptly even when a worker is wedged.
+/// has to answer promptly even when a shard is wedged.
 const HEALTH_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// How long a snapshot waits between two tries of a busy shard's lock.
+const SNAPSHOT_POLL: Duration = Duration::from_micros(50);
 
 /// How long a socket loop stays away from a socket that just returned an
 /// error, so a persistent one (descriptor exhaustion) cannot spin it.
 const ERROR_BACKOFF: Duration = Duration::from_millis(1);
+
+/// The timer thread's name. `pool-bench` attributes a runtime thread's CPU
+/// by its name, and counts a thread outside `sdoh-dispatch`, `sdoh-shard-*`,
+/// `sdoh-tcp`, `sdoh-refresh` and `sdoh-stats` as the harness's: under any
+/// other prefix the timer's landings would vanish from the server's CPU per
+/// query. Fifteen bytes, the longest name Linux keeps.
+const TIMER_THREAD: &str = "sdoh-shard-tick";
 
 /// Configuration of a [`PoolRuntime`]: where it listens and how much it puts
 /// in a datagram. What the runtime does is not configurable here — the TCP
@@ -251,9 +193,8 @@ impl RuntimeConfig {
 }
 
 /// One serving shard: a caching resolver plus the exchanger its
-/// generations and refreshes go out through. Both move into the shard's
-/// worker thread at [`PoolRuntime::start`] — which is exactly why the
-/// whole serve layer is `Send`.
+/// generations and refreshes go out through, served by whichever runtime
+/// thread holds the shard's lock — which is why the serve layer is `Send`.
 pub struct Shard {
     resolver: CachingPoolResolver,
     exchanger: Box<dyn Exchanger + Send>,
@@ -277,20 +218,15 @@ impl std::fmt::Debug for Shard {
     }
 }
 
-/// Front-door counters kept by the socket threads (everything behind the
-/// dispatch point is counted per shard in [`ServeSnapshot`]s). The cells
-/// are registry [`Counter`] handles, so the same bumps feed both
-/// [`RuntimeStats`] and the `/metrics` exposition.
+/// Front-door counters kept by the socket threads, as registry [`Counter`]
+/// handles: the same bumps feed [`RuntimeStats`] and `/metrics`.
 #[derive(Debug)]
 pub(crate) struct FrontCounters {
     udp_received: Counter,
     tcp_received: Counter,
     truncated: Counter,
     dropped: Counter,
-    /// Queries queued to a busy shard's worker rather than served in place.
-    handed_off: Counter,
-    /// `Wake` items a socket thread queued: its pump moved the shard's
-    /// alarm earlier.
+    /// Pumps of a socket thread that moved the shard timer earlier.
     wakes: Counter,
 }
 
@@ -302,7 +238,6 @@ impl FrontCounters {
             tcp_received: counter(sdoh_core::METRIC_TCP_QUERIES),
             truncated: counter(sdoh_core::METRIC_TRUNCATED_RESPONSES),
             dropped: counter(sdoh_core::METRIC_DROPPED_QUERIES),
-            handed_off: counter(vocabulary_row("sdoh_queries_handed_off_total")),
             wakes: counter(vocabulary_row("sdoh_shard_wakes_total")),
         }
     }
@@ -329,27 +264,13 @@ fn gauge((name, help): (&str, &str), labels: Vec<(String, String)>, value: f64) 
     }
 }
 
-/// `sdoh_shard_queue_depth{shard}`: what each shard has queued and its
-/// worker has not yet taken, read at the call.
-fn queue_depth_gauges(shards: &[ShardTx]) -> impl Iterator<Item = Sample> + '_ {
-    shards.iter().enumerate().map(|(index, shard)| {
-        gauge(
-            vocabulary_row("sdoh_shard_queue_depth"),
-            vec![("shard".to_string(), index.to_string())],
-            shard.cell.queued.load(Ordering::Acquire) as f64,
-        )
-    })
-}
-
 /// One aggregated statistics observation of a running [`PoolRuntime`].
 #[derive(Debug, Clone)]
 pub struct RuntimeStats {
-    /// Snapshot of every shard, in shard order. `None` for shards that did
-    /// not answer the snapshot request within the timeout — a wedged
-    /// worker, never a slow upstream (a shard with generations in flight
-    /// answers between them and says how many in
-    /// [`ServeSnapshot::live_generations`]) — never silently folded into
-    /// the totals as zeros.
+    /// Snapshot of every shard, in shard order. `None` for a shard whose lock
+    /// stayed taken past the snapshot deadline — a wedged shard (a transport
+    /// blocking in `depart`), never a slow upstream, whose generations in
+    /// flight [`ServeSnapshot::live_generations`] counts — never zeros.
     pub per_shard: Vec<Option<ServeSnapshot>>,
     /// The fleet-wide aggregate of the *responsive* shards.
     pub total: ServeSnapshot,
@@ -360,8 +281,9 @@ pub struct RuntimeStats {
     /// UDP responses truncated to TC=1 because they exceeded the payload
     /// limit.
     pub truncated_responses: u64,
-    /// Accepted queries that could not be handed to a shard worker — zero
-    /// during normal operation, reconfigurations included.
+    /// Accepted queries that found no shard to serve them — zero during
+    /// normal operation, reconfigurations included. Queries a shard sheds
+    /// under overload will be counted here too.
     pub dropped_queries: u64,
     /// The config epoch published when the snapshot was taken.
     pub config_epoch: u64,
@@ -430,26 +352,6 @@ impl std::fmt::Display for RuntimeStats {
     }
 }
 
-pub(crate) enum WorkItem {
-    /// Serve one wire-format query and reply along the given path: a query
-    /// a socket thread found the shard busy for.
-    Query { wire: Vec<u8>, reply: ReplyPath },
-    /// Nothing to take: a socket thread's pump left the shard something
-    /// due before the alarm its worker sleeps towards (or blocks without),
-    /// and the pump after every item sets the new one. Not counted in
-    /// [`ShardCell::queued`] (see [`ShardTx::wake`]).
-    Wake,
-    /// Report a consistent snapshot of this shard's state.
-    Snapshot(mpsc::Sender<(usize, ServeSnapshot)>),
-    /// Adopt a new config epoch and ack its number into the slot.
-    Reconfigure {
-        order: Arc<EpochOrder>,
-        ack: Arc<AtomicU64>,
-    },
-    /// Land what is upstream, report the final snapshot and exit.
-    Shutdown(mpsc::Sender<(usize, ServeSnapshot)>),
-}
-
 pub(crate) enum ReplyPath {
     /// Answer with `send_to` on the shared UDP socket; responses longer
     /// than the client can receive are truncated to TC=1.
@@ -458,60 +360,171 @@ pub(crate) enum ReplyPath {
     Tcp(mpsc::Sender<Vec<u8>>),
 }
 
-/// One shard's state behind its one lock, and the count of what is queued
-/// to its worker.
-pub(crate) struct ShardCell {
+/// One shard's state behind its one lock.
+struct ShardCell {
     worker: Mutex<Worker>,
-    /// Items sent to the worker's queue and not yet taken, `Wake`s aside
-    /// (no item is ordered behind one). It rises in
-    /// [`ShardTx::send`] before the item is sent, and falls only under the
-    /// lock, as the worker takes an item: read under the lock, zero means
-    /// no queued item is overtaken by serving in place. The lock orders
-    /// that read after every fall (each made under an earlier hold), and
-    /// an `Acquire` read that happens after a rise (`AcqRel`) sees it.
-    queued: AtomicUsize,
 }
 
 impl ShardCell {
-    /// The worker thread's hold on its shard: one item, and the pump after
-    /// it, at a time.
-    // sdoh-lint: allow(transitive-hot-path-purity, "the shard's own lock: its worker holds it for one item at a time, and a socket thread only ever try_locks it, so no query waits on it")
+    /// The hold every runtime thread takes on a shard, for one serve, order
+    /// or timer landing and the pump after it; a thread that finds it taken
+    /// waits.
+    // sdoh-lint: allow(transitive-hot-path-purity, "the shard's own lock: held for one serve and one pump at a time, and nobody sleeps under it while the socket threads run (shutdown lands the last round trips only after joining them), so a query waits for at most the serve and pump ahead of it")
     fn lock(&self) -> MutexGuard<'_, Worker> {
         self.worker.lock()
     }
+
+    /// The shard's snapshot, read under its lock: tried until `deadline`,
+    /// `None` if the lock stayed taken that long.
+    fn snapshot(&self, deadline: Instant) -> Option<ServeSnapshot> {
+        loop {
+            if let Some(worker) = self.worker.try_lock() {
+                return Some(worker.resolver.snapshot());
+            }
+            if Instant::now() >= deadline {
+                return None;
+            }
+            std::thread::sleep(SNAPSHOT_POLL);
+        }
+    }
 }
 
-/// The runtime's handle on one shard: its worker's queue and its cell.
-#[derive(Clone)]
-pub(crate) struct ShardTx {
-    tx: mpsc::Sender<WorkItem>,
-    cell: Arc<ShardCell>,
+/// The one alarm clock of all shards, on the wall clock as nanoseconds since
+/// `origin` (`u64::MAX`: never).
+struct Timer {
+    origin: Instant,
+    /// Each shard's alarm, written under its lock, read without it.
+    due: Vec<AtomicU64>,
+    /// When the timer thread wakes: no later than any `due` while it waits,
+    /// moved down by whoever arms a shard earlier, raised only by the timer,
+    /// which folds every `due` back in after each pass.
+    next: AtomicU64,
+    /// The timer thread, unparked when `next` moves down (none in tests
+    /// that drive [`ShardSet::land_due`] themselves).
+    thread: OnceLock<Thread>,
 }
 
-impl ShardTx {
-    /// Puts `worker` in a cell of its own: the handle, and the queue its
-    /// thread takes from.
-    fn open(worker: Worker) -> (ShardTx, mpsc::Receiver<WorkItem>) {
-        let (tx, rx) = mpsc::channel();
-        let cell = Arc::new(ShardCell {
-            worker: Mutex::new(worker),
-            queued: AtomicUsize::new(0),
-        });
-        (ShardTx { tx, cell }, rx)
+impl Timer {
+    fn new(shards: usize) -> Timer {
+        Timer {
+            origin: Instant::now(),
+            due: (0..shards).map(|_| AtomicU64::new(u64::MAX)).collect(),
+            next: AtomicU64::new(u64::MAX),
+            thread: OnceLock::new(),
+        }
     }
 
-    /// Queues `item` behind everything already queued to the shard, counted
-    /// until its worker takes it. `false` once the worker is gone.
-    pub(crate) fn send(&self, item: WorkItem) -> bool {
-        self.cell.queued.fetch_add(1, Ordering::AcqRel);
-        self.tx.send(item).is_ok()
+    /// `at` as nanoseconds since the origin.
+    fn nanos(&self, at: Instant) -> u64 {
+        u64::try_from(at.saturating_duration_since(self.origin).as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Queues a `Wake`, uncounted: a query served in place may overtake it,
-    /// since the pump it asks for is one that query's server has just run.
-    /// `false` once the worker is gone.
-    fn wake(&self) -> bool {
-        self.tx.send(WorkItem::Wake).is_ok()
+    /// Sets shard `index`'s alarm `wait` from now (`None`: no alarm). When
+    /// the alarm moved `earlier` and that brings the timer's instant down,
+    /// the timer is unparked to wait again; `unpark` keeps a token, so the
+    /// wake-up is not lost if the timer is between its check and its park.
+    fn arm(&self, index: usize, wait: Option<Duration>, earlier: bool) {
+        let at = wait
+            .and_then(|wait| Instant::now().checked_add(wait))
+            .map_or(u64::MAX, |at| self.nanos(at));
+        if let Some(due) = self.due.get(index) {
+            due.store(at, Ordering::SeqCst);
+        }
+        if earlier && self.next.fetch_min(at, Ordering::SeqCst) > at {
+            self.unpark();
+        }
+    }
+
+    fn unpark(&self) {
+        if let Some(thread) = self.thread.get() {
+            thread.unpark();
+        }
+    }
+}
+
+/// The runtime's shards, in shard order, and the timer that lands what no
+/// socket thread meets. Shared by every runtime thread and the control
+/// plane.
+pub(crate) struct ShardSet {
+    cells: Vec<ShardCell>,
+    timer: Timer,
+}
+
+impl ShardSet {
+    fn new(workers: Vec<Worker>) -> ShardSet {
+        ShardSet {
+            timer: Timer::new(workers.len()),
+            cells: workers
+                .into_iter()
+                .map(|worker| ShardCell {
+                    worker: Mutex::new(worker),
+                })
+                .collect(),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Hands `order` to every shard in turn, under its lock, and pumps it:
+    /// see "Who waits for landings" in the module doc for when it is adopted.
+    pub(crate) fn reconfigure(&self, order: &Arc<EpochOrder>) {
+        for cell in &self.cells {
+            let mut guard = ShardCell::lock(cell);
+            let worker: &mut Worker = &mut guard;
+            worker.orders.push(Arc::clone(order));
+            worker.pump_and_arm(&self.timer);
+        }
+    }
+
+    /// One pass of the timer: pumps every shard whose alarm is due at `now`
+    /// (a shard on a simulated clock lands what its own clock says is due),
+    /// and folds every shard's next alarm into the instant the timer waits for.
+    fn land_due(&self, now: Instant) {
+        let timer = &self.timer;
+        timer.next.store(u64::MAX, Ordering::SeqCst);
+        let now = timer.nanos(now);
+        for (cell, due) in self.cells.iter().zip(&timer.due) {
+            if due.load(Ordering::SeqCst) <= now {
+                let mut guard = ShardCell::lock(cell);
+                let worker: &mut Worker = &mut guard;
+                worker.pump_and_arm(timer);
+            }
+            timer
+                .next
+                .fetch_min(due.load(Ordering::SeqCst), Ordering::SeqCst);
+        }
+    }
+
+    /// Every shard's [`ServeSnapshot`] (`None`: its lock was not free by
+    /// `timeout`) and the total of those read.
+    fn snapshots(&self, timeout: Duration) -> (Vec<Option<ServeSnapshot>>, ServeSnapshot) {
+        let deadline = Instant::now() + timeout;
+        let per_shard: Vec<Option<ServeSnapshot>> = self
+            .cells
+            .iter()
+            .map(|cell| cell.snapshot(deadline))
+            .collect();
+        let mut total = ServeSnapshot::default();
+        for snapshot in per_shard.iter().flatten() {
+            total.absorb(snapshot);
+        }
+        (per_shard, total)
+    }
+}
+
+/// The timer thread: waits until the earliest alarm over all shards — with
+/// none armed, for centuries or until a socket thread arms one — and lands
+/// what is due. It takes no lock of its own, only each due shard's.
+fn timer_loop(shards: &ShardSet, stop: &AtomicBool) {
+    while !stop.load(Ordering::SeqCst) {
+        let now = Instant::now();
+        let next = shards.timer.next.load(Ordering::SeqCst);
+        match next.saturating_sub(shards.timer.nanos(now)) {
+            0 => shards.land_due(now),
+            wait => std::thread::park_timeout(Duration::from_nanos(wait)),
+        }
     }
 }
 
@@ -523,8 +536,8 @@ pub struct PoolRuntime {
     udp_addr: SocketAddr,
     tcp_addr: SocketAddr,
     control: ControlHandle,
-    service_handles: Vec<JoinHandle<()>>,
-    worker_handles: Vec<JoinHandle<()>>,
+    /// The dispatcher, the TCP acceptor and the timer.
+    threads: Vec<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
     counters: Arc<FrontCounters>,
     clock: crate::clock::RuntimeClock,
@@ -533,9 +546,9 @@ pub struct PoolRuntime {
 }
 
 impl PoolRuntime {
-    /// Binds the sockets and spawns the worker, dispatcher and TCP
-    /// threads. One worker thread per entry of `shards`: the runtime serves
-    /// exactly these shards until it shuts down.
+    /// Binds the sockets and spawns the dispatcher, TCP and timer threads.
+    /// The runtime serves exactly `shards` until it shuts down; their
+    /// number partitions the cache and adds no thread.
     ///
     /// # Errors
     ///
@@ -568,41 +581,35 @@ impl PoolRuntime {
         let counters = Arc::new(FrontCounters::register(&registry));
         let clock = crate::clock::RuntimeClock::new();
 
-        // Each shard in its cell, with a worker thread of its own.
-        let mut senders = Vec::with_capacity(shards.len());
-        let mut worker_handles = Vec::with_capacity(shards.len());
-        for (index, shard) in shards.into_iter().enumerate() {
-            let (name, help) = sdoh_core::METRIC_SERVE_LATENCY;
-            let outbox = Outbox {
-                socket: Arc::clone(&udp),
-                udp_payload_limit: config.udp_payload_limit,
-                counters: Arc::clone(&counters),
-                latency: registry.histogram_with(name, help, &[("shard", &index.to_string())]),
-                response: Vec::with_capacity(config.udp_payload_limit),
-            };
-            let (tx, rx) = ShardTx::open(Worker::new(index, shard, outbox));
-            let cell = Arc::clone(&tx.cell);
-            worker_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("sdoh-shard-{index}"))
-                    .spawn(move || worker_loop(&cell, rx))?,
-            );
-            senders.push(tx);
-        }
-        let control = ControlHandle::new(senders, first_cache_config);
+        let acked: Vec<Arc<AtomicU64>> = shards.iter().map(|_| Arc::default()).collect();
+        let workers = shards
+            .into_iter()
+            .zip(&acked)
+            .enumerate()
+            .map(|(index, (shard, acked))| {
+                let (name, help) = sdoh_core::METRIC_SERVE_LATENCY;
+                let outbox = Outbox {
+                    socket: Arc::clone(&udp),
+                    udp_payload_limit: config.udp_payload_limit,
+                    counters: Arc::clone(&counters),
+                    latency: registry.histogram_with(name, help, &[("shard", &index.to_string())]),
+                    response: Vec::with_capacity(config.udp_payload_limit),
+                };
+                Worker::new(index, shard, outbox, Arc::clone(acked))
+            })
+            .collect();
+        let shards = Arc::new(ShardSet::new(workers));
+        let control = ControlHandle::new(Arc::clone(&shards), acked, first_cache_config);
 
         // The serve-layer counters live inside the shards; a scrape-time
-        // collector fetches fresh snapshots over the work queues and
+        // collector reads fresh snapshots under the shards' locks and
         // renders them through the shared serve vocabulary, plus the
-        // control-plane epoch gauges and each shard's queue depth.
+        // control-plane epoch gauges.
         {
             let control = control.clone();
             registry.register_collector(Box::new(move || {
                 let shards = control.shards();
-                // Read before the snapshot requests join the queues.
-                let depths: Vec<Sample> = queue_depth_gauges(shards).collect();
-                let (per_shard, total) =
-                    aggregate_shards(shards, SNAPSHOT_TIMEOUT, WorkItem::Snapshot);
+                let (per_shard, total) = shards.snapshots(SNAPSHOT_TIMEOUT);
                 let mut samples = snapshot_samples(&total, &[]);
                 samples.push(gauge(
                     sdoh_core::METRIC_SHARDS,
@@ -626,7 +633,6 @@ impl PoolRuntime {
                         acked as f64,
                     ));
                 }
-                samples.extend(depths);
                 samples
             }));
         }
@@ -651,39 +657,32 @@ impl PoolRuntime {
             None => None,
         };
 
-        // Dispatcher + TCP: two service threads besides the shard
-        // workers (and the optional stats-HTTP listener above), each with
-        // its own copy of the shard handles.
-        let mut service_handles = Vec::with_capacity(2);
-        {
-            let socket = Arc::clone(&udp);
-            let shards = control.shards().to_vec();
-            let stop = Arc::clone(&stop);
-            let counters = Arc::clone(&counters);
-            service_handles.push(
-                std::thread::Builder::new()
-                    .name("sdoh-dispatch".into())
-                    .spawn(move || dispatcher_loop(socket, shards, stop, counters))?,
-            );
-        }
-        {
-            let shards = control.shards().to_vec();
-            let stop = Arc::clone(&stop);
-            let counters = Arc::clone(&counters);
-            service_handles.push(
-                std::thread::Builder::new()
-                    .name("sdoh-tcp".into())
-                    .spawn(move || tcp_loop(tcp, shards, stop, counters))?,
-            );
-        }
+        // Three threads, whatever the shard count (plus the optional stats
+        // listener above): the timer first, so that a socket thread's first
+        // unpark reaches it, then the dispatcher and the TCP acceptor.
+        let spawn = |name: &str, run: Box<dyn FnOnce() + Send>| {
+            std::thread::Builder::new().name(name.into()).spawn(run)
+        };
+        let (set, halt) = (Arc::clone(&shards), Arc::clone(&stop));
+        let timer = spawn(TIMER_THREAD, Box::new(move || timer_loop(&set, &halt)))?;
+        let _ = shards.timer.thread.set(timer.thread().clone());
+        let (set, halt) = (Arc::clone(&shards), Arc::clone(&stop));
+        let count = Arc::clone(&counters);
+        let socket = Arc::clone(&udp);
+        let run = move || dispatcher_loop(&socket, &set, &halt, &count);
+        let dispatcher = spawn("sdoh-dispatch", Box::new(run))?;
+        let (set, halt) = (Arc::clone(&shards), Arc::clone(&stop));
+        let count = Arc::clone(&counters);
+        let run = move || tcp_loop(&tcp, &set, &halt, &count);
+        let acceptor = spawn("sdoh-tcp", Box::new(run))?;
+        let threads = vec![timer, dispatcher, acceptor];
 
         Ok(PoolRuntime {
             udp,
             udp_addr,
             tcp_addr,
             control,
-            service_handles,
-            worker_handles,
+            threads,
             stop,
             counters,
             clock,
@@ -717,7 +716,7 @@ impl PoolRuntime {
         &self.registry
     }
 
-    /// Number of serving shards (worker threads): the shards the runtime
+    /// Number of serving shards (cache partitions): the shards the runtime
     /// was started with.
     pub fn shard_count(&self) -> usize {
         self.control.shards().len()
@@ -731,50 +730,49 @@ impl PoolRuntime {
     }
 
     /// **The** statistics accessor: takes an on-demand aggregate right
-    /// now, asking every shard for a [`ServeSnapshot`] and merging them.
-    /// Each shard's snapshot is internally consistent; shards are sampled
-    /// at slightly different instants (they answer between queries).
+    /// now, reading every shard's [`ServeSnapshot`] under its lock and
+    /// merging them. Each shard's snapshot is internally consistent; shards
+    /// are sampled at slightly different instants (one after the other).
     pub fn stats(&self) -> RuntimeStats {
-        take_stats(
-            self.control.shards(),
-            WorkItem::Snapshot,
-            &self.counters,
-            self.control.current_epoch(),
-            self.clock.now(),
-        )
+        let (per_shard, total) = self.control.shards().snapshots(SNAPSHOT_TIMEOUT);
+        RuntimeStats {
+            per_shard,
+            total,
+            udp_queries: self.counters.udp_received.get(),
+            tcp_queries: self.counters.tcp_received.get(),
+            truncated_responses: self.counters.truncated.get(),
+            dropped_queries: self.counters.dropped.get(),
+            config_epoch: self.control.current_epoch(),
+            taken_at: self.clock.now(),
+        }
     }
 
-    /// Graceful shutdown: stop accepting traffic, drain the worker queues,
-    /// take the final aggregate and join every thread. Returns the final
-    /// statistics; [`RuntimeStats::config_epoch`] is the final epoch.
+    /// Graceful shutdown: stop accepting traffic, land what every shard has
+    /// upstream, take the final aggregate and join every thread. Returns the
+    /// final statistics; [`RuntimeStats::config_epoch`] is the final epoch.
     pub fn shutdown(mut self) -> RuntimeStats {
-        // 1. Stop the socket threads (and the stats listener, so no
-        //    scrape races the drain); no new work enters the queues. Each
-        //    blocks on its socket and is woken by one throw-away message.
+        // 1. Stop the socket threads, the timer and the stats listener (so
+        //    no scrape races the landing): no new query reaches a shard.
+        //    Each socket thread blocks on its socket and is woken by one
+        //    throw-away message.
         self.stop.store(true, Ordering::SeqCst);
         let _ = self.udp.send_to(&[], wake_addr(self.udp_addr));
         let _ = TcpStream::connect_timeout(&wake_addr(self.tcp_addr), Duration::from_secs(1));
+        self.control.shards().timer.unpark();
         if let Some(mut server) = self.stats_server.take() {
             server.shutdown();
         }
-        for handle in self.service_handles {
+        for handle in std::mem::take(&mut self.threads) {
             let _ = handle.join();
         }
-        // 2. Every shard gets a Shutdown item. It queues *behind* any
-        //    remaining queries, and a worker answers it with its last
-        //    snapshot after landing what it has upstream, so the numbers
-        //    include every accepted query and every generation it began.
-        let stats = take_stats(
-            self.control.shards(),
-            WorkItem::Shutdown,
-            &self.counters,
-            self.control.current_epoch(),
-            self.clock.now(),
-        );
-        for handle in self.worker_handles {
-            let _ = handle.join();
+        // 2. Every shard lands what it has upstream, sleeping out the last
+        //    round trips under its lock — nobody is left to wait for it —
+        //    so the numbers include every accepted query and every
+        //    generation begun.
+        for cell in &self.control.shards().cells {
+            ShardCell::lock(cell).land_everything();
         }
-        stats
+        self.stats()
     }
 }
 
@@ -826,83 +824,16 @@ fn bind_front_door(
     }
 }
 
-/// Sends one reply-channel item to every worker and gathers the
-/// `(shard index, T)` replies until `timeout`: one slot per worker, in
-/// shard order. A shard that does not answer in time — wedged, or already
-/// shut down — comes back as `None`, never as a silently-zero default.
-fn ask_shards<T>(
-    workers: &[ShardTx],
-    timeout: Duration,
-    request: impl Fn(mpsc::Sender<(usize, T)>) -> WorkItem,
-) -> Vec<Option<T>> {
-    let (tx, replies) = mpsc::channel();
-    let requested = workers
-        .iter()
-        .filter(|shard| shard.send(request(tx.clone())))
-        .count();
-    let mut gathered: Vec<Option<T>> = (0..workers.len()).map(|_| None).collect();
-    let deadline = Instant::now() + timeout;
-    for _ in 0..requested {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        match replies.recv_timeout(remaining) {
-            Ok((index, reply)) => {
-                if let Some(slot) = gathered.get_mut(index) {
-                    *slot = Some(reply);
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    gathered
-}
-
-/// The one statistics aggregation: every shard's [`ServeSnapshot`] (see
-/// [`ask_shards`] for `None`) and the total of the responsive ones.
-fn aggregate_shards(
-    workers: &[ShardTx],
-    timeout: Duration,
-    request: fn(mpsc::Sender<(usize, ServeSnapshot)>) -> WorkItem,
-) -> (Vec<Option<ServeSnapshot>>, ServeSnapshot) {
-    let per_shard = ask_shards(workers, timeout, request);
-    let mut total = ServeSnapshot::default();
-    for snapshot in per_shard.iter().flatten() {
-        total.absorb(snapshot);
-    }
-    (per_shard, total)
-}
-
 /// Shards that missed the snapshot deadline.
 fn count_unresponsive(per_shard: &[Option<ServeSnapshot>]) -> usize {
     per_shard.iter().filter(|s| s.is_none()).count()
 }
 
-fn take_stats(
-    workers: &[ShardTx],
-    request: fn(mpsc::Sender<(usize, ServeSnapshot)>) -> WorkItem,
-    counters: &FrontCounters,
-    config_epoch: u64,
-    taken_at: SimInstant,
-) -> RuntimeStats {
-    let (per_shard, total) = aggregate_shards(workers, SNAPSHOT_TIMEOUT, request);
-    RuntimeStats {
-        per_shard,
-        total,
-        udp_queries: counters.udp_received.get(),
-        tcp_queries: counters.tcp_received.get(),
-        truncated_responses: counters.truncated.get(),
-        dropped_queries: counters.dropped.get(),
-        config_epoch,
-        taken_at,
-    }
-}
-
-/// The `/healthz` readiness probe: 200 when every shard answered its
-/// snapshot within the (short) health deadline, 503 otherwise. The body
-/// reports shard liveness plus the pool-guarantee state — generation
-/// failures mean some queries were answered from negatively-cached
-/// failures rather than fresh secure generations.
-fn healthz(shards: &[ShardTx]) -> HttpResponse {
-    let (per_shard, total) = aggregate_shards(shards, HEALTH_TIMEOUT, WorkItem::Snapshot);
+/// The `/healthz` readiness probe: 200 when every shard's snapshot was
+/// read within the health deadline, 503 otherwise, with shard liveness and
+/// the pool-guarantee state (generation failures, negative serves).
+fn healthz(shards: &ShardSet) -> HttpResponse {
+    let (per_shard, total) = shards.snapshots(HEALTH_TIMEOUT);
     let unresponsive = count_unresponsive(&per_shard);
     let ready = unresponsive == 0;
     let body = format!(
@@ -930,8 +861,14 @@ fn shard_for(wire: &[u8], shards: usize) -> usize {
     question_route(wire, shards).unwrap_or(0)
 }
 
-/// Routes `(qname lowercase, qtype)` straight from the wire. `None` when
-/// there is no parseable first question.
+/// The most compression pointers a routed name may follow (each strictly
+/// backwards, so the walk ends anyway; this bounds its cost).
+const ROUTE_POINTER_HOPS: usize = 64;
+
+/// Routes `(qname lowercase, qtype)` straight from the wire, following
+/// compression pointers as the decoder does (only backwards, a bounded
+/// number of times): a name spelled through a pointer routes with the same
+/// name written whole. `None` without a parseable first question.
 fn question_route(wire: &[u8], shards: usize) -> Option<usize> {
     if wire.len() < 12 {
         return None;
@@ -945,14 +882,28 @@ fn question_route(wire: &[u8], shards: usize) -> Option<usize> {
     let mut dotted = [0u8; MAX_NAME_LEN];
     let mut filled = 0;
     let mut i = 12usize;
+    // Where the question's name ends: past its terminating zero, or past
+    // the first pointer it follows. The qtype comes next.
+    let mut end = None;
+    let mut hops = 0;
     loop {
         let len = usize::from(*wire.get(i)?);
         if len == 0 {
-            i += 1;
+            end.get_or_insert(i + 1);
             break;
         }
+        if len & 0xC0 == 0xC0 {
+            let target = ((len & 0x3F) << 8) | usize::from(*wire.get(i + 1)?);
+            hops += 1;
+            if target >= i || hops > ROUTE_POINTER_HOPS {
+                return None;
+            }
+            end.get_or_insert(i + 2);
+            i = target;
+            continue;
+        }
         if len & 0xC0 != 0 {
-            // Compression pointers don't appear in well-formed questions.
+            // 0x40 / 0x80 label types are not supported.
             return None;
         }
         let label = wire.get(i + 1..i + 1 + len)?;
@@ -964,18 +915,19 @@ fn question_route(wire: &[u8], shards: usize) -> Option<usize> {
         filled += len + 1;
         i += 1 + len;
     }
+    let end = end?;
     let mut hasher = DefaultHasher::new();
     hasher.write(dotted.get(..filled)?);
-    hasher.write_u16(u16::from_be_bytes([*wire.get(i)?, *wire.get(i + 1)?]));
+    hasher.write_u16(u16::from_be_bytes([*wire.get(end)?, *wire.get(end + 1)?]));
     let shards = u64::try_from(shards.max(1)).ok()?;
     usize::try_from(hasher.finish() % shards).ok()
 }
 
 fn dispatcher_loop(
-    socket: Arc<UdpSocket>,
-    shards: Vec<ShardTx>,
-    stop: Arc<AtomicBool>,
-    counters: Arc<FrontCounters>,
+    socket: &UdpSocket,
+    shards: &ShardSet,
+    stop: &AtomicBool,
+    counters: &FrontCounters,
 ) {
     let mut buf = [0u8; 4096];
     loop {
@@ -992,12 +944,7 @@ fn dispatcher_loop(
                 let Some(wire) = buf.get(..len) else {
                     continue;
                 };
-                let delivered = shards
-                    .get(shard_for(wire, shards.len()))
-                    .is_some_and(|shard| {
-                        serve_or_hand_off(shard, wire, ReplyPath::Udp(peer), &counters)
-                    });
-                if !delivered {
+                if !serve_query(shards, wire, ReplyPath::Udp(peer), counters) {
                     counters.dropped.inc();
                 }
             }
@@ -1007,53 +954,28 @@ fn dispatcher_loop(
     }
 }
 
-/// Answers one query a socket thread read, through the owning shard's one
-/// serve function ([`Worker::serve`]). When the shard is idle — its lock
-/// free and nothing queued to it — the calling thread serves the query in
-/// place, from the buffer it was read into: no copy, no queue, no wake-up.
-/// Otherwise the shard's worker is handed an owned copy on its queue,
-/// behind everything queued there. A socket thread never waits for a
-/// shard, and no query overtakes an item queued before it.
-///
-/// Serving in place, the thread then does what is due under the same hold
-/// of the lock ([`Worker::pump_in_place`]): a zero round trip is answered
-/// before this returns, a real one departs. The worker is woken — counted
-/// in `sdoh_shard_wakes_total` — only when that leaves something due before
-/// its alarm. `false` when the shard's worker is gone.
-fn serve_or_hand_off(
-    shard: &ShardTx,
-    wire: &[u8],
-    reply: ReplyPath,
-    counters: &FrontCounters,
-) -> bool {
-    let cell = &shard.cell;
-    if cell.queued.load(Ordering::Acquire) == 0 {
-        if let Some(mut guard) = cell.worker.try_lock() {
-            // Read again under the lock, where it only falls.
-            if cell.queued.load(Ordering::Acquire) == 0 {
-                let worker: &mut Worker = &mut guard;
-                worker.serve(wire, reply);
-                let wake = worker.pump_in_place();
-                drop(guard);
-                if !wake {
-                    return true;
-                }
-                counters.wakes.inc();
-                return shard.wake();
-            }
-        }
+/// Answers one query a socket thread read, from its receive buffer: takes
+/// the owning shard's lock, serves ([`Worker::serve`]) and pumps under the
+/// same hold ([`Worker::pump_and_arm`]), counting in `sdoh_shard_wakes_total`
+/// a pump that moved the timer earlier. `false` when no shard took it.
+fn serve_query(shards: &ShardSet, wire: &[u8], reply: ReplyPath, counters: &FrontCounters) -> bool {
+    let Some(cell) = shards.cells.get(shard_for(wire, shards.len())) else {
+        return false;
+    };
+    let mut guard = ShardCell::lock(cell);
+    let worker: &mut Worker = &mut guard;
+    worker.serve(wire, reply, Instant::now());
+    if worker.pump_and_arm(&shards.timer) {
+        counters.wakes.inc();
     }
-    counters.handed_off.inc();
-    // sdoh-lint: allow(transitive-hot-path-purity, "the busy fallback: the owned copy is the queue hand-off, one alloc per query a busy shard is handed")
-    let wire = wire.to_vec();
-    shard.send(WorkItem::Query { wire, reply })
+    true
 }
 
 fn tcp_loop(
-    listener: TcpListener,
-    shards: Vec<ShardTx>,
-    stop: Arc<AtomicBool>,
-    counters: Arc<FrontCounters>,
+    listener: &TcpListener,
+    shards: &ShardSet,
+    stop: &AtomicBool,
+    counters: &FrontCounters,
 ) {
     loop {
         let accepted = listener.accept();
@@ -1070,7 +992,12 @@ fn tcp_loop(
                 // holds the next one back until its read times out; what
                 // removes that is non-blocking connections polled by this
                 // one thread, not a thread per connection (ROADMAP item 3b).
-                let _ = serve_tcp_connection(stream, &shards, &counters);
+                let set = stream
+                    .set_read_timeout(Some(Duration::from_secs(2)))
+                    .and_then(|()| stream.set_nodelay(true));
+                if set.is_ok() {
+                    let _ = serve_framed(stream, shards, counters);
+                }
             }
             // An error (a reset in the backlog, a signal) is not about the
             // next connection: leaving would strand every truncated pool.
@@ -1079,35 +1006,19 @@ fn tcp_loop(
     }
 }
 
-/// Serves RFC 1035 4.2.2 length-prefixed queries until the peer closes
-/// (or a read times out). Queries are routed over the same shards as the
-/// dispatcher's, and served in place or handed off as its are.
-fn serve_tcp_connection(
-    stream: TcpStream,
-    shards: &[ShardTx],
-    counters: &FrontCounters,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    stream.set_nodelay(true)?;
-    serve_framed(stream, shards, counters)
-}
-
-/// The loop of [`serve_tcp_connection`] over any byte stream. Query frames
-/// are read into one buffer per connection, and an answer leaves behind its
-/// length in one write: with `TCP_NODELAY` set, each write is a segment of
-/// its own.
+/// Serves RFC 1035 4.2.2 length-prefixed queries from any byte stream until
+/// the peer closes (or a read times out), each through [`serve_query`] as
+/// the dispatcher serves its. Query frames are read into one buffer per
+/// connection, and an answer leaves behind its length in one write: with
+/// `TCP_NODELAY` set, each write is a segment of its own.
 ///
-/// Answers come back over one channel per connection — one served in place
-/// is already there when [`serve_or_hand_off`] returns — and one query is
-/// out at a time. A timed-out query ends the connection and drops the
-/// channel with it, so an answer that comes late can never be read as the
-/// next query's. A shard answers every query it takes — and `shutdown`
-/// stops this thread before the shards — so a query a shard dropped
-/// unanswered would wait out the timeout rather than fail at once, the one
-/// thing a channel per query would do better.
+/// Answers come back over one channel per connection — a hit's before
+/// [`serve_query`] returns, a miss's when its flight lands — one query out
+/// at a time. A timed-out query ends the connection and drops the channel,
+/// so a late answer is never read as the next query's.
 fn serve_framed(
     mut stream: impl Read + Write,
-    shards: &[ShardTx],
+    shards: &ShardSet,
     counters: &FrontCounters,
 ) -> std::io::Result<()> {
     let (tx, rx) = mpsc::channel();
@@ -1120,12 +1031,7 @@ fn serve_framed(
         wire.resize(usize::from(u16::from_be_bytes(len_buf)), 0);
         stream.read_exact(&mut wire)?;
         counters.tcp_received.inc();
-        let delivered = shards
-            .get(shard_for(&wire, shards.len()))
-            .is_some_and(|shard| {
-                serve_or_hand_off(shard, &wire, ReplyPath::Tcp(tx.clone()), counters)
-            });
-        if !delivered {
+        if !serve_query(shards, &wire, ReplyPath::Tcp(tx.clone()), counters) {
             counters.dropped.inc();
             return Ok(());
         }
@@ -1145,15 +1051,15 @@ fn serve_framed(
     }
 }
 
-/// A query whose generation is upstream: everything answering it takes.
-/// Its octets sit in the shard's buffer of parked octets, and are read
-/// where they lie again when the flight lands.
+/// A query waiting on the shard, its octets in the shard's parked octets.
 struct Parked {
-    flight: FlightId,
+    /// The flight whose landing answers it; `None` for a query deferred
+    /// behind a control order the shard has not adopted yet.
+    flight: Option<FlightId>,
     /// Where the query's octets are in the shard's parked octets.
     octets: Range<usize>,
     reply: ReplyPath,
-    /// When the shard took the query: in place, or off its queue.
+    /// When the shard took the query.
     started: Instant,
 }
 
@@ -1176,11 +1082,9 @@ struct Outbox {
 
 impl Outbox {
     /// Sends the rendered response along `reply` (nothing, if the buffer is
-    /// empty) and records the query's latency: one observation per query,
-    /// made when its answer leaves — at once for what the cache answered,
-    /// at the landing for a parked miss. `query` is the datagram read
-    /// where it lies; a UDP answer longer than its sender can receive
-    /// becomes the TC=1 response.
+    /// empty) and records the query's latency, once, as its answer leaves.
+    /// A UDP answer longer than `query`'s sender can receive becomes the
+    /// TC=1 response.
     fn send(&mut self, query: Option<&QueryView<'_>>, reply: &ReplyPath, started: Instant) {
         // Histogram recording is two relaxed fetch_adds on this shard's own
         // cache lines — no lock, no allocation.
@@ -1209,30 +1113,34 @@ impl Outbox {
     }
 }
 
-/// A shard's state: the resolver, its way out, and the two lists that make
-/// a generation a piece of data — the queries parked on live flights and
-/// the batches upstream. It lives in the shard's [`ShardCell`]: whoever
-/// holds the cell's lock serves through it.
+/// A shard's state, in its [`ShardCell`]: the resolver, its way out, the
+/// queries parked and the batches upstream that make a generation data, its
+/// alarm, and the control orders it has not adopted yet.
 struct Worker {
     index: usize,
     resolver: CachingPoolResolver,
     exchanger: Box<dyn Exchanger + Send>,
     outbox: Outbox,
-    /// In arrival order: the order a flight's waiters are answered in.
+    /// In arrival order: the order a flight's waiters, and the queries
+    /// deferred behind an order, are answered in.
     parked: Vec<Parked>,
     /// The octets of the parked queries, in the same order: one buffer the
     /// shard keeps, so parking a miss allocates nothing once it has grown.
     parked_octets: Vec<u8>,
     /// In departure order.
     upstream: Vec<Upstream>,
-    /// When the worker thread next wakes on its own: what its last pump
-    /// returned, or an earlier instant a socket thread's pump moved it to
-    /// (and queued a `Wake` for). `None`: it blocks on its queue.
+    /// When the shard next has something due: what its last pump returned.
+    /// `None`: nothing, and the timer does not wait for it.
     alarm: Option<SimInstant>,
+    /// Control orders not adopted yet, in epoch order: the first waits for
+    /// the flights upstream to land, and every query behind it is deferred.
+    orders: Vec<Arc<EpochOrder>>,
+    /// The epoch this shard last adopted, read by the control plane.
+    acked: Arc<AtomicU64>,
 }
 
 impl Worker {
-    fn new(index: usize, shard: Shard, outbox: Outbox) -> Worker {
+    fn new(index: usize, shard: Shard, outbox: Outbox, acked: Arc<AtomicU64>) -> Worker {
         Worker {
             index,
             resolver: shard.resolver,
@@ -1242,18 +1150,21 @@ impl Worker {
             parked_octets: Vec::new(),
             upstream: Vec::new(),
             alarm: None,
+            orders: Vec::new(),
+            acked,
         }
     }
 
-    /// Takes one query through the shared Do53 core — identical wire
-    /// behaviour to the simulated `Do53Service` by construction — around the
-    /// resolver's first step, reading it where it lies in `wire`: what the
-    /// cache can answer is answered now, a miss is parked under its flight
-    /// for the pump that follows to send, its octets copied into the
-    /// shard's parked octets. The one serve function, whichever thread
-    /// holds the shard.
-    fn serve(&mut self, wire: &[u8], reply: ReplyPath) {
-        let started = Instant::now();
+    /// The one serve function, whichever thread holds the shard: takes the
+    /// query read where it lies in `wire` (at `started`) through the shared
+    /// Do53 core — the simulated `Do53Service`'s wire behaviour by
+    /// construction — around the resolver's first step. What the cache can
+    /// answer is answered now; a miss is parked under its flight, and behind
+    /// an order not adopted yet every query is parked with no flight.
+    fn serve(&mut self, wire: &[u8], reply: ReplyPath, started: Instant) {
+        if !self.orders.is_empty() {
+            return self.park(None, wire, reply, started);
+        }
         let Some(query) = decode_do53_query(wire, false, &mut self.outbox.response) else {
             return self.outbox.send(None, &reply, started);
         };
@@ -1261,16 +1172,7 @@ impl Worker {
             .resolver
             .begin(self.exchanger.as_mut(), &query, &mut self.outbox.response);
         match begun {
-            Ok(Some(flight)) => {
-                let at = self.parked_octets.len();
-                self.parked_octets.extend_from_slice(wire);
-                self.parked.push(Parked {
-                    flight,
-                    octets: at..self.parked_octets.len(),
-                    reply,
-                    started,
-                });
-            }
+            Ok(Some(flight)) => self.park(Some(flight), wire, reply, started),
             answered => {
                 finish_do53_answer(&query, answered.map(drop), &mut self.outbox.response);
                 self.outbox.send(Some(&query), &reply, started);
@@ -1278,18 +1180,29 @@ impl Worker {
         }
     }
 
-    /// Everything the shard's flights need done that is due **now**: lands
-    /// the batches whose round trip is over, opens the refreshes that came
-    /// due, answers the queries parked on what landed and sends what the
-    /// live flights have to send — as one batch, so generations of different
-    /// keys share a round trip. It repeats while anything is already due: a
-    /// zero round trip lands in the same turn, before another query can join
-    /// its flight. Returns the next instant anything is due — the earliest
-    /// round trip's end or queued refresh — and `None` when nothing is.
-    // sdoh-lint: allow(transitive-hot-path-purity, "the miss path, pumped by worker_loop after every item and by serve_or_hand_off after every query served in place: past the first check only with a flight live or a refresh queued, at most one generation per (question, TTL window), whose fan-out dwarfs these buffers; a shard of cache hits returns at the first check")
+    /// Parks a query, its octets copied into the shard's parked octets.
+    fn park(&mut self, flight: Option<FlightId>, wire: &[u8], reply: ReplyPath, started: Instant) {
+        let at = self.parked_octets.len();
+        self.parked_octets.extend_from_slice(wire);
+        self.parked.push(Parked {
+            flight,
+            octets: at..self.parked_octets.len(),
+            reply,
+            started,
+        });
+    }
+
+    /// Everything due **now**: lands the batches whose round trip is over,
+    /// opens the refreshes that came due, answers the queries parked on what
+    /// landed, sends what the live flights have to send as one batch, and
+    /// adopts the orders that may be — repeated while anything is already
+    /// due, so a zero round trip lands before another query can join its
+    /// flight. Returns the next instant anything is due, if any.
+    // sdoh-lint: allow(transitive-hot-path-purity, "the miss path, pumped after every query a socket thread serves, by the timer and by the control plane: past the first check only with a flight live, a refresh queued or an order waiting, at most one generation per (question, TTL window), whose fan-out dwarfs these buffers; a shard of cache hits returns at the first check")
     fn pump(&mut self) -> Option<SimInstant> {
         if self.upstream.is_empty()
             && self.parked.is_empty()
+            && self.orders.is_empty()
             && self.resolver.next_refresh_due().is_none()
         {
             return None;
@@ -1303,14 +1216,18 @@ impl Worker {
             {
                 let Upstream { departure, tags } = self.upstream.remove(due);
                 for outcome in self.exchanger.arrive(departure) {
-                    // The tags are this worker's own, so their flights take
+                    // The tags are this shard's own, so their flights take
                     // the outcomes.
                     if let Some(&(flight, transaction)) = tags.get(outcome.index) {
                         let _ = self.resolver.land(flight, transaction, outcome.result);
                     }
                 }
             }
-            self.resolver.begin_due_refreshes(self.exchanger.as_mut());
+            // No refresh leaves under the old set while an order waits for
+            // its flights to land.
+            if self.orders.is_empty() {
+                self.resolver.begin_due_refreshes(self.exchanger.as_mut());
+            }
             let now = self.exchanger.now();
             let (mut tags, mut requests) = (Vec::new(), Vec::new());
             let next_refresh = loop {
@@ -1331,6 +1248,11 @@ impl Worker {
                 let departure = self.exchanger.depart(requests);
                 self.upstream.push(Upstream { departure, tags });
             }
+            if self.adopt_orders() {
+                // What the deferred queries began leaves in the next turn.
+                continue;
+            }
+            let next_refresh = next_refresh.filter(|_| self.orders.is_empty());
             let wake = self.next_arrival().into_iter().chain(next_refresh).min();
             if wake.is_none_or(|at| at > self.exchanger.now()) {
                 return wake;
@@ -1347,7 +1269,7 @@ impl Worker {
         let outbox = &mut self.outbox;
         let octets = &self.parked_octets;
         self.parked.retain(|parked| {
-            if parked.flight != landed.flight {
+            if parked.flight != Some(landed.flight) {
                 return true;
             }
             // The octets parsed when the query was parked.
@@ -1369,24 +1291,69 @@ impl Worker {
         self.parked_octets.truncate(kept);
     }
 
-    /// [`pump`](Worker::pump) for a thread other than the worker's. `true`
-    /// when what is left is due before the alarm — or anything is, with no
-    /// alarm set — which then moves there: the worker must be woken to
-    /// meet it. Anything later it meets on its own.
-    fn pump_in_place(&mut self) -> bool {
-        let due = self.pump();
-        let earlier = due.is_some_and(|due| self.alarm.is_none_or(|alarm| due < alarm));
-        if earlier {
-            self.alarm = due;
+    /// Adopts and acks the waiting orders, in epoch order — a source or pool
+    /// swap only once nothing is upstream, so nothing the old set generated
+    /// is cached after its ack — then serves the queries deferred behind
+    /// them, in arrival order. `true` when it adopted one.
+    fn adopt_orders(&mut self) -> bool {
+        let mut adopted = false;
+        while let Some(order) = self.orders.first() {
+            let lands_first = order.sources.is_some() || order.pool.is_some();
+            if lands_first && !self.upstream.is_empty() {
+                return adopted;
+            }
+            let order = self.orders.remove(0);
+            if let Some(factory) = &order.sources {
+                // An empty per-shard set is rejected by the generator: the
+                // shard keeps its current sources.
+                let _ = self
+                    .resolver
+                    .generator_mut()
+                    .replace_sources(factory(self.index));
+            }
+            if let Some(pool) = &order.pool {
+                // Pre-validated by ControlHandle::apply.
+                let _ = self.resolver.generator_mut().set_config(pool.clone());
+            }
+            let now = self.exchanger.now();
+            self.resolver.apply_config(order.cache, now);
+            self.acked.store(order.epoch, Ordering::Release);
+            adopted = true;
         }
+        if adopted {
+            let parked = std::mem::take(&mut self.parked);
+            let octets = std::mem::take(&mut self.parked_octets);
+            for parked in parked {
+                let wire = octets.get(parked.octets).unwrap_or_default();
+                match parked.flight {
+                    Some(flight) => self.park(Some(flight), wire, parked.reply, parked.started),
+                    None => self.serve(wire, parked.reply, parked.started),
+                }
+            }
+        }
+        adopted
+    }
+
+    /// [`pump`](Worker::pump), then sets the shard's alarm to what it
+    /// returned and arms the timer with it, converted to the wall clock from
+    /// the shard's own clock (read first, so never before the alarm). `true`
+    /// when the alarm moved earlier, or was set where there was none.
+    fn pump_and_arm(&mut self, timer: &Timer) -> bool {
+        let due = self.pump();
+        if due.is_none() && self.alarm.is_none() {
+            // Unarmed before and after (a hit): no shared atomic to touch.
+            return false;
+        }
+        let earlier = due.is_some_and(|due| self.alarm.is_none_or(|alarm| due < alarm));
+        self.alarm = due;
+        let wait = due.map(|due| due.saturating_duration_since(self.exchanger.now()));
+        timer.arm(self.index, wait, earlier);
         earlier
     }
 
-    /// Lands every live flight and answers everything parked, sleeping out
-    /// the round trips still upstream — what an item that ends an order (a
-    /// source set or pool configuration swapped, the shard shut down) does
-    /// first, so that nothing generated under the old order arrives under
-    /// the new one. One round trip, at operator cadence.
+    /// Lands every flight, adopts every order and answers everything parked,
+    /// sleeping out the round trips still upstream: the shard's shutdown,
+    /// once no other thread is left to wait for its lock.
     fn land_everything(&mut self) {
         while self.pump().is_some() {
             let Some(ready_at) = self.next_arrival() else {
@@ -1403,98 +1370,6 @@ impl Worker {
             .iter()
             .map(|batch| batch.departure.ready_at())
             .min()
-    }
-
-    /// Takes one item off the shard's queue. `Break` once the shard has
-    /// shut down.
-    fn handle(&mut self, item: WorkItem) -> ControlFlow<()> {
-        match item {
-            WorkItem::Query { wire, reply } => self.serve(&wire, reply),
-            WorkItem::Wake => {}
-            WorkItem::Snapshot(tx) => {
-                let _ = tx.send((self.index, self.resolver.snapshot()));
-            }
-            WorkItem::Reconfigure { order, ack } => {
-                if order.sources.is_some() || order.pool.is_some() {
-                    // The ack says "nothing this shard caches from now on
-                    // came from the old set": what the old set still has
-                    // upstream lands first.
-                    self.land_everything();
-                }
-                if let Some(factory) = &order.sources {
-                    // An empty per-shard set is rejected by the generator:
-                    // the shard keeps its current sources.
-                    let _ = self
-                        .resolver
-                        .generator_mut()
-                        .replace_sources(factory(self.index));
-                }
-                if let Some(pool) = &order.pool {
-                    // Pre-validated by ControlHandle::apply.
-                    let _ = self.resolver.generator_mut().set_config(pool.clone());
-                }
-                let now = self.exchanger.now();
-                self.resolver.apply_config(order.cache, now);
-                ack.store(order.epoch, Ordering::Release);
-            }
-            WorkItem::Shutdown(tx) => {
-                self.land_everything();
-                let _ = tx.send((self.index, self.resolver.snapshot()));
-                return ControlFlow::Break(());
-            }
-        }
-        ControlFlow::Continue(())
-    }
-}
-
-/// One shard's thread: takes its queue in order and keeps the shard's
-/// alarm. A miss does not hold it: the query is parked under its flight and
-/// the shard is free again, and a socket thread that serves in place does
-/// what is due itself (see "The miss path" in the module doc). It holds the
-/// shard's lock once per item: it takes the item, deals with what is due,
-/// and sets the alarm to the next instant anything is. With nothing
-/// upstream and nothing queued for refresh there is no alarm and it blocks
-/// on the queue — an idle or all-fresh shard makes no timed wake-ups.
-/// Otherwise it waits no longer than the alarm, or until a socket thread
-/// queues a `Wake` because it moved the alarm earlier, and deals with what
-/// is due *after every item*: a landing happens after the timeout *and*
-/// after any item that finishes past it, so a queue that never runs empty
-/// cannot starve the flights or the refreshes.
-fn worker_loop(cell: &ShardCell, rx: mpsc::Receiver<WorkItem>) {
-    let mut wait = None;
-    loop {
-        // `None`: disconnected — every sender is gone. `Some(None)`: the
-        // wait timed out.
-        let taken = match wait {
-            None => rx.recv().ok().map(Some),
-            Some(wait) => match rx.recv_timeout(wait) {
-                Ok(item) => Some(Some(item)),
-                Err(mpsc::RecvTimeoutError::Timeout) => Some(None),
-                Err(mpsc::RecvTimeoutError::Disconnected) => None,
-            },
-        };
-        let mut guard = ShardCell::lock(cell);
-        let worker: &mut Worker = &mut guard;
-        let flow = match taken {
-            Some(Some(item)) => {
-                if !matches!(item, WorkItem::Wake) {
-                    cell.queued.fetch_sub(1, Ordering::AcqRel);
-                }
-                worker.handle(item)
-            }
-            Some(None) => ControlFlow::Continue(()),
-            None => {
-                worker.land_everything();
-                ControlFlow::Break(())
-            }
-        };
-        if flow.is_break() {
-            return;
-        }
-        worker.alarm = worker.pump();
-        wait = worker
-            .alarm
-            .map(|due| due.saturating_duration_since(worker.exchanger.now()));
     }
 }
 
@@ -1530,11 +1405,12 @@ fn truncate_for_udp(query: Option<&QueryView<'_>>, out: &mut Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::EpochOrder;
+    use crate::control::ConfigDelta;
     use crate::{LoopbackConfig, LoopbackFleet};
-    use sdoh_core::{CacheConfig, PoolConfig};
+    use sdoh_core::{AddressSource, CacheConfig, DohSource, PoolConfig};
     use sdoh_dns_server::{ExchangeOutcome, ExchangeRequest, QueryHandler};
     use sdoh_dns_wire::{Message, Name, Rcode, RrType, Ttl};
+    use sdoh_doh::DohMethod;
     use sdoh_netsim::{ChannelKind, NetResult, SimAddr};
 
     fn query_wire(domain: &str, rtype: sdoh_dns_wire::RrType) -> Vec<u8> {
@@ -1561,6 +1437,20 @@ mod tests {
         // Malformed input routes to shard 0 instead of panicking.
         assert_eq!(shard_for(b"", 8), 0);
         assert_eq!(shard_for(&[0u8; 12], 8), 0);
+        // A question whose name is a pointer: id 0x0178 reads as the label
+        // "x" and the flags' first octet as the terminating zero. It is the
+        // key `x`/A, spelled otherwise, and routes with it.
+        let pointed = [
+            0x01, b'x', 0x00, 0x00, 0, 1, 0, 0, 0, 0, 0, 0, 0xC0, 0x00, 0, 1, 0, 1,
+        ];
+        let whole = query_wire("x", RrType::A);
+        for shards in 1..=16 {
+            assert_eq!(shard_for(&pointed, shards), shard_for(&whole, shards));
+        }
+        // A pointer that does not point backwards routes nowhere.
+        let mut forward = pointed;
+        forward[13] = 12;
+        assert_eq!(question_route(&forward, 8), None);
         // One write of the gathered name hashes as a write per octet did.
         for (name, rtype) in [("pool.ntp.org", RrType::A), ("A.b-C.example", RrType::Aaaa)] {
             let mut hasher = DefaultHasher::new();
@@ -1658,32 +1548,31 @@ mod tests {
         assert_eq!(tries, EPHEMERAL_BIND_ATTEMPTS);
     }
 
-    /// `n` shards of `fleet`, each in its cell behind a queue nobody takes
-    /// from yet. UDP answers would leave through a socket nobody reads; the
-    /// tests ask over the TCP reply path.
-    fn open_shards(
-        fleet: &LoopbackFleet,
-        n: usize,
-        cache: CacheConfig,
-    ) -> Vec<(ShardTx, mpsc::Receiver<WorkItem>)> {
+    /// `n` shards of `fleet` behind a control plane, with no thread of their
+    /// own: the test drives serve, pump and the timer. UDP answers would
+    /// leave through a socket nobody reads; the tests ask over the TCP reply
+    /// path.
+    fn open_shards(fleet: &LoopbackFleet, n: usize, cache: CacheConfig) -> ControlHandle {
         open(fleet.shards(n, PoolConfig::algorithm1(), cache).unwrap())
     }
 
-    /// [`open_shards`] on a clock the test moves: each round trip takes
-    /// `rtt` of `clock`, so nothing upstream lands before the test says
-    /// the round trip is over.
+    /// [`open_shards`] on a clock the test moves, one shard per entry of
+    /// `rtts`: each of a shard's round trips takes its `rtt` of `clock`, so
+    /// nothing upstream lands before the test says the round trip is over.
     fn stepped_shards(
         fleet: &LoopbackFleet,
-        n: usize,
         cache: CacheConfig,
         clock: &sdoh_netsim::SimClock,
-        rtt: Duration,
-    ) -> Vec<(ShardTx, mpsc::Receiver<WorkItem>)> {
-        let shards = fleet.shards(n, PoolConfig::algorithm1(), cache).unwrap();
+        rtts: &[Duration],
+    ) -> ControlHandle {
+        let shards = fleet
+            .shards(rtts.len(), PoolConfig::algorithm1(), cache)
+            .unwrap();
         open(
             shards
                 .into_iter()
-                .map(|shard| {
+                .zip(rtts)
+                .map(|(shard, &rtt)| {
                     let stepped = Stepped {
                         inner: shard.exchanger,
                         clock: clock.clone(),
@@ -1733,13 +1622,16 @@ mod tests {
     }
 
     /// [`open_shards`] over shards already built.
-    fn open(shards: Vec<Shard>) -> Vec<(ShardTx, mpsc::Receiver<WorkItem>)> {
+    fn open(shards: Vec<Shard>) -> ControlHandle {
         let socket = Arc::new(UdpSocket::bind("127.0.0.1:0").unwrap());
         let counters = Arc::new(FrontCounters::register(&Registry::new()));
-        shards
+        let acked: Vec<Arc<AtomicU64>> = shards.iter().map(|_| Arc::default()).collect();
+        let cache = shards[0].resolver.cache_config();
+        let workers = shards
             .into_iter()
+            .zip(&acked)
             .enumerate()
-            .map(|(index, shard)| {
+            .map(|(index, (shard, acked))| {
                 let outbox = Outbox {
                     socket: Arc::clone(&socket),
                     udp_payload_limit: 1232,
@@ -1747,15 +1639,21 @@ mod tests {
                     latency: Histogram::new(),
                     response: Vec::new(),
                 };
-                ShardTx::open(Worker::new(index, shard, outbox))
+                Worker::new(index, shard, outbox, Arc::clone(acked))
             })
-            .collect()
+            .collect();
+        ControlHandle::new(Arc::new(ShardSet::new(workers)), acked, cache)
     }
 
-    /// One shard of a default fleet, for tests that play its worker.
-    fn one_shard() -> (ShardTx, mpsc::Receiver<WorkItem>) {
-        let fleet = LoopbackFleet::build(LoopbackConfig::default());
-        open_shards(&fleet, 1, CacheConfig::default()).remove(0)
+    /// Shard `index`, held.
+    fn hold(shards: &ShardSet, index: usize) -> MutexGuard<'_, Worker> {
+        ShardCell::lock(&shards.cells[index])
+    }
+
+    /// A wall-clock instant past every alarm: the timer pass it is handed
+    /// pumps every armed shard, which lands what its own clock says is due.
+    fn whenever() -> Instant {
+        Instant::now() + Duration::from_secs(3600)
     }
 
     fn a_query(id: u16, domain: &Name) -> Vec<u8> {
@@ -1764,30 +1662,25 @@ mod tests {
             .unwrap()
     }
 
-    /// What the scrape would export as the shard's `sdoh_shard_queue_depth`.
-    fn queue_depth(shard: &ShardTx) -> SampleValue {
-        let gauges: Vec<Sample> = queue_depth_gauges(std::slice::from_ref(shard)).collect();
-        assert_eq!(gauges.len(), 1);
-        assert_eq!(gauges[0].name, "sdoh_shard_queue_depth");
-        gauges[0].value.clone()
+    /// The first `n` of `fleet`'s domains whose queries route to shard
+    /// `index` of `shards`.
+    fn routed_to(fleet: &LoopbackFleet, index: usize, shards: usize, n: usize) -> Vec<&Name> {
+        let routed: Vec<&Name> = fleet
+            .domains
+            .iter()
+            .filter(|domain| shard_for(&a_query(0, domain), shards) == index)
+            .take(n)
+            .collect();
+        assert_eq!(routed.len(), n, "too few domains route to shard {index}");
+        routed
     }
 
-    /// Runs `shard`'s worker on a thread of its own until it is told to
-    /// shut down; the join hands back its last snapshot.
-    fn run_worker(
-        shard: &ShardTx,
-        rx: mpsc::Receiver<WorkItem>,
-    ) -> impl FnOnce() -> ServeSnapshot + '_ {
-        let worker = {
-            let cell = Arc::clone(&shard.cell);
-            std::thread::spawn(move || worker_loop(&cell, rx))
-        };
-        move || {
-            let (last, snapshot) = mpsc::channel();
-            assert!(shard.send(WorkItem::Shutdown(last)));
-            worker.join().unwrap();
-            snapshot.recv().unwrap().1
-        }
+    /// The ids of the answers waiting on `answers`, in the order sent.
+    fn answered(answers: &mpsc::Receiver<Vec<u8>>) -> Vec<u16> {
+        answers
+            .try_iter()
+            .map(|wire| Message::decode(&wire).unwrap().header.id)
+            .collect()
     }
 
     #[test]
@@ -1798,35 +1691,29 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
         let addr = listener.local_addr().unwrap();
-        let (shard, rx) = one_shard();
-        // The test plays the shard's worker: it holds the shard, so the
-        // query is handed to the queue it reads.
-        let _busy = ShardCell::lock(&shard.cell);
-        let shards = vec![shard.clone()];
+        let fleet = LoopbackFleet::build(LoopbackConfig::default());
+        let control = open_shards(&fleet, 1, CacheConfig::default());
         let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(FrontCounters::register(&Registry::new()));
         let acceptor = {
-            let (stop, counters) = (Arc::clone(&stop), Arc::clone(&counters));
-            std::thread::spawn(move || tcp_loop(listener, shards, stop, counters))
+            let (control, stop, counters) =
+                (control.clone(), Arc::clone(&stop), Arc::clone(&counters));
+            std::thread::spawn(move || tcp_loop(&listener, control.shards(), &stop, &counters))
         };
         // Several back-offs' worth of failed accepts later a query over the
-        // listener still reaches the shard queue, and its answer the client.
+        // listener still reaches the shard, and its answer the client.
         std::thread::sleep(ERROR_BACKOFF * 5);
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(&[0, 2, 0xAB, 0xCD]).unwrap();
-        match rx.recv_timeout(Duration::from_secs(5)) {
-            Ok(WorkItem::Query {
-                wire,
-                reply: ReplyPath::Tcp(reply),
-            }) => {
-                assert_eq!(wire, [0xAB, 0xCD]);
-                reply.send(vec![0xEF]).unwrap();
-            }
-            _ => panic!("the query never reached the shard queue"),
-        }
-        let mut framed = [0u8; 3];
+        let wire = a_query(9, &fleet.domains[0]);
+        let len = u16::try_from(wire.len()).unwrap().to_be_bytes();
+        stream.write_all(&[&len[..], &wire].concat()).unwrap();
+        let mut len = [0u8; 2];
+        stream.read_exact(&mut len).unwrap();
+        let mut framed = vec![0u8; usize::from(u16::from_be_bytes(len))];
         stream.read_exact(&mut framed).unwrap();
-        assert_eq!(framed, [0, 1, 0xEF]);
+        let answer = Message::decode(&framed).unwrap();
+        assert_eq!(answer.header.id, 9);
+        assert_eq!(answer.answer_addresses().len(), 24);
         assert_eq!(counters.tcp_received.get(), 1);
         // It leaves when told to, woken the way `shutdown` wakes it.
         drop(stream);
@@ -1858,213 +1745,242 @@ mod tests {
         }
     }
 
+    /// `wire` behind its RFC 1035 length prefix.
+    fn framed(wire: &[u8]) -> Vec<u8> {
+        let len = u16::try_from(wire.len()).unwrap().to_be_bytes();
+        [&len[..], wire].concat()
+    }
+
     #[test]
     fn a_tcp_answer_leaves_in_one_write() {
-        let (shard, rx) = one_shard();
-        // Held by this thread, the shard is busy for `serve_framed` too: the
-        // queries go to the queue the thread below plays the worker on.
-        let _busy = ShardCell::lock(&shard.cell);
+        let fleet = LoopbackFleet::build(LoopbackConfig::default());
+        let control = open_shards(&fleet, 1, CacheConfig::default());
         let counters = FrontCounters::register(&Registry::new());
-        // Two queries, then the peer closes.
+        // A pool, then a query cut short; then the peer closes.
+        let mut malformed = a_query(2, &fleet.domains[1]);
+        malformed.truncate(15);
         let mut stream = Recorded {
-            script: std::io::Cursor::new(vec![0, 2, 0xAB, 0xCD, 0, 1, 0x01]),
+            script: std::io::Cursor::new(
+                [framed(&a_query(1, &fleet.domains[0])), framed(&malformed)].concat(),
+            ),
             writes: Vec::new(),
         };
-        let worker = std::thread::spawn(move || {
-            for answer in [vec![0xEF; 3], vec![0x11; 300]] {
-                let Ok(WorkItem::Query {
-                    reply: ReplyPath::Tcp(reply),
-                    ..
-                }) = rx.recv()
-                else {
-                    panic!("a TCP query reaches the shard queue");
-                };
-                reply.send(answer).unwrap();
-            }
-        });
-        serve_framed(&mut stream, std::slice::from_ref(&shard), &counters).unwrap();
-        worker.join().unwrap();
+        serve_framed(&mut stream, control.shards(), &counters).unwrap();
+        assert_eq!(stream.writes.len(), 2, "each answer one write");
+        let answers: Vec<Message> = stream
+            .writes
+            .iter()
+            .map(|write| {
+                let len = usize::from(u16::from_be_bytes([write[0], write[1]]));
+                assert_eq!(len, write.len() - 2, "its length in front");
+                Message::decode(&write[2..]).unwrap()
+            })
+            .collect();
+        assert_eq!(answers[0].header.id, 1);
+        assert_eq!(answers[0].answer_addresses().len(), 24);
         assert_eq!(
-            stream.writes,
-            [
-                [&[0, 3][..], &[0xEF; 3]].concat(),
-                [&[1, 44][..], &[0x11; 300]].concat(),
-            ],
-            "each answer one write, its length in front"
+            (answers[1].header.id, answers[1].header.rcode),
+            (2, Rcode::FormErr)
         );
         assert_eq!(counters.tcp_received.get(), 2);
-        assert_eq!(counters.handed_off.get(), 2);
     }
 
     /// Two queries written back to back on one connection, for keys of two
-    /// different shards: each gets its own answer, in the order asked, and
-    /// the second is read only once the first is answered.
+    /// different shards, each a miss parked until a round trip of the
+    /// test's clock is over: each gets its own answer, in the order asked,
+    /// and the second is read only once the first is answered.
     #[test]
     fn pipelined_tcp_queries_get_their_own_answers_in_order() {
+        const RTT: Duration = Duration::from_millis(1);
         let fleet = LoopbackFleet::build(LoopbackConfig {
             pool_domains: 8,
             ..LoopbackConfig::default()
         });
-        let mut shards = open_shards(&fleet, 2, CacheConfig::default());
-        let (second, second_queue) = shards.pop().unwrap();
-        let (first, first_queue) = shards.pop().unwrap();
-        // Both held by this thread: each query goes to the queue a thread
-        // below plays its shard's worker on.
-        let _busy = (ShardCell::lock(&first.cell), ShardCell::lock(&second.cell));
-        // Each answer is its query reversed.
-        let worker = |queue: mpsc::Receiver<WorkItem>| {
-            std::thread::spawn(move || {
-                let Ok(WorkItem::Query {
-                    wire,
-                    reply: ReplyPath::Tcp(reply),
-                }) = queue.recv()
-                else {
-                    panic!("a TCP query reaches the shard queue");
-                };
-                reply.send(wire.iter().rev().copied().collect()).unwrap();
-            })
-        };
-        let workers = [worker(first_queue), worker(second_queue)];
-        let query = |index: usize, id: u16| {
-            let domain = fleet
-                .domains
-                .iter()
-                .find(|domain| shard_for(&a_query(id, domain), 2) == index)
-                .expect("some domain routes to each shard");
-            a_query(id, domain)
-        };
+        let clock = sdoh_netsim::SimClock::new();
+        let control = stepped_shards(&fleet, CacheConfig::default(), &clock, &[RTT, RTT]);
         // The first asked goes to the second shard, the second to the first.
-        let asked = [query(1, 1), query(0, 2)];
+        let asked = [
+            a_query(1, routed_to(&fleet, 1, 2, 1)[0]),
+            a_query(2, routed_to(&fleet, 0, 2, 1)[0]),
+        ];
         let counters = FrontCounters::register(&Registry::new());
-        let framed = |wire: &[u8]| {
-            let len = u16::try_from(wire.len()).unwrap().to_be_bytes();
-            [&len[..], wire].concat()
-        };
         let mut stream = Recorded {
             script: std::io::Cursor::new([framed(&asked[0]), framed(&asked[1])].concat()),
             writes: Vec::new(),
         };
-        serve_framed(&mut stream, &[first.clone(), second.clone()], &counters).unwrap();
-        for worker in workers {
-            worker.join().unwrap();
+        // The test plays the timer: each round trip is over once the clock
+        // has moved, and the pass after that lands it.
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !done.load(Ordering::SeqCst) {
+                    clock.advance(RTT);
+                    control.shards().land_due(whenever());
+                    std::thread::yield_now();
+                }
+            });
+            serve_framed(&mut stream, control.shards(), &counters).unwrap();
+            done.store(true, Ordering::SeqCst);
+        });
+        let answers: Vec<Message> = stream
+            .writes
+            .iter()
+            .map(|write| Message::decode(&write[2..]).unwrap())
+            .collect();
+        let ids: Vec<u16> = answers.iter().map(|answer| answer.header.id).collect();
+        assert_eq!(ids, [1, 2], "each query's own answer, in order");
+        for (answer, wire) in answers.iter().zip(&asked) {
+            assert!(answer.answers_query(&Message::decode(wire).unwrap()));
+            assert_eq!(answer.answer_addresses().len(), 24);
         }
-        let reversed = |wire: &[u8]| framed(&wire.iter().rev().copied().collect::<Vec<u8>>());
-        assert_eq!(
-            stream.writes,
-            [reversed(&asked[0]), reversed(&asked[1])],
-            "each query's own answer, in order"
-        );
         assert_eq!(counters.tcp_received.get(), 2);
     }
 
     #[test]
-    fn a_query_to_a_busy_shard_is_handed_off_and_answered_once_it_is_free() {
+    fn a_query_to_a_busy_shard_is_answered_once_it_is_free() {
         let fleet = LoopbackFleet::build(LoopbackConfig::default());
-        let (shard, rx) = open_shards(&fleet, 1, CacheConfig::default()).remove(0);
-        let stop = run_worker(&shard, rx);
+        let control = open_shards(&fleet, 1, CacheConfig::default());
+        let shards = control.shards();
         let counters = FrontCounters::register(&Registry::new());
         let (reply, answers) = mpsc::channel();
         let ask = |id: u16| {
             let wire = a_query(id, &fleet.domains[0]);
-            serve_or_hand_off(&shard, &wire, ReplyPath::Tcp(reply.clone()), &counters)
+            serve_query(shards, &wire, ReplyPath::Tcp(reply.clone()), &counters)
         };
 
-        // The test holds the shard: the query is handed to the worker's
-        // queue, and nobody can serve it yet.
-        let busy = ShardCell::lock(&shard.cell);
-        assert!(ask(1));
-        assert_eq!(counters.handed_off.get(), 1);
-        assert_eq!(queue_depth(&shard), SampleValue::Gauge(1.0));
-        assert!(
-            answers.try_recv().is_err(),
-            "served while the shard was busy"
-        );
-        drop(busy);
-        let first = Message::decode(&answers.recv().unwrap()).unwrap();
+        // The test holds the shard: the socket thread waits for its lock,
+        // and nobody can serve the query yet.
+        let busy = hold(shards, 0);
+        std::thread::scope(|scope| {
+            let socket_thread = scope.spawn(|| ask(1));
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(
+                answers.try_recv().is_err(),
+                "served while the shard was busy"
+            );
+            assert!(!socket_thread.is_finished(), "gave up on the busy shard");
+            drop(busy);
+            assert!(socket_thread.join().unwrap());
+        });
+        // Answered by the thread that read it, before its call returned.
+        let first = Message::decode(&answers.try_recv().unwrap()).unwrap();
         assert_eq!(first.header.id, 1);
         assert_eq!(first.answer_addresses().len(), 24);
-        // Once the worker has let go of the shard it took the query under,
-        // nothing is queued and the shard is idle: the next query (a hit
-        // now) is answered before `serve_or_hand_off` returns.
-        drop(ShardCell::lock(&shard.cell));
-        assert_eq!(queue_depth(&shard), SampleValue::Gauge(0.0));
+        // The next query (a hit now) is answered the same way.
         assert!(ask(2));
         let second = Message::decode(&answers.try_recv().unwrap()).unwrap();
         assert_eq!(second.header.id, 2);
-        assert_eq!(counters.handed_off.get(), 1, "the fallback path only");
 
-        let snapshot = stop();
+        let snapshot = hold(shards, 0).resolver.snapshot();
         assert_eq!((snapshot.serve.queries, snapshot.serve.hits), (2, 1));
         assert_eq!(snapshot.serve.generations, 1);
     }
 
     #[test]
-    fn a_queued_reconfigure_is_not_overtaken() {
+    fn a_query_read_after_apply_returns_is_served_under_the_new_epoch() {
+        const RTT: Duration = Duration::from_millis(1);
         let fleet = LoopbackFleet::build(LoopbackConfig::default());
-        let (shard, rx) = open_shards(&fleet, 1, CacheConfig::default()).remove(0);
+        let clock = sdoh_netsim::SimClock::new();
+        let control = stepped_shards(&fleet, CacheConfig::default(), &clock, &[RTT]);
+        let shards = control.shards();
         let counters = FrontCounters::register(&Registry::new());
         let (reply, answers) = mpsc::channel();
-        // Nobody runs the worker yet: the new TTL stays queued.
-        let ack = Arc::new(AtomicU64::new(0));
-        let order = EpochOrder {
-            epoch: 1,
-            cache: CacheConfig::default().with_ttl(Ttl::from_secs(7)),
-            pool: None,
-            sources: None,
+        let ask = |id: u16, domain: &Name| {
+            let tcp = ReplyPath::Tcp(reply.clone());
+            assert!(serve_query(shards, &a_query(id, domain), tcp, &counters));
         };
-        assert!(shard.send(WorkItem::Reconfigure {
-            order: Arc::new(order),
-            ack: Arc::clone(&ack),
-        }));
-        // The shard's lock is free, but something is queued: the query
-        // queues behind it instead of starting in place.
-        let wire = a_query(1, &fleet.domains[0]);
-        assert!(serve_or_hand_off(
-            &shard,
-            &wire,
-            ReplyPath::Tcp(reply),
-            &counters
-        ));
-        assert_eq!(counters.handed_off.get(), 1);
-        assert_eq!(queue_depth(&shard), SampleValue::Gauge(2.0));
-        assert!(
-            ShardCell::lock(&shard.cell).parked.is_empty(),
-            "the query started in place"
-        );
+        let land = || {
+            clock.advance(RTT);
+            shards.land_due(whenever());
+        };
+        let (warm, cold, colder) = (&fleet.domains[0], &fleet.domains[1], &fleet.domains[2]);
 
-        let (last, _) = mpsc::channel();
-        assert!(shard.send(WorkItem::Shutdown(last)));
-        worker_loop(&shard.cell, rx);
-        assert_eq!(ack.load(Ordering::Acquire), 1);
-        let answer = Message::decode(&answers.try_recv().unwrap()).unwrap();
-        assert_eq!(answer.answer_addresses().len(), 24);
+        // A cache-only order needs no landing: adopted and acked before
+        // `apply` returns, with a flight upstream.
+        ask(1, warm);
+        let cache = CacheConfig::default().with_ttl(Ttl::from_secs(7));
+        let receipt = control.apply(ConfigDelta::new().with_cache(cache)).unwrap();
+        assert_eq!(control.acked_epochs(), [receipt.epoch]);
+        land();
+        assert_eq!(answered(&answers), [1]);
+        ask(2, warm);
+        let hit = Message::decode(&answers.try_recv().unwrap()).unwrap();
+        assert_eq!(hit.header.id, 2);
         assert!(
-            answer.answers.iter().all(|record| record.ttl == 7),
+            hit.answers.iter().all(|record| record.ttl == 7),
             "served under the new TTL"
         );
+
+        // A source swap with a flight upstream waits for it to land, and
+        // every query read meanwhile waits behind the order: the hit too.
+        ask(3, cold);
+        let honest = fleet.infos[1..].to_vec();
+        let receipt = control
+            .apply(ConfigDelta::new().with_sources(Arc::new(move |_shard| {
+                honest
+                    .iter()
+                    .map(|info| {
+                        Box::new(DohSource::new(info.clone()).method(DohMethod::Get))
+                            as Box<dyn AddressSource>
+                    })
+                    .collect()
+            })))
+            .unwrap();
+        assert_eq!(
+            control.acked_epochs(),
+            [1],
+            "the old set's flight is upstream"
+        );
+        ask(4, warm);
+        ask(5, colder);
+        assert!(answers.try_recv().is_err(), "a query overtook the order");
+        {
+            let worker = hold(shards, 0);
+            let deferred = worker.parked.iter().filter(|p| p.flight.is_none()).count();
+            assert_eq!((worker.parked.len(), deferred), (3, 2));
+        }
+        // The old set's flight lands, the order is adopted, and the queries
+        // behind it are served in arrival order: the hit at once, the miss
+        // by the new set, one round trip later.
+        land();
+        assert_eq!(control.acked_epochs(), [receipt.epoch]);
+        let landed: Vec<Message> = answers
+            .try_iter()
+            .map(|wire| Message::decode(&wire).unwrap())
+            .collect();
+        let ids: Vec<u16> = landed.iter().map(|answer| answer.header.id).collect();
+        assert_eq!(ids, [3, 4]);
+        assert_eq!(
+            landed[0].answer_addresses().len(),
+            24,
+            "the set it left with"
+        );
+        land();
+        let new = Message::decode(&answers.try_recv().unwrap()).unwrap();
+        assert_eq!(new.header.id, 5);
+        assert_eq!(new.answer_addresses().len(), 16, "two honest resolvers");
+        assert!(new
+            .answer_addresses()
+            .iter()
+            .all(|address| fleet.benign.contains(address)));
     }
 
     #[test]
     fn a_zero_rtt_miss_served_in_place_is_answered_before_the_call_returns() {
         let fleet = LoopbackFleet::build(LoopbackConfig::default());
-        let (shard, rx) = open_shards(&fleet, 1, CacheConfig::default()).remove(0);
+        let control = open_shards(&fleet, 1, CacheConfig::default());
+        let shards = control.shards();
         let counters = FrontCounters::register(&Registry::new());
         let (reply, answers) = mpsc::channel();
         let wire = a_query(1, &fleet.domains[0]);
-        assert!(serve_or_hand_off(
-            &shard,
-            &wire,
-            ReplyPath::Tcp(reply),
-            &counters
-        ));
+        assert!(serve_query(shards, &wire, ReplyPath::Tcp(reply), &counters));
         // Departed, landed and answered under one hold of the lock.
         let answer = Message::decode(&answers.try_recv().unwrap()).unwrap();
         assert_eq!(answer.header.id, 1);
         assert_eq!(answer.answer_addresses().len(), 24);
-        assert_eq!(queue_depth(&shard), SampleValue::Gauge(0.0));
-        assert_eq!((counters.wakes.get(), counters.handed_off.get()), (0, 0));
-        assert!(rx.try_recv().is_err(), "nothing queued for the worker");
-        let worker = ShardCell::lock(&shard.cell);
+        assert_eq!(counters.wakes.get(), 0);
+        assert_eq!(shards.timer.next.load(Ordering::SeqCst), u64::MAX);
+        let worker = hold(shards, 0);
         assert!(worker.parked.is_empty() && worker.upstream.is_empty());
         assert_eq!(worker.alarm, None);
         let snapshot = worker.resolver.snapshot();
@@ -2072,62 +1988,68 @@ mod tests {
     }
 
     #[test]
-    fn a_miss_upstream_wakes_the_worker_once_and_a_second_miss_not_at_all() {
-        const RTT: Duration = Duration::from_millis(1);
-        let fleet = LoopbackFleet::build(LoopbackConfig::default());
+    fn the_timer_lands_what_no_socket_thread_meets_earliest_first() {
+        const LATER: Duration = Duration::from_millis(2);
+        const EARLIER: Duration = Duration::from_millis(1);
+        let fleet = LoopbackFleet::build(LoopbackConfig {
+            pool_domains: 12,
+            ..LoopbackConfig::default()
+        });
         let clock = sdoh_netsim::SimClock::new();
-        let (shard, rx) = stepped_shards(&fleet, 1, CacheConfig::default(), &clock, RTT).remove(0);
+        let control = stepped_shards(&fleet, CacheConfig::default(), &clock, &[LATER, EARLIER]);
+        let shards = control.shards();
+        let timer = &shards.timer;
         let counters = FrontCounters::register(&Registry::new());
         let (reply, answers) = mpsc::channel();
         let ask = |id: u16, domain: &Name| {
             let tcp = ReplyPath::Tcp(reply.clone());
-            assert!(serve_or_hand_off(
-                &shard,
-                &a_query(id, domain),
-                tcp,
-                &counters
-            ));
+            assert!(serve_query(shards, &a_query(id, domain), tcp, &counters));
         };
+        let alarms = || [hold(shards, 0).alarm, hold(shards, 1).alarm];
+        let due = |index: usize| timer.due[index].load(Ordering::SeqCst);
+        let next = || timer.next.load(Ordering::SeqCst);
+        let (late, early) = (routed_to(&fleet, 0, 2, 1), routed_to(&fleet, 1, 2, 2));
 
-        // The socket thread sends the batch; its round trip ends after the
-        // alarm of a worker that blocks on its queue: one `Wake`.
-        ask(1, &fleet.domains[0]);
+        // The later alarm is set first: it arms the timer.
+        ask(1, late[0]);
         assert_eq!(counters.wakes.get(), 1);
-        {
-            let worker = ShardCell::lock(&shard.cell);
-            assert_eq!((worker.parked.len(), worker.upstream.len()), (1, 1));
-            assert_eq!(worker.alarm, Some(clock.now().saturating_add(RTT)));
-        }
-        // A second key, before the worker has run: served in place past the
-        // queued `Wake`, and due no earlier than the alarm, so no second.
-        ask(2, &fleet.domains[1]);
-        assert_eq!(counters.wakes.get(), 1);
-        assert_eq!(counters.handed_off.get(), 0);
-        assert_eq!(queue_depth(&shard), SampleValue::Gauge(0.0));
-        {
-            let worker = ShardCell::lock(&shard.cell);
-            assert_eq!((worker.parked.len(), worker.upstream.len()), (2, 2));
-        }
+        assert_eq!(alarms(), [Some(clock.now().saturating_add(LATER)), None]);
+        assert_eq!(next(), due(0));
+        // The earlier one second: it moves the timer down.
+        ask(2, early[0]);
+        assert_eq!(counters.wakes.get(), 2);
+        let alarm = Some(clock.now().saturating_add(EARLIER));
+        assert_eq!(alarms()[1], alarm);
+        assert_eq!(next(), due(0).min(due(1)));
+        // A second miss in the same round trip is due no earlier: the
+        // timer does not move, and nothing is counted.
+        let before = next();
+        ask(3, early[1]);
+        assert_eq!(counters.wakes.get(), 2);
+        assert_eq!(alarms()[1], alarm);
+        assert_eq!(next(), before);
+        assert_eq!(hold(shards, 1).upstream.len(), 2);
         assert!(
             answers.try_recv().is_err(),
             "a miss is answered when it lands"
         );
 
-        // The worker runs; once the round trip is over, it lands both.
-        let stop = run_worker(&shard, rx);
-        clock.advance(RTT);
-        let mut ids: Vec<u16> = (0..2)
-            .map(|_| {
-                let answer = Message::decode(&answers.recv().unwrap()).unwrap();
-                assert_eq!(answer.answer_addresses().len(), 24);
-                answer.header.id
-            })
-            .collect();
-        ids.sort_unstable();
-        assert_eq!(ids, [1, 2]);
-        let snapshot = stop();
-        assert_eq!((snapshot.serve.misses, snapshot.serve.generations), (2, 2));
-        assert_eq!(counters.wakes.get(), 1);
+        // No socket traffic from here on: the timer alone lands both
+        // flights, the earlier first.
+        clock.advance(EARLIER);
+        shards.land_due(whenever());
+        assert_eq!(answered(&answers), [2, 3]);
+        assert_eq!(
+            alarms(),
+            [Some(clock.now().saturating_add(LATER - EARLIER)), None]
+        );
+        assert_eq!((next(), due(1)), (due(0), u64::MAX));
+        clock.advance(LATER - EARLIER);
+        shards.land_due(whenever());
+        assert_eq!(answered(&answers), [1]);
+        assert_eq!(alarms(), [None, None]);
+        assert_eq!(next(), u64::MAX, "nothing left to wait for");
+        assert_eq!(counters.wakes.get(), 2);
     }
 
     #[test]
@@ -2135,7 +2057,8 @@ mod tests {
         const RTT: Duration = Duration::from_millis(2);
         let fleet = LoopbackFleet::build(LoopbackConfig::default());
         let clock = sdoh_netsim::SimClock::new();
-        let (shard, _rx) = stepped_shards(&fleet, 1, CacheConfig::default(), &clock, RTT).remove(0);
+        let control = stepped_shards(&fleet, CacheConfig::default(), &clock, &[RTT]);
+        let shards = control.shards();
         let counters = FrontCounters::register(&Registry::new());
         let (reply, answers) = mpsc::channel();
         let (first, second) = (&fleet.domains[0], &fleet.domains[1]);
@@ -2153,25 +2076,25 @@ mod tests {
                 clock.advance(RTT / 2);
             }
             let tcp = ReplyPath::Tcp(reply.clone());
-            assert!(serve_or_hand_off(&shard, wire, tcp, &counters));
+            assert!(serve_query(shards, wire, tcp, &counters));
         }
         let parked_len = |worker: &Worker| (worker.parked.len(), worker.parked_octets.len());
         assert_eq!(
-            parked_len(&ShardCell::lock(&shard.cell)),
+            parked_len(&hold(shards, 0)),
             (4, asked.iter().map(Vec::len).sum())
         );
 
         // The first flight lands: its queries are answered, and the second
         // flight's octets close up behind them.
         clock.advance(RTT / 2);
-        ShardCell::lock(&shard.cell).pump();
+        hold(shards, 0).pump();
         assert_eq!(
-            parked_len(&ShardCell::lock(&shard.cell)),
+            parked_len(&hold(shards, 0)),
             (2, asked[1].len() + asked[3].len())
         );
         clock.advance(RTT / 2);
-        ShardCell::lock(&shard.cell).pump();
-        assert_eq!(parked_len(&ShardCell::lock(&shard.cell)), (0, 0));
+        hold(shards, 0).pump();
+        assert_eq!(parked_len(&hold(shards, 0)), (0, 0));
 
         // Each answer echoes its own query, spelling included.
         let answered: Vec<Message> = answers
@@ -2194,10 +2117,11 @@ mod tests {
         const RTT: Duration = Duration::from_millis(1);
         let fleet = LoopbackFleet::build(LoopbackConfig::default());
         let clock = sdoh_netsim::SimClock::new();
-        let (shard, _rx) = stepped_shards(&fleet, 1, CacheConfig::default(), &clock, RTT).remove(0);
+        let control = stepped_shards(&fleet, CacheConfig::default(), &clock, &[RTT]);
+        let shards = control.shards();
         let (cold, warm) = (&fleet.domains[0], &fleet.domains[1]);
         {
-            let mut guard = ShardCell::lock(&shard.cell);
+            let mut guard = hold(shards, 0);
             let worker: &mut Worker = &mut guard;
             let query = Message::query(0, warm.clone(), RrType::A);
             let primed = worker
@@ -2209,54 +2133,43 @@ mod tests {
         let (reply, answers) = mpsc::channel();
         let ask = |id: u16, domain: &Name| {
             let tcp = ReplyPath::Tcp(reply.clone());
-            assert!(serve_or_hand_off(
-                &shard,
-                &a_query(id, domain),
-                tcp,
-                &counters
-            ));
+            assert!(serve_query(shards, &a_query(id, domain), tcp, &counters));
         };
 
-        // Nobody runs the worker: the miss waits upstream.
+        // Nobody runs the timer: the miss waits upstream.
         ask(1, cold);
         assert!(answers.try_recv().is_err());
         clock.advance(RTT);
-        // The next query served in place is a hit, and whoever holds the
-        // shard does what is due: the miss is answered behind it, before
-        // the call returns.
+        // The next query is a hit, and whoever holds the shard does what is
+        // due: the miss is answered behind it, before the call returns.
         ask(2, warm);
-        let ids: Vec<u16> = answers
-            .try_iter()
-            .map(|wire| Message::decode(&wire).unwrap().header.id)
-            .collect();
-        assert_eq!(ids, [2, 1]);
+        assert_eq!(answered(&answers), [2, 1]);
         assert_eq!(counters.wakes.get(), 1, "the miss's own, and no more");
-        assert_eq!(counters.handed_off.get(), 0);
-        let worker = ShardCell::lock(&shard.cell);
+        let worker = hold(shards, 0);
         assert!(worker.parked.is_empty() && worker.upstream.is_empty());
         let snapshot = worker.resolver.snapshot();
         assert_eq!((snapshot.serve.hits, snapshot.serve.generations), (1, 2));
     }
 
     #[test]
-    fn misses_and_refreshes_met_in_place_are_finished_by_the_worker() {
+    fn misses_and_refreshes_met_in_place_are_finished_by_the_timer() {
         const RTT: Duration = Duration::from_millis(1);
         let fleet = LoopbackFleet::build(LoopbackConfig {
-            pool_domains: 2,
+            pool_domains: 8,
             ..LoopbackConfig::default()
         });
         let cache = CacheConfig::default()
             .with_ttl(Ttl::from_secs(60))
             .with_stale_window(Duration::from_secs(3600));
         let clock = sdoh_netsim::SimClock::new();
-        let mut shards = stepped_shards(&fleet, 2, cache, &clock, RTT);
-        let (stale_shard, stale_rx) = shards.pop().unwrap();
-        let (miss_shard, miss_rx) = shards.pop().unwrap();
-        let (cold_domain, stale_domain) = (&fleet.domains[0], &fleet.domains[1]);
+        let control = stepped_shards(&fleet, cache, &clock, &[RTT, RTT]);
+        let shards = control.shards();
+        let (cold_domain, stale_domain) =
+            (routed_to(&fleet, 0, 2, 1)[0], routed_to(&fleet, 1, 2, 1)[0]);
         // One shard has the stale domain cached, stamped as expired on the
         // way out of its cache and back in: its next query is a stale hit.
         {
-            let mut guard = ShardCell::lock(&stale_shard.cell);
+            let mut guard = hold(shards, 1);
             let worker: &mut Worker = &mut guard;
             let query = Message::query(0, stale_domain.clone(), RrType::A);
             let primed = worker
@@ -2273,14 +2186,13 @@ mod tests {
         let counters = FrontCounters::register(&Registry::new());
         let (reply, answers) = mpsc::channel();
 
-        // Neither worker runs yet, so both shards are idle. The miss parks
-        // in place, its batch leaves from the socket thread, and its worker,
-        // blocked on its queue, is woken once.
+        // The miss parks, its batch leaves from the socket thread, and the
+        // timer is armed for its round trip.
         let wire = a_query(1, cold_domain);
         let tcp = ReplyPath::Tcp(reply.clone());
-        assert!(serve_or_hand_off(&miss_shard, &wire, tcp, &counters));
+        assert!(serve_query(shards, &wire, tcp, &counters));
         {
-            let worker = ShardCell::lock(&miss_shard.cell);
+            let worker = hold(shards, 0);
             assert_eq!((worker.parked.len(), worker.upstream.len()), (1, 1));
         }
         assert_eq!(counters.wakes.get(), 1);
@@ -2288,30 +2200,27 @@ mod tests {
             answers.try_recv().is_err(),
             "a miss is answered when it lands"
         );
-        // The stale hit is answered before `serve_or_hand_off` returns, and
-        // its refresh departs the same way: a second wake, for a second
-        // worker.
+        // The stale hit is answered before `serve_query` returns, and its
+        // refresh departs the same way: the other shard's alarm is armed.
         let wire = a_query(2, stale_domain);
         let tcp = ReplyPath::Tcp(reply);
-        assert!(serve_or_hand_off(&stale_shard, &wire, tcp, &counters));
+        assert!(serve_query(shards, &wire, tcp, &counters));
         let stale = Message::decode(&answers.try_recv().unwrap()).unwrap();
         assert_eq!(stale.header.id, 2);
         assert!(stale.answers.iter().all(|record| record.ttl == 0));
-        assert_eq!(ShardCell::lock(&stale_shard.cell).upstream.len(), 1);
+        assert_eq!(hold(shards, 1).upstream.len(), 1);
         assert_eq!(counters.wakes.get(), 2);
-        assert_eq!(counters.handed_off.get(), 0, "both served in place");
 
-        // Woken, the workers land the generation and the refresh once their
-        // round trip is over; the miss is answered from its landing.
-        let stop_miss = run_worker(&miss_shard, miss_rx);
-        let stop_stale = run_worker(&stale_shard, stale_rx);
+        // Once the round trip is over, the timer lands the generation and
+        // the refresh; the miss is answered from its landing.
         clock.advance(RTT);
-        let miss = Message::decode(&answers.recv().unwrap()).unwrap();
+        shards.land_due(whenever());
+        let miss = Message::decode(&answers.try_recv().unwrap()).unwrap();
         assert_eq!(miss.header.id, 1);
         assert_eq!(miss.answer_addresses().len(), 24);
-        let snapshot = stop_miss();
+        let snapshot = hold(shards, 0).resolver.snapshot();
         assert_eq!((snapshot.serve.misses, snapshot.serve.generations), (1, 1));
-        let snapshot = stop_stale();
+        let snapshot = hold(shards, 1).resolver.snapshot();
         assert_eq!(snapshot.serve.stale_serves, 1);
         assert_eq!(snapshot.serve.refreshes, 1);
         assert_eq!(snapshot.serve.generations, 2);
@@ -2320,14 +2229,15 @@ mod tests {
 
     #[test]
     fn a_malformed_query_is_answered_with_its_own_id() {
-        let (shard, _rx) = one_shard();
+        let fleet = LoopbackFleet::build(LoopbackConfig::default());
+        let control = open_shards(&fleet, 1, CacheConfig::default());
         let counters = FrontCounters::register(&Registry::new());
         let (reply, answers) = mpsc::channel();
         // Id 0xBEEF, RD set, one question announced and cut short.
         let mut wire = a_query(0xBEEF, &"pool.ntpns.org".parse().unwrap());
         wire.truncate(15);
-        assert!(serve_or_hand_off(
-            &shard,
+        assert!(serve_query(
+            control.shards(),
             &wire,
             ReplyPath::Tcp(reply),
             &counters
@@ -2340,12 +2250,12 @@ mod tests {
 
     #[test]
     fn refresh_runs_while_the_shard_queue_never_empties() {
-        // The worker deals with what is due after each item it takes, not
-        // only when a wait times out. Its queue is filled before it starts
-        // and so is never empty until the last item is taken: a stale serve
-        // of B, whose refresh leaves on a 1 ms round trip, then far more
-        // hits on A than fit into a millisecond, then B again. Only the
-        // check between items can have landed the refresh by then.
+        // Whoever serves a query deals with what is due after it, not only
+        // the timer when a wait runs out. The shard is handed queries back
+        // to back, with no pause for the timer to take its lock in: a stale
+        // serve of B, whose refresh leaves on a 1 ms round trip, then far
+        // more hits on A than fit into a millisecond, then B again. Only the
+        // pump after each hit can have landed the refresh by then.
         const HITS: usize = 20_000;
         let fleet = LoopbackFleet::build(LoopbackConfig {
             pool_domains: 2,
@@ -2355,10 +2265,11 @@ mod tests {
         let cache = CacheConfig::default()
             .with_ttl(Ttl::from_secs(60))
             .with_stale_window(Duration::from_secs(3600));
-        let (shard, rx) = open_shards(&fleet, 1, cache).remove(0);
+        let control = open_shards(&fleet, 1, cache);
+        let shards = control.shards();
         // Both cached; B stamped as expired on the way out and back in.
         {
-            let mut guard = ShardCell::lock(&shard.cell);
+            let mut guard = hold(shards, 0);
             let worker: &mut Worker = &mut guard;
             for domain in &fleet.domains {
                 let query = Message::query(0, domain.clone(), RrType::A);
@@ -2377,33 +2288,30 @@ mod tests {
             }
         }
 
+        let counters = FrontCounters::register(&Registry::new());
         let (reply, answers) = mpsc::channel();
         let ask = |id: u16, domain: usize| {
-            assert!(shard.send(WorkItem::Query {
-                wire: a_query(id, &fleet.domains[domain]),
-                reply: ReplyPath::Tcp(reply.clone()),
-            }));
+            let wire = a_query(id, &fleet.domains[domain]);
+            let tcp = ReplyPath::Tcp(reply.clone());
+            assert!(serve_query(shards, &wire, tcp, &counters));
         };
         ask(1, 1);
         (0..HITS).for_each(|_| ask(2, 0));
         ask(3, 1);
-        let (last, snapshot) = mpsc::channel();
-        assert!(shard.send(WorkItem::Shutdown(last)));
-        worker_loop(&shard.cell, rx);
 
         let answers: Vec<Message> = answers
             .try_iter()
             .map(|wire| Message::decode(&wire).unwrap())
             .collect();
-        assert_eq!(answers.len(), HITS + 2);
+        assert_eq!(answers.len(), HITS + 2, "every hit served in place");
         let (stale, again) = (&answers[0], &answers[HITS + 1]);
         assert_eq!((stale.header.id, again.header.id), (1, 3));
         assert!(stale.answers.iter().all(|r| r.ttl == 0), "B served stale");
         assert!(
             again.answers.iter().all(|r| r.ttl >= 1),
-            "B was refreshed while the queue was never empty"
+            "B was refreshed while the queries never paused"
         );
-        let (_, snapshot) = snapshot.try_recv().expect("the last snapshot");
+        let snapshot = hold(shards, 0).resolver.snapshot();
         assert_eq!(snapshot.serve.stale_serves, 1);
         assert_eq!(snapshot.serve.refreshes, 1);
         assert_eq!(snapshot.serve.generations, 3);

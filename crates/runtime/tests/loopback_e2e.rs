@@ -356,9 +356,9 @@ fn udp_truncation_follows_what_the_client_advertised() {
 #[test]
 fn background_refresh_runs_off_the_query_path() {
     // Tiny TTL + wide stale window: after the TTL expires, queries are
-    // served stale (TTL 0) immediately while the shard's worker
-    // regenerates in the background, off its own timer (no other traffic
-    // wakes it here).
+    // served stale (TTL 0) immediately while the shard regenerates in the
+    // background, landed by the shard timer (no other traffic meets it
+    // here).
     let (fleet, shards) = build(Vec::new(), Ttl::from_secs(2), Duration::from_secs(3600));
     let runtime = PoolRuntime::start(RuntimeConfig::default(), shards).expect("bind loopback");
     let client =
@@ -392,7 +392,7 @@ fn background_refresh_runs_off_the_query_path() {
     assert_eq!(stats.total.serve.stale_serves, 1);
     assert!(
         stats.total.serve.refreshes >= 1,
-        "the worker regenerated in the background: {:?}",
+        "the shard regenerated in the background: {:?}",
         stats.total.serve
     );
     assert_eq!(stats.total.serve.queries, 3);
@@ -660,7 +660,7 @@ fn receive(socket: &std::net::UdpSocket) -> Message {
 }
 
 /// Polls `stats` until the shard has begun `queries` queries (a datagram
-/// sent is not yet a query taken off the shard's queue).
+/// sent is not yet a query the dispatcher has read).
 fn await_begun(runtime: &PoolRuntime, queries: u64) -> RuntimeStats {
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {

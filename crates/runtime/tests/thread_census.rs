@@ -1,7 +1,8 @@
-//! Thread census of a running [`PoolRuntime`]: a default two-shard runtime
-//! owns a dispatcher, a TCP acceptor and one worker per shard — nothing
-//! else, idle or under load. Background refreshes, statistics and the
-//! upstream exchanges of a generation have no thread of their own.
+//! Thread census of a running [`PoolRuntime`]: a runtime owns a dispatcher,
+//! a TCP acceptor and one timer for all its shards — nothing else, idle or
+//! under load, and as many threads with one shard as with four. Shards,
+//! background refreshes, statistics and the upstream exchanges of a
+//! generation have no thread of their own.
 //!
 //! In its own test binary so that no other test's threads are counted.
 #![cfg(target_os = "linux")]
@@ -17,6 +18,8 @@ use sdoh_runtime::{LoopbackConfig, LoopbackFleet, PoolRuntime, RuntimeConfig};
 const STALE: usize = 4;
 /// Domains first asked for during the load phase.
 const COLD: usize = 28;
+/// The runtime's threads, by name, whatever its shard count.
+const EXPECTED: [&str; 3] = ["sdoh-dispatch", "sdoh-shard-tick", "sdoh-tcp"];
 
 /// The `comm` of every thread of this process.
 fn thread_names() -> Vec<String> {
@@ -27,8 +30,9 @@ fn thread_names() -> Vec<String> {
         .collect()
 }
 
-#[test]
-fn a_default_runtime_owns_one_thread_per_shard_plus_dispatcher_and_tcp() {
+/// Starts a runtime of `shards` shards, takes its census idle and under
+/// load, and shuts it down.
+fn census(shards: usize) {
     let fleet = LoopbackFleet::build(LoopbackConfig {
         resolvers: 5,
         pool_domains: STALE + COLD,
@@ -39,27 +43,31 @@ fn a_default_runtime_owns_one_thread_per_shard_plus_dispatcher_and_tcp() {
         .with_ttl(Ttl::from_secs(1))
         .with_stale_window(Duration::from_secs(3600));
     let shards = fleet
-        .shards(2, PoolConfig::algorithm1(), cache)
+        .shards(shards, PoolConfig::algorithm1(), cache)
         .expect("valid config");
     let before = thread_names().len();
     let runtime = PoolRuntime::start(RuntimeConfig::default(), shards).expect("bind loopback");
     // A spawned thread exists before `start` returns; it names itself a
     // moment later, so the names are polled and the count is not.
-    assert_eq!(thread_names().len() - before, 4, "{:?}", thread_names());
-    let expected = ["sdoh-dispatch", "sdoh-shard-0", "sdoh-shard-1", "sdoh-tcp"];
+    assert_eq!(
+        thread_names().len() - before,
+        EXPECTED.len(),
+        "{:?}",
+        thread_names()
+    );
     let deadline = Instant::now() + Duration::from_secs(5);
-    let census = loop {
+    let named = loop {
         let mut named: Vec<String> = thread_names()
             .into_iter()
             .filter(|name| name.starts_with("sdoh-"))
             .collect();
         named.sort();
-        if named == expected || Instant::now() >= deadline {
+        if named == EXPECTED || Instant::now() >= deadline {
             break named;
         }
         std::thread::sleep(Duration::from_millis(5));
     };
-    assert_eq!(census, expected);
+    assert_eq!(named, EXPECTED);
 
     // Under load: every generation fans out to five resolvers over a 2 ms
     // round trip, and none of those exchanges may be a thread. The census
@@ -91,7 +99,7 @@ fn a_default_runtime_owns_one_thread_per_shard_plus_dispatcher_and_tcp() {
         }
         // The stale answers came back at once; their refreshes left as they
         // came due and land among the cold generations.
-        // (Asked about only now and then: `stats` waits for the shards, and
+        // (Asked about only now and then: `stats` reads every shard, and
         // no census is taken meanwhile.)
         let done = answered == STALE + COLD
             && censuses % 32 == 0
@@ -103,9 +111,16 @@ fn a_default_runtime_owns_one_thread_per_shard_plus_dispatcher_and_tcp() {
     assert!(refreshed, "{answered} answers, the refreshes never ran");
     assert_eq!(
         most - before,
-        4,
-        "threads beyond the four named ones appeared under load ({censuses} censuses)"
+        EXPECTED.len(),
+        "threads beyond the three named ones appeared under load ({censuses} censuses)"
     );
     runtime.shutdown();
     assert_eq!(thread_names().len(), before, "shutdown joined every thread");
+}
+
+#[test]
+fn a_runtime_owns_a_dispatcher_a_tcp_acceptor_and_one_timer_whatever_its_shard_count() {
+    // One after the other: each census counts only its own runtime.
+    census(1);
+    census(4);
 }

@@ -218,8 +218,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Step 8: leave the simulator — the same serving stack over real
     // sockets. The threaded runtime binds a UDP socket on loopback,
-    // shards the pool cache across worker threads and generates pools
-    // through in-process DoH terminators; a real stub client queries it.
+    // shards the pool cache into partitions the socket threads serve under
+    // one lock each and generates pools through in-process DoH
+    // terminators; a real stub client queries it.
     use secure_doh::runtime::{
         LoopbackConfig, LoopbackFleet, PoolRuntime, RuntimeClient, RuntimeConfig,
     };
@@ -241,8 +242,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Step 8.25: hot reconfiguration. The running runtime hands out a
     // control handle; applying a config delta validates and publishes the
-    // next config epoch and fans it to every shard through the same work
-    // queue its queries arrive on. Cached entries survive the switch —
+    // next config epoch and hands it to every shard under the same lock
+    // its queries are served under. Cached entries survive the switch —
     // the wider stale window below judges them from now on — and not a
     // single query stops flowing while it propagates.
     use secure_doh::runtime::ConfigDelta;

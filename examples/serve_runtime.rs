@@ -2,8 +2,8 @@
 //! Do53 server on loopback.
 //!
 //! Builds an in-process DoH resolver fleet (one of three resolvers
-//! compromised), starts the threaded [`PoolRuntime`] with four shard
-//! workers, hammers it with a handful of concurrent stub clients over
+//! compromised), starts the threaded [`PoolRuntime`] with four shards,
+//! hammers it with a handful of concurrent stub clients over
 //! UDP, demonstrates the TC=1 truncated-answer retry over TCP against a
 //! second small-UDP-limit runtime, and prints the aggregated per-shard
 //! statistics before shutting down gracefully.
@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let shards = fleet.shards(SHARDS, PoolConfig::algorithm1(), CacheConfig::default())?;
     let runtime = PoolRuntime::start(RuntimeConfig::default(), shards)?;
     println!(
-        "runtime up: udp {} / tcp {} with {} shard workers\n",
+        "runtime up: udp {} / tcp {} with {} shards\n",
         runtime.udp_addr(),
         runtime.tcp_addr(),
         runtime.shard_count()

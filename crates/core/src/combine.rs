@@ -81,26 +81,45 @@ pub fn combine<L: AsRef<[IpAddr]>>(
 
 /// The vote's winners over `usable` lists, each slot labelled with its
 /// support: one label per distinct support count, shared by its winners.
+/// The winners are folded into the entries as the ballot yields them.
 fn elect<'a>(
     lists: impl Iterator<Item = &'a [IpAddr]> + Clone,
     usable: usize,
     threshold: f64,
 ) -> AddressPool {
+    let ballot = vote(lists, usable, threshold);
+    let winners = ballot.winners();
+    let mut entries = Vec::with_capacity(winners.clone().count());
     let mut labels: Vec<(usize, Arc<str>)> = Vec::new();
-    let entries = vote(lists, usable, threshold)
-        .into_iter()
-        .map(|(address, support)| {
-            let known = labels.iter().find(|(count, _)| *count == support);
-            let source = match known {
-                Some((_, label)) => Arc::clone(label),
-                None => {
-                    let label: Arc<str> = format!("majority({support}/{usable})").into();
-                    labels.push((support, Arc::clone(&label)));
-                    label
-                }
-            };
-            PoolEntry { address, source }
-        })
-        .collect();
+    for (address, support) in winners {
+        let known = labels.iter().find(|(count, _)| *count == support);
+        let source = match known {
+            Some((_, label)) => Arc::clone(label),
+            None => {
+                let label = majority_label(support, usable);
+                labels.push((support, Arc::clone(&label)));
+                label
+            }
+        };
+        entries.push(PoolEntry { address, source });
+    }
     AddressPool::from_entries(entries)
+}
+
+/// `majority(support/usable)`, written on the stack and copied once into
+/// its `Arc`: one allocation per label, not a `String` and then the `Arc`.
+fn majority_label(support: usize, usable: usize) -> Arc<str> {
+    use std::io::Write;
+    // Two counts of at most 20 digits each and 11 octets of text.
+    let mut buf = [0u8; 64];
+    let mut rest = buf.as_mut_slice();
+    let written = write!(rest, "majority({support}/{usable})").map(|()| rest.len());
+    let text = written
+        .ok()
+        .and_then(|left| buf.get(..buf.len() - left))
+        .and_then(|octets| std::str::from_utf8(octets).ok());
+    match text {
+        Some(text) => text.into(),
+        None => format!("majority({support}/{usable})").into(),
+    }
 }

@@ -5,32 +5,109 @@
 //! so the pool-level and resolver-level views of Section III cannot round
 //! apart.
 
-use std::net::IpAddr;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 /// Every address of `lists` with the number of lists that contain it
 /// (presence per list, not multiplicity within a list), in ascending address
-/// order: one vector, sorted, folded in place.
-fn sorted_support<'a>(lists: impl Iterator<Item = &'a [IpAddr]> + Clone) -> Vec<(IpAddr, usize)> {
-    let slots = lists.clone().map(<[IpAddr]>::len).sum();
-    let mut seen: Vec<(IpAddr, usize)> = Vec::with_capacity(slots);
+/// order, as [`SortedSupport::runs`] reads them.
+///
+/// Each occurrence becomes one integer key of its address and its list's
+/// index: an IPv4 address as `to_bits() << 32 | list` in a `u64`, an IPv6
+/// address as `(to_bits(), list)`. Sorted, an address's lists are one run
+/// of keys and a duplicate within a list sits next to its twin, so support
+/// is the number of distinct keys in a run. The two families are sorted
+/// apart and read IPv4 first, the order `IpAddr: Ord` gives, and each sort
+/// compares integers instead of `(IpAddr, usize)` tuples through their
+/// enum. A family that does not occur allocates nothing.
+fn sorted_support<'a>(lists: impl Iterator<Item = &'a [IpAddr]> + Clone) -> SortedSupport {
+    let v4_count = lists
+        .clone()
+        .flatten()
+        .filter(|addr| addr.is_ipv4())
+        .count();
+    let slots = lists.clone().map(<[IpAddr]>::len).sum::<usize>();
+    let mut support = SortedSupport {
+        v4: Vec::with_capacity(v4_count),
+        v6: Vec::with_capacity(slots - v4_count),
+    };
     for (index, list) in lists.enumerate() {
-        seen.extend(list.iter().map(|&addr| (addr, index)));
-    }
-    // Sorted by (address, list), a duplicate within a list sits next to its
-    // twin and an address's lists are one run.
-    seen.sort_unstable();
-    seen.dedup();
-    for (_, count) in &mut seen {
-        *count = 1;
-    }
-    seen.dedup_by(|next, kept| {
-        let same = next.0 == kept.0;
-        if same {
-            kept.1 += 1;
+        // Lists beyond 2^32 would share an index; no vote gets near.
+        let low = u64::from(u32::try_from(index).unwrap_or(u32::MAX));
+        for addr in list {
+            match addr {
+                IpAddr::V4(v4) => support.v4.push(u64::from(v4.to_bits()) << 32 | low),
+                IpAddr::V6(v6) => support.v6.push((v6.to_bits(), index)),
+            }
         }
-        same
-    });
-    seen
+    }
+    support.v4.sort_unstable();
+    support.v6.sort_unstable();
+    support
+}
+
+/// The sorted keys of one vote, per family (see [`sorted_support`]).
+struct SortedSupport {
+    v4: Vec<u64>,
+    v6: Vec<(u128, usize)>,
+}
+
+impl SortedSupport {
+    /// Each address once with its support, in ascending order.
+    fn runs(&self) -> impl Iterator<Item = (IpAddr, usize)> + Clone + '_ {
+        Runs(&self.v4).chain(Runs(&self.v6))
+    }
+}
+
+/// A vote's key: an address and a list, ordered by address first.
+trait Key: Copy + Ord {
+    fn address(self) -> IpAddr;
+
+    fn same_address(self, other: Self) -> bool;
+}
+
+impl Key for u64 {
+    fn address(self) -> IpAddr {
+        IpAddr::V4(Ipv4Addr::from_bits(u32::try_from(self >> 32).unwrap_or(0)))
+    }
+
+    fn same_address(self, other: Self) -> bool {
+        self >> 32 == other >> 32
+    }
+}
+
+impl Key for (u128, usize) {
+    fn address(self) -> IpAddr {
+        IpAddr::V6(Ipv6Addr::from_bits(self.0))
+    }
+
+    fn same_address(self, other: Self) -> bool {
+        self.0 == other.0
+    }
+}
+
+/// The runs of one family's sorted keys: each address with the number of
+/// distinct keys, that is of lists, it has.
+#[derive(Clone)]
+struct Runs<'k, K>(&'k [K]);
+
+impl<K: Key> Iterator for Runs<'_, K> {
+    type Item = (IpAddr, usize);
+
+    fn next(&mut self) -> Option<(IpAddr, usize)> {
+        let (&first, rest) = self.0.split_first()?;
+        let run = rest
+            .iter()
+            .position(|&key| !key.same_address(first))
+            .unwrap_or(rest.len());
+        let (same, next) = rest.split_at(run);
+        let lists = 1 + same
+            .iter()
+            .zip(self.0)
+            .filter(|(key, before)| key != before)
+            .count();
+        self.0 = next;
+        Some((first.address(), lists))
+    }
 }
 
 /// Returns the addresses supported by strictly more than `threshold` of the
@@ -51,23 +128,46 @@ pub fn majority_vote<L: AsRef<[IpAddr]>>(
     total: usize,
     threshold: f64,
 ) -> Vec<(IpAddr, usize)> {
-    vote(lists.iter().map(AsRef::as_ref), total, threshold)
+    let ballot = vote(lists.iter().map(AsRef::as_ref), total, threshold);
+    let winners = ballot.winners();
+    let mut elected = Vec::with_capacity(winners.clone().count());
+    elected.extend(winners);
+    elected
 }
 
 /// [`majority_vote`] over lists lent one by one, so a caller holding them
-/// beside other data does not gather them into a slice first.
+/// beside other data does not gather them into a slice first. The winners
+/// are read from the returned [`Ballot`], so a caller folds them into what
+/// it builds without a vector of them in between.
 pub(crate) fn vote<'a>(
     lists: impl Iterator<Item = &'a [IpAddr]> + Clone,
     total: usize,
     threshold: f64,
-) -> Vec<(IpAddr, usize)> {
-    if total == 0 {
-        return Vec::new();
+) -> Ballot {
+    let cutoff = match total {
+        0 => Cutoff::Never,
+        _ => Cutoff::new(total, threshold),
+    };
+    Ballot {
+        support: sorted_support(lists),
+        cutoff,
     }
-    let cutoff = Cutoff::new(total, threshold);
-    let mut winners = sorted_support(lists);
-    winners.retain(|&(_, support)| cutoff.admits(support));
-    winners
+}
+
+/// One vote, counted: its sorted keys and its cutoff.
+pub(crate) struct Ballot {
+    support: SortedSupport,
+    cutoff: Cutoff,
+}
+
+impl Ballot {
+    /// The addresses the vote admits with their support, ascending.
+    pub(crate) fn winners(&self) -> impl Iterator<Item = (IpAddr, usize)> + Clone + '_ {
+        let cutoff = self.cutoff;
+        self.support
+            .runs()
+            .filter(move |&(_, support)| cutoff.admits(support))
+    }
 }
 
 /// Decides `support > threshold * total` exactly.
@@ -229,6 +329,97 @@ mod tests {
     /// How many of `lists` contain each address, in ascending order.
     fn support_counts(lists: &[Vec<IpAddr>]) -> Vec<(IpAddr, usize)> {
         sorted_support(lists.iter().map(Vec::as_slice))
+            .runs()
+            .collect()
+    }
+
+    /// The support count the integer keys replaced: `(IpAddr, usize)`
+    /// tuples sorted through their enum, deduplicated, then folded per
+    /// address. Kept as the oracle of `sorted_support`.
+    fn tuple_support(lists: &[Vec<IpAddr>]) -> Vec<(IpAddr, usize)> {
+        let mut seen: Vec<(IpAddr, usize)> = Vec::new();
+        for (index, list) in lists.iter().enumerate() {
+            seen.extend(list.iter().map(|&addr| (addr, index)));
+        }
+        seen.sort_unstable();
+        seen.dedup();
+        for (_, count) in &mut seen {
+            *count = 1;
+        }
+        seen.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += 1;
+            }
+            same
+        });
+        seen
+    }
+
+    /// Seeded random lists of IPv4, IPv6 or both, with duplicates within a
+    /// list, and IPv6 addresses whose low 32 bits are an IPv4 address of
+    /// the same draw: 1-40 lists, several thresholds and totals. The
+    /// integer-keyed vote returns what the sort of tuples returned,
+    /// address for address and support for support.
+    #[test]
+    fn the_integer_keyed_vote_is_the_tuple_sorted_vote() {
+        let mut state = 0x05EE_D0F7_07E5_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let thresholds = [0.5, 2.0 / 3.0, 0.7, 0.25, 0.0, 1.0, -1.0, f64::NAN];
+        let mut cases = 0;
+        for family in 0..3 {
+            for lists_count in 1..=40usize {
+                for _ in 0..6 {
+                    // A small pool of candidates, so that lists overlap.
+                    let pool: Vec<IpAddr> = (0..12)
+                        .map(|i| {
+                            let bits = u32::try_from(next() >> 40).unwrap() | 0xC000_0000;
+                            let v4 = IpAddr::V4(Ipv4Addr::from_bits(bits));
+                            let v6 = IpAddr::V6(Ipv6Addr::from_bits(
+                                u128::from(bits) | u128::from(next() % 3) << 96,
+                            ));
+                            match (family, i % 2) {
+                                (0, _) | (2, 0) => v4,
+                                _ => v6,
+                            }
+                        })
+                        .collect();
+                    let lists: Vec<Vec<IpAddr>> = (0..lists_count)
+                        .map(|_| {
+                            let len = usize::try_from(next() % 11).unwrap();
+                            (0..len)
+                                .map(|_| pool[usize::try_from(next() % 12).unwrap()])
+                                .collect()
+                        })
+                        .collect();
+                    let support = tuple_support(&lists);
+                    assert_eq!(support_counts(&lists), support);
+                    for &threshold in &thresholds {
+                        for total in [lists_count, lists_count + 1, 0] {
+                            let cutoff = Cutoff::new(total, threshold);
+                            let expected: Vec<(IpAddr, usize)> = support
+                                .iter()
+                                .copied()
+                                .filter(|&(_, s)| total > 0 && cutoff.admits(s))
+                                .collect();
+                            assert_eq!(
+                                majority_vote(&lists, total, threshold),
+                                expected,
+                                "{lists:?} of {total} at {threshold}"
+                            );
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        println!("vote oracle: {cases} cases agree");
     }
 
     #[test]

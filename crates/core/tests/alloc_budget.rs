@@ -6,18 +6,20 @@
 //! contributor, the pool — and nothing on the way there. Four counts hold
 //! that, all exact and repeating on every run (the test prints them):
 //!
-//! * a majority `generate` over five sources with ready answers (21 when
-//!   this was written, 83 while every name, list and label was copied per
-//!   use);
+//! * a majority `generate` over five sources with ready answers (20 when
+//!   this was written, 21 while each vote label was formatted into a
+//!   `String` before its `Arc`, 83 while every name, list and label was
+//!   copied per use);
 //! * one uncached query over five in-process DoH terminators, one of them
 //!   poisoned, under the majority vote — the `cold_gen` query of the
 //!   benchmark, read where it lies and answered by `handle_query_wire` —
-//!   with the answer verified (41 when this was written, and its budget:
+//!   with the answer verified (40 when this was written, and its budget:
 //!   five exchanges of 3 each — the two payloads and the addresses read —
 //!   every answer rendered from a template — the poisoned one's, or the
 //!   honest authority's answer index — from the query where it lies, one
 //!   copy of the name for the key the miss stores, the rest the
-//!   generation's own bookkeeping and the rendered answer; 56 while each
+//!   generation's own bookkeeping and the rendered answer; 41 while each
+//!   vote label was formatted into a `String` first, 56 while each
 //!   terminator decoded its query into an owned `Message` and each client
 //!   kept its stream list on the heap, 60 while each honest authority
 //!   walked its zone and compressed the answer against an offset list of
@@ -314,11 +316,11 @@ fn a_generation_stays_within_its_allocation_budgets() {
          per parked waiter {per_waiter:?} (uncached, cached), cached hit {hit}"
     );
     assert!(
-        generation <= 30,
+        generation <= 29,
         "a five-source majority generation allocated {generation} times"
     );
     assert!(
-        uncached <= 41,
+        uncached <= 40,
         "one uncached query allocated {uncached} times"
     );
     assert_eq!(hit, 0, "a cached hit allocated {hit} times");

@@ -69,15 +69,55 @@ pub fn encode_into(input: &[u8], out: &mut impl BufMut) {
     }
 }
 
-fn decode_char(c: u8) -> Option<u32> {
-    match c {
-        b'A'..=b'Z' => Some(u32::from(c - b'A')),
-        b'a'..=b'z' => Some(u32::from(c - b'a' + 26)),
-        b'0'..=b'9' => Some(u32::from(c - b'0' + 52)),
-        b'-' => Some(62),
-        b'_' => Some(63),
-        _ => None,
+/// Marks an octet outside the alphabet in [`SEXTETS`]. Any value of 64 or
+/// more would do: a quad is tested once, on the OR of its sextets.
+const INVALID: u8 = 0xFF;
+
+/// The value of every octet as a base64url character, [`INVALID`] for the
+/// octets outside [`ALPHABET`]: one lookup per character. Built by
+/// walking octets and alphabet positions with counters of both types, so
+/// no conversion is needed in a const context.
+const SEXTETS: [u8; 256] = {
+    let mut table = [INVALID; 256];
+    let mut position = 0usize;
+    let mut value = 0u8;
+    while position < ALPHABET.len() {
+        let mut index = 0usize;
+        let mut octet = 0u8;
+        while index < table.len() {
+            if octet == ALPHABET[position] {
+                table[index] = value;
+            }
+            index += 1;
+            octet = octet.wrapping_add(1);
+        }
+        position += 1;
+        value += 1;
     }
+    table
+};
+
+fn sextet(c: u8) -> u8 {
+    SEXTETS.get(usize::from(c)).copied().unwrap_or(INVALID)
+}
+
+/// The 24 bits of up to four characters, the first one in the top six:
+/// one lookup per character and one test for all of them, or the index of
+/// the first character outside the alphabet.
+#[inline(always)]
+fn quad_bits(chars: &[u8]) -> Result<u32, usize> {
+    let mut bits = 0u32;
+    let mut seen = 0u8;
+    for (shift, &c) in [18u32, 12, 6, 0].into_iter().zip(chars) {
+        let value = sextet(c);
+        seen |= value;
+        bits |= u32::from(value) << shift;
+    }
+    if seen >= 64 {
+        let first = chars.iter().position(|&c| sextet(c) == INVALID);
+        return Err(first.unwrap_or_default());
+    }
+    Ok(bits)
 }
 
 /// Decodes unpadded base64url text.
@@ -104,28 +144,25 @@ pub fn decode(input: &str) -> WireResult<Vec<u8>> {
 /// As [`decode`]; `out` then holds what was decoded before the error.
 pub fn decode_into(input: &str, out: &mut Vec<u8>) -> WireResult<()> {
     out.clear();
-    let bytes = input.trim_end_matches('=').as_bytes();
-    for (ci, chunk) in bytes.chunks(4).enumerate() {
-        let i = ci * 4;
-        if chunk.len() == 1 {
-            return Err(WireError::InvalidBase64(i));
-        }
-        let mut acc: u32 = 0;
-        for (j, &c) in chunk.iter().enumerate() {
-            let v = decode_char(c).ok_or(WireError::InvalidBase64(i + j))?;
-            acc |= v << (18 - 6 * j);
-        }
-        // acc holds 24 bits; its big-endian octets are the decoded bytes.
-        let [_, o0, o1, o2] = acc.to_be_bytes();
-        out.push(o0);
-        if chunk.len() > 2 {
-            out.push(o1);
-        }
-        if chunk.len() > 3 {
-            out.push(o2);
+    let text = input.trim_end_matches('=').as_bytes();
+    out.reserve(text.len() / 4 * 3 + 2);
+    let (quads, tail) = text.as_chunks::<4>();
+    for (at, quad) in (0..).step_by(4).zip(quads) {
+        let bits = quad_bits(quad).map_err(|j| WireError::InvalidBase64(at + j))?;
+        let [_, o0, o1, o2] = bits.to_be_bytes();
+        out.extend_from_slice(&[o0, o1, o2]);
+    }
+    let at = text.len() - tail.len();
+    match tail.len() {
+        0 => Ok(()),
+        1 => Err(WireError::InvalidBase64(at)),
+        len => {
+            let bits = quad_bits(tail).map_err(|j| WireError::InvalidBase64(at + j))?;
+            // Two characters carry one octet, three carry two.
+            out.extend_from_slice(bits.to_be_bytes().get(1..len).unwrap_or_default());
+            Ok(())
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -195,6 +232,104 @@ mod tests {
     fn roundtrip_binary_dns_message_like_data() {
         let data: Vec<u8> = (0u16..512).map(|i| (i % 251) as u8).collect();
         assert_eq!(decode(&encode(&data)).unwrap(), data);
+    }
+
+    /// The decoder the table replaced: a match per character, a push per
+    /// octet. Kept as the oracle of [`decode_into`].
+    fn per_character_decode(input: &str, out: &mut Vec<u8>) -> WireResult<()> {
+        fn decode_char(c: u8) -> Option<u32> {
+            match c {
+                b'A'..=b'Z' => Some(u32::from(c - b'A')),
+                b'a'..=b'z' => Some(u32::from(c - b'a' + 26)),
+                b'0'..=b'9' => Some(u32::from(c - b'0' + 52)),
+                b'-' => Some(62),
+                b'_' => Some(63),
+                _ => None,
+            }
+        }
+        out.clear();
+        let bytes = input.trim_end_matches('=').as_bytes();
+        for (ci, chunk) in bytes.chunks(4).enumerate() {
+            let i = ci * 4;
+            if chunk.len() == 1 {
+                return Err(WireError::InvalidBase64(i));
+            }
+            let mut acc: u32 = 0;
+            for (j, &c) in chunk.iter().enumerate() {
+                let v = decode_char(c).ok_or(WireError::InvalidBase64(i + j))?;
+                acc |= v << (18 - 6 * j);
+            }
+            let [_, o0, o1, o2] = acc.to_be_bytes();
+            out.push(o0);
+            if chunk.len() > 2 {
+                out.push(o1);
+            }
+            if chunk.len() > 3 {
+                out.push(o2);
+            }
+        }
+        Ok(())
+    }
+
+    /// `decode_into` and the per-character decoder on one input: the same
+    /// octets, or the same error at the same position with the same octets
+    /// decoded before it.
+    fn agree(input: &str, table: &mut Vec<u8>, oracle: &mut Vec<u8>) {
+        let got = decode_into(input, table);
+        let expected = per_character_decode(input, oracle);
+        assert_eq!(got, expected, "{input:?}");
+        assert_eq!(table, oracle, "{input:?}");
+    }
+
+    /// Every string of length 0-3 over the alphabet, `=`, and two octets
+    /// outside it; every string of length 4-5 over the ends of the
+    /// alphabet's four ranges, `=` and the same two; and every ASCII octet
+    /// and a few non-ASCII characters at each position of a 5-character
+    /// string. The table decodes what the per-character match decoded.
+    #[test]
+    fn the_table_decoder_is_the_per_character_decoder() {
+        fn strings(symbols: &[char], len: usize, each: &mut impl FnMut(&str)) {
+            let mut indices = vec![0; len];
+            let mut text = String::new();
+            loop {
+                text.clear();
+                text.extend(indices.iter().map(|&i| symbols[i]));
+                each(&text);
+                let Some(last) = indices.iter().rposition(|&i| i + 1 < symbols.len()) else {
+                    return;
+                };
+                indices[last] += 1;
+                indices[last + 1..].fill(0);
+            }
+        }
+        let (mut table, mut oracle) = (Vec::new(), Vec::new());
+        let mut cases = 0;
+        let mut every: Vec<char> = ALPHABET.iter().map(|&c| char::from(c)).collect();
+        every.extend(['=', '+', '.']);
+        for len in 0..=3 {
+            strings(&every, len, &mut |text| {
+                agree(text, &mut table, &mut oracle);
+                cases += 1;
+            });
+        }
+        let ends = ['A', 'Z', 'a', 'z', '0', '9', '-', '_', '=', '+', '.'];
+        for len in 4..=5 {
+            strings(&ends, len, &mut |text| {
+                agree(text, &mut table, &mut oracle);
+                cases += 1;
+            });
+        }
+        let mut odd: Vec<char> = (0..=127u8).map(char::from).collect();
+        odd.extend(['é', '€', '\u{10348}']);
+        for at in 0..5 {
+            for &c in &odd {
+                let mut text: Vec<char> = "Zm9vY".chars().collect();
+                text[at] = c;
+                agree(&text.iter().collect::<String>(), &mut table, &mut oracle);
+                cases += 1;
+            }
+        }
+        println!("base64url oracle: {cases} inputs agree");
     }
 
     #[test]

@@ -146,19 +146,24 @@ impl RData {
     }
 
     /// Decodes rdata of the given type from exactly `len` octets: kept when
-    /// `KEEP`, otherwise checked just as strictly and let go — names read
-    /// as the root, strings, options and raw octets not copied — so a
-    /// message is validated by this one decoder without allocating.
+    /// `KEEP`, otherwise checked just as strictly and let go — names,
+    /// strings, options and raw octets stepped over, nothing copied, and
+    /// no `RData` built to be dropped ([`Keeps`]) — so a message is
+    /// validated by this one match over types without allocating.
     ///
     /// # Errors
     ///
     /// Returns an error when the declared length does not match the content
     /// or the content is malformed.
+    #[inline]
     pub(crate) fn read<const KEEP: bool>(
         r: &mut WireReader<'_>,
         rtype: RrType,
         len: usize,
-    ) -> WireResult<Self> {
+    ) -> WireResult<<Kept<KEEP> as Keeps>::Out>
+    where
+        Kept<KEEP>: Keeps,
+    {
         let start = r.position();
         let rdata = match rtype {
             RrType::A => {
@@ -167,18 +172,32 @@ impl RData {
                         expected: "A rdata",
                     });
                 };
-                RData::A(Ipv4Addr::new(a, b, c, d))
+                Kept::<KEEP>::keep(|| RData::A(Ipv4Addr::new(a, b, c, d)))
             }
             RrType::Aaaa => {
                 let bytes = r.read_bytes(16)?;
-                let mut octets = [0u8; 16];
-                octets.copy_from_slice(bytes);
-                RData::Aaaa(Ipv6Addr::from(octets))
+                Kept::<KEEP>::keep(|| {
+                    let mut octets = [0u8; 16];
+                    octets.copy_from_slice(bytes);
+                    RData::Aaaa(Ipv6Addr::from(octets))
+                })
             }
-            RrType::Ns => RData::Ns(r.name::<KEEP>()?),
-            RrType::Cname => RData::Cname(r.name::<KEEP>()?),
-            RrType::Ptr => RData::Ptr(r.name::<KEEP>()?),
-            RrType::Mx => RData::Mx(Mx::read::<KEEP>(r)?),
+            RrType::Ns => {
+                let name = r.name::<KEEP>()?;
+                Kept::<KEEP>::keep(|| RData::Ns(name))
+            }
+            RrType::Cname => {
+                let name = r.name::<KEEP>()?;
+                Kept::<KEEP>::keep(|| RData::Cname(name))
+            }
+            RrType::Ptr => {
+                let name = r.name::<KEEP>()?;
+                Kept::<KEEP>::keep(|| RData::Ptr(name))
+            }
+            RrType::Mx => {
+                let mx = Mx::read::<KEEP>(r)?;
+                Kept::<KEEP>::keep(|| RData::Mx(mx))
+            }
             RrType::Txt => {
                 let end = start + len;
                 let mut strings = Vec::new();
@@ -189,17 +208,26 @@ impl RData {
                         strings.push(string.to_vec());
                     }
                 }
-                RData::Txt(strings)
+                Kept::<KEEP>::keep(|| RData::Txt(strings))
             }
-            RrType::Soa => RData::Soa(Soa::read::<KEEP>(r)?),
-            RrType::Srv => RData::Srv(Srv::read::<KEEP>(r)?),
-            RrType::Opt => RData::Opt(OptRdata::read::<KEEP>(r, len)?),
+            RrType::Soa => {
+                let soa = Soa::read::<KEEP>(r)?;
+                Kept::<KEEP>::keep(|| RData::Soa(soa))
+            }
+            RrType::Srv => {
+                let srv = Srv::read::<KEEP>(r)?;
+                Kept::<KEEP>::keep(|| RData::Srv(srv))
+            }
+            RrType::Opt => {
+                let opt = OptRdata::read::<KEEP>(r, len)?;
+                Kept::<KEEP>::keep(|| RData::Opt(opt))
+            }
             other => {
                 let data = r.read_bytes(len)?;
-                RData::Unknown {
+                Kept::<KEEP>::keep(|| RData::Unknown {
                     rtype: other.code(),
-                    data: if KEEP { data.to_vec() } else { Vec::new() },
-                }
+                    data: data.to_vec(),
+                })
             }
         };
         let consumed = r.position() - start;
@@ -211,6 +239,37 @@ impl RData {
         }
         Ok(rdata)
     }
+}
+
+/// The walk over rdata that keeps (`Kept<true>`) or only checks
+/// (`Kept<false>`) what it reads; see [`Keeps`].
+pub(crate) struct Kept<const KEEP: bool>;
+
+/// What [`RData::read`] hands back: the decoded [`RData`] when it keeps,
+/// nothing when it only checks. Each arm of its match names the rdata it
+/// would build, and the checking walk never builds it.
+pub(crate) trait Keeps {
+    /// `RData`, or `()`.
+    type Out;
+
+    /// The rdata `make` builds, or nothing without calling it.
+    fn keep(make: impl FnOnce() -> RData) -> Self::Out;
+}
+
+impl Keeps for Kept<true> {
+    type Out = RData;
+
+    #[inline(always)]
+    fn keep(make: impl FnOnce() -> RData) -> RData {
+        make()
+    }
+}
+
+impl Keeps for Kept<false> {
+    type Out = ();
+
+    #[inline(always)]
+    fn keep(_: impl FnOnce() -> RData) {}
 }
 
 impl fmt::Display for RData {

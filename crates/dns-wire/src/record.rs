@@ -97,15 +97,9 @@ impl Record {
     /// Returns an error when the record is truncated or its rdata is
     /// malformed.
     pub fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        Self::read::<true>(r)
-    }
-
-    /// [`Record::decode`], keeping the owner name and the rdata only when
-    /// `KEEP` (see [`MessageView`](crate::MessageView)).
-    pub(crate) fn read<const KEEP: bool>(r: &mut WireReader<'_>) -> WireResult<Self> {
-        let name = r.name::<KEEP>()?;
+        let name = r.read_name()?;
         let fixed = Fixed::read(r)?;
-        let rdata = RData::read::<KEEP>(r, fixed.rtype, fixed.rdlength)?;
+        let rdata = RData::read::<true>(r, fixed.rtype, fixed.rdlength)?;
         Ok(Record {
             name,
             rclass: fixed.rclass,
@@ -114,11 +108,13 @@ impl Record {
         })
     }
 
-    /// `read::<false>` without building the record it then drops: what the
-    /// validating walk of a [`MessageView`](crate::MessageView) does per
-    /// record. The record checked is lent back where it lies.
+    /// The checks of [`Record::decode`] without building the record: what
+    /// the validating walk of a [`MessageView`](crate::MessageView) does
+    /// per record. The owner name is walked into nothing and the rdata
+    /// checked by the one match over types that decodes it, which hands
+    /// nothing back. The record checked is lent back where it lies.
     pub(crate) fn skip<'a>(r: &mut WireReader<'a>) -> WireResult<RecordView<'a>> {
-        r.name::<false>()?;
+        r.walk_name(&mut ())?;
         let fixed = Fixed::read(r)?;
         // `Fixed::read` checked that the rdata is there.
         let rdata = r.clone().read_bytes(fixed.rdlength)?;

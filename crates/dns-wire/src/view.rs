@@ -13,10 +13,12 @@
 //! # One walk, kept or not
 //!
 //! The view and the copy are one walk with a `KEEP` parameter, and so are
-//! the readers under it: `Question`, `Record` and `RData` read with
-//! `KEEP`, and a name goes through the one loop over its labels
-//! (`WireReader::walk_name`) into an owned buffer or nowhere. A walk that
-//! keeps nothing allocates nothing; a copy that keeps everything cannot
+//! the readers under it: `Question` and `RData` read with `KEEP` (rdata
+//! that is not kept is checked by the same match over types and handed
+//! back as nothing, no enum built to be dropped), a record is read whole
+//! or skipped over those, and a name goes through the one loop over its
+//! labels (`WireReader::walk_name`) into an owned buffer or nowhere. A walk
+//! that keeps nothing allocates nothing; a copy that keeps everything cannot
 //! disagree with the view about what is valid. Once a packet is valid, its
 //! records are read by stepping: a name ends at its first pointer, and
 //! rdata is RDLENGTH octets. [`MessageView::least_answer_ttl`] steps the
@@ -260,7 +262,7 @@ fn records<'a, const KEEP: bool>(
     if KEEP {
         *kept = Vec::with_capacity(usize::from(count));
         for _ in 0..count {
-            kept.push(Record::read::<true>(r)?);
+            kept.push(Record::decode(r)?);
         }
     } else {
         seen.announce(count, r.remaining());

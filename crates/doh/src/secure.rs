@@ -21,42 +21,65 @@
 //! # The record
 //!
 //! A record is `ciphertext || tag`, the tag 8 octets, big end first. Key
-//! and sequence number are absorbed once into a stream state; word `n` of
-//! its keystream covers octets `8n..8n + 8` of the record and is XORed
-//! over them where they lie. The tag absorbs the ciphertext **a word per
-//! step**, not an octet per step:
+//! and sequence number are absorbed into a stream state; word `n` of its
+//! keystream covers octets `8n..8n + 8` of the record and is XORed over
+//! them where they lie. The tag absorbs the ciphertext a word per step,
+//! chained in **four lanes**: word `i` goes into lane `i mod 4`.
 //!
 //! ```text
-//! acc = word(u64::MAX)
-//! acc = mix(acc ^ w)      for each full big-endian 8-octet word w
-//! acc = mix(acc ^ tail)   the 0..=7 octets left over, zero-padded; always, also when none are left
-//! tag = mix(acc ^ len)    the ciphertext's length in octets
+//! lane[k] = word(u64::MAX - k)     k = 0..4: four distinct start values
+//! lane[i mod 4] = mix(lane[i mod 4] ^ w)
+//!                                  each full big-endian 8-octet word w, i its index
+//! lane[n mod 4] = mix(lane[n mod 4] ^ tail)
+//!                                  the 0..=7 octets left over, zero-padded, n the number
+//!                                  of full words; always, also when none are left
+//! acc = 0
+//! acc = mix(acc ^ lane[k])         k = 0, 1, 2, 3: the lanes folded in lane order
+//! tag = mix(acc ^ len)             the ciphertext's length in octets
 //! ```
 //!
 //! `mix` is a bijection, so the tag is bound to the key and the sequence
-//! number (the start value), to every octet at its position (one changed
-//! word changes every later `acc`) and to the record's length (`"ab"` and
-//! `"ab\0"` share a tail word and still differ). The keystream octets are
-//! the ones this module always produced — `word(n)` is computed from the
-//! same constants in the same order, only the key is no longer re-absorbed
-//! for every word — so a ciphertext sealed before the tag changed differs
-//! from one sealed now in its last 8 octets only.
+//! number (the start values), to every octet at its position (one changed
+//! word changes every later value of its lane; two words swapped between
+//! lanes meet different start values, within a lane a different chain),
+//! and to the record's length (`"ab"` and `"ab\0"` share a tail word and
+//! still differ). One lane made every word wait for the `mix` of the one
+//! before it; with four independent chains the keystream's multiplies and
+//! the lanes' multiplies overlap.
+//!
+//! The key is absorbed **once per key and direction**: a [`SecretKey`]
+//! carries the stream states (keystream state and lane start values) of
+//! [`SEQ_CLIENT`] and [`SEQ_SERVER`], made with the key, and any other
+//! sequence number goes through the same absorb function at call time.
+//!
+//! The keystream octets are the ones this module always produced —
+//! `word(n)` is computed from the same constants in the same order — and
+//! only the chain over them changed when the tag went from one lane to
+//! four: a ciphertext sealed before differs from one sealed now in its
+//! last 8 octets only, and a record's length, hence every byte count an
+//! exchange reports, is what it was.
 //!
 //! Sealing and opening are **one pass** over the octets: each word is
-//! XORed and chained into the tag in the same step (sealing chains the word
-//! it wrote, opening the word it read), so the record is walked once, not
-//! once to cipher and once to tag. Opening therefore deciphers before it
-//! knows whether the tag holds; a record whose tag fails is put back as it
-//! was given by applying the keystream again, so a failed
+//! XORed and chained into its lane in the same step (sealing chains the
+//! word it wrote, opening the word it read), so the record is walked once,
+//! not once to cipher and once to tag. Opening therefore deciphers before
+//! it knows whether the tag holds; a record whose tag fails is put back as
+//! it was given by applying the keystream again, so a failed
 //! [`open_in_place`] leaves its buffer byte for byte untouched.
 
 use std::fmt;
 
 use crate::error::{DohError, DohResult};
 
-/// A 256-bit pre-shared channel key pinned to a resolver name.
+/// A 256-bit pre-shared channel key pinned to a resolver name, with the
+/// stream states of both directions absorbed from it once (the module
+/// doc, "The record").
 #[derive(Clone, PartialEq, Eq)]
-pub struct SecretKey(pub [u8; 32]);
+pub struct SecretKey {
+    octets: [u8; 32],
+    /// The streams of [`SEQ_CLIENT`] and [`SEQ_SERVER`], in that order.
+    directions: [Stream; 2],
+}
 
 impl SecretKey {
     /// Derives a key deterministically from a seed and a label; used by the
@@ -64,15 +87,32 @@ impl SecretKey {
     /// experiment seed.
     pub fn derive(seed: u64, label: &str) -> Self {
         let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-        let mut key = [0u8; 32];
+        let mut octets = [0u8; 32];
         for (i, b) in label.bytes().enumerate() {
             state = mix(state ^ (u64::from(b) << (8 * (i % 8))));
         }
-        for chunk in key.chunks_mut(8) {
+        for chunk in octets.chunks_mut(8) {
             state = mix(state);
             chunk.copy_from_slice(&state.to_be_bytes());
         }
-        SecretKey(key)
+        SecretKey {
+            octets,
+            directions: [
+                Stream::absorb(&octets, SEQ_CLIENT),
+                Stream::absorb(&octets, SEQ_SERVER),
+            ],
+        }
+    }
+
+    /// The stream of `seq`: made with the key for the two directions,
+    /// absorbed here for any other sequence number.
+    fn stream(&self, seq: u64) -> Stream {
+        let [client, server] = self.directions;
+        match seq {
+            SEQ_CLIENT => client,
+            SEQ_SERVER => server,
+            _ => Stream::absorb(&self.octets, seq),
+        }
     }
 }
 
@@ -92,24 +132,35 @@ fn mix(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The keystream of one `(key, seq)`: the key is absorbed here, once, and
-/// every word is one `mix` away.
-#[derive(Clone, Copy)]
-struct Stream(u64);
+/// The keystream of one `(key, seq)` and the start values of its tag's
+/// four lanes: everything a record needs of the key, every keystream word
+/// one `mix` away.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Stream {
+    state: u64,
+    lanes: [u64; 4],
+}
 
 impl Stream {
-    fn new(key: &SecretKey, seq: u64) -> Self {
-        let (words, _) = key.0.as_chunks::<8>();
+    /// Absorbs the key and the sequence number: the one place a key's
+    /// octets are read.
+    fn absorb(key: &[u8; 32], seq: u64) -> Self {
+        let (words, _) = key.as_chunks::<8>();
         let state = words
             .iter()
             .fold(seq ^ 0xA5A5_A5A5_5A5A_5A5A, |state, word| {
                 mix(state ^ u64::from_be_bytes(*word))
             });
-        Stream(state)
+        let mut stream = Stream {
+            state,
+            lanes: [0; 4],
+        };
+        stream.lanes = [0, 1, 2, 3].map(|k| stream.word(u64::MAX - k));
+        stream
     }
 
     fn word(self, n: u64) -> u64 {
-        mix(self.0 ^ n.wrapping_mul(0xD6E8_FEB8_6659_FD93))
+        mix(self.state ^ n.wrapping_mul(0xD6E8_FEB8_6659_FD93))
     }
 
     /// XORs the keystream over `data` in place, 8 octets at a time. The
@@ -126,23 +177,39 @@ impl Stream {
         }
     }
 
-    /// The one pass over a record's octets: the keystream XORed over
-    /// `data` and, in the same step, the ciphertext chained into the tag —
-    /// the word written when sealing (`SEAL`), the word read when opening.
-    /// Returns the tag of the ciphertext; the module doc spells out the
-    /// chain.
+    /// Word `n` of a record: the keystream XORed over it and, in the same
+    /// step, the ciphertext chained into `lane` — the word written when
+    /// sealing (`SEAL`), the word read when opening.
+    #[inline(always)]
+    fn step<const SEAL: bool>(self, word: &mut [u8; 8], n: u64, lane: &mut u64) {
+        let read = u64::from_be_bytes(*word);
+        let written = read ^ self.word(n);
+        *word = written.to_be_bytes();
+        *lane = mix(*lane ^ if SEAL { written } else { read });
+    }
+
+    /// The one pass over a record's octets, four words at a time, one per
+    /// lane. Returns the tag of the ciphertext; the module doc spells out
+    /// the chain.
     fn pass<const SEAL: bool>(self, data: &mut [u8]) -> u64 {
         let len = u64::try_from(data.len()).unwrap_or(u64::MAX);
+        let mut lanes = self.lanes;
         let (words, tail) = data.as_chunks_mut::<8>();
-        let mut acc = self.word(u64::MAX);
+        let (quads, rest) = words.as_chunks_mut::<4>();
         let mut n = 0u64;
-        for word in words {
-            let read = u64::from_be_bytes(*word);
-            let written = read ^ self.word(n);
-            *word = written.to_be_bytes();
-            acc = mix(acc ^ if SEAL { written } else { read });
+        for quad in quads {
+            for (word, lane) in quad.iter_mut().zip(&mut lanes) {
+                self.step::<SEAL>(word, n, lane);
+                n += 1;
+            }
+        }
+        let mut open_lanes = lanes.iter_mut();
+        for (word, lane) in rest.iter_mut().zip(&mut open_lanes) {
+            self.step::<SEAL>(word, n, lane);
             n += 1;
         }
+        // The tail's lane is the next one: fewer than four words are left
+        // over, so there always is one.
         let mut last = [0u8; 8];
         for ((octet, key_octet), cipher) in tail
             .iter_mut()
@@ -153,7 +220,10 @@ impl Stream {
             *octet ^= key_octet;
             *cipher = if SEAL { *octet } else { read };
         }
-        acc = mix(acc ^ u64::from_be_bytes(last));
+        if let Some(lane) = open_lanes.next() {
+            *lane = mix(*lane ^ u64::from_be_bytes(last));
+        }
+        let acc = lanes.iter().fold(0, |acc, &lane| mix(acc ^ lane));
         mix(acc ^ len)
     }
 }
@@ -172,7 +242,7 @@ pub fn seal(key: &SecretKey, seq: u64, plaintext: &[u8]) -> Vec<u8> {
 /// alone; a `from` past the end seals the empty plaintext.
 pub fn seal_in_place(key: &SecretKey, seq: u64, buf: &mut Vec<u8>, from: usize) {
     let plaintext = buf.get_mut(from..).unwrap_or_default();
-    let tag = Stream::new(key, seq).pass::<true>(plaintext);
+    let tag = key.stream(seq).pass::<true>(plaintext);
     buf.extend_from_slice(&tag.to_be_bytes());
 }
 
@@ -203,7 +273,7 @@ pub fn open_in_place<'r>(key: &SecretKey, seq: u64, record: &'r mut [u8]) -> Doh
             "record shorter than its tag".into(),
         ));
     };
-    let stream = Stream::new(key, seq);
+    let stream = key.stream(seq);
     if stream.pass::<false>(ciphertext) != u64::from_be_bytes(*presented) {
         stream.apply(ciphertext);
         return Err(DohError::ChannelAuthentication(
@@ -359,6 +429,65 @@ mod tests {
         assert_eq!(record[..40], golden);
     }
 
+    /// The tag of the golden vector's record, captured when the tag went
+    /// from one lane to four: the keystream above did not move, only
+    /// these 8 octets did.
+    #[test]
+    fn tag_matches_the_golden_vector() {
+        let key = SecretKey::derive(42, "dns.google");
+        let record = seal(
+            &key,
+            SEQ_CLIENT,
+            b"PRI * HTTP/2.0 over a forty-octet record",
+        );
+        let golden: [u8; 8] = [0xce, 0xa4, 0x47, 0xcb, 0xf6, 0xa5, 0x1c, 0x0a];
+        assert_eq!(record[40..], golden);
+    }
+
+    /// Two distinct words of a record swapped, in the same lane or in two
+    /// different ones, the tag included: the record no longer opens.
+    #[test]
+    fn a_record_with_two_words_swapped_does_not_open() {
+        let key = SecretKey::derive(42, "dns.google");
+        let text: Vec<u8> = (0..72u8).map(|i| i.wrapping_mul(29) ^ 0xC3).collect();
+        let mut swaps = 0;
+        for len in [16, 23, 32, 40, 57, 64, 72] {
+            let record = seal(&key, SEQ_CLIENT, &text[..len]);
+            let words = record.len() / 8;
+            for i in 0..words {
+                for j in i + 1..words {
+                    let mut swapped = record.clone();
+                    let (a, b) = (i * 8, j * 8);
+                    if swapped[a..a + 8] == swapped[b..b + 8] {
+                        continue;
+                    }
+                    for k in 0..8 {
+                        swapped.swap(a + k, b + k);
+                    }
+                    assert!(
+                        open(&key, SEQ_CLIENT, &swapped).is_err(),
+                        "words {i} and {j} of {len}"
+                    );
+                    swaps += 1;
+                }
+            }
+        }
+        assert!(swaps > 100, "{swaps} swaps");
+    }
+
+    /// A sequence number other than the two directions absorbs the key at
+    /// call time, into the states the directions were made with.
+    #[test]
+    fn the_directions_are_the_streams_absorbed_at_call_time() {
+        let key = SecretKey::derive(42, "dns.google");
+        assert!(key.stream(SEQ_CLIENT) == Stream::absorb(&key.octets, SEQ_CLIENT));
+        assert!(key.stream(SEQ_SERVER) == Stream::absorb(&key.octets, SEQ_SERVER));
+        let record = seal(&key, 7, b"a third direction");
+        assert_eq!(record, two_pass_seal(&key, 7, b"a third direction"));
+        assert_eq!(open(&key, 7, &record).unwrap(), b"a third direction");
+        assert!(open(&key, SEQ_SERVER, &record).is_err());
+    }
+
     /// Every plaintext length around the word boundaries: the record opens,
     /// and no record one bit, one octet or one parameter away from it does.
     #[test]
@@ -408,21 +537,28 @@ mod tests {
         }
     }
 
-    /// The record as it was built before sealing and opening became one
-    /// pass: the keystream XORed over the plaintext, then the tag chained
-    /// over the ciphertext in a second walk.
+    /// The record by its definition, the way the module doc writes it: the
+    /// key absorbed at call time, the keystream XORed over the plaintext,
+    /// then, in a second walk over the ciphertext, word `i` chained into
+    /// lane `i % 4`, the zero-padded tail into the next, the lanes folded
+    /// in lane order and then with the length.
     fn two_pass_seal(key: &SecretKey, seq: u64, plaintext: &[u8]) -> Vec<u8> {
-        let stream = Stream::new(key, seq);
+        let stream = Stream::absorb(&key.octets, seq);
         let mut record = plaintext.to_vec();
         stream.apply(&mut record);
+        let mut lanes: Vec<u64> = (0..4).map(|k| stream.word(u64::MAX - k)).collect();
         let (words, tail) = record.as_chunks::<8>();
-        let mut acc = stream.word(u64::MAX);
-        for word in words {
-            acc = mix(acc ^ u64::from_be_bytes(*word));
+        for (i, word) in words.iter().enumerate() {
+            lanes[i % 4] = mix(lanes[i % 4] ^ u64::from_be_bytes(*word));
         }
         let mut last = [0u8; 8];
         last[..tail.len()].copy_from_slice(tail);
-        acc = mix(acc ^ u64::from_be_bytes(last));
+        let n = words.len() % 4;
+        lanes[n] = mix(lanes[n] ^ u64::from_be_bytes(last));
+        let mut acc = 0;
+        for lane in lanes {
+            acc = mix(acc ^ lane);
+        }
         let tag = mix(acc ^ u64::try_from(record.len()).unwrap());
         record.extend_from_slice(&tag.to_be_bytes());
         record
@@ -500,16 +636,16 @@ mod tests {
     #[test]
     fn key_derivation_is_deterministic_and_label_sensitive() {
         assert_eq!(
-            SecretKey::derive(5, "dns.google").0,
-            SecretKey::derive(5, "dns.google").0
+            SecretKey::derive(5, "dns.google"),
+            SecretKey::derive(5, "dns.google")
         );
         assert_ne!(
-            SecretKey::derive(5, "dns.google").0,
-            SecretKey::derive(5, "dns.quad9.net").0
+            SecretKey::derive(5, "dns.google"),
+            SecretKey::derive(5, "dns.quad9.net")
         );
         assert_ne!(
-            SecretKey::derive(5, "dns.google").0,
-            SecretKey::derive(6, "dns.google").0
+            SecretKey::derive(5, "dns.google"),
+            SecretKey::derive(6, "dns.google")
         );
     }
 

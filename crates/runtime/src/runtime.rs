@@ -115,6 +115,11 @@ const SNAPSHOT_POLL: Duration = Duration::from_micros(50);
 /// error, so a persistent one (descriptor exhaustion) cannot spin it.
 const ERROR_BACKOFF: Duration = Duration::from_millis(1);
 
+/// How long a TCP connection may leave a read or a write of its without
+/// progress before it is dropped: the one connection served at a time
+/// holds back the next no longer than this.
+const TCP_IO_BUDGET: Duration = Duration::from_secs(2);
+
 /// The timer thread's name. `pool-bench` attributes a runtime thread's CPU
 /// by its name, and counts a thread outside `sdoh-dispatch`, `sdoh-shard-*`,
 /// `sdoh-tcp`, `sdoh-refresh` and `sdoh-stats` as the harness's: under any
@@ -989,11 +994,16 @@ fn tcp_loop(
                 // Connections are handled inline: the TCP path only exists
                 // as the fallback for truncated answers, so one connection
                 // at a time keeps the thread budget fixed. A silent client
-                // holds the next one back until its read times out; what
-                // removes that is non-blocking connections polled by this
-                // one thread, not a thread per connection (ROADMAP item 3b).
+                // holds the next one back until its read times out, and a
+                // client that sends but never reads until a write of its
+                // answers has made no progress for as long: the write
+                // budget is the read budget, as the stats listener's is.
+                // What removes the hold-up is non-blocking connections
+                // polled by this one thread, not a thread per connection
+                // (ROADMAP item 3b).
                 let set = stream
-                    .set_read_timeout(Some(Duration::from_secs(2)))
+                    .set_read_timeout(Some(TCP_IO_BUDGET))
+                    .and_then(|()| stream.set_write_timeout(Some(TCP_IO_BUDGET)))
                     .and_then(|()| stream.set_nodelay(true));
                 if set.is_ok() {
                     let _ = serve_framed(stream, shards, counters);

@@ -194,6 +194,78 @@ fn a_client_that_resets_its_connection_does_not_end_the_tcp_fallback() {
     assert_eq!(stats.tcp_queries, 1, "the resets carried no query");
 }
 
+/// One length-prefixed query over TCP and its answer, read within `budget`.
+fn tcp_exchange(
+    stream: &mut std::net::TcpStream,
+    query: &[u8],
+    budget: Duration,
+) -> std::io::Result<Message> {
+    use std::io::{Read, Write};
+    stream.set_read_timeout(Some(budget))?;
+    let mut framed = u16::try_from(query.len()).unwrap().to_be_bytes().to_vec();
+    framed.extend_from_slice(query);
+    stream.write_all(&framed)?;
+    let mut len = [0u8; 2];
+    stream.read_exact(&mut len)?;
+    let mut answer = vec![0; usize::from(u16::from_be_bytes(len))];
+    stream.read_exact(&mut answer)?;
+    Ok(Message::decode(&answer).expect("a DNS answer"))
+}
+
+#[test]
+fn a_tcp_client_that_never_reads_does_not_wedge_the_fallback() {
+    // 600-address answers (~10 KB each): a client that pipelines queries
+    // and never reads its answers fills its receive buffer and the
+    // server's send buffer, and the server's write of the next answer
+    // stalls. The kernel may let it trickle on for a while (each send
+    // that moves an octet starts the 2 s budget again), so B gets a
+    // generous bound; without a write budget it waits for ever.
+    let fleet = LoopbackFleet::build(LoopbackConfig {
+        addresses_per_domain: 200,
+        ..LoopbackConfig::default()
+    });
+    let shards = fleet
+        .shards(2, PoolConfig::algorithm1(), CacheConfig::default())
+        .expect("valid config");
+    let runtime = PoolRuntime::start(RuntimeConfig::default(), shards).expect("bind loopback");
+    let query = Message::query(5, fleet.domains[0].clone(), RrType::A)
+        .encode()
+        .unwrap()
+        .to_vec();
+
+    let mut framed = u16::try_from(query.len()).unwrap().to_be_bytes().to_vec();
+    framed.extend_from_slice(&query);
+    let silent = std::net::TcpStream::connect(runtime.tcp_addr()).expect("connect A");
+    let mut writer = silent.try_clone().expect("clone A");
+    let pipelined = std::thread::spawn(move || {
+        use std::io::Write;
+        let mut sent = 0u64;
+        // Ends when the server drops the connection, or when the test
+        // shuts it down.
+        while writer.write_all(&framed).is_ok() {
+            sent += 1;
+        }
+        sent
+    });
+    std::thread::sleep(Duration::from_secs(1));
+
+    let mut other = std::net::TcpStream::connect(runtime.tcp_addr()).expect("connect B");
+    let asked = std::time::Instant::now();
+    let answered = tcp_exchange(&mut other, &query, Duration::from_secs(15));
+    let waited = asked.elapsed();
+    // Unblock the server however the exchange went, so that it can stop:
+    // A's writer is stopped, and A closed with answers unread is reset.
+    let _ = silent.shutdown(std::net::Shutdown::Both);
+    let sent = pipelined.join().expect("writer");
+    drop(silent);
+    runtime.shutdown();
+
+    let answer = answered.unwrap_or_else(|error| {
+        panic!("B unanswered after {waited:?} behind {sent} pipelined queries: {error}")
+    });
+    assert_eq!(answer.answer_addresses().len(), 600);
+}
+
 #[test]
 fn every_answer_of_a_cold_burst_keeps_the_guarantee_in_one_round_trip_each() {
     // Five resolvers, one compromised, majority vote, a 50 ms upstream

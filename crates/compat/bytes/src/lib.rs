@@ -128,35 +128,36 @@ impl From<BytesMut> for Vec<u8> {
     }
 }
 
-/// Big-endian buffer-writing operations.
+/// Big-endian buffer-writing operations: a writer gives `put_slice`, and
+/// the putters of wider values come with it, as in the real crate.
 pub trait BufMut {
-    /// Appends one byte.
-    fn put_u8(&mut self, v: u8);
-    /// Appends a big-endian `u16`.
-    fn put_u16(&mut self, v: u16);
-    /// Appends a big-endian `u32`.
-    fn put_u32(&mut self, v: u32);
-    /// Appends a big-endian `u64`.
-    fn put_u64(&mut self, v: u64);
     /// Appends a slice.
     fn put_slice(&mut self, v: &[u8]);
+
+    /// Appends one byte.
+    fn put_u8(&mut self, v: u8) {
+        self.put_slice(&[v]);
+    }
+
+    /// Appends a big-endian `u16`.
+    fn put_u16(&mut self, v: u16) {
+        self.put_slice(&v.to_be_bytes());
+    }
+
+    /// Appends a big-endian `u32`.
+    fn put_u32(&mut self, v: u32) {
+        self.put_slice(&v.to_be_bytes());
+    }
+
+    /// Appends a big-endian `u64`.
+    fn put_u64(&mut self, v: u64) {
+        self.put_slice(&v.to_be_bytes());
+    }
 }
 
 impl BufMut for BytesMut {
     fn put_u8(&mut self, v: u8) {
         self.0.push(v);
-    }
-
-    fn put_u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn put_u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn put_u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_be_bytes());
     }
 
     fn put_slice(&mut self, v: &[u8]) {
@@ -167,18 +168,6 @@ impl BufMut for BytesMut {
 impl BufMut for Vec<u8> {
     fn put_u8(&mut self, v: u8) {
         self.push(v);
-    }
-
-    fn put_u16(&mut self, v: u16) {
-        self.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn put_u32(&mut self, v: u32) {
-        self.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn put_u64(&mut self, v: u64) {
-        self.extend_from_slice(&v.to_be_bytes());
     }
 
     fn put_slice(&mut self, v: &[u8]) {

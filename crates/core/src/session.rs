@@ -47,6 +47,7 @@ use std::sync::Arc;
 
 use sdoh_dns_server::{ExchangeRequest, Exchanger};
 use sdoh_dns_wire::{Name, RrType};
+use sdoh_doh::DohQuestion;
 use sdoh_netsim::{NetResult, SimInstant};
 
 use crate::combine::combine;
@@ -162,8 +163,9 @@ impl PoolSession {
     ///
     /// # Errors
     ///
-    /// Returns [`PoolError::NoResolvers`] for an empty source list and
-    /// configuration validation errors.
+    /// Returns [`PoolError::NoResolvers`] for an empty source list,
+    /// configuration validation errors, and [`PoolError::Generation`] for a
+    /// name no query can carry (none of `Name`'s constructors builds one).
     pub(crate) fn plan(
         config: PoolConfig,
         sources: Arc<[Box<dyn AddressSource>]>,
@@ -185,9 +187,18 @@ impl PoolSession {
         let mut ids = IdStream::new(seed);
         let mut transactions = Vec::with_capacity(slots * sources.len());
         for (pass, rtypes) in passes.iter().enumerate() {
+            // Each question of the pass (one type or two) encoded once, for
+            // every source to ask.
+            let mut questions = [None, None];
+            for (question, &rtype) in questions.iter_mut().zip(rtypes.iter()) {
+                *question = Some(
+                    DohQuestion::new(domain, rtype)
+                        .map_err(|e| PoolError::Generation(e.to_string()))?,
+                );
+            }
             for (source_index, source) in sources.iter().enumerate() {
-                for &rtype in rtypes.iter() {
-                    let state = match source.start_fetch(domain, rtype, ids.next_id()) {
+                for question in questions.iter().flatten() {
+                    let state = match source.start_fetch(question, ids.next_id()) {
                         FetchStart::Transmit { request, pending } => {
                             TxState::Queued { request, pending }
                         }
@@ -739,8 +750,8 @@ mod tests {
                 "v4-only"
             }
 
-            fn start_fetch(&self, _domain: &Name, rtype: RrType, _id: u16) -> FetchStart {
-                match rtype {
+            fn start_fetch(&self, question: &DohQuestion, _id: u16) -> FetchStart {
+                match question.rtype() {
                     RrType::Aaaa => {
                         FetchStart::Immediate(Err(FetchError::Transport("no v6 route".into())))
                     }

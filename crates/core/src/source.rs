@@ -19,7 +19,7 @@ use std::net::IpAddr;
 
 use sdoh_dns_server::{ExchangeRequest, Exchanger};
 use sdoh_dns_wire::{Name, Rcode, RrType};
-use sdoh_doh::{DohClient, DohMethod, ResolverInfo};
+use sdoh_doh::{DohClient, DohMethod, DohQuestion, ResolverInfo};
 use sdoh_netsim::NetResult;
 
 /// Why one resolver failed to produce an address list.
@@ -101,9 +101,10 @@ pub trait AddressSource: Send + Sync {
     fn source_name(&self) -> &str;
 
     /// Sans-IO first half of one lookup: describes the exchange needed to
-    /// resolve the address records of `rtype` for `domain`. `id` is the
-    /// transaction id to use if the source's protocol needs one.
-    fn start_fetch(&self, domain: &Name, rtype: RrType, id: u16) -> FetchStart;
+    /// resolve the address records `question` asks for — encoded once, for
+    /// every source of the generation to ask. `id` is the transaction id to
+    /// use if the source's protocol needs one.
+    fn start_fetch(&self, question: &DohQuestion, id: u16) -> FetchStart;
 
     /// Sans-IO second half: decodes the transport outcome of the exchange
     /// described by [`AddressSource::start_fetch`] into an address list.
@@ -133,7 +134,8 @@ pub trait AddressSource: Send + Sync {
         domain: &Name,
         rtype: RrType,
     ) -> Result<Vec<IpAddr>, FetchError> {
-        match self.start_fetch(domain, rtype, exchanger.next_id()) {
+        let question = DohQuestion::new(domain, rtype).map_err(doh_error)?;
+        match self.start_fetch(&question, exchanger.next_id()) {
             FetchStart::Immediate(result) => result,
             FetchStart::Transmit { request, pending } => {
                 let outcome = exchanger.exchange(
@@ -186,15 +188,13 @@ impl AddressSource for DohSource {
         &self.name
     }
 
-    fn start_fetch(&self, domain: &Name, rtype: RrType, id: u16) -> FetchStart {
-        match self.client.begin_query(id, domain, rtype) {
-            // DohTransmit and ExchangeRequest are both re-exports of the
-            // simulator's batch-request type, so the transmit passes through.
-            Ok((transmit, prepared)) => FetchStart::Transmit {
-                request: transmit,
-                pending: PendingFetch::new(prepared),
-            },
-            Err(e) => FetchStart::Immediate(Err(doh_error(e))),
+    fn start_fetch(&self, question: &DohQuestion, id: u16) -> FetchStart {
+        // DohTransmit and ExchangeRequest are both re-exports of the
+        // simulator's batch-request type, so the transmit passes through.
+        let (transmit, prepared) = self.client.begin_query(id, question);
+        FetchStart::Transmit {
+            request: transmit,
+            pending: PendingFetch::new(prepared),
         }
     }
 
@@ -259,13 +259,13 @@ impl AddressSource for StaticSource {
         &self.name
     }
 
-    fn start_fetch(&self, _domain: &Name, rtype: RrType, _id: u16) -> FetchStart {
+    fn start_fetch(&self, question: &DohQuestion, _id: u16) -> FetchStart {
         if self.fail {
             return FetchStart::Immediate(Err(FetchError::Transport(
                 "static source configured to fail".into(),
             )));
         }
-        FetchStart::Immediate(Ok(match rtype {
+        FetchStart::Immediate(Ok(match question.rtype() {
             RrType::Aaaa => self.v6.clone(),
             _ => self.v4.clone(),
         }))

@@ -15,7 +15,7 @@
 //!   benchmark, read where it lies and answered by `handle_query_wire` —
 //!   with the answer verified (40 when this was written, and its budget:
 //!   five exchanges of 3 each — the two payloads and the addresses read —
-//!   every answer rendered from a template — the poisoned one's, or the
+//!   the question encoded once for all five, inline, every answer rendered from a template — the poisoned one's, or the
 //!   honest authority's answer index — from the query where it lies, one
 //!   copy of the name for the key the miss stores, the rest the
 //!   generation's own bookkeeping and the rendered answer; 41 while each

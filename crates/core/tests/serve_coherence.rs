@@ -19,6 +19,7 @@ use sdoh_core::{
 };
 use sdoh_dns_server::{ClientExchanger, QueryHandler};
 use sdoh_dns_wire::{Message, Name, Rcode, RrType, Ttl};
+use sdoh_doh::DohQuestion;
 use sdoh_netsim::{NetResult, SimAddr, SimInstant, SimNet};
 
 const TTL_SECS: u64 = 30;
@@ -64,7 +65,7 @@ impl AddressSource for EpochSource {
         "epoch"
     }
 
-    fn start_fetch(&self, _domain: &Name, _rtype: RrType, _id: u16) -> FetchStart {
+    fn start_fetch(&self, _question: &DohQuestion, _id: u16) -> FetchStart {
         let epoch = self.counter.fetch_add(1, Ordering::Relaxed);
         FetchStart::Immediate(Ok(epoch_addresses(epoch)))
     }

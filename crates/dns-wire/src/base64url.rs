@@ -27,7 +27,7 @@ pub fn encode(input: &[u8]) -> String {
 
 /// How many characters the unpadded encoding of `len` octets takes: four
 /// per three octets, and two or three for the one or two left over.
-pub fn encoded_len(len: usize) -> usize {
+pub const fn encoded_len(len: usize) -> usize {
     let tail = match len % 3 {
         0 => 0,
         1 => 2,

@@ -86,6 +86,10 @@ pub struct QueryWire {
 }
 
 impl QueryWire {
+    /// The longest query's length: its header, the longest name, type and
+    /// class.
+    pub const MAX_LEN: usize = MAX_QUERY_LEN;
+
     /// The query for `name` and `rtype` in the IN class under `id`, with
     /// recursion desired, as [`Header::query`](crate::Header::query) sets
     /// it.
@@ -117,6 +121,15 @@ impl QueryWire {
             rest = after;
         }
         Ok(QueryWire { octets, len })
+    }
+
+    /// The same query under `id`: the id is the query's first two octets,
+    /// so a question encoded once is asked under each source's own id.
+    pub fn with_id(mut self, id: u16) -> Self {
+        if let Some(octets) = self.octets.first_chunk_mut::<2>() {
+            *octets = id.to_be_bytes();
+        }
+        self
     }
 
     /// The query's octets.
@@ -199,6 +212,8 @@ mod tests {
                     .unwrap();
                 assert_eq!(query.as_bytes(), encoded, "{name} {rtype}");
                 assert_eq!(query.rtype(), rtype);
+                let asked = QueryWire::new(0, &name, rtype).unwrap().with_id(id);
+                assert_eq!(asked.as_bytes(), encoded, "{name} {rtype} under {id}");
             }
         }
         assert_eq!(longest.len() + 2, MAX_NAME_LEN);

@@ -1,4 +1,18 @@
 //! The DNS-over-HTTPS client (RFC 8484).
+//!
+//! A request is mostly octets that never change. Those that are the same on
+//! every exchange with one resolver — the envelope header, the h2 preface
+//! and SETTINGS frame, and the request's `:method`, `:scheme`,
+//! `:authority` and `accept` fields (plus `:path` and `content-type` under
+//! POST) — are written once, when the client is made, by the connection's
+//! field writer ([`RequestFrames`]). Those that are the same for every
+//! resolver a generation asks — the query under id 0 and, for a GET, the
+//! `:path` field carrying its base64url — are written once per question
+//! ([`DohQuestion`]). A request copies the two, closes its HEADERS frame
+//! (a POST puts its own id into a copy of the query and sends it as the
+//! body) and seals the record where it lies. What comes back is checked
+//! in full: the envelope's name, the record's tag, every frame, the
+//! status, the content type, the id and the echoed question.
 
 use std::net::IpAddr;
 use std::time::Duration;
@@ -10,14 +24,27 @@ use sdoh_netsim::ChannelKind;
 
 use crate::directory::ResolverInfo;
 use crate::error::{DohError, DohResult};
-use crate::h2::ClientConnection;
-use crate::http::Method;
+use crate::h2::hpack;
+use crate::h2::{ClientConnection, RequestFrames};
 use crate::secure::{self, SecureEnvelope};
 
 /// The media type DoH exchanges use.
 pub const DNS_MESSAGE_CONTENT_TYPE: &str = "application/dns-message";
 /// The well-known DoH path.
 pub const DOH_PATH: &str = "/dns-query";
+/// What stands between the path and a GET's base64url query.
+const PARAMETER: &str = "?dns=";
+
+/// The longest `:path` field a question writes: a literal's first octet,
+/// the name's length octet and the name, up to three octets of value
+/// length (any value under 16 511 octets) and the value, the longest
+/// query's base64url behind the path and the parameter.
+const PATH_FIELD_MAX: usize = 2
+    + ":path".len()
+    + 3
+    + DOH_PATH.len()
+    + PARAMETER.len()
+    + base64url::encoded_len(QueryWire::MAX_LEN);
 
 /// Which RFC 8484 method the client uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -29,36 +56,115 @@ pub enum DohMethod {
     Post,
 }
 
+/// A question encoded once for every DoH exchange that asks it: the query
+/// under id 0, which a GET sends (RFC 8484 §4.1) and a POST sends under an
+/// id of its own, and the HPACK `:path` field carrying that query's
+/// base64url, which every GET sends as it is. A pool generation encodes
+/// each of its questions once and lends it to every source; both are held
+/// inline, so encoding one allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct DohQuestion {
+    query: QueryWire,
+    path: PathField,
+}
+
+impl DohQuestion {
+    /// Encodes the question for `name` and `rtype` in the IN class.
+    ///
+    /// # Errors
+    ///
+    /// [`DohError::Wire`] for a name the query cannot carry (longer than a
+    /// name can be).
+    pub fn new(name: &Name, rtype: RrType) -> DohResult<Self> {
+        let query = QueryWire::new(0, name, rtype)?;
+        let octets = query.as_bytes();
+        let len = DOH_PATH.len() + PARAMETER.len() + base64url::encoded_len(octets.len());
+        let mut path = PathField::default();
+        hpack::encode_literal_with(&mut path, ":path", len, |out| {
+            out.put_slice(DOH_PATH.as_bytes());
+            out.put_slice(PARAMETER.as_bytes());
+            base64url::encode_into(octets, out);
+        });
+        Ok(DohQuestion { query, path })
+    }
+
+    /// The type the question asks for.
+    pub fn rtype(&self) -> RrType {
+        self.query.rtype()
+    }
+}
+
+/// A GET's `:path` field, written inline.
+#[derive(Debug, Clone, Copy)]
+struct PathField {
+    octets: [u8; PATH_FIELD_MAX],
+    len: usize,
+}
+
+impl Default for PathField {
+    fn default() -> Self {
+        PathField {
+            octets: [0; PATH_FIELD_MAX],
+            len: 0,
+        }
+    }
+}
+
+impl PathField {
+    fn as_bytes(&self) -> &[u8] {
+        self.octets.get(..self.len).unwrap_or_default()
+    }
+}
+
+/// The field is sized for the longest query, so every write fits.
+impl BufMut for PathField {
+    fn put_slice(&mut self, v: &[u8]) {
+        if let Some(into) = self.octets.get_mut(self.len..self.len + v.len()) {
+            into.copy_from_slice(v);
+            self.len += v.len();
+        }
+    }
+}
+
 /// A DoH client bound to one resolver.
 ///
 /// Each query opens a fresh HTTP/2 connection over the secure channel, which
-/// keeps the client stateless and the failure model per-query. Measured on
-/// one core of a 2-vCPU host (release build), an address source's exchange
-/// with an in-process terminator over an 8-address zone takes ~2.9 us, of
-/// which the two connection constructors are ~0.06 us; the preface and
-/// SETTINGS frames are 69 of the ~480 octets it seals (186 out, 296 back
-/// for `dns.example`). A connection kept per resolver would save little
-/// (ROADMAP's Deferred entry "a persistent connection per resolver" has
-/// the figures).
+/// keeps the client stateless and the failure model per-query. The octets
+/// every request to the resolver shares are written once, here (the module
+/// doc). Measured on one core of a 2-vCPU host (release build), writing and
+/// sealing one GET request from them and a question encoded beforehand
+/// takes ~0.13 us, where writing it field by field took ~0.35-0.43 us; the
+/// preface and SETTINGS frames are 69 of the ~480 octets an exchange seals
+/// (186 out, 296 back for `dns.example`). A connection kept per resolver
+/// would save little (ROADMAP's Deferred entry "a persistent connection per
+/// resolver" has the figures).
 #[derive(Debug, Clone)]
 pub struct DohClient {
     resolver: ResolverInfo,
     method: DohMethod,
     timeout: Duration,
+    /// Every request's octets but the question's: see `begin_query`.
+    request: RequestFrames,
+    /// Where a request's record starts, behind the envelope header.
+    record_at: usize,
 }
 
 impl DohClient {
     /// Creates a client for the given resolver using the GET method.
     pub fn new(resolver: ResolverInfo) -> Self {
+        let (request, record_at) = request_frames(&resolver, DohMethod::Get);
         DohClient {
             resolver,
             method: DohMethod::Get,
             timeout: Duration::from_secs(3),
+            request,
+            record_at,
         }
     }
 
     /// Selects the RFC 8484 method.
     pub fn method(mut self, method: DohMethod) -> Self {
+        (self.request, self.record_at) = request_frames(&self.resolver, method);
         self.method = method;
         self
     }
@@ -85,11 +191,12 @@ impl DohClient {
         name: &Name,
         rtype: RrType,
     ) -> DohResult<Message> {
+        let question = DohQuestion::new(name, rtype)?;
         let id = match self.method {
             DohMethod::Get => 0,
             DohMethod::Post => exchanger.next_id(),
         };
-        let (transmit, prepared) = self.begin_query(id, name, rtype)?;
+        let (transmit, prepared) = self.begin_query(id, &question);
         let mut reply = exchanger.exchange(
             transmit.dst,
             transmit.channel,
@@ -107,74 +214,34 @@ impl DohClient {
     /// the eventual reply with [`DohClient::finish_query`]. A driver may
     /// keep any number of prepared queries in flight concurrently.
     ///
-    /// `id` is the DNS transaction id; per RFC 8484 §4.1 pass 0 for GET
-    /// (cache friendliness) and a random id for POST.
+    /// `id` is the DNS transaction id; per RFC 8484 §4.1 a GET asks under
+    /// id 0 (cache friendliness) whatever `id` is, and a POST under `id`.
     ///
-    /// # Errors
-    ///
-    /// Returns [`DohError::Wire`] when the query cannot be encoded.
-    pub fn begin_query(
-        &self,
-        id: u16,
-        name: &Name,
-        rtype: RrType,
-    ) -> DohResult<(DohTransmit, PreparedDohQuery)> {
-        // RFC 8484 §4.1: use DNS id 0 with GET for cache friendliness.
-        let id = match self.method {
-            DohMethod::Get => 0,
-            DohMethod::Post => id,
+    /// The request is the octets the client wrote when it was made, the
+    /// question's `:path` field (a GET's) between them, its HEADERS frame
+    /// closed and a POST's query behind it: octet for octet what writing
+    /// each field would write (`tests::the_spliced_request_is_the_written_request`).
+    pub fn begin_query(&self, id: u16, question: &DohQuestion) -> (DohTransmit, PreparedDohQuery) {
+        // Sent, and kept to check the answer's id and echo against.
+        let (id, query) = match self.method {
+            DohMethod::Get => (0, question.query),
+            DohMethod::Post => (id, question.query.with_id(id)),
         };
-        // The octets `Message::query(id, name, rtype).encode()` writes,
-        // held inline: sent, and kept to check the answer's echo against.
-        let query = QueryWire::new(id, name, rtype)?;
-        // One buffer from the envelope header to the record tag: the
-        // connection queues its frames behind the header, the request's
-        // fields written straight from the resolver name and the query, and
-        // the record is sealed where they lie.
-        let payload = SecureEnvelope::begin(&self.resolver.name);
-        let record_at = payload.len();
-        let mut connection = ClientConnection::with_output(payload);
-        let (stream_id, mut request) = connection.open_stream();
-        let method = match self.method {
-            DohMethod::Get => Method::Get,
-            DohMethod::Post => Method::Post,
+        let (path, body): (&[u8], &[u8]) = match self.method {
+            DohMethod::Get => (question.path.as_bytes(), &[]),
+            DohMethod::Post => (&[], query.as_bytes()),
         };
-        request
-            .field(":method", method.as_str())
-            .field(":scheme", "https")
-            .field(":authority", &self.resolver.name);
-        match self.method {
-            DohMethod::Get => {
-                // The path's text is written into the header block where it
-                // goes, the query's base64url behind its prefix.
-                const PARAMETER: &str = "?dns=";
-                let octets = query.as_bytes();
-                let len = DOH_PATH.len() + PARAMETER.len() + base64url::encoded_len(octets.len());
-                request
-                    .field_with(":path", len, |out| {
-                        out.put_slice(DOH_PATH.as_bytes());
-                        out.put_slice(PARAMETER.as_bytes());
-                        base64url::encode_into(octets, out);
-                    })
-                    .field("accept", DNS_MESSAGE_CONTENT_TYPE);
-                request.body(&[]);
-            }
-            DohMethod::Post => {
-                request
-                    .field(":path", DOH_PATH)
-                    .field("accept", DNS_MESSAGE_CONTENT_TYPE)
-                    .field("content-type", DNS_MESSAGE_CONTENT_TYPE);
-                request.body(query.as_bytes());
-            }
-        }
-        let mut payload = connection.take_output();
+        // One buffer from the envelope header to the record's 8-octet tag,
+        // the record sealed where it lies.
+        let mut payload = self.request.write(path, body, 8);
         secure::seal_in_place(
             &self.resolver.key,
             secure::SEQ_CLIENT,
             &mut payload,
-            record_at,
+            self.record_at,
         );
-        Ok((
+        let (connection, stream_id) = ClientConnection::first_request_sent();
+        (
             DohTransmit::new(
                 self.resolver.addr,
                 ChannelKind::Secure,
@@ -187,7 +254,7 @@ impl DohClient {
                 id,
                 query,
             },
-        ))
+        )
     }
 
     /// Sans-IO second half of a query: authenticates, decodes and validates
@@ -296,6 +363,42 @@ impl DohClient {
         }
         Ok(read(&answer))
     }
+}
+
+/// The octets every request to `resolver` by `method` shares, written by
+/// the field writer, and where its record starts: a GET's fields around the
+/// `:path` field each question brings, a POST's all of them.
+fn request_frames(resolver: &ResolverInfo, method: DohMethod) -> (RequestFrames, usize) {
+    let prefix = SecureEnvelope::begin(&resolver.name);
+    let record_at = prefix.len();
+    let request = match method {
+        DohMethod::Get => RequestFrames::new(
+            prefix,
+            |request| {
+                request
+                    .field(":method", "GET")
+                    .field(":scheme", "https")
+                    .field(":authority", &resolver.name);
+            },
+            |request| {
+                request.field("accept", DNS_MESSAGE_CONTENT_TYPE);
+            },
+        ),
+        DohMethod::Post => RequestFrames::new(
+            prefix,
+            |request| {
+                request
+                    .field(":method", "POST")
+                    .field(":scheme", "https")
+                    .field(":authority", &resolver.name)
+                    .field(":path", DOH_PATH)
+                    .field("accept", DNS_MESSAGE_CONTENT_TYPE)
+                    .field("content-type", DNS_MESSAGE_CONTENT_TYPE);
+            },
+            |_| {},
+        ),
+    };
+    (request, record_at)
 }
 
 /// Everything a driver must put on the wire for one DoH query — the
@@ -446,7 +549,8 @@ mod tests {
             reply
         };
         let finish = |length: usize| {
-            let (_, prepared) = client.begin_query(0, &name, RrType::A).unwrap();
+            let question = DohQuestion::new(&name, RrType::A).unwrap();
+            let (_, prepared) = client.begin_query(0, &question);
             client.finish_query(prepared, &mut reply(length))
         };
         assert_eq!(finish(answer.len()).unwrap().answer_addresses().len(), 4);
@@ -466,5 +570,141 @@ mod tests {
         assert_eq!(client.resolver.name, info.name);
         assert_eq!(client.method, DohMethod::Post);
         assert_eq!(client.timeout, Duration::from_secs(9));
+    }
+
+    /// The request `begin_query` wrote field by field before a client wrote
+    /// its shared octets once: the oracle a spliced request is held
+    /// against. The sealed payload, the connection it leaves, and the id
+    /// and the query kept for the answer's checks.
+    fn written_request(
+        client: &DohClient,
+        id: u16,
+        name: &Name,
+        rtype: RrType,
+    ) -> (Vec<u8>, ClientConnection, u16, QueryWire) {
+        use crate::http::Method;
+
+        let id = match client.method {
+            DohMethod::Get => 0,
+            DohMethod::Post => id,
+        };
+        let query = QueryWire::new(id, name, rtype).unwrap();
+        let payload = SecureEnvelope::begin(&client.resolver.name);
+        let record_at = payload.len();
+        let mut connection = ClientConnection::with_output(payload);
+        let (_, mut request) = connection.open_stream();
+        let method = match client.method {
+            DohMethod::Get => Method::Get,
+            DohMethod::Post => Method::Post,
+        };
+        request
+            .field(":method", method.as_str())
+            .field(":scheme", "https")
+            .field(":authority", &client.resolver.name);
+        match client.method {
+            DohMethod::Get => {
+                let octets = query.as_bytes();
+                let len = DOH_PATH.len() + PARAMETER.len() + base64url::encoded_len(octets.len());
+                request
+                    .field_with(":path", len, |out| {
+                        out.put_slice(DOH_PATH.as_bytes());
+                        out.put_slice(PARAMETER.as_bytes());
+                        base64url::encode_into(octets, out);
+                    })
+                    .field("accept", DNS_MESSAGE_CONTENT_TYPE);
+                request.body(&[]);
+            }
+            DohMethod::Post => {
+                request
+                    .field(":path", DOH_PATH)
+                    .field("accept", DNS_MESSAGE_CONTENT_TYPE)
+                    .field("content-type", DNS_MESSAGE_CONTENT_TYPE);
+                request.body(query.as_bytes());
+            }
+        }
+        let mut payload = connection.take_output();
+        secure::seal_in_place(
+            &client.resolver.key,
+            secure::SEQ_CLIENT,
+            &mut payload,
+            record_at,
+        );
+        (payload, connection, id, query)
+    }
+
+    /// A name of `len` wire octets, its labels as long as they go; none has
+    /// 2.
+    fn name_of(len: usize) -> Option<Name> {
+        let mut left = len.checked_sub(1).filter(|&left| left != 1)?;
+        let mut labels = Vec::new();
+        while left > 0 {
+            let mut label = left.min(64) - 1;
+            if left - (label + 1) == 1 {
+                label -= 1;
+            }
+            labels.push(vec![b'a' + (labels.len() % 26) as u8; label]);
+            left -= label + 1;
+        }
+        Some(Name::from_labels(labels).unwrap())
+    }
+
+    /// The request spliced from the client's shared octets and the
+    /// question's is octet for octet the one the field writer writes, and
+    /// leaves the same connection and the same query to check the answer
+    /// against: every directory resolver, GET and POST, A and AAAA, several
+    /// ids, and names of every wire length from 1 to 253 octets — across
+    /// the `:path` value's HPACK length outgrowing its 7-bit prefix (127)
+    /// and the HEADERS frame outgrowing one length octet (255). Run with
+    /// `--nocapture`, it prints how many requests it held together.
+    #[test]
+    fn the_spliced_request_is_the_written_request() {
+        let names: Vec<Name> = (1..=253).filter_map(name_of).collect();
+        assert_eq!(names.len(), 252);
+        let (mut cases, mut long_paths, mut long_frames) = (0, 0, 0);
+        for resolver in ResolverDirectory::well_known(40).resolvers() {
+            for method in [DohMethod::Get, DohMethod::Post] {
+                let client = DohClient::new(resolver.clone()).method(method);
+                for name in &names {
+                    assert_eq!(name_of(name.wire_len()).as_ref(), Some(name));
+                    for rtype in [RrType::A, RrType::Aaaa] {
+                        let question = DohQuestion::new(name, rtype).unwrap();
+                        for id in [0, 1, 0xBEEF, 0xFFFF] {
+                            let (transmit, prepared) = client.begin_query(id, &question);
+                            let (payload, connection, id, query) =
+                                written_request(&client, id, name, rtype);
+                            assert_eq!(transmit.payload, payload, "{name} {rtype} {id}");
+                            assert_eq!(prepared.stream_id, 1);
+                            assert_eq!(prepared.id, id);
+                            assert_eq!(prepared.query.as_bytes(), query.as_bytes());
+                            assert_eq!(
+                                format!("{:?}", prepared.connection),
+                                format!("{connection:?}")
+                            );
+                            // The HEADERS frame's length, behind the envelope
+                            // header, the 24-octet preface and the 21-octet
+                            // SETTINGS frame.
+                            let (_, record) = SecureEnvelope::split(&payload).unwrap();
+                            let plain = secure::open(&resolver.key, secure::SEQ_CLIENT, record);
+                            let length = plain.unwrap()[45..48]
+                                .iter()
+                                .fold(0, |length, &octet| length << 8 | usize::from(octet));
+                            long_frames += usize::from(length > 255);
+                            let path = DOH_PATH.len()
+                                + PARAMETER.len()
+                                + base64url::encoded_len(query.as_bytes().len());
+                            long_paths += usize::from(method == DohMethod::Get && path >= 127);
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(long_paths > 0 && long_paths < cases / 2, "{long_paths}");
+        assert!(long_frames > 0 && long_frames < cases, "{long_frames}");
+        println!(
+            "spliced requests: {cases} written octet for octet as the field writer writes \
+             them ({long_paths} GET paths past HPACK's 127 prefix, {long_frames} HEADERS \
+             frames over 255 octets)"
+        );
     }
 }

@@ -43,7 +43,10 @@
 //!   query), then the frame closed and the body's DATA frame written behind
 //!   it. `send_request` / `send_response` feed one from a `Request` /
 //!   `Response`; the DoH ends feed theirs from the resolver name, the query
-//!   and the answer, and build no HTTP object. `with_output` starts the
+//!   and the answer, and build no HTTP object. The DoH client writes the
+//!   octets its requests share once, with the same writer, and copies each
+//!   request from them ([`RequestFrames`]); the terminator writes a 200's
+//!   constant fields from one pre-encoded block ([`Outgoing::encoded`]). `with_output` starts the
 //!   connection behind octets the caller already wrote (the DoH ends pass
 //!   their envelope header), so one buffer carries a payload from its first
 //!   octet to the record tag.
@@ -192,20 +195,20 @@ pub(crate) struct RequestHead<'a> {
 impl<'a> RequestHead<'a> {
     /// Walks the block once, every field checked, handing each regular
     /// field to `regular` on the way (the owned copy keeps them). A request
-    /// must carry `:method` (one this implementation knows) and `:path`; of
-    /// a repeated pseudo-header field the last counts.
+    /// must carry `:method` (one this implementation knows) and `:path`,
+    /// and no pseudo-header field twice (RFC 9113 §8.3).
     fn read_with(
         fields: Fields<'a>,
         mut regular: impl FnMut(&'a str, &'a str),
     ) -> Result<(Self, Option<u64>), H2Error> {
-        let (mut method, mut path, mut authority, mut scheme) = (None, None, "", None);
+        let (mut method, mut path, mut authority, mut scheme) = (None, None, None, None);
         let mut declared = Declared::default();
         for field in fields {
             match field? {
-                (":method", value) => method = Method::from_token(value),
-                (":path", value) => path = Some(value),
-                (":authority", value) => authority = value,
-                (":scheme", value) => scheme = Some(value),
+                (":method", value) => once(&mut method, ":method", value)?,
+                (":path", value) => once(&mut path, ":path", value)?,
+                (":authority", value) => once(&mut authority, ":authority", value)?,
+                (":scheme", value) => once(&mut scheme, ":scheme", value)?,
                 (name, value) if !name.starts_with(':') => {
                     declared.note(name, value)?;
                     regular(name, value);
@@ -214,9 +217,11 @@ impl<'a> RequestHead<'a> {
             }
         }
         let head = RequestHead {
-            method: method.ok_or_else(|| H2Error::Protocol("request without :method".into()))?,
+            method: method
+                .and_then(Method::from_token)
+                .ok_or_else(|| H2Error::Protocol("request without :method".into()))?,
             path: path.ok_or_else(|| H2Error::Protocol("request without :path".into()))?,
-            authority,
+            authority: authority.unwrap_or_default(),
             scheme,
             content_type: declared.content_type,
             #[cfg(test)]
@@ -253,7 +258,8 @@ pub(crate) struct ResponseHead<'a> {
 impl<'a> ResponseHead<'a> {
     /// Walks the block once, every field checked, handing each regular
     /// field to `regular` on the way (the owned copy keeps them). A response
-    /// must carry a numeric `:status`; of a repeated one the last counts.
+    /// must carry one `:status` of exactly three digits (RFC 9110 §15), and
+    /// no pseudo-header field twice (RFC 9113 §8.3).
     fn read_with(
         fields: Fields<'a>,
         mut regular: impl FnMut(&'a str, &'a str),
@@ -262,7 +268,7 @@ impl<'a> ResponseHead<'a> {
         let mut declared = Declared::default();
         for field in fields {
             match field? {
-                (":status", value) => status = value.parse::<u16>().ok(),
+                (":status", value) => once(&mut status, ":status", value)?,
                 (name, value) if !name.starts_with(':') => {
                     declared.note(name, value)?;
                     regular(name, value);
@@ -271,6 +277,10 @@ impl<'a> ResponseHead<'a> {
             }
         }
         let status = status.ok_or_else(|| H2Error::Protocol("response without :status".into()))?;
+        let status = (status.len() == 3 && status.bytes().all(|octet| octet.is_ascii_digit()))
+            .then(|| status.parse::<u16>().ok())
+            .flatten()
+            .ok_or_else(|| H2Error::Protocol(format!("malformed :status {status:?}")))?;
         let head = ResponseHead {
             status: StatusCode::from(status),
             content_type: declared.content_type,
@@ -291,6 +301,15 @@ impl<'a> ResponseHead<'a> {
 impl<'a> Head<'a> for ResponseHead<'a> {
     fn read(fields: Fields<'a>) -> Result<(Self, Option<u64>), H2Error> {
         Self::read_with(fields, |_, _| {})
+    }
+}
+
+/// Takes a pseudo-header field's value: RFC 9113 §8.3 allows each once,
+/// and a message that repeats one is malformed.
+fn once<'a>(slot: &mut Option<&'a str>, name: &str, value: &'a str) -> Result<(), H2Error> {
+    match slot.replace(value) {
+        None => Ok(()),
+        Some(_) => Err(H2Error::Protocol(format!("repeated {name}"))),
     }
 }
 
@@ -342,6 +361,34 @@ impl<'o> Outgoing<'o> {
         self.field(name, value)
     }
 
+    /// A literal field whose value is `prefix` and then `value` in decimal
+    /// digits, written without `fmt` (a length; `max-age=` and a TTL), and
+    /// one no static entry holds.
+    pub(crate) fn field_decimal(&mut self, name: &str, prefix: &str, value: u64) -> &mut Self {
+        let mut digits = [0u8; 20];
+        let (mut rest, mut start) = (value, digits.len());
+        for digit in digits.iter_mut().rev() {
+            *digit = b'0' + u8::try_from(rest % 10).unwrap_or_default();
+            start -= 1;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        let digits = digits.get(start..).unwrap_or_default();
+        self.field_with(name, prefix.len() + digits.len(), |out| {
+            out.put_slice(prefix.as_bytes());
+            out.put_slice(digits);
+        })
+    }
+
+    /// Fields HPACK-encoded beforehand (a constant head), written as they
+    /// are.
+    pub(crate) fn encoded(&mut self, fields: &[u8]) -> &mut Self {
+        self.out.put_slice(fields);
+        self
+    }
+
     /// A literal field whose value is the `len` octets `value` appends to
     /// the output, and one no static entry holds.
     pub(crate) fn field_with(
@@ -372,6 +419,73 @@ impl<'o> Outgoing<'o> {
         self.out.put_slice(body);
     }
 }
+
+/// A request written once and sent on many connections, each time on the
+/// first stream of a fresh one: the octets from the caller's prefix through
+/// the preface, the SETTINGS frame and the HEADERS frame's fields up to the
+/// one that varies from request to request (`head`), and the fields behind
+/// it (`tail`), both written by the field writer. A request copies the head,
+/// puts its own field, copies the tail and closes the frame: octet for octet
+/// what [`ClientConnection::with_output`], [`ClientConnection::open_stream`]
+/// and the same fields write, for a fraction of the work. Its connection is
+/// [`ClientConnection::first_request_sent`].
+#[derive(Debug, Clone)]
+pub(crate) struct RequestFrames {
+    head: Vec<u8>,
+    /// Where the HEADERS frame's header is in `head`.
+    headers_at: usize,
+    tail: Vec<u8>,
+}
+
+impl RequestFrames {
+    /// Writes, behind `prefix`, the preface, the SETTINGS frame and the
+    /// fields of a request on the first stream: those `before` gives ahead
+    /// of the varying field and those `after` gives behind it.
+    pub(crate) fn new(
+        prefix: Vec<u8>,
+        before: impl FnOnce(&mut Outgoing<'_>),
+        after: impl FnOnce(&mut Outgoing<'_>),
+    ) -> Self {
+        let mut connection = ClientConnection::with_output(prefix);
+        let (_, mut request) = connection.open_stream();
+        before(&mut request);
+        let split = request.out.len();
+        after(&mut request);
+        // The frame is left open: each request closes its own.
+        let headers_at = request.header_at;
+        let mut head = connection.take_output();
+        let tail = head.split_off(split);
+        RequestFrames {
+            head,
+            headers_at,
+            tail,
+        }
+    }
+
+    /// One request: the head, `field` (one HPACK-encoded field), the tail,
+    /// the HEADERS frame closed and a non-empty `body` behind it in a DATA
+    /// frame, in one buffer with room for `spare` octets more (a record's
+    /// tag).
+    pub(crate) fn write(&self, field: &[u8], body: &[u8], spare: usize) -> Vec<u8> {
+        // A DATA frame is its 9-octet header and the body.
+        let data = if body.is_empty() { 0 } else { 9 + body.len() };
+        let len = self.head.len() + field.len() + self.tail.len() + data + spare;
+        let mut out = BytesMut::from(Vec::with_capacity(len));
+        out.put_slice(&self.head);
+        out.put_slice(field);
+        out.put_slice(&self.tail);
+        Outgoing {
+            out: &mut out,
+            header_at: self.headers_at,
+            stream_id: FIRST_STREAM,
+        }
+        .body(body);
+        out.into()
+    }
+}
+
+/// The stream a client's first request goes out on (RFC 7540 §5.1.1).
+const FIRST_STREAM: u32 = 1;
 
 /// Where a stream's message is, for the frames that may still arrive on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -762,10 +876,24 @@ impl ClientConnection {
             ],
         );
         ClientConnection {
-            next_stream_id: 1,
+            next_stream_id: FIRST_STREAM,
             walk,
             inbox: Inbox::new(),
         }
+    }
+
+    /// The connection a [`RequestFrames`] request went out on, and its
+    /// stream: the preface, the SETTINGS frame and the request on the first
+    /// stream written, nothing queued, the response on that stream due.
+    pub(crate) fn first_request_sent() -> (Self, u32) {
+        let mut walk = Walk::new(Vec::new(), &[], false);
+        walk.streams.insert(FIRST_STREAM, Arriving::Head);
+        let connection = ClientConnection {
+            next_stream_id: FIRST_STREAM + 2,
+            walk,
+            inbox: Inbox::new(),
+        };
+        (connection, FIRST_STREAM)
     }
 
     /// Returns `true` once the server's SETTINGS frame has been received.
@@ -1455,5 +1583,118 @@ mod tests {
             assert_eq!(lent.is_ok(), accepted, "{length}");
             assert_eq!(owned.err(), lent.err());
         }
+    }
+
+    /// A HEADERS frame of `fields` that ends stream 1.
+    fn head_on_stream_1(fields: &[(&str, &str)]) -> Frame {
+        let fields: Vec<(String, String)> = fields
+            .iter()
+            .map(|&(name, value)| (name.into(), value.into()))
+            .collect();
+        Frame::Headers {
+            stream_id: 1,
+            end_stream: true,
+            end_headers: true,
+            block: hpack::encode(&fields),
+        }
+    }
+
+    /// What the client's two walks make of a response head of `fields` on
+    /// stream 1, the owned and the lent, which must agree: `Ok(status)` or
+    /// the error.
+    fn client_reads(fields: &[(&str, &str)]) -> Result<u16, H2Error> {
+        let mut server = BytesMut::new();
+        frame::put_settings(&mut server, 0, &[]);
+        head_on_stream_1(fields).encode(&mut server);
+        let request = Request::get("dns.google", "/dns-query?dns=Q");
+        let mut client = ClientConnection::new();
+        client.send_request(&request);
+        let owned = client
+            .receive(&server)
+            .map(|responses| responses[0].1.status.as_u16());
+        let mut client = ClientConnection::new();
+        client.send_request(&request);
+        let lent = client
+            .response(&server, 1)
+            .map(|response| response.unwrap().0.status.as_u16());
+        assert_eq!(owned, lent, "{fields:?}");
+        owned
+    }
+
+    /// RFC 9110 §15: a status code is three digits. `+200` and `0200`
+    /// used to be read as 200, and the client took them for a success.
+    #[test]
+    fn a_status_that_is_not_three_digits_is_malformed() {
+        assert_eq!(client_reads(&[(":status", "200")]), Ok(200));
+        assert_eq!(client_reads(&[(":status", "404")]), Ok(404));
+        for status in ["+200", "0200", "20", "2000", " 200", "20x", "", "-20"] {
+            let read = client_reads(&[(":status", status)]);
+            assert!(
+                matches!(read, Err(H2Error::Protocol(_))),
+                "{status:?}: {read:?}"
+            );
+        }
+    }
+
+    /// RFC 9113 §8.3: a pseudo-header field is given once. The last of a
+    /// repeated one used to count.
+    #[test]
+    fn a_repeated_pseudo_header_field_is_malformed() {
+        for fields in [
+            [(":status", "500"), (":status", "200")],
+            [(":status", "200"), (":status", "200")],
+        ] {
+            let read = client_reads(&fields);
+            assert!(
+                matches!(read, Err(H2Error::Protocol(_))),
+                "{fields:?}: {read:?}"
+            );
+        }
+        let get = [
+            (":method", "GET"),
+            (":scheme", "https"),
+            (":authority", "dns.google"),
+            (":path", "/dns-query?dns=AAAB"),
+        ];
+        assert_eq!(served(&[head_on_stream_1(&get)]).unwrap().len(), 1);
+        for repeated in [
+            (":path", "/dns-query?dns=AAAB"),
+            (":path", "/other"),
+            (":method", "GET"),
+            (":scheme", "https"),
+            (":authority", "dns.google"),
+        ] {
+            let mut fields = get.to_vec();
+            fields.push(repeated);
+            let frames = [head_on_stream_1(&fields)];
+            let owned = served(&frames);
+            let mut lent = 0;
+            let walked =
+                ServerConnection::new().serve(&from_a_client(&frames), |_, _, _, _| lent += 1);
+            assert!(
+                matches!(owned, Err(H2Error::Protocol(_))),
+                "{fields:?}: {owned:?}"
+            );
+            assert_eq!(owned.err(), walked.err(), "{fields:?}");
+            assert_eq!(lent, 0, "{fields:?}");
+        }
+    }
+
+    /// A request copied from its frames goes out on the state a connection
+    /// that wrote it field by field is left in.
+    #[test]
+    fn a_request_from_its_frames_leaves_the_written_connection() {
+        let fields = |request: &mut Outgoing<'_>| {
+            request.field(":method", "GET").field(":path", "/");
+        };
+        let frames = RequestFrames::new(b"prefix".to_vec(), fields, |_| {});
+        let mut written = ClientConnection::with_output(b"prefix".to_vec());
+        let (stream_id, mut request) = written.open_stream();
+        fields(&mut request);
+        request.body(b"body");
+        assert_eq!(frames.write(&[], b"body", 0), written.take_output());
+        let (sent, on) = ClientConnection::first_request_sent();
+        assert_eq!(on, stream_id);
+        assert_eq!(format!("{sent:?}"), format!("{written:?}"));
     }
 }

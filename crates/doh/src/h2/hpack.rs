@@ -108,7 +108,7 @@ pub(super) fn encode_field(out: &mut impl BufMut, name: &str, value: &str) {
 /// octets `value` appends: a value written where it goes rather than
 /// handed over as a `&str`. The caller's value is one no static entry
 /// holds, or [`encode_field`] would have indexed it.
-pub(super) fn encode_literal_with<B: BufMut>(
+pub(crate) fn encode_literal_with<B: BufMut>(
     out: &mut B,
     name: &str,
     len: usize,

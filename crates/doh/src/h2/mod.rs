@@ -8,7 +8,7 @@ pub mod hpack;
 #[cfg(test)]
 mod oracle;
 
-pub(crate) use connection::RequestHead;
 pub use connection::{ClientConnection, ServerConnection};
+pub(crate) use connection::{RequestFrames, RequestHead};
 pub use error::{error_code, H2Error};
 pub use frame::{flags, Frame, FrameType, CONNECTION_PREFACE, MAX_FRAME_SIZE};

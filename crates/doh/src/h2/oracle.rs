@@ -33,7 +33,7 @@ mod tests {
     use crate::h2::{ClientConnection, Frame, H2Error, ServerConnection, CONNECTION_PREFACE};
     use crate::http::{Request, Response, StatusCode};
     use crate::secure::{self, SecureEnvelope};
-    use crate::{DohClient, DohMethod, DohServerService, ResolverInfo};
+    use crate::{DohClient, DohMethod, DohQuestion, DohServerService, ResolverInfo};
     use crate::{DNS_MESSAGE_CONTENT_TYPE, DOH_PATH};
 
     /// A message as both walks can tell it: its stream, its pseudo-header
@@ -530,7 +530,8 @@ mod tests {
             let name: Name = name.parse().unwrap();
             for (method, id) in [(DohMethod::Get, 0), (DohMethod::Post, 0x1234)] {
                 let client = DohClient::new(info.clone()).method(method);
-                let (transmit, prepared) = client.begin_query(id, &name, RrType::A).unwrap();
+                let question = DohQuestion::new(&name, RrType::A).unwrap();
+                let (transmit, prepared) = client.begin_query(id, &question);
                 let query = Message::query(id, name.clone(), RrType::A)
                     .encode()
                     .unwrap();

@@ -10,7 +10,11 @@
 //!
 //! The query is read where it lies — in the buffer a GET's `dns=`
 //! parameter is decoded into, or in the POST body — and lent to the
-//! handler ([`QueryView`]): no `Message` is built for it.
+//! handler ([`QueryView`]): no `Message` is built for it. The answer's
+//! head is mostly constant: a 200's `:status` and `content-type` are one
+//! block encoded at compile time (`OK_HEAD`), and its `content-length` and
+//! `max-age` are digits written where they go, without `fmt`. A status
+//! that refuses a request goes through the field writer.
 
 use sdoh_dns_server::{Exchanger, QueryHandler};
 use sdoh_dns_wire::{base64url, MessageView, QueryView};
@@ -123,7 +127,8 @@ impl<H: QueryHandler> DohServerService<H> {
         let record_at = reply.len();
         let mut connection = ServerConnection::with_output(reply);
         connection.serve(client_h2, |connection, stream_id, head, body| {
-            self.respond(exchanger, connection, stream_id, head, body);
+            let answered = self.answer_query(exchanger, head, body);
+            write_response(connection, stream_id, answered, &self.answer);
         })?;
         let mut reply = connection.take_output();
         secure::seal_in_place(
@@ -133,36 +138,6 @@ impl<H: QueryHandler> DohServerService<H> {
             record_at,
         );
         Ok(reply)
-    }
-
-    /// Writes the response to one request on `stream_id`: a 200 carrying
-    /// the DNS answer with its `content-type`, `content-length` and
-    /// `cache-control: max-age=` the answer's least TTL, or the status that
-    /// refuses the request, bodiless.
-    fn respond(
-        &mut self,
-        exchanger: &mut dyn Exchanger,
-        connection: &mut ServerConnection,
-        stream_id: u32,
-        head: &RequestHead<'_>,
-        body: &[u8],
-    ) {
-        let answered = self.answer_query(exchanger, head, body);
-        let mut response = connection.respond(stream_id);
-        match answered {
-            Ok(min_ttl) => {
-                response
-                    .field(":status", "200")
-                    .field("content-type", DNS_MESSAGE_CONTENT_TYPE)
-                    .field_fmt("content-length", format_args!("{}", self.answer.len()))
-                    .field_fmt("cache-control", format_args!("max-age={min_ttl}"));
-                response.body(&self.answer);
-            }
-            Err(status) => {
-                response.field_fmt(":status", format_args!("{}", status.as_u16()));
-                response.body(&[]);
-            }
-        }
     }
 
     /// The DNS answer to one RFC 8484 request, written into the service's
@@ -205,6 +180,43 @@ impl<H: QueryHandler> DohServerService<H> {
         Ok(ttl
             .or_else(|| MessageView::least_answer_ttl(&self.answer))
             .unwrap_or(0))
+    }
+}
+
+/// A 200's fields ahead of its length, HPACK-encoded as the field writer
+/// encodes them: `:status: 200` (static entry 8) and `content-type:
+/// application/dns-message` (a literal without indexing: its name's length
+/// and name, its value's length and value).
+const OK_HEAD: &[u8] = b"\x88\x00\x0ccontent-type\x17application/dns-message";
+
+/// Writes the response to a request on `stream_id`: for an `answered` TTL,
+/// a 200 carrying `answer` — [`OK_HEAD`], then its `content-length` and
+/// `cache-control: max-age=` that TTL, their digits written where they go —
+/// or the status that refused the request, bodiless, through the field
+/// writer.
+fn write_response(
+    connection: &mut ServerConnection,
+    stream_id: u32,
+    answered: Result<u32, StatusCode>,
+    answer: &[u8],
+) {
+    let mut response = connection.respond(stream_id);
+    match answered {
+        Ok(min_ttl) => {
+            response
+                .encoded(OK_HEAD)
+                .field_decimal(
+                    "content-length",
+                    "",
+                    u64::try_from(answer.len()).unwrap_or(u64::MAX),
+                )
+                .field_decimal("cache-control", "max-age=", u64::from(min_ttl));
+            response.body(answer);
+        }
+        Err(status) => {
+            response.field_fmt(":status", format_args!("{}", status.as_u16()));
+            response.body(&[]);
+        }
     }
 }
 
@@ -502,5 +514,65 @@ mod tests {
             assert_eq!(max_age, format!("max-age={least}"), "{name} from {writer}");
             assert_eq!(least, expected, "{name} from {writer}");
         }
+    }
+
+    /// The response the terminator wrote field by field before its 200 head
+    /// was encoded once: the oracle [`write_response`] is held against.
+    fn written_response(answered: Result<u32, StatusCode>, answer: &[u8]) -> Vec<u8> {
+        let mut connection = ServerConnection::new();
+        let mut response = connection.respond(1);
+        match answered {
+            Ok(min_ttl) => {
+                response
+                    .field(":status", "200")
+                    .field("content-type", DNS_MESSAGE_CONTENT_TYPE)
+                    .field_fmt("content-length", format_args!("{}", answer.len()))
+                    .field_fmt("cache-control", format_args!("max-age={min_ttl}"));
+                response.body(answer);
+            }
+            Err(status) => {
+                response.field_fmt(":status", format_args!("{}", status.as_u16()));
+                response.body(&[]);
+            }
+        }
+        connection.take_output()
+    }
+
+    /// Every response the terminator writes — a 200 and each status it
+    /// refuses a request with, across content lengths and TTLs whose digits
+    /// grow by one and the largest each takes — is octet for octet what the
+    /// field writer writes. Run with `--nocapture`, it prints how many.
+    #[test]
+    fn the_preencoded_response_head_is_the_written_head() {
+        let statuses = [
+            StatusCode::OK,
+            StatusCode::BAD_REQUEST,
+            StatusCode::NOT_FOUND,
+            StatusCode::PAYLOAD_TOO_LARGE,
+            StatusCode::UNSUPPORTED_MEDIA_TYPE,
+            StatusCode::INTERNAL_SERVER_ERROR,
+        ];
+        let mut cases = 0;
+        for status in statuses {
+            for length in [0, 9, 10, 99, 100, 65_535] {
+                let answer = vec![0x5A; length];
+                for ttl in [0, 9, 10, u32::MAX] {
+                    let answered = if status == StatusCode::OK {
+                        Ok(ttl)
+                    } else {
+                        Err(status)
+                    };
+                    let mut connection = ServerConnection::new();
+                    write_response(&mut connection, 1, answered, &answer);
+                    assert_eq!(
+                        connection.take_output(),
+                        written_response(answered, &answer),
+                        "{status:?} {length} {ttl}"
+                    );
+                    cases += 1;
+                }
+            }
+        }
+        println!("response heads: {cases} written octet for octet as the field writer writes them");
     }
 }

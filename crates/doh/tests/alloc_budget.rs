@@ -7,10 +7,11 @@
 //! compressing one is none), a payload is one buffer from its envelope
 //! header to its record tag, with no header list, header block or frame
 //! built beside it, and neither end builds an HTTP message: the client
-//! writes its HEADERS block from the resolver name and the query, the
-//! terminator and the client read the frames and fields where they lie in
-//! the opened record, and the terminator decodes the query and writes the
-//! answer into buffers it keeps.
+//! copies its request from the octets it wrote once for the resolver and
+//! the question's (encoded once per generation, inline, and outside the
+//! count), the terminator and the client read the frames and fields where
+//! they lie in the opened record, and the terminator decodes the query and
+//! writes the answer into buffers it keeps.
 //!
 //! The exchange counted is an address source's: `begin_query`, the
 //! terminator's `serve_payload` and `finish_addresses` reading the
@@ -46,7 +47,7 @@ use std::time::Duration;
 
 use sdoh_dns_server::{Authority, Catalog, Exchanger, Zone};
 use sdoh_dns_wire::{Message, MessageView, Name, RrType};
-use sdoh_doh::{DohClient, DohServerService, ResolverInfo};
+use sdoh_doh::{DohClient, DohQuestion, DohServerService, ResolverInfo};
 use sdoh_netsim::{ChannelKind, NetError, NetResult, SimAddr, SimInstant};
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
@@ -126,7 +127,8 @@ fn one_exchange_stays_within_its_allocation_budget() {
 
     // The exchange `finish_query`'s callers make: the service keeps the
     // buffer it opens records in from this one on.
-    let (transmit, prepared) = client.begin_query(0, &pool, RrType::A).unwrap();
+    let question = DohQuestion::new(&pool, RrType::A).unwrap();
+    let (transmit, prepared) = client.begin_query(0, &question);
     let mut reply = server
         .serve_payload(&mut NoUpstream, transmit.channel, &transmit.payload)
         .unwrap();
@@ -136,8 +138,7 @@ fn one_exchange_stays_within_its_allocation_budget() {
     assert_eq!(octets, (200, 310), "octets on the wire, request and reply");
 
     // The exchange an address source makes, counted.
-    let (begin, (transmit, prepared)) =
-        allocations_of(|| client.begin_query(0, &pool, RrType::A).unwrap());
+    let (begin, (transmit, prepared)) = allocations_of(|| client.begin_query(0, &question));
     let (serve, mut reply) = allocations_of(|| {
         server
             .serve_payload(&mut NoUpstream, transmit.channel, &transmit.payload)

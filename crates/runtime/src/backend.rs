@@ -37,6 +37,7 @@
 //! servers behave. The mutexes are not re-entrant, so an exchanger carries
 //! the chain of endpoints being served above it and refuses to re-enter one.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -158,10 +159,12 @@ impl BackendNet {
     /// the exchanger is `Send` and owns no endpoint state.
     pub fn exchanger(&self, source: SimAddr) -> BackendExchanger {
         BackendExchanger {
-            net: self.clone(),
-            chain: [source; MAX_DEPTH],
-            depth: 0,
-            id_state: self.inner.ids.fetch_add(0x632B_E5AB, Ordering::Relaxed) | 1,
+            hop: Hop {
+                net: self.clone(),
+                chain: [source; MAX_DEPTH],
+                depth: 0,
+                id_state: self.inner.ids.fetch_add(0x632B_E5AB, Ordering::Relaxed) | 1,
+            },
         }
     }
 }
@@ -179,18 +182,31 @@ impl std::fmt::Debug for BackendNet {
 /// hands to its `CachingPoolResolver` so generations and background
 /// refreshes reach the in-process resolver fleet.
 pub struct BackendExchanger {
-    net: BackendNet,
+    hop: Hop<BackendNet>,
+}
+
+/// An exchanger's state, over a net it holds a handle of (a shard's
+/// exchanger) or borrows (the exchanger an endpoint is handed while it
+/// serves, which lives no longer than the request: handing it over costs
+/// no reference count and no shared counter).
+struct Hop<N> {
+    net: N,
     /// The endpoints being served above this exchanger, outermost first in
     /// `chain[..depth]` — the re-entry detector that keeps a dispatch cycle
     /// from deadlocking on an endpoint mutex its own caller holds.
     chain: [SimAddr; MAX_DEPTH],
     depth: usize,
-    /// xorshift state for transaction ids; seeded per exchanger so two
-    /// shards never walk the same id sequence.
+    /// xorshift state for transaction ids; seeded per shard exchanger so two
+    /// shards never walk the same id sequence, and drawn from the caller's
+    /// for a nested one.
     id_state: u64,
 }
 
-impl BackendExchanger {
+impl<N: Borrow<BackendNet>> Hop<N> {
+    fn inner(&self) -> &Inner {
+        &self.net.borrow().inner
+    }
+
     /// The network half of an exchange, for a caller with nothing else to
     /// do: sleeps until `ready_at`, the end of a round trip that began one
     /// latency earlier — once, however many requests travel together.
@@ -203,39 +219,58 @@ impl BackendExchanger {
 
     /// When a round trip that begins now is over.
     fn round_trip_end(&self) -> SimInstant {
-        self.now().saturating_add(self.net.inner.latency)
+        self.now().saturating_add(self.inner().latency)
+    }
+
+    /// Advances the id state one xorshift step.
+    fn step(&mut self) -> u64 {
+        let mut x = self.id_state;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.id_state = x;
+        x
     }
 
     /// The endpoint half of an exchange: serves one request in place,
-    /// handing the endpoint a nested exchanger whose chain ends in `dst`.
-    fn deliver(&self, dst: SimAddr, channel: ChannelKind, payload: &[u8]) -> NetResult<Vec<u8>> {
+    /// handing the endpoint a nested exchanger over the same net, borrowed,
+    /// whose chain ends in `dst` and whose ids are drawn from this one's.
+    fn deliver(
+        &mut self,
+        dst: SimAddr,
+        channel: ChannelKind,
+        payload: &[u8],
+    ) -> NetResult<Vec<u8>> {
         let mut chain = self.chain;
         // No slot left for `dst` is the depth guard.
         *chain.get_mut(self.depth).ok_or(NetError::TooDeep)? = dst;
-        let endpoint = self
-            .net
-            .inner
-            .endpoints
-            .get(&dst)
-            .ok_or(NetError::Unreachable(dst))?;
         // A request that leads back to an endpoint this chain is already
         // serving would deadlock on a lock its own caller holds. (Another
         // chain contending for the endpoint still blocks, as intended.)
         if self.chain.iter().take(self.depth).any(|&held| held == dst) {
             return Err(NetError::TooDeep);
         }
-        let mut nested = BackendExchanger {
-            net: self.net.clone(),
+        // Scrambled by an odd multiplier, so the nested stream does not run
+        // one step behind this one.
+        let id_state = self.step().wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let net = self.net.borrow();
+        let endpoint = net
+            .inner
+            .endpoints
+            .get(&dst)
+            .ok_or(NetError::Unreachable(dst))?;
+        let mut nested = Hop {
+            net,
             chain,
             depth: self.depth + 1,
-            id_state: self.net.inner.ids.fetch_add(0x632B_E5AB, Ordering::Relaxed) | 1,
+            id_state,
         };
         let reply = endpoint.lock().serve(&mut nested, channel, payload);
         reply.ok_or(NetError::Timeout)
     }
 }
 
-impl Exchanger for BackendExchanger {
+impl<N: Borrow<BackendNet>> Exchanger for Hop<N> {
     fn exchange(
         &mut self,
         dst: SimAddr,
@@ -248,16 +283,11 @@ impl Exchanger for BackendExchanger {
     }
 
     fn next_id(&mut self) -> u16 {
-        let mut x = self.id_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.id_state = x;
-        (x >> 24) as u16 // sdoh-lint: allow(no-narrowing-cast, "intentionally takes 16 bits of the mixed xorshift state")
+        (self.step() >> 24) as u16 // sdoh-lint: allow(no-narrowing-cast, "intentionally takes 16 bits of the mixed xorshift state")
     }
 
     fn now(&self) -> SimInstant {
-        self.net.inner.clock.now()
+        self.inner().clock.now()
     }
 
     /// Performs the batch as **one round trip**: the requests depart
@@ -301,11 +331,44 @@ impl Exchanger for BackendExchanger {
     }
 }
 
+/// The shard's exchanger is its [`Hop`] over the net it holds.
+impl Exchanger for BackendExchanger {
+    fn exchange(
+        &mut self,
+        dst: SimAddr,
+        channel: ChannelKind,
+        payload: &[u8],
+        timeout: Duration,
+    ) -> NetResult<Vec<u8>> {
+        self.hop.exchange(dst, channel, payload, timeout)
+    }
+
+    fn next_id(&mut self) -> u16 {
+        self.hop.next_id()
+    }
+
+    fn now(&self) -> SimInstant {
+        self.hop.now()
+    }
+
+    fn exchange_all(&mut self, requests: Vec<ExchangeRequest>) -> Vec<ExchangeOutcome> {
+        self.hop.exchange_all(requests)
+    }
+
+    fn depart(&mut self, requests: Vec<ExchangeRequest>) -> Departure {
+        self.hop.depart(requests)
+    }
+
+    fn arrive(&mut self, departure: Departure) -> Vec<ExchangeOutcome> {
+        self.hop.arrive(departure)
+    }
+}
+
 impl std::fmt::Debug for BackendExchanger {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BackendExchanger")
-            .field("net", &self.net)
-            .field("depth", &self.depth)
+            .field("net", &self.hop.net)
+            .field("depth", &self.hop.depth)
             .finish()
     }
 }

@@ -1018,8 +1018,10 @@ fn tcp_loop(
 
 /// Serves RFC 1035 4.2.2 length-prefixed queries from any byte stream until
 /// the peer closes (or a read times out), each through [`serve_query`] as
-/// the dispatcher serves its. Query frames are read into one buffer per
-/// connection, and an answer leaves behind its length in one write: with
+/// the dispatcher serves its. Octets are read into one buffer per
+/// connection, as many as a read returns: a length and its query that
+/// arrive together take one read, and octets read past a query wait there
+/// for the next. An answer leaves behind its length in one write: with
 /// `TCP_NODELAY` set, each write is a segment of its own.
 ///
 /// Answers come back over one channel per connection — a hit's before
@@ -1032,19 +1034,43 @@ fn serve_framed(
     counters: &FrontCounters,
 ) -> std::io::Result<()> {
     let (tx, rx) = mpsc::channel();
-    let (mut wire, mut framed) = (Vec::new(), Vec::new());
+    // `inbox[..filled]` is what was read and not yet served; it grows to
+    // hold the longest frame the peer sends.
+    let (mut inbox, mut filled, mut framed) = (vec![0u8; 512], 0, Vec::new());
     loop {
-        let mut len_buf = [0u8; 2];
-        if stream.read_exact(&mut len_buf).is_err() {
-            return Ok(()); // EOF or idle: connection done.
-        }
-        wire.resize(usize::from(u16::from_be_bytes(len_buf)), 0);
-        stream.read_exact(&mut wire)?;
+        // Reads until the inbox holds a whole frame: its length, then as
+        // many octets. Ending before a length is the connection done;
+        // ending inside a frame is an error.
+        let frame = loop {
+            let declared = match inbox.get(..filled) {
+                Some([hi, lo, ..]) => Some(2 + usize::from(u16::from_be_bytes([*hi, *lo]))),
+                _ => None,
+            };
+            if let Some(frame) = declared {
+                if filled >= frame {
+                    break frame;
+                }
+                if inbox.len() < frame {
+                    inbox.resize(frame, 0);
+                }
+            }
+            match stream.read(inbox.get_mut(filled..).unwrap_or_default()) {
+                Ok(0) if declared.is_none() => return Ok(()),
+                Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+                Ok(read) => filled += read,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) if declared.is_none() => return Ok(()),
+                Err(e) => return Err(e),
+            }
+        };
         counters.tcp_received.inc();
-        if !serve_query(shards, &wire, ReplyPath::Tcp(tx.clone()), counters) {
+        let wire = inbox.get(2..frame).unwrap_or_default();
+        if !serve_query(shards, wire, ReplyPath::Tcp(tx.clone()), counters) {
             counters.dropped.inc();
             return Ok(());
         }
+        inbox.copy_within(frame..filled, 0);
+        filled -= frame;
         let response = match rx.recv_timeout(Duration::from_secs(10)) {
             Ok(bytes) => bytes,
             Err(_) => return Ok(()),
@@ -1732,15 +1758,31 @@ mod tests {
         acceptor.join().unwrap();
     }
 
-    /// A stream that reads from a script and keeps every write apart.
+    /// A stream that reads from a script, at most `chunk` octets a read,
+    /// counts its reads and keeps every write apart.
     struct Recorded {
         script: std::io::Cursor<Vec<u8>>,
+        chunk: usize,
+        reads: usize,
         writes: Vec<Vec<u8>>,
+    }
+
+    impl Recorded {
+        fn new(script: Vec<u8>) -> Self {
+            Recorded {
+                script: std::io::Cursor::new(script),
+                chunk: usize::MAX,
+                reads: 0,
+                writes: Vec::new(),
+            }
+        }
     }
 
     impl Read for Recorded {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            self.script.read(buf)
+            self.reads += 1;
+            let len = buf.len().min(self.chunk);
+            self.script.read(&mut buf[..len])
         }
     }
 
@@ -1769,12 +1811,8 @@ mod tests {
         // A pool, then a query cut short; then the peer closes.
         let mut malformed = a_query(2, &fleet.domains[1]);
         malformed.truncate(15);
-        let mut stream = Recorded {
-            script: std::io::Cursor::new(
-                [framed(&a_query(1, &fleet.domains[0])), framed(&malformed)].concat(),
-            ),
-            writes: Vec::new(),
-        };
+        let mut stream =
+            Recorded::new([framed(&a_query(1, &fleet.domains[0])), framed(&malformed)].concat());
         serve_framed(&mut stream, control.shards(), &counters).unwrap();
         assert_eq!(stream.writes.len(), 2, "each answer one write");
         let answers: Vec<Message> = stream
@@ -1793,6 +1831,77 @@ mod tests {
             (2, Rcode::FormErr)
         );
         assert_eq!(counters.tcp_received.get(), 2);
+    }
+
+    /// What `serve_framed` makes of `script` read at most `chunk` octets at
+    /// a time: the ids of the answers it wrote, each in one write behind
+    /// its length, and the reads it made.
+    fn framed_reads(script: Vec<u8>, chunk: usize) -> (Vec<u16>, usize) {
+        let fleet = LoopbackFleet::build(LoopbackConfig::default());
+        let control = open_shards(&fleet, 1, CacheConfig::default());
+        let counters = FrontCounters::register(&Registry::new());
+        let mut stream = Recorded::new(script);
+        stream.chunk = chunk;
+        serve_framed(&mut stream, control.shards(), &counters).unwrap();
+        let ids = stream
+            .writes
+            .iter()
+            .map(|write| {
+                let len = usize::from(u16::from_be_bytes([write[0], write[1]]));
+                assert_eq!(len, write.len() - 2, "its length in front");
+                Message::decode(&write[2..]).unwrap().header.id
+            })
+            .collect();
+        assert_eq!(counters.tcp_received.get(), stream.writes.len() as u64);
+        (ids, stream.reads)
+    }
+
+    /// A length and its query that arrive together are read together: one
+    /// read, and one more that finds the peer gone. It took three reads.
+    #[test]
+    fn a_whole_tcp_frame_takes_one_read() {
+        let domain = &LoopbackFleet::build(LoopbackConfig::default()).domains[0];
+        assert_eq!(
+            framed_reads(framed(&a_query(1, domain)), usize::MAX),
+            (vec![1], 2)
+        );
+    }
+
+    /// A frame that arrives an octet at a time is served once its last
+    /// octet is in, and the next where it follows.
+    #[test]
+    fn a_tcp_frame_in_one_octet_reads_is_served() {
+        let domains = LoopbackFleet::build(LoopbackConfig::default()).domains;
+        let script = [
+            framed(&a_query(1, &domains[0])),
+            framed(&a_query(2, &domains[1])),
+        ]
+        .concat();
+        let octets = script.len();
+        assert_eq!(framed_reads(script, 1), (vec![1, 2], octets + 1));
+    }
+
+    /// Two frames in one read: the second waits in the buffer and is
+    /// served after the first, without another read.
+    #[test]
+    fn two_tcp_frames_in_one_read_are_served_in_order() {
+        let domains = LoopbackFleet::build(LoopbackConfig::default()).domains;
+        let script = [
+            framed(&a_query(1, &domains[0])),
+            framed(&a_query(2, &domains[1])),
+        ]
+        .concat();
+        assert_eq!(framed_reads(script, usize::MAX), (vec![1, 2], 2));
+    }
+
+    /// The longest frame a length can declare, 65 535 octets, grows the
+    /// buffer to hold it: read in two reads, and answered.
+    #[test]
+    fn a_65_535_octet_tcp_frame_is_served() {
+        let domain = &LoopbackFleet::build(LoopbackConfig::default()).domains[0];
+        let mut query = a_query(7, domain);
+        query.resize(65_535, 0);
+        assert_eq!(framed_reads(framed(&query), usize::MAX), (vec![7], 3));
     }
 
     /// Two queries written back to back on one connection, for keys of two
@@ -1814,10 +1923,7 @@ mod tests {
             a_query(2, routed_to(&fleet, 0, 2, 1)[0]),
         ];
         let counters = FrontCounters::register(&Registry::new());
-        let mut stream = Recorded {
-            script: std::io::Cursor::new([framed(&asked[0]), framed(&asked[1])].concat()),
-            writes: Vec::new(),
-        };
+        let mut stream = Recorded::new([framed(&asked[0]), framed(&asked[1])].concat());
         // The test plays the timer: each round trip is over once the clock
         // has moved, and the pass after that lands it.
         let done = AtomicBool::new(false);

@@ -109,12 +109,6 @@ fn ln_factorial(n: usize) -> f64 {
     (1..=n).map(|i| (i as f64).ln()).sum()
 }
 
-/// Required fraction of resolvers the attacker must control to own a
-/// fraction `y` of the pool (Section III-a): `x >= y`, independent of `K`.
-pub fn required_resolver_fraction(required_pool_fraction: f64) -> f64 {
-    required_pool_fraction.clamp(0.0, 1.0)
-}
-
 /// The "asymptotic advantage" of Section III-b: how many additional
 /// resolvers multiply the attacker's cost by `10^orders` assuming the paper
 /// bound `p^M`.
@@ -193,13 +187,6 @@ mod tests {
         assert!((ln_choose(5, 2).exp() - 10.0).abs() < 1e-9);
         assert!((ln_choose(10, 0).exp() - 1.0).abs() < 1e-9);
         assert_eq!(ln_choose(3, 5), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn required_fraction_is_y() {
-        assert_eq!(required_resolver_fraction(0.5), 0.5);
-        assert_eq!(required_resolver_fraction(2.0), 1.0);
-        assert_eq!(required_resolver_fraction(-0.2), 0.0);
     }
 
     #[test]

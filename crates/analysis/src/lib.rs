@@ -42,7 +42,7 @@ mod table;
 
 pub use analytic::{
     attack_probability_exact, attack_probability_paper, attack_probability_pools, binomial_pmf,
-    ln_choose, required_resolver_fraction, resolvers_for_security_gain,
+    ln_choose, resolvers_for_security_gain,
 };
 pub use model::AttackModel;
 pub use sweep::{sweep_attack_probability, sweep_resolver_count, sweep_table, SweepPoint};

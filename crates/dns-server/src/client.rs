@@ -93,11 +93,6 @@ impl DnsClient {
         self
     }
 
-    /// The server this client queries.
-    pub fn server(&self) -> SimAddr {
-        self.server
-    }
-
     /// Sends a single query and returns the validated response message.
     ///
     /// This is the blocking convenience wrapper over the sans-IO halves
@@ -331,7 +326,7 @@ mod tests {
             .timeout(Duration::from_millis(500))
             .recursion_desired(false)
             .use_0x20(true);
-        assert_eq!(client.server(), SimAddr::v4(1, 1, 1, 1, 53));
+        assert_eq!(client.server, SimAddr::v4(1, 1, 1, 1, 53));
         assert_eq!(client.timeout, Duration::from_millis(500));
         assert!(!client.recursion_desired);
         assert_eq!(client.channel, ChannelKind::Secure);

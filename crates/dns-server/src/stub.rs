@@ -43,11 +43,6 @@ impl StubResolver {
         self
     }
 
-    /// The configured recursive resolver.
-    pub fn resolver(&self) -> SimAddr {
-        self.client.server()
-    }
-
     /// Looks up IPv4 addresses for `name`.
     ///
     /// # Errors
@@ -126,6 +121,12 @@ mod tests {
         let stub = StubResolver::new(SimAddr::v4(9, 9, 9, 9, 53))
             .channel(ChannelKind::Secure)
             .timeout(Duration::from_millis(750));
-        assert_eq!(stub.resolver(), SimAddr::v4(9, 9, 9, 9, 53));
+        // The stub's client is the one the setters describe, resolver
+        // included.
+        let client = DnsClient::new(SimAddr::v4(9, 9, 9, 9, 53))
+            .recursion_desired(true)
+            .channel(ChannelKind::Secure)
+            .timeout(Duration::from_millis(750));
+        assert_eq!(format!("{:?}", stub.client), format!("{client:?}"));
     }
 }

@@ -37,6 +37,10 @@ impl ResolverInfo {
 #[derive(Debug, Clone, Default)]
 pub struct ResolverDirectory {
     resolvers: Vec<ResolverInfo>,
+    /// The seed a well-known directory keys the resolvers it continues by
+    /// from; `None` for a directory built by hand, which ends where its
+    /// entries do.
+    continued: Option<u64>,
 }
 
 impl ResolverDirectory {
@@ -49,6 +53,9 @@ impl ResolverDirectory {
     /// paper's discussion and the experiments, keyed from `seed`.
     ///
     /// The first three entries are the three resolvers shown in Figure 1.
+    /// Past its sixteen named entries the directory continues by a rule
+    /// (see [`ResolverDirectory::take`]), so a sweep can ask for as many
+    /// resolvers as the paper's (N up to 31).
     pub fn well_known(seed: u64) -> Self {
         let entries = [
             ("dns.google", SimAddr::v4(8, 8, 8, 8, ports::HTTPS)),
@@ -91,6 +98,7 @@ impl ResolverDirectory {
                 .iter()
                 .map(|(name, addr)| ResolverInfo::new(name, *addr, seed))
                 .collect(),
+            continued: Some(seed),
         }
     }
 
@@ -99,23 +107,46 @@ impl ResolverDirectory {
         self.resolvers.push(resolver);
     }
 
-    /// All resolvers in the directory.
+    /// The directory's entries: not the resolvers
+    /// [`take`](ResolverDirectory::take) continues a well-known directory with.
     pub fn resolvers(&self) -> &[ResolverInfo] {
         &self.resolvers
     }
 
     /// The first `n` resolvers (the "list of trusted DoH resolvers" an
-    /// application configures); returns fewer when the directory is smaller.
+    /// application configures).
+    ///
+    /// A [`well_known`](ResolverDirectory::well_known) directory continues
+    /// past its entries by a rule: the `k`-th resolver past them (from 0),
+    /// at position `i` counting from 1, is `doh<i>.example` at
+    /// `198.19.h.l:443`, `h.l` being `k` as two octets, keyed from the
+    /// directory's seed like the rest. 198.19.0.0/16 is the upper half of
+    /// the RFC 2544 benchmarking block, which no fixture uses (the lower
+    /// half holds the loopback fleet's attacker addresses). So it yields
+    /// exactly `n` distinct resolvers up to 65 536 past its entries, and
+    /// stops there. A directory built by hand returns fewer when it is
+    /// smaller.
     pub fn take(&self, n: usize) -> Vec<ResolverInfo> {
-        self.resolvers.iter().take(n).cloned().collect()
+        let mut taken: Vec<ResolverInfo> = self.resolvers.iter().take(n).cloned().collect();
+        if let Some(seed) = self.continued {
+            for k in (0..=u16::MAX).take(n.saturating_sub(taken.len())) {
+                let [h, l] = k.to_be_bytes();
+                let name = format!("doh{}.example", self.resolvers.len() + usize::from(k) + 1);
+                let addr = SimAddr::v4(198, 19, h, l, ports::HTTPS);
+                taken.push(ResolverInfo::new(&name, addr, seed));
+            }
+        }
+        taken
     }
 
-    /// Looks a resolver up by host name.
+    /// Looks an entry up by host name (not the resolvers
+    /// [`take`](ResolverDirectory::take) continues a well-known directory with).
     pub fn by_name(&self, name: &str) -> Option<&ResolverInfo> {
         self.resolvers.iter().find(|r| r.name == name)
     }
 
-    /// Number of resolvers in the directory.
+    /// Number of entries in the directory, not counting the resolvers
+    /// [`take`](ResolverDirectory::take) continues a well-known directory with.
     pub fn len(&self) -> usize {
         self.resolvers.len()
     }
@@ -149,7 +180,36 @@ mod tests {
         assert_eq!(three[0].name, "dns.google");
         assert_eq!(three[1].name, "cloudflare-dns.com");
         assert_eq!(three[2].name, "dns.quad9.net");
-        assert_eq!(directory.take(1000).len(), directory.len());
+        // Past its named entries the directory continues: exactly as many
+        // as asked, the named ones first and unchanged, up to the rule's
+        // limit.
+        let many = directory.take(1000);
+        assert_eq!(many.len(), 1000);
+        assert_eq!(&many[..directory.len()], directory.resolvers());
+        assert_eq!(many[directory.len()].name, "doh17.example");
+        let limit = directory.len() + 65_536;
+        assert_eq!(directory.take(limit + 5).len(), limit);
+        // A directory built by hand ends where its entries do.
+        let mut manual = ResolverDirectory::new();
+        manual.add(directory.resolvers()[0].clone());
+        assert_eq!(manual.take(3).len(), 1);
+    }
+
+    #[test]
+    fn thirty_one_resolvers_are_thirty_one_distinct_resolvers() {
+        let taken = ResolverDirectory::well_known(1).take(31);
+        assert_eq!(taken.len(), 31);
+        for (at, resolver) in taken.iter().enumerate() {
+            for earlier in &taken[..at] {
+                assert_ne!(resolver.name, earlier.name);
+                assert_ne!(resolver.addr, earlier.addr);
+                assert_ne!(resolver.key, earlier.key);
+            }
+        }
+        // Every continued resolver is keyed from the seed like the rest.
+        let other = ResolverDirectory::well_known(2).take(31);
+        assert!(taken.iter().zip(&other).all(|(a, b)| a.key != b.key));
+        assert_eq!(taken, ResolverDirectory::well_known(1).take(31));
     }
 
     #[test]

@@ -178,18 +178,19 @@ fn relative_label(root: &Path, path: &Path) -> String {
 /// locks feed the lock-order analysis.
 pub fn graph_config() -> GraphConfig {
     GraphConfig {
-        // The shard serving path: the dispatcher that serves wire queries
-        // on their shard (the TCP thread does the same through the same
-        // function, so it needs no entry of its own), the timer that lands
-        // the round trips no socket thread meets, and the resolver entry
-        // points they dispatch into — the blocking pair (`handle_query` and
-        // `handle_query_wire` are reached through `dyn QueryHandler`, which
-        // call resolution deliberately does not follow — so the concrete
-        // implementations are entry points of their own) and `begin`, the
-        // step every hit is answered through. The last two sit behind
-        // `Worker::pump`'s pruning boundary and yet run per query: `pump`'s
-        // first check asks `next_refresh_due` after every query served, and
-        // `answer_parked` is the way out of every parked miss.
+        // The shard serving path: the dispatcher that steps its shard with
+        // each wire query through `ShardSet::step` (the TCP thread does the
+        // same through the same function, so it needs no entry of its own),
+        // the timer that lands the round trips no socket thread meets, and
+        // the resolver entry points they dispatch into — the blocking pair
+        // (`handle_query` and `handle_query_wire` are reached through `dyn
+        // QueryHandler`, which call resolution deliberately does not follow
+        // — so the concrete implementations are entry points of their own)
+        // and `begin`, the step every hit is answered through. The last two
+        // sit behind `ShardMachine::pump`'s pruning boundary and yet run per
+        // query: `pump`'s first check asks `next_refresh_due` at the end of
+        // every step, and `answer_parked` is the way out of every parked
+        // miss.
         purity_entries: vec![
             Entry::free("runtime", "dispatcher_loop"),
             Entry::free("runtime", "timer_loop"),
@@ -197,7 +198,7 @@ pub fn graph_config() -> GraphConfig {
             Entry::method("core", "CachingPoolResolver", "handle_query_wire"),
             Entry::method("core", "CachingPoolResolver", "begin"),
             Entry::method("core", "CachingPoolResolver", "next_refresh_due"),
-            Entry::method("runtime", "Worker", "answer_parked"),
+            Entry::method("runtime", "ShardMachine", "answer_parked"),
         ],
         determinism_crates: DETERMINISM_CRATES.iter().map(|c| c.to_string()).collect(),
         lock_crates: vec!["runtime".to_string()],

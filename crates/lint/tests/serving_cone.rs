@@ -1,6 +1,7 @@
 //! What `transitive-hot-path-purity` actually covers, shown on the real
-//! sources: an allocation planted at the top of each per-query function is
-//! reported on the planted line. The file-local rule that used to check
+//! sources: an allocation planted at the top of each per-query function
+//! (and in the body of `ShardSet::perform`'s effect loop) is reported on the
+//! planted line. The file-local rule that used to check
 //! `runtime.rs` and `core/serve/**` line by line is gone; this is the list
 //! of functions the traversal has to reach for that to have cost nothing.
 //! (What it does *not* reach is listed in `RULES.md`.)
@@ -12,12 +13,25 @@ use sdoh_lint::{check_sources, find_workspace_root, graph_config, RuleId};
 
 const PLANT: &str = "let _ = format!(\"x\");";
 
-/// `(file, the text that ends in the function's opening brace)` — each
-/// needle must match its file exactly once.
-const PER_QUERY: [(&str, &str); 16] = [
+/// `(file, the text that ends in the function's opening brace)` — or in
+/// the loop's, for `ShardSet::perform`'s effect loop — each needle must match
+/// its file exactly once.
+const PER_QUERY: [(&str, &str); 18] = [
     (
         "crates/runtime/src/runtime.rs",
-        "fn send(&mut self, query: Option<&QueryView<'_>>, reply: &ReplyPath, started: Instant) {",
+        "fn serve_query(shards: &ShardSet, wire: &[u8], reply: ReplyPath) -> bool {",
+    ),
+    (
+        "crates/runtime/src/runtime.rs",
+        "fn step(&self, index: usize, item: Option<Item<'_>>) -> Option<Duration> {", // ShardSet::step
+    ),
+    (
+        "crates/runtime/src/runtime.rs",
+        "for answer in answers.drain(..) {", // ShardSet::perform's effect loop
+    ),
+    (
+        "crates/runtime/src/runtime.rs",
+        "perform: &mut impl FnMut(&mut Effects),\n    ) -> Option<SimInstant> {", // ShardMachine::step
     ),
     (
         "crates/runtime/src/runtime.rs",
@@ -25,11 +39,7 @@ const PER_QUERY: [(&str, &str); 16] = [
     ),
     (
         "crates/runtime/src/runtime.rs",
-        "fn serve_query(shards: &ShardSet, wire: &[u8], reply: ReplyPath, counters: &FrontCounters) -> bool {",
-    ),
-    (
-        "crates/runtime/src/runtime.rs",
-        "fn pump_and_arm(&mut self, timer: &Timer) -> bool {",
+        "fn answer(&mut self, query: Option<&QueryView<'_>>, reply: ReplyPath, started: Instant) {", // Effects::answer
     ),
     (
         "crates/runtime/src/runtime.rs",

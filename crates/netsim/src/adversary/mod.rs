@@ -96,52 +96,6 @@ pub trait Adversary {
     }
 }
 
-/// An adversary that never interferes; attaching it is equivalent to having
-/// no adversary at all.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PassiveObserver {
-    requests_seen: u64,
-    responses_seen: u64,
-}
-
-impl PassiveObserver {
-    /// Creates a passive observer.
-    pub fn new() -> Self {
-        PassiveObserver::default()
-    }
-
-    /// Number of requests observed so far.
-    pub fn requests_seen(&self) -> u64 {
-        self.requests_seen
-    }
-
-    /// Number of responses observed so far.
-    pub fn responses_seen(&self) -> u64 {
-        self.responses_seen
-    }
-}
-
-impl Adversary for PassiveObserver {
-    fn on_request(&mut self, _envelope: &Envelope<'_>, _rng: &mut SimRng) -> RequestVerdict {
-        self.requests_seen += 1;
-        RequestVerdict::Deliver
-    }
-
-    fn on_response(
-        &mut self,
-        _envelope: &Envelope<'_>,
-        _request: &[u8],
-        _rng: &mut SimRng,
-    ) -> ResponseVerdict {
-        self.responses_seen += 1;
-        ResponseVerdict::Deliver
-    }
-
-    fn name(&self) -> &str {
-        "passive-observer"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,23 +118,5 @@ mod tests {
             ResponseVerdict::Deliver
         );
         assert_eq!(nop.name(), "adversary");
-    }
-
-    #[test]
-    fn passive_observer_counts() {
-        let mut obs = PassiveObserver::new();
-        let mut rng = SimRng::seed_from_u64(2);
-        let env = Envelope {
-            src: SimAddr::v4(10, 0, 0, 1, 1000),
-            dst: SimAddr::v4(10, 0, 0, 2, 53),
-            channel: ChannelKind::Secure,
-            payload: &[],
-        };
-        for _ in 0..3 {
-            obs.on_request(&env, &mut rng);
-        }
-        obs.on_response(&env, &[], &mut rng);
-        assert_eq!(obs.requests_seen(), 3);
-        assert_eq!(obs.responses_seen(), 1);
     }
 }

@@ -34,7 +34,7 @@ mod time;
 pub use addr::{ports, ParseSimAddrError, SimAddr};
 pub use adversary::{
     Adversary, BirthdaySpoofer, BirthdayStats, Envelope, ObservedIdentifiers, OffPathSpoofer,
-    OnPathMitm, PassiveObserver, RequestVerdict, ResponseVerdict, SpoofStrategy,
+    OnPathMitm, RequestVerdict, ResponseVerdict, SpoofStrategy,
 };
 pub use channel::ChannelKind;
 pub use link::LinkConfig;

@@ -18,11 +18,6 @@ impl NtpTimestamp {
     /// The zero timestamp, used in packets for "unknown".
     pub const ZERO: NtpTimestamp = NtpTimestamp(0);
 
-    /// Builds a timestamp from whole seconds and a fraction in `[0, 1)`.
-    pub fn from_parts(seconds: u32, fraction: u32) -> Self {
-        NtpTimestamp((u64::from(seconds) << 32) | u64::from(fraction))
-    }
-
     /// The whole-seconds part.
     pub fn seconds(self) -> u32 {
         let [a, b, c, d, ..] = self.0.to_be_bytes();
@@ -84,7 +79,7 @@ mod tests {
 
     #[test]
     fn parts_roundtrip() {
-        let ts = NtpTimestamp::from_parts(1234, 0x8000_0000);
+        let ts = NtpTimestamp((1234 << 32) | 0x8000_0000);
         assert_eq!(ts.seconds(), 1234);
         assert_eq!(ts.fraction(), 0x8000_0000);
         assert!((ts.as_seconds_f64() - 1234.5).abs() < 1e-9);

@@ -331,7 +331,7 @@ impl<N: Borrow<BackendNet>> Exchanger for Hop<N> {
     }
 }
 
-/// The shard's exchanger is its [`Hop`] over the net it holds.
+/// The shard's exchanger is its `Hop` over the net it holds.
 impl Exchanger for BackendExchanger {
     fn exchange(
         &mut self,

@@ -3,14 +3,16 @@
 //! [`ControlHandle::apply`] validates a [`ConfigDelta`], numbers it — an
 //! **epoch** is a `u64` only this module counts, one per accepted delta —
 //! and hands it to every shard in turn **under the shard's own lock**, the
-//! one its queries are served under. An order that changes only the cache
-//! knobs is adopted and acked there and then. One that swaps the source set
-//! or the pool configuration while flights are upstream waits on the shard
-//! until they have landed, so nothing the old set generated is cached after
-//! the ack, and the queries that reach the shard meanwhile are parked
-//! behind it. Either way a query read after `apply` returns is served under
-//! the new epoch, and no lock is held across a round trip. Each shard acks
-//! into its own atomic slot (the `sdoh_shard_acked_epoch{shard}` gauges,
+//! one its queries are served under: the order is a step of the shard's
+//! machine, through the same `ShardSet::step` as a query. An order that
+//! changes only the cache knobs is adopted and acked there and then. One
+//! that swaps the source set or the pool configuration while flights are
+//! upstream waits on the shard until they have landed, so nothing the old
+//! set generated is cached after the ack, and the queries that reach the
+//! shard meanwhile are parked behind it. Either way a query read after
+//! `apply` returns is served under the new epoch, and no lock is held
+//! across a round trip. The shard's step acks the epoch it adopted into the
+//! shard's own atomic slot (the `sdoh_shard_acked_epoch{shard}` gauges,
 //! [`ControlHandle::wait_for_epoch`]); the resolvers are handed the knobs,
 //! never the number. The shard set is fixed at
 //! [`PoolRuntime::start`](crate::PoolRuntime::start).
@@ -104,8 +106,6 @@ pub(crate) struct EpochOrder {
 pub(crate) struct ControlInner {
     /// The runtime's shards, as it was started with them.
     shards: Arc<ShardSet>,
-    /// The epoch each shard last acked, in shard order.
-    acked: Vec<Arc<AtomicU64>>,
     /// The published cache knobs, as of `epoch`. [`ControlHandle::apply`]
     /// holds it from validation to publication, so deltas are numbered one
     /// at a time and `/config` never pairs one epoch's number with
@@ -124,16 +124,10 @@ pub struct ControlHandle {
 }
 
 impl ControlHandle {
-    /// `acked` holds one slot per shard, the one its shard acks into.
-    pub(crate) fn new(
-        shards: Arc<ShardSet>,
-        acked: Vec<Arc<AtomicU64>>,
-        config: CacheConfig,
-    ) -> ControlHandle {
+    pub(crate) fn new(shards: Arc<ShardSet>, config: CacheConfig) -> ControlHandle {
         ControlHandle {
             inner: Arc::new(ControlInner {
                 shards,
-                acked,
                 config: Mutex::new(config),
                 epoch: AtomicU64::new(0),
             }),
@@ -159,11 +153,7 @@ impl ControlHandle {
     /// entry lags [`ControlHandle::current_epoch`] is still landing the
     /// flights an order waits for.
     pub fn acked_epochs(&self) -> Vec<u64> {
-        self.inner
-            .acked
-            .iter()
-            .map(|slot| slot.load(Ordering::Acquire))
-            .collect()
+        self.inner.shards.acked_epochs()
     }
 
     /// Blocks until every shard has acked at least `epoch` (true) or the

@@ -12,10 +12,12 @@
 //!   truncated-answer retries) and routes each query by
 //!   `(domain, address family)` hash to one of N shards, each a
 //!   [`CachingPoolResolver`](sdoh_core::CachingPoolResolver) behind a lock
-//!   of its own: the socket thread that read a query serves it under that
-//!   lock, and one timer thread for all shards lands the round trips no
-//!   socket thread meets. Statistics ([`RuntimeStats`]) are read on demand
-//!   ([`PoolRuntime::stats`]), and shutdown is graceful.
+//!   of its own. A shard is a machine with one `step` entry that does no
+//!   I/O: it writes its answers and acks as effects, and one function steps it
+//!   under its lock and performs them — for the socket thread that read a
+//!   query, for the control plane, and for the one timer thread that lands
+//!   the round trips no socket thread meets. Statistics ([`RuntimeStats`])
+//!   are read on demand ([`PoolRuntime::stats`]), and shutdown is graceful.
 //! * [`BackendNet`] — in-process upstream endpoints (full RFC 8484 DoH
 //!   terminators via [`PayloadService`]) reached through `Send`
 //!   [`BackendExchanger`]s, so a complete serving stack runs end-to-end

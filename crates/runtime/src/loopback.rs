@@ -196,3 +196,30 @@ impl std::fmt::Debug for LoopbackFleet {
             .finish()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_fleet_of_31_resolvers_installs_31() {
+        let fleet = LoopbackFleet::build(LoopbackConfig {
+            resolvers: 31,
+            ..LoopbackConfig::default()
+        });
+        assert_eq!(fleet.infos.len(), 31);
+        // Every one of them is installed, and answers a generation.
+        let sources = fleet
+            .infos
+            .iter()
+            .map(|info| {
+                Box::new(DohSource::new(info.clone()).method(DohMethod::Get))
+                    as Box<dyn AddressSource>
+            })
+            .collect();
+        let generator = SecurePoolGenerator::new(PoolConfig::algorithm1(), sources).unwrap();
+        let mut exchanger = fleet.backends.exchanger(SimAddr::v4(10, 1, 0, 0, 40000));
+        let report = generator.generate(&mut exchanger, &fleet.domains[0]);
+        assert_eq!(report.unwrap().answered(), 31);
+    }
+}

@@ -6,10 +6,10 @@
 //!              │ dispatcher │                  │ tcp acceptor│
 //!              └─────┬──────┘                  └──────┬──────┘
 //!        hash(qname, qtype) ──────────────────────────┘
-//!   ┌─────▼────┐ ┌───▼──────┐ ┌────▼─────┐  the reading thread takes the
-//!   │ shard 0  │ │ shard 1  │ │ shard N-1│  shard's lock, serves, pumps;
-//!   │ resolver │ │ resolver │ │ resolver │  control plane and statistics
-//!   └─────▲────┘ └────▲─────┘ └────▲─────┘  take the same lock
+//!   ┌─────▼────┐ ┌───▼──────┐ ┌────▼─────┐  the reading thread steps the
+//!   │ shard 0  │ │ shard 1  │ │ shard N-1│  shard under its lock and
+//!   │ machine  │ │ machine  │ │ machine  │  performs the effects; control
+//!   └─────▲────┘ └────▲─────┘ └────▲─────┘  plane and timer step it alike
 //!         └───── timer: lands what no socket thread meets
 //! ```
 //!
@@ -21,54 +21,60 @@
 //! runtime's threads are the two that read sockets and one timer for all
 //! shards (plus the stats listener, when configured), idle or loaded.
 //!
-//! # The hit path
+//! # One entry, one place its effects are performed
 //!
-//! The thread that read a query takes the owning shard's lock — waiting
-//! for it, if another thread holds it for its own serve and pump — and
-//! answers from its receive buffer through the shard's one serve function:
-//! the query read where it lies ([`QueryView`]), the two halves of the
-//! shared Do53 core ([`decode_do53_query`], [`finish_do53_answer`]) around
-//! the resolver's first step ([`begin`](CachingPoolResolver::begin)),
-//! rendered into the one response buffer the shard keeps. A cached pool's
-//! answer section was encoded when it entered the cache, so a hit writes a
-//! header, the echoed question and a TTL, and allocates nothing
+//! A shard changes only through `ShardMachine::step`: a query, a control
+//! order or nothing (a timer pass) in, the next instant anything is due
+//! out. The machine does no I/O but its exchanger's. Its **effects** — each
+//! answer's octets, reply path, start and truncation, and the epoch it
+//! adopted — are performed by one function, `ShardSet::step`, under the
+//! shard's lock: `send_to` or the TCP connection's channel, the latency
+//! histogram, the truncation counter, the ack, then the timer's alarm. A
+//! step hands its effects out twice, once its item's are written and once
+//! it has pumped, so a query's answer leaves before the step lands what
+//! is due. The socket threads, the control plane, the timer and shutdown
+//! all step shards through it; a test steps a machine by hand and reads
+//! its effects.
+//!
+//! # The hit path and the miss path
+//!
+//! A query is read where it lies ([`QueryView`]) through the two halves of
+//! the shared Do53 core ([`decode_do53_query`], [`finish_do53_answer`])
+//! around the resolver's first step ([`begin`](CachingPoolResolver::begin)).
+//! A hit renders a header, the echoed question and a TTL in front of an
+//! answer section encoded when the pool was cached, and allocates nothing
 //! (`core/tests/alloc_budget.rs`). A UDP answer longer than its client can
 //! receive (its OPT payload size, 512 without one, capped by the configured
 //! limit) is replaced by an empty TC=1 response, and the client retries
 //! over the TCP listener on the same port.
 //!
-//! # The miss path
+//! A miss opens a **flight** for its key (or joins the live one), and its
+//! octets are **parked** under it in one buffer the shard keeps. Every step
+//! ends by **pumping**: batches whose round trip is over are collected
+//! ([`Exchanger::arrive`]) and landed, due refreshes open flights, every
+//! query parked on a landed flight is answered, and what the live flights
+//! have to send departs as one batch ([`Exchanger::depart`]). A zero round
+//! trip lands within the step, and queries that never pause cannot starve
+//! the flights.
 //!
-//! A generation is data the shard owns. `begin` either answers or opens a
-//! **flight** for the key (or joins the live one) and the serving thread
-//! **parks** the query's octets under it, in one buffer the shard keeps,
-//! and lets go of the shard. Whoever holds the shard then **pumps** it:
-//! batches whose round trip is over are collected ([`Exchanger::arrive`])
-//! and landed, due refreshes open flights of their own, every query parked
-//! on a landed flight is answered, and what the live flights have to send
-//! departs as one batch ([`Exchanger::depart`]). A zero round trip lands
-//! before the lock is let go; a stream of queries that never pauses cannot
-//! starve the flights, since every serve is followed by a pump.
-//!
-//! * *The timer.* A shard's alarm is the instant its last pump returned.
+//! * *The timer.* A shard's alarm is the instant its last step returned.
 //!   One timer thread waits (`park_timeout`, a futex) until the earliest
-//!   alarm over all shards, held in one atomic on the wall clock, and pumps
-//!   each shard whose alarm is due. A socket thread whose pump moves its
-//!   shard's alarm earlier moves the timer down and unparks it; anything
-//!   later the timer meets on its own. Alarms are converted to the wall
-//!   clock under the shard's lock from the shard's own exchanger clock, so
-//!   a shard on a simulated clock keeps working.
-//! * *Who waits for landings.* Nobody, under a lock, while the socket
-//!   threads run. A control order that swaps the source set or the pool
-//!   configuration while flights are upstream waits on the shard: queries
-//!   that arrive meanwhile park behind it with no flight, and the first
-//!   pump that finds nothing upstream adopts and acks the order and serves
-//!   them in arrival order, so nothing the old set generated is cached
-//!   after the ack. Only [`PoolRuntime::shutdown`] sleeps out the last
-//!   round trips, once the socket threads and the timer are joined.
+//!   alarm over all shards, held in one atomic on the wall clock, and steps
+//!   each shard whose alarm is due. A step that moves its shard's alarm
+//!   earlier moves the timer down and unparks it. Alarms are converted to
+//!   the wall clock from the shard's own exchanger clock, so a shard on a
+//!   simulated clock keeps working.
+//! * *Who waits for landings.* Nobody, under a lock. A control order that
+//!   swaps the source set or the pool configuration while flights are
+//!   upstream waits on the shard: queries that arrive meanwhile park behind
+//!   it with no flight, and the first step that finds nothing upstream
+//!   adopts the order and serves them in arrival order, so nothing the old
+//!   set generated is cached after the ack. Only [`PoolRuntime::shutdown`]
+//!   sleeps out the last round trips, between steps, once the socket
+//!   threads and the timer are joined.
 //!
 //! A transport without the two halves takes their blocking defaults, and
-//! whichever thread pumps sits out each round trip. The socket threads
+//! whichever thread steps sits out each round trip. The socket threads
 //! block in `recv_from` / `accept` and back off from errors; `shutdown`
 //! wakes each with one throw-away message.
 
@@ -100,8 +106,8 @@ use crate::control::{ControlHandle, EpochOrder};
 
 /// How long a stats aggregation waits for each shard's lock before marking
 /// the shard unresponsive (a wedged shard must not wedge the exporter). A
-/// shard's lock is held for one serve and one pump at a time, so a miss
-/// means a transport whose `depart` blocks, never an upstream that is slow.
+/// shard's lock is held for one step at a time, so a miss means a transport
+/// whose `depart` blocks, never an upstream that is slow.
 const SNAPSHOT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// The shorter deadline `/healthz` probes shards with: a readiness check
@@ -116,9 +122,15 @@ const SNAPSHOT_POLL: Duration = Duration::from_micros(50);
 const ERROR_BACKOFF: Duration = Duration::from_millis(1);
 
 /// How long a TCP connection may leave a read or a write of its without
-/// progress before it is dropped: the one connection served at a time
-/// holds back the next no longer than this.
+/// progress before it is dropped. The one connection served at a time holds
+/// back the next for up to this long per read or write that makes no
+/// progress, and for as long as it keeps making progress.
 const TCP_IO_BUDGET: Duration = Duration::from_secs(2);
+
+/// How long a TCP connection waits for a shard to answer its query before
+/// it is dropped: a miss's answer waits for its flight to land, so this is
+/// the longest one query holds back the next connection once it is read.
+const TCP_ANSWER_WAIT: Duration = Duration::from_secs(10);
 
 /// The timer thread's name. `pool-bench` attributes a runtime thread's CPU
 /// by its name, and counts a thread outside `sdoh-dispatch`, `sdoh-shard-*`,
@@ -198,7 +210,7 @@ impl RuntimeConfig {
 }
 
 /// One serving shard: a caching resolver plus the exchanger its
-/// generations and refreshes go out through, served by whichever runtime
+/// generations and refreshes go out through, stepped by whichever runtime
 /// thread holds the shard's lock — which is why the serve layer is `Send`.
 pub struct Shard {
     resolver: CachingPoolResolver,
@@ -223,15 +235,16 @@ impl std::fmt::Debug for Shard {
     }
 }
 
-/// Front-door counters kept by the socket threads, as registry [`Counter`]
-/// handles: the same bumps feed [`RuntimeStats`] and `/metrics`.
+/// Front-door counters kept by the socket threads and `ShardSet::step`, as
+/// registry [`Counter`] handles: the same bumps feed [`RuntimeStats`] and
+/// `/metrics`.
 #[derive(Debug)]
 pub(crate) struct FrontCounters {
     udp_received: Counter,
     tcp_received: Counter,
     truncated: Counter,
     dropped: Counter,
-    /// Pumps of a socket thread that moved the shard timer earlier.
+    /// Steps of a query that moved the shard timer earlier.
     wakes: Counter,
 }
 
@@ -357,34 +370,45 @@ impl std::fmt::Display for RuntimeStats {
     }
 }
 
+/// Where an answer goes.
 pub(crate) enum ReplyPath {
-    /// Answer with `send_to` on the shared UDP socket; responses longer
-    /// than the client can receive are truncated to TC=1.
+    /// `send_to` on the shared UDP socket; an answer longer than the client
+    /// can receive is truncated to TC=1.
     Udp(SocketAddr),
-    /// Hand the full response back to the TCP connection handler.
-    Tcp(mpsc::Sender<Vec<u8>>),
+    /// Over the TCP connection's channel, appended to the buffer it lent.
+    Tcp(mpsc::Sender<Vec<u8>>, Vec<u8>),
 }
 
-/// One shard's state behind its one lock.
+/// What a shard's lock guards: the machine, and the alarm its step last
+/// armed (`None`: the timer does not wait for the shard).
+struct ShardState {
+    machine: ShardMachine,
+    alarm: Option<SimInstant>,
+}
+
+/// One shard: its state behind its one lock, and its own ways out.
 struct ShardCell {
-    worker: Mutex<Worker>,
+    state: Mutex<ShardState>,
+    /// Every answered query's latency, recorded as its answer leaves.
+    latency: Histogram,
+    /// The epoch this shard last adopted, read by the control plane.
+    acked: AtomicU64,
 }
 
 impl ShardCell {
-    /// The hold every runtime thread takes on a shard, for one serve, order
-    /// or timer landing and the pump after it; a thread that finds it taken
-    /// waits.
-    // sdoh-lint: allow(transitive-hot-path-purity, "the shard's own lock: held for one serve and one pump at a time, and nobody sleeps under it while the socket threads run (shutdown lands the last round trips only after joining them), so a query waits for at most the serve and pump ahead of it")
-    fn lock(&self) -> MutexGuard<'_, Worker> {
-        self.worker.lock()
+    /// The hold [`ShardSet::step`] takes on a shard for one step; a thread that
+    /// finds it taken waits.
+    // sdoh-lint: allow(transitive-hot-path-purity, "the shard's own lock: held for one step at a time, and nobody sleeps under it (shutdown sleeps out the last round trips between its steps), so a query waits for at most the step ahead of it")
+    fn lock(&self) -> MutexGuard<'_, ShardState> {
+        self.state.lock()
     }
 
     /// The shard's snapshot, read under its lock: tried until `deadline`,
     /// `None` if the lock stayed taken that long.
     fn snapshot(&self, deadline: Instant) -> Option<ServeSnapshot> {
         loop {
-            if let Some(worker) = self.worker.try_lock() {
-                return Some(worker.resolver.snapshot());
+            if let Some(state) = self.state.try_lock() {
+                return Some(state.machine.resolver.snapshot());
             }
             if Instant::now() >= deadline {
                 return None;
@@ -447,24 +471,37 @@ impl Timer {
     }
 }
 
-/// The runtime's shards, in shard order, and the timer that lands what no
-/// socket thread meets. Shared by every runtime thread and the control
-/// plane.
+/// The runtime's shards, in shard order, the ways out their steps share
+/// and the timer that lands what no socket thread meets. Shared by every
+/// runtime thread and the control plane.
 pub(crate) struct ShardSet {
     cells: Vec<ShardCell>,
     timer: Timer,
+    udp: UdpSocket,
+    counters: FrontCounters,
 }
 
 impl ShardSet {
-    fn new(workers: Vec<Worker>) -> ShardSet {
+    /// `shards`, their counters and histograms in `registry`.
+    fn new(shards: Vec<Shard>, limit: usize, udp: UdpSocket, registry: &Registry) -> ShardSet {
+        let counters = FrontCounters::register(registry);
+        let (name, help) = sdoh_core::METRIC_SERVE_LATENCY;
         ShardSet {
-            timer: Timer::new(workers.len()),
-            cells: workers
+            timer: Timer::new(shards.len()),
+            cells: shards
                 .into_iter()
-                .map(|worker| ShardCell {
-                    worker: Mutex::new(worker),
+                .enumerate()
+                .map(|(index, shard)| ShardCell {
+                    state: Mutex::new(ShardState {
+                        machine: ShardMachine::new(index, shard, limit),
+                        alarm: None,
+                    }),
+                    latency: registry.histogram_with(name, help, &[("shard", &index.to_string())]),
+                    acked: AtomicU64::new(0),
                 })
                 .collect(),
+            udp,
+            counters,
         }
     }
 
@@ -472,29 +509,96 @@ impl ShardSet {
         self.cells.len()
     }
 
-    /// Hands `order` to every shard in turn, under its lock, and pumps it:
-    /// see "Who waits for landings" in the module doc for when it is adopted.
-    pub(crate) fn reconfigure(&self, order: &Arc<EpochOrder>) {
-        for cell in &self.cells {
-            let mut guard = ShardCell::lock(cell);
-            let worker: &mut Worker = &mut guard;
-            worker.orders.push(Arc::clone(order));
-            worker.pump_and_arm(&self.timer);
+    /// The epoch each shard last adopted, in shard order.
+    pub(crate) fn acked_epochs(&self) -> Vec<u64> {
+        self.cells
+            .iter()
+            .map(|cell| cell.acked.load(Ordering::Acquire))
+            .collect()
+    }
+
+    /// **The** way a shard changes: steps shard `index` with `item` under its
+    /// lock, performs the effects under the same hold as the step hands them
+    /// out — a query's answer before the step goes on to what is due — then
+    /// arms the timer with the next due instant on the wall clock (the
+    /// machine's clock read first, so never before the alarm). A query whose
+    /// step moved the alarm earlier counts in `sdoh_shard_wakes_total`.
+    /// Returns how long until the next round trip upstream is over (`None`:
+    /// none, or no shard).
+    fn step(&self, index: usize, item: Option<Item<'_>>) -> Option<Duration> {
+        let cell = self.cells.get(index)?;
+        let query = matches!(item, Some(Item::Query { .. }));
+        let mut guard = ShardCell::lock(cell);
+        let state: &mut ShardState = &mut guard;
+        let machine: &mut ShardMachine = &mut state.machine;
+        let due = machine.step(item, &mut |effects| self.perform(cell, effects));
+        if due.is_none() && state.alarm.is_none() {
+            // Unarmed before and after (a hit): no shared atomic to touch,
+            // and nothing upstream.
+            return None;
+        }
+        let now = machine.exchanger.now();
+        let earlier = due.is_some_and(|due| state.alarm.is_none_or(|alarm| due < alarm));
+        state.alarm = due;
+        let wait = due.map(|due| due.saturating_duration_since(now));
+        self.timer.arm(index, wait, earlier);
+        if earlier && query {
+            self.counters.wakes.inc();
+        }
+        machine
+            .next_arrival()
+            .map(|at| at.saturating_duration_since(now))
+    }
+
+    /// Performs what shard `cell`'s step wrote, and empties `effects` for the
+    /// rest of the step: stores the epoch it adopted, then per answer records
+    /// its latency, counts a truncation and sends it, keeping its buffer for
+    /// an answer to come.
+    fn perform(&self, cell: &ShardCell, effects: &mut Effects) {
+        if let Some(epoch) = effects.adopted.take() {
+            cell.acked.store(epoch, Ordering::Release);
+        }
+        let Effects { answers, spare, .. } = effects;
+        for answer in answers.drain(..) {
+            // Histogram recording is two relaxed fetch_adds on this shard's
+            // own cache lines — no lock, no allocation.
+            cell.latency.record(answer.started.elapsed());
+            if answer.truncated {
+                self.counters.truncated.inc();
+            }
+            match answer.reply {
+                ReplyPath::Udp(peer) => {
+                    if !answer.octets.is_empty() {
+                        let _ = self.udp.send_to(&answer.octets, peer);
+                    }
+                }
+                ReplyPath::Tcp(answers, mut lent) => {
+                    lent.extend_from_slice(&answer.octets);
+                    let _ = answers.send(lent);
+                }
+            }
+            spare.push(answer.octets);
         }
     }
 
-    /// One pass of the timer: pumps every shard whose alarm is due at `now`
+    /// Hands `order` to every shard in turn: see "Who waits for landings" in
+    /// the module doc for when it is adopted.
+    pub(crate) fn reconfigure(&self, order: &Arc<EpochOrder>) {
+        for index in 0..self.cells.len() {
+            self.step(index, Some(Item::Order(Arc::clone(order))));
+        }
+    }
+
+    /// One pass of the timer: steps every shard whose alarm is due at `now`
     /// (a shard on a simulated clock lands what its own clock says is due),
     /// and folds every shard's next alarm into the instant the timer waits for.
     fn land_due(&self, now: Instant) {
         let timer = &self.timer;
         timer.next.store(u64::MAX, Ordering::SeqCst);
         let now = timer.nanos(now);
-        for (cell, due) in self.cells.iter().zip(&timer.due) {
+        for (index, due) in timer.due.iter().enumerate() {
             if due.load(Ordering::SeqCst) <= now {
-                let mut guard = ShardCell::lock(cell);
-                let worker: &mut Worker = &mut guard;
-                worker.pump_and_arm(timer);
+                self.step(index, None);
             }
             timer
                 .next
@@ -537,14 +641,12 @@ fn timer_loop(shards: &ShardSet, stop: &AtomicBool) {
 /// [`PoolRuntime::shutdown`] aborts the process threads ungracefully
 /// (detached); always shut down explicitly.
 pub struct PoolRuntime {
-    udp: Arc<UdpSocket>,
     udp_addr: SocketAddr,
     tcp_addr: SocketAddr,
     control: ControlHandle,
     /// The dispatcher, the TCP acceptor and the timer.
     threads: Vec<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
-    counters: Arc<FrontCounters>,
     clock: crate::clock::RuntimeClock,
     registry: Registry,
     stats_server: Option<StatsServer>,
@@ -577,34 +679,16 @@ impl PoolRuntime {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, err.to_string())
         })?;
         let (udp, tcp) = bind_front_door(config.bind, || UdpSocket::bind(config.bind))?;
-        let udp = Arc::new(udp);
         let udp_addr = udp.local_addr()?;
         let tcp_addr = tcp.local_addr()?;
 
         let stop = Arc::new(AtomicBool::new(false));
         let registry = Registry::new();
-        let counters = Arc::new(FrontCounters::register(&registry));
         let clock = crate::clock::RuntimeClock::new();
 
-        let acked: Vec<Arc<AtomicU64>> = shards.iter().map(|_| Arc::default()).collect();
-        let workers = shards
-            .into_iter()
-            .zip(&acked)
-            .enumerate()
-            .map(|(index, (shard, acked))| {
-                let (name, help) = sdoh_core::METRIC_SERVE_LATENCY;
-                let outbox = Outbox {
-                    socket: Arc::clone(&udp),
-                    udp_payload_limit: config.udp_payload_limit,
-                    counters: Arc::clone(&counters),
-                    latency: registry.histogram_with(name, help, &[("shard", &index.to_string())]),
-                    response: Vec::with_capacity(config.udp_payload_limit),
-                };
-                Worker::new(index, shard, outbox, Arc::clone(acked))
-            })
-            .collect();
-        let shards = Arc::new(ShardSet::new(workers));
-        let control = ControlHandle::new(Arc::clone(&shards), acked, first_cache_config);
+        let shards = ShardSet::new(shards, config.udp_payload_limit, udp, &registry);
+        let shards = Arc::new(shards);
+        let control = ControlHandle::new(Arc::clone(&shards), first_cache_config);
 
         // The serve-layer counters live inside the shards; a scrape-time
         // collector reads fresh snapshots under the shards' locks and
@@ -672,24 +756,21 @@ impl PoolRuntime {
         let timer = spawn(TIMER_THREAD, Box::new(move || timer_loop(&set, &halt)))?;
         let _ = shards.timer.thread.set(timer.thread().clone());
         let (set, halt) = (Arc::clone(&shards), Arc::clone(&stop));
-        let count = Arc::clone(&counters);
-        let socket = Arc::clone(&udp);
-        let run = move || dispatcher_loop(&socket, &set, &halt, &count);
-        let dispatcher = spawn("sdoh-dispatch", Box::new(run))?;
+        let dispatcher = spawn(
+            "sdoh-dispatch",
+            Box::new(move || dispatcher_loop(&set, &halt)),
+        )?;
         let (set, halt) = (Arc::clone(&shards), Arc::clone(&stop));
-        let count = Arc::clone(&counters);
-        let run = move || tcp_loop(&tcp, &set, &halt, &count);
+        let run = move || tcp_loop(&tcp, &set, &halt);
         let acceptor = spawn("sdoh-tcp", Box::new(run))?;
         let threads = vec![timer, dispatcher, acceptor];
 
         Ok(PoolRuntime {
-            udp,
             udp_addr,
             tcp_addr,
             control,
             threads,
             stop,
-            counters,
             clock,
             registry,
             stats_server,
@@ -739,14 +820,16 @@ impl PoolRuntime {
     /// merging them. Each shard's snapshot is internally consistent; shards
     /// are sampled at slightly different instants (one after the other).
     pub fn stats(&self) -> RuntimeStats {
-        let (per_shard, total) = self.control.shards().snapshots(SNAPSHOT_TIMEOUT);
+        let shards = self.control.shards();
+        let (per_shard, total) = shards.snapshots(SNAPSHOT_TIMEOUT);
+        let counters = &shards.counters;
         RuntimeStats {
             per_shard,
             total,
-            udp_queries: self.counters.udp_received.get(),
-            tcp_queries: self.counters.tcp_received.get(),
-            truncated_responses: self.counters.truncated.get(),
-            dropped_queries: self.counters.dropped.get(),
+            udp_queries: counters.udp_received.get(),
+            tcp_queries: counters.tcp_received.get(),
+            truncated_responses: counters.truncated.get(),
+            dropped_queries: counters.dropped.get(),
             config_epoch: self.control.current_epoch(),
             taken_at: self.clock.now(),
         }
@@ -760,10 +843,11 @@ impl PoolRuntime {
         //    no scrape races the landing): no new query reaches a shard.
         //    Each socket thread blocks on its socket and is woken by one
         //    throw-away message.
+        let shards = self.control.shards();
         self.stop.store(true, Ordering::SeqCst);
-        let _ = self.udp.send_to(&[], wake_addr(self.udp_addr));
+        let _ = shards.udp.send_to(&[], wake_addr(self.udp_addr));
         let _ = TcpStream::connect_timeout(&wake_addr(self.tcp_addr), Duration::from_secs(1));
-        self.control.shards().timer.unpark();
+        shards.timer.unpark();
         if let Some(mut server) = self.stats_server.take() {
             server.shutdown();
         }
@@ -771,11 +855,13 @@ impl PoolRuntime {
             let _ = handle.join();
         }
         // 2. Every shard lands what it has upstream, sleeping out the last
-        //    round trips under its lock — nobody is left to wait for it —
+        //    round trips between its steps — nobody is left to wait for it —
         //    so the numbers include every accepted query and every
         //    generation begun.
-        for cell in &self.control.shards().cells {
-            ShardCell::lock(cell).land_everything();
+        for index in 0..shards.len() {
+            while let Some(wait) = shards.step(index, None) {
+                std::thread::sleep(wait);
+            }
         }
         self.stats()
     }
@@ -928,15 +1014,10 @@ fn question_route(wire: &[u8], shards: usize) -> Option<usize> {
     usize::try_from(hasher.finish() % shards).ok()
 }
 
-fn dispatcher_loop(
-    socket: &UdpSocket,
-    shards: &ShardSet,
-    stop: &AtomicBool,
-    counters: &FrontCounters,
-) {
+fn dispatcher_loop(shards: &ShardSet, stop: &AtomicBool) {
     let mut buf = [0u8; 4096];
     loop {
-        let received = socket.recv_from(&mut buf);
+        let received = shards.udp.recv_from(&mut buf);
         // `shutdown` wakes this blocking receive with an empty datagram:
         // what arrives once `stop` is set is neither counted nor routed.
         if stop.load(Ordering::SeqCst) {
@@ -944,13 +1025,13 @@ fn dispatcher_loop(
         }
         match received {
             Ok((len, peer)) => {
-                counters.udp_received.inc();
+                shards.counters.udp_received.inc();
                 // recv_from wrote `len <= buf.len()` bytes.
                 let Some(wire) = buf.get(..len) else {
                     continue;
                 };
-                if !serve_query(shards, wire, ReplyPath::Udp(peer), counters) {
-                    counters.dropped.inc();
+                if !serve_query(shards, wire, ReplyPath::Udp(peer)) {
+                    shards.counters.dropped.inc();
                 }
             }
             // An error (a signal, ICMP feedback) is not about the next datagram.
@@ -959,29 +1040,24 @@ fn dispatcher_loop(
     }
 }
 
-/// Answers one query a socket thread read, from its receive buffer: takes
-/// the owning shard's lock, serves ([`Worker::serve`]) and pumps under the
-/// same hold ([`Worker::pump_and_arm`]), counting in `sdoh_shard_wakes_total`
-/// a pump that moved the timer earlier. `false` when no shard took it.
-fn serve_query(shards: &ShardSet, wire: &[u8], reply: ReplyPath, counters: &FrontCounters) -> bool {
-    let Some(cell) = shards.cells.get(shard_for(wire, shards.len())) else {
-        return false;
-    };
-    let mut guard = ShardCell::lock(cell);
-    let worker: &mut Worker = &mut guard;
-    worker.serve(wire, reply, Instant::now());
-    if worker.pump_and_arm(&shards.timer) {
-        counters.wakes.inc();
-    }
-    true
+/// Answers one query a socket thread read, from its receive buffer, through
+/// [`ShardSet::step`] on the shard its question routes to.
+/// `false` when no shard took it.
+fn serve_query(shards: &ShardSet, wire: &[u8], reply: ReplyPath) -> bool {
+    let index = shard_for(wire, shards.len());
+    let started = Instant::now();
+    shards.step(
+        index,
+        Some(Item::Query {
+            wire,
+            reply,
+            started,
+        }),
+    );
+    index < shards.len()
 }
 
-fn tcp_loop(
-    listener: &TcpListener,
-    shards: &ShardSet,
-    stop: &AtomicBool,
-    counters: &FrontCounters,
-) {
+fn tcp_loop(listener: &TcpListener, shards: &ShardSet, stop: &AtomicBool) {
     loop {
         let accepted = listener.accept();
         // `shutdown` wakes this blocking accept with a connection of its
@@ -993,11 +1069,10 @@ fn tcp_loop(
             Ok((stream, _peer)) => {
                 // Connections are handled inline: the TCP path only exists
                 // as the fallback for truncated answers, so one connection
-                // at a time keeps the thread budget fixed. A silent client
-                // holds the next one back until its read times out, and a
-                // client that sends but never reads until a write of its
-                // answers has made no progress for as long: the write
-                // budget is the read budget, as the stats listener's is.
+                // at a time keeps the thread budget fixed. The next waits
+                // up to `TCP_IO_BUDGET` per read or write of this one that
+                // makes no progress, up to `TCP_ANSWER_WAIT` per query not
+                // answered yet, and for as long as this one makes progress.
                 // What removes the hold-up is non-blocking connections
                 // polled by this one thread, not a thread per connection
                 // (ROADMAP item 3b).
@@ -1006,7 +1081,7 @@ fn tcp_loop(
                     .and_then(|()| stream.set_write_timeout(Some(TCP_IO_BUDGET)))
                     .and_then(|()| stream.set_nodelay(true));
                 if set.is_ok() {
-                    let _ = serve_framed(stream, shards, counters);
+                    let _ = serve_framed(stream, shards);
                 }
             }
             // An error (a reset in the backlog, a signal) is not about the
@@ -1026,13 +1101,11 @@ fn tcp_loop(
 ///
 /// Answers come back over one channel per connection — a hit's before
 /// [`serve_query`] returns, a miss's when its flight lands — one query out
-/// at a time. A timed-out query ends the connection and drops the channel,
-/// so a late answer is never read as the next query's.
-fn serve_framed(
-    mut stream: impl Read + Write,
-    shards: &ShardSet,
-    counters: &FrontCounters,
-) -> std::io::Result<()> {
+/// at a time, each appended to the one frame buffer the connection lends
+/// with its query, behind room for its length. A query not answered within
+/// [`TCP_ANSWER_WAIT`] ends the connection and drops the channel, so a late
+/// answer is never read as the next query's.
+fn serve_framed(mut stream: impl Read + Write, shards: &ShardSet) -> std::io::Result<()> {
     let (tx, rx) = mpsc::channel();
     // `inbox[..filled]` is what was read and not yet served; it grows to
     // hold the longest frame the peer sends.
@@ -1063,28 +1136,43 @@ fn serve_framed(
                 Err(e) => return Err(e),
             }
         };
-        counters.tcp_received.inc();
+        shards.counters.tcp_received.inc();
         let wire = inbox.get(2..frame).unwrap_or_default();
-        if !serve_query(shards, wire, ReplyPath::Tcp(tx.clone()), counters) {
-            counters.dropped.inc();
+        framed.clear();
+        framed.extend_from_slice(&[0, 0]);
+        let reply = ReplyPath::Tcp(tx.clone(), std::mem::take(&mut framed));
+        if !serve_query(shards, wire, reply) {
+            shards.counters.dropped.inc();
             return Ok(());
         }
         inbox.copy_within(frame..filled, 0);
         filled -= frame;
-        let response = match rx.recv_timeout(Duration::from_secs(10)) {
+        framed = match rx.recv_timeout(TCP_ANSWER_WAIT) {
             Ok(bytes) => bytes,
             Err(_) => return Ok(()),
         };
         // The Do53 core answers SERVFAIL in place of a response over
         // 65 535 bytes, so this holds; a truncated frame would be corruption.
-        let Ok(len) = u16::try_from(response.len()) else {
+        let (Ok(len), Some(prefix)) = (
+            u16::try_from(framed.len().saturating_sub(2)),
+            framed.get_mut(..2),
+        ) else {
             return Ok(());
         };
-        framed.clear();
-        framed.extend_from_slice(&len.to_be_bytes());
-        framed.extend_from_slice(&response);
+        prefix.copy_from_slice(&len.to_be_bytes());
         stream.write_all(&framed)?;
     }
+}
+
+/// What a shard is stepped with (a timer pass: nothing).
+enum Item<'a> {
+    /// A query read where it lies, handed to its shard at `started`.
+    Query {
+        wire: &'a [u8],
+        reply: ReplyPath,
+        started: Instant,
+    },
+    Order(Arc<EpochOrder>),
 }
 
 /// A query waiting on the shard, its octets in the shard's parked octets.
@@ -1095,7 +1183,6 @@ struct Parked {
     /// Where the query's octets are in the shard's parked octets.
     octets: Range<usize>,
     reply: ReplyPath,
-    /// When the shard took the query.
     started: Instant,
 }
 
@@ -1106,57 +1193,59 @@ struct Upstream {
     tags: Vec<(FlightId, TransactionId)>,
 }
 
-/// The way out of a shard: the one buffer every response of the shard is
-/// rendered into, and what sending it takes.
-struct Outbox {
-    socket: Arc<UdpSocket>,
-    udp_payload_limit: usize,
-    counters: Arc<FrontCounters>,
-    latency: Histogram,
-    response: Vec<u8>,
+/// One answer a step wrote, in the buffer it was rendered in, and whether
+/// it is the TC=1 stand-in for one too long for its UDP client.
+struct Answer {
+    octets: Vec<u8>,
+    reply: ReplyPath,
+    started: Instant,
+    truncated: bool,
 }
 
-impl Outbox {
-    /// Sends the rendered response along `reply` (nothing, if the buffer is
-    /// empty) and records the query's latency, once, as its answer leaves.
-    /// A UDP answer longer than `query`'s sender can receive becomes the
-    /// TC=1 response.
-    fn send(&mut self, query: Option<&QueryView<'_>>, reply: &ReplyPath, started: Instant) {
-        // Histogram recording is two relaxed fetch_adds on this shard's own
-        // cache lines — no lock, no allocation.
-        self.latency.record(started.elapsed());
-        match reply {
-            ReplyPath::Udp(peer) => {
-                // An answer this short fits every client; anything longer
-                // depends on what the query advertised.
-                let fits_any_client = self.udp_payload_limit.min(CLASSIC_UDP_PAYLOAD);
-                if self.response.len() > fits_any_client
-                    && self.response.len() > udp_ceiling(query, self.udp_payload_limit)
-                {
-                    self.counters.truncated.inc();
-                    truncate_for_udp(query, &mut self.response);
-                }
-                if !self.response.is_empty() {
-                    let _ = self.socket.send_to(&self.response, peer);
-                }
-            }
-            ReplyPath::Tcp(tx) => {
-                // The connection handler owns its answer; the next render
-                // grows the buffer back.
-                let _ = tx.send(std::mem::take(&mut self.response));
-            }
+/// What a step hands [`ShardSet::step`] to perform — the answers written,
+/// in order, and the epoch adopted last — and the buffers answers are
+/// rendered in.
+#[derive(Default)]
+struct Effects {
+    udp_payload_limit: usize,
+    /// Where the next answer is rendered.
+    response: Vec<u8>,
+    answers: Vec<Answer>,
+    /// The buffers of answers performed, for the next to be rendered in.
+    spare: Vec<Vec<u8>>,
+    adopted: Option<u64>,
+}
+
+impl Effects {
+    /// Takes the rendered response as the answer to `query` (`None`: one
+    /// that never decoded). A UDP answer longer than `query`'s sender can
+    /// receive becomes the TC=1 response.
+    fn answer(&mut self, query: Option<&QueryView<'_>>, reply: ReplyPath, started: Instant) {
+        // An answer that fits every client needs no look at the query.
+        let truncated = matches!(reply, ReplyPath::Udp(_))
+            && self.response.len() > self.udp_payload_limit.min(CLASSIC_UDP_PAYLOAD)
+            && self.response.len() > udp_ceiling(query, self.udp_payload_limit);
+        if truncated {
+            truncate_for_udp(query, &mut self.response);
         }
+        let next = self.spare.pop().unwrap_or_default();
+        self.answers.push(Answer {
+            octets: std::mem::replace(&mut self.response, next),
+            reply,
+            started,
+            truncated,
+        });
     }
 }
 
-/// A shard's state, in its [`ShardCell`]: the resolver, its way out, the
-/// queries parked and the batches upstream that make a generation data, its
-/// alarm, and the control orders it has not adopted yet.
-struct Worker {
+/// A shard: the resolver, the queries parked and the batches upstream that
+/// make a generation data, and the control orders not adopted yet. It
+/// changes only through [`step`](ShardMachine::step), which writes what it
+/// means to send or publish into its [`Effects`].
+struct ShardMachine {
     index: usize,
     resolver: CachingPoolResolver,
     exchanger: Box<dyn Exchanger + Send>,
-    outbox: Outbox,
     /// In arrival order: the order a flight's waiters, and the queries
     /// deferred behind an order, are answered in.
     parked: Vec<Parked>,
@@ -1165,53 +1254,79 @@ struct Worker {
     parked_octets: Vec<u8>,
     /// In departure order.
     upstream: Vec<Upstream>,
-    /// When the shard next has something due: what its last pump returned.
-    /// `None`: nothing, and the timer does not wait for it.
-    alarm: Option<SimInstant>,
     /// Control orders not adopted yet, in epoch order: the first waits for
     /// the flights upstream to land, and every query behind it is deferred.
     orders: Vec<Arc<EpochOrder>>,
-    /// The epoch this shard last adopted, read by the control plane.
-    acked: Arc<AtomicU64>,
+    /// What the last step left, until the next begins.
+    effects: Effects,
 }
 
-impl Worker {
-    fn new(index: usize, shard: Shard, outbox: Outbox, acked: Arc<AtomicU64>) -> Worker {
-        Worker {
+impl ShardMachine {
+    fn new(index: usize, shard: Shard, udp_payload_limit: usize) -> ShardMachine {
+        ShardMachine {
             index,
             resolver: shard.resolver,
             exchanger: shard.exchanger,
-            outbox,
             parked: Vec::new(),
             parked_octets: Vec::new(),
             upstream: Vec::new(),
-            alarm: None,
             orders: Vec::new(),
-            acked,
+            effects: Effects {
+                udp_payload_limit,
+                ..Effects::default()
+            },
         }
     }
 
-    /// The one serve function, whichever thread holds the shard: takes the
-    /// query read where it lies in `wire` (at `started`) through the shared
-    /// Do53 core — the simulated `Do53Service`'s wire behaviour by
-    /// construction — around the resolver's first step. What the cache can
-    /// answer is answered now; a miss is parked under its flight, and behind
-    /// an order not adopted yet every query is parked with no flight.
+    /// **The** entry: serves the query or takes the order, then
+    /// [`pump`](ShardMachine::pump)s. Its effects replace the last step's,
+    /// and are handed to `perform` twice: once the item's are written, so
+    /// a query's answer does not wait for what is due, and at the end.
+    fn step(
+        &mut self,
+        item: Option<Item<'_>>,
+        perform: &mut impl FnMut(&mut Effects),
+    ) -> Option<SimInstant> {
+        self.effects.answers.clear();
+        self.effects.adopted = None;
+        match item {
+            Some(Item::Query {
+                wire,
+                reply,
+                started,
+            }) => {
+                self.serve(wire, reply, started);
+                perform(&mut self.effects);
+            }
+            Some(Item::Order(order)) => self.orders.push(order),
+            None => {}
+        }
+        let due = self.pump();
+        perform(&mut self.effects);
+        due
+    }
+
+    /// The one serve function: the query read where it lies in `wire`,
+    /// through the shared Do53 core — the simulated `Do53Service`'s wire
+    /// behaviour by construction — around the resolver's first step. A miss
+    /// is parked under its flight; behind an order not adopted yet, every
+    /// query is parked with no flight.
     fn serve(&mut self, wire: &[u8], reply: ReplyPath, started: Instant) {
         if !self.orders.is_empty() {
             return self.park(None, wire, reply, started);
         }
-        let Some(query) = decode_do53_query(wire, false, &mut self.outbox.response) else {
-            return self.outbox.send(None, &reply, started);
+        let effects = &mut self.effects;
+        let Some(query) = decode_do53_query(wire, false, &mut effects.response) else {
+            return effects.answer(None, reply, started);
         };
         let begun = self
             .resolver
-            .begin(self.exchanger.as_mut(), &query, &mut self.outbox.response);
+            .begin(self.exchanger.as_mut(), &query, &mut effects.response);
         match begun {
             Ok(Some(flight)) => self.park(Some(flight), wire, reply, started),
             answered => {
-                finish_do53_answer(&query, answered.map(drop), &mut self.outbox.response);
-                self.outbox.send(Some(&query), &reply, started);
+                finish_do53_answer(&query, answered.map(drop), &mut effects.response);
+                effects.answer(Some(&query), reply, started);
             }
         }
     }
@@ -1234,7 +1349,7 @@ impl Worker {
     /// adopts the orders that may be — repeated while anything is already
     /// due, so a zero round trip lands before another query can join its
     /// flight. Returns the next instant anything is due, if any.
-    // sdoh-lint: allow(transitive-hot-path-purity, "the miss path, pumped after every query a socket thread serves, by the timer and by the control plane: past the first check only with a flight live, a refresh queued or an order waiting, at most one generation per (question, TTL window), whose fan-out dwarfs these buffers; a shard of cache hits returns at the first check")
+    // sdoh-lint: allow(transitive-hot-path-purity, "the miss path, at the end of every step: past the first check only with a flight live, a refresh queued or an order waiting, at most one generation per (question, TTL window), whose fan-out dwarfs these buffers; a shard of cache hits returns at the first check")
     fn pump(&mut self) -> Option<SimInstant> {
         if self.upstream.is_empty()
             && self.parked.is_empty()
@@ -1297,26 +1412,23 @@ impl Worker {
     }
 
     /// Answers every query parked on the flight that `landed`, in arrival
-    /// order, from the landed report — each read where it lies in the
-    /// parked octets, through the closing half of the Do53 core and the
-    /// same way out as an answer from the cache — then closes the gaps the
-    /// answered queries left in the parked octets.
+    /// order — each read where it lies in the parked octets, through the
+    /// closing half of the Do53 core — then closes the gaps they left.
     fn answer_parked(&mut self, landed: &Landed) {
-        let outbox = &mut self.outbox;
+        let effects = &mut self.effects;
         let octets = &self.parked_octets;
-        self.parked.retain(|parked| {
-            if parked.flight != Some(landed.flight) {
-                return true;
-            }
+        let waiters = self
+            .parked
+            .extract_if(.., |parked| parked.flight == Some(landed.flight));
+        for parked in waiters {
             // The octets parsed when the query was parked.
-            let wire = octets.get(parked.octets.clone()).unwrap_or_default();
+            let wire = octets.get(parked.octets).unwrap_or_default();
             if let Ok(query) = QueryView::parse(wire) {
-                let rendered = landed.answer_wire(&query, &mut outbox.response);
-                finish_do53_answer(&query, rendered, &mut outbox.response);
-                outbox.send(Some(&query), &parked.reply, parked.started);
+                let rendered = landed.answer_wire(&query, &mut effects.response);
+                finish_do53_answer(&query, rendered, &mut effects.response);
+                effects.answer(Some(&query), parked.reply, parked.started);
             }
-            false
-        });
+        }
         let mut kept = 0;
         for parked in &mut self.parked {
             let len = parked.octets.len();
@@ -1327,10 +1439,10 @@ impl Worker {
         self.parked_octets.truncate(kept);
     }
 
-    /// Adopts and acks the waiting orders, in epoch order — a source or pool
-    /// swap only once nothing is upstream, so nothing the old set generated
-    /// is cached after its ack — then serves the queries deferred behind
-    /// them, in arrival order. `true` when it adopted one.
+    /// Adopts the waiting orders, in epoch order — a source or pool swap
+    /// only once nothing is upstream, so nothing the old set generated is
+    /// cached after its ack — then serves the queries deferred behind them,
+    /// in arrival order. `true` when it adopted one.
     fn adopt_orders(&mut self) -> bool {
         let mut adopted = false;
         while let Some(order) = self.orders.first() {
@@ -1353,7 +1465,7 @@ impl Worker {
             }
             let now = self.exchanger.now();
             self.resolver.apply_config(order.cache, now);
-            self.acked.store(order.epoch, Ordering::Release);
+            self.effects.adopted = Some(order.epoch);
             adopted = true;
         }
         if adopted {
@@ -1368,36 +1480,6 @@ impl Worker {
             }
         }
         adopted
-    }
-
-    /// [`pump`](Worker::pump), then sets the shard's alarm to what it
-    /// returned and arms the timer with it, converted to the wall clock from
-    /// the shard's own clock (read first, so never before the alarm). `true`
-    /// when the alarm moved earlier, or was set where there was none.
-    fn pump_and_arm(&mut self, timer: &Timer) -> bool {
-        let due = self.pump();
-        if due.is_none() && self.alarm.is_none() {
-            // Unarmed before and after (a hit): no shared atomic to touch.
-            return false;
-        }
-        let earlier = due.is_some_and(|due| self.alarm.is_none_or(|alarm| due < alarm));
-        self.alarm = due;
-        let wait = due.map(|due| due.saturating_duration_since(self.exchanger.now()));
-        timer.arm(self.index, wait, earlier);
-        earlier
-    }
-
-    /// Lands every flight, adopts every order and answers everything parked,
-    /// sleeping out the round trips still upstream: the shard's shutdown,
-    /// once no other thread is left to wait for its lock.
-    fn land_everything(&mut self) {
-        while self.pump().is_some() {
-            let Some(ready_at) = self.next_arrival() else {
-                // Only a refresh queued for later is left: not a flight.
-                return;
-            };
-            std::thread::sleep(ready_at.saturating_duration_since(self.exchanger.now()));
-        }
     }
 
     /// When the earliest round trip upstream is over.
@@ -1584,40 +1666,42 @@ mod tests {
         assert_eq!(tries, EPHEMERAL_BIND_ATTEMPTS);
     }
 
-    /// `n` shards of `fleet` behind a control plane, with no thread of their
-    /// own: the test drives serve, pump and the timer. UDP answers would
-    /// leave through a socket nobody reads; the tests ask over the TCP reply
-    /// path.
-    fn open_shards(fleet: &LoopbackFleet, n: usize, cache: CacheConfig) -> ControlHandle {
+    /// `n` shards of `fleet` behind `ShardSet::step`, with no thread of
+    /// their own; the tests ask over the TCP reply path.
+    fn open_shards(fleet: &LoopbackFleet, n: usize, cache: CacheConfig) -> ShardSet {
         open(fleet.shards(n, PoolConfig::algorithm1(), cache).unwrap())
     }
 
-    /// [`open_shards`] on a clock the test moves, one shard per entry of
-    /// `rtts`: each of a shard's round trips takes its `rtt` of `clock`, so
-    /// nothing upstream lands before the test says the round trip is over.
-    fn stepped_shards(
+    /// [`open_shards`] over shards already built.
+    fn open(shards: Vec<Shard>) -> ShardSet {
+        let udp = UdpSocket::bind("127.0.0.1:0").unwrap();
+        ShardSet::new(shards, 1232, udp, &Registry::new())
+    }
+
+    /// `fleet`'s shards on a clock the test moves, one per entry of `rtts`:
+    /// each of a shard's round trips takes its `rtt` of `clock`, so nothing
+    /// upstream lands before the test says the round trip is over.
+    fn stepped(
         fleet: &LoopbackFleet,
         cache: CacheConfig,
         clock: &sdoh_netsim::SimClock,
         rtts: &[Duration],
-    ) -> ControlHandle {
+    ) -> Vec<Shard> {
         let shards = fleet
             .shards(rtts.len(), PoolConfig::algorithm1(), cache)
             .unwrap();
-        open(
-            shards
-                .into_iter()
-                .zip(rtts)
-                .map(|(shard, &rtt)| {
-                    let stepped = Stepped {
-                        inner: shard.exchanger,
-                        clock: clock.clone(),
-                        rtt,
-                    };
-                    Shard::new(shard.resolver, Box::new(stepped))
-                })
-                .collect(),
-        )
+        shards
+            .into_iter()
+            .zip(rtts)
+            .map(|(shard, &rtt)| {
+                let stepped = Stepped {
+                    inner: shard.exchanger,
+                    clock: clock.clone(),
+                    rtt,
+                };
+                Shard::new(shard.resolver, Box::new(stepped))
+            })
+            .collect()
     }
 
     /// A shard's way upstream whose time is a [`sdoh_netsim::SimClock`]:
@@ -1657,37 +1741,56 @@ mod tests {
         }
     }
 
-    /// [`open_shards`] over shards already built.
-    fn open(shards: Vec<Shard>) -> ControlHandle {
-        let socket = Arc::new(UdpSocket::bind("127.0.0.1:0").unwrap());
-        let counters = Arc::new(FrontCounters::register(&Registry::new()));
-        let acked: Vec<Arc<AtomicU64>> = shards.iter().map(|_| Arc::default()).collect();
-        let cache = shards[0].resolver.cache_config();
-        let workers = shards
+    /// Each of `shards` as the machine `ShardSet::step` steps.
+    fn machines(shards: Vec<Shard>) -> Vec<ShardMachine> {
+        shards
             .into_iter()
-            .zip(&acked)
             .enumerate()
-            .map(|(index, (shard, acked))| {
-                let outbox = Outbox {
-                    socket: Arc::clone(&socket),
-                    udp_payload_limit: 1232,
-                    counters: Arc::clone(&counters),
-                    latency: Histogram::new(),
-                    response: Vec::new(),
-                };
-                Worker::new(index, shard, outbox, Arc::clone(acked))
-            })
-            .collect();
-        ControlHandle::new(Arc::new(ShardSet::new(workers)), acked, cache)
+            .map(|(index, shard)| ShardMachine::new(index, shard, 1232))
+            .collect()
+    }
+
+    /// The one machine of `fleet`'s first shard, on the host clock.
+    fn machine(fleet: &LoopbackFleet, cache: CacheConfig) -> ShardMachine {
+        let shards = fleet.shards(1, PoolConfig::algorithm1(), cache).unwrap();
+        machines(shards).remove(0)
+    }
+
+    /// Steps `machine` with `item`, its effects left for the test to read.
+    fn step(machine: &mut ShardMachine, item: Option<Item<'_>>) -> Option<SimInstant> {
+        machine.step(item, &mut |_| {})
+    }
+
+    /// Steps `machine` with `wire`, asked over UDP.
+    fn ask(machine: &mut ShardMachine, wire: &[u8]) -> Option<SimInstant> {
+        let reply = ReplyPath::Udp(SocketAddr::from(([127, 0, 0, 1], 5353)));
+        let started = Instant::now();
+        step(
+            machine,
+            Some(Item::Query {
+                wire,
+                reply,
+                started,
+            }),
+        )
+    }
+
+    /// The answers `machine`'s last step wrote, in the order written.
+    fn written(machine: &ShardMachine) -> Vec<Message> {
+        let answers = &machine.effects.answers;
+        answers
+            .iter()
+            .map(|answer| Message::decode(&answer.octets).unwrap())
+            .collect()
     }
 
     /// Shard `index`, held.
-    fn hold(shards: &ShardSet, index: usize) -> MutexGuard<'_, Worker> {
+    fn hold(shards: &ShardSet, index: usize) -> MutexGuard<'_, ShardState> {
         ShardCell::lock(&shards.cells[index])
     }
 
     /// A wall-clock instant past every alarm: the timer pass it is handed
-    /// pumps every armed shard, which lands what its own clock says is due.
+    /// steps every armed shard, which lands what its own clock says is due.
     fn whenever() -> Instant {
         Instant::now() + Duration::from_secs(3600)
     }
@@ -1728,13 +1831,11 @@ mod tests {
         listener.set_nonblocking(true).unwrap();
         let addr = listener.local_addr().unwrap();
         let fleet = LoopbackFleet::build(LoopbackConfig::default());
-        let control = open_shards(&fleet, 1, CacheConfig::default());
+        let shards = Arc::new(open_shards(&fleet, 1, CacheConfig::default()));
         let stop = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(FrontCounters::register(&Registry::new()));
         let acceptor = {
-            let (control, stop, counters) =
-                (control.clone(), Arc::clone(&stop), Arc::clone(&counters));
-            std::thread::spawn(move || tcp_loop(&listener, control.shards(), &stop, &counters))
+            let (shards, stop) = (Arc::clone(&shards), Arc::clone(&stop));
+            std::thread::spawn(move || tcp_loop(&listener, &shards, &stop))
         };
         // Several back-offs' worth of failed accepts later a query over the
         // listener still reaches the shard, and its answer the client.
@@ -1750,7 +1851,7 @@ mod tests {
         let answer = Message::decode(&framed).unwrap();
         assert_eq!(answer.header.id, 9);
         assert_eq!(answer.answer_addresses().len(), 24);
-        assert_eq!(counters.tcp_received.get(), 1);
+        assert_eq!(shards.counters.tcp_received.get(), 1);
         // It leaves when told to, woken the way `shutdown` wakes it.
         drop(stream);
         stop.store(true, Ordering::SeqCst);
@@ -1775,6 +1876,16 @@ mod tests {
                 reads: 0,
                 writes: Vec::new(),
             }
+        }
+
+        /// Each write as the one answer it frames, behind its length.
+        fn answers(&self) -> Vec<Message> {
+            let answer = |write: &Vec<u8>| {
+                let len = usize::from(u16::from_be_bytes([write[0], write[1]]));
+                assert_eq!(len, write.len() - 2, "its length in front");
+                Message::decode(&write[2..]).unwrap()
+            };
+            self.writes.iter().map(answer).collect()
         }
     }
 
@@ -1806,31 +1917,22 @@ mod tests {
     #[test]
     fn a_tcp_answer_leaves_in_one_write() {
         let fleet = LoopbackFleet::build(LoopbackConfig::default());
-        let control = open_shards(&fleet, 1, CacheConfig::default());
-        let counters = FrontCounters::register(&Registry::new());
+        let shards = open_shards(&fleet, 1, CacheConfig::default());
         // A pool, then a query cut short; then the peer closes.
         let mut malformed = a_query(2, &fleet.domains[1]);
         malformed.truncate(15);
         let mut stream =
             Recorded::new([framed(&a_query(1, &fleet.domains[0])), framed(&malformed)].concat());
-        serve_framed(&mut stream, control.shards(), &counters).unwrap();
+        serve_framed(&mut stream, &shards).unwrap();
         assert_eq!(stream.writes.len(), 2, "each answer one write");
-        let answers: Vec<Message> = stream
-            .writes
-            .iter()
-            .map(|write| {
-                let len = usize::from(u16::from_be_bytes([write[0], write[1]]));
-                assert_eq!(len, write.len() - 2, "its length in front");
-                Message::decode(&write[2..]).unwrap()
-            })
-            .collect();
+        let answers = stream.answers();
         assert_eq!(answers[0].header.id, 1);
         assert_eq!(answers[0].answer_addresses().len(), 24);
         assert_eq!(
             (answers[1].header.id, answers[1].header.rcode),
             (2, Rcode::FormErr)
         );
-        assert_eq!(counters.tcp_received.get(), 2);
+        assert_eq!(shards.counters.tcp_received.get(), 2);
     }
 
     /// What `serve_framed` makes of `script` read at most `chunk` octets at
@@ -1838,21 +1940,13 @@ mod tests {
     /// its length, and the reads it made.
     fn framed_reads(script: Vec<u8>, chunk: usize) -> (Vec<u16>, usize) {
         let fleet = LoopbackFleet::build(LoopbackConfig::default());
-        let control = open_shards(&fleet, 1, CacheConfig::default());
-        let counters = FrontCounters::register(&Registry::new());
+        let shards = open_shards(&fleet, 1, CacheConfig::default());
         let mut stream = Recorded::new(script);
         stream.chunk = chunk;
-        serve_framed(&mut stream, control.shards(), &counters).unwrap();
-        let ids = stream
-            .writes
-            .iter()
-            .map(|write| {
-                let len = usize::from(u16::from_be_bytes([write[0], write[1]]));
-                assert_eq!(len, write.len() - 2, "its length in front");
-                Message::decode(&write[2..]).unwrap().header.id
-            })
-            .collect();
-        assert_eq!(counters.tcp_received.get(), stream.writes.len() as u64);
+        serve_framed(&mut stream, &shards).unwrap();
+        let ids = stream.answers().iter().map(|a| a.header.id).collect();
+        let received = shards.counters.tcp_received.get();
+        assert_eq!(received, stream.writes.len() as u64);
         (ids, stream.reads)
     }
 
@@ -1916,13 +2010,12 @@ mod tests {
             ..LoopbackConfig::default()
         });
         let clock = sdoh_netsim::SimClock::new();
-        let control = stepped_shards(&fleet, CacheConfig::default(), &clock, &[RTT, RTT]);
+        let shards = open(stepped(&fleet, CacheConfig::default(), &clock, &[RTT, RTT]));
         // The first asked goes to the second shard, the second to the first.
         let asked = [
             a_query(1, routed_to(&fleet, 1, 2, 1)[0]),
             a_query(2, routed_to(&fleet, 0, 2, 1)[0]),
         ];
-        let counters = FrontCounters::register(&Registry::new());
         let mut stream = Recorded::new([framed(&asked[0]), framed(&asked[1])].concat());
         // The test plays the timer: each round trip is over once the clock
         // has moved, and the pass after that lands it.
@@ -1931,37 +2024,34 @@ mod tests {
             scope.spawn(|| {
                 while !done.load(Ordering::SeqCst) {
                     clock.advance(RTT);
-                    control.shards().land_due(whenever());
+                    shards.land_due(whenever());
                     std::thread::yield_now();
                 }
             });
-            serve_framed(&mut stream, control.shards(), &counters).unwrap();
+            serve_framed(&mut stream, &shards).unwrap();
             done.store(true, Ordering::SeqCst);
         });
-        let answers: Vec<Message> = stream
-            .writes
-            .iter()
-            .map(|write| Message::decode(&write[2..]).unwrap())
-            .collect();
+        let answers = stream.answers();
         let ids: Vec<u16> = answers.iter().map(|answer| answer.header.id).collect();
         assert_eq!(ids, [1, 2], "each query's own answer, in order");
         for (answer, wire) in answers.iter().zip(&asked) {
             assert!(answer.answers_query(&Message::decode(wire).unwrap()));
             assert_eq!(answer.answer_addresses().len(), 24);
         }
-        assert_eq!(counters.tcp_received.get(), 2);
+        assert_eq!(shards.counters.tcp_received.get(), 2);
     }
 
     #[test]
     fn a_query_to_a_busy_shard_is_answered_once_it_is_free() {
         let fleet = LoopbackFleet::build(LoopbackConfig::default());
-        let control = open_shards(&fleet, 1, CacheConfig::default());
-        let shards = control.shards();
-        let counters = FrontCounters::register(&Registry::new());
+        let shards = &open_shards(&fleet, 1, CacheConfig::default());
         let (reply, answers) = mpsc::channel();
         let ask = |id: u16| {
-            let wire = a_query(id, &fleet.domains[0]);
-            serve_query(shards, &wire, ReplyPath::Tcp(reply.clone()), &counters)
+            serve_query(
+                shards,
+                &a_query(id, &fleet.domains[0]),
+                ReplyPath::Tcp(reply.clone(), Vec::new()),
+            )
         };
 
         // The test holds the shard: the socket thread waits for its lock,
@@ -1987,23 +2077,25 @@ mod tests {
         let second = Message::decode(&answers.try_recv().unwrap()).unwrap();
         assert_eq!(second.header.id, 2);
 
-        let snapshot = hold(shards, 0).resolver.snapshot();
+        let snapshot = hold(shards, 0).machine.resolver.snapshot();
         assert_eq!((snapshot.serve.queries, snapshot.serve.hits), (2, 1));
         assert_eq!(snapshot.serve.generations, 1);
     }
 
+    /// Through the control plane: `apply` steps the order into the shard
+    /// under its lock, and the ack is read as soon as `apply` returns.
     #[test]
     fn a_query_read_after_apply_returns_is_served_under_the_new_epoch() {
         const RTT: Duration = Duration::from_millis(1);
         let fleet = LoopbackFleet::build(LoopbackConfig::default());
         let clock = sdoh_netsim::SimClock::new();
-        let control = stepped_shards(&fleet, CacheConfig::default(), &clock, &[RTT]);
+        let shards = open(stepped(&fleet, CacheConfig::default(), &clock, &[RTT]));
+        let control = ControlHandle::new(Arc::new(shards), CacheConfig::default());
         let shards = control.shards();
-        let counters = FrontCounters::register(&Registry::new());
         let (reply, answers) = mpsc::channel();
         let ask = |id: u16, domain: &Name| {
-            let tcp = ReplyPath::Tcp(reply.clone());
-            assert!(serve_query(shards, &a_query(id, domain), tcp, &counters));
+            let tcp = ReplyPath::Tcp(reply.clone(), Vec::new());
+            assert!(serve_query(shards, &a_query(id, domain), tcp));
         };
         let land = || {
             clock.advance(RTT);
@@ -2051,9 +2143,9 @@ mod tests {
         ask(5, colder);
         assert!(answers.try_recv().is_err(), "a query overtook the order");
         {
-            let worker = hold(shards, 0);
-            let deferred = worker.parked.iter().filter(|p| p.flight.is_none()).count();
-            assert_eq!((worker.parked.len(), deferred), (3, 2));
+            let machine = &hold(shards, 0).machine;
+            let deferred = machine.parked.iter().filter(|p| p.flight.is_none()).count();
+            assert_eq!((machine.parked.len(), deferred), (3, 2));
         }
         // The old set's flight lands, the order is adopted, and the queries
         // behind it are served in arrival order: the hit at once, the miss
@@ -2084,22 +2176,36 @@ mod tests {
     #[test]
     fn a_zero_rtt_miss_served_in_place_is_answered_before_the_call_returns() {
         let fleet = LoopbackFleet::build(LoopbackConfig::default());
-        let control = open_shards(&fleet, 1, CacheConfig::default());
-        let shards = control.shards();
-        let counters = FrontCounters::register(&Registry::new());
+        let mut machine = machine(&fleet, CacheConfig::default());
+        let due = ask(&mut machine, &a_query(1, &fleet.domains[0]));
+        // Departed, landed and answered in one step, which leaves nothing
+        // for the timer.
+        let answer = written(&machine).remove(0);
+        assert_eq!(answer.header.id, 1);
+        assert_eq!(answer.answer_addresses().len(), 24);
+        assert_eq!(due, None);
+        assert!(machine.parked.is_empty() && machine.upstream.is_empty());
+        let snapshot = machine.resolver.snapshot();
+        assert_eq!((snapshot.serve.misses, snapshot.serve.generations), (1, 1));
+
+        // Through the driver, under one hold of the lock: answered before
+        // `serve_query` returns, with no alarm armed and no wake counted.
+        let shards = open_shards(&fleet, 1, CacheConfig::default());
         let (reply, answers) = mpsc::channel();
-        let wire = a_query(1, &fleet.domains[0]);
-        assert!(serve_query(shards, &wire, ReplyPath::Tcp(reply), &counters));
-        // Departed, landed and answered under one hold of the lock.
+        let (wire, tcp) = (
+            a_query(1, &fleet.domains[0]),
+            ReplyPath::Tcp(reply, Vec::new()),
+        );
+        assert!(serve_query(&shards, &wire, tcp));
         let answer = Message::decode(&answers.try_recv().unwrap()).unwrap();
         assert_eq!(answer.header.id, 1);
         assert_eq!(answer.answer_addresses().len(), 24);
-        assert_eq!(counters.wakes.get(), 0);
+        assert_eq!(shards.counters.wakes.get(), 0);
         assert_eq!(shards.timer.next.load(Ordering::SeqCst), u64::MAX);
-        let worker = hold(shards, 0);
-        assert!(worker.parked.is_empty() && worker.upstream.is_empty());
-        assert_eq!(worker.alarm, None);
-        let snapshot = worker.resolver.snapshot();
+        let state = hold(&shards, 0);
+        assert!(state.machine.parked.is_empty() && state.machine.upstream.is_empty());
+        assert_eq!(state.alarm, None);
+        let snapshot = state.machine.resolver.snapshot();
         assert_eq!((snapshot.serve.misses, snapshot.serve.generations), (1, 1));
     }
 
@@ -2112,14 +2218,20 @@ mod tests {
             ..LoopbackConfig::default()
         });
         let clock = sdoh_netsim::SimClock::new();
-        let control = stepped_shards(&fleet, CacheConfig::default(), &clock, &[LATER, EARLIER]);
-        let shards = control.shards();
-        let timer = &shards.timer;
-        let counters = FrontCounters::register(&Registry::new());
+        let shards = &open(stepped(
+            &fleet,
+            CacheConfig::default(),
+            &clock,
+            &[LATER, EARLIER],
+        ));
+        let (timer, wakes) = (&shards.timer, &shards.counters.wakes);
         let (reply, answers) = mpsc::channel();
         let ask = |id: u16, domain: &Name| {
-            let tcp = ReplyPath::Tcp(reply.clone());
-            assert!(serve_query(shards, &a_query(id, domain), tcp, &counters));
+            assert!(serve_query(
+                shards,
+                &a_query(id, domain),
+                ReplyPath::Tcp(reply.clone(), Vec::new())
+            ));
         };
         let alarms = || [hold(shards, 0).alarm, hold(shards, 1).alarm];
         let due = |index: usize| timer.due[index].load(Ordering::SeqCst);
@@ -2128,12 +2240,12 @@ mod tests {
 
         // The later alarm is set first: it arms the timer.
         ask(1, late[0]);
-        assert_eq!(counters.wakes.get(), 1);
+        assert_eq!(wakes.get(), 1);
         assert_eq!(alarms(), [Some(clock.now().saturating_add(LATER)), None]);
         assert_eq!(next(), due(0));
         // The earlier one second: it moves the timer down.
         ask(2, early[0]);
-        assert_eq!(counters.wakes.get(), 2);
+        assert_eq!(wakes.get(), 2);
         let alarm = Some(clock.now().saturating_add(EARLIER));
         assert_eq!(alarms()[1], alarm);
         assert_eq!(next(), due(0).min(due(1)));
@@ -2141,10 +2253,10 @@ mod tests {
         // timer does not move, and nothing is counted.
         let before = next();
         ask(3, early[1]);
-        assert_eq!(counters.wakes.get(), 2);
+        assert_eq!(wakes.get(), 2);
         assert_eq!(alarms()[1], alarm);
         assert_eq!(next(), before);
-        assert_eq!(hold(shards, 1).upstream.len(), 2);
+        assert_eq!(hold(shards, 1).machine.upstream.len(), 2);
         assert!(
             answers.try_recv().is_err(),
             "a miss is answered when it lands"
@@ -2165,7 +2277,7 @@ mod tests {
         assert_eq!(answered(&answers), [1]);
         assert_eq!(alarms(), [None, None]);
         assert_eq!(next(), u64::MAX, "nothing left to wait for");
-        assert_eq!(counters.wakes.get(), 2);
+        assert_eq!(wakes.get(), 2);
     }
 
     #[test]
@@ -2173,10 +2285,8 @@ mod tests {
         const RTT: Duration = Duration::from_millis(2);
         let fleet = LoopbackFleet::build(LoopbackConfig::default());
         let clock = sdoh_netsim::SimClock::new();
-        let control = stepped_shards(&fleet, CacheConfig::default(), &clock, &[RTT]);
-        let shards = control.shards();
-        let counters = FrontCounters::register(&Registry::new());
-        let (reply, answers) = mpsc::channel();
+        let shards = stepped(&fleet, CacheConfig::default(), &clock, &[RTT]);
+        let mut machine = machines(shards).remove(0);
         let (first, second) = (&fleet.domains[0], &fleet.domains[1]);
         let shouted: Name = second.to_string().to_uppercase().parse().unwrap();
         let asked = [
@@ -2191,32 +2301,25 @@ mod tests {
             if at == 1 {
                 clock.advance(RTT / 2);
             }
-            let tcp = ReplyPath::Tcp(reply.clone());
-            assert!(serve_query(shards, wire, tcp, &counters));
+            ask(&mut machine, wire);
+            assert!(written(&machine).is_empty());
         }
-        let parked_len = |worker: &Worker| (worker.parked.len(), worker.parked_octets.len());
-        assert_eq!(
-            parked_len(&hold(shards, 0)),
-            (4, asked.iter().map(Vec::len).sum())
-        );
+        let parked_len =
+            |machine: &ShardMachine| (machine.parked.len(), machine.parked_octets.len());
+        assert_eq!(parked_len(&machine), (4, asked.iter().map(Vec::len).sum()));
 
         // The first flight lands: its queries are answered, and the second
         // flight's octets close up behind them.
         clock.advance(RTT / 2);
-        hold(shards, 0).pump();
-        assert_eq!(
-            parked_len(&hold(shards, 0)),
-            (2, asked[1].len() + asked[3].len())
-        );
+        step(&mut machine, None);
+        let mut answered = written(&machine);
+        assert_eq!(parked_len(&machine), (2, asked[1].len() + asked[3].len()));
         clock.advance(RTT / 2);
-        hold(shards, 0).pump();
-        assert_eq!(parked_len(&hold(shards, 0)), (0, 0));
+        step(&mut machine, None);
+        answered.extend(written(&machine));
+        assert_eq!(parked_len(&machine), (0, 0));
 
         // Each answer echoes its own query, spelling included.
-        let answered: Vec<Message> = answers
-            .try_iter()
-            .map(|wire| Message::decode(&wire).unwrap())
-            .collect();
         let ids: Vec<u16> = answered.iter().map(|answer| answer.header.id).collect();
         assert_eq!(ids, [1, 3, 2, 4]);
         for answer in &answered {
@@ -2228,42 +2331,65 @@ mod tests {
         }
     }
 
+    /// Caches `domain` in `machine` through the blocking entry point.
+    fn prime(machine: &mut ShardMachine, domain: &Name) {
+        let query = Message::query(0, domain.clone(), RrType::A);
+        let primed = machine
+            .resolver
+            .handle_query(machine.exchanger.as_mut(), &query);
+        assert_eq!(primed.answer_addresses().len(), 24);
+    }
+
+    /// Stamps the entries of `machine`'s cache that `expire` picks as
+    /// expired, on the way out of its cache and back in: their next query
+    /// is a stale hit.
+    fn expire(machine: &mut ShardMachine, expire: impl Fn(&sdoh_core::PoolKey) -> bool) {
+        let now = machine.exchanger.now();
+        for (key, mut cached) in machine.resolver.extract_entries(expire) {
+            cached.expires_at = cached.generated_at;
+            assert!(machine.resolver.install_entry(key, cached, now));
+        }
+    }
+
     #[test]
     fn a_round_trip_that_is_over_is_landed_by_the_next_hit_served_in_place() {
         const RTT: Duration = Duration::from_millis(1);
         let fleet = LoopbackFleet::build(LoopbackConfig::default());
         let clock = sdoh_netsim::SimClock::new();
-        let control = stepped_shards(&fleet, CacheConfig::default(), &clock, &[RTT]);
-        let shards = control.shards();
+        let shards = stepped(&fleet, CacheConfig::default(), &clock, &[RTT]);
+        let mut machine = machines(shards).remove(0);
         let (cold, warm) = (&fleet.domains[0], &fleet.domains[1]);
-        {
-            let mut guard = hold(shards, 0);
-            let worker: &mut Worker = &mut guard;
-            let query = Message::query(0, warm.clone(), RrType::A);
-            let primed = worker
-                .resolver
-                .handle_query(worker.exchanger.as_mut(), &query);
-            assert_eq!(primed.answer_addresses().len(), 24);
-        }
-        let counters = FrontCounters::register(&Registry::new());
-        let (reply, answers) = mpsc::channel();
-        let ask = |id: u16, domain: &Name| {
-            let tcp = ReplyPath::Tcp(reply.clone());
-            assert!(serve_query(shards, &a_query(id, domain), tcp, &counters));
-        };
+        prime(&mut machine, warm);
 
-        // Nobody runs the timer: the miss waits upstream.
-        ask(1, cold);
-        assert!(answers.try_recv().is_err());
+        // Nobody steps the timer: the miss waits upstream, and its step
+        // leaves an alarm where there was none (`ShardSet::step` counts a
+        // wake).
+        let due = ask(&mut machine, &a_query(1, cold));
+        assert!(written(&machine).is_empty());
+        assert_eq!(due, Some(clock.now().saturating_add(RTT)));
         clock.advance(RTT);
-        // The next query is a hit, and whoever holds the shard does what is
-        // due: the miss is answered behind it, before the call returns.
-        ask(2, warm);
-        assert_eq!(answered(&answers), [2, 1]);
-        assert_eq!(counters.wakes.get(), 1, "the miss's own, and no more");
-        let worker = hold(shards, 0);
-        assert!(worker.parked.is_empty() && worker.upstream.is_empty());
-        let snapshot = worker.resolver.snapshot();
+        // The next query is a hit, and its step does what is due: the miss
+        // is answered behind it, in the same step, which leaves no alarm
+        // (no wake: the miss's own, and no more). The hit's answer is handed
+        // out to be sent before the step lands anything.
+        let mut performed: Vec<Vec<u16>> = Vec::new();
+        let hit = Item::Query {
+            wire: &a_query(2, warm),
+            reply: ReplyPath::Udp(SocketAddr::from(([127, 0, 0, 1], 5353))),
+            started: Instant::now(),
+        };
+        let due = machine.step(Some(hit), &mut |effects| {
+            let answers = effects.answers.drain(..);
+            performed.push(
+                answers
+                    .map(|answer| Message::decode(&answer.octets).unwrap().header.id)
+                    .collect(),
+            );
+        });
+        assert_eq!(performed, [[2], [1]]);
+        assert_eq!(due, None);
+        assert!(machine.parked.is_empty() && machine.upstream.is_empty());
+        let snapshot = machine.resolver.snapshot();
         assert_eq!((snapshot.serve.hits, snapshot.serve.generations), (1, 2));
     }
 
@@ -2278,65 +2404,41 @@ mod tests {
             .with_ttl(Ttl::from_secs(60))
             .with_stale_window(Duration::from_secs(3600));
         let clock = sdoh_netsim::SimClock::new();
-        let control = stepped_shards(&fleet, cache, &clock, &[RTT, RTT]);
-        let shards = control.shards();
-        let (cold_domain, stale_domain) =
-            (routed_to(&fleet, 0, 2, 1)[0], routed_to(&fleet, 1, 2, 1)[0]);
-        // One shard has the stale domain cached, stamped as expired on the
-        // way out of its cache and back in: its next query is a stale hit.
-        {
-            let mut guard = hold(shards, 1);
-            let worker: &mut Worker = &mut guard;
-            let query = Message::query(0, stale_domain.clone(), RrType::A);
-            let primed = worker
-                .resolver
-                .handle_query(worker.exchanger.as_mut(), &query);
-            assert_eq!(primed.answer_addresses().len(), 24);
-            let now = worker.exchanger.now();
-            for (key, mut cached) in worker.resolver.extract_entries(|_| true) {
-                cached.expires_at = cached.generated_at;
-                assert!(worker.resolver.install_entry(key, cached, now));
-            }
-        }
+        let mut machines = machines(stepped(&fleet, cache, &clock, &[RTT, RTT]));
+        let (cold_domain, stale_domain) = (&fleet.domains[0], &fleet.domains[1]);
+        // One shard has the stale domain cached, stamped as expired: its
+        // next query is a stale hit.
+        prime(&mut machines[1], stale_domain);
+        expire(&mut machines[1], |_| true);
         clock.advance(RTT);
-        let counters = FrontCounters::register(&Registry::new());
-        let (reply, answers) = mpsc::channel();
 
-        // The miss parks, its batch leaves from the socket thread, and the
-        // timer is armed for its round trip.
-        let wire = a_query(1, cold_domain);
-        let tcp = ReplyPath::Tcp(reply.clone());
-        assert!(serve_query(shards, &wire, tcp, &counters));
-        {
-            let worker = hold(shards, 0);
-            assert_eq!((worker.parked.len(), worker.upstream.len()), (1, 1));
-        }
-        assert_eq!(counters.wakes.get(), 1);
-        assert!(
-            answers.try_recv().is_err(),
-            "a miss is answered when it lands"
-        );
-        // The stale hit is answered before `serve_query` returns, and its
-        // refresh departs the same way: the other shard's alarm is armed.
-        let wire = a_query(2, stale_domain);
-        let tcp = ReplyPath::Tcp(reply);
-        assert!(serve_query(shards, &wire, tcp, &counters));
-        let stale = Message::decode(&answers.try_recv().unwrap()).unwrap();
+        // The miss parks, its batch leaves in the step that served it, and
+        // the step leaves an alarm for its round trip.
+        let due = ask(&mut machines[0], &a_query(1, cold_domain));
+        let cold = &machines[0];
+        assert_eq!((cold.parked.len(), cold.upstream.len()), (1, 1));
+        assert_eq!(due, Some(clock.now().saturating_add(RTT)));
+        assert!(written(cold).is_empty(), "a miss is answered when it lands");
+        // The stale hit is answered in its step, and its refresh departs
+        // the same way: the other shard's alarm is set.
+        let due = ask(&mut machines[1], &a_query(2, stale_domain));
+        let stale = written(&machines[1]).remove(0);
         assert_eq!(stale.header.id, 2);
         assert!(stale.answers.iter().all(|record| record.ttl == 0));
-        assert_eq!(hold(shards, 1).upstream.len(), 1);
-        assert_eq!(counters.wakes.get(), 2);
+        assert_eq!(machines[1].upstream.len(), 1);
+        assert_eq!(due, Some(clock.now().saturating_add(RTT)));
 
-        // Once the round trip is over, the timer lands the generation and
-        // the refresh; the miss is answered from its landing.
+        // Once the round trip is over, the timer's steps land the
+        // generation and the refresh; the miss is answered from its landing.
         clock.advance(RTT);
-        shards.land_due(whenever());
-        let miss = Message::decode(&answers.try_recv().unwrap()).unwrap();
+        step(&mut machines[0], None);
+        step(&mut machines[1], None);
+        let miss = written(&machines[0]).remove(0);
         assert_eq!(miss.header.id, 1);
         assert_eq!(miss.answer_addresses().len(), 24);
-        let snapshot = hold(shards, 0).resolver.snapshot();
+        let snapshot = machines[0].resolver.snapshot();
         assert_eq!((snapshot.serve.misses, snapshot.serve.generations), (1, 1));
-        let snapshot = hold(shards, 1).resolver.snapshot();
+        let snapshot = machines[1].resolver.snapshot();
         assert_eq!(snapshot.serve.stale_serves, 1);
         assert_eq!(snapshot.serve.refreshes, 1);
         assert_eq!(snapshot.serve.generations, 2);
@@ -2346,19 +2448,12 @@ mod tests {
     #[test]
     fn a_malformed_query_is_answered_with_its_own_id() {
         let fleet = LoopbackFleet::build(LoopbackConfig::default());
-        let control = open_shards(&fleet, 1, CacheConfig::default());
-        let counters = FrontCounters::register(&Registry::new());
-        let (reply, answers) = mpsc::channel();
+        let mut machine = machine(&fleet, CacheConfig::default());
         // Id 0xBEEF, RD set, one question announced and cut short.
         let mut wire = a_query(0xBEEF, &"pool.ntpns.org".parse().unwrap());
         wire.truncate(15);
-        assert!(serve_query(
-            control.shards(),
-            &wire,
-            ReplyPath::Tcp(reply),
-            &counters
-        ));
-        let formerr = Message::decode(&answers.try_recv().unwrap()).unwrap();
+        ask(&mut machine, &wire);
+        let formerr = written(&machine).remove(0);
         assert_eq!(formerr.header.rcode, Rcode::FormErr);
         assert_eq!(formerr.header.id, 0xBEEF, "the stub matches it by id");
         assert!(formerr.header.recursion_desired);
@@ -2366,12 +2461,12 @@ mod tests {
 
     #[test]
     fn refresh_runs_while_the_shard_queue_never_empties() {
-        // Whoever serves a query deals with what is due after it, not only
-        // the timer when a wait runs out. The shard is handed queries back
-        // to back, with no pause for the timer to take its lock in: a stale
-        // serve of B, whose refresh leaves on a 1 ms round trip, then far
-        // more hits on A than fit into a millisecond, then B again. Only the
-        // pump after each hit can have landed the refresh by then.
+        // Every step deals with what is due after its query, not only the
+        // timer's when a wait runs out. The shard is handed queries back to
+        // back, with no timer step in between: a stale serve of B, whose
+        // refresh leaves on a 1 ms round trip, then far more hits on A than
+        // fit into a millisecond, then B again. Only the pump at the end of
+        // each hit's step can have landed the refresh by then.
         const HITS: usize = 20_000;
         let fleet = LoopbackFleet::build(LoopbackConfig {
             pool_domains: 2,
@@ -2381,45 +2476,23 @@ mod tests {
         let cache = CacheConfig::default()
             .with_ttl(Ttl::from_secs(60))
             .with_stale_window(Duration::from_secs(3600));
-        let control = open_shards(&fleet, 1, cache);
-        let shards = control.shards();
-        // Both cached; B stamped as expired on the way out and back in.
-        {
-            let mut guard = hold(shards, 0);
-            let worker: &mut Worker = &mut guard;
-            for domain in &fleet.domains {
-                let query = Message::query(0, domain.clone(), RrType::A);
-                let primed = worker
-                    .resolver
-                    .handle_query(worker.exchanger.as_mut(), &query);
-                assert_eq!(primed.answer_addresses().len(), 24);
-            }
-            let now = worker.exchanger.now();
-            for (key, mut cached) in worker
-                .resolver
-                .extract_entries(|key| key.domain == fleet.domains[1])
-            {
-                cached.expires_at = cached.generated_at;
-                assert!(worker.resolver.install_entry(key, cached, now));
-            }
+        let mut machine = machine(&fleet, cache);
+        // Both cached; B stamped as expired.
+        for domain in &fleet.domains {
+            prime(&mut machine, domain);
         }
+        expire(&mut machine, |key| key.domain == fleet.domains[1]);
 
-        let counters = FrontCounters::register(&Registry::new());
-        let (reply, answers) = mpsc::channel();
-        let ask = |id: u16, domain: usize| {
-            let wire = a_query(id, &fleet.domains[domain]);
-            let tcp = ReplyPath::Tcp(reply.clone());
-            assert!(serve_query(shards, &wire, tcp, &counters));
+        let mut answers = Vec::new();
+        let mut asked = |id: u16, domain: usize| {
+            ask(&mut machine, &a_query(id, &fleet.domains[domain]));
+            answers.extend(written(&machine));
         };
-        ask(1, 1);
-        (0..HITS).for_each(|_| ask(2, 0));
-        ask(3, 1);
+        asked(1, 1);
+        (0..HITS).for_each(|_| asked(2, 0));
+        asked(3, 1);
 
-        let answers: Vec<Message> = answers
-            .try_iter()
-            .map(|wire| Message::decode(&wire).unwrap())
-            .collect();
-        assert_eq!(answers.len(), HITS + 2, "every hit served in place");
+        assert_eq!(answers.len(), HITS + 2, "every hit served in its step");
         let (stale, again) = (&answers[0], &answers[HITS + 1]);
         assert_eq!((stale.header.id, again.header.id), (1, 3));
         assert!(stale.answers.iter().all(|r| r.ttl == 0), "B served stale");
@@ -2427,7 +2500,7 @@ mod tests {
             again.answers.iter().all(|r| r.ttl >= 1),
             "B was refreshed while the queries never paused"
         );
-        let snapshot = hold(shards, 0).resolver.snapshot();
+        let snapshot = machine.resolver.snapshot();
         assert_eq!(snapshot.serve.stale_serves, 1);
         assert_eq!(snapshot.serve.refreshes, 1);
         assert_eq!(snapshot.serve.generations, 3);

@@ -70,43 +70,6 @@ impl From<WireError> for ResolveError {
 /// Result alias used throughout the crate.
 pub type ResolveResult<T> = Result<T, ResolveError>;
 
-/// Errors produced while parsing zone file text.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ZoneFileError {
-    /// A line could not be parsed.
-    Syntax {
-        /// Line number (1-based).
-        line: usize,
-        /// Explanation of the problem.
-        message: String,
-    },
-    /// A record's owner name is outside the zone origin.
-    OutOfZone {
-        /// Line number (1-based).
-        line: usize,
-        /// The offending owner name.
-        name: String,
-    },
-    /// The zone has no SOA record.
-    MissingSoa,
-}
-
-impl fmt::Display for ZoneFileError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ZoneFileError::Syntax { line, message } => {
-                write!(f, "zone file syntax error on line {line}: {message}")
-            }
-            ZoneFileError::OutOfZone { line, name } => {
-                write!(f, "record on line {line} is out of zone: {name}")
-            }
-            ZoneFileError::MissingSoa => write!(f, "zone has no SOA record"),
-        }
-    }
-}
-
-impl Error for ZoneFileError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,15 +103,5 @@ mod tests {
         assert_eq!(e, ResolveError::Network(NetError::Timeout));
         let e: ResolveError = WireError::EmptyLabel.into();
         assert_eq!(e, ResolveError::Wire(WireError::EmptyLabel));
-    }
-
-    #[test]
-    fn zone_file_errors_display() {
-        let e = ZoneFileError::Syntax {
-            line: 3,
-            message: "bad record".into(),
-        };
-        assert!(e.to_string().contains("line 3"));
-        assert!(!ZoneFileError::MissingSoa.to_string().is_empty());
     }
 }

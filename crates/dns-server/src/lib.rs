@@ -4,8 +4,8 @@
 //! This crate provides every DNS component of the paper's Figure 1 that is
 //! not the DoH transport itself:
 //!
-//! * authoritative zones ([`Zone`], [`Catalog`], [`Authority`]) and a
-//!   zone-file parser ([`parse_zone`]) — the `c/d/e.ntpns.org` name servers,
+//! * authoritative zones ([`Zone`], [`Catalog`], [`Authority`]) — the
+//!   `c/d/e.ntpns.org` name servers,
 //! * an iterative [`RecursiveResolver`] with a TTL-respecting [`DnsCache`] —
 //!   the engine behind each public DoH resolver,
 //! * a [`StubResolver`] — the plain-DNS baseline the paper improves on: a
@@ -99,13 +99,12 @@ mod recursive;
 mod service;
 mod stub;
 mod zone;
-mod zonefile;
 
 pub use authority::Authority;
 pub use cache::{CachedAnswer, Credibility, DnsCache};
 pub use catalog::Catalog;
 pub use client::{DnsClient, PreparedDnsQuery, QueryIdentifiers, DEFAULT_TIMEOUT};
-pub use error::{ResolveError, ResolveResult, ZoneFileError};
+pub use error::{ResolveError, ResolveResult};
 pub use exchange::{ClientExchanger, Departure, ExchangeOutcome, ExchangeRequest, Exchanger};
 pub use handler::{FnHandler, QueryHandler};
 pub use poison::{PoisonConfig, PoisonMode, PoisonedResolver};
@@ -115,4 +114,3 @@ pub use service::{
 };
 pub use stub::StubResolver;
 pub use zone::{Delegation, RecordSet, Zone, ZoneLookup};
-pub use zonefile::parse_zone;

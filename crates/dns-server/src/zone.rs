@@ -122,15 +122,6 @@ impl Zone {
         Zone { origin, records }
     }
 
-    /// Creates a zone without the synthetic SOA (used by the zone-file
-    /// parser, which requires an explicit SOA).
-    pub fn empty(origin: Name) -> Self {
-        Zone {
-            origin,
-            records: BTreeMap::new(),
-        }
-    }
-
     /// The zone origin (apex name).
     pub fn origin(&self) -> &Name {
         &self.origin

@@ -110,28 +110,6 @@ impl RrType {
             RrType::Unknown(c) => format!("TYPE{c}"),
         }
     }
-
-    /// Parses the presentation-format mnemonic (e.g. `"AAAA"` or `"TYPE99"`).
-    pub fn from_mnemonic(s: &str) -> Option<RrType> {
-        let upper = s.to_ascii_uppercase();
-        Some(match upper.as_str() {
-            "A" => RrType::A,
-            "NS" => RrType::Ns,
-            "CNAME" => RrType::Cname,
-            "SOA" => RrType::Soa,
-            "PTR" => RrType::Ptr,
-            "MX" => RrType::Mx,
-            "TXT" => RrType::Txt,
-            "AAAA" => RrType::Aaaa,
-            "SRV" => RrType::Srv,
-            "OPT" => RrType::Opt,
-            "ANY" | "*" => RrType::Any,
-            other => {
-                let code = other.strip_prefix("TYPE")?.parse::<u16>().ok()?;
-                RrType::from(code)
-            }
-        })
-    }
 }
 
 /// DNS CLASS code points (RFC 1035 §3.2.4).
@@ -218,26 +196,23 @@ mod tests {
     }
 
     #[test]
-    fn rrtype_display_and_mnemonic_roundtrip() {
-        for t in [
-            RrType::A,
-            RrType::Ns,
-            RrType::Cname,
-            RrType::Soa,
-            RrType::Ptr,
-            RrType::Mx,
-            RrType::Txt,
-            RrType::Aaaa,
-            RrType::Srv,
-            RrType::Opt,
-            RrType::Any,
-            RrType::Unknown(777),
+    fn rrtype_display_names() {
+        for (t, name) in [
+            (RrType::A, "A"),
+            (RrType::Ns, "NS"),
+            (RrType::Cname, "CNAME"),
+            (RrType::Soa, "SOA"),
+            (RrType::Ptr, "PTR"),
+            (RrType::Mx, "MX"),
+            (RrType::Txt, "TXT"),
+            (RrType::Aaaa, "AAAA"),
+            (RrType::Srv, "SRV"),
+            (RrType::Opt, "OPT"),
+            (RrType::Any, "ANY"),
+            (RrType::Unknown(777), "TYPE777"),
         ] {
-            let s = t.to_string();
-            assert_eq!(RrType::from_mnemonic(&s), Some(t), "mnemonic {s}");
+            assert_eq!(t.to_string(), name);
         }
-        assert_eq!(RrType::from_mnemonic("aaaa"), Some(RrType::Aaaa));
-        assert_eq!(RrType::from_mnemonic("bogus"), None);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * [`sweep_resolver_count`] / [`sweep_attack_probability`] regenerate the
 //!   quantitative series `sdoh-exp attack_probability` prints (E3 of the
 //!   experiment index in `sdoh-bench`), and [`Table`] renders them as
-//!   markdown or CSV.
+//!   markdown.
 //!
 //! # Example
 //!

@@ -1,4 +1,4 @@
-//! Lightweight tabular output (markdown and CSV) for experiment results.
+//! Lightweight markdown tables for experiment results.
 
 use std::fmt;
 
@@ -65,28 +65,6 @@ impl Table {
         out
     }
 
-    /// Renders the table as CSV (headers first).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            let escaped: Vec<String> = row
-                .iter()
-                .map(|cell| {
-                    if cell.contains(',') || cell.contains('"') {
-                        format!("\"{}\"", cell.replace('"', "\"\""))
-                    } else {
-                        cell.clone()
-                    }
-                })
-                .collect();
-            out.push_str(&escaped.join(","));
-            out.push('\n');
-        }
-        out
-    }
-
     /// Access to the raw rows.
     pub fn rows(&self) -> &[Vec<String>] {
         &self.rows
@@ -120,7 +98,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn markdown_and_csv_output() {
+    fn markdown_output() {
         let mut table = Table::new("Attack probability", &["N", "p", "P[success]"]);
         assert!(table.is_empty());
         table.push_row(["3", "0.1", "0.01"]);
@@ -135,21 +113,9 @@ mod tests {
         assert!(md.contains("### Attack probability"));
         assert!(md.contains("| N | p | P[success] |"));
         assert!(md.contains("| 3 | 0.1 | 0.01 |"));
+        assert!(md.contains("| 5 | 0.1 | 0.001 |"));
         assert_eq!(md, table.to_string());
-
-        let csv = table.to_csv();
-        assert!(csv.starts_with("N,p,P[success]\n"));
-        assert!(csv.contains("5,0.1,0.001"));
         assert_eq!(table.rows().len(), 2);
-    }
-
-    #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut table = Table::new("t", &["a", "b"]);
-        table.push_row(["x,y", "he said \"hi\""]);
-        let csv = table.to_csv();
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.contains("\"he said \"\"hi\"\"\""));
     }
 
     #[test]

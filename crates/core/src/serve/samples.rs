@@ -310,9 +310,9 @@ mod tests {
             assert!(!sample.help.trim().is_empty(), "{} lacks help", sample.name);
             assert_eq!(sample.labels, vec![("shard".to_string(), "2".to_string())]);
         }
-        let by_name = |name: &str| match sdoh_metrics::find_sample(&samples, name) {
-            Ok(sample) => sample.value.clone(),
-            Err(missing) => panic!("{missing}"),
+        let by_name = |name: &str| match samples.iter().find(|sample| sample.name == name) {
+            Some(sample) => sample.value.clone(),
+            None => panic!("no sample named `{name}`"),
         };
         assert_eq!(
             by_name("sdoh_serve_queries_total"),

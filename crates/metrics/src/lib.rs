@@ -45,6 +45,4 @@ pub use export::{parse_prometheus, render_json, render_prometheus, ParseError};
 pub use histogram::{bucket_bound, Histogram, HistogramSnapshot, BUCKETS, FINITE_BUCKETS};
 pub use http::{http_get, Handler, HttpBody, HttpResponse, StatsServer};
 pub use metric::{Counter, Gauge};
-pub use registry::{
-    find_sample, Collector, MetricKind, Registry, Sample, SampleMissing, SampleValue,
-};
+pub use registry::{Collector, MetricKind, Registry, Sample, SampleValue};

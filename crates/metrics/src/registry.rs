@@ -75,34 +75,6 @@ impl Sample {
     }
 }
 
-/// Error of [`find_sample`]: the requested metric name is absent from a
-/// sample set.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SampleMissing {
-    /// The name that was looked up.
-    pub name: String,
-}
-
-impl std::fmt::Display for SampleMissing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "no sample named `{}` in the scrape", self.name)
-    }
-}
-
-impl std::error::Error for SampleMissing {}
-
-/// Finds the first sample with the given family name, reporting which
-/// name was missing instead of panicking — the lookup exporters, tests
-/// and reconcilers should use rather than `unwrap_or_else(|| panic!(...))`.
-pub fn find_sample<'a>(samples: &'a [Sample], name: &str) -> Result<&'a Sample, SampleMissing> {
-    samples
-        .iter()
-        .find(|sample| sample.name == name)
-        .ok_or_else(|| SampleMissing {
-            name: name.to_string(),
-        })
-}
-
 enum Metric {
     Counter(Counter),
     Gauge(Gauge),
@@ -358,25 +330,4 @@ mod tests {
         assert_eq!(registry.lint(), vec!["collected_total".to_string()]);
     }
 
-    #[test]
-    fn find_sample_reports_the_missing_name_instead_of_panicking() {
-        let registry = Registry::new();
-        registry.counter("present_total", "here").inc();
-        let samples = registry.gather();
-        assert_eq!(
-            find_sample(&samples, "present_total").map(|s| s.value.clone()),
-            Ok(SampleValue::Counter(1))
-        );
-        let missing = find_sample(&samples, "absent_total");
-        assert_eq!(
-            missing,
-            Err(SampleMissing {
-                name: "absent_total".to_string()
-            })
-        );
-        assert_eq!(
-            missing.map(|_| ()).unwrap_err().to_string(),
-            "no sample named `absent_total` in the scrape"
-        );
-    }
 }

@@ -467,14 +467,20 @@ mod tests {
             "Queries received.",
             &[("instance", "a")],
         );
-        let depth = registry.gauge("sdoh_pending_refreshes", "Refreshes queued.");
+        registry.register_collector(Box::new(|| {
+            vec![Sample {
+                name: "sdoh_pending_refreshes".to_string(),
+                help: "Refreshes queued.".to_string(),
+                labels: Vec::new(),
+                value: SampleValue::Gauge(3.0),
+            }]
+        }));
         let latency = registry.histogram_with(
             "sdoh_serve_latency_seconds",
             "Per-query serve latency.",
             &[("shard", "0")],
         );
         queries.add(12);
-        depth.set(3.0);
         for micros in [5u64, 5, 90, 90, 90, 2000] {
             latency.record(Duration::from_micros(micros));
         }

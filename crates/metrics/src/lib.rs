@@ -1,8 +1,8 @@
 //! # sdoh-metrics — the runtime's observability plane
 //!
 //! A lock-light metrics layer for the secure-DoH runtime: recording sites
-//! hold atomic handles ([`Counter`], [`Gauge`], [`Histogram`]) and never
-//! take a lock; the [`Registry`]'s mutex is touched only at registration
+//! hold atomic handles ([`Counter`], [`Histogram`]) and never take a lock,
+//! and gauges are read at scrape time by a [`Collector`]; the [`Registry`]'s mutex is touched only at registration
 //! and scrape time. Latency histograms use fixed power-of-two buckets so
 //! recording an observation on the serving hot path is two relaxed
 //! `fetch_add`s and an integer log2 — no allocation, no float.
@@ -44,5 +44,5 @@ pub mod registry;
 pub use export::{parse_prometheus, render_json, render_prometheus, ParseError};
 pub use histogram::{bucket_bound, Histogram, HistogramSnapshot, BUCKETS, FINITE_BUCKETS};
 pub use http::{http_get, Handler, HttpBody, HttpResponse, StatsServer};
-pub use metric::{Counter, Gauge};
+pub use metric::Counter;
 pub use registry::{Collector, MetricKind, Registry, Sample, SampleValue};

@@ -1,4 +1,6 @@
-//! The scalar metric handles: monotonic [`Counter`]s and [`Gauge`]s.
+//! The scalar metric handle: the monotonic [`Counter`]. A gauge is a
+//! sample a scrape-time collector reads from its source
+//! ([`SampleValue::Gauge`](crate::SampleValue::Gauge)).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,30 +37,6 @@ impl Counter {
     }
 }
 
-/// A gauge: a value that can move in both directions (queue depths, entry
-/// counts, ratios). Stored as `f64` bits in an atomic cell.
-#[derive(Debug, Clone, Default)]
-pub struct Gauge {
-    bits: Arc<AtomicU64>,
-}
-
-impl Gauge {
-    /// Creates a gauge at zero.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Sets the current value.
-    pub fn set(&self, value: f64) {
-        self.bits.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,15 +48,5 @@ mod tests {
         writer.inc();
         writer.add(41);
         assert_eq!(counter.get(), 42);
-    }
-
-    #[test]
-    fn gauge_moves_both_ways() {
-        let gauge = Gauge::new();
-        assert_eq!(gauge.get(), 0.0);
-        gauge.set(7.5);
-        assert_eq!(gauge.get(), 7.5);
-        gauge.set(-1.25);
-        assert_eq!(gauge.get(), -1.25);
     }
 }

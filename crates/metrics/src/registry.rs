@@ -8,7 +8,7 @@
 use std::sync::{Arc, Mutex};
 
 use crate::histogram::{Histogram, HistogramSnapshot};
-use crate::metric::{Counter, Gauge};
+use crate::metric::Counter;
 
 /// What kind of time series a sample belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,7 +77,6 @@ impl Sample {
 
 enum Metric {
     Counter(Counter),
-    Gauge(Gauge),
     Histogram(Histogram),
 }
 
@@ -139,18 +138,6 @@ impl Registry {
         counter
     }
 
-    /// Registers a gauge without labels.
-    pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-        self.gauge_with(name, help, &[])
-    }
-
-    /// Registers a labelled gauge and returns the recording handle.
-    pub fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        let gauge = Gauge::new();
-        self.insert(name, help, labels, Metric::Gauge(gauge.clone()));
-        gauge
-    }
-
     /// Registers a labelled histogram and returns the recording handle.
     pub fn histogram_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
         let histogram = Histogram::new();
@@ -208,7 +195,6 @@ impl Registry {
                 labels: registered.labels.clone(),
                 value: match &registered.metric {
                     Metric::Counter(c) => SampleValue::Counter(c.get()),
-                    Metric::Gauge(g) => SampleValue::Gauge(g.get()),
                     Metric::Histogram(h) => SampleValue::Histogram(h.snapshot()),
                 },
             })
@@ -261,14 +247,22 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    fn gauge(name: &str, value: f64) -> Sample {
+        Sample {
+            name: name.to_string(),
+            help: "Work items queued.".to_string(),
+            labels: Vec::new(),
+            value: SampleValue::Gauge(value),
+        }
+    }
+
     #[test]
     fn gather_reflects_live_handles_and_sorts() {
         let registry = Registry::new();
         let queries = registry.counter("queries_total", "Queries served.");
-        let depth = registry.gauge("queue_depth", "Work items queued.");
         let latency = registry.histogram_with("latency_seconds", "Serve latency.", &[]);
+        registry.register_collector(Box::new(|| vec![gauge("queue_depth", 2.0)]));
         queries.add(3);
-        depth.set(2.0);
         latency.record(Duration::from_micros(100));
 
         let samples = registry.gather();
@@ -329,5 +323,4 @@ mod tests {
         assert_eq!(samples[0].value, SampleValue::Counter(9));
         assert_eq!(registry.lint(), vec!["collected_total".to_string()]);
     }
-
 }

@@ -9,14 +9,15 @@
 //!
 //! Received octets are read by one walker, `Walk::next_part`. It checks the
 //! preface, parses each frame where it lies, applies the connection's own
-//! frames (SETTINGS, PING, GOAWAY) and the stream rules of RFC 7540 §5.1,
-//! and hands out what belongs to a message as a [`Part`] borrowed from the
-//! input: a head, a body's octets, a reset. A head is read by the walk, in
-//! one pass over its block, into whatever the caller reads heads as (the
-//! [`Head`] it asks for): its pseudo-header fields and the regular fields an
-//! end needs (`content-type`, `content-length`) in the lent
-//! [`RequestHead`] / [`ResponseHead`], every field in the owned copy. The
-//! stream rules are connection errors (`PROTOCOL_ERROR`, §5.1, §5.1.1,
+//! frames (SETTINGS, PING; a GOAWAY is read and ignored) and the stream
+//! rules of RFC 7540 §5.1, and hands out what belongs to a message as a
+//! [`Part`] borrowed from the input: a head, a body's octets, a reset. A
+//! head is read by the walk, in one pass over its block, into whatever the
+//! caller reads heads as (the [`Head`] it asks for): its pseudo-header
+//! fields and the regular fields an end needs (`content-type`,
+//! `content-length`) in the lent [`RequestHead`] / [`ResponseHead`], every
+//! field in the owned copy. The stream rules are connection errors
+//! (`PROTOCOL_ERROR`, §5.1, §5.1.1,
 //! §6.1, §6.2, §8.1.2.6):
 //!
 //! * nothing arrives on stream 0;
@@ -554,7 +555,6 @@ struct Walk {
     /// The peer's SETTINGS still wants its acknowledgement: written ahead of
     /// the next frame this end queues, or when the output is taken.
     settings_ack_owed: bool,
-    goaway: Option<u32>,
 }
 
 impl Walk {
@@ -568,7 +568,6 @@ impl Walk {
             last_opened: 0,
             peer_settings_received: false,
             settings_ack_owed: false,
-            goaway: None,
         }
     }
 
@@ -659,7 +658,6 @@ impl Walk {
                 self.streams.remove(stream_id);
                 return Ok(Some(Part::Reset { stream_id }));
             }
-            Frame::GoAway { error_code, .. } => self.goaway = Some(error_code),
             _ => {}
         }
         Ok(None)
@@ -899,11 +897,6 @@ impl ClientConnection {
     /// Returns `true` once the server's SETTINGS frame has been received.
     pub fn is_established(&self) -> bool {
         self.walk.peer_settings_received
-    }
-
-    /// Returns the GOAWAY error code if the server closed the connection.
-    pub fn goaway(&self) -> Option<u32> {
-        self.walk.goaway
     }
 
     /// Queues a request and returns the stream id it was assigned.
@@ -1367,19 +1360,6 @@ mod tests {
         client.receive(&server.take_output()).unwrap();
         assert_eq!(frames(&client.take_output()), [ack]);
         assert!(client.take_output().is_empty());
-    }
-
-    #[test]
-    fn goaway_is_recorded() {
-        let mut client = ClientConnection::new();
-        let mut goaway = BytesMut::new();
-        Frame::GoAway {
-            last_stream_id: 0,
-            error_code: 2,
-        }
-        .encode(&mut goaway);
-        client.receive(&goaway).unwrap();
-        assert_eq!(client.goaway(), Some(2));
     }
 
     /// A client's octets: the preface, then `frames`.

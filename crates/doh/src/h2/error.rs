@@ -21,8 +21,6 @@ pub enum H2Error {
     HpackIndex(u64),
     /// A frame violated stream or connection state rules.
     Protocol(String),
-    /// The peer closed the connection with a GOAWAY carrying this error code.
-    GoAway(u32),
 }
 
 impl fmt::Display for H2Error {
@@ -40,18 +38,11 @@ impl fmt::Display for H2Error {
                 )
             }
             H2Error::Protocol(msg) => write!(f, "protocol violation: {msg}"),
-            H2Error::GoAway(code) => write!(f, "connection closed by peer (error code {code})"),
         }
     }
 }
 
 impl Error for H2Error {}
-
-/// HTTP/2 error codes (RFC 7540 §7) used in RST_STREAM and GOAWAY frames.
-pub mod error_code {
-    /// Protocol error detected.
-    pub const PROTOCOL_ERROR: u32 = 0x1;
-}
 
 #[cfg(test)]
 mod tests {
@@ -67,7 +58,6 @@ mod tests {
             H2Error::Hpack("bad huffman padding".into()),
             H2Error::HpackIndex(62),
             H2Error::Protocol("headers after end of stream".into()),
-            H2Error::GoAway(error_code::PROTOCOL_ERROR),
         ];
         for c in cases {
             assert!(!c.to_string().is_empty());

@@ -10,5 +10,5 @@ mod oracle;
 
 pub use connection::{ClientConnection, ServerConnection};
 pub(crate) use connection::{RequestFrames, RequestHead};
-pub use error::{error_code, H2Error};
+pub use error::H2Error;
 pub use frame::{flags, Frame, FrameType, CONNECTION_PREFACE, MAX_FRAME_SIZE};

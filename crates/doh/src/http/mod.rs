@@ -93,20 +93,10 @@ impl Request {
         self
     }
 
-    /// The path portion before any `?`.
-    pub fn path_without_query(&self) -> &str {
-        path_without_query(&self.path)
-    }
-
     /// Looks up a URI query parameter by name.
     pub fn query_param(&self, name: &str) -> Option<&str> {
         query_param(&self.path, name)
     }
-}
-
-/// The portion of a `:path` before any `?`.
-pub(crate) fn path_without_query(path: &str) -> &str {
-    path.split('?').next().unwrap_or(path)
 }
 
 /// A URI query parameter of a `:path`, by name.
@@ -182,7 +172,6 @@ mod tests {
         )
         .with_header("accept", "application/dns-message");
         assert_eq!(req.method, Method::Get);
-        assert_eq!(req.path_without_query(), "/dns-query");
         assert_eq!(req.query_param("dns"), Some("AAAA"));
         assert_eq!(req.query_param("missing"), None);
         assert_eq!(req.headers.get("Accept"), Some("application/dns-message"));

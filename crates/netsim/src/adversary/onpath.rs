@@ -5,25 +5,21 @@ use std::net::IpAddr;
 
 use crate::rng::SimRng;
 
-use super::{Adversary, Envelope, RequestVerdict, ResponseVerdict};
+use super::{Adversary, Envelope, ResponseVerdict};
 
 /// Callback rewriting a response given the request and genuine response.
 pub type RewriteFn = Box<dyn FnMut(&[u8], &[u8], &mut SimRng) -> Option<Vec<u8>>>;
 
 /// A man-in-the-middle attacker that controls the paths to a set of hosts.
 ///
-/// On controlled paths the attacker can replace plaintext responses and drop
-/// traffic; on authenticated (secure) channels it can only drop. This is the
+/// On controlled paths the attacker can replace plaintext responses;
+/// authenticated (secure) channels pass it untouched. This is the
 /// "realistic on-path MitM attacker that controls some (but not all) of the
 /// Internet paths" from the paper's conclusion.
 pub struct OnPathMitm {
     controlled_hosts: HashSet<IpAddr>,
-    drop_probability: f64,
-    drop_secure: bool,
     replace: Option<RewriteFn>,
-    observed_requests: u64,
     replaced_responses: u64,
-    dropped: u64,
 }
 
 impl OnPathMitm {
@@ -31,12 +27,8 @@ impl OnPathMitm {
     pub fn controlling<I: IntoIterator<Item = IpAddr>>(hosts: I) -> Self {
         OnPathMitm {
             controlled_hosts: hosts.into_iter().collect(),
-            drop_probability: 0.0,
-            drop_secure: false,
             replace: None,
-            observed_requests: 0,
             replaced_responses: 0,
-            dropped: 0,
         }
     }
 
@@ -52,34 +44,9 @@ impl OnPathMitm {
         self
     }
 
-    /// Drops traffic on controlled paths with the given probability
-    /// (applies to plain channels, and to secure channels only when
-    /// [`OnPathMitm::dropping_secure`] was enabled).
-    pub fn with_drop_probability(mut self, p: f64) -> Self {
-        self.drop_probability = p.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Also drop secure-channel traffic (denial of service on DoH); a MitM
-    /// can always cut a connection even when it cannot read it.
-    pub fn dropping_secure(mut self) -> Self {
-        self.drop_secure = true;
-        self
-    }
-
-    /// Number of requests observed on controlled paths.
-    pub fn observed_requests(&self) -> u64 {
-        self.observed_requests
-    }
-
     /// Number of responses replaced so far.
     pub fn replaced_responses(&self) -> u64 {
         self.replaced_responses
-    }
-
-    /// Number of payloads dropped so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     fn controls_path(&self, envelope: &Envelope<'_>) -> bool {
@@ -92,28 +59,12 @@ impl std::fmt::Debug for OnPathMitm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OnPathMitm")
             .field("controlled_hosts", &self.controlled_hosts)
-            .field("drop_probability", &self.drop_probability)
-            .field("drop_secure", &self.drop_secure)
-            .field("observed_requests", &self.observed_requests)
             .field("replaced_responses", &self.replaced_responses)
             .finish()
     }
 }
 
 impl Adversary for OnPathMitm {
-    fn on_request(&mut self, envelope: &Envelope<'_>, rng: &mut SimRng) -> RequestVerdict {
-        if !self.controls_path(envelope) {
-            return RequestVerdict::Deliver;
-        }
-        self.observed_requests += 1;
-        let may_drop = envelope.channel.is_forgeable() || self.drop_secure;
-        if may_drop && rng.chance(self.drop_probability) {
-            self.dropped += 1;
-            return RequestVerdict::Drop;
-        }
-        RequestVerdict::Deliver
-    }
-
     fn on_response(
         &mut self,
         envelope: &Envelope<'_>,
@@ -125,10 +76,6 @@ impl Adversary for OnPathMitm {
         }
         // Integrity protection: secure channels cannot be rewritten.
         if !envelope.channel.is_forgeable() {
-            if self.drop_secure && rng.chance(self.drop_probability) {
-                self.dropped += 1;
-                return ResponseVerdict::Drop;
-            }
             return ResponseVerdict::Deliver;
         }
         if let Some(rewriter) = self.replace.as_mut() {
@@ -149,6 +96,7 @@ impl Adversary for OnPathMitm {
 mod tests {
     use super::*;
     use crate::addr::SimAddr;
+    use crate::adversary::RequestVerdict;
     use crate::channel::ChannelKind;
 
     fn env(channel: ChannelKind, dst: SimAddr) -> Envelope<'static> {
@@ -187,8 +135,7 @@ mod tests {
         let victim = SimAddr::v4(8, 8, 8, 8, 53);
         let other = SimAddr::v4(9, 9, 9, 9, 53);
         let mut mitm = OnPathMitm::controlling([victim.ip])
-            .with_response_rewriter(|_req, _resp, _rng| Some(b"evil".to_vec()))
-            .with_drop_probability(1.0);
+            .with_response_rewriter(|_req, _resp, _rng| Some(b"evil".to_vec()));
         let mut rng = SimRng::seed_from_u64(3);
         assert_eq!(
             mitm.on_request(&env(ChannelKind::Plain, other), &mut rng),
@@ -198,41 +145,7 @@ mod tests {
             mitm.on_response(&env(ChannelKind::Plain, other), b"req", &mut rng),
             ResponseVerdict::Deliver
         );
-        assert_eq!(mitm.observed_requests(), 0);
-    }
-
-    #[test]
-    fn drops_plain_requests_when_configured() {
-        let victim = SimAddr::v4(8, 8, 8, 8, 53);
-        let mut mitm = OnPathMitm::controlling([victim.ip]).with_drop_probability(1.0);
-        let mut rng = SimRng::seed_from_u64(4);
-        assert_eq!(
-            mitm.on_request(&env(ChannelKind::Plain, victim), &mut rng),
-            RequestVerdict::Drop
-        );
-        // Secure traffic passes unless dropping_secure() is enabled.
-        assert_eq!(
-            mitm.on_request(&env(ChannelKind::Secure, victim), &mut rng),
-            RequestVerdict::Deliver
-        );
-        assert_eq!(mitm.dropped(), 1);
-    }
-
-    #[test]
-    fn can_dos_secure_channels_when_enabled() {
-        let victim = SimAddr::v4(8, 8, 8, 8, 443);
-        let mut mitm = OnPathMitm::controlling([victim.ip])
-            .with_drop_probability(1.0)
-            .dropping_secure();
-        let mut rng = SimRng::seed_from_u64(5);
-        assert_eq!(
-            mitm.on_request(&env(ChannelKind::Secure, victim), &mut rng),
-            RequestVerdict::Drop
-        );
-        assert_eq!(
-            mitm.on_response(&env(ChannelKind::Secure, victim), b"r", &mut rng),
-            ResponseVerdict::Drop
-        );
+        assert_eq!(mitm.replaced_responses(), 0);
     }
 
     #[test]

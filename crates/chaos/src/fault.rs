@@ -434,15 +434,6 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Event counts per category label.
-    pub fn counts(&self) -> BTreeMap<&'static str, u64> {
-        let mut counts = BTreeMap::new();
-        for event in &self.events {
-            *counts.entry(event.fault.label()).or_insert(0) += 1;
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -501,7 +492,10 @@ mod tests {
 
     #[test]
     fn mixed_plan_covers_every_category() {
-        let counts = FaultPlan::generate(42, 2000, &FaultMix::mixed(), 3).counts();
+        let mut counts = BTreeMap::new();
+        for event in FaultPlan::generate(42, 2000, &FaultMix::mixed(), 3).events() {
+            *counts.entry(event.fault.label()).or_insert(0u64) += 1;
+        }
         for label in [
             "degrade_links",
             "heal_links",

@@ -63,9 +63,9 @@ impl ConfigDelta {
         self
     }
 
-    /// Replace the upstream resolver set. The factory is called once per
-    /// shard with the shard index and must return a non-empty set; a shard
-    /// handed an empty set keeps its current sources.
+    /// Replace the upstream resolver set. [`ControlHandle::apply`] calls
+    /// the factory once per shard with the shard index, and refuses the
+    /// delta if any shard would be handed an empty set.
     pub fn with_sources(mut self, sources: SourceFactory) -> Self {
         self.sources = Some(sources);
         self
@@ -95,12 +95,12 @@ pub struct EpochReceipt {
 }
 
 /// The epoch order a shard is handed under its lock: the number to ack and
-/// the knobs to serve under from then on.
+/// the knobs to serve under from then on, its own source set among them.
 pub(crate) struct EpochOrder {
     pub(crate) epoch: u64,
     pub(crate) cache: CacheConfig,
     pub(crate) pool: Option<PoolConfig>,
-    pub(crate) sources: Option<SourceFactory>,
+    pub(crate) sources: Option<Vec<Box<dyn AddressSource>>>,
 }
 
 pub(crate) struct ControlInner {
@@ -180,7 +180,8 @@ impl ControlHandle {
     /// # Errors
     ///
     /// Returns the [`ConfigError`] of validating the delta's cache or pool
-    /// configuration; nothing is published on error.
+    /// configuration, or `Invalid` for `sources` when its factory hands
+    /// some shard an empty set; nothing is published on error.
     pub fn apply(&self, delta: ConfigDelta) -> Result<EpochReceipt, ConfigError> {
         let mut config = self.inner.config.lock();
         if let Some(cache) = &delta.cache {
@@ -192,19 +193,32 @@ impl ControlHandle {
                 reason: err.to_string(),
             })?;
         }
-        let order = Arc::new(EpochOrder {
-            epoch: self.current_epoch() + 1,
-            cache: delta.cache.unwrap_or(*config),
-            pool: delta.pool,
-            sources: delta.sources,
-        });
-        self.inner.shards.reconfigure(&order);
-        *config = order.cache;
-        self.inner.epoch.store(order.epoch, Ordering::Release);
-        Ok(EpochReceipt {
-            epoch: order.epoch,
-            shards: self.inner.shards.len(),
-        })
+        let shards = self.inner.shards.len();
+        let sources: Vec<Option<_>> = match &delta.sources {
+            Some(factory) => (0..shards)
+                .map(|index| match factory(index) {
+                    set if set.is_empty() => Err(ConfigError::Invalid {
+                        field: "sources",
+                        reason: format!("shard {index} would have no resolvers"),
+                    }),
+                    set => Ok(Some(set)),
+                })
+                .collect::<Result<_, _>>()?,
+            None => (0..shards).map(|_| None).collect(),
+        };
+        let epoch = self.current_epoch() + 1;
+        let cache = delta.cache.unwrap_or(*config);
+        self.inner
+            .shards
+            .reconfigure(sources.into_iter().map(|sources| EpochOrder {
+                epoch,
+                cache,
+                pool: delta.pool.clone(),
+                sources,
+            }));
+        *config = cache;
+        self.inner.epoch.store(epoch, Ordering::Release);
+        Ok(EpochReceipt { epoch, shards })
     }
 
     /// The `/config` document: current epoch, shard count, per-shard acked

@@ -493,7 +493,7 @@ impl ShardSet {
                 .enumerate()
                 .map(|(index, shard)| ShardCell {
                     state: Mutex::new(ShardState {
-                        machine: ShardMachine::new(index, shard, limit),
+                        machine: ShardMachine::new(shard, limit),
                         alarm: None,
                     }),
                     latency: registry.histogram_with(name, help, &[("shard", &index.to_string())]),
@@ -581,11 +581,11 @@ impl ShardSet {
         }
     }
 
-    /// Hands `order` to every shard in turn: see "Who waits for landings" in
-    /// the module doc for when it is adopted.
-    pub(crate) fn reconfigure(&self, order: &Arc<EpochOrder>) {
-        for index in 0..self.cells.len() {
-            self.step(index, Some(Item::Order(Arc::clone(order))));
+    /// Hands each shard in turn its order, in shard order: see "Who waits
+    /// for landings" in the module doc for when it is adopted.
+    pub(crate) fn reconfigure(&self, orders: impl IntoIterator<Item = EpochOrder>) {
+        for (index, order) in orders.into_iter().enumerate() {
+            self.step(index, Some(Item::Order(Box::new(order))));
         }
     }
 
@@ -1172,7 +1172,7 @@ enum Item<'a> {
         reply: ReplyPath,
         started: Instant,
     },
-    Order(Arc<EpochOrder>),
+    Order(Box<EpochOrder>),
 }
 
 /// A query waiting on the shard, its octets in the shard's parked octets.
@@ -1243,7 +1243,6 @@ impl Effects {
 /// changes only through [`step`](ShardMachine::step), which writes what it
 /// means to send or publish into its [`Effects`].
 struct ShardMachine {
-    index: usize,
     resolver: CachingPoolResolver,
     exchanger: Box<dyn Exchanger + Send>,
     /// In arrival order: the order a flight's waiters, and the queries
@@ -1256,15 +1255,14 @@ struct ShardMachine {
     upstream: Vec<Upstream>,
     /// Control orders not adopted yet, in epoch order: the first waits for
     /// the flights upstream to land, and every query behind it is deferred.
-    orders: Vec<Arc<EpochOrder>>,
+    orders: Vec<EpochOrder>,
     /// What the last step left, until the next begins.
     effects: Effects,
 }
 
 impl ShardMachine {
-    fn new(index: usize, shard: Shard, udp_payload_limit: usize) -> ShardMachine {
+    fn new(shard: Shard, udp_payload_limit: usize) -> ShardMachine {
         ShardMachine {
-            index,
             resolver: shard.resolver,
             exchanger: shard.exchanger,
             parked: Vec::new(),
@@ -1298,7 +1296,7 @@ impl ShardMachine {
                 self.serve(wire, reply, started);
                 perform(&mut self.effects);
             }
-            Some(Item::Order(order)) => self.orders.push(order),
+            Some(Item::Order(order)) => self.orders.push(*order),
             None => {}
         }
         let due = self.pump();
@@ -1450,14 +1448,10 @@ impl ShardMachine {
             if lands_first && !self.upstream.is_empty() {
                 return adopted;
             }
-            let order = self.orders.remove(0);
-            if let Some(factory) = &order.sources {
-                // An empty per-shard set is rejected by the generator: the
-                // shard keeps its current sources.
-                let _ = self
-                    .resolver
-                    .generator_mut()
-                    .replace_sources(factory(self.index));
+            let mut order = self.orders.remove(0);
+            if let Some(sources) = order.sources.take() {
+                // Checked non-empty by ControlHandle::apply.
+                let _ = self.resolver.generator_mut().replace_sources(sources);
             }
             if let Some(pool) = &order.pool {
                 // Pre-validated by ControlHandle::apply.
@@ -1745,8 +1739,7 @@ mod tests {
     fn machines(shards: Vec<Shard>) -> Vec<ShardMachine> {
         shards
             .into_iter()
-            .enumerate()
-            .map(|(index, shard)| ShardMachine::new(index, shard, 1232))
+            .map(|shard| ShardMachine::new(shard, 1232))
             .collect()
     }
 
@@ -2171,6 +2164,32 @@ mod tests {
             .answer_addresses()
             .iter()
             .all(|address| fleet.benign.contains(address)));
+    }
+
+    /// A source swap that would leave a shard without resolvers is refused
+    /// before anything is published. It used to be acked by every shard,
+    /// the emptied one keeping its old set.
+    #[test]
+    fn a_source_swap_that_empties_a_shard_is_refused() {
+        let fleet = LoopbackFleet::build(LoopbackConfig::default());
+        let clock = sdoh_netsim::SimClock::new();
+        let rtts = [Duration::ZERO, Duration::ZERO];
+        let shards = open(stepped(&fleet, CacheConfig::default(), &clock, &rtts));
+        let control = ControlHandle::new(Arc::new(shards), CacheConfig::default());
+        let infos = fleet.infos.clone();
+        let delta = ConfigDelta::new().with_sources(Arc::new(move |shard| {
+            let infos = if shard == 1 { &[][..] } else { &infos[..] };
+            infos
+                .iter()
+                .map(|info| Box::new(DohSource::new(info.clone())) as Box<dyn AddressSource>)
+                .collect()
+        }));
+        match control.apply(delta) {
+            Err(sdoh_core::ConfigError::Invalid { field, .. }) => assert_eq!(field, "sources"),
+            other => panic!("a set empty for shard 1 was not refused: {other:?}"),
+        }
+        assert_eq!(control.current_epoch(), 0);
+        assert_eq!(control.acked_epochs(), [0, 0]);
     }
 
     #[test]

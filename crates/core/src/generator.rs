@@ -96,6 +96,11 @@ impl SecurePoolGenerator {
         &self.config
     }
 
+    /// How many sources a generation asks.
+    pub(crate) fn width(&self) -> usize {
+        self.sources.len()
+    }
+
     /// Replaces the upstream resolver set on a live generator — the
     /// operational response to a compromised or retired resolver. The new
     /// set takes effect from the next generation; in-flight sessions

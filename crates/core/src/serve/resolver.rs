@@ -874,8 +874,11 @@ impl CachingPoolResolver {
         exchanger: &mut dyn Exchanger,
         awaited: Option<FlightId>,
     ) -> Option<Landed> {
-        let mut tags: Vec<(FlightId, TransactionId)> = Vec::new();
-        let mut requests: Vec<ExchangeRequest> = Vec::new();
+        // Sized for one generation's fan-out, so a batch of any width is
+        // gathered in one allocation each.
+        let width = self.generator.width();
+        let mut tags: Vec<(FlightId, TransactionId)> = Vec::with_capacity(width);
+        let mut requests: Vec<ExchangeRequest> = Vec::with_capacity(width);
         loop {
             match self.poll(exchanger.now()) {
                 ServeStep::Transmit {

@@ -10,25 +10,35 @@
 //!   this was written, 21 while each vote label was formatted into a
 //!   `String` before its `Arc`, 83 while every name, list and label was
 //!   copied per use);
-//! * one uncached query over five in-process DoH terminators, one of them
-//!   poisoned, under the majority vote — the `cold_gen` query of the
-//!   benchmark, read where it lies and answered by `handle_query_wire` —
-//!   with the answer verified (40 when this was written, and its budget:
-//!   five exchanges of 3 each — the two payloads and the addresses read —
-//!   the question encoded once for all five, inline, every answer rendered from a template — the poisoned one's, or the
+//! * one uncached query over N in-process DoH terminators, the last one
+//!   poisoned, under the majority vote — at N = 5 the `cold_gen` query of
+//!   the benchmark, read where it lies and answered by `handle_query_wire`
+//!   — with the answer verified. It costs exactly `A + B·N` at N = 3, 5,
+//!   15 and 31 (the paper's E2 and E3a counts), `A` = 13 and `B` = 5. Per
+//!   resolver: the exchange's three (the two payloads and the addresses
+//!   read, `doh/tests/alloc_budget.rs`), the pending-fetch state the
+//!   session keeps while the exchange is out, and the source's name in the
+//!   report row. Per query: the question encoded once for all N, inline,
+//!   every answer rendered from a template — the poisoned one's, or the
 //!   honest authority's answer index — from the query where it lies, one
-//!   copy of the name for the key the miss stores, the rest the
-//!   generation's own bookkeeping and the rendered answer; 41 while each
-//!   vote label was formatted into a `String` first, 56 while each
-//!   terminator decoded its query into an owned `Message` and each client
-//!   kept its stream list on the heap, 60 while each honest authority
-//!   walked its zone and compressed the answer against an offset list of
-//!   its own, 89 while the poisoned resolver built and encoded a `Message`
-//!   and the client kept its question, query and compression offsets on
-//!   the heap, 179 while both ends of an exchange built and copied HTTP
-//!   messages, 333 while each source decoded its answer into an owned
-//!   `Message` and each authority cloned the records it answered with, 525
-//!   before names were lent and header fields shared a buffer);
+//!   copy of the name for the key the miss stores, the batch's buffers
+//!   (sized for N at once), the rest the generation's own bookkeeping and
+//!   the rendered answer. Nothing grows faster than N. History at N = 5:
+//!   38 when the slope was stated; 40 while the blocking driver grew its
+//!   batch buffers by doubling (2 per doubling, so `2⌈log2 N⌉` more) and the
+//!   default `exchange_all` collected the outcomes into the requests'
+//!   buffer (a shrinking reallocation whenever `64·N` octets were not a
+//!   multiple of 48); 41 while each vote label was formatted into a
+//!   `String` first, 56 while each terminator decoded its query into an
+//!   owned `Message` and each client kept its stream list on the heap, 60
+//!   while each honest authority walked its zone and compressed the answer
+//!   against an offset list of its own, 89 while the poisoned resolver
+//!   built and encoded a `Message` and the client kept its question, query
+//!   and compression offsets on the heap, 179 while both ends of an
+//!   exchange built and copied HTTP messages, 333 while each source decoded
+//!   its answer into an owned `Message` and each authority cloned the
+//!   records it answered with, 525 before names were lent and header fields
+//!   shared a buffer;
 //! * answering the queries parked on one landed flight: each costs the
 //!   same as the first, because the landing encoded the pool's answer
 //!   section once and every waiter renders from it (at the parent each
@@ -140,9 +150,9 @@ impl Exchanger for Fleet {
     }
 }
 
-/// The fleet, with resolver 4 answering the attacker's addresses, and the
-/// sources that reach it.
-fn doh_fleet(pool: &Name) -> (Fleet, Vec<Box<dyn AddressSource>>) {
+/// A fleet of `n`, its last resolver answering the attacker's addresses,
+/// and the sources that reach it.
+fn doh_fleet(pool: &Name, n: usize) -> (Fleet, Vec<Box<dyn AddressSource>>) {
     let mut zone = Zone::new("ntpns.org".parse().unwrap());
     for host in 1..=8 {
         zone.add_address(pool.clone(), benign(host));
@@ -155,12 +165,12 @@ fn doh_fleet(pool: &Name) -> (Fleet, Vec<Box<dyn AddressSource>>) {
     let mut endpoints = Vec::new();
     let mut sources: Vec<Box<dyn AddressSource>> = Vec::new();
     for (index, info) in ResolverDirectory::well_known(1)
-        .take(5)
+        .take(n)
         .into_iter()
         .enumerate()
     {
         let authority = authority.clone();
-        let handler: Box<dyn QueryHandler + Send> = if index == 4 {
+        let handler: Box<dyn QueryHandler + Send> = if index == n - 1 {
             Box::new(PoisonedResolver::new(
                 authority,
                 PoisonConfig::new(
@@ -191,6 +201,50 @@ fn static_sources() -> Vec<Box<dyn AddressSource>> {
         .collect()
 }
 
+/// The resolver counts an uncached query is counted at: the benchmark's
+/// five, and the paper's 3, 15 and 31 (E2, E3a).
+const RESOLVER_COUNTS: [usize; 4] = [3, 5, 15, 31];
+
+/// An uncached query over N resolvers allocates `A + B·N` times.
+const A: usize = 13;
+const B: usize = 5;
+
+/// The allocations of one uncached query over a fleet of `n`, its last
+/// resolver poisoned, under the majority vote, after one query has warmed
+/// the buffers; the answer is verified.
+fn uncached_query(pool: &Name, n: usize) -> usize {
+    let expected: Vec<IpAddr> = (1..=8).map(benign).collect();
+    let (mut fleet, sources) = doh_fleet(pool, n);
+    let mut resolver = CachingPoolResolver::new(
+        SecurePoolGenerator::new(PoolConfig::majority_resolver(), sources).unwrap(),
+        CacheConfig::uncached(),
+    );
+    let query = Message::query(77, pool.clone(), RrType::A);
+    let wire = query.encode().unwrap();
+    let mut out = Vec::with_capacity(512);
+    let lent = QueryView::parse(&wire).unwrap();
+    resolver
+        .handle_query_wire(&mut fleet, &lent, &mut out)
+        .unwrap();
+    out.clear();
+    let (count, _) = allocations_of(|| {
+        let lent = QueryView::parse(&wire).unwrap();
+        resolver
+            .handle_query_wire(&mut fleet, &lent, &mut out)
+            .unwrap()
+    });
+    let answer = Message::decode(&out).unwrap();
+    assert!(answer.answers_query(&query));
+    assert_eq!(
+        answer.answer_addresses(),
+        expected,
+        "the attacker is outvoted at N = {n}"
+    );
+    assert_eq!(resolver.metrics().generations, 2);
+    assert_eq!(resolver.metrics().source_answers, 2 * n as u64);
+    count
+}
+
 #[test]
 fn a_generation_stays_within_its_allocation_budgets() {
     let pool: Name = "pool.ntpns.org".parse().unwrap();
@@ -206,35 +260,12 @@ fn a_generation_stays_within_its_allocation_budgets() {
     assert_eq!(report.pool.addresses(), expected);
     assert_eq!(report.answered(), 5);
 
-    // (b) The benchmark's cold query: nothing cached, five exchanges, vote.
-    let (mut fleet, sources) = doh_fleet(&pool);
-    let mut resolver = CachingPoolResolver::new(
-        SecurePoolGenerator::new(PoolConfig::majority_resolver(), sources).unwrap(),
-        CacheConfig::uncached(),
-    );
-    let query = Message::query(77, pool.clone(), RrType::A);
-    let wire = query.encode().unwrap();
+    // (b) The benchmark's cold query: nothing cached, N exchanges, vote.
+    let uncached: Vec<(usize, usize)> = RESOLVER_COUNTS
+        .iter()
+        .map(|&n| (n, uncached_query(&pool, n)))
+        .collect();
     let mut out = Vec::with_capacity(512);
-    let lent = QueryView::parse(&wire).unwrap();
-    resolver
-        .handle_query_wire(&mut fleet, &lent, &mut out)
-        .unwrap();
-    out.clear();
-    let (uncached, _) = allocations_of(|| {
-        let lent = QueryView::parse(&wire).unwrap();
-        resolver
-            .handle_query_wire(&mut fleet, &lent, &mut out)
-            .unwrap()
-    });
-    let answer = Message::decode(&out).unwrap();
-    assert!(answer.answers_query(&query));
-    assert_eq!(
-        answer.answer_addresses(),
-        expected,
-        "the attacker is outvoted"
-    );
-    assert_eq!(resolver.metrics().generations, 2);
-    assert_eq!(resolver.metrics().source_answers, 10);
 
     // (c) One flight, four waiters: whether or not the cache keeps the
     // pool, the landing encodes its answer section once.
@@ -312,17 +343,20 @@ fn a_generation_stays_within_its_allocation_budgets() {
     assert_eq!(answer.answer_addresses(), expected);
 
     println!(
-        "allocations: static majority generation {generation}, uncached query {uncached}, \
-         per parked waiter {per_waiter:?} (uncached, cached), cached hit {hit}"
+        "allocations: static majority generation {generation}, uncached query by N {uncached:?} \
+         (a = {A}, b = {B}), per parked waiter {per_waiter:?} (uncached, cached), cached hit {hit}"
     );
     assert!(
         generation <= 29,
         "a five-source majority generation allocated {generation} times"
     );
-    assert!(
-        uncached <= 40,
-        "one uncached query allocated {uncached} times"
-    );
+    for &(n, count) in &uncached {
+        assert_eq!(
+            count,
+            A + B * n,
+            "one uncached query over {n} resolvers allocated {count} times, not {A} + {B}·{n}"
+        );
+    }
     assert_eq!(hit, 0, "a cached hit allocated {hit} times");
     assert!(
         per_waiter.iter().all(|count| *count == 0),

@@ -148,23 +148,24 @@ pub trait Exchanger {
     /// collects each reply in place — never one thread per request. This
     /// default keeps the one-at-a-time behaviour for exchangers without one.
     fn exchange_all(&mut self, requests: Vec<ExchangeRequest>) -> Vec<ExchangeOutcome> {
-        requests
-            .into_iter()
-            .enumerate()
-            .map(|(index, request)| {
-                let result = self.exchange(
-                    request.dst,
-                    request.channel,
-                    &request.payload,
-                    request.timeout,
-                );
-                ExchangeOutcome {
-                    index,
-                    completed_at: self.now(),
-                    result,
-                }
-            })
-            .collect()
+        // A buffer of their own: collected in place, the outcomes would
+        // reuse the requests' and shrink it whenever its size is not a
+        // multiple of theirs, one allocation more for some widths only.
+        let mut outcomes = Vec::with_capacity(requests.len());
+        for (index, request) in requests.into_iter().enumerate() {
+            let result = self.exchange(
+                request.dst,
+                request.channel,
+                &request.payload,
+                request.timeout,
+            );
+            outcomes.push(ExchangeOutcome {
+                index,
+                completed_at: self.now(),
+                result,
+            });
+        }
+        outcomes
     }
 
     /// The send half of a batch: puts `requests` on the wire and returns at

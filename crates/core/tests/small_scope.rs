@@ -34,11 +34,16 @@
 //!   threshold of the usable lists contain it;
 //! * `CombineWithoutTruncation` is the negative control: the check must find
 //!   the inflation counterexample of experiment E6 (one resolver of three
-//!   answers more addresses than the others and takes more than its third).
+//!   answers more addresses than the others and takes more than its third);
+//! * resolver order does not matter: the cases are grouped by their
+//!   multiset of resolvers, and every order of the same resolvers gets the
+//!   same verdict from every check above — the gate's outcome, and each
+//!   mode's pool as a multiset of addresses with its truncate length.
 //!
-//! The test prints its case count. It runs in a few seconds in a debug
-//! build.
+//! The test prints its case and multiset counts. It runs in a few seconds
+//! in a debug build.
 
+use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 use std::time::Instant;
 
@@ -96,7 +101,7 @@ const POLICIES: [FailurePolicy; 2] = [FailurePolicy::Skip, FailurePolicy::TreatA
 /// Vote thresholds as the rationals `num / den` they stand for.
 const THRESHOLDS: [(usize, usize); 2] = [(1, 2), (2, 3)];
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 enum Role {
     Failed,
     Compromised,
@@ -147,6 +152,21 @@ impl std::fmt::Display for Case<'_> {
     }
 }
 
+/// What one combination of a case came to, as no order of the resolvers
+/// may change it: the gate's error, or the pool's addresses, sorted, and
+/// its truncate length.
+type Verdict = Result<(Vec<IpAddr>, Option<usize>), PoolError>;
+
+fn verdict(got: &Result<(sdoh_core::AddressPool, Option<usize>), PoolError>) -> Verdict {
+    got.as_ref()
+        .map(|(pool, cut)| {
+            let mut addresses = pool.addresses();
+            addresses.sort();
+            (addresses, *cut)
+        })
+        .map_err(Clone::clone)
+}
+
 #[derive(Default)]
 struct Tally {
     cases: usize,
@@ -160,11 +180,12 @@ struct Tally {
 }
 
 /// The gate, at every `min_responses` and in every mode.
-fn check_gate(case: &Case, tally: &mut Tally) {
+fn check_gate(case: &Case, tally: &mut Tally, verdicts: &mut Vec<Verdict>) {
     for min_responses in 1..=case.answers.len() + 1 {
         for mode in MODES {
             tally.calls += 1;
             let got = combine(&case.config(mode, min_responses), case.answers);
+            verdicts.push(verdict(&got));
             if case.usable < min_responses {
                 let expected = PoolError::NotEnoughResponses {
                     answered: case.answered,
@@ -180,7 +201,7 @@ fn check_gate(case: &Case, tally: &mut Tally) {
 
 /// What each mode makes of the case, with `min_responses` at the number of
 /// usable lists.
-fn check_modes(case: &Case, tally: &mut Tally) {
+fn check_modes(case: &Case, tally: &mut Tally, verdicts: &mut Vec<Verdict>) {
     let (m, usable) = (case.compromised, case.usable);
     if usable == 0 {
         return;
@@ -196,7 +217,9 @@ fn check_modes(case: &Case, tally: &mut Tally) {
                 ..case.config(mode, usable)
             };
             tally.calls += 1;
-            let (pool, cut) = combine(&config, case.answers).expect("the gate admits the case");
+            let got = combine(&config, case.answers);
+            verdicts.push(verdict(&got));
+            let (pool, cut) = got.expect("the gate admits the case");
             let held = pool.iter().filter(|e| is_attacker(e.address)).count();
             let over_share = held * usable > m * pool.len();
             match mode {
@@ -247,6 +270,9 @@ fn check_modes(case: &Case, tally: &mut Tally) {
 fn the_guarantee_holds_on_every_case_of_the_small_scope() {
     let started = Instant::now();
     let mut tally = Tally::default();
+    // By resolver multiset (the roles, sorted), adversary move and failure
+    // policy (their indexes): the verdicts of the first order met.
+    let mut by_multiset: HashMap<(Vec<Role>, usize, usize), Vec<Verdict>> = HashMap::new();
     for n in 1..=RESOLVERS {
         for code in 0..1usize << (2 * n) {
             let roles: Vec<Role> = (0..n)
@@ -272,7 +298,7 @@ fn the_guarantee_holds_on_every_case_of_the_small_scope() {
                     .collect();
                 let answered = answers.iter().filter(|(_, list)| list.is_some()).count();
                 let compromised = roles.iter().filter(|r| **r == Role::Compromised).count();
-                for policy in POLICIES {
+                for (at, policy) in POLICIES.into_iter().enumerate() {
                     let usable = match policy {
                         FailurePolicy::Skip => answered,
                         FailurePolicy::TreatAsEmpty => n,
@@ -285,17 +311,32 @@ fn the_guarantee_holds_on_every_case_of_the_small_scope() {
                         compromised,
                     };
                     tally.cases += 1;
+                    let mut verdicts = Vec::new();
                     if index == 0 {
-                        check_gate(&case, &mut tally);
+                        check_gate(&case, &mut tally, &mut verdicts);
                     }
-                    check_modes(&case, &mut tally);
+                    check_modes(&case, &mut tally, &mut verdicts);
+                    let mut multiset = roles.clone();
+                    multiset.sort();
+                    let first = by_multiset
+                        .entry((multiset, index, at))
+                        .or_insert_with(|| verdicts.clone());
+                    assert_eq!(
+                        *first, verdicts,
+                        "{case}: another order of the same resolvers was judged otherwise"
+                    );
                 }
             }
         }
     }
+    let multisets = by_multiset
+        .keys()
+        .filter(|(_, index, policy)| *index == 0 && *policy == 0)
+        .count();
     println!(
         "small scope: {} cases (1..={RESOLVERS} resolvers x roles x {} adversary moves x 2 \
-         failure policies), {} combinations checked in {:.2?}; CombineWithoutTruncation \
+         failure policies) over {multisets} resolver multisets, each judged alike in every \
+         order, {} combinations checked in {:.2?}; CombineWithoutTruncation \
          over-shares in {} of them, E6's: {}",
         tally.cases,
         MOVES.len(),

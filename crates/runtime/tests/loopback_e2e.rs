@@ -135,6 +135,53 @@ fn oversized_udp_answers_fall_back_to_tcp() {
     );
 }
 
+/// The paper's largest resolver count (E3a sweeps N to 31) through the
+/// runtime, with as many of the 31 compromised as the guarantee `x = 1/2`
+/// tolerates: 15, every other resolver, named and synthetic ones alike.
+/// Truncate-and-combine serves every resolver's eight addresses, a pool of
+/// 248 that no UDP answer holds: each query takes TC=1 to the TCP listener
+/// and its TCP answer is checked. The majority vote serves the eight that
+/// 16 of 31 resolvers agree on, over UDP.
+#[test]
+fn thirty_one_resolvers_keep_the_guarantee_on_every_answer() {
+    const N: usize = 31;
+    let tolerated = (N - 1) / 2;
+    let fleet = LoopbackFleet::build(LoopbackConfig {
+        resolvers: N,
+        compromised: (0..N).step_by(2).take(tolerated).collect(),
+        ..LoopbackConfig::default()
+    });
+    let truth = fleet.ground_truth();
+    let queries = fleet.domains.len() as u64;
+    for (pool, served, over_tcp) in [
+        (PoolConfig::algorithm1(), 8 * N, queries),
+        (PoolConfig::majority_resolver(), 8, 0),
+    ] {
+        let shards = fleet
+            .shards(2, pool.clone(), CacheConfig::default())
+            .expect("valid config");
+        let runtime = PoolRuntime::start(RuntimeConfig::default(), shards).expect("bind loopback");
+        let client =
+            RuntimeClient::connect(runtime.udp_addr(), Some(runtime.tcp_addr())).expect("client");
+        for (id, domain) in (1..).zip(&fleet.domains) {
+            let response = client
+                .query(&Message::query(id, domain.clone(), RrType::A))
+                .expect("query answered");
+            assert_guarantee(&response, &truth);
+            assert_eq!(response.answer_addresses().len(), served, "{:?}", pool.mode);
+        }
+        let stats = runtime.shutdown();
+        println!(
+            "N = {N}, {tolerated} compromised, {:?}: {queries} answers of {served} addresses, \
+             guarantee held on each; {} truncated over UDP, {} answered over TCP",
+            pool.mode, stats.truncated_responses, stats.tcp_queries
+        );
+        assert_eq!(stats.total.serve.generations, queries);
+        assert_eq!(stats.truncated_responses, over_tcp, "{:?}", pool.mode);
+        assert_eq!(stats.tcp_queries, over_tcp, "{:?}", pool.mode);
+    }
+}
+
 #[test]
 fn shutdown_reaches_socket_threads_bound_on_the_unspecified_address() {
     // Both socket threads block on their sockets; `shutdown` has to wake

@@ -88,8 +88,8 @@ struct Registered {
 }
 
 /// A collector is polled at scrape time for samples the registry does not
-/// own directly — e.g. the serving shards' snapshot counters, which live
-/// inside worker threads and are fetched over a channel per scrape.
+/// own directly — e.g. the serving shards' counters and gauges, read from
+/// each shard under its own lock once per scrape.
 pub type Collector = Box<dyn Fn() -> Vec<Sample> + Send + Sync>;
 
 /// The registry. Cheap to clone (handles share one store); `Send + Sync`.

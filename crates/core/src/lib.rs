@@ -44,9 +44,9 @@
 //!   simulator-backed exchangers execute concurrently,
 //! * [`SecurePoolGenerator::generate_sequential`] — one exchange at a time,
 //!   the pre-session behaviour, kept for latency comparisons,
-//! * [`drive`] / [`drive_sequential`] — the same two loops over an
-//!   externally constructed session, for callers that want the
-//!   [`SessionEvent`] progress stream or custom scheduling.
+//! * a caller that wants the [`SessionEvent`] progress stream or its own
+//!   scheduling plans a session ([`SecurePoolGenerator::session`]) and runs
+//!   the poll loop itself, as `examples/quickstart.rs` does.
 //!
 //! Because answers are assembled in configuration order, the generated pool
 //! is **identical for every response interleaving** — a property the test
@@ -230,7 +230,5 @@ pub use serve::{
     METRIC_TIMESYNC_SYNCS, METRIC_TRUNCATED_RESPONSES, METRIC_UDP_QUERIES,
     METRIC_UNRESPONSIVE_SHARDS, RUNTIME_METRIC_HELP, SERVE_COUNTER_HELP, SERVE_GAUGE_HELP,
 };
-pub use session::{
-    drive, drive_sequential, Action, PoolSession, SessionEvent, TransactionId, Transmit,
-};
-pub use source::{AddressSource, DohSource, FetchError, FetchStart, PendingFetch, StaticSource};
+pub use session::{Action, PoolSession, SessionEvent, TransactionId, Transmit};
+pub use source::{AddressSource, DohSource, FetchError, FetchStart, StaticSource};

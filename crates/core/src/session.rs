@@ -34,27 +34,29 @@
 //! rows, and one shared provenance string per contributing source for the
 //! pool's slots (see [`crate::pool`]).
 //!
-//! Two ready-made drivers cover the common cases:
-//! [`drive`] overlaps the exchanges through
-//! [`Exchanger::exchange_all`] and [`drive_sequential`] performs them one at
+//! Two drivers inside the crate cover the common cases, behind
+//! [`SecurePoolGenerator::generate`](crate::SecurePoolGenerator::generate)
+//! and its `_sequential` twin: `drive` overlaps the exchanges through
+//! [`Exchanger::exchange_all`] and `drive_sequential` performs them one at
 //! a time (the pre-session behaviour, kept for comparison benchmarks).
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::fmt::Write;
 use std::mem;
 use std::net::IpAddr;
 use std::sync::Arc;
 
 use sdoh_dns_server::{ExchangeRequest, Exchanger};
 use sdoh_dns_wire::{Name, RrType};
-use sdoh_doh::DohQuestion;
+use sdoh_doh::{DohQuestion, PreparedDohQuery};
 use sdoh_netsim::{NetResult, SimInstant};
 
 use crate::combine::combine;
 use crate::config::{DualStackPolicy, PoolConfig};
 use crate::error::{PoolError, PoolResult};
 use crate::generator::{GenerationReport, SourceOutcome};
-use crate::source::{AddressSource, FetchError, FetchStart, PendingFetch};
+use crate::source::{AddressSource, FetchError, FetchStart};
 
 /// Identifies one in-flight exchange of a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -117,10 +119,10 @@ pub enum Action {
 enum TxState {
     Queued {
         request: ExchangeRequest,
-        pending: PendingFetch,
+        pending: PreparedDohQuery,
     },
     InFlight {
-        pending: PendingFetch,
+        pending: PreparedDohQuery,
         deadline: SimInstant,
     },
     Completed {
@@ -249,7 +251,7 @@ impl PoolSession {
     }
 
     /// Number of exchanges still awaiting a response.
-    pub fn in_flight(&self) -> usize {
+    fn in_flight(&self) -> usize {
         self.transactions
             .iter()
             .filter(|t| matches!(t.state, TxState::InFlight { .. }))
@@ -484,8 +486,13 @@ impl PoolSession {
         let (pool, cut) = combine(&self.config, &answers)?;
         let truncate_lengths = cut
             .map(|cut| {
-                let labels: Vec<String> = rtypes.iter().map(|t| t.to_string()).collect();
-                (labels.join("+"), cut)
+                // One buffer, each type's name written straight into it.
+                let mut label = String::new();
+                for (index, rtype) in rtypes.iter().enumerate() {
+                    let joint = if index == 0 { "" } else { "+" };
+                    let _ = write!(label, "{joint}{rtype}");
+                }
+                (label, cut)
             })
             .into_iter()
             .collect();
@@ -532,24 +539,16 @@ impl IdStream {
 /// lookup over N resolvers costs one batch's virtual latency — the slowest
 /// exchange — instead of the sum (the paper's parallel-query model).
 ///
-/// Returns the [`SessionEvent`]s delivered along the way — the per-resolver
-/// outcome stream, available even when [`PoolSession::finish`] later
-/// returns an error.
-///
 /// # Errors
 ///
 /// Propagates [`PoolError`] from the session (transport errors are folded
 /// into per-source outcomes, not returned here).
-pub fn drive(
-    session: &mut PoolSession,
-    exchanger: &mut dyn Exchanger,
-) -> PoolResult<Vec<SessionEvent>> {
-    let mut events: Vec<SessionEvent> = Vec::new();
+pub(crate) fn drive(session: &mut PoolSession, exchanger: &mut dyn Exchanger) -> PoolResult<()> {
     let mut ids: Vec<TransactionId> = Vec::new();
     let mut requests: Vec<ExchangeRequest> = Vec::new();
     loop {
         match session.poll(exchanger.now()) {
-            Action::Deliver(event) => events.push(event),
+            Action::Deliver(_) => {}
             Action::Transmit(transmit) => {
                 ids.push(transmit.transaction);
                 requests.push(transmit.request);
@@ -573,27 +572,25 @@ pub fn drive(
                     session.handle_response(id, outcome.result)?;
                 }
             }
-            Action::Done => return Ok(events),
+            Action::Done => return Ok(()),
         }
     }
 }
 
 /// Drives a session to completion **one exchange at a time** — the
 /// pre-session sequential behaviour, kept for latency comparisons and for
-/// transports without concurrency support. Returns the delivered
-/// [`SessionEvent`]s like [`drive`].
+/// transports without concurrency support.
 ///
 /// # Errors
 ///
 /// Propagates [`PoolError`] from the session.
-pub fn drive_sequential(
+pub(crate) fn drive_sequential(
     session: &mut PoolSession,
     exchanger: &mut dyn Exchanger,
-) -> PoolResult<Vec<SessionEvent>> {
-    let mut events: Vec<SessionEvent> = Vec::new();
+) -> PoolResult<()> {
     loop {
         match session.poll(exchanger.now()) {
-            Action::Deliver(event) => events.push(event),
+            Action::Deliver(_) => {}
             Action::Transmit(transmit) => {
                 let request = transmit.request;
                 let outcome = exchanger.exchange(
@@ -609,7 +606,7 @@ pub fn drive_sequential(
                     "session waits on exchanges this driver never sent".into(),
                 ));
             }
-            Action::Done => return Ok(events),
+            Action::Done => return Ok(()),
         }
     }
 }
@@ -761,7 +758,7 @@ mod tests {
 
             fn handle_response(
                 &self,
-                _pending: crate::source::PendingFetch,
+                _pending: PreparedDohQuery,
                 _outcome: sdoh_netsim::NetResult<Vec<u8>>,
             ) -> Result<Vec<std::net::IpAddr>, FetchError> {
                 unreachable!("immediate source")

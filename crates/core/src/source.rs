@@ -1,25 +1,18 @@
 //! Address sources: the per-resolver lookup abstraction Algorithm 1 fans
 //! out over.
 //!
-//! A source exposes two layers:
-//!
-//! * the blocking [`AddressSource::fetch`], which drives one lookup to
-//!   completion over an [`Exchanger`] — convenient for tests and simple
-//!   callers, and
-//! * the sans-IO halves [`AddressSource::start_fetch`] /
-//!   [`AddressSource::handle_response`], which *describe* the exchange so a
-//!   session driver can keep many lookups from many sources in flight
-//!   concurrently ([`crate::PoolSession`]).
-//!
-//! `fetch` is a provided method implemented on top of the sans-IO halves,
-//! so a source only implements the non-blocking form.
+//! A source is the two sans-IO halves of one lookup:
+//! [`AddressSource::start_fetch`] *describes* the exchange and
+//! [`AddressSource::handle_response`] decodes its outcome, so a session
+//! driver can keep many lookups from many sources in flight concurrently
+//! ([`crate::PoolSession`]). The state carried between the halves is the
+//! DoH client's own [`PreparedDohQuery`], held by the session as it is.
 
-use std::any::Any;
 use std::net::IpAddr;
 
-use sdoh_dns_server::{ExchangeRequest, Exchanger};
-use sdoh_dns_wire::{Name, Rcode, RrType};
-use sdoh_doh::{DohClient, DohMethod, DohQuestion, ResolverInfo};
+use sdoh_dns_server::ExchangeRequest;
+use sdoh_dns_wire::{Rcode, RrType};
+use sdoh_doh::{DohClient, DohMethod, DohQuestion, PreparedDohQuery, ResolverInfo};
 use sdoh_netsim::NetResult;
 
 /// Why one resolver failed to produce an address list.
@@ -45,41 +38,20 @@ impl std::fmt::Display for FetchError {
 
 impl std::error::Error for FetchError {}
 
-/// Opaque per-source state carried between [`AddressSource::start_fetch`]
-/// and [`AddressSource::handle_response`].
-///
-/// Each source stashes whatever it needs to decode the eventual reply (a
-/// DoH source keeps its HTTP/2 connection and expected question in here);
-/// drivers just hand the value back untouched.
-#[derive(Debug)]
-pub struct PendingFetch(Box<dyn Any + Send>);
-
-impl PendingFetch {
-    /// Wraps source-private in-flight state. `Send`, like the sources: a
-    /// resolver owns the sessions of its live generations and moves into a
-    /// worker thread whole.
-    pub fn new<T: Any + Send>(state: T) -> Self {
-        PendingFetch(Box::new(state))
-    }
-
-    /// Recovers the in-flight state; `None` when the pending value belongs
-    /// to a different source type (a driver bug).
-    pub fn downcast<T: Any>(self) -> Option<T> {
-        self.0.downcast::<T>().ok().map(|b| *b)
-    }
-}
-
 /// How one fetch begins: either an exchange the driver must perform, or an
 /// immediately available answer (static/test sources).
 #[derive(Debug)]
+// The client's state travels inline: boxing it would cost every exchange
+// an allocation, for the sake of the static sources' rare `Immediate`.
+#[allow(clippy::large_enum_variant)]
 pub enum FetchStart {
     /// Perform this exchange and hand the outcome to
     /// [`AddressSource::handle_response`].
     Transmit {
         /// What to put on the wire.
         request: ExchangeRequest,
-        /// State to return with the reply.
-        pending: PendingFetch,
+        /// The DoH client's state to decode the reply with.
+        pending: PreparedDohQuery,
     },
     /// The lookup resolved without any network traffic.
     Immediate(Result<Vec<IpAddr>, FetchError>),
@@ -116,38 +88,9 @@ pub trait AddressSource: Send + Sync {
     /// Algorithm 1 must handle).
     fn handle_response(
         &self,
-        pending: PendingFetch,
+        pending: PreparedDohQuery,
         outcome: NetResult<Vec<u8>>,
     ) -> Result<Vec<IpAddr>, FetchError>;
-
-    /// Looks up the address records of `rtype` (A or AAAA) for `domain`,
-    /// returning them in answer order. Blocking convenience driver over the
-    /// sans-IO halves.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FetchError`] when the lookup fails; an *empty list* is not
-    /// an error (it is the empty-answer case Algorithm 1 must handle).
-    fn fetch(
-        &self,
-        exchanger: &mut dyn Exchanger,
-        domain: &Name,
-        rtype: RrType,
-    ) -> Result<Vec<IpAddr>, FetchError> {
-        let question = DohQuestion::new(domain, rtype).map_err(doh_error)?;
-        match self.start_fetch(&question, exchanger.next_id()) {
-            FetchStart::Immediate(result) => result,
-            FetchStart::Transmit { request, pending } => {
-                let outcome = exchanger.exchange(
-                    request.dst,
-                    request.channel,
-                    &request.payload,
-                    request.timeout,
-                );
-                self.handle_response(pending, outcome)
-            }
-        }
-    }
 }
 
 /// An [`AddressSource`] backed by a DoH resolver (the paper's design).
@@ -194,7 +137,7 @@ impl AddressSource for DohSource {
         let (transmit, prepared) = self.client.begin_query(id, question);
         FetchStart::Transmit {
             request: transmit,
-            pending: PendingFetch::new(prepared),
+            pending: prepared,
         }
     }
 
@@ -203,12 +146,9 @@ impl AddressSource for DohSource {
     /// the walk that validates it.
     fn handle_response(
         &self,
-        pending: PendingFetch,
+        prepared: PreparedDohQuery,
         outcome: NetResult<Vec<u8>>,
     ) -> Result<Vec<IpAddr>, FetchError> {
-        let prepared = pending
-            .downcast::<sdoh_doh::PreparedDohQuery>()
-            .ok_or_else(|| FetchError::Protocol("mismatched pending fetch state".into()))?;
         let mut reply = outcome.map_err(|e| FetchError::Transport(e.to_string()))?;
         let (rcode, addresses) = self
             .client
@@ -273,7 +213,7 @@ impl AddressSource for StaticSource {
 
     fn handle_response(
         &self,
-        _pending: PendingFetch,
+        _pending: PreparedDohQuery,
         _outcome: NetResult<Vec<u8>>,
     ) -> Result<Vec<IpAddr>, FetchError> {
         Err(FetchError::Protocol(
@@ -285,7 +225,7 @@ impl AddressSource for StaticSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdoh_dns_server::{Authority, Catalog, ClientExchanger, FnHandler, Zone};
+    use sdoh_dns_server::{Authority, Catalog, ClientExchanger, Exchanger, FnHandler, Zone};
     use sdoh_dns_wire::Message;
     use sdoh_doh::{DohServerService, ResolverDirectory};
     use sdoh_netsim::{SimAddr, SimNet};
@@ -307,6 +247,28 @@ mod tests {
         catalog
     }
 
+    /// One lookup of `pool.ntp.org` through the two halves, the exchange
+    /// performed in between.
+    fn lookup(
+        source: &dyn AddressSource,
+        exchanger: &mut dyn Exchanger,
+        rtype: RrType,
+    ) -> Result<Vec<IpAddr>, FetchError> {
+        let question = DohQuestion::new(&"pool.ntp.org".parse().unwrap(), rtype).unwrap();
+        match source.start_fetch(&question, exchanger.next_id()) {
+            FetchStart::Immediate(result) => result,
+            FetchStart::Transmit { request, pending } => {
+                let outcome = exchanger.exchange(
+                    request.dst,
+                    request.channel,
+                    &request.payload,
+                    request.timeout,
+                );
+                source.handle_response(pending, outcome)
+            }
+        }
+    }
+
     #[test]
     fn doh_source_fetches_addresses() {
         let net = SimNet::new(61);
@@ -318,17 +280,9 @@ mod tests {
         let source = DohSource::new(info).method(DohMethod::Post);
         assert_eq!(source.source_name(), "dns.google");
         let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 50000));
-        let v4 = source
-            .fetch(&mut exchanger, &"pool.ntp.org".parse().unwrap(), RrType::A)
-            .unwrap();
+        let v4 = lookup(&source, &mut exchanger, RrType::A).unwrap();
         assert_eq!(v4.len(), 3);
-        let v6 = source
-            .fetch(
-                &mut exchanger,
-                &"pool.ntp.org".parse().unwrap(),
-                RrType::Aaaa,
-            )
-            .unwrap();
+        let v6 = lookup(&source, &mut exchanger, RrType::Aaaa).unwrap();
         assert_eq!(v6.len(), 1);
     }
 
@@ -377,17 +331,20 @@ mod tests {
         let info = ResolverDirectory::well_known(62).resolvers()[0].clone();
         let source = DohSource::new(info);
         let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 50000));
-        let err = source
-            .fetch(&mut exchanger, &"pool.ntp.org".parse().unwrap(), RrType::A)
-            .unwrap_err();
+        let err = lookup(&source, &mut exchanger, RrType::A).unwrap_err();
         assert!(matches!(err, FetchError::Transport(_)));
         assert!(!err.to_string().is_empty());
     }
 
     #[test]
     fn static_source_modes() {
-        let net = SimNet::new(64);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let answered = |source: &StaticSource, rtype| {
+            let question = DohQuestion::new(&"x.test".parse().unwrap(), rtype).unwrap();
+            match source.start_fetch(&question, 0) {
+                FetchStart::Immediate(result) => result,
+                FetchStart::Transmit { .. } => panic!("a static source transmits nothing"),
+            }
+        };
         let source = StaticSource::answering(
             "stub",
             vec![
@@ -395,23 +352,8 @@ mod tests {
                 "2001:db8::9".parse().unwrap(),
             ],
         );
-        assert_eq!(
-            source
-                .fetch(&mut exchanger, &"x.test".parse().unwrap(), RrType::A)
-                .unwrap()
-                .len(),
-            1
-        );
-        assert_eq!(
-            source
-                .fetch(&mut exchanger, &"x.test".parse().unwrap(), RrType::Aaaa)
-                .unwrap()
-                .len(),
-            1
-        );
-        let failing = StaticSource::failing("dead");
-        assert!(failing
-            .fetch(&mut exchanger, &"x.test".parse().unwrap(), RrType::A)
-            .is_err());
+        assert_eq!(answered(&source, RrType::A).unwrap().len(), 1);
+        assert_eq!(answered(&source, RrType::Aaaa).unwrap().len(), 1);
+        assert!(answered(&StaticSource::failing("dead"), RrType::A).is_err());
     }
 }

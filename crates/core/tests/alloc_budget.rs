@@ -3,28 +3,34 @@
 //! A generation that does no I/O is bookkeeping: which source answered
 //! what, which addresses win, whose name each pool slot carries. It should
 //! allocate what it keeps — the report's rows, one provenance string per
-//! contributor, the pool — and nothing on the way there. Four counts hold
+//! contributor, the pool — and nothing on the way there. Five counts hold
 //! that, all exact and repeating on every run (the test prints them):
 //!
-//! * a majority `generate` over five sources with ready answers (20 when
-//!   this was written, 21 while each vote label was formatted into a
-//!   `String` before its `Arc`, 83 while every name, list and label was
-//!   copied per use);
+//! * a majority `generate` over five sources with ready answers (18; 20
+//!   while the driver collected the session's progress events nobody read,
+//!   21 while each vote label was formatted into a `String` before its
+//!   `Arc`, 83 while every name, list and label was copied per use);
+//! * an Algorithm-1 `generate` over the same five lists, held at exactly
+//!   22: its truncate label is one `String` the type's name is written
+//!   into (27 while the label was joined from a `Vec` of one `String` per
+//!   type, each type's name a `String` of its own first, and the driver
+//!   collected its event list);
 //! * one uncached query over N in-process DoH terminators, the last one
 //!   poisoned, under the majority vote — at N = 5 the `cold_gen` query of
 //!   the benchmark, read where it lies and answered by `handle_query_wire`
 //!   — with the answer verified. It costs exactly `A + B·N` at N = 3, 5,
-//!   15 and 31 (the paper's E2 and E3a counts), `A` = 13 and `B` = 5. Per
+//!   15 and 31 (the paper's E2 and E3a counts), `A` = 13 and `B` = 4. Per
 //!   resolver: the exchange's three (the two payloads and the addresses
-//!   read, `doh/tests/alloc_budget.rs`), the pending-fetch state the
-//!   session keeps while the exchange is out, and the source's name in the
-//!   report row. Per query: the question encoded once for all N, inline,
+//!   read, `doh/tests/alloc_budget.rs`) and the source's name in the report
+//!   row; the DoH client's state for the reply waits in the session's slot
+//!   as it is (`B` was 5 while the session boxed it as `dyn Any`). Per
+//!   query: the question encoded once for all N, inline,
 //!   every answer rendered from a template — the poisoned one's, or the
 //!   honest authority's answer index — from the query where it lies, one
 //!   copy of the name for the key the miss stores, the batch's buffers
 //!   (sized for N at once), the rest the generation's own bookkeeping and
 //!   the rendered answer. Nothing grows faster than N. History at N = 5:
-//!   38 when the slope was stated; 40 while the blocking driver grew its
+//!   33 now; 38 when the slope was stated; 40 while the blocking driver grew its
 //!   batch buffers by doubling (2 per doubling, so `2⌈log2 N⌉` more) and the
 //!   default `exchange_all` collected the outcomes into the requests'
 //!   buffer (a shrinking reallocation whenever `64·N` octets were not a
@@ -50,10 +56,12 @@
 //!   clone `sdoh-lint`'s purity rule cannot see: the rule does not know
 //!   that `Name::clone` allocates.
 //!
-//! This file is its own test binary with one `#[test]`, so no other test's
-//! thread allocates while it counts.
+//! Only the measuring thread's blocks are counted: the test harness's main
+//! thread takes a few of its own while the test runs, at no fixed moment,
+//! and counted with the rest they made a count vary from run to run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::net::IpAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -71,6 +79,20 @@ use sdoh_netsim::{ChannelKind, NetError, NetResult, SimAddr, SimInstant};
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations count: only the measuring thread's
+    /// do, so a block the test harness's own thread takes meanwhile (its
+    /// channel wait registers a waker, at no fixed moment) is never counted.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts one block if this thread is measuring.
+fn count() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// The system allocator, counting every block it hands out or moves.
 struct Counting;
 
@@ -78,7 +100,7 @@ struct Counting;
 // `GlobalAlloc` contract; the counter is a statistic and publishes nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's `layout` is passed through as given.
         unsafe { System.alloc(layout) }
     }
@@ -90,7 +112,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: as for `dealloc`, and `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -101,7 +123,9 @@ static GLOBAL: Counting = Counting;
 
 fn allocations_of<T>(work: impl FnOnce() -> T) -> (usize, T) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.with(|counting| counting.set(true));
     let out = work();
+    COUNTING.with(|counting| counting.set(false));
     (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
 }
 
@@ -207,7 +231,10 @@ const RESOLVER_COUNTS: [usize; 4] = [3, 5, 15, 31];
 
 /// An uncached query over N resolvers allocates `A + B·N` times.
 const A: usize = 13;
-const B: usize = 5;
+const B: usize = 4;
+
+/// A five-source Algorithm-1 generation over ready answer lists.
+const ALGORITHM1: usize = 22;
 
 /// The allocations of one uncached query over a fleet of `n`, its last
 /// resolver poisoned, under the majority vote, after one query has warmed
@@ -259,6 +286,13 @@ fn a_generation_stays_within_its_allocation_budgets() {
     let (generation, report) = allocations_of(|| generator.generate(&mut nowhere, &pool).unwrap());
     assert_eq!(report.pool.addresses(), expected);
     assert_eq!(report.answered(), 5);
+
+    // (a') The same five lists under Algorithm 1: truncated to the shortest
+    // and concatenated, the cut labelled with the type it was made for.
+    let generator = SecurePoolGenerator::new(PoolConfig::algorithm1(), static_sources()).unwrap();
+    let (algorithm1, report) = allocations_of(|| generator.generate(&mut nowhere, &pool).unwrap());
+    assert_eq!(report.pool.len(), 40);
+    assert_eq!(report.truncate_lengths, vec![("A".to_string(), 8)]);
 
     // (b) The benchmark's cold query: nothing cached, N exchanges, vote.
     let uncached: Vec<(usize, usize)> = RESOLVER_COUNTS
@@ -343,12 +377,17 @@ fn a_generation_stays_within_its_allocation_budgets() {
     assert_eq!(answer.answer_addresses(), expected);
 
     println!(
-        "allocations: static majority generation {generation}, uncached query by N {uncached:?} \
-         (a = {A}, b = {B}), per parked waiter {per_waiter:?} (uncached, cached), cached hit {hit}"
+        "allocations: static majority generation {generation}, static Algorithm-1 generation \
+         {algorithm1}, uncached query by N {uncached:?} (a = {A}, b = {B}), per parked waiter \
+         {per_waiter:?} (uncached, cached), cached hit {hit}"
     );
     assert!(
         generation <= 29,
         "a five-source majority generation allocated {generation} times"
+    );
+    assert_eq!(
+        algorithm1, ALGORITHM1,
+        "a five-source Algorithm-1 generation allocated {algorithm1} times, not {ALGORITHM1}"
     );
     for &(n, count) in &uncached {
         assert_eq!(

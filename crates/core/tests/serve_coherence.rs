@@ -14,12 +14,10 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use sdoh_core::serve::{CacheConfig, CachingPoolResolver};
-use sdoh_core::{
-    AddressSource, FetchError, FetchStart, PendingFetch, PoolConfig, SecurePoolGenerator,
-};
+use sdoh_core::{AddressSource, FetchError, FetchStart, PoolConfig, SecurePoolGenerator};
 use sdoh_dns_server::{ClientExchanger, QueryHandler};
 use sdoh_dns_wire::{Message, Name, Rcode, RrType, Ttl};
-use sdoh_doh::DohQuestion;
+use sdoh_doh::{DohQuestion, PreparedDohQuery};
 use sdoh_netsim::{NetResult, SimAddr, SimInstant, SimNet};
 
 const TTL_SECS: u64 = 30;
@@ -72,7 +70,7 @@ impl AddressSource for EpochSource {
 
     fn handle_response(
         &self,
-        _pending: PendingFetch,
+        _pending: PreparedDohQuery,
         _outcome: NetResult<Vec<u8>>,
     ) -> Result<Vec<IpAddr>, FetchError> {
         unreachable!("immediate source")

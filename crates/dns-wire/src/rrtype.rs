@@ -89,26 +89,21 @@ impl From<RrType> for u16 {
 
 impl fmt::Display for RrType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.type_name())
-    }
-}
-
-impl RrType {
-    fn type_name(&self) -> String {
-        match self {
-            RrType::A => "A".to_string(),
-            RrType::Ns => "NS".to_string(),
-            RrType::Cname => "CNAME".to_string(),
-            RrType::Soa => "SOA".to_string(),
-            RrType::Ptr => "PTR".to_string(),
-            RrType::Mx => "MX".to_string(),
-            RrType::Txt => "TXT".to_string(),
-            RrType::Aaaa => "AAAA".to_string(),
-            RrType::Srv => "SRV".to_string(),
-            RrType::Opt => "OPT".to_string(),
-            RrType::Any => "ANY".to_string(),
-            RrType::Unknown(c) => format!("TYPE{c}"),
-        }
+        let name = match self {
+            RrType::A => "A",
+            RrType::Ns => "NS",
+            RrType::Cname => "CNAME",
+            RrType::Soa => "SOA",
+            RrType::Ptr => "PTR",
+            RrType::Mx => "MX",
+            RrType::Txt => "TXT",
+            RrType::Aaaa => "AAAA",
+            RrType::Srv => "SRV",
+            RrType::Opt => "OPT",
+            RrType::Any => "ANY",
+            RrType::Unknown(c) => return write!(f, "TYPE{c}"),
+        };
+        f.write_str(name)
     }
 }
 

@@ -37,10 +37,12 @@
 //! copied its octets from buffer to buffer, 312 while a name was a vector
 //! of vectors.
 //!
-//! This file is its own test binary with one `#[test]`, so no other test's
-//! thread allocates while it counts.
+//! Only the measuring thread's blocks are counted: the test harness's main
+//! thread takes a few of its own while the test runs, at no fixed moment,
+//! and counted with the rest they made a count vary from run to run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::net::IpAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -52,6 +54,20 @@ use sdoh_netsim::{ChannelKind, NetError, NetResult, SimAddr, SimInstant};
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations count: only the measuring thread's
+    /// do, so a block the test harness's own thread takes meanwhile (its
+    /// channel wait registers a waker, at no fixed moment) is never counted.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts one block if this thread is measuring.
+fn count() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// The system allocator, counting every block it hands out or moves.
 struct Counting;
 
@@ -59,7 +75,7 @@ struct Counting;
 // `GlobalAlloc` contract; the counter is a statistic and publishes nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's `layout` is passed through as given.
         unsafe { System.alloc(layout) }
     }
@@ -71,7 +87,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: as for `dealloc`, and `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -82,7 +98,9 @@ static GLOBAL: Counting = Counting;
 
 fn allocations_of<T>(work: impl FnOnce() -> T) -> (usize, T) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.with(|counting| counting.set(true));
     let out = work();
+    COUNTING.with(|counting| counting.set(false));
     (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
 }
 

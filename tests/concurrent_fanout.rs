@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use secure_doh::core::{drive, drive_sequential, Action, PoolConfig};
+use secure_doh::core::{Action, PoolConfig};
 use secure_doh::dns::Exchanger;
 use secure_doh::scenario::{Scenario, ScenarioConfig};
 
@@ -73,7 +73,6 @@ fn session_describes_the_full_fanout_before_any_io() {
         }
     }
     assert_eq!(transmits.len(), 3);
-    assert_eq!(session.in_flight(), 3);
     assert_eq!(scenario.net.metrics().requests, 0, "no I/O performed yet");
 
     // A driver performs the exchanges and feeds the outcomes back.
@@ -97,19 +96,17 @@ fn session_describes_the_full_fanout_before_any_io() {
 fn ready_made_drivers_agree_on_the_report() {
     let scenario = build(9200, 3);
     let generator = scenario.pool_generator(PoolConfig::algorithm1()).unwrap();
-
-    let mut exchanger = scenario.client_exchanger();
-    let mut concurrent = generator.session(&scenario.pool_domain, 5).unwrap();
-    drive(&mut concurrent, &mut exchanger).unwrap();
-    let concurrent_report = concurrent.finish().unwrap();
+    let concurrent = generator
+        .generate(&mut scenario.client_exchanger(), &scenario.pool_domain)
+        .unwrap();
 
     let sequential_scenario = build(9200, 3);
-    let mut exchanger = sequential_scenario.client_exchanger();
-    let mut sequential = generator
-        .session(&sequential_scenario.pool_domain, 5)
+    let sequential = generator
+        .generate_sequential(
+            &mut sequential_scenario.client_exchanger(),
+            &sequential_scenario.pool_domain,
+        )
         .unwrap();
-    drive_sequential(&mut sequential, &mut exchanger).unwrap();
-    let sequential_report = sequential.finish().unwrap();
 
-    assert_eq!(concurrent_report, sequential_report);
+    assert_eq!(concurrent, sequential);
 }

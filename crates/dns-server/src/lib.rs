@@ -110,7 +110,8 @@ pub use handler::{FnHandler, QueryHandler};
 pub use poison::{PoisonConfig, PoisonMode, PoisonedResolver};
 pub use recursive::{HardeningConfig, RecursiveConfig, RecursiveResolver};
 pub use service::{
-    decode_do53_query, finish_do53_answer, serve_do53_payload, serve_do53_payload_into, Do53Service,
+    decode_do53_query, finish_do53_answer, serve_do53_payload, serve_do53_payload_into,
+    write_do53_formerr, Do53Service,
 };
 pub use stub::StubResolver;
 pub use zone::{Delegation, RecordSet, Zone, ZoneLookup};

@@ -35,10 +35,12 @@ pub fn serve_do53_payload(
 /// where it lies in `payload` (`None` when the payload was malformed) for
 /// front ends that go on to reframe the answer, e.g. truncate it for UDP.
 ///
-/// The two halves around the handler call — [`decode_do53_query`] and
-/// [`finish_do53_answer`] — are public for a front end that cannot answer
-/// in one call (a shard that parks a cache miss and answers it when its
-/// generation lands): it runs the same halves around its own handler steps.
+/// The two halves around the handler call — [`decode_do53_query`] (or, for
+/// a front end that parsed the query itself, [`write_do53_formerr`] when it
+/// did not parse) and [`finish_do53_answer`] — are public for a front end
+/// that cannot answer in one call (a shard that parks a cache miss and
+/// answers it when its generation lands): it runs the same halves around
+/// its own handler steps.
 pub fn serve_do53_payload_into<'p>(
     handler: &mut dyn QueryHandler,
     exchanger: &mut dyn Exchanger,
@@ -54,11 +56,8 @@ pub fn serve_do53_payload_into<'p>(
 
 /// The decode half of the Do53 core: the query is read where it lies in
 /// `payload` ([`QueryView`]), nothing copied out of it. `out` is cleared; a
-/// payload that does not decode is answered there — a best-effort FORMERR,
-/// or nothing under `drop_malformed` — and `None` comes back. The FORMERR
-/// carries the id, opcode and RD bit of the payload's header when all 12
-/// octets of it arrived (RFC 1035 4.1.1), so the client that sent it can
-/// match it.
+/// payload that does not decode is answered there — [`write_do53_formerr`],
+/// or nothing under `drop_malformed` — and `None` comes back.
 pub fn decode_do53_query<'p>(
     payload: &'p [u8],
     drop_malformed: bool,
@@ -67,18 +66,26 @@ pub fn decode_do53_query<'p>(
     out.clear();
     let Ok(query) = QueryView::parse(payload) else {
         if !drop_malformed {
-            // Best effort FORMERR with an empty question section.
-            let mut response = Message::new();
-            if let Ok(header) = Header::decode(&mut WireReader::new(payload)) {
-                response.header = Header::response_to(&header);
-            }
-            response.header.response = true;
-            response.header.rcode = Rcode::FormErr;
-            let _ = response.encode_into(out);
+            write_do53_formerr(payload, out);
         }
         return None;
     };
     Some(query)
+}
+
+/// The answer to a `payload` that does not decode, written over `out`: a
+/// best-effort FORMERR with an empty question section. It carries the id,
+/// opcode and RD bit of the payload's header when all 12 octets of it
+/// arrived (RFC 1035 4.1.1), so the client that sent it can match it.
+pub fn write_do53_formerr(payload: &[u8], out: &mut Vec<u8>) {
+    out.clear();
+    let mut response = Message::new();
+    if let Ok(header) = Header::decode(&mut WireReader::new(payload)) {
+        response.header = Header::response_to(&header);
+    }
+    response.header.response = true;
+    response.header.rcode = Rcode::FormErr;
+    let _ = response.encode_into(out);
 }
 
 /// The closing half of the Do53 core: `rendered` is what writing the answer

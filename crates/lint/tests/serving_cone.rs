@@ -35,7 +35,7 @@ const PER_QUERY: [(&str, &str); 18] = [
     ),
     (
         "crates/runtime/src/runtime.rs",
-        "fn serve(&mut self, wire: &[u8], reply: ReplyPath, started: Instant) {",
+        "query: Option<&QueryView<'_>>,\n        reply: ReplyPath,\n        started: Instant,\n    ) {", // ShardMachine::serve
     ),
     (
         "crates/runtime/src/runtime.rs",
@@ -55,7 +55,7 @@ const PER_QUERY: [(&str, &str); 18] = [
     ),
     (
         "crates/runtime/src/runtime.rs",
-        "fn question_route(wire: &[u8], shards: usize) -> Option<usize> {",
+        "fn route(query: Option<&QueryView<'_>>, shards: usize) -> usize {",
     ),
     (
         "crates/core/src/serve/resolver.rs",

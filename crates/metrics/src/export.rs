@@ -1,10 +1,8 @@
-//! Rendering and parsing the export formats.
+//! Rendering and parsing the one export format:
 //!
 //! * [`render_prometheus`] — the Prometheus text exposition format
 //!   (`# HELP`/`# TYPE` headers, cumulative `_bucket{le=…}` histogram
 //!   series with `_sum`/`_count`, label escaping);
-//! * [`render_json`] — the same scrape as a JSON document for programmatic
-//!   consumers;
 //! * [`parse_prometheus`] — the inverse of [`render_prometheus`]: a
 //!   scraper reads a `/metrics` body back into samples and re-assembles
 //!   the histogram snapshots for merging.
@@ -78,75 +76,6 @@ pub fn render_prometheus(samples: &[Sample]) -> String {
             }
         }
     }
-    out
-}
-
-/// Renders one scrape as a JSON document: an array of series objects, with
-/// histograms carried as explicit bucket arrays plus extracted
-/// p50/p99/p999.
-pub fn render_json(samples: &[Sample]) -> String {
-    let mut out = String::from("{\n  \"metrics\": [\n");
-    for (i, sample) in samples.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": {},\n", json_string(&sample.name)));
-        out.push_str(&format!(
-            "      \"kind\": {},\n",
-            json_string(sample.kind().as_str())
-        ));
-        out.push_str(&format!("      \"help\": {},\n", json_string(&sample.help)));
-        out.push_str("      \"labels\": {");
-        for (j, (k, v)) in sample.labels.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{}: {}", json_string(k), json_string(v)));
-        }
-        out.push_str("},\n");
-        match &sample.value {
-            SampleValue::Counter(v) => out.push_str(&format!("      \"value\": {v}\n")),
-            SampleValue::Gauge(v) => out.push_str(&format!(
-                "      \"value\": {}\n",
-                if v.is_finite() {
-                    format!("{v}")
-                } else {
-                    "null".to_string()
-                }
-            )),
-            SampleValue::Histogram(snapshot) => {
-                out.push_str("      \"buckets\": [");
-                for (j, count) in snapshot.buckets.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&count.to_string());
-                }
-                out.push_str("],\n");
-                out.push_str(&format!(
-                    "      \"count\": {},\n      \"sum_seconds\": {},\n",
-                    snapshot.count(),
-                    Duration::from_nanos(snapshot.sum_nanos).as_secs_f64()
-                ));
-                let quantile = |q: f64| {
-                    snapshot
-                        .quantile(q)
-                        .map(|d| format!("{}", d.as_secs_f64()))
-                        .unwrap_or_else(|| "null".to_string())
-                };
-                out.push_str(&format!(
-                    "      \"p50\": {}, \"p99\": {}, \"p999\": {}\n",
-                    quantile(0.50),
-                    quantile(0.99),
-                    quantile(0.999)
-                ));
-            }
-        }
-        out.push_str(if i + 1 == samples.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
     out
 }
 
@@ -438,23 +367,6 @@ fn escape_help(value: &str) -> String {
     value.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
-fn json_string(value: &str) -> String {
-    let mut out = String::from("\"");
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,17 +459,5 @@ mod tests {
         assert!(parse_prometheus("just words\n").is_err());
         // Unknown le bound on a declared histogram family.
         assert!(parse_prometheus("# TYPE h histogram\nh_bucket{le=\"0.33\"} 3\n").is_err());
-    }
-
-    #[test]
-    fn json_rendering_is_structured_and_escaped() {
-        let json = render_json(&scrape());
-        assert!(json.contains("\"name\": \"sdoh_queries_total\""));
-        assert!(json.contains("\"kind\": \"counter\""));
-        assert!(json.contains("\"value\": 12"));
-        assert!(json.contains("\"labels\": {\"shard\": \"0\"}"));
-        assert!(json.contains("\"buckets\": ["));
-        assert!(json.contains("\"p99\":"));
-        assert!(render_json(&[]).contains("\"metrics\": [\n  ]"));
     }
 }

@@ -4,7 +4,7 @@
 //! in `accept` (no timed wake-ups while nobody scrapes), blocking handling
 //! of one short-lived request per connection, a handler closure mapping
 //! request paths to `(status, content-type, body)`. It exists to
-//! serve `/metrics`, `/metrics.json` and `/healthz` from a runtime — not
+//! serve `/metrics`, `/config` and `/healthz` from a runtime — not
 //! to be a web framework. [`http_get`] is the matching one-shot client the
 //! runtime's tests and the quickstart example scrape with.
 

@@ -9,12 +9,12 @@
 //!
 //! On top of the registry sit:
 //!
-//! * the exporters — [`render_prometheus`] (text exposition) and
-//!   [`render_json`], plus [`parse_prometheus`] for reading an exposition
-//!   back into samples;
+//! * the exporter — [`render_prometheus`], the text exposition, the one
+//!   format a scrape is served in — plus [`parse_prometheus`] for reading
+//!   an exposition back into samples;
 //! * a tiny HTTP stats listener ([`StatsServer`]) serving `/metrics`,
-//!   `/metrics.json` and `/healthz` from a runtime, with [`http_get`] as
-//!   the matching scrape client.
+//!   `/config` and `/healthz` from a runtime, with [`http_get`] as the
+//!   matching scrape client.
 //!
 //! ```
 //! use sdoh_metrics::{Registry, render_prometheus};
@@ -41,7 +41,7 @@ pub mod http;
 pub mod metric;
 pub mod registry;
 
-pub use export::{parse_prometheus, render_json, render_prometheus, ParseError};
+pub use export::{parse_prometheus, render_prometheus, ParseError};
 pub use histogram::{bucket_bound, Histogram, HistogramSnapshot, BUCKETS, FINITE_BUCKETS};
 pub use http::{http_get, Handler, HttpBody, HttpResponse, StatsServer};
 pub use metric::Counter;

@@ -22,22 +22,23 @@
 //! the requests and stamps the instant the round trip will be over,
 //! [`Exchanger::arrive`] serves them. Neither waits. The wait belongs to
 //! the caller: a shard arms the runtime's timer with the earliest
-//! `ready_at` of its departures and answers cache hits in the meantime; [`Exchanger::exchange_all`] — the blocking form, which
-//! nested endpoints and the simulator-shaped callers use — is the same two
-//! halves around one sleep. What that gives up is overlap *below* a batch
-//! — an endpoint that made a latency-bearing upstream call while serving
-//! would have those waits summed across the batch — and nothing in tree
-//! nests one: [`BackendNetBuilder::with_latency`] has one caller,
-//! [`LoopbackFleet`](crate::LoopbackFleet), whose endpoints answer from an
-//! authoritative zone and call nobody.
+//! `ready_at` of its departures and answers cache hits in the meantime;
+//! [`Exchanger::exchange_all`] — the blocking form the simulator-shaped
+//! callers use — is the same two halves around one sleep.
 //!
+//! # The net ends at its endpoints
+//!
+//! An endpoint answers from what it holds. The exchanger it is handed
+//! while it serves refuses every upstream call with
+//! [`NetError::Unreachable`]: no endpoint waits on another, so a batch's
+//! one wait is all the latency it pays, and no endpoint lock is ever taken
+//! under another. Every registrant — [`LoopbackFleet`](crate::LoopbackFleet)'s
+//! terminators over an authority or a poisoned resolver — calls nobody.
 //! Endpoints sit behind one mutex each (never a registry-wide lock), so
 //! two shards only contend when they query the *same* upstream resolver
 //! at the same instant — mirroring how independent sockets to distinct
-//! servers behave. The mutexes are not re-entrant, so an exchanger carries
-//! the chain of endpoints being served above it and refuses to re-enter one.
+//! servers behave.
 
-use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,16 +51,13 @@ use sdoh_netsim::{ChannelKind, NetError, NetResult, SimAddr, SimInstant};
 
 use crate::clock::RuntimeClock;
 
-/// Nested-dispatch ceiling mirroring the simulator's routing-loop guard.
-const MAX_DEPTH: usize = 8;
-
 /// An endpoint reachable inside a [`BackendNet`]: takes one request
 /// payload, returns the reply payload (`None` models a dropped request —
 /// the caller observes [`NetError::Timeout`]).
 ///
-/// The `exchanger` parameter lets an endpoint make upstream calls of its
-/// own through the same backend net (a recursive resolver behind a DoH
-/// terminator, for instance).
+/// The `exchanger` parameter is the endpoint's way upstream, and a backend
+/// net has none: every call through it fails with
+/// [`NetError::Unreachable`] (see "The net ends at its endpoints").
 pub trait PayloadService: Send {
     /// Handles one request payload addressed to this endpoint.
     fn serve(
@@ -150,21 +148,13 @@ impl BackendNet {
         }
     }
 
-    /// The wall clock shared by every exchanger of this net.
-    pub fn clock(&self) -> RuntimeClock {
-        self.inner.clock
-    }
-
     /// Creates an exchanger sending from `source` — one per shard;
     /// the exchanger is `Send` and owns no endpoint state.
     pub fn exchanger(&self, source: SimAddr) -> BackendExchanger {
         BackendExchanger {
-            hop: Hop {
-                net: self.clone(),
-                chain: [source; MAX_DEPTH],
-                depth: 0,
-                id_state: self.inner.ids.fetch_add(0x632B_E5AB, Ordering::Relaxed) | 1,
-            },
+            net: self.clone(),
+            source,
+            id_state: self.inner.ids.fetch_add(0x632B_E5AB, Ordering::Relaxed) | 1,
         }
     }
 }
@@ -182,31 +172,15 @@ impl std::fmt::Debug for BackendNet {
 /// hands to its `CachingPoolResolver` so generations and background
 /// refreshes reach the in-process resolver fleet.
 pub struct BackendExchanger {
-    hop: Hop<BackendNet>,
-}
-
-/// An exchanger's state, over a net it holds a handle of (a shard's
-/// exchanger) or borrows (the exchanger an endpoint is handed while it
-/// serves, which lives no longer than the request: handing it over costs
-/// no reference count and no shared counter).
-struct Hop<N> {
-    net: N,
-    /// The endpoints being served above this exchanger, outermost first in
-    /// `chain[..depth]` — the re-entry detector that keeps a dispatch cycle
-    /// from deadlocking on an endpoint mutex its own caller holds.
-    chain: [SimAddr; MAX_DEPTH],
-    depth: usize,
-    /// xorshift state for transaction ids; seeded per shard exchanger so two
-    /// shards never walk the same id sequence, and drawn from the caller's
-    /// for a nested one.
+    net: BackendNet,
+    /// The address it sends from, for diagnostics.
+    source: SimAddr,
+    /// xorshift state for transaction ids; seeded per exchanger so two
+    /// shards never walk the same id sequence.
     id_state: u64,
 }
 
-impl<N: Borrow<BackendNet>> Hop<N> {
-    fn inner(&self) -> &Inner {
-        &self.net.borrow().inner
-    }
-
+impl BackendExchanger {
     /// The network half of an exchange, for a caller with nothing else to
     /// do: sleeps until `ready_at`, the end of a round trip that began one
     /// latency earlier — once, however many requests travel together.
@@ -219,58 +193,25 @@ impl<N: Borrow<BackendNet>> Hop<N> {
 
     /// When a round trip that begins now is over.
     fn round_trip_end(&self) -> SimInstant {
-        self.now().saturating_add(self.inner().latency)
-    }
-
-    /// Advances the id state one xorshift step.
-    fn step(&mut self) -> u64 {
-        let mut x = self.id_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.id_state = x;
-        x
+        self.now().saturating_add(self.net.inner.latency)
     }
 
     /// The endpoint half of an exchange: serves one request in place,
-    /// handing the endpoint a nested exchanger over the same net, borrowed,
-    /// whose chain ends in `dst` and whose ids are drawn from this one's.
-    fn deliver(
-        &mut self,
-        dst: SimAddr,
-        channel: ChannelKind,
-        payload: &[u8],
-    ) -> NetResult<Vec<u8>> {
-        let mut chain = self.chain;
-        // No slot left for `dst` is the depth guard.
-        *chain.get_mut(self.depth).ok_or(NetError::TooDeep)? = dst;
-        // A request that leads back to an endpoint this chain is already
-        // serving would deadlock on a lock its own caller holds. (Another
-        // chain contending for the endpoint still blocks, as intended.)
-        if self.chain.iter().take(self.depth).any(|&held| held == dst) {
-            return Err(NetError::TooDeep);
-        }
-        // Scrambled by an odd multiplier, so the nested stream does not run
-        // one step behind this one.
-        let id_state = self.step().wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let net = self.net.borrow();
-        let endpoint = net
-            .inner
+    /// handing the endpoint the net's end ([`NoUpstream`]).
+    fn deliver(&self, dst: SimAddr, channel: ChannelKind, payload: &[u8]) -> NetResult<Vec<u8>> {
+        let inner = &self.net.inner;
+        let endpoint = inner
             .endpoints
             .get(&dst)
             .ok_or(NetError::Unreachable(dst))?;
-        let mut nested = Hop {
-            net,
-            chain,
-            depth: self.depth + 1,
-            id_state,
-        };
-        let reply = endpoint.lock().serve(&mut nested, channel, payload);
+        let reply = endpoint
+            .lock()
+            .serve(&mut NoUpstream(inner.clock), channel, payload);
         reply.ok_or(NetError::Timeout)
     }
 }
 
-impl<N: Borrow<BackendNet>> Exchanger for Hop<N> {
+impl Exchanger for BackendExchanger {
     fn exchange(
         &mut self,
         dst: SimAddr,
@@ -283,11 +224,16 @@ impl<N: Borrow<BackendNet>> Exchanger for Hop<N> {
     }
 
     fn next_id(&mut self) -> u16 {
-        (self.step() >> 24) as u16 // sdoh-lint: allow(no-narrowing-cast, "intentionally takes 16 bits of the mixed xorshift state")
+        let mut x = self.id_state;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.id_state = x;
+        (x >> 24) as u16 // sdoh-lint: allow(no-narrowing-cast, "intentionally takes 16 bits of the mixed xorshift state")
     }
 
     fn now(&self) -> SimInstant {
-        self.inner().clock.now()
+        self.net.inner.clock.now()
     }
 
     /// Performs the batch as **one round trip**: the requests depart
@@ -311,65 +257,52 @@ impl<N: Borrow<BackendNet>> Exchanger for Hop<N> {
     /// The collect half: serves each request in place, on this thread, in
     /// request order (= completion order, like the simulator's outcomes).
     /// It does not wait: called before [`Departure::ready_at`] it cuts the
-    /// emulated round trip short, nothing worse. (Latency nested under an
-    /// endpoint would sum; the module doc says why nothing in tree nests.)
+    /// emulated round trip short, nothing worse.
     fn arrive(&mut self, departure: Departure) -> Vec<ExchangeOutcome> {
         departure.outcomes(|requests| {
             requests
                 .into_iter()
                 .enumerate()
-                .map(|(index, request)| {
-                    let result = self.deliver(request.dst, request.channel, &request.payload);
-                    ExchangeOutcome {
-                        index,
-                        completed_at: self.now(),
-                        result,
-                    }
+                .map(|(index, request)| ExchangeOutcome {
+                    index,
+                    result: self.deliver(request.dst, request.channel, &request.payload),
+                    completed_at: self.now(),
                 })
                 .collect()
         })
     }
 }
 
-/// The shard's exchanger is its `Hop` over the net it holds.
-impl Exchanger for BackendExchanger {
-    fn exchange(
-        &mut self,
-        dst: SimAddr,
-        channel: ChannelKind,
-        payload: &[u8],
-        timeout: Duration,
-    ) -> NetResult<Vec<u8>> {
-        self.hop.exchange(dst, channel, payload, timeout)
-    }
-
-    fn next_id(&mut self) -> u16 {
-        self.hop.next_id()
-    }
-
-    fn now(&self) -> SimInstant {
-        self.hop.now()
-    }
-
-    fn exchange_all(&mut self, requests: Vec<ExchangeRequest>) -> Vec<ExchangeOutcome> {
-        self.hop.exchange_all(requests)
-    }
-
-    fn depart(&mut self, requests: Vec<ExchangeRequest>) -> Departure {
-        self.hop.depart(requests)
-    }
-
-    fn arrive(&mut self, departure: Departure) -> Vec<ExchangeOutcome> {
-        self.hop.arrive(departure)
-    }
-}
-
 impl std::fmt::Debug for BackendExchanger {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BackendExchanger")
-            .field("net", &self.hop.net)
-            .field("depth", &self.hop.depth)
+            .field("net", &self.net)
+            .field("source", &self.source)
             .finish()
+    }
+}
+
+/// The exchanger an endpoint is handed while it serves: the net's end,
+/// where every upstream call is refused as unreachable.
+struct NoUpstream(RuntimeClock);
+
+impl Exchanger for NoUpstream {
+    fn exchange(
+        &mut self,
+        dst: SimAddr,
+        _channel: ChannelKind,
+        _payload: &[u8],
+        _timeout: Duration,
+    ) -> NetResult<Vec<u8>> {
+        Err(NetError::Unreachable(dst))
+    }
+
+    fn next_id(&mut self) -> u16 {
+        0
+    }
+
+    fn now(&self) -> SimInstant {
+        self.0.now()
     }
 }
 
@@ -386,21 +319,6 @@ mod tests {
             payload: &[u8],
         ) -> Option<Vec<u8>> {
             Some(payload.to_vec())
-        }
-    }
-
-    /// Forwards to another endpoint through the nested exchanger.
-    struct Forward(SimAddr);
-    impl PayloadService for Forward {
-        fn serve(
-            &mut self,
-            exchanger: &mut dyn Exchanger,
-            channel: ChannelKind,
-            payload: &[u8],
-        ) -> Option<Vec<u8>> {
-            exchanger
-                .exchange(self.0, channel, payload, Duration::from_secs(1))
-                .ok()
         }
     }
 
@@ -431,65 +349,88 @@ mod tests {
         assert_ne!(exchanger.next_id(), exchanger.next_id());
     }
 
-    #[test]
-    fn nested_dispatch_works_and_cycles_are_cut() {
-        let echo = SimAddr::v4(192, 0, 2, 1, 443);
-        let hop = SimAddr::v4(192, 0, 2, 2, 443);
-        let loopy = SimAddr::v4(192, 0, 2, 3, 443);
-        let net = BackendNet::builder()
-            .register(echo, Echo)
-            .register(hop, Forward(echo))
-            .register(loopy, Forward(loopy))
-            .build();
-        let mut exchanger = net.exchanger(SimAddr::v4(10, 0, 0, 1, 40000));
-        let reply = exchanger
-            .exchange(hop, ChannelKind::Secure, b"via", Duration::from_secs(1))
-            .unwrap();
-        assert_eq!(reply, b"via");
-        // A self-forwarding endpoint terminates via the re-entry detector
-        // instead of deadlocking; the endpoint's inner failure surfaces as
-        // a timeout at the caller.
-        let err = exchanger
-            .exchange(loopy, ChannelKind::Secure, b"x", Duration::from_secs(1))
-            .unwrap_err();
-        assert_eq!(err, NetError::Timeout);
+    /// Calls `upstream` while it serves — once alone, then in a batch with
+    /// an address nobody registered — records what the calls came to, and
+    /// echoes.
+    struct CallsUpstream {
+        upstream: SimAddr,
+        refusals: Arc<Mutex<Vec<NetResult<Vec<u8>>>>>,
     }
-
-    /// Fans out to its two targets with a batched `exchange_all` and
-    /// replies with the first successful payload.
-    struct BatchFanout(SimAddr, SimAddr);
-    impl PayloadService for BatchFanout {
+    impl PayloadService for CallsUpstream {
         fn serve(
             &mut self,
             exchanger: &mut dyn Exchanger,
             channel: ChannelKind,
             payload: &[u8],
         ) -> Option<Vec<u8>> {
-            let outcomes = exchanger.exchange_all(vec![
-                ExchangeRequest::new(self.0, channel, payload.to_vec(), Duration::ZERO),
-                ExchangeRequest::new(self.1, channel, payload.to_vec(), Duration::ZERO),
+            let alone = exchanger.exchange(self.upstream, channel, payload, Duration::ZERO);
+            let batch = exchanger.exchange_all(vec![
+                ExchangeRequest::new(self.upstream, channel, payload.to_vec(), Duration::ZERO),
+                ExchangeRequest::new(nowhere(), channel, payload.to_vec(), Duration::ZERO),
             ]);
-            outcomes.into_iter().find_map(|o| o.result.ok())
+            let mut refusals = self.refusals.lock();
+            refusals.push(alone);
+            refusals.extend(batch.into_iter().map(|outcome| outcome.result));
+            Some(payload.to_vec())
         }
     }
 
+    /// An address no endpoint is registered at.
+    fn nowhere() -> SimAddr {
+        SimAddr::v4(192, 0, 2, 99, 443)
+    }
+
     #[test]
-    fn batched_cycles_error_instead_of_deadlocking() {
-        // The fan-out endpoint batches to [echo, itself]: the self-request
-        // is served through the nested exchanger, whose chain already ends
-        // in the fan-out endpoint, and must fail with the re-entry error
-        // rather than block on the endpoint mutex the chain already holds.
+    fn an_endpoint_calling_upstream_is_refused_and_its_batch_completes() {
+        // One endpoint calls another of the net, one calls itself (the
+        // cycle a re-entrant dispatch had to cut): both are refused as
+        // unreachable, neither blocks, and the batch around them completes.
         let echo = SimAddr::v4(192, 0, 2, 1, 443);
-        let fanout = SimAddr::v4(192, 0, 2, 2, 443);
+        let caller = SimAddr::v4(192, 0, 2, 2, 443);
+        let selfish = SimAddr::v4(192, 0, 2, 3, 443);
+        let refusals = Arc::new(Mutex::new(Vec::new()));
+        let calling = |upstream| CallsUpstream {
+            upstream,
+            refusals: Arc::clone(&refusals),
+        };
         let net = BackendNet::builder()
+            .with_latency(Duration::from_millis(1))
             .register(echo, Echo)
-            .register(fanout, BatchFanout(echo, fanout))
+            .register(caller, calling(echo))
+            .register(selfish, calling(selfish))
             .build();
         let mut exchanger = net.exchanger(SimAddr::v4(10, 0, 0, 1, 40000));
-        let reply = exchanger
-            .exchange(fanout, ChannelKind::Secure, b"hi", Duration::from_secs(1))
-            .unwrap();
-        assert_eq!(reply, b"hi", "the echo half of the batch still answers");
+        let outcomes = exchanger.exchange_all(
+            [caller, echo, selfish, nowhere()]
+                .into_iter()
+                .zip(1u8..)
+                .map(|(dst, tag)| {
+                    ExchangeRequest::new(dst, ChannelKind::Secure, vec![tag], Duration::ZERO)
+                })
+                .collect(),
+        );
+        let results: Vec<_> = outcomes.into_iter().map(|outcome| outcome.result).collect();
+        assert_eq!(
+            results,
+            vec![
+                Ok(vec![1]),
+                Ok(vec![2]),
+                Ok(vec![3]),
+                Err(NetError::Unreachable(nowhere()))
+            ]
+        );
+        assert_eq!(
+            *refusals.lock(),
+            vec![
+                Err(NetError::Unreachable(echo)),
+                Err(NetError::Unreachable(echo)),
+                Err(NetError::Unreachable(nowhere())),
+                Err(NetError::Unreachable(selfish)),
+                Err(NetError::Unreachable(selfish)),
+                Err(NetError::Unreachable(nowhere())),
+            ],
+            "every upstream call of an endpoint is refused, the rest of the batch is served"
+        );
     }
 
     /// Echoes, and records the thread that served it.
@@ -601,19 +542,6 @@ mod tests {
             *served_on.lock(),
             vec![std::thread::current().id(); 3],
             "every request was served on the caller's thread"
-        );
-
-        // The collect half carries the re-entry chain: a cycle is cut there
-        // as it is in a blocking exchange, not deadlocked on.
-        let loopy = SimAddr::v4(192, 0, 2, 2, 443);
-        let net = BackendNet::builder()
-            .register(loopy, Forward(loopy))
-            .build();
-        let mut exchanger = net.exchanger(SimAddr::v4(10, 0, 0, 1, 40000));
-        let departure = exchanger.depart(vec![request(loopy, 9)]);
-        assert_eq!(
-            exchanger.arrive(departure)[0].result,
-            Err(NetError::Timeout)
         );
     }
 

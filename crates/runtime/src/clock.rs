@@ -18,13 +18,13 @@ use sdoh_netsim::SimInstant;
 /// Copies share the same epoch (the `Instant` captured at construction),
 /// so every thread of a runtime observes one consistent timeline.
 #[derive(Debug, Clone, Copy)]
-pub struct RuntimeClock {
+pub(crate) struct RuntimeClock {
     start: Instant,
 }
 
 impl RuntimeClock {
     /// Creates a clock whose epoch is "now".
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RuntimeClock {
             start: Instant::now(),
         }
@@ -32,14 +32,8 @@ impl RuntimeClock {
 
     /// Nanoseconds of host time elapsed since the epoch, as an instant the
     /// sans-IO layers (cache TTLs, refresh deadlines) understand.
-    pub fn now(&self) -> SimInstant {
+    pub(crate) fn now(&self) -> SimInstant {
         SimInstant::from_nanos(u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX))
-    }
-}
-
-impl Default for RuntimeClock {
-    fn default() -> Self {
-        RuntimeClock::new()
     }
 }
 

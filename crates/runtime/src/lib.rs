@@ -24,8 +24,10 @@
 //!   over loopback without leaving the process.
 //! * [`RuntimeClient`] — a real-socket stub client (UDP with TCP retry on
 //!   TC=1) for tests, experiments and examples.
-//! * [`RuntimeClock`] — the host clock expressed as the workspace's
-//!   instant type, so cache TTLs and refresh deadlines measure real time.
+//!
+//! Inside the crate, one host clock expressed as the workspace's instant
+//! type stands in for the simulator's, so cache TTLs and refresh deadlines
+//! measure real time.
 //!
 //! # Observability
 //!
@@ -40,8 +42,8 @@
 //! lock and exports it through [`sdoh_core::snapshot_samples`].
 //!
 //! Set [`RuntimeConfig::stats_bind`] to bind the HTTP stats listener:
-//! `/metrics` serves the Prometheus text exposition, `/metrics.json` the
-//! JSON flavour, and `/healthz` is the readiness probe — 200 while every
+//! `/metrics` serves the Prometheus text exposition, `/config` the knobs
+//! the control plane last published, and `/healthz` is the readiness probe — 200 while every
 //! shard's snapshot is read within the health deadline, 503 with an
 //! `unresponsive_shards` count otherwise, plus the pool-guarantee state
 //! (generation failures / negative serves). Shards that miss a snapshot
@@ -154,7 +156,6 @@ mod runtime;
 
 pub use backend::{BackendExchanger, BackendNet, BackendNetBuilder, PayloadService};
 pub use client::RuntimeClient;
-pub use clock::RuntimeClock;
 pub use control::{ConfigDelta, ControlHandle, EpochReceipt, SourceFactory};
 pub use loopback::{LoopbackConfig, LoopbackFleet};
 pub use runtime::{PoolRuntime, RuntimeConfig, RuntimeStats, Shard};

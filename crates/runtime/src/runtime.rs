@@ -38,9 +38,11 @@
 //!
 //! # The hit path and the miss path
 //!
-//! A query is read where it lies ([`QueryView`]) through the two halves of
-//! the shared Do53 core ([`decode_do53_query`], [`finish_do53_answer`])
-//! around the resolver's first step ([`begin`](CachingPoolResolver::begin)).
+//! A query is read where it lies ([`QueryView`]), once, by the socket thread
+//! that received it: the view picks the shard and is handed to its step,
+//! which runs the closing half of the shared Do53 core
+//! ([`finish_do53_answer`]) after the resolver's first step
+//! ([`begin`](CachingPoolResolver::begin)).
 //! A hit renders a header, the echoed question and a TTL in front of an
 //! answer section encoded when the pool was cached, and allocates nothing
 //! (`core/tests/alloc_budget.rs`). A UDP answer longer than its client can
@@ -79,7 +81,7 @@
 //! wakes each with one throw-away message.
 
 use std::collections::hash_map::DefaultHasher;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::ops::Range;
@@ -93,12 +95,11 @@ use sdoh_core::{
     snapshot_samples, CachingPoolResolver, ConfigError, FlightId, Landed, ServeSnapshot, ServeStep,
     TransactionId,
 };
-use sdoh_dns_server::{decode_do53_query, finish_do53_answer, Departure, Exchanger};
-use sdoh_dns_wire::{Header, QueryView, MAX_NAME_LEN};
+use sdoh_dns_server::{finish_do53_answer, write_do53_formerr, Departure, Exchanger};
+use sdoh_dns_wire::{Header, QueryView};
 use sdoh_metrics::http::wake_addr;
 use sdoh_metrics::{
-    render_json, render_prometheus, Counter, Histogram, HttpResponse, Registry, Sample,
-    SampleValue, StatsServer,
+    render_prometheus, Counter, Histogram, HttpResponse, Registry, Sample, SampleValue, StatsServer,
 };
 use sdoh_netsim::SimInstant;
 
@@ -160,8 +161,8 @@ pub struct RuntimeConfig {
     /// most 512 bytes). Larger answers are replaced by an empty TC=1
     /// response so the client retries over TCP.
     pub udp_payload_limit: usize,
-    /// Address to bind the HTTP stats listener on (`/metrics`,
-    /// `/metrics.json`, `/healthz`); `None` disables it. Port 0 picks an
+    /// Address to bind the HTTP stats listener on (`/metrics`, `/config`,
+    /// `/healthz`); `None` disables it. Port 0 picks an
     /// ephemeral port; read it back from [`PoolRuntime::stats_addr`].
     pub stats_bind: Option<SocketAddr>,
 }
@@ -288,7 +289,9 @@ pub struct RuntimeStats {
     /// Snapshot of every shard, in shard order. `None` for a shard whose lock
     /// stayed taken past the snapshot deadline — a wedged shard (a transport
     /// blocking in `depart`), never a slow upstream, whose generations in
-    /// flight [`ServeSnapshot::live_generations`] counts — never zeros.
+    /// flight [`ServeSnapshot::live_generations`] counts — never zeros. Any
+    /// `None` means `total` undercounts and `/healthz` reports the instance
+    /// unready.
     pub per_shard: Vec<Option<ServeSnapshot>>,
     /// The fleet-wide aggregate of the *responsive* shards.
     pub total: ServeSnapshot,
@@ -307,67 +310,6 @@ pub struct RuntimeStats {
     pub config_epoch: u64,
     /// Runtime uptime when the snapshot was taken.
     pub taken_at: SimInstant,
-}
-
-impl RuntimeStats {
-    /// Shards that missed the snapshot deadline (their `per_shard` entry
-    /// is `None`). Non-zero means `total` undercounts and `/healthz`
-    /// reports the instance unready.
-    pub fn unresponsive_shards(&self) -> usize {
-        count_unresponsive(&self.per_shard)
-    }
-}
-
-impl std::fmt::Display for RuntimeStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "runtime stats @ {:.1}s: epoch={} udp={} tcp={} truncated={} dropped={} \
-             shards={} unresponsive={}",
-            self.taken_at.as_nanos() as f64 / 1e9,
-            self.config_epoch,
-            self.udp_queries,
-            self.tcp_queries,
-            self.truncated_responses,
-            self.dropped_queries,
-            self.per_shard.len(),
-            self.unresponsive_shards(),
-        )?;
-        writeln!(
-            f,
-            "  total: queries={} hits={} stale={} neg={} misses={} coalesced={} \
-             generations={} failures={} refreshes={} hit_ratio={:.1}% entries={} pending={} \
-             live={}",
-            self.total.serve.queries,
-            self.total.serve.hits,
-            self.total.serve.stale_serves,
-            self.total.serve.negative_hits,
-            self.total.serve.misses,
-            self.total.serve.coalesced_waiters,
-            self.total.serve.generations,
-            self.total.serve.generation_failures,
-            self.total.serve.refreshes,
-            self.total.serve.hit_ratio() * 100.0,
-            self.total.entries,
-            self.total.pending_refreshes,
-            self.total.live_generations,
-        )?;
-        for (index, shard) in self.per_shard.iter().enumerate() {
-            match shard {
-                Some(snapshot) => writeln!(
-                    f,
-                    "  shard {index}: queries={} hits={} misses={} generations={} entries={}",
-                    snapshot.serve.queries,
-                    snapshot.serve.hits,
-                    snapshot.serve.misses,
-                    snapshot.serve.generations,
-                    snapshot.entries,
-                )?,
-                None => writeln!(f, "  shard {index}: unresponsive (snapshot timed out)")?,
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Where an answer goes.
@@ -734,9 +676,6 @@ impl PoolRuntime {
                     "/metrics" => {
                         HttpResponse::ok_text(render_prometheus(&scrape_registry.gather()))
                     }
-                    "/metrics.json" => {
-                        HttpResponse::ok_json(render_json(&scrape_registry.gather()))
-                    }
                     "/config" => HttpResponse::ok_json(scrape_control.config_json()),
                     "/healthz" => healthz(scrape_control.shards()),
                     _ => HttpResponse::text(404, "not found\n"),
@@ -943,75 +882,21 @@ fn healthz(shards: &ShardSet) -> HttpResponse {
     HttpResponse::text(if ready { 200 } else { 503 }, body)
 }
 
-/// Routes a wire-format query to its shard: hash of the lowercased qname
-/// labels and the qtype — the runtime-level mirror of the cache's
-/// `(domain, address family)` key, computed without decoding (or
-/// allocating) the full message. Malformed or question-less queries go to
-/// shard 0, which produces the proper error response.
-fn shard_for(wire: &[u8], shards: usize) -> usize {
-    question_route(wire, shards).unwrap_or(0)
-}
-
-/// The most compression pointers a routed name may follow (each strictly
-/// backwards, so the walk ends anyway; this bounds its cost).
-const ROUTE_POINTER_HOPS: usize = 64;
-
-/// Routes `(qname lowercase, qtype)` straight from the wire, following
-/// compression pointers as the decoder does (only backwards, a bounded
-/// number of times): a name spelled through a pointer routes with the same
-/// name written whole. `None` without a parseable first question.
-fn question_route(wire: &[u8], shards: usize) -> Option<usize> {
-    if wire.len() < 12 {
-        return None;
-    }
-    let qdcount = u16::from_be_bytes([*wire.get(4)?, *wire.get(5)?]);
-    if qdcount == 0 {
-        return None;
-    }
-    // The name's labels lowercased, each followed by a dot, gathered where
-    // the hasher takes them in one write.
-    let mut dotted = [0u8; MAX_NAME_LEN];
-    let mut filled = 0;
-    let mut i = 12usize;
-    // Where the question's name ends: past its terminating zero, or past
-    // the first pointer it follows. The qtype comes next.
-    let mut end = None;
-    let mut hops = 0;
-    loop {
-        let len = usize::from(*wire.get(i)?);
-        if len == 0 {
-            end.get_or_insert(i + 1);
-            break;
-        }
-        if len & 0xC0 == 0xC0 {
-            let target = ((len & 0x3F) << 8) | usize::from(*wire.get(i + 1)?);
-            hops += 1;
-            if target >= i || hops > ROUTE_POINTER_HOPS {
-                return None;
-            }
-            end.get_or_insert(i + 2);
-            i = target;
-            continue;
-        }
-        if len & 0xC0 != 0 {
-            // 0x40 / 0x80 label types are not supported.
-            return None;
-        }
-        let label = wire.get(i + 1..i + 1 + len)?;
-        let slot = dotted.get_mut(filled..filled + len + 1)?;
-        for (lowered, byte) in slot.iter_mut().zip(label) {
-            *lowered = byte.to_ascii_lowercase();
-        }
-        *slot.last_mut()? = b'.';
-        filled += len + 1;
-        i += 1 + len;
-    }
-    let end = end?;
+/// The shard `query` is served by: a hash of its question's name — hashed
+/// as [`NameRef`](sdoh_dns_wire::NameRef) defines name equality, the one the
+/// cache key compares by, so a name routes alike in any case and however it
+/// is spelled — and its type, so every `(domain, address family)` key is
+/// one shard's. A query that did not parse, or asks nothing, goes to shard
+/// 0, which answers it as the Do53 core does.
+fn route(query: Option<&QueryView<'_>>, shards: usize) -> usize {
+    let Some(question) = query.and_then(QueryView::question) else {
+        return 0;
+    };
     let mut hasher = DefaultHasher::new();
-    hasher.write(dotted.get(..filled)?);
-    hasher.write_u16(u16::from_be_bytes([*wire.get(end)?, *wire.get(end + 1)?]));
-    let shards = u64::try_from(shards.max(1)).ok()?;
-    usize::try_from(hasher.finish() % shards).ok()
+    question.name.hash(&mut hasher);
+    hasher.write_u16(question.rtype.code());
+    let shards = u64::try_from(shards.max(1)).unwrap_or(u64::MAX);
+    usize::try_from(hasher.finish() % shards).unwrap_or(0)
 }
 
 fn dispatcher_loop(shards: &ShardSet, stop: &AtomicBool) {
@@ -1041,15 +926,18 @@ fn dispatcher_loop(shards: &ShardSet, stop: &AtomicBool) {
 }
 
 /// Answers one query a socket thread read, from its receive buffer, through
-/// [`ShardSet::step`] on the shard its question routes to.
+/// [`ShardSet::step`] on the shard its question routes to. The query is
+/// parsed here, once: the route and the step read the same view.
 /// `false` when no shard took it.
 fn serve_query(shards: &ShardSet, wire: &[u8], reply: ReplyPath) -> bool {
-    let index = shard_for(wire, shards.len());
     let started = Instant::now();
+    let query = QueryView::parse(wire).ok();
+    let index = route(query.as_ref(), shards.len());
     shards.step(
         index,
         Some(Item::Query {
             wire,
+            query: query.as_ref(),
             reply,
             started,
         }),
@@ -1166,9 +1054,11 @@ fn serve_framed(mut stream: impl Read + Write, shards: &ShardSet) -> std::io::Re
 
 /// What a shard is stepped with (a timer pass: nothing).
 enum Item<'a> {
-    /// A query read where it lies, handed to its shard at `started`.
+    /// A query's octets and the view read from them (`None`: they did not
+    /// parse), handed to its shard at `started`.
     Query {
         wire: &'a [u8],
+        query: Option<&'a QueryView<'a>>,
         reply: ReplyPath,
         started: Instant,
     },
@@ -1290,10 +1180,11 @@ impl ShardMachine {
         match item {
             Some(Item::Query {
                 wire,
+                query,
                 reply,
                 started,
             }) => {
-                self.serve(wire, reply, started);
+                self.serve(wire, query, reply, started);
                 perform(&mut self.effects);
             }
             Some(Item::Order(order)) => self.orders.push(*order),
@@ -1304,27 +1195,36 @@ impl ShardMachine {
         due
     }
 
-    /// The one serve function: the query read where it lies in `wire`,
-    /// through the shared Do53 core — the simulated `Do53Service`'s wire
-    /// behaviour by construction — around the resolver's first step. A miss
-    /// is parked under its flight; behind an order not adopted yet, every
-    /// query is parked with no flight.
-    fn serve(&mut self, wire: &[u8], reply: ReplyPath, started: Instant) {
+    /// The one serve function: `query`, the view read from `wire` where it
+    /// lies, through the shared Do53 core — the simulated `Do53Service`'s
+    /// wire behaviour by construction — around the resolver's first step;
+    /// octets that did not parse are answered FORMERR. A miss is parked
+    /// under its flight; behind an order not adopted yet, every query is
+    /// parked with no flight.
+    fn serve(
+        &mut self,
+        wire: &[u8],
+        query: Option<&QueryView<'_>>,
+        reply: ReplyPath,
+        started: Instant,
+    ) {
         if !self.orders.is_empty() {
             return self.park(None, wire, reply, started);
         }
         let effects = &mut self.effects;
-        let Some(query) = decode_do53_query(wire, false, &mut effects.response) else {
+        let Some(query) = query else {
+            write_do53_formerr(wire, &mut effects.response);
             return effects.answer(None, reply, started);
         };
+        effects.response.clear();
         let begun = self
             .resolver
-            .begin(self.exchanger.as_mut(), &query, &mut effects.response);
+            .begin(self.exchanger.as_mut(), query, &mut effects.response);
         match begun {
             Ok(Some(flight)) => self.park(Some(flight), wire, reply, started),
             answered => {
-                finish_do53_answer(&query, answered.map(drop), &mut effects.response);
-                effects.answer(Some(&query), reply, started);
+                finish_do53_answer(query, answered.map(drop), &mut effects.response);
+                effects.answer(Some(query), reply, started);
             }
         }
     }
@@ -1469,7 +1369,10 @@ impl ShardMachine {
                 let wire = octets.get(parked.octets).unwrap_or_default();
                 match parked.flight {
                     Some(flight) => self.park(Some(flight), wire, parked.reply, parked.started),
-                    None => self.serve(wire, parked.reply, parked.started),
+                    None => {
+                        let query = QueryView::parse(wire).ok();
+                        self.serve(wire, query.as_ref(), parked.reply, parked.started);
+                    }
                 }
             }
         }
@@ -1525,6 +1428,12 @@ mod tests {
     use sdoh_doh::DohMethod;
     use sdoh_netsim::{ChannelKind, NetResult, SimAddr};
 
+    /// The shard `wire` routes to among `shards`, as [`serve_query`] routes
+    /// it.
+    fn shard_for(wire: &[u8], shards: usize) -> usize {
+        route(QueryView::parse(wire).ok().as_ref(), shards)
+    }
+
     fn query_wire(domain: &str, rtype: sdoh_dns_wire::RrType) -> Vec<u8> {
         Message::query(7, domain.parse().unwrap(), rtype)
             .encode()
@@ -1559,26 +1468,10 @@ mod tests {
         for shards in 1..=16 {
             assert_eq!(shard_for(&pointed, shards), shard_for(&whole, shards));
         }
-        // A pointer that does not point backwards routes nowhere.
+        // Nor does a pointer that does not point backwards parse: shard 0.
         let mut forward = pointed;
         forward[13] = 12;
-        assert_eq!(question_route(&forward, 8), None);
-        // One write of the gathered name hashes as a write per octet did.
-        for (name, rtype) in [("pool.ntp.org", RrType::A), ("A.b-C.example", RrType::Aaaa)] {
-            let mut hasher = DefaultHasher::new();
-            for label in name.split('.') {
-                for byte in label.bytes() {
-                    hasher.write_u8(byte.to_ascii_lowercase());
-                }
-                hasher.write_u8(b'.');
-            }
-            hasher.write_u16(rtype.code());
-            let wire = query_wire(name, rtype);
-            for shards in 1..=16u64 {
-                let expected = usize::try_from(hasher.finish() % shards).unwrap();
-                assert_eq!(shard_for(&wire, shards as usize), expected, "{name}");
-            }
-        }
+        assert_eq!(shard_for(&forward, 8), 0);
     }
 
     #[test]
@@ -1756,16 +1649,14 @@ mod tests {
 
     /// Steps `machine` with `wire`, asked over UDP.
     fn ask(machine: &mut ShardMachine, wire: &[u8]) -> Option<SimInstant> {
-        let reply = ReplyPath::Udp(SocketAddr::from(([127, 0, 0, 1], 5353)));
-        let started = Instant::now();
-        step(
-            machine,
-            Some(Item::Query {
-                wire,
-                reply,
-                started,
-            }),
-        )
+        let query = QueryView::parse(wire).ok();
+        let item = Item::Query {
+            wire,
+            query: query.as_ref(),
+            reply: ReplyPath::Udp(SocketAddr::from(([127, 0, 0, 1], 5353))),
+            started: Instant::now(),
+        };
+        step(machine, Some(item))
     }
 
     /// The answers `machine`'s last step wrote, in the order written.
@@ -2392,8 +2283,11 @@ mod tests {
         // (no wake: the miss's own, and no more). The hit's answer is handed
         // out to be sent before the step lands anything.
         let mut performed: Vec<Vec<u16>> = Vec::new();
+        let hit_wire = a_query(2, warm);
+        let hit_view = QueryView::parse(&hit_wire).ok();
         let hit = Item::Query {
-            wire: &a_query(2, warm),
+            wire: &hit_wire,
+            query: hit_view.as_ref(),
             reply: ReplyPath::Udp(SocketAddr::from(([127, 0, 0, 1], 5353))),
             started: Instant::now(),
         };

@@ -101,7 +101,7 @@ fn udp_clients_get_guaranteed_pools_from_in_process_doh() {
         .filter(|s| s.serve.queries > 0)
         .count();
     assert!(active > 1, "4 domains served by {active} shard(s)");
-    assert_eq!(stats.unresponsive_shards(), 0);
+    assert!(stats.per_shard.iter().all(Option::is_some));
     for shard in stats.per_shard.iter().flatten() {
         assert_eq!(shard.serve.queries, shard.cache.hits + shard.cache.misses);
     }
@@ -787,7 +787,7 @@ fn await_begun(runtime: &PoolRuntime, queries: u64) -> RuntimeStats {
         if stats.total.serve.queries >= queries {
             return stats;
         }
-        assert!(std::time::Instant::now() < deadline, "{stats}");
+        assert!(std::time::Instant::now() < deadline, "{stats:?}");
         std::thread::yield_now();
     }
 }
@@ -908,7 +908,7 @@ fn a_shard_with_a_generation_upstream_answers_stats_and_health() {
     let stats = runtime.stats();
     let answered_in = asked.elapsed();
     assert!(answered_in < Duration::from_millis(100), "{answered_in:?}");
-    assert_eq!(stats.unresponsive_shards(), 0);
+    assert!(stats.per_shard.iter().all(Option::is_some));
     // (Unless the host stalled for the whole half second, the flight is
     // still upstream; a reading taken after it landed proves nothing.)
     if sent.elapsed() < LATENCY {
@@ -948,7 +948,7 @@ fn shutdown_lands_what_is_upstream() {
     assert_eq!(stats.total.serve.queries, 1);
     assert_eq!(stats.total.serve.generations, 1);
     assert_eq!(stats.total.live_generations, 0);
-    assert_eq!(stats.unresponsive_shards(), 0);
+    assert!(stats.per_shard.iter().all(Option::is_some));
 }
 
 #[test]

@@ -1,6 +1,5 @@
 //! The observability plane, end to end over real sockets: a loopback
-//! runtime exports `/metrics`, `/metrics.json` and `/healthz` from its
-//! stats listener; exported counters reconcile exactly with the queries a
+//! runtime exports `/metrics` and `/healthz` from its stats listener; exported counters reconcile exactly with the queries a
 //! real UDP client sent; cross-shard histogram merge and percentile
 //! extraction behave; and the registry lints clean — every public counter
 //! ships a help string (this test backs the CI counter-help lint).
@@ -111,11 +110,9 @@ fn exported_counters_reconcile_with_client_ground_truth() {
     let p99 = merged.quantile(0.99).expect("non-empty histogram");
     assert!(p99 < Duration::from_secs(10), "implausible p99 {p99:?}");
 
-    // JSON flavour serves the same counters.
-    let json = http_get(stats_addr, "/metrics.json", Duration::from_secs(5)).expect("json");
-    assert_eq!(json.status, 200);
-    assert!(json.body.contains("\"sdoh_udp_queries_total\""));
-    assert!(json.body.contains(&format!("\"value\": {sent}")));
+    // `/metrics` is the one format: there is no JSON flavour of it.
+    let json = http_get(stats_addr, "/metrics.json", Duration::from_secs(5)).expect("404");
+    assert_eq!(json.status, 404);
 
     // Healthy instance: all shards answer, probe says ready.
     let health = http_get(stats_addr, "/healthz", Duration::from_secs(5)).expect("healthz");
@@ -179,9 +176,11 @@ fn runtime_stats_render_as_text() {
     }
     let stats = runtime.shutdown();
 
-    let text = stats.to_string();
-    assert!(text.contains("runtime stats @"), "{text}");
-    assert!(text.contains(&format!("queries={}", stats.total.serve.queries)));
-    assert!(text.contains("shard 0:"));
-    assert!(!text.contains("unresponsive (snapshot timed out)"));
+    // The statistics print as their `Debug` form: every shard's snapshot
+    // is there, none timed out.
+    let text = format!("{stats:?}");
+    assert!(text.starts_with("RuntimeStats {"), "{text}");
+    assert!(text.contains(&format!("queries: {}", stats.total.serve.queries)));
+    assert_eq!(stats.per_shard.len(), SHARDS);
+    assert!(!text.contains("None"), "{text}");
 }

@@ -103,9 +103,8 @@ fn concurrent_clients_lose_nothing_and_shutdown_is_clean() {
         let after = after.as_ref().expect("shard answered later snapshot");
         assert_monotone(earlier, after, shard);
     }
-    assert_eq!(
-        later.unresponsive_shards(),
-        0,
+    assert!(
+        later.per_shard.iter().all(Option::is_some),
         "no wedged shards under load"
     );
 

@@ -486,7 +486,6 @@ impl PoolSession {
         let (pool, cut) = combine(&self.config, &answers)?;
         let truncate_lengths = cut
             .map(|cut| {
-                // One buffer, each type's name written straight into it.
                 let mut label = String::new();
                 for (index, rtype) in rtypes.iter().enumerate() {
                     let joint = if index == 0 { "" } else { "+" };

@@ -177,55 +177,10 @@ impl InvariantMonitor {
 
     /// Checks network-metrics monotonicity against the previous reading.
     pub fn check_net_metrics(&mut self, step: u64, metrics: Metrics) {
-        if let Some(earlier) = &self.last_net_metrics {
-            let pairs: [(&'static str, u64, u64); 13] = [
-                ("net.requests", earlier.requests, metrics.requests),
-                ("net.responses", earlier.responses, metrics.responses),
-                ("net.timeouts", earlier.timeouts, metrics.timeouts),
-                ("net.unreachable", earlier.unreachable, metrics.unreachable),
-                ("net.bytes_sent", earlier.bytes_sent, metrics.bytes_sent),
-                (
-                    "net.bytes_received",
-                    earlier.bytes_received,
-                    metrics.bytes_received,
-                ),
-                (
-                    "net.plain_requests",
-                    earlier.plain_requests,
-                    metrics.plain_requests,
-                ),
-                (
-                    "net.secure_requests",
-                    earlier.secure_requests,
-                    metrics.secure_requests,
-                ),
-                (
-                    "net.forged_responses",
-                    earlier.forged_responses,
-                    metrics.forged_responses,
-                ),
-                (
-                    "net.replaced_responses",
-                    earlier.replaced_responses,
-                    metrics.replaced_responses,
-                ),
-                (
-                    "net.adversary_drops",
-                    earlier.adversary_drops,
-                    metrics.adversary_drops,
-                ),
-                (
-                    "net.duplicated_requests",
-                    earlier.duplicated_requests,
-                    metrics.duplicated_requests,
-                ),
-                (
-                    "net.reordered_responses",
-                    earlier.reordered_responses,
-                    metrics.reordered_responses,
-                ),
-            ];
-            for (name, before, after) in pairs {
+        if let Some(mut earlier) = self.last_net_metrics {
+            let mut now = metrics;
+            for (name, field) in Metrics::COUNTERS {
+                let (before, after) = (*field(&mut earlier), *field(&mut now));
                 if after < before {
                     self.record_violation(
                         step,
@@ -344,6 +299,27 @@ mod tests {
         monitor.check_net_metrics(2, later);
         assert_eq!(monitor.total_violations(), 1);
         assert_eq!(monitor.violations()[0].invariant, "net_counter_regression");
+    }
+
+    #[test]
+    fn lowering_one_net_counter_names_exactly_that_counter() {
+        let mut metrics = Metrics::new();
+        for (value, (_, field)) in (1..).zip(Metrics::COUNTERS) {
+            *field(&mut metrics) = value;
+        }
+        for (name, field) in Metrics::COUNTERS {
+            let mut monitor = InvariantMonitor::new(1.0);
+            monitor.check_net_metrics(1, metrics);
+            let mut lowered = metrics;
+            *field(&mut lowered) -= 1;
+            monitor.check_net_metrics(2, lowered);
+            assert_eq!(monitor.total_violations(), 1, "{name}");
+            let detail = &monitor.violations()[0].detail;
+            assert!(
+                detail.starts_with(&format!("monotone counter {name} ")),
+                "{detail}"
+            );
+        }
     }
 
     #[test]

@@ -117,18 +117,18 @@
 //!
 //! The whole serve layer is `Send` (sources are
 //! [`AddressSource: Send + Sync`](AddressSource), state is plainly owned),
-//! so a resolver can be moved into a worker thread outright. That is how the
+//! so a resolver can be moved to another thread outright. That is how the
 //! `sdoh-runtime` crate serves real traffic: it binds an actual UDP
 //! socket, hashes each query's `(domain, address family)` onto one of N
-//! worker threads, and each worker **owns** its `CachingPoolResolver`
-//! shard — per-shard ownership instead of a shared lock, and the only
-//! sharding there is (the cache inside a resolver is one map). The worker
-//! drives the stepwise entry: a miss is parked while its generation is
-//! upstream and the worker goes on answering hits; it wakes itself when a
-//! round trip ends or at [`CachingPoolResolver::next_refresh_due`] (due
-//! refreshes open flights like any miss,
-//! [`CachingPoolResolver::begin_due_refreshes`]), and answers on-demand
-//! statistics requests with a [`ServeSnapshot`]
+//! shards, and each shard is data — one `CachingPoolResolver` — behind a
+//! lock of its own: the only sharding there is (the cache inside a
+//! resolver is one map), and no thread of its own. The thread that read a
+//! query takes the shard's lock and drives the stepwise entry in place: a
+//! hit is answered there, and a miss is parked while its generation is
+//! upstream. One timer thread steps each shard when a round trip ends or
+//! at [`CachingPoolResolver::next_refresh_due`] (due refreshes open
+//! flights like any miss, [`CachingPoolResolver::begin_due_refreshes`]),
+//! and a statistics request reads a [`ServeSnapshot`] under the same lock
 //! ([`CachingPoolResolver::snapshot`], one consistent reading per request,
 //! live generations included).
 //!
@@ -176,7 +176,6 @@
 //!
 //! ```
 //! use sdoh_core::{Action, AddressSource, PoolConfig, SecurePoolGenerator, StaticSource};
-//! use sdoh_netsim::SimInstant;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let sources: Vec<Box<dyn AddressSource>> = vec![
@@ -189,7 +188,7 @@
 //! // and completes. A DoH source would yield Action::Transmit here, one
 //! // per resolver, before asking the driver to wait.
 //! loop {
-//!     match session.poll(SimInstant::EPOCH) {
+//!     match session.poll() {
 //!         Action::Deliver(event) => println!("{event:?}"),
 //!         Action::Done => break,
 //!         other => unreachable!("static sources never transmit: {other:?}"),
@@ -228,7 +227,7 @@ pub use serve::{
     METRIC_INVARIANT_VIOLATIONS, METRIC_SERVE_LATENCY, METRIC_SHARDS, METRIC_SHARD_ACKED_EPOCH,
     METRIC_TCP_QUERIES, METRIC_TIMESYNC_FAILURES, METRIC_TIMESYNC_POOL_REFRESHES,
     METRIC_TIMESYNC_SYNCS, METRIC_TRUNCATED_RESPONSES, METRIC_UDP_QUERIES,
-    METRIC_UNRESPONSIVE_SHARDS, RUNTIME_METRIC_HELP, SERVE_COUNTER_HELP, SERVE_GAUGE_HELP,
+    METRIC_UNRESPONSIVE_SHARDS, RUNTIME_METRIC_HELP, SERVE_GAUGE_HELP,
 };
 pub use session::{Action, PoolSession, SessionEvent, TransactionId, Transmit};
 pub use source::{AddressSource, DohSource, FetchError, FetchStart, StaticSource};

@@ -9,7 +9,8 @@
 //! every queued client), and a **stale window** after expiry during which
 //! an entry is still served while a refresh regenerates it
 //! (stale-while-revalidate). It is owned by one resolver and takes no
-//! lock: a deployment shards by giving each worker its own resolver.
+//! lock: a deployment shards by giving each shard its own resolver, behind
+//! the shard's lock.
 //!
 //! Beside each successful report the cache keeps its answer section in
 //! wire form (an [`AnswerTemplate`], built once when the entry is inserted
@@ -414,15 +415,11 @@ pub(crate) enum CacheLookup<'a> {
     Miss,
 }
 
-/// Operational counters of a resolver's pool cache.
+/// Operational counters of a resolver's pool cache: what happened to its
+/// entries. What a lookup found is counted once, by the resolver that
+/// served it ([`ServeMetrics`](super::ServeMetrics)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheMetrics {
-    /// Lookups answered from a fresh entry.
-    pub hits: u64,
-    /// Lookups answered from a stale entry (within the stale window).
-    pub stale_hits: u64,
-    /// Lookups that found nothing usable.
-    pub misses: u64,
     /// Entries inserted.
     pub insertions: u64,
     /// Entries evicted to make room: dead entries first, then pools never
@@ -435,20 +432,6 @@ pub struct CacheMetrics {
     pub reasked_evictions: u64,
     /// Entries dropped because they were expired beyond use.
     pub expirations: u64,
-}
-
-impl CacheMetrics {
-    /// Adds `other`'s counters into `self` — aggregating the caches of
-    /// several serving shards into one fleet-wide view.
-    pub fn absorb(&mut self, other: &CacheMetrics) {
-        self.hits += other.hits;
-        self.stale_hits += other.stale_hits;
-        self.misses += other.misses;
-        self.insertions += other.insertions;
-        self.evictions += other.evictions;
-        self.reasked_evictions += other.reasked_evictions;
-        self.expirations += other.expirations;
-    }
 }
 
 /// The pre-encoded answer section serving `report`'s pool to queries of
@@ -566,14 +549,11 @@ impl PoolCache {
             None => None,
         };
         let Some((key, entry)) = hit else {
-            self.metrics.misses += 1;
             return CacheLookup::Miss;
         };
         if state == Some(EntryState::Fresh) {
-            self.metrics.hits += 1;
             CacheLookup::Fresh(entry.hit())
         } else {
-            self.metrics.stale_hits += 1;
             CacheLookup::Stale(entry.hit(), key)
         }
     }
@@ -826,11 +806,7 @@ mod tests {
         }
         assert!(is_miss(cache.get(&key("pool.ntp.org"), at(91))));
         assert_eq!(cache.len(), 0, "expired entry was dropped");
-        let metrics = cache.metrics();
-        assert_eq!(metrics.hits, 1);
-        assert_eq!(metrics.stale_hits, 1);
-        assert_eq!(metrics.misses, 1);
-        assert_eq!(metrics.expirations, 1);
+        assert_eq!(cache.metrics().expirations, 1);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   has asked for again since it entered ([`CachedPool::reasked`]), else
 //!   the least recently used: a miss costs N upstream exchanges, so a
 //!   once-asked name must not push out a pool that is being asked for. A
-//!   deployment shards by giving each worker its own resolver, never
+//!   deployment shards by giving each shard its own resolver, never
 //!   inside one.
 //! * **singleflight coalescing** — the resolver keeps a registry of its
 //!   live generations, one per key, and a miss for a key that has one in
@@ -69,8 +69,9 @@
 //! [`CachingPoolResolver::resolve_pool`] — are `begin` (or
 //! [`CachingPoolResolver::begin_due_refreshes`]) followed by `poll` and
 //! `land` around [`Exchanger::exchange_all`](sdoh_dns_server::Exchanger::exchange_all)
-//! until the flight lands: the simulator drives the very steps a shard
-//! worker drives, and there is one miss path.
+//! until the flight lands: the simulator drives the very steps a runtime
+//! shard takes — from the thread that read the query and from its timer —
+//! and there is one miss path.
 //!
 //! # The hit path
 //!
@@ -143,6 +144,6 @@ pub use samples::{
     METRIC_INVARIANT_VIOLATIONS, METRIC_SERVE_LATENCY, METRIC_SHARDS, METRIC_SHARD_ACKED_EPOCH,
     METRIC_TCP_QUERIES, METRIC_TIMESYNC_FAILURES, METRIC_TIMESYNC_POOL_REFRESHES,
     METRIC_TIMESYNC_SYNCS, METRIC_TRUNCATED_RESPONSES, METRIC_UDP_QUERIES,
-    METRIC_UNRESPONSIVE_SHARDS, RUNTIME_METRIC_HELP, SERVE_COUNTER_HELP, SERVE_GAUGE_HELP,
+    METRIC_UNRESPONSIVE_SHARDS, RUNTIME_METRIC_HELP, SERVE_GAUGE_HELP,
 };
 pub use singleflight::FlightId;

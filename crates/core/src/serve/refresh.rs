@@ -5,9 +5,10 @@
 //! a **refresh task**. [`RefreshScheduler`] is the sans-IO queue of those
 //! tasks: serving code [`schedule`](RefreshScheduler::schedule)s a key, a
 //! driver asks [`next_due`](RefreshScheduler::next_due) how long it may
-//! sleep (the `WaitUntil` instant that composes with the simulator's
-//! virtual clock) and [`take_due`](RefreshScheduler::take_due)s the keys
-//! whose deadline has passed to regenerate them in the background.
+//! sleep (an instant on the simulator's virtual clock, the one
+//! [`ServeStep::Wait`](super::ServeStep::Wait) carries) and
+//! [`take_due`](RefreshScheduler::take_due)s the keys whose deadline has
+//! passed to regenerate them in the background.
 //!
 //! Scheduling is idempotent per key: a key that is already queued keeps its
 //! earliest deadline, so a stampede of stale hits produces one refresh.

@@ -50,6 +50,7 @@ use super::cache::{
     PoolKey, QueryKey,
 };
 use super::refresh::RefreshScheduler;
+use super::samples::{GENERATION_SECONDS, SERVE_COUNTERS};
 use super::singleflight::{FlightId, Singleflight};
 use crate::error::{PoolError, PoolResult};
 use crate::generator::{seed_from, GenerationReport, SecurePoolGenerator};
@@ -104,29 +105,6 @@ impl ServeMetrics {
         }
         (self.hits + self.stale_serves + self.negative_hits) as f64 / self.queries as f64
     }
-
-    /// Adds `other`'s counters into `self` — aggregating the metrics of
-    /// several serving shards into one fleet-wide view. Counters and the
-    /// total latency sum; `last_generation_latency` keeps the largest value
-    /// (the slowest shard's most recent generation).
-    pub fn absorb(&mut self, other: &ServeMetrics) {
-        self.queries += other.queries;
-        self.rejected += other.rejected;
-        self.hits += other.hits;
-        self.stale_serves += other.stale_serves;
-        self.negative_hits += other.negative_hits;
-        self.misses += other.misses;
-        self.coalesced_waiters += other.coalesced_waiters;
-        self.generations += other.generations;
-        self.generation_failures += other.generation_failures;
-        self.refreshes += other.refreshes;
-        self.source_answers += other.source_answers;
-        self.source_failures += other.source_failures;
-        self.last_generation_latency = self
-            .last_generation_latency
-            .max(other.last_generation_latency);
-        self.total_generation_latency += other.total_generation_latency;
-    }
 }
 
 /// One **consistent** observation of a [`CachingPoolResolver`]'s state,
@@ -134,10 +112,10 @@ impl ServeMetrics {
 ///
 /// All five readings come from the same `&self` borrow, so no query can be
 /// counted in one field but not yet in another — the invariants between the
-/// counters (e.g. `serve.hits == cache.hits` for a resolver that only ever
-/// went through `handle_query`) hold within a snapshot. This is what a
-/// runtime should take once per statistics request instead of reading the
-/// metrics field by field across several calls.
+/// counters (e.g. `serve.queries` equals the sum of hits, negative hits,
+/// stale serves and misses) hold within a snapshot. This is what a runtime
+/// should take once per statistics request instead of reading the metrics
+/// field by field across several calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeSnapshot {
     /// The serving counters ([`CachingPoolResolver::metrics`]).
@@ -155,18 +133,27 @@ pub struct ServeSnapshot {
 
 impl ServeSnapshot {
     /// Adds `other` into `self`, aggregating per-shard snapshots into one
-    /// fleet-wide snapshot.
+    /// fleet-wide snapshot. Counters, gauges and the total latency sum;
+    /// `serve.last_generation_latency` keeps the largest value (the slowest
+    /// shard's most recent generation).
     pub fn absorb(&mut self, other: &ServeSnapshot) {
-        self.serve.absorb(&other.serve);
-        self.cache.absorb(&other.cache);
+        let mut other = *other;
+        for (_, _, field) in SERVE_COUNTERS {
+            *field(self) += *field(&mut other);
+        }
+        self.serve.last_generation_latency = self
+            .serve
+            .last_generation_latency
+            .max(other.serve.last_generation_latency);
+        self.serve.total_generation_latency += other.serve.total_generation_latency;
         self.entries += other.entries;
         self.pending_refreshes += other.pending_refreshes;
         self.live_generations += other.live_generations;
     }
 
-    /// Names of the monotone counters that *decreased* between `earlier`
-    /// and `self` — empty for any legal pair of successive snapshots of the
-    /// same resolver.
+    /// Metric names of the monotone counters that *decreased* between
+    /// `earlier` and `self` — empty for any legal pair of successive
+    /// snapshots of the same resolver.
     ///
     /// `entries`, `pending_refreshes` and `live_generations` are gauges and
     /// legitimately shrink;
@@ -175,89 +162,14 @@ impl ServeSnapshot {
     /// lost or observed inconsistently — the monotonicity invariant chaos
     /// campaigns check after every step.
     pub fn regressions(&self, earlier: &ServeSnapshot) -> Vec<&'static str> {
-        let pairs: [(&'static str, u64, u64); 19] = [
-            ("serve.queries", earlier.serve.queries, self.serve.queries),
-            (
-                "serve.rejected",
-                earlier.serve.rejected,
-                self.serve.rejected,
-            ),
-            ("serve.hits", earlier.serve.hits, self.serve.hits),
-            (
-                "serve.stale_serves",
-                earlier.serve.stale_serves,
-                self.serve.stale_serves,
-            ),
-            (
-                "serve.negative_hits",
-                earlier.serve.negative_hits,
-                self.serve.negative_hits,
-            ),
-            ("serve.misses", earlier.serve.misses, self.serve.misses),
-            (
-                "serve.coalesced_waiters",
-                earlier.serve.coalesced_waiters,
-                self.serve.coalesced_waiters,
-            ),
-            (
-                "serve.generations",
-                earlier.serve.generations,
-                self.serve.generations,
-            ),
-            (
-                "serve.generation_failures",
-                earlier.serve.generation_failures,
-                self.serve.generation_failures,
-            ),
-            (
-                "serve.refreshes",
-                earlier.serve.refreshes,
-                self.serve.refreshes,
-            ),
-            (
-                "serve.source_answers",
-                earlier.serve.source_answers,
-                self.serve.source_answers,
-            ),
-            (
-                "serve.source_failures",
-                earlier.serve.source_failures,
-                self.serve.source_failures,
-            ),
-            ("cache.hits", earlier.cache.hits, self.cache.hits),
-            (
-                "cache.stale_hits",
-                earlier.cache.stale_hits,
-                self.cache.stale_hits,
-            ),
-            ("cache.misses", earlier.cache.misses, self.cache.misses),
-            (
-                "cache.insertions",
-                earlier.cache.insertions,
-                self.cache.insertions,
-            ),
-            (
-                "cache.evictions",
-                earlier.cache.evictions,
-                self.cache.evictions,
-            ),
-            (
-                "cache.reasked_evictions",
-                earlier.cache.reasked_evictions,
-                self.cache.reasked_evictions,
-            ),
-            (
-                "cache.expirations",
-                earlier.cache.expirations,
-                self.cache.expirations,
-            ),
-        ];
-        let mut regressed: Vec<&'static str> = pairs
-            .into_iter()
-            .filter_map(|(name, before, after)| (after < before).then_some(name))
+        let (mut now, mut then) = (*self, *earlier);
+        let mut regressed: Vec<&'static str> = SERVE_COUNTERS
+            .iter()
+            .filter(|(_, _, field)| *field(&mut now) < *field(&mut then))
+            .map(|(name, _, _)| *name)
             .collect();
         if self.serve.total_generation_latency < earlier.serve.total_generation_latency {
-            regressed.push("serve.total_generation_latency");
+            regressed.push(GENERATION_SECONDS.0);
         }
         regressed
     }
@@ -465,7 +377,7 @@ impl CachingPoolResolver {
     ///
     /// This is the per-shard half of hot reconfiguration: a control plane
     /// validates the new knobs once ([`CacheConfig::validate`]) and hands
-    /// the same value to every shard's resolver through its work queue.
+    /// the same value to every shard's resolver under the shard's lock.
     pub fn apply_config(&mut self, config: CacheConfig, now: SimInstant) {
         self.cache.apply_config(config, now);
     }
@@ -547,8 +459,8 @@ impl CachingPoolResolver {
 
     /// The earliest queued refresh deadline — the instant a driver should
     /// wake up and call [`CachingPoolResolver::run_due_refreshes`] (`None`
-    /// when nothing is queued). Composes with `WaitUntil`-style scheduling
-    /// over the simulator's virtual clock.
+    /// when nothing is queued), on the simulator's virtual clock; the same
+    /// instant [`ServeStep::Wait`] carries.
     pub fn next_refresh_due(&self) -> Option<SimInstant> {
         self.refresh.next_due()
     }
@@ -628,13 +540,12 @@ impl CachingPoolResolver {
     /// says [`ServeStep::Wait`]: every transmit of every live flight is
     /// handed out before that, so a driver that sends them as one batch
     /// overlaps not only the N exchanges of a generation but the
-    /// generations of different keys. `now` stamps transmit deadlines and
-    /// what lands.
+    /// generations of different keys. `now` stamps what lands.
     pub fn poll(&mut self, now: SimInstant) -> ServeStep {
         let mut done = None;
         'flights: for (id, flight) in self.flights.iter_mut() {
             loop {
-                match flight.session.poll(now) {
+                match flight.session.poll() {
                     Action::Deliver(SessionEvent::SourceAnswered { .. }) => {
                         self.metrics.source_answers += 1;
                     }
@@ -648,7 +559,7 @@ impl CachingPoolResolver {
                             request: transmit.request,
                         };
                     }
-                    Action::WaitUntil(_) => continue 'flights,
+                    Action::Wait => continue 'flights,
                     Action::Done => {
                         done = Some(id);
                         break 'flights;
@@ -1417,9 +1328,10 @@ mod tests {
 
     #[test]
     fn serve_layer_is_send() {
-        // The real-socket runtime moves a whole resolver (generator,
-        // cache, scheduler, metrics) into a worker thread; this must stay
-        // a compile-time guarantee.
+        // The real-socket runtime keeps a whole resolver (generator,
+        // cache, scheduler, metrics) behind a shard's lock, stepped by
+        // whichever thread holds it; this must stay a compile-time
+        // guarantee.
         fn assert_send<T: Send>() {}
         assert_send::<CachingPoolResolver>();
         assert_send::<SecurePoolGenerator>();
@@ -1443,15 +1355,21 @@ mod tests {
         assert_eq!(snapshot.cache, resolver.cache.metrics());
         assert_eq!(snapshot.entries, 1);
         assert_eq!(snapshot.pending_refreshes, 0);
-        // Within one snapshot the cross-counter invariants hold exactly.
-        assert_eq!(snapshot.serve.hits, snapshot.cache.hits);
-        assert_eq!(snapshot.serve.misses, snapshot.cache.misses);
+        // Within one snapshot the cross-counter invariants hold exactly:
+        // every query found one lookup outcome.
+        let serve = snapshot.serve;
+        assert_eq!((serve.hits, serve.misses), (1, 1));
+        assert_eq!(
+            serve.queries,
+            serve.hits + serve.negative_hits + serve.stale_serves + serve.misses
+        );
+        assert_eq!(snapshot.cache.insertions, 1);
 
         let mut total = super::super::ServeSnapshot::default();
         total.absorb(&snapshot);
         total.absorb(&snapshot);
         assert_eq!(total.serve.queries, 2 * snapshot.serve.queries);
-        assert_eq!(total.cache.hits, 2 * snapshot.cache.hits);
+        assert_eq!(total.cache.insertions, 2 * snapshot.cache.insertions);
         assert_eq!(total.entries, 2);
     }
 
@@ -1542,7 +1460,7 @@ mod tests {
     fn snapshot_regressions_name_decreasing_counters() {
         let mut earlier = ServeSnapshot::default();
         earlier.serve.queries = 10;
-        earlier.cache.hits = 5;
+        earlier.cache.insertions = 5;
         earlier.entries = 7;
         earlier.pending_refreshes = 2;
 
@@ -1553,10 +1471,10 @@ mod tests {
         assert!(later.regressions(&earlier).is_empty());
 
         later.serve.queries = 9;
-        later.cache.hits = 4;
+        later.cache.insertions = 4;
         assert_eq!(
             later.regressions(&earlier),
-            vec!["serve.queries", "cache.hits"]
+            vec!["sdoh_serve_queries_total", "sdoh_cache_insertions_total"]
         );
     }
 

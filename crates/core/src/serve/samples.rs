@@ -11,85 +11,100 @@ use sdoh_metrics::{Sample, SampleValue};
 
 use super::resolver::ServeSnapshot;
 
-/// `(name, help)` rows of every counter exported from a [`ServeSnapshot`],
-/// in export order. Public so lints and docs can enumerate the vocabulary
-/// without building a snapshot.
-pub const SERVE_COUNTER_HELP: &[(&str, &str)] = &[
+/// One monotone serving counter: its metric name, its help text and the
+/// [`ServeSnapshot`] field it reads.
+pub(super) type ServeCounter = (
+    &'static str,
+    &'static str,
+    fn(&mut ServeSnapshot) -> &mut u64,
+);
+
+/// Every monotone counter of a [`ServeSnapshot`], in export order: the one
+/// list [`snapshot_samples`], [`ServeSnapshot::absorb`] and
+/// [`ServeSnapshot::regressions`] walk, so a counter is named once.
+pub(super) const SERVE_COUNTERS: &[ServeCounter] = &[
     (
         "sdoh_serve_queries_total",
         "Address queries received by the serving layer (after protocol-level rejection).",
+        |s| &mut s.serve.queries,
     ),
     (
         "sdoh_serve_rejected_total",
         "Queries rejected before lookup (no question or non-address type).",
+        |s| &mut s.serve.rejected,
     ),
     (
         "sdoh_serve_hits_total",
         "Queries answered from a fresh cache entry.",
+        |s| &mut s.serve.hits,
     ),
     (
         "sdoh_serve_stale_serves_total",
         "Queries answered from a stale entry while a background refresh was queued.",
+        |s| &mut s.serve.stale_serves,
     ),
     (
         "sdoh_serve_negative_hits_total",
         "Queries answered SERVFAIL from a cached generation failure (negative caching).",
+        |s| &mut s.serve.negative_hits,
     ),
     (
         "sdoh_serve_misses_total",
         "Queries that found no usable entry and triggered (or joined) a generation.",
+        |s| &mut s.serve.misses,
     ),
     (
         "sdoh_serve_coalesced_waiters_total",
         "Misses that attached to another query's in-flight generation (singleflight).",
+        |s| &mut s.serve.coalesced_waiters,
     ),
     (
         "sdoh_generations_total",
         "Pool generations performed (demand misses plus background refreshes).",
+        |s| &mut s.serve.generations,
     ),
     (
         "sdoh_generation_failures_total",
         "Pool generations that failed and were negatively cached.",
+        |s| &mut s.serve.generation_failures,
     ),
     (
         "sdoh_refreshes_total",
         "Background refresh generations performed off the query path.",
+        |s| &mut s.serve.refreshes,
     ),
     (
         "sdoh_source_answers_total",
         "Per-resolver lookups that produced a usable answer, across all generations.",
+        |s| &mut s.serve.source_answers,
     ),
     (
         "sdoh_source_failures_total",
         "Per-resolver lookups that failed, across all generations.",
+        |s| &mut s.serve.source_failures,
     ),
     (
-        "sdoh_cache_hits_total",
-        "Cache lookups answered from a fresh entry.",
+        "sdoh_cache_insertions_total",
+        "Cache entries inserted.",
+        |s| &mut s.cache.insertions,
     ),
-    (
-        "sdoh_cache_stale_hits_total",
-        "Cache lookups answered from a stale entry within the stale window.",
-    ),
-    (
-        "sdoh_cache_misses_total",
-        "Cache lookups that found nothing usable.",
-    ),
-    ("sdoh_cache_insertions_total", "Cache entries inserted."),
     (
         "sdoh_cache_evictions_total",
         "Cache entries evicted to make room: dead entries first, then pools never asked for \
          again, then the least recently used.",
+        |s| &mut s.cache.evictions,
     ),
     (
         "sdoh_cache_reasked_evictions_total",
         "Evictions that took a servable pool somebody had asked for again. Evictions without \
          these are a tail or a scan of once-asked names being absorbed; with them the working \
          set exceeds the capacity.",
+        |s| &mut s.cache.reasked_evictions,
     ),
     (
         "sdoh_cache_expirations_total",
         "Cache entries dropped because they were expired beyond use.",
+        |s| &mut s.cache.expirations,
     ),
 ];
 
@@ -126,17 +141,19 @@ pub const METRIC_DROPPED_QUERIES: (&str, &str) = (
 pub const METRIC_SERVE_LATENCY: (&str, &str) = (
     "sdoh_serve_latency_seconds",
     "Wall-clock latency of serving one query on its shard, from the moment \
-     the shard takes it (in place, or off its worker's queue) to its response leaving.",
+     the socket thread that read it starts serving it (before parse, route and \
+     the wait for the shard's lock) until its answer is ready to leave (the send \
+     itself is not timed).",
 );
 /// Control plane: serving shards of this instance.
 pub const METRIC_SHARDS: (&str, &str) = (
     "sdoh_shards",
-    "Serving shards (worker threads) of this instance.",
+    "Serving shards of this instance (each a resolver behind a lock of its own).",
 );
 /// Control plane: shards that missed the latest snapshot deadline.
 pub const METRIC_UNRESPONSIVE_SHARDS: (&str, &str) = (
     "sdoh_unresponsive_shards",
-    "Shards that missed the latest snapshot deadline (wedged workers).",
+    "Shards that missed the latest snapshot deadline (their lock held past it).",
 );
 /// Control plane: the most recently published config epoch.
 pub const METRIC_CONFIG_EPOCH: (&str, &str) = (
@@ -220,38 +237,22 @@ pub const SERVE_GAUGE_HELP: &[(&str, &str)] = &[
         "sdoh_last_generation_seconds",
         "Virtual time the most recently landed generation took, in seconds.",
     ),
-    (
-        "sdoh_generation_seconds_total",
-        "Total virtual time generations spent in flight, in seconds.",
-    ),
+    GENERATION_SECONDS,
 ];
+
+/// The one monotone reading of a [`ServeSnapshot`] that is not a count:
+/// exported as a gauge, watched by [`ServeSnapshot::regressions`] too.
+pub(super) const GENERATION_SECONDS: (&str, &str) = (
+    "sdoh_generation_seconds_total",
+    "Total virtual time generations spent in flight, in seconds.",
+);
 
 /// Renders one [`ServeSnapshot`] as export samples under the given label
 /// set (e.g. `&[]` for an instance aggregate, `[("shard", "3")]` for one
 /// shard). Counter values come straight from the snapshot's cumulative
 /// fields, so successive scrapes of a live resolver are monotone.
 pub fn snapshot_samples(snapshot: &ServeSnapshot, labels: &[(&str, &str)]) -> Vec<Sample> {
-    let counters: [u64; 19] = [
-        snapshot.serve.queries,
-        snapshot.serve.rejected,
-        snapshot.serve.hits,
-        snapshot.serve.stale_serves,
-        snapshot.serve.negative_hits,
-        snapshot.serve.misses,
-        snapshot.serve.coalesced_waiters,
-        snapshot.serve.generations,
-        snapshot.serve.generation_failures,
-        snapshot.serve.refreshes,
-        snapshot.serve.source_answers,
-        snapshot.serve.source_failures,
-        snapshot.cache.hits,
-        snapshot.cache.stale_hits,
-        snapshot.cache.misses,
-        snapshot.cache.insertions,
-        snapshot.cache.evictions,
-        snapshot.cache.reasked_evictions,
-        snapshot.cache.expirations,
-    ];
+    let mut fields = *snapshot;
     let gauges: [f64; 6] = [
         snapshot.entries as f64,
         snapshot.pending_refreshes as f64,
@@ -264,22 +265,19 @@ pub fn snapshot_samples(snapshot: &ServeSnapshot, labels: &[(&str, &str)]) -> Ve
         .iter()
         .map(|(k, v)| (k.to_string(), v.to_string()))
         .collect();
-    let mut samples = Vec::with_capacity(counters.len() + gauges.len());
-    for ((name, help), value) in SERVE_COUNTER_HELP.iter().zip(counters) {
-        samples.push(Sample {
-            name: name.to_string(),
-            help: help.to_string(),
-            labels: owned_labels.clone(),
-            value: SampleValue::Counter(value),
-        });
+    let sample = |name: &str, help: &str, value| Sample {
+        name: name.to_string(),
+        help: help.to_string(),
+        labels: owned_labels.clone(),
+        value,
+    };
+    let mut samples = Vec::with_capacity(SERVE_COUNTERS.len() + gauges.len());
+    for (name, help, field) in SERVE_COUNTERS {
+        let value = SampleValue::Counter(*field(&mut fields));
+        samples.push(sample(name, help, value));
     }
     for ((name, help), value) in SERVE_GAUGE_HELP.iter().zip(gauges) {
-        samples.push(Sample {
-            name: name.to_string(),
-            help: help.to_string(),
-            labels: owned_labels.clone(),
-            value: SampleValue::Gauge(value),
-        });
+        samples.push(sample(name, help, SampleValue::Gauge(value)));
     }
     samples
 }
@@ -302,10 +300,7 @@ mod tests {
         snapshot.serve.total_generation_latency = Duration::from_millis(1500);
 
         let samples = snapshot_samples(&snapshot, &[("shard", "2")]);
-        assert_eq!(
-            samples.len(),
-            SERVE_COUNTER_HELP.len() + SERVE_GAUGE_HELP.len()
-        );
+        assert_eq!(samples.len(), SERVE_COUNTERS.len() + SERVE_GAUGE_HELP.len());
         for sample in &samples {
             assert!(!sample.help.trim().is_empty(), "{} lacks help", sample.name);
             assert_eq!(sample.labels, vec![("shard".to_string(), "2".to_string())]);
@@ -331,12 +326,16 @@ mod tests {
 
     #[test]
     fn vocabulary_names_are_unique_and_valid() {
-        let mut names: Vec<&str> = SERVE_COUNTER_HELP
+        let mut names: Vec<&str> = SERVE_COUNTERS
             .iter()
-            .chain(SERVE_GAUGE_HELP)
-            .chain(RUNTIME_METRIC_HELP)
-            .chain(APP_METRIC_HELP)
-            .map(|(name, _)| *name)
+            .map(|(name, _, _)| *name)
+            .chain(
+                SERVE_GAUGE_HELP
+                    .iter()
+                    .chain(RUNTIME_METRIC_HELP)
+                    .chain(APP_METRIC_HELP)
+                    .map(|(name, _)| *name),
+            )
             .collect();
         let total = names.len();
         names.sort_unstable();
@@ -348,5 +347,41 @@ mod tests {
                 "{name} is not a valid metric name"
             );
         }
+    }
+
+    #[test]
+    fn every_counter_row_reads_its_own_field() {
+        // A distinct value through every row: a row that aliases another
+        // row's field overwrites it, and the export shows the loss.
+        let mut snapshot = ServeSnapshot::default();
+        for (value, (_, _, field)) in (1..).zip(SERVE_COUNTERS) {
+            *field(&mut snapshot) = value;
+        }
+        let samples = snapshot_samples(&snapshot, &[]);
+        for (value, (name, _, _)) in (1..).zip(SERVE_COUNTERS) {
+            let sample = samples.iter().find(|sample| sample.name == *name);
+            assert_eq!(
+                sample.map(|sample| &sample.value),
+                Some(&SampleValue::Counter(value)),
+                "{name}"
+            );
+        }
+        // Absorbing a snapshot into its copy doubles every row.
+        let mut doubled = snapshot;
+        doubled.absorb(&snapshot);
+        for (value, (name, _, field)) in (1..).zip(SERVE_COUNTERS) {
+            assert_eq!(*field(&mut doubled), 2 * value, "{name}");
+        }
+        // Lowering any one row is a regression of exactly that row.
+        assert!(snapshot.regressions(&snapshot).is_empty());
+        for (name, _, field) in SERVE_COUNTERS {
+            let mut lowered = snapshot;
+            *field(&mut lowered) -= 1;
+            assert_eq!(lowered.regressions(&snapshot), vec![*name]);
+        }
+        let mut lowered = snapshot;
+        lowered.serve.total_generation_latency = Duration::from_millis(1);
+        snapshot.serve.total_generation_latency = Duration::from_millis(2);
+        assert_eq!(lowered.regressions(&snapshot), vec![GENERATION_SECONDS.0]);
     }
 }

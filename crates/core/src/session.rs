@@ -12,8 +12,8 @@
 //!   every exchange: per-lookup latency is the slowest resolver's, not the
 //!   sum — the paper's concurrent fan-out),
 //! * [`Action::Deliver`] — a progress event (a resolver finished),
-//! * [`Action::WaitUntil`] — every request is in flight; nothing to do
-//!   before the given deadline unless a response arrives,
+//! * [`Action::Wait`] — every request is in flight; nothing to do until a
+//!   response (or the transport's timeout for it) arrives,
 //! * [`Action::Done`] — call [`PoolSession::finish`] for the
 //!   [`GenerationReport`].
 //!
@@ -50,7 +50,7 @@ use std::sync::Arc;
 use sdoh_dns_server::{ExchangeRequest, Exchanger};
 use sdoh_dns_wire::{Name, RrType};
 use sdoh_doh::{DohQuestion, PreparedDohQuery};
-use sdoh_netsim::{NetResult, SimInstant};
+use sdoh_netsim::NetResult;
 
 use crate::combine::combine;
 use crate::config::{DualStackPolicy, PoolConfig};
@@ -106,10 +106,9 @@ pub enum Action {
     /// Send this request; report the outcome via
     /// [`PoolSession::handle_response`].
     Transmit(Transmit),
-    /// All requests are in flight; wait for a response, or until this
-    /// deadline (the earliest in-flight timeout) to expire the remaining
-    /// exchanges.
-    WaitUntil(SimInstant),
+    /// All requests are in flight; wait for their outcomes. The transport
+    /// enforces each request's timeout and reports it as an outcome.
+    Wait,
     /// A source completed; informational.
     Deliver(SessionEvent),
     /// The lookup is complete; call [`PoolSession::finish`].
@@ -123,7 +122,6 @@ enum TxState {
     },
     InFlight {
         pending: PreparedDohQuery,
-        deadline: SimInstant,
     },
     Completed {
         result: Result<Vec<IpAddr>, FetchError>,
@@ -266,9 +264,8 @@ impl PoolSession {
             .count()
     }
 
-    /// Advances the state machine; `now` is the driver's current (virtual)
-    /// time, used to stamp transmit deadlines.
-    pub fn poll(&mut self, now: SimInstant) -> Action {
+    /// Advances the state machine.
+    pub fn poll(&mut self) -> Action {
         if let Some(event) = self.events.pop_front() {
             return Action::Deliver(event);
         }
@@ -278,8 +275,7 @@ impl PoolSession {
             }
             match mem::replace(&mut tx.state, TxState::Poisoned) {
                 TxState::Queued { request, pending } => {
-                    let deadline = now.saturating_add(request.timeout);
-                    tx.state = TxState::InFlight { pending, deadline };
+                    tx.state = TxState::InFlight { pending };
                     return Action::Transmit(Transmit {
                         transaction: TransactionId(index),
                         source: tx.source,
@@ -289,17 +285,10 @@ impl PoolSession {
                 other => tx.state = other,
             }
         }
-        let earliest_deadline = self
-            .transactions
-            .iter()
-            .filter_map(|t| match t.state {
-                TxState::InFlight { deadline, .. } => Some(deadline),
-                _ => None,
-            })
-            .min();
-        match earliest_deadline {
-            Some(deadline) => Action::WaitUntil(deadline),
-            None => Action::Done,
+        if self.in_flight() > 0 {
+            Action::Wait
+        } else {
+            Action::Done
         }
     }
 
@@ -546,13 +535,13 @@ pub(crate) fn drive(session: &mut PoolSession, exchanger: &mut dyn Exchanger) ->
     let mut ids: Vec<TransactionId> = Vec::new();
     let mut requests: Vec<ExchangeRequest> = Vec::new();
     loop {
-        match session.poll(exchanger.now()) {
+        match session.poll() {
             Action::Deliver(_) => {}
             Action::Transmit(transmit) => {
                 ids.push(transmit.transaction);
                 requests.push(transmit.request);
             }
-            Action::WaitUntil(_) => {
+            Action::Wait => {
                 if requests.is_empty() {
                     // Nothing of ours in flight and nothing to send: only a
                     // foreign driver could make progress.
@@ -588,7 +577,7 @@ pub(crate) fn drive_sequential(
     exchanger: &mut dyn Exchanger,
 ) -> PoolResult<()> {
     loop {
-        match session.poll(exchanger.now()) {
+        match session.poll() {
             Action::Deliver(_) => {}
             Action::Transmit(transmit) => {
                 let request = transmit.request;
@@ -600,7 +589,7 @@ pub(crate) fn drive_sequential(
                 );
                 session.handle_response(transmit.transaction, outcome)?;
             }
-            Action::WaitUntil(_) => {
+            Action::Wait => {
                 return Err(PoolError::Session(
                     "session waits on exchanges this driver never sent".into(),
                 ));
@@ -650,7 +639,7 @@ mod tests {
         // Two Deliver events, then Done; never a Transmit.
         let mut events = 0;
         loop {
-            match session.poll(SimInstant::EPOCH) {
+            match session.poll() {
                 Action::Deliver(SessionEvent::SourceAnswered { addresses, .. }) => {
                     events += 1;
                     assert_eq!(addresses, 2);
@@ -698,12 +687,9 @@ mod tests {
         // to wait — that is what makes driver-side overlap possible.
         let mut transmits = Vec::new();
         loop {
-            match session.poll(SimInstant::EPOCH) {
+            match session.poll() {
                 Action::Transmit(t) => transmits.push(t),
-                Action::WaitUntil(deadline) => {
-                    assert!(deadline > SimInstant::EPOCH);
-                    break;
-                }
+                Action::Wait => break,
                 other => panic!("unexpected action {other:?}"),
             }
         }
@@ -723,7 +709,7 @@ mod tests {
                 .unwrap();
             session.handle_response(t.transaction, Ok(reply)).unwrap();
         }
-        while let Action::Deliver(_) = session.poll(SimInstant::EPOCH) {}
+        while let Action::Deliver(_) = session.poll() {}
         let report = session.finish().unwrap();
         assert_eq!(report.pool.len(), 12, "3 resolvers x 4 addresses");
         // Configuration order, not delivery order.
@@ -774,7 +760,7 @@ mod tests {
         let domain: Name = "pool.ntp.org".parse().unwrap();
         let config = PoolConfig::algorithm1().with_dual_stack(DualStackPolicy::PerFamily);
         let mut session = plan(config, sources, &domain, 3);
-        while let Action::Deliver(_) = session.poll(SimInstant::EPOCH) {}
+        while let Action::Deliver(_) = session.poll() {}
         let report = session.finish().unwrap();
 
         // The v6-broken resolver must be reported as failed even though its
@@ -803,7 +789,6 @@ mod tests {
 
     #[test]
     fn finish_rejects_outstanding_exchanges() {
-        let net = SimNet::new(32);
         let directory = ResolverDirectory::well_known(32);
         let infos = directory.take(1);
         let sources: Vec<Box<dyn AddressSource>> = infos
@@ -814,7 +799,7 @@ mod tests {
             .collect();
         let domain: Name = "pool.ntp.org".parse().unwrap();
         let mut session = plan(PoolConfig::algorithm1(), sources, &domain, 5);
-        let Action::Transmit(_) = session.poll(net.now()) else {
+        let Action::Transmit(_) = session.poll() else {
             panic!("expected a transmit");
         };
         assert!(matches!(session.finish(), Err(PoolError::Session(_))));

@@ -61,9 +61,10 @@ pub enum FetchStart {
 /// or a test stub.
 ///
 /// Sources are `Send + Sync`: a [`SecurePoolGenerator`](crate::SecurePoolGenerator)
-/// (and everything layered on it, up to the serving subsystem) moves into a
-/// worker thread of a real-socket runtime, and shares its source set with
-/// the sessions it has in flight, which outlive the call that opened them.
+/// (and everything layered on it, up to the serving subsystem) sits behind
+/// a shard's lock in a real-socket runtime, stepped by whichever thread
+/// holds the lock, and shares its source set with the sessions it has in
+/// flight, which outlive the call that opened them.
 /// Sources built from plain configuration data (all the in-tree ones)
 /// satisfy the bounds for free; a source sharing state with its test must
 /// use `Arc`/atomics instead of `Rc`/`Cell`.

@@ -77,10 +77,10 @@ fn run_permuted(
 
     let mut transmits = Vec::new();
     loop {
-        match session.poll(net.now()) {
+        match session.poll() {
             Action::Transmit(t) => transmits.push(t),
             Action::Deliver(_) => {}
-            Action::WaitUntil(_) | Action::Done => break,
+            Action::Wait | Action::Done => break,
         }
     }
 
@@ -103,7 +103,7 @@ fn run_permuted(
             .handle_response(transmits[position].transaction, outcomes[position].clone())
             .expect("valid transaction");
     }
-    while let Action::Deliver(_) = session.poll(net.now()) {}
+    while let Action::Deliver(_) = session.poll() {}
     session.finish()
 }
 

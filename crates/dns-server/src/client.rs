@@ -7,7 +7,7 @@ use sdoh_dns_wire::{Message, Name, Rcode, RrType};
 use sdoh_netsim::{ChannelKind, SimAddr};
 
 use crate::error::{ResolveError, ResolveResult};
-use crate::exchange::{ExchangeRequest, Exchanger};
+use crate::exchange::Exchanger;
 
 /// Default query timeout.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(3);
@@ -84,7 +84,7 @@ impl DnsClient {
     }
 
     /// Enables DNS 0x20 mixed-case query encoding: queries are sent with
-    /// pseudo-random letter casing and [`DnsClient::finish_query`] rejects
+    /// pseudo-random letter casing and a query rejects
     /// responses whose echoed question does not match the casing
     /// **exactly** ([`ResolveError::Mismatched`]) — forcing an off-path
     /// forger to guess one extra bit per letter of the name.
@@ -94,9 +94,6 @@ impl DnsClient {
     }
 
     /// Sends a single query and returns the validated response message.
-    ///
-    /// This is the blocking convenience wrapper over the sans-IO halves
-    /// [`DnsClient::begin_query`] / [`DnsClient::finish_query`].
     ///
     /// # Errors
     ///
@@ -150,70 +147,31 @@ impl DnsClient {
             }
             _ => name,
         };
-        let (request, prepared) = self.begin_query(identifiers.txid, query_name, rtype)?;
+        let mut query = Message::query(identifiers.txid, query_name.clone(), rtype);
+        query.header.recursion_desired = self.recursion_desired;
+        let wire = query.encode()?;
         let reply_bytes = match identifiers.source_port {
             Some(port) => exchanger.exchange_from_port(
                 port,
-                request.dst,
-                request.channel,
-                &request.payload,
-                request.timeout,
+                self.server,
+                self.channel,
+                &wire,
+                self.timeout,
             )?,
-            None => exchanger.exchange(
-                request.dst,
-                request.channel,
-                &request.payload,
-                request.timeout,
-            )?,
+            None => exchanger.exchange(self.server, self.channel, &wire, self.timeout)?,
         };
-        self.finish_query(prepared, &reply_bytes)
-    }
-
-    /// Sans-IO first half of a query: encodes the wire request without
-    /// performing any exchange. `id` becomes the DNS transaction id the
-    /// response must echo.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ResolveError::Wire`] when the query cannot be encoded.
-    pub fn begin_query(
-        &self,
-        id: u16,
-        name: &Name,
-        rtype: RrType,
-    ) -> ResolveResult<(ExchangeRequest, PreparedDnsQuery)> {
-        let mut query = Message::query(id, name.clone(), rtype);
-        query.header.recursion_desired = self.recursion_desired;
-        let wire = query.encode()?;
-        Ok((
-            ExchangeRequest::new(self.server, self.channel, wire, self.timeout),
-            PreparedDnsQuery { query },
-        ))
-    }
-
-    /// Sans-IO second half of a query: decodes `reply_bytes` and validates
-    /// it the way a standard resolver would (id echo, response bit, question
-    /// echo, acceptable rcode).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DnsClient::query`], minus transport errors.
-    pub fn finish_query(
-        &self,
-        prepared: PreparedDnsQuery,
-        reply_bytes: &[u8],
-    ) -> ResolveResult<Message> {
-        let response = Message::decode(reply_bytes)?;
-        if !response.answers_query(&prepared.query) {
+        // Validate the reply the way a standard resolver would: id echo,
+        // response bit, question echo, acceptable rcode.
+        let response = Message::decode(&reply_bytes)?;
+        if !response.answers_query(&query) {
             return Err(ResolveError::Mismatched);
         }
         if self.use_0x20 {
             // 0x20 verification: the echoed question must match the query
             // name's letter casing exactly, not just case-insensitively.
-            let case_ok = match (response.question(), prepared.query.question()) {
-                (Some(echoed), Some(sent)) => echoed.name.eq_case_exact(&sent.name),
-                _ => false,
-            };
+            let case_ok = response
+                .question()
+                .is_some_and(|echoed| echoed.name.eq_case_exact(query_name));
             if !case_ok {
                 return Err(ResolveError::Mismatched);
             }
@@ -222,20 +180,6 @@ impl DnsClient {
             Rcode::NoError | Rcode::NxDomain => Ok(response),
             other => Err(ResolveError::ErrorResponse(other)),
         }
-    }
-}
-
-/// In-flight state of one plain-DNS query between [`DnsClient::begin_query`]
-/// and [`DnsClient::finish_query`].
-#[derive(Debug, Clone)]
-pub struct PreparedDnsQuery {
-    query: Message,
-}
-
-impl PreparedDnsQuery {
-    /// The DNS query this prepared exchange will resolve.
-    pub fn query(&self) -> &Message {
-        &self.query
     }
 }
 

@@ -82,7 +82,7 @@ impl<H: QueryHandler + ?Sized> QueryHandler for Box<H> {
 ///
 /// Each query locks the handler for the duration of `handle_query`, so a
 /// handler shared between a registered service and a driver (or between a
-/// worker thread and a stats thread) serializes its queries. A handler
+/// serving thread and a stats thread) serializes its queries. A handler
 /// transitively querying itself would deadlock; none of the in-tree
 /// handlers re-enter themselves.
 impl<H: QueryHandler> QueryHandler for std::sync::Arc<parking_lot::Mutex<H>> {

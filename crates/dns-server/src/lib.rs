@@ -103,7 +103,7 @@ mod zone;
 pub use authority::Authority;
 pub use cache::{CachedAnswer, Credibility, DnsCache};
 pub use catalog::Catalog;
-pub use client::{DnsClient, PreparedDnsQuery, QueryIdentifiers, DEFAULT_TIMEOUT};
+pub use client::{DnsClient, QueryIdentifiers, DEFAULT_TIMEOUT};
 pub use error::{ResolveError, ResolveResult};
 pub use exchange::{ClientExchanger, Departure, ExchangeOutcome, ExchangeRequest, Exchanger};
 pub use handler::{FnHandler, QueryHandler};

@@ -35,7 +35,28 @@ pub struct Metrics {
     pub reordered_responses: u64,
 }
 
+/// Reads one counter of a [`Metrics`].
+pub type MetricsField = fn(&mut Metrics) -> &mut u64;
+
 impl Metrics {
+    /// Every counter, by name, in declaration order: the one list a reader
+    /// that walks them all (such as a monotonicity check) iterates.
+    pub const COUNTERS: &'static [(&'static str, MetricsField)] = &[
+        ("net.requests", |m| &mut m.requests),
+        ("net.responses", |m| &mut m.responses),
+        ("net.timeouts", |m| &mut m.timeouts),
+        ("net.unreachable", |m| &mut m.unreachable),
+        ("net.bytes_sent", |m| &mut m.bytes_sent),
+        ("net.bytes_received", |m| &mut m.bytes_received),
+        ("net.plain_requests", |m| &mut m.plain_requests),
+        ("net.secure_requests", |m| &mut m.secure_requests),
+        ("net.forged_responses", |m| &mut m.forged_responses),
+        ("net.replaced_responses", |m| &mut m.replaced_responses),
+        ("net.adversary_drops", |m| &mut m.adversary_drops),
+        ("net.duplicated_requests", |m| &mut m.duplicated_requests),
+        ("net.reordered_responses", |m| &mut m.reordered_responses),
+    ];
+
     /// Creates zeroed metrics.
     pub fn new() -> Self {
         Metrics::default()
@@ -69,5 +90,36 @@ mod tests {
             ..Metrics::new()
         };
         assert!(m.to_string().contains("requests=1"));
+    }
+
+    #[test]
+    fn every_counter_row_reads_its_own_field() {
+        // A distinct value through every row rebuilds the literal that
+        // names every field: no row aliases another's field, none is left
+        // out, and a field added without a row does not compile here.
+        let mut written = Metrics::new();
+        for (value, (_, field)) in (1..).zip(Metrics::COUNTERS) {
+            *field(&mut written) = value;
+        }
+        let expected = Metrics {
+            requests: 1,
+            responses: 2,
+            timeouts: 3,
+            unreachable: 4,
+            bytes_sent: 5,
+            bytes_received: 6,
+            plain_requests: 7,
+            secure_requests: 8,
+            forged_responses: 9,
+            replaced_responses: 10,
+            adversary_drops: 11,
+            duplicated_requests: 12,
+            reordered_responses: 13,
+        };
+        assert_eq!(written, expected);
+        let mut names: Vec<&str> = Metrics::COUNTERS.iter().map(|(name, _)| *name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Metrics::COUNTERS.len());
     }
 }

@@ -178,8 +178,7 @@ impl std::fmt::Debug for GeneratorPool {
 /// The serving-subsystem pool source: the shared caching consensus front
 /// end ([`CachingPoolResolver`]) of the serve layer, consumed in process
 /// through its `Arc<Mutex<_>>` handle — the same handle the scenario layer
-/// registers behind a Do53 service and the threaded runtime moves into its
-/// workers.
+/// registers behind a Do53 service.
 ///
 /// Fetches go through [`CachingPoolResolver::resolve_pool`], so the client
 /// observes exactly what a DNS client would: fresh hits with decremented

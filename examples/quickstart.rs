@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut ids: Vec<secure_doh::core::TransactionId> = Vec::new();
     let mut requests: Vec<ExchangeRequest> = Vec::new();
     let report = loop {
-        match session.poll(exchanger.now()) {
+        match session.poll() {
             Action::Transmit(transmit) => {
                 println!(
                     "  -> query {} over DoH",
@@ -99,7 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ids.push(transmit.transaction);
                 requests.push(transmit.request);
             }
-            Action::WaitUntil(_) => {
+            Action::Wait => {
                 // Everything is in flight: perform the whole batch
                 // concurrently and feed the responses back in completion
                 // order.

@@ -6,7 +6,6 @@
 use std::time::Duration;
 
 use secure_doh::core::{Action, PoolConfig};
-use secure_doh::dns::Exchanger;
 use secure_doh::scenario::{Scenario, ScenarioConfig};
 
 fn build(seed: u64, resolvers: usize) -> Scenario {
@@ -66,9 +65,9 @@ fn session_describes_the_full_fanout_before_any_io() {
     // on the network has happened yet.
     let mut transmits = Vec::new();
     loop {
-        match session.poll(scenario.net.now()) {
+        match session.poll() {
             Action::Transmit(t) => transmits.push(t),
-            Action::WaitUntil(_) => break,
+            Action::Wait => break,
             other => panic!("unexpected action before responses: {other:?}"),
         }
     }
@@ -76,7 +75,6 @@ fn session_describes_the_full_fanout_before_any_io() {
     assert_eq!(scenario.net.metrics().requests, 0, "no I/O performed yet");
 
     // A driver performs the exchanges and feeds the outcomes back.
-    let exchanger = scenario.client_exchanger();
     for t in transmits {
         let outcome = scenario.net.transact(
             secure_doh::scenario::CLIENT_ADDR,
@@ -87,7 +85,7 @@ fn session_describes_the_full_fanout_before_any_io() {
         );
         session.handle_response(t.transaction, outcome).unwrap();
     }
-    while let Action::Deliver(_) = session.poll(exchanger.now()) {}
+    while let Action::Deliver(_) = session.poll() {}
     let report = session.finish().unwrap();
     assert_eq!(report.pool.len(), 24);
 }

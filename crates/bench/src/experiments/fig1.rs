@@ -31,7 +31,7 @@ pub fn run(seed: u64) -> Vec<Table> {
     );
     for (name, outcome) in &report.sources {
         per_resolver.push_row([
-            name.clone(),
+            name.to_string(),
             format!("{outcome:?}"),
             report.pool.slots_from(name).to_string(),
         ]);

@@ -15,7 +15,8 @@ use crate::pool::{AddressPool, PoolEntry};
 /// pure: no I/O, no clock, no randomness.
 ///
 /// `answers` has one row per resolver, in configuration order: its name,
-/// which every slot it fills carries, and its list, or `None` if it failed.
+/// which every slot it fills carries (an `Arc<str>` is shared by them, a
+/// `&str` copied once into one), and its list, or `None` if it failed.
 /// A failure is left out under [`FailurePolicy::Skip`] and is an empty list
 /// under [`FailurePolicy::TreatAsEmpty`]; `config.min_responses` of the
 /// lists that remain — the usable ones — are needed. Then
@@ -33,9 +34,9 @@ use crate::pool::{AddressPool, PoolEntry};
 ///
 /// [`PoolError::NotEnoughResponses`] when too few lists are usable. It
 /// counts the resolvers that answered, so callers' metrics see the truth.
-pub fn combine<L: AsRef<[IpAddr]>>(
+pub fn combine<N: Clone + Into<Arc<str>>, L: AsRef<[IpAddr]>>(
     config: &PoolConfig,
-    answers: &[(&str, Option<L>)],
+    answers: &[(N, Option<L>)],
 ) -> PoolResult<(AddressPool, Option<usize>)> {
     let answered = answers.iter().filter(|(_, list)| list.is_some()).count();
     let failed_is_empty = config.failure_policy == FailurePolicy::TreatAsEmpty;
@@ -56,7 +57,7 @@ pub fn combine<L: AsRef<[IpAddr]>>(
     });
     let lists = answers
         .iter()
-        .filter_map(|(name, list)| Some((*name, list.as_ref()?.as_ref())));
+        .filter_map(|(name, list)| Some((name, list.as_ref()?.as_ref())));
     let cut = match config.mode {
         CombinationMode::TruncateAndCombine => lengths.min(),
         CombinationMode::CombineWithoutTruncation => lengths.max(),
@@ -70,7 +71,7 @@ pub fn combine<L: AsRef<[IpAddr]>>(
     // list fills points at the one copy of its name.
     let mut entries = Vec::with_capacity(lists.clone().map(|(_, list)| list.len().min(cut)).sum());
     for (name, list) in lists.filter(|(_, list)| cut.min(list.len()) > 0) {
-        let name: Arc<str> = name.into();
+        let name: Arc<str> = name.clone().into();
         entries.extend(list.iter().take(cut).map(|&address| PoolEntry {
             address,
             source: Arc::clone(&name),
@@ -80,26 +81,29 @@ pub fn combine<L: AsRef<[IpAddr]>>(
 }
 
 /// The vote's winners over `usable` lists, each slot labelled with its
-/// support: one label per distinct support count, shared by its winners.
-/// The winners are folded into the entries as the ballot yields them.
+/// support, written into the pool in one walk over them.
 fn elect<'a>(
     lists: impl Iterator<Item = &'a [IpAddr]> + Clone,
     usable: usize,
     threshold: f64,
 ) -> AddressPool {
     let ballot = vote(lists, usable, threshold);
-    let winners = ballot.winners();
-    let mut entries = Vec::with_capacity(winners.clone().count());
-    let mut labels: Vec<(usize, Arc<str>)> = Vec::new();
-    for (address, support) in winners {
-        let known = labels.iter().find(|(count, _)| *count == support);
-        let source = match known {
-            Some((_, label)) => Arc::clone(label),
-            None => {
+    let mut entries = Vec::with_capacity(ballot.most_winners());
+    // One label per support count, shared by its winners. A vote has few
+    // distinct counts, so the labels sit inline, one place per count
+    // modulo their number; two counts that meet in one place only cost a
+    // second copy of an equal label.
+    let mut labels: [Option<(usize, Arc<str>)>; 8] = Default::default();
+    for (address, support) in ballot.winners() {
+        let place = labels.get_mut(support % 8);
+        let source = match place {
+            Some(Some((count, label))) if *count == support => Arc::clone(label),
+            Some(place) => {
                 let label = majority_label(support, usable);
-                labels.push((support, Arc::clone(&label)));
+                *place = Some((support, Arc::clone(&label)));
                 label
             }
+            None => majority_label(support, usable),
         };
         entries.push(PoolEntry { address, source });
     }

@@ -43,8 +43,9 @@ pub struct GenerationReport {
     pub pool: AddressPool,
     /// The combination mode that was used.
     pub mode: CombinationMode,
-    /// Per-resolver outcomes, in configuration order: `(name, outcome)`.
-    pub sources: Vec<(String, SourceOutcome)>,
+    /// Per-resolver outcomes, in configuration order: `(name, outcome)`,
+    /// each name the one its source set holds.
+    pub sources: Vec<(Arc<str>, SourceOutcome)>,
     /// The truncation length applied per queried record type
     /// (`("A", len)` / `("AAAA", len)` / `("A+AAAA", len)`); empty for the
     /// majority-vote mode.
@@ -63,6 +64,21 @@ impl GenerationReport {
     }
 }
 
+/// A source of a generator's set, its name copied once when the set is
+/// made: every report row and pool slot naming it shares that string.
+pub(crate) struct Named {
+    pub(crate) name: Arc<str>,
+    pub(crate) source: Box<dyn AddressSource>,
+}
+
+fn source_set(sources: Vec<Box<dyn AddressSource>>) -> Arc<[Named]> {
+    let named = |source: Box<dyn AddressSource>| Named {
+        name: source.source_name().into(),
+        source,
+    };
+    sources.into_iter().map(named).collect()
+}
+
 /// The secure pool generator: a set of distributed DoH resolvers plus a
 /// combination policy.
 pub struct SecurePoolGenerator {
@@ -70,7 +86,7 @@ pub struct SecurePoolGenerator {
     /// Shared with every session planned over it, so a session may outlive
     /// the call that opened it and [`SecurePoolGenerator::replace_sources`]
     /// never changes the set under one.
-    sources: Arc<[Box<dyn AddressSource>]>,
+    sources: Arc<[Named]>,
 }
 
 impl SecurePoolGenerator {
@@ -87,7 +103,7 @@ impl SecurePoolGenerator {
         }
         Ok(SecurePoolGenerator {
             config,
-            sources: sources.into(),
+            sources: source_set(sources),
         })
     }
 
@@ -114,7 +130,7 @@ impl SecurePoolGenerator {
         if sources.is_empty() {
             return Err(PoolError::NoResolvers);
         }
-        self.sources = sources.into();
+        self.sources = source_set(sources);
         Ok(())
     }
 
@@ -436,7 +452,7 @@ mod tests {
         .unwrap();
         let domain: Name = "pool.ntp.org".parse().unwrap();
         let before = generator.generate(&mut exchanger, &domain).unwrap();
-        assert_eq!(before.sources[0].0, "old1");
+        assert_eq!(&*before.sources[0].0, "old1");
 
         // Rejections leave the generator untouched.
         assert!(matches!(
@@ -469,7 +485,7 @@ mod tests {
             .unwrap();
         let after = generator.generate(&mut exchanger, &domain).unwrap();
         assert_eq!(after.sources.len(), 3);
-        assert_eq!(after.sources[0].0, "new1");
+        assert_eq!(&*after.sources[0].0, "new1");
         assert_eq!(after.pool.len(), 6);
     }
 

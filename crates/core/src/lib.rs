@@ -44,9 +44,10 @@
 //!   simulator-backed exchangers execute concurrently,
 //! * [`SecurePoolGenerator::generate_sequential`] — one exchange at a time,
 //!   the pre-session behaviour, kept for latency comparisons,
-//! * a caller that wants the [`SessionEvent`] progress stream or its own
-//!   scheduling plans a session ([`SecurePoolGenerator::session`]) and runs
-//!   the poll loop itself, as `examples/quickstart.rs` does.
+//! * a caller that wants its own scheduling plans a session
+//!   ([`SecurePoolGenerator::session`]) and runs the poll loop itself, as
+//!   `examples/quickstart.rs` does; what each resolver came to is the
+//!   report's rows ([`GenerationReport::sources`]).
 //!
 //! Because answers are assembled in configuration order, the generated pool
 //! is **identical for every response interleaving** — a property the test
@@ -175,7 +176,9 @@
 //! # Example: driving a session by hand
 //!
 //! ```
-//! use sdoh_core::{Action, AddressSource, PoolConfig, SecurePoolGenerator, StaticSource};
+//! use sdoh_core::{
+//!     Action, AddressSource, PoolConfig, SecurePoolGenerator, SourceOutcome, StaticSource,
+//! };
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let sources: Vec<Box<dyn AddressSource>> = vec![
@@ -184,17 +187,15 @@
 //! ];
 //! let generator = SecurePoolGenerator::new(PoolConfig::algorithm1(), sources)?;
 //! let mut session = generator.session(&"pool.ntp.org".parse()?, 7)?;
-//! // Static sources resolve without I/O: the session only delivers events
-//! // and completes. A DoH source would yield Action::Transmit here, one
-//! // per resolver, before asking the driver to wait.
-//! loop {
-//!     match session.poll() {
-//!         Action::Deliver(event) => println!("{event:?}"),
-//!         Action::Done => break,
-//!         other => unreachable!("static sources never transmit: {other:?}"),
-//!     }
+//! // Static sources resolve without I/O: the session is done at once. A
+//! // DoH source would yield Action::Transmit here, one per resolver,
+//! // before asking the driver to wait.
+//! assert!(matches!(session.poll(), Action::Done));
+//! let report = session.finish()?;
+//! for (name, outcome) in &report.sources {
+//!     assert_eq!(*outcome, SourceOutcome::Answered(1), "{name}");
 //! }
-//! assert_eq!(session.finish()?.pool.len(), 2);
+//! assert_eq!(report.pool.len(), 2);
 //! # Ok(())
 //! # }
 //! ```
@@ -229,5 +230,5 @@ pub use serve::{
     METRIC_TIMESYNC_SYNCS, METRIC_TRUNCATED_RESPONSES, METRIC_UDP_QUERIES,
     METRIC_UNRESPONSIVE_SHARDS, RUNTIME_METRIC_HELP, SERVE_GAUGE_HELP,
 };
-pub use session::{Action, PoolSession, SessionEvent, TransactionId, Transmit};
+pub use session::{Action, PoolSession, TransactionId, Transmit};
 pub use source::{AddressSource, DohSource, FetchError, FetchStart, StaticSource};

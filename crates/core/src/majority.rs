@@ -18,17 +18,15 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 /// is the number of distinct keys in a run. The two families are sorted
 /// apart and read IPv4 first, the order `IpAddr: Ord` gives, and each sort
 /// compares integers instead of `(IpAddr, usize)` tuples through their
-/// enum. A family that does not occur allocates nothing.
+/// enum. The keys are built in one walk over the addresses: the IPv4 keys
+/// have room for every address, and the IPv6 keys room for every address
+/// not yet walked once the first IPv6 address turns up, so a family that
+/// does not occur allocates nothing.
 fn sorted_support<'a>(lists: impl Iterator<Item = &'a [IpAddr]> + Clone) -> SortedSupport {
-    let v4_count = lists
-        .clone()
-        .flatten()
-        .filter(|addr| addr.is_ipv4())
-        .count();
-    let slots = lists.clone().map(<[IpAddr]>::len).sum::<usize>();
+    let mut left = lists.clone().map(<[IpAddr]>::len).sum::<usize>();
     let mut support = SortedSupport {
-        v4: Vec::with_capacity(v4_count),
-        v6: Vec::with_capacity(slots - v4_count),
+        v4: Vec::with_capacity(left),
+        v6: Vec::new(),
     };
     for (index, list) in lists.enumerate() {
         // Lists beyond 2^32 would share an index; no vote gets near.
@@ -36,8 +34,14 @@ fn sorted_support<'a>(lists: impl Iterator<Item = &'a [IpAddr]> + Clone) -> Sort
         for addr in list {
             match addr {
                 IpAddr::V4(v4) => support.v4.push(u64::from(v4.to_bits()) << 32 | low),
-                IpAddr::V6(v6) => support.v6.push((v6.to_bits(), index)),
+                IpAddr::V6(v6) => {
+                    if support.v6.capacity() == 0 {
+                        support.v6.reserve_exact(left);
+                    }
+                    support.v6.push((v6.to_bits(), index));
+                }
             }
+            left -= 1;
         }
     }
     support.v4.sort_unstable();
@@ -53,61 +57,33 @@ struct SortedSupport {
 
 impl SortedSupport {
     /// Each address once with its support, in ascending order.
-    fn runs(&self) -> impl Iterator<Item = (IpAddr, usize)> + Clone + '_ {
-        Runs(&self.v4).chain(Runs(&self.v6))
+    fn runs(&self) -> impl Iterator<Item = (IpAddr, usize)> + '_ {
+        let v4 = runs(&self.v4, |key| u32::try_from(key >> 32).unwrap_or(0));
+        let v6 = runs(&self.v6, |(address, _)| address);
+        let v4 = v4.map(|(bits, lists)| (IpAddr::V4(Ipv4Addr::from_bits(bits)), lists));
+        v4.chain(v6.map(|(bits, lists)| (IpAddr::V6(Ipv6Addr::from_bits(bits)), lists)))
     }
 }
 
-/// A vote's key: an address and a list, ordered by address first.
-trait Key: Copy + Ord {
-    fn address(self) -> IpAddr;
-
-    fn same_address(self, other: Self) -> bool;
-}
-
-impl Key for u64 {
-    fn address(self) -> IpAddr {
-        IpAddr::V4(Ipv4Addr::from_bits(u32::try_from(self >> 32).unwrap_or(0)))
-    }
-
-    fn same_address(self, other: Self) -> bool {
-        self >> 32 == other >> 32
-    }
-}
-
-impl Key for (u128, usize) {
-    fn address(self) -> IpAddr {
-        IpAddr::V6(Ipv6Addr::from_bits(self.0))
-    }
-
-    fn same_address(self, other: Self) -> bool {
-        self.0 == other.0
-    }
-}
-
-/// The runs of one family's sorted keys: each address with the number of
-/// distinct keys, that is of lists, it has.
-#[derive(Clone)]
-struct Runs<'k, K>(&'k [K]);
-
-impl<K: Key> Iterator for Runs<'_, K> {
-    type Item = (IpAddr, usize);
-
-    fn next(&mut self) -> Option<(IpAddr, usize)> {
-        let (&first, rest) = self.0.split_first()?;
-        let run = rest
-            .iter()
-            .position(|&key| !key.same_address(first))
-            .unwrap_or(rest.len());
-        let (same, next) = rest.split_at(run);
-        let lists = 1 + same
-            .iter()
-            .zip(self.0)
-            .filter(|(key, before)| key != before)
-            .count();
-        self.0 = next;
-        Some((first.address(), lists))
-    }
+/// The runs of one family's sorted keys, in one walk over them: each
+/// address, as `address` reads it from a key, with the number of distinct
+/// keys, that is of lists, it has.
+fn runs<'k, K: Copy + PartialEq, A: PartialEq>(
+    mut keys: &'k [K],
+    address: impl Fn(K) -> A + 'k,
+) -> impl Iterator<Item = (A, usize)> + 'k {
+    std::iter::from_fn(move || {
+        let (&first, rest) = keys.split_first()?;
+        let at = address(first);
+        let (mut run, mut lists, mut last) = (0, 1, first);
+        for &key in rest.iter().take_while(|&&key| address(key) == at) {
+            lists += usize::from(key != last);
+            last = key;
+            run += 1;
+        }
+        keys = rest.get(run..).unwrap_or_default();
+        Some((at, lists))
+    })
 }
 
 /// Returns the addresses supported by strictly more than `threshold` of the
@@ -129,9 +105,8 @@ pub fn majority_vote<L: AsRef<[IpAddr]>>(
     threshold: f64,
 ) -> Vec<(IpAddr, usize)> {
     let ballot = vote(lists.iter().map(AsRef::as_ref), total, threshold);
-    let winners = ballot.winners();
-    let mut elected = Vec::with_capacity(winners.clone().count());
-    elected.extend(winners);
+    let mut elected = Vec::with_capacity(ballot.most_winners());
+    elected.extend(ballot.winners());
     elected
 }
 
@@ -162,11 +137,24 @@ pub(crate) struct Ballot {
 
 impl Ballot {
     /// The addresses the vote admits with their support, ascending.
-    pub(crate) fn winners(&self) -> impl Iterator<Item = (IpAddr, usize)> + Clone + '_ {
+    pub(crate) fn winners(&self) -> impl Iterator<Item = (IpAddr, usize)> + '_ {
         let cutoff = self.cutoff;
         self.support
             .runs()
             .filter(move |&(_, support)| cutoff.admits(support))
+    }
+
+    /// At most how many winners there are, without a walk to count them:
+    /// each holds at least the least support the cutoff admits in keys.
+    pub(crate) fn most_winners(&self) -> usize {
+        let least = match self.cutoff {
+            Cutoff::Never => return 0,
+            Cutoff::Always => 1,
+            Cutoff::Product { floor, .. } => {
+                usize::try_from(floor.saturating_add(1)).unwrap_or(usize::MAX)
+            }
+        };
+        (self.support.v4.len() + self.support.v6.len()) / least
     }
 }
 

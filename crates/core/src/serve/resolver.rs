@@ -54,7 +54,7 @@ use super::samples::{GENERATION_SECONDS, SERVE_COUNTERS};
 use super::singleflight::{FlightId, Singleflight};
 use crate::error::{PoolError, PoolResult};
 use crate::generator::{seed_from, GenerationReport, SecurePoolGenerator};
-use crate::session::{Action, PoolSession, SessionEvent, TransactionId};
+use crate::session::{Action, PoolSession, TransactionId};
 use sdoh_netsim::{NetResult, SimInstant};
 
 /// Operational counters of a [`CachingPoolResolver`].
@@ -543,27 +543,19 @@ impl CachingPoolResolver {
     /// generations of different keys. `now` stamps what lands.
     pub fn poll(&mut self, now: SimInstant) -> ServeStep {
         let mut done = None;
-        'flights: for (id, flight) in self.flights.iter_mut() {
-            loop {
-                match flight.session.poll() {
-                    Action::Deliver(SessionEvent::SourceAnswered { .. }) => {
-                        self.metrics.source_answers += 1;
-                    }
-                    Action::Deliver(SessionEvent::SourceFailed { .. }) => {
-                        self.metrics.source_failures += 1;
-                    }
-                    Action::Transmit(transmit) => {
-                        return ServeStep::Transmit {
-                            flight: id,
-                            transaction: transmit.transaction,
-                            request: transmit.request,
-                        };
-                    }
-                    Action::Wait => continue 'flights,
-                    Action::Done => {
-                        done = Some(id);
-                        break 'flights;
-                    }
+        for (id, flight) in self.flights.iter_mut() {
+            match flight.session.poll() {
+                Action::Transmit(transmit) => {
+                    return ServeStep::Transmit {
+                        flight: id,
+                        transaction: transmit.transaction,
+                        request: transmit.request,
+                    };
+                }
+                Action::Wait => {}
+                Action::Done => {
+                    done = Some(id);
+                    break;
                 }
             }
         }
@@ -571,6 +563,10 @@ impl CachingPoolResolver {
         else {
             return ServeStep::Wait(self.refresh.next_due());
         };
+        // What each source came to, per pass, read once the flight lands.
+        let (answered, failed) = flight.session.outcome_counts();
+        self.metrics.source_answers += answered;
+        self.metrics.source_failures += failed;
         let result = flight.session.finish().map_err(|e| e.to_string());
         let template = self.record_generation(key, &result, flight.refresh, flight.started, now);
         ServeStep::Landed(Landed {
@@ -1883,6 +1879,59 @@ mod tests {
                 request.timeout,
             );
             resolver.land(flight, transaction, reply).unwrap();
+        }
+    }
+
+    /// What each source came to is counted once per (pass, source), as the
+    /// flight lands: one generation under each dual-stack policy over a
+    /// resolver that answers, one that answers an empty list (the name does
+    /// not exist in its zone) and one that is unreachable. The numbers are
+    /// the ones the session's event stream counted before the session
+    /// counted them itself.
+    #[test]
+    fn source_outcomes_are_counted_per_pass_as_the_flight_lands() {
+        use crate::config::DualStackPolicy;
+        use sdoh_dns_server::{Authority, Catalog, Zone};
+        for (policy, expected) in [
+            (DualStackPolicy::Ipv4Only, (2, 1)),
+            (DualStackPolicy::Union, (2, 1)),
+            (DualStackPolicy::PerFamily, (4, 2)),
+        ] {
+            let net = SimNet::new(47);
+            let infos = sdoh_doh::ResolverDirectory::well_known(47).take(3);
+            let mut zones = [
+                Zone::new("test".parse().unwrap()),
+                Zone::new("test".parse().unwrap()),
+            ];
+            zones[0].add_address("a.test".parse().unwrap(), ip(1));
+            zones[0].add_address("a.test".parse().unwrap(), "2001:db8::1".parse().unwrap());
+            zones[1].add_address("elsewhere.test".parse().unwrap(), ip(2));
+            for (info, zone) in infos.iter().zip(zones) {
+                let mut catalog = Catalog::new();
+                catalog.add_zone(zone);
+                net.register(
+                    info.addr,
+                    sdoh_doh::DohServerService::new(info.clone(), Authority::new(catalog)),
+                );
+            }
+            let sources: Vec<Box<dyn AddressSource>> = infos
+                .iter()
+                .map(|info| {
+                    Box::new(crate::source::DohSource::new(info.clone())) as Box<dyn AddressSource>
+                })
+                .collect();
+            let config = PoolConfig::algorithm1().with_dual_stack(policy);
+            let generator = SecurePoolGenerator::new(config, sources).unwrap();
+            let mut resolver = CachingPoolResolver::new(generator, test_config());
+            let answer = resolver.handle_query(&mut client(&net), &query(1, "a.test"));
+            assert_eq!(answer.header.rcode, Rcode::NoError, "{policy:?}");
+            let metrics = resolver.metrics();
+            assert_eq!(metrics.generations, 1);
+            assert_eq!(
+                (metrics.source_answers, metrics.source_failures),
+                expected,
+                "{policy:?}"
+            );
         }
     }
 

@@ -11,28 +11,37 @@
 //!   *all* transmits before asking to wait, so a capable driver can overlap
 //!   every exchange: per-lookup latency is the slowest resolver's, not the
 //!   sum — the paper's concurrent fan-out),
-//! * [`Action::Deliver`] — a progress event (a resolver finished),
 //! * [`Action::Wait`] — every request is in flight; nothing to do until a
 //!   response (or the transport's timeout for it) arrives,
 //! * [`Action::Done`] — call [`PoolSession::finish`] for the
-//!   [`GenerationReport`].
+//!   [`GenerationReport`], whose rows say what each resolver came to.
 //!
 //! Responses are fed back with [`PoolSession::handle_response`] in **any
 //! order** — the combined pool is identical for every delivery
 //! interleaving, because answers are always assembled in configuration
 //! order (a property the core test-suite checks over random permutations).
 //!
+//! # What a generation keeps
+//!
+//! Each question of the generation (one type or two) is encoded once, when
+//! the session is planned, and kept by it: a source's request is written
+//! from it, and its reply is read against it again — the session lends it
+//! with the transaction id the request carried, so nothing of the request
+//! travels between the two halves. Every answer is read into one buffer of
+//! the session's, and a slot that answered records where its addresses lie
+//! in it; the vote and Algorithm 1 are handed those slices.
+//!
 //! # Who owns a name
 //!
-//! A resolver's name belongs to its [`AddressSource`]; the session never
-//! copies one while it runs. A [`Transmit`] and a [`SessionEvent`] identify
-//! their source by its **index** in configuration order — the position of
-//! the source in the set the session was planned over, the same position
-//! its row has in [`GenerationReport::sources`] — and whoever wants to print
-//! it asks [`PoolSession::source_name`]. Only what outlives the session is
-//! copied, once, in [`PoolSession::finish`]: the report's `(name, outcome)`
-//! rows, and one shared provenance string per contributing source for the
-//! pool's slots (see [`crate::pool`]).
+//! A resolver's name is copied once, when its source set is made (by
+//! [`SecurePoolGenerator::new`](crate::SecurePoolGenerator::new) or
+//! `replace_sources`), into an `Arc<str>` every generation over the set
+//! shares: the report's `(name, outcome)` rows and the provenance of the
+//! pool slots Algorithm 1 fills (see [`crate::pool`]) point at it. A
+//! [`Transmit`] identifies its source by its **index** in configuration
+//! order — the position of the source in the set the session was planned
+//! over, the same position its row has in [`GenerationReport::sources`] —
+//! and whoever wants to print it asks [`PoolSession::source_name`].
 //!
 //! Two drivers inside the crate cover the common cases, behind
 //! [`SecurePoolGenerator::generate`](crate::SecurePoolGenerator::generate)
@@ -41,22 +50,22 @@
 //! a time (the pre-session behaviour, kept for comparison benchmarks).
 
 use std::borrow::Cow;
-use std::collections::VecDeque;
 use std::fmt::Write;
 use std::mem;
 use std::net::IpAddr;
+use std::ops::Range;
 use std::sync::Arc;
 
 use sdoh_dns_server::{ExchangeRequest, Exchanger};
 use sdoh_dns_wire::{Name, RrType};
-use sdoh_doh::{DohQuestion, PreparedDohQuery};
+use sdoh_doh::DohQuestion;
 use sdoh_netsim::NetResult;
 
 use crate::combine::combine;
 use crate::config::{DualStackPolicy, PoolConfig};
 use crate::error::{PoolError, PoolResult};
-use crate::generator::{GenerationReport, SourceOutcome};
-use crate::source::{AddressSource, FetchError, FetchStart};
+use crate::generator::{GenerationReport, Named, SourceOutcome};
+use crate::source::{FetchError, FetchStart};
 
 /// Identifies one in-flight exchange of a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -75,31 +84,6 @@ pub struct Transmit {
     pub request: ExchangeRequest,
 }
 
-/// Progress events delivered by [`Action::Deliver`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SessionEvent {
-    /// A resolver produced a usable answer list.
-    SourceAnswered {
-        /// Index of the resolver in configuration order;
-        /// [`PoolSession::source_name`] names it.
-        source: usize,
-        /// Which query pass completed (0 except for
-        /// [`DualStackPolicy::PerFamily`], where 1 is the AAAA pass).
-        pass: usize,
-        /// Number of addresses in the answer.
-        addresses: usize,
-    },
-    /// A resolver failed.
-    SourceFailed {
-        /// Index of the resolver in configuration order.
-        source: usize,
-        /// Which query pass failed.
-        pass: usize,
-        /// Why.
-        error: String,
-    },
-}
-
 /// What the driver should do next.
 #[derive(Debug)]
 pub enum Action {
@@ -109,31 +93,27 @@ pub enum Action {
     /// All requests are in flight; wait for their outcomes. The transport
     /// enforces each request's timeout and reports it as an outcome.
     Wait,
-    /// A source completed; informational.
-    Deliver(SessionEvent),
     /// The lookup is complete; call [`PoolSession::finish`].
     Done,
 }
 
-enum TxState {
-    Queued {
-        request: ExchangeRequest,
-        pending: PreparedDohQuery,
-    },
-    InFlight {
-        pending: PreparedDohQuery,
-    },
-    Completed {
-        result: Result<Vec<IpAddr>, FetchError>,
-    },
-    // Transient marker while ownership moves between states.
-    Poisoned,
+/// Where one fetch stands.
+enum Slot {
+    Queued(ExchangeRequest),
+    InFlight,
+    /// Its addresses, where they lie in the session's answer buffer.
+    Answered(Range<usize>),
+    Failed(FetchError),
 }
 
+/// One fetch: a source asking one of the session's questions in one pass,
+/// under the transaction id `id`.
 struct Transaction {
     source: usize,
     pass: usize,
-    state: TxState,
+    question: usize,
+    id: u16,
+    slot: Slot,
 }
 
 /// Sans-IO state machine for one secure pool lookup, planned by
@@ -146,12 +126,22 @@ pub struct PoolSession {
     /// generator that planned it: the session can outlive the call that
     /// opened it (a serving shard's live generations) and keeps its set
     /// when the generator's is replaced meanwhile.
-    sources: Arc<[Box<dyn AddressSource>]>,
+    sources: Arc<[Named]>,
     /// The record types each query pass asks every source for.
     passes: &'static [&'static [RrType]],
-    /// One per (pass, source, slot), in that order.
+    /// The questions of every pass, in pass and slot order (at most two).
+    questions: [Option<DohQuestion>; 2],
+    /// One per (pass, source, slot), in that order (see `slots`).
     transactions: Vec<Transaction>,
-    events: VecDeque<SessionEvent>,
+    /// Every answered slot's addresses, in the order they were read.
+    answers: Vec<IpAddr>,
+    /// Every transaction before it has been handed out or settled.
+    cursor: usize,
+    /// Transactions not settled yet, planned or not.
+    open: usize,
+    /// The (pass, source) pairs settled so far, answered and failed.
+    answered: u64,
+    failed: u64,
 }
 
 impl PoolSession {
@@ -168,7 +158,7 @@ impl PoolSession {
     /// name no query can carry (none of `Name`'s constructors builds one).
     pub(crate) fn plan(
         config: PoolConfig,
-        sources: Arc<[Box<dyn AddressSource>]>,
+        sources: Arc<[Named]>,
         domain: &Name,
         seed: u64,
     ) -> PoolResult<Self> {
@@ -182,110 +172,108 @@ impl PoolSession {
             DualStackPolicy::Union => &[&[RrType::A, RrType::Aaaa]],
             DualStackPolicy::PerFamily => &[&[RrType::A], &[RrType::Aaaa]],
         };
-        let slots: usize = passes.iter().map(|rtypes| rtypes.len()).sum();
-
-        let mut ids = IdStream::new(seed);
-        let mut transactions = Vec::with_capacity(slots * sources.len());
-        for (pass, rtypes) in passes.iter().enumerate() {
-            // Each question of the pass (one type or two) encoded once, for
-            // every source to ask.
-            let mut questions = [None, None];
-            for (question, &rtype) in questions.iter_mut().zip(rtypes.iter()) {
-                *question = Some(
-                    DohQuestion::new(domain, rtype)
-                        .map_err(|e| PoolError::Generation(e.to_string()))?,
-                );
-            }
-            for (source_index, source) in sources.iter().enumerate() {
-                for question in questions.iter().flatten() {
-                    let state = match source.start_fetch(question, ids.next_id()) {
-                        FetchStart::Transmit { request, pending } => {
-                            TxState::Queued { request, pending }
-                        }
-                        FetchStart::Immediate(result) => TxState::Completed { result },
-                    };
-                    transactions.push(Transaction {
-                        source: source_index,
-                        pass,
-                        state,
-                    });
-                }
-            }
+        // Each question encoded once, for every source to ask.
+        let mut questions = [None, None];
+        for (question, &rtype) in questions.iter_mut().zip(passes.iter().copied().flatten()) {
+            *question = Some(
+                DohQuestion::new(domain, rtype)
+                    .map_err(|e| PoolError::Generation(e.to_string()))?,
+            );
         }
+        let total = passes.iter().map(|rtypes| rtypes.len()).sum::<usize>() * sources.len();
         let mut session = PoolSession {
             config,
-            events: VecDeque::with_capacity(passes.len() * sources.len()),
             sources,
             passes,
-            transactions,
+            questions,
+            transactions: Vec::with_capacity(total),
+            answers: Vec::new(),
+            cursor: 0,
+            open: total,
+            answered: 0,
+            failed: 0,
         };
-        // Sources that resolved without I/O (static answers, immediate
-        // failures) complete before the first poll — and a slot that failed
-        // immediately dooms its queued siblings just like a failed response
-        // would, so they are never transmitted.
-        for pass in 0..session.passes.len() {
+        let mut ids = IdStream::new(seed);
+        let mut first_question = 0;
+        for (pass, rtypes) in passes.iter().enumerate() {
             for source in 0..session.sources.len() {
-                let already_failed = session.transactions.iter().any(|t| {
-                    t.pass == pass
-                        && t.source == source
-                        && matches!(t.state, TxState::Completed { result: Err(_) })
-                });
-                if already_failed {
-                    session.cancel_queued_siblings(pass, source);
+                for question in first_question..first_question + rtypes.len() {
+                    session.start(pass, source, question, ids.next_id());
                 }
-                session.emit_if_complete(pass, source);
+                // Sources that resolved without I/O (static answers,
+                // immediate failures) complete before the first poll.
+                session.close(pass, source);
             }
+            first_question += rtypes.len();
         }
         Ok(session)
     }
 
+    /// Plans one fetch: `source` asks `question` under `id`, in `pass`.
+    fn start(&mut self, pass: usize, source: usize, question: usize, id: u16) {
+        let Some((named, asked)) = self
+            .sources
+            .get(source)
+            .zip(self.questions.get(question).and_then(Option::as_ref))
+        else {
+            return;
+        };
+        let at = self.answers.len();
+        let slot = match named.source.start_fetch(asked, id, &mut self.answers) {
+            FetchStart::Transmit(request) => Slot::Queued(request),
+            FetchStart::Immediate(result) => self.settle(at, result),
+        };
+        self.transactions.push(Transaction {
+            source,
+            pass,
+            question,
+            id,
+            slot,
+        });
+    }
+
+    /// What a fetch whose addresses were appended from `at` on came to. A
+    /// failure drops what it appended. The first answer sizes the buffer
+    /// for every fetch still open, as if each answered as many addresses,
+    /// so a generation of equal answers grows it once.
+    fn settle(&mut self, at: usize, result: Result<(), FetchError>) -> Slot {
+        self.open = self.open.saturating_sub(1);
+        let end = self.answers.len();
+        match result {
+            Ok(()) if at == 0 && end > 0 => self.answers.reserve(end * self.open),
+            Ok(()) => {}
+            Err(err) => {
+                self.answers.truncate(at);
+                return Slot::Failed(err);
+            }
+        }
+        Slot::Answered(at..end)
+    }
+
     /// The name of the source at `index` in configuration order — what a
-    /// [`Transmit`] and a [`SessionEvent`] carry; empty for an index the
-    /// session never handed out.
+    /// [`Transmit`] carries; empty for an index the session never handed
+    /// out.
     pub fn source_name(&self, index: usize) -> &str {
-        self.sources
-            .get(index)
-            .map_or("", |source| source.source_name())
-    }
-
-    /// Number of exchanges still awaiting a response.
-    fn in_flight(&self) -> usize {
-        self.transactions
-            .iter()
-            .filter(|t| matches!(t.state, TxState::InFlight { .. }))
-            .count()
-    }
-
-    /// Number of exchanges not yet handed to the driver.
-    fn queued(&self) -> usize {
-        self.transactions
-            .iter()
-            .filter(|t| matches!(t.state, TxState::Queued { .. }))
-            .count()
+        self.sources.get(index).map_or("", |source| &source.name)
     }
 
     /// Advances the state machine.
     pub fn poll(&mut self) -> Action {
-        if let Some(event) = self.events.pop_front() {
-            return Action::Deliver(event);
-        }
-        for (index, tx) in self.transactions.iter_mut().enumerate() {
-            if !matches!(tx.state, TxState::Queued { .. }) {
-                continue;
-            }
-            match mem::replace(&mut tx.state, TxState::Poisoned) {
-                TxState::Queued { request, pending } => {
-                    tx.state = TxState::InFlight { pending };
+        while let Some(tx) = self.transactions.get_mut(self.cursor) {
+            self.cursor += 1;
+            match mem::replace(&mut tx.slot, Slot::InFlight) {
+                Slot::Queued(request) => {
                     return Action::Transmit(Transmit {
-                        transaction: TransactionId(index),
+                        transaction: TransactionId(self.cursor - 1),
                         source: tx.source,
                         request,
-                    });
+                    })
                 }
-                other => tx.state = other,
+                other => tx.slot = other,
             }
         }
-        if self.in_flight() > 0 {
+        // Everything is handed out: what is still open is in flight.
+        if self.open > 0 {
             Action::Wait
         } else {
             Action::Done
@@ -307,56 +295,75 @@ impl PoolSession {
     ) -> PoolResult<()> {
         let tx = self
             .transactions
-            .get_mut(id.0)
+            .get(id.0)
             .ok_or(PoolError::UnknownTransaction(id.0))?;
-        let source = self
-            .sources
-            .get(tx.source)
-            .ok_or_else(|| PoolError::Session("transaction of an unknown source".into()))?;
-        let pending = match mem::replace(&mut tx.state, TxState::Poisoned) {
-            TxState::InFlight { pending, .. } => pending,
-            other => {
-                tx.state = other;
-                return Err(PoolError::TransactionNotInFlight(id.0));
-            }
+        let (Slot::InFlight, Some(named), Some(asked)) = (
+            &tx.slot,
+            self.sources.get(tx.source),
+            self.questions.get(tx.question).and_then(Option::as_ref),
+        ) else {
+            return Err(PoolError::TransactionNotInFlight(id.0));
         };
-        let result = source.handle_response(pending, outcome);
-        let failed = result.is_err();
-        tx.state = TxState::Completed { result };
-        let (pass, source) = (tx.pass, tx.source);
-        if failed {
-            self.cancel_queued_siblings(pass, source);
+        let (pass, source, at) = (tx.pass, tx.source, self.answers.len());
+        let result = named
+            .source
+            .handle_response(asked, tx.id, outcome, &mut self.answers);
+        let slot = self.settle(at, result);
+        if let Some(tx) = self.transactions.get_mut(id.0) {
+            tx.slot = slot;
         }
-        self.emit_if_complete(pass, source);
+        self.close(pass, source);
         Ok(())
     }
 
-    /// Cancels the still-queued sibling fetches of a source whose earlier
-    /// fetch failed, mirroring the historical sequential behaviour of
-    /// skipping the AAAA query after a failed A query: the source's outcome
-    /// is already decided by the lowest failing slot, so transmitting the
-    /// siblings would be wasted traffic. Siblings already in flight are
-    /// unaffected (their responses are simply ignored by the combination).
-    fn cancel_queued_siblings(&mut self, pass: usize, source: usize) {
-        for tx in &mut self.transactions {
-            if tx.pass == pass && tx.source == source && matches!(tx.state, TxState::Queued { .. })
-            {
-                tx.state = TxState::Completed {
-                    result: Err(FetchError::Transport(
+    /// Where the slots of `(pass, source)` lie in `transactions`: passes
+    /// in order, each one source after another, each source's slots one
+    /// per type its pass asks.
+    fn slots(&self, pass: usize, source: usize) -> Range<usize> {
+        let before = self.passes.iter().take(pass).map(|rtypes| rtypes.len());
+        let slots = self.passes.get(pass).map_or(0, |rtypes| rtypes.len());
+        let first = before.sum::<usize>() * self.sources.len() + source * slots;
+        first..first + slots
+    }
+
+    /// Brings `(pass, source)` up to date after one of its slots settled.
+    /// Once a slot has failed, the still-queued siblings are cancelled,
+    /// mirroring the historical sequential behaviour of skipping the AAAA
+    /// query after a failed A query: the source's outcome is already
+    /// decided by the lowest failing slot, so transmitting them would be
+    /// wasted traffic (siblings in flight are left to land, and ignored).
+    /// Once every slot is settled, what the pair came to is counted:
+    /// failed if any slot failed, answered otherwise.
+    fn close(&mut self, pass: usize, source: usize) {
+        let slots = self.slots(pass, source);
+        let Some(slots) = self.transactions.get_mut(slots) else {
+            return;
+        };
+        let failed = slots.iter().any(|tx| matches!(tx.slot, Slot::Failed(_)));
+        let mut open = false;
+        for tx in slots {
+            match tx.slot {
+                Slot::Queued(_) if failed => {
+                    tx.slot = Slot::Failed(FetchError::Transport(
                         "skipped: an earlier fetch of this source failed".into(),
-                    )),
-                };
+                    ));
+                    self.open = self.open.saturating_sub(1);
+                }
+                Slot::Queued(_) | Slot::InFlight => open = true,
+                Slot::Answered(_) | Slot::Failed(_) => {}
             }
+        }
+        match (open, failed) {
+            (true, _) => {}
+            (false, true) => self.failed += 1,
+            (false, false) => self.answered += 1,
         }
     }
 
-    /// The slots of `(pass, source)`, in slot order — the order they were
-    /// planned in.
-    fn slots(&self, pass: usize, source: usize) -> impl Iterator<Item = &TxState> {
-        self.transactions
-            .iter()
-            .filter(move |tx| tx.pass == pass && tx.source == source)
-            .map(|tx| &tx.state)
+    /// How many (pass, source) pairs have answered and how many have
+    /// failed so far: once the session is done, each source once per pass.
+    pub(crate) fn outcome_counts(&self) -> (u64, u64) {
+        (self.answered, self.failed)
     }
 
     /// What `source` answered in `pass`, once every slot holds a result:
@@ -372,39 +379,24 @@ impl PoolSession {
     ) -> Option<Result<Cow<'_, [IpAddr]>, &FetchError>> {
         let mut list: Cow<'_, [IpAddr]> = Cow::Borrowed(&[]);
         let mut failure = None;
-        for state in self.slots(pass, source) {
-            match state {
-                TxState::Completed { result: Ok(more) } if list.is_empty() => {
-                    list = Cow::Borrowed(more);
+        for tx in self.transactions.get(self.slots(pass, source))? {
+            match &tx.slot {
+                Slot::Answered(at) => {
+                    let more = self.answers.get(at.clone()).unwrap_or_default();
+                    if list.is_empty() {
+                        list = Cow::Borrowed(more);
+                    } else {
+                        list.to_mut().extend_from_slice(more);
+                    }
                 }
-                TxState::Completed { result: Ok(more) } => list.to_mut().extend_from_slice(more),
-                TxState::Completed { result: Err(err) } => failure = failure.or(Some(err)),
-                _ => return None,
+                Slot::Failed(err) => failure = failure.or(Some(err)),
+                Slot::Queued(_) | Slot::InFlight => return None,
             }
         }
         Some(match failure {
             None => Ok(list),
             Some(err) => Err(err),
         })
-    }
-
-    /// Queues the per-source completion event once every slot of
-    /// `(pass, source)` holds a result.
-    fn emit_if_complete(&mut self, pass: usize, source: usize) {
-        let event = match self.answer_of(pass, source) {
-            None => return,
-            Some(Ok(list)) => SessionEvent::SourceAnswered {
-                source,
-                pass,
-                addresses: list.len(),
-            },
-            Some(Err(err)) => SessionEvent::SourceFailed {
-                source,
-                pass,
-                error: err.to_string(),
-            },
-        };
-        self.events.push_back(event);
     }
 
     /// Combines the per-resolver answers into the final report.
@@ -415,11 +407,7 @@ impl PoolSession {
     /// and [`PoolError::NotEnoughResponses`] when fewer resolvers than
     /// `min_responses` produced usable answers.
     pub fn finish(self) -> PoolResult<GenerationReport> {
-        if !self
-            .transactions
-            .iter()
-            .all(|t| matches!(t.state, TxState::Completed { .. }))
-        {
+        if self.open > 0 {
             return Err(PoolError::Session(
                 "finish() called with exchanges outstanding".into(),
             ));
@@ -455,11 +443,9 @@ impl PoolSession {
     /// outcome row and answer list in configuration order, regardless of
     /// response arrival order, and hands the lists to [`combine`].
     fn combine_pass(&self, pass: usize, rtypes: &[RrType]) -> PoolResult<GenerationReport> {
-        let mut outcomes: Vec<(String, SourceOutcome)> = Vec::with_capacity(self.sources.len());
-        let mut answers: Vec<(&str, Option<Cow<'_, [IpAddr]>>)> =
-            Vec::with_capacity(self.sources.len());
+        let mut outcomes: Vec<(Arc<str>, SourceOutcome)> = Vec::with_capacity(self.sources.len());
+        let mut answers = Vec::with_capacity(self.sources.len());
         for (source, named) in self.sources.iter().enumerate() {
-            let name = named.source_name();
             // finish() verified completion before combine_pass runs.
             let Some(answer) = self.answer_of(pass, source) else {
                 continue;
@@ -468,8 +454,8 @@ impl PoolSession {
                 Ok(list) => (SourceOutcome::Answered(list.len()), Some(list)),
                 Err(err) => (SourceOutcome::Failed(err.to_string()), None),
             };
-            outcomes.push((name.to_string(), outcome));
-            answers.push((name, list));
+            outcomes.push((Arc::clone(&named.name), outcome));
+            answers.push((Arc::clone(&named.name), list));
         }
 
         let (pool, cut) = combine(&self.config, &answers)?;
@@ -498,8 +484,7 @@ impl std::fmt::Debug for PoolSession {
         f.debug_struct("PoolSession")
             .field("sources", &self.sources.len())
             .field("passes", &self.passes.len())
-            .field("queued", &self.queued())
-            .field("in_flight", &self.in_flight())
+            .field("open", &self.open)
             .finish()
     }
 }
@@ -532,11 +517,12 @@ impl IdStream {
 /// Propagates [`PoolError`] from the session (transport errors are folded
 /// into per-source outcomes, not returned here).
 pub(crate) fn drive(session: &mut PoolSession, exchanger: &mut dyn Exchanger) -> PoolResult<()> {
-    let mut ids: Vec<TransactionId> = Vec::new();
-    let mut requests: Vec<ExchangeRequest> = Vec::new();
+    // Sized for every exchange the plan queued: one batch, one allocation
+    // each, and none for sources that answered without I/O.
+    let mut ids: Vec<TransactionId> = Vec::with_capacity(session.open);
+    let mut requests: Vec<ExchangeRequest> = Vec::with_capacity(session.open);
     loop {
         match session.poll() {
-            Action::Deliver(_) => {}
             Action::Transmit(transmit) => {
                 ids.push(transmit.transaction);
                 requests.push(transmit.request);
@@ -578,7 +564,6 @@ pub(crate) fn drive_sequential(
 ) -> PoolResult<()> {
     loop {
         match session.poll() {
-            Action::Deliver(_) => {}
             Action::Transmit(transmit) => {
                 let request = transmit.request;
                 let outcome = exchanger.exchange(
@@ -602,7 +587,7 @@ pub(crate) fn drive_sequential(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::StaticSource;
+    use crate::source::{AddressSource, StaticSource};
     use sdoh_dns_server::ClientExchanger;
     use sdoh_doh::{DohMethod, DohServerService, ResolverDirectory};
     use sdoh_netsim::{SimAddr, SimNet};
@@ -636,21 +621,15 @@ mod tests {
         let sources = static_sources();
         let domain: Name = "pool.ntp.org".parse().unwrap();
         let mut session = plan(PoolConfig::algorithm1(), sources, &domain, 1);
-        // Two Deliver events, then Done; never a Transmit.
-        let mut events = 0;
-        loop {
-            match session.poll() {
-                Action::Deliver(SessionEvent::SourceAnswered { addresses, .. }) => {
-                    events += 1;
-                    assert_eq!(addresses, 2);
-                }
-                Action::Done => break,
-                other => panic!("unexpected action {other:?}"),
-            }
-        }
-        assert_eq!(events, 2);
+        // Done at once; never a Transmit.
+        assert!(matches!(session.poll(), Action::Done));
+        assert_eq!(session.outcome_counts(), (2, 0));
         let report = session.finish().unwrap();
         assert_eq!(report.pool.len(), 4);
+        assert!(report
+            .sources
+            .iter()
+            .all(|(_, outcome)| *outcome == SourceOutcome::Answered(2)));
     }
 
     #[test]
@@ -694,7 +673,7 @@ mod tests {
             }
         }
         assert_eq!(transmits.len(), 3);
-        assert_eq!(session.in_flight(), 3);
+        assert_eq!(session.open, 3);
 
         // Deliver the responses in reverse order; the pool must not care.
         let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
@@ -709,11 +688,11 @@ mod tests {
                 .unwrap();
             session.handle_response(t.transaction, Ok(reply)).unwrap();
         }
-        while let Action::Deliver(_) = session.poll() {}
+        assert!(matches!(session.poll(), Action::Done));
         let report = session.finish().unwrap();
         assert_eq!(report.pool.len(), 12, "3 resolvers x 4 addresses");
         // Configuration order, not delivery order.
-        let names: Vec<&str> = report.sources.iter().map(|(n, _)| n.as_str()).collect();
+        let names: Vec<&str> = report.sources.iter().map(|(n, _)| &**n).collect();
         assert_eq!(
             names,
             infos.iter().map(|i| i.name.as_str()).collect::<Vec<_>>()
@@ -732,20 +711,30 @@ mod tests {
                 "v4-only"
             }
 
-            fn start_fetch(&self, question: &DohQuestion, _id: u16) -> FetchStart {
+            fn start_fetch(
+                &self,
+                question: &DohQuestion,
+                _id: u16,
+                answers: &mut Vec<IpAddr>,
+            ) -> FetchStart {
                 match question.rtype() {
                     RrType::Aaaa => {
                         FetchStart::Immediate(Err(FetchError::Transport("no v6 route".into())))
                     }
-                    _ => FetchStart::Immediate(Ok(vec![ip(9).to_owned()])),
+                    _ => {
+                        answers.push(ip(9));
+                        FetchStart::Immediate(Ok(()))
+                    }
                 }
             }
 
             fn handle_response(
                 &self,
-                _pending: PreparedDohQuery,
+                _question: &DohQuestion,
+                _id: u16,
                 _outcome: sdoh_netsim::NetResult<Vec<u8>>,
-            ) -> Result<Vec<std::net::IpAddr>, FetchError> {
+                _answers: &mut Vec<IpAddr>,
+            ) -> Result<(), FetchError> {
                 unreachable!("immediate source")
             }
         }
@@ -760,7 +749,9 @@ mod tests {
         let domain: Name = "pool.ntp.org".parse().unwrap();
         let config = PoolConfig::algorithm1().with_dual_stack(DualStackPolicy::PerFamily);
         let mut session = plan(config, sources, &domain, 3);
-        while let Action::Deliver(_) = session.poll() {}
+        assert!(matches!(session.poll(), Action::Done));
+        // Counted per pass: both answer the A pass, one the AAAA pass.
+        assert_eq!(session.outcome_counts(), (3, 1));
         let report = session.finish().unwrap();
 
         // The v6-broken resolver must be reported as failed even though its

@@ -5,14 +5,16 @@
 //! [`AddressSource::start_fetch`] *describes* the exchange and
 //! [`AddressSource::handle_response`] decodes its outcome, so a session
 //! driver can keep many lookups from many sources in flight concurrently
-//! ([`crate::PoolSession`]). The state carried between the halves is the
-//! DoH client's own [`PreparedDohQuery`], held by the session as it is.
+//! ([`crate::PoolSession`]). Nothing is carried between the halves but
+//! what the session keeps anyway: the question it lends to both and the
+//! transaction id it drew. Both halves append what they read to the one
+//! answer buffer the session lends them.
 
 use std::net::IpAddr;
 
 use sdoh_dns_server::ExchangeRequest;
 use sdoh_dns_wire::{Rcode, RrType};
-use sdoh_doh::{DohClient, DohMethod, DohQuestion, PreparedDohQuery, ResolverInfo};
+use sdoh_doh::{DohClient, DohMethod, DohQuestion, ResolverInfo};
 use sdoh_netsim::NetResult;
 
 /// Why one resolver failed to produce an address list.
@@ -41,20 +43,14 @@ impl std::error::Error for FetchError {}
 /// How one fetch begins: either an exchange the driver must perform, or an
 /// immediately available answer (static/test sources).
 #[derive(Debug)]
-// The client's state travels inline: boxing it would cost every exchange
-// an allocation, for the sake of the static sources' rare `Immediate`.
-#[allow(clippy::large_enum_variant)]
 pub enum FetchStart {
     /// Perform this exchange and hand the outcome to
     /// [`AddressSource::handle_response`].
-    Transmit {
-        /// What to put on the wire.
-        request: ExchangeRequest,
-        /// The DoH client's state to decode the reply with.
-        pending: PreparedDohQuery,
-    },
-    /// The lookup resolved without any network traffic.
-    Immediate(Result<Vec<IpAddr>, FetchError>),
+    Transmit(ExchangeRequest),
+    /// The lookup resolved without any network traffic: its addresses were
+    /// appended to the buffer [`AddressSource::start_fetch`] was lent, or
+    /// it failed.
+    Immediate(Result<(), FetchError>),
 }
 
 /// A single source of address lists — one DoH resolver, one plain resolver,
@@ -70,28 +66,36 @@ pub enum FetchStart {
 /// use `Arc`/atomics instead of `Rc`/`Cell`.
 pub trait AddressSource: Send + Sync {
     /// A stable, human-readable identifier (used for provenance in the
-    /// generated pool). The source owns it; a session lends it out.
+    /// generated pool). A generator copies it once, when its source set is
+    /// made.
     fn source_name(&self) -> &str;
 
     /// Sans-IO first half of one lookup: describes the exchange needed to
     /// resolve the address records `question` asks for — encoded once, for
     /// every source of the generation to ask. `id` is the transaction id to
-    /// use if the source's protocol needs one.
-    fn start_fetch(&self, question: &DohQuestion, id: u16) -> FetchStart;
+    /// use if the source's protocol needs one. A source that answers
+    /// without I/O appends its addresses to `answers`.
+    fn start_fetch(&self, question: &DohQuestion, id: u16, answers: &mut Vec<IpAddr>)
+        -> FetchStart;
 
-    /// Sans-IO second half: decodes the transport outcome of the exchange
-    /// described by [`AddressSource::start_fetch`] into an address list.
+    /// Sans-IO second half: reads the transport outcome of the exchange
+    /// [`AddressSource::start_fetch`] described for the same `question`
+    /// and `id`, which the caller lends again, appending the addresses to
+    /// `answers` — the one buffer a generation reads every answer into.
     ///
     /// # Errors
     ///
     /// Returns [`FetchError`] when the transport failed or the reply is
-    /// invalid; an *empty list* is not an error (it is the empty-answer case
+    /// invalid; what was appended before is the caller's to drop. An
+    /// *empty answer* is not an error (it is the empty-answer case
     /// Algorithm 1 must handle).
     fn handle_response(
         &self,
-        pending: PreparedDohQuery,
+        question: &DohQuestion,
+        id: u16,
         outcome: NetResult<Vec<u8>>,
-    ) -> Result<Vec<IpAddr>, FetchError>;
+        answers: &mut Vec<IpAddr>,
+    ) -> Result<(), FetchError>;
 }
 
 /// An [`AddressSource`] backed by a DoH resolver (the paper's design).
@@ -132,33 +136,31 @@ impl AddressSource for DohSource {
         &self.name
     }
 
-    fn start_fetch(&self, question: &DohQuestion, id: u16) -> FetchStart {
+    fn start_fetch(&self, question: &DohQuestion, id: u16, _: &mut Vec<IpAddr>) -> FetchStart {
         // DohTransmit and ExchangeRequest are both re-exports of the
         // simulator's batch-request type, so the transmit passes through.
-        let (transmit, prepared) = self.client.begin_query(id, question);
-        FetchStart::Transmit {
-            request: transmit,
-            pending: prepared,
-        }
+        FetchStart::Transmit(self.client.begin_query(id, question))
     }
 
     /// The reply's checks and the addresses of the asked type are
     /// `DohClient::finish_addresses`': read where they lie in the answer, on
-    /// the walk that validates it.
+    /// the walk that validates it, into `answers`.
     fn handle_response(
         &self,
-        prepared: PreparedDohQuery,
+        question: &DohQuestion,
+        id: u16,
         outcome: NetResult<Vec<u8>>,
-    ) -> Result<Vec<IpAddr>, FetchError> {
+        answers: &mut Vec<IpAddr>,
+    ) -> Result<(), FetchError> {
         let mut reply = outcome.map_err(|e| FetchError::Transport(e.to_string()))?;
-        let (rcode, addresses) = self
+        let rcode = self
             .client
-            .finish_addresses(prepared, &mut reply)
+            .finish_addresses(question, id, &mut reply, answers)
             .map_err(doh_error)?;
         if rcode != Rcode::NoError && rcode != Rcode::NxDomain {
             return Err(FetchError::ErrorResponse(rcode.to_string()));
         }
-        Ok(addresses)
+        Ok(())
     }
 }
 
@@ -200,23 +202,26 @@ impl AddressSource for StaticSource {
         &self.name
     }
 
-    fn start_fetch(&self, question: &DohQuestion, _id: u16) -> FetchStart {
+    fn start_fetch(&self, question: &DohQuestion, _: u16, answers: &mut Vec<IpAddr>) -> FetchStart {
         if self.fail {
             return FetchStart::Immediate(Err(FetchError::Transport(
                 "static source configured to fail".into(),
             )));
         }
-        FetchStart::Immediate(Ok(match question.rtype() {
-            RrType::Aaaa => self.v6.clone(),
-            _ => self.v4.clone(),
-        }))
+        answers.extend_from_slice(match question.rtype() {
+            RrType::Aaaa => &self.v6,
+            _ => &self.v4,
+        });
+        FetchStart::Immediate(Ok(()))
     }
 
     fn handle_response(
         &self,
-        _pending: PreparedDohQuery,
-        _outcome: NetResult<Vec<u8>>,
-    ) -> Result<Vec<IpAddr>, FetchError> {
+        _: &DohQuestion,
+        _: u16,
+        _: NetResult<Vec<u8>>,
+        _: &mut Vec<IpAddr>,
+    ) -> Result<(), FetchError> {
         Err(FetchError::Protocol(
             "static sources never have in-flight exchanges".into(),
         ))
@@ -227,7 +232,7 @@ impl AddressSource for StaticSource {
 mod tests {
     use super::*;
     use sdoh_dns_server::{Authority, Catalog, ClientExchanger, Exchanger, FnHandler, Zone};
-    use sdoh_dns_wire::Message;
+    use sdoh_dns_wire::{Message, MessageBuilder};
     use sdoh_doh::{DohServerService, ResolverDirectory};
     use sdoh_netsim::{SimAddr, SimNet};
 
@@ -249,23 +254,101 @@ mod tests {
     }
 
     /// One lookup of `pool.ntp.org` through the two halves, the exchange
-    /// performed in between.
+    /// performed in between, the question and the id lent to both.
     fn lookup(
         source: &dyn AddressSource,
         exchanger: &mut dyn Exchanger,
         rtype: RrType,
     ) -> Result<Vec<IpAddr>, FetchError> {
         let question = DohQuestion::new(&"pool.ntp.org".parse().unwrap(), rtype).unwrap();
-        match source.start_fetch(&question, exchanger.next_id()) {
+        let id = exchanger.next_id();
+        let mut answers = Vec::new();
+        match source.start_fetch(&question, id, &mut answers) {
             FetchStart::Immediate(result) => result,
-            FetchStart::Transmit { request, pending } => {
+            FetchStart::Transmit(request) => {
                 let outcome = exchanger.exchange(
                     request.dst,
                     request.channel,
                     &request.payload,
                     request.timeout,
                 );
-                source.handle_response(pending, outcome)
+                source.handle_response(&question, id, outcome, &mut answers)
+            }
+        }
+        .map(|()| answers)
+    }
+
+    /// The question the session lends to a reply's read is what every
+    /// reply is held against: an answer that echoes another name, one
+    /// under another id, and the query reflected back each make a failed
+    /// source, though each carries an address record. The same resolver
+    /// answering honestly is read.
+    #[test]
+    fn the_lent_question_guards_every_reply() {
+        let other: sdoh_dns_wire::Name = "other.ntp.org".parse().unwrap();
+        let forged: IpAddr = "198.18.0.1".parse().unwrap();
+        type Reply = fn(&Message, &sdoh_dns_wire::Name, IpAddr) -> Message;
+        let honest: Reply = |query, _, address| {
+            MessageBuilder::response_to(query)
+                .answer_address(60, address)
+                .build()
+        };
+        let another_name: Reply = |query, other, address| {
+            let asked = Message::query(query.header.id, other.clone(), RrType::A);
+            MessageBuilder::response_to(&asked)
+                .answer_address(60, address)
+                .build()
+        };
+        let another_id: Reply = |query, _, address| {
+            let mut reply = MessageBuilder::response_to(query)
+                .answer_address(60, address)
+                .build();
+            reply.header.id = query.header.id.wrapping_add(1);
+            reply
+        };
+        let reflected: Reply = |query, _, address| {
+            let mut reply = query.clone();
+            reply.add_answer(
+                MessageBuilder::response_to(query)
+                    .answer_address(60, address)
+                    .build()
+                    .answers
+                    .remove(0),
+            );
+            reply.normalize_counts();
+            reply
+        };
+        let cases: [(&str, DohMethod, Reply, bool); 6] = [
+            ("honest GET", DohMethod::Get, honest, true),
+            ("honest POST", DohMethod::Post, honest, true),
+            (
+                "GET echoing another name",
+                DohMethod::Get,
+                another_name,
+                false,
+            ),
+            ("POST under another id", DohMethod::Post, another_id, false),
+            ("reflected GET", DohMethod::Get, reflected, false),
+            ("reflected POST", DohMethod::Post, reflected, false),
+        ];
+        for (index, (case, method, reply, read)) in cases.into_iter().enumerate() {
+            let seed = 70 + u64::try_from(index).unwrap();
+            let net = SimNet::new(seed);
+            let info = ResolverDirectory::well_known(seed).resolvers()[0].clone();
+            let other = other.clone();
+            let handler =
+                FnHandler::new("scripted", move |_: &mut dyn Exchanger, query: &Message| {
+                    reply(query, &other, forged)
+                });
+            net.register(info.addr, DohServerService::new(info.clone(), handler));
+            let source = DohSource::new(info).method(method);
+            let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 50000));
+            match lookup(&source, &mut exchanger, RrType::A) {
+                Ok(addresses) => assert!(read && addresses == [forged], "{case}: {addresses:?}"),
+                Err(err) => assert!(
+                    !read && matches!(err, FetchError::Protocol(_)),
+                    "{case}: {err}"
+                ),
             }
         }
     }
@@ -341,9 +424,10 @@ mod tests {
     fn static_source_modes() {
         let answered = |source: &StaticSource, rtype| {
             let question = DohQuestion::new(&"x.test".parse().unwrap(), rtype).unwrap();
-            match source.start_fetch(&question, 0) {
-                FetchStart::Immediate(result) => result,
-                FetchStart::Transmit { .. } => panic!("a static source transmits nothing"),
+            let mut answers = Vec::new();
+            match source.start_fetch(&question, 0, &mut answers) {
+                FetchStart::Immediate(result) => result.map(|()| answers),
+                FetchStart::Transmit(_) => panic!("a static source transmits nothing"),
             }
         };
         let source = StaticSource::answering(

@@ -2,35 +2,47 @@
 //!
 //! A generation that does no I/O is bookkeeping: which source answered
 //! what, which addresses win, whose name each pool slot carries. It should
-//! allocate what it keeps — the report's rows, one provenance string per
-//! contributor, the pool — and nothing on the way there. Five counts hold
+//! allocate what it keeps — the report's rows, the pool and its labels —
+//! and what it reads into, and nothing on the way there. Five counts hold
 //! that, all exact and repeating on every run (the test prints them):
 //!
-//! * a majority `generate` over five sources with ready answers (18; 20
-//!   while the driver collected the session's progress events nobody read,
-//!   21 while each vote label was formatted into a `String` before its
-//!   `Arc`, 83 while every name, list and label was copied per use);
+//! * a majority `generate` over five sources with ready answers, held at
+//!   exactly 8: the session's transactions and its one answer buffer
+//!   (grown once, sized on the first answer), the vote's keys, the pool
+//!   and its one label, the report's rows and the lists lent to the vote
+//!   (18 while each source's list was cloned into a vector of its own and
+//!   each row copied its source's name, 20 while the driver collected the
+//!   session's progress events nobody read, 21 while each vote label was
+//!   formatted into a `String` before its `Arc`, 83 while every name, list
+//!   and label was copied per use);
 //! * an Algorithm-1 `generate` over the same five lists, held at exactly
-//!   22: its truncate label is one `String` the type's name is written
-//!   into (27 while the label was joined from a `Vec` of one `String` per
-//!   type, each type's name a `String` of its own first, and the driver
-//!   collected its event list);
+//!   8: its truncate label is one `String` the type's name is written
+//!   into, and every slot a source fills shares the name its source set
+//!   holds (22 while each list was cloned, each row and each contributor's
+//!   provenance copied the name, and the session queued an event per
+//!   source; 27 while the label was joined from a `Vec` of one `String`
+//!   per type, each type's name a `String` of its own first, and the
+//!   driver collected its event list);
 //! * one uncached query over N in-process DoH terminators, the last one
 //!   poisoned, under the majority vote — at N = 5 the `cold_gen` query of
 //!   the benchmark, read where it lies and answered by `handle_query_wire`
 //!   — with the answer verified. It costs exactly `A + B·N` at N = 3, 5,
-//!   15 and 31 (the paper's E2 and E3a counts), `A` = 13 and `B` = 4. Per
-//!   resolver: the exchange's three (the two payloads and the addresses
-//!   read, `doh/tests/alloc_budget.rs`) and the source's name in the report
-//!   row; the DoH client's state for the reply waits in the session's slot
-//!   as it is (`B` was 5 while the session boxed it as `dyn Any`). Per
-//!   query: the question encoded once for all N, inline,
-//!   every answer rendered from a template — the poisoned one's, or the
-//!   honest authority's answer index — from the query where it lies, one
-//!   copy of the name for the key the miss stores, the batch's buffers
-//!   (sized for N at once), the rest the generation's own bookkeeping and
-//!   the rendered answer. Nothing grows faster than N. History at N = 5:
-//!   33 now; 38 when the slope was stated; 40 while the blocking driver grew its
+//!   15 and 31 (the paper's E2 and E3a counts), `A` = 13 and `B` = 2. Per
+//!   resolver: the exchange's two payloads (`doh/tests/alloc_budget.rs`);
+//!   every reply is read into the session's one answer buffer, the reply's
+//!   read borrows the question the session encoded, and the report row
+//!   shares the name the source set holds (`B` was 4 while each reply's
+//!   addresses were a vector of their own and each row copied its
+//!   source's name, 5 while the session boxed the client's state as `dyn
+//!   Any`). Per query: the question encoded once for all N, inline, every
+//!   answer rendered from a template — the poisoned one's, or the honest
+//!   authority's answer index — from the query where it lies, one copy of
+//!   the name for the key the miss stores, the batch's buffers (sized for
+//!   N at once), the answer buffer (sized on the first answer for all N),
+//!   the rest the generation's own bookkeeping and the rendered answer.
+//!   Nothing grows faster than N. History at N = 5: 23 now; 33 while each
+//!   reply's addresses and each row's name were copies of their own; 38
+//!   when the slope was stated; 40 while the blocking driver grew its
 //!   batch buffers by doubling (2 per doubling, so `2⌈log2 N⌉` more) and the
 //!   default `exchange_all` collected the outcomes into the requests'
 //!   buffer (a shrinking reallocation whenever `64·N` octets were not a
@@ -231,10 +243,13 @@ const RESOLVER_COUNTS: [usize; 4] = [3, 5, 15, 31];
 
 /// An uncached query over N resolvers allocates `A + B·N` times.
 const A: usize = 13;
-const B: usize = 4;
+const B: usize = 2;
+
+/// A five-source majority generation over ready answer lists.
+const MAJORITY: usize = 8;
 
 /// A five-source Algorithm-1 generation over ready answer lists.
-const ALGORITHM1: usize = 22;
+const ALGORITHM1: usize = 8;
 
 /// The allocations of one uncached query over a fleet of `n`, its last
 /// resolver poisoned, under the majority vote, after one query has warmed
@@ -381,9 +396,9 @@ fn a_generation_stays_within_its_allocation_budgets() {
          {algorithm1}, uncached query by N {uncached:?} (a = {A}, b = {B}), per parked waiter \
          {per_waiter:?} (uncached, cached), cached hit {hit}"
     );
-    assert!(
-        generation <= 29,
-        "a five-source majority generation allocated {generation} times"
+    assert_eq!(
+        generation, MAJORITY,
+        "a five-source majority generation allocated {generation} times, not {MAJORITY}"
     );
     assert_eq!(
         algorithm1, ALGORITHM1,

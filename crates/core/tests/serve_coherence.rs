@@ -17,7 +17,7 @@ use sdoh_core::serve::{CacheConfig, CachingPoolResolver};
 use sdoh_core::{AddressSource, FetchError, FetchStart, PoolConfig, SecurePoolGenerator};
 use sdoh_dns_server::{ClientExchanger, QueryHandler};
 use sdoh_dns_wire::{Message, Name, Rcode, RrType, Ttl};
-use sdoh_doh::{DohQuestion, PreparedDohQuery};
+use sdoh_doh::DohQuestion;
 use sdoh_netsim::{NetResult, SimAddr, SimInstant, SimNet};
 
 const TTL_SECS: u64 = 30;
@@ -63,16 +63,24 @@ impl AddressSource for EpochSource {
         "epoch"
     }
 
-    fn start_fetch(&self, _question: &DohQuestion, _id: u16) -> FetchStart {
+    fn start_fetch(
+        &self,
+        _question: &DohQuestion,
+        _id: u16,
+        answers: &mut Vec<IpAddr>,
+    ) -> FetchStart {
         let epoch = self.counter.fetch_add(1, Ordering::Relaxed);
-        FetchStart::Immediate(Ok(epoch_addresses(epoch)))
+        answers.extend(epoch_addresses(epoch));
+        FetchStart::Immediate(Ok(()))
     }
 
     fn handle_response(
         &self,
-        _pending: PreparedDohQuery,
+        _question: &DohQuestion,
+        _id: u16,
         _outcome: NetResult<Vec<u8>>,
-    ) -> Result<Vec<IpAddr>, FetchError> {
+        _answers: &mut Vec<IpAddr>,
+    ) -> Result<(), FetchError> {
         unreachable!("immediate source")
     }
 }

@@ -76,12 +76,8 @@ fn run_permuted(
         SecurePoolGenerator::new(config, sources_for(infos))?.session(&domain, session_seed)?;
 
     let mut transmits = Vec::new();
-    loop {
-        match session.poll() {
-            Action::Transmit(t) => transmits.push(t),
-            Action::Deliver(_) => {}
-            Action::Wait | Action::Done => break,
-        }
+    while let Action::Transmit(t) = session.poll() {
+        transmits.push(t);
     }
 
     let client = SimAddr::v4(10, 0, 0, 1, 40000);
@@ -103,7 +99,7 @@ fn run_permuted(
             .handle_response(transmits[position].transaction, outcomes[position].clone())
             .expect("valid transaction");
     }
-    while let Action::Deliver(_) = session.poll() {}
+    assert!(matches!(session.poll(), Action::Done));
     session.finish()
 }
 

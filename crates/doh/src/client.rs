@@ -12,7 +12,10 @@
 //! (a POST puts its own id into a copy of the query and sends it as the
 //! body) and seals the record where it lies. What comes back is checked
 //! in full: the envelope's name, the record's tag, every frame, the
-//! status, the content type, the id and the echoed question.
+//! status, the content type, the id and the echoed question. The client
+//! keeps nothing per query between the halves: the caller lends the
+//! question again, with the id it asked under, and the h2 connection the
+//! request left is made again when the reply is read.
 
 use std::net::IpAddr;
 use std::time::Duration;
@@ -196,23 +199,24 @@ impl DohClient {
             DohMethod::Get => 0,
             DohMethod::Post => exchanger.next_id(),
         };
-        let (transmit, prepared) = self.begin_query(id, &question);
+        let transmit = self.begin_query(id, &question);
         let mut reply = exchanger.exchange(
             transmit.dst,
             transmit.channel,
             &transmit.payload,
             transmit.timeout,
         )?;
-        self.finish_query(prepared, &mut reply)
+        self.finish_query(&question, id, &mut reply)
     }
 
     /// Sans-IO first half of a query: builds everything that must go on the
     /// wire without performing any exchange.
     ///
-    /// Returns the [`DohTransmit`] describing the bytes to send and the
-    /// [`PreparedDohQuery`] holding the connection state needed to decode
-    /// the eventual reply with [`DohClient::finish_query`]. A driver may
-    /// keep any number of prepared queries in flight concurrently.
+    /// Returns the [`DohTransmit`] describing the bytes to send. Nothing
+    /// else is kept: the reply is read by [`DohClient::finish_query`] (or
+    /// [`DohClient::finish_addresses`]) against the same `id` and the same
+    /// `question`, which the caller lends again, so a driver may keep any
+    /// number of queries in flight with no state of the client's per query.
     ///
     /// `id` is the DNS transaction id; per RFC 8484 §4.1 a GET asks under
     /// id 0 (cache friendliness) whatever `id` is, and a POST under `id`.
@@ -221,15 +225,14 @@ impl DohClient {
     /// question's `:path` field (a GET's) between them, its HEADERS frame
     /// closed and a POST's query behind it: octet for octet what writing
     /// each field would write (`tests::the_spliced_request_is_the_written_request`).
-    pub fn begin_query(&self, id: u16, question: &DohQuestion) -> (DohTransmit, PreparedDohQuery) {
-        // Sent, and kept to check the answer's id and echo against.
-        let (id, query) = match self.method {
-            DohMethod::Get => (0, question.query),
-            DohMethod::Post => (id, question.query.with_id(id)),
-        };
+    pub fn begin_query(&self, id: u16, question: &DohQuestion) -> DohTransmit {
+        let post;
         let (path, body): (&[u8], &[u8]) = match self.method {
             DohMethod::Get => (question.path.as_bytes(), &[]),
-            DohMethod::Post => (&[], query.as_bytes()),
+            DohMethod::Post => {
+                post = question.query.with_id(id);
+                (&[], post.as_bytes())
+            }
         };
         // One buffer from the envelope header to the record's 8-octet tag,
         // the record sealed where it lies.
@@ -240,55 +243,52 @@ impl DohClient {
             &mut payload,
             self.record_at,
         );
-        let (connection, stream_id) = ClientConnection::first_request_sent();
-        (
-            DohTransmit::new(
-                self.resolver.addr,
-                ChannelKind::Secure,
-                payload,
-                self.timeout,
-            ),
-            PreparedDohQuery {
-                connection,
-                stream_id,
-                id,
-                query,
-            },
+        DohTransmit::new(
+            self.resolver.addr,
+            ChannelKind::Secure,
+            payload,
+            self.timeout,
         )
     }
 
     /// Sans-IO second half of a query: authenticates, decodes and validates
-    /// the reply bytes produced by the exchange described by the matching
-    /// [`DohTransmit`], and returns the DNS response — the checks of
-    /// [`DohClient::finish_addresses`], then the owned copy.
+    /// the reply bytes produced by the exchange [`DohClient::begin_query`]
+    /// described for `id` and `question`, and returns the DNS response —
+    /// the checks of [`DohClient::finish_addresses`], then the owned copy.
     ///
     /// # Errors
     ///
     /// Same error surface as [`DohClient::query`], minus the transport
     /// errors (the driver owns those).
-    pub fn finish_query(&self, prepared: PreparedDohQuery, reply: &mut [u8]) -> DohResult<Message> {
-        Ok(self.finish_with(prepared, reply, None, |answer| answer.to_message())??)
+    pub fn finish_query(
+        &self,
+        question: &DohQuestion,
+        id: u16,
+        reply: &mut [u8],
+    ) -> DohResult<Message> {
+        Ok(self.finish_with(question, id, reply, None, |answer| answer.to_message())??)
     }
 
     /// The second half of an address source's query: the reply's checks,
-    /// and the response code and the addresses of the type asked for, in
-    /// answer order, read where they lie on the walk that validates the
-    /// answer. `reply` is opened where it lies (it holds plaintext
-    /// afterwards).
+    /// and the response code; the addresses of the type asked for are
+    /// appended to `addresses`, in answer order, read where they lie on the
+    /// walk that validates the answer. `reply` is opened where it lies (it
+    /// holds plaintext afterwards).
     ///
     /// # Errors
     ///
-    /// As [`DohClient::finish_query`].
+    /// As [`DohClient::finish_query`]; what was appended before the error
+    /// is the caller's to drop.
     pub fn finish_addresses(
         &self,
-        prepared: PreparedDohQuery,
+        question: &DohQuestion,
+        id: u16,
         reply: &mut [u8],
-    ) -> DohResult<(Rcode, Vec<IpAddr>)> {
-        let mut addresses = Vec::new();
-        let rcode = self.finish_with(prepared, reply, Some(&mut addresses), |answer| {
+        addresses: &mut Vec<IpAddr>,
+    ) -> DohResult<Rcode> {
+        self.finish_with(question, id, reply, Some(addresses), |answer| {
             answer.header().rcode
-        })?;
-        Ok((rcode, addresses))
+        })
     }
 
     /// The one validation chain of a reply, with `read` as its ending:
@@ -296,24 +296,22 @@ impl DohClient {
     /// resolver, the HTTP/2 response on the request stream must be a 200 of
     /// type `application/dns-message` whose `content-length`, if it gives
     /// one, is its body's, that body one well-formed DNS message — its
-    /// addresses of the asked type collected into `addresses` on the walk
+    /// addresses of the asked type appended to `addresses` on the walk
     /// that validates it — and that message a response to the query — QR
-    /// set, the query's opcode and id (0 under GET) and its question
-    /// echoed. `read` then sees the message where it lies.
+    /// set, the query's opcode and id (0 under GET) and `question` echoed.
+    /// `read` then sees the message where it lies.
     fn finish_with<T>(
         &self,
-        prepared: PreparedDohQuery,
+        question: &DohQuestion,
+        id: u16,
         reply: &mut [u8],
         addresses: Option<&mut Vec<IpAddr>>,
         read: impl FnOnce(&MessageView<'_>) -> T,
     ) -> DohResult<T> {
-        let PreparedDohQuery {
-            mut connection,
-            stream_id,
-            id,
-            query,
-        } = prepared;
-
+        let id = match self.method {
+            DohMethod::Get => 0,
+            DohMethod::Post => id,
+        };
         let (server_name, record) = SecureEnvelope::split(reply)?;
         if server_name != self.resolver.name {
             return Err(DohError::ChannelAuthentication(format!(
@@ -327,6 +325,9 @@ impl DohClient {
             secure::SEQ_SERVER,
             reply.get_mut(record_at..).unwrap_or_default(),
         )?;
+        // The state every request leaves its connection in: the preface,
+        // SETTINGS and one request sent on the first stream.
+        let (mut connection, stream_id) = ClientConnection::first_request_sent();
         let (head, body) = connection
             .response(server_h2, stream_id)?
             .ok_or_else(|| DohError::Protocol("no response on the request stream".into()))?;
@@ -342,6 +343,7 @@ impl DohClient {
                 )))
             }
         }
+        let query = &question.query;
         let answer = match addresses {
             Some(addresses) => {
                 MessageView::parse_addresses(body.octets(), query.rtype(), addresses)?
@@ -356,7 +358,7 @@ impl DohClient {
                 "the reply is not a response to the query".into(),
             ));
         }
-        if !answer.echoes(&query) {
+        if !answer.echoes(query) {
             return Err(DohError::Protocol(
                 "response question does not match query".into(),
             ));
@@ -407,18 +409,6 @@ fn request_frames(resolver: &ResolverInfo, method: DohMethod) -> (RequestFrames,
 /// [`ChannelKind::Secure`], `payload` the sealed envelope carrying the
 /// HTTP/2 request). The caller owns the transport.
 pub use sdoh_netsim::ConcurrentRequest as DohTransmit;
-
-/// In-flight state of one DoH query between [`DohClient::begin_query`] and
-/// [`DohClient::finish_query`] (or [`DohClient::finish_addresses`]): the
-/// HTTP/2 client connection, the stream the request went out on, and the
-/// id and the query's octets to validate the response against.
-#[derive(Debug)]
-pub struct PreparedDohQuery {
-    connection: ClientConnection,
-    stream_id: u32,
-    id: u16,
-    query: QueryWire,
-}
 
 #[cfg(test)]
 mod tests {
@@ -550,8 +540,8 @@ mod tests {
         };
         let finish = |length: usize| {
             let question = DohQuestion::new(&name, RrType::A).unwrap();
-            let (_, prepared) = client.begin_query(0, &question);
-            client.finish_query(prepared, &mut reply(length))
+            client.begin_query(0, &question);
+            client.finish_query(&question, 0, &mut reply(length))
         };
         assert_eq!(finish(answer.len()).unwrap().answer_addresses().len(), 4);
         for length in [answer.len() + 1, answer.len() - 1, 0] {
@@ -575,7 +565,7 @@ mod tests {
     /// The request `begin_query` wrote field by field before a client wrote
     /// its shared octets once: the oracle a spliced request is held
     /// against. The sealed payload, the connection it leaves, and the id
-    /// and the query kept for the answer's checks.
+    /// and the query the answer is checked against.
     fn written_request(
         client: &DohClient,
         id: u16,
@@ -650,8 +640,8 @@ mod tests {
 
     /// The request spliced from the client's shared octets and the
     /// question's is octet for octet the one the field writer writes, and
-    /// leaves the same connection and the same query to check the answer
-    /// against: every directory resolver, GET and POST, A and AAAA, several
+    /// the connection the reply is read on and the query it is checked
+    /// against are the ones the field writer leaves: every directory resolver, GET and POST, A and AAAA, several
     /// ids, and names of every wire length from 1 to 253 octets — across
     /// the `:path` value's HPACK length outgrowing its 7-bit prefix (127)
     /// and the HEADERS frame outgrowing one length octet (255). Run with
@@ -669,17 +659,17 @@ mod tests {
                     for rtype in [RrType::A, RrType::Aaaa] {
                         let question = DohQuestion::new(name, rtype).unwrap();
                         for id in [0, 1, 0xBEEF, 0xFFFF] {
-                            let (transmit, prepared) = client.begin_query(id, &question);
+                            let transmit = client.begin_query(id, &question);
                             let (payload, connection, id, query) =
                                 written_request(&client, id, name, rtype);
                             assert_eq!(transmit.payload, payload, "{name} {rtype} {id}");
-                            assert_eq!(prepared.stream_id, 1);
-                            assert_eq!(prepared.id, id);
-                            assert_eq!(prepared.query.as_bytes(), query.as_bytes());
-                            assert_eq!(
-                                format!("{:?}", prepared.connection),
-                                format!("{connection:?}")
-                            );
+                            // What the reply is read against: the lent
+                            // question under the id the request carried,
+                            // and the connection the finish half makes.
+                            assert_eq!(question.query.with_id(id).as_bytes(), query.as_bytes());
+                            let (made, stream_id) = ClientConnection::first_request_sent();
+                            assert_eq!(stream_id, 1);
+                            assert_eq!(format!("{made:?}"), format!("{connection:?}"));
                             // The HEADERS frame's length, behind the envelope
                             // header, the 24-octet preface and the 21-octet
                             // SETTINGS frame.

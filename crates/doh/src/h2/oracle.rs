@@ -531,7 +531,7 @@ mod tests {
             for (method, id) in [(DohMethod::Get, 0), (DohMethod::Post, 0x1234)] {
                 let client = DohClient::new(info.clone()).method(method);
                 let question = DohQuestion::new(&name, RrType::A).unwrap();
-                let (transmit, prepared) = client.begin_query(id, &question);
+                let transmit = client.begin_query(id, &question);
                 let query = Message::query(id, name.clone(), RrType::A)
                     .encode()
                     .unwrap();
@@ -564,7 +564,10 @@ mod tests {
                 server.send_response(requests[0].0, &response);
                 let answered = opened(&info, &reply, secure::SEQ_SERVER);
                 assert_eq!(answered, server.take_output(), "{name} {method:?}");
-                assert_eq!(client.finish_query(prepared, &mut reply).unwrap(), answer);
+                assert_eq!(
+                    client.finish_query(&question, id, &mut reply).unwrap(),
+                    answer
+                );
                 messages += 2;
             }
         }

@@ -55,8 +55,7 @@ pub mod secure;
 mod server;
 
 pub use client::{
-    DohClient, DohMethod, DohQuestion, DohTransmit, PreparedDohQuery, DNS_MESSAGE_CONTENT_TYPE,
-    DOH_PATH,
+    DohClient, DohMethod, DohQuestion, DohTransmit, DNS_MESSAGE_CONTENT_TYPE, DOH_PATH,
 };
 pub use directory::{ResolverDirectory, ResolverInfo};
 pub use error::{DohError, DohResult};

@@ -15,27 +15,29 @@
 //!
 //! The exchange counted is an address source's: `begin_query`, the
 //! terminator's `serve_payload` and `finish_addresses` reading the
-//! addresses where they lie in the answer, on the walk that validates it.
-//! The counts are exact and repeat on every run (the test prints them; when
-//! this was written: 3 per exchange — 1 to begin the query, 1 to serve it,
-//! 1 to finish it — 1 to read the 8 addresses out of an answer, 11 for the
-//! owned copy `finish_query`'s callers get, 1 per name clone). What is left
-//! is the buffers themselves: the two payloads and the addresses read. The
-//! terminator reads the query where it lies in the buffer it decoded the
-//! `dns=` parameter into, and the client's one stream sits inline in its
-//! connection; the query's octets, kept for the echo check, sit inline in
-//! the prepared query, and the authority renders the answer from its
-//! index, compressing nothing. The exchange budget is its count: one
-//! allocation more fails the test — 6 while the terminator decoded each
-//! query into an owned `Message` and the client kept its stream list on
-//! the heap, 7 while the authority walked its zone and compressed the
-//! answer's owner names against an offset list built per answer, 10 while
-//! the client kept the question, the query's wire form and its compression
-//! offsets on the heap, 28 while both ends built and copied HTTP messages,
-//! 60 while the answer was decoded into a `Message` again and the
-//! authority cloned the records it answers with, 161 while the exchange
-//! copied its octets from buffer to buffer, 312 while a name was a vector
-//! of vectors.
+//! addresses where they lie in the answer, on the walk that validates it,
+//! into a buffer with room for them (a generation reads every reply into
+//! one). The counts are exact and repeat on every run (the test prints
+//! them; when this was written: 2 per exchange — 1 to begin the query, 1 to
+//! serve it, 0 to finish it — 1 to read the 8 addresses out of an answer
+//! into an empty vector, 11 for the owned copy `finish_query`'s callers
+//! get, 1 per name clone). What is left is the buffers themselves: the two
+//! payloads. The terminator reads the query where it lies in the buffer it
+//! decoded the `dns=` parameter into, and the client's one stream sits
+//! inline in its connection, made when the reply is read; the query's
+//! octets, for the echo check, are the question the caller lends again,
+//! and the authority renders the answer from its index, compressing
+//! nothing. The exchange budget is its count: one allocation more fails
+//! the test — 3 while each exchange read its addresses into a vector of
+//! its own, 6 while the terminator decoded each query into an owned
+//! `Message` and the client kept its stream list on the heap, 7 while the
+//! authority walked its zone and compressed the answer's owner names
+//! against an offset list built per answer, 10 while the client kept the
+//! question, the query's wire form and its compression offsets on the
+//! heap, 28 while both ends built and copied HTTP messages, 60 while the
+//! answer was decoded into a `Message` again and the authority cloned the
+//! records it answers with, 161 while the exchange copied its octets from
+//! buffer to buffer, 312 while a name was a vector of vectors.
 //!
 //! Only the measuring thread's blocks are counted: the test harness's main
 //! thread takes a few of its own while the test runs, at no fixed moment,
@@ -146,24 +148,29 @@ fn one_exchange_stays_within_its_allocation_budget() {
     // The exchange `finish_query`'s callers make: the service keeps the
     // buffer it opens records in from this one on.
     let question = DohQuestion::new(&pool, RrType::A).unwrap();
-    let (transmit, prepared) = client.begin_query(0, &question);
+    let transmit = client.begin_query(0, &question);
     let mut reply = server
         .serve_payload(&mut NoUpstream, transmit.channel, &transmit.payload)
         .unwrap();
     let octets = (transmit.payload.len(), reply.len());
-    let response = client.finish_query(prepared, &mut reply).unwrap();
+    let response = client.finish_query(&question, 0, &mut reply).unwrap();
     assert_eq!(response.answer_addresses(), expected);
     assert_eq!(octets, (200, 310), "octets on the wire, request and reply");
 
-    // The exchange an address source makes, counted.
-    let (begin, (transmit, prepared)) = allocations_of(|| client.begin_query(0, &question));
+    // The exchange an address source makes, counted, its addresses read
+    // into a buffer that has room for them, as a generation's has.
+    let mut addresses = Vec::with_capacity(expected.len());
+    let (begin, transmit) = allocations_of(|| client.begin_query(0, &question));
     let (serve, mut reply) = allocations_of(|| {
         server
             .serve_payload(&mut NoUpstream, transmit.channel, &transmit.payload)
             .unwrap()
     });
-    let (finish, (_, addresses)) =
-        allocations_of(|| client.finish_addresses(prepared, &mut reply).unwrap());
+    let (finish, _) = allocations_of(|| {
+        client
+            .finish_addresses(&question, 0, &mut reply, &mut addresses)
+            .unwrap()
+    });
     let exchange = begin + serve + finish;
     assert_eq!(addresses, expected);
 
@@ -184,7 +191,11 @@ fn one_exchange_stays_within_its_allocation_budget() {
         "allocations: exchange {exchange} (begin_query {begin} + serve_payload {serve} + \
          finish_addresses {finish}), answer read {read}, owned decode {decode}, clone {clone}"
     );
-    assert!(exchange <= 3, "one GET exchange allocated {exchange} times");
+    assert_eq!(exchange, 2, "one GET exchange allocated {exchange} times");
+    assert_eq!(
+        finish, 0,
+        "reading a reply into a buffer with room allocated {finish} times"
+    );
     assert!(
         read <= 2,
         "reading the 8 addresses of the answer allocated {read} times"

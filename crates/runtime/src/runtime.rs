@@ -1143,6 +1143,9 @@ struct ShardMachine {
     parked_octets: Vec<u8>,
     /// In departure order.
     upstream: Vec<Upstream>,
+    /// The next batch's tags: the widest batch's buffer once it landed,
+    /// cleared, so a batch's requests are sized once and its tags reused.
+    spare_tags: Vec<(FlightId, TransactionId)>,
     /// Control orders not adopted yet, in epoch order: the first waits for
     /// the flights upstream to land, and every query behind it is deferred.
     orders: Vec<EpochOrder>,
@@ -1158,6 +1161,7 @@ impl ShardMachine {
             parked: Vec::new(),
             parked_octets: Vec::new(),
             upstream: Vec::new(),
+            spare_tags: Vec::new(),
             orders: Vec::new(),
             effects: Effects {
                 udp_payload_limit,
@@ -1247,7 +1251,7 @@ impl ShardMachine {
     /// adopts the orders that may be — repeated while anything is already
     /// due, so a zero round trip lands before another query can join its
     /// flight. Returns the next instant anything is due, if any.
-    // sdoh-lint: allow(transitive-hot-path-purity, "the miss path, at the end of every step: past the first check only with a flight live, a refresh queued or an order waiting, at most one generation per (question, TTL window), whose fan-out dwarfs these buffers; a shard of cache hits returns at the first check")
+    // sdoh-lint: allow(transitive-hot-path-purity, "the miss path, at the end of every step: past the first check only with a flight live, a refresh queued or an order waiting, at most one generation per (question, TTL window), whose fan-out dwarfs the one request buffer a batch takes (its tags reuse the shard's); a shard of cache hits returns at the first check")
     fn pump(&mut self) -> Option<SimInstant> {
         if self.upstream.is_empty()
             && self.parked.is_empty()
@@ -1271,6 +1275,10 @@ impl ShardMachine {
                         let _ = self.resolver.land(flight, transaction, outcome.result);
                     }
                 }
+                if tags.capacity() > self.spare_tags.capacity() {
+                    self.spare_tags = tags;
+                    self.spare_tags.clear();
+                }
             }
             // No refresh leaves under the old set while an order waits for
             // its flights to land.
@@ -1278,7 +1286,7 @@ impl ShardMachine {
                 self.resolver.begin_due_refreshes(self.exchanger.as_mut());
             }
             let now = self.exchanger.now();
-            let (mut tags, mut requests) = (Vec::new(), Vec::new());
+            let mut requests = Vec::new();
             let next_refresh = loop {
                 match self.resolver.poll(now) {
                     ServeStep::Transmit {
@@ -1286,7 +1294,10 @@ impl ShardMachine {
                         transaction,
                         request,
                     } => {
-                        tags.push((flight, transaction));
+                        if requests.is_empty() {
+                            requests.reserve_exact(self.spare_tags.capacity());
+                        }
+                        self.spare_tags.push((flight, transaction));
                         requests.push(request);
                     }
                     ServeStep::Landed(landed) => self.answer_parked(&landed),
@@ -1295,6 +1306,7 @@ impl ShardMachine {
             };
             if !requests.is_empty() {
                 let departure = self.exchanger.depart(requests);
+                let tags = std::mem::take(&mut self.spare_tags);
                 self.upstream.push(Upstream { departure, tags });
             }
             if self.adopt_orders() {

@@ -131,6 +131,35 @@ fn exported_counters_reconcile_with_client_ground_truth() {
     assert!(http_get(stats_addr, "/metrics", Duration::from_millis(300)).is_err());
 }
 
+/// The per-source outcome counters, as `/metrics` exports them, after a
+/// scripted run: the four pool domains asked once each (three resolvers
+/// answer each generation) and one name outside every zone (each resolver
+/// refuses it, so each fails). Counted as the flights land.
+#[test]
+fn source_outcomes_reach_the_exposition() {
+    let (fleet, shards) = build();
+    let runtime = PoolRuntime::start(stats_config(), shards).expect("bind loopback");
+    let stats_addr = runtime.stats_addr().expect("stats listener bound");
+    let client =
+        RuntimeClient::connect(runtime.udp_addr(), Some(runtime.tcp_addr())).expect("client");
+    for (id, domain) in (1..).zip(&fleet.domains) {
+        let response = client
+            .query(&Message::query(id, domain.clone(), RrType::A))
+            .expect("query answered");
+        assert!(!response.answer_addresses().is_empty());
+    }
+    let outside = Message::query(9, "outside.example".parse().unwrap(), RrType::A);
+    let refused = client.query(&outside).expect("query answered");
+    assert!(refused.answer_addresses().is_empty());
+
+    let scrape = http_get(stats_addr, "/metrics", Duration::from_secs(5)).expect("scrape");
+    let samples = parse_prometheus(&scrape.body).expect("parseable exposition");
+    assert_eq!(counter(&samples, "sdoh_generations_total"), 5);
+    assert_eq!(counter(&samples, "sdoh_source_answers_total"), 12);
+    assert_eq!(counter(&samples, "sdoh_source_failures_total"), 3);
+    runtime.shutdown();
+}
+
 #[test]
 fn registry_lints_clean_every_counter_has_help() {
     // The CI counter-help lint: a full runtime registry — front-door

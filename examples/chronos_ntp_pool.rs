@@ -52,6 +52,12 @@ fn build_attacked_scenario(seed: u64) -> Scenario {
     scenario
 }
 
+/// Whether a clock `offset` s from true time is the attacker's whole shift,
+/// to the millisecond.
+fn took_the_full_shift(offset: f64) -> bool {
+    (offset - ATTACKER_SHIFT).abs() < 0.001
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Maximum clock shift achieved by the attacker ({ATTACKER_SHIFT} s time-shift servers) ==\n");
 
@@ -68,6 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "plain DNS + plain NTP      : clock shifted by {:+10.3} s",
             clock.offset_from_true()
         );
+        assert!(took_the_full_shift(clock.offset_from_true()));
     }
 
     // Configuration 2: plain DNS + Chronos.
@@ -88,6 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             clock.offset_from_true(),
             outcome.map(|o| o.mode)
         );
+        assert!(took_the_full_shift(clock.offset_from_true()));
     }
 
     // Configuration 3: distributed DoH + Chronos (the proposal).
@@ -109,6 +117,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "distributed DoH + Chronos  : clock shifted by {:+10.3} s ({:?})",
             clock.offset_from_true(),
             outcome.mode
+        );
+        let offset = clock.offset_from_true();
+        assert!(
+            offset.abs() < 0.001,
+            "the proposal's clock moved {offset} s"
         );
     }
 

@@ -72,5 +72,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         addresses.len() - malicious,
         scenario.benign_ntp.len()
     );
+    assert_eq!(malicious, 0, "attacker addresses passed the majority vote");
     Ok(())
 }

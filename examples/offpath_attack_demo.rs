@@ -81,6 +81,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         doh_check.benign_fraction,
         if doh_check.holds { "HOLDS" } else { "VIOLATED" }
     );
+    assert!(!plain_check.holds, "the plain baseline was not poisoned");
+    assert!(
+        doh_check.holds,
+        "the attacker broke the DoH pool's guarantee"
+    );
 
     let metrics = scenario.net.metrics();
     println!(

@@ -19,7 +19,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use secure_doh::core::{check_guarantee, Action, CacheConfig, PoolConfig, SessionEvent};
+use secure_doh::core::{check_guarantee, Action, CacheConfig, PoolConfig, SourceOutcome};
 use secure_doh::dns::{ExchangeRequest, Exchanger, StubResolver};
 use secure_doh::ntp::{ChronosClient, ChronosConfig, LocalClock, NtpClient};
 use secure_doh::scenario::{Scenario, ScenarioConfig, CLIENT_ADDR, FRONTEND_ADDR};
@@ -109,19 +109,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     session.handle_response(batch_ids[outcome.index], outcome.result)?;
                 }
             }
-            Action::Deliver(SessionEvent::SourceAnswered {
-                source, addresses, ..
-            }) => println!(
-                "  <- {} answered with {addresses} addresses",
-                session.source_name(source)
-            ),
-            Action::Deliver(SessionEvent::SourceFailed { source, error, .. }) => {
-                println!("  <- {} failed: {error}", session.source_name(source))
-            }
             Action::Done => break session.finish()?,
         }
     };
     let elapsed = scenario.net.clock().elapsed_since(started);
+    // What each resolver came to, in configuration order.
+    for (name, outcome) in &report.sources {
+        match outcome {
+            SourceOutcome::Answered(addresses) => {
+                println!("  <- {name} answered with {addresses} addresses")
+            }
+            SourceOutcome::Failed(error) => println!("  <- {name} failed: {error}"),
+        }
+    }
 
     println!(
         "truncation length: {:?}, combined pool of {} slots",
@@ -142,6 +142,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         check.required_fraction,
         if check.holds { "HOLDS" } else { "VIOLATED" }
     );
+    assert!(check.holds, "the generated pool breaks the guarantee");
 
     // Step 6: run Chronos over the generated pool.
     let pool = report.pool.addresses();

@@ -85,7 +85,7 @@ fn session_describes_the_full_fanout_before_any_io() {
         );
         session.handle_response(t.transaction, outcome).unwrap();
     }
-    while let Action::Deliver(_) = session.poll() {}
+    assert!(matches!(session.poll(), Action::Done));
     let report = session.finish().unwrap();
     assert_eq!(report.pool.len(), 24);
 }

@@ -50,12 +50,15 @@ pub struct ChaosOutcome {
 /// Runs both campaigns plus the determinism self-check and tabulates.
 pub fn run(seed: u64, steps: u64) -> (Table, ChaosOutcome) {
     let hardened_config = campaign_config(StackKind::Hardened, seed, steps);
-    let hardened = run_campaign(&hardened_config);
-    let replay = run_campaign(&hardened_config);
+    let campaign = |config: &CampaignConfig| {
+        run_campaign(config).expect("the E15 campaigns are configured validly")
+    };
+    let hardened = campaign(&hardened_config);
+    let replay = campaign(&hardened_config);
     let deterministic = hardened.to_json("determinism-check")
         == replay.to_json("determinism-check")
         && hardened.trace_text() == replay.trace_text();
-    let weak = run_campaign(&campaign_config(StackKind::WeakBaseline, seed, steps));
+    let weak = campaign(&campaign_config(StackKind::WeakBaseline, seed, steps));
 
     let mut table = Table::new(
         format!("E15: chaos campaigns, seed {seed}, {steps} steps"),

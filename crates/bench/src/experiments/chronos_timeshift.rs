@@ -66,8 +66,7 @@ pub fn run_setup(setup: TimeSyncSetup, attacker_shift: f64, seed: u64) -> (f64, 
         attacker_time_shift: attacker_shift,
         ..ScenarioConfig::default()
     });
-    let attacker_pool: Vec<std::net::IpAddr> =
-        scenario.attacker_ntp.iter().take(16).copied().collect();
+    let attacker_pool = scenario.forged_addresses();
     scenario.net.set_adversary(pool_spoofer(
         1.0,
         vec![ISP_RESOLVER],

@@ -61,7 +61,7 @@ fn simulate(total: usize, compromised: usize, mode: CombinationMode, seed: u64) 
         format!("{mode:?}"),
         report.pool.len().to_string(),
         fmt_percent(check.malicious_fraction),
-        format!("{benign_included}/{}", scenario.benign_ntp.len()),
+        format!("{benign_included}/{}", scenario.fleet.benign.len()),
         check.holds.to_string(),
     ]
 }

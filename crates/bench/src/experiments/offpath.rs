@@ -85,8 +85,7 @@ fn run_trial(setup: Setup, p: f64, seed: u64) -> bool {
         ..ScenarioConfig::default()
     });
     let truth = scenario.ground_truth();
-    let attacker_pool: Vec<std::net::IpAddr> =
-        scenario.attacker_ntp.iter().take(8).copied().collect();
+    let attacker_pool = scenario.forged_addresses();
 
     // Victim paths: the client->ISP path for the baseline, every resolver's
     // upstream path to the pool-domain authoritative server for the

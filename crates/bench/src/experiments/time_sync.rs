@@ -16,8 +16,6 @@
 //! client's host (loopback) and fans out over authenticated DoH channels,
 //! which is exactly the paper's deployment model.
 
-use std::net::IpAddr;
-
 use sdoh_analysis::Table;
 use sdoh_core::{check_guarantee, CacheConfig, PoolConfig};
 use sdoh_dns_server::ClientExchanger;
@@ -139,12 +137,7 @@ fn build_scenario(attack: AttackCase, shift: f64, seed: u64) -> Scenario {
     // if a variant wants planted servers too.)
     scenario.install_ntp_fleet(NtpFleetConfig::default());
     if attack.spoofer {
-        let forged: Vec<IpAddr> = scenario
-            .attacker_ntp
-            .iter()
-            .take(NTP_SERVERS)
-            .copied()
-            .collect();
+        let forged = scenario.forged_addresses();
         scenario.net.set_adversary(pool_spoofer(
             1.0,
             vec![ISP_RESOLVER],

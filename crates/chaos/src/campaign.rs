@@ -144,7 +144,12 @@ impl CampaignConfig {
 }
 
 /// Runs one campaign to completion and reports.
-pub fn run_campaign(config: &CampaignConfig) -> ChaosReport {
+///
+/// # Errors
+///
+/// Returns the configuration error when the serving front end or the
+/// Chronos client cannot be built (no resolvers, say).
+pub fn run_campaign(config: &CampaignConfig) -> Result<ChaosReport, Box<dyn std::error::Error>> {
     let baseline_link = LinkConfig::default();
     let isp_hardening = match config.stack {
         StackKind::Hardened => HardeningConfig::default(),
@@ -167,11 +172,9 @@ pub fn run_campaign(config: &CampaignConfig) -> ChaosReport {
     // the *maximum* TTL + stale horizon any applied config allowed.
     let mut max_cache_age = cache_config.ttl.as_duration() + cache_config.stale_window;
     let frontend: Option<Arc<Mutex<CachingPoolResolver>>> = match config.stack {
-        StackKind::Hardened => Some(
-            scenario
-                .install_caching_frontend(PoolConfig::algorithm1(), cache_config)
-                .expect("valid pool configuration"), // sdoh-lint: allow(no-panic, "the Algorithm 1 defaults are statically valid")
-        ),
+        StackKind::Hardened => {
+            Some(scenario.install_caching_frontend(PoolConfig::algorithm1(), cache_config)?)
+        }
         StackKind::WeakBaseline => None,
     };
 
@@ -179,8 +182,7 @@ pub fn run_campaign(config: &CampaignConfig) -> ChaosReport {
         ChronosConfig::default(),
         NtpClient::new(CLIENT_ADDR.with_port(123)),
         config.seed ^ 0xC105_0C4A,
-    )
-    .expect("valid Chronos configuration"); // sdoh-lint: allow(no-panic, "the default Chronos config is statically valid")
+    )?;
     let mut time_client = match &frontend {
         Some(frontend) => SecureTimeClient::new(
             Box::new(ConsensusFrontEnd::new(Arc::clone(frontend))),
@@ -219,7 +221,8 @@ pub fn run_campaign(config: &CampaignConfig) -> ChaosReport {
     // whatever (possibly degraded) link the rest of the fleet sees.
     let mut current_default = baseline_link;
     let mut traced_violations = 0usize;
-    let mut query_counter: usize = 0;
+    // The workload asks the pool domains in turn.
+    let mut domains = scenario.fleet.domains.iter().cycle();
 
     let events = plan.events().to_vec();
     let mut next_event = 0usize;
@@ -250,8 +253,7 @@ pub fn run_campaign(config: &CampaignConfig) -> ChaosReport {
         scenario.net.clock().advance(STEP_DURATION);
 
         for _ in 0..config.workload.clients_per_step {
-            let domain = &scenario.pool_domains[query_counter % scenario.pool_domains.len().max(1)]; // sdoh-lint: allow(no-panic, "the modulo keeps the index in range and max(1) avoids a zero divisor")
-            query_counter += 1;
+            let Some(domain) = domains.next() else { break };
             monitor.queries_issued += 1;
             match stub.lookup_ipv4(&mut exchanger, domain) {
                 Ok(addresses) => {
@@ -316,7 +318,7 @@ pub fn run_campaign(config: &CampaignConfig) -> ChaosReport {
     }
 
     let ready = monitor.ready();
-    ChaosReport {
+    Ok(ChaosReport {
         seed: config.seed,
         steps: config.steps,
         stack: config.stack.label().to_string(),
@@ -335,7 +337,7 @@ pub fn run_campaign(config: &CampaignConfig) -> ChaosReport {
         net: scenario.net.metrics(),
         trace,
         ready,
-    }
+    })
 }
 
 /// The campaign state a fault may act on: the scenario's simulator
@@ -459,7 +461,7 @@ mod tests {
     fn calm_campaign_on_hardened_stack_is_clean() {
         let mut config = CampaignConfig::hardened(5, 60);
         config.fault_mix = FaultMix::calm();
-        let report = run_campaign(&config);
+        let report = run_campaign(&config).unwrap();
         assert!(report.ready, "violations: {:?}", report.violations);
         assert_eq!(report.total_violations, 0);
         assert_eq!(report.queries_issued, 120);
@@ -480,7 +482,7 @@ mod tests {
         let mut config = CampaignConfig::hardened(21, 150);
         config.fault_mix = FaultMix::calm();
         config.fault_mix.reconfigure = 0.15;
-        let report = run_campaign(&config);
+        let report = run_campaign(&config).unwrap();
         assert!(report.ready, "violations: {:?}", report.violations);
         assert_eq!(report.total_violations, 0);
         let applied = report
@@ -502,8 +504,8 @@ mod tests {
         };
         config.fault_mix = FaultMix::calm();
         config.fault_mix.reconfigure = 0.2;
-        let first = run_campaign(&config);
-        let second = run_campaign(&config);
+        let first = run_campaign(&config).unwrap();
+        let second = run_campaign(&config).unwrap();
         assert!(
             first
                 .faults_applied

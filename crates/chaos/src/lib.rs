@@ -48,11 +48,11 @@
 //!
 //! // A short mixed-adversary campaign against the hardened stack.
 //! let config = CampaignConfig::hardened(7, 40);
-//! let report = run_campaign(&config);
+//! let report = run_campaign(&config).unwrap();
 //! assert!(report.ready, "violations: {:?}", report.violations);
 //!
 //! // Same seed, same campaign: byte-identical report and trace.
-//! let replay = run_campaign(&config);
+//! let replay = run_campaign(&config).unwrap();
 //! assert_eq!(report.to_json("doc"), replay.to_json("doc"));
 //! assert_eq!(report.trace_text(), replay.trace_text());
 //! ```

@@ -16,7 +16,7 @@ fn mixed_adversary(seed: u64, steps: u64) -> CampaignConfig {
 
 #[test]
 fn hardened_stack_survives_mixed_adversary_campaign() {
-    let report = run_campaign(&mixed_adversary(42, 1000));
+    let report = run_campaign(&mixed_adversary(42, 1000)).unwrap();
     assert!(
         report.ready,
         "hardened stack violated invariants: {:?}",
@@ -63,7 +63,7 @@ fn hardened_stack_survives_mixed_adversary_campaign() {
 fn weak_baseline_fails_the_same_campaign() {
     let mut config = mixed_adversary(42, 1000);
     config.stack = sdoh_chaos::StackKind::WeakBaseline;
-    let report = run_campaign(&config);
+    let report = run_campaign(&config).unwrap();
     assert!(
         !report.ready,
         "the predictable-id baseline should be poisoned by the spoofer"
@@ -82,11 +82,11 @@ fn weak_baseline_fails_the_same_campaign() {
 #[test]
 fn same_seed_reproduces_reports_byte_for_byte() {
     let config = mixed_adversary(7, 300);
-    let first = run_campaign(&config);
-    let second = run_campaign(&config);
+    let first = run_campaign(&config).unwrap();
+    let second = run_campaign(&config).unwrap();
     assert_eq!(first.to_json("test"), second.to_json("test"));
     assert_eq!(first.trace_text(), second.trace_text());
 
-    let different = run_campaign(&mixed_adversary(8, 300));
+    let different = run_campaign(&mixed_adversary(8, 300)).unwrap();
     assert_ne!(first.trace_text(), different.trace_text());
 }

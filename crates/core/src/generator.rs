@@ -491,16 +491,9 @@ mod tests {
 
     #[test]
     fn from_directory_builds_doh_sources() {
-        // A directory's first resolvers as DoH sources, the way the
-        // scenario and the loopback fleet build theirs.
-        let sources: Vec<Box<dyn AddressSource>> = sdoh_doh::ResolverDirectory::well_known(5)
-            .take(3)
-            .into_iter()
-            .map(|info| {
-                Box::new(crate::source::DohSource::new(info).method(sdoh_doh::DohMethod::Get))
-                    as Box<dyn AddressSource>
-            })
-            .collect();
+        // A fleet's resolvers as DoH sources, the way the scenario and the
+        // loopback fleet build theirs.
+        let sources = crate::fleet::doh_sources(&crate::fleet::DohFleet::new(3, 1, 8, 5).infos);
         let generator = SecurePoolGenerator::new(PoolConfig::algorithm1(), sources).unwrap();
         assert!(format!("{generator:?}").contains("resolvers: 3"));
         assert_eq!(generator.config().min_responses, 1);

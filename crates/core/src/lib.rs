@@ -206,6 +206,7 @@
 mod combine;
 mod config;
 mod error;
+mod fleet;
 mod generator;
 mod guarantee;
 mod majority;
@@ -217,6 +218,7 @@ mod source;
 pub use combine::combine;
 pub use config::{CombinationMode, DualStackPolicy, FailurePolicy, PoolConfig};
 pub use error::{PoolError, PoolResult};
+pub use fleet::{doh_sources, DohFleet, ResolverCompromise};
 pub use generator::{GenerationReport, SecurePoolGenerator, SourceOutcome};
 pub use guarantee::{attacker_controls_fraction, check_guarantee, GroundTruth, GuaranteeCheck};
 pub use majority::{majority_vote, meets_threshold, reaches_fraction};

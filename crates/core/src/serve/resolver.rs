@@ -920,6 +920,7 @@ impl std::fmt::Debug for CachingPoolResolver {
 mod tests {
     use super::*;
     use crate::config::PoolConfig;
+    use crate::fleet::{doh_sources, DohFleet};
     use crate::source::{AddressSource, StaticSource};
     use sdoh_dns_server::{ClientExchanger, DnsClient, Do53Service, StubResolver};
     use sdoh_netsim::{SimAddr, SimNet};
@@ -1801,43 +1802,34 @@ mod tests {
         assert_eq!(resolver.metrics().hits, 1, "the oversized pool is cached");
     }
 
-    /// The domains of a [`doh_world`].
-    const WORLD: [&str; 4] = ["a.test", "b.test", "c.test", "d.test"];
+    /// The domains of a [`doh_world`], its fleet's pool domains.
+    const WORLD: [&str; 4] = [
+        "pool.ntpns.org",
+        "pool2.ntpns.org",
+        "pool3.ntpns.org",
+        "pool4.ntpns.org",
+    ];
 
-    /// A simulated net with three DoH resolvers over a zone publishing two
-    /// addresses for each of [`WORLD`], `registered` of them reachable, and
-    /// a front end fanning out to all three: real exchanges, with latency
-    /// and randomness drawn from the seeded net.
+    /// A simulated net with a fleet of three DoH resolvers whose pool zone
+    /// publishes two addresses for each of [`WORLD`], `registered` of them
+    /// reachable, and a front end fanning out to all three: real
+    /// exchanges, with latency and randomness drawn from the seeded net.
     fn doh_world(
         seed: u64,
         registered: usize,
         pool: PoolConfig,
         cache: CacheConfig,
     ) -> (SimNet, CachingPoolResolver) {
-        use sdoh_dns_server::{Authority, Catalog, Zone};
         let net = SimNet::new(seed);
-        let infos = sdoh_doh::ResolverDirectory::well_known(seed).take(3);
-        let mut zone = Zone::new("test".parse().unwrap());
-        for domain in WORLD {
-            for last in 1..=2 {
-                zone.add_address(domain.parse().unwrap(), ip(last));
-            }
-        }
-        let mut catalog = Catalog::new();
-        catalog.add_zone(zone);
-        for info in infos.iter().take(registered) {
+        let fleet = DohFleet::new(3, WORLD.len(), 2, seed);
+        let authority = fleet.authority();
+        for info in fleet.infos.iter().take(registered) {
             net.register(
                 info.addr,
-                sdoh_doh::DohServerService::new(info.clone(), Authority::new(catalog.clone())),
+                sdoh_doh::DohServerService::new(info.clone(), authority.clone()),
             );
         }
-        let sources: Vec<Box<dyn AddressSource>> = infos
-            .iter()
-            .map(|info| {
-                Box::new(crate::source::DohSource::new(info.clone())) as Box<dyn AddressSource>
-            })
-            .collect();
-        let generator = SecurePoolGenerator::new(pool, sources).unwrap();
+        let generator = SecurePoolGenerator::new(pool, doh_sources(&fleet.infos)).unwrap();
         (net, CachingPoolResolver::new(generator, cache))
     }
 
@@ -1884,10 +1876,10 @@ mod tests {
 
     /// What each source came to is counted once per (pass, source), as the
     /// flight lands: one generation under each dual-stack policy over a
-    /// resolver that answers, one that answers an empty list (the name does
-    /// not exist in its zone) and one that is unreachable. The numbers are
-    /// the ones the session's event stream counted before the session
-    /// counted them itself.
+    /// fleet of three, one resolver answering an A and an AAAA record, one
+    /// answering an empty list (the name does not exist in its zone) and
+    /// one unreachable. The numbers are the ones the session's event stream
+    /// counted before the session counted them itself.
     #[test]
     fn source_outcomes_are_counted_per_pass_as_the_flight_lands() {
         use crate::config::DualStackPolicy;
@@ -1898,15 +1890,12 @@ mod tests {
             (DualStackPolicy::PerFamily, (4, 2)),
         ] {
             let net = SimNet::new(47);
-            let infos = sdoh_doh::ResolverDirectory::well_known(47).take(3);
-            let mut zones = [
-                Zone::new("test".parse().unwrap()),
-                Zone::new("test".parse().unwrap()),
-            ];
-            zones[0].add_address("a.test".parse().unwrap(), ip(1));
-            zones[0].add_address("a.test".parse().unwrap(), "2001:db8::1".parse().unwrap());
-            zones[1].add_address("elsewhere.test".parse().unwrap(), ip(2));
-            for (info, zone) in infos.iter().zip(zones) {
+            let fleet = DohFleet::new(3, 1, 1, 47);
+            let mut pool_zone = fleet.pool_zone();
+            pool_zone.add_address(fleet.domains[0].clone(), "2001:db8::1".parse().unwrap());
+            let mut elsewhere = Zone::new("ntpns.org".parse().unwrap());
+            elsewhere.add_address("elsewhere.ntpns.org".parse().unwrap(), ip(2));
+            for (info, zone) in fleet.infos.iter().zip([pool_zone, elsewhere]) {
                 let mut catalog = Catalog::new();
                 catalog.add_zone(zone);
                 net.register(
@@ -1914,16 +1903,10 @@ mod tests {
                     sdoh_doh::DohServerService::new(info.clone(), Authority::new(catalog)),
                 );
             }
-            let sources: Vec<Box<dyn AddressSource>> = infos
-                .iter()
-                .map(|info| {
-                    Box::new(crate::source::DohSource::new(info.clone())) as Box<dyn AddressSource>
-                })
-                .collect();
             let config = PoolConfig::algorithm1().with_dual_stack(policy);
-            let generator = SecurePoolGenerator::new(config, sources).unwrap();
+            let generator = SecurePoolGenerator::new(config, doh_sources(&fleet.infos)).unwrap();
             let mut resolver = CachingPoolResolver::new(generator, test_config());
-            let answer = resolver.handle_query(&mut client(&net), &query(1, "a.test"));
+            let answer = resolver.handle_query(&mut client(&net), &query(1, WORLD[0]));
             assert_eq!(answer.header.rcode, Rcode::NoError, "{policy:?}");
             let metrics = resolver.metrics();
             assert_eq!(metrics.generations, 1);
@@ -1944,11 +1927,11 @@ mod tests {
         let mut exchanger = client(&net);
         let mut out = Vec::new();
         let a = resolver
-            .begin(&mut exchanger, &lent(&query(1, "a.test")).view(), &mut out)
+            .begin(&mut exchanger, &lent(&query(1, WORLD[0])).view(), &mut out)
             .unwrap()
             .expect("a miss");
         let b = resolver
-            .begin(&mut exchanger, &lent(&query(2, "b.test")).view(), &mut out)
+            .begin(&mut exchanger, &lent(&query(2, WORLD[1])).view(), &mut out)
             .unwrap()
             .expect("a miss");
         assert!(out.is_empty(), "a parked query is not answered yet");
@@ -1965,7 +1948,7 @@ mod tests {
         let landed = land_everything(&mut resolver, &mut exchanger, Landing::Delivery);
         let order: Vec<FlightId> = landed.iter().map(|landed| landed.flight).collect();
         assert_eq!(order, vec![a, b]);
-        for (landed, query) in landed.iter().zip([query(1, "a.test"), query(2, "b.test")]) {
+        for (landed, query) in landed.iter().zip([query(1, WORLD[0]), query(2, WORLD[1])]) {
             landed.answer_wire(&lent(&query).view(), &mut out).unwrap();
             let answer = Message::decode(&out).unwrap();
             assert!(answer.answers_query(&query));
@@ -1992,7 +1975,7 @@ mod tests {
             resolver
                 .begin(
                     &mut client(&net),
-                    &lent(&query(id, "a.test")).view(),
+                    &lent(&query(id, WORLD[0])).view(),
                     &mut out,
                 )
                 .unwrap()
@@ -2035,7 +2018,7 @@ mod tests {
         let flight = resolver
             .begin(
                 &mut exchanger,
-                &lent(&query(1, "a.test")).view(),
+                &lent(&query(1, WORLD[0])).view(),
                 &mut Vec::new(),
             )
             .unwrap()
@@ -2069,10 +2052,10 @@ mod tests {
         let (net, mut resolver) = doh_world(44, 3, PoolConfig::algorithm1(), test_config());
         let mut exchanger = client(&net);
         let mut out = Vec::new();
-        resolver.handle_query(&mut exchanger, &query(1, "a.test"));
+        resolver.handle_query(&mut exchanger, &query(1, WORLD[0]));
         net.clock().advance(Duration::from_secs(70));
         assert_eq!(
-            resolver.begin(&mut exchanger, &lent(&query(2, "a.test")).view(), &mut out),
+            resolver.begin(&mut exchanger, &lent(&query(2, WORLD[0])).view(), &mut out),
             Ok(None)
         );
         assert_eq!(resolver.pending_refreshes(), 1, "the stale serve queued it");
@@ -2083,7 +2066,7 @@ mod tests {
 
         // Stale serves that overlap the refresh do not queue another...
         assert_eq!(
-            resolver.begin(&mut exchanger, &lent(&query(3, "a.test")).view(), &mut out),
+            resolver.begin(&mut exchanger, &lent(&query(3, WORLD[0])).view(), &mut out),
             Ok(None)
         );
         assert_eq!(resolver.metrics().stale_serves, 2);
@@ -2093,7 +2076,7 @@ mod tests {
         // joins the refresh instead of opening a second generation.
         net.clock().advance(Duration::from_secs(25));
         let joined = resolver
-            .begin(&mut exchanger, &lent(&query(4, "a.test")).view(), &mut out)
+            .begin(&mut exchanger, &lent(&query(4, WORLD[0])).view(), &mut out)
             .unwrap()
             .expect("a miss");
         assert_eq!(joined, sent[0].0);
@@ -2103,7 +2086,7 @@ mod tests {
         let landed = land_everything(&mut resolver, &mut exchanger, Landing::Delivery);
         assert_eq!(landed.len(), 1);
         landed[0]
-            .answer_wire(&lent(&query(4, "a.test")).view(), &mut out)
+            .answer_wire(&lent(&query(4, WORLD[0])).view(), &mut out)
             .unwrap();
         assert_eq!(Message::decode(&out).unwrap().answer_addresses().len(), 6);
         let metrics = resolver.metrics();
@@ -2114,9 +2097,9 @@ mod tests {
     fn extracting_a_key_with_a_live_flight_leaves_the_flight_to_land() {
         let (net, mut resolver) = doh_world(45, 3, PoolConfig::algorithm1(), test_config());
         let mut exchanger = client(&net);
-        resolver.handle_query(&mut exchanger, &query(1, "a.test"));
+        resolver.handle_query(&mut exchanger, &query(1, WORLD[0]));
         net.clock().advance(Duration::from_secs(70));
-        resolver.handle_query(&mut exchanger, &query(2, "a.test"));
+        resolver.handle_query(&mut exchanger, &query(2, WORLD[0]));
         assert_eq!(resolver.begin_due_refreshes(&mut exchanger), 1);
         // The entry moves away with its refresh upstream.
         let moved = resolver.extract_entries(|_| true);
@@ -2137,7 +2120,7 @@ mod tests {
         let mut exchanger = client(&net);
         let mut out = Vec::new();
         resolver
-            .begin(&mut exchanger, &lent(&query(1, "a.test")).view(), &mut out)
+            .begin(&mut exchanger, &lent(&query(1, WORLD[0])).view(), &mut out)
             .unwrap()
             .expect("a miss");
         let one: Vec<Box<dyn AddressSource>> =
@@ -2146,12 +2129,12 @@ mod tests {
         // The flight left over three resolvers and comes back over them.
         let landed = land_everything(&mut resolver, &mut exchanger, Landing::Reverse);
         landed[0]
-            .answer_wire(&lent(&query(1, "a.test")).view(), &mut out)
+            .answer_wire(&lent(&query(1, WORLD[0])).view(), &mut out)
             .unwrap();
         assert_eq!(Message::decode(&out).unwrap().answer_addresses().len(), 6);
         assert_eq!(resolver.metrics().source_answers, 3);
         // The next generation runs over the new set.
-        let next = resolver.handle_query(&mut exchanger, &query(2, "b.test"));
+        let next = resolver.handle_query(&mut exchanger, &query(2, WORLD[1]));
         assert_eq!(next.answer_addresses(), vec![ip(9)]);
     }
 

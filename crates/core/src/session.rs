@@ -65,7 +65,7 @@ use crate::combine::combine;
 use crate::config::{DualStackPolicy, PoolConfig};
 use crate::error::{PoolError, PoolResult};
 use crate::generator::{GenerationReport, Named, SourceOutcome};
-use crate::source::{FetchError, FetchStart};
+use crate::source::{FetchError, FetchStart, MAX_REPLY_ADDRESSES};
 
 /// Identifies one in-flight exchange of a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -235,12 +235,15 @@ impl PoolSession {
     /// What a fetch whose addresses were appended from `at` on came to. A
     /// failure drops what it appended. The first answer sizes the buffer
     /// for every fetch still open, as if each answered as many addresses,
-    /// so a generation of equal answers grows it once.
+    /// so a generation of equal answers grows it once — but by at most one
+    /// reply's ceiling, so a long first answer sizes only itself.
     fn settle(&mut self, at: usize, result: Result<(), FetchError>) -> Slot {
         self.open = self.open.saturating_sub(1);
         let end = self.answers.len();
         match result {
-            Ok(()) if at == 0 && end > 0 => self.answers.reserve(end * self.open),
+            Ok(()) if at == 0 && end > 0 => self
+                .answers
+                .reserve_exact(end.saturating_mul(self.open).min(MAX_REPLY_ADDRESSES)),
             Ok(()) => {}
             Err(err) => {
                 self.answers.truncate(at);
@@ -587,9 +590,10 @@ pub(crate) fn drive_sequential(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::{doh_sources, DohFleet};
     use crate::source::{AddressSource, StaticSource};
     use sdoh_dns_server::ClientExchanger;
-    use sdoh_doh::{DohMethod, DohServerService, ResolverDirectory};
+    use sdoh_doh::DohServerService;
     use sdoh_netsim::{SimAddr, SimNet};
 
     fn ip(last: u8) -> std::net::IpAddr {
@@ -635,32 +639,16 @@ mod tests {
     #[test]
     fn doh_fanout_transmits_everything_before_waiting() {
         let net = SimNet::new(31);
-        let directory = ResolverDirectory::well_known(31);
-        let infos = directory.take(3);
-        let mut zone = sdoh_dns_server::Zone::new("ntp.org".parse().unwrap());
-        for i in 1..=4u8 {
-            zone.add_address("pool.ntp.org".parse().unwrap(), ip(i));
-        }
-        let mut catalog = sdoh_dns_server::Catalog::new();
-        catalog.add_zone(zone);
-        for info in &infos {
+        let fleet = DohFleet::new(3, 1, 4, 31);
+        let authority = fleet.authority();
+        for info in &fleet.infos {
             net.register(
                 info.addr,
-                DohServerService::new(
-                    info.clone(),
-                    sdoh_dns_server::Authority::new(catalog.clone()),
-                ),
+                DohServerService::new(info.clone(), authority.clone()),
             );
         }
-        let sources: Vec<Box<dyn AddressSource>> = infos
-            .iter()
-            .map(|info| {
-                Box::new(crate::source::DohSource::new(info.clone()).method(DohMethod::Get))
-                    as Box<dyn AddressSource>
-            })
-            .collect();
-        let domain: Name = "pool.ntp.org".parse().unwrap();
-        let mut session = plan(PoolConfig::algorithm1(), sources, &domain, 7);
+        let sources = doh_sources(&fleet.infos);
+        let mut session = plan(PoolConfig::algorithm1(), sources, &fleet.domains[0], 7);
 
         // The session must hand out all three transmits before first asking
         // to wait — that is what makes driver-side overlap possible.
@@ -695,7 +683,11 @@ mod tests {
         let names: Vec<&str> = report.sources.iter().map(|(n, _)| &**n).collect();
         assert_eq!(
             names,
-            infos.iter().map(|i| i.name.as_str()).collect::<Vec<_>>()
+            fleet
+                .infos
+                .iter()
+                .map(|i| i.name.as_str())
+                .collect::<Vec<_>>()
         );
     }
 
@@ -780,14 +772,7 @@ mod tests {
 
     #[test]
     fn finish_rejects_outstanding_exchanges() {
-        let directory = ResolverDirectory::well_known(32);
-        let infos = directory.take(1);
-        let sources: Vec<Box<dyn AddressSource>> = infos
-            .iter()
-            .map(|info| {
-                Box::new(crate::source::DohSource::new(info.clone())) as Box<dyn AddressSource>
-            })
-            .collect();
+        let sources = doh_sources(&DohFleet::new(1, 1, 1, 32).infos);
         let domain: Name = "pool.ntp.org".parse().unwrap();
         let mut session = plan(PoolConfig::algorithm1(), sources, &domain, 5);
         let Action::Transmit(_) = session.poll() else {

@@ -98,6 +98,15 @@ pub trait AddressSource: Send + Sync {
     ) -> Result<(), FetchError>;
 }
 
+/// The most addresses one DoH reply may carry, and the most octets it may
+/// take; past either, the reply fails its source. The largest reply an
+/// experiment, test or workload here sends carries 200 addresses (the
+/// stalled TCP client of `runtime/tests/loopback_e2e.rs`); one of 256 AAAA
+/// records takes under half the octets.
+pub(crate) const MAX_REPLY_ADDRESSES: usize = 256;
+/// See [`MAX_REPLY_ADDRESSES`].
+pub(crate) const MAX_REPLY_OCTETS: usize = 16 * 1024;
+
 /// An [`AddressSource`] backed by a DoH resolver (the paper's design).
 #[derive(Debug, Clone)]
 pub struct DohSource {
@@ -144,7 +153,8 @@ impl AddressSource for DohSource {
 
     /// The reply's checks and the addresses of the asked type are
     /// `DohClient::finish_addresses`': read where they lie in the answer, on
-    /// the walk that validates it, into `answers`.
+    /// the walk that validates it, into `answers`, unless the reply is
+    /// past a ceiling (`MAX_REPLY_ADDRESSES`).
     fn handle_response(
         &self,
         question: &DohQuestion,
@@ -153,10 +163,17 @@ impl AddressSource for DohSource {
         answers: &mut Vec<IpAddr>,
     ) -> Result<(), FetchError> {
         let mut reply = outcome.map_err(|e| FetchError::Transport(e.to_string()))?;
+        if reply.len() > MAX_REPLY_OCTETS {
+            return Err(FetchError::Protocol("octets past the ceiling".into()));
+        }
+        let before = answers.len();
         let rcode = self
             .client
             .finish_addresses(question, id, &mut reply, answers)
             .map_err(doh_error)?;
+        if answers.len().saturating_sub(before) > MAX_REPLY_ADDRESSES {
+            return Err(FetchError::Protocol("addresses past the ceiling".into()));
+        }
         if rcode != Rcode::NoError && rcode != Rcode::NxDomain {
             return Err(FetchError::ErrorResponse(rcode.to_string()));
         }
@@ -377,28 +394,27 @@ mod tests {
     #[test]
     fn a_reflected_query_is_a_failed_source_not_an_empty_answer() {
         let net = SimNet::new(65);
-        let mut sources: Vec<Box<dyn AddressSource>> = Vec::new();
-        for (index, info) in ResolverDirectory::well_known(65)
-            .take(3)
-            .into_iter()
-            .enumerate()
-        {
+        let fleet = crate::DohFleet::new(3, 1, 3, 65);
+        let authority = fleet.authority();
+        for (index, info) in fleet.infos.iter().enumerate() {
             if index == 1 {
                 let mirror = FnHandler::new("mirror", |_: &mut dyn Exchanger, query: &Message| {
                     query.clone()
                 });
                 net.register(info.addr, DohServerService::new(info.clone(), mirror));
             } else {
-                let authority = Authority::new(pool_zone_catalog());
-                net.register(info.addr, DohServerService::new(info.clone(), authority));
+                net.register(
+                    info.addr,
+                    DohServerService::new(info.clone(), authority.clone()),
+                );
             }
-            sources.push(Box::new(DohSource::new(info)));
         }
+        let sources = crate::doh_sources(&fleet.infos);
         let generator =
             crate::SecurePoolGenerator::new(crate::PoolConfig::algorithm1(), sources).unwrap();
         let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 50000));
         let report = generator
-            .generate(&mut exchanger, &"pool.ntp.org".parse().unwrap())
+            .generate(&mut exchanger, &fleet.domains[0])
             .unwrap();
         assert!(
             matches!(report.sources[1].1, crate::SourceOutcome::Failed(_)),
@@ -407,6 +423,54 @@ mod tests {
         );
         assert_eq!(report.answered(), 2);
         assert_eq!(report.pool.len(), 6, "three addresses from each answer");
+    }
+
+    /// A reply may carry up to [`MAX_REPLY_ADDRESSES`] addresses of
+    /// either family; one more fails its source, and so does a reply
+    /// longer than [`MAX_REPLY_OCTETS`], which is not read at all.
+    #[test]
+    fn a_reply_past_the_ceiling_fails_its_source() {
+        let net = SimNet::new(66);
+        let info = ResolverDirectory::well_known(66).resolvers()[0].clone();
+        let source = DohSource::new(info.clone());
+        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 50000));
+        let pool: sdoh_dns_wire::Name = "pool.ntp.org".parse().unwrap();
+        for count in [MAX_REPLY_ADDRESSES, MAX_REPLY_ADDRESSES + 1] {
+            let mut zone = Zone::new("ntp.org".parse().unwrap());
+            for host in (1..=u16::MAX).take(count) {
+                let [high, low] = host.to_be_bytes();
+                zone.add_address(pool.clone(), IpAddr::from([198, 18, high, low]));
+                zone.add_address(
+                    pool.clone(),
+                    IpAddr::from([0x2001, 0xdb8, 0, 0, 0, 0, 0, host]),
+                );
+            }
+            let mut catalog = Catalog::new();
+            catalog.add_zone(zone);
+            net.register(
+                info.addr,
+                DohServerService::new(info.clone(), Authority::new(catalog)),
+            );
+            for rtype in [RrType::A, RrType::Aaaa] {
+                let read = lookup(&source, &mut exchanger, rtype).map(|list| list.len());
+                let past = FetchError::Protocol("addresses past the ceiling".into());
+                let expected = if count > MAX_REPLY_ADDRESSES {
+                    Err(past)
+                } else {
+                    Ok(count)
+                };
+                assert_eq!(read, expected, "{rtype}");
+            }
+        }
+        let question = DohQuestion::new(&pool, RrType::A).unwrap();
+        for octets in [MAX_REPLY_OCTETS, MAX_REPLY_OCTETS + 1] {
+            let read = source.handle_response(&question, 0, Ok(vec![0; octets]), &mut Vec::new());
+            // Zeros are no DoH reply: at the ceiling they are read, and
+            // refused for what they are.
+            let past = FetchError::Protocol("octets past the ceiling".into());
+            assert!(matches!(read, Err(FetchError::Protocol(_))), "{read:?}");
+            assert_eq!(read == Err(past), octets > MAX_REPLY_OCTETS, "{read:?}");
+        }
     }
 
     #[test]

@@ -68,40 +68,56 @@
 //!   clone `sdoh-lint`'s purity rule cannot see: the rule does not know
 //!   that `Name::clone` allocates.
 //!
+//! A second test holds bytes, not blocks: a majority generation whose
+//! first source answers 4 000 addresses may hold at most three times that
+//! answer's own bytes more, at its peak, than the same generation with
+//! every source answering the eight honest addresses, at N = 5 and 31.
+//! It held 426 928 and 2 178 976 bytes (honest: 2 432 and 12 288) while
+//! the first answer reserved room for every open slot as if each answered
+//! as many.
+//!
 //! Only the measuring thread's blocks are counted: the test harness's main
 //! thread takes a few of its own while the test runs, at no fixed moment,
-//! and counted with the rest they made a count vary from run to run.
+//! and counted with the rest they made a count vary from run to run; so
+//! did another test's thread measuring at the same time.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::IpAddr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use sdoh_core::{
-    AddressSource, CacheConfig, CachingPoolResolver, DohSource, PoolConfig, SecurePoolGenerator,
-    ServeStep, StaticSource,
+    doh_sources, AddressSource, CacheConfig, CachingPoolResolver, DohFleet, PoolConfig,
+    ResolverCompromise, SecurePoolGenerator, ServeStep, StaticSource,
 };
-use sdoh_dns_server::{
-    Authority, Catalog, Exchanger, PoisonConfig, PoisonMode, PoisonedResolver, QueryHandler, Zone,
-};
+use sdoh_dns_server::{Exchanger, QueryHandler};
 use sdoh_dns_wire::{Message, Name, QueryView, RrType, Ttl};
-use sdoh_doh::{DohMethod, DohServerService, ResolverDirectory};
+use sdoh_doh::DohServerService;
 use sdoh_netsim::{ChannelKind, NetError, NetResult, SimAddr, SimInstant};
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// Whether this thread's allocations count: only the measuring thread's
     /// do, so a block the test harness's own thread takes meanwhile (its
-    /// channel wait registers a waker, at no fixed moment) is never counted.
+    /// channel wait registers a waker, at no fixed moment) is never counted,
+    /// nor one another test's thread takes.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Blocks handed out or moved while counting.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes held now, and the most held, since the measurement began.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
-/// Counts one block if this thread is measuring.
-fn count() {
+/// Counts `blocks` new blocks and `bytes` more held if this thread is
+/// measuring.
+fn count(blocks: usize, bytes: isize) {
     if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|count| count.set(count.get() + blocks));
+        let live = LIVE.with(|live| {
+            live.set(live.get() + bytes);
+            live.get()
+        });
+        PEAK.with(|peak| peak.set(peak.get().max(live)));
     }
 }
 
@@ -112,19 +128,20 @@ struct Counting;
 // `GlobalAlloc` contract; the counter is a statistic and publishes nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(1, layout.size() as isize);
         // SAFETY: the caller's `layout` is passed through as given.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, -(layout.size() as isize));
         // SAFETY: `ptr` came from `System` through this allocator with this
         // `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(1, new_size as isize - layout.size() as isize);
         // SAFETY: as for `dealloc`, and `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -134,11 +151,20 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 fn allocations_of<T>(work: impl FnOnce() -> T) -> (usize, T) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     COUNTING.with(|counting| counting.set(true));
     let out = work();
     COUNTING.with(|counting| counting.set(false));
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// The most bytes held at once while `work` runs, over what was held
+/// when it began.
+fn peak_bytes_of<T>(work: impl FnOnce() -> T) -> (usize, T) {
+    LIVE.with(|live| live.set(0));
+    PEAK.with(|peak| peak.set(0));
+    let (_, out) = allocations_of(work);
+    (PEAK.with(Cell::get) as usize, out)
 }
 
 fn benign(host: u8) -> IpAddr {
@@ -188,39 +214,25 @@ impl Exchanger for Fleet {
 
 /// A fleet of `n`, its last resolver answering the attacker's addresses,
 /// and the sources that reach it.
-fn doh_fleet(pool: &Name, n: usize) -> (Fleet, Vec<Box<dyn AddressSource>>) {
-    let mut zone = Zone::new("ntpns.org".parse().unwrap());
-    for host in 1..=8 {
-        zone.add_address(pool.clone(), benign(host));
-    }
-    let mut catalog = Catalog::new();
-    catalog.add_zone(zone);
+fn doh_fleet(n: usize) -> (Fleet, Vec<Box<dyn AddressSource>>) {
+    let fleet = DohFleet::new(n, 1, 8, 1);
     // One zone for the fleet, as `LoopbackFleet` shares it.
-    let authority = Authority::new(catalog);
-
-    let mut endpoints = Vec::new();
-    let mut sources: Vec<Box<dyn AddressSource>> = Vec::new();
-    for (index, info) in ResolverDirectory::well_known(1)
-        .take(n)
-        .into_iter()
+    let authority = fleet.authority();
+    let poisoned = ResolverCompromise::ReplaceWithAttackerAddresses(8);
+    let endpoints = fleet
+        .infos
+        .iter()
         .enumerate()
-    {
-        let authority = authority.clone();
-        let handler: Box<dyn QueryHandler + Send> = if index == n - 1 {
-            Box::new(PoisonedResolver::new(
-                authority,
-                PoisonConfig::new(
-                    pool.clone(),
-                    PoisonMode::ReplaceAddresses((1..=8).map(attacker).collect()),
-                ),
-            ))
-        } else {
-            Box::new(authority)
-        };
-        endpoints.push((info.addr, DohServerService::new(info.clone(), handler)));
-        sources.push(Box::new(DohSource::new(info).method(DohMethod::Get)));
-    }
-    (Fleet { endpoints }, sources)
+        .map(|(index, info)| {
+            let handler: Box<dyn QueryHandler + Send> = if index == n - 1 {
+                Box::new(fleet.compromise(authority.clone(), &poisoned))
+            } else {
+                Box::new(authority.clone())
+            };
+            (info.addr, DohServerService::new(info.clone(), handler))
+        })
+        .collect();
+    (Fleet { endpoints }, doh_sources(&fleet.infos))
 }
 
 fn static_sources() -> Vec<Box<dyn AddressSource>> {
@@ -256,7 +268,7 @@ const ALGORITHM1: usize = 8;
 /// the buffers; the answer is verified.
 fn uncached_query(pool: &Name, n: usize) -> usize {
     let expected: Vec<IpAddr> = (1..=8).map(benign).collect();
-    let (mut fleet, sources) = doh_fleet(pool, n);
+    let (mut fleet, sources) = doh_fleet(n);
     let mut resolver = CachingPoolResolver::new(
         SecurePoolGenerator::new(PoolConfig::majority_resolver(), sources).unwrap(),
         CacheConfig::uncached(),
@@ -416,4 +428,62 @@ fn a_generation_stays_within_its_allocation_budgets() {
         per_waiter.iter().all(|count| *count == 0),
         "rendering a parked waiter's answer allocated: {per_waiter:?}"
     );
+}
+
+/// What a resolver that answers first with a long list costs a majority
+/// generation over `n` static sources: peak live bytes with source 0
+/// answering `hostile` distinct attacker addresses and the others the
+/// eight benign ones, against all `n` answering the eight. The pool is the
+/// eight either way.
+fn hostile_first_answer(n: usize, hostile: usize) -> (usize, usize) {
+    let pool: Name = "pool.ntpns.org".parse().unwrap();
+    let expected: Vec<IpAddr> = (1..=8).map(benign).collect();
+    let mut nowhere = Fleet {
+        endpoints: Vec::new(),
+    };
+    let mut peak = |first: Vec<IpAddr>| {
+        let sources = (0..n)
+            .map(|index| {
+                let list = if index == 0 {
+                    first.clone()
+                } else {
+                    expected.clone()
+                };
+                Box::new(StaticSource::answering(format!("static-{index}"), list))
+                    as Box<dyn AddressSource>
+            })
+            .collect();
+        let generator = SecurePoolGenerator::new(PoolConfig::majority_resolver(), sources).unwrap();
+        let (peak, report) = peak_bytes_of(|| generator.generate(&mut nowhere, &pool).unwrap());
+        assert_eq!(report.pool.addresses(), expected, "N = {n}");
+        peak
+    };
+    let honest = peak(expected.clone());
+    let flood = (0..hostile)
+        .map(|i| IpAddr::from([198, 18, (i / 256) as u8, (i % 256) as u8]))
+        .collect();
+    (honest, peak(flood))
+}
+
+/// A hostile first answer holds at most [`HOSTILE_FACTOR`] times its own
+/// bytes more than an honest generation does, at N = 5 and N = 31.
+const HOSTILE_FACTOR: usize = 3;
+
+/// The addresses the hostile first answer carries.
+const HOSTILE_ANSWER: usize = 4_000;
+
+#[test]
+fn a_hostile_first_answer_sizes_nothing_but_itself() {
+    let own = HOSTILE_ANSWER * std::mem::size_of::<IpAddr>();
+    for n in [5, 31] {
+        let (honest, hostile) = hostile_first_answer(n, HOSTILE_ANSWER);
+        println!(
+            "peak live bytes at N = {n}: honest {honest}, first answer of {HOSTILE_ANSWER} \
+             addresses {hostile} (its own {own})"
+        );
+        assert!(
+            hostile <= honest + HOSTILE_FACTOR * own,
+            "N = {n}: {hostile} bytes held, above {honest} + {HOSTILE_FACTOR} x {own}"
+        );
+    }
 }

@@ -5,11 +5,9 @@
 
 use proptest::prelude::*;
 
-use sdoh_core::{
-    Action, AddressSource, DohSource, DualStackPolicy, PoolConfig, SecurePoolGenerator,
-};
-use sdoh_dns_server::{Authority, Catalog, ClientExchanger, Zone};
-use sdoh_doh::{DohMethod, DohServerService, ResolverDirectory, ResolverInfo};
+use sdoh_core::{doh_sources, Action, DohFleet, DualStackPolicy, PoolConfig, SecurePoolGenerator};
+use sdoh_dns_server::{Authority, Catalog, ClientExchanger};
+use sdoh_doh::DohServerService;
 use sdoh_netsim::{SimAddr, SimNet};
 
 /// Deterministic permutation of `0..n` from a seed.
@@ -19,47 +17,25 @@ fn permutation(n: usize, seed: u64) -> Vec<usize> {
     order
 }
 
-fn pool_catalog() -> Catalog {
-    let mut zone = Zone::new("ntpns.org".parse().unwrap());
-    for i in 1..=6u8 {
-        zone.add_address(
-            "pool.ntpns.org".parse().unwrap(),
-            format!("203.0.113.{i}").parse().unwrap(),
-        );
-    }
-    zone.add_address(
-        "pool.ntpns.org".parse().unwrap(),
-        "2001:db8::7".parse().unwrap(),
-    );
+/// Builds a simulation with a fleet of `resolvers` DoH servers, its pool
+/// domain publishing six IPv4 addresses and one IPv6 address; resolver 0
+/// is left unregistered (so its exchange times out) when `first_dead` is
+/// set.
+fn build_net(seed: u64, resolvers: usize, first_dead: bool) -> (SimNet, DohFleet) {
+    let net = SimNet::new(seed);
+    let fleet = DohFleet::new(resolvers, 1, 6, seed);
+    let mut zone = fleet.pool_zone();
+    zone.add_address(fleet.domains[0].clone(), "2001:db8::7".parse().unwrap());
     let mut catalog = Catalog::new();
     catalog.add_zone(zone);
-    catalog
-}
-
-/// Builds a simulation with `resolvers` DoH servers; resolver 0 is left
-/// unregistered (so its exchange times out) when `first_dead` is set.
-fn build_net(seed: u64, resolvers: usize, first_dead: bool) -> (SimNet, Vec<ResolverInfo>) {
-    let net = SimNet::new(seed);
-    let infos = ResolverDirectory::well_known(seed).take(resolvers);
-    for (index, info) in infos.iter().enumerate() {
-        if first_dead && index == 0 {
-            continue;
-        }
+    let authority = Authority::new(catalog);
+    for info in fleet.infos.iter().skip(usize::from(first_dead)) {
         net.register(
             info.addr,
-            DohServerService::new(info.clone(), Authority::new(pool_catalog())),
+            DohServerService::new(info.clone(), authority.clone()),
         );
     }
-    (net, infos)
-}
-
-fn sources_for(infos: &[ResolverInfo]) -> Vec<Box<dyn AddressSource>> {
-    infos
-        .iter()
-        .map(|info| {
-            Box::new(DohSource::new(info.clone()).method(DohMethod::Get)) as Box<dyn AddressSource>
-        })
-        .collect()
+    (net, fleet)
 }
 
 /// Drives a session by hand: performs every transmit in plan order, then
@@ -67,13 +43,12 @@ fn sources_for(infos: &[ResolverInfo]) -> Vec<Box<dyn AddressSource>> {
 fn run_permuted(
     config: PoolConfig,
     net: &SimNet,
-    infos: &[ResolverInfo],
+    fleet: &DohFleet,
     session_seed: u64,
     perm_seed: u64,
 ) -> sdoh_core::PoolResult<sdoh_core::GenerationReport> {
-    let domain = "pool.ntpns.org".parse().unwrap();
-    let mut session =
-        SecurePoolGenerator::new(config, sources_for(infos))?.session(&domain, session_seed)?;
+    let mut session = SecurePoolGenerator::new(config, doh_sources(&fleet.infos))?
+        .session(&fleet.domains[0], session_seed)?;
 
     let mut transmits = Vec::new();
     while let Action::Transmit(t) = session.poll() {
@@ -118,16 +93,15 @@ proptest! {
     ) {
         let config = PoolConfig::algorithm1();
 
-        let (reference_net, infos) = build_net(net_seed, resolvers, first_dead);
+        let (reference_net, fleet) = build_net(net_seed, resolvers, first_dead);
         let generator =
-            SecurePoolGenerator::new(config.clone(), sources_for(&infos)).unwrap();
+            SecurePoolGenerator::new(config.clone(), doh_sources(&fleet.infos)).unwrap();
         let mut exchanger =
             ClientExchanger::new(&reference_net, SimAddr::v4(10, 0, 0, 1, 40000));
-        let sequential =
-            generator.generate_sequential(&mut exchanger, &"pool.ntpns.org".parse().unwrap());
+        let sequential = generator.generate_sequential(&mut exchanger, &fleet.domains[0]);
 
-        let (permuted_net, infos) = build_net(net_seed, resolvers, first_dead);
-        let permuted = run_permuted(config, &permuted_net, &infos, session_seed, perm_seed);
+        let (permuted_net, fleet) = build_net(net_seed, resolvers, first_dead);
+        let permuted = run_permuted(config, &permuted_net, &fleet, session_seed, perm_seed);
 
         // Errors (a lone resolver being dead yields NotEnoughResponses)
         // must match too, not only successful reports.
@@ -149,17 +123,17 @@ proptest! {
     ) {
         let config = PoolConfig::algorithm1().with_dual_stack(DualStackPolicy::Union);
 
-        let (reference_net, infos) = build_net(net_seed, resolvers, false);
+        let (reference_net, fleet) = build_net(net_seed, resolvers, false);
         let generator =
-            SecurePoolGenerator::new(config.clone(), sources_for(&infos)).unwrap();
+            SecurePoolGenerator::new(config.clone(), doh_sources(&fleet.infos)).unwrap();
         let mut exchanger =
             ClientExchanger::new(&reference_net, SimAddr::v4(10, 0, 0, 1, 40000));
         let sequential = generator
-            .generate_sequential(&mut exchanger, &"pool.ntpns.org".parse().unwrap())
+            .generate_sequential(&mut exchanger, &fleet.domains[0])
             .unwrap();
 
-        let (permuted_net, infos) = build_net(net_seed, resolvers, false);
-        let permuted = run_permuted(config, &permuted_net, &infos, 99, perm_seed).unwrap();
+        let (permuted_net, fleet) = build_net(net_seed, resolvers, false);
+        let permuted = run_permuted(config, &permuted_net, &fleet, 99, perm_seed).unwrap();
 
         prop_assert_eq!(permuted, sequential);
     }

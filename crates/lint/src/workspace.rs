@@ -15,11 +15,12 @@
 //!   the stack and panic on broken environments by design. The vocabulary
 //!   rule still applies there, because experiments asserting on metric
 //!   names is exactly the drift the rule exists to catch.
-//! - `src/**` (the umbrella crate's scenario layer) — like bench, it is
-//!   attended scaffolding: it wires fixed, self-consistent topologies for
-//!   examples, integration tests and experiments, where a panic on a
-//!   mis-built fixture is the desired failure mode. The vocabulary rule
-//!   still applies.
+//! - `src/**` (the umbrella crate's scenario layer) is exempt from
+//!   `no-panic` only — like bench, it is attended scaffolding: it wires
+//!   fixed, self-consistent topologies for examples, integration tests and
+//!   experiments, where a panic on a mis-built fixture is the desired
+//!   failure mode. `no-narrowing-cast` and the vocabulary rule apply: the
+//!   addresses and seeds it derives are ground truth, not reporting.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -60,12 +61,13 @@ pub fn rules_for(rel: &str) -> Vec<RuleId> {
         .and_then(|r| r.split('/').next())
         .unwrap_or("");
 
-    // The experiment harness and the umbrella scenario layer may panic
-    // and cast freely: both run attended (experiments, examples, fixture
-    // builders), and their arithmetic is reporting, not security math.
-    let attended = crate_name == "bench" || !rel.starts_with("crates/");
-    if !attended {
-        rules.push(RuleId::NoPanic);
+    // The experiment harness and the umbrella scenario layer may panic:
+    // both run attended. Only the harness, whose arithmetic is reporting,
+    // may cast freely: the scenario layer derives ground truth.
+    if crate_name != "bench" {
+        if rel.starts_with("crates/") {
+            rules.push(RuleId::NoPanic);
+        }
         rules.push(RuleId::NoNarrowingCast);
     }
     if rel != VOCABULARY_PATH {

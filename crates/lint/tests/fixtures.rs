@@ -89,6 +89,27 @@ fn no_narrowing_cast_fixture_exempts_wide_targets() {
     );
 }
 
+/// The umbrella crate's scenario layer may panic but not truncate: the
+/// same cast is reported in `src/` and in a library crate, and only the
+/// experiment harness may make it.
+#[test]
+fn a_narrowing_cast_in_the_scenario_layer_is_reported() {
+    let source = std::fs::read_to_string(fixture_dir().join("no_narrowing_cast.rs"))
+        .expect("fixture readable");
+    let reported = |rel: &str| {
+        triples(&check_source(
+            rel,
+            &source,
+            &rules_for(rel),
+            &fixture_vocab(),
+        ))
+    };
+    for rel in ["src/scenario.rs", "crates/core/src/fleet.rs"] {
+        assert_eq!(reported(rel), vec![("no-narrowing-cast", 4, 7)], "{rel}");
+    }
+    assert_eq!(reported("crates/bench/src/report.rs"), vec![]);
+}
+
 #[test]
 fn hot_path_purity_fixture_flags_locks_and_allocation() {
     let entries = ["bad_lock", "bad_alloc", "bad_format", "allowed_cold_path"];

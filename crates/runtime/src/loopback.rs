@@ -1,24 +1,18 @@
-//! Ready-made loopback deployments: a DoH resolver fleet as in-process
-//! backends plus the shard set serving pools generated over it.
-//!
-//! This is the real-socket sibling of the simulator's scenario layer: it
-//! wires the well-known resolver directory to full RFC 8484 terminators
-//! (each answering from an authoritative pool zone, optionally poisoned)
-//! and hands out [`Shard`]s whose generators fan out over that fleet —
-//! everything a loopback end-to-end test, a stress run or a throughput
-//! experiment needs to drive a [`PoolRuntime`](crate::PoolRuntime) without
-//! touching the public Internet.
+//! Ready-made loopback deployments: the [`DohFleet`] installed as
+//! in-process RFC 8484 terminators, plus [`Shard`]s whose generators fan
+//! out over it — what a loopback end-to-end test, a stress run or a
+//! throughput experiment needs to drive a [`PoolRuntime`](crate::PoolRuntime)
+//! without touching the public Internet.
 
 use std::net::IpAddr;
 use std::time::Duration;
 
 use sdoh_core::{
-    AddressSource, CacheConfig, CachingPoolResolver, DohSource, GroundTruth, PoolConfig,
-    PoolResult, SecurePoolGenerator,
+    doh_sources, CacheConfig, CachingPoolResolver, DohFleet, GroundTruth, PoolConfig, PoolResult,
+    ResolverCompromise, SecurePoolGenerator,
 };
-use sdoh_dns_server::{Authority, Catalog, PoisonConfig, PoisonMode, PoisonedResolver, Zone};
 use sdoh_dns_wire::Name;
-use sdoh_doh::{DohMethod, DohServerService, ResolverDirectory, ResolverInfo};
+use sdoh_doh::{DohServerService, ResolverInfo};
 use sdoh_netsim::SimAddr;
 
 use crate::backend::BackendNet;
@@ -77,61 +71,51 @@ pub struct LoopbackFleet {
 
 impl LoopbackFleet {
     /// Builds the fleet: pool zone, DoH terminators, optional compromise.
+    /// A compromised resolver answers with as many attacker addresses as a
+    /// domain publishes, and the fleet knows no others.
     pub fn build(config: LoopbackConfig) -> Self {
-        let domains: Vec<Name> = (0..config.pool_domains.max(1))
-            .map(|i| {
-                let label = if i == 0 {
-                    "pool.ntpns.org".to_string()
-                } else {
-                    format!("pool{}.ntpns.org", i + 1)
-                };
-                label.parse().expect("valid name") // sdoh-lint: allow(no-panic, "the generated pool labels are statically well-formed host names")
-            })
+        let mut fleet = DohFleet::new(
+            config.resolvers,
+            config.pool_domains,
+            config.addresses_per_domain,
+            config.seed,
+        );
+        fleet.attacker.truncate(fleet.benign.len());
+        let replace = ResolverCompromise::ReplaceWithAttackerAddresses(fleet.benign.len());
+        let compromised: Vec<_> = config
+            .compromised
+            .iter()
+            .map(|&i| (i, replace.clone()))
             .collect();
-        let per_domain = config.addresses_per_domain.clamp(1, 254);
-        let benign: Vec<IpAddr> = (1..=per_domain)
-            .map(|i| IpAddr::V4(std::net::Ipv4Addr::new(203, 0, 113, i as u8))) // sdoh-lint: allow(no-narrowing-cast, "per_domain is clamped to at most 254, so i fits u8")
-            .collect();
-        let attacker: Vec<IpAddr> = (1..=per_domain)
-            .map(|i| IpAddr::V4(std::net::Ipv4Addr::new(198, 18, 0, i as u8))) // sdoh-lint: allow(no-narrowing-cast, "per_domain is clamped to at most 254, so i fits u8")
-            .collect();
+        LoopbackFleet::install(fleet, &compromised, config.upstream_latency)
+    }
 
-        let mut zone = Zone::new("ntpns.org".parse().expect("valid")); // sdoh-lint: allow(no-panic, "the zone apex is a statically well-formed host name")
-        for domain in &domains {
-            for &addr in &benign {
-                zone.add_address(domain.clone(), addr);
-            }
-        }
-        let mut catalog = Catalog::new();
-        catalog.add_zone(zone);
-        // One zone and one answer index for the whole fleet: every
-        // terminator serves a clone.
-        let authority = Authority::new(catalog);
-
-        let directory = ResolverDirectory::well_known(config.seed);
-        let infos = directory.take(config.resolvers);
-        let mut builder = BackendNet::builder().with_latency(config.upstream_latency);
-        for (index, info) in infos.iter().enumerate() {
-            if config.compromised.contains(&index) {
-                // A compromised resolver poisons every pool domain: one
-                // wrapper over the set of them, one lookup per label of a
-                // query's name however many domains the pool has.
-                let handler = PoisonedResolver::new(
-                    authority.clone(),
-                    PoisonConfig::for_targets(
-                        domains.iter().cloned(),
-                        PoisonMode::ReplaceAddresses(attacker.clone()),
-                    ),
-                );
-                builder = builder.register(info.addr, DohServerService::new(info.clone(), handler));
-            } else {
-                builder = builder.register(
+    /// Installs `fleet` as in-process endpoints: one DoH terminator per
+    /// resolver, each serving a clone of one authority, the `compromised`
+    /// ones wrapped as [`DohFleet::compromise`] says.
+    pub fn install(
+        fleet: DohFleet,
+        compromised: &[(usize, ResolverCompromise)],
+        upstream_latency: Duration,
+    ) -> Self {
+        let authority = fleet.authority();
+        let mut builder = BackendNet::builder().with_latency(upstream_latency);
+        for (index, info) in fleet.infos.iter().enumerate() {
+            let authority = authority.clone();
+            builder = match compromised.iter().find(|(i, _)| *i == index) {
+                Some((_, how)) => builder.register(
                     info.addr,
-                    DohServerService::new(info.clone(), authority.clone()),
-                );
-            }
+                    DohServerService::new(info.clone(), fleet.compromise(authority, how)),
+                ),
+                None => builder.register(info.addr, DohServerService::new(info.clone(), authority)),
+            };
         }
-
+        let DohFleet {
+            infos,
+            domains,
+            benign,
+            attacker,
+        } = fleet;
         LoopbackFleet {
             backends: builder.build(),
             infos,
@@ -153,26 +137,16 @@ impl LoopbackFleet {
         pool: PoolConfig,
         cache: CacheConfig,
     ) -> PoolResult<Vec<Shard>> {
-        (0..count.max(1))
-            .map(|i| {
-                let sources: Vec<Box<dyn AddressSource>> = self
-                    .infos
-                    .iter()
-                    .map(|info| {
-                        Box::new(DohSource::new(info.clone()).method(DohMethod::Get))
-                            as Box<dyn AddressSource>
-                    })
-                    .collect();
-                let generator = SecurePoolGenerator::new(pool.clone(), sources)?;
-                // Two octets of shard index: distinct source addresses up
-                // to 64k shards without u8 wrap-around.
-                let exchanger = self.backends.exchanger(SimAddr::v4(
-                    10,
-                    1,
-                    (i / 256) as u8, // sdoh-lint: allow(no-narrowing-cast, "shard counts stay far below 64k, so the high octet fits u8")
-                    (i % 256) as u8, // sdoh-lint: allow(no-narrowing-cast, "the modulo keeps the low octet below 256")
-                    40000,
-                ));
+        // Two octets of shard index: distinct source addresses for up to
+        // 64k shards.
+        let octets = (0..=u8::MAX).flat_map(|high| (0..=u8::MAX).map(move |low| (high, low)));
+        octets
+            .take(count.max(1))
+            .map(|(high, low)| {
+                let generator = SecurePoolGenerator::new(pool.clone(), doh_sources(&self.infos))?;
+                let exchanger = self
+                    .backends
+                    .exchanger(SimAddr::v4(10, 1, high, low, 40000));
                 Ok(Shard::new(
                     CachingPoolResolver::new(generator, cache),
                     Box::new(exchanger),
@@ -209,15 +183,8 @@ mod tests {
         });
         assert_eq!(fleet.infos.len(), 31);
         // Every one of them is installed, and answers a generation.
-        let sources = fleet
-            .infos
-            .iter()
-            .map(|info| {
-                Box::new(DohSource::new(info.clone()).method(DohMethod::Get))
-                    as Box<dyn AddressSource>
-            })
-            .collect();
-        let generator = SecurePoolGenerator::new(PoolConfig::algorithm1(), sources).unwrap();
+        let generator =
+            SecurePoolGenerator::new(PoolConfig::algorithm1(), doh_sources(&fleet.infos)).unwrap();
         let mut exchanger = fleet.backends.exchanger(SimAddr::v4(10, 1, 0, 0, 40000));
         let report = generator.generate(&mut exchanger, &fleet.domains[0]);
         assert_eq!(report.unwrap().answered(), 31);

@@ -1434,10 +1434,9 @@ mod tests {
     use super::*;
     use crate::control::ConfigDelta;
     use crate::{LoopbackConfig, LoopbackFleet};
-    use sdoh_core::{AddressSource, CacheConfig, DohSource, PoolConfig};
+    use sdoh_core::{doh_sources, CacheConfig, PoolConfig};
     use sdoh_dns_server::{ExchangeOutcome, ExchangeRequest, QueryHandler};
     use sdoh_dns_wire::{Message, Name, Rcode, RrType, Ttl};
-    use sdoh_doh::DohMethod;
     use sdoh_netsim::{ChannelKind, NetResult, SimAddr};
 
     /// The shard `wire` routes to among `shards`, as [`serve_query`] routes
@@ -2020,15 +2019,7 @@ mod tests {
         ask(3, cold);
         let honest = fleet.infos[1..].to_vec();
         let receipt = control
-            .apply(ConfigDelta::new().with_sources(Arc::new(move |_shard| {
-                honest
-                    .iter()
-                    .map(|info| {
-                        Box::new(DohSource::new(info.clone()).method(DohMethod::Get))
-                            as Box<dyn AddressSource>
-                    })
-                    .collect()
-            })))
+            .apply(ConfigDelta::new().with_sources(Arc::new(move |_shard| doh_sources(&honest))))
             .unwrap();
         assert_eq!(
             control.acked_epochs(),
@@ -2081,11 +2072,7 @@ mod tests {
         let control = ControlHandle::new(Arc::new(shards), CacheConfig::default());
         let infos = fleet.infos.clone();
         let delta = ConfigDelta::new().with_sources(Arc::new(move |shard| {
-            let infos = if shard == 1 { &[][..] } else { &infos[..] };
-            infos
-                .iter()
-                .map(|info| Box::new(DohSource::new(info.clone())) as Box<dyn AddressSource>)
-                .collect()
+            doh_sources(if shard == 1 { &[] } else { &infos })
         }));
         match control.apply(delta) {
             Err(sdoh_core::ConfigError::Invalid { field, .. }) => assert_eq!(field, "sources"),

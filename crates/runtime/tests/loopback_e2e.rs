@@ -12,11 +12,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sdoh_core::{
-    check_guarantee, AddressPool, AddressSource, CacheConfig, ConfigError, DohSource, GroundTruth,
+    check_guarantee, doh_sources, AddressPool, CacheConfig, ConfigError, DohFleet, GroundTruth,
     PoolConfig,
 };
 use sdoh_dns_wire::{Edns, Message, Rcode, RrType, Ttl};
-use sdoh_doh::DohMethod;
 use sdoh_metrics::{http_get, parse_prometheus, SampleValue};
 use sdoh_runtime::{
     ConfigDelta, LoopbackConfig, LoopbackFleet, PoolRuntime, RuntimeClient, RuntimeConfig,
@@ -628,15 +627,7 @@ fn reconfiguration_under_load_drops_nothing() {
             min_responses: 2,
             ..PoolConfig::algorithm1()
         })
-        .with_sources(Arc::new(move |_shard| {
-            honest
-                .iter()
-                .map(|info| {
-                    Box::new(DohSource::new(info.clone()).method(DohMethod::Get))
-                        as Box<dyn AddressSource>
-                })
-                .collect()
-        }));
+        .with_sources(Arc::new(move |_shard| doh_sources(&honest)));
     let receipt = control.apply(delta).expect("valid delta");
     assert_eq!(receipt.epoch, 1);
     assert_eq!(receipt.shards, SHARDS);
@@ -862,12 +853,10 @@ fn concurrent_misses_for_one_key_share_one_flight() {
 
     // The same burst against resolvers nobody runs: one attempt, eight
     // SERVFAILs, one negative entry that answers the ninth query.
-    let unreachable: Vec<Box<dyn AddressSource>> = sdoh_doh::ResolverDirectory::well_known(1)
-        .take(6)
-        .into_iter()
-        .skip(3)
-        .map(|info| Box::new(DohSource::new(info).method(DohMethod::Get)) as Box<dyn AddressSource>)
-        .collect();
+    // The next three resolvers of a wider fleet: the backends never
+    // installed them.
+    let wider = DohFleet::new(6, 1, 8, 1);
+    let unreachable = doh_sources(&wider.infos[fleet.infos.len()..]);
     let generator =
         sdoh_core::SecurePoolGenerator::new(PoolConfig::algorithm1(), unreachable).expect("valid");
     let shard = Shard::new(
@@ -967,15 +956,7 @@ fn a_source_swap_lands_the_flights_of_the_old_set_first() {
     await_begun(&runtime, 1);
     let honest: Vec<_> = fleet.infos[1..].to_vec();
     let receipt = control
-        .apply(ConfigDelta::new().with_sources(Arc::new(move |_shard| {
-            honest
-                .iter()
-                .map(|info| {
-                    Box::new(DohSource::new(info.clone()).method(DohMethod::Get))
-                        as Box<dyn AddressSource>
-                })
-                .collect()
-        })))
+        .apply(ConfigDelta::new().with_sources(Arc::new(move |_shard| doh_sources(&honest))))
         .expect("valid delta");
     let old = receive(&socket);
     assert_eq!(old.header.id, 1);

@@ -8,8 +8,6 @@
 //!
 //! Run with: `cargo run --example chronos_ntp_pool`
 
-use std::net::IpAddr;
-
 use secure_doh::core::PoolConfig;
 use secure_doh::dns::{ClientExchanger, StubResolver};
 use secure_doh::netsim::{OffPathSpoofer, SpoofStrategy};
@@ -31,7 +29,7 @@ fn build_attacked_scenario(seed: u64) -> Scenario {
     // poisons the plain DNS answers from the client's ISP resolver,
     // pointing the client at its own NTP servers. DoH channels to the
     // public resolvers are out of its reach.
-    let forged: Vec<IpAddr> = scenario.attacker_ntp.iter().take(16).copied().collect();
+    let forged = scenario.forged_addresses();
     let spoofer = OffPathSpoofer::new(
         SpoofStrategy::FixedProbability(1.0),
         move |query_bytes, _rng| {

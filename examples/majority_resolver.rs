@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Majority DNS resolver front end ==\n");
     println!(
         "compromised upstream resolver: {}",
-        scenario.resolver_infos[1].name
+        scenario.fleet.infos[1].name
     );
 
     let stub = StubResolver::new(frontend_addr);
@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\n{malicious} attacker addresses passed the majority vote (expected 0); \
          {}/{} benign pool servers were corroborated by a majority of resolvers.",
         addresses.len() - malicious,
-        scenario.benign_ntp.len()
+        scenario.fleet.benign.len()
     );
     assert_eq!(malicious, 0, "attacker addresses passed the majority vote");
     Ok(())

@@ -8,8 +8,6 @@
 //!
 //! Run with: `cargo run --example offpath_attack_demo`
 
-use std::net::IpAddr;
-
 use secure_doh::core::{check_guarantee, AddressPool, PoolConfig};
 use secure_doh::dns::{ClientExchanger, StubResolver};
 use secure_doh::netsim::{OffPathSpoofer, SpoofStrategy};
@@ -23,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ntp_servers: 8,
         ..ScenarioConfig::default()
     });
-    let attacker_addresses: Vec<IpAddr> = scenario.attacker_ntp.iter().take(8).copied().collect();
+    let attacker_addresses = scenario.forged_addresses();
     let truth = scenario.ground_truth();
 
     // Attach an off-path spoofer sitting near the victim's access network:

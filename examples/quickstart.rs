@@ -35,9 +35,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Secure Consensus Generation with Distributed DoH: quickstart ==\n");
     println!(
         "installed {} DoH resolvers: {}",
-        scenario.resolver_infos.len(),
+        scenario.fleet.infos.len(),
         scenario
-            .resolver_infos
+            .fleet
+            .infos
             .iter()
             .map(|r| r.name.clone())
             .collect::<Vec<_>>()
@@ -132,7 +133,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "concurrent fan-out finished in {:.1} ms of virtual time \
          (one lookup's round trips, not {}x)",
         elapsed.as_secs_f64() * 1000.0,
-        scenario.resolver_infos.len()
+        scenario.fleet.infos.len()
     );
 
     let check = check_guarantee(&report.pool, &scenario.ground_truth(), 0.5);
@@ -315,7 +316,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // same seed always replays the identical campaign.
     use sdoh_chaos::{run_campaign, CampaignConfig};
     let campaign = CampaignConfig::hardened(42, 60).with_persistent_spoofer(64);
-    let report = run_campaign(&campaign);
+    let report = run_campaign(&campaign)?;
     println!(
         "\nchaos campaign (seed {}, {} steps, {} faults): {}/{} queries answered, \
          {} syncs, max |offset| {:.4} s -> {} violations ({})",

@@ -13,22 +13,24 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
+pub use sdoh_core::ResolverCompromise;
 use sdoh_core::{
-    CacheConfig, CachingPoolResolver, GenerationReport, PoolConfig, SecurePoolGenerator,
+    doh_sources, CacheConfig, CachingPoolResolver, DohFleet, GenerationReport, PoolConfig,
+    SecurePoolGenerator,
 };
 use sdoh_dns_server::{
-    Authority, Catalog, ClientExchanger, Do53Service, HardeningConfig, PoisonConfig, PoisonMode,
-    PoisonedResolver, QueryHandler, RecursiveConfig, RecursiveResolver, Zone,
+    Authority, Catalog, ClientExchanger, Do53Service, HardeningConfig, QueryHandler,
+    RecursiveConfig, RecursiveResolver, Zone,
 };
 use sdoh_dns_wire::{Message, MessageBuilder, Name, RData, Record};
-use sdoh_doh::{DohMethod, DohServerService, ResolverDirectory, ResolverInfo};
+use sdoh_doh::DohServerService;
 use sdoh_netsim::{BirthdaySpoofer, LinkConfig, ObservedIdentifiers, SimAddr, SimNet};
 use sdoh_ntp::{
     register_pool, ChronosClient, ConsensusFrontEnd, NtpServerConfig, NtpServerService,
     SecureTimeClient,
 };
 
-use crate::core::{AddressSource, DohSource, PoolResult};
+use crate::core::PoolResult;
 
 /// Address of the simulated root name server.
 pub const ROOT_SERVER: SimAddr = SimAddr {
@@ -82,19 +84,6 @@ pub fn evil_ns_name() -> Name {
     "ns.evil-time.net".parse().expect("valid name")
 }
 
-/// What a compromised DoH resolver does, mapped onto the poisoning modes of
-/// the DNS layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ResolverCompromise {
-    /// Replace every answer for the pool domain with attacker addresses.
-    ReplaceWithAttackerAddresses(usize),
-    /// Keep the honest answer but append this many attacker addresses
-    /// (answer inflation).
-    InflateWithAttackerAddresses(usize),
-    /// Answer the pool domain with an empty record set.
-    EmptyAnswer,
-}
-
 /// Parameters of a Figure 1 scenario.
 #[derive(Debug, Clone)]
 pub struct ScenarioConfig {
@@ -103,7 +92,8 @@ pub struct ScenarioConfig {
     /// Number of DoH resolvers installed (the first `n` of the well-known
     /// directory).
     pub resolvers: usize,
-    /// Number of benign NTP servers published in `pool.ntpns.org`.
+    /// Number of benign NTP servers published in `pool.ntpns.org`
+    /// (clamped to 1..=254: the block is one /24).
     pub ntp_servers: usize,
     /// Number of pool domains served by the hierarchy (clamped to at least
     /// one). The first is `pool.ntpns.org`; additional ones are
@@ -176,23 +166,14 @@ pub enum KaminskyPayload {
 pub struct Scenario {
     /// The simulated network with every service registered.
     pub net: SimNet,
-    /// Directory of installed DoH resolvers (first `resolvers` entries of
-    /// the well-known list).
-    pub directory: ResolverDirectory,
-    /// The resolvers actually installed.
-    pub resolver_infos: Vec<ResolverInfo>,
-    /// The pool domain (`pool.ntpns.org.`).
+    /// The DoH fleet: its resolvers, the pool domains, the benign
+    /// addresses they publish (all benign after [`Scenario::build`];
+    /// [`Scenario::install_ntp_fleet`] can re-register some of them as
+    /// malicious or silent) and the attacker's addresses, which
+    /// compromised resolvers replace or inflate answers with.
+    pub fleet: DohFleet,
+    /// The pool domain (`pool.ntpns.org.`), the fleet's first.
     pub pool_domain: Name,
-    /// Every pool domain the hierarchy serves (the first entry is
-    /// [`Scenario::pool_domain`]).
-    pub pool_domains: Vec<Name>,
-    /// Addresses published in the pool domains. All benign after
-    /// [`Scenario::build`]; [`Scenario::install_ntp_fleet`] can re-register
-    /// some of them as malicious or silent.
-    pub benign_ntp: Vec<IpAddr>,
-    /// Addresses of the attacker-operated NTP servers (used by compromised
-    /// resolvers when they replace or inflate answers).
-    pub attacker_ntp: Vec<IpAddr>,
     /// Published pool servers currently operated by the attacker (set by
     /// [`Scenario::install_ntp_fleet`], folded into
     /// [`Scenario::ground_truth`]).
@@ -209,98 +190,58 @@ impl Scenario {
         net.set_default_link(
             LinkConfig::with_latency(config.link_latency).jitter(Duration::from_millis(2)),
         );
-
-        let pool_domains: Vec<Name> = (0..config.pool_domains.max(1))
-            .map(|i| {
-                let label = if i == 0 {
-                    "pool.ntpns.org".to_string()
-                } else {
-                    format!("pool{}.ntpns.org", i + 1)
-                };
-                label.parse().expect("valid name")
-            })
-            .collect();
-        let pool_domain: Name = pool_domains[0].clone();
-        let benign_ntp: Vec<IpAddr> = (1..=config.ntp_servers)
-            .map(|i| IpAddr::V4(std::net::Ipv4Addr::new(203, 0, 113, i as u8)))
-            .collect();
-        // A generous supply of attacker-operated servers so that inflation
-        // attacks can outnumber the honest pool when truncation is disabled.
-        let attacker_ntp: Vec<IpAddr> = (1..=config.ntp_servers.max(4) * 8)
-            .map(|i| {
-                IpAddr::V4(std::net::Ipv4Addr::new(
-                    198,
-                    18,
-                    (i / 250) as u8,
-                    (i % 250) as u8,
-                ))
-            })
-            .collect();
-
-        install_dns_hierarchy(&net, &pool_domains, &benign_ntp);
+        let fleet = DohFleet::new(
+            config.resolvers,
+            config.pool_domains,
+            config.ntp_servers,
+            config.seed,
+        );
+        install_dns_hierarchy(&net, fleet.pool_zone());
 
         // NTP servers: benign ones behind the pool records, malicious ones
         // behind the attacker addresses.
-        let benign_addrs: Vec<SimAddr> = benign_ntp
-            .iter()
-            .map(|&ip| SimAddr::new(ip, sdoh_netsim::ports::NTP))
-            .collect();
-        register_pool(&net, &benign_addrs, 0, 0.0, config.seed ^ 0xA11CE);
-        let attacker_addrs: Vec<SimAddr> = attacker_ntp
-            .iter()
-            .map(|&ip| SimAddr::new(ip, sdoh_netsim::ports::NTP))
-            .collect();
+        let ntp = |addresses: &[IpAddr]| -> Vec<SimAddr> {
+            addresses
+                .iter()
+                .map(|&ip| SimAddr::new(ip, sdoh_netsim::ports::NTP))
+                .collect()
+        };
+        register_pool(&net, &ntp(&fleet.benign), 0, 0.0, config.seed ^ 0xA11CE);
         register_pool(
             &net,
-            &attacker_addrs,
-            attacker_addrs.len(),
+            &ntp(&fleet.attacker),
+            fleet.attacker.len(),
             config.attacker_time_shift,
             config.seed ^ 0xBAD,
         );
 
         // The plain ISP resolver (baseline): an honest recursive resolver
         // reachable over Do53, hardened (or not) per the configuration.
-        let isp = RecursiveResolver::new(
-            RecursiveConfig {
-                root_hints: vec![ROOT_SERVER],
-                hardening: config.isp_hardening,
-                ..RecursiveConfig::default()
-            },
-            net.clock(),
-        );
+        let isp = recursive_resolver(&net, config.isp_hardening);
         net.register(ISP_RESOLVER, Do53Service::new(isp));
-
-        // The DoH resolver fleet.
-        let directory = ResolverDirectory::well_known(config.seed);
-        let resolver_infos = directory.take(config.resolvers);
 
         let scenario = Scenario {
             net,
-            directory,
-            resolver_infos,
-            pool_domain,
-            pool_domains,
-            benign_ntp,
-            attacker_ntp,
+            pool_domain: fleet.domains[0].clone(),
+            fleet,
             pool_ntp_malicious: Vec::new(),
             config,
         };
-        for index in 0..scenario.resolver_infos.len() {
-            let compromise = scenario
+        for index in 0..scenario.fleet.infos.len() {
+            let how = scenario
                 .config
                 .compromised
                 .iter()
-                .find(|(i, _)| *i == index)
-                .map(|(_, behaviour)| behaviour.clone());
-            scenario.install_resolver(index, compromise.as_ref());
+                .find(|(i, _)| *i == index);
+            scenario.install_resolver(index, how.map(|(_, how)| how));
         }
         scenario
     }
 
     /// (Re-)installs the DoH resolver at `index` of the fleet, replacing
     /// whatever is registered at its address: a fresh honest recursive
-    /// resolver when `compromise` is `None`, otherwise one wrapped in a
-    /// poisoning layer over the set of pool domains. Build time uses this
+    /// resolver when `compromise` is `None`, otherwise one the fleet
+    /// compromises ([`DohFleet::compromise`]). Build time uses this
     /// to stand the fleet up; chaos campaigns use it to churn, compromise
     /// and restore resolvers mid-run (a reinstalled resolver starts with a
     /// cold cache, like a replacement instance would).
@@ -309,41 +250,12 @@ impl Scenario {
     ///
     /// Panics when `index` is outside the installed fleet.
     pub fn install_resolver(&self, index: usize, compromise: Option<&ResolverCompromise>) {
-        let info = &self.resolver_infos[index];
-        let recursive = RecursiveResolver::new(
-            RecursiveConfig {
-                root_hints: vec![ROOT_SERVER],
-                ..RecursiveConfig::default()
-            },
-            self.net.clock(),
-        );
+        let info = &self.fleet.infos[index];
+        // The DoH fleet is always fully hardened.
+        let recursive = recursive_resolver(&self.net, HardeningConfig::default());
         let handler: Box<dyn QueryHandler> = match compromise {
             None => Box::new(recursive),
-            Some(behaviour) => {
-                // One poisoning wrapper over the set of pool domains, so a
-                // compromised resolver misbehaves for every domain a
-                // serving workload spreads its queries over.
-                let attacker = |count: usize| {
-                    self.attacker_ntp
-                        .iter()
-                        .take(count.max(1))
-                        .copied()
-                        .collect()
-                };
-                let mode = match behaviour {
-                    ResolverCompromise::ReplaceWithAttackerAddresses(count) => {
-                        PoisonMode::ReplaceAddresses(attacker(*count))
-                    }
-                    ResolverCompromise::InflateWithAttackerAddresses(count) => {
-                        PoisonMode::InflateWith(attacker(*count))
-                    }
-                    ResolverCompromise::EmptyAnswer => PoisonMode::EmptyAnswer,
-                };
-                Box::new(PoisonedResolver::new(
-                    recursive,
-                    PoisonConfig::for_targets(self.pool_domains.iter().cloned(), mode),
-                ))
-            }
+            Some(how) => Box::new(self.fleet.compromise(recursive, how)),
         };
         self.net
             .register(info.addr, DohServerService::new(info.clone(), handler));
@@ -352,12 +264,12 @@ impl Scenario {
     /// Unregisters the DoH resolver at `index` (it died); returns whether it
     /// was registered. [`Scenario::install_resolver`] revives it.
     pub fn kill_resolver(&self, index: usize) -> bool {
-        self.net.unregister(self.resolver_infos[index].addr)
+        self.net.unregister(self.fleet.infos[index].addr)
     }
 
     /// The network address of the DoH resolver at `index` of the fleet.
     pub fn resolver_addr(&self, index: usize) -> SimAddr {
-        self.resolver_infos[index].addr
+        self.fleet.infos[index].addr
     }
 
     /// Re-registers the NTP fleet behind the **published** pool addresses:
@@ -372,12 +284,13 @@ impl Scenario {
     /// This models the paper's full threat surface: even an honestly
     /// resolved pool can contain a (tolerated) bad minority, while a
     /// poisoned resolution replaces the pool wholesale.
-    pub fn install_ntp_fleet(&mut self, fleet: NtpFleetConfig) {
-        let shift = fleet.time_shift.unwrap_or(self.config.attacker_time_shift);
-        let malicious = fleet.malicious.min(self.benign_ntp.len());
-        let silent = fleet.silent.min(self.benign_ntp.len() - malicious);
-        self.pool_ntp_malicious = self.benign_ntp[..malicious].to_vec();
-        for (index, &ip) in self.benign_ntp.iter().enumerate() {
+    pub fn install_ntp_fleet(&mut self, ntp: NtpFleetConfig) {
+        let shift = ntp.time_shift.unwrap_or(self.config.attacker_time_shift);
+        let published = &self.fleet.benign;
+        let malicious = ntp.malicious.min(published.len());
+        let silent = ntp.silent.min(published.len() - malicious);
+        self.pool_ntp_malicious = published[..malicious].to_vec();
+        for ((index, &ip), salt) in published.iter().enumerate().zip(0u64..) {
             let config = if index < malicious {
                 NtpServerConfig::malicious(shift)
             } else if index < malicious + silent {
@@ -387,11 +300,7 @@ impl Scenario {
             };
             self.net.register(
                 SimAddr::new(ip, sdoh_netsim::ports::NTP),
-                NtpServerService::new(
-                    config,
-                    self.net.clock(),
-                    self.config.seed ^ 0xF1EE7 ^ index as u64,
-                ),
+                NtpServerService::new(config, self.net.clock(), self.config.seed ^ 0xF1EE7 ^ salt),
             );
         }
     }
@@ -402,22 +311,14 @@ impl Scenario {
     ///
     /// Propagates configuration errors from the generator constructor.
     pub fn pool_generator(&self, config: PoolConfig) -> PoolResult<SecurePoolGenerator> {
-        let sources: Vec<Box<dyn AddressSource>> = self
-            .resolver_infos
-            .iter()
-            .map(|info| {
-                Box::new(DohSource::new(info.clone()).method(DohMethod::Get))
-                    as Box<dyn AddressSource>
-            })
-            .collect();
-        SecurePoolGenerator::new(config, sources)
+        SecurePoolGenerator::new(config, doh_sources(&self.fleet.infos))
     }
 
     /// Ground truth for guarantee checking: attacker NTP addresses are
     /// malicious — plus any published pool servers the attacker operates
     /// ([`Scenario::install_ntp_fleet`]) — everything else benign.
     pub fn ground_truth(&self) -> sdoh_core::GroundTruth {
-        let mut truth = sdoh_core::GroundTruth::with_malicious(self.attacker_ntp.iter().copied());
+        let mut truth = self.fleet.ground_truth();
         truth.extend_malicious(self.pool_ntp_malicious.iter().copied());
         truth
     }
@@ -513,6 +414,12 @@ impl Scenario {
         ))
     }
 
+    /// What a forged answer for a pool domain carries: as many of the
+    /// attacker's addresses as the pool publishes.
+    pub fn forged_addresses(&self) -> Vec<IpAddr> {
+        self.fleet.attacker[..self.fleet.benign.len()].to_vec()
+    }
+
     /// Registers the **attacker's name server** at [`EVIL_NS_ADDR`]: an
     /// authoritative copy of the pool zone answering every pool domain
     /// with attacker-operated NTP addresses. A victim resolver that
@@ -520,17 +427,13 @@ impl Scenario {
     /// asking this server and caching its poison; a bailiwick-enforcing
     /// resolver never gets here.
     pub fn install_kaminsky_authority(&self) {
-        let mut zone = Zone::new("ntpns.org".parse().expect("valid"));
+        // The pool zone as the attacker publishes it: its own addresses.
+        let mut zone = self.fleet.zone_of(&self.forged_addresses());
         zone.add_record(Record::new(
             "ntpns.org".parse().expect("valid"),
             86_400,
             RData::Ns(evil_ns_name()),
         ));
-        for domain in &self.pool_domains {
-            for addr in self.attacker_ntp.iter().take(self.config.ntp_servers) {
-                zone.add_record(Record::address(domain.clone(), 300, *addr));
-            }
-        }
         let mut catalog = Catalog::new();
         catalog.add_zone(zone);
         self.net
@@ -552,12 +455,7 @@ impl Scenario {
     pub fn kaminsky_adversary(&self, attempts: u32, payload: KaminskyPayload) -> BirthdaySpoofer {
         let zone: Name = "ntpns.org".parse().expect("valid");
         let inspect_zone = zone.clone();
-        let forged_addresses: Vec<IpAddr> = self
-            .attacker_ntp
-            .iter()
-            .take(self.config.ntp_servers)
-            .copied()
-            .collect();
+        let forged_addresses = self.forged_addresses();
         BirthdaySpoofer::new(
             attempts,
             move |payload_bytes: &[u8]| {
@@ -599,21 +497,6 @@ impl Scenario {
         )
         .with_targets(vec![ROOT_SERVER, ORG_SERVER, NTPNS_SERVER])
     }
-
-    /// Registers the front end at [`FRONTEND_ADDR`] under
-    /// [`CacheConfig::uncached`] — the one-generation-per-query baseline
-    /// caching is measured against. Returns the shared (`Arc<Mutex<_>>`)
-    /// handle for metrics inspection.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors from the generator constructor.
-    pub fn install_uncached_frontend(
-        &self,
-        pool: PoolConfig,
-    ) -> PoolResult<Arc<Mutex<CachingPoolResolver>>> {
-        self.install_caching_frontend(pool, CacheConfig::uncached())
-    }
 }
 
 /// Wraps bare addresses in an [`AddressPool`](sdoh_core::AddressPool)
@@ -628,70 +511,53 @@ pub fn address_pool(addresses: &[IpAddr], source: &str) -> sdoh_core::AddressPoo
     pool
 }
 
-/// Installs the root → org → ntpns.org DNS hierarchy serving every pool
-/// domain.
-fn install_dns_hierarchy(net: &SimNet, pool_domains: &[Name], pool_addresses: &[IpAddr]) {
-    // Root zone delegates org. to the org server.
-    let mut root_zone = Zone::new(Name::root());
-    root_zone.add_record(Record::new(
-        "org".parse().expect("valid"),
-        86_400,
-        RData::Ns("b0.org.afilias-nst.org".parse().expect("valid")),
-    ));
-    root_zone.add_record(Record::new(
-        "b0.org.afilias-nst.org".parse().expect("valid"),
-        86_400,
-        RData::A(match ORG_SERVER.ip {
-            IpAddr::V4(v4) => v4,
-            IpAddr::V6(_) => unreachable!("org server is v4"),
-        }),
-    ));
-    let mut root_catalog = Catalog::new();
-    root_catalog.add_zone(root_zone);
-    net.register(ROOT_SERVER, Do53Service::new(Authority::new(root_catalog)));
+/// A recursive resolver starting from this hierarchy's root.
+fn recursive_resolver(net: &SimNet, hardening: HardeningConfig) -> RecursiveResolver {
+    let config = RecursiveConfig {
+        root_hints: vec![ROOT_SERVER],
+        hardening,
+        ..RecursiveConfig::default()
+    };
+    RecursiveResolver::new(config, net.clock())
+}
 
-    // org. zone delegates ntpns.org.
-    let mut org_zone = Zone::new("org".parse().expect("valid"));
-    org_zone.add_record(Record::new(
-        "ntpns.org".parse().expect("valid"),
-        86_400,
-        RData::Ns("c.ntpns.org".parse().expect("valid")),
-    ));
-    org_zone.add_record(Record::new(
-        "c.ntpns.org".parse().expect("valid"),
-        86_400,
-        RData::A(match NTPNS_SERVER.ip {
-            IpAddr::V4(v4) => v4,
-            IpAddr::V6(_) => unreachable!("ntpns server is v4"),
-        }),
-    ));
-    let mut org_catalog = Catalog::new();
-    org_catalog.add_zone(org_zone);
-    net.register(ORG_SERVER, Do53Service::new(Authority::new(org_catalog)));
-
-    // ntpns.org zone with the pool records.
-    let mut zone = Zone::new("ntpns.org".parse().expect("valid"));
-    zone.add_record(Record::new(
-        "ntpns.org".parse().expect("valid"),
-        86_400,
-        RData::Ns("c.ntpns.org".parse().expect("valid")),
-    ));
-    zone.add_record(Record::new(
-        "c.ntpns.org".parse().expect("valid"),
-        86_400,
-        RData::A(match NTPNS_SERVER.ip {
-            IpAddr::V4(v4) => v4,
-            IpAddr::V6(_) => unreachable!("ntpns server is v4"),
-        }),
-    ));
-    for pool_domain in pool_domains {
-        for &addr in pool_addresses {
-            zone.add_record(Record::address(pool_domain.clone(), 300, addr));
-        }
+/// Installs the root → org → ntpns.org DNS hierarchy, `ntpns.org` serving
+/// the fleet's pool zone: each level delegates to the next one's name
+/// server (with glue) and is served by an authority of its own.
+fn install_dns_hierarchy(net: &SimNet, pool_zone: Zone) {
+    let org: Name = "org".parse().expect("valid");
+    let levels = [
+        (
+            ROOT_SERVER,
+            Zone::new(Name::root()),
+            "org",
+            "b0.org.afilias-nst.org",
+            ORG_SERVER,
+        ),
+        (
+            ORG_SERVER,
+            Zone::new(org),
+            "ntpns.org",
+            "c.ntpns.org",
+            NTPNS_SERVER,
+        ),
+        (
+            NTPNS_SERVER,
+            pool_zone,
+            "ntpns.org",
+            "c.ntpns.org",
+            NTPNS_SERVER,
+        ),
+    ];
+    for (server, mut zone, child, ns, ns_server) in levels {
+        let ns: Name = ns.parse().expect("valid");
+        let child: Name = child.parse().expect("valid");
+        zone.add_record(Record::new(child, 86_400, RData::Ns(ns.clone())));
+        zone.add_record(Record::address(ns, 86_400, ns_server.ip));
+        let mut catalog = Catalog::new();
+        catalog.add_zone(zone);
+        net.register(server, Do53Service::new(Authority::new(catalog)));
     }
-    let mut catalog = Catalog::new();
-    catalog.add_zone(zone);
-    net.register(NTPNS_SERVER, Do53Service::new(Authority::new(catalog)));
 }
 
 #[cfg(test)]
@@ -786,11 +652,11 @@ mod tests {
             compromised: vec![(0, ResolverCompromise::ReplaceWithAttackerAddresses(4))],
             ..ScenarioConfig::default()
         });
-        assert_eq!(scenario.pool_domains.len(), 3);
-        assert_eq!(scenario.pool_domains[0], scenario.pool_domain);
+        assert_eq!(scenario.fleet.domains.len(), 3);
+        assert_eq!(scenario.fleet.domains[0], scenario.pool_domain);
         let generator = scenario.pool_generator(PoolConfig::algorithm1()).unwrap();
         let mut exchanger = scenario.client_exchanger();
-        for domain in &scenario.pool_domains {
+        for domain in &scenario.fleet.domains {
             let report = generator.generate(&mut exchanger, domain).unwrap();
             let check = check_guarantee(&report.pool, &scenario.ground_truth(), 0.5);
             assert!(check.holds, "{domain}: {check:?}");
@@ -825,7 +691,7 @@ mod tests {
 
         // Swapping in the uncached baseline replaces the registration.
         let uncached = scenario
-            .install_uncached_frontend(PoolConfig::algorithm1())
+            .install_caching_frontend(PoolConfig::algorithm1(), CacheConfig::uncached())
             .unwrap();
         let baseline = stub
             .lookup_ipv4(&mut exchanger, &scenario.pool_domain)
@@ -851,10 +717,10 @@ mod tests {
         });
         assert_eq!(scenario.pool_ntp_malicious.len(), 4);
         let truth = scenario.ground_truth();
-        for ip in &scenario.benign_ntp[..4] {
+        for ip in &scenario.fleet.benign[..4] {
             assert!(truth.is_malicious(*ip), "{ip} must be ground-truth bad");
         }
-        assert!(!truth.is_malicious(scenario.benign_ntp[5]));
+        assert!(!truth.is_malicious(scenario.fleet.benign[5]));
 
         // The honestly resolved pool now carries a bad minority — exactly
         // what Chronos is built to tolerate.

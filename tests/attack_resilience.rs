@@ -36,7 +36,7 @@ fn off_path_spoofer_poisons_plain_dns_but_not_doh() {
         ..ScenarioConfig::default()
     });
     let truth = scenario.ground_truth();
-    let attacker: Vec<std::net::IpAddr> = scenario.attacker_ntp.iter().take(8).copied().collect();
+    let attacker = scenario.forged_addresses();
     scenario.net.set_adversary(
         secure_doh::netsim::OffPathSpoofer::new(
             secure_doh::netsim::SpoofStrategy::FixedProbability(1.0),
@@ -75,7 +75,7 @@ fn on_path_mitm_rewrites_plain_dns_but_cannot_touch_doh() {
         ..ScenarioConfig::default()
     });
     let truth = scenario.ground_truth();
-    let attacker: Vec<std::net::IpAddr> = scenario.attacker_ntp.iter().take(8).copied().collect();
+    let attacker = scenario.forged_addresses();
     let mut forge = forge_closure(attacker);
     scenario.net.set_adversary(
         OnPathMitm::controlling([ISP_RESOLVER.ip, CLIENT_ADDR.ip])
@@ -140,7 +140,7 @@ fn chronos_over_the_secure_pool_survives_a_poisoned_access_network() {
         attacker_time_shift: 500.0,
         ..ScenarioConfig::default()
     });
-    let attacker: Vec<std::net::IpAddr> = scenario.attacker_ntp.iter().take(16).copied().collect();
+    let attacker = scenario.forged_addresses();
     scenario.net.set_adversary(
         secure_doh::netsim::OffPathSpoofer::new(
             secure_doh::netsim::SpoofStrategy::FixedProbability(1.0),

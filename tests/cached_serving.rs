@@ -76,7 +76,7 @@ fn run_load(
             .map(|client| {
                 let query = Message::query(
                     next_id,
-                    scenario.pool_domains[client % DOMAINS].clone(),
+                    scenario.fleet.domains[client % DOMAINS].clone(),
                     RrType::A,
                 );
                 next_id = next_id.wrapping_add(1);
@@ -194,7 +194,7 @@ fn caching_resolver_amortises_generation_across_the_population() {
 fn uncached_baseline_pays_one_generation_per_query() {
     let scenario = build_scenario(1201);
     let resolver = scenario
-        .install_uncached_frontend(PoolConfig::algorithm1())
+        .install_caching_frontend(PoolConfig::algorithm1(), CacheConfig::uncached())
         .unwrap();
     let stats = run_load(&scenario, 1, Duration::ZERO, |_| {});
     assert_eq!(stats.failures, 0);
@@ -223,7 +223,7 @@ fn cached_serving_is_cheaper_on_the_wire_and_faster_for_clients() {
 
     let uncached_scenario = build_scenario(1202);
     let uncached = uncached_scenario
-        .install_uncached_frontend(PoolConfig::algorithm1())
+        .install_caching_frontend(PoolConfig::algorithm1(), CacheConfig::uncached())
         .unwrap();
     // Give the baseline the same warm-up treatment (the DoH resolvers'
     // recursive caches fill up), then measure.

@@ -28,7 +28,7 @@ fn figure1_pipeline_produces_an_honest_pool() {
     assert_eq!(report.answered(), 3);
     assert_eq!(report.pool.len(), 24);
     assert_eq!(report.pool.unique_addresses().len(), 8);
-    for info in &scenario.resolver_infos {
+    for info in &scenario.fleet.infos {
         assert_eq!(report.pool.slots_from(&info.name), 8);
     }
     let check = check_guarantee(&report.pool, &scenario.ground_truth(), 0.5);

@@ -34,7 +34,7 @@ fn attacked_scenario(seed: u64) -> Scenario {
         compromised: vec![(0, ResolverCompromise::ReplaceWithAttackerAddresses(16))],
         ..ScenarioConfig::default()
     });
-    let forged: Vec<std::net::IpAddr> = scenario.attacker_ntp.iter().take(16).copied().collect();
+    let forged = scenario.forged_addresses();
     let spoofer = OffPathSpoofer::new(SpoofStrategy::FixedProbability(1.0), {
         move |query_bytes: &[u8], _rng: &mut secure_doh::netsim::SimRng| {
             let query = Message::decode(query_bytes).ok()?;

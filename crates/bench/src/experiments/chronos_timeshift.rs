@@ -70,7 +70,7 @@ pub fn run_setup(setup: TimeSyncSetup, attacker_shift: f64, seed: u64) -> (f64, 
     scenario.net.set_adversary(pool_spoofer(
         1.0,
         vec![ISP_RESOLVER],
-        scenario.pool_domain.clone(),
+        scenario.pool_domain().clone(),
         attacker_pool,
     ));
     let truth = scenario.ground_truth();
@@ -79,13 +79,13 @@ pub fn run_setup(setup: TimeSyncSetup, attacker_shift: f64, seed: u64) -> (f64, 
     let pool = match setup {
         TimeSyncSetup::PlainDnsPlainNtp | TimeSyncSetup::PlainDnsChronos => {
             StubResolver::new(ISP_RESOLVER)
-                .lookup_ipv4(&mut exchanger, &scenario.pool_domain)
+                .lookup_ipv4(&mut exchanger, scenario.pool_domain())
                 .unwrap_or_default()
         }
         TimeSyncSetup::DistributedDohChronos => scenario
             .pool_generator(PoolConfig::algorithm1())
             .expect("generator")
-            .generate(&mut exchanger, &scenario.pool_domain)
+            .generate(&mut exchanger, scenario.pool_domain())
             .map(|r| r.pool.addresses())
             .unwrap_or_default(),
     };

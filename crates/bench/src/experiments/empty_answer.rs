@@ -50,7 +50,7 @@ fn simulate(n: usize, empty: usize, seed: u64) -> (usize, bool) {
     let report = scenario
         .pool_generator(PoolConfig::algorithm1())
         .expect("generator")
-        .generate(&mut exchanger, &scenario.pool_domain)
+        .generate(&mut exchanger, scenario.pool_domain())
         .expect("generation");
     let captured = attacker_controls_fraction(&report.pool, &scenario.ground_truth(), 0.5);
     (report.pool.len(), captured)

@@ -21,7 +21,7 @@ pub fn run(seed: u64) -> Vec<Table> {
         .expect("generator");
     let generation_started = scenario.net.now();
     let report = generator
-        .generate(&mut exchanger, &scenario.pool_domain)
+        .generate(&mut exchanger, scenario.pool_domain())
         .expect("pool generation succeeds");
     let generation_latency = scenario.net.clock().elapsed_since(generation_started);
 

@@ -46,7 +46,7 @@ fn simulate(total: usize, compromised: usize, mode: CombinationMode, seed: u64) 
     let report = scenario
         .pool_generator(PoolConfig::default().with_mode(mode))
         .expect("generator")
-        .generate(&mut exchanger, &scenario.pool_domain)
+        .generate(&mut exchanger, scenario.pool_domain())
         .expect("generation");
     let truth = scenario.ground_truth();
     let check = check_guarantee(&report.pool, &truth, 0.5);

@@ -97,7 +97,7 @@ fn run_trial(setup: Setup, p: f64, seed: u64) -> bool {
     scenario.net.set_adversary(pool_spoofer(
         p,
         victims,
-        scenario.pool_domain.clone(),
+        scenario.pool_domain().clone(),
         attacker_pool,
     ));
 
@@ -105,7 +105,7 @@ fn run_trial(setup: Setup, p: f64, seed: u64) -> bool {
     let pool = match setup {
         Setup::PlainDns => {
             let stub = StubResolver::new(ISP_RESOLVER);
-            match stub.lookup_ipv4(&mut exchanger, &scenario.pool_domain) {
+            match stub.lookup_ipv4(&mut exchanger, scenario.pool_domain()) {
                 Ok(addresses) => {
                     let mut pool = AddressPool::new();
                     for addr in addresses {
@@ -119,7 +119,7 @@ fn run_trial(setup: Setup, p: f64, seed: u64) -> bool {
         Setup::DistributedDoh { .. } => scenario
             .pool_generator(PoolConfig::algorithm1())
             .expect("generator")
-            .generate(&mut exchanger, &scenario.pool_domain)
+            .generate(&mut exchanger, scenario.pool_domain())
             .map(|report| report.pool)
             .unwrap_or_default(),
     };

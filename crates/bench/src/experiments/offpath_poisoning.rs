@@ -145,7 +145,7 @@ fn poison_trial(defense: DefenseLevel, attempts: u32, seed: u64) -> bool {
     let stub = StubResolver::new(ISP_RESOLVER);
     let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
     let pool = stub
-        .lookup_ipv4(&mut exchanger, &scenario.pool_domain)
+        .lookup_ipv4(&mut exchanger, scenario.pool_domain())
         .unwrap_or_default();
     attacker_controls_fraction(
         &address_pool(&pool, "isp-resolver"),
@@ -260,13 +260,13 @@ fn run_capture_cell(
                     .install_caching_frontend(PoolConfig::algorithm1(), CacheConfig::default())
                     .expect("valid cache config"),
             )),
-            scenario.pool_domain.clone(),
+            scenario.pool_domain().clone(),
             chronos,
         )
     } else {
         SecureTimeClient::new(
             Box::new(SingleResolverPool::new(ISP_RESOLVER)),
-            scenario.pool_domain.clone(),
+            scenario.pool_domain().clone(),
             chronos,
         )
     };

@@ -41,7 +41,7 @@ pub fn run(resolver_counts: &[usize], seed: u64) -> Table {
         let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
         let start = scenario.net.now();
         let addresses = StubResolver::new(ISP_RESOLVER)
-            .lookup_ipv4(&mut exchanger, &scenario.pool_domain)
+            .lookup_ipv4(&mut exchanger, scenario.pool_domain())
             .unwrap_or_default();
         let elapsed = scenario.net.clock().elapsed_since(start);
         let metrics = scenario.net.metrics();

@@ -141,7 +141,7 @@ fn build_scenario(attack: AttackCase, shift: f64, seed: u64) -> Scenario {
         scenario.net.set_adversary(pool_spoofer(
             1.0,
             vec![ISP_RESOLVER],
-            scenario.pool_domain.clone(),
+            scenario.pool_domain().clone(),
             forged,
         ));
     }
@@ -189,7 +189,7 @@ pub fn run_cell(
                 .expect("default chronos config is valid");
             let mut time_client = SecureTimeClient::new(
                 pool_source(&scenario, source),
-                scenario.pool_domain.clone(),
+                scenario.pool_domain().clone(),
                 chronos,
             );
             let outcome = time_client.sync(&scenario.net, &mut exchanger, &mut clock);
@@ -197,7 +197,7 @@ pub fn run_cell(
         }
         ClientKind::PlainSntp | ClientKind::FullPoolNtp => {
             let fetched = pool_source(&scenario, source)
-                .fetch_pool(&mut exchanger, &scenario.pool_domain)
+                .fetch_pool(&mut exchanger, scenario.pool_domain())
                 .map(|timed| timed.addresses)
                 .unwrap_or_default();
             let outcome = match client {

@@ -49,7 +49,7 @@ fn malicious_share(extra: usize, mode: CombinationMode, seed: u64) -> (f64, bool
     let report = scenario
         .pool_generator(PoolConfig::default().with_mode(mode))
         .expect("generator")
-        .generate(&mut exchanger, &scenario.pool_domain)
+        .generate(&mut exchanger, scenario.pool_domain())
         .expect("generation");
     let check = check_guarantee(&report.pool, &scenario.ground_truth(), 0.5);
     (check.malicious_fraction, check.holds)

@@ -186,12 +186,12 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<ChaosReport, Box<dyn std:
     let mut time_client = match &frontend {
         Some(frontend) => SecureTimeClient::new(
             Box::new(ConsensusFrontEnd::new(Arc::clone(frontend))),
-            scenario.pool_domain.clone(),
+            scenario.pool_domain().clone(),
             chronos,
         ),
         None => SecureTimeClient::new(
             Box::new(SingleResolverPool::new(ISP_RESOLVER)),
-            scenario.pool_domain.clone(),
+            scenario.pool_domain().clone(),
             chronos,
         ),
     };

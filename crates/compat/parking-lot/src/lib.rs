@@ -1,11 +1,13 @@
 //! Stand-in for `parking_lot`, backed by `std::sync`.
 //!
-//! Only the surface this workspace uses is provided: `Mutex` and `RwLock`
-//! with the parking-lot calling convention (`lock()` returns the guard
-//! directly, never a poison `Result`). Poisoning is absorbed by handing the
-//! caller the inner guard — the simulator is single-threaded, so a poisoned
-//! lock can only come from a failing test's unwind and the state is still
-//! consistent enough to inspect.
+//! Only the surface this workspace uses is provided: a `Mutex` with the
+//! parking-lot calling convention (`lock()` returns the guard directly,
+//! never a poison `Result`). Poisoning is absorbed by handing the caller
+//! the inner guard — the simulator is single-threaded, so a poisoned lock
+//! can only come from a failing test's unwind and the state is still
+//! consistent enough to inspect. This is where the workspace's one poison
+//! policy is written: its library crates lock through this type instead
+//! of spelling the recovery out at each of their lock sites.
 
 use std::fmt;
 
@@ -20,11 +22,6 @@ impl<T> Mutex<T> {
     /// Creates a mutex protecting `value`.
     pub fn new(value: T) -> Self {
         Mutex(std::sync::Mutex::new(value))
-    }
-
-    /// Consumes the mutex, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -51,40 +48,6 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
     }
 }
 
-/// A reader-writer lock whose accessors never return poison errors.
-#[derive(Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-/// Guard type returned by [`RwLock::read`].
-pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
-/// Guard type returned by [`RwLock::write`].
-pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
-
-impl<T> RwLock<T> {
-    /// Creates a lock protecting `value`.
-    pub fn new(value: T) -> Self {
-        RwLock(std::sync::RwLock::new(value))
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires a shared read guard, ignoring poisoning.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquires an exclusive write guard, ignoring poisoning.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("RwLock").field(&&*self.read()).finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,7 +57,6 @@ mod tests {
         let m = Mutex::new(41);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 42);
-        assert_eq!(m.into_inner(), 42);
     }
 
     #[test]
@@ -104,13 +66,5 @@ mod tests {
         assert!(m.try_lock().is_none());
         drop(held);
         assert_eq!(m.try_lock().map(|guard| *guard), Some(1));
-    }
-
-    #[test]
-    fn rwlock_roundtrip() {
-        let l = RwLock::new(String::from("a"));
-        l.write().push('b');
-        assert_eq!(&*l.read(), "ab");
-        assert!(format!("{l:?}").contains("ab"));
     }
 }

@@ -146,8 +146,6 @@ impl AddressSource for DohSource {
     }
 
     fn start_fetch(&self, question: &DohQuestion, id: u16, _: &mut Vec<IpAddr>) -> FetchStart {
-        // DohTransmit and ExchangeRequest are both re-exports of the
-        // simulator's batch-request type, so the transmit passes through.
         FetchStart::Transmit(self.client.begin_query(id, question))
     }
 

@@ -1,8 +1,6 @@
 //! Unpadded base64url encoding (RFC 4648 §5), as required for the DoH GET
 //! `?dns=` query parameter (RFC 8484 §4.1).
 
-use bytes::BufMut;
-
 use crate::error::{WireError, WireResult};
 
 const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_";
@@ -20,7 +18,7 @@ const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwx
 /// ```
 pub fn encode(input: &[u8]) -> String {
     let mut out = Vec::with_capacity(encoded_len(input.len()));
-    encode_into(input, &mut out);
+    encode_into(input, |quad| out.extend_from_slice(quad));
     // Every octet written is one of the alphabet's.
     String::from_utf8(out).unwrap_or_default()
 }
@@ -36,23 +34,24 @@ pub const fn encoded_len(len: usize) -> usize {
     len / 3 * 4 + tail
 }
 
-/// Appends the unpadded base64url encoding of `input` to `out`, exactly
-/// [`encoded_len`] octets — for text that continues a buffer already being
-/// written, like the `?dns=` parameter of a DoH GET path written straight
-/// into its HTTP/2 header block.
+/// Hands the unpadded base64url encoding of `input` to `put` four
+/// characters at a time (two or three for the last), exactly
+/// [`encoded_len`] octets in all — for text that continues a buffer already
+/// being written, like the `?dns=` parameter of a DoH GET path written
+/// straight into its HTTP/2 header block.
 ///
 /// # Examples
 ///
 /// ```
 /// use sdoh_dns_wire::base64url;
 /// let mut path = b"/dns-query?dns=".to_vec();
-/// base64url::encode_into(b"fo", &mut path);
+/// base64url::encode_into(b"fo", |quad| path.extend_from_slice(quad));
 /// assert_eq!(path, b"/dns-query?dns=Zm8");
 /// assert_eq!(base64url::encoded_len(2), 3);
 /// ```
 // sdoh-lint: allow(no-panic, "every alphabet index is masked to 6 bits and ALPHABET has 64 entries")
 // sdoh-lint: allow(no-narrowing-cast, "every cast value is masked to 6 bits first")
-pub fn encode_into(input: &[u8], out: &mut impl BufMut) {
+pub fn encode_into(input: &[u8], mut put: impl FnMut(&[u8])) {
     for chunk in input.chunks(3) {
         let b0 = u32::from(chunk.first().copied().unwrap_or(0));
         let b1 = u32::from(chunk.get(1).copied().unwrap_or(0));
@@ -65,7 +64,7 @@ pub fn encode_into(input: &[u8], out: &mut impl BufMut) {
             ALPHABET[triple as usize & 0x3F],
         ];
         // One character per six bits of the chunk, rounded up.
-        out.put_slice(quad.get(..=chunk.len()).unwrap_or_default());
+        put(quad.get(..=chunk.len()).unwrap_or_default());
     }
 }
 

@@ -282,7 +282,7 @@ mod tests {
         );
         let mut w = WireWriter::new();
         rec.encode(&mut w).unwrap();
-        let mut bytes = w.finish().to_vec();
+        let mut bytes = w.finish();
         let len = bytes.len();
         bytes.truncate(len - 2); // chop off part of the rdata
         let mut r = WireReader::new(&bytes);

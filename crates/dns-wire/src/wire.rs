@@ -22,8 +22,6 @@
 //! in an answer that repeats the question's name — become a pointer to it
 //! without the search, which could have found that offset and no other.
 
-use bytes::{BufMut, Bytes};
-
 use crate::error::{WireError, WireResult};
 use crate::name::{LabelBuf, Name, MAX_NAME_LEN};
 
@@ -108,22 +106,22 @@ impl WireWriter {
 
     /// Appends a single octet.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Appends a 16-bit value in network byte order.
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.put_u16(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Appends a 32-bit value in network byte order.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Appends raw octets.
     pub fn put_slice(&mut self, v: &[u8]) {
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
     }
 
     /// Overwrites a previously written 16-bit value at `offset`.
@@ -149,8 +147,8 @@ impl WireWriter {
     /// octets.
     pub fn put_character_string(&mut self, s: &[u8]) -> WireResult<()> {
         let len = u8::try_from(s.len()).map_err(|_| WireError::CharacterStringTooLong(s.len()))?;
-        self.buf.put_u8(len);
-        self.buf.put_slice(s);
+        self.buf.push(len);
+        self.buf.extend_from_slice(s);
         Ok(())
     }
 
@@ -180,7 +178,7 @@ impl WireWriter {
         if let Some((at, len)) = self.whole {
             let from = usize::from(at);
             if self.buf.get(from..from + len) == Some(rest) {
-                self.buf.put_u16(0xC000 | at);
+                self.buf.extend_from_slice(&(0xC000 | at).to_be_bytes());
                 return Ok(());
             }
         }
@@ -188,7 +186,7 @@ impl WireWriter {
         while let Some(&len) = rest.first() {
             if self.compress {
                 if let Some(offset) = self.names.iter().find(|&&at| self.wrote_at(at, rest)) {
-                    self.buf.put_u16(0xC000 | offset);
+                    self.buf.extend_from_slice(&(0xC000 | offset).to_be_bytes());
                     return Ok(());
                 }
                 if let Some(offset) = u16::try_from(self.buf.len())
@@ -199,10 +197,10 @@ impl WireWriter {
                 }
             }
             let (label, after) = rest.split_at(rest.len().min(1 + usize::from(len)));
-            self.buf.put_slice(label);
+            self.buf.extend_from_slice(label);
             rest = after;
         }
-        self.buf.put_u8(0);
+        self.buf.push(0);
         if self.compress && labels_len > 0 {
             if let Some(at) = u16::try_from(start)
                 .ok()
@@ -252,8 +250,8 @@ impl WireWriter {
     }
 
     /// Finishes encoding and returns the wire bytes.
-    pub fn finish(self) -> Bytes {
-        Bytes::from(self.buf)
+    pub fn finish(self) -> Vec<u8> {
+        self.buf
     }
 
     /// Returns a copy of the bytes written so far without consuming the writer.

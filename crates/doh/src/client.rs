@@ -20,14 +20,13 @@
 use std::net::IpAddr;
 use std::time::Duration;
 
-use bytes::BufMut;
-use sdoh_dns_server::Exchanger;
+use sdoh_dns_server::{ExchangeRequest, Exchanger};
 use sdoh_dns_wire::{base64url, Message, MessageView, Name, Opcode, QueryWire, Rcode, RrType};
 use sdoh_netsim::ChannelKind;
 
 use crate::directory::ResolverInfo;
 use crate::error::{DohError, DohResult};
-use crate::h2::hpack;
+use crate::h2::hpack::{self, Sink};
 use crate::h2::{ClientConnection, RequestFrames};
 use crate::secure::{self, SecureEnvelope};
 
@@ -84,9 +83,9 @@ impl DohQuestion {
         let len = DOH_PATH.len() + PARAMETER.len() + base64url::encoded_len(octets.len());
         let mut path = PathField::default();
         hpack::encode_literal_with(&mut path, ":path", len, |out| {
-            out.put_slice(DOH_PATH.as_bytes());
-            out.put_slice(PARAMETER.as_bytes());
-            base64url::encode_into(octets, out);
+            out.put(DOH_PATH.as_bytes());
+            out.put(PARAMETER.as_bytes());
+            base64url::encode_into(octets, |quad| out.put(quad));
         });
         Ok(DohQuestion { query, path })
     }
@@ -120,8 +119,8 @@ impl PathField {
 }
 
 /// The field is sized for the longest query, so every write fits.
-impl BufMut for PathField {
-    fn put_slice(&mut self, v: &[u8]) {
+impl Sink for PathField {
+    fn put(&mut self, v: &[u8]) {
         if let Some(into) = self.octets.get_mut(self.len..self.len + v.len()) {
             into.copy_from_slice(v);
             self.len += v.len();
@@ -212,7 +211,9 @@ impl DohClient {
     /// Sans-IO first half of a query: builds everything that must go on the
     /// wire without performing any exchange.
     ///
-    /// Returns the [`DohTransmit`] describing the bytes to send. Nothing
+    /// Returns what a driver must put on the wire: the resolver endpoint,
+    /// [`ChannelKind::Secure`], and the sealed envelope carrying the HTTP/2
+    /// request as the payload; the caller owns the transport. Nothing
     /// else is kept: the reply is read by [`DohClient::finish_query`] (or
     /// [`DohClient::finish_addresses`]) against the same `id` and the same
     /// `question`, which the caller lends again, so a driver may keep any
@@ -225,7 +226,7 @@ impl DohClient {
     /// question's `:path` field (a GET's) between them, its HEADERS frame
     /// closed and a POST's query behind it: octet for octet what writing
     /// each field would write (`tests::the_spliced_request_is_the_written_request`).
-    pub fn begin_query(&self, id: u16, question: &DohQuestion) -> DohTransmit {
+    pub fn begin_query(&self, id: u16, question: &DohQuestion) -> ExchangeRequest {
         let post;
         let (path, body): (&[u8], &[u8]) = match self.method {
             DohMethod::Get => (question.path.as_bytes(), &[]),
@@ -243,7 +244,7 @@ impl DohClient {
             &mut payload,
             self.record_at,
         );
-        DohTransmit::new(
+        ExchangeRequest::new(
             self.resolver.addr,
             ChannelKind::Secure,
             payload,
@@ -402,13 +403,6 @@ fn request_frames(resolver: &ResolverInfo, method: DohMethod) -> (RequestFrames,
     };
     (request, record_at)
 }
-
-/// Everything a driver must put on the wire for one DoH query — the
-/// simulator's batch-request type re-exported under the DoH vocabulary
-/// (`dst` is the resolver endpoint, `channel` always
-/// [`ChannelKind::Secure`], `payload` the sealed envelope carrying the
-/// HTTP/2 request). The caller owns the transport.
-pub use sdoh_netsim::ConcurrentRequest as DohTransmit;
 
 #[cfg(test)]
 mod tests {
@@ -597,9 +591,9 @@ mod tests {
                 let len = DOH_PATH.len() + PARAMETER.len() + base64url::encoded_len(octets.len());
                 request
                     .field_with(":path", len, |out| {
-                        out.put_slice(DOH_PATH.as_bytes());
-                        out.put_slice(PARAMETER.as_bytes());
-                        base64url::encode_into(octets, out);
+                        out.extend_from_slice(DOH_PATH.as_bytes());
+                        out.extend_from_slice(PARAMETER.as_bytes());
+                        base64url::encode_into(octets, |quad| out.extend_from_slice(quad));
                     })
                     .field("accept", DNS_MESSAGE_CONTENT_TYPE);
                 request.body(&[]);

@@ -79,8 +79,6 @@ use std::borrow::Cow;
 use std::fmt;
 use std::io::Write as _;
 
-use bytes::{BufMut, BytesMut};
-
 use crate::http::{Headers, Method, Request, Response, StatusCode};
 
 use super::error::H2Error;
@@ -327,13 +325,13 @@ fn regular<'a>(fields: Fields<'a>) -> impl Iterator<Item = (&'a str, &'a str)> {
 /// frame takes the fields given until [`Outgoing::body`] closes it.
 #[must_use = "a message is written only once `body` closes its HEADERS frame"]
 pub(crate) struct Outgoing<'o> {
-    out: &'o mut BytesMut,
+    out: &'o mut Vec<u8>,
     header_at: usize,
     stream_id: u32,
 }
 
 impl<'o> Outgoing<'o> {
-    fn new(out: &'o mut BytesMut, stream_id: u32) -> Self {
+    fn new(out: &'o mut Vec<u8>, stream_id: u32) -> Self {
         let header_at = out.len();
         frame::put_header(out, 0, FrameType::Headers, flags::END_HEADERS, stream_id);
         Outgoing {
@@ -378,15 +376,15 @@ impl<'o> Outgoing<'o> {
         }
         let digits = digits.get(start..).unwrap_or_default();
         self.field_with(name, prefix.len() + digits.len(), |out| {
-            out.put_slice(prefix.as_bytes());
-            out.put_slice(digits);
+            out.extend_from_slice(prefix.as_bytes());
+            out.extend_from_slice(digits);
         })
     }
 
     /// Fields HPACK-encoded beforehand (a constant head), written as they
     /// are.
     pub(crate) fn encoded(&mut self, fields: &[u8]) -> &mut Self {
-        self.out.put_slice(fields);
+        self.out.extend_from_slice(fields);
         self
     }
 
@@ -396,7 +394,7 @@ impl<'o> Outgoing<'o> {
         &mut self,
         name: &str,
         len: usize,
-        value: impl FnOnce(&mut BytesMut),
+        value: impl FnOnce(&mut Vec<u8>),
     ) -> &mut Self {
         hpack::encode_literal_with(self.out, name, len, value);
         self
@@ -417,7 +415,7 @@ impl<'o> Outgoing<'o> {
             flags::END_STREAM,
             self.stream_id,
         );
-        self.out.put_slice(body);
+        self.out.extend_from_slice(body);
     }
 }
 
@@ -471,17 +469,17 @@ impl RequestFrames {
         // A DATA frame is its 9-octet header and the body.
         let data = if body.is_empty() { 0 } else { 9 + body.len() };
         let len = self.head.len() + field.len() + self.tail.len() + data + spare;
-        let mut out = BytesMut::from(Vec::with_capacity(len));
-        out.put_slice(&self.head);
-        out.put_slice(field);
-        out.put_slice(&self.tail);
+        let mut out = Vec::with_capacity(len);
+        out.extend_from_slice(&self.head);
+        out.extend_from_slice(field);
+        out.extend_from_slice(&self.tail);
         Outgoing {
             out: &mut out,
             header_at: self.headers_at,
             stream_id: FIRST_STREAM,
         }
         .body(body);
-        out.into()
+        out
     }
 }
 
@@ -538,7 +536,7 @@ impl Streams {
 /// The state the walk of received octets keeps, and the output queue.
 #[derive(Debug)]
 struct Walk {
-    out: BytesMut,
+    out: Vec<u8>,
     /// What the peer has to send before its first frame and has not yet:
     /// the connection preface at the server, nothing at the client.
     preface: &'static [u8],
@@ -560,7 +558,7 @@ struct Walk {
 impl Walk {
     fn new(out: Vec<u8>, preface: &'static [u8], peer_opens: bool) -> Self {
         Walk {
-            out: out.into(),
+            out,
             preface,
             pending: Vec::new(),
             streams: Streams::default(),
@@ -575,7 +573,7 @@ impl Walk {
     /// On the wire the ack is where it always was, before the next frame;
     /// an end that queues nothing more (a client holding its response)
     /// writes none.
-    fn output(&mut self) -> &mut BytesMut {
+    fn output(&mut self) -> &mut Vec<u8> {
         if std::mem::take(&mut self.settings_ack_owed) {
             frame::put_settings(&mut self.out, flags::ACK, &[]);
         }
@@ -583,7 +581,7 @@ impl Walk {
     }
 
     fn take_output(&mut self) -> Vec<u8> {
-        std::mem::take(self.output()).into()
+        std::mem::take(self.output())
     }
 
     /// The next part of a message in `input`, every connection frame before
@@ -864,7 +862,7 @@ impl ClientConnection {
     /// already holds: [`ClientConnection::take_output`] returns them first.
     pub fn with_output(out: Vec<u8>) -> Self {
         let mut walk = Walk::new(out, &[], false);
-        walk.out.put_slice(CONNECTION_PREFACE);
+        walk.out.extend_from_slice(CONNECTION_PREFACE);
         frame::put_settings(
             &mut walk.out,
             0,
@@ -1250,7 +1248,7 @@ mod tests {
                 FrameType::Data => (&[4], &[0; 4], flags::PADDED),
                 _ => (&[], &[], 0),
             };
-            let mut frame = BytesMut::new();
+            let mut frame = Vec::new();
             frame::put_header(
                 &mut frame,
                 lead.len() + raw.payload.len() + trail.len(),
@@ -1274,7 +1272,7 @@ mod tests {
     #[test]
     fn server_rejects_missing_preface() {
         let mut server = ServerConnection::new();
-        let mut bogus = BytesMut::new();
+        let mut bogus = Vec::new();
         Frame::Settings {
             ack: false,
             params: vec![],
@@ -1310,7 +1308,7 @@ mod tests {
         let mut server = ServerConnection::new();
         server.receive(&client.take_output()).unwrap();
 
-        let mut ping = BytesMut::new();
+        let mut ping = Vec::new();
         Frame::Ping {
             ack: false,
             data: [7u8; 8],
@@ -1364,12 +1362,11 @@ mod tests {
 
     /// A client's octets: the preface, then `frames`.
     fn from_a_client(frames: &[Frame]) -> Vec<u8> {
-        let mut out = BytesMut::new();
-        out.put_slice(CONNECTION_PREFACE);
+        let mut out = CONNECTION_PREFACE.to_vec();
         for frame in frames {
             frame.encode(&mut out);
         }
-        out.into()
+        out
     }
 
     /// The HEADERS frame of a request on `stream_id`.
@@ -1583,7 +1580,7 @@ mod tests {
     /// stream 1, the owned and the lent, which must agree: `Ok(status)` or
     /// the error.
     fn client_reads(fields: &[(&str, &str)]) -> Result<u16, H2Error> {
-        let mut server = BytesMut::new();
+        let mut server = Vec::new();
         frame::put_settings(&mut server, 0, &[]);
         head_on_stream_1(fields).encode(&mut server);
         let request = Request::get("dns.google", "/dns-query?dns=Q");

@@ -1,7 +1,5 @@
 //! HTTP/2 frame encoding and decoding (RFC 7540 §4 and §6).
 
-use bytes::{BufMut, BytesMut};
-
 use super::error::H2Error;
 
 /// The client connection preface every HTTP/2 connection starts with.
@@ -149,7 +147,7 @@ pub enum Frame {
 
 impl Frame {
     /// Encodes the frame with its 9-octet header.
-    pub fn encode(&self, out: &mut BytesMut) {
+    pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Frame::Data {
                 stream_id,
@@ -158,7 +156,7 @@ impl Frame {
             } => {
                 let flag = if *end_stream { flags::END_STREAM } else { 0 };
                 put_header(out, data.len(), FrameType::Data, flag, *stream_id);
-                out.put_slice(data);
+                out.extend_from_slice(data);
             }
             Frame::Headers {
                 stream_id,
@@ -174,7 +172,7 @@ impl Frame {
                     flag |= flags::END_HEADERS;
                 }
                 put_header(out, block.len(), FrameType::Headers, flag, *stream_id);
-                out.put_slice(block);
+                out.extend_from_slice(block);
             }
             Frame::Settings { ack, params } => {
                 let flag = if *ack { flags::ACK } else { 0 };
@@ -183,29 +181,29 @@ impl Frame {
             Frame::Ping { ack, data } => {
                 let flag = if *ack { flags::ACK } else { 0 };
                 put_header(out, 8, FrameType::Ping, flag, 0);
-                out.put_slice(data);
+                out.extend_from_slice(data);
             }
             Frame::GoAway {
                 last_stream_id,
                 error_code,
             } => {
                 put_header(out, 8, FrameType::GoAway, 0, 0);
-                out.put_u32(*last_stream_id & 0x7FFF_FFFF);
-                out.put_u32(*error_code);
+                out.extend_from_slice(&(*last_stream_id & 0x7FFF_FFFF).to_be_bytes());
+                out.extend_from_slice(&error_code.to_be_bytes());
             }
             Frame::WindowUpdate {
                 stream_id,
                 increment,
             } => {
                 put_header(out, 4, FrameType::WindowUpdate, 0, *stream_id);
-                out.put_u32(*increment & 0x7FFF_FFFF);
+                out.extend_from_slice(&(*increment & 0x7FFF_FFFF).to_be_bytes());
             }
             Frame::RstStream {
                 stream_id,
                 error_code,
             } => {
                 put_header(out, 4, FrameType::RstStream, 0, *stream_id);
-                out.put_u32(*error_code);
+                out.extend_from_slice(&error_code.to_be_bytes());
             }
             Frame::Unknown {
                 frame_type,
@@ -219,7 +217,7 @@ impl Frame {
                     0,
                     *stream_id,
                 );
-                out.put_slice(payload);
+                out.extend_from_slice(payload);
             }
         }
     }
@@ -399,7 +397,7 @@ impl<'a> RawFrame<'a> {
 
 /// Appends a 9-octet frame header.
 pub(super) fn put_header(
-    out: &mut BytesMut,
+    out: &mut Vec<u8>,
     length: usize,
     frame_type: FrameType,
     frame_flags: u8,
@@ -408,7 +406,7 @@ pub(super) fn put_header(
     // A frame length is 24 bits: the low three octets.
     let [.., high, mid, low] = length.to_be_bytes();
     let [s0, s1, s2, s3] = (stream_id & 0x7FFF_FFFF).to_be_bytes();
-    out.put_slice(&[
+    out.extend_from_slice(&[
         high,
         mid,
         low,
@@ -422,11 +420,11 @@ pub(super) fn put_header(
 }
 
 /// Appends a SETTINGS frame.
-pub(super) fn put_settings(out: &mut BytesMut, frame_flags: u8, params: &[(u16, u32)]) {
+pub(super) fn put_settings(out: &mut Vec<u8>, frame_flags: u8, params: &[(u16, u32)]) {
     put_header(out, params.len() * 6, FrameType::Settings, frame_flags, 0);
     for &(id, value) in params {
-        out.put_u16(id);
-        out.put_u32(value);
+        out.extend_from_slice(&id.to_be_bytes());
+        out.extend_from_slice(&value.to_be_bytes());
     }
 }
 
@@ -435,7 +433,7 @@ pub(super) fn put_settings(out: &mut BytesMut, frame_flags: u8, params: &[(u16, 
 /// straight into the output, behind a header put down with length 0), and
 /// `more_flags` join its flags (END_STREAM, once it is known that no body
 /// follows).
-pub(super) fn close_frame(out: &mut BytesMut, header_at: usize, more_flags: u8) {
+pub(super) fn close_frame(out: &mut [u8], header_at: usize, more_flags: u8) {
     let [.., high, mid, low] = out.len().saturating_sub(header_at + 9).to_be_bytes();
     if let Some([l2, l1, l0, _, frame_flags]) = out.get_mut(header_at..header_at + 5) {
         [*l2, *l1, *l0] = [high, mid, low];
@@ -448,7 +446,7 @@ mod tests {
     use super::*;
 
     fn roundtrip(frame: Frame) -> Frame {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         frame.encode(&mut buf);
         let (decoded, consumed) = Frame::decode(&buf).unwrap().unwrap();
         assert_eq!(consumed, buf.len());
@@ -521,7 +519,7 @@ mod tests {
             end_stream: false,
             data: vec![0u8; 64],
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         frame.encode(&mut buf);
         assert!(Frame::decode(&buf[..5]).unwrap().is_none());
         assert!(Frame::decode(&buf[..20]).unwrap().is_none());
@@ -539,17 +537,17 @@ mod tests {
 
     #[test]
     fn malformed_settings_rejected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_header(&mut buf, 5, FrameType::Settings, 0, 0);
-        buf.put_slice(&[0u8; 5]);
+        buf.extend_from_slice(&[0u8; 5]);
         assert!(matches!(Frame::decode(&buf), Err(H2Error::Protocol(_))));
     }
 
     #[test]
     fn malformed_ping_rejected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_header(&mut buf, 4, FrameType::Ping, 0, 0);
-        buf.put_slice(&[0u8; 4]);
+        buf.extend_from_slice(&[0u8; 4]);
         assert!(Frame::decode(&buf).is_err());
     }
 
@@ -558,9 +556,9 @@ mod tests {
         frame_flags: u8,
         payload: &[u8],
     ) -> Result<Frame, H2Error> {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_header(&mut buf, payload.len(), frame_type, frame_flags, 1);
-        buf.put_slice(payload);
+        buf.extend_from_slice(payload);
         let (frame, consumed) = Frame::decode(&buf)?.expect("the frame is complete");
         assert_eq!(consumed, buf.len());
         Ok(frame)
@@ -645,7 +643,7 @@ mod tests {
 
     #[test]
     fn multiple_frames_decode_sequentially() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         Frame::Settings {
             ack: false,
             params: vec![],

@@ -14,9 +14,20 @@
 //! production HPACK codec and is sufficient because both peers in the
 //! simulation use this same codec.
 
-use bytes::BufMut;
-
 use super::error::H2Error;
+
+/// Where the encoders write: the header block at the end of a connection's
+/// output, or a question's inline `:path` field.
+pub(crate) trait Sink {
+    /// Appends `octets`.
+    fn put(&mut self, octets: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, octets: &[u8]) {
+        self.extend_from_slice(octets);
+    }
+}
 
 /// The RFC 7541 Appendix A static table (index 1..=61).
 const STATIC_TABLE: &[(&str, &str)] = &[
@@ -93,29 +104,27 @@ pub fn encode(headers: &[(String, String)]) -> Vec<u8> {
 }
 
 /// Appends one header field to the block being written at the end of `out`.
-pub(super) fn encode_field(out: &mut impl BufMut, name: &str, value: &str) {
+pub(super) fn encode_field(out: &mut impl Sink, name: &str, value: &str) {
     if let Some(index) = static_index_exact(name, value) {
         // Indexed header field: 1xxxxxxx
         encode_integer(out, index, 7, 0x80);
         return;
     }
-    encode_literal_with(out, name, value.len(), |out| {
-        out.put_slice(value.as_bytes())
-    });
+    encode_literal_with(out, name, value.len(), |out| out.put(value.as_bytes()));
 }
 
 /// Appends a literal field without indexing whose value is the `len`
 /// octets `value` appends: a value written where it goes rather than
 /// handed over as a `&str`. The caller's value is one no static entry
 /// holds, or [`encode_field`] would have indexed it.
-pub(crate) fn encode_literal_with<B: BufMut>(
+pub(crate) fn encode_literal_with<B: Sink>(
     out: &mut B,
     name: &str,
     len: usize,
     value: impl FnOnce(&mut B),
 ) {
     // Literal header field without indexing — new name: 0000 0000
-    out.put_u8(0x00);
+    out.put(&[0x00]);
     encode_string(out, name.as_bytes());
     encode_integer(out, u64::try_from(len).unwrap_or(u64::MAX), 7, 0x00);
     value(out);
@@ -240,19 +249,19 @@ fn static_entry(index: u64) -> Result<(&'static str, &'static str), H2Error> {
 }
 
 // sdoh-lint: allow(no-narrowing-cast, "each cast operand is reduced below 256 by the prefix mask or the modulo")
-fn encode_integer(out: &mut impl BufMut, mut value: u64, prefix_bits: u8, pattern: u8) {
+fn encode_integer(out: &mut impl Sink, mut value: u64, prefix_bits: u8, pattern: u8) {
     let max_prefix = (1u64 << prefix_bits) - 1;
     if value < max_prefix {
-        out.put_u8(pattern | value as u8);
+        out.put(&[pattern | value as u8]);
         return;
     }
-    out.put_u8(pattern | max_prefix as u8);
+    out.put(&[pattern | max_prefix as u8]);
     value -= max_prefix;
     while value >= 128 {
-        out.put_u8((value % 128 + 128) as u8);
+        out.put(&[(value % 128 + 128) as u8]);
         value /= 128;
     }
-    out.put_u8(value as u8);
+    out.put(&[value as u8]);
 }
 
 fn decode_integer(input: &[u8], prefix_bits: u8) -> Result<(u64, &[u8]), H2Error> {
@@ -281,10 +290,10 @@ fn decode_integer(input: &[u8], prefix_bits: u8) -> Result<(u64, &[u8]), H2Error
     }
 }
 
-fn encode_string(out: &mut impl BufMut, data: &[u8]) {
+fn encode_string(out: &mut impl Sink, data: &[u8]) {
     let len = u64::try_from(data.len()).unwrap_or(u64::MAX);
     encode_integer(out, len, 7, 0x00);
-    out.put_slice(data);
+    out.put(data);
 }
 
 fn decode_string(input: &[u8]) -> Result<(&str, &[u8]), H2Error> {

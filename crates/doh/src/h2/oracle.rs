@@ -20,7 +20,6 @@ mod tests {
     use std::net::IpAddr;
     use std::time::Duration;
 
-    use bytes::{BufMut, BytesMut};
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
     use sdoh_dns_server::{Authority, Catalog, Exchanger, Zone};
@@ -168,7 +167,7 @@ mod tests {
     /// priority fields and before the padding, and notes where it starts.
     #[allow(clippy::too_many_arguments)]
     fn put_frame(
-        out: &mut BytesMut,
+        out: &mut Vec<u8>,
         starts: &mut Vec<usize>,
         frame_type: FrameType,
         frame_flags: u8,
@@ -191,9 +190,9 @@ mod tests {
         starts.push(out.len());
         let length = lead.len() + payload.len() + trail.len();
         frame::put_header(out, length, frame_type, frame_flags, stream_id);
-        out.put_slice(&lead);
-        out.put_slice(payload);
-        out.put_slice(&trail);
+        out.extend_from_slice(&lead);
+        out.extend_from_slice(payload);
+        out.extend_from_slice(&trail);
     }
 
     /// The frames of `plain` (behind its first `preface` octets) written
@@ -202,8 +201,7 @@ mod tests {
     /// or not, and now and then a control frame between. Returns the octets
     /// and where each frame starts.
     fn dress(plain: &[u8], preface: usize, rng: &mut TestRng) -> (Vec<u8>, Vec<usize>) {
-        let mut out = BytesMut::new();
-        out.put_slice(&plain[..preface]);
+        let mut out = plain[..preface].to_vec();
         let mut starts = Vec::new();
         let mut rest = &plain[preface..];
         let padding = |rng: &mut TestRng| (rng.below(2) == 0).then(|| rng.below(8) as u8);
@@ -287,7 +285,7 @@ mod tests {
                 }
             }
         }
-        (out.into(), starts)
+        (out, starts)
     }
 
     /// One seeded mutation: a bit, an octet, a frame's length or stream

@@ -54,9 +54,7 @@ pub mod http;
 pub mod secure;
 mod server;
 
-pub use client::{
-    DohClient, DohMethod, DohQuestion, DohTransmit, DNS_MESSAGE_CONTENT_TYPE, DOH_PATH,
-};
+pub use client::{DohClient, DohMethod, DohQuestion, DNS_MESSAGE_CONTENT_TYPE, DOH_PATH};
 pub use directory::{ResolverDirectory, ResolverInfo};
 pub use error::{DohError, DohResult};
 pub use server::DohServerService;

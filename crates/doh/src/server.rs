@@ -246,7 +246,6 @@ mod tests {
     use crate::directory::ResolverDirectory;
     use crate::h2::{hpack, ClientConnection, Frame, CONNECTION_PREFACE};
     use crate::http::Request;
-    use bytes::BytesMut;
     use sdoh_dns_server::{
         Authority, Catalog, ClientExchanger, PoisonConfig, PoisonMode, PoisonedResolver, Zone,
     };
@@ -337,7 +336,7 @@ mod tests {
         let net = SimNet::new(22);
         let info = ResolverDirectory::well_known(22).resolvers()[0].clone();
         let mut service = DohServerService::new(info.clone(), authority());
-        let mut h2 = BytesMut::new();
+        let mut h2 = Vec::new();
         h2.extend_from_slice(CONNECTION_PREFACE);
         for frame in frames {
             frame.encode(&mut h2);

@@ -169,7 +169,7 @@ proptest! {
         data in proptest::collection::vec(any::<u8>(), 0..512),
     ) {
         let frame = Frame::Data { stream_id, end_stream, data };
-        let mut buf = bytes::BytesMut::new();
+        let mut buf = Vec::new();
         frame.encode(&mut buf);
         let (decoded, used) = Frame::decode(&buf).unwrap().unwrap();
         prop_assert_eq!(used, buf.len());

@@ -5,7 +5,9 @@
 //! touched only at registration and scrape time (*lock-light*): the hot
 //! path never sees it.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::metric::Counter;
@@ -95,6 +97,9 @@ pub type Collector = Box<dyn Fn() -> Vec<Sample> + Send + Sync>;
 /// The registry. Cheap to clone (handles share one store); `Send + Sync`.
 #[derive(Clone, Default)]
 pub struct Registry {
+    /// Its lock hands back the guard of a poisoned lock: a panic in one
+    /// registration (a programmer error, by contract) must not wedge every
+    /// later scrape.
     inner: Arc<Mutex<Inner>>,
 }
 
@@ -108,16 +113,6 @@ impl Registry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Registry::default()
-    }
-
-    /// The store lock, recovering from poisoning: a panic in one
-    /// registration (a programmer error, by contract) must not wedge every
-    /// later scrape.
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
     }
 
     /// Registers a counter without labels. See [`Registry::counter_with`].
@@ -147,7 +142,7 @@ impl Registry {
 
     /// Registers a scrape-time collector (see [`Collector`]).
     pub fn register_collector(&self, collector: Collector) {
-        self.lock().collectors.push(collector);
+        self.inner.lock().collectors.push(collector);
     }
 
     fn insert(&self, name: &str, help: &str, labels: &[(&str, &str)], metric: Metric) {
@@ -165,7 +160,7 @@ impl Registry {
                 (k.to_string(), v.to_string())
             })
             .collect();
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         assert!(
             !inner
                 .metrics
@@ -185,7 +180,7 @@ impl Registry {
     /// collector's output, sorted by `(name, labels)` so renderings are
     /// deterministic.
     pub fn gather(&self) -> Vec<Sample> {
-        let inner = self.lock();
+        let inner = self.inner.lock();
         let mut samples: Vec<Sample> = inner
             .metrics
             .iter()
@@ -224,7 +219,7 @@ impl Registry {
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.lock();
+        let inner = self.inner.lock();
         f.debug_struct("Registry")
             .field("metrics", &inner.metrics.len())
             .field("collectors", &inner.collectors.len())

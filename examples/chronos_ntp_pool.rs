@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let scenario = build_attacked_scenario(100);
         let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
         let pool =
-            StubResolver::new(ISP_RESOLVER).lookup_ipv4(&mut exchanger, &scenario.pool_domain)?;
+            StubResolver::new(ISP_RESOLVER).lookup_ipv4(&mut exchanger, scenario.pool_domain())?;
         let mut clock = LocalClock::new(scenario.net.clock(), 0.0);
         let ntp = NtpClient::new(CLIENT_ADDR.with_port(123));
         ntp.synchronize_simple(&scenario.net, &mut clock, &pool)?;
@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let scenario = build_attacked_scenario(200);
         let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
         let pool =
-            StubResolver::new(ISP_RESOLVER).lookup_ipv4(&mut exchanger, &scenario.pool_domain)?;
+            StubResolver::new(ISP_RESOLVER).lookup_ipv4(&mut exchanger, scenario.pool_domain())?;
         let mut clock = LocalClock::new(scenario.net.clock(), 0.0);
         let mut chronos = ChronosClient::new(
             ChronosConfig::default(),
@@ -102,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
         let report = scenario
             .pool_generator(PoolConfig::algorithm1())?
-            .generate(&mut exchanger, &scenario.pool_domain)?;
+            .generate(&mut exchanger, scenario.pool_domain())?;
         let pool = report.pool.addresses();
         let mut clock = LocalClock::new(scenario.net.clock(), 0.0);
         let mut chronos = ChronosClient::new(

@@ -47,13 +47,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let stub = StubResolver::new(frontend_addr);
     let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
-    let addresses = stub.lookup_ipv4(&mut exchanger, &scenario.pool_domain)?;
+    let addresses = stub.lookup_ipv4(&mut exchanger, scenario.pool_domain())?;
 
     let truth = scenario.ground_truth();
     println!(
         "\nstub resolver received {} addresses for {}:",
         addresses.len(),
-        scenario.pool_domain
+        scenario.pool_domain()
     );
     for addr in &addresses {
         println!(

@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Baseline: plain DNS through the ISP resolver.
     let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
     let stub = StubResolver::new(ISP_RESOLVER);
-    let plain_addresses = stub.lookup_ipv4(&mut exchanger, &scenario.pool_domain)?;
+    let plain_addresses = stub.lookup_ipv4(&mut exchanger, scenario.pool_domain())?;
     let mut plain_pool = AddressPool::new();
     for addr in &plain_addresses {
         plain_pool.push(*addr, "isp-resolver");
@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The proposal: Algorithm 1 over three DoH resolvers, same attacker.
     let generator = scenario.pool_generator(PoolConfig::algorithm1())?;
-    let report = generator.generate(&mut exchanger, &scenario.pool_domain)?;
+    let report = generator.generate(&mut exchanger, scenario.pool_domain())?;
     let doh_check = check_guarantee(&report.pool, &truth, 0.5);
     println!(
         "distributed DoH    : {} addresses, benign fraction {:.2} -> guarantee {}",

@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scenario.net.set_adversary(adversary);
         let mut exchanger = scenario.client_exchanger();
         let served =
-            StubResolver::new(ISP_RESOLVER).lookup_ipv4(&mut exchanger, &scenario.pool_domain)?;
+            StubResolver::new(ISP_RESOLVER).lookup_ipv4(&mut exchanger, scenario.pool_domain())?;
         let truth = scenario.ground_truth();
         assert!(served.iter().all(|a| !truth.is_malicious(*a)));
         let stats = attack_stats.borrow();
@@ -84,10 +84,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // `exchange_all` costs the slowest resolver's round trips.
     let generator = scenario.pool_generator(PoolConfig::algorithm1())?;
     let mut exchanger = scenario.client_exchanger();
-    let mut session = generator.session(&scenario.pool_domain, 42)?;
+    let mut session = generator.session(scenario.pool_domain(), 42)?;
     let started = scenario.net.now();
 
-    println!("\npool domain: {}", scenario.pool_domain);
+    println!("\npool domain: {}", scenario.pool_domain());
     let mut ids: Vec<secure_doh::core::TransactionId> = Vec::new();
     let mut requests: Vec<ExchangeRequest> = Vec::new();
     let report = loop {
@@ -174,7 +174,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scenario.install_caching_frontend(PoolConfig::algorithm1(), CacheConfig::default())?;
     let stub = StubResolver::new(FRONTEND_ADDR);
     for _ in 0..20 {
-        let addrs = stub.lookup_ipv4(&mut exchanger, &scenario.pool_domain)?;
+        let addrs = stub.lookup_ipv4(&mut exchanger, scenario.pool_domain())?;
         assert_eq!(addrs.len(), report.pool.len());
     }
     let metrics = resolver.lock().metrics();
@@ -194,7 +194,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     use secure_doh::ntp::{ConsensusFrontEnd, SecureTimeClient};
     let mut time_client = SecureTimeClient::new(
         Box::new(ConsensusFrontEnd::new(resolver.clone())),
-        scenario.pool_domain.clone(),
+        scenario.pool_domain().clone(),
         ChronosClient::new(
             ChronosConfig::default(),
             NtpClient::new(CLIENT_ADDR.with_port(123)),

@@ -172,8 +172,6 @@ pub struct Scenario {
     /// malicious or silent) and the attacker's addresses, which
     /// compromised resolvers replace or inflate answers with.
     pub fleet: DohFleet,
-    /// The pool domain (`pool.ntpns.org.`), the fleet's first.
-    pub pool_domain: Name,
     /// Published pool servers currently operated by the attacker (set by
     /// [`Scenario::install_ntp_fleet`], folded into
     /// [`Scenario::ground_truth`]).
@@ -183,6 +181,11 @@ pub struct Scenario {
 }
 
 impl Scenario {
+    /// The pool domain (`pool.ntpns.org.`), the fleet's first.
+    pub fn pool_domain(&self) -> &Name {
+        &self.fleet.domains[0]
+    }
+
     /// Builds the scenario: DNS hierarchy, DoH resolvers, ISP resolver and
     /// NTP servers.
     pub fn build(config: ScenarioConfig) -> Self {
@@ -222,7 +225,6 @@ impl Scenario {
 
         let scenario = Scenario {
             net,
-            pool_domain: fleet.domains[0].clone(),
             fleet,
             pool_ntp_malicious: Vec::new(),
             config,
@@ -339,7 +341,7 @@ impl Scenario {
         let generator = self.pool_generator(config)?;
         let mut exchanger = self.client_exchanger();
         let start = self.net.now();
-        let report = generator.generate(&mut exchanger, &self.pool_domain)?;
+        let report = generator.generate(&mut exchanger, self.pool_domain())?;
         Ok((report, self.net.clock().elapsed_since(start)))
     }
 
@@ -357,7 +359,7 @@ impl Scenario {
         let generator = self.pool_generator(config)?;
         let mut exchanger = self.client_exchanger();
         let start = self.net.now();
-        let report = generator.generate_sequential(&mut exchanger, &self.pool_domain)?;
+        let report = generator.generate_sequential(&mut exchanger, self.pool_domain())?;
         Ok((report, self.net.clock().elapsed_since(start)))
     }
 
@@ -409,7 +411,7 @@ impl Scenario {
         let frontend = self.install_caching_frontend(pool, cache)?;
         Ok(SecureTimeClient::new(
             Box::new(ConsensusFrontEnd::new(frontend)),
-            self.pool_domain.clone(),
+            self.pool_domain().clone(),
             chronos,
         ))
     }
@@ -574,14 +576,14 @@ mod tests {
         // Baseline: plain DNS through the ISP resolver.
         let stub = StubResolver::new(ISP_RESOLVER);
         let plain = stub
-            .lookup_ipv4(&mut exchanger, &scenario.pool_domain)
+            .lookup_ipv4(&mut exchanger, scenario.pool_domain())
             .unwrap();
         assert_eq!(plain.len(), scenario.config.ntp_servers);
 
         // Proposal: Algorithm 1 over the DoH fleet.
         let generator = scenario.pool_generator(PoolConfig::algorithm1()).unwrap();
         let report = generator
-            .generate(&mut exchanger, &scenario.pool_domain)
+            .generate(&mut exchanger, scenario.pool_domain())
             .unwrap();
         assert_eq!(
             report.pool.len(),
@@ -602,7 +604,7 @@ mod tests {
         let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
         let generator = scenario.pool_generator(PoolConfig::algorithm1()).unwrap();
         let report = generator
-            .generate(&mut exchanger, &scenario.pool_domain)
+            .generate(&mut exchanger, scenario.pool_domain())
             .unwrap();
         let check = check_guarantee(&report.pool, &scenario.ground_truth(), 0.5);
         assert!(check.holds, "1 of 3 compromised resolvers keeps x >= 1/2");
@@ -623,7 +625,7 @@ mod tests {
         let report = scenario
             .pool_generator(PoolConfig::algorithm1())
             .unwrap()
-            .generate(&mut exchanger, &scenario.pool_domain)
+            .generate(&mut exchanger, scenario.pool_domain())
             .unwrap();
         let truth = scenario.ground_truth();
         let with_truncation = check_guarantee(&report.pool, &truth, 0.5);
@@ -636,7 +638,7 @@ mod tests {
                 PoolConfig::default().with_mode(CombinationMode::CombineWithoutTruncation),
             )
             .unwrap()
-            .generate(&mut exchanger, &scenario.pool_domain)
+            .generate(&mut exchanger, scenario.pool_domain())
             .unwrap();
         let without_truncation = check_guarantee(&report.pool, &scenario.ground_truth(), 0.5);
         assert!(
@@ -653,7 +655,6 @@ mod tests {
             ..ScenarioConfig::default()
         });
         assert_eq!(scenario.fleet.domains.len(), 3);
-        assert_eq!(scenario.fleet.domains[0], scenario.pool_domain);
         let generator = scenario.pool_generator(PoolConfig::algorithm1()).unwrap();
         let mut exchanger = scenario.client_exchanger();
         for domain in &scenario.fleet.domains {
@@ -676,11 +677,11 @@ mod tests {
         let stub = StubResolver::new(FRONTEND_ADDR);
         let mut exchanger = scenario.client_exchanger();
         let first = stub
-            .lookup_ipv4(&mut exchanger, &scenario.pool_domain)
+            .lookup_ipv4(&mut exchanger, scenario.pool_domain())
             .unwrap();
         assert_eq!(first.len(), 24, "8 NTP servers x 3 resolvers");
         let again = stub
-            .lookup_ipv4(&mut exchanger, &scenario.pool_domain)
+            .lookup_ipv4(&mut exchanger, scenario.pool_domain())
             .unwrap();
         assert_eq!(again, first);
         // The driver-side handle observes the queries the network served.
@@ -694,7 +695,7 @@ mod tests {
             .install_caching_frontend(PoolConfig::algorithm1(), CacheConfig::uncached())
             .unwrap();
         let baseline = stub
-            .lookup_ipv4(&mut exchanger, &scenario.pool_domain)
+            .lookup_ipv4(&mut exchanger, scenario.pool_domain())
             .unwrap();
         assert_eq!(baseline, first);
         assert_eq!(uncached.lock().metrics().generations, 1);
@@ -727,7 +728,7 @@ mod tests {
         let report = scenario
             .pool_generator(PoolConfig::algorithm1())
             .unwrap()
-            .generate(&mut scenario.client_exchanger(), &scenario.pool_domain)
+            .generate(&mut scenario.client_exchanger(), scenario.pool_domain())
             .unwrap();
         let check = check_guarantee(&report.pool, &truth, 0.5);
         assert!(check.holds, "4 of 18 planted servers keep the majority");
@@ -787,7 +788,7 @@ mod tests {
         // clients reach at FRONTEND_ADDR: the pool is already cached.
         let stub = StubResolver::new(FRONTEND_ADDR);
         let served = stub
-            .lookup_ipv4(&mut exchanger, &scenario.pool_domain)
+            .lookup_ipv4(&mut exchanger, scenario.pool_domain())
             .unwrap();
         assert_eq!(served.len(), 48);
         let check = check_guarantee(
@@ -809,7 +810,7 @@ mod tests {
         let report = scenario
             .pool_generator(PoolConfig::algorithm1())
             .unwrap()
-            .generate(&mut exchanger, &scenario.pool_domain)
+            .generate(&mut exchanger, scenario.pool_domain())
             .unwrap();
         assert!(
             report.pool.is_empty(),

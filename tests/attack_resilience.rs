@@ -48,7 +48,7 @@ fn off_path_spoofer_poisons_plain_dns_but_not_doh() {
 
     // Plain path: fully captured.
     let plain = StubResolver::new(ISP_RESOLVER)
-        .lookup_ipv4(&mut exchanger, &scenario.pool_domain)
+        .lookup_ipv4(&mut exchanger, scenario.pool_domain())
         .unwrap();
     let mut plain_pool = AddressPool::new();
     for a in plain {
@@ -60,7 +60,7 @@ fn off_path_spoofer_poisons_plain_dns_but_not_doh() {
     let report = scenario
         .pool_generator(PoolConfig::algorithm1())
         .unwrap()
-        .generate(&mut exchanger, &scenario.pool_domain)
+        .generate(&mut exchanger, scenario.pool_domain())
         .unwrap();
     assert!(!attacker_controls_fraction(&report.pool, &truth, 0.5));
     assert!(scenario.net.metrics().forged_responses >= 1);
@@ -84,7 +84,7 @@ fn on_path_mitm_rewrites_plain_dns_but_cannot_touch_doh() {
     let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
 
     let plain = StubResolver::new(ISP_RESOLVER)
-        .lookup_ipv4(&mut exchanger, &scenario.pool_domain)
+        .lookup_ipv4(&mut exchanger, scenario.pool_domain())
         .unwrap();
     let mut plain_pool = AddressPool::new();
     for a in plain {
@@ -95,7 +95,7 @@ fn on_path_mitm_rewrites_plain_dns_but_cannot_touch_doh() {
     let report = scenario
         .pool_generator(PoolConfig::algorithm1())
         .unwrap()
-        .generate(&mut exchanger, &scenario.pool_domain)
+        .generate(&mut exchanger, scenario.pool_domain())
         .unwrap();
     assert!(
         !attacker_controls_fraction(&report.pool, &truth, 0.5),
@@ -121,7 +121,7 @@ fn answer_inflation_cannot_take_over_a_truncated_pool() {
     let report = scenario
         .pool_generator(PoolConfig::algorithm1())
         .unwrap()
-        .generate(&mut exchanger, &scenario.pool_domain)
+        .generate(&mut exchanger, scenario.pool_domain())
         .unwrap();
     assert_eq!(report.pool.len(), 30, "5 resolvers x 6 truncated slots");
     assert!(!attacker_controls_fraction(
@@ -152,7 +152,7 @@ fn chronos_over_the_secure_pool_survives_a_poisoned_access_network() {
     let report = scenario
         .pool_generator(PoolConfig::algorithm1())
         .unwrap()
-        .generate(&mut exchanger, &scenario.pool_domain)
+        .generate(&mut exchanger, scenario.pool_domain())
         .unwrap();
 
     let mut clock = LocalClock::new(scenario.net.clock(), 0.0);
@@ -191,7 +191,7 @@ fn secure_channel_rejects_impersonation_of_a_resolver() {
     let err = client
         .query(
             &mut exchanger,
-            &scenario.pool_domain,
+            scenario.pool_domain(),
             secure_doh::wire::RrType::A,
         )
         .unwrap_err();

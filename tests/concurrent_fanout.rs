@@ -59,7 +59,7 @@ fn three_resolver_lookup_costs_one_lookup_not_three() {
 fn session_describes_the_full_fanout_before_any_io() {
     let scenario = build(9100, 3);
     let generator = scenario.pool_generator(PoolConfig::algorithm1()).unwrap();
-    let mut session = generator.session(&scenario.pool_domain, 1).unwrap();
+    let mut session = generator.session(scenario.pool_domain(), 1).unwrap();
 
     // Sans-IO: the session hands out all three transmits up front; nothing
     // on the network has happened yet.
@@ -95,14 +95,14 @@ fn ready_made_drivers_agree_on_the_report() {
     let scenario = build(9200, 3);
     let generator = scenario.pool_generator(PoolConfig::algorithm1()).unwrap();
     let concurrent = generator
-        .generate(&mut scenario.client_exchanger(), &scenario.pool_domain)
+        .generate(&mut scenario.client_exchanger(), scenario.pool_domain())
         .unwrap();
 
     let sequential_scenario = build(9200, 3);
     let sequential = generator
         .generate_sequential(
             &mut sequential_scenario.client_exchanger(),
-            &sequential_scenario.pool_domain,
+            sequential_scenario.pool_domain(),
         )
         .unwrap();
 

@@ -22,7 +22,7 @@ fn figure1_pipeline_produces_an_honest_pool() {
     let report = scenario
         .pool_generator(PoolConfig::algorithm1())
         .unwrap()
-        .generate(&mut exchanger, &scenario.pool_domain)
+        .generate(&mut exchanger, scenario.pool_domain())
         .unwrap();
 
     assert_eq!(report.answered(), 3);
@@ -58,7 +58,7 @@ fn compromised_minority_never_reaches_half_the_pool() {
         let report = scenario
             .pool_generator(PoolConfig::algorithm1())
             .unwrap()
-            .generate(&mut exchanger, &scenario.pool_domain)
+            .generate(&mut exchanger, scenario.pool_domain())
             .unwrap();
         let check = check_guarantee(&report.pool, &scenario.ground_truth(), 0.5);
         assert!(
@@ -85,7 +85,7 @@ fn compromised_majority_defeats_the_guarantee_as_the_analysis_predicts() {
     let report = scenario
         .pool_generator(PoolConfig::algorithm1())
         .unwrap()
-        .generate(&mut exchanger, &scenario.pool_domain)
+        .generate(&mut exchanger, scenario.pool_domain())
         .unwrap();
     let check = check_guarantee(&report.pool, &scenario.ground_truth(), 0.5);
     assert!(!check.holds, "2 of 3 compromised resolvers exceed x = 1/2");
@@ -102,14 +102,14 @@ fn plain_and_doh_paths_return_identical_answers_without_an_attacker() {
     let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
 
     let mut plain = StubResolver::new(ISP_RESOLVER)
-        .lookup_ipv4(&mut exchanger, &scenario.pool_domain)
+        .lookup_ipv4(&mut exchanger, scenario.pool_domain())
         .unwrap();
     plain.sort();
 
     let report = scenario
         .pool_generator(PoolConfig::algorithm1())
         .unwrap()
-        .generate(&mut exchanger, &scenario.pool_domain)
+        .generate(&mut exchanger, scenario.pool_domain())
         .unwrap();
     let mut via_doh = report.pool.unique_addresses();
     via_doh.sort();
@@ -140,7 +140,7 @@ fn majority_front_end_serves_unmodified_stub_resolvers() {
 
     // A completely standard DNS client gets only corroborated addresses.
     let response = DnsClient::new(frontend)
-        .query(&mut exchanger, &scenario.pool_domain, RrType::A)
+        .query(&mut exchanger, scenario.pool_domain(), RrType::A)
         .unwrap();
     let addresses = response.answer_addresses();
     assert_eq!(addresses.len(), 6);

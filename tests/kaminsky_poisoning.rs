@@ -32,7 +32,7 @@ fn weak_resolver_is_hijacked_by_a_single_forged_referral() {
     let stub = StubResolver::new(ISP_RESOLVER);
     let mut exchanger = scenario.client_exchanger();
     let addresses = stub
-        .lookup_ipv4(&mut exchanger, &scenario.pool_domain)
+        .lookup_ipv4(&mut exchanger, scenario.pool_domain())
         .expect("the poisoned resolution still answers");
     let truth = scenario.ground_truth();
     assert!(!addresses.is_empty());
@@ -55,7 +55,7 @@ fn weak_resolver_is_hijacked_by_a_single_forged_referral() {
     // The poison is cached: a second lookup is served without the
     // attacker having to race again.
     let again = stub
-        .lookup_ipv4(&mut exchanger, &scenario.pool_domain)
+        .lookup_ipv4(&mut exchanger, scenario.pool_domain())
         .unwrap();
     assert_eq!(again, addresses);
     assert!(
@@ -81,7 +81,7 @@ fn bailiwick_enforcement_blocks_the_referral_even_with_weak_identifiers() {
     let stub = StubResolver::new(ISP_RESOLVER);
     let mut exchanger = scenario.client_exchanger();
     let truth = scenario.ground_truth();
-    match stub.lookup_ipv4(&mut exchanger, &scenario.pool_domain) {
+    match stub.lookup_ipv4(&mut exchanger, scenario.pool_domain()) {
         Ok(addresses) => assert!(
             addresses.iter().all(|a| !truth.is_malicious(*a)),
             "no attacker address may be served: {addresses:?}"
@@ -114,7 +114,7 @@ fn hardened_resolver_survives_a_large_forgery_budget() {
     let stub = StubResolver::new(ISP_RESOLVER);
     let mut exchanger = scenario.client_exchanger();
     let addresses = stub
-        .lookup_ipv4(&mut exchanger, &scenario.pool_domain)
+        .lookup_ipv4(&mut exchanger, scenario.pool_domain())
         .expect("the hardened resolver answers normally");
     let truth = scenario.ground_truth();
     assert_eq!(addresses.len(), scenario.config.ntp_servers);
@@ -153,7 +153,7 @@ fn direct_answer_forgery_needs_the_identifier_race() {
     let stub = StubResolver::new(ISP_RESOLVER);
     let mut exchanger = scenario.client_exchanger();
     let addresses = stub
-        .lookup_ipv4(&mut exchanger, &scenario.pool_domain)
+        .lookup_ipv4(&mut exchanger, scenario.pool_domain())
         .unwrap();
     let truth = scenario.ground_truth();
     assert!(

@@ -60,7 +60,7 @@ fn same_attack_captures_sntp_but_not_the_secure_time_client() {
     let scenario = attacked_scenario(900);
     let mut exchanger = scenario.client_exchanger();
     let spoofed = SingleResolverPool::new(ISP_RESOLVER)
-        .fetch_pool(&mut exchanger, &scenario.pool_domain)
+        .fetch_pool(&mut exchanger, scenario.pool_domain())
         .expect("spoofed answer still parses");
     let check = check_guarantee(
         &address_pool(&spoofed.addresses, "isp"),

@@ -3,7 +3,7 @@
 
 use sdoh_analysis::Table;
 use sdoh_core::PoolConfig;
-use sdoh_dns_server::{ClientExchanger, StubResolver};
+use sdoh_dns_server::StubResolver;
 use sdoh_ntp::{ChronosClient, ChronosConfig, LocalClock, NtpClient};
 use secure_doh::scenario::{Scenario, ScenarioConfig, CLIENT_ADDR, ISP_RESOLVER};
 
@@ -75,18 +75,15 @@ pub fn run_setup(setup: TimeSyncSetup, attacker_shift: f64, seed: u64) -> (f64, 
     ));
     let truth = scenario.ground_truth();
 
-    let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
     let pool = match setup {
         TimeSyncSetup::PlainDnsPlainNtp | TimeSyncSetup::PlainDnsChronos => {
             StubResolver::new(ISP_RESOLVER)
-                .lookup_ipv4(&mut exchanger, scenario.pool_domain())
+                .lookup_ipv4(&mut scenario.client_exchanger(), scenario.pool_domain())
                 .unwrap_or_default()
         }
         TimeSyncSetup::DistributedDohChronos => scenario
-            .pool_generator(PoolConfig::algorithm1())
-            .expect("generator")
-            .generate(&mut exchanger, scenario.pool_domain())
-            .map(|r| r.pool.addresses())
+            .generate_pool(PoolConfig::algorithm1())
+            .map(|(report, _)| report.pool.addresses())
             .unwrap_or_default(),
     };
     let captured = {

@@ -3,8 +3,7 @@
 
 use sdoh_analysis::Table;
 use sdoh_core::{attacker_controls_fraction, PoolConfig};
-use sdoh_dns_server::ClientExchanger;
-use secure_doh::scenario::{ResolverCompromise, Scenario, ScenarioConfig, CLIENT_ADDR};
+use secure_doh::scenario::{ResolverCompromise, Scenario, ScenarioConfig};
 
 /// Sweeps the number of resolvers answering with an empty record set and
 /// reports the resulting pool size (availability) and whether the attacker
@@ -46,11 +45,8 @@ fn simulate(n: usize, empty: usize, seed: u64) -> (usize, bool) {
         compromised,
         ..ScenarioConfig::default()
     });
-    let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
-    let report = scenario
-        .pool_generator(PoolConfig::algorithm1())
-        .expect("generator")
-        .generate(&mut exchanger, scenario.pool_domain())
+    let (report, _) = scenario
+        .generate_pool(PoolConfig::algorithm1())
         .expect("generation");
     let captured = attacker_controls_fraction(&report.pool, &scenario.ground_truth(), 0.5);
     (report.pool.len(), captured)

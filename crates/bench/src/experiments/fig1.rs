@@ -2,7 +2,6 @@
 
 use sdoh_analysis::Table;
 use sdoh_core::{check_guarantee, PoolConfig};
-use sdoh_dns_server::ClientExchanger;
 use sdoh_ntp::{ChronosClient, ChronosConfig, LocalClock, NtpClient};
 use secure_doh::scenario::{Scenario, ScenarioConfig, CLIENT_ADDR};
 
@@ -15,15 +14,9 @@ pub fn run(seed: u64) -> Vec<Table> {
         ntp_servers: 8,
         ..ScenarioConfig::default()
     });
-    let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
-    let generator = scenario
-        .pool_generator(PoolConfig::algorithm1())
-        .expect("generator");
-    let generation_started = scenario.net.now();
-    let report = generator
-        .generate(&mut exchanger, scenario.pool_domain())
+    let (report, generation_latency) = scenario
+        .generate_pool(PoolConfig::algorithm1())
         .expect("pool generation succeeds");
-    let generation_latency = scenario.net.clock().elapsed_since(generation_started);
 
     let mut per_resolver = Table::new(
         "E1: per-resolver answers for pool.ntpns.org (Fig. 1 step 2-4)",

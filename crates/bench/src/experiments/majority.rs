@@ -3,8 +3,7 @@
 
 use sdoh_analysis::{fmt_percent, Table};
 use sdoh_core::{check_guarantee, CombinationMode, PoolConfig};
-use sdoh_dns_server::ClientExchanger;
-use secure_doh::scenario::{ResolverCompromise, Scenario, ScenarioConfig, CLIENT_ADDR};
+use secure_doh::scenario::{ResolverCompromise, Scenario, ScenarioConfig};
 
 /// For each number of compromised resolvers, compares the pools produced by
 /// Algorithm 1 (truncate + combine) and by the majority vote.
@@ -42,11 +41,8 @@ fn simulate(total: usize, compromised: usize, mode: CombinationMode, seed: u64) 
             .collect(),
         ..ScenarioConfig::default()
     });
-    let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
-    let report = scenario
-        .pool_generator(PoolConfig::default().with_mode(mode))
-        .expect("generator")
-        .generate(&mut exchanger, scenario.pool_domain())
+    let (report, _) = scenario
+        .generate_pool(PoolConfig::default().with_mode(mode))
         .expect("generation");
     let truth = scenario.ground_truth();
     let check = check_guarantee(&report.pool, &truth, 0.5);

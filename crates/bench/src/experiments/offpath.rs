@@ -9,9 +9,9 @@
 
 use sdoh_analysis::{fmt_probability, Table};
 use sdoh_core::{attacker_controls_fraction, AddressPool, PoolConfig};
-use sdoh_dns_server::{ClientExchanger, StubResolver};
+use sdoh_dns_server::StubResolver;
 use sdoh_netsim::SimAddr;
-use secure_doh::scenario::{Scenario, ScenarioConfig, CLIENT_ADDR, ISP_RESOLVER, NTPNS_SERVER};
+use secure_doh::scenario::{Scenario, ScenarioConfig, ISP_RESOLVER, NTPNS_SERVER};
 
 use super::pool_spoofer;
 
@@ -101,11 +101,10 @@ fn run_trial(setup: Setup, p: f64, seed: u64) -> bool {
         attacker_pool,
     ));
 
-    let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
     let pool = match setup {
         Setup::PlainDns => {
             let stub = StubResolver::new(ISP_RESOLVER);
-            match stub.lookup_ipv4(&mut exchanger, scenario.pool_domain()) {
+            match stub.lookup_ipv4(&mut scenario.client_exchanger(), scenario.pool_domain()) {
                 Ok(addresses) => {
                     let mut pool = AddressPool::new();
                     for addr in addresses {
@@ -117,10 +116,8 @@ fn run_trial(setup: Setup, p: f64, seed: u64) -> bool {
             }
         }
         Setup::DistributedDoh { .. } => scenario
-            .pool_generator(PoolConfig::algorithm1())
-            .expect("generator")
-            .generate(&mut exchanger, scenario.pool_domain())
-            .map(|report| report.pool)
+            .generate_pool(PoolConfig::algorithm1())
+            .map(|(report, _)| report.pool)
             .unwrap_or_default(),
     };
     attacker_controls_fraction(&pool, &truth, 0.5)

@@ -3,8 +3,7 @@
 
 use sdoh_analysis::{fmt_percent, Table};
 use sdoh_core::{check_guarantee, CombinationMode, PoolConfig};
-use sdoh_dns_server::ClientExchanger;
-use secure_doh::scenario::{ResolverCompromise, Scenario, ScenarioConfig, CLIENT_ADDR};
+use secure_doh::scenario::{ResolverCompromise, Scenario, ScenarioConfig};
 
 /// Sweeps the inflation factor of one compromised resolver (out of three)
 /// and reports the attacker's pool share with and without truncation.
@@ -45,11 +44,8 @@ fn malicious_share(extra: usize, mode: CombinationMode, seed: u64) -> (f64, bool
         compromised: vec![(0, ResolverCompromise::InflateWithAttackerAddresses(extra))],
         ..ScenarioConfig::default()
     });
-    let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
-    let report = scenario
-        .pool_generator(PoolConfig::default().with_mode(mode))
-        .expect("generator")
-        .generate(&mut exchanger, scenario.pool_domain())
+    let (report, _) = scenario
+        .generate_pool(PoolConfig::default().with_mode(mode))
         .expect("generation");
     let check = check_guarantee(&report.pool, &scenario.ground_truth(), 0.5);
     (check.malicious_fraction, check.holds)

@@ -30,9 +30,6 @@ pub enum PoolError {
     Session(String),
     /// A driver responded to a transaction id the session does not know.
     UnknownTransaction(usize),
-    /// A driver landed an outcome for a flight that is not live: it
-    /// already landed, or was never opened.
-    UnknownFlight(usize),
     /// A driver responded to a transaction that is not in flight.
     TransactionNotInFlight(usize),
 }
@@ -50,9 +47,6 @@ impl fmt::Display for PoolError {
             PoolError::Session(msg) => write!(f, "session misuse: {msg}"),
             PoolError::UnknownTransaction(id) => {
                 write!(f, "session misuse: unknown transaction {id}")
-            }
-            PoolError::UnknownFlight(flight) => {
-                write!(f, "session misuse: flight {flight} is not live")
             }
             PoolError::TransactionNotInFlight(id) => {
                 write!(f, "session misuse: transaction {id} is not in flight")
@@ -83,7 +77,6 @@ mod tests {
             PoolError::Generation("upstreams unreachable".into()),
             PoolError::Session("finished with exchanges outstanding".into()),
             PoolError::UnknownTransaction(7),
-            PoolError::UnknownFlight(2),
             PoolError::TransactionNotInFlight(7),
         ];
         for c in cases {

@@ -97,14 +97,18 @@
 //!   within a stale window while a background refresh regenerates them
 //!   ([`CachingPoolResolver::next_refresh_due`],
 //!   [`CachingPoolResolver::run_due_refreshes`]),
-//! * a **stepwise, sans-IO entry** beside the blocking `QueryHandler` one:
-//!   [`CachingPoolResolver::begin`] answers what the cache can answer and
-//!   parks a miss under a [`FlightId`],
-//!   [`CachingPoolResolver::poll`] hands out what every live flight has to
-//!   send (one batch overlaps the generations of different keys) and says
-//!   which flights landed, [`CachingPoolResolver::land`] takes outcomes
-//!   back in any order. The blocking entry points are these steps driven
-//!   to the landing, so there is one miss path.
+//! * a **stepwise entry** beside the blocking `QueryHandler` one, in
+//!   which the resolver keeps what it has upstream and the driver only
+//!   decides when to wait: [`CachingPoolResolver::begin`] answers what the
+//!   cache can answer and parks a miss under a [`FlightId`],
+//!   [`CachingPoolResolver::poll`] says which flights landed and departs
+//!   what every live flight has to send as one batch through the
+//!   exchanger's send half (one batch overlaps the generations of
+//!   different keys), and [`CachingPoolResolver::arrive`] collects the
+//!   batches that are due, their outcomes in any order. Neither half
+//!   waits; [`CachingPoolResolver::next_arrival`] says until when a driver
+//!   should. The blocking entry points are these steps with each batch
+//!   completed inside the call, so there is one miss path.
 //!
 //! Serving cost falls from one generation **per query** to one generation
 //! per `(domain, TTL window)`, while every served answer still comes out
@@ -126,8 +130,9 @@
 //! resolver is one map), and no thread of its own. The thread that read a
 //! query takes the shard's lock and drives the stepwise entry in place: a
 //! hit is answered there, and a miss is parked while its generation is
-//! upstream. One timer thread steps each shard when a round trip ends or
-//! at [`CachingPoolResolver::next_refresh_due`] (due refreshes open
+//! upstream. One timer thread steps each shard at
+//! [`CachingPoolResolver::next_arrival`], when a round trip ends, or at
+//! [`CachingPoolResolver::next_refresh_due`] (due refreshes open
 //! flights like any miss, [`CachingPoolResolver::begin_due_refreshes`]),
 //! and a statistics request reads a [`ServeSnapshot`] under the same lock
 //! ([`CachingPoolResolver::snapshot`], one consistent reading per request,

@@ -30,10 +30,10 @@
 //!   [`CachingPoolResolver::run_due_refreshes`]); a refresh is a flight
 //!   like any other, so the stale serves and misses that overlap it neither
 //!   queue nor open a second one,
-//! * a **stepwise, sans-IO entry** ([`CachingPoolResolver::begin`],
-//!   [`CachingPoolResolver::poll`], [`CachingPoolResolver::land`]) that
-//!   makes a generation a piece of data instead of a call: see "The miss
-//!   path" below.
+//! * a **stepwise entry** ([`CachingPoolResolver::begin`],
+//!   [`CachingPoolResolver::poll`], [`CachingPoolResolver::arrive`]) that
+//!   makes a generation, and what it has upstream, a piece of data instead
+//!   of a call: see "The miss path" below.
 //!
 //! Serving cost drops from one generation per query to one generation per
 //! `(domain, TTL window)` while every served answer still comes from a real
@@ -45,33 +45,41 @@
 //! per-generation sans-IO machine — registered under its key until its last
 //! outcome has landed. `begin` parks the query under the flight's
 //! [`FlightId`] (or under the flight already live for the key); `poll`
-//! walks the live flights in the order they opened, hands out every
-//! transmit of every flight before it first says `Wait` — so a driver that
-//! sends them as one batch overlaps the exchanges of *different domains'
-//! generations*, and a cold burst over K domains costs one round trip, not
-//! K — and reports each flight whose exchanges are all in as [`Landed`]:
-//! counted, cached (a failure negatively), its queued refresh cancelled,
-//! and carrying the report its parked queries are answered from. `land`
-//! feeds one outcome back, in any order.
+//! walks the live flights in the order they opened, reports each flight
+//! whose exchanges are all in as [`Landed`] — counted, cached (a failure
+//! negatively), its queued refresh cancelled, and carrying the report its
+//! parked queries are answered from — and, when it first says `Wait`,
+//! departs every request of every flight as one batch through the
+//! exchanger's send half, so the batch overlaps the exchanges of
+//! *different domains' generations* and a cold burst over K domains costs
+//! one round trip, not K. `arrive` collects the batches whose round trip
+//! is over through the collect half and feeds each outcome to its flight,
+//! in any order; [`CachingPoolResolver::next_arrival`] is when the next
+//! one is due.
 //!
 //! There used to be a second sans-IO machine here, a serve-level session
 //! bundling the `PoolSession`s of one call behind a flat transaction-id
 //! table, with its own poll loop and driver. It dissolved into the
 //! registry: a bundle is a unit of *waiting*, and once nothing waits inside
 //! a call — the driver owns the waiting — the only state that outlives a
-//! step is the flights themselves. A transmit is tagged with
-//! `(FlightId, TransactionId)` directly, so there is nothing to flatten;
-//! the per-generation machine stays because a generation's fan-out,
-//! bookkeeping and combination step are exactly what it encapsulates.
+//! step is the flights themselves, and the batches upstream. The resolver
+//! tags each request of a batch with its flight and transaction and keeps
+//! the tags beside the batch's receipt, so an outcome always lands where
+//! it belongs and no tag leaves the crate; the per-generation machine
+//! stays because a generation's fan-out, bookkeeping and combination step
+//! are exactly what it encapsulates. A driver keeps nothing of what is
+//! upstream: it only decides when to wait.
 //!
 //! The blocking entry points — `handle_query`, `handle_query_wire`,
 //! [`CachingPoolResolver::run_due_refreshes`],
 //! [`CachingPoolResolver::resolve_pool`] — are `begin` (or
-//! [`CachingPoolResolver::begin_due_refreshes`]) followed by `poll` and
-//! `land` around [`Exchanger::exchange_all`](sdoh_dns_server::Exchanger::exchange_all)
-//! until the flight lands: the simulator drives the very steps a runtime
-//! shard takes — from the thread that read the query and from its timer —
-//! and there is one miss path.
+//! [`CachingPoolResolver::begin_due_refreshes`]) followed by the same
+//! `poll` and `arrive` until the flight lands, except that each batch
+//! departs completed, inside the call, through
+//! [`Exchanger::exchange_all`](sdoh_dns_server::Exchanger::exchange_all):
+//! the simulator drives the very steps a runtime shard takes — from the
+//! thread that read the query and from its timer — and there is one miss
+//! path.
 //!
 //! # The hit path
 //!

@@ -21,15 +21,19 @@
 //! [`CacheConfig::uncached`].
 //!
 //! A generation is a piece of data the resolver owns, not a call it sits
-//! inside: [`CachingPoolResolver::begin`] answers what the cache can answer
-//! and parks a miss under a [`FlightId`], [`CachingPoolResolver::poll`] says
-//! what must be sent and which flights have landed, and
-//! [`CachingPoolResolver::land`] takes each outcome back — no I/O in any of
-//! them, so the driver decides what happens while exchanges are upstream.
-//! The blocking entry points (`handle_query`, `handle_query_wire`,
-//! `run_due_refreshes`, `resolve_pool`) are those same steps driven through
-//! [`Exchanger::exchange_all`] until the flight lands: there is one miss
-//! path.
+//! inside, and so is what it has upstream:
+//! [`CachingPoolResolver::begin`] answers what the cache can answer and
+//! parks a miss under a [`FlightId`], [`CachingPoolResolver::poll`] reports
+//! the flights that landed and departs what the live flights have to send
+//! as one batch ([`Exchanger::depart`]), and
+//! [`CachingPoolResolver::arrive`] collects the batches whose round trip is
+//! over ([`Exchanger::arrive`]) and hands each outcome to its flight. None
+//! of them waits: the driver only decides when to wait, until
+//! [`CachingPoolResolver::next_arrival`]. The blocking entry points
+//! (`handle_query`, `handle_query_wire`, `run_due_refreshes`,
+//! `resolve_pool`) are those same steps, each batch completed inside the
+//! call through [`Exchanger::exchange_all`], until the flight lands: there
+//! is one miss path.
 //!
 //! Every answer still comes out of a real [`GenerationReport`] produced by
 //! the paper's secure generation procedure, so the benign-fraction
@@ -39,7 +43,7 @@
 
 use std::time::Duration;
 
-use sdoh_dns_server::{ExchangeRequest, Exchanger, QueryHandler};
+use sdoh_dns_server::{Departure, ExchangeRequest, Exchanger, QueryHandler};
 use sdoh_dns_wire::{
     AnswerTemplate, Header, Message, MessageBuilder, QueryView, Question, QuestionRef, Rcode,
     Record, RrType, Ttl, WireResult,
@@ -52,10 +56,9 @@ use super::cache::{
 use super::refresh::RefreshScheduler;
 use super::samples::{GENERATION_SECONDS, SERVE_COUNTERS};
 use super::singleflight::{FlightId, Singleflight};
-use crate::error::{PoolError, PoolResult};
 use crate::generator::{seed_from, GenerationReport, SecurePoolGenerator};
 use crate::session::{Action, PoolSession, TransactionId};
-use sdoh_netsim::{NetResult, SimInstant};
+use sdoh_netsim::SimInstant;
 
 /// Operational counters of a [`CachingPoolResolver`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -276,6 +279,20 @@ pub struct CachingPoolResolver {
     /// The generations in flight, one per key.
     flights: Singleflight<PoolKey, Flight>,
     metrics: ServeMetrics,
+    /// The batches upstream, in departure order.
+    upstream: Vec<Batch>,
+    /// The next batch, gathered until it departs: its requests, and by
+    /// request index the flight and transaction each outcome lands under.
+    /// The tags reuse the widest landed batch's buffer.
+    requests: Vec<ExchangeRequest>,
+    tags: Vec<(FlightId, TransactionId)>,
+}
+
+/// One batch upstream: the send half's receipt and, by request index, the
+/// flight and transaction each outcome lands under.
+struct Batch {
+    departure: Departure,
+    tags: Vec<(FlightId, TransactionId)>,
 }
 
 /// One live generation: the per-generation machine plus what landing it
@@ -287,25 +304,17 @@ struct Flight {
     refresh: bool,
 }
 
-/// What [`CachingPoolResolver::poll`] asks of its driver.
+/// What [`CachingPoolResolver::poll`] reports to its driver.
 #[derive(Debug)]
 pub enum ServeStep {
-    /// Put `request` on the wire and hand its outcome, under the same
-    /// flight and transaction, to [`CachingPoolResolver::land`].
-    Transmit {
-        /// The flight the exchange belongs to.
-        flight: FlightId,
-        /// The exchange within the flight.
-        transaction: TransactionId,
-        /// Destination, channel, payload and timeout.
-        request: ExchangeRequest,
-    },
     /// A flight landed: answer every query parked under
     /// [`Landed::flight`].
     Landed(Landed),
-    /// Nothing to send and nothing landed: only outcomes still upstream
-    /// move a flight. The instant is the earliest queued refresh — when
-    /// [`CachingPoolResolver::begin_due_refreshes`] next has work.
+    /// Nothing landed, and what the live flights had to send has departed:
+    /// only the batches upstream move a flight, from
+    /// [`CachingPoolResolver::next_arrival`] on. The instant is the earliest
+    /// queued refresh — when [`CachingPoolResolver::begin_due_refreshes`]
+    /// next has work.
     Wait(Option<SimInstant>),
 }
 
@@ -368,6 +377,9 @@ impl CachingPoolResolver {
             refresh: RefreshScheduler::new(),
             flights: Singleflight::new(),
             metrics: ServeMetrics::default(),
+            upstream: Vec::new(),
+            requests: Vec::new(),
+            tags: Vec::new(),
         }
     }
 
@@ -465,9 +477,14 @@ impl CachingPoolResolver {
         self.refresh.next_due()
     }
 
-    /// Number of refreshes currently queued.
-    pub fn pending_refreshes(&self) -> usize {
-        self.refresh.len()
+    /// When the earliest batch upstream can be collected with
+    /// [`arrive`](CachingPoolResolver::arrive) — the instant a driver that
+    /// owns its waiting waits until — or `None` when nothing is upstream.
+    pub fn next_arrival(&self) -> Option<SimInstant> {
+        self.upstream
+            .iter()
+            .map(|batch| batch.departure.ready_at())
+            .min()
     }
 
     /// Runs every refresh whose deadline has passed as one overlapped
@@ -497,7 +514,8 @@ impl CachingPoolResolver {
     /// owned copy of the name, for the key it stores.
     ///
     /// Do not call the blocking entry points while queries are parked: they
-    /// drive every live flight and keep its landing to themselves.
+    /// drive every live flight and keep its landing to themselves, and a
+    /// flight whose batch `poll` departed lands only once it is due.
     ///
     /// # Errors
     ///
@@ -520,9 +538,9 @@ impl CachingPoolResolver {
     /// The other way a flight opens: one for every queued refresh that is
     /// due, in scheduling order — a key whose generation is already in
     /// flight is being refreshed by it. Returns how many flights were
-    /// opened; [`poll`](CachingPoolResolver::poll) hands out their
-    /// transmits with everyone else's. Only `exchanger`'s clock and
-    /// randomness are used.
+    /// opened; [`poll`](CachingPoolResolver::poll) departs their requests
+    /// with everyone else's. Only `exchanger`'s clock and randomness are
+    /// used.
     pub fn begin_due_refreshes(&mut self, exchanger: &mut dyn Exchanger) -> usize {
         let mut opened = 0;
         for key in self.refresh.take_due(exchanger.now()) {
@@ -535,32 +553,91 @@ impl CachingPoolResolver {
         opened
     }
 
-    /// Second step: advances the live flights, in opening order, to the
-    /// next thing their driver must do — see [`ServeStep`]. Call it until it
-    /// says [`ServeStep::Wait`]: every transmit of every live flight is
-    /// handed out before that, so a driver that sends them as one batch
-    /// overlaps not only the N exchanges of a generation but the
-    /// generations of different keys. `now` stamps what lands.
-    pub fn poll(&mut self, now: SimInstant) -> ServeStep {
-        let mut done = None;
-        for (id, flight) in self.flights.iter_mut() {
-            match flight.session.poll() {
-                Action::Transmit(transmit) => {
-                    return ServeStep::Transmit {
-                        flight: id,
-                        transaction: transmit.transaction,
-                        request: transmit.request,
-                    };
+    /// Second step: advances the live flights, in opening order, and says
+    /// what came of it — see [`ServeStep`]. Call it until it says
+    /// [`ServeStep::Wait`]: on the way there it reports each flight whose
+    /// exchanges are all in, landed, and then every request of every live
+    /// flight departs as one batch through `exchanger`'s send half
+    /// ([`Exchanger::depart`]), which overlaps not only the N exchanges of
+    /// a generation but the generations of different keys. `exchanger`'s
+    /// clock stamps what lands.
+    pub fn poll(&mut self, exchanger: &mut dyn Exchanger) -> ServeStep {
+        self.advance(exchanger, |exchanger, requests| exchanger.depart(requests))
+    }
+
+    /// Third step: collects every batch upstream whose round trip is over
+    /// at `exchanger`'s clock, through its collect half
+    /// ([`Exchanger::arrive`]), and hands each outcome to its flight.
+    /// Outcomes may come back in any order, within a flight and across
+    /// flights; the next [`poll`](CachingPoolResolver::poll) reports the
+    /// flights they completed, in opening order. Returns whether a batch
+    /// arrived.
+    pub fn arrive(&mut self, exchanger: &mut dyn Exchanger) -> bool {
+        let now = exchanger.now();
+        let mut arrived = false;
+        while let Some(due) = self
+            .upstream
+            .iter()
+            .position(|batch| batch.departure.ready_at() <= now)
+        {
+            let Batch { departure, tags } = self.upstream.remove(due);
+            for outcome in exchanger.arrive(departure) {
+                // The tags are the resolver's own, and a flight is live
+                // until its last outcome is in.
+                let Some(&(id, transaction)) = tags.get(outcome.index) else {
+                    continue;
+                };
+                if let Some(flight) = self.flights.get_mut(id) {
+                    let _ = flight.session.handle_response(transaction, outcome.result);
                 }
-                Action::Wait => {}
-                Action::Done => {
-                    done = Some(id);
-                    break;
+            }
+            if self.tags.is_empty() && tags.capacity() > self.tags.capacity() {
+                self.tags = tags;
+                self.tags.clear();
+            }
+            arrived = true;
+        }
+        arrived
+    }
+
+    /// [`poll`](CachingPoolResolver::poll), with `send` as the way a batch
+    /// departs.
+    fn advance(
+        &mut self,
+        exchanger: &mut dyn Exchanger,
+        send: fn(&mut dyn Exchanger, Vec<ExchangeRequest>) -> Departure,
+    ) -> ServeStep {
+        let mut done = None;
+        'flights: for (id, flight) in self.flights.iter_mut() {
+            loop {
+                match flight.session.poll() {
+                    Action::Transmit(transmit) => {
+                        if self.requests.is_empty() {
+                            // Sized for the widest batch yet and at least
+                            // one generation's fan-out: one allocation for
+                            // the requests, none for reused tags.
+                            let width = self.tags.capacity().max(self.generator.width());
+                            self.requests.reserve_exact(width);
+                            self.tags.reserve_exact(width);
+                        }
+                        self.tags.push((id, transmit.transaction));
+                        self.requests.push(transmit.request);
+                    }
+                    Action::Wait => break,
+                    Action::Done => {
+                        done = Some(id);
+                        break 'flights;
+                    }
                 }
             }
         }
         let Some((id, (key, flight))) = done.and_then(|id| Some((id, self.flights.land(id)?)))
         else {
+            if !self.requests.is_empty() {
+                let departure = send(exchanger, std::mem::take(&mut self.requests));
+                let tags = std::mem::take(&mut self.tags);
+                self.upstream.push(Batch { departure, tags });
+            }
             return ServeStep::Wait(self.refresh.next_due());
         };
         // What each source came to, per pass, read once the flight lands.
@@ -568,6 +645,7 @@ impl CachingPoolResolver {
         self.metrics.source_answers += answered;
         self.metrics.source_failures += failed;
         let result = flight.session.finish().map_err(|e| e.to_string());
+        let now = exchanger.now();
         let template = self.record_generation(key, &result, flight.refresh, flight.started, now);
         ServeStep::Landed(Landed {
             flight: id,
@@ -575,29 +653,6 @@ impl CachingPoolResolver {
             template,
             ttl: self.cache.config().ttl,
         })
-    }
-
-    /// Third step: hands the transport outcome of one transmitted exchange
-    /// back to its flight. Outcomes may arrive in any order, within a
-    /// flight and across flights; the next [`poll`](CachingPoolResolver::poll)
-    /// reports the flights they completed, in opening order.
-    ///
-    /// # Errors
-    ///
-    /// [`PoolError::UnknownFlight`] when `flight` is not live, and the
-    /// session's error when `transaction` is unknown or already completed.
-    /// The flight is left as it was.
-    pub fn land(
-        &mut self,
-        flight: FlightId,
-        transaction: TransactionId,
-        outcome: NetResult<Vec<u8>>,
-    ) -> PoolResult<()> {
-        self.flights
-            .get_mut(flight)
-            .ok_or(PoolError::UnknownFlight(flight.number()))?
-            .session
-            .handle_response(transaction, outcome)
     }
 
     /// Validates the protocol-level shape of a query — its first question,
@@ -699,7 +754,7 @@ impl CachingPoolResolver {
         };
         match self.drive(exchanger, Some(flight)) {
             Some(landed) => form(landed.served(asked.is_some())),
-            // A driver elsewhere holds the flight's outcomes.
+            // Its batch left through `poll` and is not due yet.
             None => form(Served::Failure),
         }
     }
@@ -771,52 +826,32 @@ impl CachingPoolResolver {
         }
     }
 
-    /// The blocking driver of the steps: sends what the live flights have to
-    /// send as one [`Exchanger::exchange_all`] batch per wait point, lands
-    /// the outcomes, and returns when `awaited` has landed — or, with
-    /// nothing awaited, when nothing is left to send.
+    /// The blocking driver of the steps: each batch departs completed
+    /// ([`complete`]) and arrives at once, until `awaited` has landed — or,
+    /// with nothing awaited, until nothing is left upstream.
     // sdoh-lint: allow(transitive-hot-path-purity, "the miss path on the query path: a blocking caller pays its generation here, its fan-out dwarfing these buffers; cache hits never enter")
     fn drive(
         &mut self,
         exchanger: &mut dyn Exchanger,
         awaited: Option<FlightId>,
     ) -> Option<Landed> {
-        // Sized for one generation's fan-out, so a batch of any width is
-        // gathered in one allocation each.
-        let width = self.generator.width();
-        let mut tags: Vec<(FlightId, TransactionId)> = Vec::with_capacity(width);
-        let mut requests: Vec<ExchangeRequest> = Vec::with_capacity(width);
         loop {
-            match self.poll(exchanger.now()) {
-                ServeStep::Transmit {
-                    flight,
-                    transaction,
-                    request,
-                } => {
-                    tags.push((flight, transaction));
-                    requests.push(request);
-                }
-                ServeStep::Landed(landed) => {
-                    if Some(landed.flight) == awaited {
-                        return Some(landed);
-                    }
-                }
-                ServeStep::Wait(_) => {
-                    if requests.is_empty() {
-                        return None;
-                    }
-                    for outcome in exchanger.exchange_all(std::mem::take(&mut requests)) {
-                        // The tags are this loop's own, so their flights
-                        // take the outcomes.
-                        if let Some(&(flight, transaction)) = tags.get(outcome.index) {
-                            let _ = self.land(flight, transaction, outcome.result);
-                        }
-                    }
-                    tags.clear();
-                }
+            match self.advance(exchanger, complete) {
+                ServeStep::Landed(landed) if Some(landed.flight) == awaited => return Some(landed),
+                ServeStep::Landed(_) => {}
+                ServeStep::Wait(_) if self.arrive(exchanger) => {}
+                ServeStep::Wait(_) => return None,
             }
         }
     }
+}
+
+/// How a batch departs from the blocking entry points: performed whole
+/// through [`Exchanger::exchange_all`], inside the call, and ready as it
+/// returns — whatever halves the exchanger has.
+fn complete(exchanger: &mut dyn Exchanger, requests: Vec<ExchangeRequest>) -> Departure {
+    let outcomes = exchanger.exchange_all(requests);
+    Departure::arrived(exchanger.now(), outcomes)
 }
 
 /// A pool resolved straight through the serving subsystem, without DNS
@@ -922,7 +957,7 @@ mod tests {
     use crate::config::PoolConfig;
     use crate::fleet::{doh_sources, DohFleet};
     use crate::source::{AddressSource, StaticSource};
-    use sdoh_dns_server::{ClientExchanger, DnsClient, Do53Service, StubResolver};
+    use sdoh_dns_server::{ClientExchanger, DnsClient, Do53Service, ExchangeOutcome, StubResolver};
     use sdoh_netsim::{SimAddr, SimNet};
     use std::net::IpAddr;
     use std::sync::Arc;
@@ -981,23 +1016,98 @@ mod tests {
         Message::query(id, domain.parse().unwrap(), RrType::A)
     }
 
-    /// In which order a stepwise driver hands a batch's outcomes back.
+    /// In which order [`Split`] hands a batch's outcomes back.
     #[derive(Debug, Clone, Copy)]
-    enum Landing {
+    enum Order {
         /// As the transport delivered them.
         Delivery,
         /// Last delivered first: across flights and within each.
         Reverse,
         /// Every second one first, then the rest: interleaves flights.
         Interleaved,
+        /// As delivered, each followed by an empty reply under the same
+        /// index, and then one under an index no request had.
+        Garbled,
     }
 
-    impl Landing {
-        fn order<T>(self, outcomes: Vec<T>) -> Vec<T> {
-            match self {
-                Landing::Delivery => outcomes,
-                Landing::Reverse => outcomes.into_iter().rev().collect(),
-                Landing::Interleaved => {
+    /// A way upstream with split halves over a simulated net, as a shard
+    /// has: `depart` performs the batch on the net at once, but the clock
+    /// the resolver reads stays where it was until [`Split::wait`], so the
+    /// batch stays upstream across polls; `arrive` hands the outcomes back
+    /// in `order`. The net sees every exchange as a blocking call makes it.
+    struct Split<'n> {
+        net: ClientExchanger<'n>,
+        order: Order,
+        /// The net's clock as of the last wait.
+        now: SimInstant,
+        /// The width of each batch that departed, in departure order.
+        departed: Vec<usize>,
+    }
+
+    impl<'n> Split<'n> {
+        fn new(net: &'n SimNet, order: Order) -> Self {
+            Split {
+                net: client(net),
+                order,
+                now: net.now(),
+                departed: Vec::new(),
+            }
+        }
+
+        /// Waits until every batch departed so far is due.
+        fn wait(&mut self) {
+            self.now = self.net.now();
+        }
+
+        /// Drives `resolver` as a shard does — lands what is due, polls
+        /// until it waits, waits until the next arrival — until nothing is
+        /// upstream. Returns what landed, in landing order.
+        fn drain(&mut self, resolver: &mut CachingPoolResolver) -> Vec<Landed> {
+            let mut landed = Vec::new();
+            loop {
+                resolver.arrive(self);
+                while let ServeStep::Landed(flight) = resolver.poll(self) {
+                    landed.push(flight);
+                }
+                if resolver.next_arrival().is_none() {
+                    return landed;
+                }
+                self.wait();
+            }
+        }
+    }
+
+    impl Exchanger for Split<'_> {
+        fn exchange(
+            &mut self,
+            dst: SimAddr,
+            channel: sdoh_netsim::ChannelKind,
+            payload: &[u8],
+            timeout: Duration,
+        ) -> sdoh_netsim::NetResult<Vec<u8>> {
+            self.net.exchange(dst, channel, payload, timeout)
+        }
+
+        fn next_id(&mut self) -> u16 {
+            self.net.next_id()
+        }
+
+        fn now(&self) -> SimInstant {
+            self.now
+        }
+
+        fn depart(&mut self, requests: Vec<ExchangeRequest>) -> Departure {
+            self.departed.push(requests.len());
+            let outcomes = self.net.exchange_all(requests);
+            Departure::arrived(self.net.now(), outcomes)
+        }
+
+        fn arrive(&mut self, departure: Departure) -> Vec<ExchangeOutcome> {
+            let outcomes = departure.outcomes(|_| Vec::new());
+            match self.order {
+                Order::Delivery => outcomes,
+                Order::Reverse => outcomes.into_iter().rev().collect(),
+                Order::Interleaved => {
                     let (mut odd, mut even) = (Vec::new(), Vec::new());
                     for (at, outcome) in outcomes.into_iter().enumerate() {
                         if at % 2 == 1 { &mut odd } else { &mut even }.push(outcome);
@@ -1005,40 +1115,20 @@ mod tests {
                     odd.extend(even);
                     odd
                 }
-            }
-        }
-    }
-
-    /// A stepwise driver over `exchange_all`: polls until the resolver has
-    /// nothing left to send, putting each wait point's transmits on the
-    /// wire as one batch and landing the outcomes in the given order.
-    /// Returns what landed, in landing order.
-    fn land_everything(
-        resolver: &mut CachingPoolResolver,
-        exchanger: &mut dyn Exchanger,
-        landing: Landing,
-    ) -> Vec<Landed> {
-        let mut landed = Vec::new();
-        let (mut tags, mut requests) = (Vec::new(), Vec::new());
-        loop {
-            match resolver.poll(exchanger.now()) {
-                ServeStep::Transmit {
-                    flight,
-                    transaction,
-                    request,
-                } => {
-                    tags.push((flight, transaction));
-                    requests.push(request);
-                }
-                ServeStep::Landed(flight) => landed.push(flight),
-                ServeStep::Wait(_) if requests.is_empty() => return landed,
-                ServeStep::Wait(_) => {
-                    let outcomes = exchanger.exchange_all(std::mem::take(&mut requests));
-                    for outcome in landing.order(outcomes) {
-                        let (flight, transaction) = tags[outcome.index];
-                        resolver.land(flight, transaction, outcome.result).unwrap();
+                Order::Garbled => {
+                    let empty = |index| ExchangeOutcome {
+                        index,
+                        completed_at: self.now,
+                        result: Ok(Vec::new()),
+                    };
+                    let unsent = outcomes.len();
+                    let mut garbled = Vec::new();
+                    for outcome in outcomes {
+                        let index = outcome.index;
+                        garbled.extend([outcome, empty(index)]);
                     }
-                    tags.clear();
+                    garbled.push(empty(unsent));
+                    garbled
                 }
             }
         }
@@ -1048,22 +1138,23 @@ mod tests {
     /// then land what was parked. Responses come back in query order.
     fn serve_burst(
         resolver: &mut CachingPoolResolver,
-        exchanger: &mut dyn Exchanger,
+        net: &SimNet,
         queries: &[Message],
     ) -> Vec<Message> {
+        let mut upstream = Split::new(net, Order::Delivery);
         let mut out = Vec::new();
         let mut responses: Vec<Option<Message>> = vec![None; queries.len()];
         let mut parked = Vec::new();
         for (at, query) in queries.iter().enumerate() {
             match resolver
-                .begin(exchanger, &lent(query).view(), &mut out)
+                .begin(&mut upstream, &lent(query).view(), &mut out)
                 .unwrap()
             {
                 None => responses[at] = Some(Message::decode(&out).unwrap()),
                 Some(flight) => parked.push((flight, at)),
             }
         }
-        for landed in land_everything(resolver, exchanger, Landing::Delivery) {
+        for landed in upstream.drain(resolver) {
             for &(_, at) in parked.iter().filter(|(flight, _)| *flight == landed.flight) {
                 landed
                     .answer_wire(&lent(&queries[at]).view(), &mut out)
@@ -1126,7 +1217,7 @@ mod tests {
         assert_eq!(resolver.metrics().stale_serves, 1);
         assert_eq!(resolver.metrics().generations, 1, "not on the query path");
         assert_eq!(resolver.next_refresh_due(), Some(before));
-        assert_eq!(resolver.pending_refreshes(), 1);
+        assert_eq!(resolver.snapshot().pending_refreshes, 1);
 
         // The background pump regenerates; the next query is a fresh hit.
         assert_eq!(resolver.run_due_refreshes(&mut exchanger), 1);
@@ -1151,11 +1242,19 @@ mod tests {
         resolver.handle_query(&mut exchanger, &query(1, "pool.ntp.org"));
         net.clock().advance(Duration::from_secs(75));
         resolver.handle_query(&mut exchanger, &query(2, "pool.ntp.org"));
-        assert_eq!(resolver.pending_refreshes(), 1, "stale serve queued it");
+        assert_eq!(
+            resolver.snapshot().pending_refreshes,
+            1,
+            "stale serve queued it"
+        );
         net.clock().advance(Duration::from_secs(20));
         resolver.handle_query(&mut exchanger, &query(3, "pool.ntp.org"));
         assert_eq!(resolver.metrics().generations, 2, "miss-path regeneration");
-        assert_eq!(resolver.pending_refreshes(), 0, "queued refresh cancelled");
+        assert_eq!(
+            resolver.snapshot().pending_refreshes,
+            0,
+            "queued refresh cancelled"
+        );
         assert_eq!(resolver.run_due_refreshes(&mut exchanger), 0);
         assert_eq!(resolver.metrics().generations, 2);
         assert_eq!(resolver.metrics().refreshes, 0);
@@ -1199,7 +1298,6 @@ mod tests {
     #[test]
     fn a_burst_coalesces_concurrent_misses_onto_one_flight_per_key() {
         let net = SimNet::new(85);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
         let mut resolver = resolver(test_config());
         let queries: Vec<Message> = vec![
             query(1, "a.ntp.org"),
@@ -1208,7 +1306,7 @@ mod tests {
             query(4, "a.ntp.org"),
             query(5, "b.ntp.org"),
         ];
-        let responses = serve_burst(&mut resolver, &mut exchanger, &queries);
+        let responses = serve_burst(&mut resolver, &net, &queries);
         assert_eq!(responses.len(), 5);
         assert!(responses.iter().all(|r| r.answer_addresses().len() == 6));
         for (query, response) in queries.iter().zip(&responses) {
@@ -1226,7 +1324,7 @@ mod tests {
         assert_eq!(metrics.misses, 5);
 
         // A second burst is all cache hits.
-        let responses = serve_burst(&mut resolver, &mut exchanger, &queries);
+        let responses = serve_burst(&mut resolver, &net, &queries);
         assert_eq!(responses.len(), 5);
         let metrics = resolver.metrics();
         assert_eq!(metrics.generations, 2);
@@ -1381,7 +1479,7 @@ mod tests {
         let mut resolver = dead_fleet_resolver(test_config());
 
         let queries: Vec<Message> = (1..=5).map(|i| query(i, "dead.ntp.org")).collect();
-        let responses = serve_burst(&mut resolver, &mut exchanger, &queries);
+        let responses = serve_burst(&mut resolver, &net, &queries);
         assert_eq!(responses.len(), 5);
         for (q, response) in queries.iter().zip(&responses) {
             assert_eq!(response.header.rcode, Rcode::ServFail);
@@ -1434,7 +1532,7 @@ mod tests {
             .resolve_pool(&mut exchanger, &domain, AddressFamily::V4)
             .unwrap();
         assert_eq!(stale.ttl, Ttl::ZERO);
-        assert_eq!(resolver.pending_refreshes(), 1);
+        assert_eq!(resolver.snapshot().pending_refreshes, 1);
     }
 
     #[test]
@@ -1520,12 +1618,16 @@ mod tests {
         // Queue a refresh on the donor so the handoff has one to cancel.
         net.clock().advance(Duration::from_secs(75));
         donor.handle_query(&mut exchanger, &query(2, "pool.ntp.org"));
-        assert_eq!(donor.pending_refreshes(), 1);
+        assert_eq!(donor.snapshot().pending_refreshes, 1);
 
         let moved = donor.extract_entries(|_| true);
         assert_eq!(moved.len(), 1);
         assert_eq!(donor.snapshot().entries, 0);
-        assert_eq!(donor.pending_refreshes(), 0, "refresh moved with the key");
+        assert_eq!(
+            donor.snapshot().pending_refreshes,
+            0,
+            "refresh moved with the key"
+        );
 
         let mut receiver = resolver(test_config());
         for (key, cached) in moved {
@@ -1622,7 +1724,7 @@ mod tests {
         let stale = twins.serve(&query(4, "pool.ntp.org"));
         assert_eq!(ttls(&stale), vec![0; 6]);
         assert_eq!(twins.wire.metrics().stale_serves, 1);
-        assert_eq!(twins.wire.pending_refreshes(), 1);
+        assert_eq!(twins.wire.snapshot().pending_refreshes, 1);
         assert_eq!(twins.wire.metrics().generations, 1);
         // The pump regenerates; the next answer is fresh again.
         twins.each(|resolver, exchanger| {
@@ -1746,7 +1848,7 @@ mod tests {
         assert_eq!(stale.answer_addresses(), served.answer_addresses());
         assert!(stale.answers.iter().all(|r| r.ttl == 0));
         assert_eq!(owners.wire.metrics().stale_serves, 1);
-        assert_eq!(owners.wire.pending_refreshes(), 1);
+        assert_eq!(owners.wire.snapshot().pending_refreshes, 1);
     }
 
     #[test]
@@ -1837,43 +1939,6 @@ mod tests {
         ClientExchanger::new(net, SimAddr::v4(10, 0, 0, 1, 40000))
     }
 
-    /// Every transmit the live flights hand out before they wait.
-    fn transmits(
-        resolver: &mut CachingPoolResolver,
-        now: SimInstant,
-    ) -> Vec<(FlightId, TransactionId, ExchangeRequest)> {
-        let mut out = Vec::new();
-        loop {
-            match resolver.poll(now) {
-                ServeStep::Transmit {
-                    flight,
-                    transaction,
-                    request,
-                } => out.push((flight, transaction, request)),
-                ServeStep::Wait(_) => return out,
-                ServeStep::Landed(landed) => panic!("nothing was landed yet: {landed:?}"),
-            }
-        }
-    }
-
-    /// Performs `sent` one exchange at a time, in the order given, landing
-    /// each outcome as it comes back.
-    fn exchange_and_land(
-        resolver: &mut CachingPoolResolver,
-        exchanger: &mut dyn Exchanger,
-        sent: impl IntoIterator<Item = (FlightId, TransactionId, ExchangeRequest)>,
-    ) {
-        for (flight, transaction, request) in sent {
-            let reply = exchanger.exchange(
-                request.dst,
-                request.channel,
-                &request.payload,
-                request.timeout,
-            );
-            resolver.land(flight, transaction, reply).unwrap();
-        }
-    }
-
     /// What each source came to is counted once per (pass, source), as the
     /// flight lands: one generation under each dual-stack policy over a
     /// fleet of three, one resolver answering an A and an AAAA record, one
@@ -1920,32 +1985,45 @@ mod tests {
 
     #[test]
     fn live_flights_hand_out_all_transmits_before_waiting() {
-        // Two cold domains over three DoH resolvers: all six exchanges are
-        // offered before the first Wait, so one batch overlaps the two
+        // Two cold domains over three DoH resolvers: all six exchanges
+        // depart as one batch at the first Wait, so it overlaps the two
         // generations — and their outcomes may come back in any order.
         let (net, mut resolver) = doh_world(41, 3, PoolConfig::algorithm1(), test_config());
-        let mut exchanger = client(&net);
+        let mut upstream = Split::new(&net, Order::Reverse);
         let mut out = Vec::new();
         let a = resolver
-            .begin(&mut exchanger, &lent(&query(1, WORLD[0])).view(), &mut out)
+            .begin(&mut upstream, &lent(&query(1, WORLD[0])).view(), &mut out)
             .unwrap()
             .expect("a miss");
         let b = resolver
-            .begin(&mut exchanger, &lent(&query(2, WORLD[1])).view(), &mut out)
+            .begin(&mut upstream, &lent(&query(2, WORLD[1])).view(), &mut out)
             .unwrap()
             .expect("a miss");
         assert!(out.is_empty(), "a parked query is not answered yet");
         assert_eq!(resolver.snapshot().live_generations, 2);
+        assert_eq!(
+            resolver.next_arrival(),
+            None,
+            "nothing departs before a poll"
+        );
 
-        let sent = transmits(&mut resolver, net.now());
-        assert_eq!(sent.len(), 6, "2 flights x 3 resolvers");
-        assert_eq!(sent.iter().filter(|(flight, ..)| *flight == a).count(), 3);
-        assert!(matches!(resolver.poll(net.now()), ServeStep::Wait(None)));
+        assert!(matches!(
+            resolver.poll(&mut upstream),
+            ServeStep::Wait(None)
+        ));
+        assert_eq!(upstream.departed, [6], "2 flights x 3 resolvers, one batch");
+        // Upstream until its round trip is over, and sent once.
+        assert!(resolver.next_arrival() > Some(upstream.now()));
+        assert!(!resolver.arrive(&mut upstream));
+        assert!(matches!(
+            resolver.poll(&mut upstream),
+            ServeStep::Wait(None)
+        ));
+        assert_eq!(upstream.departed, [6]);
 
-        // Last sent, first landed: across the flights and within each.
-        exchange_and_land(&mut resolver, &mut exchanger, sent.into_iter().rev());
-        // They land in the order they opened, whatever order that was.
-        let landed = land_everything(&mut resolver, &mut exchanger, Landing::Delivery);
+        // Last sent, first landed: across the flights and within each. They
+        // land in the order they opened, whatever order that was.
+        let landed = upstream.drain(&mut resolver);
         let order: Vec<FlightId> = landed.iter().map(|landed| landed.flight).collect();
         assert_eq!(order, vec![a, b]);
         for (landed, query) in landed.iter().zip([query(1, WORLD[0]), query(2, WORLD[1])]) {
@@ -1958,6 +2036,7 @@ mod tests {
         assert_eq!((metrics.generations, metrics.source_answers), (2, 6));
         assert_eq!(resolver.snapshot().live_generations, 0);
         assert_eq!(resolver.snapshot().entries, 2);
+        assert_eq!(resolver.next_arrival(), None);
     }
 
     #[test]
@@ -1969,31 +2048,32 @@ mod tests {
             PoolConfig::algorithm1(),
             test_config().with_ttl(Ttl::ZERO),
         );
-        let mut exchanger = client(&net);
+        let mut upstream = Split::new(&net, Order::Delivery);
         let mut out = Vec::new();
-        let mut begin = |resolver: &mut CachingPoolResolver, id: u16| {
+        let mut begin = |resolver: &mut CachingPoolResolver, upstream: &mut Split, id: u16| {
             resolver
-                .begin(
-                    &mut client(&net),
-                    &lent(&query(id, WORLD[0])).view(),
-                    &mut out,
-                )
+                .begin(upstream, &lent(&query(id, WORLD[0])).view(), &mut out)
                 .unwrap()
                 .expect("nothing is ever cached")
         };
-        let first = begin(&mut resolver, 1);
-        // Joined before anything was sent, and again with it upstream.
-        assert_eq!(begin(&mut resolver, 2), first);
-        let sent = transmits(&mut resolver, net.now());
-        assert_eq!(begin(&mut resolver, 3), first);
-        assert!(
-            transmits(&mut resolver, net.now()).is_empty(),
-            "a join sends nothing"
-        );
-        exchange_and_land(&mut resolver, &mut exchanger, sent);
+        let first = begin(&mut resolver, &mut upstream, 1);
+        // Joined before anything departed, and again with it upstream.
+        assert_eq!(begin(&mut resolver, &mut upstream, 2), first);
+        assert!(matches!(
+            resolver.poll(&mut upstream),
+            ServeStep::Wait(None)
+        ));
+        assert_eq!(begin(&mut resolver, &mut upstream, 3), first);
+        assert!(matches!(
+            resolver.poll(&mut upstream),
+            ServeStep::Wait(None)
+        ));
+        assert_eq!(upstream.departed, [3], "a join sends nothing");
+        upstream.wait();
+        assert!(resolver.arrive(&mut upstream));
         // Still live until polled: the outcomes are in, the landing is not.
-        assert_eq!(begin(&mut resolver, 4), first);
-        let landed = land_everything(&mut resolver, &mut exchanger, Landing::Delivery);
+        assert_eq!(begin(&mut resolver, &mut upstream, 4), first);
+        let landed = upstream.drain(&mut resolver);
         assert_eq!(landed.len(), 1);
         assert_eq!(landed[0].flight, first);
         let metrics = resolver.metrics();
@@ -2001,90 +2081,84 @@ mod tests {
         assert_eq!((metrics.generations, metrics.source_answers), (1, 3));
 
         // Landed: the next miss for the key leads a flight of its own.
-        let second = begin(&mut resolver, 5);
+        let second = begin(&mut resolver, &mut upstream, 5);
         assert_ne!(second, first);
         assert_eq!(resolver.metrics().coalesced_waiters, 3);
-        assert_eq!(
-            land_everything(&mut resolver, &mut exchanger, Landing::Delivery).len(),
-            1
-        );
+        assert_eq!(upstream.drain(&mut resolver).len(), 1);
         assert_eq!(resolver.metrics().generations, 2);
     }
 
     #[test]
-    fn land_refuses_what_it_does_not_know() {
+    fn an_arrival_takes_only_what_its_batch_sent() {
+        // Each reply arrives twice, the second time empty, and one more
+        // under an index nobody sent: a transaction takes its first
+        // outcome, and an outcome the batch's tags do not name is dropped.
         let (net, mut resolver) = doh_world(43, 3, PoolConfig::algorithm1(), test_config());
-        let mut exchanger = client(&net);
+        let mut upstream = Split::new(&net, Order::Garbled);
+        let mut out = Vec::new();
         let flight = resolver
-            .begin(
-                &mut exchanger,
-                &lent(&query(1, WORLD[0])).view(),
-                &mut Vec::new(),
-            )
+            .begin(&mut upstream, &lent(&query(1, WORLD[0])).view(), &mut out)
             .unwrap()
+            .expect("a miss");
+        let landed = upstream.drain(&mut resolver);
+        assert_eq!(landed.len(), 1);
+        assert_eq!(landed[0].flight, flight);
+        landed[0]
+            .answer_wire(&lent(&query(1, WORLD[0])).view(), &mut out)
             .unwrap();
-        let sent = transmits(&mut resolver, net.now());
-        let (_, transaction, _) = sent[0];
-        let landed = land_everything(&mut resolver, &mut exchanger, Landing::Delivery);
-        assert_eq!(landed.len(), 0, "its transmits were handed out above");
-        // Delivered twice: refused, and the flight is none the worse.
-        resolver.land(flight, transaction, Ok(Vec::new())).unwrap();
-        assert!(matches!(
-            resolver.land(flight, transaction, Ok(Vec::new())),
-            Err(PoolError::TransactionNotInFlight(_))
-        ));
-        for &(flight, transaction, _) in &sent[1..] {
-            resolver.land(flight, transaction, Ok(Vec::new())).unwrap();
-        }
-        let landed = land_everything(&mut resolver, &mut exchanger, Landing::Delivery);
-        assert_eq!(landed.len(), 1, "three undecodable replies: it failed");
-        // Landed flights take nothing more.
-        assert_eq!(
-            resolver.land(flight, transaction, Ok(Vec::new())),
-            Err(PoolError::UnknownFlight(flight.number()))
-        );
-        assert_eq!(resolver.metrics().generation_failures, 1);
+        assert_eq!(Message::decode(&out).unwrap().answer_addresses().len(), 6);
+        let metrics = resolver.metrics();
+        assert_eq!((metrics.source_answers, metrics.source_failures), (3, 0));
+        assert_eq!(metrics.generation_failures, 0);
+        assert_eq!(upstream.departed, [3]);
     }
 
     #[test]
     fn a_refresh_in_flight_is_not_queued_again_and_a_miss_joins_it() {
         // Stale window 30 s after a 60 s TTL.
         let (net, mut resolver) = doh_world(44, 3, PoolConfig::algorithm1(), test_config());
-        let mut exchanger = client(&net);
         let mut out = Vec::new();
-        resolver.handle_query(&mut exchanger, &query(1, WORLD[0]));
+        resolver.handle_query(&mut client(&net), &query(1, WORLD[0]));
         net.clock().advance(Duration::from_secs(70));
+        let mut upstream = Split::new(&net, Order::Interleaved);
         assert_eq!(
-            resolver.begin(&mut exchanger, &lent(&query(2, WORLD[0])).view(), &mut out),
+            resolver.begin(&mut upstream, &lent(&query(2, WORLD[0])).view(), &mut out),
             Ok(None)
         );
-        assert_eq!(resolver.pending_refreshes(), 1, "the stale serve queued it");
-        assert_eq!(resolver.begin_due_refreshes(&mut exchanger), 1);
-        let sent = transmits(&mut resolver, net.now());
-        assert_eq!(sent.len(), 3);
-        assert_eq!(resolver.pending_refreshes(), 0);
+        assert_eq!(
+            resolver.snapshot().pending_refreshes,
+            1,
+            "the stale serve queued it"
+        );
+        assert_eq!(resolver.begin_due_refreshes(&mut upstream), 1);
+        assert!(matches!(
+            resolver.poll(&mut upstream),
+            ServeStep::Wait(None)
+        ));
+        assert_eq!(upstream.departed, [3]);
+        assert_eq!(resolver.snapshot().pending_refreshes, 0);
 
         // Stale serves that overlap the refresh do not queue another...
         assert_eq!(
-            resolver.begin(&mut exchanger, &lent(&query(3, WORLD[0])).view(), &mut out),
+            resolver.begin(&mut upstream, &lent(&query(3, WORLD[0])).view(), &mut out),
             Ok(None)
         );
         assert_eq!(resolver.metrics().stale_serves, 2);
-        assert_eq!(resolver.pending_refreshes(), 0);
-        assert_eq!(resolver.begin_due_refreshes(&mut exchanger), 0);
+        assert_eq!(resolver.snapshot().pending_refreshes, 0);
+        assert_eq!(resolver.begin_due_refreshes(&mut upstream), 0);
         // ...and a query that finds the entry gone past its stale window
         // joins the refresh instead of opening a second generation.
         net.clock().advance(Duration::from_secs(25));
+        upstream.wait();
         let joined = resolver
-            .begin(&mut exchanger, &lent(&query(4, WORLD[0])).view(), &mut out)
+            .begin(&mut upstream, &lent(&query(4, WORLD[0])).view(), &mut out)
             .unwrap()
             .expect("a miss");
-        assert_eq!(joined, sent[0].0);
         assert_eq!(resolver.metrics().coalesced_waiters, 1);
 
-        exchange_and_land(&mut resolver, &mut exchanger, sent);
-        let landed = land_everything(&mut resolver, &mut exchanger, Landing::Delivery);
+        let landed = upstream.drain(&mut resolver);
         assert_eq!(landed.len(), 1);
+        assert_eq!(landed[0].flight, joined);
         landed[0]
             .answer_wire(&lent(&query(4, WORLD[0])).view(), &mut out)
             .unwrap();
@@ -2100,15 +2174,20 @@ mod tests {
         resolver.handle_query(&mut exchanger, &query(1, WORLD[0]));
         net.clock().advance(Duration::from_secs(70));
         resolver.handle_query(&mut exchanger, &query(2, WORLD[0]));
-        assert_eq!(resolver.begin_due_refreshes(&mut exchanger), 1);
+        let mut upstream = Split::new(&net, Order::Delivery);
+        assert_eq!(resolver.begin_due_refreshes(&mut upstream), 1);
         // The entry moves away with its refresh upstream.
+        assert!(matches!(
+            resolver.poll(&mut upstream),
+            ServeStep::Wait(None)
+        ));
         let moved = resolver.extract_entries(|_| true);
         assert_eq!(moved.len(), 1);
         assert_eq!(resolver.snapshot().entries, 0);
         assert_eq!(resolver.snapshot().live_generations, 1);
         // The flight lands where it took off, and is what a second
         // extraction hands on.
-        let landed = land_everything(&mut resolver, &mut exchanger, Landing::Delivery);
+        let landed = upstream.drain(&mut resolver);
         assert_eq!(landed.len(), 1);
         assert_eq!(resolver.snapshot().live_generations, 0);
         assert_eq!(resolver.extract_entries(|_| true).len(), 1);
@@ -2117,24 +2196,28 @@ mod tests {
     #[test]
     fn a_source_swap_mid_flight_lands_on_the_old_set() {
         let (net, mut resolver) = doh_world(46, 3, PoolConfig::algorithm1(), test_config());
-        let mut exchanger = client(&net);
+        let mut upstream = Split::new(&net, Order::Reverse);
         let mut out = Vec::new();
         resolver
-            .begin(&mut exchanger, &lent(&query(1, WORLD[0])).view(), &mut out)
+            .begin(&mut upstream, &lent(&query(1, WORLD[0])).view(), &mut out)
             .unwrap()
             .expect("a miss");
+        assert!(matches!(
+            resolver.poll(&mut upstream),
+            ServeStep::Wait(None)
+        ));
         let one: Vec<Box<dyn AddressSource>> =
             vec![Box::new(StaticSource::answering("only", vec![ip(9)]))];
         resolver.generator_mut().replace_sources(one).unwrap();
         // The flight left over three resolvers and comes back over them.
-        let landed = land_everything(&mut resolver, &mut exchanger, Landing::Reverse);
+        let landed = upstream.drain(&mut resolver);
         landed[0]
             .answer_wire(&lent(&query(1, WORLD[0])).view(), &mut out)
             .unwrap();
         assert_eq!(Message::decode(&out).unwrap().answer_addresses().len(), 6);
         assert_eq!(resolver.metrics().source_answers, 3);
         // The next generation runs over the new set.
-        let next = resolver.handle_query(&mut exchanger, &query(2, WORLD[1]));
+        let next = resolver.handle_query(&mut client(&net), &query(2, WORLD[1]));
         assert_eq!(next.answer_addresses(), vec![ip(9)]);
     }
 
@@ -2154,7 +2237,7 @@ mod tests {
         for (id, domain) in (10..).zip(WORLD) {
             resolver.handle_query(&mut exchanger, &query(id, domain));
         }
-        assert_eq!(resolver.pending_refreshes(), 4);
+        assert_eq!(resolver.snapshot().pending_refreshes, 4);
         let started = net.now();
         assert_eq!(resolver.run_due_refreshes(&mut exchanger), 4);
         let batch = net.now().saturating_duration_since(started);
@@ -2169,7 +2252,7 @@ mod tests {
 
     mod properties {
         use super::super::{answer_template, pool_addresses, pool_response};
-        use super::{client, doh_world, land_everything, lent, query, test_config, Landing, WORLD};
+        use super::{client, doh_world, lent, query, test_config, Order, Split, WORLD};
         use crate::config::CombinationMode;
         use crate::config::PoolConfig;
         use crate::generator::GenerationReport;
@@ -2239,19 +2322,20 @@ mod tests {
             /// Stepwise and blocking are one path: the same queries, clock
             /// advances and refresh pumps through `handle_query_wire` /
             /// `run_due_refreshes` on one resolver and through begin / poll
-            /// / land on its twin (identically seeded nets, real DoH
-            /// exchanges, a cache small enough to evict) give byte-identical
-            /// answers and equal counters — whatever order the outcomes of a
-            /// batch are landed in, across flights and within them.
+            /// / arrive over split halves on its twin (identically seeded
+            /// nets, real DoH exchanges, a cache small enough to evict) give
+            /// byte-identical answers and equal counters — whatever order
+            /// the outcomes of a batch arrive in, across flights and within
+            /// them.
             #[test]
             fn stepwise_and_blocking_serve_the_same_bytes(
                 ops in proptest::collection::vec((0u8..6, any::<u16>()), 1..40),
                 seed in any::<u64>(),
-                landing in 0u8..3,
+                order in 0u8..3,
                 dead in any::<bool>(),
             ) {
-                let landing = [Landing::Delivery, Landing::Reverse, Landing::Interleaved]
-                    [usize::from(landing)];
+                let order = [Order::Delivery, Order::Reverse, Order::Interleaved]
+                    [usize::from(order)];
                 // A dead fleet: two of three resolvers unreachable, two
                 // answers required — every generation fails and is
                 // remembered for five seconds.
@@ -2276,11 +2360,11 @@ mod tests {
                             blocking
                                 .handle_query_wire(&mut client(&blocking_net), &lent(&query).view(), &mut expected)
                                 .unwrap();
-                            let mut exchanger = client(&stepwise_net);
+                            let mut upstream = Split::new(&stepwise_net, order);
                             if let Some(flight) =
-                                stepwise.begin(&mut exchanger, &lent(&query).view(), &mut out).unwrap()
+                                stepwise.begin(&mut upstream, &lent(&query).view(), &mut out).unwrap()
                             {
-                                let landed = land_everything(&mut stepwise, &mut exchanger, landing);
+                                let landed = upstream.drain(&mut stepwise);
                                 prop_assert_eq!(landed.len(), 1);
                                 prop_assert_eq!(landed[0].flight, flight);
                                 landed[0].answer_wire(&lent(&query).view(), &mut out).unwrap();
@@ -2294,9 +2378,9 @@ mod tests {
                         }
                         _ => {
                             let ran = blocking.run_due_refreshes(&mut client(&blocking_net));
-                            let mut exchanger = client(&stepwise_net);
-                            prop_assert_eq!(stepwise.begin_due_refreshes(&mut exchanger), ran);
-                            let landed = land_everything(&mut stepwise, &mut exchanger, landing);
+                            let mut upstream = Split::new(&stepwise_net, order);
+                            prop_assert_eq!(stepwise.begin_due_refreshes(&mut upstream), ran);
+                            let landed = upstream.drain(&mut stepwise);
                             prop_assert_eq!(landed.len(), ran);
                         }
                     }

@@ -12,7 +12,7 @@
 //! it from the miss (or due refresh) that opened it until its last outcome
 //! has landed, however many queries are begun in between. It is pure
 //! bookkeeping (no I/O, no clock) and keeps flights in the order they were
-//! opened, which is the order everything that walks them — transmits,
+//! opened, which is the order everything that walks them — departures,
 //! landings, seeds — follows, so a run repeats exactly.
 
 use std::borrow::Borrow;
@@ -22,13 +22,6 @@ use std::borrow::Borrow;
 /// miss is parked, named again when the flight lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlightId(usize);
-
-impl FlightId {
-    /// The flight's number: flights are numbered in the order they opened.
-    pub(crate) fn number(self) -> usize {
-        self.0
-    }
-}
 
 /// The live flights of one resolver, keyed by `K`, each carrying an `F`
 /// (the generation's session and what landing it needs).
@@ -135,7 +128,7 @@ mod tests {
         // stayed live throughout keeps its own.
         let second = flights.open("a", ());
         assert!(second > other && other > first);
-        assert_eq!(second.number(), 2);
+        assert_eq!(second, FlightId(2));
         assert_eq!(flights.find(&"a"), Some(second));
         assert_eq!(flights.find(&"b"), Some(other));
     }

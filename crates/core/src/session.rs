@@ -147,9 +147,10 @@ pub struct PoolSession {
 impl PoolSession {
     /// Plans the fan-out for `domain` over `sources` according to `config`.
     ///
-    /// `seed` feeds the deterministic stream of DNS transaction ids handed
-    /// to the sources; two sessions built with the same inputs describe
-    /// byte-identical exchanges.
+    /// `seed` seeds the workspace's one generator,
+    /// [`SimRng`](sdoh_netsim::SimRng), which draws the DNS transaction ids
+    /// handed to the sources; two sessions built with the same inputs
+    /// describe byte-identical exchanges.
     ///
     /// # Errors
     ///
@@ -193,12 +194,12 @@ impl PoolSession {
             answered: 0,
             failed: 0,
         };
-        let mut ids = IdStream::new(seed);
+        let mut ids = sdoh_netsim::SimRng::seed_from_u64(seed);
         let mut first_question = 0;
         for (pass, rtypes) in passes.iter().enumerate() {
             for source in 0..session.sources.len() {
                 for question in first_question..first_question + rtypes.len() {
-                    session.start(pass, source, question, ids.next_id());
+                    session.start(pass, source, question, ids.gen_u16());
                 }
                 // Sources that resolved without I/O (static answers,
                 // immediate failures) complete before the first poll.
@@ -489,24 +490,6 @@ impl std::fmt::Debug for PoolSession {
             .field("passes", &self.passes.len())
             .field("open", &self.open)
             .finish()
-    }
-}
-
-/// Deterministic stream of DNS transaction ids, backed by the simulator's
-/// seedable generator so the workspace has one PRNG implementation.
-struct IdStream {
-    rng: sdoh_netsim::SimRng,
-}
-
-impl IdStream {
-    fn new(seed: u64) -> Self {
-        IdStream {
-            rng: sdoh_netsim::SimRng::seed_from_u64(seed),
-        }
-    }
-
-    fn next_id(&mut self) -> u16 {
-        self.rng.gen_u16()
     }
 }
 

@@ -27,7 +27,7 @@
 //!   poisoned, under the majority vote — at N = 5 the `cold_gen` query of
 //!   the benchmark, read where it lies and answered by `handle_query_wire`
 //!   — with the answer verified. It costs exactly `A + B·N` at N = 3, 5,
-//!   15 and 31 (the paper's E2 and E3a counts), `A` = 13 and `B` = 2. Per
+//!   15 and 31 (the paper's E2 and E3a counts), `A` = 12 and `B` = 2. Per
 //!   resolver: the exchange's two payloads (`doh/tests/alloc_budget.rs`);
 //!   every reply is read into the session's one answer buffer, the reply's
 //!   read borrows the question the session encoded, and the report row
@@ -37,11 +37,14 @@
 //!   Any`). Per query: the question encoded once for all N, inline, every
 //!   answer rendered from a template — the poisoned one's, or the honest
 //!   authority's answer index — from the query where it lies, one copy of
-//!   the name for the key the miss stores, the batch's buffers (sized for
-//!   N at once), the answer buffer (sized on the first answer for all N),
-//!   the rest the generation's own bookkeeping and the rendered answer.
-//!   Nothing grows faster than N. History at N = 5: 23 now; 33 while each
-//!   reply's addresses and each row's name were copies of their own; 38
+//!   the name for the key the miss stores, the batch's request buffer
+//!   (sized for N at once; its tags reuse the buffer of the batch that
+//!   landed before), the answer buffer (sized on the first answer for all
+//!   N), the rest the generation's own bookkeeping and the rendered answer.
+//!   Nothing grows faster than N. History at N = 5: 22 now; 23 while each
+//!   blocking call gathered its batch's tags in a buffer of its own; 33
+//!   while each reply's addresses and each row's name were copies of their
+//!   own; 38
 //!   when the slope was stated; 40 while the blocking driver grew its
 //!   batch buffers by doubling (2 per doubling, so `2⌈log2 N⌉` more) and the
 //!   default `exchange_all` collected the outcomes into the requests'
@@ -254,7 +257,7 @@ fn static_sources() -> Vec<Box<dyn AddressSource>> {
 const RESOLVER_COUNTS: [usize; 4] = [3, 5, 15, 31];
 
 /// An uncached query over N resolvers allocates `A + B·N` times.
-const A: usize = 13;
+const A: usize = 12;
 const B: usize = 2;
 
 /// A five-source majority generation over ready answer lists.
@@ -351,7 +354,7 @@ fn a_generation_stays_within_its_allocation_budgets() {
             .collect();
         assert!(flights[0].is_some() && flights.iter().all(|flight| *flight == flights[0]));
         assert_eq!(resolver.metrics().coalesced_waiters, 3);
-        let ServeStep::Landed(landed) = resolver.poll(SimInstant::EPOCH) else {
+        let ServeStep::Landed(landed) = resolver.poll(&mut nowhere) else {
             panic!("ready answers land on the first poll");
         };
         let counts: Vec<usize> = waiters
@@ -384,10 +387,7 @@ fn a_generation_stays_within_its_allocation_budgets() {
         .begin(&mut nowhere, &QueryView::parse(&first).unwrap(), &mut out)
         .unwrap();
     assert!(miss.is_some(), "a cold cache misses");
-    assert!(matches!(
-        resolver.poll(SimInstant::EPOCH),
-        ServeStep::Landed(_)
-    ));
+    assert!(matches!(resolver.poll(&mut nowhere), ServeStep::Landed(_)));
     // Asked in another spelling: the lent name finds the entry all the same.
     let hit_wire = Message::query(2, "POOL.ntpns.ORG".parse().unwrap(), RrType::A)
         .encode()

@@ -188,17 +188,19 @@ pub fn graph_config() -> GraphConfig {
         // (`handle_query` and `handle_query_wire` are reached through `dyn
         // QueryHandler`, which call resolution deliberately does not follow
         // — so the concrete implementations are entry points of their own)
-        // and `begin`, the step every hit is answered through. The last two
-        // sit behind `ShardMachine::pump`'s pruning boundary and yet run per
-        // query: `pump`'s first check asks `next_refresh_due` at the end of
-        // every step, and `answer_parked` is the way out of every parked
-        // miss.
+        // and `begin`, the step every hit is answered through. The last
+        // three sit behind `ShardMachine::pump`'s pruning boundary and yet
+        // run per query: `pump`'s first check asks `next_arrival` (whether
+        // anything is upstream) and `next_refresh_due` at the end of every
+        // step, cache hits included, and `answer_parked` is the way out of
+        // every parked miss.
         purity_entries: vec![
             Entry::free("runtime", "dispatcher_loop"),
             Entry::free("runtime", "timer_loop"),
             Entry::method("core", "CachingPoolResolver", "handle_query"),
             Entry::method("core", "CachingPoolResolver", "handle_query_wire"),
             Entry::method("core", "CachingPoolResolver", "begin"),
+            Entry::method("core", "CachingPoolResolver", "next_arrival"),
             Entry::method("core", "CachingPoolResolver", "next_refresh_due"),
             Entry::method("runtime", "ShardMachine", "answer_parked"),
         ],

@@ -16,7 +16,7 @@ const PLANT: &str = "let _ = format!(\"x\");";
 /// `(file, the text that ends in the function's opening brace)` — or in
 /// the loop's, for `ShardSet::perform`'s effect loop — each needle must match
 /// its file exactly once.
-const PER_QUERY: [(&str, &str); 18] = [
+const PER_QUERY: [(&str, &str); 19] = [
     (
         "crates/runtime/src/runtime.rs",
         "fn serve_query(shards: &ShardSet, wire: &[u8], reply: ReplyPath) -> bool {",
@@ -68,6 +68,10 @@ const PER_QUERY: [(&str, &str); 18] = [
     (
         "crates/core/src/serve/resolver.rs",
         "pub fn next_refresh_due(&self) -> Option<SimInstant> {",
+    ),
+    (
+        "crates/core/src/serve/resolver.rs",
+        "pub fn next_arrival(&self) -> Option<SimInstant> {",
     ),
     (
         "crates/core/src/serve/resolver.rs",

@@ -21,10 +21,12 @@
 //! the two halves of the [`Exchanger`] contract: [`Exchanger::depart`] keeps
 //! the requests and stamps the instant the round trip will be over,
 //! [`Exchanger::arrive`] serves them. Neither waits. The wait belongs to
-//! the caller: a shard arms the runtime's timer with the earliest
-//! `ready_at` of its departures and answers cache hits in the meantime;
-//! [`Exchanger::exchange_all`] — the blocking form the simulator-shaped
-//! callers use — is the same two halves around one sleep.
+//! the caller: a shard's resolver keeps its departures and says when the
+//! earliest is ready (`CachingPoolResolver::next_arrival`), and the shard
+//! arms the runtime's timer with that instant and answers cache hits in
+//! the meantime; [`Exchanger::exchange_all`] — the blocking form the
+//! resolver's blocking entry points and the simulator-shaped callers use —
+//! is the same two halves around one sleep.
 //!
 //! # The net ends at its endpoints
 //!
@@ -47,7 +49,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use sdoh_dns_server::{Departure, ExchangeOutcome, ExchangeRequest, Exchanger, QueryHandler};
 use sdoh_doh::DohServerService;
-use sdoh_netsim::{ChannelKind, NetError, NetResult, SimAddr, SimInstant};
+use sdoh_netsim::{ChannelKind, NetError, NetResult, SimAddr, SimInstant, SimRng};
 
 use crate::clock::RuntimeClock;
 
@@ -154,7 +156,7 @@ impl BackendNet {
         BackendExchanger {
             net: self.clone(),
             source,
-            id_state: self.inner.ids.fetch_add(0x632B_E5AB, Ordering::Relaxed) | 1,
+            ids: SimRng::seed_from_u64(self.inner.ids.fetch_add(0x632B_E5AB, Ordering::Relaxed)),
         }
     }
 }
@@ -175,9 +177,9 @@ pub struct BackendExchanger {
     net: BackendNet,
     /// The address it sends from, for diagnostics.
     source: SimAddr,
-    /// xorshift state for transaction ids; seeded per exchanger so two
+    /// Transaction ids; seeded per exchanger from the net's counter, so two
     /// shards never walk the same id sequence.
-    id_state: u64,
+    ids: SimRng,
 }
 
 impl BackendExchanger {
@@ -224,12 +226,7 @@ impl Exchanger for BackendExchanger {
     }
 
     fn next_id(&mut self) -> u16 {
-        let mut x = self.id_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.id_state = x;
-        (x >> 24) as u16 // sdoh-lint: allow(no-narrowing-cast, "intentionally takes 16 bits of the mixed xorshift state")
+        self.ids.gen_u16()
     }
 
     fn now(&self) -> SimInstant {

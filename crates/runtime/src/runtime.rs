@@ -51,18 +51,21 @@
 //! over the TCP listener on the same port.
 //!
 //! A miss opens a **flight** for its key (or joins the live one), and its
-//! octets are **parked** under it in one buffer the shard keeps. Every step
-//! ends by **pumping**: batches whose round trip is over are collected
-//! ([`Exchanger::arrive`]) and landed, due refreshes open flights, every
-//! query parked on a landed flight is answered, and what the live flights
-//! have to send departs as one batch ([`Exchanger::depart`]). A zero round
-//! trip lands within the step, and queries that never pause cannot starve
-//! the flights.
+//! octets are **parked** under it in one buffer the shard keeps. What is
+//! upstream is the resolver's: the shard only decides when to wait. Every
+//! step ends by **pumping**: the resolver collects the batches whose round
+//! trip is over ([`CachingPoolResolver::arrive`]), due refreshes open
+//! flights, every query parked on a landed flight is answered, and the
+//! resolver departs what the live flights have to send as one batch
+//! ([`CachingPoolResolver::poll`], through the exchanger's send half). A
+//! zero round trip lands within the step, and queries that never pause
+//! cannot starve the flights.
 //!
-//! * *The timer.* A shard's alarm is the instant its last step returned.
-//!   One timer thread waits (`park_timeout`, a futex) until the earliest
-//!   alarm over all shards, held in one atomic on the wall clock, and steps
-//!   each shard whose alarm is due. A step that moves its shard's alarm
+//! * *The timer.* A shard's alarm is the instant its last step returned:
+//!   the resolver's next arrival ([`CachingPoolResolver::next_arrival`])
+//!   or its next refresh. One timer thread waits (`park_timeout`, a futex)
+//!   until the earliest alarm over all shards, held in one atomic on the
+//!   wall clock, and steps each shard whose alarm is due. A step that moves its shard's alarm
 //!   earlier moves the timer down and unparks it. Alarms are converted to
 //!   the wall clock from the shard's own exchanger clock, so a shard on a
 //!   simulated clock keeps working.
@@ -93,9 +96,8 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, MutexGuard};
 use sdoh_core::{
     snapshot_samples, CachingPoolResolver, ConfigError, FlightId, Landed, ServeSnapshot, ServeStep,
-    TransactionId,
 };
-use sdoh_dns_server::{finish_do53_answer, write_do53_formerr, Departure, Exchanger};
+use sdoh_dns_server::{finish_do53_answer, write_do53_formerr, Exchanger};
 use sdoh_dns_wire::{Header, QueryView};
 use sdoh_metrics::http::wake_addr;
 use sdoh_metrics::{
@@ -488,6 +490,7 @@ impl ShardSet {
             self.counters.wakes.inc();
         }
         machine
+            .resolver
             .next_arrival()
             .map(|at| at.saturating_duration_since(now))
     }
@@ -1076,13 +1079,6 @@ struct Parked {
     started: Instant,
 }
 
-/// One batch upstream: the send half's receipt and, by request index, the
-/// flight and transaction each outcome lands under.
-struct Upstream {
-    departure: Departure,
-    tags: Vec<(FlightId, TransactionId)>,
-}
-
 /// One answer a step wrote, in the buffer it was rendered in, and whether
 /// it is the TC=1 stand-in for one too long for its UDP client.
 struct Answer {
@@ -1128,8 +1124,8 @@ impl Effects {
     }
 }
 
-/// A shard: the resolver, the queries parked and the batches upstream that
-/// make a generation data, and the control orders not adopted yet. It
+/// A shard: the resolver (which keeps its own batches upstream), the
+/// queries parked on its flights, and the control orders not adopted yet. It
 /// changes only through [`step`](ShardMachine::step), which writes what it
 /// means to send or publish into its [`Effects`].
 struct ShardMachine {
@@ -1141,11 +1137,6 @@ struct ShardMachine {
     /// The octets of the parked queries, in the same order: one buffer the
     /// shard keeps, so parking a miss allocates nothing once it has grown.
     parked_octets: Vec<u8>,
-    /// In departure order.
-    upstream: Vec<Upstream>,
-    /// The next batch's tags: the widest batch's buffer once it landed,
-    /// cleared, so a batch's requests are sized once and its tags reused.
-    spare_tags: Vec<(FlightId, TransactionId)>,
     /// Control orders not adopted yet, in epoch order: the first waits for
     /// the flights upstream to land, and every query behind it is deferred.
     orders: Vec<EpochOrder>,
@@ -1160,8 +1151,6 @@ impl ShardMachine {
             exchanger: shard.exchanger,
             parked: Vec::new(),
             parked_octets: Vec::new(),
-            upstream: Vec::new(),
-            spare_tags: Vec::new(),
             orders: Vec::new(),
             effects: Effects {
                 udp_payload_limit,
@@ -1245,15 +1234,16 @@ impl ShardMachine {
         });
     }
 
-    /// Everything due **now**: lands the batches whose round trip is over,
-    /// opens the refreshes that came due, answers the queries parked on what
-    /// landed, sends what the live flights have to send as one batch, and
-    /// adopts the orders that may be — repeated while anything is already
-    /// due, so a zero round trip lands before another query can join its
-    /// flight. Returns the next instant anything is due, if any.
-    // sdoh-lint: allow(transitive-hot-path-purity, "the miss path, at the end of every step: past the first check only with a flight live, a refresh queued or an order waiting, at most one generation per (question, TTL window), whose fan-out dwarfs the one request buffer a batch takes (its tags reuse the shard's); a shard of cache hits returns at the first check")
+    /// Everything due **now**: the resolver lands the batches whose round
+    /// trip is over, the refreshes that came due open, the queries parked on
+    /// what landed are answered, what the live flights have to send departs
+    /// as one batch, and the orders that may be are adopted — repeated while
+    /// anything is already due, so a zero round trip lands before another
+    /// query can join its flight. Returns the next instant anything is due,
+    /// if any.
+    // sdoh-lint: allow(transitive-hot-path-purity, "the miss path, at the end of every step: past the first check only with a flight live, a refresh queued or an order waiting, at most one generation per (question, TTL window), whose fan-out dwarfs the one request buffer a batch takes (its tags reuse the resolver's); a shard of cache hits returns at the first check")
     fn pump(&mut self) -> Option<SimInstant> {
-        if self.upstream.is_empty()
+        if self.resolver.next_arrival().is_none()
             && self.parked.is_empty()
             && self.orders.is_empty()
             && self.resolver.next_refresh_due().is_none()
@@ -1261,60 +1251,29 @@ impl ShardMachine {
             return None;
         }
         loop {
-            let now = self.exchanger.now();
-            while let Some(due) = self
-                .upstream
-                .iter()
-                .position(|batch| batch.departure.ready_at() <= now)
-            {
-                let Upstream { departure, tags } = self.upstream.remove(due);
-                for outcome in self.exchanger.arrive(departure) {
-                    // The tags are this shard's own, so their flights take
-                    // the outcomes.
-                    if let Some(&(flight, transaction)) = tags.get(outcome.index) {
-                        let _ = self.resolver.land(flight, transaction, outcome.result);
-                    }
-                }
-                if tags.capacity() > self.spare_tags.capacity() {
-                    self.spare_tags = tags;
-                    self.spare_tags.clear();
-                }
-            }
+            self.resolver.arrive(self.exchanger.as_mut());
             // No refresh leaves under the old set while an order waits for
             // its flights to land.
             if self.orders.is_empty() {
                 self.resolver.begin_due_refreshes(self.exchanger.as_mut());
             }
-            let now = self.exchanger.now();
-            let mut requests = Vec::new();
             let next_refresh = loop {
-                match self.resolver.poll(now) {
-                    ServeStep::Transmit {
-                        flight,
-                        transaction,
-                        request,
-                    } => {
-                        if requests.is_empty() {
-                            requests.reserve_exact(self.spare_tags.capacity());
-                        }
-                        self.spare_tags.push((flight, transaction));
-                        requests.push(request);
-                    }
+                match self.resolver.poll(self.exchanger.as_mut()) {
                     ServeStep::Landed(landed) => self.answer_parked(&landed),
                     ServeStep::Wait(next_refresh) => break next_refresh,
                 }
             };
-            if !requests.is_empty() {
-                let departure = self.exchanger.depart(requests);
-                let tags = std::mem::take(&mut self.spare_tags);
-                self.upstream.push(Upstream { departure, tags });
-            }
             if self.adopt_orders() {
                 // What the deferred queries began leaves in the next turn.
                 continue;
             }
             let next_refresh = next_refresh.filter(|_| self.orders.is_empty());
-            let wake = self.next_arrival().into_iter().chain(next_refresh).min();
+            let wake = self
+                .resolver
+                .next_arrival()
+                .into_iter()
+                .chain(next_refresh)
+                .min();
             if wake.is_none_or(|at| at > self.exchanger.now()) {
                 return wake;
             }
@@ -1357,7 +1316,7 @@ impl ShardMachine {
         let mut adopted = false;
         while let Some(order) = self.orders.first() {
             let lands_first = order.sources.is_some() || order.pool.is_some();
-            if lands_first && !self.upstream.is_empty() {
+            if lands_first && self.resolver.next_arrival().is_some() {
                 return adopted;
             }
             let mut order = self.orders.remove(0);
@@ -1389,14 +1348,6 @@ impl ShardMachine {
             }
         }
         adopted
-    }
-
-    /// When the earliest round trip upstream is over.
-    fn next_arrival(&self) -> Option<SimInstant> {
-        self.upstream
-            .iter()
-            .map(|batch| batch.departure.ready_at())
-            .min()
     }
 }
 
@@ -1435,7 +1386,7 @@ mod tests {
     use crate::control::ConfigDelta;
     use crate::{LoopbackConfig, LoopbackFleet};
     use sdoh_core::{doh_sources, CacheConfig, PoolConfig};
-    use sdoh_dns_server::{ExchangeOutcome, ExchangeRequest, QueryHandler};
+    use sdoh_dns_server::{Departure, ExchangeOutcome, ExchangeRequest, QueryHandler};
     use sdoh_dns_wire::{Message, Name, Rcode, RrType, Ttl};
     use sdoh_netsim::{ChannelKind, NetResult, SimAddr};
 
@@ -2093,7 +2044,7 @@ mod tests {
         assert_eq!(answer.header.id, 1);
         assert_eq!(answer.answer_addresses().len(), 24);
         assert_eq!(due, None);
-        assert!(machine.parked.is_empty() && machine.upstream.is_empty());
+        assert!(machine.parked.is_empty() && machine.resolver.next_arrival().is_none());
         let snapshot = machine.resolver.snapshot();
         assert_eq!((snapshot.serve.misses, snapshot.serve.generations), (1, 1));
 
@@ -2112,7 +2063,8 @@ mod tests {
         assert_eq!(shards.counters.wakes.get(), 0);
         assert_eq!(shards.timer.next.load(Ordering::SeqCst), u64::MAX);
         let state = hold(&shards, 0);
-        assert!(state.machine.parked.is_empty() && state.machine.upstream.is_empty());
+        assert!(state.machine.parked.is_empty());
+        assert_eq!(state.machine.resolver.next_arrival(), None);
         assert_eq!(state.alarm, None);
         let snapshot = state.machine.resolver.snapshot();
         assert_eq!((snapshot.serve.misses, snapshot.serve.generations), (1, 1));
@@ -2165,7 +2117,8 @@ mod tests {
         assert_eq!(wakes.get(), 2);
         assert_eq!(alarms()[1], alarm);
         assert_eq!(next(), before);
-        assert_eq!(hold(shards, 1).machine.upstream.len(), 2);
+        let upstream = hold(shards, 1).machine.resolver.snapshot();
+        assert_eq!(upstream.live_generations, 2, "two flights, two batches");
         assert!(
             answers.try_recv().is_err(),
             "a miss is answered when it lands"
@@ -2300,7 +2253,7 @@ mod tests {
         });
         assert_eq!(performed, [[2], [1]]);
         assert_eq!(due, None);
-        assert!(machine.parked.is_empty() && machine.upstream.is_empty());
+        assert!(machine.parked.is_empty() && machine.resolver.next_arrival().is_none());
         let snapshot = machine.resolver.snapshot();
         assert_eq!((snapshot.serve.hits, snapshot.serve.generations), (1, 2));
     }
@@ -2328,7 +2281,11 @@ mod tests {
         // the step leaves an alarm for its round trip.
         let due = ask(&mut machines[0], &a_query(1, cold_domain));
         let cold = &machines[0];
-        assert_eq!((cold.parked.len(), cold.upstream.len()), (1, 1));
+        assert_eq!(cold.parked.len(), 1);
+        assert_eq!(
+            cold.resolver.next_arrival(),
+            Some(clock.now().saturating_add(RTT))
+        );
         assert_eq!(due, Some(clock.now().saturating_add(RTT)));
         assert!(written(cold).is_empty(), "a miss is answered when it lands");
         // The stale hit is answered in its step, and its refresh departs
@@ -2337,7 +2294,8 @@ mod tests {
         let stale = written(&machines[1]).remove(0);
         assert_eq!(stale.header.id, 2);
         assert!(stale.answers.iter().all(|record| record.ttl == 0));
-        assert_eq!(machines[1].upstream.len(), 1);
+        let refresh = machines[1].resolver.next_arrival();
+        assert_eq!(refresh, Some(clock.now().saturating_add(RTT)));
         assert_eq!(due, Some(clock.now().saturating_add(RTT)));
 
         // Once the round trip is over, the timer's steps land the

@@ -153,7 +153,7 @@ fn caching_resolver_amortises_generation_across_the_population() {
     scenario.net.clock().advance(Duration::from_secs(25));
     let mut refreshed = 0;
     let stats = run_load(&scenario, 1, Duration::ZERO, |_| {
-        let pending = resolver.lock().pending_refreshes();
+        let pending = resolver.lock().snapshot().pending_refreshes;
         assert_eq!(
             pending, DOMAINS,
             "stale hits deduplicate to one refresh per domain"

@@ -8,7 +8,6 @@ use sdoh_core::{
     check_guarantee, AddressSource, DualStackPolicy, GroundTruth, PoolConfig, SecurePoolGenerator,
     StaticSource,
 };
-use sdoh_dns_server::ClientExchanger;
 use sdoh_netsim::{SimAddr, SimNet};
 
 /// Scenario: three resolvers; two are honest (3 A records + 1 AAAA record)
@@ -79,7 +78,7 @@ fn simulate(policy: DualStackPolicy) -> [String; 6] {
         SecurePoolGenerator::new(PoolConfig::algorithm1().with_dual_stack(policy), sources)
             .expect("generator");
     let net = SimNet::new(10);
-    let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+    let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
     let report = generator
         .generate(&mut exchanger, &"pool.ntpns.org".parse().expect("name"))
         .expect("generation");

@@ -17,7 +17,7 @@
 
 use sdoh_analysis::{fmt_probability, Table};
 use sdoh_core::{attacker_controls_fraction, check_guarantee, CacheConfig, PoolConfig};
-use sdoh_dns_server::{ClientExchanger, HardeningConfig, StubResolver};
+use sdoh_dns_server::{HardeningConfig, StubResolver};
 use sdoh_dns_wire::Name;
 use sdoh_netsim::SpoofStrategy;
 use sdoh_ntp::{
@@ -143,7 +143,7 @@ fn poison_trial(defense: DefenseLevel, attempts: u32, seed: u64) -> bool {
     scenario.net.set_adversary(adversary);
 
     let stub = StubResolver::new(ISP_RESOLVER);
-    let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
+    let mut exchanger = scenario.net.client(CLIENT_ADDR);
     let pool = stub
         .lookup_ipv4(&mut exchanger, scenario.pool_domain())
         .unwrap_or_default();
@@ -245,7 +245,7 @@ fn run_capture_cell(
     use_consensus: bool,
     seed: u64,
 ) -> CaptureCell {
-    let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
+    let mut exchanger = scenario.net.client(CLIENT_ADDR);
     let mut clock = LocalClock::new(scenario.net.clock(), 0.0);
     let chronos = ChronosClient::new(
         ChronosConfig::default(),

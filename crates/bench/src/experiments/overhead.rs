@@ -11,7 +11,7 @@
 
 use sdoh_analysis::Table;
 use sdoh_core::PoolConfig;
-use sdoh_dns_server::{ClientExchanger, StubResolver};
+use sdoh_dns_server::StubResolver;
 use secure_doh::scenario::{Scenario, ScenarioConfig, CLIENT_ADDR, ISP_RESOLVER};
 
 /// Measures one pool generation per resolver count and reports transport
@@ -38,7 +38,7 @@ pub fn run(resolver_counts: &[usize], seed: u64) -> Table {
             ntp_servers: 8,
             ..ScenarioConfig::default()
         });
-        let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
+        let mut exchanger = scenario.net.client(CLIENT_ADDR);
         let start = scenario.net.now();
         let addresses = StubResolver::new(ISP_RESOLVER)
             .lookup_ipv4(&mut exchanger, scenario.pool_domain())

@@ -8,7 +8,6 @@ use sdoh_core::{
     attacker_controls_fraction, AddressSource, GroundTruth, PoolConfig, SecurePoolGenerator,
     StaticSource,
 };
-use sdoh_dns_server::ClientExchanger;
 use sdoh_netsim::{SimAddr, SimNet};
 
 use super::attacker_addresses;
@@ -66,7 +65,7 @@ fn simulate(n: usize, compromised: usize, k: usize, y: f64) -> (f64, bool) {
     let generator =
         SecurePoolGenerator::new(PoolConfig::algorithm1(), sources).expect("valid generator");
     let net = SimNet::new(n as u64);
-    let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+    let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
     let report = generator
         .generate(&mut exchanger, &"pool.ntpns.org".parse().expect("name"))
         .expect("generation");

@@ -18,7 +18,6 @@
 
 use sdoh_analysis::Table;
 use sdoh_core::{check_guarantee, CacheConfig, PoolConfig};
-use sdoh_dns_server::ClientExchanger;
 use sdoh_dns_wire::Ttl;
 use sdoh_ntp::{
     ChronosClient, ChronosConfig, ConsensusFrontEnd, GeneratorPool, LocalClock, NtpClient,
@@ -177,7 +176,7 @@ pub fn run_cell(
 ) -> TimeSyncCell {
     let scenario = build_scenario(attack, shift, seed);
     let truth = scenario.ground_truth();
-    let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
+    let mut exchanger = scenario.net.client(CLIENT_ADDR);
     let mut clock = LocalClock::new(scenario.net.clock(), 0.0);
     let ntp = NtpClient::new(CLIENT_ADDR.with_port(123));
 

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 use sdoh_core::{CacheConfig, CachingPoolResolver, PoolConfig};
-use sdoh_dns_server::{ClientExchanger, HardeningConfig, ResolveError, StubResolver};
+use sdoh_dns_server::{HardeningConfig, ResolveError, StubResolver};
 use sdoh_dns_wire::Ttl;
 use sdoh_netsim::LinkConfig;
 use sdoh_ntp::{
@@ -211,8 +211,8 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<ChaosReport, Box<dyn std:
     }
 
     let truth = scenario.ground_truth();
-    let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
-    let mut refresh_exchanger = ClientExchanger::new(&scenario.net, FRONTEND_ADDR);
+    let mut exchanger = scenario.net.client(CLIENT_ADDR);
+    let mut refresh_exchanger = scenario.net.client(FRONTEND_ADDR);
     let mut local_clock = LocalClock::new(scenario.net.clock(), 0.0);
     let mut monitor = InvariantMonitor::new(config.workload.offset_bound);
     let mut trace: Vec<TraceEvent> = Vec::new();

@@ -91,7 +91,7 @@ pub enum Fault {
     },
     /// Jump simulated time forward by this many seconds
     /// (`SimClock::step`) — everything ages at once: cache entries, pool
-    /// TTLs, refresh deadlines.
+    /// TTLs, stale windows.
     TimeJump {
         /// Forward jump in whole seconds.
         seconds: u64,

@@ -219,7 +219,6 @@ mod tests {
     use super::*;
     use crate::config::{DualStackPolicy, FailurePolicy};
     use crate::source::StaticSource;
-    use sdoh_dns_server::ClientExchanger;
     use sdoh_netsim::{SimAddr, SimNet};
     use std::net::IpAddr;
 
@@ -240,7 +239,7 @@ mod tests {
         sources: Vec<Box<dyn AddressSource>>,
     ) -> PoolResult<GenerationReport> {
         let net = SimNet::new(1);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let generator = SecurePoolGenerator::new(config, sources)?;
         generator.generate(&mut exchanger, &"pool.ntp.org".parse().unwrap())
     }
@@ -441,7 +440,7 @@ mod tests {
     #[test]
     fn sources_and_config_swap_on_a_live_generator() {
         let net = SimNet::new(2);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let mut generator = SecurePoolGenerator::new(
             PoolConfig::algorithm1(),
             vec![

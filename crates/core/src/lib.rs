@@ -57,7 +57,6 @@
 //!
 //! ```
 //! use sdoh_core::{AddressSource, PoolConfig, SecurePoolGenerator, StaticSource};
-//! use sdoh_dns_server::ClientExchanger;
 //! use sdoh_netsim::{SimAddr, SimNet};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -69,7 +68,7 @@
 //! let generator = SecurePoolGenerator::new(PoolConfig::algorithm1(), sources)?;
 //!
 //! let net = SimNet::new(1);
-//! let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+//! let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
 //! let report = generator.generate(&mut exchanger, &"pool.ntp.org".parse()?)?;
 //! assert_eq!(report.pool.len(), 3, "one slot per resolver after truncation");
 //! # Ok(())
@@ -94,8 +93,9 @@
 //!   live generations, and a miss for a key that has one in flight joins it
 //!   instead of launching a second fan-out,
 //! * **stale-while-revalidate** — expired entries are served immediately
-//!   within a stale window while a background refresh regenerates them
-//!   ([`CachingPoolResolver::next_refresh_due`],
+//!   within a stale window, and each queues a background refresh that is
+//!   due at once and regenerates them
+//!   ([`CachingPoolResolver::refresh_queued`],
 //!   [`CachingPoolResolver::run_due_refreshes`]),
 //! * a **stepwise entry** beside the blocking `QueryHandler` one, in
 //!   which the resolver keeps what it has upstream and the driver only
@@ -130,11 +130,11 @@
 //! resolver is one map), and no thread of its own. The thread that read a
 //! query takes the shard's lock and drives the stepwise entry in place: a
 //! hit is answered there, and a miss is parked while its generation is
-//! upstream. One timer thread steps each shard at
-//! [`CachingPoolResolver::next_arrival`], when a round trip ends, or at
-//! [`CachingPoolResolver::next_refresh_due`] (due refreshes open
-//! flights like any miss, [`CachingPoolResolver::begin_due_refreshes`]),
-//! and a statistics request reads a [`ServeSnapshot`] under the same lock
+//! upstream. The step that queued a refresh opens its flight like any
+//! miss's ([`CachingPoolResolver::begin_due_refreshes`]), and one timer
+//! thread steps each shard at [`CachingPoolResolver::next_arrival`], when
+//! a round trip ends — the only instant a shard waits for — and a
+//! statistics request reads a [`ServeSnapshot`] under the same lock
 //! ([`CachingPoolResolver::snapshot`], one consistent reading per request,
 //! live generations included).
 //!
@@ -154,7 +154,7 @@
 //!     AddressSource, CacheConfig, CachingPoolResolver, PoolConfig, SecurePoolGenerator,
 //!     StaticSource,
 //! };
-//! use sdoh_dns_server::{ClientExchanger, QueryHandler};
+//! use sdoh_dns_server::QueryHandler;
 //! use sdoh_dns_wire::{Message, RrType};
 //! use sdoh_netsim::{SimAddr, SimNet};
 //!
@@ -167,7 +167,7 @@
 //! let mut resolver = CachingPoolResolver::new(generator, CacheConfig::default());
 //!
 //! let net = SimNet::new(1);
-//! let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+//! let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
 //! let query = Message::query(1, "pool.ntp.org".parse()?, RrType::A);
 //! let first = resolver.handle_query(&mut exchanger, &query);   // miss: generates
 //! let second = resolver.handle_query(&mut exchanger, &query);  // hit: no fan-out
@@ -231,11 +231,11 @@ pub use pool::{AddressPool, PoolEntry};
 pub use serve::{
     snapshot_samples, AddressFamily, CacheConfig, CacheEntryProbe, CachedPool, CachingPoolResolver,
     ConfigError, EntryState, FlightId, Landed, PoolKey, ResolvedPool, ServeMetrics, ServeSnapshot,
-    ServeStep, APP_METRIC_HELP, METRIC_CONFIG_EPOCH, METRIC_DROPPED_QUERIES,
-    METRIC_INVARIANT_VIOLATIONS, METRIC_SERVE_LATENCY, METRIC_SHARDS, METRIC_SHARD_ACKED_EPOCH,
-    METRIC_TCP_QUERIES, METRIC_TIMESYNC_FAILURES, METRIC_TIMESYNC_POOL_REFRESHES,
-    METRIC_TIMESYNC_SYNCS, METRIC_TRUNCATED_RESPONSES, METRIC_UDP_QUERIES,
-    METRIC_UNRESPONSIVE_SHARDS, RUNTIME_METRIC_HELP, SERVE_GAUGE_HELP,
+    APP_METRIC_HELP, METRIC_CONFIG_EPOCH, METRIC_DROPPED_QUERIES, METRIC_INVARIANT_VIOLATIONS,
+    METRIC_SERVE_LATENCY, METRIC_SHARDS, METRIC_SHARD_ACKED_EPOCH, METRIC_TCP_QUERIES,
+    METRIC_TIMESYNC_FAILURES, METRIC_TIMESYNC_POOL_REFRESHES, METRIC_TIMESYNC_SYNCS,
+    METRIC_TRUNCATED_RESPONSES, METRIC_UDP_QUERIES, METRIC_UNRESPONSIVE_SHARDS,
+    RUNTIME_METRIC_HELP, SERVE_GAUGE_HELP,
 };
 pub use session::{Action, PoolSession, TransactionId, Transmit};
 pub use source::{AddressSource, DohSource, FetchError, FetchStart, StaticSource};

@@ -25,11 +25,14 @@
 //!   live generations, one per key, and a miss for a key that has one in
 //!   flight joins it instead of launching its own fan-out,
 //! * **stale-while-revalidate** — an expired entry within the stale window
-//!   is served immediately while a background refresh regenerates the pool
-//!   off the query path ([`CachingPoolResolver::next_refresh_due`],
-//!   [`CachingPoolResolver::run_due_refreshes`]); a refresh is a flight
-//!   like any other, so the stale serves and misses that overlap it neither
-//!   queue nor open a second one,
+//!   is served immediately and its key queued for a background refresh,
+//!   which regenerates the pool off the query path
+//!   ([`CachingPoolResolver::refresh_queued`],
+//!   [`CachingPoolResolver::begin_due_refreshes`]). A queued refresh is
+//!   due at once: there is no refresh deadline, and the only instant a
+//!   driver waits for is [`CachingPoolResolver::next_arrival`]. A refresh is
+//!   a flight like any other, so the stale serves and misses that overlap
+//!   it neither queue nor open a second one,
 //! * a **stepwise entry** ([`CachingPoolResolver::begin`],
 //!   [`CachingPoolResolver::poll`], [`CachingPoolResolver::arrive`]) that
 //!   makes a generation, and what it has upstream, a piece of data instead
@@ -48,8 +51,8 @@
 //! walks the live flights in the order they opened, reports each flight
 //! whose exchanges are all in as [`Landed`] — counted, cached (a failure
 //! negatively), its queued refresh cancelled, and carrying the report its
-//! parked queries are answered from — and, when it first says `Wait`,
-//! departs every request of every flight as one batch through the
+//! parked queries are answered from — and, when it first says `None`
+//! (wait), departs every request of every flight as one batch through the
 //! exchanger's send half, so the batch overlaps the exchanges of
 //! *different domains' generations* and a cold burst over K domains costs
 //! one round trip, not K. `arrive` collects the batches whose round trip
@@ -135,7 +138,6 @@
 //! [`GenerationReport`]: crate::GenerationReport
 
 mod cache;
-mod refresh;
 mod resolver;
 mod samples;
 mod singleflight;
@@ -144,9 +146,7 @@ pub use cache::{
     AddressFamily, CacheConfig, CacheEntryProbe, CacheMetrics, CachedPool, ConfigError, EntryState,
     PoolKey,
 };
-pub use resolver::{
-    CachingPoolResolver, Landed, ResolvedPool, ServeMetrics, ServeSnapshot, ServeStep,
-};
+pub use resolver::{CachingPoolResolver, Landed, ResolvedPool, ServeMetrics, ServeSnapshot};
 pub use samples::{
     snapshot_samples, APP_METRIC_HELP, METRIC_CONFIG_EPOCH, METRIC_DROPPED_QUERIES,
     METRIC_INVARIANT_VIOLATIONS, METRIC_SERVE_LATENCY, METRIC_SHARDS, METRIC_SHARD_ACKED_EPOCH,

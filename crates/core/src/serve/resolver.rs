@@ -12,10 +12,10 @@
 //! the pool cache, concurrent misses for one domain join the generation
 //! already in flight for it (the resolver's registry of live flights), and
 //! expired entries within the stale window are served immediately while
-//! a background refresh — pumped by the driver via
-//! [`CachingPoolResolver::run_due_refreshes`], scheduled sans-IO through
-//! [`CachingPoolResolver::next_refresh_due`] — regenerates the pool off the
-//! query path. The amortised cost of serving a domain drops from one
+//! a background refresh — queued by the stale serve, due at once, and
+//! opened by the driver via [`CachingPoolResolver::begin_due_refreshes`]
+//! (or [`CachingPoolResolver::run_due_refreshes`]) — regenerates the pool
+//! off the query path. The amortised cost of serving a domain drops from one
 //! generation per query to one generation per TTL window; the
 //! generation-per-query front end is the same resolver under
 //! [`CacheConfig::uncached`].
@@ -53,7 +53,6 @@ use super::cache::{
     answer_template, CacheConfig, CacheLookup, CacheMetrics, CachedPool, LentKey, PoolCache,
     PoolKey, QueryKey,
 };
-use super::refresh::RefreshScheduler;
 use super::samples::{GENERATION_SECONDS, SERVE_COUNTERS};
 use super::singleflight::{FlightId, Singleflight};
 use crate::generator::{seed_from, GenerationReport, SecurePoolGenerator};
@@ -275,7 +274,9 @@ impl Served<'_> {
 pub struct CachingPoolResolver {
     generator: SecurePoolGenerator,
     cache: PoolCache,
-    refresh: RefreshScheduler,
+    /// The keys a stale serve queued a refresh for, in queueing order, each
+    /// once and none in flight: every one is due.
+    refreshes: Vec<PoolKey>,
     /// The generations in flight, one per key.
     flights: Singleflight<PoolKey, Flight>,
     metrics: ServeMetrics,
@@ -300,22 +301,8 @@ struct Batch {
 struct Flight {
     session: PoolSession,
     started: SimInstant,
-    /// Opened by the refresh scheduler, not by a query.
+    /// Opened for a queued refresh, not by a query.
     refresh: bool,
-}
-
-/// What [`CachingPoolResolver::poll`] reports to its driver.
-#[derive(Debug)]
-pub enum ServeStep {
-    /// A flight landed: answer every query parked under
-    /// [`Landed::flight`].
-    Landed(Landed),
-    /// Nothing landed, and what the live flights had to send has departed:
-    /// only the batches upstream move a flight, from
-    /// [`CachingPoolResolver::next_arrival`] on. The instant is the earliest
-    /// queued refresh — when [`CachingPoolResolver::begin_due_refreshes`]
-    /// next has work.
-    Wait(Option<SimInstant>),
 }
 
 /// A finished generation, as the queries parked on it see it: already in
@@ -374,7 +361,7 @@ impl CachingPoolResolver {
         CachingPoolResolver {
             generator,
             cache: PoolCache::new(config),
-            refresh: RefreshScheduler::new(),
+            refreshes: Vec::new(),
             flights: Singleflight::new(),
             metrics: ServeMetrics::default(),
             upstream: Vec::new(),
@@ -422,9 +409,8 @@ impl CachingPoolResolver {
         predicate: impl FnMut(&PoolKey) -> bool,
     ) -> Vec<(PoolKey, CachedPool)> {
         let moved = self.cache.extract_matching(predicate);
-        for (key, _) in &moved {
-            self.refresh.cancel(key);
-        }
+        self.refreshes
+            .retain(|queued| moved.iter().all(|(key, _)| key != queued));
         moved
     }
 
@@ -464,17 +450,18 @@ impl CachingPoolResolver {
             serve: self.metrics,
             cache: self.cache.metrics(),
             entries: self.cache.len(),
-            pending_refreshes: self.refresh.len(),
+            pending_refreshes: self.refreshes.len(),
             live_generations: self.flights.len(),
         }
     }
 
-    /// The earliest queued refresh deadline — the instant a driver should
-    /// wake up and call [`CachingPoolResolver::run_due_refreshes`] (`None`
-    /// when nothing is queued), on the simulator's virtual clock; the same
-    /// instant [`ServeStep::Wait`] carries.
-    pub fn next_refresh_due(&self) -> Option<SimInstant> {
-        self.refresh.next_due()
+    /// Whether a stale serve queued a refresh that has not opened yet: a
+    /// queued refresh is due at once, so a driver that finds one calls
+    /// [`begin_due_refreshes`](CachingPoolResolver::begin_due_refreshes)
+    /// (or [`run_due_refreshes`](CachingPoolResolver::run_due_refreshes))
+    /// without waiting.
+    pub fn refresh_queued(&self) -> bool {
+        !self.refreshes.is_empty()
     }
 
     /// When the earliest batch upstream can be collected with
@@ -487,9 +474,8 @@ impl CachingPoolResolver {
             .min()
     }
 
-    /// Runs every refresh whose deadline has passed as one overlapped
-    /// generation batch, off any client's query path. Returns how many
-    /// refreshes ran.
+    /// Runs every queued refresh as one overlapped generation batch, off
+    /// any client's query path. Returns how many refreshes ran.
     pub fn run_due_refreshes(&mut self, exchanger: &mut dyn Exchanger) -> usize {
         let opened = self.begin_due_refreshes(exchanger);
         if opened > 0 {
@@ -535,33 +521,38 @@ impl CachingPoolResolver {
         }
     }
 
-    /// The other way a flight opens: one for every queued refresh that is
-    /// due, in scheduling order — a key whose generation is already in
-    /// flight is being refreshed by it. Returns how many flights were
-    /// opened; [`poll`](CachingPoolResolver::poll) departs their requests
-    /// with everyone else's. Only `exchanger`'s clock and randomness are
-    /// used.
+    /// The other way a flight opens: one for every queued refresh, in
+    /// queueing order — a key whose generation is already in flight is
+    /// being refreshed by it. Returns how many flights were opened;
+    /// [`poll`](CachingPoolResolver::poll) departs their requests with
+    /// everyone else's. Only `exchanger`'s clock and randomness are used.
     pub fn begin_due_refreshes(&mut self, exchanger: &mut dyn Exchanger) -> usize {
+        // Taken whole, and its buffer handed back empty (opening a flight
+        // queues nothing), so a stale serve queues without allocating.
+        let mut due = std::mem::take(&mut self.refreshes);
         let mut opened = 0;
-        for key in self.refresh.take_due(exchanger.now()) {
+        for key in due.drain(..) {
             if self.flights.find(&key).is_none()
                 && self.open_flight(exchanger, &key, true).is_some()
             {
                 opened += 1;
             }
         }
+        self.refreshes = due;
         opened
     }
 
-    /// Second step: advances the live flights, in opening order, and says
-    /// what came of it — see [`ServeStep`]. Call it until it says
-    /// [`ServeStep::Wait`]: on the way there it reports each flight whose
-    /// exchanges are all in, landed, and then every request of every live
-    /// flight departs as one batch through `exchanger`'s send half
+    /// Second step: advances the live flights, in opening order, and
+    /// reports the first whose exchanges are all in as [`Landed`]: answer
+    /// every query parked under [`Landed::flight`]. Call it until it says
+    /// `None`, which means wait: on the way there every request of every
+    /// live flight departs as one batch through `exchanger`'s send half
     /// ([`Exchanger::depart`]), which overlaps not only the N exchanges of
-    /// a generation but the generations of different keys. `exchanger`'s
-    /// clock stamps what lands.
-    pub fn poll(&mut self, exchanger: &mut dyn Exchanger) -> ServeStep {
+    /// a generation but the generations of different keys, and only the
+    /// batches upstream move a flight, from
+    /// [`next_arrival`](CachingPoolResolver::next_arrival) on.
+    /// `exchanger`'s clock stamps what lands.
+    pub fn poll(&mut self, exchanger: &mut dyn Exchanger) -> Option<Landed> {
         self.advance(exchanger, |exchanger, requests| exchanger.depart(requests))
     }
 
@@ -606,7 +597,7 @@ impl CachingPoolResolver {
         &mut self,
         exchanger: &mut dyn Exchanger,
         send: fn(&mut dyn Exchanger, Vec<ExchangeRequest>) -> Departure,
-    ) -> ServeStep {
+    ) -> Option<Landed> {
         let mut done = None;
         'flights: for (id, flight) in self.flights.iter_mut() {
             loop {
@@ -638,7 +629,7 @@ impl CachingPoolResolver {
                 let tags = std::mem::take(&mut self.tags);
                 self.upstream.push(Batch { departure, tags });
             }
-            return ServeStep::Wait(self.refresh.next_due());
+            return None;
         };
         // What each source came to, per pass, read once the flight lands.
         let (answered, failed) = flight.session.outcome_counts();
@@ -647,7 +638,7 @@ impl CachingPoolResolver {
         let result = flight.session.finish().map_err(|e| e.to_string());
         let now = exchanger.now();
         let template = self.record_generation(key, &result, flight.refresh, flight.started, now);
-        ServeStep::Landed(Landed {
+        Some(Landed {
             flight: id,
             result,
             template,
@@ -673,8 +664,8 @@ impl CachingPoolResolver {
     /// Serves a query from the cache if possible, lending the entry out;
     /// `None` means the caller must generate (a miss). A stale hit is
     /// served at once with a zero TTL — clients may use it now but must
-    /// not cache it onward — and a refresh is queued for `now` under the
-    /// entry's key, unless the key's generation is already in flight.
+    /// not cache it onward — and a refresh of the entry's key is queued,
+    /// unless one is queued already or the key's generation is in flight.
     fn lookup(&mut self, key: &QueryKey<'_>, now: SimInstant) -> Option<Served<'_>> {
         let (hit, ttl) = match self.cache.get(key, now) {
             CacheLookup::Fresh(hit) => {
@@ -686,8 +677,8 @@ impl CachingPoolResolver {
             }
             CacheLookup::Stale(hit, stored) => {
                 self.metrics.stale_serves += 1;
-                if self.flights.find(stored).is_none() {
-                    self.refresh.schedule(stored.clone(), now);
+                if self.flights.find(stored).is_none() && !self.refreshes.contains(stored) {
+                    self.refreshes.push(stored.clone());
                 }
                 (hit, Ttl::ZERO)
             }
@@ -816,7 +807,7 @@ impl CachingPoolResolver {
         // The entry is being regenerated: a refresh still queued for it
         // (its stale serve happened before this demand-path generation)
         // would only duplicate the fan-out.
-        self.refresh.cancel(&key);
+        self.refreshes.retain(|queued| *queued != key);
         if self.cache.keeps(result) {
             let stored = self.cache.insert(key, result.clone(), now)?;
             stored.answer.cloned()
@@ -837,10 +828,10 @@ impl CachingPoolResolver {
     ) -> Option<Landed> {
         loop {
             match self.advance(exchanger, complete) {
-                ServeStep::Landed(landed) if Some(landed.flight) == awaited => return Some(landed),
-                ServeStep::Landed(_) => {}
-                ServeStep::Wait(_) if self.arrive(exchanger) => {}
-                ServeStep::Wait(_) => return None,
+                Some(landed) if Some(landed.flight) == awaited => return Some(landed),
+                Some(_) => {}
+                None if self.arrive(exchanger) => {}
+                None => return None,
             }
         }
     }
@@ -944,7 +935,7 @@ impl std::fmt::Debug for CachingPoolResolver {
         f.debug_struct("CachingPoolResolver")
             .field("generator", &self.generator)
             .field("cache_entries", &self.cache.len())
-            .field("pending_refreshes", &self.refresh.len())
+            .field("pending_refreshes", &self.refreshes.len())
             .field("live_generations", &self.flights.len())
             .field("metrics", &self.metrics)
             .finish()
@@ -957,8 +948,8 @@ mod tests {
     use crate::config::PoolConfig;
     use crate::fleet::{doh_sources, DohFleet};
     use crate::source::{AddressSource, StaticSource};
-    use sdoh_dns_server::{ClientExchanger, DnsClient, Do53Service, ExchangeOutcome, StubResolver};
-    use sdoh_netsim::{SimAddr, SimNet};
+    use sdoh_dns_server::{DnsClient, Do53Service, ExchangeOutcome, StubResolver};
+    use sdoh_netsim::{Ctx, SimAddr, SimNet};
     use std::net::IpAddr;
     use std::sync::Arc;
 
@@ -1036,7 +1027,7 @@ mod tests {
     /// batch stays upstream across polls; `arrive` hands the outcomes back
     /// in `order`. The net sees every exchange as a blocking call makes it.
     struct Split<'n> {
-        net: ClientExchanger<'n>,
+        net: Ctx<'n>,
         order: Order,
         /// The net's clock as of the last wait.
         now: SimInstant,
@@ -1066,7 +1057,7 @@ mod tests {
             let mut landed = Vec::new();
             loop {
                 resolver.arrive(self);
-                while let ServeStep::Landed(flight) = resolver.poll(self) {
+                while let Some(flight) = resolver.poll(self) {
                     landed.push(flight);
                 }
                 if resolver.next_arrival().is_none() {
@@ -1171,7 +1162,7 @@ mod tests {
     #[test]
     fn repeat_queries_cost_one_generation() {
         let net = SimNet::new(80);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let mut resolver = resolver(test_config());
         let first = resolver.handle_query(&mut exchanger, &query(1, "pool.ntp.org"));
         assert_eq!(first.answer_addresses().len(), 6);
@@ -1190,7 +1181,7 @@ mod tests {
     #[test]
     fn served_ttl_decrements_with_entry_age() {
         let net = SimNet::new(81);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let mut resolver = resolver(test_config());
         let fresh = resolver.handle_query(&mut exchanger, &query(1, "pool.ntp.org"));
         assert!(fresh.answers.iter().all(|r| r.ttl == 60));
@@ -1202,10 +1193,10 @@ mod tests {
     #[test]
     fn stale_window_serves_immediately_and_refreshes_in_background() {
         let net = SimNet::new(82);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let mut resolver = resolver(test_config());
         resolver.handle_query(&mut exchanger, &query(1, "pool.ntp.org"));
-        assert_eq!(resolver.next_refresh_due(), None);
+        assert!(!resolver.refresh_queued());
 
         // Past the TTL, within the stale window.
         net.clock().advance(Duration::from_secs(75));
@@ -1216,11 +1207,12 @@ mod tests {
         assert!(stale.answers.iter().all(|r| r.ttl == 0));
         assert_eq!(resolver.metrics().stale_serves, 1);
         assert_eq!(resolver.metrics().generations, 1, "not on the query path");
-        assert_eq!(resolver.next_refresh_due(), Some(before));
+        assert!(resolver.refresh_queued(), "due at once");
         assert_eq!(resolver.snapshot().pending_refreshes, 1);
 
         // The background pump regenerates; the next query is a fresh hit.
         assert_eq!(resolver.run_due_refreshes(&mut exchanger), 1);
+        assert!(!resolver.refresh_queued());
         let metrics = resolver.metrics();
         assert_eq!(metrics.generations, 2);
         assert_eq!(metrics.refreshes, 1);
@@ -1237,7 +1229,7 @@ mod tests {
         // the miss path — and the queued refresh must be dropped, not run
         // as a duplicate fan-out against the already-fresh entry.
         let net = SimNet::new(88);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let mut resolver = resolver(test_config());
         resolver.handle_query(&mut exchanger, &query(1, "pool.ntp.org"));
         net.clock().advance(Duration::from_secs(75));
@@ -1263,7 +1255,7 @@ mod tests {
     #[test]
     fn expiry_past_stale_window_regenerates_on_the_query_path() {
         let net = SimNet::new(83);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let mut resolver = resolver(test_config());
         resolver.handle_query(&mut exchanger, &query(1, "pool.ntp.org"));
         net.clock().advance(Duration::from_secs(91));
@@ -1277,7 +1269,7 @@ mod tests {
     #[test]
     fn failures_are_negatively_cached() {
         let net = SimNet::new(84);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let mut resolver = dead_fleet_resolver(test_config());
 
         let first = resolver.handle_query(&mut exchanger, &query(1, "pool.ntp.org"));
@@ -1334,7 +1326,7 @@ mod tests {
     #[test]
     fn protocol_level_rejections_never_reach_the_cache() {
         let net = SimNet::new(86);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let mut resolver = resolver(test_config());
         let txt = Message::query(1, "pool.ntp.org".parse().unwrap(), RrType::Txt);
         assert_eq!(
@@ -1361,7 +1353,7 @@ mod tests {
     #[test]
     fn uncached_majority_mode_filters_the_uncorroborated_address() {
         let net = SimNet::new(71);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let mut resolver =
             resolver_in_mode(PoolConfig::majority_resolver(), CacheConfig::uncached());
         for id in 1..=3 {
@@ -1387,7 +1379,7 @@ mod tests {
         net.register(frontend_addr, Do53Service::new(Arc::clone(&resolver)));
 
         let stub = StubResolver::new(frontend_addr);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let domain: sdoh_dns_wire::Name = "pool.ntp.org".parse().unwrap();
         let addrs = stub.lookup_ipv4(&mut exchanger, &domain).unwrap();
         assert_eq!(addrs.len(), 6, "3 resolvers x 2 addresses each");
@@ -1408,7 +1400,7 @@ mod tests {
     #[test]
     fn uncached_dead_fleet_is_servfail_every_time() {
         let net = SimNet::new(73);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let mut resolver = dead_fleet_resolver(CacheConfig::uncached());
         for id in 1..=2 {
             let response = resolver.handle_query(&mut exchanger, &query(id, "pool.ntp.org"));
@@ -1424,14 +1416,13 @@ mod tests {
     #[test]
     fn serve_layer_is_send() {
         // The real-socket runtime keeps a whole resolver (generator,
-        // cache, scheduler, metrics) behind a shard's lock, stepped by
+        // cache, refresh queue, metrics) behind a shard's lock, stepped by
         // whichever thread holds it; this must stay a compile-time
         // guarantee.
         fn assert_send<T: Send>() {}
         assert_send::<CachingPoolResolver>();
         assert_send::<SecurePoolGenerator>();
         assert_send::<PoolCache>();
-        assert_send::<RefreshScheduler>();
         assert_send::<Singleflight<PoolKey, Flight>>();
         assert_send::<Landed>();
         assert_send::<ServeMetrics>();
@@ -1441,7 +1432,7 @@ mod tests {
     #[test]
     fn snapshot_is_one_consistent_reading() {
         let net = SimNet::new(90);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let mut resolver = resolver(test_config());
         resolver.handle_query(&mut exchanger, &query(1, "pool.ntp.org"));
         resolver.handle_query(&mut exchanger, &query(2, "pool.ntp.org"));
@@ -1475,7 +1466,7 @@ mod tests {
         // coalesced waiter SERVFAIL, and leave a negative entry behind so
         // follow-up queries fail fast without another fan-out.
         let net = SimNet::new(91);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let mut resolver = dead_fleet_resolver(test_config());
 
         let queries: Vec<Message> = (1..=5).map(|i| query(i, "dead.ntp.org")).collect();
@@ -1504,7 +1495,7 @@ mod tests {
     fn resolve_pool_follows_the_serving_path() {
         use super::super::AddressFamily;
         let net = SimNet::new(92);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let mut resolver = resolver(test_config());
         let domain: sdoh_dns_wire::Name = "pool.ntp.org".parse().unwrap();
 
@@ -1539,7 +1530,7 @@ mod tests {
     fn resolve_pool_surfaces_generation_failures() {
         use super::super::AddressFamily;
         let net = SimNet::new(93);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let mut resolver = dead_fleet_resolver(test_config());
         let err = resolver
             .resolve_pool(
@@ -1576,7 +1567,7 @@ mod tests {
     #[test]
     fn probe_entries_follow_served_state() {
         let net = SimNet::new(95);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let mut resolver = resolver(test_config());
         let query = Message::query(7, "pool.ntp.org".parse().unwrap(), RrType::A);
         resolver.handle_query(&mut exchanger, &query);
@@ -1590,7 +1581,7 @@ mod tests {
     #[test]
     fn apply_config_retunes_a_live_resolver() {
         let net = SimNet::new(96);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let mut resolver = resolver(test_config());
         resolver.handle_query(&mut exchanger, &query(1, "pool.ntp.org"));
 
@@ -1612,7 +1603,7 @@ mod tests {
     #[test]
     fn extracted_entries_install_on_a_new_owner() {
         let net = SimNet::new(97);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let mut donor = resolver(test_config());
         donor.handle_query(&mut exchanger, &query(1, "pool.ntp.org"));
         // Queue a refresh on the donor so the handoff has one to cancel.
@@ -1668,34 +1659,25 @@ mod tests {
             }
         }
 
-        fn each(&mut self, f: impl Fn(&mut CachingPoolResolver, &mut ClientExchanger)) {
+        fn each(&mut self, f: impl Fn(&mut CachingPoolResolver, &mut Ctx)) {
             let client = SimAddr::v4(10, 0, 0, 1, 40000);
-            f(
-                &mut self.wire,
-                &mut ClientExchanger::new(&self.nets[0], client),
-            );
-            f(
-                &mut self.message,
-                &mut ClientExchanger::new(&self.nets[1], client),
-            );
+            f(&mut self.wire, &mut self.nets[0].client(client));
+            f(&mut self.message, &mut self.nets[1].client(client));
         }
 
         /// Serves `query` on both twins, asserts the two forms and every
         /// counter agree, and hands back the decoded answer.
         fn serve(&mut self, query: &Message) -> Message {
             let client = SimAddr::v4(10, 0, 0, 1, 40000);
-            let mut exchanger = ClientExchanger::new(&self.nets[0], client);
+            let mut exchanger = self.nets[0].client(client);
             self.wire
                 .handle_query_wire(&mut exchanger, &lent(query).view(), &mut self.out)
                 .unwrap();
-            let mut exchanger = ClientExchanger::new(&self.nets[1], client);
+            let mut exchanger = self.nets[1].client(client);
             let response = self.message.handle_query(&mut exchanger, query);
             assert_eq!(self.out, response.encode().unwrap(), "{query}");
             assert_eq!(self.wire.snapshot(), self.message.snapshot());
-            assert_eq!(
-                self.wire.next_refresh_due(),
-                self.message.next_refresh_due()
-            );
+            assert_eq!(self.wire.refresh_queued(), self.message.refresh_queued());
             response
         }
     }
@@ -1866,24 +1848,22 @@ mod tests {
 
     #[test]
     fn a_pool_too_large_for_any_dns_message_is_answered_servfail() {
-        // 4200 A records are 67 200 bytes of answer section: neither the
-        // template nor the `Message` encoder produces it, as a miss or as
-        // a cached hit, so a front end never holds a response longer than
-        // a 16-bit frame can carry.
-        let block = |tag: u8| -> Vec<IpAddr> {
-            (0..1400u16)
-                .map(|i| IpAddr::from([10, tag, i.to_be_bytes()[0], i.to_be_bytes()[1]]))
-                .collect()
-        };
-        let sources: Vec<Box<dyn AddressSource>> = vec![
-            Box::new(StaticSource::answering("r1", block(1))),
-            Box::new(StaticSource::answering("r2", block(2))),
-            Box::new(StaticSource::answering("r3", block(3))),
-        ];
+        // 17 answers of 256 A records, each as long as one answer may be,
+        // are 69 632 bytes of answer section: neither the template nor the
+        // `Message` encoder produces it, as a miss or as a cached hit, so a
+        // front end never holds a response longer than a 16-bit frame can
+        // carry.
+        let sources: Vec<Box<dyn AddressSource>> = (1..=17u8)
+            .map(|tag| {
+                let block = (0..=255u8).map(|i| IpAddr::from([10, tag, 0, i])).collect();
+                Box::new(StaticSource::answering(format!("r{tag}"), block))
+                    as Box<dyn AddressSource>
+            })
+            .collect();
         let generator = SecurePoolGenerator::new(PoolConfig::algorithm1(), sources).unwrap();
         let mut resolver = CachingPoolResolver::new(generator, test_config());
         let net = SimNet::new(99);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let mut out = Vec::new();
         for id in 1..=2 {
             let wire = query(id, "pool.ntp.org").encode().unwrap();
@@ -1935,8 +1915,8 @@ mod tests {
         (net, CachingPoolResolver::new(generator, cache))
     }
 
-    fn client(net: &SimNet) -> ClientExchanger<'_> {
-        ClientExchanger::new(net, SimAddr::v4(10, 0, 0, 1, 40000))
+    fn client(net: &SimNet) -> Ctx<'_> {
+        net.client(SimAddr::v4(10, 0, 0, 1, 40000))
     }
 
     /// What each source came to is counted once per (pass, source), as the
@@ -2007,18 +1987,12 @@ mod tests {
             "nothing departs before a poll"
         );
 
-        assert!(matches!(
-            resolver.poll(&mut upstream),
-            ServeStep::Wait(None)
-        ));
+        assert!(resolver.poll(&mut upstream).is_none());
         assert_eq!(upstream.departed, [6], "2 flights x 3 resolvers, one batch");
         // Upstream until its round trip is over, and sent once.
         assert!(resolver.next_arrival() > Some(upstream.now()));
         assert!(!resolver.arrive(&mut upstream));
-        assert!(matches!(
-            resolver.poll(&mut upstream),
-            ServeStep::Wait(None)
-        ));
+        assert!(resolver.poll(&mut upstream).is_none());
         assert_eq!(upstream.departed, [6]);
 
         // Last sent, first landed: across the flights and within each. They
@@ -2059,15 +2033,9 @@ mod tests {
         let first = begin(&mut resolver, &mut upstream, 1);
         // Joined before anything departed, and again with it upstream.
         assert_eq!(begin(&mut resolver, &mut upstream, 2), first);
-        assert!(matches!(
-            resolver.poll(&mut upstream),
-            ServeStep::Wait(None)
-        ));
+        assert!(resolver.poll(&mut upstream).is_none());
         assert_eq!(begin(&mut resolver, &mut upstream, 3), first);
-        assert!(matches!(
-            resolver.poll(&mut upstream),
-            ServeStep::Wait(None)
-        ));
+        assert!(resolver.poll(&mut upstream).is_none());
         assert_eq!(upstream.departed, [3], "a join sends nothing");
         upstream.wait();
         assert!(resolver.arrive(&mut upstream));
@@ -2131,10 +2099,7 @@ mod tests {
             "the stale serve queued it"
         );
         assert_eq!(resolver.begin_due_refreshes(&mut upstream), 1);
-        assert!(matches!(
-            resolver.poll(&mut upstream),
-            ServeStep::Wait(None)
-        ));
+        assert!(resolver.poll(&mut upstream).is_none());
         assert_eq!(upstream.departed, [3]);
         assert_eq!(resolver.snapshot().pending_refreshes, 0);
 
@@ -2168,6 +2133,36 @@ mod tests {
     }
 
     #[test]
+    fn a_stampede_of_stale_serves_queues_one_refresh_that_lands_once() {
+        let (net, mut resolver) = doh_world(48, 3, PoolConfig::algorithm1(), test_config());
+        let mut out = Vec::new();
+        resolver.handle_query(&mut client(&net), &query(1, WORLD[0]));
+        net.clock().advance(Duration::from_secs(70));
+        let mut upstream = Split::new(&net, Order::Delivery);
+        for id in 2..=9 {
+            assert_eq!(
+                resolver.begin(&mut upstream, &lent(&query(id, WORLD[0])).view(), &mut out),
+                Ok(None)
+            );
+        }
+        assert_eq!(resolver.metrics().stale_serves, 8);
+        assert_eq!(
+            resolver.snapshot().pending_refreshes,
+            1,
+            "eight stale serves of one key queue it once"
+        );
+        assert!(resolver.refresh_queued());
+        assert_eq!(resolver.begin_due_refreshes(&mut upstream), 1);
+        assert!(!resolver.refresh_queued());
+        let landed = upstream.drain(&mut resolver);
+        assert_eq!(landed.len(), 1);
+        assert_eq!(upstream.departed, [3], "one fan-out");
+        let metrics = resolver.metrics();
+        assert_eq!((metrics.generations, metrics.refreshes), (2, 1));
+        assert_eq!(resolver.begin_due_refreshes(&mut upstream), 0);
+    }
+
+    #[test]
     fn extracting_a_key_with_a_live_flight_leaves_the_flight_to_land() {
         let (net, mut resolver) = doh_world(45, 3, PoolConfig::algorithm1(), test_config());
         let mut exchanger = client(&net);
@@ -2177,10 +2172,7 @@ mod tests {
         let mut upstream = Split::new(&net, Order::Delivery);
         assert_eq!(resolver.begin_due_refreshes(&mut upstream), 1);
         // The entry moves away with its refresh upstream.
-        assert!(matches!(
-            resolver.poll(&mut upstream),
-            ServeStep::Wait(None)
-        ));
+        assert!(resolver.poll(&mut upstream).is_none());
         let moved = resolver.extract_entries(|_| true);
         assert_eq!(moved.len(), 1);
         assert_eq!(resolver.snapshot().entries, 0);
@@ -2202,10 +2194,7 @@ mod tests {
             .begin(&mut upstream, &lent(&query(1, WORLD[0])).view(), &mut out)
             .unwrap()
             .expect("a miss");
-        assert!(matches!(
-            resolver.poll(&mut upstream),
-            ServeStep::Wait(None)
-        ));
+        assert!(resolver.poll(&mut upstream).is_none());
         let one: Vec<Box<dyn AddressSource>> =
             vec![Box::new(StaticSource::answering("only", vec![ip(9)]))];
         resolver.generator_mut().replace_sources(one).unwrap();
@@ -2388,7 +2377,7 @@ mod tests {
                     // a function of its history, so even the split between
                     // `evictions` and `expirations` is the same.
                     prop_assert_eq!(stepwise.snapshot(), blocking.snapshot());
-                    prop_assert_eq!(stepwise.next_refresh_due(), blocking.next_refresh_due());
+                    prop_assert_eq!(stepwise.refresh_queued(), blocking.refresh_queued());
                     prop_assert_eq!(stepwise_net.now(), blocking_net.now());
                 }
             }
@@ -2398,7 +2387,7 @@ mod tests {
     #[test]
     fn families_cache_separately() {
         let net = SimNet::new(87);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let mut resolver = resolver(test_config());
         let a = Message::query(1, "pool.ntp.org".parse().unwrap(), RrType::A);
         let aaaa = Message::query(2, "pool.ntp.org".parse().unwrap(), RrType::Aaaa);

@@ -234,13 +234,22 @@ impl PoolSession {
     }
 
     /// What a fetch whose addresses were appended from `at` on came to. A
-    /// failure drops what it appended. The first answer sizes the buffer
-    /// for every fetch still open, as if each answered as many addresses,
-    /// so a generation of equal answers grows it once — but by at most one
+    /// failure drops what it appended, and so does an answer of more
+    /// addresses than one reply may carry ([`MAX_REPLY_ADDRESSES`]), which
+    /// fails its source whatever the source is: no answer puts more than
+    /// that many keys into the vote. The first answer sizes the buffer for
+    /// every fetch still open, as if each answered as many addresses, so a
+    /// generation of equal answers grows it once — but by at most one
     /// reply's ceiling, so a long first answer sizes only itself.
     fn settle(&mut self, at: usize, result: Result<(), FetchError>) -> Slot {
         self.open = self.open.saturating_sub(1);
         let end = self.answers.len();
+        let result = match result {
+            Ok(()) if end.saturating_sub(at) > MAX_REPLY_ADDRESSES => {
+                Err(FetchError::Protocol("addresses past the ceiling".into()))
+            }
+            other => other,
+        };
         match result {
             Ok(()) if at == 0 && end > 0 => self
                 .answers
@@ -575,7 +584,6 @@ mod tests {
     use super::*;
     use crate::fleet::{doh_sources, DohFleet};
     use crate::source::{AddressSource, StaticSource};
-    use sdoh_dns_server::ClientExchanger;
     use sdoh_doh::DohServerService;
     use sdoh_netsim::{SimAddr, SimNet};
 
@@ -601,6 +609,31 @@ mod tests {
             Box::new(StaticSource::answering("r1", vec![ip(1), ip(2)])),
             Box::new(StaticSource::answering("r2", vec![ip(3), ip(4)])),
         ]
+    }
+
+    /// An answer of one address more than a reply may carry fails its
+    /// source whatever the source is, here a static one, and none of its
+    /// addresses reaches the vote: the one it shares with a second source
+    /// would otherwise hold two votes of three.
+    #[test]
+    fn an_answer_past_the_address_ceiling_fails_its_source_before_the_vote() {
+        let flood: Vec<IpAddr> = (0..=MAX_REPLY_ADDRESSES)
+            .map(|i| IpAddr::from([198, 18, (i / 256) as u8, (i % 256) as u8]))
+            .collect();
+        let sources: Vec<Box<dyn AddressSource>> = vec![
+            Box::new(StaticSource::answering("flood", flood.clone())),
+            Box::new(StaticSource::answering("r1", vec![ip(1), ip(2), flood[0]])),
+            Box::new(StaticSource::answering("r2", vec![ip(1), ip(2)])),
+        ];
+        let domain: Name = "pool.ntp.org".parse().unwrap();
+        let mut session = plan(PoolConfig::majority_resolver(), sources, &domain, 1);
+        assert!(matches!(session.poll(), Action::Done));
+        assert_eq!(session.outcome_counts(), (2, 1));
+        let report = session.finish().unwrap();
+        let past = FetchError::Protocol("addresses past the ceiling".into());
+        assert_eq!(report.sources[0].1, SourceOutcome::Failed(past.to_string()));
+        assert_eq!(report.answered(), 2);
+        assert_eq!(report.pool.addresses(), vec![ip(1), ip(2)]);
     }
 
     #[test]
@@ -647,7 +680,7 @@ mod tests {
         assert_eq!(session.open, 3);
 
         // Deliver the responses in reverse order; the pool must not care.
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         for t in transmits.into_iter().rev() {
             let reply = exchanger
                 .exchange(

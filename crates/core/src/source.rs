@@ -98,11 +98,13 @@ pub trait AddressSource: Send + Sync {
     ) -> Result<(), FetchError>;
 }
 
-/// The most addresses one DoH reply may carry, and the most octets it may
-/// take; past either, the reply fails its source. The largest reply an
-/// experiment, test or workload here sends carries 200 addresses (the
-/// stalled TCP client of `runtime/tests/loopback_e2e.rs`); one of 256 AAAA
-/// records takes under half the octets.
+/// The most addresses one answer may carry, from any source (the session
+/// checks it as each fetch settles), and the most octets a DoH reply may
+/// take (its source checks that before reading it); past either, the
+/// answer fails its source. The largest DoH reply an experiment, test or
+/// workload here sends carries 200 addresses (the stalled TCP client of
+/// `runtime/tests/loopback_e2e.rs`); one of 256 AAAA records takes under
+/// half the octets.
 pub(crate) const MAX_REPLY_ADDRESSES: usize = 256;
 /// See [`MAX_REPLY_ADDRESSES`].
 pub(crate) const MAX_REPLY_OCTETS: usize = 16 * 1024;
@@ -152,7 +154,8 @@ impl AddressSource for DohSource {
     /// The reply's checks and the addresses of the asked type are
     /// `DohClient::finish_addresses`': read where they lie in the answer, on
     /// the walk that validates it, into `answers`, unless the reply is
-    /// past a ceiling (`MAX_REPLY_ADDRESSES`).
+    /// longer than `MAX_REPLY_OCTETS`. How many addresses one answer may
+    /// carry the session checks, for every source alike.
     fn handle_response(
         &self,
         question: &DohQuestion,
@@ -164,14 +167,10 @@ impl AddressSource for DohSource {
         if reply.len() > MAX_REPLY_OCTETS {
             return Err(FetchError::Protocol("octets past the ceiling".into()));
         }
-        let before = answers.len();
         let rcode = self
             .client
             .finish_addresses(question, id, &mut reply, answers)
             .map_err(doh_error)?;
-        if answers.len().saturating_sub(before) > MAX_REPLY_ADDRESSES {
-            return Err(FetchError::Protocol("addresses past the ceiling".into()));
-        }
         if rcode != Rcode::NoError && rcode != Rcode::NxDomain {
             return Err(FetchError::ErrorResponse(rcode.to_string()));
         }
@@ -246,7 +245,7 @@ impl AddressSource for StaticSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdoh_dns_server::{Authority, Catalog, ClientExchanger, Exchanger, FnHandler, Zone};
+    use sdoh_dns_server::{Authority, Catalog, Exchanger, FnHandler, Zone};
     use sdoh_dns_wire::{Message, MessageBuilder};
     use sdoh_doh::{DohServerService, ResolverDirectory};
     use sdoh_netsim::{SimAddr, SimNet};
@@ -357,7 +356,7 @@ mod tests {
                 });
             net.register(info.addr, DohServerService::new(info.clone(), handler));
             let source = DohSource::new(info).method(method);
-            let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 50000));
+            let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 50000));
             match lookup(&source, &mut exchanger, RrType::A) {
                 Ok(addresses) => assert!(read && addresses == [forged], "{case}: {addresses:?}"),
                 Err(err) => assert!(
@@ -378,7 +377,7 @@ mod tests {
         );
         let source = DohSource::new(info).method(DohMethod::Post);
         assert_eq!(source.source_name(), "dns.google");
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 50000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 50000));
         let v4 = lookup(&source, &mut exchanger, RrType::A).unwrap();
         assert_eq!(v4.len(), 3);
         let v6 = lookup(&source, &mut exchanger, RrType::Aaaa).unwrap();
@@ -410,7 +409,7 @@ mod tests {
         let sources = crate::doh_sources(&fleet.infos);
         let generator =
             crate::SecurePoolGenerator::new(crate::PoolConfig::algorithm1(), sources).unwrap();
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 50000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 50000));
         let report = generator
             .generate(&mut exchanger, &fleet.domains[0])
             .unwrap();
@@ -424,14 +423,16 @@ mod tests {
     }
 
     /// A reply may carry up to [`MAX_REPLY_ADDRESSES`] addresses of
-    /// either family; one more fails its source, and so does a reply
-    /// longer than [`MAX_REPLY_OCTETS`], which is not read at all.
+    /// either family; one more fails its source as the generation's
+    /// session settles it, and a reply longer than [`MAX_REPLY_OCTETS`]
+    /// fails it unread.
     #[test]
     fn a_reply_past_the_ceiling_fails_its_source() {
+        use crate::config::{DualStackPolicy, PoolConfig};
         let net = SimNet::new(66);
         let info = ResolverDirectory::well_known(66).resolvers()[0].clone();
         let source = DohSource::new(info.clone());
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 50000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 50000));
         let pool: sdoh_dns_wire::Name = "pool.ntp.org".parse().unwrap();
         for count in [MAX_REPLY_ADDRESSES, MAX_REPLY_ADDRESSES + 1] {
             let mut zone = Zone::new("ntp.org".parse().unwrap());
@@ -449,15 +450,29 @@ mod tests {
                 info.addr,
                 DohServerService::new(info.clone(), Authority::new(catalog)),
             );
-            for rtype in [RrType::A, RrType::Aaaa] {
+            for (rtype, family) in [
+                (RrType::A, DualStackPolicy::Ipv4Only),
+                (RrType::Aaaa, DualStackPolicy::Ipv6Only),
+            ] {
+                // Read whole by the source, and judged by the session.
                 let read = lookup(&source, &mut exchanger, rtype).map(|list| list.len());
+                assert_eq!(read, Ok(count), "{rtype}");
+                let sources: Vec<Box<dyn AddressSource>> = vec![
+                    Box::new(source.clone()),
+                    Box::new(StaticSource::answering("static", Vec::new())),
+                ];
+                let config = PoolConfig::algorithm1().with_dual_stack(family);
+                let report = crate::SecurePoolGenerator::new(config, sources)
+                    .unwrap()
+                    .generate(&mut exchanger, &pool)
+                    .unwrap();
                 let past = FetchError::Protocol("addresses past the ceiling".into());
                 let expected = if count > MAX_REPLY_ADDRESSES {
-                    Err(past)
+                    crate::SourceOutcome::Failed(past.to_string())
                 } else {
-                    Ok(count)
+                    crate::SourceOutcome::Answered(count)
                 };
-                assert_eq!(read, expected, "{rtype}");
+                assert_eq!(report.sources[0].1, expected, "{rtype}");
             }
         }
         let question = DohQuestion::new(&pool, RrType::A).unwrap();
@@ -476,7 +491,7 @@ mod tests {
         let net = SimNet::new(62);
         let info = ResolverDirectory::well_known(62).resolvers()[0].clone();
         let source = DohSource::new(info);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 50000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 50000));
         let err = lookup(&source, &mut exchanger, RrType::A).unwrap_err();
         assert!(matches!(err, FetchError::Transport(_)));
         assert!(!err.to_string().is_empty());

@@ -19,7 +19,7 @@ use sdoh_core::{
     check_guarantee, AddressPool, AddressSource, GroundTruth, PoolConfig, SecurePoolGenerator,
     StaticSource,
 };
-use sdoh_dns_server::{ClientExchanger, QueryHandler};
+use sdoh_dns_server::QueryHandler;
 use sdoh_dns_wire::{Message, Name, Rcode, RrType, Ttl};
 use sdoh_netsim::{SimAddr, SimNet};
 
@@ -140,7 +140,7 @@ impl FrontEnd {
         let domain: Name = format!("pool{name}.ntpns.org").parse().unwrap();
         self.next_id = self.next_id.wrapping_add(1);
         let query = Message::query(self.next_id, domain, RrType::A);
-        let mut exchanger = ClientExchanger::new(&self.net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = self.net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let response = self.resolver.handle_query(&mut exchanger, &query);
         assert_eq!(response.header.rcode, Rcode::NoError);
         let mut served = AddressPool::new();

@@ -10,7 +10,6 @@ use sdoh_core::{
     check_guarantee, majority_vote, meets_threshold, AddressPool, AddressSource, CombinationMode,
     GroundTruth, PoolConfig, SecurePoolGenerator, StaticSource,
 };
-use sdoh_dns_server::ClientExchanger;
 use sdoh_netsim::{SimAddr, SimNet};
 
 fn benign(i: u8) -> IpAddr {
@@ -67,7 +66,7 @@ fn build_and_generate(
     let generator =
         SecurePoolGenerator::new(PoolConfig::default().with_mode(mode), sources).unwrap();
     let net = SimNet::new(7);
-    let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+    let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
     let report = generator
         .generate(&mut exchanger, &"pool.ntpns.org".parse().unwrap())
         .unwrap();

@@ -13,7 +13,7 @@ use sdoh_core::{
     AddressSource, CacheConfig, CachingPoolResolver, EntryState, PoolConfig, SecurePoolGenerator,
     StaticSource,
 };
-use sdoh_dns_server::{ClientExchanger, QueryHandler};
+use sdoh_dns_server::QueryHandler;
 use sdoh_dns_wire::{Message, Rcode, RrType, Ttl};
 use sdoh_netsim::{SimAddr, SimNet};
 
@@ -86,7 +86,7 @@ proptest! {
     #[test]
     fn served_age_is_bounded_by_the_widest_applied_horizon(ops in arb_ops()) {
         let net = SimNet::new(90);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let initial = palette(0);
         let mut resolver = build_resolver(initial);
         let mut widest = horizon(&initial);
@@ -146,7 +146,7 @@ proptest! {
         a in 0u8..5, b in 0u8..5, age in 0u64..600
     ) {
         let net = SimNet::new(91);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let first = palette(a);
         let second = palette(b);
         let mut resolver = build_resolver(first);

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use sdoh_core::serve::{CacheConfig, CachingPoolResolver};
 use sdoh_core::{AddressSource, FetchError, FetchStart, PoolConfig, SecurePoolGenerator};
-use sdoh_dns_server::{ClientExchanger, QueryHandler};
+use sdoh_dns_server::QueryHandler;
 use sdoh_dns_wire::{Message, Name, Rcode, RrType, Ttl};
 use sdoh_doh::DohQuestion;
 use sdoh_netsim::{NetResult, SimAddr, SimInstant, SimNet};
@@ -124,7 +124,7 @@ proptest! {
                 .with_ttl(Ttl::from_secs(TTL_SECS as u32))
                 .with_stale_window(Duration::from_secs(STALE_SECS)),
         );
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let domains: Vec<Name> = (0..DOMAINS)
             .map(|i| format!("pool{i}.ntpns.org").parse().unwrap())
             .collect();

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use sdoh_core::{doh_sources, Action, DohFleet, DualStackPolicy, PoolConfig, SecurePoolGenerator};
-use sdoh_dns_server::{Authority, Catalog, ClientExchanger};
+use sdoh_dns_server::{Authority, Catalog};
 use sdoh_doh::DohServerService;
 use sdoh_netsim::{SimAddr, SimNet};
 
@@ -97,7 +97,7 @@ proptest! {
         let generator =
             SecurePoolGenerator::new(config.clone(), doh_sources(&fleet.infos)).unwrap();
         let mut exchanger =
-            ClientExchanger::new(&reference_net, SimAddr::v4(10, 0, 0, 1, 40000));
+            reference_net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let sequential = generator.generate_sequential(&mut exchanger, &fleet.domains[0]);
 
         let (permuted_net, fleet) = build_net(net_seed, resolvers, first_dead);
@@ -127,7 +127,7 @@ proptest! {
         let generator =
             SecurePoolGenerator::new(config.clone(), doh_sources(&fleet.infos)).unwrap();
         let mut exchanger =
-            ClientExchanger::new(&reference_net, SimAddr::v4(10, 0, 0, 1, 40000));
+            reference_net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let sequential = generator
             .generate_sequential(&mut exchanger, &fleet.domains[0])
             .unwrap();

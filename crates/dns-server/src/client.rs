@@ -188,7 +188,6 @@ mod tests {
     use super::*;
     use crate::authority::Authority;
     use crate::catalog::Catalog;
-    use crate::exchange::ClientExchanger;
     use crate::service::Do53Service;
     use crate::zone::Zone;
     use sdoh_netsim::SimNet;
@@ -211,7 +210,7 @@ mod tests {
         let net = SimNet::new(42);
         let server = SimAddr::v4(198, 51, 100, 53, 53);
         net.register(server, Do53Service::new(pool_authority()));
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
 
         let client = DnsClient::new(server);
         let response = client
@@ -225,7 +224,7 @@ mod tests {
         let net = SimNet::new(43);
         let server = SimAddr::v4(198, 51, 100, 53, 53);
         net.register(server, Do53Service::new(pool_authority()));
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
 
         let client = DnsClient::new(server);
         let err = client
@@ -243,7 +242,7 @@ mod tests {
         let net = SimNet::new(44);
         let server = SimAddr::v4(198, 51, 100, 53, 53);
         net.register(server, Do53Service::new(pool_authority()));
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
 
         let client = DnsClient::new(server);
         let response = client
@@ -255,7 +254,7 @@ mod tests {
     #[test]
     fn unreachable_server_is_a_network_error() {
         let net = SimNet::new(45);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let client = DnsClient::new(SimAddr::v4(192, 0, 2, 99, 53)).timeout(Duration::from_secs(1));
         let err = client
             .query(&mut exchanger, &"pool.ntp.org".parse().unwrap(), RrType::A)
@@ -282,7 +281,7 @@ mod tests {
         let net = SimNet::new(46);
         let server = SimAddr::v4(198, 51, 100, 53, 53);
         net.register(server, Do53Service::new(pool_authority()));
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
 
         let client = DnsClient::new(server).use_0x20(true);
         let response = client
@@ -319,7 +318,7 @@ mod tests {
                 ServiceResponse::Reply(response.encode().unwrap())
             }),
         );
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
 
         // Find a seed whose casing is not all-lowercase (overwhelmingly
         // likely; the loop guards against an unlucky simulation seed).
@@ -364,7 +363,7 @@ mod tests {
                 },
             ),
         );
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let client = DnsClient::new(server);
 
         client

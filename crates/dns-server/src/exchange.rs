@@ -7,10 +7,12 @@
 //! [`Exchanger::exchange_all`]: a batch of independent exchanges that a
 //! capable transport performs **overlapped**: the requests depart together
 //! and the batch is waited for once, so it costs the slowest exchange's
-//! latency, not the sum — one wait, never one thread per request. Both
-//! simulator-backed exchangers — [`ClientExchanger`] for experiment drivers
-//! and [`sdoh_netsim::Ctx`] for code inside a service handler — fan batches
-//! out through [`sdoh_netsim::SimNet::transact_concurrent`]; the default
+//! latency, not the sum — one wait, never one thread per request. The
+//! simulator's one exchanger, [`sdoh_netsim::Ctx`] — handed to code inside
+//! a service handler, or built by [`SimNet::client`](sdoh_netsim::SimNet::client)
+//! for an experiment driver, an example or a test acting as the
+//! application host — fans batches out through
+//! [`Ctx::call_concurrent`](sdoh_netsim::Ctx::call_concurrent); the default
 //! implementation falls back to driving the batch sequentially so that any
 //! custom exchanger keeps working unchanged.
 //!
@@ -25,7 +27,7 @@
 
 use std::time::Duration;
 
-use sdoh_netsim::{ChannelKind, Ctx, NetResult, SimAddr, SimInstant, SimNet};
+use sdoh_netsim::{ChannelKind, Ctx, NetResult, SimAddr, SimInstant};
 
 /// One request of a batch handed to [`Exchanger::exchange_all`] — the
 /// simulator's batch-request type, re-exported under the exchange
@@ -192,63 +194,6 @@ pub trait Exchanger {
     }
 }
 
-/// An [`Exchanger`] for code running outside any service: an experiment
-/// driver or an example binary acting as "the application host".
-#[derive(Debug, Clone, Copy)]
-pub struct ClientExchanger<'a> {
-    net: &'a SimNet,
-    source: SimAddr,
-}
-
-impl<'a> ClientExchanger<'a> {
-    /// Creates an exchanger that sends from `source`.
-    pub fn new(net: &'a SimNet, source: SimAddr) -> Self {
-        ClientExchanger { net, source }
-    }
-}
-
-impl Exchanger for ClientExchanger<'_> {
-    fn exchange(
-        &mut self,
-        dst: SimAddr,
-        channel: ChannelKind,
-        payload: &[u8],
-        timeout: Duration,
-    ) -> NetResult<Vec<u8>> {
-        self.net
-            .transact(self.source, dst, channel, payload, timeout)
-    }
-
-    fn exchange_from_port(
-        &mut self,
-        src_port: u16,
-        dst: SimAddr,
-        channel: ChannelKind,
-        payload: &[u8],
-        timeout: Duration,
-    ) -> NetResult<Vec<u8>> {
-        self.net.transact(
-            self.source.with_port(src_port),
-            dst,
-            channel,
-            payload,
-            timeout,
-        )
-    }
-
-    fn next_id(&mut self) -> u16 {
-        self.net.random_id()
-    }
-
-    fn now(&self) -> SimInstant {
-        self.net.now()
-    }
-
-    fn exchange_all(&mut self, requests: Vec<ExchangeRequest>) -> Vec<ExchangeOutcome> {
-        self.net.transact_concurrent(self.source, requests)
-    }
-}
-
 impl Exchanger for Ctx<'_> {
     fn exchange(
         &mut self,
@@ -287,7 +232,7 @@ impl Exchanger for Ctx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdoh_netsim::{FnService, LinkConfig, ServiceResponse};
+    use sdoh_netsim::{FnService, LinkConfig, ServiceResponse, SimNet};
 
     #[test]
     fn client_exchanger_roundtrips() {
@@ -299,7 +244,7 @@ mod tests {
                 ServiceResponse::Reply(p.to_vec())
             }),
         );
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let reply = exchanger
             .exchange(server, ChannelKind::Plain, b"ping", Duration::from_secs(1))
             .unwrap();
@@ -360,7 +305,7 @@ mod tests {
                 LinkConfig::with_latency(Duration::from_millis(25)),
             );
         }
-        let mut exchanger = ClientExchanger::new(&net, client);
+        let mut exchanger = net.client(client);
         let t0 = exchanger.now();
         let outcomes = exchanger.exchange_all(
             servers

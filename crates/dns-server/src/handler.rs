@@ -168,7 +168,6 @@ impl<F> std::fmt::Debug for FnHandler<F> {
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
-    use crate::exchange::ClientExchanger;
     use crate::zone::Zone;
     use sdoh_dns_wire::{Rcode, RrType};
     use sdoh_netsim::{SimAddr, SimNet};
@@ -186,7 +185,7 @@ mod tests {
         assert_eq!(authority.handler_name(), "authority");
 
         let net = SimNet::new(1);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 1000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 1000));
         let query = Message::query(9, "www.example.org".parse().unwrap(), RrType::A);
         let response = authority.handle_query(&mut exchanger, &query);
         assert_eq!(response.answer_addresses().len(), 1);
@@ -208,7 +207,7 @@ mod tests {
         let mut handle = std::sync::Arc::clone(&shared);
         assert_eq!(handle.handler_name(), "shared-query-handler");
         let net = SimNet::new(3);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 1000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 1000));
         let query = Message::query(9, "www.example.org".parse().unwrap(), RrType::A);
         let response = handle.handle_query(&mut exchanger, &query);
         assert_eq!(response.answer_addresses().len(), 1);
@@ -223,7 +222,7 @@ mod tests {
         });
         assert_eq!(handler.handler_name(), "servfail");
         let net = SimNet::new(2);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 1000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 1000));
         let query = Message::query(1, "x.test".parse().unwrap(), RrType::A);
         let response = handler.handle_query(&mut exchanger, &query);
         assert_eq!(response.header.rcode, Rcode::ServFail);

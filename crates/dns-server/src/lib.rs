@@ -62,7 +62,7 @@
 //! # Example: serving and resolving a pool domain
 //!
 //! ```
-//! use sdoh_dns_server::{Authority, Catalog, ClientExchanger, DnsClient, Do53Service, Zone};
+//! use sdoh_dns_server::{Authority, Catalog, DnsClient, Do53Service, Zone};
 //! use sdoh_dns_wire::RrType;
 //! use sdoh_netsim::{SimAddr, SimNet};
 //!
@@ -76,7 +76,7 @@
 //! catalog.add_zone(zone);
 //! net.register(server, Do53Service::new(Authority::new(catalog)));
 //!
-//! let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+//! let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
 //! let response = DnsClient::new(server)
 //!     .query(&mut exchanger, &"pool.ntp.org".parse()?, RrType::A)?;
 //! assert_eq!(response.answer_addresses().len(), 1);
@@ -105,7 +105,7 @@ pub use cache::{CachedAnswer, Credibility, DnsCache};
 pub use catalog::Catalog;
 pub use client::{DnsClient, QueryIdentifiers, DEFAULT_TIMEOUT};
 pub use error::{ResolveError, ResolveResult};
-pub use exchange::{ClientExchanger, Departure, ExchangeOutcome, ExchangeRequest, Exchanger};
+pub use exchange::{Departure, ExchangeOutcome, ExchangeRequest, Exchanger};
 pub use handler::{FnHandler, QueryHandler};
 pub use poison::{PoisonConfig, PoisonMode, PoisonedResolver};
 pub use recursive::{HardeningConfig, RecursiveConfig, RecursiveResolver};

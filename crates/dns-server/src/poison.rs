@@ -255,7 +255,6 @@ mod tests {
     use super::*;
     use crate::authority::Authority;
     use crate::catalog::Catalog;
-    use crate::exchange::ClientExchanger;
     use crate::zone::Zone;
     use sdoh_dns_wire::RrType;
     use sdoh_netsim::{SimAddr, SimNet};
@@ -285,7 +284,7 @@ mod tests {
 
     fn run_query(resolver: &mut dyn QueryHandler, name: &str) -> Message {
         let net = SimNet::new(1);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 1000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 1000));
         let query = Message::query(7, name.parse().unwrap(), RrType::A);
         resolver.handle_query(&mut exchanger, &query)
     }

@@ -630,10 +630,9 @@ mod tests {
     use super::*;
     use crate::authority::Authority;
     use crate::catalog::Catalog;
-    use crate::exchange::ClientExchanger;
     use crate::service::Do53Service;
     use crate::zone::Zone;
-    use sdoh_netsim::{NetResult, SimInstant, SimNet};
+    use sdoh_netsim::{Ctx, NetResult, SimInstant, SimNet};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -722,7 +721,7 @@ mod tests {
             let net = SimNet::new(100);
             let roots = build_hierarchy(&net);
             let mut resolver = resolver_with(&net, roots, hardening);
-            let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(8, 8, 8, 8, 33000));
+            let mut exchanger = net.client(SimAddr::v4(8, 8, 8, 8, 33000));
             let response = resolver
                 .resolve(
                     &mut exchanger,
@@ -745,7 +744,7 @@ mod tests {
             },
             net.clock(),
         );
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(8, 8, 8, 8, 33000));
+        let mut exchanger = net.client(SimAddr::v4(8, 8, 8, 8, 33000));
         let response = resolver
             .resolve(
                 &mut exchanger,
@@ -768,7 +767,7 @@ mod tests {
             },
             net.clock(),
         );
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(8, 8, 8, 8, 33000));
+        let mut exchanger = net.client(SimAddr::v4(8, 8, 8, 8, 33000));
         let name: Name = "pool.ntpns.org".parse().unwrap();
         resolver.resolve(&mut exchanger, &name, RrType::A).unwrap();
         let requests_before = net.metrics().requests;
@@ -792,7 +791,7 @@ mod tests {
             },
             net.clock(),
         );
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(8, 8, 8, 8, 33000));
+        let mut exchanger = net.client(SimAddr::v4(8, 8, 8, 8, 33000));
         let response = resolver
             .resolve(
                 &mut exchanger,
@@ -807,7 +806,7 @@ mod tests {
     fn no_roots_is_a_configuration_error() {
         let net = SimNet::new(104);
         let mut resolver = RecursiveResolver::new(RecursiveConfig::default(), net.clock());
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(8, 8, 8, 8, 33000));
+        let mut exchanger = net.client(SimAddr::v4(8, 8, 8, 8, 33000));
         let err = resolver
             .resolve(&mut exchanger, &"x.test".parse().unwrap(), RrType::A)
             .unwrap_err();
@@ -829,7 +828,7 @@ mod tests {
         net.register(resolver_addr, Do53Service::new(resolver));
 
         let client = DnsClient::new(resolver_addr);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let response = client
             .query(
                 &mut exchanger,
@@ -856,7 +855,7 @@ mod tests {
         net.register(resolver_addr, Do53Service::new(resolver));
 
         let client = DnsClient::new(resolver_addr).recursion_desired(false);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let err = client
             .query(
                 &mut exchanger,
@@ -871,14 +870,14 @@ mod tests {
     /// of every upstream query — the attacker's view of the resolver's
     /// identifier hygiene.
     struct Recording<'a> {
-        inner: ClientExchanger<'a>,
+        inner: Ctx<'a>,
         txids: Rc<RefCell<Vec<u16>>>,
         ports: Rc<RefCell<Vec<Option<u16>>>>,
         cased: Rc<RefCell<Vec<bool>>>,
     }
 
     impl<'a> Recording<'a> {
-        fn new(inner: ClientExchanger<'a>) -> Self {
+        fn new(inner: Ctx<'a>) -> Self {
             Recording {
                 inner,
                 txids: Rc::new(RefCell::new(Vec::new())),
@@ -939,8 +938,7 @@ mod tests {
         let net = SimNet::new(107);
         let roots = build_hierarchy(&net);
         let mut resolver = resolver_with(&net, roots, HardeningConfig::predictable_ids());
-        let mut exchanger =
-            Recording::new(ClientExchanger::new(&net, SimAddr::v4(8, 8, 8, 8, 33000)));
+        let mut exchanger = Recording::new(net.client(SimAddr::v4(8, 8, 8, 8, 33000)));
         resolver
             .resolve(
                 &mut exchanger,
@@ -969,8 +967,7 @@ mod tests {
         let net = SimNet::new(108);
         let roots = build_hierarchy(&net);
         let mut resolver = resolver_with(&net, roots, HardeningConfig::full());
-        let mut exchanger =
-            Recording::new(ClientExchanger::new(&net, SimAddr::v4(8, 8, 8, 8, 33000)));
+        let mut exchanger = Recording::new(net.client(SimAddr::v4(8, 8, 8, 8, 33000)));
         resolver
             .resolve(
                 &mut exchanger,

@@ -247,8 +247,7 @@ mod tests {
     #[test]
     fn payloads_are_answered_through_the_wire_form_of_the_handler() {
         let net = SimNet::new(10);
-        let mut exchanger =
-            crate::exchange::ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 1000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 1000));
         let query = Message::query(3, "www.example.org".parse().unwrap(), RrType::A);
         let wire = query.encode().unwrap();
 

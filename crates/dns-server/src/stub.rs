@@ -67,7 +67,6 @@ mod tests {
     use super::*;
     use crate::authority::Authority;
     use crate::catalog::Catalog;
-    use crate::exchange::ClientExchanger;
     use crate::service::Do53Service;
     use crate::zone::Zone;
     use sdoh_netsim::SimNet;
@@ -97,7 +96,7 @@ mod tests {
     fn lookup_both_families() {
         let (net, resolver) = setup();
         let stub = StubResolver::new(resolver);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let v4 = stub
             .lookup_ipv4(&mut exchanger, &"pool.ntp.org".parse().unwrap())
             .unwrap();
@@ -109,7 +108,7 @@ mod tests {
     fn nxdomain_is_an_error_for_stubs() {
         let (net, resolver) = setup();
         let stub = StubResolver::new(resolver);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let err = stub
             .lookup_ipv4(&mut exchanger, &"missing.ntp.org".parse().unwrap())
             .unwrap_err();

@@ -14,11 +14,11 @@ use std::rc::Rc;
 use proptest::prelude::*;
 
 use sdoh_dns_server::{
-    Authority, Catalog, ClientExchanger, Credibility, Do53Service, FnHandler, HardeningConfig,
-    RecursiveConfig, RecursiveResolver, ResolveError, Zone,
+    Authority, Catalog, Credibility, Do53Service, FnHandler, HardeningConfig, RecursiveConfig,
+    RecursiveResolver, ResolveError, Zone,
 };
 use sdoh_dns_wire::{Message, MessageBuilder, Name, RData, Rcode, Record, RrType};
-use sdoh_netsim::{SimAddr, SimNet};
+use sdoh_netsim::{Ctx, SimAddr, SimNet};
 
 const ROOT: SimAddr = SimAddr {
     ip: IpAddr::V4(std::net::Ipv4Addr::new(198, 41, 0, 4)),
@@ -44,8 +44,8 @@ fn resolver(net: &SimNet, hardening: HardeningConfig) -> RecursiveResolver {
     )
 }
 
-fn client(net: &SimNet) -> ClientExchanger<'_> {
-    ClientExchanger::new(net, SimAddr::v4(10, 0, 0, 1, 40000))
+fn client(net: &SimNet) -> Ctx<'_> {
+    net.client(SimAddr::v4(10, 0, 0, 1, 40000))
 }
 
 fn a_record(name: &str, addr: &str) -> Record {

@@ -18,14 +18,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use sdoh_dns_server::{
-    Authority, Catalog, ClientExchanger, PoisonConfig, PoisonMode, PoisonedResolver, QueryHandler,
-    Zone, ZoneLookup,
+    Authority, Catalog, PoisonConfig, PoisonMode, PoisonedResolver, QueryHandler, Zone, ZoneLookup,
 };
 use sdoh_dns_wire::{
     Edns, Message, MessageBuilder, MessageView, Name, Opcode, QueryView, Question, RData, Rcode,
     Record, RrClass, RrType,
 };
-use sdoh_netsim::{SimAddr, SimNet};
+use sdoh_netsim::{Ctx, SimAddr, SimNet};
 
 /// Longest CNAME chain the authority follows, as it documents.
 const MAX_CNAME_CHAIN: usize = 8;
@@ -34,7 +33,7 @@ const MAX_CNAME_CHAIN: usize = 8;
 /// as a front door reads it, into `out`; the TTL it reports.
 fn wire_answer(
     handler: &mut dyn QueryHandler,
-    exchanger: &mut ClientExchanger,
+    exchanger: &mut Ctx,
     query: &Message,
     out: &mut Vec<u8>,
 ) -> Option<u32> {
@@ -228,7 +227,7 @@ fn queries() -> Vec<(&'static str, Message)> {
 fn the_wire_answer_is_the_encoded_answer_for_every_outcome() {
     let catalog = catalog();
     let net = SimNet::new(1);
-    let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 1000));
+    let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 1000));
     let poisoned = || {
         PoisonedResolver::new(
             Authority::new(catalog.clone()),
@@ -305,7 +304,7 @@ fn the_wire_answer_is_the_encoded_answer_for_every_outcome() {
 fn the_poisoned_wire_answer_is_the_encoded_answer_in_every_mode() {
     let catalog = catalog();
     let net = SimNet::new(1);
-    let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 1000));
+    let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 1000));
     let v4 = |host: u8| IpAddr::from([198, 18, 0, host]);
     let v6 = |host: u16| IpAddr::from([0x2001, 0xdb8, 0, 0, 0, 0, 0x66, host]);
     let lists: Vec<Vec<IpAddr>> = vec![
@@ -469,7 +468,7 @@ fn index_catalog() -> Catalog {
 fn the_answer_index_answers_only_what_the_walk_answers_alike() {
     let catalog = index_catalog();
     let net = SimNet::new(1);
-    let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 1000));
+    let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 1000));
     let ask = |name: &str, rtype| Message::query(0x1DE5, name.parse().unwrap(), rtype);
     let with = |name: &str, rtype, change: fn(&mut Message)| {
         let mut query = ask(name, rtype);
@@ -674,7 +673,7 @@ type Layer = Arc<Mutex<PoisonedResolver<Box<dyn QueryHandler + Send>>>>;
 fn one_wrapper_over_a_target_set_answers_what_a_stack_of_wrappers_did() {
     let catalog = catalog();
     let net = SimNet::new(1);
-    let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 1000));
+    let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 1000));
     let v4 = |host: u8| IpAddr::from([198, 18, 0, host]);
     let v6 = |host: u16| IpAddr::from([0x2001, 0xdb8, 0, 0, 0, 0, 0x66, host]);
     let modes = [

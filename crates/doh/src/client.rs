@@ -409,7 +409,7 @@ mod tests {
     use super::*;
     use crate::directory::ResolverDirectory;
     use crate::server::DohServerService;
-    use sdoh_dns_server::{Authority, Catalog, ClientExchanger, Zone};
+    use sdoh_dns_server::{Authority, Catalog, Zone};
     use sdoh_netsim::{SimAddr, SimNet};
 
     fn pool_authority() -> Authority {
@@ -440,7 +440,7 @@ mod tests {
     fn get_query_end_to_end() {
         let (net, info) = setup();
         let client = DohClient::new(info);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 50000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 50000));
         let response = client
             .query(&mut exchanger, &"pool.ntp.org".parse().unwrap(), RrType::A)
             .unwrap();
@@ -453,7 +453,7 @@ mod tests {
     fn post_query_end_to_end() {
         let (net, info) = setup();
         let client = DohClient::new(info).method(DohMethod::Post);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 50000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 50000));
         let response = client
             .query(&mut exchanger, &"pool.ntp.org".parse().unwrap(), RrType::A)
             .unwrap();
@@ -466,7 +466,7 @@ mod tests {
         let mut rogue = info.clone();
         rogue.key = crate::secure::SecretKey::derive(999, "attacker");
         let client = DohClient::new(rogue);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 50000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 50000));
         let err = client
             .query(&mut exchanger, &"pool.ntp.org".parse().unwrap(), RrType::A)
             .unwrap_err();
@@ -483,7 +483,7 @@ mod tests {
     fn nonexistent_name_returns_nxdomain_message() {
         let (net, info) = setup();
         let client = DohClient::new(info);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 50000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 50000));
         let response = client
             .query(
                 &mut exchanger,
@@ -500,7 +500,7 @@ mod tests {
         let directory = ResolverDirectory::well_known(12);
         let info = directory.resolvers()[0].clone();
         let client = DohClient::new(info).timeout(Duration::from_millis(500));
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 50000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 50000));
         let err = client
             .query(&mut exchanger, &"pool.ntp.org".parse().unwrap(), RrType::A)
             .unwrap_err();

@@ -19,7 +19,7 @@
 //! # Example: one DoH query
 //!
 //! ```
-//! use sdoh_dns_server::{Authority, Catalog, ClientExchanger, Zone};
+//! use sdoh_dns_server::{Authority, Catalog, Zone};
 //! use sdoh_dns_wire::RrType;
 //! use sdoh_doh::{DohClient, DohServerService, ResolverDirectory};
 //! use sdoh_netsim::{SimAddr, SimNet};
@@ -35,7 +35,7 @@
 //! catalog.add_zone(zone);
 //! net.register(google.addr, DohServerService::new(google.clone(), Authority::new(catalog)));
 //!
-//! let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 50000));
+//! let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 50000));
 //! let response = DohClient::new(google)
 //!     .query(&mut exchanger, &"pool.ntp.org".parse()?, RrType::A)?;
 //! assert_eq!(response.answer_addresses().len(), 1);

@@ -246,9 +246,7 @@ mod tests {
     use crate::directory::ResolverDirectory;
     use crate::h2::{hpack, ClientConnection, Frame, CONNECTION_PREFACE};
     use crate::http::Request;
-    use sdoh_dns_server::{
-        Authority, Catalog, ClientExchanger, PoisonConfig, PoisonMode, PoisonedResolver, Zone,
-    };
+    use sdoh_dns_server::{Authority, Catalog, PoisonConfig, PoisonMode, PoisonedResolver, Zone};
     use sdoh_dns_wire::{Message, Name, RData, Record, RrType};
     use sdoh_netsim::SimNet;
     use std::time::Duration;
@@ -274,7 +272,7 @@ mod tests {
     #[test]
     fn serves_get_and_post() {
         let (net, info) = setup();
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 7, 50000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 7, 50000));
         for method in [DohMethod::Get, DohMethod::Post] {
             let client = DohClient::new(info.clone()).method(method);
             let response = client
@@ -310,7 +308,7 @@ mod tests {
         let mut wrong = info.clone();
         wrong.name = "dns.evil.example".to_string();
         let client = DohClient::new(wrong).timeout(Duration::from_millis(500));
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 7, 50000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 7, 50000));
         let err = client
             .query(
                 &mut exchanger,
@@ -345,7 +343,7 @@ mod tests {
         let record_at = payload.len();
         payload.extend_from_slice(&h2);
         secure::seal_in_place(&info.key, secure::SEQ_CLIENT, &mut payload, record_at);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 7, 50000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 7, 50000));
         let reply = service.serve_payload(&mut exchanger, ChannelKind::Secure, &payload);
         (reply, service.queries_served())
     }
@@ -452,7 +450,7 @@ mod tests {
         payload.extend_from_slice(&client.take_output());
         secure::seal_in_place(&info.key, secure::SEQ_CLIENT, &mut payload, record_at);
         let net = SimNet::new(23);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 7, 50000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 7, 50000));
         let reply = service
             .serve_payload(&mut exchanger, ChannelKind::Secure, &payload)
             .unwrap();

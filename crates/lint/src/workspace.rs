@@ -191,7 +191,7 @@ pub fn graph_config() -> GraphConfig {
         // and `begin`, the step every hit is answered through. The last
         // three sit behind `ShardMachine::pump`'s pruning boundary and yet
         // run per query: `pump`'s first check asks `next_arrival` (whether
-        // anything is upstream) and `next_refresh_due` at the end of every
+        // anything is upstream) and `refresh_queued` at the end of every
         // step, cache hits included, and `answer_parked` is the way out of
         // every parked miss.
         purity_entries: vec![
@@ -201,7 +201,7 @@ pub fn graph_config() -> GraphConfig {
             Entry::method("core", "CachingPoolResolver", "handle_query_wire"),
             Entry::method("core", "CachingPoolResolver", "begin"),
             Entry::method("core", "CachingPoolResolver", "next_arrival"),
-            Entry::method("core", "CachingPoolResolver", "next_refresh_due"),
+            Entry::method("core", "CachingPoolResolver", "refresh_queued"),
             Entry::method("runtime", "ShardMachine", "answer_parked"),
         ],
         determinism_crates: DETERMINISM_CRATES.iter().map(|c| c.to_string()).collect(),

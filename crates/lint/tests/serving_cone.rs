@@ -16,7 +16,7 @@ const PLANT: &str = "let _ = format!(\"x\");";
 /// `(file, the text that ends in the function's opening brace)` — or in
 /// the loop's, for `ShardSet::perform`'s effect loop — each needle must match
 /// its file exactly once.
-const PER_QUERY: [(&str, &str); 19] = [
+const PER_QUERY: [(&str, &str); 18] = [
     (
         "crates/runtime/src/runtime.rs",
         "fn serve_query(shards: &ShardSet, wire: &[u8], reply: ReplyPath) -> bool {",
@@ -67,7 +67,7 @@ const PER_QUERY: [(&str, &str); 19] = [
     ),
     (
         "crates/core/src/serve/resolver.rs",
-        "pub fn next_refresh_due(&self) -> Option<SimInstant> {",
+        "pub fn refresh_queued(&self) -> bool {",
     ),
     (
         "crates/core/src/serve/resolver.rs",
@@ -80,10 +80,6 @@ const PER_QUERY: [(&str, &str); 19] = [
     (
         "crates/core/src/serve/resolver.rs",
         "pub fn answer_wire(&self, query: &QueryView<'_>, out: &mut Vec<u8>) -> WireResult<()> {",
-    ),
-    (
-        "crates/core/src/serve/refresh.rs",
-        "pub(crate) fn next_due(&self) -> Option<SimInstant> {",
     ),
     (
         "crates/dns-server/src/service.rs",

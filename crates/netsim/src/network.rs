@@ -52,7 +52,7 @@ impl Error for NetError {}
 /// Result alias for network transactions.
 pub type NetResult<T> = Result<T, NetError>;
 
-/// One request of a concurrent batch ([`SimNet::transact_concurrent`]).
+/// One request of a concurrent batch ([`Ctx::call_concurrent`]).
 #[derive(Debug, Clone)]
 pub struct ConcurrentRequest {
     /// Destination endpoint.
@@ -229,41 +229,25 @@ impl SimNet {
         self.transact_at_depth(src, dst, channel, payload, timeout, 0)
     }
 
-    /// Performs a batch of transactions that all depart from `src` at the
-    /// current instant and run **concurrently**: the batch's elapsed virtual
-    /// time is the *maximum* of the individual exchanges, not their sum.
-    ///
-    /// Outcomes are returned in delivery order — sorted by each exchange's
-    /// completion instant (ties broken by submission index). Which exchange
-    /// finishes first depends on the sampled link delays, so the
-    /// interleaving is deterministic in the simulation seed.
-    ///
-    /// **Caveat for clock-reading services:** the exchanges of a batch are
-    /// executed one after another with the clock rewound to the departure
-    /// instant between them. A service handling exchange *k* therefore sees
-    /// the virtual time of *its own* request's arrival (departure plus its
-    /// link delay) — correct for concurrent requests — but a single service
-    /// handling several exchanges of one batch may observe those arrival
-    /// instants out of order across invocations. Per-exchange timestamps
-    /// remain self-consistent; cross-exchange monotonicity within a batch
-    /// is not guaranteed (it isn't for real parallel requests either, but a
-    /// service accumulating "last seen time" state would notice).
-    pub fn transact_concurrent(
-        &self,
-        src: SimAddr,
-        requests: Vec<ConcurrentRequest>,
-    ) -> Vec<ConcurrentOutcome> {
-        let requests = requests.into_iter().map(|r| (src, r)).collect();
-        self.transact_concurrent_at_depth(requests, 0)
+    /// The context of an application host at `source`, outside any
+    /// service: an experiment driver, an example binary or a test acting
+    /// as the client. Its transactions are [`SimNet::transact`]'s, and its
+    /// batches run concurrently ([`Ctx::call_concurrent`]).
+    pub fn client(&self, source: SimAddr) -> Ctx<'_> {
+        Ctx {
+            net: self,
+            local: source,
+            depth: 0,
+        }
     }
 
-    /// Like [`SimNet::transact_concurrent`], but each request departs from
-    /// its own source address — a whole *population* of clients sending at
-    /// the same instant. The batch's elapsed virtual time is the maximum of
-    /// the individual exchanges; outcomes come back in delivery order. The
-    /// clock caveat of [`SimNet::transact_concurrent`] applies: a single
-    /// service handling several exchanges of one batch observes their
-    /// arrival instants out of order across invocations.
+    /// Like [`Ctx::call_concurrent`], but each request departs from its own
+    /// source address — a whole *population* of clients sending at the
+    /// same instant. The batch's elapsed virtual time is the maximum of the
+    /// individual exchanges; outcomes come back in delivery order. The
+    /// clock caveat of [`Ctx::call_concurrent`] applies: a single service
+    /// handling several exchanges of one batch observes their arrival
+    /// instants out of order across invocations.
     pub fn transact_concurrent_from(
         &self,
         requests: Vec<(SimAddr, ConcurrentRequest)>,
@@ -582,11 +566,14 @@ fn order(a: IpAddr, b: IpAddr) -> (IpAddr, IpAddr) {
     }
 }
 
-/// Execution context handed to a [`Service`] while it handles a request.
+/// Execution context handed to a [`Service`] while it handles a request,
+/// or built by [`SimNet::client`] for an application host outside any
+/// service.
 ///
-/// It exposes the service's own address, the virtual clock and the ability
-/// to issue nested transactions (e.g. a recursive resolver querying
-/// authoritative name servers).
+/// It exposes its host's own address, the virtual clock and the ability
+/// to issue transactions, nested ones inside a service (e.g. a recursive
+/// resolver querying authoritative name servers).
+#[derive(Clone, Copy)]
 pub struct Ctx<'a> {
     net: &'a SimNet,
     local: SimAddr,
@@ -656,9 +643,27 @@ impl<'a> Ctx<'a> {
         )
     }
 
-    /// Issues a batch of nested transactions that run concurrently, like
-    /// [`SimNet::transact_concurrent`]: a service fanning out to N backends
-    /// pays the slowest backend's latency, not the sum.
+    /// Issues a batch of transactions that all depart from this host at the
+    /// current instant and run **concurrently**: the batch's elapsed
+    /// virtual time is the *maximum* of the individual exchanges, not their
+    /// sum, so a service fanning out to N backends pays the slowest
+    /// backend's latency.
+    ///
+    /// Outcomes are returned in delivery order — sorted by each exchange's
+    /// completion instant (ties broken by submission index). Which exchange
+    /// finishes first depends on the sampled link delays, so the
+    /// interleaving is deterministic in the simulation seed.
+    ///
+    /// **Caveat for clock-reading services:** the exchanges of a batch are
+    /// executed one after another with the clock rewound to the departure
+    /// instant between them. A service handling exchange *k* therefore sees
+    /// the virtual time of *its own* request's arrival (departure plus its
+    /// link delay) — correct for concurrent requests — but a single service
+    /// handling several exchanges of one batch may observe those arrival
+    /// instants out of order across invocations. Per-exchange timestamps
+    /// remain self-consistent; cross-exchange monotonicity within a batch
+    /// is not guaranteed (it isn't for real parallel requests either, but a
+    /// service accumulating "last seen time" state would notice).
     pub fn call_concurrent(&mut self, requests: Vec<ConcurrentRequest>) -> Vec<ConcurrentOutcome> {
         let requests = requests.into_iter().map(|r| (self.local, r)).collect();
         self.net.transact_concurrent_at_depth(requests, self.depth)
@@ -944,8 +949,7 @@ mod tests {
             );
         }
         let t0 = net.now();
-        let outcomes = net.transact_concurrent(
-            client,
+        let outcomes = net.client(client).call_concurrent(
             servers
                 .iter()
                 .map(|&dst| ConcurrentRequest {
@@ -986,23 +990,20 @@ mod tests {
             LinkConfig::with_latency(Duration::from_millis(5)),
         );
         let t0 = net.now();
-        let outcomes = net.transact_concurrent(
-            client,
-            vec![
-                ConcurrentRequest {
-                    dst: dead,
-                    channel: ChannelKind::Plain,
-                    payload: b"x".to_vec(),
-                    timeout: Duration::from_millis(100),
-                },
-                ConcurrentRequest {
-                    dst: fast,
-                    channel: ChannelKind::Plain,
-                    payload: b"x".to_vec(),
-                    timeout: Duration::from_millis(100),
-                },
-            ],
-        );
+        let outcomes = net.client(client).call_concurrent(vec![
+            ConcurrentRequest {
+                dst: dead,
+                channel: ChannelKind::Plain,
+                payload: b"x".to_vec(),
+                timeout: Duration::from_millis(100),
+            },
+            ConcurrentRequest {
+                dst: fast,
+                channel: ChannelKind::Plain,
+                payload: b"x".to_vec(),
+                timeout: Duration::from_millis(100),
+            },
+        ]);
         // The fast exchange is delivered first even though it was submitted
         // second; the batch ends when the timeout expires.
         assert_eq!(outcomes[0].index, 1);
@@ -1020,7 +1021,9 @@ mod tests {
     fn empty_concurrent_batch_is_a_no_op() {
         let net = SimNet::new(22);
         let t0 = net.now();
-        let outcomes = net.transact_concurrent(SimAddr::v4(10, 0, 0, 1, 40000), Vec::new());
+        let outcomes = net
+            .client(SimAddr::v4(10, 0, 0, 1, 40000))
+            .call_concurrent(Vec::new());
         assert!(outcomes.is_empty());
         assert_eq!(net.now(), t0);
     }
@@ -1181,8 +1184,7 @@ mod tests {
             steady.ip,
             LinkConfig::with_latency(Duration::from_millis(10)),
         );
-        let outcomes = net.transact_concurrent(
-            client,
+        let outcomes = net.client(client).call_concurrent(
             [held, steady]
                 .iter()
                 .map(|&dst| ConcurrentRequest {

@@ -60,7 +60,6 @@
 //!     AddressSource, CacheConfig, CachingPoolResolver, PoolConfig, SecurePoolGenerator,
 //!     StaticSource,
 //! };
-//! use sdoh_dns_server::ClientExchanger;
 //! use sdoh_netsim::{SimAddr, SimNet};
 //! use sdoh_ntp::{
 //!     register_pool, ChronosClient, ChronosConfig, ConsensusFrontEnd, LocalClock, NtpClient,
@@ -96,7 +95,7 @@
 //! // One sync pulls the pool through the consensus pipeline and
 //! // disciplines a clock that starts 30 seconds slow.
 //! let mut clock = LocalClock::new(net.clock(), -30.0);
-//! let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+//! let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
 //! let outcome = client.sync(&net, &mut exchanger, &mut clock)?;
 //! assert!(outcome.pool_refreshed);
 //! assert!(clock.offset_from_true().abs() < 0.1);

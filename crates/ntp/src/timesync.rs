@@ -374,7 +374,6 @@ mod tests {
     use crate::client::NtpClient;
     use crate::server::register_pool;
     use sdoh_core::{AddressSource, CacheConfig, PoolConfig, SecurePoolGenerator, StaticSource};
-    use sdoh_dns_server::ClientExchanger;
     use sdoh_netsim::LinkConfig;
     use std::time::Duration;
 
@@ -426,7 +425,7 @@ mod tests {
         assert!(client.pool().is_empty());
 
         let mut clock = LocalClock::new(net.clock(), -30.0);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let first = client.sync(&net, &mut exchanger, &mut clock).unwrap();
         assert!(first.pool_refreshed);
         assert_eq!(first.pool_size, 45, "3 resolvers x 15 addresses");
@@ -467,7 +466,7 @@ mod tests {
             chronos(405),
         );
         let mut clock = LocalClock::new(net.clock(), 0.0);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         client.sync(&net, &mut exchanger, &mut clock).unwrap();
         assert!(clock.offset_from_true().abs() < 0.1);
 
@@ -513,7 +512,7 @@ mod tests {
             chronos(401),
         );
         let mut clock = LocalClock::new(net.clock(), 0.0);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         client.sync(&net, &mut exchanger, &mut clock).unwrap();
 
         // Enter the stale window: the fetch is served stale with TTL 0, so
@@ -553,7 +552,7 @@ mod tests {
 
         let mut source = SingleResolverPool::new(resolver_addr);
         assert_eq!(source.source_name(), "single-resolver");
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let pool = source
             .fetch_pool(&mut exchanger, &"pool.ntpns.org".parse().unwrap())
             .unwrap();
@@ -591,7 +590,7 @@ mod tests {
             chronos(403),
         );
         let mut clock = LocalClock::new(net.clock(), 5.0);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let err = client.sync(&net, &mut exchanger, &mut clock).unwrap_err();
         assert_eq!(err, TimeSyncError::EmptyPool);
         assert_eq!(clock.offset_from_true(), 5.0, "clock untouched");
@@ -615,7 +614,7 @@ mod tests {
         assert!(registry.lint().is_empty(), "every counter carries help");
 
         let mut clock = LocalClock::new(net.clock(), -10.0);
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         client.sync(&net, &mut exchanger, &mut clock).unwrap();
         net.clock().advance(Duration::from_secs(20));
         client.sync(&net, &mut exchanger, &mut clock).unwrap(); // in-window: no re-pull
@@ -687,7 +686,7 @@ mod tests {
         let generator = SecurePoolGenerator::new(PoolConfig::algorithm1(), sources).unwrap();
         let mut source = GeneratorPool::new(generator, Ttl::from_secs(120));
         assert_eq!(source.source_name(), "distributed-consensus");
-        let mut exchanger = ClientExchanger::new(&net, SimAddr::v4(10, 0, 0, 1, 40000));
+        let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let pool = source
             .fetch_pool(&mut exchanger, &"pool.ntpns.org".parse().unwrap())
             .unwrap();

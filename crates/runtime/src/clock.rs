@@ -6,8 +6,8 @@
 //! instant comes from the virtual [`SimClock`](sdoh_netsim::SimClock);
 //! inside the real-socket runtime it comes from here: a monotonic host
 //! clock anchored at runtime start, so `SimInstant::EPOCH` is "the moment
-//! the runtime came up" and TTLs, stale windows and refresh deadlines all
-//! measure real elapsed time.
+//! the runtime came up" and TTLs, stale windows and upstream round trips
+//! all measure real elapsed time.
 
 use std::time::Instant;
 
@@ -31,7 +31,7 @@ impl RuntimeClock {
     }
 
     /// Nanoseconds of host time elapsed since the epoch, as an instant the
-    /// sans-IO layers (cache TTLs, refresh deadlines) understand.
+    /// sans-IO layers (cache TTLs, upstream arrivals) understand.
     pub(crate) fn now(&self) -> SimInstant {
         SimInstant::from_nanos(u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX))
     }

@@ -26,8 +26,8 @@
 //!   TC=1) for tests, experiments and examples.
 //!
 //! Inside the crate, one host clock expressed as the workspace's instant
-//! type stands in for the simulator's, so cache TTLs and refresh deadlines
-//! measure real time.
+//! type stands in for the simulator's, so cache TTLs, stale windows and
+//! the arrivals a shard waits for measure real time.
 //!
 //! # Observability
 //!

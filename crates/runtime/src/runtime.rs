@@ -54,19 +54,21 @@
 //! octets are **parked** under it in one buffer the shard keeps. What is
 //! upstream is the resolver's: the shard only decides when to wait. Every
 //! step ends by **pumping**: the resolver collects the batches whose round
-//! trip is over ([`CachingPoolResolver::arrive`]), due refreshes open
-//! flights, every query parked on a landed flight is answered, and the
-//! resolver departs what the live flights have to send as one batch
-//! ([`CachingPoolResolver::poll`], through the exchanger's send half). A
-//! zero round trip lands within the step, and queries that never pause
-//! cannot starve the flights.
+//! trip is over ([`CachingPoolResolver::arrive`]), the refreshes stale
+//! serves queued open flights, every query parked on a landed flight is
+//! answered, and the resolver departs what the live flights have to send
+//! as one batch ([`CachingPoolResolver::poll`], through the exchanger's
+//! send half). A zero round trip lands within the step, and queries that
+//! never pause cannot starve the flights.
 //!
 //! * *The timer.* A shard's alarm is the instant its last step returned:
-//!   the resolver's next arrival ([`CachingPoolResolver::next_arrival`])
-//!   or its next refresh. One timer thread waits (`park_timeout`, a futex)
-//!   until the earliest alarm over all shards, held in one atomic on the
-//!   wall clock, and steps each shard whose alarm is due. A step that moves its shard's alarm
-//!   earlier moves the timer down and unparks it. Alarms are converted to
+//!   the resolver's next arrival ([`CachingPoolResolver::next_arrival`]),
+//!   the only instant a shard waits for — a queued refresh is due at once
+//!   and opens in the step that queued it. One timer thread waits
+//!   (`park_timeout`, a futex) until the earliest alarm over all shards,
+//!   held in one atomic on the wall clock, and steps each shard whose
+//!   alarm is due. A step that moves its shard's alarm earlier moves the
+//!   timer down and unparks it. Alarms are converted to
 //!   the wall clock from the shard's own exchanger clock, so a shard on a
 //!   simulated clock keeps working.
 //! * *Who waits for landings.* Nobody, under a lock. A control order that
@@ -95,7 +97,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, MutexGuard};
 use sdoh_core::{
-    snapshot_samples, CachingPoolResolver, ConfigError, FlightId, Landed, ServeSnapshot, ServeStep,
+    snapshot_samples, CachingPoolResolver, ConfigError, FlightId, Landed, ServeSnapshot,
 };
 use sdoh_dns_server::{finish_do53_answer, write_do53_formerr, Exchanger};
 use sdoh_dns_wire::{Header, QueryView};
@@ -467,8 +469,8 @@ impl ShardSet {
     /// arms the timer with the next due instant on the wall clock (the
     /// machine's clock read first, so never before the alarm). A query whose
     /// step moved the alarm earlier counts in `sdoh_shard_wakes_total`.
-    /// Returns how long until the next round trip upstream is over (`None`:
-    /// none, or no shard).
+    /// Returns the wait it armed: how long until the next round trip
+    /// upstream is over (`None`: none, or no shard).
     fn step(&self, index: usize, item: Option<Item<'_>>) -> Option<Duration> {
         let cell = self.cells.get(index)?;
         let query = matches!(item, Some(Item::Query { .. }));
@@ -489,10 +491,7 @@ impl ShardSet {
         if earlier && query {
             self.counters.wakes.inc();
         }
-        machine
-            .resolver
-            .next_arrival()
-            .map(|at| at.saturating_duration_since(now))
+        wait
     }
 
     /// Performs what shard `cell`'s step wrote, and empties `effects` for the
@@ -1235,45 +1234,37 @@ impl ShardMachine {
     }
 
     /// Everything due **now**: the resolver lands the batches whose round
-    /// trip is over, the refreshes that came due open, the queries parked on
+    /// trip is over, the queued refreshes open, the queries parked on
     /// what landed are answered, what the live flights have to send departs
     /// as one batch, and the orders that may be are adopted — repeated while
     /// anything is already due, so a zero round trip lands before another
-    /// query can join its flight. Returns the next instant anything is due,
-    /// if any.
+    /// query can join its flight. Returns the resolver's next arrival, the
+    /// next instant anything is due, if any.
     // sdoh-lint: allow(transitive-hot-path-purity, "the miss path, at the end of every step: past the first check only with a flight live, a refresh queued or an order waiting, at most one generation per (question, TTL window), whose fan-out dwarfs the one request buffer a batch takes (its tags reuse the resolver's); a shard of cache hits returns at the first check")
     fn pump(&mut self) -> Option<SimInstant> {
         if self.resolver.next_arrival().is_none()
             && self.parked.is_empty()
             && self.orders.is_empty()
-            && self.resolver.next_refresh_due().is_none()
+            && !self.resolver.refresh_queued()
         {
             return None;
         }
         loop {
             self.resolver.arrive(self.exchanger.as_mut());
             // No refresh leaves under the old set while an order waits for
-            // its flights to land.
+            // its flights to land: the refreshes stay queued until the
+            // step that adopts it.
             if self.orders.is_empty() {
                 self.resolver.begin_due_refreshes(self.exchanger.as_mut());
             }
-            let next_refresh = loop {
-                match self.resolver.poll(self.exchanger.as_mut()) {
-                    ServeStep::Landed(landed) => self.answer_parked(&landed),
-                    ServeStep::Wait(next_refresh) => break next_refresh,
-                }
-            };
+            while let Some(landed) = self.resolver.poll(self.exchanger.as_mut()) {
+                self.answer_parked(&landed);
+            }
             if self.adopt_orders() {
                 // What the deferred queries began leaves in the next turn.
                 continue;
             }
-            let next_refresh = next_refresh.filter(|_| self.orders.is_empty());
-            let wake = self
-                .resolver
-                .next_arrival()
-                .into_iter()
-                .chain(next_refresh)
-                .min();
+            let wake = self.resolver.next_arrival();
             if wake.is_none_or(|at| at > self.exchanger.now()) {
                 return wake;
             }

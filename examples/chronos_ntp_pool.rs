@@ -9,7 +9,7 @@
 //! Run with: `cargo run --example chronos_ntp_pool`
 
 use secure_doh::core::PoolConfig;
-use secure_doh::dns::{ClientExchanger, StubResolver};
+use secure_doh::dns::StubResolver;
 use secure_doh::netsim::{OffPathSpoofer, SpoofStrategy};
 use secure_doh::ntp::{ChronosClient, ChronosConfig, LocalClock, NtpClient};
 use secure_doh::scenario::{Scenario, ScenarioConfig, CLIENT_ADDR, ISP_RESOLVER};
@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Configuration 1: plain DNS + plain SNTP.
     {
         let scenario = build_attacked_scenario(100);
-        let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
+        let mut exchanger = scenario.net.client(CLIENT_ADDR);
         let pool =
             StubResolver::new(ISP_RESOLVER).lookup_ipv4(&mut exchanger, scenario.pool_domain())?;
         let mut clock = LocalClock::new(scenario.net.clock(), 0.0);
@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Configuration 2: plain DNS + Chronos.
     {
         let scenario = build_attacked_scenario(200);
-        let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
+        let mut exchanger = scenario.net.client(CLIENT_ADDR);
         let pool =
             StubResolver::new(ISP_RESOLVER).lookup_ipv4(&mut exchanger, scenario.pool_domain())?;
         let mut clock = LocalClock::new(scenario.net.clock(), 0.0);
@@ -99,7 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Configuration 3: distributed DoH + Chronos (the proposal).
     {
         let scenario = build_attacked_scenario(300);
-        let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
+        let mut exchanger = scenario.net.client(CLIENT_ADDR);
         let report = scenario
             .pool_generator(PoolConfig::algorithm1())?
             .generate(&mut exchanger, scenario.pool_domain())?;

@@ -11,7 +11,7 @@
 //! Run with: `cargo run --example majority_resolver`
 
 use secure_doh::core::{CacheConfig, CachingPoolResolver, PoolConfig};
-use secure_doh::dns::{ClientExchanger, Do53Service, StubResolver};
+use secure_doh::dns::{Do53Service, StubResolver};
 use secure_doh::netsim::SimAddr;
 use secure_doh::scenario::{ResolverCompromise, Scenario, ScenarioConfig, CLIENT_ADDR};
 use secure_doh::wire::Ttl;
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let stub = StubResolver::new(frontend_addr);
-    let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
+    let mut exchanger = scenario.net.client(CLIENT_ADDR);
     let addresses = stub.lookup_ipv4(&mut exchanger, scenario.pool_domain())?;
 
     let truth = scenario.ground_truth();

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --example offpath_attack_demo`
 
 use secure_doh::core::{check_guarantee, AddressPool, PoolConfig};
-use secure_doh::dns::{ClientExchanger, StubResolver};
+use secure_doh::dns::StubResolver;
 use secure_doh::netsim::{OffPathSpoofer, SpoofStrategy};
 use secure_doh::scenario::{Scenario, ScenarioConfig, CLIENT_ADDR, ISP_RESOLVER};
 use secure_doh::wire::{Message, MessageBuilder};
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Off-path attacker vs. pool generation ==\n");
 
     // Baseline: plain DNS through the ISP resolver.
-    let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
+    let mut exchanger = scenario.net.client(CLIENT_ADDR);
     let stub = StubResolver::new(ISP_RESOLVER);
     let plain_addresses = stub.lookup_ipv4(&mut exchanger, scenario.pool_domain())?;
     let mut plain_pool = AddressPool::new();

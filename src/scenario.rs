@@ -19,12 +19,12 @@ use sdoh_core::{
     SecurePoolGenerator,
 };
 use sdoh_dns_server::{
-    Authority, Catalog, ClientExchanger, Do53Service, HardeningConfig, QueryHandler,
-    RecursiveConfig, RecursiveResolver, Zone,
+    Authority, Catalog, Do53Service, HardeningConfig, QueryHandler, RecursiveConfig,
+    RecursiveResolver, Zone,
 };
 use sdoh_dns_wire::{Message, MessageBuilder, Name, RData, Record};
 use sdoh_doh::DohServerService;
-use sdoh_netsim::{BirthdaySpoofer, LinkConfig, ObservedIdentifiers, SimAddr, SimNet};
+use sdoh_netsim::{BirthdaySpoofer, Ctx, LinkConfig, ObservedIdentifiers, SimAddr, SimNet};
 use sdoh_ntp::{
     register_pool, ChronosClient, ConsensusFrontEnd, NtpServerConfig, NtpServerService,
     SecureTimeClient,
@@ -325,9 +325,10 @@ impl Scenario {
         truth
     }
 
-    /// An exchanger sending from the application host of Figure 1.
-    pub fn client_exchanger(&self) -> ClientExchanger<'_> {
-        ClientExchanger::new(&self.net, CLIENT_ADDR)
+    /// The context of the application host of Figure 1, the exchanger
+    /// its lookups send from.
+    pub fn client_exchanger(&self) -> Ctx<'_> {
+        self.net.client(CLIENT_ADDR)
     }
 
     /// Runs one secure pool generation over the scenario's DoH fleet with
@@ -566,12 +567,12 @@ fn install_dns_hierarchy(net: &SimNet, pool_zone: Zone) {
 mod tests {
     use super::*;
     use sdoh_core::{check_guarantee, CombinationMode};
-    use sdoh_dns_server::{ClientExchanger, StubResolver};
+    use sdoh_dns_server::StubResolver;
 
     #[test]
     fn default_scenario_serves_the_pool_domain_both_ways() {
         let scenario = Scenario::build(ScenarioConfig::default());
-        let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
+        let mut exchanger = scenario.net.client(CLIENT_ADDR);
 
         // Baseline: plain DNS through the ISP resolver.
         let stub = StubResolver::new(ISP_RESOLVER);
@@ -601,7 +602,7 @@ mod tests {
             compromised: vec![(0, ResolverCompromise::ReplaceWithAttackerAddresses(8))],
             ..ScenarioConfig::default()
         });
-        let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
+        let mut exchanger = scenario.net.client(CLIENT_ADDR);
         let generator = scenario.pool_generator(PoolConfig::algorithm1()).unwrap();
         let report = generator
             .generate(&mut exchanger, scenario.pool_domain())
@@ -621,7 +622,7 @@ mod tests {
             })
         };
         let scenario = build();
-        let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
+        let mut exchanger = scenario.net.client(CLIENT_ADDR);
         let report = scenario
             .pool_generator(PoolConfig::algorithm1())
             .unwrap()
@@ -632,7 +633,7 @@ mod tests {
         assert!(with_truncation.holds);
 
         let scenario = build();
-        let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
+        let mut exchanger = scenario.net.client(CLIENT_ADDR);
         let report = scenario
             .pool_generator(
                 PoolConfig::default().with_mode(CombinationMode::CombineWithoutTruncation),
@@ -806,7 +807,7 @@ mod tests {
             compromised: vec![(2, ResolverCompromise::EmptyAnswer)],
             ..ScenarioConfig::default()
         });
-        let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
+        let mut exchanger = scenario.net.client(CLIENT_ADDR);
         let report = scenario
             .pool_generator(PoolConfig::algorithm1())
             .unwrap()

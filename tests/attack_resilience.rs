@@ -2,7 +2,7 @@
 //! spoofing, on-path rewriting, answer inflation and the Chronos end game.
 
 use secure_doh::core::{attacker_controls_fraction, AddressPool, PoolConfig};
-use secure_doh::dns::{ClientExchanger, StubResolver};
+use secure_doh::dns::StubResolver;
 use secure_doh::netsim::{OnPathMitm, SimAddr};
 use secure_doh::ntp::{ChronosClient, ChronosConfig, LocalClock, NtpClient};
 use secure_doh::scenario::{
@@ -44,7 +44,7 @@ fn off_path_spoofer_poisons_plain_dns_but_not_doh() {
         )
         .with_targets(vec![ISP_RESOLVER]),
     );
-    let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
+    let mut exchanger = scenario.net.client(CLIENT_ADDR);
 
     // Plain path: fully captured.
     let plain = StubResolver::new(ISP_RESOLVER)
@@ -81,7 +81,7 @@ fn on_path_mitm_rewrites_plain_dns_but_cannot_touch_doh() {
         OnPathMitm::controlling([ISP_RESOLVER.ip, CLIENT_ADDR.ip])
             .with_response_rewriter(move |request, _response, rng| forge(request, rng)),
     );
-    let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
+    let mut exchanger = scenario.net.client(CLIENT_ADDR);
 
     let plain = StubResolver::new(ISP_RESOLVER)
         .lookup_ipv4(&mut exchanger, scenario.pool_domain())
@@ -117,7 +117,7 @@ fn answer_inflation_cannot_take_over_a_truncated_pool() {
         ],
         ..ScenarioConfig::default()
     });
-    let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
+    let mut exchanger = scenario.net.client(CLIENT_ADDR);
     let report = scenario
         .pool_generator(PoolConfig::algorithm1())
         .unwrap()
@@ -148,7 +148,7 @@ fn chronos_over_the_secure_pool_survives_a_poisoned_access_network() {
         )
         .with_targets(vec![ISP_RESOLVER]),
     );
-    let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
+    let mut exchanger = scenario.net.client(CLIENT_ADDR);
     let report = scenario
         .pool_generator(PoolConfig::algorithm1())
         .unwrap()
@@ -187,7 +187,7 @@ fn secure_channel_rejects_impersonation_of_a_resolver() {
     let wrong_keys = ResolverDirectory::well_known(9999);
     let impostor = wrong_keys.resolvers()[0].clone();
     let client = DohClient::new(impostor).timeout(std::time::Duration::from_millis(500));
-    let mut exchanger = ClientExchanger::new(&scenario.net, SimAddr::v4(192, 0, 2, 77, 4000));
+    let mut exchanger = scenario.net.client(SimAddr::v4(192, 0, 2, 77, 4000));
     let err = client
         .query(
             &mut exchanger,

@@ -3,7 +3,7 @@
 //! DoH resolvers.
 
 use secure_doh::core::{check_guarantee, CacheConfig, CachingPoolResolver, PoolConfig};
-use secure_doh::dns::{ClientExchanger, DnsClient, Do53Service, StubResolver};
+use secure_doh::dns::{DnsClient, Do53Service, StubResolver};
 use secure_doh::netsim::SimAddr;
 use secure_doh::scenario::{
     ResolverCompromise, Scenario, ScenarioConfig, CLIENT_ADDR, ISP_RESOLVER,
@@ -18,7 +18,7 @@ fn figure1_pipeline_produces_an_honest_pool() {
         ntp_servers: 8,
         ..ScenarioConfig::default()
     });
-    let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
+    let mut exchanger = scenario.net.client(CLIENT_ADDR);
     let report = scenario
         .pool_generator(PoolConfig::algorithm1())
         .unwrap()
@@ -54,7 +54,7 @@ fn compromised_minority_never_reaches_half_the_pool() {
                 .collect(),
             ..ScenarioConfig::default()
         });
-        let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
+        let mut exchanger = scenario.net.client(CLIENT_ADDR);
         let report = scenario
             .pool_generator(PoolConfig::algorithm1())
             .unwrap()
@@ -81,7 +81,7 @@ fn compromised_majority_defeats_the_guarantee_as_the_analysis_predicts() {
         ],
         ..ScenarioConfig::default()
     });
-    let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
+    let mut exchanger = scenario.net.client(CLIENT_ADDR);
     let report = scenario
         .pool_generator(PoolConfig::algorithm1())
         .unwrap()
@@ -99,7 +99,7 @@ fn plain_and_doh_paths_return_identical_answers_without_an_attacker() {
         ntp_servers: 5,
         ..ScenarioConfig::default()
     });
-    let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
+    let mut exchanger = scenario.net.client(CLIENT_ADDR);
 
     let mut plain = StubResolver::new(ISP_RESOLVER)
         .lookup_ipv4(&mut exchanger, scenario.pool_domain())
@@ -135,7 +135,7 @@ fn majority_front_end_serves_unmodified_stub_resolvers() {
         Do53Service::new(CachingPoolResolver::new(generator, CacheConfig::uncached())),
     );
 
-    let mut exchanger = ClientExchanger::new(&scenario.net, CLIENT_ADDR);
+    let mut exchanger = scenario.net.client(CLIENT_ADDR);
     let truth = scenario.ground_truth();
 
     // A completely standard DNS client gets only corroborated addresses.

@@ -56,9 +56,11 @@
 //! exchanger's send half, so the batch overlaps the exchanges of
 //! *different domains' generations* and a cold burst over K domains costs
 //! one round trip, not K. `arrive` collects the batches whose round trip
-//! is over through the collect half and feeds each outcome to its flight,
-//! in any order; [`CachingPoolResolver::next_arrival`] is when the next
-//! one is due.
+//! is over through the collect half and feeds each outcome to its flight
+//! (found by id, with a binary search), in any order;
+//! [`CachingPoolResolver::next_arrival`] is when the next one is due, kept
+//! as batches depart and arrive, so a driver that asks after every cache
+//! hit pays nothing for the flights upstream.
 //!
 //! There used to be a second sans-IO machine here, a serve-level session
 //! bundling the `PoolSession`s of one call behind a flat transaction-id

@@ -282,6 +282,9 @@ pub struct CachingPoolResolver {
     metrics: ServeMetrics,
     /// The batches upstream, in departure order.
     upstream: Vec<Batch>,
+    /// When the earliest of them is ready (`None`: nothing upstream), kept
+    /// as batches depart and arrive so that asking costs no walk.
+    earliest: Option<SimInstant>,
     /// The next batch, gathered until it departs: its requests, and by
     /// request index the flight and transaction each outcome lands under.
     /// The tags reuse the widest landed batch's buffer.
@@ -365,6 +368,7 @@ impl CachingPoolResolver {
             flights: Singleflight::new(),
             metrics: ServeMetrics::default(),
             upstream: Vec::new(),
+            earliest: None,
             requests: Vec::new(),
             tags: Vec::new(),
         }
@@ -467,11 +471,10 @@ impl CachingPoolResolver {
     /// When the earliest batch upstream can be collected with
     /// [`arrive`](CachingPoolResolver::arrive) — the instant a driver that
     /// owns its waiting waits until — or `None` when nothing is upstream.
+    /// Kept as batches depart and arrive: asking walks nothing, however
+    /// many flights are upstream.
     pub fn next_arrival(&self) -> Option<SimInstant> {
-        self.upstream
-            .iter()
-            .map(|batch| batch.departure.ready_at())
-            .min()
+        self.earliest
     }
 
     /// Runs every queued refresh as one overlapped generation batch, off
@@ -562,10 +565,16 @@ impl CachingPoolResolver {
     /// Outcomes may come back in any order, within a flight and across
     /// flights; the next [`poll`](CachingPoolResolver::poll) reports the
     /// flights they completed, in opening order. Returns whether a batch
-    /// arrived.
+    /// arrived. With nothing upstream it reads no clock, and with nothing
+    /// due it returns after one reading, walking no batch.
     pub fn arrive(&mut self, exchanger: &mut dyn Exchanger) -> bool {
+        let Some(earliest) = self.earliest else {
+            return false;
+        };
         let now = exchanger.now();
-        let mut arrived = false;
+        if earliest > now {
+            return false;
+        }
         while let Some(due) = self
             .upstream
             .iter()
@@ -586,9 +595,13 @@ impl CachingPoolResolver {
                 self.tags = tags;
                 self.tags.clear();
             }
-            arrived = true;
         }
-        arrived
+        self.earliest = self
+            .upstream
+            .iter()
+            .map(|batch| batch.departure.ready_at())
+            .min();
+        true
     }
 
     /// [`poll`](CachingPoolResolver::poll), with `send` as the way a batch
@@ -627,6 +640,8 @@ impl CachingPoolResolver {
             if !self.requests.is_empty() {
                 let departure = send(exchanger, std::mem::take(&mut self.requests));
                 let tags = std::mem::take(&mut self.tags);
+                let ready = departure.ready_at();
+                self.earliest = Some(self.earliest.map_or(ready, |at| at.min(ready)));
                 self.upstream.push(Batch { departure, tags });
             }
             return None;

@@ -13,7 +13,9 @@
 //! has landed, however many queries are begun in between. It is pure
 //! bookkeeping (no I/O, no clock) and keeps flights in the order they were
 //! opened, which is the order everything that walks them — departures,
-//! landings, seeds — follows, so a run repeats exactly.
+//! landings, seeds — follows, so a run repeats exactly. Ids are handed out
+//! in the same order, so the live list is ordered by id too, and an
+//! outcome finds its flight by binary search instead of a walk.
 
 use std::borrow::Borrow;
 
@@ -27,8 +29,9 @@ pub struct FlightId(usize);
 /// (the generation's session and what landing it needs).
 #[derive(Debug)]
 pub(crate) struct Singleflight<K, F> {
-    /// In opening order. Live flights are as many as the shard has
-    /// generations upstream, so a key is found by walking them.
+    /// In opening order, which is id order: ids only grow, and a landing
+    /// removes its flight without reordering the rest. A flight is found
+    /// by id with a binary search; a key is found by walking them.
     live: Vec<(FlightId, K, F)>,
     opened: usize,
 }
@@ -69,11 +72,17 @@ impl<K: PartialEq, F> Singleflight<K, F> {
         id
     }
 
+    /// Where flight `id` is in the live list, while it is live.
+    fn position(&self, id: FlightId) -> Option<usize> {
+        self.live
+            .binary_search_by_key(&id, |(live, _, _)| *live)
+            .ok()
+    }
+
     /// The flight `id`, while it is live.
     pub(crate) fn get_mut(&mut self, id: FlightId) -> Option<&mut F> {
-        self.live
-            .iter_mut()
-            .find_map(|(live, _, flight)| (*live == id).then_some(flight))
+        let at = self.position(id)?;
+        self.live.get_mut(at).map(|(_, _, flight)| flight)
     }
 
     /// The live flights, in opening order.
@@ -84,7 +93,7 @@ impl<K: PartialEq, F> Singleflight<K, F> {
     /// Takes flight `id` out of the registry: it landed, and the next miss
     /// for its key opens a fresh one.
     pub(crate) fn land(&mut self, id: FlightId) -> Option<(K, F)> {
-        let at = self.live.iter().position(|(live, _, _)| *live == id)?;
+        let at = self.position(id)?;
         let (_, key, flight) = self.live.remove(at);
         Some((key, flight))
     }
@@ -131,6 +140,42 @@ mod tests {
         assert_eq!(second, FlightId(2));
         assert_eq!(flights.find(&"a"), Some(second));
         assert_eq!(flights.find(&"b"), Some(other));
+    }
+
+    /// Opens and landings interleaved, landing from the front, the middle
+    /// and the back: every live flight is found by its id, the walk keeps
+    /// opening order, and ids keep growing across landings.
+    #[test]
+    fn interleaved_opens_and_landings_keep_order_and_ids() {
+        let mut flights: Singleflight<u32, u32> = Singleflight::new();
+        let mut model: Vec<(FlightId, u32)> = Vec::new();
+        let mut next = 0;
+        for round in 0..40u32 {
+            for _ in 0..3 {
+                let id = flights.open(next, next * 10);
+                assert_eq!(id, FlightId(usize::try_from(next).unwrap()));
+                model.push((id, next));
+                next += 1;
+            }
+            // Land one of the live flights: front, middle or back in turn.
+            let at = match round % 3 {
+                0 => 0,
+                1 => model.len() / 2,
+                _ => model.len() - 1,
+            };
+            let (id, key) = model.remove(at);
+            assert_eq!(flights.land(id), Some((key, key * 10)));
+            assert_eq!(flights.land(id), None, "landed once");
+            assert!(flights.get_mut(id).is_none());
+            for &(id, key) in &model {
+                assert_eq!(flights.get_mut(id), Some(&mut (key * 10)));
+                assert_eq!(flights.find(&key), Some(id));
+            }
+            let walked: Vec<FlightId> = flights.iter_mut().map(|(id, _)| id).collect();
+            let expected: Vec<FlightId> = model.iter().map(|(id, _)| *id).collect();
+            assert_eq!(walked, expected, "opening order, which is id order");
+        }
+        assert_eq!(flights.len(), 80);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A generation that does no I/O is bookkeeping: which source answered
 //! what, which addresses win, whose name each pool slot carries. It should
 //! allocate what it keeps — the report's rows, the pool and its labels —
-//! and what it reads into, and nothing on the way there. Five counts hold
+//! and what it reads into, and nothing on the way there. Six counts hold
 //! that, all exact and repeating on every run (the test prints them):
 //!
 //! * a majority `generate` over five sources with ready answers, held at
@@ -70,6 +70,9 @@
 //!   vector, and the cache key cloned the name). It also catches a heap
 //!   clone `sdoh-lint`'s purity rule cannot see: the rule does not know
 //!   that `Name::clone` allocates.
+//! * the same hit while 16 flights are upstream, each its own batch, with
+//!   what a shard asks the resolver after it — whether a refresh is queued,
+//!   and whether the earliest arrival is due — allocates nothing either.
 //!
 //! A second test holds bytes, not blocks: a majority generation whose
 //! first source answers 4 000 addresses may hold at most three times that
@@ -97,7 +100,7 @@ use sdoh_core::{
     doh_sources, AddressSource, CacheConfig, CachingPoolResolver, DohFleet, PoolConfig,
     ResolverCompromise, SecurePoolGenerator, StaticSource,
 };
-use sdoh_dns_server::{Exchanger, QueryHandler};
+use sdoh_dns_server::{Departure, ExchangeRequest, Exchanger, QueryHandler};
 use sdoh_dns_wire::{Message, Name, QueryView, RrType, Ttl};
 use sdoh_doh::DohServerService;
 use sdoh_netsim::{ChannelKind, NetError, NetResult, SimAddr, SimInstant};
@@ -216,6 +219,37 @@ impl Exchanger for Fleet {
 
     fn now(&self) -> SimInstant {
         SimInstant::EPOCH
+    }
+}
+
+/// A way upstream whose batches stay there: each is ready a second after
+/// the epoch, and the clock stands at the epoch.
+struct Upstream;
+
+impl Exchanger for Upstream {
+    fn exchange(
+        &mut self,
+        dst: SimAddr,
+        _: ChannelKind,
+        _: &[u8],
+        _: Duration,
+    ) -> NetResult<Vec<u8>> {
+        Err(NetError::Unreachable(dst))
+    }
+
+    fn next_id(&mut self) -> u16 {
+        7
+    }
+
+    fn now(&self) -> SimInstant {
+        SimInstant::EPOCH
+    }
+
+    fn depart(&mut self, requests: Vec<ExchangeRequest>) -> Departure {
+        Departure::in_flight(
+            SimInstant::EPOCH.saturating_add(Duration::from_secs(1)),
+            requests,
+        )
     }
 }
 
@@ -407,10 +441,45 @@ fn a_generation_stays_within_its_allocation_budgets() {
     assert!(answer.answers_query(&Message::decode(&hit_wire).unwrap()));
     assert_eq!(answer.answer_addresses(), expected);
 
+    // (e) The hit again, in another resolver that has 16 flights upstream:
+    // its DoH sources' batches depart and stay there.
+    let (mut fleet, sources) = doh_fleet(5);
+    let generator = SecurePoolGenerator::new(PoolConfig::majority_resolver(), sources).unwrap();
+    let mut resolver = CachingPoolResolver::new(generator, CacheConfig::default());
+    let primed = resolver.handle_query(&mut fleet, &Message::query(1, pool.clone(), RrType::A));
+    assert_eq!(primed.answer_addresses(), expected);
+    for index in 2..18 {
+        let cold = Message::query(
+            1,
+            format!("pool{index}.ntpns.org").parse().unwrap(),
+            RrType::A,
+        );
+        let wire = cold.encode().unwrap();
+        let miss = resolver.begin(&mut Upstream, &QueryView::parse(&wire).unwrap(), &mut out);
+        assert!(miss.unwrap().is_some(), "a miss opens its flight");
+        assert!(resolver.poll(&mut Upstream).is_none(), "and departs it");
+    }
+    assert_eq!(resolver.snapshot().live_generations, 16);
+    out.clear();
+    let (upstream_hit, begun) = allocations_of(|| {
+        let query = QueryView::parse(&hit_wire).unwrap();
+        let begun = resolver.begin(&mut Upstream, &query, &mut out).unwrap();
+        // What a shard's pump asks after a hit: nothing queued, nothing due.
+        let due = resolver.refresh_queued()
+            || resolver
+                .next_arrival()
+                .is_some_and(|at| at <= Upstream.now());
+        (begun, due)
+    });
+    assert_eq!(begun, (None, false), "answered from the cache, nothing due");
+    assert_eq!(resolver.metrics().hits, 1);
+    assert_eq!(Message::decode(&out).unwrap().answer_addresses(), expected);
+
     println!(
         "allocations: static majority generation {generation}, static Algorithm-1 generation \
          {algorithm1}, uncached query by N {uncached:?} (a = {A}, b = {B}), per parked waiter \
-         {per_waiter:?} (uncached, cached), cached hit {hit}"
+         {per_waiter:?} (uncached, cached), cached hit {hit}, cached hit with 16 flights \
+         upstream {upstream_hit}"
     );
     assert_eq!(
         generation, MAJORITY,
@@ -428,6 +497,10 @@ fn a_generation_stays_within_its_allocation_budgets() {
         );
     }
     assert_eq!(hit, 0, "a cached hit allocated {hit} times");
+    assert_eq!(
+        upstream_hit, 0,
+        "a cached hit with 16 flights upstream allocated {upstream_hit} times"
+    );
     assert!(
         per_waiter.iter().all(|count| *count == 0),
         "rendering a parked waiter's answer allocated: {per_waiter:?}"

@@ -71,7 +71,7 @@
 //! let shard = table.lookup(key); // sdoh-lint: allow(no-panic, "table is built covering every key")
 //!
 //! // sdoh-lint: allow(transitive-hot-path-purity, "the miss path: at most one generation per question and TTL window")
-//! fn pump(&mut self) -> Option<SimInstant> { ... }
+//! fn pump(&mut self, opened: bool) -> Option<SimInstant> { ... }
 //! ```
 //!
 //! A directive trailing code suppresses that line only; a directive on its

@@ -190,10 +190,10 @@ pub fn graph_config() -> GraphConfig {
         // — so the concrete implementations are entry points of their own)
         // and `begin`, the step every hit is answered through. The last
         // three sit behind `ShardMachine::pump`'s pruning boundary and yet
-        // run per query: `pump`'s first check asks `next_arrival` (whether
-        // anything is upstream) and `refresh_queued` at the end of every
-        // step, cache hits included, and `answer_parked` is the way out of
-        // every parked miss.
+        // run per query: `pump`'s first check asks `refresh_queued` and
+        // `next_arrival` (the earliest arrival, held against one clock
+        // reading) at the end of every step, cache hits included, and
+        // `answer_parked` is the way out of every parked miss.
         purity_entries: vec![
             Entry::free("runtime", "dispatcher_loop"),
             Entry::free("runtime", "timer_loop"),

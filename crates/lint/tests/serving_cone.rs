@@ -16,14 +16,14 @@ const PLANT: &str = "let _ = format!(\"x\");";
 /// `(file, the text that ends in the function's opening brace)` — or in
 /// the loop's, for `ShardSet::perform`'s effect loop — each needle must match
 /// its file exactly once.
-const PER_QUERY: [(&str, &str); 18] = [
+const PER_QUERY: [(&str, &str); 20] = [
     (
         "crates/runtime/src/runtime.rs",
         "fn serve_query(shards: &ShardSet, wire: &[u8], reply: ReplyPath) -> bool {",
     ),
     (
         "crates/runtime/src/runtime.rs",
-        "fn step(&self, index: usize, item: Option<Item<'_>>) -> Option<Duration> {", // ShardSet::step
+        "fn step(&self, index: usize, item: Option<Item<'_>>) {", // ShardSet::step
     ),
     (
         "crates/runtime/src/runtime.rs",
@@ -35,7 +35,15 @@ const PER_QUERY: [(&str, &str); 18] = [
     ),
     (
         "crates/runtime/src/runtime.rs",
-        "query: Option<&QueryView<'_>>,\n        reply: ReplyPath,\n        started: Instant,\n    ) {", // ShardMachine::serve
+        "query: Option<&QueryView<'_>>,\n        reply: ReplyPath,\n        started: Instant,\n    ) -> bool {", // ShardMachine::serve
+    ),
+    (
+        "crates/runtime/src/runtime.rs",
+        "fn park(&mut self, flight: FlightId, wire: &[u8], reply: ReplyPath, started: Instant) -> bool {",
+    ),
+    (
+        "crates/runtime/src/runtime.rs",
+        "fn waiter(&mut self, wire: &[u8], reply: ReplyPath, started: Instant) -> Waiter {",
     ),
     (
         "crates/runtime/src/runtime.rs",

@@ -9,7 +9,7 @@
 //! that swaps the source set or the pool configuration while flights are
 //! upstream waits on the shard until they have landed, so nothing the old
 //! set generated is cached after the ack, and the queries that reach the
-//! shard meanwhile are parked behind it. Either way a query read after
+//! shard meanwhile are deferred behind it. Either way a query read after
 //! `apply` returns is served under the new epoch, and no lock is held
 //! across a round trip. The shard's step acks the epoch it adopted into the
 //! shard's own atomic slot (the `sdoh_shard_acked_epoch{shard}` gauges,

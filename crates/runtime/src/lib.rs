@@ -63,7 +63,7 @@
 //! ([`CachingPoolResolver::apply_config`](sdoh_core::CachingPoolResolver::apply_config))
 //! and the shard acks the number as it adopts them — at once, or for a
 //! source or pool swap once its flights upstream have landed, with the
-//! queries that arrive meanwhile parked behind the order. Cached entries
+//! queries that arrive meanwhile deferred behind the order. Cached entries
 //! are re-judged against the new knobs at lookup time, never invalidated:
 //! a served answer's age stays within the larger of the two epochs'
 //! `TTL + stale window`.

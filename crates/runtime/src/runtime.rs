@@ -51,34 +51,42 @@
 //! over the TCP listener on the same port.
 //!
 //! A miss opens a **flight** for its key (or joins the live one), and its
-//! octets are **parked** under it in one buffer the shard keeps. What is
-//! upstream is the resolver's: the shard only decides when to wait. Every
-//! step ends by **pumping**: the resolver collects the batches whose round
-//! trip is over ([`CachingPoolResolver::arrive`]), the refreshes stale
-//! serves queued open flights, every query parked on a landed flight is
-//! answered, and the resolver departs what the live flights have to send
-//! as one batch ([`CachingPoolResolver::poll`], through the exchanger's
-//! send half). A zero round trip lands within the step, and queries that
-//! never pause cannot starve the flights.
+//! octets are **parked** on it, in a buffer of their own among the
+//! flight's waiters. What is upstream is the resolver's: the shard only
+//! decides when to wait. Every step ends by **pumping**, and a step pays
+//! only for its own item: one whose query opened no flight, with no
+//! refresh queued and no order waiting, compares the resolver's earliest
+//! arrival ([`CachingPoolResolver::next_arrival`]) with one reading of
+//! the clock and, with nothing due, is done — a cached hit costs the same
+//! however many flights are upstream. Any other step pumps in full: the
+//! resolver collects the batches whose round trip is over
+//! ([`CachingPoolResolver::arrive`]), the refreshes stale serves queued
+//! open flights, the queries parked on each landed flight — and no others
+//! — are answered, and the resolver departs what the live flights have to
+//! send as one batch ([`CachingPoolResolver::poll`], through the
+//! exchanger's send half). A zero round trip lands within the step, and
+//! queries that never pause cannot starve the flights: a round trip that
+//! is over is landed by the next step that finds it due.
 //!
 //! * *The timer.* A shard's alarm is the instant its last step returned:
-//!   the resolver's next arrival ([`CachingPoolResolver::next_arrival`]),
-//!   the only instant a shard waits for — a queued refresh is due at once
-//!   and opens in the step that queued it. One timer thread waits
-//!   (`park_timeout`, a futex) until the earliest alarm over all shards,
-//!   held in one atomic on the wall clock, and steps each shard whose
-//!   alarm is due. A step that moves its shard's alarm earlier moves the
-//!   timer down and unparks it. Alarms are converted to
-//!   the wall clock from the shard's own exchanger clock, so a shard on a
-//!   simulated clock keeps working.
+//!   the resolver's next arrival, the only instant a shard waits for — a
+//!   queued refresh is due at once and opens in the step that queued it.
+//!   One timer thread waits (`park_timeout`, a futex) until the earliest
+//!   alarm over all shards, held in one atomic on the wall clock, and
+//!   steps each shard whose alarm is due. A step that moves its shard's
+//!   alarm earlier moves the timer down and unparks it; a step that leaves
+//!   the alarm where it was touches neither the timer nor the clock.
+//!   Alarms are converted to the wall clock from the shard's own exchanger
+//!   clock, so a shard on a simulated clock keeps working.
 //! * *Who waits for landings.* Nobody, under a lock. A control order that
 //!   swaps the source set or the pool configuration while flights are
-//!   upstream waits on the shard: queries that arrive meanwhile park behind
-//!   it with no flight, and the first step that finds nothing upstream
-//!   adopts the order and serves them in arrival order, so nothing the old
-//!   set generated is cached after the ack. Only [`PoolRuntime::shutdown`]
-//!   sleeps out the last round trips, between steps, once the socket
-//!   threads and the timer are joined.
+//!   upstream waits on the shard: queries that arrive meanwhile are
+//!   deferred behind it, in a queue of their own, and the first step that
+//!   finds nothing upstream adopts the order and serves them in arrival
+//!   order, so nothing the old set generated is cached after the ack. The
+//!   queries parked on flights stay where they are. Only
+//!   [`PoolRuntime::shutdown`] sleeps out the last round trips, between
+//!   steps, once the socket threads and the timer are joined.
 //!
 //! A transport without the two halves takes their blocking defaults, and
 //! whichever thread steps sits out each round trip. The socket threads
@@ -86,10 +94,10 @@
 //! wakes each with one throw-away message.
 
 use std::collections::hash_map::DefaultHasher;
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::{JoinHandle, Thread};
@@ -415,6 +423,13 @@ impl Timer {
             thread.unpark();
         }
     }
+
+    /// How long until shard `index`'s alarm goes off (`None`: it has none).
+    fn wait(&self, index: usize) -> Option<Duration> {
+        let at = self.due.get(index)?.load(Ordering::SeqCst);
+        let now = self.nanos(Instant::now());
+        (at != u64::MAX).then(|| Duration::from_nanos(at.saturating_sub(now)))
+    }
 }
 
 /// The runtime's shards, in shard order, the ways out their steps share
@@ -465,23 +480,25 @@ impl ShardSet {
 
     /// **The** way a shard changes: steps shard `index` with `item` under its
     /// lock, performs the effects under the same hold as the step hands them
-    /// out — a query's answer before the step goes on to what is due — then
-    /// arms the timer with the next due instant on the wall clock (the
-    /// machine's clock read first, so never before the alarm). A query whose
-    /// step moved the alarm earlier counts in `sdoh_shard_wakes_total`.
-    /// Returns the wait it armed: how long until the next round trip
-    /// upstream is over (`None`: none, or no shard).
-    fn step(&self, index: usize, item: Option<Item<'_>>) -> Option<Duration> {
-        let cell = self.cells.get(index)?;
+    /// out — a query's answer before the step goes on to what is due — then,
+    /// if the step moved the shard's alarm, arms the timer with the next due
+    /// instant on the wall clock (the machine's clock read first, so never
+    /// before the alarm). A query whose step moved the alarm earlier counts
+    /// in `sdoh_shard_wakes_total`.
+    fn step(&self, index: usize, item: Option<Item<'_>>) {
+        let Some(cell) = self.cells.get(index) else {
+            return;
+        };
         let query = matches!(item, Some(Item::Query { .. }));
         let mut guard = ShardCell::lock(cell);
         let state: &mut ShardState = &mut guard;
         let machine: &mut ShardMachine = &mut state.machine;
         let due = machine.step(item, &mut |effects| self.perform(cell, effects));
-        if due.is_none() && state.alarm.is_none() {
-            // Unarmed before and after (a hit): no shared atomic to touch,
-            // and nothing upstream.
-            return None;
+        if due == state.alarm {
+            // The alarm did not move (a hit, or a miss that joined a flight
+            // or whose batch is due no earlier): the timer waits for it
+            // already, and neither its atomics nor the clock are touched.
+            return;
         }
         let now = machine.exchanger.now();
         let earlier = due.is_some_and(|due| state.alarm.is_none_or(|alarm| due < alarm));
@@ -491,7 +508,6 @@ impl ShardSet {
         if earlier && query {
             self.counters.wakes.inc();
         }
-        wait
     }
 
     /// Performs what shard `cell`'s step wrote, and empties `effects` for the
@@ -800,8 +816,10 @@ impl PoolRuntime {
         //    so the numbers include every accepted query and every
         //    generation begun.
         for index in 0..shards.len() {
-            while let Some(wait) = shards.step(index, None) {
+            shards.step(index, None);
+            while let Some(wait) = shards.timer.wait(index) {
                 std::thread::sleep(wait);
+                shards.step(index, None);
             }
         }
         self.stats()
@@ -1067,13 +1085,10 @@ enum Item<'a> {
     Order(Box<EpochOrder>),
 }
 
-/// A query waiting on the shard, its octets in the shard's parked octets.
-struct Parked {
-    /// The flight whose landing answers it; `None` for a query deferred
-    /// behind a control order the shard has not adopted yet.
-    flight: Option<FlightId>,
-    /// Where the query's octets are in the shard's parked octets.
-    octets: Range<usize>,
+/// A query waiting on the shard — on a flight, or behind a control order —
+/// its octets in a buffer of its own.
+struct Waiter {
+    octets: Vec<u8>,
     reply: ReplyPath,
     started: Instant,
 }
@@ -1130,12 +1145,17 @@ impl Effects {
 struct ShardMachine {
     resolver: CachingPoolResolver,
     exchanger: Box<dyn Exchanger + Send>,
-    /// In arrival order: the order a flight's waiters, and the queries
-    /// deferred behind an order, are answered in.
-    parked: Vec<Parked>,
-    /// The octets of the parked queries, in the same order: one buffer the
-    /// shard keeps, so parking a miss allocates nothing once it has grown.
-    parked_octets: Vec<u8>,
+    /// The queries parked on each live flight, in arrival order, flights in
+    /// opening order (ids only grow): a landing finds its own flight's list
+    /// by binary search and takes it, touching no one else's.
+    parked: VecDeque<(FlightId, Vec<Waiter>)>,
+    /// The queries deferred behind an order not adopted yet, in arrival
+    /// order: adopting the order drains this and nothing else.
+    deferred: Vec<Waiter>,
+    /// Emptied waiter lists and query buffers, for the next to park: parking
+    /// and landing allocate nothing once they have grown.
+    spare_lists: Vec<Vec<Waiter>>,
+    spare_octets: Vec<Vec<u8>>,
     /// Control orders not adopted yet, in epoch order: the first waits for
     /// the flights upstream to land, and every query behind it is deferred.
     orders: Vec<EpochOrder>,
@@ -1148,8 +1168,10 @@ impl ShardMachine {
         ShardMachine {
             resolver: shard.resolver,
             exchanger: shard.exchanger,
-            parked: Vec::new(),
-            parked_octets: Vec::new(),
+            parked: VecDeque::new(),
+            deferred: Vec::new(),
+            spare_lists: Vec::new(),
+            spare_octets: Vec::new(),
             orders: Vec::new(),
             effects: Effects {
                 udp_payload_limit,
@@ -1169,6 +1191,7 @@ impl ShardMachine {
     ) -> Option<SimInstant> {
         self.effects.answers.clear();
         self.effects.adopted = None;
+        let mut opened = false;
         match item {
             Some(Item::Query {
                 wire,
@@ -1176,13 +1199,13 @@ impl ShardMachine {
                 reply,
                 started,
             }) => {
-                self.serve(wire, query, reply, started);
+                opened = self.serve(wire, query, reply, started);
                 perform(&mut self.effects);
             }
             Some(Item::Order(order)) => self.orders.push(*order),
             None => {}
         }
-        let due = self.pump();
+        let due = self.pump(opened);
         perform(&mut self.effects);
         due
     }
@@ -1192,62 +1215,93 @@ impl ShardMachine {
     /// wire behaviour by construction — around the resolver's first step;
     /// octets that did not parse are answered FORMERR. A miss is parked
     /// under its flight; behind an order not adopted yet, every query is
-    /// parked with no flight.
+    /// deferred. `true` when the query opened a flight, whose requests are
+    /// the pump's to depart.
     fn serve(
         &mut self,
         wire: &[u8],
         query: Option<&QueryView<'_>>,
         reply: ReplyPath,
         started: Instant,
-    ) {
+    ) -> bool {
         if !self.orders.is_empty() {
-            return self.park(None, wire, reply, started);
+            let waiter = self.waiter(wire, reply, started);
+            self.deferred.push(waiter);
+            return false;
         }
         let effects = &mut self.effects;
         let Some(query) = query else {
             write_do53_formerr(wire, &mut effects.response);
-            return effects.answer(None, reply, started);
+            effects.answer(None, reply, started);
+            return false;
         };
         effects.response.clear();
         let begun = self
             .resolver
             .begin(self.exchanger.as_mut(), query, &mut effects.response);
         match begun {
-            Ok(Some(flight)) => self.park(Some(flight), wire, reply, started),
+            Ok(Some(flight)) => self.park(flight, wire, reply, started),
             answered => {
                 finish_do53_answer(query, answered.map(drop), &mut effects.response);
                 effects.answer(Some(query), reply, started);
+                false
             }
         }
     }
 
-    /// Parks a query, its octets copied into the shard's parked octets.
-    fn park(&mut self, flight: Option<FlightId>, wire: &[u8], reply: ReplyPath, started: Instant) {
-        let at = self.parked_octets.len();
-        self.parked_octets.extend_from_slice(wire);
-        self.parked.push(Parked {
-            flight,
-            octets: at..self.parked_octets.len(),
+    /// A query waiting on the shard, its octets copied into a spare buffer.
+    fn waiter(&mut self, wire: &[u8], reply: ReplyPath, started: Instant) -> Waiter {
+        let mut octets = self.spare_octets.pop().unwrap_or_default();
+        octets.clear();
+        octets.extend_from_slice(wire);
+        Waiter {
+            octets,
             reply,
             started,
-        });
+        }
     }
 
-    /// Everything due **now**: the resolver lands the batches whose round
-    /// trip is over, the queued refreshes open, the queries parked on
-    /// what landed are answered, what the live flights have to send departs
-    /// as one batch, and the orders that may be are adopted — repeated while
-    /// anything is already due, so a zero round trip lands before another
-    /// query can join its flight. Returns the resolver's next arrival, the
-    /// next instant anything is due, if any.
-    // sdoh-lint: allow(transitive-hot-path-purity, "the miss path, at the end of every step: past the first check only with a flight live, a refresh queued or an order waiting, at most one generation per (question, TTL window), whose fan-out dwarfs the one request buffer a batch takes (its tags reuse the resolver's); a shard of cache hits returns at the first check")
-    fn pump(&mut self) -> Option<SimInstant> {
-        if self.resolver.next_arrival().is_none()
-            && self.parked.is_empty()
-            && self.orders.is_empty()
-            && !self.resolver.refresh_queued()
-        {
-            return None;
+    /// Parks a query on `flight`, behind the queries already waiting on it.
+    /// `true` when it is the flight's first waiter: a flight this query
+    /// opened (or a refresh's, which a pump departed already).
+    fn park(&mut self, flight: FlightId, wire: &[u8], reply: ReplyPath, started: Instant) -> bool {
+        let waiter = self.waiter(wire, reply, started);
+        match self.parked.binary_search_by_key(&flight, |(id, _)| *id) {
+            Ok(at) => {
+                if let Some((_, waiters)) = self.parked.get_mut(at) {
+                    waiters.push(waiter);
+                }
+                false
+            }
+            Err(at) => {
+                let mut waiters = self.spare_lists.pop().unwrap_or_default();
+                waiters.push(waiter);
+                // A path call: the lint's by-name pass would take a method
+                // call named `insert` for `Registry::insert`.
+                VecDeque::insert(&mut self.parked, at, (flight, waiters));
+                true
+            }
+        }
+    }
+
+    /// Everything due **now**. A step whose query opened no flight, with no
+    /// refresh queued and no order waiting, has nothing to send: it compares
+    /// the resolver's earliest arrival with one reading of the clock (none
+    /// with nothing upstream) and, if nothing is due, returns — visiting no
+    /// flight, no batch and no waiter, however many are upstream. Otherwise
+    /// the resolver lands the batches whose round trip is over, the queued
+    /// refreshes open, the queries parked on what landed are answered, what
+    /// the live flights have to send departs as one batch, and the orders
+    /// that may be are adopted — repeated while anything is already due, so
+    /// a zero round trip lands before another query can join its flight.
+    /// Returns the resolver's next arrival, the next instant anything is
+    /// due, if any.
+    // sdoh-lint: allow(transitive-hot-path-purity, "the miss path, at the end of every step: past the first check only with a flight opened, an arrival due, a refresh queued or an order waiting, at most one generation per (question, TTL window), whose fan-out dwarfs the one request buffer a batch takes (its tags reuse the resolver's); a cache hit returns at the first check, after one clock reading, whatever is upstream")
+    fn pump(&mut self, opened: bool) -> Option<SimInstant> {
+        let quiet = !opened && self.orders.is_empty() && !self.resolver.refresh_queued();
+        let wake = self.resolver.next_arrival();
+        if quiet && wake.is_none_or(|at| at > self.exchanger.now()) {
+            return wake;
         }
         loop {
             self.resolver.arrive(self.exchanger.as_mut());
@@ -1271,38 +1325,36 @@ impl ShardMachine {
         }
     }
 
-    /// Answers every query parked on the flight that `landed`, in arrival
-    /// order — each read where it lies in the parked octets, through the
-    /// closing half of the Do53 core — then closes the gaps they left.
+    /// Answers the queries parked on the flight that `landed`, in arrival
+    /// order — each read where it lies in its own buffer, through the
+    /// closing half of the Do53 core. The other flights' waiters are neither
+    /// visited nor moved.
     fn answer_parked(&mut self, landed: &Landed) {
-        let effects = &mut self.effects;
-        let octets = &self.parked_octets;
-        let waiters = self
+        // A refresh's flight has nobody waiting on it.
+        let found = self
             .parked
-            .extract_if(.., |parked| parked.flight == Some(landed.flight));
-        for parked in waiters {
+            .binary_search_by_key(&landed.flight, |(id, _)| *id);
+        let Some((_, mut waiters)) = found.ok().and_then(|at| self.parked.remove(at)) else {
+            return;
+        };
+        let effects = &mut self.effects;
+        for waiter in waiters.drain(..) {
             // The octets parsed when the query was parked.
-            let wire = octets.get(parked.octets).unwrap_or_default();
-            if let Ok(query) = QueryView::parse(wire) {
+            if let Ok(query) = QueryView::parse(&waiter.octets) {
                 let rendered = landed.answer_wire(&query, &mut effects.response);
                 finish_do53_answer(&query, rendered, &mut effects.response);
-                effects.answer(Some(&query), parked.reply, parked.started);
+                effects.answer(Some(&query), waiter.reply, waiter.started);
             }
+            self.spare_octets.push(waiter.octets);
         }
-        let mut kept = 0;
-        for parked in &mut self.parked {
-            let len = parked.octets.len();
-            self.parked_octets.copy_within(parked.octets.clone(), kept);
-            parked.octets = kept..kept + len;
-            kept += len;
-        }
-        self.parked_octets.truncate(kept);
+        self.spare_lists.push(waiters);
     }
 
     /// Adopts the waiting orders, in epoch order — a source or pool swap
     /// only once nothing is upstream, so nothing the old set generated is
-    /// cached after its ack — then serves the queries deferred behind them,
-    /// in arrival order. `true` when it adopted one.
+    /// cached after its ack — then, once none waits, serves the queries
+    /// deferred behind them, in arrival order. The queries parked on flights
+    /// stay where they are. `true` when it adopted one.
     fn adopt_orders(&mut self) -> bool {
         let mut adopted = false;
         while let Some(order) = self.orders.first() {
@@ -1325,18 +1377,15 @@ impl ShardMachine {
             adopted = true;
         }
         if adopted {
-            let parked = std::mem::take(&mut self.parked);
-            let octets = std::mem::take(&mut self.parked_octets);
-            for parked in parked {
-                let wire = octets.get(parked.octets).unwrap_or_default();
-                match parked.flight {
-                    Some(flight) => self.park(Some(flight), wire, parked.reply, parked.started),
-                    None => {
-                        let query = QueryView::parse(wire).ok();
-                        self.serve(wire, query.as_ref(), parked.reply, parked.started);
-                    }
-                }
+            let mut deferred = std::mem::take(&mut self.deferred);
+            for waiter in deferred.drain(..) {
+                let query = QueryView::parse(&waiter.octets).ok();
+                // What it opens departs in the pump's next turn.
+                self.serve(&waiter.octets, query.as_ref(), waiter.reply, waiter.started);
+                self.spare_octets.push(waiter.octets);
             }
+            // No order waits any more, so nobody was deferred meanwhile.
+            self.deferred = deferred;
         }
         adopted
     }
@@ -1380,6 +1429,8 @@ mod tests {
     use sdoh_dns_server::{Departure, ExchangeOutcome, ExchangeRequest, QueryHandler};
     use sdoh_dns_wire::{Message, Name, Rcode, RrType, Ttl};
     use sdoh_netsim::{ChannelKind, NetResult, SimAddr};
+    use std::collections::BTreeMap;
+    use std::sync::atomic::AtomicUsize;
 
     /// The shard `wire` routes to among `shards`, as [`serve_query`] routes
     /// it.
@@ -1581,6 +1632,59 @@ mod tests {
         }
     }
 
+    /// What a shard asked of its way upstream: clock readings, departures
+    /// and collections.
+    #[derive(Default)]
+    struct Calls {
+        now: AtomicUsize,
+        depart: AtomicUsize,
+        arrive: AtomicUsize,
+    }
+
+    impl Calls {
+        /// The three counts, and back to zero.
+        fn take(&self) -> [usize; 3] {
+            [&self.now, &self.depart, &self.arrive].map(|count| count.swap(0, Ordering::SeqCst))
+        }
+    }
+
+    /// A shard's way upstream that counts what is asked of it in `calls`.
+    struct Counted {
+        inner: Box<dyn Exchanger + Send>,
+        calls: Arc<Calls>,
+    }
+
+    impl Exchanger for Counted {
+        fn exchange(
+            &mut self,
+            dst: SimAddr,
+            channel: ChannelKind,
+            payload: &[u8],
+            timeout: Duration,
+        ) -> NetResult<Vec<u8>> {
+            self.inner.exchange(dst, channel, payload, timeout)
+        }
+
+        fn next_id(&mut self) -> u16 {
+            self.inner.next_id()
+        }
+
+        fn now(&self) -> SimInstant {
+            self.calls.now.fetch_add(1, Ordering::SeqCst);
+            self.inner.now()
+        }
+
+        fn depart(&mut self, requests: Vec<ExchangeRequest>) -> Departure {
+            self.calls.depart.fetch_add(1, Ordering::SeqCst);
+            self.inner.depart(requests)
+        }
+
+        fn arrive(&mut self, departure: Departure) -> Vec<ExchangeOutcome> {
+            self.calls.arrive.fetch_add(1, Ordering::SeqCst);
+            self.inner.arrive(departure)
+        }
+    }
+
     /// Each of `shards` as the machine `ShardSet::step` steps.
     fn machines(shards: Vec<Shard>) -> Vec<ShardMachine> {
         shards
@@ -1619,6 +1723,41 @@ mod tests {
             .iter()
             .map(|answer| Message::decode(&answer.octets).unwrap())
             .collect()
+    }
+
+    /// How many queries wait on `machine`'s flights, and their octets.
+    fn parked(machine: &ShardMachine) -> (usize, usize) {
+        let waiters = machine.parked.iter().flat_map(|(_, waiters)| waiters);
+        let octets = waiters.clone().map(|waiter| waiter.octets.len()).sum();
+        (waiters.count(), octets)
+    }
+
+    /// Where each query parked on a shard's flights lies, flight by flight
+    /// in arrival order, with its octets.
+    type Placement = BTreeMap<FlightId, Vec<(usize, Vec<u8>)>>;
+
+    /// `machine`'s [`Placement`]: a step that moves or rewrites anyone's
+    /// octets changes it.
+    fn placement(machine: &ShardMachine) -> Placement {
+        let lie = |waiter: &Waiter| (waiter.octets.as_ptr().addr(), waiter.octets.clone());
+        machine
+            .parked
+            .iter()
+            .map(|(flight, waiters)| (*flight, waiters.iter().map(lie).collect()))
+            .collect()
+    }
+
+    /// How many octets of the queries parked both `before` and `after` lie
+    /// elsewhere, or read otherwise, `after`.
+    fn moved_octets(before: &Placement, after: &Placement) -> usize {
+        let pairs = after.iter().flat_map(|(flight, now)| {
+            let then = before.get(flight).into_iter().flatten();
+            now.iter().zip(then)
+        });
+        pairs
+            .filter(|(now, then)| now != then)
+            .map(|(_, then)| then.1.len())
+            .sum()
     }
 
     /// Shard `index`, held.
@@ -1973,8 +2112,7 @@ mod tests {
         assert!(answers.try_recv().is_err(), "a query overtook the order");
         {
             let machine = &hold(shards, 0).machine;
-            let deferred = machine.parked.iter().filter(|p| p.flight.is_none()).count();
-            assert_eq!((machine.parked.len(), deferred), (3, 2));
+            assert_eq!((parked(machine).0, machine.deferred.len()), (1, 2));
         }
         // The old set's flight lands, the order is adopted, and the queries
         // behind it are served in arrival order: the hit at once, the miss
@@ -2157,20 +2295,18 @@ mod tests {
             ask(&mut machine, wire);
             assert!(written(&machine).is_empty());
         }
-        let parked_len =
-            |machine: &ShardMachine| (machine.parked.len(), machine.parked_octets.len());
-        assert_eq!(parked_len(&machine), (4, asked.iter().map(Vec::len).sum()));
+        assert_eq!(parked(&machine), (4, asked.iter().map(Vec::len).sum()));
 
         // The first flight lands: its queries are answered, and the second
-        // flight's octets close up behind them.
+        // flight's wait on.
         clock.advance(RTT / 2);
         step(&mut machine, None);
         let mut answered = written(&machine);
-        assert_eq!(parked_len(&machine), (2, asked[1].len() + asked[3].len()));
+        assert_eq!(parked(&machine), (2, asked[1].len() + asked[3].len()));
         clock.advance(RTT / 2);
         step(&mut machine, None);
         answered.extend(written(&machine));
-        assert_eq!(parked_len(&machine), (0, 0));
+        assert_eq!(parked(&machine), (0, 0));
 
         // Each answer echoes its own query, spelling included.
         let ids: Vec<u16> = answered.iter().map(|answer| answer.header.id).collect();
@@ -2304,6 +2440,178 @@ mod tests {
         assert_eq!(snapshot.serve.refreshes, 1);
         assert_eq!(snapshot.serve.generations, 2);
         assert_eq!(snapshot.live_generations, 0);
+    }
+
+    /// A cached hit while F flights are upstream, F = 1, 16, 256: its step
+    /// reads the shard's clock twice — the cache lookup, and the pump's one
+    /// look at the earliest arrival, the only reading beside the lookup and
+    /// the latency histogram's — departs and collects nothing, and leaves
+    /// the alarm, the timer's atomics and the wake count as they were.
+    /// Before the hit's step stopped at that look it read the clock four
+    /// times (the lookup, `arrive`, the end of the pump, the re-arm),
+    /// walked every flight and batch, and re-armed the timer with an alarm
+    /// that had not moved.
+    #[test]
+    fn a_hit_with_flights_upstream_leaves_them_and_the_timer_alone() {
+        const RTT: Duration = Duration::from_millis(1);
+        let fleet = LoopbackFleet::build(LoopbackConfig {
+            pool_domains: 257,
+            ..LoopbackConfig::default()
+        });
+        let (warm, cold) = fleet.domains.split_first().unwrap();
+        for flights in [1, 16, 256] {
+            let clock = sdoh_netsim::SimClock::new();
+            let calls = Arc::new(Calls::default());
+            let shard = stepped(&fleet, CacheConfig::default(), &clock, &[RTT]).remove(0);
+            let counted = Counted {
+                inner: shard.exchanger,
+                calls: Arc::clone(&calls),
+            };
+            let shards = &open(vec![Shard::new(shard.resolver, Box::new(counted))]);
+            prime(&mut hold(shards, 0).machine, warm);
+            let (reply, answers) = mpsc::channel();
+            let ask = |id: usize, domain: &Name| {
+                let tcp = ReplyPath::Tcp(reply.clone(), Vec::new());
+                let wire = a_query(u16::try_from(id).unwrap(), domain);
+                assert!(serve_query(shards, &wire, tcp));
+            };
+            // Each miss opens its flight, and its step departs it.
+            for (id, domain) in cold.iter().take(flights).enumerate() {
+                ask(id + 1, domain);
+            }
+            let upstream = hold(shards, 0).machine.resolver.snapshot();
+            assert_eq!(upstream.live_generations, flights);
+            assert_eq!(calls.take()[1], flights, "one batch per flight");
+            let timer = &shards.timer;
+            let armed = || {
+                let due = timer.due[0].load(Ordering::SeqCst);
+                let next = timer.next.load(Ordering::SeqCst);
+                (
+                    due,
+                    next,
+                    hold(shards, 0).alarm,
+                    shards.counters.wakes.get(),
+                )
+            };
+            let before = armed();
+            assert!(before.2.is_some());
+
+            ask(0, warm);
+            assert_eq!(answered(&answers), [0], "the hit, answered in its step");
+            let [now, depart, arrive] = calls.take();
+            println!(
+                "a hit with {flights} flights upstream: {now} clock readings, {depart} \
+                 departures, {arrive} collections, timer untouched: {}",
+                armed() == before
+            );
+            assert_eq!(
+                (now, depart, arrive),
+                (2, 0, 0),
+                "{flights} flights upstream"
+            );
+            assert_eq!(armed(), before, "the timer is left alone");
+            let upstream = hold(shards, 0).machine.resolver.snapshot();
+            assert_eq!(
+                (upstream.live_generations, upstream.serve.hits),
+                (flights, 1)
+            );
+        }
+    }
+
+    /// A flight with three waiters lands beside P = 0 or 1 000 queries
+    /// parked on eight other flights, its waiters asked among theirs: the
+    /// landing answers its three, in arrival order, and every other query's
+    /// octets stay where they lay (they used to be compacted, every one
+    /// after the first waiter moved, and the whole queue scanned).
+    #[test]
+    fn a_landing_answers_its_own_waiters_and_moves_no_one_elses_octets() {
+        const RTT: Duration = Duration::from_millis(2);
+        let fleet = LoopbackFleet::build(LoopbackConfig {
+            pool_domains: 9,
+            ..LoopbackConfig::default()
+        });
+        let (own, others) = fleet.domains.split_first().unwrap();
+        for parked_beside in [0, 1000] {
+            let clock = sdoh_netsim::SimClock::new();
+            let shards = stepped(&fleet, CacheConfig::default(), &clock, &[RTT]);
+            let mut machine = machines(shards).remove(0);
+            // Its flight departs half a round trip before the others'.
+            ask(&mut machine, &a_query(1, own));
+            clock.advance(RTT / 2);
+            let mut id = 100;
+            for waiter in [2, 3] {
+                for _ in 0..parked_beside / 2 {
+                    let domain = &others[usize::from(id) % others.len()];
+                    ask(&mut machine, &a_query(id, domain));
+                    id += 1;
+                }
+                ask(&mut machine, &a_query(waiter, own));
+            }
+            assert_eq!(parked(&machine).0, parked_beside + 3);
+            let before = placement(&machine);
+
+            clock.advance(RTT / 2);
+            step(&mut machine, None);
+            let ids: Vec<u16> = written(&machine).iter().map(|a| a.header.id).collect();
+            assert_eq!(ids, [1, 2, 3], "its own three, in arrival order");
+            let after = placement(&machine);
+            let moved = moved_octets(&before, &after);
+            println!(
+                "a landing of 3 waiters beside {parked_beside}: {} answered, {moved} octets \
+                 of the others moved",
+                ids.len()
+            );
+            assert_eq!(parked(&machine).0, parked_beside);
+            assert_eq!(moved, 0);
+            let mut others_before = before;
+            others_before.pop_first();
+            assert_eq!(
+                after, others_before,
+                "the other flights' waiters, untouched"
+            );
+        }
+    }
+
+    /// A cache-only order applied while flights are upstream is adopted at
+    /// once and moves none of their waiters' octets (adopting it used to
+    /// take every parked query and park each again); the waiters are
+    /// answered, flight by flight in arrival order, under the new TTL.
+    #[test]
+    fn a_cache_only_order_leaves_the_parked_waiters_alone() {
+        const RTT: Duration = Duration::from_millis(1);
+        let fleet = LoopbackFleet::build(LoopbackConfig::default());
+        let clock = sdoh_netsim::SimClock::new();
+        let shards = open(stepped(&fleet, CacheConfig::default(), &clock, &[RTT]));
+        let control = ControlHandle::new(Arc::new(shards), CacheConfig::default());
+        let shards = control.shards();
+        let (reply, answers) = mpsc::channel();
+        for (id, domain) in [(1, 0), (2, 1), (3, 0), (4, 1)] {
+            let tcp = ReplyPath::Tcp(reply.clone(), Vec::new());
+            let wire = a_query(id, &fleet.domains[domain]);
+            assert!(serve_query(shards, &wire, tcp));
+        }
+        let before = placement(&hold(shards, 0).machine);
+        assert_eq!(before.values().map(Vec::len).collect::<Vec<_>>(), [2, 2]);
+
+        let cache = CacheConfig::default().with_ttl(Ttl::from_secs(7));
+        let receipt = control.apply(ConfigDelta::new().with_cache(cache)).unwrap();
+        assert_eq!(control.acked_epochs(), [receipt.epoch], "adopted at once");
+        let after = placement(&hold(shards, 0).machine);
+        assert_eq!(moved_octets(&before, &after), 0);
+        assert_eq!(after, before);
+
+        clock.advance(RTT);
+        shards.land_due(whenever());
+        let landed: Vec<Message> = answers
+            .try_iter()
+            .map(|wire| Message::decode(&wire).unwrap())
+            .collect();
+        let ids: Vec<u16> = landed.iter().map(|answer| answer.header.id).collect();
+        assert_eq!(ids, [1, 3, 2, 4], "each flight's waiters in arrival order");
+        for answer in &landed {
+            assert_eq!(answer.answer_addresses().len(), 24);
+            assert!(answer.answers.iter().all(|record| record.ttl == 7));
+        }
     }
 
     #[test]

@@ -59,8 +59,10 @@
 //! is over through the collect half and feeds each outcome to its flight
 //! (found by id, with a binary search), in any order;
 //! [`CachingPoolResolver::next_arrival`] is when the next one is due, kept
-//! as batches depart and arrive, so a driver that asks after every cache
-//! hit pays nothing for the flights upstream.
+//! as batches depart and arrive, and [`CachingPoolResolver::has_work`]
+//! whether anything must be done before then (a flight opened and not yet
+//! departed, or a refresh queued): a driver that asks both after every
+//! cache hit pays nothing for the flights upstream.
 //!
 //! There used to be a second sans-IO machine here, a serve-level session
 //! bundling the `PoolSession`s of one call behind a flat transaction-id

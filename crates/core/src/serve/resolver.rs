@@ -285,6 +285,9 @@ pub struct CachingPoolResolver {
     /// When the earliest of them is ready (`None`: nothing upstream), kept
     /// as batches depart and arrive so that asking costs no walk.
     earliest: Option<SimInstant>,
+    /// A flight opened since `poll` last walked them all: its requests have
+    /// not departed yet.
+    unsent: bool,
     /// The next batch, gathered until it departs: its requests, and by
     /// request index the flight and transaction each outcome lands under.
     /// The tags reuse the widest landed batch's buffer.
@@ -369,6 +372,7 @@ impl CachingPoolResolver {
             metrics: ServeMetrics::default(),
             upstream: Vec::new(),
             earliest: None,
+            unsent: false,
             requests: Vec::new(),
             tags: Vec::new(),
         }
@@ -466,6 +470,16 @@ impl CachingPoolResolver {
     /// without waiting.
     pub fn refresh_queued(&self) -> bool {
         !self.refreshes.is_empty()
+    }
+
+    /// Whether a driver has anything to do before it may wait until
+    /// [`next_arrival`](CachingPoolResolver::next_arrival): a queued refresh
+    /// to open, or a flight opened since the last
+    /// [`poll`](CachingPoolResolver::poll) walked them all, whose requests
+    /// are still to depart. A step that answered from the cache, joined a
+    /// live flight or was answered on the spot leaves it as it was.
+    pub fn has_work(&self) -> bool {
+        self.unsent || self.refresh_queued()
     }
 
     /// When the earliest batch upstream can be collected with
@@ -637,6 +651,8 @@ impl CachingPoolResolver {
         }
         let Some((id, (key, flight))) = done.and_then(|id| Some((id, self.flights.land(id)?)))
         else {
+            // Every live flight was walked: what they had to send leaves now.
+            self.unsent = false;
             if !self.requests.is_empty() {
                 let departure = send(exchanger, std::mem::take(&mut self.requests));
                 let tags = std::mem::take(&mut self.tags);
@@ -781,14 +797,17 @@ impl CachingPoolResolver {
         let seed = seed_from(exchanger);
         let started = exchanger.now();
         match self.generator.session(&key.domain, seed) {
-            Ok(session) => Some(self.flights.open(
-                key,
-                Flight {
-                    session,
-                    started,
-                    refresh,
-                },
-            )),
+            Ok(session) => {
+                self.unsent = true;
+                Some(self.flights.open(
+                    key,
+                    Flight {
+                        session,
+                        started,
+                        refresh,
+                    },
+                ))
+            }
             Err(err) => {
                 self.record_generation(key, &Err(err.to_string()), refresh, started, started);
                 None
@@ -2069,6 +2088,40 @@ mod tests {
         assert_eq!(resolver.metrics().coalesced_waiters, 3);
         assert_eq!(upstream.drain(&mut resolver).len(), 1);
         assert_eq!(resolver.metrics().generations, 2);
+    }
+
+    /// A miss that opens a flight leaves work until a poll departs its
+    /// requests; a miss that joins a live flight, and an arrival, leave
+    /// `has_work` as it was (an arrival is awaited by `next_arrival`).
+    #[test]
+    fn only_an_opened_flight_not_yet_departed_leaves_work() {
+        let (net, mut resolver) = doh_world(
+            42,
+            3,
+            PoolConfig::algorithm1(),
+            test_config().with_ttl(Ttl::ZERO),
+        );
+        let mut upstream = Split::new(&net, Order::Delivery);
+        let mut out = Vec::new();
+        let mut begin = |resolver: &mut CachingPoolResolver, upstream: &mut Split, id: u16| {
+            resolver
+                .begin(upstream, &lent(&query(id, WORLD[0])).view(), &mut out)
+                .unwrap()
+        };
+        assert!(!resolver.has_work());
+        let first = begin(&mut resolver, &mut upstream, 1);
+        assert!(first.is_some() && resolver.has_work(), "opened");
+        assert_eq!(begin(&mut resolver, &mut upstream, 2), first);
+        assert!(resolver.has_work(), "a join departs nothing");
+        assert!(resolver.poll(&mut upstream).is_none());
+        assert!(!resolver.has_work(), "departed");
+        assert_eq!(begin(&mut resolver, &mut upstream, 3), first);
+        assert!(!resolver.has_work(), "joined with the flight upstream");
+        upstream.wait();
+        assert!(resolver.arrive(&mut upstream));
+        assert!(!resolver.has_work(), "arrived, for the next poll to land");
+        assert_eq!(upstream.drain(&mut resolver).len(), 1);
+        assert!(!resolver.has_work());
     }
 
     #[test]

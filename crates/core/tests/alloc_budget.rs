@@ -71,8 +71,9 @@
 //!   clone `sdoh-lint`'s purity rule cannot see: the rule does not know
 //!   that `Name::clone` allocates.
 //! * the same hit while 16 flights are upstream, each its own batch, with
-//!   what a shard asks the resolver after it — whether a refresh is queued,
-//!   and whether the earliest arrival is due — allocates nothing either.
+//!   what a shard asks the resolver after it — whether it has work before
+//!   its next arrival, and whether that arrival is due — allocates nothing
+//!   either.
 //!
 //! A second test holds bytes, not blocks: a majority generation whose
 //! first source answers 4 000 addresses may hold at most three times that
@@ -464,8 +465,8 @@ fn a_generation_stays_within_its_allocation_budgets() {
     let (upstream_hit, begun) = allocations_of(|| {
         let query = QueryView::parse(&hit_wire).unwrap();
         let begun = resolver.begin(&mut Upstream, &query, &mut out).unwrap();
-        // What a shard's pump asks after a hit: nothing queued, nothing due.
-        let due = resolver.refresh_queued()
+        // What a shard's pump asks after a hit: no work, nothing due.
+        let due = resolver.has_work()
             || resolver
                 .next_arrival()
                 .is_some_and(|at| at <= Upstream.now());

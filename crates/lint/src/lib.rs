@@ -36,7 +36,7 @@
 //!
 //! | rule | what it bans |
 //! |------|--------------|
-//! | `transitive-hot-path-purity` | `.lock()`, `Box::new`, `Vec::new`, `vec!`, `.to_vec()`, `format!`, `.collect()` *reachable* from the serving entry points (`dispatcher_loop`, `timer_loop`, `ShardMachine::answer_parked`, `CachingPoolResolver::{handle_query, handle_query_wire, begin, next_arrival, refresh_queued}`) — the serving path must stay lock-free and allocation-free; the diagnostic carries the full call chain |
+//! | `transitive-hot-path-purity` | `.lock()`, `Box::new`, `Vec::new`, `vec!`, `.to_vec()`, `format!`, `.collect()` *reachable* from the serving entry points (`dispatcher_loop`, `timer_loop`, `ShardMachine::answer_parked`, `CachingPoolResolver::{handle_query, handle_query_wire, begin, next_arrival, has_work}`) — the serving path must stay lock-free and allocation-free; the diagnostic carries the full call chain |
 //! | `transitive-determinism` | `Instant::now()`, `SystemTime::now()`, `OsRng`, `thread_rng`, `from_entropy`, `getrandom` in, or reachable from, any non-test function of `netsim`, `chaos`, `core`, `dns-server`, `doh`, `ntp`, `bench`, `analysis` and the umbrella `secure-doh` — sim-facing crates take time and entropy from seeded handles only, so campaigns and experiment reports stay byte-identical per seed; the wall clock is a `runtime`-only privilege |
 //! | `lock-order` | cycles in the ordered lock-acquisition graph of the control plane — each cycle is reported once, with every conflicting ordering and both witnesses |
 //!
@@ -71,7 +71,7 @@
 //! let shard = table.lookup(key); // sdoh-lint: allow(no-panic, "table is built covering every key")
 //!
 //! // sdoh-lint: allow(transitive-hot-path-purity, "the miss path: at most one generation per question and TTL window")
-//! fn pump(&mut self, opened: bool) -> Option<SimInstant> { ... }
+//! fn pump(&mut self) -> Option<SimInstant> { ... }
 //! ```
 //!
 //! A directive trailing code suppresses that line only; a directive on its

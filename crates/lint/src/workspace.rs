@@ -190,9 +190,10 @@ pub fn graph_config() -> GraphConfig {
         // — so the concrete implementations are entry points of their own)
         // and `begin`, the step every hit is answered through. The last
         // three sit behind `ShardMachine::pump`'s pruning boundary and yet
-        // run per query: `pump`'s first check asks `refresh_queued` and
-        // `next_arrival` (the earliest arrival, held against one clock
-        // reading) at the end of every step, cache hits included, and
+        // run per query: `pump`'s first check asks `has_work` (a flight
+        // opened and not departed, or a refresh queued) and `next_arrival`
+        // (the earliest arrival, held against one clock reading) at the end
+        // of every step, cache hits included, and
         // `answer_parked` is the way out of every parked miss.
         purity_entries: vec![
             Entry::free("runtime", "dispatcher_loop"),
@@ -201,7 +202,7 @@ pub fn graph_config() -> GraphConfig {
             Entry::method("core", "CachingPoolResolver", "handle_query_wire"),
             Entry::method("core", "CachingPoolResolver", "begin"),
             Entry::method("core", "CachingPoolResolver", "next_arrival"),
-            Entry::method("core", "CachingPoolResolver", "refresh_queued"),
+            Entry::method("core", "CachingPoolResolver", "has_work"),
             Entry::method("runtime", "ShardMachine", "answer_parked"),
         ],
         determinism_crates: DETERMINISM_CRATES.iter().map(|c| c.to_string()).collect(),

@@ -16,14 +16,14 @@ const PLANT: &str = "let _ = format!(\"x\");";
 /// `(file, the text that ends in the function's opening brace)` — or in
 /// the loop's, for `ShardSet::perform`'s effect loop — each needle must match
 /// its file exactly once.
-const PER_QUERY: [(&str, &str); 20] = [
+const PER_QUERY: [(&str, &str); 21] = [
     (
         "crates/runtime/src/runtime.rs",
         "fn serve_query(shards: &ShardSet, wire: &[u8], reply: ReplyPath) -> bool {",
     ),
     (
         "crates/runtime/src/runtime.rs",
-        "fn step(&self, index: usize, item: Option<Item<'_>>) {", // ShardSet::step
+        "fn step(&self, index: usize, item: Option<Item<'_>>) -> Option<Duration> {", // ShardSet::step
     ),
     (
         "crates/runtime/src/runtime.rs",
@@ -35,11 +35,11 @@ const PER_QUERY: [(&str, &str); 20] = [
     ),
     (
         "crates/runtime/src/runtime.rs",
-        "query: Option<&QueryView<'_>>,\n        reply: ReplyPath,\n        started: Instant,\n    ) -> bool {", // ShardMachine::serve
+        "query: Option<&QueryView<'_>>,\n        reply: ReplyPath,\n        started: Instant,\n    ) {", // ShardMachine::serve
     ),
     (
         "crates/runtime/src/runtime.rs",
-        "fn park(&mut self, flight: FlightId, wire: &[u8], reply: ReplyPath, started: Instant) -> bool {",
+        "fn park(&mut self, flight: FlightId, wire: &[u8], reply: ReplyPath, started: Instant) {",
     ),
     (
         "crates/runtime/src/runtime.rs",
@@ -72,6 +72,10 @@ const PER_QUERY: [(&str, &str); 20] = [
     (
         "crates/core/src/serve/resolver.rs",
         "fn lookup(&mut self, key: &QueryKey<'_>, now: SimInstant) -> Option<Served<'_>> {"
+    ),
+    (
+        "crates/core/src/serve/resolver.rs",
+        "pub fn has_work(&self) -> bool {",
     ),
     (
         "crates/core/src/serve/resolver.rs",

@@ -54,11 +54,13 @@
 //! octets are **parked** on it, in a buffer of their own among the
 //! flight's waiters. What is upstream is the resolver's: the shard only
 //! decides when to wait. Every step ends by **pumping**, and a step pays
-//! only for its own item: one whose query opened no flight, with no
-//! refresh queued and no order waiting, compares the resolver's earliest
-//! arrival ([`CachingPoolResolver::next_arrival`]) with one reading of
-//! the clock and, with nothing due, is done — a cached hit costs the same
-//! however many flights are upstream. Any other step pumps in full: the
+//! only for its own item: one that meets no order waiting and leaves the
+//! resolver nothing to do before its next arrival
+//! ([`CachingPoolResolver::has_work`]: no flight opened and not yet
+//! departed, no refresh queued) compares that arrival
+//! ([`CachingPoolResolver::next_arrival`]) with one reading of the clock
+//! and, with nothing due, is done — a cached hit costs the same however
+//! many flights are upstream. Any other step pumps in full: the
 //! resolver collects the batches whose round trip is over
 //! ([`CachingPoolResolver::arrive`]), the refreshes stale serves queued
 //! open flights, the queries parked on each landed flight — and no others
@@ -74,8 +76,9 @@
 //!   One timer thread waits (`park_timeout`, a futex) until the earliest
 //!   alarm over all shards, held in one atomic on the wall clock, and
 //!   steps each shard whose alarm is due. A step that moves its shard's
-//!   alarm earlier moves the timer down and unparks it; a step that leaves
-//!   the alarm where it was touches neither the timer nor the clock.
+//!   alarm earlier moves the timer down and unparks it; a query's step that
+//!   leaves the alarm where it was touches neither the timer nor the
+//!   clock, and the timer's own steps always re-arm.
 //!   Alarms are converted to the wall clock from the shard's own exchanger
 //!   clock, so a shard on a simulated clock keeps working.
 //! * *Who waits for landings.* Nobody, under a lock. A control order that
@@ -423,13 +426,6 @@ impl Timer {
             thread.unpark();
         }
     }
-
-    /// How long until shard `index`'s alarm goes off (`None`: it has none).
-    fn wait(&self, index: usize) -> Option<Duration> {
-        let at = self.due.get(index)?.load(Ordering::SeqCst);
-        let now = self.nanos(Instant::now());
-        (at != u64::MAX).then(|| Duration::from_nanos(at.saturating_sub(now)))
-    }
 }
 
 /// The runtime's shards, in shard order, the ways out their steps share
@@ -480,25 +476,27 @@ impl ShardSet {
 
     /// **The** way a shard changes: steps shard `index` with `item` under its
     /// lock, performs the effects under the same hold as the step hands them
-    /// out — a query's answer before the step goes on to what is due — then,
-    /// if the step moved the shard's alarm, arms the timer with the next due
-    /// instant on the wall clock (the machine's clock read first, so never
-    /// before the alarm). A query whose step moved the alarm earlier counts
-    /// in `sdoh_shard_wakes_total`.
-    fn step(&self, index: usize, item: Option<Item<'_>>) {
-        let Some(cell) = self.cells.get(index) else {
-            return;
-        };
+    /// out — a query's answer before the step goes on to what is due — then
+    /// arms the timer with the next due instant on the wall clock (the
+    /// machine's clock read first, so never before the alarm). A query whose
+    /// step moved the alarm earlier counts in `sdoh_shard_wakes_total`.
+    /// Returns the wait it armed: how long until the next round trip
+    /// upstream is over (`None`: none, no shard, or a query step that left
+    /// the alarm where it was and armed nothing).
+    fn step(&self, index: usize, item: Option<Item<'_>>) -> Option<Duration> {
+        let cell = self.cells.get(index)?;
         let query = matches!(item, Some(Item::Query { .. }));
         let mut guard = ShardCell::lock(cell);
         let state: &mut ShardState = &mut guard;
         let machine: &mut ShardMachine = &mut state.machine;
         let due = machine.step(item, &mut |effects| self.perform(cell, effects));
-        if due == state.alarm {
+        if query && due == state.alarm {
             // The alarm did not move (a hit, or a miss that joined a flight
             // or whose batch is due no earlier): the timer waits for it
             // already, and neither its atomics nor the clock are touched.
-            return;
+            // The timer's own steps re-arm: on a clock that lags the wall
+            // clock, one that landed nothing puts the alarm back ahead.
+            return None;
         }
         let now = machine.exchanger.now();
         let earlier = due.is_some_and(|due| state.alarm.is_none_or(|alarm| due < alarm));
@@ -508,6 +506,7 @@ impl ShardSet {
         if earlier && query {
             self.counters.wakes.inc();
         }
+        wait
     }
 
     /// Performs what shard `cell`'s step wrote, and empties `effects` for the
@@ -816,10 +815,8 @@ impl PoolRuntime {
         //    so the numbers include every accepted query and every
         //    generation begun.
         for index in 0..shards.len() {
-            shards.step(index, None);
-            while let Some(wait) = shards.timer.wait(index) {
+            while let Some(wait) = shards.step(index, None) {
                 std::thread::sleep(wait);
-                shards.step(index, None);
             }
         }
         self.stats()
@@ -1191,7 +1188,6 @@ impl ShardMachine {
     ) -> Option<SimInstant> {
         self.effects.answers.clear();
         self.effects.adopted = None;
-        let mut opened = false;
         match item {
             Some(Item::Query {
                 wire,
@@ -1199,13 +1195,13 @@ impl ShardMachine {
                 reply,
                 started,
             }) => {
-                opened = self.serve(wire, query, reply, started);
+                self.serve(wire, query, reply, started);
                 perform(&mut self.effects);
             }
             Some(Item::Order(order)) => self.orders.push(*order),
             None => {}
         }
-        let due = self.pump(opened);
+        let due = self.pump();
         perform(&mut self.effects);
         due
     }
@@ -1215,25 +1211,22 @@ impl ShardMachine {
     /// wire behaviour by construction — around the resolver's first step;
     /// octets that did not parse are answered FORMERR. A miss is parked
     /// under its flight; behind an order not adopted yet, every query is
-    /// deferred. `true` when the query opened a flight, whose requests are
-    /// the pump's to depart.
+    /// deferred.
     fn serve(
         &mut self,
         wire: &[u8],
         query: Option<&QueryView<'_>>,
         reply: ReplyPath,
         started: Instant,
-    ) -> bool {
+    ) {
         if !self.orders.is_empty() {
             let waiter = self.waiter(wire, reply, started);
-            self.deferred.push(waiter);
-            return false;
+            return self.deferred.push(waiter);
         }
         let effects = &mut self.effects;
         let Some(query) = query else {
             write_do53_formerr(wire, &mut effects.response);
-            effects.answer(None, reply, started);
-            return false;
+            return effects.answer(None, reply, started);
         };
         effects.response.clear();
         let begun = self
@@ -1244,7 +1237,6 @@ impl ShardMachine {
             answered => {
                 finish_do53_answer(query, answered.map(drop), &mut effects.response);
                 effects.answer(Some(query), reply, started);
-                false
             }
         }
     }
@@ -1262,16 +1254,13 @@ impl ShardMachine {
     }
 
     /// Parks a query on `flight`, behind the queries already waiting on it.
-    /// `true` when it is the flight's first waiter: a flight this query
-    /// opened (or a refresh's, which a pump departed already).
-    fn park(&mut self, flight: FlightId, wire: &[u8], reply: ReplyPath, started: Instant) -> bool {
+    fn park(&mut self, flight: FlightId, wire: &[u8], reply: ReplyPath, started: Instant) {
         let waiter = self.waiter(wire, reply, started);
         match self.parked.binary_search_by_key(&flight, |(id, _)| *id) {
             Ok(at) => {
                 if let Some((_, waiters)) = self.parked.get_mut(at) {
                     waiters.push(waiter);
                 }
-                false
             }
             Err(at) => {
                 let mut waiters = self.spare_lists.pop().unwrap_or_default();
@@ -1279,16 +1268,19 @@ impl ShardMachine {
                 // A path call: the lint's by-name pass would take a method
                 // call named `insert` for `Registry::insert`.
                 VecDeque::insert(&mut self.parked, at, (flight, waiters));
-                true
             }
         }
     }
 
-    /// Everything due **now**. A step whose query opened no flight, with no
-    /// refresh queued and no order waiting, has nothing to send: it compares
-    /// the resolver's earliest arrival with one reading of the clock (none
-    /// with nothing upstream) and, if nothing is due, returns — visiting no
-    /// flight, no batch and no waiter, however many are upstream. Otherwise
+    /// Everything due **now**. With no order waiting and nothing for the
+    /// resolver to do before its next arrival
+    /// ([`CachingPoolResolver::has_work`]: no flight opened and not yet
+    /// departed, no refresh queued) — a cache hit, a miss that joined a live
+    /// flight, the timer's step before a round trip is over — the pump
+    /// compares the resolver's earliest arrival with one reading of the
+    /// clock (none with nothing upstream) and, if nothing is due, returns:
+    /// it visits no flight, no batch and no waiter, however many are
+    /// upstream. Otherwise
     /// the resolver lands the batches whose round trip is over, the queued
     /// refreshes open, the queries parked on what landed are answered, what
     /// the live flights have to send departs as one batch, and the orders
@@ -1296,9 +1288,9 @@ impl ShardMachine {
     /// a zero round trip lands before another query can join its flight.
     /// Returns the resolver's next arrival, the next instant anything is
     /// due, if any.
-    // sdoh-lint: allow(transitive-hot-path-purity, "the miss path, at the end of every step: past the first check only with a flight opened, an arrival due, a refresh queued or an order waiting, at most one generation per (question, TTL window), whose fan-out dwarfs the one request buffer a batch takes (its tags reuse the resolver's); a cache hit returns at the first check, after one clock reading, whatever is upstream")
-    fn pump(&mut self, opened: bool) -> Option<SimInstant> {
-        let quiet = !opened && self.orders.is_empty() && !self.resolver.refresh_queued();
+    // sdoh-lint: allow(transitive-hot-path-purity, "the miss path, at the end of every step: past the first check only with a flight opened and not departed, an arrival due, a refresh queued or an order waiting, at most one generation per (question, TTL window), whose fan-out dwarfs the one request buffer a batch takes (its tags reuse the resolver's); a cache hit returns at the first check, after one clock reading, whatever is upstream")
+    fn pump(&mut self) -> Option<SimInstant> {
+        let quiet = self.orders.is_empty() && !self.resolver.has_work();
         let wake = self.resolver.next_arrival();
         if quiet && wake.is_none_or(|at| at > self.exchanger.now()) {
             return wake;
@@ -2271,6 +2263,46 @@ mod tests {
         assert_eq!(wakes.get(), 2);
     }
 
+    /// The timer steps a shard whose own clock lags the wall clock: the
+    /// wall-clock alarm has gone off, but on the shard's clock the round
+    /// trip is not over. The step lands nothing and leaves the shard's
+    /// alarm where it was, and still re-arms the timer, putting the alarm
+    /// back ahead on the wall clock — left in the past, it would bring the
+    /// timer straight back to the shard, over and over, until the shard's
+    /// clock caught up.
+    #[test]
+    fn a_timer_step_before_the_shards_own_clock_is_due_puts_the_alarm_back_ahead() {
+        const RTT: Duration = Duration::from_millis(1);
+        let fleet = LoopbackFleet::build(LoopbackConfig::default());
+        let clock = sdoh_netsim::SimClock::new();
+        let shards = &open(stepped(&fleet, CacheConfig::default(), &clock, &[RTT]));
+        let timer = &shards.timer;
+        let (reply, answers) = mpsc::channel();
+        let miss = a_query(1, &fleet.domains[0]);
+        assert!(serve_query(
+            shards,
+            &miss,
+            ReplyPath::Tcp(reply, Vec::new())
+        ));
+        let alarm = hold(shards, 0).alarm;
+        assert_eq!(alarm, Some(clock.now().saturating_add(RTT)));
+
+        // The wall clock passes the alarm; the shard's clock stands still.
+        std::thread::sleep(RTT * 3);
+        let gone_off = timer.nanos(Instant::now());
+        assert!(timer.due[0].load(Ordering::SeqCst) <= gone_off);
+        shards.land_due(Instant::now());
+        assert!(answers.try_recv().is_err(), "nothing landed");
+        assert_eq!(hold(shards, 0).alarm, alarm, "the shard's alarm stays");
+        let due = timer.due[0].load(Ordering::SeqCst);
+        assert!(
+            due > gone_off,
+            "the wall-clock alarm is back ahead, not {}ns behind",
+            gone_off - due
+        );
+        assert_eq!(timer.next.load(Ordering::SeqCst), due, "the timer waits");
+    }
+
     #[test]
     fn queries_parked_on_flights_that_land_apart_keep_their_own_octets() {
         const RTT: Duration = Duration::from_millis(2);
@@ -2447,10 +2479,6 @@ mod tests {
     /// look at the earliest arrival, the only reading beside the lookup and
     /// the latency histogram's — departs and collects nothing, and leaves
     /// the alarm, the timer's atomics and the wake count as they were.
-    /// Before the hit's step stopped at that look it read the clock four
-    /// times (the lookup, `arrive`, the end of the pump, the re-arm),
-    /// walked every flight and batch, and re-armed the timer with an alarm
-    /// that had not moved.
     #[test]
     fn a_hit_with_flights_upstream_leaves_them_and_the_timer_alone() {
         const RTT: Duration = Duration::from_millis(1);
@@ -2521,8 +2549,7 @@ mod tests {
     /// A flight with three waiters lands beside P = 0 or 1 000 queries
     /// parked on eight other flights, its waiters asked among theirs: the
     /// landing answers its three, in arrival order, and every other query's
-    /// octets stay where they lay (they used to be compacted, every one
-    /// after the first waiter moved, and the whole queue scanned).
+    /// octets stay where they lay.
     #[test]
     fn a_landing_answers_its_own_waiters_and_moves_no_one_elses_octets() {
         const RTT: Duration = Duration::from_millis(2);
@@ -2573,8 +2600,7 @@ mod tests {
     }
 
     /// A cache-only order applied while flights are upstream is adopted at
-    /// once and moves none of their waiters' octets (adopting it used to
-    /// take every parked query and park each again); the waiters are
+    /// once and moves none of their waiters' octets; the waiters are
     /// answered, flight by flight in arrival order, under the new TTL.
     #[test]
     fn a_cache_only_order_leaves_the_parked_waiters_alone() {

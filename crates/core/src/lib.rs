@@ -95,7 +95,7 @@
 //! * **stale-while-revalidate** — expired entries are served immediately
 //!   within a stale window, and each queues a background refresh that is
 //!   due at once and regenerates them
-//!   ([`CachingPoolResolver::refresh_queued`],
+//!   ([`CachingPoolResolver::has_work`],
 //!   [`CachingPoolResolver::run_due_refreshes`]),
 //! * a **stepwise entry** beside the blocking `QueryHandler` one, in
 //!   which the resolver keeps what it has upstream and the driver only

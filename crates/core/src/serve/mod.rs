@@ -27,7 +27,7 @@
 //! * **stale-while-revalidate** — an expired entry within the stale window
 //!   is served immediately and its key queued for a background refresh,
 //!   which regenerates the pool off the query path
-//!   ([`CachingPoolResolver::refresh_queued`],
+//!   ([`CachingPoolResolver::has_work`],
 //!   [`CachingPoolResolver::begin_due_refreshes`]). A queued refresh is
 //!   due at once: there is no refresh deadline, and the only instant a
 //!   driver waits for is [`CachingPoolResolver::next_arrival`]. A refresh is

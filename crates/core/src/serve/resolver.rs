@@ -463,23 +463,18 @@ impl CachingPoolResolver {
         }
     }
 
-    /// Whether a stale serve queued a refresh that has not opened yet: a
-    /// queued refresh is due at once, so a driver that finds one calls
-    /// [`begin_due_refreshes`](CachingPoolResolver::begin_due_refreshes)
-    /// (or [`run_due_refreshes`](CachingPoolResolver::run_due_refreshes))
-    /// without waiting.
-    pub fn refresh_queued(&self) -> bool {
-        !self.refreshes.is_empty()
-    }
-
     /// Whether a driver has anything to do before it may wait until
     /// [`next_arrival`](CachingPoolResolver::next_arrival): a queued refresh
-    /// to open, or a flight opened since the last
+    /// to open (a stale serve queues one, due at once:
+    /// [`begin_due_refreshes`](CachingPoolResolver::begin_due_refreshes) or
+    /// [`run_due_refreshes`](CachingPoolResolver::run_due_refreshes) opens
+    /// it), or a flight opened since the last
     /// [`poll`](CachingPoolResolver::poll) walked them all, whose requests
     /// are still to depart. A step that answered from the cache, joined a
     /// live flight or was answered on the spot leaves it as it was.
+    // sdoh-lint: entry(transitive-hot-path-purity, "behind `ShardMachine::pump`'s pruning boundary, yet its first check asks this at the end of every step, cache hits included")
     pub fn has_work(&self) -> bool {
-        self.unsent || self.refresh_queued()
+        self.unsent || !self.refreshes.is_empty()
     }
 
     /// When the earliest batch upstream can be collected with
@@ -487,6 +482,7 @@ impl CachingPoolResolver {
     /// owns its waiting waits until — or `None` when nothing is upstream.
     /// Kept as batches depart and arrive: asking walks nothing, however
     /// many flights are upstream.
+    // sdoh-lint: entry(transitive-hot-path-purity, "behind `ShardMachine::pump`'s pruning boundary, yet its first check holds this against one clock reading at the end of every step, cache hits included")
     pub fn next_arrival(&self) -> Option<SimInstant> {
         self.earliest
     }
@@ -524,6 +520,7 @@ impl CachingPoolResolver {
     ///
     /// The encoding error of an answer given on the spot; `out` is left
     /// empty.
+    // sdoh-lint: entry(transitive-hot-path-purity, "the step every query a shard serves is answered through, cache hits included")
     pub fn begin(
         &mut self,
         exchanger: &mut dyn Exchanger,
@@ -942,11 +939,13 @@ impl CachingPoolResolver {
 }
 
 impl QueryHandler for CachingPoolResolver {
+    // sdoh-lint: entry(transitive-hot-path-purity, "the blocking entry point, reached through `dyn QueryHandler`, which call resolution does not follow")
     fn handle_query(&mut self, exchanger: &mut dyn Exchanger, query: &Message) -> Message {
         let asked = query.question().map(Question::as_question_ref);
         self.serve(exchanger, asked, |served| served.message(query))
     }
 
+    // sdoh-lint: entry(transitive-hot-path-purity, "the blocking wire entry point, reached through `dyn QueryHandler`, which call resolution does not follow")
     fn handle_query_wire(
         &mut self,
         exchanger: &mut dyn Exchanger,
@@ -1230,7 +1229,7 @@ mod tests {
         let mut exchanger = net.client(SimAddr::v4(10, 0, 0, 1, 40000));
         let mut resolver = resolver(test_config());
         resolver.handle_query(&mut exchanger, &query(1, "pool.ntp.org"));
-        assert!(!resolver.refresh_queued());
+        assert_eq!(resolver.snapshot().pending_refreshes, 0);
 
         // Past the TTL, within the stale window.
         net.clock().advance(Duration::from_secs(75));
@@ -1241,12 +1240,11 @@ mod tests {
         assert!(stale.answers.iter().all(|r| r.ttl == 0));
         assert_eq!(resolver.metrics().stale_serves, 1);
         assert_eq!(resolver.metrics().generations, 1, "not on the query path");
-        assert!(resolver.refresh_queued(), "due at once");
-        assert_eq!(resolver.snapshot().pending_refreshes, 1);
+        assert_eq!(resolver.snapshot().pending_refreshes, 1, "due at once");
 
         // The background pump regenerates; the next query is a fresh hit.
         assert_eq!(resolver.run_due_refreshes(&mut exchanger), 1);
-        assert!(!resolver.refresh_queued());
+        assert_eq!(resolver.snapshot().pending_refreshes, 0);
         let metrics = resolver.metrics();
         assert_eq!(metrics.generations, 2);
         assert_eq!(metrics.refreshes, 1);
@@ -1711,7 +1709,6 @@ mod tests {
             let response = self.message.handle_query(&mut exchanger, query);
             assert_eq!(self.out, response.encode().unwrap(), "{query}");
             assert_eq!(self.wire.snapshot(), self.message.snapshot());
-            assert_eq!(self.wire.refresh_queued(), self.message.refresh_queued());
             response
         }
     }
@@ -2219,9 +2216,8 @@ mod tests {
             1,
             "eight stale serves of one key queue it once"
         );
-        assert!(resolver.refresh_queued());
         assert_eq!(resolver.begin_due_refreshes(&mut upstream), 1);
-        assert!(!resolver.refresh_queued());
+        assert_eq!(resolver.snapshot().pending_refreshes, 0);
         let landed = upstream.drain(&mut resolver);
         assert_eq!(landed.len(), 1);
         assert_eq!(upstream.departed, [3], "one fan-out");
@@ -2445,7 +2441,6 @@ mod tests {
                     // a function of its history, so even the split between
                     // `evictions` and `expirations` is the same.
                     prop_assert_eq!(stepwise.snapshot(), blocking.snapshot());
-                    prop_assert_eq!(stepwise.refresh_queued(), blocking.refresh_queued());
                     prop_assert_eq!(stepwise_net.now(), blocking_net.now());
                 }
             }

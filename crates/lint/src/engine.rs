@@ -16,6 +16,10 @@
 //!    suppress nothing are themselves reported (`unused-allow`), and
 //!    malformed or unknown directives are reported (`bad-directive`), so
 //!    the escape hatch cannot silently rot.
+//! 4. **Entry markers** — `// sdoh-lint: entry(transitive-hot-path-purity,
+//!    "<reason>")` on a line of its own marks the function below it
+//!    ([`FnRecord::entry`](crate::parser::FnRecord::entry)), or is a
+//!    `bad-directive`.
 
 use std::collections::BTreeSet;
 
@@ -98,7 +102,7 @@ impl<'a> FileView<'a> {
         // generic parameter lists and return types (`-> Result<A, B>`),
         // so a comma only terminates non-item scopes such as struct
         // fields, enum variants and match arms.
-        let item_like = self.starts_declaration(start);
+        let item_like = self.declaration_keyword(start).is_some();
         let mut depth = 0usize;
         let mut si = start;
         while si < self.sig.len() {
@@ -125,10 +129,10 @@ impl<'a> FileView<'a> {
         self.sig.len().saturating_sub(1).max(start)
     }
 
-    /// Whether the tokens at `start` open a declaration item (`fn`,
-    /// `struct`, `impl`, ...) rather than a field, variant, match arm or
+    /// Where the keyword (`fn`, `struct`, `impl`, ...) of the declaration
+    /// item at `start` is, or `None` for a field, variant, match arm or
     /// statement. Leading attributes, visibility and modifiers are skipped.
-    fn starts_declaration(&self, start: usize) -> bool {
+    fn declaration_keyword(&self, start: usize) -> Option<usize> {
         let mut depth = 0usize;
         // Bounded scan: prefixes (attributes, `pub(crate)`, modifier
         // chains) are short; anything longer is not a declaration header.
@@ -142,11 +146,11 @@ impl<'a> FileView<'a> {
                 _ if self.sig_kind(si) == Some(TokenKind::Str) => {}
                 "#" | "pub" | "const" | "unsafe" | "async" | "extern" | "default" => {}
                 "fn" | "struct" | "enum" | "trait" | "impl" | "mod" | "union" | "type"
-                | "macro" | "static" => return true,
-                _ => return false,
+                | "macro" | "static" => return Some(si),
+                _ => return None,
             }
         }
-        false
+        None
     }
 
     /// Mark every token belonging to a test-only item.
@@ -235,10 +239,12 @@ enum DirectiveParse {
     NotADirective,
     Malformed(String),
     Allow { rule: RuleId, reason: String },
+    Entry,
 }
 
-/// Parse `// sdoh-lint: allow(rule, "reason")`. Doc comments (`///`,
-/// `//!`) are never directives, so documentation can quote the syntax.
+/// Parse `// sdoh-lint: allow(rule, "reason")` or `// sdoh-lint:
+/// entry(rule, "reason")`. Doc comments (`///`, `//!`) are never
+/// directives, so documentation can quote the syntax.
 fn parse_directive(comment: &str) -> DirectiveParse {
     let Some(rest) = comment.strip_prefix("//") else {
         return DirectiveParse::NotADirective;
@@ -251,18 +257,19 @@ fn parse_directive(comment: &str) -> DirectiveParse {
         return DirectiveParse::NotADirective;
     };
     let body = body.trim();
-    let Some(args) = body
-        .strip_prefix("allow(")
-        .and_then(|b| b.strip_suffix(')'))
+    let (keyword, args) = body.split_once('(').unwrap_or((body, ""));
+    let Some(args) = args
+        .strip_suffix(')')
+        .filter(|_| keyword == "allow" || keyword == "entry")
     else {
         return DirectiveParse::Malformed(format!(
-            "expected `allow(<rule>, \"<reason>\")`, found `{body}`"
+            "expected `allow(<rule>, \"<reason>\")` or `entry(<rule>, \"<reason>\")`, found `{body}`"
         ));
     };
     let Some((rule_name, reason_part)) = args.split_once(',') else {
-        return DirectiveParse::Malformed(
-            "allow directive needs a reason: `allow(<rule>, \"<reason>\")`".to_string(),
-        );
+        return DirectiveParse::Malformed(format!(
+            "{keyword} directive needs a reason: `{keyword}(<rule>, \"<reason>\")`"
+        ));
     };
     let rule_name = rule_name.trim();
     let Some(rule) = RuleId::from_name(rule_name) else {
@@ -277,13 +284,18 @@ fn parse_directive(comment: &str) -> DirectiveParse {
         .and_then(|r| r.strip_suffix('"'))
         .unwrap_or("");
     if inner.trim().is_empty() {
-        return DirectiveParse::Malformed(
-            "allow directive needs a non-empty quoted reason".to_string(),
-        );
+        return DirectiveParse::Malformed(format!(
+            "{keyword} directive needs a non-empty quoted reason"
+        ));
     }
-    DirectiveParse::Allow {
-        rule,
-        reason: inner.to_string(),
+    let reason = inner.to_string();
+    match keyword {
+        "allow" => DirectiveParse::Allow { rule, reason },
+        _ if rule == RuleId::TransitivePurity => DirectiveParse::Entry,
+        _ => DirectiveParse::Malformed(format!(
+            "only `{}` starts at marked entries",
+            RuleId::TransitivePurity.name()
+        )),
     }
 }
 
@@ -324,10 +336,10 @@ pub fn analyze_source(
     vocab: &BTreeSet<String>,
 ) -> FileAnalysis {
     let view = FileView::new(source);
+    let mut items = parser::parse_file(file, &view);
     let mut direct: Vec<Diagnostic> = Vec::new();
-    let allows = collect_allows(file, source, &view, &mut direct);
+    let allows = collect_directives(file, source, &view, &mut items, &mut direct);
 
-    let items = parser::parse_file(file, &view);
     let mut raw: Vec<Diagnostic> = Vec::new();
     for rule in enabled {
         rules::run_rule(*rule, file, &view, &items, vocab, &mut raw);
@@ -408,35 +420,42 @@ pub fn check_source(
 }
 
 /// Extract allow directives from comment tokens, computing each one's
-/// suppression scope. Malformed directives become `bad-directive`
-/// diagnostics immediately.
-fn collect_allows(
+/// suppression scope, and mark the function below each entry marker.
+/// Malformed directives and markers that mark nothing become
+/// `bad-directive` diagnostics immediately.
+fn collect_directives(
     file: &str,
     source: &str,
     view: &FileView<'_>,
+    items: &mut FileItems,
     diagnostics: &mut Vec<Diagnostic>,
 ) -> Vec<Allow> {
     let mut allows = Vec::new();
+    let mut markers = Vec::new();
     for token in &view.tokens {
         if token.kind != TokenKind::LineComment {
             continue;
         }
         let text = source.get(token.start..token.end).unwrap_or("");
+        let trailing = || {
+            (0..view.sig_len()).any(|si| {
+                let (line, col) = view.sig_pos(si);
+                line == token.line && col < token.col
+            })
+        };
+        let bad = |message: String| Diagnostic {
+            file: file.to_string(),
+            line: token.line,
+            col: token.col,
+            rule: "bad-directive",
+            message,
+        };
         match parse_directive(text) {
             DirectiveParse::NotADirective => {}
-            DirectiveParse::Malformed(message) => diagnostics.push(Diagnostic {
-                file: file.to_string(),
-                line: token.line,
-                col: token.col,
-                rule: "bad-directive",
-                message,
-            }),
+            DirectiveParse::Malformed(message) => diagnostics.push(bad(message)),
+            DirectiveParse::Entry => markers.push((token.line, trailing(), bad)),
             DirectiveParse::Allow { rule, reason } => {
-                let trailing = (0..view.sig_len()).any(|si| {
-                    let (line, col) = view.sig_pos(si);
-                    line == token.line && col < token.col
-                });
-                let (from_line, to_line) = if trailing {
+                let (from_line, to_line) = if trailing() {
                     (token.line, token.line)
                 } else {
                     standalone_scope(view, token.line)
@@ -453,7 +472,47 @@ fn collect_allows(
             }
         }
     }
+    for (line, trailing, bad) in markers {
+        if let Err(message) = mark_entry(view, line, trailing, &allows, items) {
+            diagnostics.push(bad(message));
+        }
+    }
     allows
+}
+
+/// Marks the function whose item follows the entry marker on `line`, or
+/// says why the marker marks none.
+fn mark_entry(
+    view: &FileView<'_>,
+    line: usize,
+    trailing: bool,
+    allows: &[Allow],
+    items: &mut FileItems,
+) -> Result<(), String> {
+    let keyword = (0..view.sig_len())
+        .find(|&si| view.sig_pos(si).0 > line)
+        .and_then(|start| view.declaration_keyword(start));
+    let fn_line = keyword
+        .filter(|&si| !trailing && view.sig_text(si) == "fn")
+        .map(|si| view.sig_pos(si).0);
+    let f = items
+        .functions
+        .iter_mut()
+        .find(|f| Some(f.def_line) == fn_line && !f.in_test)
+        .ok_or("an entry marker must stand on a line of its own above a non-test function")?;
+    // Marked either way: the traversal then counts the boundary's allow
+    // as used, and this is the one diagnostic.
+    f.entry = true;
+    if allows
+        .iter()
+        .any(|a| a.covers_fn(RuleId::TransitivePurity, f.def_line, f.end_line))
+    {
+        return Err(format!(
+            "`{}` is also a pruning boundary: the traversal would check nothing from it",
+            f.name
+        ));
+    }
+    Ok(())
 }
 
 /// Scope of a directive on its own line: from the first significant token

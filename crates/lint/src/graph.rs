@@ -15,8 +15,8 @@
 //! * **`param.method(...)`** resolves against the parameter's declared
 //!   type when it names a workspace type; `dyn`/`impl`/generic receivers
 //!   go to the *unknown bucket* — dynamic dispatch is a documented
-//!   false-negative boundary (each concrete implementation must be listed
-//!   as its own entry point to be covered).
+//!   false-negative boundary (each concrete implementation must be marked
+//!   as an entry of its own to be covered).
 //! * **Other receivers** (field chains, call results) resolve by method
 //!   name, restricted to candidates whose type is defined in the caller's
 //!   crate or imported by the caller's file — a precision guard that
@@ -44,38 +44,11 @@ use crate::parser::{
 use crate::report::Diagnostic;
 use crate::rules::RuleId;
 
-/// One analysis entry point: a free function or a method of a named type
-/// in a workspace crate.
-#[derive(Clone, Debug)]
-pub struct Entry {
-    pub crate_name: String,
-    pub self_type: Option<String>,
-    pub name: String,
-}
-
-impl Entry {
-    pub fn free(crate_name: &str, name: &str) -> Entry {
-        Entry {
-            crate_name: crate_name.to_string(),
-            self_type: None,
-            name: name.to_string(),
-        }
-    }
-
-    pub fn method(crate_name: &str, self_type: &str, name: &str) -> Entry {
-        Entry {
-            crate_name: crate_name.to_string(),
-            self_type: Some(self_type.to_string()),
-            name: name.to_string(),
-        }
-    }
-}
-
-/// Where the graph rules start and which crates they scope to.
+/// Which crates the graph rules scope to. (Where
+/// `transitive-hot-path-purity` starts is marked in the sources: see
+/// [`FnRecord::entry`].)
 #[derive(Clone, Debug, Default)]
 pub struct GraphConfig {
-    /// Serving entry points for `transitive-hot-path-purity`.
-    pub purity_entries: Vec<Entry>,
     /// The sim-facing crates: every non-test function of these is an entry
     /// of `transitive-determinism`.
     pub determinism_crates: Vec<String>,
@@ -192,7 +165,7 @@ impl Graph {
             let mut adj: BTreeSet<usize> = BTreeSet::new();
             let mut per_call: Vec<Vec<usize>> = Vec::with_capacity(f.calls.len());
             for call in &f.calls {
-                let targets = resolve(f, &call.callee, file_imports, &names);
+                let targets = resolve(f, &call.callee, file_imports, &names, &fns);
                 if targets.is_empty() {
                     unknown_calls += 1;
                 }
@@ -234,20 +207,6 @@ impl Graph {
             unknown_calls,
             file_index,
         }
-    }
-
-    fn find_entry(&self, entry: &Entry) -> Vec<usize> {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| {
-                !f.in_test
-                    && f.crate_name == entry.crate_name
-                    && f.name == entry.name
-                    && f.self_type == entry.self_type
-            })
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// Serializes the graph as JSON for the CI artifact: nodes, resolved
@@ -335,6 +294,7 @@ fn resolve(
     callee: &Callee,
     file_imports: Option<&BTreeMap<&str, &[String]>>,
     names: &Names<'_>,
+    fns: &[FnRecord],
 ) -> Vec<usize> {
     match callee {
         Callee::Method { name, receiver } => match receiver {
@@ -372,6 +332,9 @@ fn resolve(
                     .types_by_crate
                     .get(caller.crate_name.as_str())
                     .unwrap_or(&empty);
+                let in_scope = |ty: &str| {
+                    local_types.contains(ty) || file_imports.is_some_and(|im| im.contains_key(ty))
+                };
                 names
                     .methods_by_name
                     .get(name.as_str())
@@ -380,7 +343,9 @@ fn resolve(
                             .iter()
                             .copied()
                             .filter(|&i| {
-                                candidate_in_scope(i, local_types, file_imports, &names.typed, name)
+                                fns.get(i)
+                                    .and_then(|c| c.self_type.as_deref())
+                                    .is_some_and(in_scope)
                             })
                             .collect()
                     })
@@ -389,30 +354,6 @@ fn resolve(
         },
         Callee::Path(segments) => resolve_path(Scope::of(caller), segments, file_imports, names, 0),
     }
-}
-
-/// Whether a by-name method candidate's type is visible to the caller.
-/// Used only through [`resolve`]; the indirection keeps borrow scopes
-/// simple.
-fn candidate_in_scope(
-    candidate: usize,
-    local_types: &BTreeSet<&str>,
-    file_imports: Option<&BTreeMap<&str, &[String]>>,
-    typed: &BTreeMap<(&str, &str), Vec<usize>>,
-    name: &str,
-) -> bool {
-    // Find the candidate's type by scanning the typed index.
-    for (&(ty, m), indices) in typed {
-        if m == name && indices.contains(&candidate) {
-            if local_types.contains(ty) {
-                return true;
-            }
-            if file_imports.map(|im| im.contains_key(ty)).unwrap_or(false) {
-                return true;
-            }
-        }
-    }
-    false
 }
 
 /// Resolves a path call (`a::b::c(...)`), expanding through one level of
@@ -513,7 +454,7 @@ pub(crate) fn run_graph_rules(
             callgraph_json: emit_callgraph.then(|| graph.to_json(&inventory)),
         };
         if enabled.contains(&RuleId::TransitivePurity) {
-            transitive_purity(&graph, analyses, config, &mut outcome);
+            transitive_purity(&graph, analyses, &mut outcome);
         }
         if enabled.contains(&RuleId::TransitiveDeterminism) {
             transitive_determinism(&graph, analyses, config, &mut outcome);
@@ -530,11 +471,7 @@ pub(crate) fn run_graph_rules(
         .map(|(i, analysis)| (analysis.file.clone(), i))
         .collect();
     for diag in outcome.findings {
-        // Findings on a synthetic file (`<graph-config>`) attach to the
-        // first analysis so they survive finalize; no allow can cover
-        // them there (directive scopes start at line 1).
-        let ai = by_file.get(&diag.file).copied().unwrap_or(0);
-        if let Some(analysis) = analyses.get_mut(ai) {
+        if let Some(analysis) = by_file.get(&diag.file).and_then(|&ai| analyses.get_mut(ai)) {
             analysis.raw.push(diag);
         }
     }
@@ -682,38 +619,18 @@ fn chain(graph: &Graph, parent: &[usize], i: usize) -> String {
 }
 
 /// `transitive-hot-path-purity`: no lock or allocation site may be
-/// reachable from the serving entry points. (A panic site is a `no-panic`
-/// finding wherever it sits; reporting it here again would only ask for a
-/// second directive on the same line.)
-fn transitive_purity(
-    graph: &Graph,
-    analyses: &[FileAnalysis],
-    config: &GraphConfig,
-    outcome: &mut GraphOutcome,
-) {
-    let mut entries: Vec<usize> = Vec::new();
-    for entry in &config.purity_entries {
-        let found = graph.find_entry(entry);
-        if found.is_empty() {
-            // A renamed or moved entry point must fail loudly: an empty
-            // entry set would make the whole rule vacuously pass.
-            let label = match &entry.self_type {
-                Some(ty) => format!("{}::{}::{}", entry.crate_name, ty, entry.name),
-                None => format!("{}::{}", entry.crate_name, entry.name),
-            };
-            outcome.findings.push(Diagnostic {
-                file: "<graph-config>".to_string(),
-                line: 0,
-                col: 0,
-                rule: RuleId::TransitivePurity.name(),
-                message: format!(
-                    "serving entry point `{label}` matches no function; \
-                     update the entry list in workspace::graph_config()"
-                ),
-            });
-        }
-        entries.extend(found);
-    }
+/// reachable from the serving entry points, the functions marked
+/// `// sdoh-lint: entry(transitive-hot-path-purity, "..")`. (A panic site is
+/// a `no-panic` finding wherever it sits; reporting it here again would
+/// only ask for a second directive on the same line.)
+fn transitive_purity(graph: &Graph, analyses: &[FileAnalysis], outcome: &mut GraphOutcome) {
+    let entries: Vec<usize> = graph
+        .fns
+        .iter()
+        .enumerate()
+        .filter(|(_, f)| f.entry)
+        .map(|(i, _)| i)
+        .collect();
     report_reachable(
         graph,
         analyses,

@@ -31,12 +31,14 @@
 //! and a conservative by-name pass scoped to the caller's crate and
 //! imports. Unresolvable calls land in a counted *unknown bucket*, dumped
 //! with `--emit-callgraph` — never silently dropped. Each rule starts at
-//! its *entries* — functions named in [`workspace::graph_config`], the
-//! only scope table there is.
+//! its *entries*: for `transitive-hot-path-purity` the functions marked
+//! `// sdoh-lint: entry(transitive-hot-path-purity, "<why>")` where they
+//! are defined, for `transitive-determinism` every function of the crates
+//! [`workspace::graph_config`] names.
 //!
 //! | rule | what it bans |
 //! |------|--------------|
-//! | `transitive-hot-path-purity` | `.lock()`, `Box::new`, `Vec::new`, `vec!`, `.to_vec()`, `format!`, `.collect()` *reachable* from the serving entry points (`dispatcher_loop`, `timer_loop`, `ShardMachine::answer_parked`, `CachingPoolResolver::{handle_query, handle_query_wire, begin, next_arrival, has_work}`) — the serving path must stay lock-free and allocation-free; the diagnostic carries the full call chain |
+//! | `transitive-hot-path-purity` | `.lock()`, `Box::new`, `Vec::new`, `vec!`, `.to_vec()`, `format!`, `.collect()` *reachable* from the marked serving entry points — the serving path must stay lock-free and allocation-free; the diagnostic carries the full call chain |
 //! | `transitive-determinism` | `Instant::now()`, `SystemTime::now()`, `OsRng`, `thread_rng`, `from_entropy`, `getrandom` in, or reachable from, any non-test function of `netsim`, `chaos`, `core`, `dns-server`, `doh`, `ntp`, `bench`, `analysis` and the umbrella `secure-doh` — sim-facing crates take time and entropy from seeded handles only, so campaigns and experiment reports stay byte-identical per seed; the wall clock is a `runtime`-only privilege |
 //! | `lock-order` | cycles in the ordered lock-acquisition graph of the control plane — each cycle is reported once, with every conflicting ordering and both witnesses |
 //!
@@ -49,9 +51,11 @@
 //! a *pruning boundary*: the traversal stops there, so one directive
 //! documents a whole cold-path cone (the coalesced miss path, control
 //! probes, the v0 wire codec). No construct is reported by two rules, so
-//! no site ever needs two directives. A configured entry point that
-//! matches no function is itself a diagnostic, so a rename cannot make a
-//! rule vacuously pass.
+//! no site ever needs two directives. An entry marker that marks no
+//! non-test function, or one on a pruning boundary of its own rule, is
+//! itself a diagnostic, so no marker can make the rule vacuously pass;
+//! `cargo test -p sdoh-lint --test serving_cone -- --nocapture` prints
+//! every function the entries reach.
 //!
 //! Test code (`#[cfg(test)]` items, `#[test]`/`#[bench]`/`#[should_panic]`
 //! functions) is exempt from every rule except the directive checks:
@@ -113,11 +117,11 @@ pub mod rules;
 pub mod workspace;
 
 pub use engine::{analyze_source, check_source};
-pub use graph::{check_sources, inventory_of, Entry, GraphConfig};
+pub use graph::{check_sources, inventory_of, GraphConfig};
 pub use inventory::{Inventory, Listed};
 pub use report::{render_human, render_json, Diagnostic, Report};
 pub use rules::RuleId;
 pub use workspace::{
-    find_workspace_root, graph_config, lint_workspace_with, rules_for, vocabulary_from_source,
-    LintOptions,
+    find_workspace_root, graph_config, lint_workspace_with, rules_for, source_files,
+    vocabulary_from_source, LintOptions,
 };

@@ -130,6 +130,10 @@ pub struct FnRecord {
     pub def_line: usize,
     /// Last line of the body (== `def_line` for bodyless declarations).
     pub end_line: usize,
+    /// `(line, col)` of the body's `{` (`None` without a body).
+    pub body: Option<(usize, usize)>,
+    /// Marked `// sdoh-lint: entry(..)`: the purity rule starts here.
+    pub entry: bool,
     /// Defined inside a test item — excluded from every graph rule. A
     /// test function records its calls and references (the inventory's
     /// test roots reach through them) but no facts.
@@ -565,6 +569,8 @@ impl Parser<'_, '_> {
                         file: self.file.clone(),
                         def_line,
                         end_line: def_line,
+                        body: None,
+                        entry: false,
                         in_test: self.view.in_test(si),
                         trait_method: self.trait_method,
                         facts: Vec::new(),
@@ -601,6 +607,8 @@ impl Parser<'_, '_> {
             file: self.file.clone(),
             def_line,
             end_line: end_line.max(def_line),
+            body: Some(self.view.sig_pos(j)),
+            entry: false,
             in_test: self.view.in_test(si),
             trait_method: self.trait_method,
             facts: Vec::new(),

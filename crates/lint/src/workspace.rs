@@ -1,8 +1,8 @@
 //! Workspace walking and rule scoping: which files are scanned, which
-//! per-file rules apply to each, where the call-graph rules start
-//! ([`graph_config`] — an *entry* is a function the traversal begins at;
-//! there is no per-rule file table beside it), and where the shared metric
-//! vocabulary lives.
+//! per-file rules apply to each, which crates the call-graph rules scope
+//! to ([`graph_config`]; where `transitive-hot-path-purity` starts is
+//! marked in the sources, `// sdoh-lint: entry(..)`), and where the shared
+//! metric vocabulary lives.
 //!
 //! The scan covers every workspace member's `src/` tree plus the umbrella
 //! crate's `src/`. Exemptions, by design rather than omission:
@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::engine::{self, FileAnalysis};
-use crate::graph::{self, Entry, GraphConfig};
+use crate::graph::{self, GraphConfig};
 use crate::lexer::{lex, TokenKind};
 use crate::report::{Diagnostic, Report};
 use crate::rules::{string_literal_inner, RuleId};
@@ -138,6 +138,18 @@ fn scan_roots(root: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(roots)
 }
 
+/// The files the workspace scan lints: every `.rs` file of the `src/`
+/// trees `scan_roots` names, in sorted order.
+pub fn source_files(root: &Path) -> Result<Vec<PathBuf>, String> {
+    let mut files: Vec<PathBuf> = Vec::new();
+    for scan_root in scan_roots(root)? {
+        if scan_root.is_dir() {
+            collect_rs_files(&scan_root, &mut files)?;
+        }
+    }
+    Ok(files)
+}
+
 /// The files parsed only to root the inventory (see
 /// [`crate::inventory`]): examples, the umbrella's and every member's
 /// integration tests, and the benchmark's sources. The lint fixtures are
@@ -175,36 +187,11 @@ fn relative_label(root: &Path, path: &Path) -> String {
     label
 }
 
-/// The call-graph configuration for *this* workspace: where the serving
-/// path starts, which crates must stay deterministic, and which crates'
-/// locks feed the lock-order analysis.
+/// The call-graph configuration for *this* workspace: which crates must
+/// stay deterministic, and which crates' locks feed the lock-order
+/// analysis.
 pub fn graph_config() -> GraphConfig {
     GraphConfig {
-        // The shard serving path: the dispatcher that steps its shard with
-        // each wire query through `ShardSet::step` (the TCP thread does the
-        // same through the same function, so it needs no entry of its own),
-        // the timer that lands the round trips no socket thread meets, and
-        // the resolver entry points they dispatch into — the blocking pair
-        // (`handle_query` and `handle_query_wire` are reached through `dyn
-        // QueryHandler`, which call resolution deliberately does not follow
-        // — so the concrete implementations are entry points of their own)
-        // and `begin`, the step every hit is answered through. The last
-        // three sit behind `ShardMachine::pump`'s pruning boundary and yet
-        // run per query: `pump`'s first check asks `has_work` (a flight
-        // opened and not departed, or a refresh queued) and `next_arrival`
-        // (the earliest arrival, held against one clock reading) at the end
-        // of every step, cache hits included, and
-        // `answer_parked` is the way out of every parked miss.
-        purity_entries: vec![
-            Entry::free("runtime", "dispatcher_loop"),
-            Entry::free("runtime", "timer_loop"),
-            Entry::method("core", "CachingPoolResolver", "handle_query"),
-            Entry::method("core", "CachingPoolResolver", "handle_query_wire"),
-            Entry::method("core", "CachingPoolResolver", "begin"),
-            Entry::method("core", "CachingPoolResolver", "next_arrival"),
-            Entry::method("core", "CachingPoolResolver", "has_work"),
-            Entry::method("runtime", "ShardMachine", "answer_parked"),
-        ],
         determinism_crates: DETERMINISM_CRATES.iter().map(|c| c.to_string()).collect(),
         lock_crates: vec!["runtime".to_string()],
     }
@@ -240,12 +227,7 @@ pub fn lint_workspace_with(root: &Path, options: &LintOptions) -> Result<Report,
         ));
     }
 
-    let mut files: Vec<PathBuf> = Vec::new();
-    for scan_root in scan_roots(root)? {
-        if scan_root.is_dir() {
-            collect_rs_files(&scan_root, &mut files)?;
-        }
-    }
+    let files = source_files(root)?;
 
     let enabled: Vec<RuleId> = match &options.rule_filter {
         Some(filter) => filter.clone(),

@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use sdoh_lint::rules::RuleId;
 use sdoh_lint::{
     check_source, check_sources, find_workspace_root, inventory_of, rules_for,
-    vocabulary_from_source, Diagnostic, Entry, GraphConfig, Inventory, Listed,
+    vocabulary_from_source, Diagnostic, GraphConfig, Inventory, Listed,
 };
 
 fn fixture_dir() -> PathBuf {
@@ -112,22 +112,17 @@ fn a_narrowing_cast_in_the_scenario_layer_is_reported() {
 
 #[test]
 fn hot_path_purity_fixture_flags_locks_and_allocation() {
-    let entries = ["bad_lock", "bad_alloc", "bad_format", "allowed_cold_path"];
-    let config = GraphConfig {
-        purity_entries: entries.map(|name| Entry::free("hot", name)).to_vec(),
-        ..GraphConfig::default()
-    };
     let diagnostics = lint_graph_fixtures(
         &[("crates/hot/src/lib.rs", "hot_path_purity.rs")],
         &RuleId::ALL,
-        &config,
+        &GraphConfig::default(),
     );
     assert_eq!(
         triples(&diagnostics),
         vec![
-            ("transitive-hot-path-purity", 5, 12), // mutex.lock()
-            ("transitive-hot-path-purity", 9, 5),  // Vec::new()
-            ("transitive-hot-path-purity", 13, 5), // format!
+            ("transitive-hot-path-purity", 6, 12), // mutex.lock()
+            ("transitive-hot-path-purity", 11, 5), // Vec::new()
+            ("transitive-hot-path-purity", 17, 5), // format!
         ],
         "the standalone allow must cover the whole cold-path function"
     );
@@ -211,21 +206,17 @@ fn standalone_allow_scope_survives_commas_in_generic_return_types() {
 
 #[test]
 fn transitive_purity_fixture_reports_the_full_call_chain() {
-    let config = GraphConfig {
-        purity_entries: vec![Entry::free("palpha", "serve_loop")],
-        ..GraphConfig::default()
-    };
     let diagnostics = lint_graph_fixtures(
         &[("crates/palpha/src/lib.rs", "transitive_purity.rs")],
         &[RuleId::TransitivePurity],
-        &config,
+        &GraphConfig::default(),
     );
     assert_eq!(
         triples(&diagnostics),
         vec![
-            ("transitive-hot-path-purity", 15, 18), // Vec::new in helper
-            ("transitive-hot-path-purity", 20, 37), // std::vec::Vec::new
-            ("transitive-hot-path-purity", 21, 29), // std::boxed::Box::new
+            ("transitive-hot-path-purity", 16, 18), // Vec::new in helper
+            ("transitive-hot-path-purity", 21, 37), // std::vec::Vec::new
+            ("transitive-hot-path-purity", 22, 29), // std::boxed::Box::new
         ],
         "the allocations two hops down must be reported at their own sites, \
          fully qualified or not"
@@ -241,14 +232,10 @@ fn transitive_purity_fixture_reports_the_full_call_chain() {
 
 #[test]
 fn transitive_purity_boundary_allow_prunes_and_counts_as_used() {
-    let config = GraphConfig {
-        purity_entries: vec![Entry::free("palpha", "serve_loop")],
-        ..GraphConfig::default()
-    };
     let diagnostics = lint_graph_fixtures(
         &[("crates/palpha/src/lib.rs", "transitive_purity_allowed.rs")],
         &[RuleId::TransitivePurity],
-        &config,
+        &GraphConfig::default(),
     );
     assert_eq!(
         triples(&diagnostics),
@@ -260,17 +247,13 @@ fn transitive_purity_boundary_allow_prunes_and_counts_as_used() {
 
 #[test]
 fn cross_crate_edge_resolves_through_the_use_import() {
-    let config = GraphConfig {
-        purity_entries: vec![Entry::free("xalpha", "serve_loop")],
-        ..GraphConfig::default()
-    };
     let diagnostics = lint_graph_fixtures(
         &[
             ("crates/xalpha/src/lib.rs", "cross_crate_entry.rs"),
             ("crates/xbeta/src/lib.rs", "cross_crate_callee.rs"),
         ],
         &[RuleId::TransitivePurity],
-        &config,
+        &GraphConfig::default(),
     );
     assert_eq!(
         triples(&diagnostics),
@@ -398,27 +381,58 @@ fn transitive_determinism_boundary_allow_covers_the_entry() {
     );
 }
 
-#[test]
-fn a_configured_entry_matching_no_function_fails_loudly() {
-    let config = GraphConfig {
-        purity_entries: vec![Entry::free("solo", "missing_entry")],
-        ..GraphConfig::default()
-    };
-    let diagnostics = check_sources(
-        &[("crates/solo/src/lib.rs", "pub fn nothing() {}\n")],
+/// Lints one in-memory file of crate `solo` for the purity rule alone.
+fn lint_purity(source: &str) -> Vec<Diagnostic> {
+    check_sources(
+        &[("crates/solo/src/lib.rs", source)],
         &[RuleId::TransitivePurity],
         &fixture_vocab(),
-        &config,
+        &GraphConfig::default(),
+    )
+}
+
+#[test]
+fn an_entry_marker_that_marks_no_function_fails_loudly() {
+    let marker = "// sdoh-lint: entry(transitive-hot-path-purity, \"serves every query\")";
+    for (source, line, col) in [
+        (format!("pub fn nothing() {{}}\n{marker}\n"), 2, 1),
+        (
+            format!(
+                "pub struct Shard;\n\n{marker}\nimpl Shard {{\n    pub fn step(&self) {{}}\n}}\n"
+            ),
+            3,
+            1,
+        ),
+        (format!("pub fn step() {{}} {marker}\n"), 1, 18),
+    ] {
+        let diagnostics = lint_purity(&source);
+        assert_eq!(
+            triples(&diagnostics),
+            vec![("bad-directive", line, col)],
+            "a marker that starts no traversal must not make the rule vacuously pass:\n{source}"
+        );
+    }
+    let other_rule = "// sdoh-lint: entry(no-panic, \"x\")\npub fn step() {}\n";
+    assert_eq!(
+        triples(&lint_purity(other_rule)),
+        vec![("bad-directive", 1, 1)]
     );
+}
+
+#[test]
+fn an_entry_that_is_also_a_pruning_boundary_is_a_bad_directive() {
+    let source = "// sdoh-lint: entry(transitive-hot-path-purity, \"serves every query\")\n\
+                  // sdoh-lint: allow(transitive-hot-path-purity, \"the miss path\")\n\
+                  pub fn pump() -> Vec<u8> {\n    Vec::new()\n}\n";
+    let diagnostics = lint_purity(source);
     assert_eq!(
         triples(&diagnostics),
-        vec![("transitive-hot-path-purity", 0, 0)],
-        "a renamed entry point must not make the rule vacuously pass"
+        vec![("bad-directive", 1, 1)],
+        "the traversal would check nothing from this entry"
     );
-    assert_eq!(diagnostics[0].file, "<graph-config>");
     assert!(
-        diagnostics[0].message.contains("solo::missing_entry"),
-        "the failure must name the stale entry, got: {}",
+        diagnostics[0].message.contains("`pump`"),
+        "{}",
         diagnostics[0].message
     );
 }

@@ -3,6 +3,7 @@
 
 use sdoh_xbeta::render;
 
+// sdoh-lint: entry(transitive-hot-path-purity, "fixture: serves every query")
 pub fn serve_loop() {
     render();
 }

@@ -2,6 +2,7 @@
 //! transitive-hot-path-purity diagnostic with the full call chain — in
 //! whichever spelling the path is written.
 
+// sdoh-lint: entry(transitive-hot-path-purity, "fixture: serves every query")
 pub fn serve_loop() {
     step();
 }

@@ -1,6 +1,7 @@
 //! Allowed twin: a standalone allow above the helper is a pruning
 //! boundary — the traversal stops there and the directive counts as used.
 
+// sdoh-lint: entry(transitive-hot-path-purity, "fixture: serves every query")
 pub fn serve_loop() {
     step();
 }

@@ -585,6 +585,7 @@ impl ShardSet {
 /// The timer thread: waits until the earliest alarm over all shards — with
 /// none armed, for centuries or until a socket thread arms one — and lands
 /// what is due. It takes no lock of its own, only each due shard's.
+// sdoh-lint: entry(transitive-hot-path-purity, "lands every round trip no socket thread meets")
 fn timer_loop(shards: &ShardSet, stop: &AtomicBool) {
     while !stop.load(Ordering::SeqCst) {
         let now = Instant::now();
@@ -916,6 +917,7 @@ fn route(query: Option<&QueryView<'_>>, shards: usize) -> usize {
     usize::try_from(hasher.finish() % shards).unwrap_or(0)
 }
 
+// sdoh-lint: entry(transitive-hot-path-purity, "steps a shard with each UDP query through `ShardSet::step`; the TCP thread steps through the same function, so it needs no marker of its own")
 fn dispatcher_loop(shards: &ShardSet, stop: &AtomicBool) {
     let mut buf = [0u8; 4096];
     loop {
@@ -1321,6 +1323,7 @@ impl ShardMachine {
     /// order — each read where it lies in its own buffer, through the
     /// closing half of the Do53 core. The other flights' waiters are neither
     /// visited nor moved.
+    // sdoh-lint: entry(transitive-hot-path-purity, "behind `pump`'s pruning boundary, yet the way out of every parked miss")
     fn answer_parked(&mut self, landed: &Landed) {
         // A refresh's flight has nobody waiting on it.
         let found = self

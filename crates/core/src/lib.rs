@@ -233,9 +233,9 @@ pub use serve::{
     ConfigError, EntryState, FlightId, Landed, PoolKey, ResolvedPool, ServeMetrics, ServeSnapshot,
     APP_METRIC_HELP, METRIC_CONFIG_EPOCH, METRIC_DROPPED_QUERIES, METRIC_INVARIANT_VIOLATIONS,
     METRIC_SERVE_LATENCY, METRIC_SHARDS, METRIC_SHARD_ACKED_EPOCH, METRIC_TCP_QUERIES,
-    METRIC_TIMESYNC_FAILURES, METRIC_TIMESYNC_POOL_REFRESHES, METRIC_TIMESYNC_SYNCS,
-    METRIC_TRUNCATED_RESPONSES, METRIC_UDP_QUERIES, METRIC_UNRESPONSIVE_SHARDS,
-    RUNTIME_METRIC_HELP, SERVE_GAUGE_HELP,
+    METRIC_TIMER_LATENESS, METRIC_TIMESYNC_FAILURES, METRIC_TIMESYNC_POOL_REFRESHES,
+    METRIC_TIMESYNC_SYNCS, METRIC_TRUNCATED_RESPONSES, METRIC_UDP_QUERIES,
+    METRIC_UNRESPONSIVE_SHARDS, RUNTIME_METRIC_HELP, SERVE_GAUGE_HELP,
 };
 pub use session::{Action, PoolSession, TransactionId, Transmit};
 pub use source::{AddressSource, DohSource, FetchError, FetchStart, StaticSource};

@@ -145,6 +145,11 @@ pub const METRIC_SERVE_LATENCY: (&str, &str) = (
      the wait for the shard's lock) until its answer is ready to leave (the send \
      itself is not timed).",
 );
+/// Hot path: how late the shard timer woke, per timer pass that steps a shard.
+pub const METRIC_TIMER_LATENESS: (&str, &str) = (
+    "sdoh_timer_lateness_seconds",
+    "How long after the earliest alarm the shard timer woke, per pass that steps a shard.",
+);
 /// Control plane: serving shards of this instance.
 pub const METRIC_SHARDS: (&str, &str) = (
     "sdoh_shards",
@@ -195,6 +200,7 @@ pub const RUNTIME_METRIC_HELP: &[(&str, &str)] = &[
     METRIC_TRUNCATED_RESPONSES,
     METRIC_DROPPED_QUERIES,
     METRIC_SERVE_LATENCY,
+    METRIC_TIMER_LATENESS,
     METRIC_SHARDS,
     METRIC_UNRESPONSIVE_SHARDS,
     METRIC_CONFIG_EPOCH,

@@ -51,7 +51,7 @@ use sdoh_dns_server::{Departure, ExchangeOutcome, ExchangeRequest, Exchanger, Qu
 use sdoh_doh::DohServerService;
 use sdoh_netsim::{ChannelKind, NetError, NetResult, SimAddr, SimInstant, SimRng};
 
-use crate::clock::RuntimeClock;
+use crate::clock::{park_for, timer_slack, RuntimeClock};
 
 /// An endpoint reachable inside a [`BackendNet`]: takes one request
 /// payload, returns the reply payload (`None` models a dropped request —
@@ -98,6 +98,8 @@ struct Inner {
     /// delays the caller without serializing the endpoint.
     latency: Duration,
     clock: RuntimeClock,
+    /// The kernel's timer slack, which leads each wait for a round trip.
+    slack: Duration,
     ids: AtomicU64,
 }
 
@@ -128,6 +130,7 @@ impl BackendNetBuilder {
                 endpoints: self.endpoints,
                 latency: self.latency,
                 clock: RuntimeClock::new(),
+                slack: timer_slack(),
                 ids: AtomicU64::new(0x9E37_79B9_7F4A_7C15),
             }),
         }
@@ -185,11 +188,13 @@ pub struct BackendExchanger {
 impl BackendExchanger {
     /// The network half of an exchange, for a caller with nothing else to
     /// do: sleeps until `ready_at`, the end of a round trip that began one
-    /// latency earlier — once, however many requests travel together.
+    /// latency earlier — once, however many requests travel together — and
+    /// never less: collecting early would cut the round trip short.
     fn wait_until(&self, ready_at: SimInstant) {
-        let wait = ready_at.saturating_duration_since(self.now());
-        if !wait.is_zero() {
-            std::thread::sleep(wait);
+        let mut wait = ready_at.saturating_duration_since(self.now());
+        while !wait.is_zero() {
+            std::thread::sleep(park_for(wait, self.net.inner.slack, true));
+            wait = ready_at.saturating_duration_since(self.now());
         }
     }
 
@@ -540,6 +545,58 @@ mod tests {
             vec![std::thread::current().id(); 3],
             "every request was served on the caller's thread"
         );
+    }
+
+    /// An endpoint that records when, on the net's clock, it served.
+    struct ServedAt(Arc<Mutex<Vec<SimInstant>>>);
+    impl PayloadService for ServedAt {
+        fn serve(
+            &mut self,
+            exchanger: &mut dyn Exchanger,
+            _channel: ChannelKind,
+            payload: &[u8],
+        ) -> Option<Vec<u8>> {
+            self.0.lock().push(exchanger.now());
+            Some(payload.to_vec())
+        }
+    }
+
+    /// The blocking batch's sleeps are led by the timer slack, and still
+    /// none ends before its round trip is over: over many 2 ms round trips,
+    /// `wait_until` returns no earlier than the `ready_at` it was handed,
+    /// and `exchange_all` serves no request before one round trip after it
+    /// was called.
+    #[test]
+    fn a_blocking_batch_is_never_collected_before_its_round_trip_is_over() {
+        const LATENCY: Duration = Duration::from_millis(2);
+        let served_at = Arc::new(Mutex::new(Vec::new()));
+        let echo = SimAddr::v4(192, 0, 2, 1, 443);
+        let net = BackendNet::builder()
+            .with_latency(LATENCY)
+            .register(echo, ServedAt(Arc::clone(&served_at)))
+            .build();
+        let mut exchanger = net.exchanger(SimAddr::v4(10, 0, 0, 1, 40000));
+        let request = || ExchangeRequest::new(echo, ChannelKind::Secure, vec![1], Duration::ZERO);
+        for _ in 0..25 {
+            let departure = exchanger.depart(vec![request()]);
+            exchanger.wait_until(departure.ready_at());
+            let early = departure
+                .ready_at()
+                .saturating_duration_since(exchanger.now());
+            assert!(early.is_zero(), "woke {early:?} before its ready_at");
+            exchanger.arrive(departure);
+
+            let asked = exchanger.now();
+            assert!(exchanger.exchange_all(vec![request()])[0].result.is_ok());
+            let served = served_at.lock().pop().expect("served");
+            let early = asked
+                .saturating_add(LATENCY)
+                .saturating_duration_since(served);
+            assert!(
+                early.is_zero(),
+                "served {early:?} before its round trip was over"
+            );
+        }
     }
 
     #[test]

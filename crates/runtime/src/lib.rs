@@ -16,8 +16,10 @@
 //!   I/O: it writes its answers and acks as effects, and one function steps it
 //!   under its lock and performs them — for the socket thread that read a
 //!   query, for the control plane, and for the one timer thread that lands
-//!   the round trips no socket thread meets. Statistics ([`RuntimeStats`])
-//!   are read on demand ([`PoolRuntime::stats`]), and shutdown is graceful.
+//!   the round trips no socket thread meets (a lone flight's landing wakes
+//!   it by the instant, not a timer slack after it). Statistics
+//!   ([`RuntimeStats`]) are read on demand ([`PoolRuntime::stats`]), and
+//!   shutdown is graceful.
 //! * [`BackendNet`] — in-process upstream endpoints (full RFC 8484 DoH
 //!   terminators via [`PayloadService`]) reached through `Send`
 //!   [`BackendExchanger`]s, so a complete serving stack runs end-to-end

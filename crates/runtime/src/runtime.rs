@@ -75,9 +75,13 @@
 //!   queued refresh is due at once and opens in the step that queued it.
 //!   One timer thread waits (`park_timeout`, a futex) until the earliest
 //!   alarm over all shards, held in one atomic on the wall clock, and
-//!   steps each shard whose alarm is due. A step that moves its shard's
-//!   alarm earlier moves the timer down and unparks it; a query's step that
-//!   leaves the alarm where it was touches neither the timer nor the
+//!   steps each shard whose alarm is due. The kernel ends a park up to its
+//!   timer slack late, folding close wakes into one: with one flight
+//!   upstream over all shards nobody shares the wake, so the timer asks for
+//!   the alarm less the slack, and a wake before it lands nothing and parks
+//!   for the rest. A step that moves its shard's alarm earlier moves the
+//!   timer down and unparks it; a query's step that leaves the alarm and
+//!   the flights where they were touches neither the timer nor the
 //!   clock, and the timer's own steps always re-arm.
 //!   Alarms are converted to the wall clock from the shard's own exchanger
 //!   clock, so a shard on a simulated clock keeps working.
@@ -101,7 +105,7 @@ use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
@@ -118,6 +122,7 @@ use sdoh_metrics::{
 };
 use sdoh_netsim::SimInstant;
 
+use crate::clock::{park_for, timer_slack};
 use crate::control::{ControlHandle, EpochOrder};
 
 /// How long a stats aggregation waits for each shard's lock before marking
@@ -130,7 +135,8 @@ const SNAPSHOT_TIMEOUT: Duration = Duration::from_secs(5);
 /// has to answer promptly even when a shard is wedged.
 const HEALTH_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// How long a snapshot waits between two tries of a busy shard's lock.
+/// How long a snapshot waits between two tries of a busy shard's lock; not
+/// led by the timer slack, it lasts ~100 us on a 2-vCPU Linux host.
 const SNAPSHOT_POLL: Duration = Duration::from_micros(50);
 
 /// How long a socket loop stays away from a socket that just returned an
@@ -336,11 +342,12 @@ pub(crate) enum ReplyPath {
     Tcp(mpsc::Sender<Vec<u8>>, Vec<u8>),
 }
 
-/// What a shard's lock guards: the machine, and the alarm its step last
-/// armed (`None`: the timer does not wait for the shard).
+/// What a shard's lock guards: the machine, and the alarm and flights its
+/// step last armed (`None`: the timer does not wait for the shard).
 struct ShardState {
     machine: ShardMachine,
     alarm: Option<SimInstant>,
+    flights: usize,
 }
 
 /// One shard: its state behind its one lock, and its own ways out.
@@ -381,23 +388,39 @@ struct Timer {
     origin: Instant,
     /// Each shard's alarm, written under its lock, read without it.
     due: Vec<AtomicU64>,
+    /// Each shard's flights upstream, published with its `due`.
+    flights: Vec<AtomicUsize>,
     /// When the timer thread wakes: no later than any `due` while it waits,
     /// moved down by whoever arms a shard earlier, raised only by the timer,
     /// which folds every `due` back in after each pass.
     next: AtomicU64,
+    /// The kernel's timer slack, read once: see [`park_for`].
+    slack: Duration,
+    /// How long after `next` each pass that steps a shard woke.
+    lateness: Histogram,
     /// The timer thread, unparked when `next` moves down (none in tests
     /// that drive [`ShardSet::land_due`] themselves).
     thread: OnceLock<Thread>,
 }
 
 impl Timer {
-    fn new(shards: usize) -> Timer {
+    fn new(shards: usize, registry: &Registry) -> Timer {
+        let (name, help) = sdoh_core::METRIC_TIMER_LATENESS;
         Timer {
             origin: Instant::now(),
             due: (0..shards).map(|_| AtomicU64::new(u64::MAX)).collect(),
+            flights: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
             next: AtomicU64::new(u64::MAX),
+            slack: timer_slack(),
+            lateness: registry.histogram_with(name, help, &[]),
             thread: OnceLock::new(),
         }
+    }
+
+    /// Whether one flight is upstream over all shards: nobody shares its wake.
+    fn lone(&self) -> bool {
+        let flights = self.flights.iter().map(|n| n.load(Ordering::SeqCst));
+        flights.sum::<usize>() == 1
     }
 
     /// `at` as nanoseconds since the origin.
@@ -405,14 +428,18 @@ impl Timer {
         u64::try_from(at.saturating_duration_since(self.origin).as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Sets shard `index`'s alarm `wait` from now (`None`: no alarm). When
-    /// the alarm moved `earlier` and that brings the timer's instant down,
-    /// the timer is unparked to wait again; `unpark` keeps a token, so the
-    /// wake-up is not lost if the timer is between its check and its park.
-    fn arm(&self, index: usize, wait: Option<Duration>, earlier: bool) {
+    /// Sets shard `index`'s alarm `wait` from now (`None`: no alarm) and its
+    /// `flights`. When the alarm moved `earlier` and that brings the timer's
+    /// instant down, the timer is unparked to wait again; `unpark` keeps a
+    /// token, so the wake-up is not lost if the timer is between its check
+    /// and its park.
+    fn arm(&self, index: usize, wait: Option<Duration>, earlier: bool, flights: usize) {
         let at = wait
             .and_then(|wait| Instant::now().checked_add(wait))
             .map_or(u64::MAX, |at| self.nanos(at));
+        if let Some(count) = self.flights.get(index) {
+            count.store(flights, Ordering::SeqCst);
+        }
         if let Some(due) = self.due.get(index) {
             due.store(at, Ordering::SeqCst);
         }
@@ -444,7 +471,7 @@ impl ShardSet {
         let counters = FrontCounters::register(registry);
         let (name, help) = sdoh_core::METRIC_SERVE_LATENCY;
         ShardSet {
-            timer: Timer::new(shards.len()),
+            timer: Timer::new(shards.len(), registry),
             cells: shards
                 .into_iter()
                 .enumerate()
@@ -452,6 +479,7 @@ impl ShardSet {
                     state: Mutex::new(ShardState {
                         machine: ShardMachine::new(shard, limit),
                         alarm: None,
+                        flights: 0,
                     }),
                     latency: registry.histogram_with(name, help, &[("shard", &index.to_string())]),
                     acked: AtomicU64::new(0),
@@ -478,11 +506,11 @@ impl ShardSet {
     /// lock, performs the effects under the same hold as the step hands them
     /// out — a query's answer before the step goes on to what is due — then
     /// arms the timer with the next due instant on the wall clock (the
-    /// machine's clock read first, so never before the alarm). A query whose
-    /// step moved the alarm earlier counts in `sdoh_shard_wakes_total`.
-    /// Returns the wait it armed: how long until the next round trip
-    /// upstream is over (`None`: none, no shard, or a query step that left
-    /// the alarm where it was and armed nothing).
+    /// machine's clock read first, so never before the alarm) and its flights.
+    /// A query whose step moved the alarm earlier counts in
+    /// `sdoh_shard_wakes_total`. Returns the wait it armed: how long until the
+    /// next round trip upstream is over (`None`: none, no shard, or a query
+    /// step that moved neither alarm nor flights and armed nothing).
     fn step(&self, index: usize, item: Option<Item<'_>>) -> Option<Duration> {
         let cell = self.cells.get(index)?;
         let query = matches!(item, Some(Item::Query { .. }));
@@ -490,10 +518,11 @@ impl ShardSet {
         let state: &mut ShardState = &mut guard;
         let machine: &mut ShardMachine = &mut state.machine;
         let due = machine.step(item, &mut |effects| self.perform(cell, effects));
-        if query && due == state.alarm {
-            // The alarm did not move (a hit, or a miss that joined a flight
-            // or whose batch is due no earlier): the timer waits for it
-            // already, and neither its atomics nor the clock are touched.
+        let flights = machine.resolver.snapshot().live_generations;
+        if query && due == state.alarm && flights == state.flights {
+            // Neither the alarm nor the flights moved (a hit, or a miss that
+            // joined a flight): the timer waits for the alarm already, and
+            // neither its atomics nor the clock are touched.
             // The timer's own steps re-arm: on a clock that lags the wall
             // clock, one that landed nothing puts the alarm back ahead.
             return None;
@@ -501,8 +530,9 @@ impl ShardSet {
         let now = machine.exchanger.now();
         let earlier = due.is_some_and(|due| state.alarm.is_none_or(|alarm| due < alarm));
         state.alarm = due;
+        state.flights = flights;
         let wait = due.map(|due| due.saturating_duration_since(now));
-        self.timer.arm(index, wait, earlier);
+        self.timer.arm(index, wait, earlier, flights);
         if earlier && query {
             self.counters.wakes.inc();
         }
@@ -551,18 +581,22 @@ impl ShardSet {
     /// One pass of the timer: steps every shard whose alarm is due at `now`
     /// (a shard on a simulated clock lands what its own clock says is due),
     /// and folds every shard's next alarm into the instant the timer waits for.
-    fn land_due(&self, now: Instant) {
+    /// Returns whether it stepped a shard.
+    fn land_due(&self, now: Instant) -> bool {
         let timer = &self.timer;
         timer.next.store(u64::MAX, Ordering::SeqCst);
         let now = timer.nanos(now);
+        let mut stepped = false;
         for (index, due) in timer.due.iter().enumerate() {
             if due.load(Ordering::SeqCst) <= now {
                 self.step(index, None);
+                stepped = true;
             }
             timer
                 .next
                 .fetch_min(due.load(Ordering::SeqCst), Ordering::SeqCst);
         }
+        stepped
     }
 
     /// Every shard's [`ServeSnapshot`] (`None`: its lock was not free by
@@ -584,15 +618,24 @@ impl ShardSet {
 
 /// The timer thread: waits until the earliest alarm over all shards — with
 /// none armed, for centuries or until a socket thread arms one — and lands
-/// what is due. It takes no lock of its own, only each due shard's.
+/// what is due, recording how late it woke; a lone flight's park is led by
+/// the slack. It takes no lock of its own, only each due shard's.
 // sdoh-lint: entry(transitive-hot-path-purity, "lands every round trip no socket thread meets")
 fn timer_loop(shards: &ShardSet, stop: &AtomicBool) {
+    let timer = &shards.timer;
     while !stop.load(Ordering::SeqCst) {
         let now = Instant::now();
-        let next = shards.timer.next.load(Ordering::SeqCst);
-        match next.saturating_sub(shards.timer.nanos(now)) {
-            0 => shards.land_due(now),
-            wait => std::thread::park_timeout(Duration::from_nanos(wait)),
+        let (next, at) = (timer.next.load(Ordering::SeqCst), timer.nanos(now));
+        match next.saturating_sub(at) {
+            0 => {
+                if shards.land_due(now) {
+                    timer.lateness.record(Duration::from_nanos(at - next));
+                }
+            }
+            wait => {
+                let park = park_for(Duration::from_nanos(wait), timer.slack, timer.lone());
+                std::thread::park_timeout(park);
+            }
         }
     }
 }
@@ -814,10 +857,11 @@ impl PoolRuntime {
         // 2. Every shard lands what it has upstream, sleeping out the last
         //    round trips between its steps — nobody is left to wait for it —
         //    so the numbers include every accepted query and every
-        //    generation begun.
+        //    generation begun. A step before the round trip is over (a sleep
+        //    led by the slack) lands nothing and returns the rest.
         for index in 0..shards.len() {
             while let Some(wait) = shards.step(index, None) {
-                std::thread::sleep(wait);
+                std::thread::sleep(park_for(wait, shards.timer.slack, true));
             }
         }
         self.stats()
@@ -2223,13 +2267,17 @@ mod tests {
         let next = || timer.next.load(Ordering::SeqCst);
         let (late, early) = (routed_to(&fleet, 0, 2, 1), routed_to(&fleet, 1, 2, 2));
 
-        // The later alarm is set first: it arms the timer.
+        // The later alarm is set first: it arms the timer, and its flight is
+        // the only one upstream.
         ask(1, late[0]);
+        assert!(timer.lone());
         assert_eq!(wakes.get(), 1);
         assert_eq!(alarms(), [Some(clock.now().saturating_add(LATER)), None]);
         assert_eq!(next(), due(0));
-        // The earlier one second: it moves the timer down.
+        // The earlier one second: it moves the timer down, and two flights
+        // are upstream over the two shards.
         ask(2, early[0]);
+        assert!(!timer.lone());
         assert_eq!(wakes.get(), 2);
         let alarm = Some(clock.now().saturating_add(EARLIER));
         assert_eq!(alarms()[1], alarm);
@@ -2264,6 +2312,63 @@ mod tests {
         assert_eq!(alarms(), [None, None]);
         assert_eq!(next(), u64::MAX, "nothing left to wait for");
         assert_eq!(wakes.get(), 2);
+    }
+
+    /// A lone flight, and the passes of the timer around its instant. One
+    /// miss publishes one flight upstream, and a second miss on another key
+    /// clears that, though its batch is due with the first and leaves the
+    /// alarm where it was. A timer pass 1 ns before the alarm's wall-clock
+    /// instant steps no shard; one at the instant steps the shard, which
+    /// lands nothing while its own clock is 1 ns short of the round trip,
+    /// and lands the flight at the instant that step re-armed.
+    #[test]
+    fn a_lone_flight_is_published_and_is_landed_at_its_instant_not_before() {
+        const RTT: Duration = Duration::from_millis(2);
+        const NS: Duration = Duration::from_nanos(1);
+        let fleet = LoopbackFleet::build(LoopbackConfig::default());
+        let clock = sdoh_netsim::SimClock::new();
+        let shards = &open(stepped(&fleet, CacheConfig::default(), &clock, &[RTT]));
+        let timer = &shards.timer;
+        let (reply, answers) = mpsc::channel();
+        let ask = |id: u16, domain: &Name| {
+            let tcp = ReplyPath::Tcp(reply.clone(), Vec::new());
+            assert!(serve_query(shards, &a_query(id, domain), tcp));
+        };
+        let due = || timer.origin + Duration::from_nanos(timer.due[0].load(Ordering::SeqCst));
+        let flights = || timer.flights[0].load(Ordering::SeqCst);
+
+        ask(1, &fleet.domains[0]);
+        assert!(timer.lone());
+        clock.advance(RTT - NS);
+        let instant = due();
+        assert!(
+            !shards.land_due(instant - NS),
+            "1 ns early: no shard stepped"
+        );
+        assert!(shards.land_due(instant));
+        assert!(
+            answers.try_recv().is_err(),
+            "1 ns short on the shard's clock"
+        );
+        assert!(timer.lone());
+        clock.advance(NS);
+        assert!(shards.land_due(due()));
+        assert_eq!(answered(&answers), [1], "landed at the instant");
+        assert_eq!((flights(), timer.lone()), (0, false));
+
+        ask(2, &fleet.domains[1]);
+        let (alarm, wakes) = (hold(shards, 0).alarm, shards.counters.wakes.get());
+        assert!(timer.lone());
+        ask(3, &fleet.domains[2]);
+        assert_eq!(
+            (hold(shards, 0).alarm, shards.counters.wakes.get()),
+            (alarm, wakes)
+        );
+        assert_eq!((flights(), timer.lone()), (2, false));
+        clock.advance(RTT);
+        assert!(shards.land_due(due()));
+        assert_eq!(answered(&answers), [2, 3]);
+        assert_eq!(flights(), 0);
     }
 
     /// The timer steps a shard whose own clock lags the wall clock: the
@@ -2517,15 +2622,18 @@ mod tests {
             let armed = || {
                 let due = timer.due[0].load(Ordering::SeqCst);
                 let next = timer.next.load(Ordering::SeqCst);
+                let published = timer.flights[0].load(Ordering::SeqCst);
                 (
                     due,
                     next,
+                    published,
                     hold(shards, 0).alarm,
                     shards.counters.wakes.get(),
                 )
             };
             let before = armed();
-            assert!(before.2.is_some());
+            assert!(before.3.is_some());
+            assert_eq!(before.2, flights, "each miss published its flight");
 
             ask(0, warm);
             assert_eq!(answered(&answers), [0], "the hit, answered in its step");

@@ -177,6 +177,9 @@ fn registry_lints_clean_every_counter_has_help() {
     assert!(samples.iter().any(|s| s.name == "sdoh_serve_queries_total"));
     assert!(samples.iter().any(|s| s.name == "sdoh_unresponsive_shards"));
     assert!(samples.iter().any(|s| s.name == "sdoh_shard_wakes_total"));
+    assert!(samples
+        .iter()
+        .any(|s| s.name == "sdoh_timer_lateness_seconds"));
     // Nothing is handed off and nothing is queued: no series says so.
     assert!(!samples
         .iter()

@@ -83,32 +83,20 @@
 //! keeps the layer between client queries and pool generation to itself:
 //!
 //! * a **TTL cache** of generation reports keyed by
-//!   `(domain, address family)` ([`PoolKey`]) — one map under an exact
-//!   capacity bound, with negative caching of failures; a full cache
-//!   evicts a dead entry, else a pool nobody asked for again, else the
-//!   least recently used, so once-asked names evict one another and not
-//!   the pools being served; what is cached and for how long is a
+//!   `(domain, address family)` ([`PoolKey`]), with negative caching and
+//!   an eviction rule that keeps the pools being served; its knobs are a
 //!   [`CacheConfig`],
-//! * **singleflight coalescing** — the resolver keeps a registry of its
-//!   live generations, and a miss for a key that has one in flight joins it
-//!   instead of launching a second fan-out,
-//! * **stale-while-revalidate** — expired entries are served immediately
-//!   within a stale window, and each queues a background refresh that is
-//!   due at once and regenerates them
+//! * **singleflight coalescing** — a miss joins the generation in flight
+//!   for its key, found by one hash in the resolver's key index,
+//! * **stale-while-revalidate** — an expired entry is served at once within
+//!   a stale window and queues a background refresh
 //!   ([`CachingPoolResolver::has_work`],
 //!   [`CachingPoolResolver::run_due_refreshes`]),
-//! * a **stepwise entry** beside the blocking `QueryHandler` one, in
-//!   which the resolver keeps what it has upstream and the driver only
-//!   decides when to wait: [`CachingPoolResolver::begin`] answers what the
-//!   cache can answer and parks a miss under a [`FlightId`],
-//!   [`CachingPoolResolver::poll`] says which flights landed and departs
-//!   what every live flight has to send as one batch through the
-//!   exchanger's send half (one batch overlaps the generations of
-//!   different keys), and [`CachingPoolResolver::arrive`] collects the
-//!   batches that are due, their outcomes in any order. Neither half
-//!   waits; [`CachingPoolResolver::next_arrival`] says until when a driver
-//!   should. The blocking entry points are these steps with each batch
-//!   completed inside the call, so there is one miss path.
+//! * a **stepwise entry** ([`CachingPoolResolver::begin`], `poll`,
+//!   `arrive`, [`CachingPoolResolver::next_arrival`]) in which the resolver
+//!   keeps what it has upstream and the driver only decides when to wait;
+//!   the blocking entry points are the same steps, so there is one miss
+//!   path ([`serve`] tells how).
 //!
 //! Serving cost falls from one generation **per query** to one generation
 //! per `(domain, TTL window)`, while every served answer still comes out

@@ -83,7 +83,7 @@ impl AddressFamily {
 }
 
 /// Cache key of a generated pool: the pool domain plus the queried family.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolKey {
     /// The pool domain the generation looked up.
     pub domain: Name,
@@ -116,6 +116,12 @@ impl<'q> QueryKey<'q> {
             domain: question.name,
             family,
         })
+    }
+}
+
+impl From<QueryKey<'_>> for PoolKey {
+    fn from(key: QueryKey<'_>) -> PoolKey {
+        key.to_key()
     }
 }
 
@@ -162,8 +168,17 @@ impl Eq for dyn LentKey + '_ {}
 
 impl Hash for dyn LentKey + '_ {
     fn hash<H: Hasher>(&self, state: &mut H) {
+        #[cfg(test)]
+        super::tests::visits::key();
         self.domain().hash(state);
         self.family().hash(state);
+    }
+}
+
+/// Hashed as it lends itself, so that a lent key finds its owned one.
+impl Hash for PoolKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self as &dyn LentKey).hash(state);
     }
 }
 

@@ -21,9 +21,10 @@
 //!   once-asked name must not push out a pool that is being asked for. A
 //!   deployment shards by giving each shard its own resolver, never
 //!   inside one.
-//! * **singleflight coalescing** — the resolver keeps a registry of its
-//!   live generations, one per key, and a miss for a key that has one in
-//!   flight joins it instead of launching its own fan-out,
+//! * **singleflight coalescing** — a miss for a key whose generation is in
+//!   flight joins it instead of launching its own fan-out; what each key
+//!   has upstream (its flight, a queued refresh) sits in an index beside
+//!   the cache, found by one hash from the name a query lends,
 //! * **stale-while-revalidate** — an expired entry within the stale window
 //!   is served immediately and its key queued for a background refresh,
 //!   which regenerates the pool off the query path
@@ -48,34 +49,25 @@
 //! per-generation sans-IO machine — registered under its key until its last
 //! outcome has landed. `begin` parks the query under the flight's
 //! [`FlightId`] (or under the flight already live for the key); `poll`
-//! walks the live flights in the order they opened, reports each flight
-//! whose exchanges are all in as [`Landed`] — counted, cached (a failure
-//! negatively), its queued refresh cancelled, and carrying the report its
-//! parked queries are answered from — and, when it first says `None`
-//! (wait), departs every request of every flight as one batch through the
-//! exchanger's send half, so the batch overlaps the exchanges of
-//! *different domains' generations* and a cold burst over K domains costs
-//! one round trip, not K. `arrive` collects the batches whose round trip
-//! is over through the collect half and feeds each outcome to its flight
-//! (found by id, with a binary search), in any order;
-//! [`CachingPoolResolver::next_arrival`] is when the next one is due, kept
-//! as batches depart and arrive, and [`CachingPoolResolver::has_work`]
-//! whether anything must be done before then (a flight opened and not yet
-//! departed, or a refresh queued): a driver that asks both after every
-//! cache hit pays nothing for the flights upstream.
-//!
-//! There used to be a second sans-IO machine here, a serve-level session
-//! bundling the `PoolSession`s of one call behind a flat transaction-id
-//! table, with its own poll loop and driver. It dissolved into the
-//! registry: a bundle is a unit of *waiting*, and once nothing waits inside
-//! a call — the driver owns the waiting — the only state that outlives a
-//! step is the flights themselves, and the batches upstream. The resolver
-//! tags each request of a batch with its flight and transaction and keeps
-//! the tags beside the batch's receipt, so an outcome always lands where
-//! it belongs and no tag leaves the crate; the per-generation machine
-//! stays because a generation's fan-out, bookkeeping and combination step
-//! are exactly what it encapsulates. A driver keeps nothing of what is
-//! upstream: it only decides when to wait.
+//! polls the flights with work — opened, or reached by an outcome, since
+//! the last poll — in opening order, reports each flight whose exchanges
+//! are all in as [`Landed`] — counted, cached (a failure negatively), its
+//! queued refresh cancelled, and carrying the report its parked queries are
+//! answered from — and, when it first says `None` (wait), departs what they
+//! had to send as one batch through the exchanger's send half, so a cold
+//! burst over K domains costs one round trip, not K. The batches upstream
+//! are kept in due order: `arrive` takes the due ones off the front,
+//! through the collect half, and feeds each outcome to its flight (found by
+//! id), in any order; [`CachingPoolResolver::next_arrival`] is the front,
+//! and [`CachingPoolResolver::has_work`] whether anything must be done
+//! before then (a flight opened and not yet departed, or a refresh queued).
+//! Each step visits only its own flights, keys and batches: a cache hit
+//! pays nothing for the flights upstream, and a miss, a stale serve, an
+//! arrival or a landing costs the same however many are upstream. Each
+//! request of a batch is tagged with its flight and transaction, kept
+//! beside the batch's receipt, so an outcome always lands where it belongs
+//! and no tag leaves the crate. A driver keeps nothing of what is upstream:
+//! it only decides when to wait.
 //!
 //! The blocking entry points — `handle_query`, `handle_query_wire`,
 //! [`CachingPoolResolver::run_due_refreshes`],
@@ -144,13 +136,14 @@
 mod cache;
 mod resolver;
 mod samples;
-mod singleflight;
 
 pub use cache::{
     AddressFamily, CacheConfig, CacheEntryProbe, CacheMetrics, CachedPool, ConfigError, EntryState,
     PoolKey,
 };
-pub use resolver::{CachingPoolResolver, Landed, ResolvedPool, ServeMetrics, ServeSnapshot};
+pub use resolver::{
+    CachingPoolResolver, FlightId, Landed, ResolvedPool, ServeMetrics, ServeSnapshot,
+};
 pub use samples::{
     snapshot_samples, APP_METRIC_HELP, METRIC_CONFIG_EPOCH, METRIC_DROPPED_QUERIES,
     METRIC_INVARIANT_VIOLATIONS, METRIC_SERVE_LATENCY, METRIC_SHARDS, METRIC_SHARD_ACKED_EPOCH,
@@ -158,4 +151,43 @@ pub use samples::{
     METRIC_TIMESYNC_POOL_REFRESHES, METRIC_TIMESYNC_SYNCS, METRIC_TRUNCATED_RESPONSES,
     METRIC_UDP_QUERIES, METRIC_UNRESPONSIVE_SHARDS, RUNTIME_METRIC_HELP, SERVE_GAUGE_HELP,
 };
-pub use singleflight::FlightId;
+
+#[cfg(test)]
+mod tests {
+    /// What a resolver step visits, per thread so that each test counts its
+    /// own: flights by their look-ups by id, keys by their hashes (the
+    /// cache's and the key index's alike), batches by the readings of their
+    /// due instant.
+    pub(crate) mod visits {
+        use std::cell::Cell;
+
+        thread_local! {
+            static COUNTS: Cell<[usize; 3]> = const { Cell::new([0; 3]) };
+        }
+
+        fn count(at: usize) {
+            COUNTS.with(|counts| {
+                let mut now = counts.get();
+                now[at] += 1;
+                counts.set(now);
+            });
+        }
+
+        /// The flights, keys and batches visited since the last call.
+        pub(crate) fn take() -> [usize; 3] {
+            COUNTS.with(|counts| counts.replace([0; 3]))
+        }
+
+        pub(crate) fn flight() {
+            count(0);
+        }
+
+        pub(crate) fn key() {
+            count(1);
+        }
+
+        pub(crate) fn batch() {
+            count(2);
+        }
+    }
+}

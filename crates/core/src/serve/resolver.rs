@@ -10,7 +10,7 @@
 //! Running a full generation for **every** client query would make serving
 //! cost scale linearly with client traffic, so queries are answered from
 //! the pool cache, concurrent misses for one domain join the generation
-//! already in flight for it (the resolver's registry of live flights), and
+//! already in flight for it (found in the resolver's key index), and
 //! expired entries within the stale window are served immediately while
 //! a background refresh — queued by the stale serve, due at once, and
 //! opened by the driver via [`CachingPoolResolver::begin_due_refreshes`]
@@ -21,19 +21,11 @@
 //! [`CacheConfig::uncached`].
 //!
 //! A generation is a piece of data the resolver owns, not a call it sits
-//! inside, and so is what it has upstream:
-//! [`CachingPoolResolver::begin`] answers what the cache can answer and
-//! parks a miss under a [`FlightId`], [`CachingPoolResolver::poll`] reports
-//! the flights that landed and departs what the live flights have to send
-//! as one batch ([`Exchanger::depart`]), and
-//! [`CachingPoolResolver::arrive`] collects the batches whose round trip is
-//! over ([`Exchanger::arrive`]) and hands each outcome to its flight. None
-//! of them waits: the driver only decides when to wait, until
-//! [`CachingPoolResolver::next_arrival`]. The blocking entry points
-//! (`handle_query`, `handle_query_wire`, `run_due_refreshes`,
-//! `resolve_pool`) are those same steps, each batch completed inside the
-//! call through [`Exchanger::exchange_all`], until the flight lands: there
-//! is one miss path.
+//! inside, and so is what it has upstream: [`CachingPoolResolver::begin`],
+//! [`CachingPoolResolver::poll`] and [`CachingPoolResolver::arrive`] never
+//! wait, and the blocking entry points are the same steps, each batch
+//! completed inside the call through [`Exchanger::exchange_all`] (see the
+//! [module documentation](super), "The miss path").
 //!
 //! Every answer still comes out of a real [`GenerationReport`] produced by
 //! the paper's secure generation procedure, so the benign-fraction
@@ -41,20 +33,20 @@
 //! generation — caching changes *when* pools are generated, never *what*
 //! is served.
 
+use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
 use sdoh_dns_server::{Departure, ExchangeRequest, Exchanger, QueryHandler};
 use sdoh_dns_wire::{
-    AnswerTemplate, Header, Message, MessageBuilder, QueryView, Question, QuestionRef, Rcode,
-    Record, RrType, Ttl, WireResult,
+    AnswerTemplate, Header, Message, MessageBuilder, NameRef, QueryView, Question, QuestionRef,
+    Rcode, Record, RrType, Ttl, WireResult,
 };
 
 use super::cache::{
-    answer_template, CacheConfig, CacheLookup, CacheMetrics, CachedPool, LentKey, PoolCache,
-    PoolKey, QueryKey,
+    answer_template, AddressFamily, CacheConfig, CacheLookup, CacheMetrics, CachedPool, LentKey,
+    PoolCache, PoolKey, QueryKey,
 };
 use super::samples::{GENERATION_SECONDS, SERVE_COUNTERS};
-use super::singleflight::{FlightId, Singleflight};
 use crate::generator::{seed_from, GenerationReport, SecurePoolGenerator};
 use crate::session::{Action, PoolSession, TransactionId};
 use sdoh_netsim::SimInstant;
@@ -268,31 +260,45 @@ impl Served<'_> {
     }
 }
 
+/// Identifies one live generation of a [`CachingPoolResolver`], from the
+/// miss parked on it to its landing. Ids grow in opening order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct FlightId(usize);
+
 /// A DNS query handler serving secure pools through the caching subsystem.
 ///
 /// See the module documentation for the serving model.
 pub struct CachingPoolResolver {
     generator: SecurePoolGenerator,
     cache: PoolCache,
-    /// The keys a stale serve queued a refresh for, in queueing order, each
-    /// once and none in flight: every one is due.
+    /// What each key has upstream, found by one hash from a lent name.
+    /// Beside the cache: a cold key has no entry there, and a hit never
+    /// looks here. Never iterated.
+    keys: HashMap<PoolKey, Upstream>,
+    flights: Flights,
+    /// The first id `poll` has not reached yet.
+    unpolled: usize,
+    /// The flights an outcome reached since they were polled, last first.
+    reached: Vec<FlightId>,
+    /// The refreshes stale serves queued, in queueing order, and how many
+    /// are not cancelled since.
     refreshes: Vec<PoolKey>,
-    /// The generations in flight, one per key.
-    flights: Singleflight<PoolKey, Flight>,
+    queued: usize,
     metrics: ServeMetrics,
-    /// The batches upstream, in departure order.
-    upstream: Vec<Batch>,
-    /// When the earliest of them is ready (`None`: nothing upstream), kept
-    /// as batches depart and arrive so that asking costs no walk.
-    earliest: Option<SimInstant>,
-    /// A flight opened since `poll` last walked them all: its requests have
-    /// not departed yet.
-    unsent: bool,
+    /// The batches upstream, in due order.
+    upstream: VecDeque<Batch>,
     /// The next batch, gathered until it departs: its requests, and by
     /// request index the flight and transaction each outcome lands under.
     /// The tags reuse the widest landed batch's buffer.
     requests: Vec<ExchangeRequest>,
     tags: Vec<(FlightId, TransactionId)>,
+}
+
+/// A key's live flight and place in the refresh queue, while either is.
+#[derive(Default)]
+struct Upstream {
+    flight: Option<FlightId>,
+    refresh: Option<usize>,
 }
 
 /// One batch upstream: the send half's receipt and, by request index, the
@@ -302,13 +308,71 @@ struct Batch {
     tags: Vec<(FlightId, TransactionId)>,
 }
 
-/// One live generation: the per-generation machine plus what landing it
-/// needs to know.
+impl Batch {
+    /// When its replies can be collected.
+    fn ready_at(&self) -> SimInstant {
+        #[cfg(test)]
+        super::tests::visits::batch();
+        self.departure.ready_at()
+    }
+}
+
+/// The live flights, found by id with no search: ids grow in opening
+/// order, and flight `id` sits `id - first` places from the front.
+#[derive(Default)]
+struct Flights {
+    /// A landed flight's place stays empty until every older one's is.
+    places: VecDeque<Option<Flight>>,
+    first: usize,
+    live: usize,
+}
+
+impl Flights {
+    /// The id the next flight opens under.
+    fn next(&self) -> FlightId {
+        FlightId(self.first + self.places.len())
+    }
+
+    fn open(&mut self, flight: Flight) {
+        self.places.push_back(Some(flight));
+        self.live += 1;
+    }
+
+    fn place(&mut self, id: FlightId) -> Option<&mut Option<Flight>> {
+        #[cfg(test)]
+        super::tests::visits::flight();
+        self.places.get_mut(id.0.checked_sub(self.first)?)
+    }
+
+    /// Takes flight `id` out, and the emptied places off the front.
+    fn land(&mut self, id: FlightId) -> Option<Flight> {
+        let flight = self.place(id)?.take()?;
+        self.live -= 1;
+        while self.places.pop_front_if(|place| place.is_none()).is_some() {
+            self.first += 1;
+        }
+        Some(flight)
+    }
+}
+
+/// One live generation: the per-generation machine, what landing it needs.
 struct Flight {
     session: PoolSession,
     started: SimInstant,
     /// Opened for a queued refresh, not by a query.
     refresh: bool,
+    /// With the name its session lends, the key of its index entry.
+    family: AddressFamily,
+}
+
+impl LentKey for Flight {
+    fn domain(&self) -> NameRef<'_> {
+        self.session.domain()
+    }
+
+    fn family(&self) -> AddressFamily {
+        self.family
+    }
 }
 
 /// A finished generation, as the queries parked on it see it: already in
@@ -367,12 +431,14 @@ impl CachingPoolResolver {
         CachingPoolResolver {
             generator,
             cache: PoolCache::new(config),
+            keys: HashMap::new(),
+            flights: Flights::default(),
+            unpolled: 0,
+            reached: Vec::new(),
             refreshes: Vec::new(),
-            flights: Singleflight::new(),
+            queued: 0,
             metrics: ServeMetrics::default(),
-            upstream: Vec::new(),
-            earliest: None,
-            unsent: false,
+            upstream: VecDeque::new(),
             requests: Vec::new(),
             tags: Vec::new(),
         }
@@ -417,8 +483,13 @@ impl CachingPoolResolver {
         predicate: impl FnMut(&PoolKey) -> bool,
     ) -> Vec<(PoolKey, CachedPool)> {
         let moved = self.cache.extract_matching(predicate);
-        self.refreshes
-            .retain(|queued| moved.iter().all(|(key, _)| key != queued));
+        for (key, _) in &moved {
+            match self.keys.get_mut(key) {
+                Some(Upstream { flight: None, .. }) => drop(self.release(key)),
+                Some(upstream) => self.queued -= usize::from(upstream.refresh.take().is_some()),
+                None => {}
+            }
+        }
         moved
     }
 
@@ -458,9 +529,14 @@ impl CachingPoolResolver {
             serve: self.metrics,
             cache: self.cache.metrics(),
             entries: self.cache.len(),
-            pending_refreshes: self.refreshes.len(),
-            live_generations: self.flights.len(),
+            pending_refreshes: self.queued,
+            live_generations: self.live_generations(),
         }
+    }
+
+    /// [`ServeSnapshot::live_generations`], read alone.
+    pub fn live_generations(&self) -> usize {
+        self.flights.live
     }
 
     /// Whether a driver has anything to do before it may wait until
@@ -469,22 +545,21 @@ impl CachingPoolResolver {
     /// [`begin_due_refreshes`](CachingPoolResolver::begin_due_refreshes) or
     /// [`run_due_refreshes`](CachingPoolResolver::run_due_refreshes) opens
     /// it), or a flight opened since the last
-    /// [`poll`](CachingPoolResolver::poll) walked them all, whose requests
-    /// are still to depart. A step that answered from the cache, joined a
-    /// live flight or was answered on the spot leaves it as it was.
+    /// [`poll`](CachingPoolResolver::poll) reached it, whose requests are
+    /// still to depart. A step that answered from the cache, joined a live
+    /// flight or was answered on the spot leaves it as it was.
     // sdoh-lint: entry(transitive-hot-path-purity, "behind `ShardMachine::pump`'s pruning boundary, yet its first check asks this at the end of every step, cache hits included")
     pub fn has_work(&self) -> bool {
-        self.unsent || !self.refreshes.is_empty()
+        self.unpolled < self.flights.next().0 || self.queued > 0
     }
 
     /// When the earliest batch upstream can be collected with
     /// [`arrive`](CachingPoolResolver::arrive) — the instant a driver that
     /// owns its waiting waits until — or `None` when nothing is upstream.
-    /// Kept as batches depart and arrive: asking walks nothing, however
-    /// many flights are upstream.
+    /// The first of the batches, kept in due order: asking walks nothing.
     // sdoh-lint: entry(transitive-hot-path-purity, "behind `ShardMachine::pump`'s pruning boundary, yet its first check holds this against one clock reading at the end of every step, cache hits included")
     pub fn next_arrival(&self) -> Option<SimInstant> {
-        self.earliest
+        self.upstream.front().map(Batch::ready_at)
     }
 
     /// Runs every queued refresh as one overlapped generation batch, off
@@ -545,10 +620,13 @@ impl CachingPoolResolver {
         // queues nothing), so a stale serve queues without allocating.
         let mut due = std::mem::take(&mut self.refreshes);
         let mut opened = 0;
-        for key in due.drain(..) {
-            if self.flights.find(&key).is_none()
-                && self.open_flight(exchanger, &key, true).is_some()
-            {
+        for (at, key) in due.drain(..).enumerate() {
+            // A cancelled refresh's key no longer names its place.
+            let queued = self.keys.get_mut(&key).filter(|up| up.refresh == Some(at));
+            let Some(upstream) = queued else { continue };
+            upstream.refresh = None;
+            self.queued -= 1;
+            if upstream.flight.is_none() && self.open_flight(exchanger, key, true).is_some() {
                 opened += 1;
             }
         }
@@ -556,50 +634,47 @@ impl CachingPoolResolver {
         opened
     }
 
-    /// Second step: advances the live flights, in opening order, and
-    /// reports the first whose exchanges are all in as [`Landed`]: answer
-    /// every query parked under [`Landed::flight`]. Call it until it says
-    /// `None`, which means wait: on the way there every request of every
-    /// live flight departs as one batch through `exchanger`'s send half
-    /// ([`Exchanger::depart`]), which overlaps not only the N exchanges of
-    /// a generation but the generations of different keys, and only the
-    /// batches upstream move a flight, from
-    /// [`next_arrival`](CachingPoolResolver::next_arrival) on.
+    /// Second step: polls the flights with work — opened, or reached by an
+    /// outcome, since the last poll — in opening order, and reports the
+    /// first whose exchanges are all in as [`Landed`]: answer every query
+    /// parked under [`Landed::flight`]. Call it until it says `None`, which
+    /// means wait: on the way there what they have to send departs as one
+    /// batch through `exchanger`'s send half ([`Exchanger::depart`]), which
+    /// overlaps not only the N exchanges of a generation but the
+    /// generations of different keys, and only the batches upstream move a
+    /// flight, from [`next_arrival`](CachingPoolResolver::next_arrival) on.
     /// `exchanger`'s clock stamps what lands.
     pub fn poll(&mut self, exchanger: &mut dyn Exchanger) -> Option<Landed> {
         self.advance(exchanger, |exchanger, requests| exchanger.depart(requests))
     }
 
-    /// Third step: collects every batch upstream whose round trip is over
-    /// at `exchanger`'s clock, through its collect half
-    /// ([`Exchanger::arrive`]), and hands each outcome to its flight.
-    /// Outcomes may come back in any order, within a flight and across
-    /// flights; the next [`poll`](CachingPoolResolver::poll) reports the
+    /// Third step: collects the batches due at `exchanger`'s clock, off the
+    /// front of the due-ordered queue, through its collect half
+    /// ([`Exchanger::arrive`]), and hands each outcome to its flight, in any
+    /// order; the next [`poll`](CachingPoolResolver::poll) reports the
     /// flights they completed, in opening order. Returns whether a batch
     /// arrived. With nothing upstream it reads no clock, and with nothing
-    /// due it returns after one reading, walking no batch.
+    /// due it returns after one reading.
     pub fn arrive(&mut self, exchanger: &mut dyn Exchanger) -> bool {
-        let Some(earliest) = self.earliest else {
+        let Some(first) = self.upstream.front() else {
             return false;
         };
         let now = exchanger.now();
-        if earliest > now {
+        if first.ready_at() > now {
             return false;
         }
-        while let Some(due) = self
-            .upstream
-            .iter()
-            .position(|batch| batch.departure.ready_at() <= now)
+        while let Some(Batch { departure, tags }) =
+            self.upstream.pop_front_if(|batch| batch.ready_at() <= now)
         {
-            let Batch { departure, tags } = self.upstream.remove(due);
             for outcome in exchanger.arrive(departure) {
                 // The tags are the resolver's own, and a flight is live
                 // until its last outcome is in.
                 let Some(&(id, transaction)) = tags.get(outcome.index) else {
                     continue;
                 };
-                if let Some(flight) = self.flights.get_mut(id) {
+                if let Some(flight) = self.flights.place(id).and_then(Option::as_mut) {
                     let _ = flight.session.handle_response(transaction, outcome.result);
+                    self.reached.push(id);
                 }
             }
             if self.tags.is_empty() && tags.capacity() > self.tags.capacity() {
@@ -607,11 +682,8 @@ impl CachingPoolResolver {
                 self.tags.clear();
             }
         }
-        self.earliest = self
-            .upstream
-            .iter()
-            .map(|batch| batch.departure.ready_at())
-            .min();
+        self.reached.sort_unstable_by(|a, b| b.cmp(a));
+        self.reached.dedup();
         true
     }
 
@@ -622,8 +694,18 @@ impl CachingPoolResolver {
         exchanger: &mut dyn Exchanger,
         send: fn(&mut dyn Exchanger, Vec<ExchangeRequest>) -> Departure,
     ) -> Option<Landed> {
-        let mut done = None;
-        'flights: for (id, flight) in self.flights.iter_mut() {
+        loop {
+            // A flight an outcome reached was polled before, so its id is
+            // below every flight not polled yet: this is id order.
+            let id = match self.reached.pop() {
+                Some(id) => id,
+                None if self.unpolled < self.flights.next().0 => FlightId(self.unpolled),
+                None => break,
+            };
+            self.unpolled = self.unpolled.max(id.0 + 1);
+            let Some(flight) = self.flights.place(id).and_then(Option::as_mut) else {
+                continue;
+            };
             loop {
                 match flight.session.poll() {
                     Action::Transmit(transmit) => {
@@ -639,32 +721,39 @@ impl CachingPoolResolver {
                         self.requests.push(transmit.request);
                     }
                     Action::Wait => break,
-                    Action::Done => {
-                        done = Some(id);
-                        break 'flights;
-                    }
+                    Action::Done => return self.land(id, exchanger.now()),
                 }
             }
         }
-        let Some((id, (key, flight))) = done.and_then(|id| Some((id, self.flights.land(id)?)))
-        else {
-            // Every live flight was walked: what they had to send leaves now.
-            self.unsent = false;
-            if !self.requests.is_empty() {
-                let departure = send(exchanger, std::mem::take(&mut self.requests));
-                let tags = std::mem::take(&mut self.tags);
-                let ready = departure.ready_at();
-                self.earliest = Some(self.earliest.map_or(ready, |at| at.min(ready)));
-                self.upstream.push(Batch { departure, tags });
-            }
-            return None;
-        };
+        // Every flight with work was polled: what they had to send leaves
+        // now, in due order behind the batches upstream.
+        if !self.requests.is_empty() {
+            let departure = send(exchanger, std::mem::take(&mut self.requests));
+            let batch = Batch {
+                departure,
+                tags: std::mem::take(&mut self.tags),
+            };
+            let ready = batch.ready_at();
+            let at = match self.upstream.back() {
+                Some(last) if last.ready_at() > ready => self
+                    .upstream
+                    .partition_point(|ahead| ahead.ready_at() <= ready),
+                _ => self.upstream.len(),
+            };
+            self.upstream.insert(at, batch);
+        }
+        None
+    }
+
+    /// Takes flight `id` out and books its generation.
+    fn land(&mut self, id: FlightId, now: SimInstant) -> Option<Landed> {
+        let flight = self.flights.land(id)?;
+        let key = self.release(&flight).unwrap_or_else(|| flight.to_key());
         // What each source came to, per pass, read once the flight lands.
         let (answered, failed) = flight.session.outcome_counts();
         self.metrics.source_answers += answered;
         self.metrics.source_failures += failed;
         let result = flight.session.finish().map_err(|e| e.to_string());
-        let now = exchanger.now();
         let template = self.record_generation(key, &result, flight.refresh, flight.started, now);
         Some(Landed {
             flight: id,
@@ -672,6 +761,14 @@ impl CachingPoolResolver {
             template,
             ttl: self.cache.config().ttl,
         })
+    }
+
+    /// Takes `key`'s entry out of the index — its flight landed, or never
+    /// opened — and cancels its queued refresh, a fan-out for nothing.
+    fn release(&mut self, key: &dyn LentKey) -> Option<PoolKey> {
+        let (key, upstream) = self.keys.remove_entry(key)?;
+        self.queued -= usize::from(upstream.refresh.is_some());
+        Some(key)
     }
 
     /// Validates the protocol-level shape of a query — its first question,
@@ -705,8 +802,17 @@ impl CachingPoolResolver {
             }
             CacheLookup::Stale(hit, stored) => {
                 self.metrics.stale_serves += 1;
-                if self.flights.find(stored).is_none() && !self.refreshes.contains(stored) {
+                if !self.keys.contains_key(stored) {
+                    let refresh = Some(self.refreshes.len());
+                    self.keys.insert(
+                        stored.clone(),
+                        Upstream {
+                            flight: None,
+                            refresh,
+                        },
+                    );
                     self.refreshes.push(stored.clone());
+                    self.queued += 1;
                 }
                 (hit, Ttl::ZERO)
             }
@@ -747,11 +853,12 @@ impl CachingPoolResolver {
         if let Some(served) = self.lookup(&key, exchanger.now()) {
             return Begun::Answered(form(served));
         }
-        if let Some(flight) = self.flights.find(&key as &dyn LentKey) {
+        let live = self.keys.get(&key as &dyn LentKey);
+        if let Some(flight) = live.and_then(|upstream| upstream.flight) {
             self.metrics.coalesced_waiters += 1;
             return Begun::Parked(flight);
         }
-        match self.open_flight(exchanger, &key, false) {
+        match self.open_flight(exchanger, key, false) {
             Some(flight) => Begun::Parked(flight),
             // The generation failed before its first exchange, and is
             // remembered like any other failure.
@@ -785,36 +892,37 @@ impl CachingPoolResolver {
     fn open_flight(
         &mut self,
         exchanger: &mut dyn Exchanger,
-        key: &dyn LentKey,
+        key: impl Into<PoolKey>,
         refresh: bool,
     ) -> Option<FlightId> {
-        // The one copy of the name a miss makes: the key the flight and
-        // the cache entry it lands in store.
-        let key = key.to_key();
+        // The one copy of the name a miss makes, for the index and then the
+        // cache (a refresh's key is the queue's).
+        let key = key.into();
         let seed = seed_from(exchanger);
         let started = exchanger.now();
         match self.generator.session(&key.domain, seed) {
             Ok(session) => {
-                self.unsent = true;
-                Some(self.flights.open(
-                    key,
-                    Flight {
-                        session,
-                        started,
-                        refresh,
-                    },
-                ))
+                let (id, family) = (self.flights.next(), key.family);
+                self.keys.entry(key).or_default().flight = Some(id);
+                self.flights.open(Flight {
+                    session,
+                    started,
+                    refresh,
+                    family,
+                });
+                Some(id)
             }
             Err(err) => {
+                self.release(&key);
                 self.record_generation(key, &Err(err.to_string()), refresh, started, started);
                 None
             }
         }
     }
 
-    /// Books one finished generation: the counters, the cache entry (a
-    /// failure becomes a negative one) and the refresh it makes redundant.
-    /// The result is copied only for a cache that keeps it. Returns a
+    /// Books one finished generation: the counters and the cache entry (a
+    /// failure becomes a negative one). The result is copied only for a
+    /// cache that keeps it. Returns a
     /// pool's answer section in wire form, encoded once per landing: the
     /// cache entry's when there is one, built here otherwise.
     fn record_generation(
@@ -835,10 +943,6 @@ impl CachingPoolResolver {
         if result.is_err() {
             self.metrics.generation_failures += 1;
         }
-        // The entry is being regenerated: a refresh still queued for it
-        // (its stale serve happened before this demand-path generation)
-        // would only duplicate the fan-out.
-        self.refreshes.retain(|queued| *queued != key);
         if self.cache.keeps(result) {
             let stored = self.cache.insert(key, result.clone(), now)?;
             stored.answer.cloned()
@@ -968,8 +1072,8 @@ impl std::fmt::Debug for CachingPoolResolver {
         f.debug_struct("CachingPoolResolver")
             .field("generator", &self.generator)
             .field("cache_entries", &self.cache.len())
-            .field("pending_refreshes", &self.refreshes.len())
-            .field("live_generations", &self.flights.len())
+            .field("pending_refreshes", &self.queued)
+            .field("live_generations", &self.flights.live)
             .field("metrics", &self.metrics)
             .finish()
     }
@@ -980,6 +1084,7 @@ mod tests {
     use super::*;
     use crate::config::PoolConfig;
     use crate::fleet::{doh_sources, DohFleet};
+    use crate::serve::tests::visits;
     use crate::source::{AddressSource, StaticSource};
     use sdoh_dns_server::{DnsClient, Do53Service, ExchangeOutcome, StubResolver};
     use sdoh_netsim::{Ctx, SimAddr, SimNet};
@@ -1455,7 +1560,7 @@ mod tests {
         assert_send::<CachingPoolResolver>();
         assert_send::<SecurePoolGenerator>();
         assert_send::<PoolCache>();
-        assert_send::<Singleflight<PoolKey, Flight>>();
+        assert_send::<Flight>();
         assert_send::<Landed>();
         assert_send::<ServeMetrics>();
         assert_send::<super::super::ServeSnapshot>();
@@ -2272,6 +2377,144 @@ mod tests {
         // The next generation runs over the new set.
         let next = resolver.handle_query(&mut client(&net), &query(2, WORLD[1]));
         assert_eq!(next.answer_addresses(), vec![ip(9)]);
+    }
+
+    /// How long a [`Held`] batch is upstream.
+    const HELD_RTT: Duration = Duration::from_millis(2);
+
+    /// A way upstream whose batches are due [`HELD_RTT`] after they depart,
+    /// on a clock the test moves, and come back as timeouts: what a step
+    /// visits does not depend on what the exchanges said.
+    struct Held {
+        now: SimInstant,
+        ids: u16,
+    }
+
+    impl Exchanger for Held {
+        fn exchange(
+            &mut self,
+            dst: SimAddr,
+            _: sdoh_netsim::ChannelKind,
+            _: &[u8],
+            _: Duration,
+        ) -> sdoh_netsim::NetResult<Vec<u8>> {
+            Err(sdoh_netsim::NetError::Unreachable(dst))
+        }
+
+        fn next_id(&mut self) -> u16 {
+            self.ids = self.ids.wrapping_add(1);
+            self.ids
+        }
+
+        fn now(&self) -> SimInstant {
+            self.now
+        }
+
+        fn depart(&mut self, requests: Vec<ExchangeRequest>) -> Departure {
+            Departure::in_flight(self.now.saturating_add(HELD_RTT), requests)
+        }
+
+        fn arrive(&mut self, departure: Departure) -> Vec<ExchangeOutcome> {
+            let completed_at = self.now;
+            departure.outcomes(|requests| {
+                (0..requests.len())
+                    .map(|index| ExchangeOutcome {
+                        index,
+                        completed_at,
+                        result: Err(sdoh_netsim::NetError::Timeout),
+                    })
+                    .collect()
+            })
+        }
+    }
+
+    /// What a step visits with F = 1, 16, 256 and 4 096 flights upstream,
+    /// each its own batch, the last opened due first: a cached hit, a stale
+    /// serve, a miss that opens its flight (with the poll that departs it),
+    /// a miss that joins the last flight, the arrival of its batch and the
+    /// landing it completes each visit the same few flights, keys and
+    /// batches, whatever F is. A hit hashes its key in the cache alone: the
+    /// key index sits beside the cache, and the hit path never reaches it.
+    #[test]
+    fn a_step_visits_its_own_flights_keys_and_batches_whatever_is_upstream() {
+        use crate::config::CombinationMode;
+        use crate::pool::AddressPool;
+        let fleet = DohFleet::new(3, 1, 2, 49);
+        let epoch = SimInstant::EPOCH;
+        let mut pool = AddressPool::new();
+        pool.push(ip(1), "r1");
+        let report = GenerationReport {
+            pool,
+            mode: CombinationMode::TruncateAndCombine,
+            sources: Vec::new(),
+            truncate_lengths: Vec::new(),
+        };
+        let mut counted = Vec::new();
+        for upstream in [1, 16, 256, 4096] {
+            let sources = doh_sources(&fleet.infos);
+            let generator = SecurePoolGenerator::new(PoolConfig::algorithm1(), sources).unwrap();
+            let mut resolver = CachingPoolResolver::new(generator, test_config());
+            // One pool fresh, one past its TTL within the stale window.
+            let fresh = epoch.saturating_add(Duration::from_secs(60));
+            for (domain, expires_at) in [("warm.example", fresh), ("stale.example", epoch)] {
+                let key = PoolKey::new(domain.parse().unwrap(), AddressFamily::V4);
+                let cached = CachedPool {
+                    value: Ok(report.clone()),
+                    generated_at: epoch,
+                    expires_at,
+                    reasked: false,
+                };
+                assert!(resolver.install_entry(key, cached, epoch));
+            }
+            let mut held = Held { now: epoch, ids: 0 };
+            let mut out = Vec::new();
+            let mut begin = |resolver: &mut CachingPoolResolver, held: &mut Held, domain: &str| {
+                let wire = lent(&query(1, domain));
+                resolver.begin(held, &wire.view(), &mut out).unwrap()
+            };
+            let mut last = None;
+            for index in 0..upstream {
+                held.now = epoch.saturating_add(Duration::from_nanos(upstream - index));
+                last = begin(&mut resolver, &mut held, &format!("cold{index}.example"));
+                assert!(last.is_some() && resolver.poll(&mut held).is_none());
+            }
+            held.now = epoch.saturating_add(Duration::from_nanos(upstream + 1));
+            visits::take();
+            assert_eq!(begin(&mut resolver, &mut held, "warm.example"), None);
+            let hit = visits::take();
+            assert_eq!(begin(&mut resolver, &mut held, "stale.example"), None);
+            let stale = visits::take();
+            assert!(begin(&mut resolver, &mut held, "opened.example").is_some());
+            assert!(resolver.poll(&mut held).is_none());
+            let opened = visits::take();
+            let joined = format!("cold{}.example", upstream - 1);
+            assert_eq!(begin(&mut resolver, &mut held, &joined), last);
+            let joined = visits::take();
+            held.now = epoch.saturating_add(HELD_RTT + Duration::from_nanos(1));
+            assert!(resolver.arrive(&mut held));
+            let arrival = visits::take();
+            let landed = resolver.poll(&mut held).expect("its outcomes are all in");
+            let landing = visits::take();
+            assert_eq!(Some(landed.flight), last);
+            let snapshot = resolver.snapshot();
+            let metrics = snapshot.serve;
+            assert_eq!(
+                snapshot.live_generations,
+                usize::try_from(upstream).unwrap()
+            );
+            assert_eq!((metrics.hits, metrics.stale_serves), (1, 1));
+            assert_eq!((metrics.coalesced_waiters, metrics.generations), (1, 1));
+            let steps = [hit, stale, opened, joined, arrival, landing];
+            println!(
+                "{upstream} flights upstream, [flights, keys, batches] visited: hit {hit:?}, \
+                 stale serve {stale:?}, opened miss {opened:?}, joined miss {joined:?}, \
+                 arrival {arrival:?}, landing {landing:?}"
+            );
+            counted.push(steps);
+        }
+        assert!(counted.iter().all(|steps| *steps == counted[0]));
+        assert!(counted[0].iter().flatten().all(|&visits| visits <= 4));
+        assert_eq!(counted[0][0], [0, 2, 0], "a hit visits nothing upstream");
     }
 
     #[test]

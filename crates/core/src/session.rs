@@ -57,7 +57,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use sdoh_dns_server::{ExchangeRequest, Exchanger};
-use sdoh_dns_wire::{Name, RrType};
+use sdoh_dns_wire::{Name, NameRef, RrType};
 use sdoh_doh::DohQuestion;
 use sdoh_netsim::NetResult;
 
@@ -268,6 +268,12 @@ impl PoolSession {
     /// out.
     pub fn source_name(&self, index: usize) -> &str {
         self.sources.get(index).map_or("", |source| &source.name)
+    }
+
+    /// The name the generation looks up, lent by its first question.
+    pub(crate) fn domain(&self) -> NameRef<'_> {
+        let first = self.questions.first().and_then(Option::as_ref);
+        first.map(DohQuestion::name).unwrap_or_default()
     }
 
     /// Advances the state machine.

@@ -41,7 +41,10 @@
 //!   (sized for N at once; its tags reuse the buffer of the batch that
 //!   landed before), the answer buffer (sized on the first answer for all
 //!   N), the rest the generation's own bookkeeping and the rendered answer.
-//!   Nothing grows faster than N. History at N = 5: 22 now; 23 while each
+//!   Nothing grows faster than N, nor with the flights upstream: at N = 5
+//!   beside 256 flights of other names the query costs the same 22 (the
+//!   key index finds and stores its key by one hash each). History at
+//!   N = 5: 22 now; 23 while each
 //!   blocking call gathered its batch's tags in a buffer of its own; 33
 //!   while each reply's addresses and each row's name were copies of their
 //!   own; 38
@@ -73,7 +76,12 @@
 //! * the same hit while 16 flights are upstream, each its own batch, with
 //!   what a shard asks the resolver after it — whether it has work before
 //!   its next arrival, and whether that arrival is due — allocates nothing
-//!   either.
+//!   either;
+//! * a stale serve that queues its key's refresh copies the key twice,
+//!   exactly: into the key index, which says the refresh is queued, and
+//!   into the refresh queue, which keeps the order refreshes open in (the
+//!   refresh then opens on the queue's copy and copies nothing). At the
+//!   parent the serve copied it once and the refresh again.
 //!
 //! A second test holds bytes, not blocks: a majority generation whose
 //! first source answers 4 000 addresses may hold at most three times that
@@ -306,9 +314,10 @@ const MAJORITY: usize = 8;
 const ALGORITHM1: usize = 8;
 
 /// The allocations of one uncached query over a fleet of `n`, its last
-/// resolver poisoned, under the majority vote, after one query has warmed
-/// the buffers; the answer is verified.
-fn uncached_query(pool: &Name, n: usize) -> usize {
+/// resolver poisoned, under the majority vote, with `upstream` flights of
+/// other names upstream (each its own batch, staying there), after one
+/// query has warmed the buffers; the answer is verified.
+fn uncached_query(pool: &Name, n: usize, upstream: usize) -> usize {
     let expected: Vec<IpAddr> = (1..=8).map(benign).collect();
     let (mut fleet, sources) = doh_fleet(n);
     let mut resolver = CachingPoolResolver::new(
@@ -318,6 +327,13 @@ fn uncached_query(pool: &Name, n: usize) -> usize {
     let query = Message::query(77, pool.clone(), RrType::A);
     let wire = query.encode().unwrap();
     let mut out = Vec::with_capacity(512);
+    for index in 0..upstream {
+        let held = format!("held{index}.ntpns.org").parse().unwrap();
+        let held = Message::query(1, held, RrType::A).encode().unwrap();
+        let miss = resolver.begin(&mut Upstream, &QueryView::parse(&held).unwrap(), &mut out);
+        assert!(miss.unwrap().is_some(), "a miss opens its flight");
+        assert!(resolver.poll(&mut Upstream).is_none(), "and departs it");
+    }
     let lent = QueryView::parse(&wire).unwrap();
     resolver
         .handle_query_wire(&mut fleet, &lent, &mut out)
@@ -338,8 +354,13 @@ fn uncached_query(pool: &Name, n: usize) -> usize {
     );
     assert_eq!(resolver.metrics().generations, 2);
     assert_eq!(resolver.metrics().source_answers, 2 * n as u64);
+    assert_eq!(resolver.live_generations(), upstream);
     count
 }
+
+/// Flights upstream beside the uncached query at N = 5: its key is found
+/// and stored by one hash each, so they cost it no allocation.
+const FLIGHTS_BESIDE: usize = 256;
 
 #[test]
 fn a_generation_stays_within_its_allocation_budgets() {
@@ -366,8 +387,9 @@ fn a_generation_stays_within_its_allocation_budgets() {
     // (b) The benchmark's cold query: nothing cached, N exchanges, vote.
     let uncached: Vec<(usize, usize)> = RESOLVER_COUNTS
         .iter()
-        .map(|&n| (n, uncached_query(&pool, n)))
+        .map(|&n| (n, uncached_query(&pool, n, 0)))
         .collect();
+    let beside = uncached_query(&pool, 5, FLIGHTS_BESIDE);
     let mut out = Vec::with_capacity(512);
 
     // (c) One flight, four waiters: whether or not the cache keeps the
@@ -476,11 +498,53 @@ fn a_generation_stays_within_its_allocation_budgets() {
     assert_eq!(resolver.metrics().hits, 1);
     assert_eq!(Message::decode(&out).unwrap().answer_addresses(), expected);
 
+    // (f) Stale serves, two pools past their TTL: the first sizes the
+    // refresh queue and the key index, the second is counted.
+    let generator =
+        SecurePoolGenerator::new(PoolConfig::majority_resolver(), static_sources()).unwrap();
+    let mut resolver = CachingPoolResolver::new(generator, CacheConfig::default());
+    let stale: Vec<Vec<u8>> = ["stale1.ntpns.org", "stale2.ntpns.org"]
+        .iter()
+        .map(|name| {
+            let query = Message::query(3, name.parse().unwrap(), RrType::A);
+            query.encode().unwrap()
+        })
+        .collect();
+    for wire in &stale {
+        let query = QueryView::parse(wire).unwrap();
+        assert!(resolver
+            .begin(&mut nowhere, &query, &mut out)
+            .unwrap()
+            .is_some());
+        assert!(resolver.poll(&mut nowhere).is_some());
+    }
+    for (key, mut cached) in resolver.extract_entries(|_| true) {
+        cached.expires_at = nowhere.now();
+        assert!(resolver.install_entry(key, cached, nowhere.now()));
+    }
+    let mut stale_serve = |wire: &[u8]| {
+        out.clear();
+        allocations_of(|| {
+            let query = QueryView::parse(wire).unwrap();
+            resolver.begin(&mut nowhere, &query, &mut out).unwrap()
+        })
+    };
+    assert_eq!(
+        stale_serve(&stale[0]).1,
+        None,
+        "served stale from the cache"
+    );
+    let (stale_serve, begun) = stale_serve(&stale[1]);
+    assert_eq!(begun, None, "served stale from the cache");
+    assert_eq!(resolver.metrics().stale_serves, 2);
+    assert_eq!(resolver.snapshot().pending_refreshes, 2);
+
     println!(
         "allocations: static majority generation {generation}, static Algorithm-1 generation \
-         {algorithm1}, uncached query by N {uncached:?} (a = {A}, b = {B}), per parked waiter \
+         {algorithm1}, uncached query by N {uncached:?} (a = {A}, b = {B}), at N = 5 with \
+         {FLIGHTS_BESIDE} flights upstream {beside}, per parked waiter \
          {per_waiter:?} (uncached, cached), cached hit {hit}, cached hit with 16 flights \
-         upstream {upstream_hit}"
+         upstream {upstream_hit}, stale serve queueing its refresh {stale_serve}"
     );
     assert_eq!(
         generation, MAJORITY,
@@ -497,6 +561,11 @@ fn a_generation_stays_within_its_allocation_budgets() {
             "one uncached query over {n} resolvers allocated {count} times, not {A} + {B}·{n}"
         );
     }
+    assert_eq!(
+        beside,
+        A + B * 5,
+        "an uncached query beside {FLIGHTS_BESIDE} flights allocated {beside} times"
+    );
     assert_eq!(hit, 0, "a cached hit allocated {hit} times");
     assert_eq!(
         upstream_hit, 0,
@@ -505,6 +574,10 @@ fn a_generation_stays_within_its_allocation_budgets() {
     assert!(
         per_waiter.iter().all(|count| *count == 0),
         "rendering a parked waiter's answer allocated: {per_waiter:?}"
+    );
+    assert_eq!(
+        stale_serve, 2,
+        "a stale serve queueing its refresh allocated {stale_serve} times"
     );
 }
 

@@ -496,6 +496,13 @@ impl<'a> NameRef<'a> {
     }
 }
 
+/// The root name.
+impl Default for NameRef<'_> {
+    fn default() -> Self {
+        NameRef { labels: &[] }
+    }
+}
+
 impl PartialEq for NameRef<'_> {
     fn eq(&self, other: &Self) -> bool {
         self.labels.eq_ignore_ascii_case(other.labels)

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::error::{WireError, WireResult};
-use crate::name::{Name, MAX_NAME_LEN};
+use crate::name::{Name, NameRef, MAX_NAME_LEN};
 use crate::query::QuestionRef;
 use crate::rrtype::{RrClass, RrType};
 use crate::wire::{WireReader, WireWriter};
@@ -141,6 +141,13 @@ impl QueryWire {
     /// and class.
     pub(crate) fn question(&self) -> &[u8] {
         self.as_bytes().get(HEADER_LEN..).unwrap_or_default()
+    }
+
+    /// The name the query asks for, lent from its octets.
+    pub fn name(&self) -> NameRef<'_> {
+        let question = self.question();
+        let labels = question.len().saturating_sub(5);
+        NameRef::new(question.get(..labels).unwrap_or_default())
     }
 
     /// The type the query asks for.

@@ -94,6 +94,11 @@ impl DohQuestion {
     pub fn rtype(&self) -> RrType {
         self.query.rtype()
     }
+
+    /// The name the question asks for, lent from its encoding.
+    pub fn name(&self) -> sdoh_dns_wire::NameRef<'_> {
+        self.query.name()
+    }
 }
 
 /// A GET's `:path` field, written inline.

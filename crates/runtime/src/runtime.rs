@@ -60,13 +60,14 @@
 //! departed, no refresh queued) compares that arrival
 //! ([`CachingPoolResolver::next_arrival`]) with one reading of the clock
 //! and, with nothing due, is done — a cached hit costs the same however
-//! many flights are upstream. Any other step pumps in full: the
-//! resolver collects the batches whose round trip is over
+//! many flights are upstream. Any other step pumps in full, visiting only
+//! what has work: the resolver collects the batches that are due
 //! ([`CachingPoolResolver::arrive`]), the refreshes stale serves queued
 //! open flights, the queries parked on each landed flight — and no others
-//! — are answered, and the resolver departs what the live flights have to
-//! send as one batch ([`CachingPoolResolver::poll`], through the
-//! exchanger's send half). A zero round trip lands within the step, and
+//! — are answered, and the flights just opened or reached by an outcome
+//! depart what they have to send as one batch
+//! ([`CachingPoolResolver::poll`], through the exchanger's send half). A
+//! zero round trip lands within the step, and
 //! queries that never pause cannot starve the flights: a round trip that
 //! is over is landed by the next step that finds it due.
 //!
@@ -105,6 +106,7 @@ use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::os::fd::OwnedFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::{JoinHandle, Thread};
@@ -518,7 +520,7 @@ impl ShardSet {
         let state: &mut ShardState = &mut guard;
         let machine: &mut ShardMachine = &mut state.machine;
         let due = machine.step(item, &mut |effects| self.perform(cell, effects));
-        let flights = machine.resolver.snapshot().live_generations;
+        let flights = machine.resolver.live_generations();
         if query && due == state.alarm && flights == state.flights {
             // Neither the alarm nor the flights moved (a hit, or a miss that
             // joined a flight): the timer waits for the alarm already, and
@@ -682,6 +684,7 @@ impl PoolRuntime {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, err.to_string())
         })?;
         let (udp, tcp) = bind_front_door(config.bind, || UdpSocket::bind(config.bind))?;
+        let tcp = passed_on(tcp, TCP_IO_BUDGET)?;
         let udp_addr = udp.local_addr()?;
         let tcp_addr = tcp.local_addr()?;
 
@@ -916,6 +919,17 @@ fn bind_front_door(
     }
 }
 
+/// `listener`, set once with what each connection it accepts inherits:
+/// `budget` for each read and write (an idle `accept` too, which returns
+/// `WouldBlock`) and `TCP_NODELAY`, through a stream lent its descriptor.
+fn passed_on(listener: TcpListener, budget: Duration) -> std::io::Result<TcpListener> {
+    let stream = TcpStream::from(OwnedFd::from(listener));
+    stream.set_read_timeout(Some(budget))?;
+    stream.set_write_timeout(Some(budget))?;
+    stream.set_nodelay(true)?;
+    Ok(TcpListener::from(OwnedFd::from(stream)))
+}
+
 /// Shards that missed the snapshot deadline.
 fn count_unresponsive(per_shard: &[Option<ServeSnapshot>]) -> usize {
     per_shard.iter().filter(|s| s.is_none()).count()
@@ -1022,19 +1036,15 @@ fn tcp_loop(listener: &TcpListener, shards: &ShardSet, stop: &AtomicBool) {
                 // as the fallback for truncated answers, so one connection
                 // at a time keeps the thread budget fixed. The next waits
                 // up to `TCP_IO_BUDGET` per read or write of this one that
-                // makes no progress, up to `TCP_ANSWER_WAIT` per query not
-                // answered yet, and for as long as this one makes progress.
-                // What removes the hold-up is non-blocking connections
-                // polled by this one thread, not a thread per connection
-                // (ROADMAP item 3b).
-                let set = stream
-                    .set_read_timeout(Some(TCP_IO_BUDGET))
-                    .and_then(|()| stream.set_write_timeout(Some(TCP_IO_BUDGET)))
-                    .and_then(|()| stream.set_nodelay(true));
-                if set.is_ok() {
-                    let _ = serve_framed(stream, shards);
-                }
+                // makes no progress (`passed_on`), up to `TCP_ANSWER_WAIT`
+                // per query not answered yet, and for as long as this one
+                // makes progress. What removes the hold-up is non-blocking
+                // connections polled by this one thread, not a thread per
+                // connection (ROADMAP item 3b).
+                let _ = serve_framed(stream, shards);
             }
+            // The listener's read budget ran out with nobody connecting.
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
             // An error (a reset in the backlog, a signal) is not about the
             // next connection: leaving would strand every truncated pool.
             Err(_) => std::thread::sleep(ERROR_BACKOFF),
@@ -1329,7 +1339,7 @@ impl ShardMachine {
     /// upstream. Otherwise
     /// the resolver lands the batches whose round trip is over, the queued
     /// refreshes open, the queries parked on what landed are answered, what
-    /// the live flights have to send departs as one batch, and the orders
+    /// the flights with work have to send departs as one batch, and the orders
     /// that may be are adopted — repeated while anything is already due, so
     /// a zero round trip lands before another query can join its flight.
     /// Returns the resolver's next arrival, the next instant anything is
@@ -1839,12 +1849,70 @@ mod tests {
 
     #[test]
     fn accept_errors_do_not_end_the_tcp_loop() {
-        // A non-blocking listener makes `accept` fail for as long as nobody
-        // connects — a stand-in for the errors a blocking one returns now
-        // and then (a connection aborted in the backlog, a signal).
+        // Shut down for reading through a stream lent its descriptor, the
+        // listener fails every `accept` at once (`EINVAL`): an error that is
+        // not about the next connection, as a reset in the backlog is.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        listener.set_nonblocking(true).unwrap();
+        let lent = TcpStream::from(OwnedFd::from(listener.try_clone().unwrap()));
+        lent.shutdown(std::net::Shutdown::Read).unwrap();
+        let failed = listener.accept().map(drop).unwrap_err();
+        assert_ne!(failed.kind(), std::io::ErrorKind::WouldBlock);
+        let fleet = LoopbackFleet::build(LoopbackConfig::default());
+        let shards = Arc::new(open_shards(&fleet, 1, CacheConfig::default()));
+        let stop = Arc::new(AtomicBool::new(false));
+        let (task, loop_task) = mpsc::channel();
+        let acceptor = {
+            let (shards, stop) = (Arc::clone(&shards), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                task.send(std::fs::read_link("/proc/thread-self")).unwrap();
+                tcp_loop(&listener, &shards, &stop);
+            })
+        };
+        // Each failed accept backs off: the loop's thread sleeps (a
+        // voluntary context switch) where a spinning one would not.
+        let status = std::path::Path::new("/proc").join(loop_task.recv().unwrap().unwrap());
+        let sleeps = || {
+            let status = std::fs::read_to_string(status.join("status")).unwrap();
+            let line = status
+                .lines()
+                .find(|line| line.starts_with("voluntary_ctxt"));
+            let count = line.and_then(|line| line.split_whitespace().nth(1));
+            count.unwrap().parse::<u64>().unwrap()
+        };
+        let before = sleeps();
+        std::thread::sleep(ERROR_BACKOFF * 50);
+        let backed_off = sleeps() - before;
+        assert!(
+            backed_off >= 5,
+            "{backed_off} back-offs in 50 failed accepts' time"
+        );
+        assert!(!acceptor.is_finished(), "the errors did not end the loop");
+        // It leaves when told to, at its next failed accept.
+        stop.store(true, Ordering::SeqCst);
+        acceptor.join().unwrap();
+        assert_eq!(shards.counters.tcp_received.get(), 0);
+    }
+
+    #[test]
+    fn an_accepted_stream_carries_the_options_set_on_its_listener() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let listener = passed_on(listener, TCP_IO_BUDGET).unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        assert_eq!(stream.read_timeout().unwrap(), Some(TCP_IO_BUDGET));
+        assert_eq!(stream.write_timeout().unwrap(), Some(TCP_IO_BUDGET));
+        assert!(stream.nodelay().unwrap());
+    }
+
+    #[test]
+    fn an_idle_accept_is_a_tick_and_the_next_connection_is_served() {
+        const IDLE: Duration = Duration::from_millis(30);
+        let listener = passed_on(TcpListener::bind("127.0.0.1:0").unwrap(), IDLE).unwrap();
         let addr = listener.local_addr().unwrap();
+        let started = Instant::now();
+        let idle = listener.accept().map(drop).unwrap_err();
+        assert_eq!(idle.kind(), std::io::ErrorKind::WouldBlock);
+        assert!(started.elapsed() >= IDLE, "the read budget bounds accept");
         let fleet = LoopbackFleet::build(LoopbackConfig::default());
         let shards = Arc::new(open_shards(&fleet, 1, CacheConfig::default()));
         let stop = Arc::new(AtomicBool::new(false));
@@ -1852,9 +1920,8 @@ mod tests {
             let (shards, stop) = (Arc::clone(&shards), Arc::clone(&stop));
             std::thread::spawn(move || tcp_loop(&listener, &shards, &stop))
         };
-        // Several back-offs' worth of failed accepts later a query over the
-        // listener still reaches the shard, and its answer the client.
-        std::thread::sleep(ERROR_BACKOFF * 5);
+        // Several idle accepts later a query over the listener is answered.
+        std::thread::sleep(IDLE * 4);
         let mut stream = TcpStream::connect(addr).unwrap();
         let wire = a_query(9, &fleet.domains[0]);
         let len = u16::try_from(wire.len()).unwrap().to_be_bytes();
@@ -1863,14 +1930,9 @@ mod tests {
         stream.read_exact(&mut len).unwrap();
         let mut framed = vec![0u8; usize::from(u16::from_be_bytes(len))];
         stream.read_exact(&mut framed).unwrap();
-        let answer = Message::decode(&framed).unwrap();
-        assert_eq!(answer.header.id, 9);
-        assert_eq!(answer.answer_addresses().len(), 24);
-        assert_eq!(shards.counters.tcp_received.get(), 1);
-        // It leaves when told to, woken the way `shutdown` wakes it.
+        assert_eq!(Message::decode(&framed).unwrap().header.id, 9);
         drop(stream);
         stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(addr);
         acceptor.join().unwrap();
     }
 

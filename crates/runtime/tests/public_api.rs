@@ -49,15 +49,18 @@ fn collect(dir: &Path, relative: &str, out: &mut Vec<String>) {
 }
 
 /// Extracts the `pub` declarations of one source file. The scan stops at
-/// the first `#[cfg(test)]` — by repo convention the test module is the
-/// last item of a file, and nothing in it is public API.
+/// the test module (`#[cfg(test)]` above `mod tests`, as the line budget
+/// finds it) — by repo convention the last item of a file, and nothing in
+/// it is public API. A statement compiled only in tests does not stop it.
 fn scan(path: &Path, rel: &str, out: &mut Vec<String>) {
     let source = std::fs::read_to_string(path).expect("readable source file");
+    let mut test_only = false;
     for line in source.lines() {
         let trimmed = line.trim();
-        if trimmed == "#[cfg(test)]" {
+        if test_only && trimmed.starts_with("mod tests") {
             break;
         }
+        test_only = trimmed == "#[cfg(test)]";
         let Some(rest) = trimmed.strip_prefix("pub ") else {
             continue;
         };
